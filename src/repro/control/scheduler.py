@@ -987,7 +987,7 @@ class LinkScheduler:
                 noise_power_w=noise,
                 sinr_threshold=self._model.params.sinr_threshold,
                 max_power_w=self._model.max_power_w,
-                priority={link: h_backlogs.get(link, 0.0) for link in links},  # noqa: R040 - reference object path; the array path passes the (L,) backlog vector to minimal_power_assignment_vec
+                priority=h_backlogs,
             )
             service = self._service_pkts(band, observation)
             for link, power in result.powers.items():  # noqa: R006 - decision-sized LP output, not network-scaled state

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.phy import (
     big_m_coefficient,
@@ -18,6 +20,7 @@ from repro.phy import (
     total_interference,
     zero_interference_feasible,
 )
+from repro.phy.power_control import _solve_subset
 from repro.phy.propagation import MIN_DISTANCE_M
 from repro.phy.sinr import sinr_of_transmission
 from repro.types import Transmission
@@ -206,10 +209,76 @@ class TestPowerControl:
         assert not ok
 
 
-class TestPowerControlVec:
-    """minimal_power_assignment_vec vs the scalar reference, bitwise."""
+def _linear_scan(link_tx, link_rx, gains, noise_power_w, sinr_threshold, caps, priorities):
+    """Oracle: re-solve the surviving set after every single drop.
 
-    def test_fuzz_matches_scalar(self):
+    Joint infeasibility (failed solve or a non-positive power) drops the
+    first link of lowest priority; otherwise the first link with the
+    lexicographically largest ``(power / cap, -priority)`` goes.
+    """
+    direct = gains[link_tx, link_rx]
+    cross = gains[link_tx[:, None], link_rx[None, :]].T.copy()
+    np.fill_diagonal(cross, 0.0)
+    coupling = sinr_threshold * cross / direct[:, None]
+    noise = sinr_threshold * noise_power_w / direct
+    sel = np.arange(link_tx.shape[0])
+    dropped = []
+    while sel.size:
+        system = np.eye(sel.size) - coupling[np.ix_(sel, sel)]
+        try:
+            powers = np.linalg.solve(system, noise[sel])
+        except np.linalg.LinAlgError:
+            powers = np.full(sel.size, np.inf)
+        if np.any(powers <= 0) or not np.all(np.isfinite(powers)):
+            powers = np.full(sel.size, np.inf)
+        over = powers / caps[sel]
+        if np.all(over <= 1.0 + 1e-12):
+            return sel, powers, dropped
+        worst = max(range(sel.size), key=lambda l: (over[l], -priorities[sel[l]]))
+        if np.isinf(over[worst]):
+            worst = int(np.argmin(priorities[sel]))
+        dropped.append(int(sel[worst]))
+        sel = np.delete(sel, worst)
+    return sel, np.zeros(0), dropped
+
+
+def _assert_matches_oracle(*args):
+    kept, powers, dropped = minimal_power_assignment_vec(*args)
+    want_kept, want_powers, want_dropped = _linear_scan(*args)
+    assert dropped == want_dropped
+    assert kept.tolist() == want_kept.tolist()
+    assert powers.tobytes() == want_powers.tobytes()
+    return kept, dropped
+
+
+def _clustered_links(rng, n):
+    """``n`` short links packed into a few clusters: dense co-band
+    interference, the shape of a loaded S1 band."""
+    centers = rng.uniform(0.0, 3000.0, (int(rng.integers(2, 6)), 2))
+    tx = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 250.0, (n, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    length = rng.uniform(20.0, 150.0, n)
+    rx = tx + np.stack([np.cos(angle), np.sin(angle)], axis=1) * length[:, None]
+    gains = TestPowerControl._gains(np.concatenate([tx, rx]))
+    return np.arange(n, dtype=np.intp), np.arange(n, 2 * n, dtype=np.intp), gains
+
+
+def _spectral_radius(matrix):
+    return float(np.max(np.abs(np.linalg.eigvals(matrix)))) if matrix.size else 0.0
+
+
+def _unit_coupling(link_tx, link_rx, gains):
+    """``F``: the coupling matrix at ``Gamma = 1``."""
+    direct = gains[link_tx, link_rx]
+    cross = gains[link_tx[:, None], link_rx[None, :]].T.copy()
+    np.fill_diagonal(cross, 0.0)
+    return cross / direct[:, None]
+
+
+class TestPowerControlVec:
+    """minimal_power_assignment_vec vs the one-solve-per-drop oracle, bitwise."""
+
+    def test_fuzz_matches_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(60):
             num_nodes = int(rng.integers(4, 12))
@@ -226,20 +295,92 @@ class TestPowerControlVec:
             priority = {link: float(rng.uniform(0.0, 10.0)) for link in links}
             threshold = float(rng.uniform(0.5, 4.0))
 
-            scalar = minimal_power_assignment(
-                links, gains, 1e-10, threshold, caps_map, priority
-            )
             link_tx = np.array([tx for tx, _ in links], dtype=np.intp)
             link_rx = np.array([rx for _, rx in links], dtype=np.intp)
             caps = np.array([caps_map[tx] for tx, _ in links])
             priorities = np.array([priority[link] for link in links])
-            kept, powers, dropped = minimal_power_assignment_vec(
+            kept, dropped = _assert_matches_oracle(
                 link_tx, link_rx, gains, 1e-10, threshold, caps, priorities
             )
-            assert [links[i] for i in dropped] == scalar.dropped
-            assert [links[i] for i in kept] == list(scalar.scheduled)
-            for pos, power in zip(kept, powers):
-                assert float(power) == scalar.powers[links[pos]]
+            # The dict adapter is a view of the same call.
+            scalar = minimal_power_assignment(
+                links, gains, 1e-10, threshold, caps_map, priority
+            )
+            assert scalar.dropped == [links[i] for i in dropped]
+            assert list(scalar.scheduled) == [links[i] for i in kept]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_near_critical_sets_match_oracle(self, seed):
+        # Large clustered sets with Gamma set so that the subset left
+        # after dropping ``k`` lowest-priority links sits within
+        # ``delta`` of rho(Gamma F) = 1: the bisection's boundary lands
+        # exactly where floating point is least sure of the sign.
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(50, 401)) if seed % 3 else int(rng.integers(300, 401))
+        link_tx, link_rx, gains = _clustered_links(rng, n)
+        priority_kind = seed % 4
+        if priority_kind == 0:
+            priorities = rng.uniform(0.0, 10.0, n)
+        elif priority_kind == 1:
+            priorities = rng.integers(0, 4, n).astype(float)  # many ties
+        elif priority_kind == 2:
+            priorities = np.zeros(n)
+        else:
+            priorities = np.round(rng.exponential(50.0, n))
+        order = np.argsort(priorities, kind="stable")
+        sub = np.sort(order[int(rng.integers(0, max(1, n // 6))):])
+        rho = _spectral_radius(_unit_coupling(link_tx, link_rx, gains)[np.ix_(sub, sub)])
+        delta = [-1e-3, 1e-3, -1e-9, 1e-9, -1e-13, 1e-13][seed % 6]
+        threshold = (1.0 + delta) / rho
+        noise = 1e-10
+        direct = gains[link_tx, link_rx]
+        # Caps around the zero-interference power so a few links also
+        # go over cap once the set turns feasible.
+        caps = threshold * noise / direct * rng.uniform(1.0, 50.0, n)
+        _assert_matches_oracle(link_tx, link_rx, gains, noise, threshold, caps, priorities)
+
+    def test_every_link_dropped_jointly(self):
+        # No noise: every solve returns p = 0, which is not positive, so
+        # every subset is infeasible and the drop order is the priority
+        # order itself.
+        rng = np.random.default_rng(5)
+        link_tx, link_rx, gains = _clustered_links(rng, 60)
+        priorities = rng.integers(0, 3, 60).astype(float)
+        kept, dropped = _assert_matches_oracle(
+            link_tx, link_rx, gains, 0.0, 1.0, np.ones(60), priorities
+        )
+        assert kept.size == 0
+        assert dropped == np.argsort(priorities, kind="stable").tolist()
+
+    def test_every_link_dropped_over_cap(self):
+        rng = np.random.default_rng(6)
+        link_tx, link_rx, gains = _clustered_links(rng, 50)
+        kept, dropped = _assert_matches_oracle(
+            link_tx, link_rx, gains, 1e-10, 1.0, np.full(50, 1e-30), np.zeros(50)
+        )
+        assert kept.size == 0 and sorted(dropped) == list(range(50))
+
+    def test_singular_system(self):
+        # Links 2j and 2j+1 couple at exactly Gamma * F = 1 both ways, so
+        # every system holding both links of a pair is exactly singular
+        # and np.linalg.solve raises LinAlgError.
+        n = 8
+        gains = np.zeros((2 * n, 2 * n))
+        link_tx = np.arange(n, dtype=np.intp)
+        link_rx = np.arange(n, 2 * n, dtype=np.intp)
+        gains[link_tx, link_rx] = 1.0
+        for j in range(0, n, 2):
+            gains[link_tx[j], link_rx[j + 1]] = 0.5
+            gains[link_tx[j + 1], link_rx[j]] = 0.5
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.eye(n) - 2.0 * _unit_coupling(link_tx, link_rx, gains), np.ones(n))
+        priorities = np.array([3.0, 1.0, 0.0, 2.0, 5.0, 4.0, 1.0, 1.0])
+        kept, dropped = _assert_matches_oracle(
+            link_tx, link_rx, gains, 1e-10, 2.0, np.ones(n), priorities
+        )
+        # The set stays singular until the last pair, (4, 5), loses its
+        # weaker link, so every lower-priority link goes first.
+        assert dropped == [2, 1, 6, 7, 3, 0, 5] and kept.tolist() == [4]
 
     def test_empty_set(self):
         gains = TestPowerControl._gains([[0, 0], [10, 0]])
@@ -248,3 +389,39 @@ class TestPowerControlVec:
             gains, 1e-10, 1.0, np.zeros(0), np.zeros(0),
         )
         assert kept.size == 0 and powers.size == 0 and dropped == []
+
+
+class TestFeasibilityMonotone:
+    """The Perron–Frobenius argument the drop-prefix bisection rests on."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 14),
+        scale=st.floats(0.2, 4.0),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_feasibility_never_returns_along_priority_order(self, seed, n, scale, ties):
+        rng = np.random.default_rng(seed)
+        link_tx, link_rx, gains = _clustered_links(rng, n)
+        unit = _unit_coupling(link_tx, link_rx, gains)
+        # Scale Gamma around the full set's critical value so the flip
+        # from infeasible to feasible falls inside the removal order.
+        rho_full = _spectral_radius(unit)
+        threshold = scale / rho_full if rho_full > 0 else scale
+        priorities = rng.integers(0, 3, n).astype(float) if ties else rng.uniform(0, 1, n)
+        order = np.argsort(priorities, kind="stable")
+        coupling = threshold * unit
+        noise = threshold * 1e-10 / gains[link_tx, link_rx]
+        eye = np.eye(n)
+        feasible = []
+        for k in range(n + 1):
+            sel = np.sort(order[k:])
+            solved = _solve_subset(coupling, noise, eye, sel) is not None
+            rho = _spectral_radius(coupling[np.ix_(sel, sel)])
+            if sel.size and abs(rho - 1.0) > 1e-6:
+                assert solved == (rho < 1.0)
+            feasible.append(solved or not sel.size)
+        # Once feasible, every further removal stays feasible.
+        first = feasible.index(True)
+        assert all(feasible[first:])
