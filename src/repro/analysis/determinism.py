@@ -3,9 +3,8 @@
 The repo's reproducibility contract is bit-identity: a scenario seed
 fully determines the sample path (``sim/rng.py`` stream separation),
 serial and parallel sweeps must agree byte-for-byte, and the
-object-path and array-path state implementations must stay
-interchangeable.  Three rule families guard the ways that contract
-silently erodes:
+committed trajectory fingerprints must reproduce on every run.  Three
+rule families guard the ways that contract silently erodes:
 
 * **R030** — drawing randomness outside the seeded stream discipline:
   legacy global ``np.random.*`` calls, stdlib ``random`` module

@@ -357,7 +357,7 @@ replication, per sweep point; one Python-level loop over an axis-sized
 iterable (range(num_nodes), for node in model.nodes, an axis-sized
 comprehension) pins the whole simulator at interpreter speed no matter
 how vectorized the kernels around it are — the exact plateau the
-slot-loop benchmark shows today.
+per-phase profile of benchmarks/suite exposes.
 
 The analyzer builds the package call graph, takes the reachable cone
 of engine.step, and flags axis-sized loops inside it.  Functions whose

@@ -102,9 +102,8 @@ def coerce_strictness(
 class PreApplySnapshot:
     """State captured immediately before ``NetworkState.apply``.
 
-    The array-backed state captures mapping adapters over *copies* of
-    its arrays (see docs/contracts.md); the reference object path
-    captures plain dicts.  Both satisfy the mapping protocols below.
+    The state captures mapping adapters over *copies* of its arrays
+    (see docs/contracts.md); they satisfy the mapping protocols below.
     """
 
     data_backlogs: MutableMapping[Tuple[NodeId, SessionId], float]
@@ -497,19 +496,11 @@ class ContractChecker:
         """Snapshot the queue/battery state before ``apply``."""
         if not self.enabled:
             return None
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            return PreApplySnapshot(
-                data_backlogs=arrays.q_mapping(copy=True),
-                g_backlogs=LinkArrayMapping(
-                    arrays.g.copy(), arrays.links, arrays.link_pos
-                ),
-                battery_levels=NodeArrayMapping(arrays.battery_level.copy()),
-            )
+        arrays = state.arrays
         return PreApplySnapshot(
-            data_backlogs=state.data_queues.snapshot(),
-            g_backlogs=state.virtual_queues.snapshot(),
-            battery_levels=state.battery_levels(),
+            data_backlogs=arrays.q_mapping(copy=True),
+            g_backlogs=LinkArrayMapping(arrays.g.copy(), arrays.links, arrays.link_pos),
+            battery_levels=NodeArrayMapping(arrays.battery_level.copy()),
         )
 
     def check_transition(

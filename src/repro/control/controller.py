@@ -19,11 +19,11 @@ simulator applies the returned :class:`SlotDecision`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.axes import NodeJoules
+from repro.axes import LinkVec, NodeJoules, NodeVec
 from repro.contracts import ContractChecker
 from repro.control.admission import ResourceAllocator
 from repro.control.decisions import (
@@ -31,25 +31,14 @@ from repro.control.decisions import (
     SlotDecision,
     SlotObservation,
 )
-from repro.control.energy_manager import (
-    EnergyManager,
-    NodeEnergyBatch,
-    NodeEnergyInputs,
-)
+from repro.control.energy_manager import EnergyManager, NodeEnergyBatch
 from repro.control.router import BackpressureRouter, RouterMode
 from repro.control.scheduler import LinkScheduler
-from repro.core.arraystate import NodeArrayMapping
+from repro.core.arraystate import ArrayState, LinkArrayMapping, NodeArrayMapping
 from repro.core.lyapunov import LyapunovConstants
-from repro.energy.consumption import all_node_demands_array, all_node_demands_j
+from repro.energy.consumption import all_node_demands_array
 from repro.model import NetworkModel
-from repro.types import (
-    EnergySolverKind,
-    Link,
-    NodeId,
-    NodeKind,
-    SchedulerKind,
-    Transmission,
-)
+from repro.types import EnergySolverKind, NodeId, SchedulerKind, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.state import NetworkState
@@ -82,7 +71,6 @@ class DriftPlusPenaltyController:
         self._checker: Optional[ContractChecker] = None
         if checker is not None:
             self.attach_contracts(checker)
-        self._allowed_links = self._compute_allowed_links()
         # Static per-node constants for the batched control path: fixed
         # slot energy, receive power, BS membership, and node ids in
         # node-id order.  None of these change mid-run.
@@ -100,6 +88,7 @@ class DriftPlusPenaltyController:
         self._bs_mask = np.zeros(model.num_nodes, dtype=bool)
         self._bs_mask[list(model.bs_ids)] = True
         self._node_ids = np.arange(model.num_nodes, dtype=np.intp)
+        self._allowed_mask = self._compute_allowed_mask()
         #: Energy demand shed because no supply could cover it (J),
         #: accumulated across slots for the metrics collector.
         self.last_deficit_j: Dict[NodeId, float] = {}
@@ -119,10 +108,8 @@ class DriftPlusPenaltyController:
         self.router.attach_contracts(checker)
         self.energy_manager.attach_contracts(checker)
 
-    def _energy_prices(
-        self, slot: int, use_arrays: bool = False
-    ) -> Optional[Union[Dict[NodeId, float], np.ndarray]]:
-        """Per-node marginal energy prices for the S1 weights.
+    def _energy_prices(self, slot: int) -> Optional[NodeVec]:
+        """Per-node marginal energy prices for the S1 weights, ``(N,)``.
 
         Base-station energy is priced at ``V * f'(P)`` under the
         current slot's tariff, evaluated at the previous slot's draw
@@ -130,66 +117,49 @@ class DriftPlusPenaltyController:
         energy is renewable-funded and free from the provider's
         perspective, which is precisely the asymmetry that makes
         relaying through users worthwhile.
-
-        With ``use_arrays`` the prices come back as an ``(N,)`` vector
-        for the batched S1 kernel; otherwise as the reference dict.
         """
         if not self._model.params.energy_aware_scheduling:
             return None
         marginal = self._model.cost_at(slot).derivative(self._last_grid_draw_j)
         price = self._model.params.control_v * marginal
-        if use_arrays:
-            return np.where(self._bs_mask, price, 0.0)
-        bs_set = set(self._model.bs_ids)
-        return {
-            node: (price if node in bs_set else 0.0)
-            for node in range(self._model.num_nodes)  # noqa: R040 - reference object path; the array path emits the (N,) price vector above
-        }
+        return np.where(self._bs_mask, price, 0.0)
 
-    def _compute_allowed_links(self) -> Optional[Dict[Link, bool]]:
+    def _compute_allowed_mask(self) -> Optional[LinkVec]:
         """Link filter implementing the one-hop architectures.
 
-        Multi-hop: all candidate links.  One-hop: only direct base
+        Multi-hop: None (all candidate links).  One-hop: an ``(L,)``
+        mask over the frozen link index that keeps only direct base
         station -> user links (users never relay).
         """
         if self._model.params.multi_hop_enabled:
             return None
-        bs_set = set(self._model.bs_ids)
-        return {
-            link: (link[0] in bs_set and link[1] not in bs_set)
-            for link in self._model.topology.candidate_links
-        }
+        link_tx, link_rx = self._model.topology.link_arrays()
+        return self._bs_mask[link_tx] & ~self._bs_mask[link_rx]
 
     # ------------------------------------------------------------------
     # Energy-feasibility curtailment
     # ------------------------------------------------------------------
 
-    def _max_supply_j(
-        self, node: NodeId, observation: SlotObservation, state: NetworkState
-    ) -> float:
-        """Most energy ``node`` can spend this slot."""
-        grid = state.grids[node]
-        grid_j = grid.draw_cap_j if observation.grid_connected[node] else 0.0
-        return (
-            observation.renewable_j[node]
-            + grid_j
-            + state.batteries[node].max_deliverable_j()
-        )
-
-    def _curtail_arrays(
+    def _curtail(
         self,
         schedule: ScheduleDecision,
         observation: SlotObservation,
         state: NetworkState,
-        h_backlogs: Mapping[Link, float],
+        h_backlogs: LinkArrayMapping,
     ) -> NodeJoules:
-        """Array-state curtailment: one vectorized supply/demand pass.
+        """Shed transmissions until every node's demand is supplied.
 
-        Semantics (and every float64 result) match :meth:`_curtail`:
-        supply adds renewable, gated grid cap, and battery discharge
-        headroom in the same left-to-right order, demands accumulate in
-        schedule order, and the first overloaded node id is handled
-        each round exactly as the dict scan would.
+        A node's supply is its renewable harvest plus the grid cap (if
+        connected) plus its battery discharge headroom.  While some
+        node's demand exceeds its supply, the lowest node id among the
+        overloaded ones sheds its involved transmission with the
+        smallest ``H``; a node with no transmission left has its
+        unservable *base* demand (constant + idle energy) clamped off
+        and recorded in ``last_deficit_j``.
+
+        Mutates ``schedule`` in place (removing transmissions, reducing
+        link service, recording the drops) and returns the ``(N,)``
+        per-node demands after curtailment.
         """
         params = self._model.params
         arrays = state.arrays
@@ -204,13 +174,13 @@ class DriftPlusPenaltyController:
         )
         self.last_deficit_j = {}
 
-        # The reference loop rescans all N nodes after every clamp,
-        # which is O(N^2) when many nodes run an energy deficit (e.g.
-        # renewables off).  Clamping a node's supply never changes any
-        # demand and never overloads another node, so all deficit-only
-        # nodes of one scan are clamped in a single ascending pass —
-        # exactly the order the rescan would visit them — and demands
-        # are rebuilt only when a transmission is actually removed.
+        # Rescanning all N nodes after every clamp would be O(N^2) when
+        # many nodes run an energy deficit (e.g. renewables off).
+        # Clamping a node's supply never changes any demand and never
+        # overloads another node, so all deficit-only nodes of one scan
+        # are clamped in a single ascending pass — exactly the order a
+        # rescan would visit them — and demands are rebuilt only when a
+        # transmission is actually removed.
         demands = all_node_demands_array(
             self._fixed_energy_arr,
             self._recv_power_arr,
@@ -251,63 +221,6 @@ class DriftPlusPenaltyController:
             if not removed:
                 return demands
 
-    def _curtail(
-        self,
-        schedule: ScheduleDecision,
-        observation: SlotObservation,
-        state: NetworkState,
-        h_backlogs: Mapping[Link, float],
-    ) -> Union[Dict[NodeId, float], NodeJoules]:
-        """Shed transmissions until every node's demand is supplied.
-
-        Mutates ``schedule`` in place (removing transmissions, reducing
-        link service, recording the drops) and returns the per-node
-        demands after curtailment, with unservable *base* demand
-        (constant + idle energy) clamped off and recorded in
-        ``last_deficit_j``.  On the array state the vectorized pass
-        returns an ``(N,)`` array instead of a dict.
-        """
-        if getattr(state, "arrays", None) is not None:
-            return self._curtail_arrays(schedule, observation, state, h_backlogs)
-        params = self._model.params
-        node_params = {n.node_id: n.radio for n in self._model.nodes}  # noqa: R040 - reference object path; the array path uses the precomputed per-node constants
-        supply = {
-            n: self._max_supply_j(n, observation, state)
-            for n in range(self._model.num_nodes)  # noqa: R040 - reference object path; the array path builds supply as one vector expression
-        }
-        self.last_deficit_j = {}
-
-        while True:
-            demands = all_node_demands_j(
-                node_params, schedule.transmissions, params.slot_seconds
-            )
-            overloaded = [
-                n for n, demand in demands.items()
-                if demand > supply[n] + _ENERGY_TOL
-            ]
-            if not overloaded:
-                return demands
-
-            node = overloaded[0]
-            involved = [
-                t for t in schedule.transmissions if node in (t.tx, t.rx)
-            ]
-            if not involved:
-                # Base demand alone exceeds supply (e.g. a disconnected
-                # user with an empty battery on a cloudy slot): record
-                # the deficit and clamp the demand to what exists.
-                deficit = demands[node] - supply[node]
-                self.last_deficit_j[node] = (
-                    self.last_deficit_j.get(node, 0.0) + deficit
-                )
-                supply[node] = demands[node]
-                continue
-
-            victim = min(
-                involved, key=lambda t: h_backlogs.get(t.link, 0.0)
-            )
-            self._remove_transmission(schedule, victim)
-
     @staticmethod
     def _remove_transmission(
         schedule: ScheduleDecision, victim: Transmission
@@ -334,22 +247,15 @@ class DriftPlusPenaltyController:
         self,
         observation: SlotObservation,
         state: NetworkState,
-        h_backlogs: Mapping[Link, float],
-        arrays,
+        h_backlogs: LinkArrayMapping,
+        arrays: ArrayState,
     ) -> ScheduleDecision:
         """S1: link activation, band assignment, and power control."""
-        forbidden = None
-        if self._allowed_links is not None:
-            forbidden = [
-                link for link, ok in self._allowed_links.items() if not ok
-            ]
         return self.scheduler.schedule(
             observation,
             h_backlogs,
-            forbidden_links=forbidden,
-            energy_prices=self._energy_prices(
-                observation.slot, use_arrays=arrays is not None
-            ),
+            allowed_mask=self._allowed_mask,
+            energy_prices=self._energy_prices(observation.slot),
         )
 
     def _routing_phase(
@@ -358,18 +264,17 @@ class DriftPlusPenaltyController:
         schedule: ScheduleDecision,
         admission,
         state: NetworkState,
-        h_backlogs: Mapping[Link, float],
-        arrays,
+        h_backlogs: LinkArrayMapping,
+        arrays: ArrayState,
     ):
         """S3: backpressure routing over the scheduled capacities."""
         return self.router.route(
             observation,
             schedule,
             admission,
-            state.backlog,
             h_backlogs,
-            allowed_links=self._allowed_links,
-            arrays=arrays,
+            arrays,
+            allowed_mask=self._allowed_mask,
         )
 
     def decide(
@@ -378,7 +283,7 @@ class DriftPlusPenaltyController:
         """Solve one slot of the online problem P3."""
         h_backlogs = state.h_backlogs()
 
-        arrays = getattr(state, "arrays", None)
+        arrays = state.arrays
         schedule = self._schedule_phase(observation, state, h_backlogs, arrays)
         curtailed_before = len(schedule.dropped)
         demands = self._curtail(schedule, observation, state, h_backlogs)
@@ -389,53 +294,25 @@ class DriftPlusPenaltyController:
             observation, schedule, admission, state, h_backlogs, arrays
         )
 
-        if arrays is not None:
-            deficit_arr = np.zeros(self._model.num_nodes)
-            for node, value in self.last_deficit_j.items():
-                deficit_arr[node] = value
-            batch = NodeEnergyBatch(
-                nodes=self._node_ids,
-                is_base_station=self._bs_mask,
-                demand_j=np.maximum(0.0, demands - deficit_arr),
-                renewable_j=observation.renewable_j.values_array,
-                grid_connected=observation.grid_connected.values_array,
-                grid_cap_j=state.grid_caps_array(),
-                charge_cap_j=arrays.max_charge_j_array(),
-                discharge_cap_j=arrays.max_deliverable_j_array(),
-                z=arrays.z_values_array(),
-                charge_efficiency=arrays.charge_efficiency,
-                discharge_efficiency=arrays.discharge_efficiency,
-            )
-            energy = self.energy_manager.manage(
-                batch, cost=self._model.cost_at(observation.slot)
-            )
-        else:
-            z_values = state.z_values()
-            inputs: List[NodeEnergyInputs] = []
-            bs_set: Set[NodeId] = set(self._model.bs_ids)
-            for node_obj in self._model.nodes:  # noqa: R040 - reference object path; the array path assembles one NodeEnergyBatch instead
-                node = node_obj.node_id
-                battery = state.batteries[node]
-                connected = observation.grid_connected[node]
-                deficit = self.last_deficit_j.get(node, 0.0)
-                inputs.append(
-                    NodeEnergyInputs(
-                        node=node,
-                        is_base_station=node in bs_set,
-                        demand_j=max(0.0, demands[node] - deficit),
-                        renewable_j=observation.renewable_j[node],
-                        grid_connected=connected,
-                        grid_cap_j=state.grids[node].draw_cap_j,
-                        charge_cap_j=battery.max_charge_j(),
-                        discharge_cap_j=battery.max_deliverable_j(),
-                        z=z_values[node],
-                        charge_efficiency=battery.charge_efficiency,
-                        discharge_efficiency=battery.discharge_efficiency,
-                    )
-                )
-            energy = self.energy_manager.manage(
-                inputs, cost=self._model.cost_at(observation.slot)
-            )
+        deficit_arr = np.zeros(self._model.num_nodes)
+        for node, value in self.last_deficit_j.items():
+            deficit_arr[node] = value
+        batch = NodeEnergyBatch(
+            nodes=self._node_ids,
+            is_base_station=self._bs_mask,
+            demand_j=np.maximum(0.0, demands - deficit_arr),
+            renewable_j=observation.renewable_j.values_array,
+            grid_connected=observation.grid_connected.values_array,
+            grid_cap_j=state.grid_caps_array(),
+            charge_cap_j=arrays.max_charge_j_array(),
+            discharge_cap_j=arrays.max_deliverable_j_array(),
+            z=arrays.z_values_array(),
+            charge_efficiency=arrays.charge_efficiency,
+            discharge_efficiency=arrays.discharge_efficiency,
+        )
+        energy = self.energy_manager.manage(
+            batch, cost=self._model.cost_at(observation.slot)
+        )
         self._last_grid_draw_j = energy.bs_grid_draw_j
 
         if self._checker is not None and self._checker.enabled:
@@ -445,13 +322,11 @@ class DriftPlusPenaltyController:
             self._checker.check_schedule(
                 self._model, observation, schedule, observation.slot
             )
-            demand_map = (
-                NodeArrayMapping(demands)
-                if isinstance(demands, np.ndarray)
-                else demands
-            )
             self._checker.check_demand_coverage(
-                demand_map, self.last_deficit_j, energy, observation.slot
+                NodeArrayMapping(demands),
+                self.last_deficit_j,
+                energy,
+                observation.slot,
             )
 
         return SlotDecision(

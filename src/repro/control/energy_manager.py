@@ -766,9 +766,10 @@ class EnergyManager:
 
         Args:
             inputs: per-node demand/supply state — either a list of
-                scalar :class:`NodeEnergyInputs` (the preserved
-                reference path) or a :class:`NodeEnergyBatch`
-                struct-of-arrays, which unlocks the closed-form
+                scalar :class:`NodeEnergyInputs` (standalone callers,
+                the SLSQP and grid-only solvers) or the
+                :class:`NodeEnergyBatch` struct-of-arrays the
+                controller passes, which unlocks the closed-form
                 vectorized kernel for the exact-drift price
                 decomposition (other solver/drift combinations fall
                 back to the scalar path on materialised rows).
@@ -853,7 +854,7 @@ class EnergyManager:
         stations = [n for n in inputs if n.is_base_station]
 
         allocations: Dict[NodeId, NodeEnergyAllocation] = {}
-        for node_inputs in users:  # noqa: R040 - reference object path; the array path batches users through _batched_node_response
+        for node_inputs in users:  # noqa: R040 - list-input path of manage (unit tests, SLSQP cross-checks, the energy ablation bench); the slot loop passes a NodeEnergyBatch and batches users through _batched_node_response
             allocations[node_inputs.node], _ = _node_response(
                 node_inputs, 0.0, self._v, self._exact_drift
             )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -50,10 +50,7 @@ from repro.core.arraystate import ArrayState, LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
-from repro.types import Link, NodeId, SessionId
-
-#: Signature for reading a data-queue backlog ``Q_i^s(t)``.
-BacklogFn = Callable[[NodeId, SessionId], float]
+from repro.types import NodeId, SessionId
 
 
 @dataclass(frozen=True)
@@ -105,25 +102,6 @@ class BackpressureRouter:
         """Validate every routing decision against Eqs. 16-17 and 25."""
         self._checker = checker
 
-    def _link_capacity_pkts(
-        self, link: Link, observation: SlotObservation, schedule: ScheduleDecision
-    ) -> float:
-        """The Eq. (25) cap for ``link`` under the configured mode."""
-        if self._mode is RouterMode.SCHEDULED_CAPACITY:
-            return schedule.service_pkts(link)
-        params = self._model.params
-        tx, rx = link
-        best_bps = max(
-            (
-                max_link_capacity_bps(
-                    observation.bands.bandwidth(m), params.sinr_threshold
-                )
-                for m in observation.common_bands(self._model, tx, rx)
-            ),
-            default=0.0,
-        )
-        return best_bps * params.slot_seconds / params.sessions.packet_size_bits
-
     def _router_static(self, arrays: ArrayState) -> "_RouterStatic":
         """Per-``ArrayState`` link/session eligibility tables.
 
@@ -160,29 +138,14 @@ class BackpressureRouter:
         self._static_cache = (arrays, static)
         return static
 
-    def _coefficient(
-        self,
-        backlog: BacklogFn,
-        h_backlogs: Mapping[Link, float],
-        link: Link,
-        session: SessionId,
-        destination: NodeId,
-    ) -> float:
-        """The S3 objective coefficient ``-Q_i^s + Q_j^s + beta H_ij``."""
-        tx, rx = link
-        q_tx = backlog(tx, session)
-        q_rx = 0.0 if rx == destination else backlog(rx, session)
-        return -q_tx + q_rx + self._constants.beta * h_backlogs.get(link, 0.0)
-
     def route(
         self,
         observation: SlotObservation,
         schedule: ScheduleDecision,
         admission: AdmissionDecision,
-        backlog: BacklogFn,
-        h_backlogs: Mapping[Link, float],
-        allowed_links: Optional[Mapping[Link, bool]] = None,
-        arrays: Optional[ArrayState] = None,
+        h_backlogs: LinkArrayMapping,
+        arrays: ArrayState,
+        allowed_mask: Optional[LinkVec] = None,
         coeff: Optional[LinkSessionMat] = None,
     ) -> RoutingDecision:
         """Solve S3 for one slot.
@@ -191,21 +154,18 @@ class BackpressureRouter:
             observation: realised random state (potential capacities).
             schedule: the S1 decision (scheduled capacities).
             admission: the S2 decision (per-session sources).
-            backlog: accessor for ``Q_i^s(t)``.
-            h_backlogs: current ``H_ij(t)``.
-            allowed_links: optional link filter (one-hop baselines).
-            arrays: the state's ``ArrayState``, if array-backed.  When
-                given (and ``h_backlogs`` is a view over the same link
-                index) the objective coefficients are computed as one
-                array expression over the link index; selection order,
-                tie sets, and RNG draws are unchanged, so decisions are
-                bit-identical to the scalar path.
+            h_backlogs: current ``H_ij(t)``, a view over the frozen link
+                index of ``arrays``.
+            arrays: the state's ``ArrayState``; ``Q_i^s(t)`` is read
+                from its ``(N, S)`` backlog matrix.
+            allowed_mask: optional ``(L,)`` link filter over the frozen
+                link index (one-hop baselines).
             coeff: optional precomputed ``(L, S)`` objective-coefficient
-                matrix (requires ``arrays``).  The sharded controller
-                fills it shard by shard — each entry is an elementwise
-                function of its own link row, so a sliced fill equals
-                the global expression exactly — and passes it here so
-                the selection/tie-break/RNG machinery stays global.
+                matrix.  The sharded controller fills it shard by shard
+                — each entry is an elementwise function of its own link
+                row, so a sliced fill equals the global expression
+                exactly — and passes it here so the selection/tie-break/
+                RNG machinery stays global.
 
         Returns:
             Per-link per-session rates ``l_ij^s(t)`` in packets.
@@ -213,55 +173,35 @@ class BackpressureRouter:
         rates: Dict[Tuple[NodeId, NodeId, SessionId], float] = {}
         committed: set = set()
         topo = self._model.topology
+        link_pos = arrays.link_pos
 
-        def link_allowed(link: Link) -> bool:
-            return allowed_links is None or allowed_links.get(link, False)
-
-        # Vectorized coefficient matrix ``(-Q_i^s + Q_j^s + beta H_ij)``
-        # over (link, session); destination columns of Q are pinned at
-        # 0.0, matching the scalar rule's ``q_rx = 0`` at destinations.
-        if coeff is None and (
-            arrays is not None
-            and isinstance(h_backlogs, LinkArrayMapping)
-            and h_backlogs.links is arrays.links
-        ):
+        # Coefficient matrix ``(-Q_i^s + Q_j^s + beta H_ij)`` over
+        # (link, session); destination columns of Q are pinned at 0.0,
+        # so ``Q_j^s`` reads 0 where ``j`` is the session destination.
+        if coeff is None:
             beta_h = self._constants.beta * h_backlogs.values_array
             q = arrays.q
             coeff = (-q[arrays.link_tx] + q[arrays.link_rx]) + beta_h[:, None]
 
         # Constraint (18): force v_s(t) onto the destination's
-        # smallest-coefficient incoming candidate link.
-        for session in self._model.sessions:  # noqa: R040 - reference object path; the array path routes via _route_remaining_links_vectorized
+        # smallest-coefficient incoming candidate link.  One pass over
+        # the S sessions, each scanning only its destination's in-links.
+        for session in self._model.sessions:  # noqa: R040 - S-sized pass over the destination in-links (constraint 18); the (L, S) bulk of S3 is the vectorized second pass
             dest = session.destination
-            source = admission.sources[session.session_id]
             demand = session.demand(observation.slot)
             if demand <= 0:
                 continue
-            in_links = [
-                (i, dest)
+            col = arrays.session_col[session.session_id]
+            # Constraint (16): the source has no incoming traffic —
+            # irrelevant here since dest != source for a live session.
+            coefficients = {
+                (i, dest): coeff[link_pos[(i, dest)], col]
                 for i in topo.in_neighbors.get(dest, ())
-                if i != dest and link_allowed((i, dest))
-            ]
-            if not in_links:
+                if i != dest
+                and (allowed_mask is None or allowed_mask[link_pos[(i, dest)]])
+            }
+            if not coefficients:
                 continue
-            if coeff is not None:
-                link_pos = arrays.link_pos
-                col = arrays.session_col[session.session_id]
-                coefficients = {
-                    link: coeff[link_pos[link], col]
-                    for link in in_links
-                    if link[0] != dest
-                }
-            else:
-                coefficients = {
-                    link: self._coefficient(
-                        backlog, h_backlogs, link, session.session_id, dest
-                    )
-                    for link in in_links
-                    # Constraint (16): the source has no incoming traffic —
-                    # irrelevant here since dest != source for a live session.
-                    if link[0] != dest
-                }
             best_value = min(coefficients.values())
             tied = [l for l, v in coefficients.items() if v == best_value]
             chosen = tied[0] if len(tied) == 1 else tied[self._rng.integers(len(tied))]
@@ -269,58 +209,16 @@ class BackpressureRouter:
             committed.add(chosen)
 
         # All other links: whole capacity to the most negative session.
-        if coeff is not None:
-            self._route_remaining_links_vectorized(
-                coeff,
-                arrays,
-                observation,
-                schedule,
-                admission,
-                rates,
-                committed,
-                allowed_links,
-            )
-            decision = RoutingDecision(rates=rates)
-            if self._checker is not None and self._checker.enabled:
-                self._checker.check_routing(
-                    self._model, decision, admission, observation.slot
-                )
-            return decision
-
-        destinations = {s.session_id: s.destination for s in self._model.sessions}  # noqa: R040 - reference object path; the array path reads session metadata from ArrayState
-        sources = dict(admission.sources)
-        for link in topo.candidate_links:  # noqa: R040 - reference object path; the array path scans links as (L,) index arrays
-            if link in committed or not link_allowed(link):
-                continue
-            tx, rx = link
-            capacity = self._link_capacity_pkts(link, observation, schedule)
-            if capacity <= 0:
-                continue
-            eligible: List[Tuple[float, SessionId]] = []
-            for session in self._model.sessions:  # noqa: R040 - reference object path; the array path argmaxes differentials per link row
-                sid = session.session_id
-                # (17): destinations emit nothing; (16): sources receive
-                # nothing; destination in-links were handled above.
-                if tx == destinations[sid] or rx == destinations[sid]:
-                    continue
-                if rx == sources[sid]:
-                    continue
-                coeff = self._coefficient(
-                    backlog, h_backlogs, link, sid, destinations[sid]
-                )
-                if coeff < 0:
-                    eligible.append((coeff, sid))
-            if not eligible:
-                continue
-            best_value = min(c for c, _ in eligible)
-            tied_sessions = [sid for c, sid in eligible if c == best_value]
-            chosen_sid = (
-                tied_sessions[0]
-                if len(tied_sessions) == 1
-                else int(self._rng.choice(tied_sessions))
-            )
-            rates[(tx, rx, chosen_sid)] = capacity
-
+        self._route_remaining_links(
+            coeff,
+            arrays,
+            observation,
+            schedule,
+            admission,
+            rates,
+            committed,
+            allowed_mask,
+        )
         decision = RoutingDecision(rates=rates)
         if self._checker is not None and self._checker.enabled:
             self._checker.check_routing(
@@ -328,7 +226,7 @@ class BackpressureRouter:
             )
         return decision
 
-    def _route_remaining_links_vectorized(
+    def _route_remaining_links(
         self,
         coeff: LinkSessionMat,
         arrays: ArrayState,
@@ -337,15 +235,15 @@ class BackpressureRouter:
         admission: AdmissionDecision,
         rates: Dict[Tuple[NodeId, NodeId, SessionId], float],
         committed: set,
-        allowed_links: Optional[Mapping[Link, bool]],
+        allowed_mask: Optional[LinkVec],
     ) -> None:
-        """Array-path second pass: whole capacity to the best session.
+        """Second pass: each remaining link's whole capacity to the best session.
 
         Eligibility, per-link capacity, the per-link minimum and the tie
         sets all come out of ``(L, S)`` / ``(L, M)`` array expressions;
         only the links that actually route are visited in Python, in
-        frozen link-index order, so rate insertion order and the
-        tie-break RNG draws replicate the scalar pass exactly.
+        frozen link-index order, which fixes the rate insertion order
+        and the sequence of tie-break RNG draws.
         """
         params = self._model.params
         static = self._router_static(arrays)
@@ -395,12 +293,8 @@ class BackpressureRouter:
             pos = arrays.link_pos.get(link)
             if pos is not None:
                 active[pos] = False
-        if allowed_links is not None:
-            active &= np.fromiter(
-                (allowed_links.get(link, False) for link in arrays.links),  # noqa: R040 - boundary conversion of the static allowed-links dict into an (L,) mask, one pass per slot
-                dtype=bool,
-                count=num_links,
-            )
+        if allowed_mask is not None:
+            active &= allowed_mask
 
         src_by_col: SessionToNode = np.fromiter(
             (admission.sources[sid] for sid in sessions),  # noqa: R040 - boundary conversion from the dict-shaped S2 decision into the (S,) source vector, one pass per slot

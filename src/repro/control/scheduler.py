@@ -32,10 +32,10 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.axes import AnyArray, LinkBandMat, LinkIds, LinkToNode, LinkVec
+from repro.axes import AnyArray, LinkBandMat, LinkIds, LinkToNode, LinkVec, NodeVec
 from repro.contracts import ContractChecker
 from repro.control.decisions import ScheduleDecision, SlotObservation
-from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping
+from repro.core.arraystate import LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
@@ -167,19 +167,6 @@ class LinkScheduler:
             return observation.gains
         return self._model.topology.gains_lookup()
 
-    def _min_tx_power_w(
-        self, tx: NodeId, rx: NodeId, band: int, observation: SlotObservation
-    ) -> float | None:
-        """Zero-interference minimal power for the energy price term."""
-        params = self._model.params
-        noise = self._model.noise_power_w(observation.bands.bandwidth(band))
-        power = (
-            params.sinr_threshold * noise / self._gains(observation)[tx, rx]
-        )
-        if power > self._model.max_power_w[tx]:
-            return None
-        return power
-
     def _access_matrix(self) -> np.ndarray:
         """``(N, M)`` bool band-access table from the static sets.
 
@@ -201,19 +188,19 @@ class LinkScheduler:
     def _band_orders(
         self, links: Tuple[Link, ...]
     ) -> Tuple[Tuple[int, ...], ...]:
-        """Per-link band ids in the scalar loop's frozenset iteration order.
+        """Per-link band ids in their common-band frozenset order.
 
-        Only the dict candidate path (SF / matching selectors) needs the
-        insertion order; the array selectors work off the ``(L, M)``
-        membership mask, so this O(L) Python table is built lazily and
-        never touched by the large-scale GREEDY path.
+        Only the candidate dict of the SF / matching selectors needs
+        this insertion order; the GREEDY selector works off the
+        ``(L, M)`` membership mask, so this O(L) Python table is built
+        lazily and never touched by the large-scale GREEDY path.
         """
         cached = self._band_order_cache
         if cached is not None and cached[0] is links:
             return cached[1]
         spectrum = self._model.spectrum
         orders = tuple(
-            tuple(spectrum.common_bands(tx, rx)) for tx, rx in links  # noqa: R040 - built once per topology (identity-cached), only for the small-N dict selectors; the array selectors never call this
+            tuple(spectrum.common_bands(tx, rx)) for tx, rx in links  # noqa: R040 - built once per topology (identity-cached), only for the SF/matching candidate dict; the GREEDY selector never calls this
         )
         self._band_order_cache = (links, orders)
         return orders
@@ -264,8 +251,9 @@ class LinkScheduler:
         self,
         observation: SlotObservation,
         h_backlogs: LinkArrayMapping,
-        energy_prices: Optional[Mapping[NodeId, float]],
+        energy_prices: Optional[NodeVec],
         links: Tuple[Link, ...],
+        allowed_mask: Optional[LinkVec] = None,
         within: Optional[np.ndarray] = None,
     ) -> Optional[
         Tuple[
@@ -279,26 +267,27 @@ class LinkScheduler:
 
         Returns ``(active, orders, keep, weight)`` — the active link
         positions, their per-link band iteration orders (None in the
-        static-band case, where only the dict path needs them and
+        static-band case, where only the candidate dict needs them and
         resolves them lazily via :meth:`_band_orders`), the survivor
         mask, and the weight matrix — or ``None`` when no link clears
-        the backlog floor.  The elementwise float64 chain mirrors the
-        scalar candidate loop's operation order bit for bit.
+        the backlog floor.
 
-        ``within`` restricts the scan to a subset of frozen link
-        positions (the sharded loop passes each shard's owned links);
-        every weight is an elementwise function of its own row, so the
-        restricted grid is the exact row-slice of the full one.
+        ``allowed_mask`` is the static ``(L,)`` link filter of the
+        one-hop architectures (None: every link).  ``within`` restricts
+        the scan to a subset of frozen link positions (the sharded loop
+        passes each shard's owned links); every weight is an
+        elementwise function of its own row, so the restricted grid is
+        the exact row-slice of the full one.
         """
         beta = self._constants.beta
         params = self._model.params
         dt = params.slot_seconds
         static = self._scheduler_static(links)
         h_arr = h_backlogs.values_array
-        if within is None:
-            active = np.flatnonzero(h_arr > _H_EPS)
-        else:
-            active = within[h_arr[within] > _H_EPS]
+        floor = h_arr > _H_EPS
+        if allowed_mask is not None:
+            floor &= allowed_mask
+        active = np.flatnonzero(floor) if within is None else within[floor[within]]
         if active.size == 0:
             return None
 
@@ -347,41 +336,32 @@ class LinkScheduler:
                 g_link = self._model.topology.link_gain_array()[active]
             power = (params.sinr_threshold * noise)[None, :] / g_link[:, None]
             keep &= power <= static.max_power_tx[active][:, None]
-            if isinstance(energy_prices, np.ndarray):
-                price = energy_prices
-            else:
-                price = np.fromiter(
-                    (
-                        energy_prices.get(node, 0.0)
-                        for node in range(self._model.num_nodes)  # noqa: R040 - reference dict-price path; the array path passes the (N,) price vector directly
-                    ),
-                    dtype=float,
-                    count=self._model.num_nodes,
-                )
-            weight = weight - (price[tx_idx][:, None] * power) * dt
-            weight = weight - ((price[rx_idx] * static.recv_power_rx[active]) * dt)[
-                :, None
-            ]
+            weight = weight - (energy_prices[tx_idx][:, None] * power) * dt
+            weight = weight - (
+                (energy_prices[rx_idx] * static.recv_power_rx[active]) * dt
+            )[:, None]
         keep &= weight > 0.0
         return active, orders, keep, weight
 
-    def _candidates_vectorized(
+    def _candidates(
         self,
         observation: SlotObservation,
         h_backlogs: LinkArrayMapping,
-        energy_prices: Optional[Mapping[NodeId, float]],
+        energy_prices: Optional[NodeVec],
         links: Tuple[Link, ...],
+        allowed_mask: Optional[LinkVec] = None,
     ) -> Dict[LinkBand, float]:
-        """Array fast path of :meth:`_candidates` over the link index.
+        """Net weight per candidate link-band (module docstring).
 
         Computes the net weights via :meth:`_candidate_grid`, then
-        writes only the survivors to the candidate dict in the scalar
-        loop's (link, band) insertion order — so every downstream
-        selector (including the insertion-order-sensitive matching
-        tie-break) sees an identical input.
+        writes only the survivors to the candidate dict in (link index,
+        common-band) insertion order — the order the insertion-order-
+        sensitive selectors (the matching tie-break) are pinned to.
         """
         weights: Dict[LinkBand, float] = {}
-        grid = self._candidate_grid(observation, h_backlogs, energy_prices, links)
+        grid = self._candidate_grid(
+            observation, h_backlogs, energy_prices, links, allowed_mask
+        )
         if grid is None:
             return weights
         active, orders, keep, weight = grid
@@ -396,24 +376,33 @@ class LinkScheduler:
                     weights[(tx, rx, band)] = weight_row[band]
         return weights
 
-    def _candidate_positions(
+    def candidate_slice(
         self,
         observation: SlotObservation,
         h_backlogs: LinkArrayMapping,
-        energy_prices: Optional[Mapping[NodeId, float]],
-        links: Tuple[Link, ...],
+        energy_prices: Optional[NodeVec] = None,
+        allowed_mask: Optional[LinkVec] = None,
         within: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Survivor candidates as ``(link positions, bands, weights)``.
 
         The greedy selector re-sorts candidates globally, so unlike the
-        dict path no per-candidate insertion order needs preserving —
-        the survivors come straight off the ``keep`` mask with no
-        Python loop.  ``within`` restricts the scan to a subset of link
-        positions (see :meth:`_candidate_grid`).
+        candidate dict no per-candidate insertion order needs
+        preserving — the survivors come straight off the ``keep`` mask
+        with no Python loop.  ``allowed_mask`` and ``within`` filter
+        and restrict the scan (see :meth:`_candidate_grid`): the
+        sharded controller computes each shard's candidates with
+        ``within=shard.owned_link_pos`` and merges the slices through
+        :meth:`schedule_from_candidates`; on the full index
+        (``within=None``) this is exactly the monolithic candidate scan.
         """
         grid = self._candidate_grid(
-            observation, h_backlogs, energy_prices, links, within=within
+            observation,
+            h_backlogs,
+            energy_prices,
+            self._model.topology.candidate_links,
+            allowed_mask,
+            within,
         )
         if grid is None:
             empty_pos = np.zeros(0, dtype=np.intp)
@@ -421,87 +410,6 @@ class LinkScheduler:
         active, _, keep, weight = grid
         rows, bands = np.nonzero(keep)
         return active[rows], bands, weight[rows, bands]
-
-    def candidate_slice(
-        self,
-        observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
-        energy_prices: Optional[Mapping[NodeId, float]] = None,
-        within: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Public shard entry: survivor candidates over a link subset.
-
-        The sharded controller computes each shard's candidates with
-        ``within=shard.owned_link_pos`` and merges the slices through
-        :meth:`schedule_from_candidates`; on the full index
-        (``within=None``) this is exactly the monolithic candidate scan.
-        """
-        links = self._model.topology.candidate_links
-        return self._candidate_positions(
-            observation, h_backlogs, energy_prices, links, within=within
-        )
-
-    def _candidates(
-        self,
-        observation: SlotObservation,
-        h_backlogs: Mapping[Link, float],
-        energy_prices: Optional[Mapping[NodeId, float]] = None,
-    ) -> Dict[LinkBand, float]:
-        """Net weight per candidate link-band (module docstring)."""
-        links = self._model.topology.candidate_links
-        if isinstance(h_backlogs, LinkArrayMapping) and h_backlogs.links is links:
-            return self._candidates_vectorized(
-                observation, h_backlogs, energy_prices, links
-            )
-        if isinstance(energy_prices, np.ndarray):
-            energy_prices = NodeArrayMapping(energy_prices)
-        beta = self._constants.beta
-        dt = self._model.params.slot_seconds
-        weights: Dict[LinkBand, float] = {}
-        # Per-slot service memo: every link-band on the same band
-        # carries the same packet rate, so compute it once per band.
-        service_by_band: Dict[int, float] = {}
-        for tx, rx, backlog in self._active_links(h_backlogs):
-            for band in observation.common_bands(self._model, tx, rx):
-                service = service_by_band.get(band)
-                if service is None:
-                    service = self._service_pkts(band, observation)
-                    service_by_band[band] = service
-                if service <= 0:
-                    continue
-                weight = beta * backlog * service
-                if energy_prices is not None:
-                    power = self._min_tx_power_w(tx, rx, band, observation)
-                    if power is None:
-                        continue  # unreachable even without interference
-                    recv_power = self._model.nodes[rx].radio.recv_power_w
-                    weight -= energy_prices.get(tx, 0.0) * power * dt
-                    weight -= energy_prices.get(rx, 0.0) * recv_power * dt
-                if weight > 0:
-                    weights[(tx, rx, band)] = weight
-        return weights
-
-    def _active_links(
-        self, h_backlogs: Mapping[Link, float]
-    ) -> Iterable[Tuple[NodeId, NodeId, float]]:
-        """Candidate links with ``H_ij`` above the SF pre-step floor.
-
-        When ``h_backlogs`` is an array view over the frozen link index
-        the floor test runs as one vectorized comparison; the surviving
-        links come back in candidate order either way, and elementwise
-        float64 values are bit-identical to the scalar reads.
-        """
-        links = self._model.topology.candidate_links
-        if isinstance(h_backlogs, LinkArrayMapping) and h_backlogs.links is links:
-            h_arr = h_backlogs.values_array
-            for pos in np.flatnonzero(h_arr > _H_EPS):
-                tx, rx = links[pos]
-                yield tx, rx, h_arr[pos]
-            return
-        for tx, rx in links:  # noqa: R040 - reference object path used by the SF/matching schedulers; the GREEDY array path uses _candidate_positions
-            backlog = h_backlogs.get((tx, rx), 0.0)
-            if backlog > _H_EPS:
-                yield tx, rx, backlog
 
     # ------------------------------------------------------------------
     # Activation algorithms
@@ -715,25 +623,6 @@ class LinkScheduler:
         matching = nx.max_weight_matching(graph, maxcardinality=False)
         return [best[(min(u, v), max(u, v))][1] for u, v in matching]
 
-    def _select_greedy(self, weights: Dict[LinkBand, float]) -> List[LinkBand]:
-        usage: Dict[NodeId, int] = {}
-        band_used: set = set()
-        chosen: List[LinkBand] = []
-        # Sort by weight descending, tie-broken by key for determinism.
-        for key in sorted(weights, key=lambda k: (-weights[k], k)):
-            tx, rx, band = key
-            if any(
-                usage.get(node, 0) >= self._radios(node) for node in (tx, rx)
-            ):
-                continue
-            if (tx, band) in band_used or (rx, band) in band_used:
-                continue  # constraints (20)/(21)
-            chosen.append(key)
-            for node in (tx, rx):
-                usage[node] = usage.get(node, 0) + 1
-                band_used.add((node, band))
-        return chosen
-
     def _radios_list(self) -> List[int]:
         """Per-node radio budgets, cached (cold path: built once)."""
         cached = getattr(self, "_radios_cache", None)
@@ -742,20 +631,19 @@ class LinkScheduler:
             self._radios_cache = cached
         return cached
 
-    def _select_greedy_arrays(
+    def _select_greedy(
         self,
         link_pos: LinkIds,
         bands: AnyArray,
         weights: AnyArray,
         links: Tuple[Link, ...],
     ) -> Tuple[List[int], List[int]]:
-        """Array fast path of :meth:`_select_greedy`.
+        """GREEDY selection: take link-bands by weight while they fit.
 
-        ``np.lexsort`` over ``(-weight, tx, rx, band)`` reproduces the
-        scalar ``sorted(weights, key=lambda k: (-weights[k], k))``
-        order exactly (keys are unique, so ties resolve on the integer
-        key columns); the conflict scan then replays the same
-        usage/band-exclusivity bookkeeping over plain Python ints.
+        ``np.lexsort`` orders candidates by descending weight, ties
+        broken by the ``(tx, rx, band)`` key (keys are unique, so the
+        order is total); the conflict scan then keeps per-node radio
+        usage and per-(node, band) exclusivity over plain Python ints.
 
         Returns the chosen candidates as parallel ``(link position,
         band)`` lists, in selection (descending-weight) order.
@@ -797,39 +685,38 @@ class LinkScheduler:
     def schedule(
         self,
         observation: SlotObservation,
-        h_backlogs: Mapping[Link, float],
-        forbidden_links: Optional[Iterable[Link]] = None,
-        energy_prices: Optional[Mapping[NodeId, float]] = None,
+        h_backlogs: LinkArrayMapping,
+        allowed_mask: Optional[LinkVec] = None,
+        energy_prices: Optional[NodeVec] = None,
     ) -> ScheduleDecision:
         """Solve S1 for one slot.
 
         Args:
             observation: the slot's realised random state.
-            h_backlogs: current ``H_ij(t)`` per candidate link.
-            forbidden_links: links excluded up front (used by the
-                curtailment re-run and the one-hop baselines).
-            energy_prices: optional per-node marginal energy prices for
-                energy-aware weights; None recovers the paper's S1.
+            h_backlogs: current ``H_ij(t)``, a view over the frozen
+                candidate-link index.
+            allowed_mask: optional ``(L,)`` bool filter over the frozen
+                link index; False links are never candidates (the
+                one-hop baselines).
+            energy_prices: optional ``(N,)`` per-node marginal energy
+                prices for energy-aware weights; None recovers the
+                paper's S1.
 
         Returns:
             The activation set with minimal feasible powers and the
             per-link realised service in packets.
         """
         links = self._model.topology.candidate_links
-        if (
-            self._kind is SchedulerKind.GREEDY
-            and isinstance(h_backlogs, LinkArrayMapping)
-            and h_backlogs.links is links
-        ):
-            return self._schedule_greedy_arrays(
-                observation, h_backlogs, forbidden_links, energy_prices, links
+        if self._kind is SchedulerKind.GREEDY:
+            link_pos, bands, weights = self.candidate_slice(
+                observation, h_backlogs, energy_prices, allowed_mask
             )
-        weights = self._candidates(observation, h_backlogs, energy_prices)
-        if forbidden_links:
-            banned = set(forbidden_links)
-            weights = {
-                key: w for key, w in weights.items() if (key[0], key[1]) not in banned
-            }
+            return self.schedule_from_candidates(
+                link_pos, bands, weights, observation, h_backlogs, links
+            )
+        weights = self._candidates(
+            observation, h_backlogs, energy_prices, links, allowed_mask
+        )
         if not weights:
             return ScheduleDecision()
 
@@ -837,10 +724,8 @@ class LinkScheduler:
             selected = self._select_sequential_fix(weights)
         elif self._kind is SchedulerKind.SEQUENTIAL_FIX_SINR:
             selected = self._select_sequential_fix_sinr(weights, observation)
-        elif self._kind is SchedulerKind.MAX_WEIGHT_MATCHING:
-            selected = self._select_matching(weights)
         else:
-            selected = self._select_greedy(weights)
+            selected = self._select_matching(weights)
 
         decision = self._power_control(selected, observation, h_backlogs)
         if self._checker is not None and self._checker.enabled:
@@ -849,28 +734,6 @@ class LinkScheduler:
             )
         return decision
 
-    def _schedule_greedy_arrays(
-        self,
-        observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
-        forbidden_links: Optional[Iterable[Link]],
-        energy_prices: Optional[Mapping[NodeId, float]],
-        links: Tuple[Link, ...],
-    ) -> ScheduleDecision:
-        """Matrix S1 for the GREEDY selector over the frozen link index.
-
-        Candidate weights, selection, and per-band Foschini–Miljanic
-        power control all run on ``(L,)``/``(L, M)`` arrays; the
-        decision (activation set, powers, service, drops) is
-        bit-identical to the dict path on the same slot.
-        """
-        link_pos, bands, weights = self._candidate_positions(
-            observation, h_backlogs, energy_prices, links
-        )
-        return self.schedule_from_candidates(
-            link_pos, bands, weights, observation, h_backlogs, forbidden_links, links
-        )
-
     def schedule_from_candidates(
         self,
         link_pos: AnyArray,
@@ -878,10 +741,9 @@ class LinkScheduler:
         weights: AnyArray,
         observation: SlotObservation,
         h_backlogs: LinkArrayMapping,
-        forbidden_links: Optional[Iterable[Link]],
         links: Tuple[Link, ...],
     ) -> ScheduleDecision:
-        """The selection + power-control tail of the GREEDY array path.
+        """The selection + power-control tail of the GREEDY selector.
 
         Accepts precomputed candidate ``(link position, band, weight)``
         triples in **any** order: the greedy selector lexsorts them over
@@ -891,20 +753,9 @@ class LinkScheduler:
         its S1 merge point (interference coordination is global — the
         per-band power solve couples all co-band links).
         """
-        if forbidden_links:
-            banned = set(forbidden_links)
-            if banned:
-                allowed = np.fromiter(
-                    (links[pos] not in banned for pos in link_pos),
-                    dtype=bool,
-                    count=link_pos.shape[0],
-                )
-                link_pos = link_pos[allowed]
-                bands = bands[allowed]
-                weights = weights[allowed]
         if link_pos.size == 0:
             return ScheduleDecision()
-        chosen_pos, chosen_band = self._select_greedy_arrays(
+        chosen_pos, chosen_band = self._select_greedy(
             link_pos, bands, weights, links
         )
         decision = self._power_control_vectorized(
@@ -924,11 +775,11 @@ class LinkScheduler:
         h_backlogs: LinkArrayMapping,
         links: Tuple[Link, ...],
     ) -> ScheduleDecision:
-        """Array fast path of :meth:`_power_control`.
+        """Per-band minimal powers for the GREEDY selection.
 
-        Per band, one :func:`minimal_power_assignment_vec` call replaces
-        the per-pair gain-matrix Python loops; priorities come straight
-        off the ``H`` array.
+        Per band, one :func:`minimal_power_assignment_vec` call over the
+        chosen links' gain blocks; priorities come straight off the
+        ``H`` array.
         """
         decision = ScheduleDecision()
         static = self._scheduler_static(links)
@@ -971,7 +822,7 @@ class LinkScheduler:
         self,
         selected: List[LinkBand],
         observation: SlotObservation,
-        h_backlogs: Mapping[Link, float],
+        h_backlogs: LinkArrayMapping,
     ) -> ScheduleDecision:
         """Assign minimal powers per band and drop infeasible links."""
         decision = ScheduleDecision()

@@ -13,11 +13,11 @@ so this module packs them into dense numpy arrays over *frozen* indices:
 
 ``ArrayState`` owns the arrays and the vectorized update kernels; the
 queueing banks, ``NetworkState`` and the contract checker all share the
-same buffers.  Numerical policy: every kernel applies the *same*
-elementwise IEEE-754 operations, in the same order, as the scalar code
-it replaces, and aggregates use :func:`seq_sum` (a strict left-to-right
-accumulation) instead of numpy's pairwise ``sum`` — so results stay
-bit-identical to the historical object path.
+same buffers.  Numerical policy: kernels apply elementwise IEEE-754
+operations in a fixed order, and aggregates use :func:`seq_sum` (a
+strict left-to-right accumulation) instead of numpy's pairwise
+``sum``, so every result is reproducible bit for bit; the committed
+trajectory fingerprints in ``tests/golden/trajectories.json`` pin it.
 
 The read-only/mutable mapping adapters at the bottom let existing
 dict-shaped consumers (relaxed-LP controller, drift diagnostics,
@@ -113,8 +113,8 @@ class LinkArrayMapping(MappingBase):
     """Read-only ``{link: value}`` view over an ``(L,)`` array.
 
     ``links`` is the frozen link index the array is laid out over; the
-    scheduler and router test ``mapping.links is candidate_links`` to
-    unlock their vectorized fast paths on ``values_array`` directly.
+    scheduler and router read ``values_array`` directly by link
+    position.
     """
 
     __slots__ = ("_values", "_links", "_pos")
@@ -312,9 +312,9 @@ class ArrayState:
     def link_pos(self) -> Dict[Link, int]:
         """``link -> position`` over the frozen link index (lazy).
 
-        Only the scalar router paths and a handful of boundary
-        conversions read this; the array paths index by position
-        directly, so large-L runs never pay for the dict.
+        Only the router's constraint-(18) pass and a handful of
+        boundary conversions read this; the array kernels index by
+        position directly.
         """
         cached = self._link_pos
         if cached is None:

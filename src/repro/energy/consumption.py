@@ -10,9 +10,7 @@ transmissions and constant receive energy over its incoming ones.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
-
-import numpy as np
+from typing import Iterable
 
 from repro.axes import NodeJoules, NodeVec
 from repro.config.parameters import NodeParameters
@@ -61,24 +59,6 @@ def node_energy_demand_j(
     )
 
 
-def all_node_demands_j(
-    node_params_by_id: Dict[NodeId, NodeParameters],
-    transmissions: Iterable[Transmission],
-    slot_seconds: Seconds,
-) -> Dict[NodeId, Joules]:
-    """``E_i(t)`` for every node, in one pass over the schedule."""
-    demands = {
-        node: params.fixed_energy_j(slot_seconds)
-        for node, params in node_params_by_id.items()
-    }
-    for t in transmissions:
-        demands[t.tx] += watts_over_slot_to_joules(t.power_w, slot_seconds)
-        demands[t.rx] += watts_over_slot_to_joules(
-            node_params_by_id[t.rx].recv_power_w, slot_seconds
-        )
-    return demands
-
-
 def all_node_demands_array(
     fixed_energy_j: NodeJoules,
     recv_power_w: NodeVec,
@@ -89,10 +69,9 @@ def all_node_demands_array(
 
     ``fixed_energy_j`` and ``recv_power_w`` are precomputed per-node
     constants (``NodeParameters.fixed_energy_j`` / ``recv_power_w`` in
-    node-id order).  The schedule loop applies the transmission terms
-    in the same order as :func:`all_node_demands_j`, so per-node
-    accumulation — and therefore every float64 result — is
-    bit-identical to the dict path.
+    node-id order).  Transmission terms accumulate in schedule order,
+    transmit energy at the transmitter and receive energy at the
+    receiver, in one pass over the schedule.
     """
     demands = fixed_energy_j.copy()
     for t in transmissions:

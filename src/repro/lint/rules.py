@@ -548,9 +548,6 @@ Exempt by design:
   * functions whose docstring marks them "cold path" (constructors,
     snapshot/diagnostic pretty-printing that runs outside the slot
     loop);
-  * modules whose docstring contains "R006-exempt" (the reference
-    object-path banks in repro/queueing/reference.py keep their loops
-    on purpose — they are the equivalence baseline);
   * anything carrying `# noqa: R006` with a justification.
 
 Fix: index through the frozen ArrayState layout (q, g, battery_level
@@ -574,12 +571,7 @@ document why the loop is not hot.
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not self._in_scope(ctx):
             return
-        module = ctx.tree
-        if isinstance(module, ast.Module):
-            docstring = ast.get_docstring(module)
-            if docstring is not None and "R006-exempt" in docstring:
-                return
-        yield from self._walk(ctx, module, exempt=False)
+        yield from self._walk(ctx, ctx.tree, exempt=False)
 
     def _walk(
         self, ctx: FileContext, node: ast.AST, exempt: bool

@@ -11,8 +11,7 @@ link that fails the zero-interference check can never be scheduled.
 Two builders produce the same candidate set:
 
 * the **dense** builder materialises the ``(N, N)`` distance/gain
-  matrices and scans all pairs — the bit-exact reference (the same
-  pattern as ``queueing/reference.py``);
+  matrices and scans all pairs — the bit-exact reference;
 * the **grid** builder buckets nodes into a
   :class:`~repro.network.geometry.UniformGridIndex` whose cell edge is
   the propagation-feasible radius, so each transmitter only examines
@@ -284,7 +283,7 @@ def _build_topology_dense(
 
     O(N^2) in time and memory; kept verbatim as the dense reference the
     equivalence suite and the scale benchmark compare the grid builder
-    against (the same pattern as ``queueing/reference.py``).
+    against.
     """
     num_nodes = len(nodes)
     positions = _positions_array(nodes)

@@ -10,10 +10,9 @@ queue total, for one slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Tuple
+from typing import TYPE_CHECKING
 
 from repro.core.arraystate import seq_sum
-from repro.types import Link, NodeId, SessionId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.core.arraystate import ArrayState
@@ -50,36 +49,13 @@ class BacklogSnapshot:
         return self.bs_energy_j + self.user_energy_j
 
 
-def make_snapshot(
-    slot: int,
-    data_backlogs: Mapping[Tuple[NodeId, SessionId], float],
-    battery_levels: Mapping[NodeId, float],
-    virtual_backlogs: Mapping[Link, float],
-    bs_ids: Iterable[NodeId],
-) -> BacklogSnapshot:
-    """Aggregate raw backlogs into one :class:`BacklogSnapshot`."""
-    bs_set = set(bs_ids)
-    bs_data = sum(v for (node, _), v in data_backlogs.items() if node in bs_set)
-    user_data = sum(v for (node, _), v in data_backlogs.items() if node not in bs_set)
-    bs_energy = sum(v for node, v in battery_levels.items() if node in bs_set)
-    user_energy = sum(v for node, v in battery_levels.items() if node not in bs_set)
-    return BacklogSnapshot(
-        slot=slot,
-        bs_data_packets=bs_data,
-        user_data_packets=user_data,
-        bs_energy_j=bs_energy,
-        user_energy_j=user_energy,
-        virtual_packets=sum(virtual_backlogs.values()),
-    )
-
-
 def make_snapshot_from_arrays(slot: int, arrays: "ArrayState") -> BacklogSnapshot:
     """Aggregate an :class:`~repro.core.arraystate.ArrayState` directly.
 
-    Node ids are dense, so the bs/user row splits are contiguous index
-    sets; destination cells of ``q`` hold exactly ``0.0``, so summing
-    whole rows with :func:`seq_sum` matches the valid-cells-only
-    sequential sums of :func:`make_snapshot` bit for bit.
+    The bs/user row splits are ascending node-id index sets and the
+    destination cells of ``q`` hold exactly ``0.0``, so summing whole
+    rows with :func:`seq_sum` equals the left-to-right sum over the
+    valid ``(node, session)`` cells in node-major order, bit for bit.
     """
     return BacklogSnapshot(
         slot=slot,

@@ -14,10 +14,10 @@ only what the transmitter really held.
 The bank stores every backlog in one dense ``(num_nodes, num_sessions)``
 array (optionally shared with an
 :class:`~repro.core.arraystate.ArrayState`) and advances Eq. 15 with a
-single vectorized update; elementwise numpy float64 arithmetic is
-bit-identical to the scalar chain it replaced.  The per-object
-:class:`DataQueue` remains for standalone use and for the reference
-object path in :mod:`repro.queueing.reference`.
+single vectorized update of elementwise numpy float64 arithmetic.
+The per-object :class:`DataQueue` remains for standalone use; the
+simulator's trajectories are pinned by the committed fingerprints in
+``tests/golden/trajectories.json``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ the frozen link index (optionally shared with an
 single vectorized update.  ``H`` is derived as ``beta * G`` at read
 time — scalar ``beta * g`` and elementwise ``beta * g_array`` produce
 identical IEEE-754 results, so the lock-step invariant of the
-per-object :class:`LinkVirtualQueue` (kept for standalone use and the
-reference object path) is preserved bit for bit.
+per-object :class:`LinkVirtualQueue` (kept for standalone use) holds
+bit for bit on the array too.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ exchanges described in ``docs/architecture.md``.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,13 +33,12 @@ from repro.contracts import ContractChecker
 from repro.control.controller import DriftPlusPenaltyController
 from repro.control.decisions import ScheduleDecision, SlotObservation
 from repro.control.router import RouterMode
-from repro.core.arraystate import LinkArrayMapping
+from repro.core.arraystate import ArrayState, LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
-from repro.exceptions import ShardingError
 from repro.model import NetworkModel
 from repro.sharding.partition import ShardPlan
 from repro.state import NetworkState
-from repro.types import EnergySolverKind, Link, SchedulerKind
+from repro.types import EnergySolverKind, SchedulerKind
 
 __all__ = ["ShardedController"]
 
@@ -81,33 +80,21 @@ class ShardedController(DriftPlusPenaltyController):
         """The shard plan this controller computes over."""
         return self._plan
 
-    def _require_arrays(self, h_backlogs, arrays) -> None:
-        """The sharded phases slice frozen arrays; object state can't."""
-        if (
-            arrays is None
-            or not isinstance(h_backlogs, LinkArrayMapping)
-            or h_backlogs.links is not arrays.links
-        ):
-            raise ShardingError(
-                "sharded control requires the array-backed NetworkState"
-                " over the frozen link index"
-            )
-
     def _schedule_phase(
         self,
         observation: SlotObservation,
         state: NetworkState,
-        h_backlogs: Mapping[Link, float],
-        arrays,
+        h_backlogs: LinkArrayMapping,
+        arrays: ArrayState,
     ) -> ScheduleDecision:
         """S1: per-shard candidate scans, one global conflict merge."""
-        self._require_arrays(h_backlogs, arrays)
-        energy_prices = self._energy_prices(observation.slot, use_arrays=True)
+        energy_prices = self._energy_prices(observation.slot)
         slices = [
             self.scheduler.candidate_slice(
                 observation,
                 h_backlogs,
                 energy_prices,
+                self._allowed_mask,
                 within=shard.owned_link_pos,
             )
             for shard in self._plan.shards
@@ -115,18 +102,12 @@ class ShardedController(DriftPlusPenaltyController):
         link_pos = np.concatenate([s[0] for s in slices])
         bands = np.concatenate([s[1] for s in slices])
         weights = np.concatenate([s[2] for s in slices])
-        forbidden = None
-        if self._allowed_links is not None:
-            forbidden = [
-                link for link, ok in self._allowed_links.items() if not ok
-            ]
         return self.scheduler.schedule_from_candidates(
             link_pos,
             bands,
             weights,
             observation,
             h_backlogs,
-            forbidden,
             self._model.topology.candidate_links,
         )
 
@@ -136,8 +117,8 @@ class ShardedController(DriftPlusPenaltyController):
         schedule: ScheduleDecision,
         admission,
         state: NetworkState,
-        h_backlogs: Mapping[Link, float],
-        arrays,
+        h_backlogs: LinkArrayMapping,
+        arrays: ArrayState,
     ):
         """S3: per-shard coefficient fill, global selection/commit.
 
@@ -149,7 +130,6 @@ class ShardedController(DriftPlusPenaltyController):
         expression bit for bit; the router's tie-break/RNG machinery
         then runs globally over the completed matrix.
         """
-        self._require_arrays(h_backlogs, arrays)
         beta_h = self._constants.beta * h_backlogs.values_array
         q = arrays.q
         coeff = np.empty((len(arrays.links), len(arrays.sessions)))  # noqa: R041 - same (L, S) matrix the monolithic router broadcasts (router.py route); L is the pruned candidate-link set, sub-quadratic under the sparse topology
@@ -162,9 +142,8 @@ class ShardedController(DriftPlusPenaltyController):
             observation,
             schedule,
             admission,
-            state.backlog,
             h_backlogs,
-            allowed_links=self._allowed_links,
-            arrays=arrays,
+            arrays,
+            allowed_mask=self._allowed_mask,
             coeff=coeff,
         )

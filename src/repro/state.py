@@ -6,16 +6,15 @@ queues, grid connections and renewable processes — and provides the
 read accessors the controller needs plus the apply/advance methods the
 simulator calls at the end of each slot.
 
-The default state is *array-backed*: every hot per-slot quantity lives
-in an :class:`~repro.core.arraystate.ArrayState` (``Q`` as an
-``(N, S)`` array, ``G`` as ``(L,)``, battery levels as ``(N,)``) and
-the per-slot updates run as vectorized kernels.  The dict-shaped read
-accessors (``h_backlogs``, ``z_values``, ``battery_levels``) return
-thin mapping adapters over the arrays, so external callers — the
-relaxed-LP controller, drift diagnostics, contract checker — are
-untouched.  :class:`ReferenceNetworkState` keeps the historical
-dict-of-objects path for equivalence testing and benchmarking; both
-paths consume identical RNG streams and produce bit-identical results.
+The state is *array-backed*: every hot per-slot quantity lives in an
+:class:`~repro.core.arraystate.ArrayState` (``Q`` as an ``(N, S)``
+array, ``G`` as ``(L,)``, battery levels as ``(N,)``) and the per-slot
+updates run as vectorized kernels.  The dict-shaped read accessors
+(``h_backlogs``, ``z_values``, ``battery_levels``) return thin mapping
+adapters over the arrays, so external callers — the relaxed-LP
+controller, drift diagnostics, contract checker — read them like dicts.
+Behaviour is pinned by the committed trajectory fingerprints in
+``tests/golden/trajectories.json``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from repro.control.decisions import SlotDecision, SlotObservation
 from repro.core.arraystate import ArrayState, LinkArrayMapping, NodeArrayMapping
 from repro.core.lyapunov import LyapunovConstants
-from repro.energy.battery import Battery, BatteryAction
+from repro.energy.battery import Battery
 from repro.energy.grid import GridConnection
 from repro.energy.renewable import (
     DiurnalSolarProcess,
@@ -43,15 +42,11 @@ from repro.network.mobility import (
     StaticMobility,
     gain_matrix_for_positions,
 )
-from repro.queueing.backlog import (
-    BacklogSnapshot,
-    make_snapshot,
-    make_snapshot_from_arrays,
-)
+from repro.queueing.backlog import BacklogSnapshot, make_snapshot_from_arrays
 from repro.queueing.data_queue import DataQueueBank
 from repro.queueing.energy_queue import ShiftedEnergyQueue
 from repro.queueing.virtual_queue import VirtualQueueBank
-from repro.types import Link, MobilityKind, NodeId, RenewableKind, SessionId
+from repro.types import MobilityKind, NodeId, RenewableKind, SessionId
 
 
 def _build_renewable(
@@ -74,9 +69,6 @@ def _build_renewable(
 
 class NetworkState:
     """All mutable state of one simulation run (array-backed)."""
-
-    #: Subclasses set this to False to keep the dict-of-objects path.
-    uses_arrays: bool = True
 
     def __init__(
         self,
@@ -133,11 +125,18 @@ class NetworkState:
         else:
             self.mobility = StaticMobility(initial_positions)
 
-        self.arrays: Optional[ArrayState] = (
-            ArrayState(model, constants) if type(self).uses_arrays else None
+        self.arrays = ArrayState(model, constants)
+        self.data_queues = DataQueueBank(
+            nodes=range(model.num_nodes),
+            session_destinations=model.session_destinations(),
+            semantics=params.queue_semantics,
+            storage=self.arrays,
         )
-        self.data_queues = self._build_data_queues()
-        self.virtual_queues = self._build_virtual_queues()
+        self.virtual_queues = VirtualQueueBank(
+            links=model.topology.candidate_links,
+            beta=constants.beta,
+            storage=self.arrays,
+        )
 
         self.batteries: Dict[NodeId, Battery] = {}
         self.energy_queues: Dict[NodeId, ShiftedEnergyQueue] = {}
@@ -177,54 +176,15 @@ class NetworkState:
                 params.slot_seconds,
                 renewable_rngs[node.node_id],
             )
-        if self.arrays is not None:
-            # Battery and shifted queue share one level slot per node
-            # (the engine path always mirrors the battery level into
-            # the queue), so the vectorized apply updates both at once.
-            for node_id in range(model.num_nodes):
-                self.batteries[node_id].bind_storage(
-                    self.arrays.battery_level, node_id
-                )
-                self.energy_queues[node_id].bind_storage(
-                    self.arrays.battery_level, node_id
-                )
+        # Battery and shifted queue share one level slot per node (the
+        # engine always mirrors the battery level into the queue), so
+        # the vectorized apply updates both at once.
+        for node_id in range(model.num_nodes):
+            self.batteries[node_id].bind_storage(self.arrays.battery_level, node_id)
+            self.energy_queues[node_id].bind_storage(
+                self.arrays.battery_level, node_id
+            )
         self.reset_caches()
-
-    # ------------------------------------------------------------------
-    # Construction hooks
-    # ------------------------------------------------------------------
-
-    def _build_data_queues(self) -> DataQueueBank:
-        """Build the data-queue bank (cold path, once per run)."""
-        if self.arrays is None:
-            from repro.queueing.reference import ReferenceDataQueueBank
-
-            return ReferenceDataQueueBank(
-                nodes=range(self.model.num_nodes),
-                session_destinations=self.model.session_destinations(),
-                semantics=self.model.params.queue_semantics,
-            )
-        return DataQueueBank(
-            nodes=range(self.model.num_nodes),
-            session_destinations=self.model.session_destinations(),
-            semantics=self.model.params.queue_semantics,
-            storage=self.arrays,
-        )
-
-    def _build_virtual_queues(self) -> VirtualQueueBank:
-        """Build the virtual-queue bank (cold path, once per run)."""
-        if self.arrays is None:
-            from repro.queueing.reference import ReferenceVirtualQueueBank
-
-            return ReferenceVirtualQueueBank(
-                links=self.model.topology.candidate_links,
-                beta=self.constants.beta,
-            )
-        return VirtualQueueBank(
-            links=self.model.topology.candidate_links,
-            beta=self.constants.beta,
-            storage=self.arrays,
-        )
 
     # ------------------------------------------------------------------
     # Observation sampling
@@ -268,7 +228,7 @@ class NetworkState:
         Components that never draw — zero renewables, grids pinned
         connected or disconnected — are precomputed as constants;
         everything else keeps its own per-slot ``sample`` call in node
-        order, exactly as the per-dict path did.
+        order.
         """
         token = (
             tuple(map(id, self.renewables.values())),
@@ -304,32 +264,16 @@ class NetworkState:
 
         Sampling is idempotent per slot only for mobility (positions
         are cached); band/renewable/grid draws advance their streams,
-        so the engine observes each slot exactly once.  The array path
-        batches the draws into dense per-node arrays, skipping
-        components that provably consume no randomness — the surviving
-        ``sample`` calls hit the same per-component streams in the same
-        order as the dict path, so sample paths stay byte-identical.
+        so the engine observes each slot exactly once.  The draws land
+        in dense per-node arrays, skipping components that provably
+        consume no randomness; the surviving ``sample`` calls hit their
+        per-component streams in node order.
         """
         band_access = None
         if self.availability is not None:
             self.availability.advance_to(slot)
             band_access = self.availability.mask(
                 self.model.spectrum.access_sets()
-            )
-        if self.arrays is None:
-            return SlotObservation(
-                slot=slot,
-                bands=self.model.spectrum.sample(slot),
-                renewable_j={
-                    node: process.sample(slot)
-                    for node, process in self.renewables.items()  # noqa: R006 - reference object path
-                },
-                grid_connected={
-                    node: grid.sample_connected(slot)
-                    for node, grid in self.grids.items()  # noqa: R006 - reference object path
-                },
-                gains=self._current_gains(slot),
-                band_access=band_access,
             )
         self._refresh_sampling_plan()
         bands = self.model.spectrum.sample(slot)
@@ -356,13 +300,8 @@ class NetworkState:
         """``Q_i^s(t)``."""
         return self.data_queues.backlog(node, session)
 
-    def h_backlogs(self) -> Mapping[Link, float]:
+    def h_backlogs(self) -> LinkArrayMapping:
         """``H_ij(t)`` for every candidate link (frozen at read time)."""
-        if self.arrays is None:
-            return {
-                link: self.virtual_queues.h(link)
-                for link in self.model.topology.candidate_links  # noqa: R040 - reference dict path (arrays is None); the array path returns a LinkArrayMapping view below
-            }
         return LinkArrayMapping(
             self.virtual_queues.h_array(), self.arrays.links, self.arrays.link_pos
         )
@@ -379,20 +318,10 @@ class NetworkState:
 
     def z_values(self) -> Mapping[NodeId, float]:
         """``z_i(t)`` for every node (frozen at read time)."""
-        if self.arrays is None:
-            return {
-                node: queue.z
-                for node, queue in self.energy_queues.items()  # noqa: R006 - reference object path
-            }
         return NodeArrayMapping(self.arrays.z_values_array())
 
     def battery_levels(self) -> Mapping[NodeId, float]:
         """``x_i(t)`` for every node (frozen at read time)."""
-        if self.arrays is None:
-            return {
-                node: battery.level_j
-                for node, battery in self.batteries.items()  # noqa: R006 - reference object path
-            }
         return NodeArrayMapping(self.arrays.battery_level.copy())
 
     # ------------------------------------------------------------------
@@ -434,33 +363,11 @@ class NetworkState:
         # Batteries and shifted energy queues (Eqs. 4 and 31).  The
         # allocation's discharge is *delivered* energy; the battery
         # drains 1/eta_d of it.
-        if self.arrays is None:
-            for node, allocation in decision.energy.allocations.items():  # noqa: R006 - reference object path
-                battery = self.batteries[node]
-                charge = allocation.charge_j
-                drain = allocation.discharge_j / battery.discharge_efficiency
-                if not enforce_complementarity:
-                    net = charge - drain
-                    charge = max(net, 0.0)
-                    drain = max(-net, 0.0)
-                action = BatteryAction(charge_j=charge, discharge_j=drain)
-                level = battery.apply(action)
-                self.energy_queues[node].observe_level(level)
-            return make_snapshot(
-                slot=slot,
-                data_backlogs=self.data_queues.snapshot(),
-                battery_levels=self.battery_levels(),
-                virtual_backlogs=self.virtual_queues.snapshot(),
-                bs_ids=self.model.bs_ids,
-            )
-
-        arrays = self.arrays
         charge_j, drain_j = self._build_battery_buffers(
             decision, enforce_complementarity
         )
-        arrays.apply_battery_actions(charge_j, drain_j)
-
-        return make_snapshot_from_arrays(slot=slot, arrays=arrays)
+        self.arrays.apply_battery_actions(charge_j, drain_j)
+        return make_snapshot_from_arrays(slot=slot, arrays=self.arrays)
 
     def _build_battery_buffers(
         self, decision: SlotDecision, enforce_complementarity: bool
@@ -486,13 +393,3 @@ class NetworkState:
             drain_j = np.maximum(-net, 0.0)
         return charge_j, drain_j
 
-
-class ReferenceNetworkState(NetworkState):
-    """The historical dict-of-objects state (no arrays).
-
-    Identical RNG stream consumption and identical observable behaviour
-    to :class:`NetworkState`; kept as the bit-exact baseline for the
-    object-vs-array equivalence suite and the slot-loop benchmark.
-    """
-
-    uses_arrays = False

@@ -1,0 +1,114 @@
+"""Shared test helpers: exact fingerprints, oracles and array views.
+
+``decision_fingerprint`` turns one :class:`~repro.control.decisions.SlotDecision`
+into an exactly comparable tuple (the dense-vs-sparse and golden suites
+compare them with ``==``).  ``trajectory_sha256`` folds a whole run —
+every slot's decision, its S4 energy allocations and the slot metrics
+(``BacklogSnapshot``, cost, penalty, flows) — into one SHA-256 digest,
+so a committed hex string pins a trajectory bit for bit.
+``make_snapshot_oracle`` is the plain-Python backlog aggregation the
+array kernel :func:`~repro.queueing.backlog.make_snapshot_from_arrays`
+must reproduce exactly.  ``link_view`` lays a ``{link: value}`` dict
+out as the ``(L,)`` view over the frozen candidate-link index that the
+scheduler and router take.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import numbers
+from collections.abc import Mapping
+
+import numpy as np
+
+from repro.core.arraystate import LinkArrayMapping
+from repro.queueing import BacklogSnapshot
+from repro.sim import SlotSimulator
+
+
+def decision_fingerprint(decision):
+    """Everything a slot decided, as an exactly comparable tuple."""
+    return (
+        tuple(decision.schedule.transmissions),
+        tuple(decision.schedule.link_service_pkts.items()),
+        tuple(decision.schedule.dropped),
+        tuple(decision.admission.sources.items()),
+        tuple(decision.admission.admitted.items()),
+        tuple(decision.routing.rates.items()),
+        tuple(decision.curtailed),
+    )
+
+
+def link_view(model, values):
+    """``{link: value}`` as a view over ``model``'s candidate-link index.
+
+    Links absent from ``values`` read 0.0.
+    """
+    links = model.topology.candidate_links
+    positions = {link: p for p, link in enumerate(links)}
+    array = np.zeros(len(links))
+    for link, value in values.items():
+        array[positions[link]] = value
+    return LinkArrayMapping(array, links, positions)
+
+
+def make_snapshot_oracle(
+    slot, data_backlogs, battery_levels, virtual_backlogs, bs_ids
+):
+    """Aggregate dict-shaped backlogs with left-to-right Python sums."""
+    bs_set = set(bs_ids)
+    return BacklogSnapshot(
+        slot=slot,
+        bs_data_packets=sum(
+            v for (node, _), v in data_backlogs.items() if node in bs_set
+        ),
+        user_data_packets=sum(
+            v for (node, _), v in data_backlogs.items() if node not in bs_set
+        ),
+        bs_energy_j=sum(v for node, v in battery_levels.items() if node in bs_set),
+        user_energy_j=sum(
+            v for node, v in battery_levels.items() if node not in bs_set
+        ),
+        virtual_packets=sum(virtual_backlogs.values()),
+    )
+
+
+def canonical(value) -> str:
+    """A type-stable text form: floats by ``float.hex``, order kept.
+
+    numpy and Python scalars of equal value render identically, so the
+    digest depends on the numbers and their order, not on which
+    container type or scalar width carried them.
+    """
+    if value is None or isinstance(value, (bool, str)):
+        return repr(value)
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return float(value).hex()
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        inner = ",".join(
+            f"{f.name}={canonical(getattr(value, f.name))}" for f in fields
+        )
+        return f"{type(value).__name__}({inner})"
+    if isinstance(value, Mapping):
+        return "{" + ",".join(
+            f"{canonical(k)}:{canonical(v)}" for k, v in value.items()
+        ) + "}"
+    if isinstance(value, (tuple, list)):
+        return "[" + ",".join(canonical(v) for v in value) + "]"
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+def trajectory_sha256(params, scheduler_kind) -> str:
+    """SHA-256 over a full integral run's decisions and slot metrics."""
+    sim = SlotSimulator.integral(params, scheduler_kind=scheduler_kind)
+    digest = hashlib.sha256()
+    for slot in range(params.num_slots):
+        decision = sim.step(slot)
+        digest.update(canonical(decision_fingerprint(decision)).encode())
+        digest.update(canonical(decision.energy).encode())
+        digest.update(canonical(sim.metrics.slots[-1]).encode())
+    return digest.hexdigest()

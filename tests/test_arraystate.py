@@ -1,11 +1,11 @@
-"""Object-path vs array-path equivalence suite (PR 5 tentpole guard).
+"""The array state core: trajectory-level equivalences and unit tests.
 
-``NetworkState`` runs the vectorized struct-of-arrays hot path;
-``ReferenceNetworkState`` rebuilds the historical dict-of-objects banks
-from :mod:`repro.queueing.reference`.  The two must produce *bit
-identical* trajectories — same :class:`BacklogSnapshot` stream, same
-cost/penalty series, same RNG consumption — across every queue
-semantics, dynamic spectrum availability, and random-waypoint mobility.
+``NetworkState`` runs the vectorized struct-of-arrays slot loop.  Along
+full trajectories — every queue semantics, dynamic spectrum
+availability and random-waypoint mobility — its snapshot kernel must
+match a plain-Python aggregation bit for bit, contract checking must
+leave the run untouched, and the dict-shaped views must agree with the
+arrays they wrap.
 
 The suite also unit-tests the array core itself: :func:`seq_sum`
 bit-identity against Python ``sum``, the mapping adapters, the
@@ -30,8 +30,8 @@ from repro.energy.battery import Battery, BatteryAction
 from repro.exceptions import EnergyError
 from repro.queueing.energy_queue import ShiftedEnergyQueue
 from repro.sim.engine import SlotSimulator
-from repro.state import NetworkState, ReferenceNetworkState
 from repro.types import MobilityKind, QueueSemantics
+from tests.helpers import canonical, make_snapshot_oracle
 
 
 def _dynamic_spectrum(params):
@@ -52,73 +52,71 @@ SCENARIOS = {
 }
 
 
-def _run(params, state_cls):
-    simulator = SlotSimulator.integral(params, state_cls=state_cls)
+def _run(params, **kwargs):
+    simulator = SlotSimulator.integral(params, **kwargs)
     result = simulator.run()
     return simulator, result
 
 
 class TestTrajectoryEquivalence:
-    """Array path == object path, exactly, on full simulations."""
+    """Equivalences that must hold along full simulated trajectories.
+
+    The array kernels are checked against independent references on
+    the same run: the recorded snapshot stream against the plain-Python
+    aggregation of the state's dict views, a strict-contracts run against
+    an unchecked one, and the dict views against the buffers they wrap.
+    The trajectories themselves are pinned in ``tests/test_golden.py``.
+    """
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_snapshot_streams_identical(self, name):
         params = SCENARIOS[name]
-        _, array_result = _run(params, NetworkState)
-        _, object_result = _run(params, ReferenceNetworkState)
-
-        assert len(array_result.metrics.slots) == len(object_result.metrics.slots)
-        for array_slot, object_slot in zip(
-            array_result.metrics.slots, object_result.metrics.slots
-        ):
-            # Frozen dataclass equality: every aggregate, bit for bit.
-            assert array_slot.snapshot == object_slot.snapshot
+        simulator = SlotSimulator.integral(params)
+        state = simulator.state
+        for slot in range(params.num_slots):
+            simulator.step(slot)
+            expected = make_snapshot_oracle(
+                slot=slot,
+                data_backlogs=state.data_queues.snapshot(),
+                battery_levels=state.battery_levels(),
+                virtual_backlogs=state.virtual_queues.snapshot(),
+                bs_ids=simulator.model.bs_ids,
+            )
+            recorded = simulator.metrics.slots[-1].snapshot
+            assert canonical(recorded) == canonical(expected), slot
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_cost_and_penalty_series_identical(self, name):
+        # Strict contract checking observes the run; it must not
+        # perturb a single decision or RNG draw.
         params = SCENARIOS[name]
-        _, array_result = _run(params, NetworkState)
-        _, object_result = _run(params, ReferenceNetworkState)
+        _, plain = _run(params)
+        _, checked = _run(params, contracts="strict")
 
         for field in ("cost", "penalty", "grid_draw_j", "admitted_pkts",
                       "delivered_pkts", "deficit_j", "spill_j"):
-            array_series = [
-                getattr(m, field) for m in array_result.metrics.slots
+            plain_series = [getattr(m, field) for m in plain.metrics.slots]
+            checked_series = [
+                getattr(m, field) for m in checked.metrics.slots
             ]
-            object_series = [
-                getattr(m, field) for m in object_result.metrics.slots
-            ]
-            assert array_series == object_series, field
+            assert plain_series == checked_series, field
 
     def test_final_backlogs_identical(self):
-        params = tiny_scenario(num_slots=8)
-        array_sim, _ = _run(params, NetworkState)
-        object_sim, _ = _run(params, ReferenceNetworkState)
+        simulator, _ = _run(tiny_scenario(num_slots=8))
+        state = simulator.state
+        arrays = state.arrays
 
-        assert (
-            array_sim.state.data_queues.snapshot()
-            == object_sim.state.data_queues.snapshot()
+        assert state.data_queues.snapshot() == dict(arrays.q_mapping(copy=True))
+        assert state.virtual_queues.snapshot() == dict(
+            LinkArrayMapping(arrays.g, arrays.links, arrays.link_pos)
         )
-        assert (
-            array_sim.state.virtual_queues.snapshot()
-            == object_sim.state.virtual_queues.snapshot()
-        )
-        assert dict(array_sim.state.battery_levels()) == dict(
-            object_sim.state.battery_levels()
-        )
-        assert dict(array_sim.state.z_values()) == dict(
-            object_sim.state.z_values()
-        )
-        assert dict(array_sim.state.h_backlogs()) == dict(
-            object_sim.state.h_backlogs()
-        )
-
-    def test_state_classes_expose_expected_backends(self):
-        params = tiny_scenario(num_slots=1)
-        array_sim, _ = _run(params, NetworkState)
-        object_sim, _ = _run(params, ReferenceNetworkState)
-        assert array_sim.state.arrays is not None
-        assert object_sim.state.arrays is None
+        assert list(state.battery_levels().values()) == list(arrays.battery_level)
+        assert list(state.z_values().values()) == [
+            queue.z for queue in state.energy_queues.values()
+        ]
+        assert list(state.h_backlogs().values()) == [
+            state.virtual_queues.h(link) for link in arrays.links
+        ]
 
 
 class TestSeqSum:

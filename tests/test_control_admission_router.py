@@ -6,6 +6,8 @@ import pytest
 from repro.control import BackpressureRouter, LinkScheduler, ResourceAllocator
 from repro.control.decisions import AdmissionDecision, ScheduleDecision
 from repro.control.router import RouterMode
+from repro.phy.capacity import max_link_capacity_bps
+from tests.helpers import link_view
 
 
 @pytest.fixture
@@ -20,6 +22,40 @@ def _backlog_fn(values):
         return values.get((node, session), 0.0)
 
     return backlog
+
+
+def _route(
+    router, state, observation, schedule, admission, backlogs=None, h=None, **kwargs
+):
+    """``router.route`` on ``state``'s arrays with Q and H set from dicts.
+
+    Backlogs at a session's own destination are skipped: those cells
+    are pinned at zero (the destination absorbs its packets).
+    """
+    arrays = state.arrays
+    positions = arrays.queue_positions()
+    for key, value in (backlogs or {}).items():
+        if key in positions:
+            arrays.q[positions[key]] = value
+    h_backlogs = link_view(state.model, h or {})
+    return router.route(
+        observation, schedule, admission, h_backlogs, arrays, **kwargs
+    )
+
+
+def _potential_capacity_pkts(model, observation, link):
+    """Eq. (25) potential cap: the best common band's capacity."""
+    params = model.params
+    best_bps = max(
+        (
+            max_link_capacity_bps(
+                observation.bands.bandwidth(m), params.sinr_threshold
+            )
+            for m in observation.common_bands(model, *link)
+        ),
+        default=0.0,
+    )
+    return best_bps * params.slot_seconds / params.sessions.packet_size_bits
 
 
 class TestResourceAllocator:
@@ -74,17 +110,13 @@ class TestResourceAllocator:
 
 class TestRouterDestinationForcing:
     def test_demand_forced_into_destination(
-        self, tiny_model, tiny_constants, observation, rng
+        self, tiny_model, tiny_constants, observation, rng, tiny_state
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         allocator = ResourceAllocator(tiny_model, rng)
         admission = allocator.allocate(_backlog_fn({}))
-        routing = router.route(
-            observation,
-            ScheduleDecision(),
-            admission,
-            _backlog_fn({}),
-            h_backlogs={},
+        routing = _route(
+            router, tiny_state, observation, ScheduleDecision(), admission
         )
         for session in tiny_model.sessions:
             delivered = sum(
@@ -95,7 +127,7 @@ class TestRouterDestinationForcing:
             assert delivered == pytest.approx(session.demand(0))
 
     def test_forced_link_prefers_backlogged_upstream(
-        self, tiny_model, tiny_constants, observation, rng
+        self, tiny_model, tiny_constants, observation, rng, tiny_state
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         session = tiny_model.sessions[0]
@@ -108,12 +140,8 @@ class TestRouterDestinationForcing:
             sources={s.session_id: tiny_model.bs_ids[0] for s in tiny_model.sessions},
             admitted={s.session_id: 0 for s in tiny_model.sessions},
         )
-        routing = router.route(
-            observation,
-            ScheduleDecision(),
-            admission,
-            _backlog_fn(backlogs),
-            h_backlogs={},
+        routing = _route(
+            router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
         # Coefficient -Q_i is most negative at the favoured neighbour.
         assert (favoured, dest, session.session_id) in routing.rates
@@ -125,7 +153,7 @@ class TestRouterConstraints:
         return ResourceAllocator(tiny_model, rng).allocate(_backlog_fn({}))
 
     def test_no_outgoing_from_destination(
-        self, tiny_model, tiny_constants, observation, rng, admission
+        self, tiny_model, tiny_constants, observation, rng, tiny_state, admission
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         backlogs = {
@@ -133,8 +161,8 @@ class TestRouterConstraints:
             for node in range(tiny_model.num_nodes)
             for s in tiny_model.sessions
         }
-        routing = router.route(
-            observation, ScheduleDecision(), admission, _backlog_fn(backlogs), {}
+        routing = _route(
+            router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
         destinations = tiny_model.session_destinations()
         for (tx, _rx, sid), rate in routing.rates.items():
@@ -142,7 +170,7 @@ class TestRouterConstraints:
                 assert tx != destinations[sid], "constraint (17) violated"
 
     def test_no_incoming_to_source(
-        self, tiny_model, tiny_constants, observation, rng, admission
+        self, tiny_model, tiny_constants, observation, rng, tiny_state, admission
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         backlogs = {
@@ -150,8 +178,8 @@ class TestRouterConstraints:
             for node in range(tiny_model.num_nodes)
             for s in tiny_model.sessions
         }
-        routing = router.route(
-            observation, ScheduleDecision(), admission, _backlog_fn(backlogs), {}
+        routing = _route(
+            router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
         destinations = tiny_model.session_destinations()
         for (tx, rx, sid), rate in routing.rates.items():
@@ -159,26 +187,26 @@ class TestRouterConstraints:
                 assert rx != admission.sources[sid], "constraint (16) violated"
 
     def test_non_negative_coefficients_route_nothing(
-        self, tiny_model, tiny_constants, observation, rng, admission
+        self, tiny_model, tiny_constants, observation, rng, tiny_state, admission
     ):
         # All queues empty and H = 0: every non-forced coefficient is 0.
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
-        routing = router.route(
-            observation, ScheduleDecision(), admission, _backlog_fn({}), {}
+        routing = _route(
+            router, tiny_state, observation, ScheduleDecision(), admission
         )
         destinations = tiny_model.session_destinations()
         for (tx, rx, sid), rate in routing.rates.items():
             assert rx == destinations[sid], "only forced deliveries expected"
 
     def test_backlogged_source_routes_capacity(
-        self, tiny_model, tiny_constants, observation, rng, admission
+        self, tiny_model, tiny_constants, observation, rng, tiny_state, admission
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         bs = tiny_model.bs_ids[0]
         session = tiny_model.sessions[0].session_id
         backlogs = {(bs, session): 1e6}
-        routing = router.route(
-            observation, ScheduleDecision(), admission, _backlog_fn(backlogs), {}
+        routing = _route(
+            router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
         outgoing = sum(
             rate for (tx, _, sid), rate in routing.rates.items()
@@ -187,7 +215,7 @@ class TestRouterConstraints:
         assert outgoing > 0
 
     def test_virtual_backlog_discourages_link(
-        self, tiny_model, tiny_constants, observation, rng, admission
+        self, tiny_model, tiny_constants, observation, rng, tiny_state, admission
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         bs = tiny_model.bs_ids[0]
@@ -198,8 +226,14 @@ class TestRouterConstraints:
             (bs, rx): 1e9
             for rx in tiny_model.topology.out_neighbors[bs]
         }
-        routing = router.route(
-            observation, ScheduleDecision(), admission, _backlog_fn(backlogs), h
+        routing = _route(
+            router,
+            tiny_state,
+            observation,
+            ScheduleDecision(),
+            admission,
+            backlogs,
+            h,
         )
         destinations = tiny_model.session_destinations()
         for (tx, rx, sid), _ in routing.rates.items():
@@ -209,7 +243,7 @@ class TestRouterConstraints:
 
 class TestRouterCapacityModes:
     def test_scheduled_mode_requires_schedule(
-        self, tiny_model, tiny_constants, observation, rng
+        self, tiny_model, tiny_constants, observation, rng, tiny_state
     ):
         router = BackpressureRouter(
             tiny_model, tiny_constants, rng, mode=RouterMode.SCHEDULED_CAPACITY
@@ -219,8 +253,8 @@ class TestRouterCapacityModes:
         session = tiny_model.sessions[0].session_id
         backlogs = {(bs, session): 1e6}
         # Empty schedule: nothing beyond forced deliveries can flow.
-        routing = router.route(
-            observation, ScheduleDecision(), admission, _backlog_fn(backlogs), {}
+        routing = _route(
+            router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
         destinations = tiny_model.session_destinations()
         non_forced = [
@@ -229,7 +263,7 @@ class TestRouterCapacityModes:
         assert not non_forced
 
     def test_scheduled_mode_uses_scheduled_capacity(
-        self, tiny_model, tiny_constants, observation, rng
+        self, tiny_model, tiny_constants, observation, rng, tiny_state
     ):
         router = BackpressureRouter(
             tiny_model, tiny_constants, rng, mode=RouterMode.SCHEDULED_CAPACITY
@@ -240,14 +274,14 @@ class TestRouterCapacityModes:
         session = tiny_model.sessions[0].session_id
         schedule = ScheduleDecision(link_service_pkts={(bs, rx): 123.0})
         backlogs = {(bs, session): 1e6}
-        routing = router.route(
-            observation, schedule, admission, _backlog_fn(backlogs), {}
+        routing = _route(
+            router, tiny_state, observation, schedule, admission, backlogs
         )
         if rx != tiny_model.sessions[0].destination:
             assert routing.rates.get((bs, rx, session)) == pytest.approx(123.0)
 
     def test_potential_mode_caps_by_best_band(
-        self, tiny_model, tiny_constants, observation, rng
+        self, tiny_model, tiny_constants, observation, rng, tiny_state
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         admission = ResourceAllocator(tiny_model, rng).allocate(_backlog_fn({}))
@@ -256,37 +290,39 @@ class TestRouterCapacityModes:
             for node in range(tiny_model.num_nodes)
             for s in tiny_model.sessions
         }
-        routing = router.route(
-            observation, ScheduleDecision(), admission, _backlog_fn(backlogs), {}
+        routing = _route(
+            router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
         params = tiny_model.params
         destinations = tiny_model.session_destinations()
         for (tx, rx, sid), rate in routing.rates.items():
             if rx == destinations[sid]:
                 continue  # forced deliveries are demand-sized
-            cap = router._link_capacity_pkts((tx, rx), observation, ScheduleDecision())
+            cap = _potential_capacity_pkts(tiny_model, observation, (tx, rx))
             assert rate <= cap + 1e-9
 
-    def test_one_hop_filter(self, tiny_model, tiny_constants, observation, rng):
+    def test_one_hop_filter(
+        self, tiny_model, tiny_constants, observation, rng, tiny_state
+    ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         admission = ResourceAllocator(tiny_model, rng).allocate(_backlog_fn({}))
         bs_set = set(tiny_model.bs_ids)
-        allowed = {
-            link: link[0] in bs_set
-            for link in tiny_model.topology.candidate_links
-        }
+        allowed = np.array(
+            [link[0] in bs_set for link in tiny_state.arrays.links]
+        )
         backlogs = {
             (node, s.session_id): 1e6
             for node in range(tiny_model.num_nodes)
             for s in tiny_model.sessions
         }
-        routing = router.route(
+        routing = _route(
+            router,
+            tiny_state,
             observation,
             ScheduleDecision(),
             admission,
-            _backlog_fn(backlogs),
-            {},
-            allowed_links=allowed,
+            backlogs,
+            allowed_mask=allowed,
         )
         for (tx, _rx, _sid), rate in routing.rates.items():
             if rate > 0:

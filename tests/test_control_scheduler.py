@@ -6,6 +6,7 @@ import pytest
 from repro.control import LinkScheduler
 from repro.core.drift import compute_drift_terms  # noqa: F401  (import check)
 from repro.types import SchedulerKind
+from tests.helpers import link_view
 
 
 @pytest.fixture
@@ -15,7 +16,17 @@ def observation(tiny_state):
 
 def _h_for(model, value=10.0, links=None):
     chosen = links if links is not None else model.topology.candidate_links
-    return {link: value for link in chosen}
+    return link_view(model, {link: value for link in chosen})
+
+
+def _random_h(model, rng, low, high):
+    return link_view(
+        model,
+        {
+            link: float(rng.uniform(low, high))
+            for link in model.topology.candidate_links
+        },
+    )
 
 
 class TestCandidateConstruction:
@@ -23,7 +34,7 @@ class TestCandidateConstruction:
         self, tiny_model, tiny_constants, observation
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants)
-        decision = scheduler.schedule(observation, h_backlogs={})
+        decision = scheduler.schedule(observation, link_view(tiny_model, {}))
         assert not decision.transmissions
         assert not decision.link_service_pkts
 
@@ -38,9 +49,9 @@ class TestCandidateConstruction:
         self, tiny_model, tiny_constants, observation
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants)
-        all_links = list(tiny_model.topology.candidate_links)
+        none_allowed = np.zeros(len(tiny_model.topology.candidate_links), bool)
         decision = scheduler.schedule(
-            observation, _h_for(tiny_model), forbidden_links=all_links
+            observation, _h_for(tiny_model), allowed_mask=none_allowed
         )
         assert not decision.transmissions
 
@@ -52,10 +63,7 @@ class TestSingleRadioConstraint:
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants, kind=kind)
         rng = np.random.default_rng(4)
-        h = {
-            link: float(rng.uniform(1, 100))
-            for link in tiny_model.topology.candidate_links
-        }
+        h = _random_h(tiny_model, rng, 1, 100)
         decision = scheduler.schedule(observation, h)
         busy = []
         for t in decision.transmissions:
@@ -105,10 +113,7 @@ class TestAlgorithmQuality:
     ):
         rng = np.random.default_rng(7)
         for trial in range(5):
-            h = {
-                link: float(rng.uniform(0, 100))
-                for link in tiny_model.topology.candidate_links
-            }
+            h = _random_h(tiny_model, rng, 0, 100)
             exact = LinkScheduler(
                 tiny_model, tiny_constants, kind=SchedulerKind.MAX_WEIGHT_MATCHING
             ).schedule(observation, h)
@@ -127,10 +132,7 @@ class TestAlgorithmQuality:
         self, tiny_model, tiny_constants, observation
     ):
         rng = np.random.default_rng(11)
-        h = {
-            link: float(rng.uniform(1, 100))
-            for link in tiny_model.topology.candidate_links
-        }
+        h = _random_h(tiny_model, rng, 1, 100)
         exact = LinkScheduler(
             tiny_model, tiny_constants, kind=SchedulerKind.MAX_WEIGHT_MATCHING
         ).schedule(observation, h)
@@ -147,8 +149,9 @@ class TestAlgorithmQuality:
     ):
         links = list(tiny_model.topology.candidate_links)
         heavy = links[0]
-        h = {link: 1.0 for link in links}
-        h[heavy] = 1e6
+        values = {link: 1.0 for link in links}
+        values[heavy] = 1e6
+        h = link_view(tiny_model, values)
         decision = LinkScheduler(
             tiny_model, tiny_constants, kind=SchedulerKind.GREEDY
         ).schedule(observation, h)
@@ -162,9 +165,7 @@ class TestEnergyAwareWeights:
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants)
         h = _h_for(tiny_model, 1.0)  # tiny backlog value
-        expensive = {
-            node: 1e18 for node in range(tiny_model.num_nodes)
-        }
+        expensive = np.full(tiny_model.num_nodes, 1e18)
         decision = scheduler.schedule(
             observation, h, energy_prices=expensive
         )
@@ -175,7 +176,7 @@ class TestEnergyAwareWeights:
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants)
         h = _h_for(tiny_model, 25.0)
-        free = {node: 0.0 for node in range(tiny_model.num_nodes)}
+        free = np.zeros(tiny_model.num_nodes)
         with_prices = scheduler.schedule(observation, h, energy_prices=free)
         without = scheduler.schedule(observation, h, energy_prices=None)
         assert with_prices.link_service_pkts == without.link_service_pkts
@@ -186,9 +187,8 @@ class TestEnergyAwareWeights:
         # Price only the base station: user-to-user links win ties.
         scheduler = LinkScheduler(tiny_model, tiny_constants)
         h = _h_for(tiny_model, 1e-3)
-        prices = {node: 0.0 for node in range(tiny_model.num_nodes)}
-        for bs in tiny_model.bs_ids:
-            prices[bs] = 1e15
+        prices = np.zeros(tiny_model.num_nodes)
+        prices[list(tiny_model.bs_ids)] = 1e15
         decision = scheduler.schedule(observation, h, energy_prices=prices)
         assert all(
             t.tx not in tiny_model.bs_ids and t.rx not in tiny_model.bs_ids
@@ -207,10 +207,7 @@ class TestSinrAwareSequentialFix:
         )
         rng = np.random.default_rng(8)
         for _ in range(3):
-            h = {
-                link: float(rng.uniform(1, 100))
-                for link in tiny_model.topology.candidate_links
-            }
+            h = _random_h(tiny_model, rng, 1, 100)
             decision = scheduler.schedule(observation, h)
             assert not decision.dropped
 
@@ -220,7 +217,7 @@ class TestSinrAwareSequentialFix:
         # A single backlogged link has no co-band coupling: both SF
         # variants must schedule it.
         link = tiny_model.topology.candidate_links[0]
-        h = {link: 50.0}
+        h = link_view(tiny_model, {link: 50.0})
         plain = LinkScheduler(
             tiny_model, tiny_constants, kind=SchedulerKind.SEQUENTIAL_FIX
         ).schedule(observation, h)

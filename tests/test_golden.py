@@ -14,12 +14,27 @@ with::
     PY
 
 and update them here together with a changelog note.
+
+``TestGoldenTrajectories`` pins whole trajectories instead: one SHA-256
+per (scenario, scheduler) case over every slot's decision, energy
+allocation and slot metrics (see ``tests/helpers.py``), committed
+in ``tests/golden/trajectories.json``.  Regenerate after an intentional
+change with::
+
+    PYTHONPATH=src python -m tests.test_golden --write-trajectories
 """
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.config import tiny_scenario
+from repro.config import small_scenario, tiny_scenario
 from repro.sim import SlotSimulator
+from repro.types import MobilityKind, QueueSemantics, SchedulerKind
+from tests.helpers import trajectory_sha256
 
 #: Pinned outputs of the integral controller on tiny_scenario(num_slots=12).
 GOLDEN_TINY_COST = 360.1370896962028
@@ -95,3 +110,90 @@ class TestGoldenTopologyModes:
             == tiny_run.metrics.totals()["delivered_pkts"]
         )
         assert result.average_cost == pytest.approx(GOLDEN_TINY_COST, rel=1e-9)
+
+
+def _dynamic_spectrum(params):
+    spectrum = dataclasses.replace(params.spectrum, dynamic_availability=True)
+    return dataclasses.replace(params, spectrum=spectrum)
+
+
+def _radios(params, count):
+    return dataclasses.replace(
+        params,
+        bs_node=dataclasses.replace(params.bs_node, num_radios=count),
+        user_node=dataclasses.replace(params.user_node, num_radios=count),
+    )
+
+
+#: Trajectory-pin scenarios: queue semantics, dynamic spectrum, mobility,
+#: multi-session, paper-literal S1, one-hop, TOU pricing, multi-radio
+#: and extra seeds.
+TRAJECTORY_SCENARIOS = {
+    "tiny_paper": lambda: tiny_scenario(num_slots=8),
+    "tiny_packet_accurate": lambda: tiny_scenario(
+        num_slots=8, queue_semantics=QueueSemantics.PACKET_ACCURATE
+    ),
+    "tiny_dynamic_spectrum": lambda: _dynamic_spectrum(tiny_scenario(num_slots=8)),
+    "tiny_random_waypoint": lambda: tiny_scenario(
+        num_slots=8, mobility=MobilityKind.RANDOM_WAYPOINT
+    ),
+    "small_multi_session": lambda: small_scenario(num_slots=10),
+    "energy_blind_s1": lambda: small_scenario(
+        num_slots=10, energy_aware_scheduling=False
+    ),
+    "one_hop": lambda: small_scenario(num_slots=10, multi_hop_enabled=False),
+    "tou_pricing": lambda: tiny_scenario(
+        num_slots=8, tou_multipliers=(0.5, 0.5, 2.0, 2.0)
+    ),
+    "three_radios": lambda: _radios(tiny_scenario(num_slots=8), 3),
+    "seed_11": lambda: small_scenario(num_slots=10, seed=11),
+    "seed_29": lambda: tiny_scenario(num_slots=8, seed=29, num_users=6),
+}
+
+#: ``"scenario/SCHEDULER"`` -> (scenario name, scheduler kind).
+TRAJECTORY_CASES = {
+    f"{name}/{kind.name}": (name, kind)
+    for name in TRAJECTORY_SCENARIOS
+    for kind in (SchedulerKind.SEQUENTIAL_FIX, SchedulerKind.GREEDY)
+}
+TRAJECTORY_CASES.update(
+    {
+        f"tiny_paper/{kind.name}": ("tiny_paper", kind)
+        for kind in (
+            SchedulerKind.SEQUENTIAL_FIX_SINR,
+            SchedulerKind.MAX_WEIGHT_MATCHING,
+        )
+    }
+)
+
+TRAJECTORY_PINS = Path(__file__).parent / "golden" / "trajectories.json"
+
+
+def trajectory_hash(case):
+    """The SHA-256 trajectory fingerprint of one pinned case."""
+    name, kind = TRAJECTORY_CASES[case]
+    return trajectory_sha256(TRAJECTORY_SCENARIOS[name](), kind)
+
+
+class TestGoldenTrajectories:
+    """Decision + state fingerprints, bit for bit, per pinned case."""
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        return json.loads(TRAJECTORY_PINS.read_text())["cases"]
+
+    def test_every_case_pinned(self, pins):
+        assert sorted(pins) == sorted(TRAJECTORY_CASES)
+
+    @pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
+    def test_trajectory_unchanged(self, pins, case):
+        assert trajectory_hash(case) == pins[case]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write-trajectories"]:
+    TRAJECTORY_PINS.parent.mkdir(exist_ok=True)
+    cases = {case: trajectory_hash(case) for case in sorted(TRAJECTORY_CASES)}
+    TRAJECTORY_PINS.write_text(
+        json.dumps({"schema": "trajectory-sha256/v1", "cases": cases}, indent=2)
+        + "\n"
+    )

@@ -243,9 +243,11 @@ class TestR006HotPathDictLoops:
         '''
         assert rule_ids(src, self.QUEUEING) == set()
 
-    def test_module_exempt_marker(self):
+    def test_module_docstring_marker_does_not_exempt(self):
+        # A module docstring cannot opt a whole file out of R006; each
+        # loop needs its own justified noqa.
         src = '"""Reference banks, R006-exempt."""\n' + textwrap.dedent(self.LOOP)
-        assert rule_ids(src, self.QUEUEING) == set()
+        assert rule_ids(src, self.QUEUEING) == {"R006"}
 
     def test_noqa_suppression(self):
         src = """\

@@ -13,6 +13,7 @@ from repro.model import build_network_model
 from repro.sim import SlotSimulator
 from repro.state import NetworkState
 from repro.types import SchedulerKind
+from tests.helpers import link_view
 
 
 def _multi_radio_params(bs_radios=3, user_radios=1, **kwargs):
@@ -67,10 +68,13 @@ class TestMultiRadioScheduling:
     def test_budgets_respected(self, multi_model, multi_constants, multi_observation, kind):
         scheduler = LinkScheduler(multi_model, multi_constants, kind=kind)
         rng = np.random.default_rng(3)
-        h = {
-            link: float(rng.uniform(1, 100))
-            for link in multi_model.topology.candidate_links
-        }
+        h = link_view(
+            multi_model,
+            {
+                link: float(rng.uniform(1, 100))
+                for link in multi_model.topology.candidate_links
+            },
+        )
         decision = scheduler.schedule(multi_observation, h)
         _audit_budgets(multi_model, decision)
 
@@ -78,7 +82,9 @@ class TestMultiRadioScheduling:
         scheduler = LinkScheduler(
             multi_model, multi_constants, kind=SchedulerKind.MAX_WEIGHT_MATCHING
         )
-        h = {link: 5.0 for link in multi_model.topology.candidate_links}
+        h = link_view(
+            multi_model, {link: 5.0 for link in multi_model.topology.candidate_links}
+        )
         with pytest.raises(SolverError, match="single-radio"):
             scheduler.schedule(multi_observation, h)
 
@@ -87,9 +93,10 @@ class TestMultiRadioScheduling:
         # station should carry more than one concurrent transmission.
         scheduler = LinkScheduler(multi_model, multi_constants)
         bs = multi_model.bs_ids[0]
-        h = {
-            (bs, rx): 1000.0 for rx in multi_model.topology.out_neighbors[bs]
-        }
+        h = link_view(
+            multi_model,
+            {(bs, rx): 1000.0 for rx in multi_model.topology.out_neighbors[bs]},
+        )
         decision = scheduler.schedule(multi_observation, h)
         bs_tx = [t for t in decision.transmissions if t.tx == bs]
         assert len(bs_tx) >= 2

@@ -1,9 +1,13 @@
 """Unit tests for the queueing substrate: data, virtual, and shifted
 energy queues plus the stability estimators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.config import small_scenario, tiny_scenario
+from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping
 from repro.exceptions import QueueError
 from repro.queueing import (
     BacklogSnapshot,
@@ -16,8 +20,10 @@ from repro.queueing import (
     assess_strong_stability,
     is_rate_stable_sample_path,
 )
-from repro.queueing.backlog import make_snapshot
+from repro.queueing.backlog import make_snapshot_from_arrays
+from repro.sim import SlotSimulator
 from repro.types import QueueSemantics
+from tests.helpers import make_snapshot_oracle
 
 
 class TestDataQueue:
@@ -207,7 +213,7 @@ class TestStability:
 
 class TestBacklogSnapshot:
     def test_aggregation(self):
-        snapshot = make_snapshot(
+        snapshot = make_snapshot_oracle(
             slot=3,
             data_backlogs={(0, 0): 5.0, (1, 0): 7.0, (2, 0): 1.0},
             battery_levels={0: 100.0, 1: 50.0, 2: 25.0},
@@ -221,6 +227,44 @@ class TestBacklogSnapshot:
         assert snapshot.virtual_packets == 5.0
         assert snapshot.total_data_packets == 13.0
         assert snapshot.total_energy_j == 175.0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            tiny_scenario(num_slots=1),
+            small_scenario(num_slots=1),
+            small_scenario(num_slots=1, num_users=12, seed=5),
+        ],
+        ids=["tiny", "small", "small_12_users"],
+    )
+    def test_array_snapshot_matches_oracle_bitwise(self, params):
+        simulator = SlotSimulator.integral(params)
+        arrays = simulator.state.arrays
+        assert arrays.bs_rows.size >= 1 and arrays.user_rows.size >= 1
+        assert arrays.q_invalid.any()  # destination cells are exercised
+        rng = np.random.default_rng(params.seed)
+        for slot in range(5):
+            # Wide magnitude spread so any change of summation order
+            # shows up in the last bits.
+            arrays.q[...] = rng.lognormal(sigma=6.0, size=arrays.q.shape)
+            arrays.q[arrays.q_invalid] = 0.0
+            arrays.battery_level[...] = rng.lognormal(
+                sigma=6.0, size=arrays.num_nodes
+            )
+            arrays.g[...] = rng.lognormal(sigma=6.0, size=arrays.g.shape)
+            expected = make_snapshot_oracle(
+                slot=slot,
+                data_backlogs=dict(arrays.q_mapping(copy=True)),
+                battery_levels=dict(NodeArrayMapping(arrays.battery_level)),
+                virtual_backlogs=dict(
+                    LinkArrayMapping(arrays.g, arrays.links, arrays.link_pos)
+                ),
+                bs_ids=simulator.model.bs_ids,
+            )
+            actual = make_snapshot_from_arrays(slot=slot, arrays=arrays)
+            assert [
+                float(v).hex() for v in dataclasses.astuple(actual)
+            ] == [float(v).hex() for v in dataclasses.astuple(expected)]
 
     def test_snapshot_is_frozen(self):
         snapshot = BacklogSnapshot(0, 1.0, 2.0, 3.0, 4.0, 5.0)

@@ -30,23 +30,11 @@ from repro.sim import SlotSimulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
 from repro.types import MobilityKind, QueueSemantics, SchedulerKind
+from tests.helpers import decision_fingerprint
 
 
 def _with_mode(params, mode):
     return dataclasses.replace(params, topology_mode=mode)
-
-
-def _decision_fingerprint(decision):
-    """Everything a slot decided, as an exactly comparable tuple."""
-    return (
-        tuple(decision.schedule.transmissions),
-        tuple(decision.schedule.link_service_pkts.items()),
-        tuple(decision.schedule.dropped),
-        tuple(decision.admission.sources.items()),
-        tuple(decision.admission.admitted.items()),
-        tuple(decision.routing.rates.items()),
-        tuple(decision.curtailed),
-    )
 
 
 def _run_capture(params, scheduler_kind):
@@ -54,7 +42,7 @@ def _run_capture(params, scheduler_kind):
     sim = SlotSimulator.integral(params, scheduler_kind=scheduler_kind)
     trace = TraceRecorder()
     decisions = [
-        _decision_fingerprint(sim.step(slot, trace=trace))
+        decision_fingerprint(sim.step(slot, trace=trace))
         for slot in range(params.num_slots)
     ]
     arrays = sim.state.arrays
