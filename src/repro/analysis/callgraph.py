@@ -270,7 +270,6 @@ class Program:
             program.modules[name] = module
         program._collect_definitions()
         program._collect_attr_classes()
-        program._collect_worker_entries()
         program._build_callgraph()
         return program
 
@@ -315,49 +314,6 @@ class Program:
                     self.classes_by_name.setdefault(stmt.name, set()).add(
                         cls_info.qualname
                     )
-
-    def _collect_worker_entries(self) -> None:
-        """Seed worker roots from ``worker_entry`` class attributes.
-
-        Sweep backends (``experiments/executor.py``) declare their
-        worker-side entry point as a class attribute::
-
-            class SerialBackend:
-                worker_entry = staticmethod(_execute_job)
-
-        The function named there runs inside pool workers even when no
-        ``submit``-style call site is syntactically visible (the
-        backend may pass it through arbitrary plumbing), so every such
-        declaration seeds the R050–R052 worker reachability sweep —
-        new backends keep pool-safety coverage without touching the
-        analyzer.
-        """
-        for cls_info in self.classes.values():
-            module = cls_info.module
-            for stmt in cls_info.node.body:
-                target: Optional[ast.expr] = None
-                value: Optional[ast.expr] = None
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target, value = stmt.targets[0], stmt.value
-                elif isinstance(stmt, ast.AnnAssign):
-                    target, value = stmt.target, stmt.value
-                if (
-                    not isinstance(target, ast.Name)
-                    or target.id != "worker_entry"
-                    or value is None
-                ):
-                    continue
-                # Unwrap the staticmethod(...) wrapper idiom.
-                if (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id == "staticmethod"
-                    and len(value.args) == 1
-                ):
-                    value = value.args[0]
-                resolved = self._resolve_expr_name(module, value)
-                if resolved in self.functions:
-                    self.detected_worker_roots.add(resolved)
 
     def _collect_attr_classes(self) -> None:
         """Scan every ``__init__`` for ``self.x = Class(...)`` facts."""

@@ -187,9 +187,10 @@ class ScenarioParameters:
     )
     #: Explicit user placement (must have ``num_users`` entries); None
     #: (the paper's setup) draws users uniformly at random in the area.
-    #: Pinned placements make *structured* deployments expressible —
-    #: e.g. the per-cell user clusters of the shard-equivalence tests,
-    #: where traffic must stay contained inside each BS-anchored region.
+    #: Pinned placements make fixed deployments expressible — e.g. the
+    #: seeded user layouts of the benchmark workloads
+    #: (``benchmarks/suite/workloads.py``), which stay the same across
+    #: every run seed.
     user_positions: Optional[Tuple[Point, ...]] = None
 
     # --- PHY -----------------------------------------------------------

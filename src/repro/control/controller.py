@@ -34,7 +34,7 @@ from repro.control.decisions import (
 from repro.control.energy_manager import EnergyManager, NodeEnergyBatch
 from repro.control.router import BackpressureRouter, RouterMode
 from repro.control.scheduler import LinkScheduler
-from repro.core.arraystate import ArrayState, LinkArrayMapping, NodeArrayMapping
+from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.energy.consumption import all_node_demands_array
 from repro.model import NetworkModel
@@ -237,61 +237,34 @@ class DriftPlusPenaltyController:
     # ------------------------------------------------------------------
     # Main entry point
     # ------------------------------------------------------------------
-    #
-    # decide() is split into phase methods so variant controllers (the
-    # sharded loop in ``repro.sharding``) can replace how a phase
-    # *computes* while the slot-level sequencing — S1, curtailment, S2,
-    # S3, S4, contract checks — stays in one place.
-
-    def _schedule_phase(
-        self,
-        observation: SlotObservation,
-        state: NetworkState,
-        h_backlogs: LinkArrayMapping,
-        arrays: ArrayState,
-    ) -> ScheduleDecision:
-        """S1: link activation, band assignment, and power control."""
-        return self.scheduler.schedule(
-            observation,
-            h_backlogs,
-            allowed_mask=self._allowed_mask,
-            energy_prices=self._energy_prices(observation.slot),
-        )
-
-    def _routing_phase(
-        self,
-        observation: SlotObservation,
-        schedule: ScheduleDecision,
-        admission,
-        state: NetworkState,
-        h_backlogs: LinkArrayMapping,
-        arrays: ArrayState,
-    ):
-        """S3: backpressure routing over the scheduled capacities."""
-        return self.router.route(
-            observation,
-            schedule,
-            admission,
-            h_backlogs,
-            arrays,
-            allowed_mask=self._allowed_mask,
-        )
 
     def decide(
         self, observation: SlotObservation, state: NetworkState
     ) -> SlotDecision:
         """Solve one slot of the online problem P3."""
         h_backlogs = state.h_backlogs()
-
         arrays = state.arrays
-        schedule = self._schedule_phase(observation, state, h_backlogs, arrays)
+
+        # S1: link activation, band assignment, and power control.
+        schedule = self.scheduler.schedule(
+            observation,
+            h_backlogs,
+            allowed_mask=self._allowed_mask,
+            energy_prices=self._energy_prices(observation.slot),
+        )
         curtailed_before = len(schedule.dropped)
         demands = self._curtail(schedule, observation, state, h_backlogs)
         curtailed = schedule.dropped[curtailed_before:]
 
         admission = self.allocator.allocate(state.backlog, slot=observation.slot)
-        routing = self._routing_phase(
-            observation, schedule, admission, state, h_backlogs, arrays
+        # S3: backpressure routing over the scheduled capacities.
+        routing = self.router.route(
+            observation,
+            schedule,
+            admission,
+            h_backlogs,
+            arrays,
+            allowed_mask=self._allowed_mask,
         )
 
         deficit_arr = np.zeros(self._model.num_nodes)

@@ -146,7 +146,6 @@ class BackpressureRouter:
         h_backlogs: LinkArrayMapping,
         arrays: ArrayState,
         allowed_mask: Optional[LinkVec] = None,
-        coeff: Optional[LinkSessionMat] = None,
     ) -> RoutingDecision:
         """Solve S3 for one slot.
 
@@ -160,12 +159,6 @@ class BackpressureRouter:
                 from its ``(N, S)`` backlog matrix.
             allowed_mask: optional ``(L,)`` link filter over the frozen
                 link index (one-hop baselines).
-            coeff: optional precomputed ``(L, S)`` objective-coefficient
-                matrix.  The sharded controller fills it shard by shard
-                — each entry is an elementwise function of its own link
-                row, so a sliced fill equals the global expression
-                exactly — and passes it here so the selection/tie-break/
-                RNG machinery stays global.
 
         Returns:
             Per-link per-session rates ``l_ij^s(t)`` in packets.
@@ -178,10 +171,11 @@ class BackpressureRouter:
         # Coefficient matrix ``(-Q_i^s + Q_j^s + beta H_ij)`` over
         # (link, session); destination columns of Q are pinned at 0.0,
         # so ``Q_j^s`` reads 0 where ``j`` is the session destination.
-        if coeff is None:
-            beta_h = self._constants.beta * h_backlogs.values_array
-            q = arrays.q
-            coeff = (-q[arrays.link_tx] + q[arrays.link_rx]) + beta_h[:, None]
+        beta_h = self._constants.beta * h_backlogs.values_array
+        q = arrays.q
+        coeff: LinkSessionMat = (
+            (-q[arrays.link_tx] + q[arrays.link_rx]) + beta_h[:, None]
+        )
 
         # Constraint (18): force v_s(t) onto the destination's
         # smallest-coefficient incoming candidate link.  One pass over

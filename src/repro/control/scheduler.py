@@ -254,7 +254,6 @@ class LinkScheduler:
         energy_prices: Optional[NodeVec],
         links: Tuple[Link, ...],
         allowed_mask: Optional[LinkVec] = None,
-        within: Optional[np.ndarray] = None,
     ) -> Optional[
         Tuple[
             np.ndarray,
@@ -273,11 +272,7 @@ class LinkScheduler:
         the backlog floor.
 
         ``allowed_mask`` is the static ``(L,)`` link filter of the
-        one-hop architectures (None: every link).  ``within`` restricts
-        the scan to a subset of frozen link positions (the sharded loop
-        passes each shard's owned links); every weight is an
-        elementwise function of its own row, so the restricted grid is
-        the exact row-slice of the full one.
+        one-hop architectures (None: every link).
         """
         beta = self._constants.beta
         params = self._model.params
@@ -287,7 +282,7 @@ class LinkScheduler:
         floor = h_arr > _H_EPS
         if allowed_mask is not None:
             floor &= allowed_mask
-        active = np.flatnonzero(floor) if within is None else within[floor[within]]
+        active = np.flatnonzero(floor)
         if active.size == 0:
             return None
 
@@ -375,41 +370,6 @@ class LinkScheduler:
                 if keep_row[band]:
                     weights[(tx, rx, band)] = weight_row[band]
         return weights
-
-    def candidate_slice(
-        self,
-        observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
-        energy_prices: Optional[NodeVec] = None,
-        allowed_mask: Optional[LinkVec] = None,
-        within: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Survivor candidates as ``(link positions, bands, weights)``.
-
-        The greedy selector re-sorts candidates globally, so unlike the
-        candidate dict no per-candidate insertion order needs
-        preserving — the survivors come straight off the ``keep`` mask
-        with no Python loop.  ``allowed_mask`` and ``within`` filter
-        and restrict the scan (see :meth:`_candidate_grid`): the
-        sharded controller computes each shard's candidates with
-        ``within=shard.owned_link_pos`` and merges the slices through
-        :meth:`schedule_from_candidates`; on the full index
-        (``within=None``) this is exactly the monolithic candidate scan.
-        """
-        grid = self._candidate_grid(
-            observation,
-            h_backlogs,
-            energy_prices,
-            self._model.topology.candidate_links,
-            allowed_mask,
-            within,
-        )
-        if grid is None:
-            empty_pos = np.zeros(0, dtype=np.intp)
-            return empty_pos, np.zeros(0, dtype=np.intp), np.zeros(0)
-        active, _, keep, weight = grid
-        rows, bands = np.nonzero(keep)
-        return active[rows], bands, weight[rows, bands]
 
     # ------------------------------------------------------------------
     # Activation algorithms
@@ -708,59 +668,38 @@ class LinkScheduler:
         """
         links = self._model.topology.candidate_links
         if self._kind is SchedulerKind.GREEDY:
-            link_pos, bands, weights = self.candidate_slice(
-                observation, h_backlogs, energy_prices, allowed_mask
+            grid = self._candidate_grid(
+                observation, h_backlogs, energy_prices, links, allowed_mask
             )
-            return self.schedule_from_candidates(
-                link_pos, bands, weights, observation, h_backlogs, links
+            if grid is None:
+                return ScheduleDecision()
+            # The greedy selector lexsorts over unique (weight, tx, rx,
+            # band) keys, so the survivors come straight off the keep
+            # mask: no candidate dict, no insertion order to preserve.
+            active, _, keep, weight = grid
+            rows, bands = np.nonzero(keep)
+            if rows.size == 0:
+                return ScheduleDecision()
+            chosen_pos, chosen_band = self._select_greedy(
+                active[rows], bands, weight[rows, bands], links
             )
-        weights = self._candidates(
-            observation, h_backlogs, energy_prices, links, allowed_mask
-        )
-        if not weights:
-            return ScheduleDecision()
-
-        if self._kind is SchedulerKind.SEQUENTIAL_FIX:
-            selected = self._select_sequential_fix(weights)
-        elif self._kind is SchedulerKind.SEQUENTIAL_FIX_SINR:
-            selected = self._select_sequential_fix_sinr(weights, observation)
+            decision = self._power_control_vectorized(
+                chosen_pos, chosen_band, observation, h_backlogs, links
+            )
         else:
-            selected = self._select_matching(weights)
-
-        decision = self._power_control(selected, observation, h_backlogs)
-        if self._checker is not None and self._checker.enabled:
-            self._checker.check_schedule(
-                self._model, observation, decision, observation.slot
+            weights = self._candidates(
+                observation, h_backlogs, energy_prices, links, allowed_mask
             )
-        return decision
+            if not weights:
+                return ScheduleDecision()
+            if self._kind is SchedulerKind.SEQUENTIAL_FIX:
+                selected = self._select_sequential_fix(weights)
+            elif self._kind is SchedulerKind.SEQUENTIAL_FIX_SINR:
+                selected = self._select_sequential_fix_sinr(weights, observation)
+            else:
+                selected = self._select_matching(weights)
+            decision = self._power_control(selected, observation, h_backlogs)
 
-    def schedule_from_candidates(
-        self,
-        link_pos: AnyArray,
-        bands: AnyArray,
-        weights: AnyArray,
-        observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
-        links: Tuple[Link, ...],
-    ) -> ScheduleDecision:
-        """The selection + power-control tail of the GREEDY selector.
-
-        Accepts precomputed candidate ``(link position, band, weight)``
-        triples in **any** order: the greedy selector lexsorts them over
-        unique ``(weight, tx, rx, band)`` keys, so any concatenation of
-        per-shard candidate slices produces the same decision as the
-        monolithic scan.  The sharded controller calls this directly as
-        its S1 merge point (interference coordination is global — the
-        per-band power solve couples all co-band links).
-        """
-        if link_pos.size == 0:
-            return ScheduleDecision()
-        chosen_pos, chosen_band = self._select_greedy(
-            link_pos, bands, weights, links
-        )
-        decision = self._power_control_vectorized(
-            chosen_pos, chosen_band, observation, h_backlogs, links
-        )
         if self._checker is not None and self._checker.enabled:
             self._checker.check_schedule(
                 self._model, observation, decision, observation.slot

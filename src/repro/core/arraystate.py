@@ -353,7 +353,6 @@ class ArrayState:
         self,
         charge_j: NodeJoules,
         discharge_j: NodeJoules,
-        rows: Optional[np.ndarray] = None,
     ) -> None:
         """Advance every battery one slot (Eq. 4) with Eqs. 9-13 checks.
 
@@ -363,26 +362,12 @@ class ArrayState:
         ``Battery.validate`` for the first offending node; the update
         applies the same scalar operation chain
         ``x += eta_c * c - d; x = min(max(x, 0), x_max)`` elementwise.
-
-        ``rows`` restricts validation and update to a node-row subset (a
-        shard); Eq. 4 is per-battery, so the per-shard applies compose
-        to the same state as the full pass.  The first-offender error
-        then reports the first offender *within the slice*.
         """
-        if rows is not None:
-            charge_j = charge_j[rows]
-            discharge_j = discharge_j[rows]
-            level = self.battery_level[rows]
-            capacity = self.capacity_j[rows]
-            charge_cap = self.charge_cap_j[rows]
-            discharge_cap = self.discharge_cap_j[rows]
-            eta_c = self.charge_efficiency[rows]
-        else:
-            level = self.battery_level
-            capacity = self.capacity_j
-            charge_cap = self.charge_cap_j
-            discharge_cap = self.discharge_cap_j
-            eta_c = self.charge_efficiency
+        level = self.battery_level
+        capacity = self.capacity_j
+        charge_cap = self.charge_cap_j
+        discharge_cap = self.discharge_cap_j
+        eta_c = self.charge_efficiency
         eps = FEASIBILITY_EPS
         if np.any(charge_j < -eps):
             node = int(np.argmax(charge_j < -eps))
@@ -414,15 +399,9 @@ class ArrayState:
                 f"constraint (12) violated: discharge {discharge_j[node]} J > "
                 f"min(d_max, level) = {max_discharge[node]} J"
             )
-        if rows is None:
-            self.battery_level += eta_c * charge_j - discharge_j
-            np.maximum(self.battery_level, 0.0, out=self.battery_level)
-            np.minimum(self.battery_level, self.capacity_j, out=self.battery_level)
-            return
-        level = level + eta_c * charge_j - discharge_j
-        np.maximum(level, 0.0, out=level)
-        np.minimum(level, capacity, out=level)
-        self.battery_level[rows] = level
+        self.battery_level += eta_c * charge_j - discharge_j
+        np.maximum(self.battery_level, 0.0, out=self.battery_level)
+        np.minimum(self.battery_level, capacity, out=self.battery_level)
 
     def z_values_array(self) -> NodeJoules:
         """``(N,)`` shifted queue values ``z = x - shift`` (Eq. 31)."""

@@ -41,7 +41,3 @@ class SolverError(ReproError):
 
 class SimulationError(ReproError):
     """The slot simulator reached an inconsistent state."""
-
-
-class ShardingError(ReproError):
-    """A shard plan is infeasible or a sharded run is misconfigured."""

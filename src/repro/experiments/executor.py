@@ -1,14 +1,12 @@
-"""Pluggable-backend sweep execution with deterministic replication.
+"""Sweep execution with deterministic replication.
 
 Every figure in EXPERIMENTS.md is a grid of independent simulation
 cells — V values x controller variants (integral / relaxed LP /
 architecture baselines) x replication seeds.  This module turns that
-grid into a declarative :class:`SweepSpec`, hands the cells to a
-:class:`Backend` (in-process serial or a
-``concurrent.futures.ProcessPoolExecutor`` pool today; an SSH or
-batch-queue backend later needs only the same three-method surface),
-and guarantees that every backend is *byte-identical* to the serial
-one:
+grid into a declarative :class:`SweepSpec` and runs its cells either
+in-process (``max_workers == 1``) or on a
+``concurrent.futures.ProcessPoolExecutor`` pool (``max_workers > 1``),
+and guarantees that the pool is *byte-identical* to the serial path:
 
 * each cell is a pickle-safe :class:`JobSpec` whose scenario is fully
   derived (via ``dataclasses.replace``) before any process boundary is
@@ -17,22 +15,14 @@ one:
   ``numpy.random.SeedSequence.spawn`` (see
   :func:`repro.sim.rng.spawn_child_keys`), threaded into
   :class:`~repro.sim.rng.RngStreams` via the scenario's
-  ``seed_spawn_key`` — distinct, deterministic, version-stable; a
-  sharded cell (``num_shards >= 1``) additionally reserves per-shard
-  spawn keys inside its :class:`~repro.sharding.partition.ShardPlan`;
-* the default ``max_workers=1`` selects the :class:`SerialBackend`
-  (no pool, no pickling), so CI and debuggers step through one code
-  path while ``tests/test_executor.py`` pins that all backends agree
-  exactly;
+  ``seed_spawn_key`` — distinct, deterministic, version-stable;
+* the default ``max_workers=1`` builds no pool and pickles nothing, so
+  CI and debuggers step through one code path while
+  ``tests/test_executor.py`` pins that both paths agree exactly;
 * a worker that dies mid-job (OOM kill, segfault, injected fault) is
   retried on a fresh pool, bounded by ``max_attempts``, without
   perturbing any sibling cell (every cell is replayed from its spec,
   never from partial state).
-
-Every backend names its worker entry point in a ``worker_entry`` class
-attribute; the R050–R052 pool-safety analysis resolves those into
-worker roots, so functions reachable from any backend keep
-whole-program mutation coverage (see ``analysis/callgraph.py``).
 
 Timing of every cell is recorded and can be emitted as a
 machine-readable ``BENCH_sweep.json`` record (see
@@ -49,21 +39,10 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.architectures import architecture_params
 from repro.config.parameters import ScenarioParameters
-from repro.exceptions import ShardingError
-from repro.sharding.engine import ShardedSlotSimulator
 from repro.sim.engine import SlotSimulator
 from repro.sim.results import SimulationResult
 from repro.sim.rng import SpawnKey, spawn_child_keys
@@ -133,15 +112,11 @@ class JobSpec:
     The scenario already carries the cell's ``control_v``, the
     variant's architecture restrictions and the replication's
     ``seed_spawn_key``; a worker needs nothing beyond this object.
-    ``num_shards >= 1`` runs the cell through the sharded slot loop
-    (``repro.sharding``) with that many BS-anchored shards; ``0`` keeps
-    the monolithic loop.
     """
 
     params: ScenarioParameters
     variant: SweepVariant
     replication: int = 0
-    num_shards: int = 0
 
     @property
     def key(self) -> JobKey:
@@ -181,8 +156,6 @@ class SweepSpec:
     v_values: Tuple[float, ...]
     variants: Tuple[SweepVariant, ...] = (INTEGRAL_VARIANT,)
     replications: int = 1
-    #: ``>= 1`` runs every integral cell through the sharded slot loop.
-    num_shards: int = 0
 
     def __post_init__(self) -> None:
         if not self.v_values:
@@ -192,10 +165,6 @@ class SweepSpec:
         if self.replications < 1:
             raise ValueError(
                 f"replications must be >= 1, got {self.replications}"
-            )
-        if self.num_shards < 0:
-            raise ValueError(
-                f"num_shards must be >= 0, got {self.num_shards}"
             )
         names = [variant.name for variant in self.variants]
         if len(set(names)) != len(names):
@@ -209,14 +178,10 @@ class SweepSpec:
         base: ScenarioParameters,
         v_values: Sequence[float],
         replications: int = 1,
-        num_shards: int = 0,
     ) -> "SweepSpec":
         """The plain integral-controller sweep (``sweep_v`` shape)."""
         return cls(
-            base=base,
-            v_values=tuple(v_values),
-            replications=replications,
-            num_shards=num_shards,
+            base=base, v_values=tuple(v_values), replications=replications
         )
 
     @classmethod
@@ -279,7 +244,6 @@ class SweepSpec:
                             params=variant.derive(params),
                             variant=variant,
                             replication=replication,
-                            num_shards=self.num_shards,
                         )
                     )
         return tuple(out)
@@ -337,7 +301,6 @@ class SweepResult:
     results: Dict[JobKey, SimulationResult]
     wall_s: Dict[JobKey, float]
     attempts: Dict[JobKey, int]
-    backend: str = "serial"
 
     # -- accessors ---------------------------------------------------------
 
@@ -403,7 +366,6 @@ class SweepResult:
         ]
         return {
             "schema": BENCH_SCHEMA,
-            "backend": self.backend,
             "max_workers": self.max_workers,
             "num_cells": len(cells),
             "replications": self.spec.replications,
@@ -439,87 +401,48 @@ def _execute_job(
     """Run one cell; pure function of the job spec.
 
     Top-level (pickle-importable) so it works as the process-pool entry
-    point; the serial backend calls it directly, which is what makes
-    every backend one code path.
+    point; the serial path calls it directly, which is what makes both
+    paths one code path.
     """
     _maybe_crash(job, fault)
     start = time.perf_counter()
     if job.variant.kind is JobKind.RELAXED:
-        if job.num_shards >= 1:
-            raise ShardingError(
-                "the relaxed LP bound solves one global program and"
-                " cannot run sharded"
-            )
         result = SlotSimulator.relaxed(job.params).run()
-    elif job.num_shards >= 1:
-        result = ShardedSlotSimulator(job.params, num_shards=job.num_shards).run()
     else:
         result = SlotSimulator.integral(job.params).run()
     return job.key, result, time.perf_counter() - start
 
 
-# -- backends ----------------------------------------------------------------
+# -- cell execution ----------------------------------------------------------
 
-#: What a backend returns per cell: ``(result, wall seconds, attempts)``.
+#: What a cell run returns per key: ``(result, wall seconds, attempts)``.
 CellOutcome = Tuple[SimulationResult, float, int]
 
 
-class Backend(Protocol):
-    """Where sweep cells execute.
+def _run_serial(
+    jobs: Sequence[JobSpec], fault: Optional[FaultPlan]
+) -> Dict[JobKey, CellOutcome]:
+    """Run cells in-process, in grid order; errors surface immediately.
 
-    Implementations must be deterministic *pass-throughs*: a backend
-    may order, distribute, and retry cells however it likes, but every
-    cell's result must equal what :func:`_execute_job` returns for its
-    spec — the serial/parallel bit-identity tests are the contract.
-
-    The class-level ``worker_entry`` attribute names the function that
-    runs a cell on the worker side.  The pool-safety analysis
-    (R050–R052 in ``analysis/callgraph.py``) reads it to seed worker
-    roots, so any new backend (SSH, batch queue) keeps whole-program
-    coverage simply by declaring its entry point the same way.
+    No crash retry: a hard crash here takes the driver process down.
     """
-
-    name: str
-    worker_entry: Callable[..., Tuple[JobKey, SimulationResult, float]]
-
-    def run_cells(
-        self,
-        jobs: Sequence[JobSpec],
-        max_attempts: int,
-        fault: Optional[FaultPlan],
-    ) -> Dict[JobKey, CellOutcome]:  # pragma: no cover - protocol
-        """Execute every job and return per-key outcomes."""
-        ...
+    done: Dict[JobKey, CellOutcome] = {}
+    for job in jobs:
+        try:
+            key, result, wall_s = _execute_job(job, fault)
+        except Exception as exc:
+            raise SweepExecutionError(f"cell {job.key} failed: {exc}") from exc
+        done[key] = (result, wall_s, 1)
+    return done
 
 
-class SerialBackend:
-    """In-process execution, in grid order — the reference backend."""
-
-    name = "serial"
-    worker_entry = staticmethod(_execute_job)
-
-    def run_cells(
-        self,
-        jobs: Sequence[JobSpec],
-        max_attempts: int,
-        fault: Optional[FaultPlan],
-    ) -> Dict[JobKey, CellOutcome]:
-        """Run cells one by one; in-job errors surface immediately."""
-        del max_attempts  # serial crashes take the process down anyway
-        done: Dict[JobKey, CellOutcome] = {}
-        for job in jobs:
-            try:
-                key, result, wall_s = _execute_job(job, fault)
-            except Exception as exc:
-                raise SweepExecutionError(
-                    f"cell {job.key} failed: {exc}"
-                ) from exc
-            done[key] = (result, wall_s, 1)
-        return done
-
-
-class ProcessPoolBackend:
-    """Fan jobs over a process pool, retrying cells whose worker died.
+def _run_pool(
+    jobs: Sequence[JobSpec],
+    max_workers: int,
+    max_attempts: int,
+    fault: Optional[FaultPlan],
+) -> Dict[JobKey, CellOutcome]:
+    """Fan cells over a process pool, retrying cells whose worker died.
 
     A hard worker death breaks the whole pool (``BrokenExecutor``), so
     every cell still in flight is replayed on a fresh pool; cells are
@@ -527,76 +450,37 @@ class ProcessPoolBackend:
     In-job exceptions are *not* retried (they are deterministic) and
     surface immediately as :class:`SweepExecutionError`.
     """
-
-    name = "process-pool"
-    worker_entry = staticmethod(_execute_job)
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-
-    def run_cells(
-        self,
-        jobs: Sequence[JobSpec],
-        max_attempts: int,
-        fault: Optional[FaultPlan],
-    ) -> Dict[JobKey, CellOutcome]:
-        """Execute with crash retry (class docstring)."""
-        done: Dict[JobKey, CellOutcome] = {}
-        attempts: Dict[JobKey, int] = {job.key: 0 for job in jobs}
-        pending: List[JobSpec] = list(jobs)
-        while pending:
-            exhausted = [
-                job.key for job in pending if attempts[job.key] >= max_attempts
-            ]
-            if exhausted:
-                raise SweepExecutionError(
-                    f"cells {exhausted} exceeded {max_attempts} attempts "
-                    "(worker kept dying)"
-                )
-            retry: List[JobSpec] = []
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                futures = {
-                    pool.submit(_execute_job, job, fault): job
-                    for job in pending
-                }
-                for job in pending:
-                    attempts[job.key] += 1
-                for future in as_completed(futures):
-                    job = futures[future]
-                    try:
-                        key, result, wall_s = future.result()
-                    except BrokenExecutor:
-                        retry.append(job)
-                        continue
-                    except Exception as exc:
-                        raise SweepExecutionError(
-                            f"cell {job.key} failed in worker: {exc}"
-                        ) from exc
-                    done[key] = (result, wall_s, attempts[key])
-            pending = retry
-        return done
-
-
-#: Registered backend constructors, keyed by name.  Future SSH /
-#: batch-queue backends register here and become reachable from every
-#: sweep driver (and the ``--backend`` CLI flag) without signature
-#: changes.
-BACKENDS: Dict[str, Callable[[int], Backend]] = {
-    SerialBackend.name: lambda max_workers: SerialBackend(),
-    ProcessPoolBackend.name: ProcessPoolBackend,
-}
-
-
-def make_backend(name: str, max_workers: int = 1) -> Backend:
-    """Instantiate a registered backend by name."""
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(BACKENDS))
-        raise ValueError(f"unknown backend {name!r} (known: {known})") from None
-    return factory(max_workers)
+    done: Dict[JobKey, CellOutcome] = {}
+    attempts: Dict[JobKey, int] = {job.key: 0 for job in jobs}
+    pending: List[JobSpec] = list(jobs)
+    while pending:
+        exhausted = [job.key for job in pending if attempts[job.key] >= max_attempts]
+        if exhausted:
+            raise SweepExecutionError(
+                f"cells {exhausted} exceeded {max_attempts} attempts "
+                "(worker kept dying)"
+            )
+        retry: List[JobSpec] = []
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            futures = {
+                pool.submit(_execute_job, job, fault): job for job in pending
+            }
+            for job in pending:
+                attempts[job.key] += 1
+            for future in as_completed(futures):
+                job = futures[future]
+                try:
+                    key, result, wall_s = future.result()
+                except BrokenExecutor:
+                    retry.append(job)
+                    continue
+                except Exception as exc:
+                    raise SweepExecutionError(
+                        f"cell {job.key} failed in worker: {exc}"
+                    ) from exc
+                done[key] = (result, wall_s, attempts[key])
+        pending = retry
+    return done
 
 
 # -- driver side -------------------------------------------------------------
@@ -608,45 +492,35 @@ def run_sweep(
     max_attempts: int = 3,
     bench_path: Union[str, Path, None] = None,
     fault: Optional[FaultPlan] = None,
-    backend: Union[Backend, str, None] = None,
 ) -> SweepResult:
-    """Execute a sweep grid on a backend.
+    """Execute a sweep grid.
 
     Args:
         spec: the declarative grid.
-        max_workers: with the default ``backend=None``, ``1`` selects
-            the :class:`SerialBackend` (every cell in-process, in grid
-            order, no pool and no pickling) and ``> 1`` a
-            :class:`ProcessPoolBackend` of that size.  Results are
-            identical either way.
-        max_attempts: per-cell bound on (re-)executions after worker
-            deaths; deterministic in-job exceptions are never retried.
+        max_workers: ``1`` runs every cell in-process, in grid order,
+            with no pool and no pickling; ``> 1`` fans the cells over a
+            process pool of that size.  Results are identical either
+            way.
+        max_attempts: per-cell bound on pool (re-)executions after
+            worker deaths; deterministic in-job exceptions are never
+            retried.
         bench_path: write/append a ``BENCH_sweep.json`` record here;
             ``None`` falls back to the ``REPRO_BENCH_SWEEP`` env var
             (no record when both are unset).
         fault: optional :class:`FaultPlan` crash injection (tests).
-        backend: an explicit :class:`Backend` instance, a registered
-            backend name (see :data:`BACKENDS`), or ``None`` for the
-            ``max_workers``-based selection above.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    if backend is None:
-        backend = (
-            SerialBackend()
-            if max_workers == 1
-            else ProcessPoolBackend(max_workers)
-        )
-    elif isinstance(backend, str):
-        backend = make_backend(backend, max_workers)
     jobs = spec.jobs()
     start = time.perf_counter()
+    if max_workers == 1:
+        outcomes = _run_serial(jobs, fault)
+    else:
+        outcomes = _run_pool(jobs, max_workers, max_attempts, fault)
     results: Dict[JobKey, SimulationResult] = {}
     wall_s: Dict[JobKey, float] = {}
     attempts: Dict[JobKey, int] = {}
-    for key, (result, cell_wall_s, cell_attempts) in backend.run_cells(
-        jobs, max_attempts, fault
-    ).items():
+    for key, (result, cell_wall_s, cell_attempts) in outcomes.items():
         results[key] = result
         wall_s[key] = cell_wall_s
         attempts[key] = cell_attempts
@@ -657,7 +531,6 @@ def run_sweep(
         results=results,
         wall_s=wall_s,
         attempts=attempts,
-        backend=backend.name,
     )
     target = bench_path if bench_path is not None else os.environ.get(BENCH_ENV_VAR)
     if target:
@@ -715,32 +588,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--out", default=None, help="BENCH_sweep.json target path"
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=sorted(BACKENDS),
-        help="execution backend (default: by --workers)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shards per cell (0 = monolithic slot loop)",
-    )
     args = parser.parse_args(argv)
 
     spec = SweepSpec.integral(
         tiny_scenario(num_slots=args.slots),
         v_values=(1e4, 3e4),
         replications=args.replications,
-        num_shards=args.shards,
     )
-    sweep = run_sweep(
-        spec,
-        max_workers=args.workers,
-        bench_path=args.out,
-        backend=args.backend,
-    )
+    sweep = run_sweep(spec, max_workers=args.workers, bench_path=args.out)
     record = sweep.bench_record()
     print(json.dumps(record, indent=2))
     if args.out:

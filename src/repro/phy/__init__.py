@@ -10,9 +10,6 @@ from repro.phy.power_control import (
 )
 from repro.phy.interference import (
     big_m_coefficient,
-    interference_range_m,
-    link_interference_mask,
-    potential_interferer_matrix,
     zero_interference_feasible,
 )
 
@@ -27,8 +24,5 @@ __all__ = [
     "minimal_power_assignment",
     "minimal_power_assignment_vec",
     "big_m_coefficient",
-    "interference_range_m",
-    "link_interference_mask",
-    "potential_interferer_matrix",
     "zero_interference_feasible",
 ]

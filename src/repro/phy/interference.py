@@ -7,34 +7,17 @@ These are the ingredients of the paper's linearised SINR constraint:
 
 with ``M_ij^m = Gamma (eta_j W_m + sum_{k!=i} g_kj P_max^k)`` chosen so
 the constraint is vacuous when the link is not scheduled.
-
-The sparse-mask helpers at the bottom bound *which* transmitters can
-meaningfully interfere at all: inverting the path-loss law against a
-relative noise floor gives an interference radius, and bucketing nodes
-through :class:`~repro.network.geometry.UniformGridIndex` turns the
-all-pairs interference graph into a scipy.sparse mask over nodes (and,
-lifted through the frozen link index, over links).  The masks are
-structural pruning aids for scale-out (sharding, ROADMAP item 2) and
-analysis — the bit-exact control path never drops an interferer.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Union
+from typing import Dict, Union
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
-
-from repro.network.geometry import UniformGridIndex
-from repro.phy.propagation import (
-    MIN_DISTANCE_M,
-    ComputedPairGains,
-    DensePairGains,
-)
+from repro.phy.propagation import ComputedPairGains, DensePairGains
 from repro.types import NodeId
-from repro.units import Linear, Meters, Watts
+from repro.units import Linear, Watts
 
 GainsLike = Union[np.ndarray, DensePairGains, ComputedPairGains]
 
@@ -114,85 +97,3 @@ def big_m_coefficient(
     worst_interference = _seq_sum(contributions[mask])
     return sinr_threshold * (noise_power_w + worst_interference)
 
-
-def interference_range_m(
-    max_power_w: Watts,
-    noise_power_w: Watts,
-    propagation_constant: float,
-    path_loss_exponent: float,
-    relative_floor: float = 1e-2,
-) -> Meters:
-    """Distance beyond which a max-power transmitter is negligible.
-
-    Inverts the clamped path-loss law against ``relative_floor`` times
-    the thermal-noise power: past ``d* = (C P_max / (floor * eta W))
-    ^(1/gamma)`` a transmitter's worst-case received interference is
-    below that fraction of the noise floor.  With ``relative_floor = 1``
-    this is exactly the communication (candidate-link) radius; the
-    default 1e-2 keeps interferers contributing >= 1% of noise.
-    """
-    if noise_power_w <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power_w}")
-    if relative_floor <= 0:
-        raise ValueError(f"relative_floor must be positive, got {relative_floor}")
-    target = relative_floor * noise_power_w
-    peak_gain = propagation_constant * MIN_DISTANCE_M**-path_loss_exponent
-    if peak_gain * max_power_w < target:
-        return 0.0
-    radius = (propagation_constant * max_power_w / target) ** (
-        1.0 / path_loss_exponent
-    )
-    return max(radius, MIN_DISTANCE_M)
-
-
-def potential_interferer_matrix(
-    positions: np.ndarray,
-    radius_m: Meters,
-    grid: Union[UniformGridIndex, None] = None,
-) -> "csr_matrix":
-    """Sparse ``(N, N)`` bool mask: ``[i, j]`` iff ``d(i, j) <= radius``.
-
-    Row ``i`` marks the receivers node ``i`` can meaningfully disturb
-    (and, symmetrically, the transmitters that can disturb node ``i``).
-    Built per grid bucket, so construction is O(N * density * r^2)
-    rather than all-pairs; the diagonal is excluded.
-    """
-    from scipy import sparse
-
-    pos = np.asarray(positions, dtype=float)
-    num_nodes = pos.shape[0]
-    if grid is None:
-        grid = UniformGridIndex(pos, cell_size_m=max(radius_m, MIN_DISTANCE_M))
-    rows = []
-    cols = []
-    for row, col, members in grid.nonempty_cells():
-        candidates = grid.block_members(row, col, reach=1)
-        diffs = pos[members][:, None, :] - pos[candidates][None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=2))
-        near = (dist <= radius_m) & (candidates[None, :] != members[:, None])
-        pair_rows, pair_cols = np.nonzero(near)
-        rows.append(members[pair_rows])
-        cols.append(candidates[pair_cols])
-    row_idx = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
-    col_idx = np.concatenate(cols) if cols else np.zeros(0, dtype=np.intp)
-    return sparse.csr_matrix(
-        (np.ones(row_idx.shape[0], dtype=bool), (row_idx, col_idx)),
-        shape=(num_nodes, num_nodes),
-    )
-
-
-def link_interference_mask(
-    node_mask: "csr_matrix",
-    link_tx: np.ndarray,
-    link_rx: np.ndarray,
-) -> "csr_matrix":
-    """Lift a node interference mask to the frozen link index.
-
-    Returns a sparse ``(L, L)`` bool mask where ``[l, k]`` is True when
-    link ``k``'s transmitter can disturb link ``l``'s receiver (the
-    co-band coupling structure of Eq. 24).  Intended for moderate L or
-    sharded sub-problems — at city-scale L the per-shard submasks are
-    the usable form.
-    """
-    sub = node_mask[np.asarray(link_tx)][:, np.asarray(link_rx)]
-    return sub.T.tocsr()

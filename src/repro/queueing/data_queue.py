@@ -198,24 +198,6 @@ class DataQueueBank:
                 pairs (a single pair for the integral algorithm; the
                 relaxed LP bound may split across base stations).
         """
-        service, arrivals = self.build_buffers(rates, admissions)
-        self.apply_buffers(service, arrivals)
-
-    def build_buffers(
-        self,
-        rates: Mapping[Tuple[NodeId, NodeId, SessionId], Packets],
-        admissions: Mapping[SessionId, Iterable[Tuple[NodeId, Packets]]],
-    ) -> Tuple[NodeSessionMat, NodeSessionMat]:
-        """Scatter one slot's decisions into ``(service, arrivals)``.
-
-        This is the *exchange* half of Eq. 15: the decision dicts are
-        walked once, in their (global, deterministic) insertion order,
-        producing dense ``(N, S)`` buffers.  The sharded loop builds
-        these globally — a boundary link's rate lands in the service
-        buffer at its transmitter's row and in the arrival buffer at
-        its receiver's row, whichever shards own them — and then applies
-        them shard by shard via :meth:`apply_buffers`.
-        """
         transfer = self.effective_rates(rates)
 
         service: NodeSessionMat = np.zeros(self._q.shape)
@@ -255,35 +237,9 @@ class DataQueueBank:
             raise QueueError(
                 f"negative arrivals {arrivals[row, col]} at Q[{node}][{session}]"
             )
-        return service, arrivals
-
-    def apply_buffers(
-        self,
-        service: NodeSessionMat,
-        arrivals: NodeSessionMat,
-        rows: Optional[np.ndarray] = None,
-    ) -> None:
-        """Advance Eq. 15 from prebuilt buffers, optionally row-sliced.
-
-        The update is elementwise per queue cell, so applying it to any
-        row subset (``rows``, a shard's node rows) touches exactly the
-        values the full-bank update would — the sharded per-region
-        applies compose to a bit-identical whole.
-        """
-        if rows is None:
-            np.subtract(self._q, service, out=self._q)
-            np.maximum(self._q, 0.0, out=self._q)
-            np.add(self._q, arrivals, out=self._q)
-            if self._has_invalid:
-                # Destination cells take no arrivals; re-pin them at 0.0.
-                self._q[self._invalid] = 0.0
-            return
-        # Fancy indexing copies, so the slice is updated out of place
-        # and written back in one assignment.
-        take = self._q[rows]
-        np.subtract(take, service[rows], out=take)
-        np.maximum(take, 0.0, out=take)
-        np.add(take, arrivals[rows], out=take)
+        np.subtract(self._q, service, out=self._q)
+        np.maximum(self._q, 0.0, out=self._q)
+        np.add(self._q, arrivals, out=self._q)
         if self._has_invalid:
-            take[self._invalid[rows]] = 0.0
-        self._q[rows] = take
+            # Destination cells take no arrivals; re-pin them at 0.0.
+            self._q[self._invalid] = 0.0

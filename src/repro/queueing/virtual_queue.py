@@ -134,21 +134,6 @@ class VirtualQueueBank:
             service_pkts: per-link service
                 ``(1/delta) sum_m c_ij^m(t) a_ij^m(t) delta_t``.
         """
-        arrivals, service = self.build_buffers(arrivals_pkts, service_pkts)
-        self.apply_buffers(arrivals, service)
-
-    def build_buffers(
-        self,
-        arrivals_pkts: Mapping[Link, Packets],
-        service_pkts: Mapping[Link, Packets],
-    ) -> "tuple[LinkVec, LinkVec]":
-        """Scatter one slot's decisions into ``(arrivals, service)``.
-
-        The exchange half of Eq. 28 (see
-        :meth:`repro.queueing.data_queue.DataQueueBank.build_buffers`):
-        the decision dicts are walked once in global order into dense
-        ``(L,)`` buffers, which the sharded loop then applies per shard.
-        """
         num_links = len(self._links)
         arrivals: LinkVec = np.zeros(num_links)
         service: LinkVec = np.zeros(num_links)
@@ -169,28 +154,6 @@ class VirtualQueueBank:
             if arrivals[pos] < 0:
                 raise QueueError(f"negative arrivals {arrivals[pos]} at G{link}")
             raise QueueError(f"negative service {service[pos]} at G{link}")
-        return arrivals, service
-
-    def apply_buffers(
-        self,
-        arrivals: LinkVec,
-        service: LinkVec,
-        positions: Optional[np.ndarray] = None,
-    ) -> None:
-        """Advance Eq. 28 from prebuilt buffers, optionally sliced.
-
-        ``positions`` restricts the update to a subset of the frozen
-        link index (a shard's owned links plus its halo); the update is
-        elementwise per link, so the per-shard applies compose to the
-        same result as the full-bank update.
-        """
-        if positions is None:
-            np.subtract(self._g, service, out=self._g)
-            np.maximum(self._g, 0.0, out=self._g)
-            np.add(self._g, arrivals, out=self._g)
-            return
-        take = self._g[positions]
-        np.subtract(take, service[positions], out=take)
-        np.maximum(take, 0.0, out=take)
-        np.add(take, arrivals[positions], out=take)
-        self._g[positions] = take
+        np.subtract(self._g, service, out=self._g)
+        np.maximum(self._g, 0.0, out=self._g)
+        np.add(self._g, arrivals, out=self._g)

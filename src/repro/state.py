@@ -363,22 +363,6 @@ class NetworkState:
         # Batteries and shifted energy queues (Eqs. 4 and 31).  The
         # allocation's discharge is *delivered* energy; the battery
         # drains 1/eta_d of it.
-        charge_j, drain_j = self._build_battery_buffers(
-            decision, enforce_complementarity
-        )
-        self.arrays.apply_battery_actions(charge_j, drain_j)
-        return make_snapshot_from_arrays(slot=slot, arrays=self.arrays)
-
-    def _build_battery_buffers(
-        self, decision: SlotDecision, enforce_complementarity: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scatter the S4 allocations into ``(charge, drain)`` vectors.
-
-        The battery half of the buffer-build/apply split the sharded
-        loop relies on (see the queue banks' ``build_buffers``): the
-        allocation dict is walked once in its global insertion order;
-        the elementwise Eq. 4 update can then run per node-row subset.
-        """
         arrays = self.arrays
         charge_j = np.zeros(arrays.num_nodes)
         drain_j = np.zeros(arrays.num_nodes)
@@ -391,5 +375,5 @@ class NetworkState:
             net = charge_j - drain_j
             charge_j = np.maximum(net, 0.0)
             drain_j = np.maximum(-net, 0.0)
-        return charge_j, drain_j
-
+        arrays.apply_battery_actions(charge_j, drain_j)
+        return make_snapshot_from_arrays(slot=slot, arrays=arrays)

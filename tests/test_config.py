@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -14,6 +15,7 @@ from repro.config import (
     validate_parameters,
 )
 from repro.exceptions import ConfigurationError
+from repro.network.node import build_nodes
 from repro.types import NodeKind, Point
 
 
@@ -170,4 +172,44 @@ class TestValidation:
         )
         params = dataclasses.replace(paper_scenario(), spectrum=spectrum)
         with pytest.raises(ConfigurationError, match="bandwidth"):
+            validate_parameters(params)
+
+
+class TestUserPositions:
+    """Pinned user placement (the benchmark workloads' fixed layouts)."""
+
+    PINNED = (
+        Point(100.0, 200.0),
+        Point(900.0, 50.0),
+        Point(0.0, 1000.0),
+        Point(500.0, 500.0),
+    )
+
+    def _pinned(self, positions=PINNED):
+        return dataclasses.replace(tiny_scenario(), user_positions=positions)
+
+    def test_users_placed_exactly_at_pinned_points(self):
+        params = self._pinned()
+        validate_parameters(params)
+        for seed in (1, 2):  # the placement rng is never consulted
+            nodes = build_nodes(params, np.random.default_rng(seed))
+            users = [n for n in nodes if n.kind is NodeKind.MOBILE_USER]
+            assert [n.position for n in users] == list(self.PINNED)
+            # User ids follow the base stations, in pinned order.
+            assert [n.node_id for n in users] == [
+                params.num_base_stations + k for k in range(params.num_users)
+            ]
+            assert all(
+                n.kind is NodeKind.BASE_STATION
+                for n in nodes[: params.num_base_stations]
+            )
+
+    def test_count_must_match_num_users(self):
+        params = self._pinned(self.PINNED[:3])
+        with pytest.raises(ConfigurationError, match="num_users"):
+            validate_parameters(params)
+
+    def test_point_outside_area_rejected(self):
+        params = self._pinned(self.PINNED[:3] + (Point(500.0, 1000.5),))
+        with pytest.raises(ConfigurationError, match=r"user_positions\[3\]"):
             validate_parameters(params)

@@ -16,16 +16,11 @@ import pytest
 
 from repro.config import tiny_scenario
 from repro.experiments.executor import (
-    BACKENDS,
     FaultPlan,
     JobKind,
-    ProcessPoolBackend,
-    SerialBackend,
     SweepExecutionError,
     SweepSpec,
     SweepVariant,
-    _execute_job,
-    make_backend,
     run_sweep,
 )
 from repro.experiments.runner import sweep_v
@@ -36,12 +31,11 @@ SERIES = ("cost", "penalty", "grid_draw_j", "admitted_pkts", "delivered_pkts")
 SNAPSHOT_SERIES = ("bs_data_packets", "user_data_packets", "bs_energy_j")
 
 
-def _spec(num_slots=8, v_values=(1e4, 2e4), replications=2, **kwargs):
+def _spec(num_slots=8, v_values=(1e4, 2e4), replications=2):
     return SweepSpec.integral(
         tiny_scenario(num_slots=num_slots),
         v_values=v_values,
         replications=replications,
-        **kwargs,
     )
 
 
@@ -101,6 +95,22 @@ class TestSerialParallelEquivalence:
             executor_module, "ProcessPoolExecutor", forbidden
         )
         sweep = run_sweep(_spec(replications=1), max_workers=1)
+        assert len(sweep.results) == 2
+
+    def test_more_than_one_worker_runs_on_a_pool(self, monkeypatch):
+        import repro.experiments.executor as executor_module
+
+        built = []
+        real = executor_module.ProcessPoolExecutor
+
+        def recording(max_workers):
+            built.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", recording)
+        sweep = run_sweep(_spec(replications=1), max_workers=3)
+        assert built == [3]
+        assert sweep.max_workers == 3
         assert len(sweep.results) == 2
 
     def test_sweep_v_parallel_matches_serial(self):
@@ -252,75 +262,12 @@ class TestBenchRecord:
         run_sweep(_spec(replications=1), max_workers=1)
         assert not list(tmp_path.iterdir())
 
-    def test_record_names_the_backend(self, tmp_path):
+    def test_record_reports_the_worker_count(self, tmp_path):
+        # max_workers alone says whether the cells ran in-process (1) or
+        # on a pool (> 1); the record carries no separate backend name.
         bench = tmp_path / "BENCH_sweep.json"
         run_sweep(_spec(replications=1), max_workers=1, bench_path=bench)
         run_sweep(_spec(replications=1), max_workers=2, bench_path=bench)
         records = json.loads(bench.read_text())["sweeps"]
-        assert [r["backend"] for r in records] == ["serial", "process-pool"]
-
-
-class TestBackendProtocol:
-    def test_default_selection_by_worker_count(self):
-        assert run_sweep(_spec(replications=1), max_workers=1).backend == "serial"
-        assert (
-            run_sweep(_spec(replications=1), max_workers=2).backend
-            == "process-pool"
-        )
-
-    def test_backend_selected_by_name(self):
-        sweep = run_sweep(_spec(replications=1), backend="serial")
-        assert sweep.backend == "serial"
-        sweep = run_sweep(
-            _spec(replications=1), max_workers=2, backend="process-pool"
-        )
-        assert sweep.backend == "process-pool"
-
-    def test_explicit_backend_instance(self):
-        sweep = run_sweep(
-            _spec(replications=1), backend=ProcessPoolBackend(max_workers=2)
-        )
-        assert sweep.backend == "process-pool"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_sweep(_spec(replications=1), backend="ssh")
-        with pytest.raises(ValueError, match="known:"):
-            make_backend("batch-queue")
-
-    def test_registry_names_match_classes(self):
-        assert set(BACKENDS) == {"serial", "process-pool"}
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("process-pool", 3), ProcessPoolBackend)
-
-    def test_every_backend_declares_worker_entry(self):
-        # The R050-R052 pool-safety sweep seeds its worker roots from
-        # this attribute; a backend without it loses analysis coverage.
-        for name in BACKENDS:
-            backend = make_backend(name, 2)
-            assert backend.worker_entry is _execute_job
-
-    def test_named_backends_agree_exactly(self):
-        serial = run_sweep(_spec(), backend="serial")
-        pooled = run_sweep(_spec(), max_workers=4, backend="process-pool")
-        assert_results_identical(serial, pooled)
-
-
-class TestShardedSweeps:
-    def test_num_shards_threads_into_jobs(self):
-        spec = _spec(replications=1, num_shards=1)
-        assert all(job.num_shards == 1 for job in spec.jobs())
-        assert all(job.num_shards == 0 for job in _spec(replications=1).jobs())
-
-    def test_negative_shards_rejected(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            _spec(num_shards=-1)
-
-    def test_sharded_sweep_backends_agree_exactly(self):
-        # tiny_scenario has one BS, so one shard is the feasible count;
-        # multi-shard backend equivalence is pinned by
-        # tests/test_sharding_equivalence.py and benchmarks/bench_shard.
-        spec = _spec(replications=1, num_shards=1)
-        serial = run_sweep(spec, backend="serial")
-        pooled = run_sweep(spec, max_workers=2, backend="process-pool")
-        assert_results_identical(serial, pooled)
+        assert [r["max_workers"] for r in records] == [1, 2]
+        assert all("backend" not in r for r in records)

@@ -135,49 +135,3 @@ class TestWorkerGlobalInjection:
         assert "_JOB_COUNTER" in hits[0].message
         assert "_execute_job()" in hits[0].message
 
-
-class TestBackendWorkerEntryInjection:
-    """A new Backend's ``worker_entry`` seeds the R050 sweep.
-
-    The injected backend has *no* syntactic ``submit``-style call site
-    anywhere — the analyzer can only reach its worker through the
-    ``worker_entry`` class-attribute convention, so this test proves
-    future backends (SSH, batch queue) keep pool-safety coverage.
-    """
-
-    INJECTION = (
-        "\n\n"
-        "_SSH_CACHE = {}\n"
-        "\n\n"
-        "def _ssh_worker(job, fault=None):\n"
-        '    _SSH_CACHE["last"] = job\n'
-        "    return _execute_job(job, fault)\n"
-        "\n\n"
-        "class InjectedSshBackend:\n"
-        '    name = "ssh-injected"\n'
-        "    worker_entry = staticmethod(_ssh_worker)\n"
-    )
-
-    def test_injected_backend_worker_global_fires_r050(self, tree):
-        executor = tree / "experiments" / "executor.py"
-        source = executor.read_text(encoding="utf-8")
-        executor.write_text(source + self.INJECTION, encoding="utf-8")
-        write_line = (
-            len(source.splitlines()) + self.INJECTION[: self.INJECTION.index(
-                "_SSH_CACHE[")].count("\n") + 1
-        )
-
-        program = Program.load([str(tree)])
-        assert (
-            "repro.experiments.executor._ssh_worker"
-            in program.detected_worker_roots
-        )
-        hits = [
-            f
-            for f in check_pool_safety(program)
-            if f.rule_id == "R050"
-            and f.path.endswith("experiments/executor.py")
-        ]
-        assert [f.line for f in hits] == [write_line]
-        assert "_SSH_CACHE" in hits[0].message
-        assert "_ssh_worker()" in hits[0].message
