@@ -43,7 +43,7 @@ from typing import (
 from repro.constants import FEASIBILITY_EPS
 from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping
 from repro.contracts.violations import ContractViolation
-from repro.phy.sinr import sinr_of_transmission
+from repro.phy.sinr import co_band_gain_block, sinr_in_group
 from repro.types import Link, NodeId, QueueSemantics, SessionId, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -230,7 +230,18 @@ class ContractChecker:
             else model.topology.gains_lookup()
         )
         threshold = model.params.sinr_threshold
+        # One gain block per band over its transmissions (schedule
+        # order), instead of O(k^2) scalar reads of the gain view.
+        groups: Dict[int, List[Transmission]] = {}
+        cols: List[int] = []
         for t in schedule.transmissions:
+            group = groups.setdefault(t.band, [])
+            cols.append(len(group))
+            group.append(t)
+        blocks = {
+            band: co_band_gain_block(gains, group) for band, group in groups.items()
+        }
+        for t, col in zip(schedule.transmissions, cols):
             cap = model.max_power_w[t.tx]
             if t.power_w < -FEASIBILITY_EPS or t.power_w > cap * (1 + SINR_RTOL):
                 self._violate(
@@ -242,9 +253,7 @@ class ContractChecker:
                 )
                 continue
             noise = model.noise_power_w(observation.bands.bandwidth(t.band))
-            value = sinr_of_transmission(
-                gains, t, schedule.transmissions, noise
-            )
+            value = sinr_in_group(blocks[t.band], groups[t.band], col, noise)
             if value < threshold * (1 - SINR_RTOL):
                 self._violate(
                     "Eq. 24",

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.network.spectrum import BandState
+from repro.phy.propagation import PairGains
 from repro.types import Link, LinkBand, NodeId, SessionId, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -32,8 +31,12 @@ class SlotObservation:
         bands: realised bandwidths ``W_m(t)``.
         renewable_j: harvested energy ``R_i(t)`` per node (J).
         grid_connected: realised ``omega_i(t)`` per node.
-        gains: current propagation-gain matrix when mobility is
-            enabled; None means the static topology gains apply.
+        gains: the slot's pair-gain view when mobility is enabled — a
+            :class:`~repro.phy.propagation.ComputedPairGains` over the
+            slot's positions, read through ``[tx, rx]``, ``pairs``,
+            ``submatrix`` and ``column`` like the topology's
+            ``gains_lookup()``; None means the static topology gains
+            apply.
         band_access: per-node accessible bands this slot when dynamic
             availability is enabled; None means the static ``M_i``
             sets apply.
@@ -43,7 +46,7 @@ class SlotObservation:
     bands: BandState
     renewable_j: Mapping[NodeId, float]
     grid_connected: Mapping[NodeId, bool]
-    gains: Optional[np.ndarray] = None
+    gains: Optional[PairGains] = None
     band_access: Optional[Mapping[NodeId, frozenset]] = None
 
     def common_bands(

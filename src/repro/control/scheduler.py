@@ -157,11 +157,12 @@ class LinkScheduler:
     def _gains(self, observation: SlotObservation):
         """The slot's pair gains (mobility-aware).
 
-        Returns the slot's dense matrix under mobility, else the
-        topology's gain lookup — the materialised matrix view or the
+        Returns the slot's position-computed view under mobility, else
+        the topology's gain lookup — the materialised matrix view or the
         position-computed view when the sparse topology skipped the
         O(N^2) matrices.  Scalar ``[tx, rx]`` indexing and the
-        ``submatrix``/``column`` blocks are bit-identical either way.
+        ``pairs``/``submatrix``/``column`` reads are bit-identical
+        either way.
         """
         if observation.gains is not None:
             return observation.gains
@@ -323,7 +324,7 @@ class LinkScheduler:
             tx_idx = static.link_tx[active]
             rx_idx = static.link_rx[active]
             if observation.gains is not None:
-                g_link = np.asarray(observation.gains)[tx_idx, rx_idx]
+                g_link = observation.gains.pairs(tx_idx, rx_idx)
             else:
                 # The frozen per-link gain array is bitwise equal to
                 # ``gains[link_tx, link_rx]`` in every topology mode,
@@ -478,9 +479,50 @@ class LinkScheduler:
         keys = sorted(weights)
         gains = self._gains(observation)
         params = self._model.params
-        by_band: Dict[int, List[LinkBand]] = {}
-        for key in keys:
-            by_band.setdefault(key[2], []).append(key)
+        key_tx = np.fromiter((key[0] for key in keys), np.intp, len(keys))
+        key_rx = np.fromiter((key[1] for key in keys), np.intp, len(keys))
+        by_band: Dict[int, List[int]] = {}
+        for pos, key in enumerate(keys):
+            by_band.setdefault(key[2], []).append(pos)
+
+        # The SINR rows depend on the slot's gains only, not on the
+        # fixings, so they are built once here rather than on every
+        # sequential-fix rebuild: one co-band block per band
+        # (block[k][l] = g(tx_k, rx_l)) and one big-M per link-band.
+        sinr_rows: List[Tuple[LinkBand, Dict, float]] = []
+        for band, positions in by_band.items():
+            noise = self._model.noise_power_w(observation.bands.bandwidth(band))
+            idx = np.asarray(positions, dtype=np.intp)
+            block = gains.submatrix(key_tx[idx], key_rx[idx]).tolist()
+            members = [keys[pos] for pos in positions]
+            for col, key in enumerate(members):
+                tx, rx, _ = key
+                big_m = big_m_coefficient(
+                    gains,
+                    tx,
+                    rx,
+                    noise,
+                    params.sinr_threshold,
+                    self._model.max_power_w,
+                )
+                # g_ij P + M (1 - a) - Gamma sum g_kj P_other
+                #   >= Gamma eta W.
+                coeffs: Dict = {
+                    ("P", key): block[col][col],
+                    key: -big_m,
+                }
+                for row, other in enumerate(members):
+                    # Links sharing a node with (tx, rx) are already
+                    # excluded by the single-radio conflicts in the
+                    # binary solution; pricing their (fractional)
+                    # self-interference here would exceed the big-M
+                    # envelope, which only covers k != i, j.
+                    if other == key or other[0] in (tx, rx):
+                        continue
+                    coeffs[("P", other)] = -params.sinr_threshold * block[row][col]
+                sinr_rows.append(
+                    (key, coeffs, params.sinr_threshold * noise - big_m)
+                )
 
         def build_lp(fixed: Mapping[LinkBand, float]) -> LinearProgram:
             lp = LinearProgram()
@@ -498,53 +540,18 @@ class LinkScheduler:
 
             self._radio_constraints(lp, keys)
 
-            for band, members in by_band.items():
-                noise = self._model.noise_power_w(
-                    observation.bands.bandwidth(band)
+            for key, coeffs, rhs in sinr_rows:
+                # Linearise P * a: power flows only when scheduled.
+                lp.add_constraint(
+                    {
+                        ("P", key): 1.0,
+                        key: -self._model.max_power_w[key[0]],
+                    },
+                    Sense.LE,
+                    0.0,
+                    name=f"pow_link[{key}]",
                 )
-                for key in members:
-                    tx, rx, _ = key
-                    # Linearise P * a: power flows only when scheduled.
-                    lp.add_constraint(
-                        {
-                            ("P", key): 1.0,
-                            key: -self._model.max_power_w[tx],
-                        },
-                        Sense.LE,
-                        0.0,
-                        name=f"pow_link[{key}]",
-                    )
-                    big_m = big_m_coefficient(
-                        gains,
-                        tx,
-                        rx,
-                        noise,
-                        params.sinr_threshold,
-                        self._model.max_power_w,
-                    )
-                    # g_ij P + M (1 - a) - Gamma sum g_kj P_other
-                    #   >= Gamma eta W.
-                    coeffs: Dict = {
-                        ("P", key): gains[tx, rx],
-                        key: -big_m,
-                    }
-                    for other in members:
-                        # Links sharing a node with (tx, rx) are already
-                        # excluded by the single-radio conflicts in the
-                        # binary solution; pricing their (fractional)
-                        # self-interference here would exceed the big-M
-                        # envelope, which only covers k != i, j.
-                        if other == key or other[0] in (tx, rx):
-                            continue
-                        coeffs[("P", other)] = (
-                            -params.sinr_threshold * gains[other[0], rx]
-                        )
-                    lp.add_constraint(
-                        coeffs,
-                        Sense.GE,
-                        params.sinr_threshold * noise - big_m,
-                        name=f"sinr[{key}]",
-                    )
+                lp.add_constraint(coeffs, Sense.GE, rhs, name=f"sinr[{key}]")
             return lp
 
         fixed = sequential_fix(
@@ -727,9 +734,8 @@ class LinkScheduler:
         for pos, band in zip(chosen_pos, chosen_band):
             by_band.setdefault(band, []).append(pos)
 
-        # The dense matrix under mobility, else the topology's pair-gain
-        # lookup; minimal_power_assignment_vec accepts both and produces
-        # bit-identical solves.
+        # The slot's view under mobility, else the topology's pair-gain
+        # lookup; both serve bit-identical submatrix blocks.
         gains = self._gains(observation)
         for band, positions in sorted(by_band.items()):
             noise = self._model.noise_power_w(observation.bands.bandwidth(band))

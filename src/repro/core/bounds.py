@@ -115,16 +115,27 @@ class RelaxedLpController:
         )
         return bps * params.slot_seconds / params.sessions.packet_size_bits
 
-    def _min_power_w(self, tx: NodeId, rx: NodeId, band: int, observation: SlotObservation) -> float | None:
-        """Zero-interference minimal power; None if above the cap."""
-        params = self._model.params
-        noise = self._model.noise_power_w(observation.bands.bandwidth(band))
+    def _link_gains(self, observation: SlotObservation) -> List[float]:
+        """The slot's ``g_ij`` per candidate link, in link-index order.
+
+        One vectorised ``pairs`` read of the slot's view under mobility
+        (else the topology's lookup), instead of a scalar read per
+        (link, band); the floats equal the scalar ``gains[tx, rx]``.
+        """
         gains = (
             observation.gains
             if observation.gains is not None
             else self._model.topology.gains_lookup()
         )
-        power = params.sinr_threshold * noise / gains[tx, rx]
+        return gains.pairs(*self._model.topology.link_arrays()).tolist()
+
+    def _min_power_w(
+        self, tx: NodeId, gain: float, band: int, observation: SlotObservation
+    ) -> float | None:
+        """Zero-interference minimal power; None if above the cap."""
+        params = self._model.params
+        noise = self._model.noise_power_w(observation.bands.bandwidth(band))
+        power = params.sinr_threshold * noise / gain
         if power > self._model.max_power_w[tx]:
             return None
         return power
@@ -144,10 +155,11 @@ class RelaxedLpController:
         # Activation variables with their Psi-hat_1 coefficients, plus
         # bookkeeping for the capacity and energy couplings.
         link_bands: Dict[Tuple[NodeId, NodeId], List[Tuple[int, float, float]]] = {}
-        for tx, rx in model.topology.candidate_links:  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
+        link_gains = self._link_gains(observation)
+        for (tx, rx), gain in zip(model.topology.candidate_links, link_gains):  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
             entries = []
             for band in observation.common_bands(model, tx, rx):
-                power = self._min_power_w(tx, rx, band, observation)
+                power = self._min_power_w(tx, gain, band, observation)
                 if power is None:
                     continue
                 service = self._service_pkts(band, observation)

@@ -4,9 +4,12 @@ The paper's evaluation keeps users static; these models add motion as
 an extension (the system model explicitly targets *mobile* users).
 Mobility is quasi-static with respect to the candidate-link set: the
 pruned links are fixed from the initial placement, but the propagation
-gains are recomputed every slot from the current positions, so link
-quality — and through power control, link feasibility — tracks the
-motion.
+gains follow the current positions, so link quality — and through power
+control, link feasibility — tracks the motion.  The state serves each
+slot's gains as a :class:`~repro.phy.propagation.ComputedPairGains`
+view over that slot's positions: only the gains a consumer reads are
+computed, each bit-identical to the all-pairs matrix entry, and no
+``(N, N)`` array is ever built.
 
 ``RandomWaypointMobility`` is the classical model: each user picks a
 uniform waypoint in the area and a uniform speed, walks there in
@@ -16,7 +19,6 @@ straight-line per-slot steps, then repeats.
 from __future__ import annotations
 
 import abc
-import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -122,40 +124,3 @@ class RandomWaypointMobility(MobilityModel):
             for node in self._mobile:
                 self._step_node(node)
         return list(self._positions)
-
-
-#: Single-entry memo for :func:`gain_matrix_for_positions`, keyed on
-#: ``(positions, constant, exponent)``.  One entry suffices: the static
-#: model returns the same placement every slot, and random-waypoint
-#: pauses (all mobile nodes parked at their waypoints) repeat the
-#: previous slot's placement — both hit the memo exactly; any motion
-#: changes the key and recomputes.
-_GAIN_MEMO: Dict[
-    Tuple[Tuple[Point, ...], float, float], np.ndarray
-] = {}
-
-
-def gain_matrix_for_positions(
-    positions: Sequence[Point], constant: float, exponent: float
-) -> np.ndarray:
-    """The propagation-gain matrix for an arbitrary placement.
-
-    Consecutive identical placements are served from a single-entry
-    memo, so static scenarios pay the quadratic all-pairs cost once per
-    run instead of once per slot.  Callers must not mutate the returned
-    array.
-    """
-    from repro.phy.propagation import gain_matrix
-
-    key = (tuple(positions), constant, exponent)
-    cached = _GAIN_MEMO.get(key)
-    if cached is not None:
-        return cached
-    coords = np.array([[p.x, p.y] for p in positions])
-    diffs = coords[:, None, :] - coords[None, :, :]  # noqa: R041 - all-pairs gains computed once per distinct placement (memoized above); the mobility extension runs at small N and the scale path (static users) hits the memo after slot 0
-    distances = np.sqrt((diffs**2).sum(axis=2))
-    gains = gain_matrix(distances, constant, exponent)
-    gains.setflags(write=False)
-    _GAIN_MEMO.clear()  # noqa: R050 - pure single-entry cache: a worker's fork copy recomputes the bit-identical matrix, so divergence cannot perturb results
-    _GAIN_MEMO[key] = gains  # noqa: R050 - same pure-cache argument as the clear above
-    return gains

@@ -33,7 +33,7 @@ consumers such as the SINR contract checker and mobility tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -46,6 +46,7 @@ from repro.phy.propagation import (
     MIN_DISTANCE_M,
     ComputedPairGains,
     DensePairGains,
+    PairGains,
     gain_matrix,
 )
 from repro.types import Link, NodeId, NodeKind
@@ -64,8 +65,6 @@ DENSE_MATERIALIZE_MAX: int = 2048
 #: comparison would accept (the ``pow`` round-off is ~1e-16 relative,
 #: seven orders below this margin).
 _RADIUS_SLACK: float = 1e-9
-
-PairGains = Union[DensePairGains, ComputedPairGains]
 
 
 @dataclass(frozen=True)

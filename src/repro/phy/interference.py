@@ -15,11 +15,14 @@ from typing import Dict, Union
 
 import numpy as np
 
-from repro.phy.propagation import ComputedPairGains, DensePairGains
+from repro.phy.propagation import PairGains
 from repro.types import NodeId
 from repro.units import Linear, Watts
 
-GainsLike = Union[np.ndarray, DensePairGains, ComputedPairGains]
+#: Gain inputs accepted by the solvers: the dense ``(N, N)`` matrix or
+#: a pair-gain view over node positions (scalar ``g[tx, rx]`` indexing
+#: and ``submatrix`` blocks are bit-identical either way).
+GainsLike = Union[np.ndarray, PairGains]
 
 
 def _seq_sum(values: np.ndarray) -> float:

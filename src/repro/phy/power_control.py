@@ -34,19 +34,14 @@ linear scan, so they now overstate the work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.axes import LinkToNode, LinkVec
-from repro.phy.propagation import ComputedPairGains, DensePairGains
+from repro.phy.interference import GainsLike
 from repro.types import Link, NodeId
 from repro.units import Linear, Watts
-
-#: Gain inputs accepted by the solvers: the dense ``(N, N)`` matrix or
-#: a pair-gain view over node positions (scalar ``g[tx, rx]`` indexing
-#: and ``submatrix`` blocks are bit-identical either way).
-GainsLike = Union[np.ndarray, DensePairGains, ComputedPairGains]
 
 
 @dataclass

@@ -7,6 +7,8 @@ far-field model is never evaluated in its singular near-field region.
 
 from __future__ import annotations
 
+from typing import Union
+
 import numpy as np
 
 from repro.units import Linear, Meters
@@ -138,3 +140,8 @@ class ComputedPairGains:
         diffs = self._pos - self._pos[rx]
         dist = np.sqrt((diffs**2).sum(axis=1))
         return gain_matrix(dist, self._constant, self._exponent)
+
+
+#: Either pair-gain view; both answer ``[tx, rx]``, ``pairs``,
+#: ``submatrix`` and ``column`` with the identical floats.
+PairGains = Union[DensePairGains, ComputedPairGains]

@@ -7,23 +7,24 @@ in the same slot (Section II-B of the paper).
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
+from repro.phy.interference import GainsLike
 from repro.types import NodeId, Transmission
 from repro.units import Db, Linear, Watts, linear_to_db
 
 
 def total_interference(
-    gains: np.ndarray,
+    gains: GainsLike,
     receiver: NodeId,
     interferers: Iterable[Tuple[NodeId, Watts]],
 ) -> Watts:
     """Aggregate interference power at ``receiver``.
 
     Args:
-        gains: ``(N, N)`` gain matrix.
+        gains: ``(N, N)`` gain matrix or pair-gain view.
         receiver: the receiving node.
         interferers: ``(tx_node, tx_power_w)`` pairs of concurrent
             transmissions on the same band, excluding the intended one.
@@ -37,7 +38,7 @@ def total_interference(
 
 
 def sinr(
-    gains: np.ndarray,
+    gains: GainsLike,
     tx: NodeId,
     rx: NodeId,
     tx_power_w: Watts,
@@ -47,7 +48,7 @@ def sinr(
     """SINR of one link given noise and aggregate interference.
 
     Args:
-        gains: ``(N, N)`` gain matrix.
+        gains: ``(N, N)`` gain matrix or pair-gain view.
         tx: transmitter id.
         rx: receiver id.
         tx_power_w: transmit power (W).
@@ -64,8 +65,52 @@ def sinr(
     return gains[tx, rx] * tx_power_w / (noise_power_w + interference_w)
 
 
+def co_band_gain_block(
+    gains: GainsLike, group: Sequence[Transmission]
+) -> np.ndarray:
+    """``block[k, l] = g(group[k].tx, group[l].rx)`` in one gain read.
+
+    ``group`` is one band's transmissions; the block holds every gain
+    their SINRs need, so a pair-gain view is queried once per band
+    rather than once per (interferer, receiver) pair.
+    """
+    count = len(group)
+    tx = np.fromiter((t.tx for t in group), dtype=np.intp, count=count)
+    rx = np.fromiter((t.rx for t in group), dtype=np.intp, count=count)
+    if isinstance(gains, np.ndarray):
+        return gains[tx[:, None], rx[None, :]]
+    return gains.submatrix(tx, rx)
+
+
+def sinr_in_group(
+    block: np.ndarray,
+    group: Sequence[Transmission],
+    col: int,
+    noise_power_w: Watts,
+) -> Linear:
+    """SINR of ``group[col]`` among its co-band ``group``.
+
+    ``block`` is :func:`co_band_gain_block` of ``group``.  Members with
+    the target's link are not interferers; the rest are summed left to
+    right in group order, so the value is the same float as
+    :func:`sinr` over scalar ``gains[tx, rx]`` reads.
+    """
+    target = group[col]
+    interferers = [
+        (row, t.power_w) for row, t in enumerate(group) if t.link != target.link
+    ]
+    return sinr(
+        block,
+        col,
+        col,
+        target.power_w,
+        noise_power_w,
+        total_interference(block, col, interferers),
+    )
+
+
 def sinr_of_transmission(
-    gains: np.ndarray,
+    gains: GainsLike,
     target: Transmission,
     concurrent: Iterable[Transmission],
     noise_power_w: Watts,
@@ -75,23 +120,18 @@ def sinr_of_transmission(
     Transmissions in ``concurrent`` on other bands or equal to
     ``target`` are ignored, so callers may pass the full schedule.
     """
-    interferers = [
-        (t.tx, t.power_w)
+    group = [target] + [
+        t
         for t in concurrent
         if t.band == target.band and t.link != target.link
     ]
-    return sinr(
-        gains,
-        target.tx,
-        target.rx,
-        target.power_w,
-        noise_power_w,
-        total_interference(gains, target.rx, interferers),
+    return sinr_in_group(
+        co_band_gain_block(gains, group), group, 0, noise_power_w
     )
 
 
 def sinr_db(
-    gains: np.ndarray,
+    gains: GainsLike,
     tx: NodeId,
     rx: NodeId,
     tx_power_w: Watts,

@@ -40,8 +40,8 @@ from repro.network.mobility import (
     MobilityModel,
     RandomWaypointMobility,
     StaticMobility,
-    gain_matrix_for_positions,
 )
+from repro.phy.propagation import ComputedPairGains
 from repro.queueing.backlog import BacklogSnapshot, make_snapshot_from_arrays
 from repro.queueing.data_queue import DataQueueBank
 from repro.queueing.energy_queue import ShiftedEnergyQueue
@@ -195,26 +195,33 @@ class NetworkState:
 
         Call after rebinding ``mobility``, ``grids`` or ``renewables``
         on a live state (e.g. scripted-outage experiments) so a stale
-        gain matrix or sampling plan can never leak across
+        gain view or sampling plan can never leak across
         reconfigured runs.  Idempotent and cheap.
         """
         self._gains_cache_slot = -1
-        self._gains_cache = None
+        self._gains_cache: Optional[ComputedPairGains] = None
         self._plan_token: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
         self._renewable_draws: List[Tuple[NodeId, RenewableProcess]] = []
         self._grid_draws: List[Tuple[NodeId, GridConnection]] = []
         self._grid_static = np.zeros(0, dtype=bool)
         self._grid_caps = np.zeros(0)
 
-    def _current_gains(self, slot: int):
-        """Per-slot gain matrix under mobility; None when static."""
+    def _current_gains(self, slot: int) -> Optional[ComputedPairGains]:
+        """The slot's pair-gain view under mobility; None when static.
+
+        The view holds only the slot's ``(N, 2)`` positions and computes
+        each queried gain on demand, bit-identical to the all-pairs
+        matrix entry, so no per-slot work is quadratic in ``N``.
+        """
         if isinstance(self.mobility, StaticMobility):
             return None
         if slot != self._gains_cache_slot:
             params = self.model.params
             positions = self.mobility.positions_at(slot)
-            self._gains_cache = gain_matrix_for_positions(
-                positions, params.propagation_constant, params.path_loss_exponent
+            self._gains_cache = ComputedPairGains(
+                np.array([(p.x, p.y) for p in positions], dtype=float),
+                params.propagation_constant,
+                params.path_loss_exponent,
             )
             self._gains_cache_slot = slot
         return self._gains_cache

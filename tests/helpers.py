@@ -8,7 +8,9 @@ every slot's decision, its S4 energy allocations and the slot metrics
 so a committed hex string pins a trajectory bit for bit.
 ``make_snapshot_oracle`` is the plain-Python backlog aggregation the
 array kernel :func:`~repro.queueing.backlog.make_snapshot_from_arrays`
-must reproduce exactly.  ``link_view`` lays a ``{link: value}`` dict
+must reproduce exactly.  ``dense_gain_oracle`` is the all-pairs
+``(N, N)`` gain matrix of a placement, which every pair-gain view must
+reproduce bit for bit.  ``link_view`` lays a ``{link: value}`` dict
 out as the ``(L,)`` view over the frozen candidate-link index that the
 scheduler and router take.
 """
@@ -23,6 +25,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.core.arraystate import LinkArrayMapping
+from repro.phy.propagation import gain_matrix
 from repro.queueing import BacklogSnapshot
 from repro.sim import SlotSimulator
 
@@ -72,6 +75,14 @@ def make_snapshot_oracle(
         ),
         virtual_packets=sum(virtual_backlogs.values()),
     )
+
+
+def dense_gain_oracle(positions, constant, exponent):
+    """All-pairs ``g_ij = C d(i, j)^-gamma`` of a ``Point`` placement."""
+    coords = np.array([[p.x, p.y] for p in positions])
+    diffs = coords[:, None, :] - coords[None, :, :]
+    distances = np.sqrt((diffs**2).sum(axis=2))
+    return gain_matrix(distances, constant, exponent)
 
 
 def canonical(value) -> str:

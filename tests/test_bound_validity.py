@@ -82,7 +82,9 @@ class TestMinPowerUnderapproximatesDemand:
         params = model.params
         for tx, rx in model.topology.candidate_links[:10]:
             for band in model.spectrum.common_bands(tx, rx):
-                power = controller._min_power_w(tx, rx, band, observation)
+                power = controller._min_power_w(
+                    tx, model.topology.gains[tx, rx], band, observation
+                )
                 if power is None:
                     continue
                 noise = model.noise_power_w(observation.bands.bandwidth(band))

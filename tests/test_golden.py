@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import small_scenario, tiny_scenario
+from repro.config import paper_scenario, small_scenario, tiny_scenario
 from repro.sim import SlotSimulator
 from repro.types import MobilityKind, QueueSemantics, SchedulerKind
 from tests.helpers import trajectory_sha256
@@ -127,7 +127,8 @@ def _radios(params, count):
 
 #: Trajectory-pin scenarios: queue semantics, dynamic spectrum, mobility,
 #: multi-session, paper-literal S1, one-hop, TOU pricing, multi-radio
-#: and extra seeds.
+#: and extra seeds.  ``paper_random_waypoint`` runs mobility at the
+#: paper's 20 users, where co-band sets hold more than a few links.
 TRAJECTORY_SCENARIOS = {
     "tiny_paper": lambda: tiny_scenario(num_slots=8),
     "tiny_packet_accurate": lambda: tiny_scenario(
@@ -148,6 +149,9 @@ TRAJECTORY_SCENARIOS = {
     "three_radios": lambda: _radios(tiny_scenario(num_slots=8), 3),
     "seed_11": lambda: small_scenario(num_slots=10, seed=11),
     "seed_29": lambda: tiny_scenario(num_slots=8, seed=29, num_users=6),
+    "paper_random_waypoint": lambda: paper_scenario(
+        num_slots=10, mobility=MobilityKind.RANDOM_WAYPOINT
+    ),
 }
 
 #: ``"scenario/SCHEDULER"`` -> (scenario name, scheduler kind).

@@ -5,15 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import tiny_scenario, validate_parameters
+from repro.config import paper_scenario, tiny_scenario, validate_parameters
 from repro.exceptions import ConfigurationError
-from repro.network.mobility import (
-    RandomWaypointMobility,
-    StaticMobility,
-    gain_matrix_for_positions,
-)
+from repro.network.mobility import RandomWaypointMobility, StaticMobility
 from repro.sim import SlotSimulator
 from repro.types import MobilityKind, Point
+from tests.helpers import dense_gain_oracle
 
 
 class TestStaticMobility:
@@ -88,38 +85,50 @@ class TestRandomWaypoint:
             self._model(speed=(5.0, 1.0))
 
 
-class TestGainMatrixForPositions:
-    def test_matches_topology_builder(self, tiny_model):
-        params = tiny_model.params
-        positions = [n.position for n in tiny_model.nodes]
-        gains = gain_matrix_for_positions(
+class TestMobileGainView:
+    """The slot's pair-gain view equals the dense all-pairs gains exactly."""
+
+    @pytest.fixture(scope="class")
+    def moved(self):
+        params = paper_scenario(
+            num_slots=6, mobility=MobilityKind.RANDOM_WAYPOINT
+        )
+        state = SlotSimulator.integral(params).state
+        initial = state.mobility.positions_at(0)
+        view = state.observe(5).gains
+        positions = state.mobility.positions_at(5)
+        assert positions != initial  # the users really moved
+        dense = dense_gain_oracle(
             positions, params.propagation_constant, params.path_loss_exponent
         )
-        assert np.allclose(gains, tiny_model.topology.gains)
+        return view, dense
 
-    def test_symmetric(self):
-        gains = gain_matrix_for_positions(
-            [Point(0, 0), Point(100, 0), Point(0, 300)], 62.5, 4.0
+    def test_pairs(self, moved):
+        view, dense = moved
+        n = dense.shape[0]
+        tx, rx = np.divmod(np.arange(n * n), n)
+        assert np.array_equal(view.pairs(tx, rx), dense[tx, rx])
+
+    def test_submatrix(self, moved):
+        view, dense = moved
+        nodes = np.arange(dense.shape[0])
+        assert np.array_equal(view.submatrix(nodes, nodes), dense)
+        tx, rx = nodes[::3], nodes[1::2]
+        assert np.array_equal(
+            view.submatrix(tx, rx), dense[tx[:, None], rx[None, :]]
         )
-        assert np.allclose(gains, gains.T)
 
-    def test_memoizes_repeated_placement(self):
-        positions = [Point(0, 0), Point(100, 0), Point(0, 300)]
-        first = gain_matrix_for_positions(positions, 62.5, 4.0)
-        again = gain_matrix_for_positions(list(positions), 62.5, 4.0)
-        assert again is first  # served from the memo, not recomputed
-        assert not first.flags.writeable  # callers cannot corrupt the memo
-        moved = gain_matrix_for_positions(
-            [Point(0, 0), Point(101, 0), Point(0, 300)], 62.5, 4.0
+    def test_column(self, moved):
+        view, dense = moved
+        for rx in range(dense.shape[0]):
+            assert np.array_equal(view.column(rx), dense[:, rx])
+
+    def test_scalar_indexing(self, moved):
+        view, dense = moved
+        n = dense.shape[0]
+        assert all(
+            view[tx, rx] == dense[tx, rx] for tx in range(n) for rx in range(n)
         )
-        assert moved is not first
-        assert not np.allclose(moved, first)
-
-    def test_memo_keyed_on_model_parameters(self):
-        positions = [Point(0, 0), Point(100, 0)]
-        base = gain_matrix_for_positions(positions, 62.5, 4.0)
-        other = gain_matrix_for_positions(positions, 62.5, 3.0)
-        assert not np.allclose(base, other)
 
 
 class TestMobileSimulation:
@@ -141,10 +150,7 @@ class TestMobileSimulation:
         simulator = SlotSimulator.integral(mobile_params)
         observation = simulator.state.observe(0)
         assert observation.gains is not None
-        assert observation.gains.shape == (
-            simulator.model.num_nodes,
-            simulator.model.num_nodes,
-        )
+        assert observation.gains.num_nodes == simulator.model.num_nodes
 
     def test_static_observation_has_no_gains(self):
         simulator = SlotSimulator.integral(tiny_scenario(num_slots=3))
