@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro.reporting import format_table
 from repro.control.energy_manager import EnergyManager, NodeEnergyInputs
 from repro.sim import SlotSimulator
 from repro.types import EnergySolverKind

@@ -11,7 +11,7 @@ Two design decisions called out in DESIGN.md:
 
 import dataclasses
 
-from repro.analysis import format_table
+from repro.reporting import format_table
 from repro.control.router import RouterMode
 from repro.sim import SlotSimulator
 

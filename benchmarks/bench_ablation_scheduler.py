@@ -9,7 +9,7 @@ relies on it being near-optimal).
 
 import time
 
-from repro.analysis import format_table
+from repro.reporting import format_table
 from repro.sim import SlotSimulator
 from repro.types import SchedulerKind
 

@@ -10,7 +10,7 @@ cost.
 
 import dataclasses
 
-from repro.analysis import format_table
+from repro.reporting import format_table
 from repro.sim import SlotSimulator
 from repro.types import EnergySolverKind
 

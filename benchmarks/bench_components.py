@@ -119,8 +119,8 @@ def test_energy_manager_slot(benchmark, bench_base):
 def test_analysis_runtime_full_tree(benchmark):
     # The static analyzer gates every CI run, scripts/check.sh and the
     # pre-commit hooks, so the whole-program pass — call-graph build,
-    # fixed-point units/axes propagation, hot-path and pool-safety
-    # sweeps — over the full library must stay cheap.
+    # units propagation, determinism and hot-path sweeps — over the
+    # full library must stay cheap.
     src = str(_REPO_ROOT / "src")
 
     findings = benchmark(lambda: analyze_paths([src]))
@@ -128,7 +128,7 @@ def test_analysis_runtime_full_tree(benchmark):
 
 
 def test_callgraph_build_runtime(benchmark):
-    # The graph build is the fixed cost every interprocedural rule
+    # The graph build is the fixed cost every whole-program rule
     # shares; track it separately so a parsing/resolution regression
     # is distinguishable from a slow rule.
     src = str(_REPO_ROOT / "src")

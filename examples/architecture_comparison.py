@@ -11,7 +11,7 @@ grid energy drawn).
 import dataclasses
 
 from repro import Architecture, paper_scenario
-from repro.analysis import format_table
+from repro.reporting import format_table
 from repro.baselines import architecture_label, run_architecture
 from repro.experiments.fig2f import ARCHITECTURES
 

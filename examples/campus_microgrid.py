@@ -13,7 +13,7 @@ of larger data backlogs.
 import dataclasses
 
 from repro import SlotSimulator, paper_scenario
-from repro.analysis import format_table
+from repro.reporting import format_table
 from repro.config.parameters import SessionParameters
 from repro.types import Point, RenewableKind
 

@@ -14,7 +14,7 @@ bands contribute as their availability degrades.
 import dataclasses
 
 from repro import SlotSimulator, paper_scenario
-from repro.analysis import format_table
+from repro.reporting import format_table
 
 
 def run_with_availability(on_prob: float):

@@ -12,7 +12,7 @@ batteries to quantify the resilience benefit.
 import dataclasses
 
 from repro import SlotSimulator, paper_scenario
-from repro.analysis import format_table
+from repro.reporting import format_table
 from repro.energy import ScriptedGridConnection
 
 OUTAGE = (40, 65)

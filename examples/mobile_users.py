@@ -12,7 +12,7 @@ keep their demand met while their destinations walk across the cells.
 import dataclasses
 
 from repro import SlotSimulator, paper_scenario
-from repro.analysis import format_table
+from repro.reporting import format_table
 from repro.types import MobilityKind
 
 

@@ -9,7 +9,7 @@ upper/lower bound pair for the configured V.
 """
 
 from repro import SlotSimulator, lower_bound_cost, paper_scenario
-from repro.analysis import format_table
+from repro.reporting import format_table
 
 
 def main() -> None:

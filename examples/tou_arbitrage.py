@@ -13,7 +13,7 @@ grid-only policy and shows the per-slot behaviour.
 import dataclasses
 
 from repro import SlotSimulator, paper_scenario
-from repro.analysis import format_table
+from repro.reporting import format_table
 from repro.types import EnergySolverKind
 
 TARIFF = (0.2, 0.2, 0.2, 5.0, 5.0, 5.0)

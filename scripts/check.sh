@@ -2,11 +2,10 @@
 # The full local quality gate, in the same order CI runs it:
 #
 #   1. repro.lint     — the project's own AST rules R001-R006 (always runs)
-#   2. repro.analysis — interprocedural units dataflow R010-R012,
-#                       axis/shape dataflow R020-R025, determinism rules
-#                       R030-R032, hot-path complexity R040-R042,
-#                       process-pool safety R050-R052, and the equation
-#                       audit EQ001-EQ003 (always runs)
+#   2. repro.analysis — whole-program units dataflow R010-R012,
+#                       determinism rules R030-R032, hot-path
+#                       complexity R040-R042, and the equation audit
+#                       EQ001-EQ003 (always runs)
 #   3. ruff           — generic style/bug lint         (if installed)
 #   4. mypy           — strict on the foundation modules (if installed)
 #   5. pytest         — the tier-1 test suite
@@ -31,11 +30,11 @@ python -m repro.lint src tests benchmarks || failures=$((failures + 1))
 step "repro.analysis units dataflow (R010-R012)"
 python -m repro.analysis --select R01 src || failures=$((failures + 1))
 
-step "repro.analysis axes + determinism (R020-R025, R030-R032)"
-python -m repro.analysis --select R02,R03 src || failures=$((failures + 1))
+step "repro.analysis determinism (R030-R032)"
+python -m repro.analysis --select R03 src || failures=$((failures + 1))
 
-step "repro.analysis hot-path + pool safety (R040-R042, R050-R052)"
-python -m repro.analysis --select R04,R05 src || failures=$((failures + 1))
+step "repro.analysis hot-path (R040-R042)"
+python -m repro.analysis --select R04 src || failures=$((failures + 1))
 
 step "repro.analysis equation audit (EQ001-EQ003)"
 python -m repro.analysis --equations || failures=$((failures + 1))

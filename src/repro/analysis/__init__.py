@@ -1,39 +1,16 @@
-"""Analysis: result post-processing and the repo's static analyzers.
+"""The repo's static analyzers, behind ``python -m repro.analysis``.
 
-Two families share this package: numerical result analysis (time
-averages, tables, bound-gap convergence, replication) and the static
-analyzers behind ``python -m repro.analysis`` — the units dataflow
-pass (:mod:`repro.analysis.dataflow`), the array axis/shape dataflow
-pass (:mod:`repro.analysis.arrayflow`), the whole-program call graph
-(:mod:`repro.analysis.callgraph`) and fixed-point interprocedural
-engine (:mod:`repro.analysis.interproc`), the determinism rules
-(:mod:`repro.analysis.determinism`), the hot-path and process-pool
-call-graph rules (:mod:`repro.analysis.hotpath`,
-:mod:`repro.analysis.poolsafety`) and the equation coverage audit
-(:mod:`repro.analysis.equations`).  The unified rule catalogue lives
-in :mod:`repro.analysis.registry`.
+The whole-program units dataflow pass (:mod:`repro.analysis.dataflow`
+over the call graph of :mod:`repro.analysis.callgraph`), the
+determinism rules (:mod:`repro.analysis.determinism`), the hot-path
+call-graph rules (:mod:`repro.analysis.hotpath`) and the equation
+coverage audit (:mod:`repro.analysis.equations`).  The unified rule
+catalogue lives in :mod:`repro.analysis.registry`.  Result
+post-processing (tables, averages, replication, reports) lives in
+:mod:`repro.reporting`.
 """
 
-from repro.analysis.aggregate import (
-    mean_confidence_interval,
-    running_time_average,
-    time_average,
-)
-from repro.analysis.tables import format_table
-from repro.analysis.convergence import (
-    empirical_gaps,
-    gap_series,
-    is_shrinking,
-    relative_gap_series,
-)
-from repro.analysis.replication import (
-    ReplicatedStatistic,
-    replicate,
-    replicate_summary,
-)
-from repro.analysis.report import build_report
 from repro.analysis.dataflow import ANALYSIS_RULES, UnitDataflowRule
-from repro.analysis.arrayflow import ARRAY_RULES, ArrayDataflowRule
 from repro.analysis.determinism import (
     DETERMINISM_RULES,
     GlobalRngRule,
@@ -42,7 +19,6 @@ from repro.analysis.determinism import (
 )
 from repro.analysis.callgraph import Program
 from repro.analysis.hotpath import HOTPATH_RULES, check_hot_path
-from repro.analysis.poolsafety import POOL_RULES, check_pool_safety
 from repro.analysis.registry import ALL_RULE_IDS, RULE_REGISTRY
 from repro.analysis.equations import (
     EquationEntry,
@@ -54,8 +30,6 @@ from repro.analysis.unitlattice import Elem, join, meet, unit_elem
 __all__ = [
     "ANALYSIS_RULES",
     "UnitDataflowRule",
-    "ARRAY_RULES",
-    "ArrayDataflowRule",
     "DETERMINISM_RULES",
     "GlobalRngRule",
     "SetIterationRule",
@@ -63,8 +37,6 @@ __all__ = [
     "Program",
     "HOTPATH_RULES",
     "check_hot_path",
-    "POOL_RULES",
-    "check_pool_safety",
     "ALL_RULE_IDS",
     "RULE_REGISTRY",
     "EquationEntry",
@@ -74,16 +46,4 @@ __all__ = [
     "join",
     "meet",
     "unit_elem",
-    "mean_confidence_interval",
-    "running_time_average",
-    "time_average",
-    "format_table",
-    "empirical_gaps",
-    "gap_series",
-    "is_shrinking",
-    "relative_gap_series",
-    "ReplicatedStatistic",
-    "replicate",
-    "replicate_summary",
-    "build_report",
 ]

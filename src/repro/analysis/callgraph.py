@@ -1,15 +1,14 @@
-"""Package-wide call graph and program index for interprocedural analysis.
+"""Package-wide call graph and program index for whole-program analysis.
 
-The per-function passes (:mod:`repro.analysis.dataflow`,
-:mod:`repro.analysis.arrayflow`) stop at call boundaries: a shape or
-unit fact established in ``core/arraystate.py`` is invisible to the
-``control/`` caller two hops away.  This module builds the structures
-the interprocedural engine (:mod:`repro.analysis.interproc`) and the
-call-graph rule families (:mod:`repro.analysis.hotpath`,
-:mod:`repro.analysis.poolsafety`) share:
+The per-function units pass (:mod:`repro.analysis.dataflow`) stops at
+call boundaries: a unit fact declared in ``solvers/`` is invisible to
+the ``control/`` caller that imports it.  This module builds the
+structures the whole-program units pass
+(:func:`repro.analysis.dataflow.run_units`) and the hot-path rules
+(:mod:`repro.analysis.hotpath`) share:
 
 * :class:`Program` — every module parsed once, with its import map,
-  units index, axes index, top-level functions and classes qualified
+  units index, numpy aliases, top-level functions and classes qualified
   by dotted name (``repro.control.router.BackpressureRouter.route``);
 * :class:`CallGraph` — the caller -> callee edges, resolved through
   imports, ``self``, annotated parameters, ``self.attr = Class(...)``
@@ -17,8 +16,7 @@ call-graph rule families (:mod:`repro.analysis.hotpath`,
   behind factories — a name-based fallback that links ``x.decide()``
   to every known ``decide`` method;
 * reachability (:meth:`CallGraph.reachable_from`) used to scope the
-  hot-path rules to ``engine.step`` and the pool-safety rules to the
-  functions the sweep executor ships to workers.
+  hot-path rules to ``engine.step``.
 
 Resolution is deliberately over-approximate (the fallback may add
 edges that never fire at runtime) because every consumer wants a
@@ -35,10 +33,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.arrayflow import ClassSpec, _AxesModuleIndex, builtin_classes
 from repro.analysis.dataflow import _ModuleIndex
 from repro.lint.cli import discover_files
-from repro.lint.rules import FileContext, Finding
+from repro.lint.rules import FileContext, Finding, _numpy_aliases
 
 #: Method names never resolved by the name-based fallback: they are
 #: overwhelmingly dict/list/set/str protocol traffic, and an edge to a
@@ -61,17 +58,6 @@ FALLBACK_EXCLUDED_METHODS = frozenset(
 HOT_ROOTS: Tuple[str, ...] = (
     "repro.sim.engine.SlotSimulator.step",
     "repro.sim.engine.SlotSimulator.run",
-)
-
-#: Functions always treated as process-pool worker entry points, in
-#: addition to the first argument of every ``pool.submit(...)`` call
-#: discovered in the tree.
-WORKER_ROOTS: Tuple[str, ...] = ("repro.experiments.executor._execute_job",)
-
-#: Attribute names whose calls enqueue work on a process pool; the
-#: first positional argument is the worker entry point.
-_POOL_SUBMIT_METHODS = frozenset(
-    {"submit", "map", "imap", "imap_unordered", "apply_async", "starmap"}
 )
 
 
@@ -130,8 +116,10 @@ class ModuleInfo:
 
     name: str
     ctx: FileContext
-    axes_index: _AxesModuleIndex
     unit_index: _ModuleIndex
+    #: local aliases bound to the ``numpy`` module (``np``), read by
+    #: the hot-path allocation rules (R041/R042).
+    numpy_names: Set[str] = field(default_factory=set)
     #: local binding name -> dotted target (module, function or class).
     imports: Dict[str, str] = field(default_factory=dict)
 
@@ -213,11 +201,7 @@ class Program:
         self.parse_findings: List[Finding] = []
         #: method bare name -> qualnames, for the name-based fallback.
         self.methods_by_name: Dict[str, Set[str]] = {}
-        #: class bare name -> qualnames (for cross-module spec lookup).
-        self.classes_by_name: Dict[str, Set[str]] = {}
         self.callgraph = CallGraph()
-        #: worker entry points discovered at ``pool.submit(...)`` sites.
-        self.detected_worker_roots: Set[str] = set()
 
     # -- construction --------------------------------------------------
 
@@ -258,11 +242,16 @@ class Program:
                 path=path, display_path=display, source=text, tree=tree
             )
             name = module_name_for(display)
+            numpy_modules, _ = _numpy_aliases(tree)
             module = ModuleInfo(
                 name=name,
                 ctx=ctx,
-                axes_index=_AxesModuleIndex(tree),
                 unit_index=_ModuleIndex(tree),
+                numpy_names={
+                    alias
+                    for alias, target in numpy_modules.items()
+                    if target == "numpy"
+                },
                 imports=_import_map(tree, name),
             )
             # Last writer wins on duplicate module names (shadowed
@@ -311,9 +300,6 @@ class Program:
                         if resolved is not None:
                             cls_info.bases.append(resolved)
                     self.classes[cls_info.qualname] = cls_info
-                    self.classes_by_name.setdefault(stmt.name, set()).add(
-                        cls_info.qualname
-                    )
 
     def _collect_attr_classes(self) -> None:
         """Scan every ``__init__`` for ``self.x = Class(...)`` facts."""
@@ -377,23 +363,6 @@ class Program:
             frontier.extend(cls_info.bases)
         return None
 
-    def class_spec_for(self, module: ModuleInfo, bare_name: str) -> Optional[ClassSpec]:
-        """A ClassSpec for ``bare_name`` as seen from ``module``.
-
-        Local classes and runtime-reflected builtins win; otherwise an
-        unambiguous program-wide bare-name match resolves, so instance
-        elements that crossed a module boundary keep their attributes.
-        """
-        spec = module.axes_index.class_spec(bare_name)
-        if spec is not None:
-            return spec
-        quals = self.classes_by_name.get(bare_name, set())
-        if len(quals) == 1:
-            qual = next(iter(quals))
-            owner = self.classes[qual].module
-            return owner.axes_index.classes.get(qual.rsplit(".", 1)[1])
-        return None
-
     # -- call graph ----------------------------------------------------
 
     def _build_callgraph(self) -> None:
@@ -407,7 +376,6 @@ class Program:
                         continue
                     for callee in self._callees(module, info, node, local_types):
                         self.callgraph.add(info.qualname, callee, node)
-                    self._detect_worker_root(module, node)
 
     def _local_class_types(
         self, module: ModuleInfo, info: FunctionInfo
@@ -497,37 +465,9 @@ class Program:
         out.update(self.methods_by_name.get(attr, ()))
         return out
 
-    def _detect_worker_root(self, module: ModuleInfo, call: ast.Call) -> None:
-        func = call.func
-        if (
-            not isinstance(func, ast.Attribute)
-            or func.attr not in _POOL_SUBMIT_METHODS
-            or not call.args
-        ):
-            return
-        first = call.args[0]
-        resolved: Optional[str] = None
-        if isinstance(first, ast.Name):
-            resolved = self.resolve_name(module, first.id)
-        elif isinstance(first, ast.Attribute):
-            resolved = self._resolve_expr_name(module, first)
-        if resolved in self.functions:
-            self.detected_worker_roots.add(resolved)
-
     # -- reachability --------------------------------------------------
 
     def hot_functions(self, roots: Sequence[str] = HOT_ROOTS) -> Set[str]:
         """Qualnames reachable from the per-slot loop entry points."""
         present = [root for root in roots if root in self.functions]
         return self.callgraph.reachable_from(present)
-
-    def worker_functions(self, roots: Sequence[str] = WORKER_ROOTS) -> Set[str]:
-        """Qualnames reachable from process-pool worker entry points."""
-        seeds = {root for root in roots if root in self.functions}
-        seeds.update(self.detected_worker_roots)
-        return self.callgraph.reachable_from(seeds)
-
-
-def builtin_class_names() -> Set[str]:
-    """Bare names of the runtime-reflected struct-of-arrays classes."""
-    return set(builtin_classes())

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.analysis [PATH ...] [--select R010,R02] [--ignore R04]
+    python -m repro.analysis [PATH ...] [--select R010,R03] [--ignore R04]
                              [--explain [RULE]]
                              [--format text|json|github|sarif]
                              [--no-cache]
@@ -14,23 +14,22 @@ paths (default: ``src``) and runs every checker family, reusing the
 ``repro.lint`` discovery, noqa and output conventions:
 
 * the units/dimension dataflow analysis (R010-R012), propagated
-  interprocedurally through the call graph;
-* the array axis/shape dataflow analysis (R020-R023) plus the
-  interprocedural call-site/return rules (R024-R025);
+  through the call graph into signatures declared in other modules;
 * the determinism rules (R030-R032);
-* the hot-path complexity/allocation rules (R040-R042);
-* the process-pool safety rules (R050-R052).
+* the hot-path complexity/allocation rules (R040-R042).
 
-``--select`` accepts exact ids or prefixes — ``--select R02,R03``
+``--select`` accepts exact ids or prefixes — ``--select R01,R03``
 selects both whole families — and ``--ignore`` subtracts ids the same
-way.  ``--equations`` instead cross-checks the docstring equation
-citations against the ``docs/equations.toml`` manifest (EQ001-EQ003).
+way.  A token that matches no rule id exits 2, so a stale family
+prefix can never select nothing and pass.  ``--equations`` instead
+cross-checks the docstring equation citations against the
+``docs/equations.toml`` manifest (EQ001-EQ003).
 
 Exit status: 0 clean, 1 findings reported, 2 internal/usage error —
 identical to ``python -m repro.lint``, so both slot into
 ``scripts/check.sh``, pre-commit and CI the same way.  Results are
-memoized under ``.cache/analysis/`` keyed by file content hashes
-(``--no-cache`` bypasses).
+memoized under ``.cache/analysis/`` keyed by file content hashes and
+the checker's own sources (``--no-cache`` bypasses).
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Set
 
 from repro.analysis.callgraph import Program
+from repro.analysis.dataflow import run_units
 from repro.analysis.determinism import DETERMINISM_RULE_CLASSES
 from repro.analysis.equations import (
     DEFAULT_MANIFEST,
@@ -50,32 +50,23 @@ from repro.analysis.equations import (
     audit_equations,
 )
 from repro.analysis.hotpath import check_hot_path
-from repro.analysis.poolsafety import check_pool_safety
 from repro.analysis.registry import ANALYZER_RULE_IDS, RULE_REGISTRY
 from repro.lint.cache import DEFAULT_CACHE_DIR, FindingsCache, content_digest
 from repro.lint.cli import discover_files
 from repro.lint.emitter import FORMATS, emit
 from repro.lint.rules import Finding
 
-#: Rule ids the units analysis can emit, kept for backwards
-#: compatibility (E999 rides along for unparsable files).
-UNIT_RULE_IDS = ("R010", "R011", "R012")
-
 
 def run_program_analysis(program: Program) -> List[Finding]:
     """Every checker family over an already-built :class:`Program`."""
-    from repro.analysis.interproc import run_axes, run_units
-
     findings: List[Finding] = list(program.parse_findings)
     findings.extend(run_units(program))
-    findings.extend(run_axes(program))
     determinism = [cls() for cls in DETERMINISM_RULE_CLASSES]
     for name in sorted(program.modules):
         ctx = program.modules[name].ctx
         for rule in determinism:
             findings.extend(rule.check(ctx))
     findings.extend(check_hot_path(program))
-    findings.extend(check_pool_safety(program))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 
@@ -116,8 +107,8 @@ def _selected_ids(
 ) -> Optional[Set[str]]:
     """Resolve ``--select``/``--ignore`` into a set of ids (None = unset).
 
-    Tokens match exactly or as prefixes: ``R02`` selects every
-    ``R02x`` rule, ``R0`` selects all R-rules of the family list.
+    Tokens match exactly or as prefixes: ``R03`` selects every
+    ``R03x`` rule, ``R0`` selects all R-rules of the family list.
     """
     if spec is None:
         return None
@@ -160,11 +151,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Interprocedural units/dimension analysis (R010-R012), "
-        "array axis/shape analysis (R020-R025), determinism rules "
-        "(R030-R032), hot-path complexity rules (R040-R042), process-pool "
-        "safety rules (R050-R052) and paper-equation coverage audit "
-        "(EQ001-EQ003).",
+        description="Whole-program units/dimension analysis (R010-R012), "
+        "determinism rules (R030-R032), hot-path complexity rules "
+        "(R040-R042) and paper-equation coverage audit (EQ001-EQ003).",
     )
     parser.add_argument(
         "paths",
@@ -200,7 +189,8 @@ def _run(argv: Optional[Sequence[str]] = None) -> int:
         "--select",
         default=None,
         metavar="IDS",
-        help="comma-separated rule ids to report (default: all)",
+        help="comma-separated rule ids or prefixes to report, e.g. "
+        "R010,R03 (default: all)",
     )
     parser.add_argument(
         "--ignore",
@@ -274,7 +264,7 @@ def _run(argv: Optional[Sequence[str]] = None) -> int:
 def _analyze_cached(paths: Sequence[str], use_cache: bool) -> List[Finding]:
     """Run :func:`analyze_paths`, memoized on the tree content hash.
 
-    The interprocedural pass is whole-program — one edited module can
+    The units pass is whole-program — one edited module can
     change findings elsewhere through the call graph — so the cache
     key covers every discovered file; any edit re-runs the full pass.
     Filtering (``--select``/``--ignore``) happens after lookup, so one
@@ -289,7 +279,7 @@ def _analyze_cached(paths: Sequence[str], use_cache: bool) -> List[Finding]:
             items.append((str(path), content_digest(path.read_text(encoding="utf-8"))))
         except (OSError, UnicodeDecodeError):
             return analyze_paths(paths)
-    cache = FindingsCache(DEFAULT_CACHE_DIR, "repro.analysis", "interproc")
+    cache = FindingsCache(DEFAULT_CACHE_DIR, "repro.analysis", "program")
     key = cache.key(items)
     cached = cache.load(key)
     if cached is not None:

@@ -1,4 +1,4 @@
-"""Intraprocedural units/dimension dataflow analysis (rules R010-R012).
+"""Units/dimension dataflow analysis (rules R010-R012).
 
 Layered on the ``repro.lint`` AST infrastructure (:class:`FileContext`,
 :class:`Finding`, noqa suppression), this module infers a unit lattice
@@ -28,13 +28,20 @@ bodies are analyzed once and joined with the pre-loop state (enough
 for unit inference, which has no interesting loop-carried widening);
 ternaries join their arms.  Nested functions are analyzed separately
 with fresh environments.
+
+:func:`run_units` lifts the same pass to whole-program scope: each
+module's index resolves calls through the
+:class:`~repro.analysis.callgraph.Program` import map into a global
+signature table before falling back to same-module lookup, so a
+``Watts`` argument handed to a ``Joules`` parameter declared in
+another module is R010 too.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.unitlattice import (
     SCALAR,
@@ -50,6 +57,9 @@ from repro.analysis.unitlattice import div_result as _div
 from repro.axes import ALIAS_UNITS as _AXES_UNITS
 from repro.lint.rules import FileContext, Finding, Rule
 from repro.units import ALIAS_UNITS, Unit
+
+if TYPE_CHECKING:  # callgraph imports this module at load time
+    from repro.analysis.callgraph import ModuleInfo, Program
 
 #: A callable signature the analyzer knows: parameter names with their
 #: units (None = unconstrained) and the return unit.
@@ -503,6 +513,68 @@ See `python -m repro.analysis --explain R010|R011|R012`.
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 _FunctionAnalysis(ctx, index, node, findings.append).run()
         yield from findings
+
+
+class _ProgramUnitIndex:
+    """A module's unit index, falling back to the global signature
+    table through the import map (whole-program R010-R012)."""
+
+    def __init__(
+        self,
+        module: "ModuleInfo",
+        program: "Program",
+        global_signatures: Dict[str, Signature],
+    ) -> None:
+        self._module = module
+        self._inner = module.unit_index
+        self._program = program
+        self._global = global_signatures
+
+    def annotation_unit(self, node: Optional[ast.expr]) -> Optional[Unit]:
+        return self._inner.annotation_unit(node)
+
+    def lookup_call(self, func: ast.expr) -> Optional[Signature]:
+        signature = self._inner.lookup_call(func)
+        if signature is not None:
+            return signature
+        qualname: Optional[str] = None
+        if isinstance(func, ast.Name):
+            qualname = self._program.resolve_name(self._module, func.id)
+        elif isinstance(func, ast.Attribute) and isinstance(
+            func.value, ast.Name
+        ):
+            base = self._module.imports.get(func.value.id)
+            if base is not None:
+                qualname = f"{base}.{func.attr}"
+        if qualname is None:
+            return None
+        return self._global.get(qualname)
+
+
+def _global_unit_signatures(program: "Program") -> Dict[str, Signature]:
+    table: Dict[str, Signature] = {}
+    for module in program.modules.values():
+        for stmt in module.tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                signature = module.unit_index._signature_of(stmt)
+                params, ret = signature
+                if ret is not None or any(u is not None for _, u in params):
+                    table[f"{module.name}.{stmt.name}"] = signature
+    return table
+
+
+def run_units(program: "Program") -> List[Finding]:
+    """Whole-program units/dimension analysis (R010-R012)."""
+    findings: List[Finding] = []
+    table = _global_unit_signatures(program)
+    for module in program.modules.values():
+        index = _ProgramUnitIndex(module, program, table)
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                _FunctionAnalysis(
+                    module.ctx, index, node, findings.append  # type: ignore[arg-type]
+                ).run()
+    return findings
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,7 @@ def _check_r040(info: FunctionInfo) -> Iterator[Finding]:
 
 def _check_r041(module) -> Iterator[Finding]:
     ctx = module.ctx
-    numpy_names = module.axes_index.numpy_names
+    numpy_names = module.numpy_names
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call):
             alloc = _numpy_alloc_name(node, numpy_names)
@@ -321,7 +321,7 @@ def _check_dense_accumulation(ctx, genexp: ast.GeneratorExp) -> Iterator[Finding
 
 def _check_r042(info: FunctionInfo) -> Iterator[Finding]:
     ctx = info.module.ctx
-    numpy_names = info.module.axes_index.numpy_names
+    numpy_names = info.module.numpy_names
     reported: Set[int] = set()
     for loop in ast.walk(info.node):
         if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):

@@ -1,14 +1,11 @@
 """The unified rule registry: every rule id, title and rationale.
 
-One lookup table across all four checker families:
+One lookup table across all five checker families:
 
 * ``R001``-``R006`` — the AST lint rules (``repro.lint``);
 * ``R010``-``R012`` — the units/dimension dataflow analysis;
-* ``R020``-``R025`` — the array axis/shape dataflow analysis
-  (R024/R025 come from the interprocedural pass);
 * ``R030``-``R032`` — the determinism rules;
 * ``R040``-``R042`` — the hot-path complexity/allocation rules;
-* ``R050``-``R052`` — the process-pool safety rules;
 * ``EQ001``-``EQ003`` — the paper-equation coverage audit.
 
 The registry backs ``python -m repro.analysis --explain`` and the
@@ -21,13 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.analysis.arrayflow import ARRAY_RULES
 from repro.analysis.dataflow import ANALYSIS_RULES, AnalysisRuleInfo
 from repro.analysis.determinism import DETERMINISM_RULES
 from repro.analysis.equations import EQUATION_RULES
 from repro.analysis.hotpath import HOTPATH_RULES
-from repro.analysis.interproc import INTERPROC_RULES
-from repro.analysis.poolsafety import POOL_RULES
 from repro.lint.rules import ALL_RULES
 
 
@@ -37,14 +31,7 @@ def _build() -> Dict[str, AnalysisRuleInfo]:
         registry[rule.rule_id] = AnalysisRuleInfo(
             rule.rule_id, rule.title, rule.explain
         )
-    for family in (
-        ANALYSIS_RULES,
-        ARRAY_RULES,
-        INTERPROC_RULES,
-        DETERMINISM_RULES,
-        HOTPATH_RULES,
-        POOL_RULES,
-    ):
+    for family in (ANALYSIS_RULES, DETERMINISM_RULES, HOTPATH_RULES):
         registry.update(family)
     for eq_id, (title, explain) in EQUATION_RULES.items():
         registry[eq_id] = AnalysisRuleInfo(eq_id, title, explain)
@@ -60,15 +47,8 @@ ALL_RULE_IDS: Tuple[str, ...] = tuple(
 )
 
 #: The ids emitted by ``python -m repro.analysis`` (no --equations):
-#: both dataflow families (with their interprocedural extensions),
-#: the determinism rules, and the call-graph rule families.
+#: the whole-program units analysis, the determinism rules and the
+#: hot-path call-graph rules.
 ANALYZER_RULE_IDS: Tuple[str, ...] = tuple(
-    sorted(
-        set(ANALYSIS_RULES)
-        | set(ARRAY_RULES)
-        | set(INTERPROC_RULES)
-        | set(DETERMINISM_RULES)
-        | set(HOTPATH_RULES)
-        | set(POOL_RULES)
-    )
+    sorted(set(ANALYSIS_RULES) | set(DETERMINISM_RULES) | set(HOTPATH_RULES))
 )

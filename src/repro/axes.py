@@ -1,4 +1,4 @@
-"""Axis-annotation vocabulary for the static array-shape analyzer.
+"""Axis-annotation vocabulary for the struct-of-arrays core.
 
 The struct-of-arrays core (``repro.core.arraystate``) fixes four axis
 meanings for the whole hot path:
@@ -14,21 +14,23 @@ Axis   Meaning
 ====== ==============================================================
 
 Every alias below is ``Annotated[np.ndarray, Axes(...)]`` — zero cost
-at runtime (annotated code passes and returns plain ``ndarray``), but
-the dataflow analyzer (``python -m repro.analysis``, rules R020-R023)
-reads the axis names statically and flags incompatible broadcasts,
-wrong-axis reductions, and frozen-index violations before a simulation
-ever runs.
+at runtime (annotated code passes and returns plain ``ndarray``) and
+plain ``np.ndarray`` to a type checker.  The axis names document each
+array's layout at the signature, where a transposed ``(M, L)`` operand
+would otherwise broadcast silently into an ``(L, M)`` kernel whenever
+the runtime sizes coincide; ``typing.get_type_hints(...,
+include_extras=True)`` recovers them at runtime.
 
 Index arrays carry a second piece of metadata, ``IndexInto(axis)``:
 ``LinkToNode`` is a ``(L,)`` array whose *values* are node ids, so it
 may subscript axis-``N`` arrays (``q[link_tx]`` gathers ``(L, S)``)
-but never axis-``L`` arrays (``g[link_tx]`` is rule R023 — the classic
+but never axis-``L`` arrays (``g[link_tx]`` is the classic
 node-id/link-id confusion the frozen link index exists to prevent).
 
 Aliases that also carry a :class:`repro.units.Unit` (``NodeJoules``,
-``QueuePackets``, ...) feed *both* analyzers: the axis lattice checks
-shapes while the units lattice (R010-R012) checks dimensions.
+``QueuePackets``, ...) feed the units analyzer
+(``python -m repro.analysis``, rules R010-R012) through
+:data:`ALIAS_UNITS`.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ import numpy as np
 from repro.units import Unit, ALIAS_UNITS as _UNIT_ALIASES
 
 #: Sentinel axis name: the array is intentionally shape-agnostic
-#: (e.g. ``seq_sum`` reduces anything).  Satisfies rule R022 without
-#: asserting a rank.
+#: (e.g. ``seq_sum`` reduces anything).
 ANY_AXIS = "?"
 
 #: Canonical axis name -> meaning, mirrored in ``docs/analysis.md``.
@@ -91,8 +92,8 @@ class IndexInto:
 
     ``Annotated[np.ndarray, Axes("L"), IndexInto("N")]`` is a
     link-indexed array of node ids: positions follow the link order,
-    values subscript node-axis arrays.  Rule R023 fires when such an
-    array subscripts an array whose leading axis is not ``axis``.
+    values subscript node-axis arrays, never arrays whose leading
+    axis is not ``axis``.
     """
 
     axis: str
@@ -128,7 +129,7 @@ LinkSessionMat = Annotated[np.ndarray, Axes("L", "S")]
 LinkBandMat = Annotated[np.ndarray, Axes("L", "M")]
 #: ``(N, M)`` node x band matrix (per-slot spectrum access).
 NodeBandMat = Annotated[np.ndarray, Axes("N", "M")]
-#: Shape-agnostic array — annotation-complete (R022) without a rank.
+#: Shape-agnostic array — annotated, but without a rank.
 AnyArray = Annotated[np.ndarray, Axes(ANY_AXIS)]
 
 # -- Frozen-index aliases (integer arrays indexing another axis) ------
@@ -142,7 +143,7 @@ NodeIds = Annotated[np.ndarray, Axes(ANY_AXIS), IndexInto("N")]
 #: Variable-length link-position index.
 LinkIds = Annotated[np.ndarray, Axes(ANY_AXIS), IndexInto("L")]
 
-# -- Combined axis + unit aliases (feed both analyzers) ---------------
+# -- Combined axis + unit aliases (unit also feeds R010-R012) ---------
 
 #: ``(N,)`` joules: battery levels, caps, shifts (Eqs. 9-13).
 NodeJoules = Annotated[np.ndarray, Axes("N"), _JOULES]
@@ -150,35 +151,6 @@ NodeJoules = Annotated[np.ndarray, Axes("N"), _JOULES]
 QueuePackets = Annotated[np.ndarray, Axes("N", "S"), _PACKETS]
 #: ``(L,)`` packets: G/H virtual backlogs (Eqs. 28, 30-31).
 LinkPackets = Annotated[np.ndarray, Axes("L"), _PACKETS]
-
-#: Alias name -> axis metadata, the analyzer's annotation vocabulary.
-ALIAS_AXES: Dict[str, Axes] = {
-    "NodeVec": Axes("N"),
-    "LinkVec": Axes("L"),
-    "SessionVec": Axes("S"),
-    "BandVec": Axes("M"),
-    "NodeSessionMat": Axes("N", "S"),
-    "QueueMask": Axes("N", "S"),
-    "LinkSessionMat": Axes("L", "S"),
-    "LinkBandMat": Axes("L", "M"),
-    "NodeBandMat": Axes("N", "M"),
-    "AnyArray": Axes(ANY_AXIS),
-    "LinkToNode": Axes("L"),
-    "SessionToNode": Axes("S"),
-    "NodeIds": Axes(ANY_AXIS),
-    "LinkIds": Axes(ANY_AXIS),
-    "NodeJoules": Axes("N"),
-    "QueuePackets": Axes("N", "S"),
-    "LinkPackets": Axes("L"),
-}
-
-#: Alias name -> index domain, for rule R023.
-ALIAS_INDEX: Dict[str, IndexInto] = {
-    "LinkToNode": IndexInto("N"),
-    "SessionToNode": IndexInto("N"),
-    "NodeIds": IndexInto("N"),
-    "LinkIds": IndexInto("L"),
-}
 
 #: Alias name -> unit metadata, merged into the R010-R012 vocabulary
 #: so unit-carrying array aliases feed the units lattice too.

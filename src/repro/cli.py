@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis import build_report, format_table
+from repro.reporting import build_report, format_table
 from repro.config import (
     ScenarioParameters,
     cell_edge_scenario,
@@ -138,7 +138,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.analysis import replicate_summary
+    from repro.reporting import replicate_summary
 
     params = _build_scenario(args)
     v_values = args.v_values or [1e5, 3e5, 5e5]

@@ -221,9 +221,9 @@ class ArrayState:
         bs_rows / user_rows: row indices for base stations and users.
     """
 
-    # Axis declarations feeding the R020-R023 analyzer: attribute
-    # reads like ``arrays.q`` resolve to these named layouts in every
-    # module that threads an ArrayState.
+    # Axis layouts of every buffer (see repro.axes): the one place a
+    # reader of ``arrays.q`` in any module that threads an ArrayState
+    # finds its named layout.
     link_tx: LinkToNode
     link_rx: LinkToNode
     q: QueuePackets

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.analysis.tables import format_table
+from repro.reporting.tables import format_table
 from repro.config.parameters import ScenarioParameters
 from repro.config.scenarios import cell_edge_scenario
 from repro.experiments.fig2f import Fig2fResult, run_fig2f

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.analysis.tables import format_table
+from repro.reporting.tables import format_table
 from repro.config.parameters import ScenarioParameters
 from repro.config.scenarios import paper_scenario
 from repro.core.bounds import BoundReport

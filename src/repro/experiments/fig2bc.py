@@ -12,7 +12,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.tables import format_table
+from repro.reporting.tables import format_table
 from repro.config.parameters import ScenarioParameters
 from repro.config.scenarios import paper_scenario
 from repro.experiments.runner import sweep_v

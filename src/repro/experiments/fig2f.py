@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.tables import format_table
+from repro.reporting.tables import format_table
 from repro.baselines.architectures import architecture_label
 from repro.config.parameters import ScenarioParameters
 from repro.config.scenarios import paper_scenario

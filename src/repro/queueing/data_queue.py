@@ -69,7 +69,7 @@ class DataQueueBank:
     buffer (and its frozen indices) instead of allocating its own.
     """
 
-    # Axis declarations feeding the R020-R023 analyzer.
+    # Axis layouts of the buffers this bank adopts (see repro.axes).
     _q: QueuePackets
     _valid: QueueMask
     _invalid: QueueMask

@@ -66,7 +66,7 @@ class VirtualQueueBank:
     ``ArrayState``'s ``g`` buffer and frozen link index.
     """
 
-    # Axis declaration feeding the R020-R023 analyzer.
+    # Axis layout of the buffer this bank adopts (see repro.axes).
     _g: LinkPackets
 
     def __init__(

@@ -1,0 +1,43 @@
+"""Reporting: post-processing of simulation results.
+
+Time averages and confidence intervals (:mod:`repro.reporting.aggregate`),
+plain-text tables (:mod:`repro.reporting.tables`), bound-gap convergence
+across a ``V`` sweep (:mod:`repro.reporting.convergence`), multi-seed
+replication (:mod:`repro.reporting.replication`) and the operator
+report (:mod:`repro.reporting.report`).  Nothing here imports the
+static analyzer (:mod:`repro.analysis`) or the lint suite.
+"""
+
+from repro.reporting.aggregate import (
+    mean_confidence_interval,
+    running_time_average,
+    time_average,
+)
+from repro.reporting.tables import format_table
+from repro.reporting.convergence import (
+    empirical_gaps,
+    gap_series,
+    is_shrinking,
+    relative_gap_series,
+)
+from repro.reporting.replication import (
+    ReplicatedStatistic,
+    replicate,
+    replicate_summary,
+)
+from repro.reporting.report import build_report
+
+__all__ = [
+    "mean_confidence_interval",
+    "running_time_average",
+    "time_average",
+    "format_table",
+    "empirical_gaps",
+    "gap_series",
+    "is_shrinking",
+    "relative_gap_series",
+    "ReplicatedStatistic",
+    "replicate",
+    "replicate_summary",
+    "build_report",
+]

@@ -12,7 +12,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
-from repro.analysis.aggregate import mean_confidence_interval
+from repro.reporting.aggregate import mean_confidence_interval
 from repro.config.parameters import ScenarioParameters
 from repro.sim.engine import SlotSimulator
 from repro.sim.results import SimulationResult

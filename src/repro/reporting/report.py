@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import format_table
+from repro.reporting.tables import format_table
 from repro.core import theory
 from repro.sim.engine import SlotSimulator
 from repro.sim.results import SimulationResult

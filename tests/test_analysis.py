@@ -795,6 +795,39 @@ class TestCli:
         assert main([str(target), "--select", "R010,R012"]) == 1
         capsys.readouterr()
 
+    def test_prefix_select(self, tmp_path, capsys):
+        target = tmp_path / "bad.py"
+        target.write_text(BROKEN_SRC)
+        assert main([str(target), "--select", "R01"]) == 1
+        assert main([str(target), "--select", "R03,R04"]) == 0
+        assert main([str(target), "--ignore", "R01"]) == 0
+        capsys.readouterr()
+
+    def test_deleted_family_prefixes_exit_two(self, tmp_path, capsys):
+        # The axis/shape (R02x) and process-pool (R05x) families are
+        # gone: a stale --select must fail loudly, not select nothing.
+        target = tmp_path / "clean.py"
+        target.write_text(CLEAN_SRC)
+        for prefix in ("R02", "R05", "R020", "R050"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([str(target), "--select", prefix])
+            assert excinfo.value.code == 2
+        assert "unknown rule id" in capsys.readouterr().err
+
+    def test_explain_lists_exactly_the_analyzer_families(self, capsys):
+        assert main(["--explain"]) == 0
+        listed = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line[:1] in ("R", "E")
+        ]
+        assert listed == [
+            "R010", "R011", "R012",
+            "R030", "R031", "R032",
+            "R040", "R041", "R042",
+            "EQ001", "EQ002", "EQ003",
+        ]
+
     def test_select_rejects_unknown_rule(self, tmp_path):
         target = tmp_path / "bad.py"
         target.write_text(BROKEN_SRC)

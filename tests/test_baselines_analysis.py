@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.reporting import (
     empirical_gaps,
     format_table,
     gap_series,

@@ -1,12 +1,11 @@
-"""Call-graph construction: resolution, reachability, worker roots.
+"""Call-graph construction: resolution and hot-cone reachability.
 
-The graph is the substrate every interprocedural rule stands on, so
-these tests pin the resolution cases the builder promises: free
-functions through imports, methods through ``self`` and annotated
-parameters, constructor-initialized attributes, module aliases, and
-the name-based fallback that bridges factory indirection.  They also
-pin the two reachability queries (hot cone, worker cone) and the
-auto-detection of pool-submitted worker roots.
+The graph is the substrate the whole-program units pass and the
+hot-path rules stand on, so these tests pin the resolution cases the
+builder promises: free functions through imports, methods through
+``self`` and annotated parameters, constructor-initialized attributes,
+module aliases, and the name-based fallback that bridges factory
+indirection.  They also pin the hot-cone reachability query.
 """
 
 from __future__ import annotations
@@ -201,26 +200,6 @@ class TestReachability:
         assert "repro.control.mini.helper" in hot
         assert "repro.control.mini.unreached" not in hot
 
-    def test_worker_root_detected_from_submit(self):
-        program = _program(
-            {
-                "src/repro/experiments/jobs.py": """
-                def work(job: int) -> int:
-                    return mangle(job)
-
-                def mangle(job: int) -> int:
-                    return job + 1
-
-                def run(pool, jobs):
-                    return [pool.submit(work, job) for job in jobs]
-                """
-            }
-        )
-        assert "repro.experiments.jobs.work" in program.detected_worker_roots
-        worker = program.worker_functions()
-        assert "repro.experiments.jobs.work" in worker
-        assert "repro.experiments.jobs.mangle" in worker
-
     def test_syntax_error_becomes_parse_finding(self):
         program = _program({"src/repro/broken.py": "def f(:\n"})
         assert [f.rule_id for f in program.parse_findings] == ["E999"]
@@ -236,10 +215,3 @@ class TestRealTree:
             "repro.phy.interference.big_m_coefficient",
         ):
             assert expected in hot
-
-    def test_executor_worker_cone_detected(self):
-        program = Program.load(["src/repro"])
-        assert any(
-            qual.startswith("repro.experiments.executor.")
-            for qual in program.worker_functions()
-        )

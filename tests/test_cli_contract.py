@@ -10,6 +10,10 @@ escape hatch.  Each promise gets a test per tool.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,8 @@ from repro.analysis.cli import main as analysis_main
 from repro.lint.cli import main as lint_main
 from repro.lint.emitter import render_sarif
 from repro.lint.rules import Finding
+
+REPO_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 LINT_BAD = "import numpy as np\nnp.random.seed(0)\n"
 
@@ -201,3 +207,59 @@ class TestCache:
         assert lint_main([str(target), "--no-cache"]) == 1
         uncached = capsys.readouterr().out
         assert warm == cached == uncached
+
+    @pytest.mark.parametrize(
+        "tool, source, module, message",
+        [
+            (
+                "repro.lint",
+                LINT_BAD,
+                "lint/rules.py",
+                "is forbidden: use an explicit np.random.Generator",
+            ),
+            (
+                "repro.analysis",
+                UNITS_BAD,
+                "analysis/dataflow.py",
+                "(insert the repro.constants converter for this pair)",
+            ),
+        ],
+        ids=["lint", "analysis"],
+    )
+    def test_checker_edit_invalidates_cache(
+        self, tmp_path, tool, source, module, message
+    ):
+        # A copy of the package whose rule message is then edited: the
+        # warm cache must not serve the findings of the old code.
+        package = tmp_path / "pkg" / "repro"
+        shutil.copytree(
+            REPO_PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "bad.py").write_text(source)
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+
+        def run() -> str:
+            done = subprocess.run(
+                [sys.executable, "-m", tool, "bad.py"],
+                cwd=work,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 1, done.stderr
+            return done.stdout
+
+        assert message in run()
+        assert list((work / ".cache" / "analysis").glob("*.json"))
+        rule_file = package / module
+        text = rule_file.read_text(encoding="utf-8")
+        assert text.count(message) == 1
+        rule_file.write_text(
+            text.replace(message, "EDITED RULE MESSAGE"), encoding="utf-8"
+        )
+        out = run()
+        assert "EDITED RULE MESSAGE" in out
+        assert message not in out

@@ -1,159 +1,25 @@
-"""Interprocedural lattice propagation: the whole-program upgrade.
+"""Whole-program units propagation across module boundaries.
 
-The acceptance criterion for this engine is concrete: a transposed
-array handed across a call boundary — caller in ``control/``, callee
-in ``solvers/`` — must be caught (R024), in exactly the configuration
-where the per-function pass provably reports nothing.  The suite pins
-that, plus return-summary inference (R025), units propagation across
-modules, fixed-point convergence, and the clean-tree invariant.
+The per-function units pass checks arguments only against signatures
+declared in the same file; :func:`repro.analysis.dataflow.run_units`
+resolves calls through the program import map into every module's
+annotated signatures.  The suite pins a ``Watts`` argument handed to a
+``Joules`` parameter declared in another module, and the clean-tree
+invariant.
 """
 
 from __future__ import annotations
 
 import textwrap
-from typing import Dict, List
+from typing import Dict
 
-from repro.analysis.arrayflow import ArrayDataflowRule
 from repro.analysis.callgraph import Program
 from repro.analysis.cli import analyze_sources
-from repro.analysis.interproc import (
-    MAX_ITERATIONS,
-    InterproceduralEngine,
-    run_axes,
-    run_units,
-)
-from repro.lint.cli import lint_source
-
-CALLER_TRANSPOSED = """
-from repro.axes import LinkBandMat
-from repro.solvers.helper import scale
-
-def run(w: LinkBandMat):
-    return scale(w.T)
-"""
-
-CALLEE = """
-from repro.axes import LinkBandMat
-
-def scale(weights: LinkBandMat) -> LinkBandMat:
-    return weights * 2.0
-"""
+from repro.analysis.dataflow import run_units
 
 
 def _dedent(sources: Dict[str, str]) -> Dict[str, str]:
     return {path: textwrap.dedent(src) for path, src in sources.items()}
-
-
-def _ids(sources: Dict[str, str]) -> List[str]:
-    return [f.rule_id for f in analyze_sources(_dedent(sources))]
-
-
-class TestCrossBoundaryAcceptance:
-    """The transposed-array-across-modules criterion, both halves."""
-
-    SOURCES = {
-        "src/repro/control/caller.py": CALLER_TRANSPOSED,
-        "src/repro/solvers/helper.py": CALLEE,
-    }
-
-    def test_per_function_pass_misses_it(self):
-        # The caller alone carries no information about scale()'s
-        # signature, so the per-function axis pass reports nothing.
-        found = lint_source(
-            textwrap.dedent(CALLER_TRANSPOSED),
-            "src/repro/control/caller.py",
-            [ArrayDataflowRule()],
-        )
-        assert found == []
-
-    def test_interprocedural_pass_catches_it(self):
-        findings = [
-            f
-            for f in analyze_sources(_dedent(self.SOURCES))
-            if f.rule_id == "R024"
-        ]
-        assert len(findings) == 1
-        (finding,) = findings
-        assert finding.path == "src/repro/control/caller.py"
-        assert "scale()" in finding.message
-        assert "call graph" in finding.message
-
-    def test_untransposed_caller_is_clean(self):
-        sources = dict(self.SOURCES)
-        sources["src/repro/control/caller.py"] = CALLER_TRANSPOSED.replace(
-            "scale(w.T)", "scale(w)"
-        )
-        assert "R024" not in _ids(sources)
-
-
-class TestReturnSummaries:
-    def test_inferred_return_shape_contradiction(self):
-        # make() has no return annotation; its (L, M) shape is
-        # inferred from the body and contradicts the caller's NodeVec.
-        ids = _ids(
-            {
-                "src/repro/solvers/factory.py": """
-                from repro.axes import LinkBandMat
-
-                def make(weights: LinkBandMat):
-                    return weights * 2.0
-                """,
-                "src/repro/control/use.py": """
-                from repro.axes import LinkBandMat, NodeVec
-                from repro.solvers.factory import make
-
-                def run(w: LinkBandMat):
-                    out: NodeVec = make(w)
-                    return out
-                """,
-            }
-        )
-        assert "R025" in ids
-
-    def test_consistent_annotation_is_clean(self):
-        ids = _ids(
-            {
-                "src/repro/solvers/factory.py": """
-                from repro.axes import LinkBandMat
-
-                def make(weights: LinkBandMat):
-                    return weights * 2.0
-                """,
-                "src/repro/control/use.py": """
-                from repro.axes import LinkBandMat
-                from repro.solvers.factory import make
-
-                def run(w: LinkBandMat):
-                    out: LinkBandMat = make(w)
-                    return out
-                """,
-            }
-        )
-        assert "R025" not in ids
-        assert "R024" not in ids
-
-
-class TestParameterSeeding:
-    def test_unannotated_callee_inherits_caller_axes(self):
-        # double() never names its axes; they arrive from the one
-        # call site, so the transpose inside the callee is caught.
-        ids = _ids(
-            {
-                "src/repro/solvers/kernels.py": """
-                def double(weights):
-                    bad = weights + weights.T
-                    return bad
-                """,
-                "src/repro/control/feed.py": """
-                from repro.axes import LinkBandMat
-                from repro.solvers.kernels import double
-
-                def run(w: LinkBandMat):
-                    return double(w)
-                """,
-            }
-        )
-        assert "R020" in ids
 
 
 class TestUnitsPropagation:
@@ -183,13 +49,6 @@ class TestUnitsPropagation:
 
 
 class TestEngineMechanics:
-    def test_fixed_point_converges_within_bound(self):
-        program = Program.load(["src/repro"])
-        engine = InterproceduralEngine(program)
-        rounds = engine.solve()
-        assert 1 <= rounds <= MAX_ITERATIONS
-
     def test_real_tree_is_clean(self):
         program = Program.load(["src/repro"])
         assert run_units(program) == []
-        assert run_axes(program) == []

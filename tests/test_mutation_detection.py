@@ -3,8 +3,7 @@
 An analysis rule is only worth its runtime if it fires when the
 defect it guards against is actually introduced.  These tests copy
 the real tree, inject a representative regression — a per-node Python
-loop into the router's hot path (R040), a module-global counter
-mutated inside the executor worker (R050) — and assert the analyzer
+loop into the router's hot path (R040) — and assert the analyzer
 flags exactly the injected site while the un-mutated copy stays
 clean.
 """
@@ -20,7 +19,6 @@ import pytest
 
 from repro.analysis.callgraph import Program
 from repro.analysis.hotpath import check_hot_path
-from repro.analysis.poolsafety import check_pool_safety
 from repro.lint.rules import Finding
 
 REPO_SRC = Path("src/repro")
@@ -92,46 +90,3 @@ class TestRouterLoopInjection:
         assert [f.line for f in hits] == [at]
         assert "range(num_nodes)" in hits[0].message
         assert "route()" in hits[0].message
-
-
-class TestWorkerGlobalInjection:
-    def test_clean_copy_has_no_unsuppressed_r050(self, tree):
-        findings = [
-            f
-            for f in _findings(tree, check_pool_safety)
-            if f.rule_id == "R050"
-        ]
-        assert findings == []
-
-    def test_injected_global_counter_fires_r050(self, tree):
-        executor = tree / "experiments" / "executor.py"
-        source = executor.read_text(encoding="utf-8")
-        module = ast.parse(source)
-        func = next(
-            node
-            for node in module.body
-            if isinstance(node, ast.FunctionDef)
-            and node.name == "_execute_job"
-        )
-        anchor = func.body[0]
-        if isinstance(anchor, ast.Expr) and isinstance(
-            anchor.value, ast.Constant
-        ):
-            anchor = func.body[1]
-        indent = " " * anchor.col_offset
-        raw = source.splitlines(keepends=True)
-        at = anchor.lineno - 1
-        raw[at:at] = [indent + '_JOB_COUNTER["jobs"] = 1\n']
-        raw.append("\n_JOB_COUNTER = {}\n")
-        executor.write_text("".join(raw), encoding="utf-8")
-
-        hits = [
-            f
-            for f in _findings(tree, check_pool_safety)
-            if f.rule_id == "R050"
-            and f.path.endswith("experiments/executor.py")
-        ]
-        assert [f.line for f in hits] == [anchor.lineno]
-        assert "_JOB_COUNTER" in hits[0].message
-        assert "_execute_job()" in hits[0].message
-

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ReplicatedStatistic, replicate, replicate_summary
+from repro.reporting import ReplicatedStatistic, replicate, replicate_summary
 from repro.config import tiny_scenario
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import build_report
+from repro.reporting import build_report
 from repro.cli import main
 from repro.config import tiny_scenario
 from repro.sim import SlotSimulator

@@ -1,10 +1,8 @@
 """Registry-level audit of every rule the toolchain ships.
 
 One parametrized suite asserts, for each rule id across the lint chassis
-(R001-R006), the units dataflow pass (R010-R012), the axis/shape pass
-(R020-R023) and its interprocedural extension (R024-R025), the
-determinism pass (R030-R032), the hot-path rules (R040-R042), the
-process-pool safety rules (R050-R052), and the equations audit
+(R001-R006), the units dataflow pass (R010-R012), the determinism pass
+(R030-R032), the hot-path rules (R040-R042) and the equations audit
 (EQ001-EQ003):
 
 * the registry has non-empty ``--explain`` text;
@@ -17,13 +15,15 @@ catalogue cannot silently rot.
 
 from __future__ import annotations
 
+import io
+import re
 import textwrap
+import tokenize
 from pathlib import Path
 from typing import NamedTuple, Optional, Type
 
 import pytest
 
-from repro.analysis.arrayflow import ArrayDataflowRule
 from repro.analysis.cli import analyze_sources, main
 from repro.analysis.dataflow import UnitDataflowRule
 from repro.analysis.determinism import (
@@ -34,7 +34,9 @@ from repro.analysis.determinism import (
 from repro.analysis.equations import audit_equations
 from repro.analysis.registry import ALL_RULE_IDS, RULE_REGISTRY
 from repro.lint.cli import lint_source
-from repro.lint.rules import RULES_BY_ID, Rule
+from repro.lint.rules import _NOQA_RE, RULES_BY_ID, Rule
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 LIB = Path("src/repro/example.py")
 HOT = Path("src/repro/queueing/example.py")
@@ -43,10 +45,8 @@ CONTROL = Path("src/repro/control/example.py")
 EXPECTED_IDS = [
     "R001", "R002", "R003", "R004", "R005", "R006",
     "R010", "R011", "R012",
-    "R020", "R021", "R022", "R023", "R024", "R025",
     "R030", "R031", "R032",
     "R040", "R041", "R042",
-    "R050", "R051", "R052",
     "EQ001", "EQ002", "EQ003",
 ]
 
@@ -174,67 +174,6 @@ FIXTURES = {
             return a + b
         """,
     ),
-    "R020": RuleFixture(
-        ArrayDataflowRule,
-        """
-        from repro.axes import LinkBandMat
-
-        def f(a: LinkBandMat, b: LinkBandMat):
-            return a + b.T
-        """,
-        """
-        from repro.axes import LinkBandMat
-
-        def f(a: LinkBandMat, b: LinkBandMat):
-            return a + b
-        """,
-    ),
-    "R021": RuleFixture(
-        ArrayDataflowRule,
-        """
-        from repro.axes import LinkVec
-
-        def f(v: LinkVec):
-            return v.sum(axis=1)
-        """,
-        """
-        from repro.axes import LinkVec
-
-        def f(v: LinkVec):
-            return v.sum(axis=0)
-        """,
-    ),
-    "R022": RuleFixture(
-        ArrayDataflowRule,
-        """
-        import numpy as np
-
-        def kernel(values: np.ndarray) -> float:
-            return float(values.sum())
-        """,
-        """
-        from repro.axes import AnyArray
-
-        def kernel(values: AnyArray) -> float:
-            return float(values.sum())
-        """,
-        HOT,
-    ),
-    "R023": RuleFixture(
-        ArrayDataflowRule,
-        """
-        from repro.axes import LinkPackets, LinkToNode
-
-        def f(g: LinkPackets, link_tx: LinkToNode):
-            return g[link_tx]
-        """,
-        """
-        from repro.axes import LinkToNode, QueuePackets
-
-        def f(q: QueuePackets, link_tx: LinkToNode):
-            return q[link_tx]
-        """,
-    ),
     "R030": RuleFixture(
         GlobalRngRule,
         """
@@ -284,73 +223,13 @@ FIXTURES = {
 
 class ProgramFixture(NamedTuple):
     """Whole-program fixtures: {display_path: source} trees, analyzed
-    through the interprocedural engine rather than one file at a time."""
+    over the call graph rather than one file at a time."""
 
     positive: dict
     negative: dict
 
 
-_CALLEE_SCALE = """
-from repro.axes import LinkBandMat
-
-def scale(weights: LinkBandMat) -> LinkBandMat:
-    return weights * 2.0
-"""
-
-_CALLEE_MAKE = """
-from repro.axes import LinkBandMat
-
-def make(weights: LinkBandMat):
-    return weights * 2.0
-"""
-
 PROGRAM_FIXTURES = {
-    "R024": ProgramFixture(
-        {
-            "src/repro/solvers/helper.py": _CALLEE_SCALE,
-            "src/repro/control/caller.py": """
-from repro.axes import LinkBandMat
-from repro.solvers.helper import scale
-
-def run(w: LinkBandMat):
-    return scale(w.T)
-""",
-        },
-        {
-            "src/repro/solvers/helper.py": _CALLEE_SCALE,
-            "src/repro/control/caller.py": """
-from repro.axes import LinkBandMat
-from repro.solvers.helper import scale
-
-def run(w: LinkBandMat):
-    return scale(w)
-""",
-        },
-    ),
-    "R025": ProgramFixture(
-        {
-            "src/repro/solvers/factory.py": _CALLEE_MAKE,
-            "src/repro/control/use.py": """
-from repro.axes import LinkBandMat, NodeVec
-from repro.solvers.factory import make
-
-def run(w: LinkBandMat):
-    out: NodeVec = make(w)
-    return out
-""",
-        },
-        {
-            "src/repro/solvers/factory.py": _CALLEE_MAKE,
-            "src/repro/control/use.py": """
-from repro.axes import LinkBandMat
-from repro.solvers.factory import make
-
-def run(w: LinkBandMat):
-    out: LinkBandMat = make(w)
-    return out
-""",
-        },
-    ),
     "R040": ProgramFixture(
         {
             "src/repro/sim/engine.py": """
@@ -407,66 +286,6 @@ class SlotSimulator:
         buf = np.zeros(4)
         for batch in batches:
             buf[:] = batch
-"""
-        },
-    ),
-    "R050": ProgramFixture(
-        {
-            "src/repro/experiments/jobs.py": """
-CACHE = {}
-
-def work(job: int) -> int:
-    CACHE[job] = job
-    return job
-
-def run(pool, jobs):
-    return [pool.submit(work, job) for job in jobs]
-"""
-        },
-        {
-            "src/repro/experiments/jobs.py": """
-def work(job: int) -> int:
-    return job
-
-def run(pool, jobs):
-    return [pool.submit(work, job) for job in jobs]
-"""
-        },
-    ),
-    "R051": ProgramFixture(
-        {
-            "src/repro/experiments/jobs.py": """
-def run(pool, jobs):
-    return [pool.submit(lambda j: j, job) for job in jobs]
-"""
-        },
-        {
-            "src/repro/experiments/jobs.py": """
-def work(job: int) -> int:
-    return job
-
-def run(pool, jobs):
-    return [pool.submit(work, job) for job in jobs]
-"""
-        },
-    ),
-    "R052": ProgramFixture(
-        {
-            "src/repro/phy/noise.py": """
-import numpy as np
-
-RNG = np.random.default_rng(0)
-
-def draw() -> float:
-    return float(RNG.normal())
-"""
-        },
-        {
-            "src/repro/phy/noise.py": """
-import numpy as np
-
-def draw(rng: np.random.Generator) -> float:
-    return float(rng.normal())
 """
         },
     ),
@@ -569,3 +388,52 @@ class TestEveryRule:
             )
         else:
             assert rule_id not in _lint_ids(rule_id, FIXTURES[rule_id].negative)
+
+
+#: Trees whose ``# noqa`` comments name repro rule ids.
+SUPPRESSION_TREES = ("src", "tests", "benchmarks", "examples", "scripts")
+
+_RULE_ID_RE = re.compile(r"\b(R\d{3}|EQ\d{3})\b")
+
+
+def _noqa_rule_ids(path: Path):
+    """(line, rule id) for every repro id in a real ``# noqa:`` comment.
+
+    Reads comment tokens only, so fixtures inside string literals (the
+    tests above embed many) never count.
+    """
+    source = path.read_text(encoding="utf-8")
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    for token in tokens:
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _NOQA_RE.search(token.string)
+        if match is None or not match.group("codes"):
+            continue
+        for rule_id in _RULE_ID_RE.findall(match.group("codes").upper()):
+            yield token.start[0], rule_id
+
+
+class TestNoDeadSuppressions:
+    def test_every_noqa_rule_id_is_registered(self):
+        scanned = 0
+        dead = []
+        for tree in SUPPRESSION_TREES:
+            for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+                scanned += 1
+                for line, rule_id in _noqa_rule_ids(path):
+                    if rule_id not in RULE_REGISTRY:
+                        relative = path.relative_to(REPO_ROOT)
+                        dead.append(f"{relative}:{line}: {rule_id}")
+        assert scanned > 100
+        assert dead == []
+
+    def test_scanner_reads_comments_not_strings(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text(
+            'FIXTURE = "x = 1  # noqa: R999"\n'
+            "y = 2  # noqa: R040, R050 - justification\n"
+            "z = 3  # noqa: E402\n",
+            encoding="utf-8",
+        )
+        assert list(_noqa_rule_ids(probe)) == [(2, "R040"), (2, "R050")]

@@ -14,7 +14,7 @@ from repro import (
     paper_scenario,
     validate_parameters,
 )
-from repro.analysis import build_report
+from repro.reporting import build_report
 from repro.core import compute_drift_terms, fill_time_slots, predict, verify_bs_plateau
 from repro.experiments import export_figure, run_fig2d
 from repro.types import MobilityKind, Point, RenewableKind, TrafficPattern
