@@ -117,11 +117,12 @@ def _dynamic_spectrum(params):
     return dataclasses.replace(params, spectrum=spectrum)
 
 
-def _radios(params, count):
+def _radios(params, bs_count, user_count=None):
+    user_count = bs_count if user_count is None else user_count
     return dataclasses.replace(
         params,
-        bs_node=dataclasses.replace(params.bs_node, num_radios=count),
-        user_node=dataclasses.replace(params.user_node, num_radios=count),
+        bs_node=dataclasses.replace(params.bs_node, num_radios=bs_count),
+        user_node=dataclasses.replace(params.user_node, num_radios=user_count),
     )
 
 
@@ -129,6 +130,9 @@ def _radios(params, count):
 #: multi-session, paper-literal S1, one-hop, TOU pricing, multi-radio
 #: and extra seeds.  ``paper_random_waypoint`` runs mobility at the
 #: paper's 20 users, where co-band sets hold more than a few links.
+#: ``mixed_radios`` gives the base station three radios and every user
+#: one, so single-radio user-user links share a slot with multi-radio
+#: links that touch the base station.
 TRAJECTORY_SCENARIOS = {
     "tiny_paper": lambda: tiny_scenario(num_slots=8),
     "tiny_packet_accurate": lambda: tiny_scenario(
@@ -147,6 +151,7 @@ TRAJECTORY_SCENARIOS = {
         num_slots=8, tou_multipliers=(0.5, 0.5, 2.0, 2.0)
     ),
     "three_radios": lambda: _radios(tiny_scenario(num_slots=8), 3),
+    "mixed_radios": lambda: _radios(tiny_scenario(num_slots=8), 3, 1),
     "seed_11": lambda: small_scenario(num_slots=10, seed=11),
     "seed_29": lambda: tiny_scenario(num_slots=8, seed=29, num_users=6),
     "paper_random_waypoint": lambda: paper_scenario(
