@@ -9,7 +9,8 @@ band.  Three algorithms are provided:
   generic :func:`repro.solvers.sequential_fix`);
 * ``MAX_WEIGHT_MATCHING`` — exact: under constraint (22) alone, S1 is a
   maximum-weight matching over nodes with per-edge best-band weights;
-* ``GREEDY`` — sort link-bands by weight, take what fits.
+* ``GREEDY`` — sort link-bands by weight, take what fits; a link of two
+  single-radio nodes can only ever take its best band, so only that is scanned.
 
 The base weight of a link-band is ``beta * H_ij * service_pkts`` (the
 Psi-hat_1 contribution).  When the controller passes per-node energy
@@ -32,7 +33,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.axes import AnyArray, LinkBandMat, LinkIds, LinkToNode, LinkVec, NodeVec
+from repro.axes import LinkBandMat, LinkIds, LinkToNode, LinkVec, NodeVec
 from repro.contracts import ContractChecker
 from repro.control.decisions import ScheduleDecision, SlotObservation
 from repro.core.arraystate import LinkArrayMapping
@@ -132,6 +133,10 @@ class LinkScheduler:
             Tuple[Tuple[Link, ...], Tuple[Tuple[int, ...], ...]]
         ] = None
         self._access_cache: Optional[np.ndarray] = None
+        # Per-node radio budgets (1 in the paper), built once: the int
+        # list for the scans, the array for GREEDY's single-radio filter.
+        self._radios = [node.radio.num_radios for node in model.nodes]
+        self._radios_arr: NodeVec = np.asarray(self._radios, dtype=np.intp)
 
     @property
     def kind(self) -> SchedulerKind:
@@ -256,12 +261,7 @@ class LinkScheduler:
         links: Tuple[Link, ...],
         allowed_mask: Optional[LinkVec] = None,
     ) -> Optional[
-        Tuple[
-            np.ndarray,
-            Optional[Sequence[Tuple[int, ...]]],
-            np.ndarray,
-            np.ndarray,
-        ]
+        Tuple[LinkIds, Optional[Sequence[Tuple[int, ...]]], LinkBandMat, LinkBandMat]
     ]:
         """Net candidate weights as ``(active links, bands)`` arrays.
 
@@ -376,10 +376,6 @@ class LinkScheduler:
     # Activation algorithms
     # ------------------------------------------------------------------
 
-    def _radios(self, node: NodeId) -> int:
-        """Radio budget of ``node`` (1 in the paper's model)."""
-        return self._model.nodes[node].radio.num_radios
-
     def _conflicting(
         self, key: LinkBand, others: Iterable[LinkBand]
     ) -> List[LinkBand]:
@@ -398,13 +394,10 @@ class LinkScheduler:
 
     def _make_conflicts(self, keys: List[LinkBand]):
         """The conflict callback for the SF loop, radio-budget aware."""
-        if all(
-            self._radios(node) == 1
-            for key in keys
-            for node in (key[0], key[1])
-        ):
+        radios = self._radios
+        if all(radios[node] == 1 for key in keys for node in (key[0], key[1])):
             return lambda key: self._conflicting(key, keys)
-        return _RadioBudget(keys, self._radios)
+        return _RadioBudget(keys, radios.__getitem__)
 
     def _radio_constraints(
         self, lp: LinearProgram, keys: List[LinkBand]
@@ -415,6 +408,7 @@ class LinkScheduler:
         activity <= 1 (constraints (20)/(21), which the budget row only
         implies in the single-radio case).
         """
+        radios = self._radios
         per_node: Dict[NodeId, List[LinkBand]] = {}
         per_node_band: Dict[Tuple[NodeId, int], List[LinkBand]] = {}
         for tx, rx, band in keys:
@@ -426,11 +420,11 @@ class LinkScheduler:
             lp.add_constraint(
                 {key: 1.0 for key in involved},
                 Sense.LE,
-                float(self._radios(node)),
+                float(radios[node]),
                 name=f"radios[{node}]",
             )
         for (node, band), involved in per_node_band.items():
-            if self._radios(node) > 1 and len(involved) > 1:
+            if radios[node] > 1 and len(involved) > 1:
                 lp.add_constraint(
                     {key: 1.0 for key in involved},
                     Sense.LE,
@@ -573,7 +567,7 @@ class LinkScheduler:
         handle.
         """
         involved = {node for key in weights for node in (key[0], key[1])}
-        if any(self._radios(node) > 1 for node in involved):
+        if any(self._radios[node] > 1 for node in involved):
             raise SolverError(
                 "MAX_WEIGHT_MATCHING is exact only for single-radio nodes; "
                 "use SEQUENTIAL_FIX or GREEDY with num_radios > 1"
@@ -590,41 +584,43 @@ class LinkScheduler:
         matching = nx.max_weight_matching(graph, maxcardinality=False)
         return [best[(min(u, v), max(u, v))][1] for u, v in matching]
 
-    def _radios_list(self) -> List[int]:
-        """Per-node radio budgets, cached (cold path: built once)."""
-        cached = getattr(self, "_radios_cache", None)
-        if cached is None:
-            cached = [node.radio.num_radios for node in self._model.nodes]
-            self._radios_cache = cached
-        return cached
-
     def _select_greedy(
         self,
-        link_pos: LinkIds,
-        bands: AnyArray,
-        weights: AnyArray,
+        active: LinkIds,
+        keep: LinkBandMat,
+        weight: LinkBandMat,
         links: Tuple[Link, ...],
     ) -> Tuple[List[int], List[int]]:
         """GREEDY selection: take link-bands by weight while they fit.
 
-        ``np.lexsort`` orders candidates by descending weight, ties
-        broken by the ``(tx, rx, band)`` key (keys are unique, so the
-        order is total); the conflict scan then keeps per-node radio
-        usage and per-(node, band) exclusivity over plain Python ints.
+        Order: descending weight, ties by ``(tx, rx, band)`` — an argsort
+        of the int64 key ``(tx*N + rx)*M + band``, then a stable argsort
+        on ``-weight``.  The conflict scan keeps per-node radio usage and
+        per-(node, band) exclusivity over plain Python ints.  A link of two
+        single-radio nodes offers only its best kept band (lowest on ties):
+        taken or rejected, it leaves an endpoint full, so its later bands
+        would fail too.  Multi-radio links keep every band (a band clash
+        can reject band m while band m' still fits).
 
         Returns the chosen candidates as parallel ``(link position,
         band)`` lists, in selection (descending-weight) order.
         """
         static = self._scheduler_static(links)
-        tx_arr = static.link_tx[link_pos]
-        rx_arr = static.link_rx[link_pos]
-        order = np.lexsort((bands, rx_arr, tx_arr, -weights))
+        tx_act, rx_act = static.link_tx[active], static.link_rx[active]
+        single = (self._radios_arr[tx_act] == 1) & (self._radios_arr[rx_act] == 1)
+        best = np.where(keep, weight, -np.inf).argmax(axis=1)
+        is_best = np.arange(keep.shape[1]) == best[:, None]
+        rows, bands = np.nonzero(keep & (is_best | ~single[:, None]))
+        tx_arr, rx_arr = tx_act[rows], rx_act[rows]
+        key = (tx_arr * np.int64(self._model.num_nodes) + rx_arr) * keep.shape[1] + bands
+        order = np.argsort(key)
+        order = order[np.argsort(-weight[rows, bands][order], kind="stable")]
         tx_l = tx_arr[order].tolist()
         rx_l = rx_arr[order].tolist()
         band_l = bands[order].tolist()
-        pos_l = link_pos[order].tolist()
+        pos_l = active[rows[order]].tolist()
 
-        radios = self._radios_list()
+        radios = self._radios
         usage = [0] * self._model.num_nodes
         band_used: set = set()
         chosen_pos: List[int] = []
@@ -680,16 +676,13 @@ class LinkScheduler:
             )
             if grid is None:
                 return ScheduleDecision()
-            # The greedy selector lexsorts over unique (weight, tx, rx,
-            # band) keys, so the survivors come straight off the keep
-            # mask: no candidate dict, no insertion order to preserve.
+            # GREEDY's order is total, so it needs no candidate dict.
             active, _, keep, weight = grid
-            rows, bands = np.nonzero(keep)
-            if rows.size == 0:
-                return ScheduleDecision()
             chosen_pos, chosen_band = self._select_greedy(
-                active[rows], bands, weight[rows, bands], links
+                active, keep, weight, links
             )
+            if not chosen_pos:
+                return ScheduleDecision()
             decision = self._power_control_vectorized(
                 chosen_pos, chosen_band, observation, h_backlogs, links
             )

@@ -1,10 +1,19 @@
 """Unit tests for S1 link scheduling (all three algorithms)."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import tiny_scenario
 from repro.control import LinkScheduler
+from repro.core import compute_constants
 from repro.core.drift import compute_drift_terms  # noqa: F401  (import check)
+from repro.model import build_network_model
+from repro.state import NetworkState
 from repro.types import SchedulerKind
 from tests.helpers import link_view
 
@@ -226,3 +235,121 @@ class TestSinrAwareSequentialFix:
         ).schedule(observation, h)
         assert {t.link for t in plain.transmissions} == {link}
         assert {t.link for t in aware.transmissions} == {link}
+
+
+def _lexsort_greedy(model, active, keep, weight, links):
+    """The unpruned GREEDY selector, kept as the oracle.
+
+    Every ``(link, band)`` survivor in ``np.lexsort`` order on the four
+    keys ``(-weight, tx, rx, band)``, then the radio-budget conflict
+    scan.
+    """
+    link_tx, link_rx = model.topology.link_arrays()
+    rows, bands = np.nonzero(keep)
+    link_pos = active[rows]
+    tx_arr = link_tx[link_pos]
+    rx_arr = link_rx[link_pos]
+    order = np.lexsort((bands, rx_arr, tx_arr, -weight[rows, bands]))
+    radios = [node.radio.num_radios for node in model.nodes]
+    usage = [0] * model.num_nodes
+    band_used = set()
+    chosen_pos, chosen_band = [], []
+    for i in order.tolist():
+        tx, rx, band = int(tx_arr[i]), int(rx_arr[i]), int(bands[i])
+        if usage[tx] >= radios[tx] or usage[rx] >= radios[rx]:
+            continue
+        if (tx, band) in band_used or (rx, band) in band_used:
+            continue
+        chosen_pos.append(int(link_pos[i]))
+        chosen_band.append(band)
+        usage[tx] += 1
+        usage[rx] += 1
+        band_used.update(((tx, band), (rx, band)))
+    return chosen_pos, chosen_band
+
+
+#: Selection-equality models: the paper's single radio, a three-radio
+#: base station beside single-radio users (pruning on some rows, not
+#: others), and both with every band 1 MHz wide, so a row's bands tie.
+_GRID_CASES = ("single", "mixed", "single_flat", "mixed_flat")
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_case(name):
+    params = tiny_scenario()
+    if name.startswith("mixed"):
+        params = dataclasses.replace(
+            params, bs_node=dataclasses.replace(params.bs_node, num_radios=3)
+        )
+    if name.endswith("flat"):
+        params = dataclasses.replace(
+            params,
+            spectrum=dataclasses.replace(
+                params.spectrum, random_bandwidth_range_hz=(1e6, 1e6)
+            ),
+        )
+    model = build_network_model(params, np.random.default_rng(params.seed))
+    constants = compute_constants(model)
+    observation = NetworkState(
+        model, constants, np.random.default_rng(99)
+    ).observe(0)
+    return model, constants, observation
+
+
+def _greedy_grid(name, h_values, prices):
+    """A GREEDY scheduler on case ``name`` and its candidate grid."""
+    model, constants, observation = _grid_case(name)
+    links = model.topology.candidate_links
+    scheduler = LinkScheduler(model, constants, kind=SchedulerKind.GREEDY)
+    h = link_view(model, dict(zip(links, h_values)))
+    return scheduler, scheduler._candidate_grid(observation, h, prices, links)
+
+
+class TestGreedySelectionEquality:
+    """Pruning single-radio rows to their best band changes no selection."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(_GRID_CASES), data=st.data())
+    def test_matches_lexsort_scan(self, case, data):
+        model, _, _ = _grid_case(case)
+        links = model.topology.candidate_links
+        # A few repeated values force exact weight ties across links;
+        # prices this size cut some bands, or every band, of a row.
+        h_values = data.draw(
+            st.lists(
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                min_size=len(links),
+                max_size=len(links),
+            )
+        )
+        prices = data.draw(
+            st.none()
+            | st.lists(
+                st.sampled_from([0.0, 3e4, 1e5, 3e5]),
+                min_size=model.num_nodes,
+                max_size=model.num_nodes,
+            ).map(np.array)
+        )
+        scheduler, grid = _greedy_grid(case, h_values, prices)
+        if grid is None:
+            return
+        active, _, keep, weight = grid
+        assert scheduler._select_greedy(
+            active, keep, weight, links
+        ) == _lexsort_greedy(model, active, keep, weight, links)
+
+    @pytest.mark.parametrize("case", _GRID_CASES)
+    def test_cases_exercise_the_pruning(self, case):
+        model, _, _ = _grid_case(case)
+        links = model.topology.candidate_links
+        _, grid = _greedy_grid(case, [1.0] * len(links), None)
+        active, _, keep, weight = grid
+        link_tx, link_rx = model.topology.link_arrays()
+        radios = np.array([node.radio.num_radios for node in model.nodes])
+        single = (radios[link_tx[active]] == 1) & (radios[link_rx[active]] == 1)
+        several = keep.sum(axis=1) > 1
+        assert (single & several).any()
+        assert (~single & several).any() == case.startswith("mixed")
+        if case.endswith("flat"):
+            kept = np.where(keep, weight, np.nan)
+            assert (np.nanmax(kept, axis=1) == np.nanmin(kept, axis=1)).all()

@@ -131,8 +131,8 @@ def _radios(params, bs_count, user_count=None):
 #: and extra seeds.  ``paper_random_waypoint`` runs mobility at the
 #: paper's 20 users, where co-band sets hold more than a few links.
 #: ``mixed_radios`` gives the base station three radios and every user
-#: one, so single-radio user-user links share a slot with multi-radio
-#: links that touch the base station.
+#: one, so single-radio user-user links, which GREEDY cuts to their best
+#: band, share a slot with multi-radio links that keep every band.
 TRAJECTORY_SCENARIOS = {
     "tiny_paper": lambda: tiny_scenario(num_slots=8),
     "tiny_packet_accurate": lambda: tiny_scenario(
