@@ -2,10 +2,10 @@
 
 Compares the exact price-decomposition energy manager against the
 naive grid-only policy (no storage use) over full runs, and micro-
-benchmarks a single S4 solve of each kind including the SLSQP
-reference.  The decomposition must never lose to grid-only on the
-drift objective it optimises, and should be orders of magnitude faster
-than SLSQP.
+benchmarks a single S4 solve of each kind.  The decomposition must
+never lose to grid-only on the drift objective it optimises.  Its
+agreement with the SLSQP reference is a unit test
+(tests/test_control_energy_manager.py), not a bench leg.
 """
 
 import time
@@ -13,7 +13,11 @@ import time
 import numpy as np
 
 from repro.reporting import format_table
-from repro.control.energy_manager import EnergyManager, NodeEnergyInputs
+from repro.control.energy_manager import (
+    EnergyManager,
+    NodeEnergyBatch,
+    NodeEnergyInputs,
+)
 from repro.sim import SlotSimulator
 from repro.types import EnergySolverKind
 
@@ -36,7 +40,7 @@ def _random_inputs(model, rng, count=12):
                 z=float(rng.uniform(-5000, 50)),
             )
         )
-    return inputs
+    return NodeEnergyBatch.from_inputs(inputs)
 
 
 def test_energy_solver_ablation(benchmark, show, bench_base):
@@ -89,15 +93,11 @@ def test_s4_solver_microbenchmark(show, bench_base):
         manager = EnergyManager(model, solver)
         start = time.perf_counter()
         totals = []
-        for inputs in instances:
-            decision = manager.manage(inputs)
-            value = model.params.control_v * decision.cost + sum(
-                i.z
-                * (
-                    decision.allocations[i.node].charge_j
-                    - decision.allocations[i.node].discharge_j
-                )
-                for i in inputs
+        for batch in instances:
+            decision = manager.manage(batch)
+            allocation = decision.allocation
+            value = model.params.control_v * decision.cost + float(
+                np.dot(batch.z, allocation.charge_j - allocation.discharge_j)
             )
             totals.append(value)
         elapsed = (time.perf_counter() - start) / len(instances)
@@ -112,7 +112,10 @@ def test_s4_solver_microbenchmark(show, bench_base):
         )
     )
 
+    # Grid-only (no charge, no discharge) is feasible for the exact
+    # drift objective, whose quadratic term is non-negative, so the
+    # decomposition's linear part can only be lower.
     exact = objectives[EnergySolverKind.PRICE_DECOMPOSITION]
-    reference = objectives[EnergySolverKind.SLSQP]
-    scale = max(abs(exact), abs(reference), 1.0)
-    assert exact <= reference + 1e-3 * scale
+    naive = objectives[EnergySolverKind.GRID_ONLY]
+    scale = max(abs(exact), abs(naive), 1.0)
+    assert exact <= naive + 1e-3 * scale

@@ -93,10 +93,10 @@ def test_energy_manager_slot(benchmark, bench_base):
     decision = simulator.controller.decide(observation, simulator.state)
     del decision  # built only to exercise identical state
 
-    from repro.control.energy_manager import NodeEnergyInputs
+    from repro.control.energy_manager import NodeEnergyBatch, NodeEnergyInputs
 
     z = simulator.state.z_values()
-    inputs = [
+    batch = NodeEnergyBatch.from_inputs([
         NodeEnergyInputs(
             node=node_obj.node_id,
             is_base_station=node_obj.is_base_station,
@@ -111,9 +111,9 @@ def test_energy_manager_slot(benchmark, bench_base):
             z=z[node_obj.node_id],
         )
         for node_obj in simulator.model.nodes
-    ]
+    ])
 
-    benchmark(lambda: simulator.controller.energy_manager.manage(inputs))
+    benchmark(lambda: simulator.controller.energy_manager.manage(batch))
 
 
 def test_analysis_runtime_full_tree(benchmark):

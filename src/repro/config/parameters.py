@@ -280,14 +280,6 @@ class ScenarioParameters:
     #: reports.  False recovers the paper-literal S1 (ablation
     #: ``abl-sched-energy`` in DESIGN.md).
     energy_aware_scheduling: bool = True
-    #: Minimise the *exact* battery drift ``z (c-d) + (c-d)^2 / 2`` in
-    #: S4 rather than the paper's linear bound ``z (c-d)``.  The linear
-    #: form over-charges past the V*gamma_max threshold every cycle
-    #: (the dropped quadratic term is what damps it), producing a
-    #: charge/discharge oscillation whose convex generation cost is
-    #: pure loss.  False recovers the paper-literal S4 (ablation
-    #: ``abl-energy-drift`` in DESIGN.md).
-    exact_battery_drift: bool = True
     #: Queue-transfer semantics (see QueueSemantics).
     queue_semantics: QueueSemantics = QueueSemantics.PAPER
 

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -40,8 +41,10 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.constants import FEASIBILITY_EPS
-from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping
+from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping, seq_sum
 from repro.contracts.violations import ContractViolation
 from repro.phy.sinr import co_band_gain_block, sinr_in_group
 from repro.types import Link, NodeId, QueueSemantics, SessionId, Transmission
@@ -55,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
         SlotDecision,
         SlotObservation,
     )
-    from repro.control.energy_manager import NodeEnergyInputs
+    from repro.control.energy_manager import NodeEnergyBatch
     from repro.model import NetworkModel
     from repro.state import NetworkState
 
@@ -69,14 +72,31 @@ QUEUE_ATOL = 1e-6
 SINR_RTOL = 1e-7
 
 
-def _close(a: float, b: float, abs_tol: float) -> bool:
-    """Tolerant equality with a relative component for large values.
+#: Relative tolerance of :func:`_close`: sized for the loosest solver
+#: in the pipeline, the relaxed LP bound, whose HiGHS solution meets
+#: its equality rows only to the primal feasibility tolerance (1e-7);
+#: genuine contract violations are orders of magnitude larger.
+_REL_TOL = 1e-6
+#: The six :class:`~repro.control.decisions.BatchAllocation` flows.
+_FLOW_FIELDS = (
+    "renewable_serve_j",
+    "renewable_charge_j",
+    "grid_serve_j",
+    "grid_charge_j",
+    "discharge_j",
+    "spill_j",
+)
 
-    The relative tolerance is sized for the loosest solver in the
-    pipeline (SLSQP meets its equality constraints to ~1e-8 relative);
-    genuine contract violations are orders of magnitude larger.
-    """
-    return math.isclose(a, b, rel_tol=1e-6, abs_tol=abs_tol)
+
+def _close(a: float, b: float, abs_tol: float) -> bool:
+    """Tolerant equality with a relative component for large values."""
+    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=abs_tol)
+
+
+def _close_array(a: np.ndarray, b: np.ndarray, abs_tol: float) -> np.ndarray:
+    """Elementwise :func:`_close` (same symmetric ``math.isclose`` rule)."""
+    scale = _REL_TOL * np.maximum(np.abs(a), np.abs(b))
+    return (a == b) | (np.abs(a - b) <= np.maximum(scale, abs_tol))
 
 
 class Strictness(enum.Enum):
@@ -352,106 +372,89 @@ class ContractChecker:
 
     def check_energy(
         self,
-        inputs: Iterable["NodeEnergyInputs"],
+        batch: "NodeEnergyBatch",
         decision: "EnergyManagementDecision",
         slot: Optional[int] = None,
     ) -> None:
         """Per-node source balances and caps of the S4 output."""
         if not self.enabled:
             return
-        bs_draw = 0.0
-        for node_inputs in inputs:
-            node = node_inputs.node
-            alloc = decision.allocations.get(node)
-            if alloc is None:
-                self._violate(
-                    "Eq. 2",
-                    "S4 returned no allocation for the node",
-                    slot=slot,
-                    node=node,
-                )
-                continue
-            for name, value in (
-                ("renewable_serve_j", alloc.renewable_serve_j),
-                ("renewable_charge_j", alloc.renewable_charge_j),
-                ("grid_serve_j", alloc.grid_serve_j),
-                ("grid_charge_j", alloc.grid_charge_j),
-                ("discharge_j", alloc.discharge_j),
-                ("spill_j", alloc.spill_j),
-            ):
-                if value < -ENERGY_ATOL:
-                    self._violate(
-                        "Eq. 14",
-                        f"negative energy flow {name}={value} J",
-                        slot=slot,
-                        node=node,
-                    )
-            # Eq. 3 (with the documented spill extension): the harvest
-            # splits exactly into serve + charge + spill.
-            used = (
-                alloc.renewable_serve_j
-                + alloc.renewable_charge_j
-                + alloc.spill_j
+        alloc = decision.allocation
+        if len(alloc) != len(batch):
+            self._violate(
+                "Eq. 2",
+                f"S4 returned {len(alloc)} allocation rows for "
+                f"{len(batch)} nodes",
+                slot=slot,
             )
-            if not _close(used, node_inputs.renewable_j, ENERGY_ATOL):
-                self._violate(
-                    "Eq. 3",
-                    f"renewable split {used} J != harvest "
-                    f"{node_inputs.renewable_j} J",
-                    slot=slot,
-                    node=node,
-                )
-            # Eq. 14: grid draw within the (connectivity-gated) cap.
-            if alloc.grid_draw_j > node_inputs.usable_grid_j + ENERGY_ATOL:
+            return
+        nodes = batch.nodes
+        for name in _FLOW_FIELDS:
+            value = getattr(alloc, name)
+            for i in np.flatnonzero(value < -ENERGY_ATOL):
                 self._violate(
                     "Eq. 14",
-                    f"grid draw {alloc.grid_draw_j} J exceeds usable cap "
-                    f"{node_inputs.usable_grid_j} J",
+                    f"negative energy flow {name}={value[i]} J",
                     slot=slot,
-                    node=node,
+                    node=int(nodes[i]),
                 )
-            # Eqs. 11-12: charge/discharge within the effective caps.
-            if alloc.charge_j > node_inputs.charge_cap_j + ENERGY_ATOL:
-                self._violate(
-                    "Eq. 11",
-                    f"charge {alloc.charge_j} J exceeds effective cap "
-                    f"{node_inputs.charge_cap_j} J",
-                    slot=slot,
-                    node=node,
-                )
-            if alloc.discharge_j > node_inputs.discharge_cap_j + ENERGY_ATOL:
-                self._violate(
-                    "Eq. 12",
-                    f"discharge {alloc.discharge_j} J exceeds effective "
-                    f"cap {node_inputs.discharge_cap_j} J",
-                    slot=slot,
-                    node=node,
-                )
-            # Eq. 9: charge-xor-discharge complementarity.
-            if (
-                alloc.charge_j > ENERGY_ATOL
-                and alloc.discharge_j > ENERGY_ATOL
-            ):
-                self._violate(
-                    "Eq. 9",
-                    f"simultaneous charge ({alloc.charge_j} J) and "
-                    f"discharge ({alloc.discharge_j} J)",
-                    slot=slot,
-                    node=node,
-                )
-            # Eq. 2: demand exactly covered by the three sources.
-            if not _close(
-                alloc.demand_served_j, node_inputs.demand_j, ENERGY_ATOL
-            ):
-                self._violate(
-                    "Eq. 2",
-                    f"served {alloc.demand_served_j} J != demand "
-                    f"{node_inputs.demand_j} J",
-                    slot=slot,
-                    node=node,
-                )
-            if node_inputs.is_base_station:
-                bs_draw += alloc.grid_draw_j
+        # Eq. 3 (with the documented spill extension): the harvest
+        # splits exactly into serve + charge + spill.
+        used = alloc.renewable_serve_j + alloc.renewable_charge_j + alloc.spill_j
+        renewable = batch.renewable_j
+        self._violate_rows(
+            "Eq. 3",
+            ~_close_array(used, renewable, ENERGY_ATOL),
+            nodes,
+            lambda i: f"renewable split {used[i]} J != harvest {renewable[i]} J",
+            slot,
+        )
+        # Eq. 14: grid draw within the (connectivity-gated) cap.
+        draw, usable = alloc.grid_draw_j, batch.usable_grid_j
+        self._violate_rows(
+            "Eq. 14",
+            draw > usable + ENERGY_ATOL,
+            nodes,
+            lambda i: f"grid draw {draw[i]} J exceeds usable cap {usable[i]} J",
+            slot,
+        )
+        # Eqs. 11-12: charge/discharge within the effective caps.
+        charge, discharge = alloc.charge_j, alloc.discharge_j
+        self._violate_rows(
+            "Eq. 11",
+            charge > batch.charge_cap_j + ENERGY_ATOL,
+            nodes,
+            lambda i: f"charge {charge[i]} J exceeds effective cap "
+            f"{batch.charge_cap_j[i]} J",
+            slot,
+        )
+        self._violate_rows(
+            "Eq. 12",
+            discharge > batch.discharge_cap_j + ENERGY_ATOL,
+            nodes,
+            lambda i: f"discharge {discharge[i]} J exceeds effective cap "
+            f"{batch.discharge_cap_j[i]} J",
+            slot,
+        )
+        # Eq. 9: charge-xor-discharge complementarity.
+        self._violate_rows(
+            "Eq. 9",
+            (charge > ENERGY_ATOL) & (discharge > ENERGY_ATOL),
+            nodes,
+            lambda i: f"simultaneous charge ({charge[i]} J) and "
+            f"discharge ({discharge[i]} J)",
+            slot,
+        )
+        # Eq. 2: demand exactly covered by the three sources.
+        served, demand = alloc.demand_served_j, batch.demand_j
+        self._violate_rows(
+            "Eq. 2",
+            ~_close_array(served, demand, ENERGY_ATOL),
+            nodes,
+            lambda i: f"served {served[i]} J != demand {demand[i]} J",
+            slot,
+        )
+        bs_draw = seq_sum(draw[batch.is_base_station])
         if not _close(bs_draw, decision.bs_grid_draw_j, ENERGY_ATOL):
             self._violate(
                 "Eq. 5",
@@ -460,42 +463,56 @@ class ContractChecker:
                 slot=slot,
             )
 
+    def _violate_rows(
+        self,
+        equation: str,
+        bad: np.ndarray,
+        nodes: np.ndarray,
+        detail: Callable[[int], str],
+        slot: Optional[int],
+    ) -> None:
+        """Report ``equation`` at every row flagged in ``bad``."""
+        for i in np.flatnonzero(bad):
+            self._violate(equation, detail(i), slot=slot, node=int(nodes[i]))
+
     # ------------------------------------------------------------------
     # Controller: demand coverage after curtailment (Eq. 2)
     # ------------------------------------------------------------------
 
     def check_demand_coverage(
         self,
-        demands_j: Mapping[NodeId, float],
-        deficit_j: Mapping[NodeId, float],
+        demands_j: np.ndarray,
+        deficit_j: np.ndarray,
         decision: "EnergyManagementDecision",
         slot: Optional[int] = None,
     ) -> None:
         """Every node's slot demand is served, less the recorded deficit.
 
-        The controller's curtailment pass (documented extension of
-        Eq. 2) may shed base demand that no supply can cover; the shed
-        amount must be accounted in ``deficit_j``, never silently lost.
+        ``demands_j`` and ``deficit_j`` are ``(N,)`` vectors over node
+        ids.  The controller's curtailment pass (documented extension
+        of Eq. 2) may shed base demand that no supply can cover; the
+        shed amount must be accounted in ``deficit_j``, never silently
+        lost.
         """
         if not self.enabled:
             return
-        for node, demand in demands_j.items():
-            alloc = decision.allocations.get(node)
-            if alloc is None:
-                self._violate(
-                    "Eq. 2", "node missing from S4 output", slot=slot, node=node
-                )
-                continue
-            expected = max(0.0, demand - deficit_j.get(node, 0.0))
-            if not _close(alloc.demand_served_j, expected, ENERGY_ATOL):
-                self._violate(
-                    "Eq. 2",
-                    f"served {alloc.demand_served_j} J != demand "
-                    f"{demand} J minus deficit "
-                    f"{deficit_j.get(node, 0.0)} J",
-                    slot=slot,
-                    node=node,
-                )
+        served = decision.allocation.demand_served_j
+        if served.size != demands_j.size:
+            self._violate(
+                "Eq. 2",
+                f"S4 output covers {served.size} of {demands_j.size} nodes",
+                slot=slot,
+            )
+            return
+        expected = np.maximum(0.0, demands_j - deficit_j)
+        self._violate_rows(
+            "Eq. 2",
+            ~_close_array(served, expected, ENERGY_ATOL),
+            np.arange(served.size),
+            lambda i: f"served {served[i]} J != demand {demands_j[i]} J "
+            f"minus deficit {deficit_j[i]} J",
+            slot,
+        )
 
     # ------------------------------------------------------------------
     # Engine: the full state transition
@@ -649,6 +666,8 @@ class ContractChecker:
         enforce_complementarity: bool,
     ) -> None:
         """Eqs. 4, 9-12, 31: batteries and shifted energy queues."""
+        allocation = decision.energy.allocation
+        charge_j, discharge_j = allocation.charge_j, allocation.discharge_j
         for node, battery in state.batteries.items():
             level = battery.level_j
             # Eq. 10: the level stays within [0, x_max].
@@ -660,11 +679,8 @@ class ContractChecker:
                     slot=slot,
                     node=node,
                 )
-            alloc = decision.energy.allocations.get(node)
-            if alloc is None:
-                continue
-            charge = alloc.charge_j
-            drained = alloc.discharge_j / battery.discharge_efficiency
+            charge = float(charge_j[node])
+            drained = float(discharge_j[node]) / battery.discharge_efficiency
             if not enforce_complementarity:
                 # The relaxed LP bound drops Eq. 9; the simulator nets
                 # the two flows before they reach the battery.

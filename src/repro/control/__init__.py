@@ -2,8 +2,8 @@
 
 from repro.control.decisions import (
     AdmissionDecision,
+    BatchAllocation,
     EnergyManagementDecision,
-    NodeEnergyAllocation,
     RoutingDecision,
     ScheduleDecision,
     SlotDecision,
@@ -17,8 +17,8 @@ from repro.control.controller import DriftPlusPenaltyController
 
 __all__ = [
     "AdmissionDecision",
+    "BatchAllocation",
     "EnergyManagementDecision",
-    "NodeEnergyAllocation",
     "RoutingDecision",
     "ScheduleDecision",
     "SlotDecision",

@@ -34,7 +34,7 @@ from repro.control.decisions import (
 from repro.control.energy_manager import EnergyManager, NodeEnergyBatch
 from repro.control.router import BackpressureRouter, RouterMode
 from repro.control.scheduler import LinkScheduler
-from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping
+from repro.core.arraystate import LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.energy.consumption import all_node_demands_array
 from repro.model import NetworkModel
@@ -296,8 +296,8 @@ class DriftPlusPenaltyController:
                 self._model, observation, schedule, observation.slot
             )
             self._checker.check_demand_coverage(
-                NodeArrayMapping(demands),
-                self.last_deficit_j,
+                demands,
+                deficit_arr,
                 energy,
                 observation.slot,
             )

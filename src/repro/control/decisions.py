@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
+from repro.axes import NodeJoules
 from repro.network.spectrum import BandState
 from repro.phy.propagation import PairGains
 from repro.types import Link, LinkBand, NodeId, SessionId, Transmission
@@ -125,9 +126,14 @@ class RoutingDecision:
         return totals
 
 
-@dataclass(frozen=True)
-class NodeEnergyAllocation:
-    """S4 output for one node (all joules).
+@dataclass
+class BatchAllocation:
+    """S4 energy split as struct-of-arrays, one row per node (joules).
+
+    Row ``i`` of every vector belongs to the node in row ``i`` of the
+    :class:`~repro.control.energy_manager.NodeEnergyBatch` that produced
+    it; the controller's batch lists nodes ``0..N-1``, so there the row
+    *is* the node id.
 
     Attributes:
         renewable_serve_j: ``r_i`` — renewable energy serving demand.
@@ -139,40 +145,43 @@ class NodeEnergyAllocation:
             extension of Eq. (3); see DESIGN.md).
     """
 
-    renewable_serve_j: float = 0.0
-    renewable_charge_j: float = 0.0
-    grid_serve_j: float = 0.0
-    grid_charge_j: float = 0.0
-    discharge_j: float = 0.0
-    spill_j: float = 0.0
+    renewable_serve_j: NodeJoules
+    renewable_charge_j: NodeJoules
+    grid_serve_j: NodeJoules
+    grid_charge_j: NodeJoules
+    discharge_j: NodeJoules
+    spill_j: NodeJoules
+
+    def __len__(self) -> int:
+        return int(self.discharge_j.shape[0])
 
     @property
-    def charge_j(self) -> float:
-        """Total charging ``c_i = c^r_i + c^g_i``."""
+    def charge_j(self) -> NodeJoules:
+        """Total charging ``c_i = c^r_i + c^g_i`` per row."""
         return self.renewable_charge_j + self.grid_charge_j
 
     @property
-    def grid_draw_j(self) -> float:
-        """Total grid draw ``g_i + c^g_i`` (constraint 14)."""
+    def grid_draw_j(self) -> NodeJoules:
+        """Total grid draw ``g_i + c^g_i`` per row (constraint 14)."""
         return self.grid_serve_j + self.grid_charge_j
 
     @property
-    def demand_served_j(self) -> float:
-        """Energy delivered to the node's demand this slot."""
+    def demand_served_j(self) -> NodeJoules:
+        """Energy delivered to each row's demand this slot."""
         return self.renewable_serve_j + self.grid_serve_j + self.discharge_j
 
 
 @dataclass(frozen=True)
 class EnergyManagementDecision:
-    """S4 output: all node allocations plus the provider-level totals.
+    """S4 output: the per-node allocation plus the provider-level totals.
 
     Attributes:
-        allocations: per-node energy splits.
+        allocation: per-node energy splits, row = node.
         bs_grid_draw_j: ``P(t)`` — total base-station grid draw (J).
         cost: the slot's generation cost ``f(P(t))``.
     """
 
-    allocations: Mapping[NodeId, NodeEnergyAllocation]
+    allocation: BatchAllocation
     bs_grid_draw_j: float
     cost: float
 

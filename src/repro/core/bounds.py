@@ -25,15 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+import numpy as np
+
 from repro.control.decisions import (
     AdmissionDecision,
+    BatchAllocation,
     EnergyManagementDecision,
-    NodeEnergyAllocation,
     RoutingDecision,
     ScheduleDecision,
     SlotDecision,
     SlotObservation,
 )
+from repro.core.arraystate import seq_sum
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
@@ -307,30 +310,29 @@ class RelaxedLpController:
                 name=f"grid_cap[{node}]",
             )
 
-            if params.exact_battery_drift:
-                # Epigraph of the exact quadratic battery-drift term
-                # (net^2 / 2, net = c - d), supported by tangents — an
-                # under-approximation, so the lower bound stays valid
-                # while matching the integral controller's objective.
-                lp.add_variable(("w", node), objective=1.0, lower=0.0)
-                net_lo = -battery.max_discharge_j()
-                net_hi = eta_c * battery.max_charge_j()
-                span = max(net_hi - net_lo, 1.0)
-                for k in range(9):
-                    point = net_lo + span * k / 8
-                    # w >= point * net - point^2 / 2, with the level
-                    # delta net = eta_c (cr + cg) - d / eta_d.
-                    lp.add_constraint(
-                        {
-                            ("w", node): 1.0,
-                            ("cr", node): -point * eta_c,
-                            ("cg", node): -point * eta_c,
-                            ("d", node): point / eta_d,
-                        },
-                        Sense.GE,
-                        -0.5 * point * point,
-                        name=f"qdrift[{node},{k}]",
-                    )
+            # Epigraph of the exact quadratic battery-drift term
+            # (net^2 / 2, net = c - d), supported by tangents — an
+            # under-approximation, so the lower bound stays valid
+            # while matching the integral controller's objective.
+            lp.add_variable(("w", node), objective=1.0, lower=0.0)
+            net_lo = -battery.max_discharge_j()
+            net_hi = eta_c * battery.max_charge_j()
+            span = max(net_hi - net_lo, 1.0)
+            for k in range(9):
+                point = net_lo + span * k / 8
+                # w >= point * net - point^2 / 2, with the level
+                # delta net = eta_c (cr + cg) - d / eta_d.
+                lp.add_constraint(
+                    {
+                        ("w", node): 1.0,
+                        ("cr", node): -point * eta_c,
+                        ("cg", node): -point * eta_c,
+                        ("d", node): point / eta_d,
+                    },
+                    Sense.GE,
+                    -0.5 * point * point,
+                    name=f"qdrift[{node},{k}]",
+                )
 
             # Demand balance: g + r + d + slack - (tx/rx energy) = fixed.
             balance: Dict = {
@@ -429,26 +431,27 @@ class RelaxedLpController:
             sources=sources, admitted=admitted, split=split
         )
 
-        allocations: Dict[NodeId, NodeEnergyAllocation] = {}
-        for node_obj in model.nodes:  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
-            node = node_obj.node_id
-            renewable = observation.renewable_j[node]
-            r = solution.values[("r", node)]
-            cr = solution.values[("cr", node)]
-            allocations[node] = NodeEnergyAllocation(
-                renewable_serve_j=r,
-                renewable_charge_j=cr,
-                grid_serve_j=solution.values[("g", node)],
-                grid_charge_j=solution.values[("cg", node)],
-                discharge_j=solution.values[("d", node)],
-                spill_j=max(0.0, renewable - r - cr),
+        num_nodes = model.num_nodes
+
+        def flow(name: str) -> np.ndarray:
+            return np.fromiter(
+                (solution.values[(name, node)] for node in range(num_nodes)),  # noqa: R040 - offline Theorem-5 LP assembly: the LP solution is keyed per variable
+                dtype=float,
+                count=num_nodes,
             )
-        bs_set = set(model.bs_ids)
-        total_draw = sum(
-            a.grid_draw_j for n, a in allocations.items() if n in bs_set
+
+        r, cr = flow("r"), flow("cr")
+        allocation = BatchAllocation(
+            renewable_serve_j=r,
+            renewable_charge_j=cr,
+            grid_serve_j=flow("g"),
+            grid_charge_j=flow("cg"),
+            discharge_j=flow("d"),
+            spill_j=np.maximum(0.0, observation.renewable_j.values_array - r - cr),
         )
+        total_draw = seq_sum(allocation.grid_draw_j[sorted(model.bs_ids)])
         energy = EnergyManagementDecision(
-            allocations=allocations,
+            allocation=allocation,
             bs_grid_draw_j=total_draw,
             cost=model.cost_at(observation.slot).value(total_draw),
         )

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from repro.control.decisions import SlotDecision
+from repro.core.arraystate import seq_sum
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.types import Link, NodeId, SessionId
@@ -81,10 +84,11 @@ def compute_drift_terms(
         h = h_backlogs.get((tx, rx), 0.0)
         psi3 += (-q_tx + q_rx + constants.beta * h) * rate
 
-    # Psi-hat_4 (Eq. 38): sum z_i (c_i - d_i) + V f(P).
-    psi4 = params.control_v * decision.energy.cost
-    for node, allocation in decision.energy.allocations.items():
-        psi4 += z_values[node] * (allocation.charge_j - allocation.discharge_j)
+    # Psi-hat_4 (Eq. 38): V f(P) + sum z_i (c_i - d_i), in node order.
+    allocation = decision.energy.allocation
+    net = allocation.charge_j - allocation.discharge_j
+    z = np.fromiter((z_values[node] for node in range(net.size)), float, net.size)
+    psi4 = seq_sum(np.concatenate(([params.control_v * decision.energy.cost], z * net)))
 
     return DriftTerms(psi1=psi1, psi2=psi2, psi3=psi3, psi4=psi4)
 
@@ -93,11 +97,9 @@ def battery_drift_quadratic_term(decision: SlotDecision) -> float:
     """The exact-drift correction ``sum_i (c_i - d_i)^2 / 2``.
 
     The paper's Psi-hat_4 is the *linear* part of the battery drift;
-    adding this term gives the exact per-slot drift the default S4
-    solver minimises (``exact_battery_drift``, DESIGN.md).
+    adding this term gives the exact per-slot drift the S4 solver
+    minimises (DESIGN.md §5).
     """
-    total = 0.0
-    for allocation in decision.energy.allocations.values():
-        net = allocation.charge_j - allocation.discharge_j
-        total += 0.5 * net * net
-    return total
+    allocation = decision.energy.allocation
+    net = allocation.charge_j - allocation.discharge_j
+    return seq_sum(0.5 * net * net)

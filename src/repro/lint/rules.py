@@ -539,7 +539,7 @@ interpreter-bound path the refactor removed.
 
 Flagged: for-loops and comprehensions iterating `.items()` /
 `.values()` / `.keys()` of an *attribute-chain* receiver (e.g.
-`self._queues.items()`, `decision.energy.allocations.items()`) — those
+`self._queues.items()`, `state.batteries.items()`) — those
 are the persistent containers that scale with network size.
 
 Exempt by design:

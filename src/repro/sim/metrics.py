@@ -13,7 +13,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.control.decisions import SlotDecision
+from repro.control.decisions import BatchAllocation, SlotDecision
+from repro.core.arraystate import seq_sum
 from repro.queueing.backlog import BacklogSnapshot
 
 
@@ -41,23 +42,16 @@ class EnergyFlows:
         return self.grid_serve_j + self.grid_charge_j
 
 
-def _aggregate_flows(decision: SlotDecision, nodes) -> EnergyFlows:
-    renewable = grid_serve = grid_charge = discharge = spill = 0.0
-    node_set = set(nodes)
-    for node, alloc in decision.energy.allocations.items():
-        if node not in node_set:
-            continue
-        renewable += alloc.renewable_serve_j + alloc.renewable_charge_j
-        grid_serve += alloc.grid_serve_j
-        grid_charge += alloc.grid_charge_j
-        discharge += alloc.discharge_j
-        spill += alloc.spill_j
+def _aggregate_flows(allocation: BatchAllocation, rows: np.ndarray) -> EnergyFlows:
+    """Sum one node class's flows over ``rows`` in ascending node order."""
     return EnergyFlows(
-        renewable_used_j=renewable,
-        grid_serve_j=grid_serve,
-        grid_charge_j=grid_charge,
-        discharge_j=discharge,
-        spill_j=spill,
+        renewable_used_j=seq_sum(
+            allocation.renewable_serve_j[rows] + allocation.renewable_charge_j[rows]
+        ),
+        grid_serve_j=seq_sum(allocation.grid_serve_j[rows]),
+        grid_charge_j=seq_sum(allocation.grid_charge_j[rows]),
+        discharge_j=seq_sum(allocation.discharge_j[rows]),
+        spill_j=seq_sum(allocation.spill_j[rows]),
     )
 
 
@@ -101,7 +95,7 @@ class MetricsCollector:
 
     def __init__(self, admission_lambda: float, bs_ids=()) -> None:
         self._lambda = admission_lambda
-        self._bs_ids = frozenset(bs_ids)
+        self._bs_rows = np.array(sorted(bs_ids), dtype=np.intp)
         self.slots: List[SlotMetrics] = []
         #: Cumulative delivered packets per session id.
         self.session_delivered: Dict[int, float] = {}
@@ -122,10 +116,10 @@ class MetricsCollector:
                     self.session_delivered.get(sid, 0.0) + amount
                 )
         admitted = decision.admission.total_admitted()
-        spill = sum(
-            a.spill_j for a in decision.energy.allocations.values()
-        )
-        all_nodes = set(decision.energy.allocations)
+        allocation = decision.energy.allocation
+        is_bs = np.zeros(len(allocation), dtype=bool)
+        is_bs[self._bs_rows] = True
+        bs_rows, user_rows = np.flatnonzero(is_bs), np.flatnonzero(~is_bs)
         metrics = SlotMetrics(
             slot=slot,
             grid_draw_j=decision.energy.bs_grid_draw_j,
@@ -136,10 +130,16 @@ class MetricsCollector:
             scheduled_links=len(decision.schedule.transmissions),
             curtailed_links=len(decision.curtailed),
             deficit_j=deficit_j,
-            spill_j=spill,
+            # Users first, then stations: the summation order the
+            # golden trajectories (tests/golden) pin bit for bit.
+            spill_j=seq_sum(
+                np.concatenate(
+                    (allocation.spill_j[user_rows], allocation.spill_j[bs_rows])
+                )
+            ),
             snapshot=snapshot,
-            bs_flows=_aggregate_flows(decision, self._bs_ids),
-            user_flows=_aggregate_flows(decision, all_nodes - self._bs_ids),
+            bs_flows=_aggregate_flows(allocation, bs_rows),
+            user_flows=_aggregate_flows(allocation, user_rows),
         )
         self.slots.append(metrics)
         return metrics

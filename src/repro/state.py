@@ -371,13 +371,9 @@ class NetworkState:
         # allocation's discharge is *delivered* energy; the battery
         # drains 1/eta_d of it.
         arrays = self.arrays
-        charge_j = np.zeros(arrays.num_nodes)
-        drain_j = np.zeros(arrays.num_nodes)
-        for node, allocation in decision.energy.allocations.items():  # noqa: R006 - decision-sized mapping feeding the vectorized kernel
-            charge_j[node] = allocation.charge_j
-            drain_j[node] = (
-                allocation.discharge_j / self.batteries[node].discharge_efficiency
-            )
+        allocation = decision.energy.allocation
+        charge_j = allocation.charge_j
+        drain_j = allocation.discharge_j / arrays.discharge_efficiency
         if not enforce_complementarity:
             net = charge_j - drain_j
             charge_j = np.maximum(net, 0.0)

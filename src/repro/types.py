@@ -69,7 +69,6 @@ class EnergySolverKind(enum.Enum):
     """Available S4 energy-management solvers."""
 
     PRICE_DECOMPOSITION = "price_decomposition"
-    SLSQP = "slsqp"
     GRID_ONLY = "grid_only"
 
 

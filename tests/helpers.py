@@ -3,9 +3,10 @@
 ``decision_fingerprint`` turns one :class:`~repro.control.decisions.SlotDecision`
 into an exactly comparable tuple (the dense-vs-sparse and golden suites
 compare them with ``==``).  ``trajectory_sha256`` folds a whole run —
-every slot's decision, its S4 energy allocations and the slot metrics
-(``BacklogSnapshot``, cost, penalty, flows) — into one SHA-256 digest,
-so a committed hex string pins a trajectory bit for bit.
+every slot's decision, its S4 energy allocation (rendered by
+``canonical_energy``) and the slot metrics (``BacklogSnapshot``, cost,
+penalty, flows) — into one SHA-256 digest, so a committed hex string
+pins a trajectory bit for bit.
 ``make_snapshot_oracle`` is the plain-Python backlog aggregation the
 array kernel :func:`~repro.queueing.backlog.make_snapshot_from_arrays`
 must reproduce exactly.  ``dense_gain_oracle`` is the all-pairs
@@ -113,13 +114,45 @@ def canonical(value) -> str:
     raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
+def canonical_energy(energy, bs_ids) -> str:
+    """An S4 decision in the text of the per-node mapping it replaced.
+
+    The pinned trajectories hash S4 output as
+    ``EnergyManagementDecision(allocations={node: NodeEnergyAllocation(
+    ...)}, ...)`` with users first and then base stations, each in
+    ascending node order; this renders the ``(N,)`` vectors of the
+    :class:`~repro.control.decisions.BatchAllocation` the same way, so
+    the committed digests stay valid.
+    """
+    allocation = energy.allocation
+    is_bs = np.zeros(len(allocation), dtype=bool)
+    is_bs[list(bs_ids)] = True
+    order = np.concatenate((np.flatnonzero(~is_bs), np.flatnonzero(is_bs)))
+    names = [f.name for f in dataclasses.fields(allocation)]
+    rows = ",".join(
+        f"{canonical(node)}:NodeEnergyAllocation("
+        + ",".join(
+            f"{name}={canonical(getattr(allocation, name)[node])}"
+            for name in names
+        )
+        + ")"
+        for node in order
+    )
+    return (
+        f"EnergyManagementDecision(allocations={{{rows}}},"
+        f"bs_grid_draw_j={canonical(energy.bs_grid_draw_j)},"
+        f"cost={canonical(energy.cost)})"
+    )
+
+
 def trajectory_sha256(params, scheduler_kind) -> str:
     """SHA-256 over a full integral run's decisions and slot metrics."""
     sim = SlotSimulator.integral(params, scheduler_kind=scheduler_kind)
+    bs_ids = sim.model.bs_ids
     digest = hashlib.sha256()
     for slot in range(params.num_slots):
         decision = sim.step(slot)
         digest.update(canonical(decision_fingerprint(decision)).encode())
-        digest.update(canonical(decision.energy).encode())
+        digest.update(canonical_energy(decision.energy, bs_ids).encode())
         digest.update(canonical(sim.metrics.slots[-1]).encode())
     return digest.hexdigest()

@@ -3,7 +3,9 @@
 Strategy: run the real tiny scenario with contracts off, capture a
 genuine (pre-state, decision, post-state) triple, then corrupt one
 piece at a time and assert the checker raises a
-:class:`ContractViolation` carrying the *right* equation tag.  A clean
+:class:`ContractViolation` carrying the *right* equation tag.  The S4
+checks get the same treatment on a genuine energy allocation, one
+corrupted vector entry per equation.  A clean
 strict end-to-end run and the warn/off behaviours are covered too.
 """
 
@@ -12,12 +14,18 @@ from __future__ import annotations
 import dataclasses
 import logging
 
+import numpy as np
 import pytest
 
 from repro.config import tiny_scenario
 from repro.contracts import ContractChecker, ContractViolation, Strictness
 from repro.contracts.checker import coerce_strictness
 from repro.control.decisions import AdmissionDecision, ScheduleDecision
+from repro.control.energy_manager import (
+    EnergyManager,
+    NodeEnergyBatch,
+    NodeEnergyInputs,
+)
 from repro.sim import SlotSimulator
 from repro.types import Transmission
 
@@ -159,6 +167,116 @@ class TestScheduleContracts:
                 simulator.model, observation, schedule, slot
             )
         assert excinfo.value.equation == "Eq. 24"
+
+
+def _energy_case():
+    """A genuine S4 (batch, decision) pair on a hand-built 3-node slot.
+
+    Node 0 is a base station that charges, node 1 a grid-connected user
+    and node 2 a disconnected user that must discharge.
+    """
+    model = SlotSimulator.integral(tiny_scenario()).model
+
+    def node(node_id, is_bs, demand, renewable, connected, grid, charge, discharge, z):
+        return NodeEnergyInputs(
+            node=node_id,
+            is_base_station=is_bs,
+            demand_j=demand,
+            renewable_j=renewable,
+            grid_connected=connected,
+            grid_cap_j=grid,
+            charge_cap_j=charge,
+            discharge_cap_j=discharge,
+            z=z,
+        )
+
+    batch = NodeEnergyBatch.from_inputs(
+        [
+            node(0, True, 100.0, 50.0, True, 1000.0, 200.0, 200.0, -500.0),
+            node(1, False, 10.0, 30.0, True, 500.0, 20.0, 20.0, -50.0),
+            node(2, False, 20.0, 0.0, False, 0.0, 50.0, 40.0, 10.0),
+        ]
+    )
+    decision = EnergyManager(model).manage(batch)
+    return batch, decision
+
+
+def _corrupt(decision, field, node, delta):
+    """``decision`` with ``delta`` added to one entry of one flow vector."""
+    values = getattr(decision.allocation, field).copy()
+    values[node] += delta
+    allocation = dataclasses.replace(decision.allocation, **{field: values})
+    return dataclasses.replace(decision, allocation=allocation)
+
+
+class TestEnergyContracts:
+    def test_genuine_allocation_is_clean(self):
+        batch, decision = _energy_case()
+        assert decision.allocation.charge_j[0] > 1.0
+        assert decision.allocation.discharge_j[2] > 1.0
+        checker = ContractChecker(Strictness.STRICT)
+        checker.check_energy(batch, decision, slot=3)
+        checker.check_demand_coverage(
+            batch.demand_j, np.zeros(len(batch)), decision, slot=3
+        )
+        assert checker.violation_count == 0
+
+    @pytest.mark.parametrize(
+        "field, node, delta, equation",
+        [
+            ("grid_charge_j", 1, -1.0, "Eq. 14"),  # negative flow
+            ("spill_j", 1, 1.0, "Eq. 3"),  # harvest split
+            ("grid_charge_j", 1, 600.0, "Eq. 14"),  # grid cap
+            ("grid_charge_j", 0, 300.0, "Eq. 11"),  # charge cap
+            ("discharge_j", 2, 100.0, "Eq. 12"),  # discharge cap
+            ("discharge_j", 0, 1.0, "Eq. 9"),  # charge and discharge
+            ("grid_serve_j", 1, 1.0, "Eq. 2"),  # demand balance
+        ],
+    )
+    def test_corrupt_entry_raises_tagged_violation(
+        self, field, node, delta, equation
+    ):
+        batch, decision = _energy_case()
+        checker = ContractChecker(Strictness.STRICT)
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_energy(
+                batch, _corrupt(decision, field, node, delta), slot=3
+            )
+        assert excinfo.value.equation == equation
+        assert excinfo.value.node == node
+        assert excinfo.value.slot == 3
+
+    def test_corrupt_total_draw_raises_eq5(self):
+        batch, decision = _energy_case()
+        bad = dataclasses.replace(
+            decision, bs_grid_draw_j=decision.bs_grid_draw_j + 1.0
+        )
+        with pytest.raises(ContractViolation) as excinfo:
+            ContractChecker(Strictness.STRICT).check_energy(batch, bad)
+        assert excinfo.value.equation == "Eq. 5"
+        assert excinfo.value.node is None
+
+    def test_uncovered_demand_raises_eq2(self):
+        batch, decision = _energy_case()
+        checker = ContractChecker(Strictness.STRICT)
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_demand_coverage(
+                batch.demand_j,
+                np.zeros(len(batch)),
+                _corrupt(decision, "discharge_j", 2, -1.0),
+                slot=4,
+            )
+        assert excinfo.value.equation == "Eq. 2"
+        assert excinfo.value.node == 2
+
+    def test_deficit_accounts_for_uncovered_demand(self):
+        batch, decision = _energy_case()
+        deficit = np.array([0.0, 0.0, 1.0])
+        checker = ContractChecker(Strictness.STRICT)
+        checker.check_demand_coverage(
+            batch.demand_j + deficit, deficit, decision, slot=4
+        )
+        assert checker.violation_count == 0
 
 
 class TestEndToEnd:

@@ -25,7 +25,7 @@ class TestDecide:
         observation = tiny_state.observe(0)
         decision = controller.decide(observation, tiny_state)
         assert decision.admission.sources
-        assert decision.energy.allocations
+        assert len(decision.energy.allocation) == tiny_state.arrays.num_nodes
         assert decision.energy.cost >= 0
 
     def test_energy_demand_always_supplied(self, controller, tiny_state, tiny_model):
@@ -34,8 +34,7 @@ class TestDecide:
             decision = controller.decide(observation, tiny_state)
             for node_obj in tiny_model.nodes:
                 node = node_obj.node_id
-                alloc = decision.energy.allocations[node]
-                supply = alloc.demand_served_j
+                supply = decision.energy.allocation.demand_served_j[node]
                 # Demand after curtailment/deficit must be exactly met.
                 assert supply >= -1e-6
             tiny_state.apply(decision, slot)
@@ -44,9 +43,10 @@ class TestDecide:
         for slot in range(8):
             observation = tiny_state.observe(slot)
             decision = controller.decide(observation, tiny_state)
-            for node, alloc in decision.energy.allocations.items():
+            draw = decision.energy.allocation.grid_draw_j
+            for node in range(draw.size):
                 if not observation.grid_connected[node]:
-                    assert alloc.grid_draw_j == 0.0
+                    assert draw[node] == 0.0
             tiny_state.apply(decision, slot)
 
     def test_controller_does_not_mutate_state(self, controller, tiny_state):
@@ -86,8 +86,8 @@ class TestCurtailment:
             # The surviving schedule must be affordable everywhere.
             for node_obj in model.nodes:
                 node = node_obj.node_id
-                alloc = decision.energy.allocations[node]
-                assert alloc.grid_draw_j <= state.grids[node].draw_cap_j + 1e-6
+                draw = decision.energy.allocation.grid_draw_j[node]
+                assert draw <= state.grids[node].draw_cap_j + 1e-6
             state.apply(decision, slot)
         # Starved users have fixed demand 3 J vs ~0.03 J renewable:
         # deficits are inevitable.

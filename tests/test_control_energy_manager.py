@@ -1,23 +1,27 @@
-"""Unit tests for S4 energy management, including the cross-check of
-the exact price-decomposition solver against scipy SLSQP."""
+"""Unit tests for S4 energy management: the closed-form kernels, the
+price decomposition and its agreement with the SLSQP reference."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.control import energy_manager
+from repro.control.decisions import BatchAllocation
 from repro.control.energy_manager import (
     EnergyManager,
     NodeEnergyBatch,
     NodeEnergyInputs,
     _allocation_given_grid,
+    _batched_charge_mode,
     _batched_grid_draw_j,
     _batched_node_response,
-    _charge_mode_allocation,
-    _node_response,
+    _batched_serve_mode,
     _quadratic_grid_draw_j,
-    _serve_mode_allocation,
 )
 from repro.exceptions import InfeasibleError
 from repro.types import EnergySolverKind
+from tests.slsqp_reference import assert_matches_slsqp, solve_slsqp
 
 
 def _inputs(
@@ -44,154 +48,214 @@ def _inputs(
     )
 
 
-def _check_allocation(inputs, alloc):
-    """Every S4 node constraint on one allocation."""
-    assert alloc.renewable_serve_j >= -1e-9
-    assert alloc.renewable_charge_j >= -1e-9
-    assert alloc.grid_serve_j >= -1e-9
-    assert alloc.grid_charge_j >= -1e-9
-    assert alloc.discharge_j >= -1e-9
+def _batch(*inputs):
+    return NodeEnergyBatch.from_inputs(list(inputs))
+
+
+def _price(value):
+    return np.array([value])
+
+
+def _check_allocation(batch, alloc):
+    """Every S4 node constraint on every row of one allocation."""
+    for name in (
+        "renewable_serve_j",
+        "renewable_charge_j",
+        "grid_serve_j",
+        "grid_charge_j",
+        "discharge_j",
+    ):
+        assert np.all(getattr(alloc, name) >= -1e-9), name
     # Demand balance.
-    assert alloc.demand_served_j == pytest.approx(inputs.demand_j, abs=1e-6)
+    np.testing.assert_allclose(
+        alloc.demand_served_j, batch.demand_j, rtol=0.0, atol=1e-6
+    )
     # Renewable budget (Eq. 3 with spill).
-    assert (
+    assert np.all(
         alloc.renewable_serve_j + alloc.renewable_charge_j
-        <= inputs.renewable_j + 1e-6
+        <= batch.renewable_j + 1e-6
     )
     # Caps (11), (12), (14).
-    assert alloc.charge_j <= inputs.charge_cap_j + 1e-6
-    assert alloc.discharge_j <= inputs.discharge_cap_j + 1e-6
-    assert alloc.grid_draw_j <= inputs.usable_grid_j + 1e-6
+    assert np.all(alloc.charge_j <= batch.charge_cap_j + 1e-6)
+    assert np.all(alloc.discharge_j <= batch.discharge_cap_j + 1e-6)
+    assert np.all(alloc.grid_draw_j <= batch.usable_grid_j + 1e-6)
     # Complementarity (9).
-    assert min(alloc.charge_j, alloc.discharge_j) <= 1e-6
+    assert np.all(np.minimum(alloc.charge_j, alloc.discharge_j) <= 1e-6)
 
 
 class TestServeMode:
     def test_renewable_first_when_z_negative(self):
-        inputs = _inputs(demand=40.0, renewable=100.0, z=-10.0)
-        alloc, objective = _serve_mode_allocation(inputs, grid_price=5.0)
-        assert alloc.renewable_serve_j == pytest.approx(40.0)
-        assert objective == 0.0
-        _check_allocation(inputs, alloc)
+        batch = _batch(_inputs(demand=40.0, renewable=100.0, z=-10.0))
+        alloc, objective = _batched_serve_mode(batch, _price(5.0))
+        assert alloc.renewable_serve_j[0] == pytest.approx(40.0)
+        assert objective[0] == 0.0
+        _check_allocation(batch, alloc)
 
     def test_discharge_before_grid_when_cheaper(self):
-        # -z = 2 < grid price 5: battery is the cheaper source.
-        inputs = _inputs(demand=100.0, renewable=0.0, z=-2.0, discharge_cap=60.0)
-        alloc, _ = _serve_mode_allocation(inputs, grid_price=5.0)
-        assert alloc.discharge_j == pytest.approx(60.0)
-        assert alloc.grid_serve_j == pytest.approx(40.0)
-        _check_allocation(inputs, alloc)
+        # The battery serves until its marginal drain cost -z + d
+        # reaches the grid price: d = z + price = 3.
+        batch = _batch(
+            _inputs(demand=100.0, renewable=0.0, z=-2.0, discharge_cap=60.0)
+        )
+        alloc, _ = _batched_serve_mode(batch, _price(5.0))
+        assert alloc.discharge_j[0] == pytest.approx(3.0)
+        assert alloc.grid_serve_j[0] == pytest.approx(97.0)
+        _check_allocation(batch, alloc)
 
     def test_grid_before_discharge_when_cheaper(self):
-        inputs = _inputs(demand=100.0, renewable=0.0, z=-50.0)
-        alloc, _ = _serve_mode_allocation(inputs, grid_price=5.0)
-        assert alloc.grid_serve_j == pytest.approx(100.0)
-        assert alloc.discharge_j == 0.0
+        batch = _batch(_inputs(demand=100.0, renewable=0.0, z=-50.0))
+        alloc, _ = _batched_serve_mode(batch, _price(5.0))
+        assert alloc.grid_serve_j[0] == pytest.approx(100.0)
+        assert alloc.discharge_j[0] == 0.0
 
     def test_positive_z_prefers_discharge(self):
-        inputs = _inputs(demand=100.0, renewable=0.0, z=10.0, discharge_cap=80.0)
-        alloc, objective = _serve_mode_allocation(inputs, grid_price=0.1)
-        assert alloc.discharge_j == pytest.approx(80.0)
-        assert objective < 0  # discharging pays when z > 0
+        batch = _batch(
+            _inputs(demand=100.0, renewable=0.0, z=10.0, discharge_cap=80.0)
+        )
+        alloc, objective = _batched_serve_mode(batch, _price(0.1))
+        assert alloc.discharge_j[0] == pytest.approx(10.1)
+        assert objective[0] < 0  # discharging pays when z > 0
 
     def test_infeasible_demand_raises(self):
-        inputs = _inputs(demand=1e9, renewable=1.0, grid_cap=1.0, discharge_cap=1.0)
+        batch = _batch(
+            _inputs(demand=1e9, renewable=1.0, grid_cap=1.0, discharge_cap=1.0)
+        )
         with pytest.raises(InfeasibleError):
-            _serve_mode_allocation(inputs, grid_price=1.0)
+            _batched_serve_mode(batch, _price(1.0))
 
     def test_spill_accounted(self):
-        inputs = _inputs(demand=10.0, renewable=100.0)
-        alloc, _ = _serve_mode_allocation(inputs, grid_price=1.0)
-        assert alloc.spill_j == pytest.approx(90.0)
+        batch = _batch(_inputs(demand=10.0, renewable=100.0))
+        alloc, _ = _batched_serve_mode(batch, _price(1.0))
+        assert alloc.spill_j[0] == pytest.approx(90.0)
 
 
 class TestChargeMode:
     def test_charges_renewable_surplus(self):
-        inputs = _inputs(demand=10.0, renewable=100.0, z=-50.0, charge_cap=70.0)
-        result = _charge_mode_allocation(inputs, grid_price=1.0)
-        assert result is not None
-        alloc, _ = result
-        assert alloc.renewable_charge_j == pytest.approx(70.0)
-        _check_allocation(inputs, alloc)
+        # Charging stops at a stored amount of -z = 50, below the cap.
+        batch = _batch(
+            _inputs(demand=10.0, renewable=100.0, z=-50.0, charge_cap=70.0)
+        )
+        alloc, _, feasible = _batched_charge_mode(batch, _price(1.0))
+        assert feasible[0]
+        assert alloc.renewable_charge_j[0] == pytest.approx(50.0)
+        _check_allocation(batch, alloc)
 
     def test_grid_charges_when_profitable(self):
-        # z + price < 0: grid charging pays off.
-        inputs = _inputs(demand=0.0, renewable=0.0, z=-100.0, charge_cap=50.0)
-        result = _charge_mode_allocation(inputs, grid_price=10.0)
-        assert result is not None
-        alloc, objective = result
-        assert alloc.grid_charge_j == pytest.approx(50.0)
-        assert objective == pytest.approx((-100.0 + 10.0) * 50.0)
+        # -z - price > 0: grid charging pays up to the cap.
+        batch = _batch(
+            _inputs(demand=0.0, renewable=0.0, z=-100.0, charge_cap=50.0)
+        )
+        alloc, objective, feasible = _batched_charge_mode(batch, _price(10.0))
+        assert feasible[0]
+        assert alloc.grid_charge_j[0] == pytest.approx(50.0)
+        assert objective[0] == pytest.approx(
+            -100.0 * 50.0 + 0.5 * 50.0 * 50.0 + 10.0 * 50.0
+        )
 
     def test_no_grid_charge_when_unprofitable(self):
-        inputs = _inputs(demand=0.0, renewable=0.0, z=-5.0, charge_cap=50.0)
-        result = _charge_mode_allocation(inputs, grid_price=10.0)
-        assert result is not None
-        alloc, _ = result
-        assert alloc.grid_charge_j == 0.0
+        batch = _batch(_inputs(demand=0.0, renewable=0.0, z=-5.0, charge_cap=50.0))
+        alloc, _, feasible = _batched_charge_mode(batch, _price(10.0))
+        assert feasible[0]
+        assert alloc.grid_charge_j[0] == 0.0
 
     def test_renewable_arbitrage(self):
-        # Charging renewable pays |z| = 100/J; grid serving costs 10/J:
-        # better to charge all renewable and serve demand from grid.
-        inputs = _inputs(demand=50.0, renewable=50.0, z=-100.0, charge_cap=200.0)
-        result = _charge_mode_allocation(inputs, grid_price=10.0)
-        assert result is not None
-        alloc, _ = result
-        assert alloc.renewable_charge_j == pytest.approx(50.0)
-        assert alloc.grid_serve_j == pytest.approx(50.0)
+        # Storing pays -z - stored per joule; grid energy costs 10/J:
+        # the battery charges to -z - price = 90 J on top of demand.
+        batch = _batch(
+            _inputs(demand=50.0, renewable=50.0, z=-100.0, charge_cap=200.0)
+        )
+        alloc, _, feasible = _batched_charge_mode(batch, _price(10.0))
+        assert feasible[0]
+        assert alloc.charge_j[0] == pytest.approx(90.0)
+        assert alloc.grid_draw_j[0] == pytest.approx(90.0)
+        assert alloc.renewable_serve_j[0] == pytest.approx(50.0)
 
     def test_none_when_demand_needs_discharge(self):
-        inputs = _inputs(demand=100.0, renewable=10.0, connected=False)
-        assert _charge_mode_allocation(inputs, grid_price=1.0) is None
+        batch = _batch(_inputs(demand=100.0, renewable=10.0, connected=False))
+        _, _, feasible = _batched_charge_mode(batch, _price(1.0))
+        assert not feasible[0]
 
     def test_positive_z_never_charges(self):
-        inputs = _inputs(demand=10.0, renewable=100.0, z=5.0)
-        result = _charge_mode_allocation(inputs, grid_price=1.0)
-        assert result is not None
-        alloc, _ = result
-        assert alloc.charge_j == 0.0
+        batch = _batch(_inputs(demand=10.0, renewable=100.0, z=5.0))
+        alloc, _, feasible = _batched_charge_mode(batch, _price(1.0))
+        assert feasible[0]
+        assert alloc.charge_j[0] == 0.0
 
 
 class TestNodeResponse:
     def test_complementarity_always_holds(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            inputs = _inputs(
-                demand=float(rng.uniform(0, 500)),
-                renewable=float(rng.uniform(0, 300)),
-                z=float(rng.uniform(-1000, 200)),
-                charge_cap=float(rng.uniform(0, 300)),
-                discharge_cap=float(rng.uniform(0, 300)),
-                grid_cap=600.0,
-            )
-            alloc, _ = _node_response(inputs, mu=0.01, control_v=1000.0)
-            _check_allocation(inputs, alloc)
+        batch = NodeEnergyBatch.from_inputs(
+            [
+                _inputs(
+                    node=node,
+                    demand=float(rng.uniform(0, 500)),
+                    renewable=float(rng.uniform(0, 300)),
+                    z=float(rng.uniform(-1000, 200)),
+                    charge_cap=float(rng.uniform(0, 300)),
+                    discharge_cap=float(rng.uniform(0, 300)),
+                    grid_cap=600.0,
+                )
+                for node in range(100)
+            ]
+        )
+        alloc, _ = _batched_node_response(batch, mu=0.01, control_v=1000.0)
+        _check_allocation(batch, alloc)
 
     def test_user_ignores_price(self):
-        user = _inputs(is_bs=False, z=-50.0)
-        cheap, _ = _node_response(user, mu=0.0, control_v=1000.0)
-        pricey, _ = _node_response(user, mu=1e9, control_v=1000.0)
-        assert cheap == pricey
+        batch = _batch(_inputs(is_bs=False, z=-50.0))
+        cheap, _ = _batched_node_response(batch, mu=0.0, control_v=1000.0)
+        pricey, _ = _batched_node_response(batch, mu=1e9, control_v=1000.0)
+        for field in dataclasses.fields(BatchAllocation):
+            assert np.array_equal(
+                getattr(cheap, field.name), getattr(pricey, field.name)
+            )
+
+
+def _pinned(inputs, grid_draw_j):
+    """Row 0 of ``inputs`` repaired to the grid budget ``grid_draw_j``."""
+    batch = _batch(inputs)
+    out = BatchAllocation(*(np.zeros(1) for _ in range(6)))
+    _allocation_given_grid(batch, 0, grid_draw_j, out)
+    return batch, out
 
 
 class TestAllocationGivenGrid:
     def test_meets_demand_and_charges_leftover(self):
-        inputs = _inputs(demand=100.0, renewable=30.0, z=-10.0, charge_cap=500.0)
-        alloc = _allocation_given_grid(inputs, grid_draw_j=150.0)
-        _check_allocation(inputs, alloc)
-        assert alloc.grid_draw_j == pytest.approx(150.0)
-        assert alloc.grid_charge_j == pytest.approx(80.0)
+        inputs = _inputs(demand=100.0, renewable=30.0, z=-500.0, charge_cap=500.0)
+        batch, alloc = _pinned(inputs, grid_draw_j=150.0)
+        _check_allocation(batch, alloc)
+        assert alloc.grid_draw_j[0] == pytest.approx(150.0)
+        assert alloc.grid_charge_j[0] == pytest.approx(80.0)
 
     def test_discharges_to_fill_gap(self):
         inputs = _inputs(demand=100.0, renewable=10.0, z=-10.0)
-        alloc = _allocation_given_grid(inputs, grid_draw_j=50.0)
-        assert alloc.discharge_j == pytest.approx(40.0)
-        _check_allocation(inputs, alloc)
+        batch, alloc = _pinned(inputs, grid_draw_j=50.0)
+        assert alloc.discharge_j[0] == pytest.approx(40.0)
+        _check_allocation(batch, alloc)
 
     def test_infeasible_budget_raises(self):
         inputs = _inputs(demand=1000.0, renewable=0.0, discharge_cap=10.0)
         with pytest.raises(InfeasibleError):
-            _allocation_given_grid(inputs, grid_draw_j=0.0)
+            _pinned(inputs, grid_draw_j=0.0)
+
+
+def _objective(model, batch, allocation, cost_value):
+    """The exact-drift S4 objective ``V f(P) + sum z net + net^2 / 2``."""
+    net = (
+        batch.charge_efficiency * allocation.charge_j
+        - allocation.discharge_j / batch.discharge_efficiency
+    )
+    return (
+        model.params.control_v * cost_value
+        + float(np.dot(batch.z, net))
+        + 0.5 * float(np.dot(net, net))
+    )
+
+
+def _reference_objective(model, batch, reference):
+    draw = float(np.sum(reference.grid_draw_j[batch.is_base_station]))
+    return _objective(model, batch, reference, model.cost.value(draw))
 
 
 class TestEnergyManagerEndToEnd:
@@ -214,44 +278,25 @@ class TestEnergyManagerEndToEnd:
             )
         # Keep demand coverable without a battery so every instance is
         # feasible irrespective of the drawn caps.
-        return [
-            i
-            if i.demand_j <= i.renewable_j + i.usable_grid_j + i.discharge_cap_j
-            else NodeEnergyInputs(
-                node=i.node,
-                is_base_station=i.is_base_station,
-                demand_j=i.renewable_j + i.usable_grid_j + i.discharge_cap_j,
-                renewable_j=i.renewable_j,
-                grid_connected=i.grid_connected,
-                grid_cap_j=i.grid_cap_j,
-                charge_cap_j=i.charge_cap_j,
-                discharge_cap_j=i.discharge_cap_j,
-                z=i.z,
-            )
-            for i in inputs
-        ]
-
-    @staticmethod
-    def _objective(model, decision, inputs, exact_drift=True):
-        value = model.params.control_v * decision.cost
-        for node_inputs in inputs:
-            alloc = decision.allocations[node_inputs.node]
-            net = alloc.charge_j - alloc.discharge_j
-            value += node_inputs.z * net
-            if exact_drift:
-                value += 0.5 * net * net
-        return value
+        return NodeEnergyBatch.from_inputs(
+            [
+                i
+                if i.demand_j <= i.max_supply_j
+                else dataclasses.replace(i, demand_j=i.max_supply_j)
+                for i in inputs
+            ]
+        )
 
     def test_price_decomposition_matches_slsqp(self, tiny_model):
         rng = np.random.default_rng(21)
         exact = EnergyManager(tiny_model, EnergySolverKind.PRICE_DECOMPOSITION)
-        reference = EnergyManager(tiny_model, EnergySolverKind.SLSQP)
+        v = tiny_model.params.control_v
         for trial in range(8):
-            inputs = self._random_instance(rng)
-            fast = exact.manage(inputs)
-            slow = reference.manage(inputs)
-            fast_obj = self._objective(tiny_model, fast, inputs)
-            slow_obj = self._objective(tiny_model, slow, inputs)
+            batch = self._random_instance(rng)
+            fast = exact.manage(batch)
+            slow = solve_slsqp(batch, tiny_model.cost, v)
+            fast_obj = _objective(tiny_model, batch, fast.allocation, fast.cost)
+            slow_obj = _reference_objective(tiny_model, batch, slow)
             scale = max(abs(fast_obj), abs(slow_obj), 1.0)
             # The exact solver must never be worse than SLSQP beyond
             # numerical slack (SLSQP may itself be slightly suboptimal).
@@ -264,16 +309,11 @@ class TestEnergyManagerEndToEnd:
         rng = np.random.default_rng(5)
         manager = EnergyManager(tiny_model)
         for _ in range(10):
-            inputs = self._random_instance(rng)
-            decision = manager.manage(inputs)
-            for node_inputs in inputs:
-                _check_allocation(
-                    node_inputs, decision.allocations[node_inputs.node]
-                )
-            bs_draw = sum(
-                decision.allocations[i.node].grid_draw_j
-                for i in inputs
-                if i.is_base_station
+            batch = self._random_instance(rng)
+            decision = manager.manage(batch)
+            _check_allocation(batch, decision.allocation)
+            bs_draw = float(
+                np.sum(decision.allocation.grid_draw_j[batch.is_base_station])
             )
             assert decision.bs_grid_draw_j == pytest.approx(bs_draw)
             assert decision.cost == pytest.approx(
@@ -284,7 +324,7 @@ class TestEnergyManagerEndToEnd:
         # Regression: a barely-negative z must trigger a *partial*
         # charge sized by V f'(P) = -z, not a full-cap burst.
         v = tiny_model.params.control_v
-        inputs = [
+        batch = _batch(
             NodeEnergyInputs(
                 node=0,
                 is_base_station=True,
@@ -296,8 +336,8 @@ class TestEnergyManagerEndToEnd:
                 discharge_cap_j=7.2e4,
                 z=-263.0,
             )
-        ]
-        decision = EnergyManager(tiny_model).manage(inputs)
+        )
+        decision = EnergyManager(tiny_model).manage(batch)
         target = tiny_model.cost.inverse_derivative(263.0 / v)
         assert decision.bs_grid_draw_j <= target + 1.0
         assert decision.bs_grid_draw_j < 7.2e4  # far below the cap
@@ -305,14 +345,14 @@ class TestEnergyManagerEndToEnd:
     def test_grid_only_never_uses_battery(self, tiny_model):
         rng = np.random.default_rng(9)
         manager = EnergyManager(tiny_model, EnergySolverKind.GRID_ONLY)
-        inputs = self._random_instance(rng)
-        decision = manager.manage(inputs)
-        for alloc in decision.allocations.values():
-            assert alloc.charge_j == 0.0
+        batch = self._random_instance(rng)
+        decision = manager.manage(batch)
+        assert np.all(decision.allocation.charge_j == 0.0)
+        _check_allocation(batch, decision.allocation)
 
     def test_infeasible_demand_rejected(self, tiny_model):
         manager = EnergyManager(tiny_model)
-        bad = [_inputs(demand=1e12)]
+        bad = _batch(_inputs(demand=1e12))
         with pytest.raises(InfeasibleError, match="curtailment"):
             manager.manage(bad)
 
@@ -357,41 +397,59 @@ def _random_batch_inputs(
 class TestBatchedKernel:
     """The closed-form vectorized S4 kernel (tentpole of PR 8)."""
 
-    def test_batched_matches_scalar_bitwise(self, tiny_model):
-        """Batch and list inputs produce identical decisions."""
+    def test_batched_matches_scalar_bitwise(self, tiny_model, monkeypatch):
+        """The scalar and vectorized bisection residuals agree bit for bit.
+
+        ``manage`` picks the residual by station count; forcing either
+        one on fleets of 1 to 12 stations must return identical
+        vectors, ``P(t)`` and cost.
+        """
         rng = np.random.default_rng(42)
         manager = EnergyManager(tiny_model, EnergySolverKind.PRICE_DECOMPOSITION)
-        for _ in range(25):
-            inputs = _random_batch_inputs(rng, int(rng.integers(1, 14)))
-            batch = NodeEnergyBatch.from_inputs(inputs)
-            fast = manager.manage(batch)
-            slow = manager.manage(inputs)
-            assert list(fast.allocations) == list(slow.allocations)
-            for node, alloc in fast.allocations.items():
-                assert alloc == slow.allocations[node]
-            assert fast.bs_grid_draw_j == slow.bs_grid_draw_j
-            assert fast.cost == slow.cost
+        calls = {"scalar": 0}
+        scalar_bisect = energy_manager.bisect_root
+
+        def counting_bisect(*args, **kwargs):
+            calls["scalar"] += 1
+            return scalar_bisect(*args, **kwargs)
+
+        monkeypatch.setattr(energy_manager, "bisect_root", counting_bisect)
+        for num_bs in range(1, 13):
+            rows = _random_batch_inputs(rng, num_bs + int(rng.integers(0, 6)), 0.0)
+            rows = [
+                dataclasses.replace(row, is_base_station=i < num_bs)
+                for i, row in enumerate(rows)
+            ]
+            batch = NodeEnergyBatch.from_inputs(rows)
+            decisions = []
+            for limit in (0, 10**6):
+                monkeypatch.setattr(energy_manager, "_SCALAR_PRICING_MAX", limit)
+                decisions.append(manager.manage(batch))
+            vector, scalar = decisions
+            for field in dataclasses.fields(BatchAllocation):
+                assert np.array_equal(
+                    getattr(vector.allocation, field.name),
+                    getattr(scalar.allocation, field.name),
+                ), field.name
+            assert vector.bs_grid_draw_j == scalar.bs_grid_draw_j
+            assert vector.cost == scalar.cost
+        assert calls["scalar"] == 12
 
     def test_property_sweep_slsqp_cross_check(self, tiny_model):
         """Random states: batched kernel agrees with SLSQP to 1e-8.
 
-        ``cross_check=True`` re-solves every batch with the SLSQP
-        reference and raises SolverError beyond ``cross_check_tol``
-        relative to the node's supply scale, so passing silently *is*
-        the 1e-8 agreement assertion.  ``z`` stays strictly negative —
-        the paper's operating regime (batteries below the perturbation
-        target) — and only base stations are grid-connected (also the
-        paper's model): outside that regime the program develops
-        objective-neutral faces (spill vs. serve, free non-BS grid) and
-        SLSQP may return a different vertex of the same optimal face.
+        ``assert_matches_slsqp`` re-solves every batch with the SLSQP
+        reference warm-started at the kernel's allocation and fails
+        beyond 1e-8 relative to the node's supply scale.  ``z`` stays
+        strictly negative — the paper's operating regime (batteries
+        below the perturbation target) — and only base stations are
+        grid-connected (also the paper's model): outside that regime
+        the program develops objective-neutral faces (spill vs. serve,
+        free non-BS grid) and SLSQP may return a different vertex of
+        the same optimal face.
         """
         rng = np.random.default_rng(7)
-        manager = EnergyManager(
-            tiny_model,
-            EnergySolverKind.PRICE_DECOMPOSITION,
-            cross_check=True,
-            cross_check_tol=1e-8,
-        )
+        manager = EnergyManager(tiny_model, EnergySolverKind.PRICE_DECOMPOSITION)
         for _ in range(10):
             inputs = _random_batch_inputs(
                 rng,
@@ -399,9 +457,15 @@ class TestBatchedKernel:
                 z_range=(-800.0, -5.0),
                 bs_grid_only=True,
             )
-            decision = manager.manage(NodeEnergyBatch.from_inputs(inputs))
-            for node_inputs in inputs:
-                _check_allocation(node_inputs, decision.allocations[node_inputs.node])
+            batch = NodeEnergyBatch.from_inputs(inputs)
+            decision = manager.manage(batch)
+            assert_matches_slsqp(
+                batch,
+                decision.allocation,
+                tiny_model.cost,
+                tiny_model.params.control_v,
+            )
+            _check_allocation(batch, decision.allocation)
 
     def test_kkt_residuals_vanish(self):
         """Per-row KKT conditions of the closed-form kernel hold exactly.
@@ -467,14 +531,11 @@ class TestBatchedKernel:
             _inputs(node=1, is_bs=False, demand=0.0, renewable=10.0, z=-50.0),
         ]
         manager = EnergyManager(tiny_model, EnergySolverKind.PRICE_DECOMPOSITION)
-        decision = manager.manage(NodeEnergyBatch.from_inputs(inputs))
-        vertex = decision.allocations[0]
-        assert vertex.renewable_serve_j == 40.0
-        assert vertex.grid_serve_j == 60.0
-        assert vertex.discharge_j == 50.0
-        assert vertex.charge_j == 0.0
-        scalar = manager.manage(inputs)
-        assert decision.allocations == scalar.allocations
+        vertex = manager.manage(NodeEnergyBatch.from_inputs(inputs)).allocation
+        assert vertex.renewable_serve_j[0] == 40.0
+        assert vertex.grid_serve_j[0] == 60.0
+        assert vertex.discharge_j[0] == 50.0
+        assert vertex.charge_j[0] == 0.0
 
     def test_slim_residual_matches_full_response(self):
         """The bisection residual kernel equals the full KKT pass."""
@@ -488,16 +549,15 @@ class TestBatchedKernel:
             slim = _batched_grid_draw_j(batch, mu, control_v)
             assert np.array_equal(alloc.grid_draw_j, slim)
             for row, node_inputs in enumerate(inputs):
+                price = control_v * mu if node_inputs.is_base_station else 0.0
                 assert slim[row] == _quadratic_grid_draw_j(
-                    node_inputs, mu, control_v
+                    node_inputs.demand_j,
+                    node_inputs.renewable_j,
+                    node_inputs.usable_grid_j,
+                    node_inputs.charge_cap_j,
+                    node_inputs.discharge_cap_j,
+                    node_inputs.z,
+                    node_inputs.charge_efficiency,
+                    node_inputs.discharge_efficiency,
+                    price,
                 )
-
-    def test_batch_falls_back_outside_exact_drift(self, tiny_model):
-        """Non-exact-drift batches take the scalar path, same result."""
-        manager = EnergyManager(
-            tiny_model, EnergySolverKind.PRICE_DECOMPOSITION, exact_drift=False
-        )
-        inputs = _random_batch_inputs(np.random.default_rng(9), 6)
-        fast = manager.manage(NodeEnergyBatch.from_inputs(inputs))
-        slow = manager.manage(inputs)
-        assert fast.allocations == slow.allocations

@@ -186,16 +186,16 @@ class TestBounds:
         decision = relaxed.decide(observation, tiny_state)
         for node_obj in tiny_model.nodes:
             node = node_obj.node_id
-            alloc = decision.energy.allocations[node]
+            alloc = decision.energy.allocation
             battery = tiny_state.batteries[node]
-            assert alloc.charge_j <= battery.max_charge_j() + 1e-6
-            assert alloc.discharge_j <= battery.max_discharge_j() + 1e-6
+            assert alloc.charge_j[node] <= battery.max_charge_j() + 1e-6
+            assert alloc.discharge_j[node] <= battery.max_discharge_j() + 1e-6
             assert (
-                alloc.renewable_serve_j + alloc.renewable_charge_j
+                alloc.renewable_serve_j[node] + alloc.renewable_charge_j[node]
                 <= observation.renewable_j[node] + 1e-6
             )
             if not observation.grid_connected[node]:
-                assert alloc.grid_draw_j == pytest.approx(0.0, abs=1e-6)
+                assert alloc.grid_draw_j[node] == pytest.approx(0.0, abs=1e-6)
 
     def test_relaxed_penalty_recorded(self, tiny_model, tiny_constants, tiny_state):
         relaxed = RelaxedLpController(tiny_model, tiny_constants)

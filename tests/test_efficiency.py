@@ -13,14 +13,16 @@ import pytest
 from repro.config import tiny_scenario
 from repro.control.energy_manager import (
     EnergyManager,
+    NodeEnergyBatch,
     NodeEnergyInputs,
-    _quadratic_charge_mode,
-    _quadratic_serve_mode,
+    _batched_charge_mode,
+    _batched_serve_mode,
 )
 from repro.energy import Battery, BatteryAction
 from repro.exceptions import EnergyError
 from repro.sim import SlotSimulator
 from repro.types import EnergySolverKind
+from tests.slsqp_reference import solve_slsqp
 
 
 class TestLossyBattery:
@@ -85,36 +87,35 @@ class TestLossyNodeResponse:
             discharge_efficiency=0.8,
         )
         defaults.update(kwargs)
-        return NodeEnergyInputs(**defaults)
+        return NodeEnergyBatch.from_inputs([NodeEnergyInputs(**defaults)])
 
     def test_quadratic_charge_stationary_scales_with_eta(self):
         # Stored optimum is -z; input optimum is -z / eta_c.
-        inputs = self._inputs(demand_j=0.0, renewable_j=0.0, z=-50.0,
-                              charge_cap_j=1000.0)
-        result = _quadratic_charge_mode(inputs, grid_price=0.0)
-        assert result is not None
-        alloc, _ = result
-        assert alloc.grid_charge_j == pytest.approx(50.0 / 0.8, rel=1e-6)
+        batch = self._inputs(demand_j=0.0, renewable_j=0.0, z=-50.0,
+                             charge_cap_j=1000.0)
+        alloc, _, feasible = _batched_charge_mode(batch, np.zeros(1))
+        assert feasible[0]
+        assert alloc.grid_charge_j[0] == pytest.approx(50.0 / 0.8, rel=1e-6)
 
     def test_quadratic_serve_balances_drain_cost(self):
         # Positive z: discharge pays; the delivered stationary point is
         # eta_d * z (+ eta_d^2 * price while grid funds demand).
-        inputs = self._inputs(
+        batch = self._inputs(
             demand_j=500.0, renewable_j=0.0, z=100.0, discharge_cap_j=1000.0
         )
-        alloc, _ = _quadratic_serve_mode(inputs, grid_price=0.0)
-        assert alloc.discharge_j == pytest.approx(0.8 * 100.0, rel=1e-6)
+        alloc, _ = _batched_serve_mode(batch, np.zeros(1))
+        assert alloc.discharge_j[0] == pytest.approx(0.8 * 100.0, rel=1e-6)
 
     def test_demand_balance_uses_delivered_energy(self):
-        inputs = self._inputs(demand_j=120.0, renewable_j=0.0, grid_cap_j=0.0,
-                              grid_connected=False, z=10.0)
-        alloc, _ = _quadratic_serve_mode(inputs, grid_price=0.0)
-        assert alloc.demand_served_j == pytest.approx(120.0)
+        batch = self._inputs(demand_j=120.0, renewable_j=0.0, grid_cap_j=0.0,
+                             grid_connected=False, z=10.0)
+        alloc, _ = _batched_serve_mode(batch, np.zeros(1))
+        assert alloc.demand_served_j[0] == pytest.approx(120.0)
 
     def test_price_decomposition_matches_slsqp_with_losses(self, tiny_model):
         rng = np.random.default_rng(17)
         exact = EnergyManager(tiny_model, EnergySolverKind.PRICE_DECOMPOSITION)
-        reference = EnergyManager(tiny_model, EnergySolverKind.SLSQP)
+        v = tiny_model.params.control_v
         for _ in range(5):
             inputs = []
             for node in range(5):
@@ -134,19 +135,21 @@ class TestLossyNodeResponse:
                         discharge_efficiency=float(rng.uniform(0.7, 1.0)),
                     )
                 )
-            fast = exact.manage(inputs)
-            slow = reference.manage(inputs)
+            batch = NodeEnergyBatch.from_inputs(inputs)
+            fast = exact.manage(batch).allocation
+            slow = solve_slsqp(batch, tiny_model.cost, v)
 
-            def objective(decision):
-                value = tiny_model.params.control_v * decision.cost
-                for i in inputs:
-                    alloc = decision.allocations[i.node]
-                    net = (
-                        i.charge_efficiency * alloc.charge_j
-                        - alloc.discharge_j / i.discharge_efficiency
-                    )
-                    value += i.z * net + 0.5 * net * net
-                return value
+            def objective(alloc):
+                draw = float(np.sum(alloc.grid_draw_j[batch.is_base_station]))
+                net = (
+                    batch.charge_efficiency * alloc.charge_j
+                    - alloc.discharge_j / batch.discharge_efficiency
+                )
+                return (
+                    v * tiny_model.cost.value(draw)
+                    + float(np.dot(batch.z, net))
+                    + 0.5 * float(np.dot(net, net))
+                )
 
             fast_obj, slow_obj = objective(fast), objective(slow)
             scale = max(abs(fast_obj), abs(slow_obj), 1.0)

@@ -40,17 +40,19 @@ class AuditingSimulator:
                 self.violations.append((slot, "single-radio"))
 
             # Constraint (14): per-node grid cap and connectivity.
-            for node, alloc in decision.energy.allocations.items():
+            alloc = decision.energy.allocation
+            draw = alloc.grid_draw_j
+            for node in range(len(alloc)):
                 cap = simulator.state.grids[node].draw_cap_j
-                if alloc.grid_draw_j > cap * (1 + 1e-9):
+                if draw[node] > cap * (1 + 1e-9):
                     self.violations.append((slot, f"grid-cap node {node}"))
-                if alloc.grid_draw_j > 0 and not observation.grid_connected[node]:
+                if draw[node] > 0 and not observation.grid_connected[node]:
                     self.violations.append((slot, f"grid-disconnected node {node}"))
 
             # Constraint (9): complementarity.
-            for node, alloc in decision.energy.allocations.items():
-                if min(alloc.charge_j, alloc.discharge_j) > 1e-6:
-                    self.violations.append((slot, f"complementarity node {node}"))
+            overlap = np.minimum(alloc.charge_j, alloc.discharge_j)
+            for node in np.flatnonzero(overlap > 1e-6):
+                self.violations.append((slot, f"complementarity node {node}"))
 
             # Constraints (16)/(17): flow endpoints.
             destinations = model.session_destinations()

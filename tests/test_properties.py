@@ -10,7 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.control.energy_manager import NodeEnergyInputs, _node_response
+from repro.control.energy_manager import (
+    NodeEnergyBatch,
+    NodeEnergyInputs,
+    _batched_node_response,
+)
 from repro.energy.battery import Battery, BatteryAction
 from repro.energy.cost import PiecewiseLinearCost, QuadraticCost
 from repro.phy.capacity import link_capacity_bps
@@ -240,17 +244,18 @@ class TestEnergyAllocationProperties:
             z=z,
         )
         assume(inputs.demand_j <= inputs.max_supply_j)
-        alloc, objective = _node_response(inputs, mu, control_v=1e4)
-        assert alloc.demand_served_j == pytest.approx(demand, abs=1e-6)
-        assert alloc.charge_j <= charge_cap + 1e-6
-        assert alloc.discharge_j <= discharge_cap + 1e-6
-        assert alloc.grid_draw_j <= inputs.usable_grid_j + 1e-6
+        batch = NodeEnergyBatch.from_inputs([inputs])
+        alloc, objective = _batched_node_response(batch, mu, control_v=1e4)
+        assert alloc.demand_served_j[0] == pytest.approx(demand, abs=1e-6)
+        assert alloc.charge_j[0] <= charge_cap + 1e-6
+        assert alloc.discharge_j[0] <= discharge_cap + 1e-6
+        assert alloc.grid_draw_j[0] <= inputs.usable_grid_j + 1e-6
         assert (
-            alloc.renewable_serve_j + alloc.renewable_charge_j
+            alloc.renewable_serve_j[0] + alloc.renewable_charge_j[0]
             <= renewable + 1e-6
         )
-        assert min(alloc.charge_j, alloc.discharge_j) <= 1e-6
-        assert np.isfinite(objective)
+        assert min(alloc.charge_j[0], alloc.discharge_j[0]) <= 1e-6
+        assert np.isfinite(objective[0])
 
 
 class BatteryMachine(RuleBasedStateMachine):

@@ -4,7 +4,11 @@ sequential fix, power-control fallbacks, and TOU-aware S4 calls."""
 import numpy as np
 import pytest
 
-from repro.control.energy_manager import EnergyManager, NodeEnergyInputs
+from repro.control.energy_manager import (
+    EnergyManager,
+    NodeEnergyBatch,
+    NodeEnergyInputs,
+)
 from repro.energy.cost import QuadraticCost
 from repro.phy.power_control import minimal_power_assignment
 from repro.phy.propagation import gain_matrix
@@ -84,14 +88,15 @@ class TestEnergyManagerCostOverride:
                 z=-100.0,
             )
         ]
-        cheap = manager.manage(inputs, cost=QuadraticCost(1e-9, 1e-9))
-        dear = manager.manage(inputs, cost=QuadraticCost(1e-3, 1e-3))
+        batch = NodeEnergyBatch.from_inputs(inputs)
+        cheap = manager.manage(batch, cost=QuadraticCost(1e-9, 1e-9))
+        dear = manager.manage(batch, cost=QuadraticCost(1e-3, 1e-3))
         # The dear tariff prices the same draw far higher.
         assert dear.cost > cheap.cost
         # And discourages charging beyond serving demand.
         assert (
-            dear.allocations[0].grid_charge_j
-            <= cheap.allocations[0].grid_charge_j + 1e-6
+            dear.allocation.grid_charge_j[0]
+            <= cheap.allocation.grid_charge_j[0] + 1e-6
         )
 
     def test_default_cost_is_models(self, tiny_model):
@@ -109,7 +114,7 @@ class TestEnergyManagerCostOverride:
                 z=0.0,
             )
         ]
-        decision = manager.manage(inputs)
+        decision = manager.manage(NodeEnergyBatch.from_inputs(inputs))
         assert decision.cost == pytest.approx(tiny_model.cost.value(500.0))
 
 
