@@ -167,6 +167,9 @@ class SlotSimulator:
         """Advance the simulation by one slot."""
         observation = self.state.observe(slot)
         decision = self.controller.decide(observation, self.state)
+        # Delivered packets are scaled by the pre-apply backlog under
+        # PACKET_ACCURATE, exactly like the transfer Eq. 15 applies.
+        per_session = self._delivered_per_session(decision)
         pre = self.contracts.capture(self.state)
         snapshot = self.state.apply(
             decision,
@@ -183,7 +186,6 @@ class SlotSimulator:
                 enforce_complementarity=self._enforce_complementarity,
             )
         deficit = sum(getattr(self.controller, "last_deficit_j", {}).values())
-        per_session = self._delivered_per_session(decision)
         metrics = self.metrics.record(
             slot=slot,
             decision=decision,

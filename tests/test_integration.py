@@ -111,6 +111,25 @@ class TestSemanticsModes:
         )
         assert final_backlog <= admitted + 1e-6
 
+    @pytest.mark.parametrize("num_slots", [8, 40])
+    def test_packet_accurate_conserves_packets(self, num_slots):
+        # Every admitted packet is either still queued or was delivered:
+        # deliveries are scaled by the same pre-apply backlog as the
+        # Eq. 15 transfer, so nothing is created or lost in transit.
+        params = dataclasses.replace(
+            tiny_scenario(num_slots=num_slots),
+            queue_semantics=QueueSemantics.PACKET_ACCURATE,
+        )
+        result = SlotSimulator.integral(params).run()
+        admitted = result.metrics.series("admitted_pkts").sum()
+        delivered = result.metrics.series("delivered_pkts").sum()
+        final_backlog = result.backlog_series("bs_data_packets")[-1] + (
+            result.backlog_series("user_data_packets")[-1]
+        )
+        assert admitted - final_backlog - delivered == pytest.approx(
+            0.0, abs=1e-9 * admitted
+        )
+
     def test_paper_mode_can_exceed_admissions(self):
         params = tiny_scenario(num_slots=40)
         assert params.queue_semantics is QueueSemantics.PAPER
