@@ -6,7 +6,9 @@ piece at a time and assert the checker raises a
 :class:`ContractViolation` carrying the *right* equation tag.  The S4
 checks get the same treatment on a genuine energy allocation, one
 corrupted vector entry per equation.  A clean
-strict end-to-end run and the warn/off behaviours are covered too.
+strict end-to-end run and the warn/off behaviours are covered too, as
+are the packet-side checks: one corrupted routing entry, admission
+split or post-apply ``G`` entry per equation (Eqs. 16, 17, 19, 25, 28).
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ import pytest
 from repro.config import tiny_scenario
 from repro.contracts import ContractChecker, ContractViolation, Strictness
 from repro.contracts.checker import coerce_strictness
-from repro.control.decisions import AdmissionDecision, ScheduleDecision
+from repro.control.decisions import (
+    AdmissionDecision,
+    RoutingDecision,
+    ScheduleDecision,
+)
 from repro.control.energy_manager import (
     EnergyManager,
     NodeEnergyBatch,
@@ -277,6 +283,100 @@ class TestEnergyContracts:
             batch.demand_j + deficit, deficit, decision, slot=4
         )
         assert checker.violation_count == 0
+
+
+def _with_rate(routing, key, rate):
+    """``routing`` with ``l[key] = rate``, replacing or appending the entry."""
+    return RoutingDecision(rates={**routing.rates, key: rate})
+
+
+def _session_link(model, roles, into_source=False):
+    """A candidate link out of a session's destination, or into its source.
+
+    ``roles["source"]`` is the base station S2 chose; links touching the
+    other role's node are skipped so exactly one flow rule can fire.
+    """
+    for tx, rx in model.topology.candidate_links:
+        if into_source and rx == roles["source"] and tx != roles["dest"]:
+            return tx, rx
+        if not into_source and tx == roles["dest"] and rx != roles["source"]:
+            return tx, rx
+    raise AssertionError("tiny scenario has no such link")
+
+
+@pytest.fixture
+def routed(transition):
+    """The transition plus its first session's roles."""
+    simulator, checker, pre, decision, slot = transition
+    session = simulator.model.sessions[0]
+    roles = {
+        "sid": session.session_id,
+        "dest": session.destination,
+        "source": decision.admission.sources[session.session_id],
+    }
+    return simulator, checker, decision, slot, roles
+
+
+class TestRoutingContracts:
+    def test_genuine_routing_is_clean(self, routed):
+        simulator, checker, decision, slot, _ = routed
+        assert len(decision.routing.rates) > 0
+        checker.check_routing(
+            simulator.model, decision.routing, decision.admission, slot
+        )
+        checker.check_admission(simulator.model, decision.admission, slot)
+        assert checker.violation_count == 0
+
+    def test_negative_rate_raises_eq25(self, routed):
+        simulator, checker, decision, slot, _ = routed
+        key = list(decision.routing.rates)[-1]
+        routing = _with_rate(decision.routing, key, -1.0)
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_routing(simulator.model, routing, decision.admission, slot)
+        assert excinfo.value.equation == "Eq. 25"
+        assert excinfo.value.link == key[:2]
+
+    def test_emitting_destination_raises_eq17(self, routed):
+        simulator, checker, decision, slot, roles = routed
+        link = _session_link(simulator.model, roles)
+        routing = _with_rate(decision.routing, (*link, roles["sid"]), 2.0)
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_routing(simulator.model, routing, decision.admission, slot)
+        assert excinfo.value.equation == "Eq. 17"
+        assert excinfo.value.link == link
+
+    def test_receiving_source_raises_eq16(self, routed):
+        simulator, checker, decision, slot, roles = routed
+        link = _session_link(simulator.model, roles, into_source=True)
+        routing = _with_rate(decision.routing, (*link, roles["sid"]), 2.0)
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_routing(simulator.model, routing, decision.admission, slot)
+        assert excinfo.value.equation == "Eq. 16"
+        assert excinfo.value.link == link
+
+    def test_split_sum_mismatch_raises_eq19(self, routed):
+        simulator, checker, decision, slot, roles = routed
+        sid = roles["sid"]
+        admitted = float(decision.admission.admitted[sid])
+        admission = dataclasses.replace(
+            decision.admission, split={sid: ((roles["source"], admitted + 3.0),)}
+        )
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_admission(simulator.model, admission, slot)
+        assert excinfo.value.equation == "Eq. 19"
+        assert f"session {sid} split" in excinfo.value.detail
+
+    def test_wrong_virtual_backlog_raises_eq28(self, transition):
+        simulator, checker, pre, decision, slot = transition
+        arrays = simulator.state.arrays
+        pos = len(arrays.links) // 2
+        arrays.g[pos] += 7.5
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_transition(
+                simulator.model, simulator.state, decision, pre, slot
+            )
+        assert excinfo.value.equation == "Eq. 28"
+        assert excinfo.value.link == arrays.links[pos]
 
 
 class TestEndToEnd:
