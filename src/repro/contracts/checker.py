@@ -541,15 +541,15 @@ class ContractChecker:
         """Validate the post-``apply`` state against the queue laws."""
         if not self.enabled or pre is None:
             return
-        self._check_data_queue_law(state, decision, pre, slot)
+        self._check_data_queue_law(model, state, decision, pre, slot)
         self._check_virtual_queue_law(state, decision, pre, slot)
         self._check_battery_transition(
             model, state, decision, pre, slot, enforce_complementarity
         )
 
-    def _effective_rates(
+    def _reference_transfer(
         self,
-        state: "NetworkState",
+        model: "NetworkModel",
         pre: PreApplySnapshot,
         rates: Mapping[Tuple[NodeId, NodeId, SessionId], float],
     ) -> Dict[Tuple[NodeId, NodeId, SessionId], float]:
@@ -560,7 +560,7 @@ class ContractChecker:
         transmitter's outgoing rates so they never exceed its pre-slot
         backlog.
         """
-        if state.data_queues.semantics is QueueSemantics.PAPER:
+        if model.params.queue_semantics is QueueSemantics.PAPER:
             return dict(rates)
         outgoing: Dict[Tuple[NodeId, SessionId], float] = {}
         for (tx, _rx, session), rate in rates.items():
@@ -578,24 +578,29 @@ class ContractChecker:
 
     def _check_data_queue_law(
         self,
+        model: "NetworkModel",
         state: "NetworkState",
         decision: "SlotDecision",
         pre: PreApplySnapshot,
         slot: int,
     ) -> None:
         """Eq. 15: ``Q(t+1) = max(Q(t) - service, 0) + arrivals``."""
-        transfer = self._effective_rates(state, pre, decision.routing.rates)
+        transfer = self._reference_transfer(model, pre, decision.routing.rates)
         service: Dict[Tuple[NodeId, SessionId], float] = {}
         arrivals: Dict[Tuple[NodeId, SessionId], float] = {}
         for (tx, rx, session), rate in transfer.items():
             service[(tx, session)] = service.get((tx, session), 0.0) + rate
             arrivals[(rx, session)] = arrivals.get((rx, session), 0.0) + rate
-        for session, pairs in decision.admission.as_queue_arrivals().items():
-            for source, admitted in pairs:
-                key = (source, session)
+        # Admissions: the single (source, k_s) pair, or the relaxed LP's
+        # per-source split.
+        admission = decision.admission
+        for session, source in admission.sources.items():
+            single = ((source, admission.admitted[session]),)
+            for node, admitted in admission.split.get(session, single):
+                key = (node, session)
                 arrivals[key] = arrivals.get(key, 0.0) + admitted
 
-        post = state.data_queues.snapshot()
+        post = state.arrays.q_mapping()
         for key, backlog in post.items():
             if backlog < -QUEUE_ATOL:
                 self._violate(
@@ -624,10 +629,14 @@ class ContractChecker:
         slot: int,
     ) -> None:
         """Eqs. 28/30: the ``G`` update and ``H = beta * G``."""
-        arrivals = decision.routing.link_totals()
+        arrivals: Dict[Link, float] = {}
+        for (tx, rx, _session), rate in decision.routing.rates.items():
+            arrivals[(tx, rx)] = arrivals.get((tx, rx), 0.0) + rate
         service = decision.schedule.link_service_pkts
-        beta = state.virtual_queues.beta
-        post = state.virtual_queues.snapshot()
+        beta = state.constants.beta
+        arrays = state.arrays
+        post = LinkArrayMapping(arrays.g, arrays.links, arrays.link_pos)
+        h_backlogs = state.h_backlogs()
         for link, backlog in post.items():
             if backlog < -QUEUE_ATOL:
                 self._violate(
@@ -647,7 +656,7 @@ class ContractChecker:
                     slot=slot,
                     link=link,
                 )
-            h = state.virtual_queues.h(link)
+            h = h_backlogs[link]
             if not _close(h, beta * backlog, QUEUE_ATOL):
                 self._violate(
                     "Eq. 30",

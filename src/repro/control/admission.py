@@ -10,17 +10,15 @@ source (ties broken uniformly at random), then admit
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.contracts import ContractChecker
 from repro.control.decisions import AdmissionDecision
+from repro.core.arraystate import ArrayState
 from repro.model import NetworkModel
 from repro.types import NodeId, SessionId
-
-#: Signature for reading a data-queue backlog ``Q_i^s(t)``.
-BacklogFn = Callable[[NodeId, SessionId], float]
 
 
 class ResourceAllocator:
@@ -47,12 +45,13 @@ class ResourceAllocator:
         self._checker = checker
 
     def allocate(
-        self, backlog: BacklogFn, slot: Optional[int] = None
+        self, arrays: ArrayState, slot: Optional[int] = None
     ) -> AdmissionDecision:
         """Solve S2 for one slot.
 
         Args:
-            backlog: accessor for the current ``Q_i^s(t)``.
+            arrays: the state's ``ArrayState``; each session reads its
+                ``Q_b^s(t)`` column over the base-station rows.
             slot: slot index, carried into contract diagnostics.
 
         Returns:
@@ -60,14 +59,15 @@ class ResourceAllocator:
         """
         sources: Dict[SessionId, NodeId] = {}
         admitted: Dict[SessionId, int] = {}
-        bs_ids = self._model.bs_ids
+        bs_rows = arrays.bs_rows
+        bs_q = arrays.q[bs_rows]
         for session in self._model.sessions:  # noqa: R040 - S2 is inherently per-session: each iteration is a scalar token-bucket decision with rng draws, not an axis-wide kernel
-            backlogs = {bs: backlog(bs, session.session_id) for bs in bs_ids}
-            smallest = min(backlogs.values())
-            tied = [bs for bs, value in backlogs.items() if value == smallest]
-            source = tied[0] if len(tied) == 1 else int(self._rng.choice(tied))
-            sources[session.session_id] = source
-            if backlogs[source] - self._threshold < 0:
+            backlogs = bs_q[:, arrays.session_col[session.session_id]]
+            smallest = backlogs.min()
+            tied = np.flatnonzero(backlogs == smallest)
+            pick = tied[0] if tied.size == 1 else self._rng.choice(tied)
+            sources[session.session_id] = int(bs_rows[pick])
+            if smallest - self._threshold < 0:
                 admitted[session.session_id] = session.k_max
             else:
                 admitted[session.session_id] = 0

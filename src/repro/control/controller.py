@@ -256,7 +256,7 @@ class DriftPlusPenaltyController:
         demands = self._curtail(schedule, observation, state, h_backlogs)
         curtailed = schedule.dropped[curtailed_before:]
 
-        admission = self.allocator.allocate(state.backlog, slot=observation.slot)
+        admission = self.allocator.allocate(arrays, slot=observation.slot)
         # S3: backpressure routing over the scheduled capacities.
         routing = self.router.route(
             observation,

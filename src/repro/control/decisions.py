@@ -12,9 +12,12 @@ and the per-node energy allocation of Eqs. 2-3 and 9-14.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-from repro.axes import NodeJoules
+import numpy as np
+
+from repro.axes import AnyArray, LinkIds, NodeIds, NodeJoules
 from repro.network.spectrum import BandState
 from repro.phy.propagation import PairGains
 from repro.types import Link, LinkBand, NodeId, SessionId, Transmission
@@ -75,10 +78,6 @@ class ScheduleDecision:
     link_service_pkts: Dict[Link, float] = field(default_factory=dict)
     dropped: List[LinkBand] = field(default_factory=list)
 
-    def service_pkts(self, link: Link) -> float:
-        """Service offered to ``link`` this slot (packets)."""
-        return self.link_service_pkts.get(link, 0.0)
-
 
 @dataclass(frozen=True)
 class AdmissionDecision:
@@ -95,17 +94,27 @@ class AdmissionDecision:
         default_factory=dict
     )
 
-    def as_queue_arrivals(
-        self,
-    ) -> Dict[SessionId, List[Tuple[NodeId, float]]]:
-        """Per-session ``(source, packets)`` arrival lists."""
-        arrivals: Dict[SessionId, List[Tuple[NodeId, float]]] = {}
-        for s in self.sources:
-            if s in self.split:
-                arrivals[s] = [(b, float(k)) for b, k in self.split[s]]
-            else:
-                arrivals[s] = [(self.sources[s], float(self.admitted[s]))]
-        return arrivals
+    def queue_arrivals(
+        self, session_col: Mapping[SessionId, int]
+    ) -> Tuple[NodeIds, AnyArray, AnyArray]:
+        """Eq. 15 admission arrivals as ``(rows, cols, pkts)`` vectors.
+
+        One entry per session at its source, or one per split pair
+        (possibly none) when the relaxed LP split the admission; in
+        ``sources`` order, with ``session_col`` mapping a session id to
+        its ``Q`` column.
+        """
+        entries = [
+            (node, session_col[s], float(k))
+            for s, source in self.sources.items()
+            for node, k in self.split.get(s, ((source, self.admitted[s]),))
+        ]
+        rows, cols, pkts = zip(*entries) if entries else ((), (), ())
+        return (
+            np.array(rows, dtype=np.intp),
+            np.array(cols, dtype=np.intp),
+            np.array(pkts, dtype=np.float64),
+        )
 
     def total_admitted(self) -> float:
         """Network-wide admitted packets ``sum_s k_s`` this slot."""
@@ -114,16 +123,43 @@ class AdmissionDecision:
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    """S3 output: per-link per-session packet rates ``l_ij^s(t)``."""
+    """S3 output: per-link per-session packet rates ``l_ij^s(t)``.
 
-    rates: Mapping[Tuple[NodeId, NodeId, SessionId], float]
+    Entry ``k`` routes ``pkts[k]`` packets of session
+    ``sessions[session_col[k]]`` over link ``links[link_pos[k]]``.
+    Entries come in emission order and no ``(link, session)`` pair
+    repeats.
 
-    def link_totals(self) -> Dict[Link, float]:
-        """``sum_s l_ij^s`` per link — the virtual-queue arrivals."""
-        totals: Dict[Link, float] = {}
-        for (tx, rx, _), rate in self.rates.items():
-            totals[(tx, rx)] = totals.get((tx, rx), 0.0) + rate
-        return totals
+    Attributes:
+        link_pos: ``(K,)`` positions in the frozen link index.
+        session_col: ``(K,)`` session columns of ``Q``.
+        pkts: ``(K,)`` routed packets.
+        links: the frozen link index ``link_pos`` points into.
+        sessions: session ids in column order.
+    """
+
+    link_pos: LinkIds
+    session_col: AnyArray
+    pkts: AnyArray
+    links: Tuple[Link, ...]
+    sessions: Tuple[SessionId, ...]
+
+    @property
+    def rates(self) -> Mapping[Tuple[NodeId, NodeId, SessionId], float]:
+        """Read-only ``{(tx, rx, session): pkts}`` view, in emission order.
+
+        Built on demand for export, drift diagnostics, contracts and
+        fingerprints; keys are Python ints and values Python floats.
+        """
+        links, sessions = self.links, self.sessions
+        return MappingProxyType(
+            {
+                (*links[pos], sessions[col]): pkts
+                for pos, col, pkts in zip(
+                    self.link_pos.tolist(), self.session_col.tolist(), self.pkts.tolist()
+                )
+            }
+        )
 
 
 @dataclass

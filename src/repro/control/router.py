@@ -17,8 +17,9 @@ Capacity modes (see DESIGN.md, "substitutions"):
   This is what makes the S1 <-> S3 feedback loop bootstrap: with the
   literal mode, an upstream link with ``H_ij = 0`` is never scheduled
   (its S1 weight is ``H_ij * c = 0``) and therefore never earns
-  capacity to route over, so multi-hop flows starve.  The drift bound
-  (29) still holds because assignments stay below ``c_max_ij dt/delta``.
+  capacity to route over, so multi-hop flows starve.  The virtual-queue
+  arrival bound (Eq. 29) still holds because assignments stay below
+  ``c_max_ij dt/delta``.
 * ``SCHEDULED_CAPACITY`` — the paper's literal Eq. (25) cap using the
   realised ``a_ij^m``; provided for the fidelity ablation.
 """
@@ -27,13 +28,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.axes import (
+    AnyArray,
     BandVec,
     LinkBandMat,
+    LinkIds,
     LinkSessionMat,
     LinkVec,
     NodeBandMat,
@@ -50,7 +53,6 @@ from repro.core.arraystate import ArrayState, LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
-from repro.types import NodeId, SessionId
 
 
 @dataclass(frozen=True)
@@ -161,10 +163,15 @@ class BackpressureRouter:
                 link index (one-hop baselines).
 
         Returns:
-            Per-link per-session rates ``l_ij^s(t)`` in packets.
+            Per-link per-session rates ``l_ij^s(t)`` in packets: the
+            constraint-(18) entries in session order, then the other
+            routed links in link-index order.
         """
-        rates: Dict[Tuple[NodeId, NodeId, SessionId], float] = {}
-        committed: set = set()
+        # Constraint-(18) entries as (link position, session column,
+        # packets), in session order.
+        forced_pos: List[int] = []
+        forced_col: List[int] = []
+        forced_pkts: List[float] = []
         topo = self._model.topology
         link_pos = arrays.link_pos
 
@@ -199,21 +206,27 @@ class BackpressureRouter:
             best_value = min(coefficients.values())
             tied = [l for l, v in coefficients.items() if v == best_value]
             chosen = tied[0] if len(tied) == 1 else tied[self._rng.integers(len(tied))]
-            rates[(chosen[0], chosen[1], session.session_id)] = float(demand)
-            committed.add(chosen)
+            forced_pos.append(link_pos[chosen])
+            forced_col.append(col)
+            forced_pkts.append(float(demand))
 
         # All other links: whole capacity to the most negative session.
-        self._route_remaining_links(
+        rest_pos, rest_col, rest_pkts = self._route_remaining_links(
             coeff,
             arrays,
             observation,
             schedule,
             admission,
-            rates,
-            committed,
+            forced_pos,
             allowed_mask,
         )
-        decision = RoutingDecision(rates=rates)
+        decision = RoutingDecision(
+            link_pos=np.concatenate((np.array(forced_pos, dtype=np.intp), rest_pos)),
+            session_col=np.concatenate((np.array(forced_col, dtype=np.intp), rest_col)),
+            pkts=np.concatenate((forced_pkts, rest_pkts)),
+            links=arrays.links,
+            sessions=arrays.sessions,
+        )
         if self._checker is not None and self._checker.enabled:
             self._checker.check_routing(
                 self._model, decision, admission, observation.slot
@@ -227,21 +240,24 @@ class BackpressureRouter:
         observation: SlotObservation,
         schedule: ScheduleDecision,
         admission: AdmissionDecision,
-        rates: Dict[Tuple[NodeId, NodeId, SessionId], float],
-        committed: set,
+        committed: List[int],
         allowed_mask: Optional[LinkVec],
-    ) -> None:
+    ) -> Tuple[LinkIds, AnyArray, AnyArray]:
         """Second pass: each remaining link's whole capacity to the best session.
 
         Eligibility, per-link capacity, the per-link minimum and the tie
         sets all come out of ``(L, S)`` / ``(L, M)`` array expressions;
-        only the links that actually route are visited in Python, in
-        frozen link-index order, which fixes the rate insertion order
-        and the sequence of tie-break RNG draws.
+        only links with a tied best session are visited in Python, in
+        frozen link-index order, which fixes the sequence of tie-break
+        RNG draws.  ``committed`` holds the link positions the
+        constraint-(18) pass already used.
+
+        Returns:
+            ``(link_pos, session_col, pkts)`` of the routed links, in
+            link-index order.
         """
         params = self._model.params
         static = self._router_static(arrays)
-        num_links = len(arrays.links)
         sessions = arrays.sessions
 
         # Per-link Eq.-(25) capacity, as one (L,) expression.
@@ -276,17 +292,10 @@ class BackpressureRouter:
                 best_bps * params.slot_seconds / params.sessions.packet_size_bits
             )
         else:
-            capacity = np.fromiter(
-                (schedule.service_pkts(link) for link in arrays.links),  # noqa: R040 - boundary conversion from the dict-shaped S1 decision into the (L,) service vector, one pass per slot
-                dtype=np.float64,
-                count=num_links,
-            )
+            capacity = arrays.link_vector(schedule.link_service_pkts)
 
         active: LinkVec = capacity > 0.0
-        for link in committed:  # noqa: R032 - order-independent: only clears mask bits, no results or RNG draws depend on visit order
-            pos = arrays.link_pos.get(link)
-            if pos is not None:
-                active[pos] = False
+        active[committed] = False
         if allowed_mask is not None:
             active &= allowed_mask
 
@@ -303,19 +312,11 @@ class BackpressureRouter:
             & (src_by_col[None, :] != arrays.link_rx[:, None])
             & active[:, None]
         )
-        routed: LinkVec = mask.any(axis=1)
-        if not routed.any():
-            return
+        routed: LinkIds = np.flatnonzero(mask.any(axis=1))
         best_value: LinkVec = np.min(np.where(mask, coeff, np.inf), axis=1)
         ties: LinkSessionMat = mask & (coeff == best_value[:, None])
-        tie_counts: LinkVec = ties.sum(axis=1)
-        first_col: LinkVec = ties.argmax(axis=1)
-
-        for pos in np.flatnonzero(routed):
-            tx, rx = arrays.links[pos]
-            if tie_counts[pos] == 1:
-                chosen_sid = sessions[first_col[pos]]
-            else:
-                tied_sessions = [sessions[c] for c in np.flatnonzero(ties[pos])]
-                chosen_sid = int(self._rng.choice(tied_sessions))
-            rates[(tx, rx, chosen_sid)] = float(capacity[pos])
+        routed_ties = ties[routed]
+        cols = routed_ties.argmax(axis=1)
+        for k in np.flatnonzero(routed_ties.sum(axis=1) > 1):
+            cols[k] = self._rng.choice(np.flatnonzero(routed_ties[k]))
+        return routed, cols, capacity[routed]

@@ -11,13 +11,15 @@ so this module packs them into dense numpy arrays over *frozen* indices:
   ``model.sessions`` order,
 * links: position ``p`` is ``model.topology.candidate_links[p]``.
 
-``ArrayState`` owns the arrays and the vectorized update kernels; the
-queueing banks, ``NetworkState`` and the contract checker all share the
-same buffers.  Numerical policy: kernels apply elementwise IEEE-754
-operations in a fixed order, and aggregates use :func:`seq_sum` (a
-strict left-to-right accumulation) instead of numpy's pairwise
-``sum``, so every result is reproducible bit for bit; the committed
-trajectory fingerprints in ``tests/golden/trajectories.json`` pin it.
+``ArrayState`` owns the arrays and the update kernels of Eqs. 4, 15
+and 28 (``H = beta * G``, Eq. 30, is derived on read); ``NetworkState``
+and the contract checker share the same buffers.  Numerical policy:
+kernels apply elementwise IEEE-754 operations in a fixed order,
+repeated indices accumulate with the unbuffered ``np.add.at`` (index
+order), and aggregates use :func:`seq_sum` (a strict left-to-right
+accumulation) instead of numpy's pairwise ``sum``, so every result is
+reproducible bit for bit; the committed trajectory fingerprints in
+``tests/golden/trajectories.json`` pin it.
 
 The read-only/mutable mapping adapters at the bottom let existing
 dict-shaped consumers (relaxed-LP controller, drift diagnostics,
@@ -29,12 +31,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingBase
 from collections.abc import MutableMapping as MutableMappingBase
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.axes import (
     AnyArray,
+    LinkIds,
     LinkToNode,
     LinkPackets,
     LinkVec,
@@ -46,8 +49,8 @@ from repro.axes import (
     QueuePackets,
 )
 from repro.constants import FEASIBILITY_EPS
-from repro.exceptions import EnergyError
-from repro.types import Link, NodeId, SessionId
+from repro.exceptions import EnergyError, QueueError
+from repro.types import Link, NodeId, QueueSemantics, SessionId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.core.lyapunov import LyapunovConstants
@@ -219,6 +222,8 @@ class ArrayState:
         charge_efficiency / discharge_efficiency: ``(N,)`` conversion
             losses ``eta_c`` / ``eta_d``.
         bs_rows / user_rows: row indices for base stations and users.
+        queue_semantics: the Eq. 15 transfer accounting in force
+            (``params.queue_semantics``).
     """
 
     # Axis layouts of every buffer (see repro.axes): the one place a
@@ -252,6 +257,7 @@ class ArrayState:
         links = model.topology.candidate_links
 
         self.num_nodes = num_nodes
+        self.queue_semantics = params.queue_semantics
         self.sessions = sessions
         self.session_col: Dict[SessionId, int] = {
             sid: col for col, sid in enumerate(sessions)
@@ -346,8 +352,101 @@ class ArrayState:
         values = self.q.copy() if copy else self.q
         return QueueArrayMapping(values, self.queue_keys(), self.queue_positions())
 
+    def link_vector(self, values: Mapping[Link, float]) -> LinkVec:
+        """A ``{link: value}`` mapping as an ``(L,)`` vector (0.0 elsewhere)."""
+        out = np.zeros(len(self.links))
+        for link, value in values.items():
+            out[self.link_pos[link]] = value
+        return out
+
     # ------------------------------------------------------------------
     # Vectorized kernels
+
+    def advance_q(
+        self,
+        link_pos: LinkIds,
+        session_col: AnyArray,
+        pkts: AnyArray,
+        arrival_rows: NodeIds,
+        arrival_cols: AnyArray,
+        arrival_pkts: AnyArray,
+    ) -> AnyArray:
+        """Advance every data queue one slot (Eq. 15); return the transfer.
+
+        ``Q_i^s(t+1) = max(Q_i^s(t) - sum_j l_ij^s(t), 0)
+        + sum_j l_ji^s(t) + k_s(t) 1[i = s_s(t)]``, with destination
+        cells pinned at 0.0 (delivered packets leave the network).
+
+        Routed entry ``k`` moves ``pkts[k]`` packets of session column
+        ``session_col[k]`` over link ``link_pos[k]``; admission entry
+        ``k`` adds ``arrival_pkts[k]`` at ``(arrival_rows[k],
+        arrival_cols[k])``.  ``PAPER`` semantics transfer the scheduled
+        rate (null packets included); ``PACKET_ACCURATE`` scales each
+        transmitter's outgoing rates for a session by
+        ``min(1, Q / outgoing)`` on the pre-update backlog.  Cells sum
+        routed service, then routed arrivals, then admissions, each in
+        entry order.  Returns the effective ``(K,)`` transfer (packets).
+        """
+        q = self.q
+        tx = self.link_tx[link_pos]
+        if self.queue_semantics is QueueSemantics.PAPER:
+            transfer = pkts
+        else:
+            outgoing = np.zeros(q.shape)
+            np.add.at(outgoing, (tx, session_col), pkts)
+            total = outgoing[tx, session_col]
+            positive = total > 0
+            scale = np.minimum(1.0, q[tx, session_col] / np.where(positive, total, 1.0))
+            transfer = np.where(positive, pkts * scale, 0.0)
+        if np.any(arrival_pkts < 0):
+            k = int(np.argmax(arrival_pkts < 0))
+            raise QueueError(
+                f"negative admission {arrival_pkts[k]} for session "
+                f"{self.sessions[arrival_cols[k]]} at node {arrival_rows[k]}"
+            )
+        service: NodeSessionMat = np.zeros(q.shape)
+        arrivals: NodeSessionMat = np.zeros(q.shape)
+        np.add.at(service, (tx, session_col), transfer)
+        np.add.at(arrivals, (self.link_rx[link_pos], session_col), transfer)
+        np.add.at(arrivals, (arrival_rows, arrival_cols), arrival_pkts)
+        # Only a negative transfer can make a per-cell sum negative, so
+        # the (N, S) scan for the first offending cell runs only then.
+        negative = (service < 0.0) | (arrivals < 0.0) if np.any(transfer < 0) else None
+        if negative is not None and np.any(negative & self.q_valid):
+            row, col = (int(i) for i in np.argwhere(negative & self.q_valid)[0])
+            where = f"Q[{row}][{self.sessions[col]}]"
+            if service[row, col] < 0:
+                raise QueueError(f"negative service {service[row, col]} at {where}")
+            raise QueueError(f"negative arrivals {arrivals[row, col]} at {where}")
+        np.subtract(q, service, out=q)
+        np.maximum(q, 0.0, out=q)
+        np.add(q, arrivals, out=q)
+        q[self.q_invalid] = 0.0  # destinations keep no queue (pinned at 0.0)
+        return transfer
+
+    def advance_g(self, link_pos: LinkIds, pkts: AnyArray, service: LinkPackets) -> None:
+        """Advance every virtual queue one slot (Eq. 28).
+
+        ``G_ij(t+1) = max(G_ij(t) - service_ij, 0) + sum_s l_ij^s(t)``:
+        the arrivals are the *scheduled* routed rates ``pkts`` summed
+        per link position in entry order (the router commits at most a
+        link's capacity, which bounds them per Eq. 29); ``service`` is
+        the ``(L,)`` realised service
+        ``(1/delta) sum_m c_ij^m a_ij^m delta_t``.
+        """
+        g = self.g
+        arrivals: LinkVec = np.zeros(g.shape)
+        np.add.at(arrivals, link_pos, pkts)
+        bad = (arrivals < 0.0) | (service < 0.0)
+        if bad.any():
+            pos = int(np.argmax(bad))
+            link = self.links[pos]
+            if arrivals[pos] < 0:
+                raise QueueError(f"negative arrivals {arrivals[pos]} at G{link}")
+            raise QueueError(f"negative service {service[pos]} at G{link}")
+        np.subtract(g, service, out=g)
+        np.maximum(g, 0.0, out=g)
+        np.add(g, arrivals, out=g)
 
     def apply_battery_actions(
         self,

@@ -159,7 +159,7 @@ class RelaxedLpController:
         # bookkeeping for the capacity and energy couplings.
         link_bands: Dict[Tuple[NodeId, NodeId], List[Tuple[int, float, float]]] = {}
         link_gains = self._link_gains(observation)
-        for (tx, rx), gain in zip(model.topology.candidate_links, link_gains):  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
+        for (tx, rx), gain in zip(model.topology.candidate_links, link_gains):  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
             entries = []
             for band in observation.common_bands(model, tx, rx):
                 power = self._min_power_w(tx, gain, band, observation)
@@ -180,7 +180,7 @@ class RelaxedLpController:
         # Radio constraint (22), relaxed; the budget is the node's
         # radio count (1 in the paper — a tighter rhs would invalidate
         # the lower bound for multi-radio scenarios).
-        per_node: Dict[NodeId, Dict] = {n: {} for n in range(model.num_nodes)}  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
+        per_node: Dict[NodeId, Dict] = {n: {} for n in range(model.num_nodes)}  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
         for (tx, rx), entries in link_bands.items():
             for band, _, _ in entries:
                 per_node[tx][("a", tx, rx, band)] = 1.0
@@ -200,7 +200,7 @@ class RelaxedLpController:
             for band, service, _ in entries:
                 cap_coeffs[("a", tx, rx, band)] = -service
             any_l = False
-            for session in model.sessions:  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
+            for session in model.sessions:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
                 sid = session.session_id
                 if tx == destinations[sid]:
                     continue  # (17)
@@ -224,7 +224,7 @@ class RelaxedLpController:
         # single node to apply it to.  Dropping a constraint enlarges
         # the feasible set and can only lower the LP optimum, which
         # keeps the final lower bound valid.
-        for session in model.sessions:  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
+        for session in model.sessions:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
             sid = session.session_id
             dest = session.destination
             coeffs = {
@@ -240,7 +240,7 @@ class RelaxedLpController:
 
         # Relaxed admission: per-BS k_{s,b} with total cap K_max; the
         # Psi-hat_2 coefficient is (Q_b^s - lambda V).
-        for session in model.sessions:  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
+        for session in model.sessions:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
             sid = session.session_id
             total = {}
             for bs in model.bs_ids:
@@ -258,7 +258,7 @@ class RelaxedLpController:
         bs_set = set(model.bs_ids)
         z = state.z_values()
         p_coeffs: Dict = {}
-        for node_obj in model.nodes:  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
+        for node_obj in model.nodes:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
             node = node_obj.node_id
             battery = state.batteries[node]
             connected = observation.grid_connected[node]
@@ -405,17 +405,23 @@ class RelaxedLpController:
             if service_total > 0:
                 schedule.link_service_pkts[(tx, rx)] = service_total
 
-        rates: Dict[Tuple[NodeId, NodeId, SessionId], float] = {}
-        for key, value in solution.values.items():
-            if key[0] == "l" and value > 1e-9:
-                _, tx, rx, sid = key
-                rates[(tx, rx, sid)] = value
-        routing = RoutingDecision(rates=rates)
+        # Routed entries in LP variable order ("l", tx, rx, sid); the
+        # variables are unique, so no (link, session) pair repeats.
+        arrays = state.arrays
+        values = solution.values
+        routed = [key for key in values if key[0] == "l" and values[key] > 1e-9]
+        routing = RoutingDecision(
+            link_pos=np.array([arrays.link_pos[k[1:3]] for k in routed], dtype=np.intp),
+            session_col=np.array([arrays.session_col[k[3]] for k in routed], dtype=np.intp),
+            pkts=np.array([values[k] for k in routed], dtype=np.float64),
+            links=arrays.links,
+            sessions=arrays.sessions,
+        )
 
         sources: Dict[SessionId, NodeId] = {}
         admitted: Dict[SessionId, float] = {}
         split: Dict[SessionId, Tuple[Tuple[NodeId, float], ...]] = {}
-        for session in model.sessions:  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
+        for session in model.sessions:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
             sid = session.session_id
             pairs = tuple(
                 (bs, solution.values[("k", sid, bs)])
@@ -435,7 +441,7 @@ class RelaxedLpController:
 
         def flow(name: str) -> np.ndarray:
             return np.fromiter(
-                (solution.values[(name, node)] for node in range(num_nodes)),  # noqa: R040 - offline Theorem-5 LP assembly: the LP solution is keyed per variable
+                (solution.values[(name, node)] for node in range(num_nodes)),  # noqa: R040 - relaxed-LP bound only, every slot: the LP solution is keyed per variable, so the read-out is per node
                 dtype=float,
                 count=num_nodes,
             )

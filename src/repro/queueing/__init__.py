@@ -1,7 +1,7 @@
-"""Queueing substrate: data/virtual/energy queues and stability tools."""
+"""Queueing substrate: energy queues, backlog snapshots, stability tools.
 
-from repro.queueing.data_queue import DataQueue, DataQueueBank
-from repro.queueing.virtual_queue import LinkVirtualQueue, VirtualQueueBank
+The data- and virtual-queue laws are ``ArrayState`` kernels."""
+
 from repro.queueing.energy_queue import ShiftedEnergyQueue
 from repro.queueing.stability import (
     StabilityReport,
@@ -12,10 +12,6 @@ from repro.queueing.stability import (
 from repro.queueing.backlog import BacklogSnapshot
 
 __all__ = [
-    "DataQueue",
-    "DataQueueBank",
-    "LinkVirtualQueue",
-    "VirtualQueueBank",
     "ShiftedEnergyQueue",
     "StabilityReport",
     "StabilityVerdict",

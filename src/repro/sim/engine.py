@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Protocol, Type, Union
 
+import numpy as np
+
 from repro.config.parameters import ScenarioParameters
 from repro.contracts import ContractChecker, Strictness
 from repro.control.controller import DriftPlusPenaltyController
@@ -75,11 +77,12 @@ class SlotSimulator:
         self.constants = compute_constants(self.model)
         self.state = state_cls(self.model, self.constants, self.rng.environment)
         self.controller = controller_factory(self.model, self.constants, self.rng)
-        # Frozen once: the destination map never changes over a run, so
-        # per-slot delivery accounting must not rebuild it (satellite
-        # fix — this used to cost a dict build per slot).
-        self._session_destinations = self.model.session_destinations()
-        self._session_ids = tuple(self._session_destinations)
+        # Frozen once: each session column's destination node, for the
+        # per-slot delivery accounting.
+        arrays = self.state.arrays
+        self._dest_by_col = np.array(
+            [arrays.destinations[sid] for sid in arrays.sessions], dtype=np.intp
+        )
         self._enforce_complementarity = enforce_complementarity
         self.contracts = _coerce_contracts(contracts)
         attach = getattr(self.controller, "attach_contracts", None)
@@ -148,28 +151,24 @@ class SlotSimulator:
     def _delivered_per_session(self, decision: SlotDecision) -> dict:
         """Per-session packets arriving at destinations this slot.
 
-        Uses the *effective* transfer rates under the configured queue
-        semantics: in the paper's null-packet mode these equal the
-        scheduled rates; in packet-accurate mode phantom deliveries
-        (rates exceeding the transmitter's real backlog) are excluded.
+        Sums the *effective* transfer the last ``apply`` moved (Eq. 15)
+        over entries whose receiver is the session's destination: in
+        the paper's null-packet mode these are the scheduled rates; in
+        packet-accurate mode phantom deliveries (rates exceeding the
+        transmitter's real backlog) are excluded.
         """
-        destinations = self._session_destinations
-        effective = self.state.data_queues.effective_rates(
-            decision.routing.rates
-        )
-        delivered = dict.fromkeys(self._session_ids, 0.0)
-        for (tx, rx, sid), rate in effective.items():
-            if rx == destinations[sid]:
-                delivered[sid] += rate
-        return delivered
+        routing = decision.routing
+        arrays = self.state.arrays
+        cols = routing.session_col
+        hit = arrays.link_rx[routing.link_pos] == self._dest_by_col[cols]
+        delivered = np.zeros(len(arrays.sessions))
+        np.add.at(delivered, cols[hit], self.state.last_transfer_pkts[hit])
+        return dict(zip(arrays.sessions, delivered.tolist()))
 
     def step(self, slot: int, trace: Optional[TraceRecorder] = None) -> SlotDecision:
         """Advance the simulation by one slot."""
         observation = self.state.observe(slot)
         decision = self.controller.decide(observation, self.state)
-        # Delivered packets are scaled by the pre-apply backlog under
-        # PACKET_ACCURATE, exactly like the transfer Eq. 15 applies.
-        per_session = self._delivered_per_session(decision)
         pre = self.contracts.capture(self.state)
         snapshot = self.state.apply(
             decision,
@@ -186,6 +185,7 @@ class SlotSimulator:
                 enforce_complementarity=self._enforce_complementarity,
             )
         deficit = sum(getattr(self.controller, "last_deficit_j", {}).values())
+        per_session = self._delivered_per_session(decision)
         metrics = self.metrics.record(
             slot=slot,
             decision=decision,

@@ -1,7 +1,7 @@
 """Mutable per-run network state: all queues, batteries, and processes.
 
 ``NetworkState`` owns every stateful object of one simulation run —
-data queues, link virtual queues, batteries with their shifted energy
+the queue and battery arrays, batteries with their shifted energy
 queues, grid connections and renewable processes — and provides the
 read accessors the controller needs plus the apply/advance methods the
 simulator calls at the end of each slot.
@@ -9,10 +9,11 @@ simulator calls at the end of each slot.
 The state is *array-backed*: every hot per-slot quantity lives in an
 :class:`~repro.core.arraystate.ArrayState` (``Q`` as an ``(N, S)``
 array, ``G`` as ``(L,)``, battery levels as ``(N,)``) and the per-slot
-updates run as vectorized kernels.  The dict-shaped read accessors
-(``h_backlogs``, ``z_values``, ``battery_levels``) return thin mapping
-adapters over the arrays, so external callers — the relaxed-LP
-controller, drift diagnostics, contract checker — read them like dicts.
+updates run as its vectorized kernels (Eqs. 4, 15 and 28).  The
+dict-shaped read accessors (``h_backlogs``, ``z_values``,
+``battery_levels``) return thin mapping adapters over the arrays, so
+external callers — the relaxed-LP controller, drift diagnostics,
+contract checker — read them like dicts.
 Behaviour is pinned by the committed trajectory fingerprints in
 ``tests/golden/trajectories.json``.
 """
@@ -24,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.control.decisions import SlotDecision, SlotObservation
+from repro.axes import AnyArray
 from repro.core.arraystate import ArrayState, LinkArrayMapping, NodeArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.energy.battery import Battery
@@ -43,9 +45,7 @@ from repro.network.mobility import (
 )
 from repro.phy.propagation import ComputedPairGains
 from repro.queueing.backlog import BacklogSnapshot, make_snapshot_from_arrays
-from repro.queueing.data_queue import DataQueueBank
 from repro.queueing.energy_queue import ShiftedEnergyQueue
-from repro.queueing.virtual_queue import VirtualQueueBank
 from repro.types import MobilityKind, NodeId, RenewableKind, SessionId
 
 
@@ -126,17 +126,9 @@ class NetworkState:
             self.mobility = StaticMobility(initial_positions)
 
         self.arrays = ArrayState(model, constants)
-        self.data_queues = DataQueueBank(
-            nodes=range(model.num_nodes),
-            session_destinations=model.session_destinations(),
-            semantics=params.queue_semantics,
-            storage=self.arrays,
-        )
-        self.virtual_queues = VirtualQueueBank(
-            links=model.topology.candidate_links,
-            beta=constants.beta,
-            storage=self.arrays,
-        )
+        #: Effective ``(K,)`` per-entry transfer of the last applied
+        #: routing decision (Eq. 15), for delivery accounting.
+        self.last_transfer_pkts: AnyArray = np.zeros(0)
 
         self.batteries: Dict[NodeId, Battery] = {}
         self.energy_queues: Dict[NodeId, ShiftedEnergyQueue] = {}
@@ -304,13 +296,19 @@ class NetworkState:
     # ------------------------------------------------------------------
 
     def backlog(self, node: NodeId, session: SessionId) -> float:
-        """``Q_i^s(t)``."""
-        return self.data_queues.backlog(node, session)
+        """``Q_i^s(t)``; a session's destination reads a permanent 0."""
+        arrays = self.arrays
+        return float(arrays.q[node, arrays.session_col[session]])
 
     def h_backlogs(self) -> LinkArrayMapping:
-        """``H_ij(t)`` for every candidate link (frozen at read time)."""
+        """``H_ij(t) = beta * G_ij(t)`` (Eq. 30) per candidate link.
+
+        Frozen at read time: a fresh array, so later ``G`` updates do
+        not move it.
+        """
+        arrays = self.arrays
         return LinkArrayMapping(
-            self.virtual_queues.h_array(), self.arrays.links, self.arrays.link_pos
+            self.constants.beta * arrays.g, arrays.links, arrays.link_pos
         )
 
     def grid_caps_array(self) -> np.ndarray:
@@ -354,23 +352,25 @@ class NetworkState:
         Returns:
             The post-update backlog snapshot for the metrics collector.
         """
+        arrays = self.arrays
+        routing = decision.routing
+
         # Data queues (Eq. 15).
-        rates: Mapping[Tuple[NodeId, NodeId, SessionId], float] = (
-            decision.routing.rates
+        self.last_transfer_pkts = arrays.advance_q(
+            routing.link_pos,
+            routing.session_col,
+            routing.pkts,
+            *decision.admission.queue_arrivals(arrays.session_col),
         )
-        self.data_queues.step(rates, decision.admission.as_queue_arrivals())
 
         # Virtual queues (Eqs. 28/30): arrivals are routed packets,
         # service is the realised scheduled capacity.
-        self.virtual_queues.step(
-            arrivals_pkts=decision.routing.link_totals(),
-            service_pkts=decision.schedule.link_service_pkts,
-        )
+        service = arrays.link_vector(decision.schedule.link_service_pkts)
+        arrays.advance_g(routing.link_pos, routing.pkts, service)
 
         # Batteries and shifted energy queues (Eqs. 4 and 31).  The
         # allocation's discharge is *delivered* energy; the battery
         # drains 1/eta_d of it.
-        arrays = self.arrays
         allocation = decision.energy.allocation
         charge_j = allocation.charge_j
         drain_j = allocation.discharge_j / arrays.discharge_efficiency

@@ -7,6 +7,8 @@ every slot's decision, its S4 energy allocation (rendered by
 ``canonical_energy``) and the slot metrics (``BacklogSnapshot``, cost,
 penalty, flows) — into one SHA-256 digest, so a committed hex string
 pins a trajectory bit for bit.
+``queue_step``/``virtual_step`` drive the Eq. 15 and Eq. 28 kernels of
+:class:`~repro.core.arraystate.ArrayState` from dict-shaped inputs.
 ``make_snapshot_oracle`` is the plain-Python backlog aggregation the
 array kernel :func:`~repro.queueing.backlog.make_snapshot_from_arrays`
 must reproduce exactly.  ``dense_gain_oracle`` is the all-pairs
@@ -55,6 +57,36 @@ def link_view(model, values):
     for link, value in values.items():
         array[positions[link]] = value
     return LinkArrayMapping(array, links, positions)
+
+
+def queue_step(arrays, rates=None, admissions=()):
+    """One Eq. 15 kernel step from dicts; returns the effective transfer.
+
+    ``rates`` maps ``(tx, rx, session)`` to routed packets (in entry
+    order); ``admissions`` lists ``(node, session, packets)`` arrivals.
+    """
+    rates = rates or {}
+    return arrays.advance_q(
+        np.array([arrays.link_pos[key[:2]] for key in rates], dtype=np.intp),
+        np.array([arrays.session_col[key[2]] for key in rates], dtype=np.intp),
+        np.array(list(rates.values()), dtype=float),
+        np.array([node for node, _, _ in admissions], dtype=np.intp),
+        np.array([arrays.session_col[s] for _, s, _ in admissions], dtype=np.intp),
+        np.array([k for _, _, k in admissions], dtype=float),
+    )
+
+
+def virtual_step(arrays, arrivals=None, service=None):
+    """One Eq. 28 kernel step from ``{link: packets}`` dicts."""
+    arrivals = arrivals or {}
+    service_vec = np.zeros(len(arrays.links))
+    for link, pkts in (service or {}).items():
+        service_vec[arrays.link_pos[link]] = pkts
+    arrays.advance_g(
+        np.array([arrays.link_pos[link] for link in arrivals], dtype=np.intp),
+        np.array(list(arrivals.values()), dtype=float),
+        service_vec,
+    )
 
 
 def make_snapshot_oracle(

@@ -77,9 +77,11 @@ class TestTrajectoryEquivalence:
             simulator.step(slot)
             expected = make_snapshot_oracle(
                 slot=slot,
-                data_backlogs=state.data_queues.snapshot(),
+                data_backlogs=dict(state.arrays.q_mapping()),
                 battery_levels=state.battery_levels(),
-                virtual_backlogs=state.virtual_queues.snapshot(),
+                virtual_backlogs=dict(
+                    zip(state.arrays.links, state.arrays.g.tolist())
+                ),
                 bs_ids=simulator.model.bs_ids,
             )
             recorded = simulator.metrics.slots[-1].snapshot
@@ -106,16 +108,21 @@ class TestTrajectoryEquivalence:
         state = simulator.state
         arrays = state.arrays
 
-        assert state.data_queues.snapshot() == dict(arrays.q_mapping(copy=True))
-        assert state.virtual_queues.snapshot() == dict(
-            LinkArrayMapping(arrays.g, arrays.links, arrays.link_pos)
-        )
+        assert dict(arrays.q_mapping(copy=True)) == {
+            (node, sid): state.backlog(node, sid)
+            for node in range(arrays.num_nodes)
+            for sid in arrays.sessions
+            if node != arrays.destinations[sid]
+        }
         assert list(state.battery_levels().values()) == list(arrays.battery_level)
         assert list(state.z_values().values()) == [
             queue.z for queue in state.energy_queues.values()
         ]
+        beta = state.constants.beta
         assert list(state.h_backlogs().values()) == [
-            state.virtual_queues.h(link) for link in arrays.links
+            beta * g for g in LinkArrayMapping(
+                arrays.g, arrays.links, arrays.link_pos
+            ).values()
         ]
 
 

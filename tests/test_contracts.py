@@ -22,11 +22,7 @@ import pytest
 from repro.config import tiny_scenario
 from repro.contracts import ContractChecker, ContractViolation, Strictness
 from repro.contracts.checker import coerce_strictness
-from repro.control.decisions import (
-    AdmissionDecision,
-    RoutingDecision,
-    ScheduleDecision,
-)
+from repro.control.decisions import AdmissionDecision, ScheduleDecision
 from repro.control.energy_manager import (
     EnergyManager,
     NodeEnergyBatch,
@@ -287,7 +283,20 @@ class TestEnergyContracts:
 
 def _with_rate(routing, key, rate):
     """``routing`` with ``l[key] = rate``, replacing or appending the entry."""
-    return RoutingDecision(rates={**routing.rates, key: rate})
+    tx, rx, sid = key
+    pos = routing.links.index((tx, rx))
+    col = routing.sessions.index(sid)
+    hit = (routing.link_pos == pos) & (routing.session_col == col)
+    if hit.any():
+        pkts = routing.pkts.copy()
+        pkts[hit] = rate
+        return dataclasses.replace(routing, pkts=pkts)
+    return dataclasses.replace(
+        routing,
+        link_pos=np.append(routing.link_pos, pos),
+        session_col=np.append(routing.session_col, col),
+        pkts=np.append(routing.pkts, rate),
+    )
 
 
 def _session_link(model, roles, into_source=False):

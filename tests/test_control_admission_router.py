@@ -1,11 +1,21 @@
 """Unit tests for S2 resource allocation and S3 routing."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import small_scenario
 from repro.control import BackpressureRouter, LinkScheduler, ResourceAllocator
 from repro.control.decisions import AdmissionDecision, ScheduleDecision
 from repro.control.router import RouterMode
+from repro.core import compute_constants
+from repro.core.arraystate import ArrayState
+from repro.model import build_network_model
+from repro.network.geometry import Point
 from repro.phy.capacity import max_link_capacity_bps
 from tests.helpers import link_view
 
@@ -15,13 +25,13 @@ def observation(tiny_state):
     return tiny_state.observe(0)
 
 
-def _backlog_fn(values):
-    """Backlog accessor from a {(node, session): backlog} dict."""
-
-    def backlog(node, session):
-        return values.get((node, session), 0.0)
-
-    return backlog
+def _backlogs(model, values):
+    """An ``ArrayState`` for ``model`` with ``Q`` set from a
+    ``{(node, session): backlog}`` dict (other cells read 0)."""
+    arrays = ArrayState(model, compute_constants(model))
+    for (node, session), value in values.items():
+        arrays.q[node, arrays.session_col[session]] = value
+    return arrays
 
 
 def _route(
@@ -61,12 +71,12 @@ def _potential_capacity_pkts(model, observation, link):
 class TestResourceAllocator:
     def test_single_bs_is_always_source(self, tiny_model, rng):
         allocator = ResourceAllocator(tiny_model, rng)
-        decision = allocator.allocate(_backlog_fn({}))
+        decision = allocator.allocate(_backlogs(tiny_model, {}))
         assert set(decision.sources.values()) == set(tiny_model.bs_ids)
 
     def test_admits_below_threshold(self, tiny_model, rng):
         allocator = ResourceAllocator(tiny_model, rng)
-        decision = allocator.allocate(_backlog_fn({}))
+        decision = allocator.allocate(_backlogs(tiny_model, {}))
         for session in tiny_model.sessions:
             assert decision.admitted[session.session_id] == session.k_max
 
@@ -78,7 +88,7 @@ class TestResourceAllocator:
             for bs in tiny_model.bs_ids
             for s in tiny_model.sessions
         }
-        decision = allocator.allocate(_backlog_fn(values))
+        decision = allocator.allocate(_backlogs(tiny_model, values))
         assert all(k == 0 for k in decision.admitted.values())
 
     def test_threshold_is_lambda_v(self, tiny_model, rng):
@@ -97,15 +107,83 @@ class TestResourceAllocator:
         allocator = ResourceAllocator(model, rng)
         session = model.sessions[0].session_id
         values = {(0, session): 50.0, (1, session): 10.0}
-        decision = allocator.allocate(_backlog_fn(values))
+        decision = allocator.allocate(_backlogs(model, values))
         assert decision.sources[session] == 1
 
     def test_total_admitted(self, tiny_model, rng):
         allocator = ResourceAllocator(tiny_model, rng)
-        decision = allocator.allocate(_backlog_fn({}))
+        decision = allocator.allocate(_backlogs(tiny_model, {}))
         assert decision.total_admitted() == sum(
             s.k_max for s in tiny_model.sessions
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _four_bs_model():
+    """Four base stations, session 0 destined to BS 2 (a destination
+    cell inside the BS rows S2 reads)."""
+    params = small_scenario(
+        base_station_positions=tuple(
+            Point(x, y) for x, y in ((500, 500), (1500, 500), (500, 1500), (1500, 1500))
+        )
+    )
+    model = build_network_model(params, np.random.default_rng(3))
+    first = dataclasses.replace(model.sessions[0], destination=2)
+    return dataclasses.replace(model, sessions=(first, *model.sessions[1:]))
+
+
+def _scalar_allocate(model, rng, threshold, backlog):
+    """Reference S2: the scalar per-base-station loop ``allocate`` ran
+    before it read ``Q`` by column."""
+    sources, admitted = {}, {}
+    for session in model.sessions:
+        backlogs = {bs: backlog(bs, session.session_id) for bs in model.bs_ids}
+        smallest = min(backlogs.values())
+        tied = [bs for bs, value in backlogs.items() if value == smallest]
+        source = tied[0] if len(tied) == 1 else int(rng.choice(tied))
+        sources[session.session_id] = source
+        if backlogs[source] - threshold < 0:
+            admitted[session.session_id] = session.k_max
+        else:
+            admitted[session.session_id] = 0
+    return sources, admitted
+
+
+class TestColumnReadEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        levels=st.lists(
+            st.sampled_from([0.0, 1.5, 1e3, 2e3, 3e7]), min_size=12, max_size=12
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_loop(self, levels, seed):
+        model = _four_bs_model()
+        arrays = ArrayState(model, compute_constants(model))
+        # Few distinct levels force cross-BS ties; 1e3 = lambda V sits
+        # exactly on the admission threshold.
+        arrays.q[arrays.bs_rows] = np.reshape(levels, (4, 3))
+        arrays.q[arrays.q_invalid] = 0.0
+        destinations = model.session_destinations()
+
+        def backlog(node, session):
+            if destinations[session] == node:
+                return 0.0
+            return float(arrays.q[node, arrays.session_col[session]])
+
+        column_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        allocator = ResourceAllocator(model, column_rng)
+        assert allocator.admission_threshold == 1e3
+        decision = allocator.allocate(arrays)
+        sources, admitted = _scalar_allocate(
+            model, scalar_rng, allocator.admission_threshold, backlog
+        )
+        assert decision.sources == sources
+        assert decision.admitted == admitted
+        assert [type(k) for k in decision.admitted.values()] == [int] * 3
+        assert [type(b) for b in decision.sources.values()] == [int] * 3
+        assert column_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 class TestRouterDestinationForcing:
@@ -114,7 +192,7 @@ class TestRouterDestinationForcing:
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         allocator = ResourceAllocator(tiny_model, rng)
-        admission = allocator.allocate(_backlog_fn({}))
+        admission = allocator.allocate(_backlogs(tiny_model, {}))
         routing = _route(
             router, tiny_state, observation, ScheduleDecision(), admission
         )
@@ -150,7 +228,7 @@ class TestRouterDestinationForcing:
 class TestRouterConstraints:
     @pytest.fixture
     def admission(self, tiny_model, rng):
-        return ResourceAllocator(tiny_model, rng).allocate(_backlog_fn({}))
+        return ResourceAllocator(tiny_model, rng).allocate(_backlogs(tiny_model, {}))
 
     def test_no_outgoing_from_destination(
         self, tiny_model, tiny_constants, observation, rng, tiny_state, admission
@@ -248,7 +326,7 @@ class TestRouterCapacityModes:
         router = BackpressureRouter(
             tiny_model, tiny_constants, rng, mode=RouterMode.SCHEDULED_CAPACITY
         )
-        admission = ResourceAllocator(tiny_model, rng).allocate(_backlog_fn({}))
+        admission = ResourceAllocator(tiny_model, rng).allocate(_backlogs(tiny_model, {}))
         bs = tiny_model.bs_ids[0]
         session = tiny_model.sessions[0].session_id
         backlogs = {(bs, session): 1e6}
@@ -268,7 +346,7 @@ class TestRouterCapacityModes:
         router = BackpressureRouter(
             tiny_model, tiny_constants, rng, mode=RouterMode.SCHEDULED_CAPACITY
         )
-        admission = ResourceAllocator(tiny_model, rng).allocate(_backlog_fn({}))
+        admission = ResourceAllocator(tiny_model, rng).allocate(_backlogs(tiny_model, {}))
         bs = tiny_model.bs_ids[0]
         rx = tiny_model.topology.out_neighbors[bs][0]
         session = tiny_model.sessions[0].session_id
@@ -284,7 +362,7 @@ class TestRouterCapacityModes:
         self, tiny_model, tiny_constants, observation, rng, tiny_state
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
-        admission = ResourceAllocator(tiny_model, rng).allocate(_backlog_fn({}))
+        admission = ResourceAllocator(tiny_model, rng).allocate(_backlogs(tiny_model, {}))
         backlogs = {
             (node, s.session_id): 1e6
             for node in range(tiny_model.num_nodes)
@@ -305,7 +383,7 @@ class TestRouterCapacityModes:
         self, tiny_model, tiny_constants, observation, rng, tiny_state
     ):
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
-        admission = ResourceAllocator(tiny_model, rng).allocate(_backlog_fn({}))
+        admission = ResourceAllocator(tiny_model, rng).allocate(_backlogs(tiny_model, {}))
         bs_set = set(tiny_model.bs_ids)
         allowed = np.array(
             [link[0] in bs_set for link in tiny_state.arrays.links]

@@ -51,10 +51,10 @@ class TestDecide:
 
     def test_controller_does_not_mutate_state(self, controller, tiny_state):
         observation = tiny_state.observe(0)
-        before_q = tiny_state.data_queues.snapshot()
+        before_q = dict(tiny_state.arrays.q_mapping())
         before_x = tiny_state.battery_levels()
         controller.decide(observation, tiny_state)
-        assert tiny_state.data_queues.snapshot() == before_q
+        assert dict(tiny_state.arrays.q_mapping()) == before_q
         assert tiny_state.battery_levels() == before_x
 
 

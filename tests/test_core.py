@@ -164,9 +164,7 @@ class TestBounds:
     ):
         relaxed = RelaxedLpController(tiny_model, tiny_constants)
         # Seed some virtual backlog so the LP wants to schedule.
-        tiny_state.virtual_queues.step(
-            {link: 10.0 for link in tiny_model.topology.candidate_links}, {}
-        )
+        tiny_state.arrays.g[:] = 10.0
         decision = relaxed.decide(tiny_state.observe(0), tiny_state)
         # Per-node fractional activity cannot exceed 1: total service
         # on links touching a node is bounded by its best-band service.

@@ -264,7 +264,8 @@ class TestR006HotPathDictLoops:
             Path("src/repro/state.py"),
             Path("src/repro/control/router.py"),
             Path("src/repro/control/scheduler.py"),
-            Path("src/repro/queueing/data_queue.py"),
+            Path("src/repro/queueing/energy_queue.py"),
+            Path("src/repro/core/arraystate.py"),
         ],
     )
     def test_hot_path_modules_in_scope(self, path):

@@ -2,6 +2,7 @@
 invariants: queueing laws, battery bounds, cost convexity, solver
 correctness, and the S4 allocation feasibility."""
 
+import functools
 import math
 
 import numpy as np
@@ -20,44 +21,64 @@ from repro.energy.cost import PiecewiseLinearCost, QuadraticCost
 from repro.phy.capacity import link_capacity_bps
 from repro.phy.power_control import minimal_power_assignment
 from repro.phy.propagation import propagation_gain
-from repro.queueing.data_queue import DataQueue
-from repro.queueing.virtual_queue import LinkVirtualQueue
+from repro.config import tiny_scenario
+from repro.core import compute_constants
+from repro.model import build_network_model
+from repro.state import NetworkState
 from repro.solvers.bisection import bisect_root, minimize_convex_1d
+from tests.helpers import queue_step, virtual_step
 
 finite = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _tiny_state():
+    """One tiny-scenario state shared by the queue-law examples (each
+    example resets the cells it uses)."""
+    params = tiny_scenario()
+    model = build_network_model(params, np.random.default_rng(params.seed))
+    return NetworkState(model, compute_constants(model), np.random.default_rng(0))
+
+
 class TestQueueLawProperties:
+    """Eqs. 15, 28 and 30 on the ``ArrayState`` kernels, one cell each."""
+
     @given(
         backlog=finite,
         service=finite,
         arrivals=finite,
     )
     def test_data_queue_never_negative(self, backlog, service, arrivals):
-        queue = DataQueue(node=0, session=0, backlog=backlog)
-        new = queue.step(service, arrivals)
-        assert new >= 0.0
+        arrays = _tiny_state().arrays
+        arrays.q[...] = 0.0
+        arrays.q[0, 0] = backlog
+        queue_step(arrays, {(0, 2, 0): service}, [(0, 0, arrivals)])
+        assert arrays.q[0, 0] >= 0.0
 
     @given(backlog=finite, service=finite, arrivals=finite)
     def test_data_queue_lindley_bound(self, backlog, service, arrivals):
         """Eq. (15) never exceeds backlog - service + arrivals + service."""
-        queue = DataQueue(node=0, session=0, backlog=backlog)
-        new = queue.step(service, arrivals)
+        arrays = _tiny_state().arrays
+        arrays.q[...] = 0.0
+        arrays.q[0, 0] = backlog
+        queue_step(arrays, {(0, 2, 0): service}, [(0, 0, arrivals)])
+        new = arrays.q[0, 0]
         assert new <= backlog + arrivals + 1e-9
         assert new >= backlog - service + arrivals - 1e-6
 
-    @given(
-        beta=st.floats(min_value=0.1, max_value=1e4),
-        steps=st.lists(st.tuples(finite, finite), min_size=1, max_size=30),
-    )
-    def test_h_equals_beta_g_invariant(self, beta, steps):
-        queue = LinkVirtualQueue(link=(0, 1), beta=beta)
+    @given(steps=st.lists(st.tuples(finite, finite), min_size=1, max_size=30))
+    def test_h_equals_beta_g_invariant(self, steps):
+        state = _tiny_state()
+        arrays = state.arrays
+        arrays.g[...] = 0.0
+        beta = state.constants.beta
+        pos = arrays.link_pos[(0, 2)]
         for arrivals, service in steps:
-            queue.step(arrivals, service)
-            assert queue.h_backlog == pytest.approx(beta * queue.g_backlog)
-            assert queue.g_backlog >= 0.0
+            virtual_step(arrays, {(0, 2): arrivals}, {(0, 2): service})
+            assert state.h_backlogs()[(0, 2)] == pytest.approx(beta * arrays.g[pos])
+            assert arrays.g[pos] >= 0.0
 
 
 class TestBatteryProperties:

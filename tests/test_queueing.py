@@ -1,5 +1,6 @@
-"""Unit tests for the queueing substrate: data, virtual, and shifted
-energy queues plus the stability estimators."""
+"""Unit tests for the queueing laws: the data- and virtual-queue kernels
+of ``ArrayState`` (Eqs. 15, 28, 30), the shifted energy queue and the
+stability estimators."""
 
 import dataclasses
 
@@ -7,138 +8,174 @@ import numpy as np
 import pytest
 
 from repro.config import small_scenario, tiny_scenario
-from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping
+from repro.control.decisions import AdmissionDecision
+from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping, seq_sum
 from repro.exceptions import QueueError
 from repro.queueing import (
     BacklogSnapshot,
-    DataQueue,
-    DataQueueBank,
-    LinkVirtualQueue,
     ShiftedEnergyQueue,
     StabilityVerdict,
-    VirtualQueueBank,
     assess_strong_stability,
     is_rate_stable_sample_path,
 )
 from repro.queueing.backlog import make_snapshot_from_arrays
 from repro.sim import SlotSimulator
 from repro.types import QueueSemantics
-from tests.helpers import make_snapshot_oracle
+from tests.helpers import make_snapshot_oracle, queue_step, virtual_step
+
+
+@pytest.fixture
+def arrays(tiny_state):
+    """The tiny scenario's arrays: 5 nodes, BS 0, session 0 -> node 1,
+    session 1 -> node 4."""
+    return tiny_state.arrays
 
 
 class TestDataQueue:
-    def test_eq15_underflow_clamped(self):
-        queue = DataQueue(node=0, session=0, backlog=5.0)
-        queue.step(service=10.0, arrivals=3.0)
-        assert queue.backlog == 3.0  # max(5-10, 0) + 3
+    """The Eq. 15 kernel on single cells."""
 
-    def test_eq15_normal_update(self):
-        queue = DataQueue(node=0, session=0, backlog=10.0)
-        queue.step(service=4.0, arrivals=2.0)
-        assert queue.backlog == 8.0
+    def test_eq15_underflow_clamped(self, arrays):
+        arrays.q[0, 0] = 5.0
+        queue_step(arrays, {(0, 2, 0): 10.0}, [(0, 0, 3.0)])
+        assert arrays.q[0, 0] == 3.0  # max(5-10, 0) + 3
 
-    def test_negative_inputs_rejected(self):
-        queue = DataQueue(node=0, session=0)
-        with pytest.raises(QueueError):
-            queue.step(service=-1.0, arrivals=0.0)
-        with pytest.raises(QueueError):
-            queue.step(service=0.0, arrivals=-1.0)
+    def test_eq15_normal_update(self, arrays):
+        arrays.q[0, 0] = 10.0
+        queue_step(arrays, {(0, 2, 0): 4.0}, [(0, 0, 2.0)])
+        assert arrays.q[0, 0] == 8.0
+
+    def test_negative_inputs_rejected(self, arrays):
+        with pytest.raises(QueueError, match=r"negative service -1.0 at Q\[0\]\[0\]"):
+            queue_step(arrays, {(0, 2, 0): -1.0})
+        with pytest.raises(QueueError, match=r"negative arrivals -1.0 at Q\[0\]\[0\]"):
+            queue_step(arrays, {(2, 0, 0): -1.0})
+        assert not arrays.q.any()
 
 
 class TestDataQueueBank:
-    @pytest.fixture
-    def bank(self):
-        # 4 nodes; session 0 -> node 3, session 1 -> node 2.
-        return DataQueueBank(range(4), {0: 3, 1: 2})
+    """The Eq. 15 kernel over the whole ``(N, S)`` array."""
 
-    def test_destination_has_no_queue(self, bank):
-        assert not bank.has_queue(3, 0)
-        assert bank.backlog(3, 0) == 0.0
-        assert bank.has_queue(3, 1)
+    def test_destination_has_no_queue(self, tiny_state, arrays):
+        assert not arrays.q_valid[1, 0]
+        assert arrays.q_valid[1, 1]
+        queue_step(arrays, {(0, 1, 0): 6.0}, [(1, 0, 9.0)])
+        assert tiny_state.backlog(1, 0) == 0.0
 
-    def test_admission_arrivals(self, bank):
-        bank.step(rates={}, admissions={0: [(0, 10.0)]})
-        assert bank.backlog(0, 0) == 10.0
+    def test_admission_arrivals(self, tiny_state, arrays):
+        queue_step(arrays, admissions=[(0, 0, 10.0)])
+        assert tiny_state.backlog(0, 0) == 10.0
 
-    def test_transfer_moves_backlog(self, bank):
-        bank.step(rates={}, admissions={0: [(0, 10.0)]})
-        bank.step(rates={(0, 1, 0): 4.0}, admissions={})
-        assert bank.backlog(0, 0) == 6.0
-        assert bank.backlog(1, 0) == 4.0
+    def test_transfer_moves_backlog(self, tiny_state, arrays):
+        queue_step(arrays, admissions=[(0, 0, 10.0)])
+        transfer = queue_step(arrays, {(0, 2, 0): 4.0})
+        assert transfer.tolist() == [4.0]
+        assert tiny_state.backlog(0, 0) == 6.0
+        assert tiny_state.backlog(2, 0) == 4.0
 
-    def test_paper_semantics_credits_null_packets(self, bank):
+    def test_paper_semantics_credits_null_packets(self, tiny_state, arrays):
         # Transmitter has 2 packets but 5 are scheduled: receiver is
         # credited all 5 under Eq. (15)'s literal accounting.
-        bank.step(rates={}, admissions={0: [(0, 2.0)]})
-        bank.step(rates={(0, 1, 0): 5.0}, admissions={})
-        assert bank.backlog(0, 0) == 0.0
-        assert bank.backlog(1, 0) == 5.0
+        assert arrays.queue_semantics is QueueSemantics.PAPER
+        queue_step(arrays, admissions=[(0, 0, 2.0)])
+        queue_step(arrays, {(0, 2, 0): 5.0})
+        assert tiny_state.backlog(0, 0) == 0.0
+        assert tiny_state.backlog(2, 0) == 5.0
 
-    def test_packet_accurate_semantics_caps_transfers(self):
-        bank = DataQueueBank(
-            range(4), {0: 3}, semantics=QueueSemantics.PACKET_ACCURATE
+    def test_packet_accurate_semantics_caps_transfers(self, tiny_state, arrays):
+        arrays.queue_semantics = QueueSemantics.PACKET_ACCURATE
+        queue_step(arrays, admissions=[(0, 0, 2.0)])
+        transfer = queue_step(arrays, {(0, 2, 0): 5.0})
+        assert transfer.tolist() == [2.0]
+        assert tiny_state.backlog(2, 0) == 2.0
+
+    def test_packet_accurate_scales_proportionally(self, tiny_state, arrays):
+        arrays.queue_semantics = QueueSemantics.PACKET_ACCURATE
+        queue_step(arrays, admissions=[(0, 0, 6.0)])
+        transfer = queue_step(arrays, {(0, 2, 0): 8.0, (0, 3, 0): 4.0, (2, 3, 0): 3.0})
+        # 12 scheduled, 6 available: each link gets half its rate; node
+        # 2 held nothing before the slot, so it forwards nothing.
+        assert transfer.tolist() == pytest.approx([4.0, 2.0, 0.0])
+        assert tiny_state.backlog(2, 0) == pytest.approx(4.0)
+        assert tiny_state.backlog(3, 0) == pytest.approx(2.0)
+
+    def test_total_backlog_filters_nodes(self, arrays):
+        queue_step(arrays, admissions=[(0, 0, 5.0), (2, 1, 7.0)])
+        snapshot = make_snapshot_from_arrays(slot=0, arrays=arrays)
+        assert snapshot.bs_data_packets == 5.0
+        assert snapshot.user_data_packets == 7.0
+
+    def test_unknown_queue_raises(self, arrays):
+        with pytest.raises(KeyError):
+            arrays.q_mapping()[(17, 0)]
+
+    def test_negative_admission_rejected(self, arrays):
+        with pytest.raises(QueueError, match="negative admission -1.0 for session 0"):
+            queue_step(arrays, admissions=[(0, 0, -1.0)])
+
+    def test_split_admission(self, tiny_state, arrays):
+        admission = AdmissionDecision(
+            sources={0: 0, 1: 0},
+            admitted={0: 5.0, 1: 7.0},
+            split={1: ((0, 3.0), (2, 4.0))},
         )
-        bank.step(rates={}, admissions={0: [(0, 2.0)]})
-        bank.step(rates={(0, 1, 0): 5.0}, admissions={})
-        assert bank.backlog(1, 0) == 2.0
-
-    def test_packet_accurate_scales_proportionally(self):
-        bank = DataQueueBank(
-            range(4), {0: 3}, semantics=QueueSemantics.PACKET_ACCURATE
+        rows, cols, pkts = admission.queue_arrivals(arrays.session_col)
+        assert rows.tolist() == [0, 0, 2]
+        assert pkts.tolist() == [5.0, 3.0, 4.0]
+        arrays.advance_q(
+            np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0),
+            rows, cols, pkts,
         )
-        bank.step(rates={}, admissions={0: [(0, 6.0)]})
-        bank.step(rates={(0, 1, 0): 8.0, (0, 2, 0): 4.0}, admissions={})
-        # 12 scheduled, 6 available: each link gets half its rate.
-        assert bank.backlog(1, 0) == pytest.approx(4.0)
-        assert bank.backlog(2, 0) == pytest.approx(2.0)
+        assert tiny_state.backlog(0, 0) == 5.0
+        assert tiny_state.backlog(0, 1) == 3.0
+        assert tiny_state.backlog(2, 1) == 4.0
 
-    def test_total_backlog_filters_nodes(self, bank):
-        bank.step(rates={}, admissions={0: [(0, 5.0)], 1: [(1, 7.0)]})
-        assert bank.total_backlog([0]) == 5.0
-        assert bank.total_backlog([0, 1]) == 12.0
-
-    def test_unknown_queue_raises(self, bank):
-        with pytest.raises(QueueError):
-            bank.backlog(17, 0)
-
-    def test_negative_admission_rejected(self, bank):
-        with pytest.raises(QueueError):
-            bank.step(rates={}, admissions={0: [(0, -1.0)]})
-
-    def test_split_admission(self, bank):
-        bank.step(rates={}, admissions={1: [(0, 3.0), (1, 4.0)]})
-        assert bank.backlog(0, 1) == 3.0
-        assert bank.backlog(1, 1) == 4.0
+    def test_repeated_cells_accumulate_in_entry_order(self, arrays):
+        # Routed arrivals, then admissions, summed left to right: 1e16
+        # absorbs each later 1.0, where a pairwise sum would keep 2.0.
+        rates = {(0, 3, 0): 1e16, (2, 3, 0): 1.0, (4, 3, 0): 1.0}
+        queue_step(arrays, rates, [(3, 0, 1.0)])
+        assert arrays.q[3, 0] == ((1e16 + 1.0) + 1.0) + 1.0 == 1e16
 
 
 class TestVirtualQueues:
-    def test_h_is_beta_times_g(self):
-        queue = LinkVirtualQueue(link=(0, 1), beta=4.0)
-        queue.step(arrivals_pkts=10.0, service_pkts=0.0)
-        assert queue.g_backlog == 10.0
-        assert queue.h_backlog == 40.0
+    """The Eq. 28 kernel and ``H = beta * G`` (Eq. 30)."""
 
-    def test_eq28_underflow_clamped(self):
-        queue = LinkVirtualQueue(link=(0, 1), beta=2.0, g_backlog=3.0)
-        queue.step(arrivals_pkts=1.0, service_pkts=10.0)
-        assert queue.g_backlog == 1.0
+    def test_h_is_beta_times_g(self, tiny_state, arrays):
+        virtual_step(arrays, {(0, 1): 10.0})
+        assert arrays.g[arrays.link_pos[(0, 1)]] == 10.0
+        beta = tiny_state.constants.beta
+        assert tiny_state.h_backlogs()[(0, 1)] == beta * 10.0
 
-    def test_bank_updates_all_links(self):
-        bank = VirtualQueueBank([(0, 1), (1, 2)], beta=2.0)
-        bank.step({(0, 1): 5.0}, {(1, 2): 1.0})
-        assert bank.g((0, 1)) == 5.0
-        assert bank.g((1, 2)) == 0.0
-        assert bank.total_g() == 5.0
-        assert bank.total_h() == 10.0
+    def test_eq28_underflow_clamped(self, arrays):
+        arrays.g[arrays.link_pos[(0, 1)]] = 3.0
+        virtual_step(arrays, {(0, 1): 1.0}, {(0, 1): 10.0})
+        assert arrays.g[arrays.link_pos[(0, 1)]] == 1.0
 
-    def test_unknown_link_raises(self):
-        bank = VirtualQueueBank([(0, 1)], beta=1.0)
-        with pytest.raises(QueueError):
-            bank.g((5, 6))
+    def test_bank_updates_all_links(self, tiny_state, arrays):
+        # Arrivals are the scheduled rates summed per link.
+        routed = {(0, 1, 0): 2.0, (0, 1, 1): 3.0}
+        arrays.advance_g(
+            np.array([arrays.link_pos[key[:2]] for key in routed]),
+            np.array(list(routed.values())),
+            np.zeros(len(arrays.links)),
+        )
+        virtual_step(arrays, service={(1, 0): 1.0})
+        h = tiny_state.h_backlogs()
+        assert arrays.g[arrays.link_pos[(0, 1)]] == 5.0
+        assert arrays.g[arrays.link_pos[(1, 0)]] == 0.0
+        assert seq_sum(arrays.g) == 5.0
+        assert seq_sum(h.values_array) == tiny_state.constants.beta * 5.0
 
-    def test_invalid_beta(self):
-        with pytest.raises(QueueError):
-            VirtualQueueBank([(0, 1)], beta=0.0)
+    def test_unknown_link_raises(self, tiny_state):
+        with pytest.raises(KeyError):
+            tiny_state.h_backlogs()[(5, 6)]
+
+    def test_negative_inputs_rejected(self, arrays):
+        with pytest.raises(QueueError, match=r"negative arrivals -1.0 at G\(0, 1\)"):
+            virtual_step(arrays, {(0, 1): -1.0})
+        with pytest.raises(QueueError, match=r"negative service -2.0 at G\(1, 0\)"):
+            virtual_step(arrays, service={(1, 0): -2.0})
+        assert not arrays.g.any()
 
 
 class TestShiftedEnergyQueue:

@@ -51,8 +51,8 @@ class TestNetworkModel:
 
 class TestNetworkState:
     def test_initial_queues_empty(self, tiny_state, tiny_model):
-        assert all(v == 0 for v in tiny_state.data_queues.snapshot().values())
-        assert tiny_state.virtual_queues.total_g() == 0
+        assert all(v == 0 for v in tiny_state.arrays.q_mapping().values())
+        assert not tiny_state.arrays.g.any()
         assert all(v == 0 for v in tiny_state.battery_levels().values())
 
     def test_initial_z_is_negative_shift(self, tiny_state, tiny_model, tiny_constants):
