@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingBase
 from collections.abc import MutableMapping as MutableMappingBase
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -265,11 +265,12 @@ class ArrayState:
         self.destinations = destinations
         self.links = links
         # The frozen endpoint arrays come straight off the topology —
-        # both builders precompute them, so no per-link Python loop runs
-        # here; the ``link -> position`` dict is built lazily because
-        # only the scalar router paths read it.
+        # both builders precompute them.  The ``link -> position`` dict
+        # serves the key lookups (router constraint-18 pass, S1 service
+        # conversion, ``h_backlogs`` reads); building it here keeps that
+        # one-time O(L) cost in set-up instead of the first slot.
         self.link_tx, self.link_rx = model.topology.link_arrays()
-        self._link_pos: Optional[Dict[Link, int]] = None
+        self.link_pos: Dict[Link, int] = {link: p for p, link in enumerate(links)}
 
         self.q = np.zeros((num_nodes, len(sessions)))  # noqa: R041 - (N, S) data backlog is the paper's state itself, not an all-pairs matrix; S stays O(10) while N scales
         valid = np.ones((num_nodes, len(sessions)), dtype=bool)  # noqa: R041 - (N, S) mask over the data backlog, same shape argument as q above
@@ -313,20 +314,6 @@ class ArrayState:
 
     # ------------------------------------------------------------------
     # Index helpers
-
-    @property
-    def link_pos(self) -> Dict[Link, int]:
-        """``link -> position`` over the frozen link index (lazy).
-
-        Only the router's constraint-(18) pass and a handful of
-        boundary conversions read this; the array kernels index by
-        position directly.
-        """
-        cached = self._link_pos
-        if cached is None:
-            cached = {link: p for p, link in enumerate(self.links)}
-            self._link_pos = cached
-        return cached
 
     def queue_keys(self) -> Tuple[QueueKey, ...]:
         """Valid ``(node, session)`` keys, node-major (lazily built)."""
