@@ -24,8 +24,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.control.decisions import SlotDecision, SlotObservation
 from repro.axes import AnyArray
+from repro.control.decisions import SlotDecision, SlotObservation
 from repro.core.arraystate import ArrayState, LinkArrayMapping, NodeArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.energy.battery import Battery
