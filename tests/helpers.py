@@ -79,13 +79,10 @@ def queue_step(arrays, rates=None, admissions=()):
 def virtual_step(arrays, arrivals=None, service=None):
     """One Eq. 28 kernel step from ``{link: packets}`` dicts."""
     arrivals = arrivals or {}
-    service_vec = np.zeros(len(arrays.links))
-    for link, pkts in (service or {}).items():
-        service_vec[arrays.link_pos[link]] = pkts
     arrays.advance_g(
         np.array([arrays.link_pos[link] for link in arrivals], dtype=np.intp),
         np.array(list(arrivals.values()), dtype=float),
-        service_vec,
+        arrays.link_vector(service or {}),
     )
 
 
