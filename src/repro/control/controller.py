@@ -38,7 +38,7 @@ from repro.core.arraystate import LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.energy.consumption import all_node_demands_array
 from repro.model import NetworkModel
-from repro.types import EnergySolverKind, NodeId, SchedulerKind, Transmission
+from repro.types import EnergySolverKind, Link, NodeId, SchedulerKind, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.state import NetworkState
@@ -157,9 +157,10 @@ class DriftPlusPenaltyController:
         unservable *base* demand (constant + idle energy) clamped off
         and recorded in ``last_deficit_j``.
 
-        Mutates ``schedule`` in place (removing transmissions, reducing
-        link service, recording the drops) and returns the ``(N,)``
-        per-node demands after curtailment.
+        Mutates ``schedule`` in place (removing transmissions, taking
+        each shed band's packets out of its link's service, recording
+        the drops) and returns the ``(N,)`` per-node demands after
+        curtailment.
         """
         params = self._model.params
         arrays = state.arrays
@@ -204,7 +205,7 @@ class DriftPlusPenaltyController:
                     victim = min(
                         involved, key=lambda t: h_backlogs.get(t.link, 0.0)
                     )
-                    self._remove_transmission(schedule, victim)
+                    self._remove_transmission(schedule, victim, observation)
                     demands = all_node_demands_array(
                         self._fixed_energy_arr,
                         self._recv_power_arr,
@@ -221,18 +222,27 @@ class DriftPlusPenaltyController:
             if not removed:
                 return demands
 
-    @staticmethod
     def _remove_transmission(
-        schedule: ScheduleDecision, victim: Transmission
+        self,
+        schedule: ScheduleDecision,
+        victim: Transmission,
+        observation: SlotObservation,
     ) -> None:
-        """Drop one transmission from the schedule, fixing service."""
+        """Drop one transmission and re-sum the survivors' link service.
+
+        Each surviving transmission serves its link with its own band's
+        packets, summed per link in schedule order (the order S1
+        accumulated them), so a link shed on one band keeps only the
+        service of its other bands.
+        """
         schedule.transmissions.remove(victim)
         schedule.dropped.append(victim.link_band)
-        remaining = sum(
-            1 for t in schedule.transmissions if t.link == victim.link
-        )
-        if remaining == 0:
-            schedule.link_service_pkts.pop(victim.link, None)
+        service: Dict[Link, float] = {}
+        for t in schedule.transmissions:
+            service[t.link] = service.get(t.link, 0.0) + self.scheduler._service_pkts(
+                t.band, observation
+            )
+        schedule.link_service_pkts = service
 
     # ------------------------------------------------------------------
     # Main entry point

@@ -10,6 +10,7 @@ from repro.control import LinkScheduler
 from repro.core import compute_constants
 from repro.exceptions import SolverError
 from repro.model import build_network_model
+from repro.phy.capacity import max_link_capacity_bps
 from repro.sim import SlotSimulator
 from repro.state import NetworkState
 from repro.types import SchedulerKind
@@ -118,6 +119,30 @@ class TestMultiRadioScheduling:
             for s in SlotSimulator.integral(params).model.sessions
         )
         assert np.all(result.metrics.series("delivered_pkts") == demand)
+
+    def test_service_matches_surviving_transmissions(self):
+        # Curtailment can shed one band of a link still served on
+        # another; Eq. 28 must then drain G_ij by the surviving bands'
+        # capacity only.
+        params = _multi_radio_params(bs_radios=3, user_radios=3, num_slots=30, seed=1)
+        sim = SlotSimulator.integral(params)
+        packet_bits = params.sessions.packet_size_bits
+        curtailed = 0
+        for slot in range(params.num_slots):
+            observation = sim.state.observe(slot)
+            decision = sim.controller.decide(observation, sim.state)
+            curtailed += len(decision.curtailed)
+            expected = {}
+            for t in decision.schedule.transmissions:
+                bps = max_link_capacity_bps(
+                    observation.bands.bandwidth(t.band), params.sinr_threshold
+                )
+                expected[t.link] = (
+                    expected.get(t.link, 0.0) + bps * params.slot_seconds / packet_bits
+                )
+            assert dict(decision.schedule.link_service_pkts) == expected, slot
+            sim.state.apply(decision, slot)
+        assert curtailed > 0, "the scenario must exercise curtailment"
 
     def test_invalid_radio_count_rejected(self):
         with pytest.raises(ValueError, match="num_radios"):
