@@ -61,17 +61,22 @@ class ResourceAllocator:
         admitted: Dict[SessionId, int] = {}
         bs_rows = arrays.bs_rows
         bs_q = arrays.q[bs_rows]
+        source_rows = np.empty(len(arrays.sessions), dtype=np.intp)
         for session in self._model.sessions:  # noqa: R040 - S2 is inherently per-session: each iteration is a scalar token-bucket decision with rng draws, not an axis-wide kernel
-            backlogs = bs_q[:, arrays.session_col[session.session_id]]
+            col = arrays.session_col[session.session_id]
+            backlogs = bs_q[:, col]
             smallest = backlogs.min()
             tied = np.flatnonzero(backlogs == smallest)
             pick = tied[0] if tied.size == 1 else self._rng.choice(tied)
+            source_rows[col] = bs_rows[pick]
             sources[session.session_id] = int(bs_rows[pick])
             if smallest - self._threshold < 0:
                 admitted[session.session_id] = session.k_max
             else:
                 admitted[session.session_id] = 0
-        decision = AdmissionDecision(sources=sources, admitted=admitted)
+        decision = AdmissionDecision(
+            sources=sources, admitted=admitted, source_rows=source_rows
+        )
         if self._checker is not None and self._checker.enabled:
             self._checker.check_admission(self._model, decision, slot)
         return decision

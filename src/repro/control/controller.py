@@ -19,11 +19,11 @@ simulator applies the returned :class:`SlotDecision`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.axes import LinkVec, NodeJoules, NodeVec
+from repro.axes import BandVec, LinkVec, NodeJoules, NodeVec
 from repro.contracts import ContractChecker
 from repro.control.admission import ResourceAllocator
 from repro.control.decisions import (
@@ -34,11 +34,10 @@ from repro.control.decisions import (
 from repro.control.energy_manager import EnergyManager, NodeEnergyBatch
 from repro.control.router import BackpressureRouter, RouterMode
 from repro.control.scheduler import LinkScheduler
-from repro.core.arraystate import LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.energy.consumption import all_node_demands_array
 from repro.model import NetworkModel
-from repro.types import EnergySolverKind, Link, NodeId, SchedulerKind, Transmission
+from repro.types import EnergySolverKind, NodeId, SchedulerKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.state import NetworkState
@@ -88,6 +87,7 @@ class DriftPlusPenaltyController:
         self._bs_mask = np.zeros(model.num_nodes, dtype=bool)
         self._bs_mask[list(model.bs_ids)] = True
         self._node_ids = np.arange(model.num_nodes, dtype=np.intp)
+        self._link_tx, self._link_rx = model.topology.link_arrays()
         self._allowed_mask = self._compute_allowed_mask()
         #: Energy demand shed because no supply could cover it (J),
         #: accumulated across slots for the metrics collector.
@@ -133,8 +133,7 @@ class DriftPlusPenaltyController:
         """
         if self._model.params.multi_hop_enabled:
             return None
-        link_tx, link_rx = self._model.topology.link_arrays()
-        return self._bs_mask[link_tx] & ~self._bs_mask[link_rx]
+        return self._bs_mask[self._link_tx] & ~self._bs_mask[self._link_rx]
 
     # ------------------------------------------------------------------
     # Energy-feasibility curtailment
@@ -143,106 +142,86 @@ class DriftPlusPenaltyController:
     def _curtail(
         self,
         schedule: ScheduleDecision,
-        observation: SlotObservation,
-        state: NetworkState,
-        h_backlogs: LinkArrayMapping,
-    ) -> NodeJoules:
+        supply: NodeJoules,
+        h_arr: LinkVec,
+        band_pkts: BandVec,
+    ) -> Tuple[ScheduleDecision, NodeJoules, NodeJoules]:
         """Shed transmissions until every node's demand is supplied.
 
-        A node's supply is its renewable harvest plus the grid cap (if
-        connected) plus its battery discharge headroom.  While some
-        node's demand exceeds its supply, the lowest node id among the
-        overloaded ones sheds its involved transmission with the
-        smallest ``H``; a node with no transmission left has its
-        unservable *base* demand (constant + idle energy) clamped off
-        and recorded in ``last_deficit_j``.
+        ``supply`` is each node's renewable harvest plus the grid cap
+        (if connected) plus its battery discharge headroom; it is
+        clamped in place.  While some node's demand exceeds its supply,
+        the lowest node id among the overloaded ones sheds its involved
+        entry with the smallest ``H`` (the first such entry in schedule
+        order); a node with no entry left has its unservable *base*
+        demand (constant + idle energy) clamped off and recorded in
+        ``last_deficit_j``.
 
-        Mutates ``schedule`` in place (removing transmissions, taking
-        each shed band's packets out of its link's service, recording
-        the drops) and returns the ``(N,)`` per-node demands after
-        curtailment.
+        Returns the surviving schedule, whose service is rebuilt from
+        the surviving entries with ``band_pkts`` (so a link shed on one
+        band keeps only its other bands' packets) and whose ``dropped``
+        gains the shed link-bands in shedding order, plus the ``(N,)``
+        per-node demands and deficits after curtailment.
         """
-        params = self._model.params
-        arrays = state.arrays
-        supply = (
-            observation.renewable_j.values_array
-            + np.where(
-                observation.grid_connected.values_array,
-                state.grid_caps_array(),
-                0.0,
-            )
-            + arrays.max_deliverable_j_array()
-        )
+        dt = self._model.params.slot_seconds
+        tx = self._link_tx[schedule.link_pos]
+        rx = self._link_rx[schedule.link_pos]
+        power = schedule.power_w
+        h = h_arr[schedule.link_pos]
+        alive = np.ones(tx.size, dtype=bool)
+        shed: List[int] = []
+        # Alive entries per node: a node with none can only be clamped.
+        load = np.zeros(supply.size, dtype=np.intp)
+        np.add.at(load, tx, 1)
+        np.add.at(load, rx, 1)
+        deficit = np.zeros(supply.size)
         self.last_deficit_j = {}
-
-        # Rescanning all N nodes after every clamp would be O(N^2) when
-        # many nodes run an energy deficit (e.g. renewables off).
-        # Clamping a node's supply never changes any demand and never
-        # overloads another node, so all deficit-only nodes of one scan
-        # are clamped in a single ascending pass — exactly the order a
-        # rescan would visit them — and demands are rebuilt only when a
-        # transmission is actually removed.
         demands = all_node_demands_array(
-            self._fixed_energy_arr,
-            self._recv_power_arr,
-            schedule.transmissions,
-            params.slot_seconds,
+            self._fixed_energy_arr, self._recv_power_arr, tx, rx, power, dt
         )
+        # A clamped node has no entry left, so no later drop changes its
+        # demand and it is clamped at most once: all overloaded nodes
+        # below the first one with an entry are clamped in one pass, in
+        # the ascending order a rescan after each clamp would visit them.
         while True:
             overloaded = np.flatnonzero(demands > supply + _ENERGY_TOL)
-            if overloaded.size == 0:
-                return demands
-
-            involved_by_node: Dict[NodeId, List[Transmission]] = {}
-            for t in schedule.transmissions:
-                involved_by_node.setdefault(t.tx, []).append(t)
-                involved_by_node.setdefault(t.rx, []).append(t)
-
-            removed = False
-            for node in map(int, overloaded):
-                involved = involved_by_node.get(node, [])
-                if involved:
-                    victim = min(
-                        involved, key=lambda t: h_backlogs.get(t.link, 0.0)
-                    )
-                    self._remove_transmission(schedule, victim, observation)
-                    demands = all_node_demands_array(
-                        self._fixed_energy_arr,
-                        self._recv_power_arr,
-                        schedule.transmissions,
-                        params.slot_seconds,
-                    )
-                    removed = True
-                    break
-                deficit = float(demands[node] - supply[node])
-                self.last_deficit_j[node] = (
-                    self.last_deficit_j.get(node, 0.0) + deficit
-                )
-                supply[node] = demands[node]
-            if not removed:
-                return demands
-
-    def _remove_transmission(
-        self,
-        schedule: ScheduleDecision,
-        victim: Transmission,
-        observation: SlotObservation,
-    ) -> None:
-        """Drop one transmission and re-sum the survivors' link service.
-
-        Each surviving transmission serves its link with its own band's
-        packets, summed per link in schedule order (the order S1
-        accumulated them), so a link shed on one band keeps only the
-        service of its other bands.
-        """
-        schedule.transmissions.remove(victim)
-        schedule.dropped.append(victim.link_band)
-        service: Dict[Link, float] = {}
-        for t in schedule.transmissions:
-            service[t.link] = service.get(t.link, 0.0) + self.scheduler._service_pkts(
-                t.band, observation
+            loaded = load[overloaded] > 0
+            stop = int(loaded.argmax()) if loaded.any() else overloaded.size
+            clamp = overloaded[:stop]
+            deficit[clamp] = demands[clamp] - supply[clamp]
+            supply[clamp] = demands[clamp]
+            self.last_deficit_j.update(zip(clamp.tolist(), deficit[clamp].tolist()))
+            if stop == overloaded.size:
+                break
+            node = overloaded[stop]
+            involved = np.flatnonzero(alive & ((tx == node) | (rx == node)))
+            victim = involved[np.argmin(h[involved])]
+            alive[victim] = False
+            shed.append(int(victim))
+            load[tx[victim]] -= 1
+            load[rx[victim]] -= 1
+            demands = all_node_demands_array(
+                self._fixed_energy_arr,
+                self._recv_power_arr,
+                tx[alive],
+                rx[alive],
+                power[alive],
+                dt,
             )
-        schedule.link_service_pkts = service
+        if not shed:
+            return schedule, demands, deficit
+        curtailed = tuple(
+            zip(tx[shed].tolist(), rx[shed].tolist(), schedule.band[shed].tolist())
+        )
+        survivors = ScheduleDecision.from_entries(
+            link_pos=schedule.link_pos[alive],
+            band=schedule.band[alive],
+            power_w=power[alive],
+            band_pkts=band_pkts,
+            dropped=schedule.dropped + curtailed,
+            links=schedule.links,
+        )
+        return survivors, demands, deficit
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -262,9 +241,23 @@ class DriftPlusPenaltyController:
             allowed_mask=self._allowed_mask,
             energy_prices=self._energy_prices(observation.slot),
         )
-        curtailed_before = len(schedule.dropped)
-        demands = self._curtail(schedule, observation, state, h_backlogs)
-        curtailed = schedule.dropped[curtailed_before:]
+        selected_dropped = len(schedule.dropped)
+        supply = (
+            observation.renewable_j.values_array
+            + np.where(
+                observation.grid_connected.values_array,
+                state.grid_caps_array(),
+                0.0,
+            )
+            + arrays.max_deliverable_j_array()
+        )
+        schedule, demands, deficit_arr = self._curtail(
+            schedule,
+            supply,
+            h_backlogs.values_array,
+            self.scheduler.band_service_pkts(observation),
+        )
+        curtailed = schedule.dropped[selected_dropped:]
 
         admission = self.allocator.allocate(arrays, slot=observation.slot)
         # S3: backpressure routing over the scheduled capacities.
@@ -277,9 +270,6 @@ class DriftPlusPenaltyController:
             allowed_mask=self._allowed_mask,
         )
 
-        deficit_arr = np.zeros(self._model.num_nodes)
-        for node, value in self.last_deficit_j.items():
-            deficit_arr[node] = value
         batch = NodeEnergyBatch(
             nodes=self._node_ids,
             is_base_station=self._bs_mask,

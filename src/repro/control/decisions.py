@@ -13,11 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.axes import AnyArray, LinkIds, NodeIds, NodeJoules
+from repro.axes import (
+    AnyArray,
+    BandVec,
+    LinkIds,
+    LinkPackets,
+    NodeIds,
+    NodeJoules,
+    SessionToNode,
+)
 from repro.network.spectrum import BandState
 from repro.phy.propagation import PairGains
 from repro.types import Link, LinkBand, NodeId, SessionId, Transmission
@@ -62,21 +70,106 @@ class SlotObservation:
         return model.spectrum.common_bands(tx, rx)
 
 
-@dataclass
+def _no_entries(dtype: type) -> AnyArray:
+    return np.zeros(0, dtype=dtype)
+
+
+@dataclass(frozen=True)
 class ScheduleDecision:
-    """S1 output: activated link-bands, powers, and service rates.
+    """S1 output: activated link-bands, powers, and realised service.
+
+    Entry ``k`` activates band ``band[k]`` on link
+    ``links[link_pos[k]]`` at ``power_w[k]`` watts (``a_ij^m = 1`` with
+    power ``p_ij^m``, Eqs. 20-24); entries come in schedule order.  The
+    realised per-link service ``(1/delta) sum_m c_ij^m a_ij^m delta_t``
+    that serves ``G_ij`` in Eq. 28 is the pair ``service_pos`` /
+    ``service_pkts``: one entry per served link, in the order of the
+    link's first entry.  The relaxed-LP bound fills only that pair
+    (fractional service, no transmissions).
 
     Attributes:
-        transmissions: scheduled transmissions with assigned powers.
-        link_service_pkts: realised per-link service
-            ``(1/delta) sum_m c_ij^m a_ij^m delta_t`` (packets).
+        link_pos: ``(K,)`` positions in the frozen link index.
+        band: ``(K,)`` band ids.
+        power_w: ``(K,)`` transmit powers (W).
+        service_pos: ``(J,)`` served link positions, no repeats.
+        service_pkts: ``(J,)`` realised service (packets).
         dropped: link-bands selected by the scheduler but dropped by
             power control (no feasible SINR) or energy curtailment.
+        links: the frozen link index the positions point into.
     """
 
-    transmissions: List[Transmission] = field(default_factory=list)
-    link_service_pkts: Dict[Link, float] = field(default_factory=dict)
-    dropped: List[LinkBand] = field(default_factory=list)
+    link_pos: LinkIds = field(default_factory=lambda: _no_entries(np.intp))
+    band: AnyArray = field(default_factory=lambda: _no_entries(np.intp))
+    power_w: AnyArray = field(default_factory=lambda: _no_entries(np.float64))
+    service_pos: LinkIds = field(default_factory=lambda: _no_entries(np.intp))
+    service_pkts: AnyArray = field(default_factory=lambda: _no_entries(np.float64))
+    dropped: Tuple[LinkBand, ...] = ()
+    links: Tuple[Link, ...] = ()
+
+    @classmethod
+    def from_entries(
+        cls,
+        link_pos: LinkIds,
+        band: AnyArray,
+        power_w: AnyArray,
+        band_pkts: BandVec,
+        dropped: Tuple[LinkBand, ...],
+        links: Tuple[Link, ...],
+    ) -> "ScheduleDecision":
+        """A schedule whose service is what its entries realise.
+
+        ``band_pkts[m]`` is the packets one transmission on band ``m``
+        carries this slot.  Each link's service sums its entries' band
+        packets from 0.0 in entry order (``np.add.at`` is sequential),
+        so a multi-band link gets the same float as a running sum.
+        """
+        unique, first, inverse = np.unique(
+            link_pos, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        service_pkts = np.zeros(order.size)
+        np.add.at(service_pkts, rank[inverse], band_pkts[band])
+        return cls(
+            link_pos, band, power_w, unique[order], service_pkts, dropped, links
+        )
+
+    def service_vector(self, num_links: int) -> LinkPackets:
+        """The realised service as an ``(L,)`` vector (0.0 where unserved)."""
+        out = np.zeros(num_links)
+        out[self.service_pos] = self.service_pkts
+        return out
+
+    @property
+    def transmissions(self) -> Tuple[Transmission, ...]:
+        """The entries as :class:`~repro.types.Transmission` records.
+
+        Built on demand, in schedule order, for export, contracts and
+        fingerprints; fields are Python ints and floats.
+        """
+        links = self.links
+        return tuple(
+            Transmission(tx=links[pos][0], rx=links[pos][1], band=band, power_w=power)
+            for pos, band, power in zip(
+                self.link_pos.tolist(), self.band.tolist(), self.power_w.tolist()
+            )
+        )
+
+    @property
+    def link_service_pkts(self) -> Mapping[Link, float]:
+        """Read-only ``{link: packets}`` view of the realised service.
+
+        Built on demand for export, drift diagnostics, contracts and
+        fingerprints, in ``service_pos`` order; values are Python floats.
+        """
+        links = self.links
+        return MappingProxyType(
+            {
+                links[pos]: pkts
+                for pos, pkts in zip(self.service_pos.tolist(), self.service_pkts.tolist())
+            }
+        )
 
 
 @dataclass(frozen=True)
@@ -86,10 +179,13 @@ class AdmissionDecision:
     The integral algorithm admits at a single source (constraint 19);
     the relaxed LP bound may split admission across base stations, so
     ``split`` optionally carries per-source fractional amounts.
+    ``source_rows`` is ``sources`` as an ``(S,)`` vector in ``Q``
+    column order, the form S3 reads.
     """
 
     sources: Mapping[SessionId, NodeId]
     admitted: Mapping[SessionId, float]
+    source_rows: SessionToNode
     split: Mapping[SessionId, Tuple[Tuple[NodeId, float], ...]] = field(
         default_factory=dict
     )

@@ -93,7 +93,19 @@ class BackpressureRouter:
         self._rng = rng
         self._mode = mode
         self._checker = checker
-        self._static_cache: Optional[Tuple[ArrayState, "_RouterStatic"]] = None
+        # (17): destinations emit nothing; destination in-links are
+        # handled by the constraint-(18) pass.  Roles and the static
+        # band sets never change mid-run, so the tables are built once.
+        sessions = model.sessions
+        dests: SessionToNode = np.fromiter(
+            (s.destination for s in sessions), dtype=np.intp, count=len(sessions)
+        )
+        link_tx, link_rx = model.topology.link_arrays()
+        self._static = _RouterStatic(
+            eligible=(link_tx[:, None] != dests[None, :])
+            & (link_rx[:, None] != dests[None, :]),
+            band_member=model.link_band_member,
+        )
 
     @property
     def mode(self) -> RouterMode:
@@ -103,42 +115,6 @@ class BackpressureRouter:
     def attach_contracts(self, checker: ContractChecker) -> None:
         """Validate every routing decision against Eqs. 16-17 and 25."""
         self._checker = checker
-
-    def _router_static(self, arrays: ArrayState) -> "_RouterStatic":
-        """Per-``ArrayState`` link/session eligibility tables.
-
-        Cold path: built once per simulation run (keyed by array-state
-        identity) — the destination/source roles of constraints (16)/
-        (17) and the static common-band sets never change mid-run.
-        """
-        cached = self._static_cache
-        if cached is not None and cached[0] is arrays:
-            return cached[1]
-        sessions = self._model.sessions
-        # (17): destinations emit nothing; destination in-links are
-        # handled by the constraint-(18) pass.
-        dests: SessionToNode = np.fromiter(
-            (s.destination for s in sessions), dtype=np.intp, count=len(sessions)
-        )
-        eligible: LinkSessionMat = (arrays.link_tx[:, None] != dests[None, :]) & (
-            arrays.link_rx[:, None] != dests[None, :]
-        )
-        spectrum = self._model.spectrum
-        # (N, M) access table fancy-indexed by the link endpoints — the
-        # O(N + L) numpy form of the per-link common-band set loop.
-        access = np.zeros(
-            (self._model.num_nodes, spectrum.num_bands), dtype=bool
-        )
-        for node, bands in spectrum.access_sets().items():
-            for band in bands:
-                access[node, band] = True
-        band_member = access[arrays.link_tx] & access[arrays.link_rx]
-        static = _RouterStatic(
-            eligible=eligible,
-            band_member=band_member,
-        )
-        self._static_cache = (arrays, static)
-        return static
 
     def route(
         self,
@@ -257,8 +233,7 @@ class BackpressureRouter:
             link-index order.
         """
         params = self._model.params
-        static = self._router_static(arrays)
-        sessions = arrays.sessions
+        static = self._static
 
         # Per-link Eq.-(25) capacity, as one (L,) expression.
         if self._mode is RouterMode.POTENTIAL_CAPACITY:
@@ -292,24 +267,19 @@ class BackpressureRouter:
                 best_bps * params.slot_seconds / params.sessions.packet_size_bits
             )
         else:
-            capacity = arrays.link_vector(schedule.link_service_pkts)
+            capacity = schedule.service_vector(len(arrays.links))
 
         active: LinkVec = capacity > 0.0
         active[committed] = False
         if allowed_mask is not None:
             active &= allowed_mask
 
-        src_by_col: SessionToNode = np.fromiter(
-            (admission.sources[sid] for sid in sessions),  # noqa: R040 - boundary conversion from the dict-shaped S2 decision into the (S,) source vector, one pass per slot
-            dtype=np.int64,
-            count=len(sessions),
-        )
         # (16): sources receive nothing; eligible coefficients are
         # strictly negative; (17) via the static mask.
         mask: LinkSessionMat = (
             static.eligible
             & (coeff < 0.0)
-            & (src_by_col[None, :] != arrays.link_rx[:, None])
+            & (admission.source_rows[None, :] != arrays.link_rx[:, None])
             & active[:, None]
         )
         routed: LinkIds = np.flatnonzero(mask.any(axis=1))

@@ -33,7 +33,15 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.axes import LinkBandMat, LinkIds, LinkToNode, LinkVec, NodeVec
+from repro.axes import (
+    AnyArray,
+    BandVec,
+    LinkBandMat,
+    LinkIds,
+    LinkToNode,
+    LinkVec,
+    NodeVec,
+)
 from repro.contracts import ContractChecker
 from repro.control.decisions import ScheduleDecision, SlotObservation
 from repro.core.arraystate import LinkArrayMapping
@@ -42,13 +50,14 @@ from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
 from repro.phy.interference import big_m_coefficient, max_power_array
 from repro.phy.power_control import (
+    # Not called here; the benchmark tracer patches it by this module path.
     minimal_power_assignment,
     minimal_power_assignment_vec,
 )
 from repro.exceptions import SolverError
 from repro.solvers.linprog import LinearProgram, Sense
 from repro.solvers.sequential_fix import sequential_fix
-from repro.types import Link, LinkBand, NodeId, SchedulerKind, Transmission
+from repro.types import Link, LinkBand, NodeId, SchedulerKind
 
 #: Ignore links whose virtual backlog is below this (the paper's SF
 #: pre-step fixes ``a_ij^m = 0`` whenever ``H_ij = 0``).
@@ -128,15 +137,28 @@ class LinkScheduler:
         self._constants = constants
         self._kind = kind
         self._checker = checker
-        self._static_cache: Optional[Tuple[Tuple[Link, ...], _SchedulerStatic]] = None
-        self._band_order_cache: Optional[
-            Tuple[Tuple[Link, ...], Tuple[Tuple[int, ...], ...]]
-        ] = None
-        self._access_cache: Optional[np.ndarray] = None
+        self._links = model.topology.candidate_links
+        self._band_orders_cache: Optional[Tuple[Tuple[int, ...], ...]] = None
         # Per-node radio budgets (1 in the paper), built once: the int
         # list for the scans, the array for GREEDY's single-radio filter.
         self._radios = [node.radio.num_radios for node in model.nodes]
         self._radios_arr: NodeVec = np.asarray(self._radios, dtype=np.intp)
+        # Per-topology tables: radios, power caps and the static band
+        # sets never change mid-run, and every table is a per-node array
+        # fancy-indexed by the frozen link endpoints (O(N + L) numpy).
+        link_tx, link_rx = model.topology.link_arrays()
+        recv_power = np.fromiter(
+            (node.radio.recv_power_w for node in model.nodes),
+            dtype=float,
+            count=model.num_nodes,
+        )
+        self._static = _SchedulerStatic(
+            link_tx=link_tx,
+            link_rx=link_rx,
+            band_member=model.link_band_member,
+            max_power_tx=max_power_array(model.max_power_w, model.num_nodes)[link_tx],
+            recv_power_rx=recv_power[link_rx],
+        )
 
     @property
     def kind(self) -> SchedulerKind:
@@ -159,6 +181,15 @@ class LinkScheduler:
         )
         return bps * params.slot_seconds / params.sessions.packet_size_bits
 
+    def band_service_pkts(self, observation: SlotObservation) -> BandVec:
+        """``(M,)`` packets one transmission on each band carries this slot."""
+        num_bands = self._model.spectrum.num_bands
+        return np.fromiter(
+            (self._service_pkts(band, observation) for band in range(num_bands)),
+            dtype=float,
+            count=num_bands,
+        )
+
     def _gains(self, observation: SlotObservation):
         """The slot's pair gains (mobility-aware).
 
@@ -173,27 +204,7 @@ class LinkScheduler:
             return observation.gains
         return self._model.topology.gains_lookup()
 
-    def _access_matrix(self) -> np.ndarray:
-        """``(N, M)`` bool band-access table from the static sets.
-
-        Cold path: built once per run — the access sets are drawn at
-        model construction and never change.
-        """
-        cached = self._access_cache
-        if cached is None:
-            spectrum = self._model.spectrum
-            cached = np.zeros(
-                (self._model.num_nodes, spectrum.num_bands), dtype=bool
-            )
-            for node, bands in spectrum.access_sets().items():
-                for band in bands:
-                    cached[node, band] = True
-            self._access_cache = cached
-        return cached
-
-    def _band_orders(
-        self, links: Tuple[Link, ...]
-    ) -> Tuple[Tuple[int, ...], ...]:
+    def _band_orders(self) -> Tuple[Tuple[int, ...], ...]:
         """Per-link band ids in their common-band frozenset order.
 
         Only the candidate dict of the SF / matching selectors needs
@@ -201,64 +212,20 @@ class LinkScheduler:
         ``(L, M)`` membership mask, so this O(L) Python table is built
         lazily and never touched by the large-scale GREEDY path.
         """
-        cached = self._band_order_cache
-        if cached is not None and cached[0] is links:
-            return cached[1]
-        spectrum = self._model.spectrum
-        orders = tuple(
-            tuple(spectrum.common_bands(tx, rx)) for tx, rx in links  # noqa: R040 - built once per topology (identity-cached), only for the SF/matching candidate dict; the GREEDY selector never calls this
-        )
-        self._band_order_cache = (links, orders)
+        orders = self._band_orders_cache
+        if orders is None:
+            spectrum = self._model.spectrum
+            orders = tuple(
+                tuple(spectrum.common_bands(tx, rx)) for tx, rx in self._links  # noqa: R040 - built once per run, only for the SF/matching candidate dict; the GREEDY selector never calls this
+            )
+            self._band_orders_cache = orders
         return orders
-
-    def _scheduler_static(self, links: Tuple[Link, ...]) -> _SchedulerStatic:
-        """Per-topology index tables for the vectorized candidate pass.
-
-        Cold path: built once per candidate-link tuple (keyed by
-        identity) — radios, power caps, and the static band sets never
-        change mid-run.  All tables are per-node arrays fancy-indexed by
-        the frozen link endpoints, so construction is O(N + L) numpy
-        work with no per-link Python loop.
-        """
-        cached = self._static_cache
-        if cached is not None and cached[0] is links:
-            return cached[1]
-        topology = self._model.topology
-        if topology.candidate_links is links:
-            link_tx, link_rx = topology.link_arrays()
-        else:
-            count = len(links)
-            link_tx = np.fromiter(
-                (tx for tx, _ in links), dtype=np.intp, count=count
-            )
-            link_rx = np.fromiter(
-                (rx for _, rx in links), dtype=np.intp, count=count
-            )
-        access = self._access_matrix()
-        band_member = access[link_tx] & access[link_rx]
-        num_nodes = self._model.num_nodes
-        max_power = max_power_array(self._model.max_power_w, num_nodes)
-        recv_power = np.fromiter(
-            (node.radio.recv_power_w for node in self._model.nodes),
-            dtype=float,
-            count=num_nodes,
-        )
-        static = _SchedulerStatic(
-            link_tx=link_tx,
-            link_rx=link_rx,
-            band_member=band_member,
-            max_power_tx=max_power[link_tx],
-            recv_power_rx=recv_power[link_rx],
-        )
-        self._static_cache = (links, static)
-        return static
 
     def _candidate_grid(
         self,
         observation: SlotObservation,
         h_backlogs: LinkArrayMapping,
         energy_prices: Optional[NodeVec],
-        links: Tuple[Link, ...],
         allowed_mask: Optional[LinkVec] = None,
     ) -> Optional[
         Tuple[LinkIds, Optional[Sequence[Tuple[int, ...]]], LinkBandMat, LinkBandMat]
@@ -278,7 +245,7 @@ class LinkScheduler:
         beta = self._constants.beta
         params = self._model.params
         dt = params.slot_seconds
-        static = self._scheduler_static(links)
+        static = self._static
         h_arr = h_backlogs.values_array
         floor = h_arr > _H_EPS
         if allowed_mask is not None:
@@ -288,17 +255,13 @@ class LinkScheduler:
             return None
 
         num_bands = static.band_member.shape[1]
-        service = np.fromiter(
-            (self._service_pkts(band, observation) for band in range(num_bands)),
-            dtype=float,
-            count=num_bands,
-        )
+        service = self.band_service_pkts(observation)
         orders: Optional[Sequence[Tuple[int, ...]]]
         if observation.band_access is not None:
             member = np.zeros((active.size, num_bands), dtype=bool)
             dyn_orders: List[Tuple[int, ...]] = []
             for i, pos in enumerate(active):
-                tx, rx = links[pos]
+                tx, rx = self._links[pos]
                 order = tuple(
                     observation.band_access[tx] & observation.band_access[rx]
                 )
@@ -344,7 +307,6 @@ class LinkScheduler:
         observation: SlotObservation,
         h_backlogs: LinkArrayMapping,
         energy_prices: Optional[NodeVec],
-        links: Tuple[Link, ...],
         allowed_mask: Optional[LinkVec] = None,
     ) -> Dict[LinkBand, float]:
         """Net weight per candidate link-band (module docstring).
@@ -356,12 +318,13 @@ class LinkScheduler:
         """
         weights: Dict[LinkBand, float] = {}
         grid = self._candidate_grid(
-            observation, h_backlogs, energy_prices, links, allowed_mask
+            observation, h_backlogs, energy_prices, allowed_mask
         )
         if grid is None:
             return weights
         active, orders, keep, weight = grid
-        static_orders = self._band_orders(links) if orders is None else None
+        static_orders = self._band_orders() if orders is None else None
+        links = self._links
         for i, pos in enumerate(active):
             tx, rx = links[pos]
             keep_row = keep[i]
@@ -589,7 +552,6 @@ class LinkScheduler:
         active: LinkIds,
         keep: LinkBandMat,
         weight: LinkBandMat,
-        links: Tuple[Link, ...],
     ) -> Tuple[List[int], List[int]]:
         """GREEDY selection: take link-bands by weight while they fit.
 
@@ -605,7 +567,7 @@ class LinkScheduler:
         Returns the chosen candidates as parallel ``(link position,
         band)`` lists, in selection (descending-weight) order.
         """
-        static = self._scheduler_static(links)
+        static = self._static
         tx_act, rx_act = static.link_tx[active], static.link_rx[active]
         single = (self._radios_arr[tx_act] == 1) & (self._radios_arr[rx_act] == 1)
         best = np.where(keep, weight, -np.inf).argmax(axis=1)
@@ -669,36 +631,39 @@ class LinkScheduler:
             The activation set with minimal feasible powers and the
             per-link realised service in packets.
         """
-        links = self._model.topology.candidate_links
         if self._kind is SchedulerKind.GREEDY:
             grid = self._candidate_grid(
-                observation, h_backlogs, energy_prices, links, allowed_mask
+                observation, h_backlogs, energy_prices, allowed_mask
             )
             if grid is None:
-                return ScheduleDecision()
+                return ScheduleDecision(links=self._links)
             # GREEDY's order is total, so it needs no candidate dict.
             active, _, keep, weight = grid
-            chosen_pos, chosen_band = self._select_greedy(
-                active, keep, weight, links
-            )
-            if not chosen_pos:
-                return ScheduleDecision()
-            decision = self._power_control_vectorized(
-                chosen_pos, chosen_band, observation, h_backlogs, links
-            )
+            chosen_pos, chosen_band = self._select_greedy(active, keep, weight)
         else:
             weights = self._candidates(
-                observation, h_backlogs, energy_prices, links, allowed_mask
+                observation, h_backlogs, energy_prices, allowed_mask
             )
             if not weights:
-                return ScheduleDecision()
+                return ScheduleDecision(links=self._links)
             if self._kind is SchedulerKind.SEQUENTIAL_FIX:
                 selected = self._select_sequential_fix(weights)
             elif self._kind is SchedulerKind.SEQUENTIAL_FIX_SINR:
                 selected = self._select_sequential_fix_sinr(weights, observation)
             else:
                 selected = self._select_matching(weights)
-            decision = self._power_control(selected, observation, h_backlogs)
+            if not selected:
+                return ScheduleDecision(links=self._links)
+            keys = np.asarray(selected, dtype=np.intp)
+            chosen_pos = self._model.topology.link_positions_of(
+                keys[:, 0], keys[:, 1]
+            ).tolist()
+            chosen_band = keys[:, 2].tolist()
+        if not chosen_pos:
+            return ScheduleDecision(links=self._links)
+        decision = self._power_control(
+            chosen_pos, chosen_band, observation, h_backlogs
+        )
 
         if self._checker is not None and self._checker.enabled:
             self._checker.check_schedule(
@@ -706,22 +671,22 @@ class LinkScheduler:
             )
         return decision
 
-    def _power_control_vectorized(
+    def _power_control(
         self,
         chosen_pos: List[int],
         chosen_band: List[int],
         observation: SlotObservation,
         h_backlogs: LinkArrayMapping,
-        links: Tuple[Link, ...],
     ) -> ScheduleDecision:
-        """Per-band minimal powers for the GREEDY selection.
+        """Per-band minimal powers for the selected link-bands.
 
-        Per band, one :func:`minimal_power_assignment_vec` call over the
-        chosen links' gain blocks; priorities come straight off the
-        ``H`` array.
+        Per band, in ascending band order, one
+        :func:`minimal_power_assignment_vec` call over the band's links
+        in selection order; priorities come straight off the ``H``
+        array.  Entries come out band by band, each band's survivors in
+        selection order; drops follow the same band order.
         """
-        decision = ScheduleDecision()
-        static = self._scheduler_static(links)
+        static = self._static
         h_arr = h_backlogs.values_array
         by_band: Dict[int, List[int]] = {}
         for pos, band in zip(chosen_pos, chosen_band):
@@ -730,10 +695,14 @@ class LinkScheduler:
         # The slot's view under mobility, else the topology's pair-gain
         # lookup; both serve bit-identical submatrix blocks.
         gains = self._gains(observation)
-        for band, positions in sorted(by_band.items()):
+        bands = sorted(by_band)
+        kept_pos: List[LinkIds] = []
+        kept_power: List[AnyArray] = []
+        dropped: List[LinkBand] = []
+        for band in bands:
             noise = self._model.noise_power_w(observation.bands.bandwidth(band))
-            idx = np.asarray(positions, dtype=np.intp)
-            kept, powers, dropped = minimal_power_assignment_vec(
+            idx = np.asarray(by_band[band], dtype=np.intp)
+            kept, powers, drops = minimal_power_assignment_vec(
                 static.link_tx[idx],
                 static.link_rx[idx],
                 gains,
@@ -742,50 +711,22 @@ class LinkScheduler:
                 static.max_power_tx[idx],
                 h_arr[idx],
             )
-            service = self._service_pkts(band, observation)
-            for j, power in zip(kept.tolist(), powers.tolist()):
-                link = links[positions[j]]
-                decision.transmissions.append(
-                    Transmission(tx=link[0], rx=link[1], band=band, power_w=power)
+            kept_pos.append(idx[kept])
+            kept_power.append(powers)
+            gone = idx[drops]
+            dropped.extend(
+                zip(
+                    static.link_tx[gone].tolist(),
+                    static.link_rx[gone].tolist(),
+                    [band] * gone.size,
                 )
-                decision.link_service_pkts[link] = (
-                    decision.link_service_pkts.get(link, 0.0) + service
-                )
-            for j in dropped:
-                link = links[positions[j]]
-                decision.dropped.append((link[0], link[1], band))
-        return decision
-
-    def _power_control(
-        self,
-        selected: List[LinkBand],
-        observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
-    ) -> ScheduleDecision:
-        """Assign minimal powers per band and drop infeasible links."""
-        decision = ScheduleDecision()
-        by_band: Dict[int, List[Link]] = {}
-        for tx, rx, band in selected:
-            by_band.setdefault(band, []).append((tx, rx))
-
-        for band, links in sorted(by_band.items()):
-            noise = self._model.noise_power_w(observation.bands.bandwidth(band))
-            result = minimal_power_assignment(
-                links=links,
-                gains=self._gains(observation),
-                noise_power_w=noise,
-                sinr_threshold=self._model.params.sinr_threshold,
-                max_power_w=self._model.max_power_w,
-                priority=h_backlogs,
             )
-            service = self._service_pkts(band, observation)
-            for link, power in result.powers.items():  # noqa: R006 - decision-sized LP output, not network-scaled state
-                decision.transmissions.append(
-                    Transmission(tx=link[0], rx=link[1], band=band, power_w=power)
-                )
-                decision.link_service_pkts[link] = (
-                    decision.link_service_pkts.get(link, 0.0) + service
-                )
-            for link in result.dropped:
-                decision.dropped.append((link[0], link[1], band))
-        return decision
+        counts = [pos.size for pos in kept_pos]
+        return ScheduleDecision.from_entries(
+            link_pos=np.concatenate(kept_pos),
+            band=np.repeat(np.asarray(bands, dtype=np.intp), counts),
+            power_w=np.concatenate(kept_power),
+            band_pkts=self.band_service_pkts(observation),
+            dropped=tuple(dropped),
+            links=self._links,
+        )

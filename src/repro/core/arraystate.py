@@ -339,13 +339,6 @@ class ArrayState:
         values = self.q.copy() if copy else self.q
         return QueueArrayMapping(values, self.queue_keys(), self.queue_positions())
 
-    def link_vector(self, values: Mapping[Link, float]) -> LinkVec:
-        """A ``{link: value}`` mapping as an ``(L,)`` vector (0.0 elsewhere)."""
-        out = np.zeros(len(self.links))
-        for link, value in values.items():
-            out[self.link_pos[link]] = value
-        return out
-
     # ------------------------------------------------------------------
     # Vectorized kernels
 

@@ -395,7 +395,9 @@ class RelaxedLpController:
         link_bands: Dict,
     ) -> SlotDecision:
         model = self._model
-        schedule = ScheduleDecision()
+        arrays = state.arrays
+        served: List[int] = []
+        service_pkts: List[float] = []
         for (tx, rx), entries in link_bands.items():
             service_total = 0.0
             for band, service, _power in entries:
@@ -403,11 +405,17 @@ class RelaxedLpController:
                 if alpha > 1e-9:
                     service_total += service * alpha
             if service_total > 0:
-                schedule.link_service_pkts[(tx, rx)] = service_total
+                served.append(arrays.link_pos[(tx, rx)])
+                service_pkts.append(service_total)
+        # Fractional service only: the bound schedules no transmissions.
+        schedule = ScheduleDecision(
+            service_pos=np.array(served, dtype=np.intp),
+            service_pkts=np.array(service_pkts, dtype=np.float64),
+            links=arrays.links,
+        )
 
         # Routed entries in LP variable order ("l", tx, rx, sid); the
         # variables are unique, so no (link, session) pair repeats.
-        arrays = state.arrays
         values = solution.values
         routed = [key for key in values if key[0] == "l" and values[key] > 1e-9]
         routing = RoutingDecision(
@@ -421,6 +429,7 @@ class RelaxedLpController:
         sources: Dict[SessionId, NodeId] = {}
         admitted: Dict[SessionId, float] = {}
         split: Dict[SessionId, Tuple[Tuple[NodeId, float], ...]] = {}
+        source_rows = np.empty(len(arrays.sessions), dtype=np.intp)
         for session in model.sessions:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
             sid = session.session_id
             pairs = tuple(
@@ -433,8 +442,9 @@ class RelaxedLpController:
             sources[sid] = (
                 max(pairs, key=lambda p: p[1])[0] if pairs else model.bs_ids[0]
             )
+            source_rows[arrays.session_col[sid]] = sources[sid]
         admission = AdmissionDecision(
-            sources=sources, admitted=admitted, split=split
+            sources=sources, admitted=admitted, source_rows=source_rows, split=split
         )
 
         num_nodes = model.num_nodes

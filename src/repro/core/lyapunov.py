@@ -50,8 +50,8 @@ class LyapunovConstants:
 def _per_link_max_packets(model: NetworkModel) -> Dict[Link, float]:
     """``c_max_ij * delta_t / delta`` per candidate link (packets).
 
-    One ``(L, M)`` band-membership mask replaces the per-link Python
-    scan over common bands; the best common-band capacity is an exact
+    The model's shared ``(L, M)`` common-band mask replaces a per-link
+    Python scan over common bands; the best common-band capacity is an exact
     max over non-negative per-band capacities (0.0 where the band is
     not shared), so the result is bit-identical to the scalar loop at
     O(N + L M) instead of O(L M) Python-interpreted work.
@@ -70,12 +70,7 @@ def _per_link_max_packets(model: NetworkModel) -> Dict[Link, float]:
         dtype=float,
         count=spectrum.num_bands,
     )
-    access = np.zeros((model.num_nodes, spectrum.num_bands), dtype=bool)
-    for node, bands in spectrum.access_sets().items():
-        for band in bands:
-            access[node, band] = True
-    link_tx, link_rx = model.topology.link_arrays()
-    member = access[link_tx] & access[link_rx]
+    member = model.link_band_member
     best_bps = np.where(member, band_caps[np.newaxis, :], 0.0).max(axis=1)
     pkts = best_bps * params.slot_seconds / delta_bits
     return dict(zip(links, pkts.tolist()))

@@ -16,7 +16,7 @@ from repro.energy.cost import (
     QuadraticCost,
     TimeOfUseCost,
 )
-from repro.energy.consumption import transmission_energy_j, node_energy_demand_j
+from repro.energy.consumption import all_node_demands_array
 
 __all__ = [
     "Battery",
@@ -33,6 +33,5 @@ __all__ = [
     "PiecewiseLinearCost",
     "QuadraticCost",
     "TimeOfUseCost",
-    "transmission_energy_j",
-    "node_energy_demand_j",
+    "all_node_demands_array",
 ]

@@ -11,10 +11,12 @@ drivers all consume it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.axes import LinkBandMat, NodeBandMat
 from repro.config import ScenarioParameters, validate_parameters
 from repro.energy.cost import QuadraticCost, TimeOfUseCost
 from repro.network.node import Node, build_nodes
@@ -75,6 +77,29 @@ class NetworkModel:
     def user_ids(self) -> Tuple[NodeId, ...]:
         """Mobile-user ids."""
         return tuple(self.params.user_ids())
+
+    @cached_property
+    def band_access(self) -> NodeBandMat:
+        """``(N, M)`` bool table of the static access sets ``M_i``.
+
+        Cold path: built once, on first use, and shared by S1, S3 and
+        the Lyapunov constants; the sets are drawn at construction and
+        never change (dynamic availability arrives per slot instead).
+        """
+        access = np.zeros((self.num_nodes, self.spectrum.num_bands), dtype=bool)
+        for node, bands in self.spectrum.access_sets().items():
+            access[node, sorted(bands)] = True
+        return access
+
+    @cached_property
+    def link_band_member(self) -> LinkBandMat:
+        """``(L, M)`` bool form of the common-band sets ``M_i ∩ M_j``.
+
+        Cold path: built once over the frozen link index by indexing
+        :attr:`band_access` with the link endpoints.
+        """
+        link_tx, link_rx = self.topology.link_arrays()
+        return self.band_access[link_tx] & self.band_access[link_rx]
 
     def total_grid_cap_j(self) -> float:
         """Aggregate base-station grid draw cap (bounds ``P(t)``)."""

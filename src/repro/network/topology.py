@@ -81,12 +81,12 @@ class Topology:
         candidate_links: pruned directed links usable by the scheduler.
         out_neighbors: candidate receivers per transmitter.
         in_neighbors: candidate transmitters per receiver.
-        positions: ``(N, 2)`` node coordinates (m).
         link_tx / link_rx: ``(L,)`` endpoint indices over the frozen
             link index (``candidate_links`` positions).
         link_gains: ``(L,)`` propagation gain per candidate link —
             bitwise equal to ``gains[link_tx, link_rx]`` when the dense
             matrix exists.
+        positions: ``(N, 2)`` node coordinates (m).
         pair_gains: uniform pair-gain view (dense-matrix-backed or
             position-computed) for arbitrary ``g(tx, rx)`` queries.
         grid: the uniform-grid spatial index the sparse builder used
@@ -100,10 +100,10 @@ class Topology:
     candidate_links: Tuple[Link, ...]
     out_neighbors: Dict[NodeId, Tuple[NodeId, ...]] = field(repr=False)
     in_neighbors: Dict[NodeId, Tuple[NodeId, ...]] = field(repr=False)
+    link_tx: np.ndarray = field(repr=False)
+    link_rx: np.ndarray = field(repr=False)
+    link_gains: np.ndarray = field(repr=False)
     positions: Optional[np.ndarray] = field(default=None, repr=False)
-    link_tx: Optional[np.ndarray] = field(default=None, repr=False)
-    link_rx: Optional[np.ndarray] = field(default=None, repr=False)
-    link_gains: Optional[np.ndarray] = field(default=None, repr=False)
     pair_gains: Optional[PairGains] = field(default=None, repr=False)
     grid: Optional[UniformGridIndex] = field(default=None, repr=False)
     mode: str = "dense"
@@ -143,36 +143,12 @@ class Topology:
         return view
 
     def link_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(link_tx, link_rx)`` over the frozen link index (lazy)."""
-        if self.link_tx is not None and self.link_rx is not None:
-            return self.link_tx, self.link_rx
-        cached = self.__dict__.get("_link_arrays")
-        if cached is None:
-            count = len(self.candidate_links)
-            tx = np.fromiter(
-                (link[0] for link in self.candidate_links),  # noqa: R040 - one-time fallback for hand-built Topology objects; both builders precompute link_tx/link_rx, so this never runs in the slot loop
-                dtype=np.intp,
-                count=count,
-            )
-            rx = np.fromiter(
-                (link[1] for link in self.candidate_links),  # noqa: R040 - one-time fallback for hand-built Topology objects; see link_tx above
-                dtype=np.intp,
-                count=count,
-            )
-            cached = (tx, rx)
-            object.__setattr__(self, "_link_arrays", cached)
-        return cached
+        """``(link_tx, link_rx)`` over the frozen link index."""
+        return self.link_tx, self.link_rx
 
     def link_gain_array(self) -> np.ndarray:
-        """``(L,)`` per-link gains over the frozen link index (lazy)."""
-        if self.link_gains is not None:
-            return self.link_gains
-        cached = self.__dict__.get("_link_gain_arr")
-        if cached is None:
-            tx, rx = self.link_arrays()
-            cached = self.gains_lookup().pairs(tx, rx)
-            object.__setattr__(self, "_link_gain_arr", cached)
-        return cached
+        """``(L,)`` per-link gains over the frozen link index."""
+        return self.link_gains
 
     def link_index_matrix(self) -> "csr_matrix":
         """Candidate links as a scipy.sparse CSR mask over ``(N, N)``.

@@ -127,7 +127,7 @@ class MetricsCollector:
             admitted_pkts=admitted,
             penalty=decision.energy.cost - self._lambda * admitted,
             delivered_pkts=delivered_pkts,
-            scheduled_links=len(decision.schedule.transmissions),
+            scheduled_links=int(decision.schedule.link_pos.size),
             curtailed_links=len(decision.curtailed),
             deficit_j=deficit_j,
             # Users first, then stations: the summation order the

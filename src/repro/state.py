@@ -365,7 +365,7 @@ class NetworkState:
 
         # Virtual queues (Eqs. 28/30): arrivals are routed packets,
         # service is the realised scheduled capacity.
-        service = arrays.link_vector(decision.schedule.link_service_pkts)
+        service = decision.schedule.service_vector(len(arrays.links))
         arrays.advance_g(routing.link_pos, routing.pkts, service)
 
         # Batteries and shifted energy queues (Eqs. 4 and 31).  The

@@ -8,7 +8,8 @@ every slot's decision, its S4 energy allocation (rendered by
 penalty, flows) — into one SHA-256 digest, so a committed hex string
 pins a trajectory bit for bit.
 ``queue_step``/``virtual_step`` drive the Eq. 15 and Eq. 28 kernels of
-:class:`~repro.core.arraystate.ArrayState` from dict-shaped inputs.
+:class:`~repro.core.arraystate.ArrayState` from dict-shaped inputs, and
+``schedule_of`` builds an S1 decision from ``Transmission`` records.
 ``make_snapshot_oracle`` is the plain-Python backlog aggregation the
 array kernel :func:`~repro.queueing.backlog.make_snapshot_from_arrays`
 must reproduce exactly.  ``dense_gain_oracle`` is the all-pairs
@@ -27,6 +28,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from repro.control.decisions import ScheduleDecision
 from repro.core.arraystate import LinkArrayMapping
 from repro.phy.propagation import gain_matrix
 from repro.queueing import BacklogSnapshot
@@ -77,12 +79,34 @@ def queue_step(arrays, rates=None, admissions=()):
 
 
 def virtual_step(arrays, arrivals=None, service=None):
-    """One Eq. 28 kernel step from ``{link: packets}`` dicts."""
+    """One Eq. 28 kernel step from ``{link: packets}`` dicts.
+
+    Links absent from ``service`` are served 0.0 packets.
+    """
     arrivals = arrivals or {}
+    service_vector = np.zeros(len(arrays.links))
+    for link, pkts in (service or {}).items():
+        service_vector[arrays.link_pos[link]] = pkts
     arrays.advance_g(
         np.array([arrays.link_pos[link] for link in arrivals], dtype=np.intp),
         np.array(list(arrivals.values()), dtype=float),
-        arrays.link_vector(service or {}),
+        service_vector,
+    )
+
+
+def schedule_of(transmissions):
+    """A :class:`~repro.control.decisions.ScheduleDecision` of ``transmissions``.
+
+    The entries index a link tuple of their own (links in order of first
+    appearance), so hand-built schedules need not use candidate links.
+    """
+    links = tuple(dict.fromkeys(t.link for t in transmissions))
+    position = {link: p for p, link in enumerate(links)}
+    return ScheduleDecision(
+        link_pos=np.array([position[t.link] for t in transmissions], dtype=np.intp),
+        band=np.array([t.band for t in transmissions], dtype=np.intp),
+        power_w=np.array([t.power_w for t in transmissions], dtype=float),
+        links=links,
     )
 
 

@@ -22,7 +22,7 @@ import pytest
 from repro.config import tiny_scenario
 from repro.contracts import ContractChecker, ContractViolation, Strictness
 from repro.contracts.checker import coerce_strictness
-from repro.control.decisions import AdmissionDecision, ScheduleDecision
+from repro.control.decisions import AdmissionDecision
 from repro.control.energy_manager import (
     EnergyManager,
     NodeEnergyBatch,
@@ -30,6 +30,7 @@ from repro.control.energy_manager import (
 )
 from repro.sim import SlotSimulator
 from repro.types import Transmission
+from tests.helpers import schedule_of
 
 
 def _warm_simulator(slots=5, num_slots=40):
@@ -63,13 +64,17 @@ class TestStrictness:
         assert not checker.enabled
         assert checker.capture(tiny_state) is None
         # Blatantly invalid admission: silently ignored at off.
-        bogus = AdmissionDecision(sources={0: 10_000}, admitted={0: -5.0})
+        bogus = AdmissionDecision(
+            sources={0: 10_000}, admitted={0: -5.0}, source_rows=np.array([10_000])
+        )
         checker.check_admission(tiny_model, bogus)
         assert checker.violation_count == 0
 
     def test_warn_logs_each_equation_once(self, tiny_model, caplog):
         checker = ContractChecker("warn")
-        bogus = AdmissionDecision(sources={0: 10_000}, admitted={0: 0.0})
+        bogus = AdmissionDecision(
+            sources={0: 10_000}, admitted={0: 0.0}, source_rows=np.array([10_000])
+        )
         with caplog.at_level(logging.WARNING, logger="repro.contracts"):
             checker.check_admission(tiny_model, bogus, slot=1)
             checker.check_admission(tiny_model, bogus, slot=2)
@@ -80,7 +85,9 @@ class TestStrictness:
 
     def test_strict_raises_immediately(self, tiny_model):
         checker = ContractChecker("strict")
-        bogus = AdmissionDecision(sources={0: 10_000}, admitted={0: 0.0})
+        bogus = AdmissionDecision(
+            sources={0: 10_000}, admitted={0: 0.0}, source_rows=np.array([10_000])
+        )
         with pytest.raises(ContractViolation) as excinfo:
             checker.check_admission(tiny_model, bogus, slot=7)
         assert excinfo.value.equation == "Eq. 19"
@@ -137,7 +144,7 @@ class TestScheduleContracts:
             Transmission(tx=0, rx=1 + k, band=k, power_w=0.1)
             for k in range(radios + 1)
         ]
-        schedule = ScheduleDecision(transmissions=transmissions)
+        schedule = schedule_of(transmissions)
         with pytest.raises(ContractViolation) as excinfo:
             checker.check_schedule(model, observation, schedule, slot)
         assert excinfo.value.equation == "Eq. 22"
@@ -146,9 +153,7 @@ class TestScheduleContracts:
     def test_self_loop_raises_eq22(self, transition):
         simulator, checker, _pre, _decision, slot = transition
         observation = simulator.state.observe(slot + 1)
-        schedule = ScheduleDecision(
-            transmissions=[Transmission(tx=2, rx=2, band=0, power_w=0.1)]
-        )
+        schedule = schedule_of([Transmission(tx=2, rx=2, band=0, power_w=0.1)])
         with pytest.raises(ContractViolation) as excinfo:
             checker.check_schedule(
                 simulator.model, observation, schedule, slot
@@ -163,7 +168,7 @@ class TestScheduleContracts:
         observation = simulator.state.observe(slot + 1)
         cap = simulator.model.max_power_w[scheduled[0].tx]
         hot = dataclasses.replace(scheduled[0], power_w=10.0 * cap + 1.0)
-        schedule = ScheduleDecision(transmissions=[hot])
+        schedule = schedule_of([hot])
         with pytest.raises(ContractViolation) as excinfo:
             checker.check_schedule(
                 simulator.model, observation, schedule, slot

@@ -217,6 +217,7 @@ class TestRouterDestinationForcing:
         admission = AdmissionDecision(
             sources={s.session_id: tiny_model.bs_ids[0] for s in tiny_model.sessions},
             admitted={s.session_id: 0 for s in tiny_model.sessions},
+            source_rows=np.full(len(tiny_model.sessions), tiny_model.bs_ids[0]),
         )
         routing = _route(
             router, tiny_state, observation, ScheduleDecision(), admission, backlogs
@@ -350,7 +351,12 @@ class TestRouterCapacityModes:
         bs = tiny_model.bs_ids[0]
         rx = tiny_model.topology.out_neighbors[bs][0]
         session = tiny_model.sessions[0].session_id
-        schedule = ScheduleDecision(link_service_pkts={(bs, rx): 123.0})
+        links = tiny_model.topology.candidate_links
+        schedule = ScheduleDecision(
+            service_pos=np.array([links.index((bs, rx))]),
+            service_pkts=np.array([123.0]),
+            links=links,
+        )
         backlogs = {(bs, session): 1e6}
         routing = _route(
             router, tiny_state, observation, schedule, admission, backlogs

@@ -1,12 +1,16 @@
 """Unit tests for the drift-plus-penalty controller orchestration."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import tiny_scenario
 from repro.control import DriftPlusPenaltyController
+from repro.control.decisions import ScheduleDecision
 from repro.core import compute_constants
 from repro.model import build_network_model
 from repro.state import NetworkState
@@ -161,3 +165,190 @@ class TestConfigurations:
             assert prices[bs] > 0
         for user in tiny_model.user_ids:
             assert prices[user] == 0.0
+
+
+def _curtail_oracle(controller, schedule, supply, h_arr, band_pkts):
+    """The Python curtailment loop over ``Transmission`` records.
+
+    One rescan of the overloaded nodes after every drop; demands are
+    re-summed transmission by transmission, and the surviving service
+    is re-summed per link in schedule order.  Returns ``(transmissions,
+    service, dropped, last_deficit_j, demands)``.
+    """
+    dt = controller._model.params.slot_seconds
+    fixed = controller._fixed_energy_arr
+    recv = controller._recv_power_arr
+    position = {link: p for p, link in enumerate(schedule.links)}
+    transmissions = list(schedule.transmissions)
+    supply = supply.copy()
+    dropped = list(schedule.dropped)
+    last_deficit_j = {}
+
+    def demands_of(scheduled):
+        demands = fixed.copy()
+        for t in scheduled:
+            demands[t.tx] += float(t.power_w) * dt
+            demands[t.rx] += float(recv[t.rx]) * dt
+        return demands
+
+    demands = demands_of(transmissions)
+    while True:
+        overloaded = np.flatnonzero(demands > supply + 1e-6)
+        if overloaded.size == 0:
+            break
+        involved_by_node = {}
+        for t in transmissions:
+            involved_by_node.setdefault(t.tx, []).append(t)
+            involved_by_node.setdefault(t.rx, []).append(t)
+        removed = False
+        for node in map(int, overloaded):
+            involved = involved_by_node.get(node, [])
+            if involved:
+                victim = min(involved, key=lambda t: h_arr[position[t.link]])
+                transmissions.remove(victim)
+                dropped.append(victim.link_band)
+                demands = demands_of(transmissions)
+                removed = True
+                break
+            deficit = float(demands[node] - supply[node])
+            last_deficit_j[node] = last_deficit_j.get(node, 0.0) + deficit
+            supply[node] = demands[node]
+        if not removed:
+            break
+    service = {}
+    for t in transmissions:
+        service[t.link] = service.get(t.link, 0.0) + float(band_pkts[t.band])
+    return transmissions, service, dropped, last_deficit_j, demands
+
+
+@functools.lru_cache(maxsize=None)
+def _curtail_case():
+    params = tiny_scenario(num_users=6)
+    model = build_network_model(params, np.random.default_rng(params.seed))
+    return DriftPlusPenaltyController(
+        model, compute_constants(model), np.random.default_rng(0)
+    )
+
+
+@st.composite
+def _curtail_inputs(draw):
+    """A random schedule with its supplies, ``H`` and band service.
+
+    Links repeat on several bands; ``H`` takes few values, so victims
+    tie; supplies of 0 or half the fixed energy make deficit-only
+    nodes, which the schedule may or may not touch.
+    """
+    controller = _curtail_case()
+    model = controller._model
+    num_links = len(model.topology.candidate_links)
+    num_bands = model.spectrum.num_bands
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_links - 1), st.integers(0, num_bands - 1)
+            ),
+            max_size=14,
+            unique=True,
+        )
+    )
+    powers = draw(
+        st.lists(
+            st.sampled_from([0.01, 0.1, 0.37, 1.0]),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    fixed = controller._fixed_energy_arr
+    kinds = draw(
+        st.lists(st.integers(0, 4), min_size=model.num_nodes, max_size=model.num_nodes)
+    )
+    supply = np.array(
+        [
+            (0.0, 0.5 * f, f + 7.3, f + 41.9, 1e9)[kind]
+            for f, kind in zip(fixed.tolist(), kinds)
+        ]
+    )
+    h_arr = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([0.0, 1.0, 2.5]),
+                min_size=num_links,
+                max_size=num_links,
+            )
+        )
+    )
+    band_pkts = np.array(
+        draw(
+            st.lists(
+                st.floats(0.1, 500.0, allow_nan=False),
+                min_size=num_bands,
+                max_size=num_bands,
+            )
+        )
+    )
+    links = model.topology.candidate_links
+    schedule = ScheduleDecision.from_entries(
+        link_pos=np.array([pos for pos, _ in pairs], dtype=np.intp),
+        band=np.array([band for _, band in pairs], dtype=np.intp),
+        power_w=np.array(powers, dtype=float),
+        band_pkts=band_pkts,
+        dropped=((*links[0], 0),),
+        links=links,
+    )
+    return schedule, supply, h_arr, band_pkts
+
+
+class TestArrayCurtailment:
+    """The vector curtailment sheds exactly what the Python loop sheds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=_curtail_inputs())
+    def test_matches_python_loop(self, inputs):
+        schedule, supply, h_arr, band_pkts = inputs
+        controller = _curtail_case()
+        transmissions, service, dropped, last_deficit_j, demands = _curtail_oracle(
+            controller, schedule, supply, h_arr, band_pkts
+        )
+        survivors, got_demands, deficit = controller._curtail(
+            schedule, supply.copy(), h_arr, band_pkts
+        )
+        assert got_demands.tobytes() == demands.tobytes()
+        assert list(survivors.transmissions) == transmissions
+        assert list(survivors.dropped) == dropped
+        assert list(controller.last_deficit_j.items()) == list(last_deficit_j.items())
+        assert list(survivors.link_service_pkts.items()) == list(service.items())
+        expected_deficit = np.zeros_like(deficit)
+        expected_deficit[list(last_deficit_j)] = list(last_deficit_j.values())
+        assert deficit.tobytes() == expected_deficit.tobytes()
+
+    def test_inputs_exercise_multi_band_links_and_ties(self):
+        # A link served on two bands, tied H, and a deficit-only node:
+        # node 0 (the BS) cannot afford both bands of its busiest link.
+        controller = _curtail_case()
+        model = controller._model
+        links = model.topology.candidate_links
+        bs_link = next(p for p, (tx, _) in enumerate(links) if tx == 0)
+        band_pkts = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        schedule = ScheduleDecision.from_entries(
+            link_pos=np.array([bs_link, bs_link], dtype=np.intp),
+            band=np.array([1, 2], dtype=np.intp),
+            power_w=np.array([1.0, 1.0]),
+            band_pkts=band_pkts,
+            dropped=(),
+            links=links,
+        )
+        assert schedule.link_service_pkts[links[bs_link]] == 0.0 + 0.2 + 0.3
+        fixed = controller._fixed_energy_arr
+        supply = fixed + 1e9
+        supply[0] = fixed[0] + 61.0  # one 1 W band for 60 s fits, two do not
+        idle = next(n for n in range(model.num_nodes) if n not in links[bs_link])
+        supply[idle] = 0.0
+        h_arr = np.ones(len(links))
+        survivors, _, deficit = controller._curtail(
+            schedule, supply, h_arr, band_pkts
+        )
+        # Tied H: the first entry goes, the other band keeps serving.
+        assert survivors.dropped == ((*links[bs_link], 1),)
+        assert dict(survivors.link_service_pkts) == {links[bs_link]: 0.3}
+        assert list(controller.last_deficit_j) == [idle]
+        assert deficit[idle] == fixed[idle]

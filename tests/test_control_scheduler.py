@@ -302,7 +302,7 @@ def _greedy_grid(name, h_values, prices):
     links = model.topology.candidate_links
     scheduler = LinkScheduler(model, constants, kind=SchedulerKind.GREEDY)
     h = link_view(model, dict(zip(links, h_values)))
-    return scheduler, scheduler._candidate_grid(observation, h, prices, links)
+    return scheduler, scheduler._candidate_grid(observation, h, prices)
 
 
 class TestGreedySelectionEquality:
@@ -335,7 +335,7 @@ class TestGreedySelectionEquality:
             return
         active, _, keep, weight = grid
         assert scheduler._select_greedy(
-            active, keep, weight, links
+            active, keep, weight
         ) == _lexsort_greedy(model, active, keep, weight, links)
 
     @pytest.mark.parametrize("case", _GRID_CASES)

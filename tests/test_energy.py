@@ -18,8 +18,7 @@ from repro.energy import (
     TimeOfUseCost,
     UniformRenewableProcess,
     ZeroRenewableProcess,
-    node_energy_demand_j,
-    transmission_energy_j,
+    all_node_demands_array,
 )
 from repro.exceptions import EnergyError
 from repro.types import Transmission
@@ -248,6 +247,18 @@ class TestCostFunctions:
             assert values[i] <= (values[i - 1] + values[i + 1]) / 2 + 1e-9
 
 
+def _demands(schedule, fixed_j, recv_power_w, slot_seconds, num_nodes=9):
+    """Eq. 2 demands of ``num_nodes`` identical nodes under ``schedule``."""
+    return all_node_demands_array(
+        np.full(num_nodes, fixed_j),
+        np.full(num_nodes, recv_power_w),
+        np.array([t.tx for t in schedule], dtype=np.intp),
+        np.array([t.rx for t in schedule], dtype=np.intp),
+        np.array([t.power_w for t in schedule], dtype=float),
+        slot_seconds,
+    )
+
+
 class TestConsumption:
     @pytest.fixture
     def node_params(self):
@@ -266,19 +277,24 @@ class TestConsumption:
             Transmission(tx=0, rx=1, band=0, power_w=0.5),
             Transmission(tx=2, rx=0, band=1, power_w=0.2),
         ]
-        energy = transmission_energy_j(0, schedule, node_params.recv_power_w, 60.0)
+        # With no fixed energy, node 0's demand is its Eq. 23 E_TX alone.
+        energy = _demands(schedule, 0.0, node_params.recv_power_w, 60.0)[0]
         # Node 0 transmits at 0.5 W and receives at 0.1 W for 60 s.
         assert energy == pytest.approx(0.5 * 60 + 0.1 * 60)
 
     def test_idle_node_has_fixed_demand_only(self, node_params):
-        demand = node_energy_demand_j(5, node_params, [], 60.0)
+        demand = _demands(
+            [], node_params.fixed_energy_j(60.0), node_params.recv_power_w, 60.0
+        )[5]
         assert demand == pytest.approx(node_params.fixed_energy_j(60.0))
 
     def test_demand_is_eq2_sum(self, node_params):
         schedule = [Transmission(tx=7, rx=8, band=0, power_w=1.0)]
-        demand = node_energy_demand_j(7, node_params, schedule, 60.0)
+        demand = _demands(
+            schedule, node_params.fixed_energy_j(60.0), node_params.recv_power_w, 60.0
+        )[7]
         assert demand == pytest.approx(3.0 + 60.0)
 
     def test_invalid_slot_length(self, node_params):
         with pytest.raises(ValueError):
-            transmission_energy_j(0, [], 0.1, 0.0)
+            _demands([], 0.0, 0.1, 0.0)

@@ -116,6 +116,7 @@ class TestDataQueueBank:
         admission = AdmissionDecision(
             sources={0: 0, 1: 0},
             admitted={0: 5.0, 1: 7.0},
+            source_rows=np.array([0, 0]),
             split={1: ((0, 3.0), (2, 4.0))},
         )
         rows, cols, pkts = admission.queue_arrivals(arrays.session_col)

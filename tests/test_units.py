@@ -18,7 +18,7 @@ import pytest
 import repro.units as units_module
 from repro import constants
 from repro.config.parameters import NodeParameters, SessionParameters
-from repro.energy.consumption import transmission_energy_j
+from repro.energy.consumption import all_node_demands_array
 from repro.energy.renewable import (
     DiurnalSolarProcess,
     MarkovWindProcess,
@@ -123,10 +123,16 @@ class TestConverterPaths:
             Transmission(tx=0, rx=1, band=0, power_w=1.5),
             Transmission(tx=2, rx=0, band=1, power_w=0.8),
         ]
-        # Node 0 transmits 1.5 W for one 60 s slot and receives once.
-        energy: Joules = transmission_energy_j(
-            0, schedule, recv_power_w=0.1, slot_seconds=60.0
-        )
+        # Node 0 transmits 1.5 W for one 60 s slot and receives once;
+        # with no fixed energy its demand is its E_TX alone.
+        energy: Joules = all_node_demands_array(
+            np.zeros(3),
+            np.full(3, 0.1),
+            np.array([t.tx for t in schedule]),
+            np.array([t.rx for t in schedule]),
+            np.array([t.power_w for t in schedule]),
+            slot_seconds=60.0,
+        )[0]
         assert energy == pytest.approx(1.5 * 60.0 + 0.1 * 60.0)
 
     def test_renewable_max_output_routed_through_converter(self):
