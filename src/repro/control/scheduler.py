@@ -173,22 +173,21 @@ class LinkScheduler:
     # Candidate construction
     # ------------------------------------------------------------------
 
-    def _service_pkts(self, band: int, observation: SlotObservation) -> float:
-        """Packets/slot a successful transmission on ``band`` carries."""
-        params = self._model.params
-        bps = max_link_capacity_bps(
-            observation.bands.bandwidth(band), params.sinr_threshold
-        )
-        return bps * params.slot_seconds / params.sessions.packet_size_bits
-
     def band_service_pkts(self, observation: SlotObservation) -> BandVec:
-        """``(M,)`` packets one transmission on each band carries this slot."""
+        """``(M,)`` packets a successful transmission on each band carries."""
+        params = self._model.params
         num_bands = self._model.spectrum.num_bands
-        return np.fromiter(
-            (self._service_pkts(band, observation) for band in range(num_bands)),
+        bps = np.fromiter(
+            (
+                max_link_capacity_bps(
+                    observation.bands.bandwidth(band), params.sinr_threshold
+                )
+                for band in range(num_bands)
+            ),
             dtype=float,
             count=num_bands,
         )
+        return bps * params.slot_seconds / params.sessions.packet_size_bits
 
     def _gains(self, observation: SlotObservation):
         """The slot's pair gains (mobility-aware).

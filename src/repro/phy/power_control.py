@@ -29,6 +29,11 @@ and 182 over cap; power control there fell from 11.8 s to 0.37 s
 (2-vCPU VM, one BLAS thread).  The traced ``s1.power.solves`` /
 ``s1.power.flops`` counters of ``benchmarks/suite/spans.py`` assume the
 linear scan, so they now overstate the work.
+
+Every S1 selector (GREEDY, SEQUENTIAL_FIX, SEQUENTIAL_FIX_SINR and
+MAX_WEIGHT_MATCHING) calls :func:`minimal_power_assignment_vec` once per
+band on link-indexed arrays.  :func:`minimal_power_assignment` is a
+dict-input adapter over it for callers outside the slot loop.
 """
 
 from __future__ import annotations
