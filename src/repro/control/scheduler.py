@@ -50,7 +50,7 @@ from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
 from repro.phy.interference import big_m_coefficient, max_power_array
 from repro.phy.power_control import (
-    # Not called here; the benchmark tracer patches it by this module path.
+    # Not called here; benchmarks/suite/spans.py wraps it on this module.
     minimal_power_assignment,
     minimal_power_assignment_vec,
 )

@@ -321,7 +321,7 @@ class TestArrayCurtailment:
         expected_deficit[list(last_deficit_j)] = list(last_deficit_j.values())
         assert deficit.tobytes() == expected_deficit.tobytes()
 
-    def test_inputs_exercise_multi_band_links_and_ties(self):
+    def test_tied_two_band_link_keeps_its_other_band(self):
         # A link served on two bands, tied H, and a deficit-only node:
         # node 0 (the BS) cannot afford both bands of its busiest link.
         controller = _curtail_case()
