@@ -199,8 +199,15 @@ def canonical_energy(energy, bs_ids) -> str:
 
 
 def trajectory_sha256(params, scheduler_kind) -> str:
-    """SHA-256 over a full integral run's decisions and slot metrics."""
-    sim = SlotSimulator.integral(params, scheduler_kind=scheduler_kind)
+    """SHA-256 over a full run's decisions and slot metrics.
+
+    ``scheduler_kind`` None runs the relaxed-LP controller of the
+    Theorem-5 bound instead of the integral one.
+    """
+    if scheduler_kind is None:
+        sim = SlotSimulator.relaxed(params)
+    else:
+        sim = SlotSimulator.integral(params, scheduler_kind=scheduler_kind)
     bs_ids = sim.model.bs_ids
     digest = hashlib.sha256()
     for slot in range(params.num_slots):

@@ -159,7 +159,18 @@ TRAJECTORY_SCENARIOS = {
     ),
 }
 
-#: ``"scenario/SCHEDULER"`` -> (scenario name, scheduler kind).
+#: Scenarios that also pin the relaxed-LP controller (Theorem 5).
+RELAXED_SCENARIOS = (
+    "tiny_paper",
+    "tiny_dynamic_spectrum",
+    "tiny_random_waypoint",
+    "three_radios",
+    "tou_pricing",
+    "small_multi_session",
+)
+
+#: ``"scenario/SCHEDULER"`` -> (scenario name, scheduler kind); the
+#: ``"scenario/RELAXED"`` cases carry kind None (the relaxed LP).
 TRAJECTORY_CASES = {
     f"{name}/{kind.name}": (name, kind)
     for name in TRAJECTORY_SCENARIOS
@@ -173,6 +184,9 @@ TRAJECTORY_CASES.update(
             SchedulerKind.MAX_WEIGHT_MATCHING,
         )
     }
+)
+TRAJECTORY_CASES.update(
+    {f"{name}/RELAXED": (name, None) for name in RELAXED_SCENARIOS}
 )
 
 TRAJECTORY_PINS = Path(__file__).parent / "golden" / "trajectories.json"
