@@ -255,7 +255,7 @@ class DriftPlusPenaltyController:
             schedule,
             supply,
             h_backlogs.values_array,
-            self.scheduler.band_service_pkts(observation),
+            observation.band_service_pkts(self._model),
         )
         curtailed = schedule.dropped[selected_dropped:]
 

@@ -20,13 +20,16 @@ import numpy as np
 from repro.axes import (
     AnyArray,
     BandVec,
+    LinkBandMat,
     LinkIds,
     LinkPackets,
+    NodeBandMat,
     NodeIds,
     NodeJoules,
     SessionToNode,
 )
 from repro.network.spectrum import BandState
+from repro.phy.capacity import max_link_capacity_bps
 from repro.phy.propagation import PairGains
 from repro.types import Link, LinkBand, NodeId, SessionId, Transmission
 
@@ -49,9 +52,9 @@ class SlotObservation:
             ``submatrix`` and ``column`` like the topology's
             ``gains_lookup()``; None means the static topology gains
             apply.
-        band_access: per-node accessible bands this slot when dynamic
-            availability is enabled; None means the static ``M_i``
-            sets apply.
+        band_access: ``(N, M)`` bool table of the bands each node may
+            use this slot when dynamic availability is enabled, built
+            once per slot; None means the static ``M_i`` sets apply.
     """
 
     slot: int
@@ -59,15 +62,52 @@ class SlotObservation:
     renewable_j: Mapping[NodeId, float]
     grid_connected: Mapping[NodeId, bool]
     gains: Optional[PairGains] = None
-    band_access: Optional[Mapping[NodeId, frozenset]] = None
+    band_access: Optional[NodeBandMat] = None
 
     def common_bands(
         self, model: "NetworkModel", tx: NodeId, rx: NodeId
     ) -> frozenset:
         """``M_i(t) ∩ M_j(t)``: usable bands on link ``(tx, rx)`` now."""
         if self.band_access is not None:
-            return self.band_access[tx] & self.band_access[rx]
+            both = self.band_access[tx] & self.band_access[rx]
+            return frozenset(np.flatnonzero(both).tolist())
         return model.spectrum.common_bands(tx, rx)
+
+    def band_service_pkts(self, model: "NetworkModel") -> BandVec:
+        """``(M,)`` packets a successful transmission on each band carries.
+
+        ``W_m(t) log2(1 + Gamma)`` over the slot, in packets (Eq. 1).
+        """
+        params = model.params
+        num_bands = model.spectrum.num_bands
+        bps = np.fromiter(
+            (
+                max_link_capacity_bps(
+                    self.bands.bandwidth(band), params.sinr_threshold
+                )
+                for band in range(num_bands)
+            ),
+            dtype=float,
+            count=num_bands,
+        )
+        return bps * params.slot_seconds / params.sessions.packet_size_bits
+
+    def link_band_member(
+        self, model: "NetworkModel", rows: Optional[LinkIds] = None
+    ) -> LinkBandMat:
+        """``M_i(t) ∩ M_j(t)`` as an ``(L, M)`` mask over the link index.
+
+        ``rows`` restricts it to those link positions.  Static spectrum
+        reads the model's frozen mask; dynamic availability indexes the
+        slot's :attr:`band_access` table with the link endpoints.
+        """
+        if self.band_access is None:
+            member = model.link_band_member
+            return member if rows is None else member[rows]
+        link_tx, link_rx = model.topology.link_arrays()
+        if rows is not None:
+            link_tx, link_rx = link_tx[rows], link_rx[rows]
+        return self.band_access[link_tx] & self.band_access[link_rx]
 
 
 def _no_entries(dtype: type) -> AnyArray:

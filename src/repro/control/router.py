@@ -39,7 +39,6 @@ from repro.axes import (
     LinkIds,
     LinkSessionMat,
     LinkVec,
-    NodeBandMat,
     SessionToNode,
 )
 from repro.contracts import ContractChecker
@@ -62,12 +61,9 @@ class _RouterStatic:
     Attributes:
         eligible: ``(L, S)`` constraint-(17) mask — True where neither
             endpoint of link ``p`` is session ``c``'s destination.
-        band_member: ``(L, M)`` bool form of the static common-band
-            sets ``M_i ∩ M_j``.
     """
 
     eligible: LinkSessionMat
-    band_member: LinkBandMat
 
 
 class RouterMode(enum.Enum):
@@ -94,8 +90,8 @@ class BackpressureRouter:
         self._mode = mode
         self._checker = checker
         # (17): destinations emit nothing; destination in-links are
-        # handled by the constraint-(18) pass.  Roles and the static
-        # band sets never change mid-run, so the tables are built once.
+        # handled by the constraint-(18) pass.  Roles never change
+        # mid-run, so the table is built once.
         sessions = model.sessions
         dests: SessionToNode = np.fromiter(
             (s.destination for s in sessions), dtype=np.intp, count=len(sessions)
@@ -104,7 +100,6 @@ class BackpressureRouter:
         self._static = _RouterStatic(
             eligible=(link_tx[:, None] != dests[None, :])
             & (link_rx[:, None] != dests[None, :]),
-            band_member=model.link_band_member,
         )
 
     @property
@@ -247,16 +242,7 @@ class BackpressureRouter:
                 dtype=np.float64,
                 count=self._model.spectrum.num_bands,
             )
-            if observation.band_access is not None:
-                access: NodeBandMat = np.zeros(
-                    (arrays.num_nodes, caps_bps.size), dtype=bool
-                )
-                for node, bands in observation.band_access.items():  # noqa: R006 - builds the (N, M) access mask feeding the vectorized pass
-                    for band in bands:
-                        access[node, band] = True
-                member: LinkBandMat = access[arrays.link_tx] & access[arrays.link_rx]
-            else:
-                member = static.band_member
+            member: LinkBandMat = observation.link_band_member(self._model)
             best_bps: LinkVec = np.max(
                 np.where(member, caps_bps[None, :], -np.inf),
                 axis=1,

@@ -28,14 +28,14 @@ branch of Eq. (1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
 
 from repro.axes import (
     AnyArray,
-    BandVec,
     LinkBandMat,
     LinkIds,
     LinkToNode,
@@ -47,7 +47,6 @@ from repro.control.decisions import ScheduleDecision, SlotObservation
 from repro.core.arraystate import LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
-from repro.phy.capacity import max_link_capacity_bps
 from repro.phy.interference import big_m_coefficient, max_power_array
 from repro.phy.power_control import (
     # Not called here; benchmarks/suite/spans.py wraps it on this module.
@@ -55,9 +54,9 @@ from repro.phy.power_control import (
     minimal_power_assignment_vec,
 )
 from repro.exceptions import SolverError
-from repro.solvers.linprog import LinearProgram, Sense
+from repro.solvers.linprog import LinearProgram
 from repro.solvers.sequential_fix import sequential_fix
-from repro.types import Link, LinkBand, NodeId, SchedulerKind
+from repro.types import LinkBand, SchedulerKind
 
 #: Ignore links whose virtual backlog is below this (the paper's SF
 #: pre-step fixes ``a_ij^m = 0`` whenever ``H_ij = 0``).
@@ -83,44 +82,85 @@ class _SchedulerStatic(NamedTuple):
     recv_power_rx: LinkVec
 
 
-class _RadioBudget:
-    """Stateful conflict callback for multi-radio sequential fix.
+class _Candidates(NamedTuple):
+    """S1 candidate link-bands as parallel ``(B,)`` arrays.
 
-    The SF loop invokes the callback exactly once per variable fixed
-    to 1; this tracks per-node radio usage and per-(node, band)
-    exclusivity, returning the variables that just became infeasible.
+    Built from the :meth:`LinkScheduler._candidate_grid` survivors in
+    grid order: link index, then ascending band.  Ascending band order
+    equals the common-band frozenset order of the historical candidate
+    dict whenever every band id is below 8 (small ints hash to
+    themselves); every pinned scenario and workload has M = 5.
     """
 
-    def __init__(self, keys, radios_of) -> None:
-        self._keys = list(keys)
-        self._radios_of = radios_of
-        self._usage: Dict[NodeId, int] = {}
-        self._band_used: set = set()
+    pos: LinkIds
+    tx: AnyArray
+    rx: AnyArray
+    band: AnyArray
+    weight: AnyArray
 
-    def __call__(self, key: LinkBand) -> List[LinkBand]:
-        tx, rx, band = key
+    def take(self, order: AnyArray) -> "_Candidates":
+        """The candidates reordered (or subset) by ``order``."""
+        return _Candidates(*(field[order] for field in self))
+
+
+class _RadioBudget:
+    """Stateful conflict masks for the sequential fix.
+
+    The SF loop calls it exactly once per candidate fixed to 1; it
+    tracks per-node radio usage and per-(node, band) exclusivity and
+    returns the ``(B,)`` mask of candidates that just became
+    infeasible.  With one radio per node, the still-open candidates it
+    blocks are exactly those sharing an endpoint.
+    """
+
+    def __init__(self, cand: _Candidates, radios: NodeVec, num_bands: int) -> None:
+        self._cand = cand
+        self._radios = radios
+        self._usage = np.zeros(radios.shape[0], dtype=np.intp)
+        self._band_used = np.zeros((radios.shape[0], num_bands), dtype=bool)
+
+    def __call__(self, column: int) -> AnyArray:
+        cand = self._cand
+        tx, rx, band = int(cand.tx[column]), int(cand.rx[column]), int(cand.band[column])
+        self._usage[[tx, rx]] += 1
+        self._band_used[[tx, rx], band] = True
+        blocked = (cand.band == band) & (
+            self._band_used[cand.tx, band] | self._band_used[cand.rx, band]
+        )  # constraints (20)/(21): one activity per node per band
         for node in (tx, rx):
-            self._usage[node] = self._usage.get(node, 0) + 1
-            self._band_used.add((node, band))
-
-        exhausted = {
-            node
-            for node in (tx, rx)
-            if self._usage[node] >= self._radios_of(node)
-        }
-        blocked: List[LinkBand] = []
-        for other in self._keys:
-            if other == key:
-                continue
-            otx, orx, oband = other
-            if otx in exhausted or orx in exhausted:
-                blocked.append(other)
-            elif oband == band and (
-                (otx, band) in self._band_used or (orx, band) in self._band_used
-            ):
-                # Constraints (20)/(21): one activity per node per band.
-                blocked.append(other)
+            if self._usage[node] >= self._radios[node]:
+                blocked |= (cand.tx == node) | (cand.rx == node)
+        blocked[column] = False
         return blocked
+
+
+def _appearance_groups(values: AnyArray) -> Tuple[AnyArray, AnyArray, AnyArray]:
+    """Group ``values`` in order of first appearance.
+
+    Returns each element's group index, the group values and the group
+    sizes, groups numbered by where their value first occurs.
+    """
+    uniq, first, inverse, counts = np.unique(
+        values, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    group = np.empty_like(order)
+    group[order] = np.arange(order.size)
+    return group[inverse], uniq[order], counts[order]
+
+
+def _repr_rank(cand: _Candidates) -> AnyArray:
+    """Rank of each candidate's ``repr((tx, rx, band))`` in string order.
+
+    The SF tie-break of the historical keyed scheduler, computed once
+    per slot.
+    """
+    text = [
+        repr(key) for key in zip(cand.tx.tolist(), cand.rx.tolist(), cand.band.tolist())
+    ]
+    rank = np.empty(len(text), dtype=np.intp)
+    rank[np.argsort(np.array(text))] = np.arange(len(text))
+    return rank
 
 
 class LinkScheduler:
@@ -138,7 +178,6 @@ class LinkScheduler:
         self._kind = kind
         self._checker = checker
         self._links = model.topology.candidate_links
-        self._band_orders_cache: Optional[Tuple[Tuple[int, ...], ...]] = None
         # Per-node radio budgets (1 in the paper), built once: the int
         # list for the scans, the array for GREEDY's single-radio filter.
         self._radios = [node.radio.num_radios for node in model.nodes]
@@ -173,22 +212,6 @@ class LinkScheduler:
     # Candidate construction
     # ------------------------------------------------------------------
 
-    def band_service_pkts(self, observation: SlotObservation) -> BandVec:
-        """``(M,)`` packets a successful transmission on each band carries."""
-        params = self._model.params
-        num_bands = self._model.spectrum.num_bands
-        bps = np.fromiter(
-            (
-                max_link_capacity_bps(
-                    observation.bands.bandwidth(band), params.sinr_threshold
-                )
-                for band in range(num_bands)
-            ),
-            dtype=float,
-            count=num_bands,
-        )
-        return bps * params.slot_seconds / params.sessions.packet_size_bits
-
     def _gains(self, observation: SlotObservation):
         """The slot's pair gains (mobility-aware).
 
@@ -203,40 +226,19 @@ class LinkScheduler:
             return observation.gains
         return self._model.topology.gains_lookup()
 
-    def _band_orders(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-link band ids in their common-band frozenset order.
-
-        Only the candidate dict of the SF / matching selectors needs
-        this insertion order; the GREEDY selector works off the
-        ``(L, M)`` membership mask, so this O(L) Python table is built
-        lazily and never touched by the large-scale GREEDY path.
-        """
-        orders = self._band_orders_cache
-        if orders is None:
-            spectrum = self._model.spectrum
-            orders = tuple(
-                tuple(spectrum.common_bands(tx, rx)) for tx, rx in self._links  # noqa: R040 - built once per run, only for the SF/matching candidate dict; the GREEDY selector never calls this
-            )
-            self._band_orders_cache = orders
-        return orders
-
     def _candidate_grid(
         self,
         observation: SlotObservation,
         h_backlogs: LinkArrayMapping,
         energy_prices: Optional[NodeVec],
         allowed_mask: Optional[LinkVec] = None,
-    ) -> Optional[
-        Tuple[LinkIds, Optional[Sequence[Tuple[int, ...]]], LinkBandMat, LinkBandMat]
-    ]:
+    ) -> Optional[Tuple[LinkIds, LinkBandMat, LinkBandMat]]:
         """Net candidate weights as ``(active links, bands)`` arrays.
 
-        Returns ``(active, orders, keep, weight)`` — the active link
-        positions, their per-link band iteration orders (None in the
-        static-band case, where only the candidate dict needs them and
-        resolves them lazily via :meth:`_band_orders`), the survivor
-        mask, and the weight matrix — or ``None`` when no link clears
-        the backlog floor.
+        Returns ``(active, keep, weight)`` — the active link positions,
+        the survivor mask and the weight matrix — or ``None`` when no
+        link clears the backlog floor.  Band membership is the slot's
+        ``M_i(t) ∩ M_j(t)`` mask (:meth:`SlotObservation.link_band_member`).
 
         ``allowed_mask`` is the static ``(L,)`` link filter of the
         one-hop architectures (None: every link).
@@ -254,24 +256,8 @@ class LinkScheduler:
             return None
 
         num_bands = static.band_member.shape[1]
-        service = self.band_service_pkts(observation)
-        orders: Optional[Sequence[Tuple[int, ...]]]
-        if observation.band_access is not None:
-            member = np.zeros((active.size, num_bands), dtype=bool)
-            dyn_orders: List[Tuple[int, ...]] = []
-            for i, pos in enumerate(active):
-                tx, rx = self._links[pos]
-                order = tuple(
-                    observation.band_access[tx] & observation.band_access[rx]
-                )
-                dyn_orders.append(order)
-                for band in order:
-                    member[i, band] = True
-            orders = dyn_orders
-        else:
-            member = static.band_member[active]
-            orders = None
-
+        service = observation.band_service_pkts(self._model)
+        member = observation.link_band_member(self._model, active)
         keep = member & (service[None, :] > 0.0)
         weight = (beta * h_arr[active])[:, None] * service[None, :]
         if energy_prices is not None:
@@ -299,252 +285,220 @@ class LinkScheduler:
                 (energy_prices[rx_idx] * static.recv_power_rx[active]) * dt
             )[:, None]
         keep &= weight > 0.0
-        return active, orders, keep, weight
+        return active, keep, weight
 
     def _candidates(
-        self,
-        observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
-        energy_prices: Optional[NodeVec],
-        allowed_mask: Optional[LinkVec] = None,
-    ) -> Dict[LinkBand, float]:
-        """Net weight per candidate link-band (module docstring).
-
-        Computes the net weights via :meth:`_candidate_grid`, then
-        writes only the survivors to the candidate dict in (link index,
-        common-band) insertion order — the order the insertion-order-
-        sensitive selectors (the matching tie-break) are pinned to.
-        """
-        weights: Dict[LinkBand, float] = {}
-        grid = self._candidate_grid(
-            observation, h_backlogs, energy_prices, allowed_mask
+        self, active: LinkIds, keep: LinkBandMat, weight: LinkBandMat
+    ) -> _Candidates:
+        """The grid survivors as candidate arrays, in grid order."""
+        rows, bands = np.nonzero(keep)
+        pos = active[rows]
+        return _Candidates(
+            pos=pos,
+            tx=self._static.link_tx[pos],
+            rx=self._static.link_rx[pos],
+            band=bands,
+            weight=weight[rows, bands],
         )
-        if grid is None:
-            return weights
-        active, orders, keep, weight = grid
-        static_orders = self._band_orders() if orders is None else None
-        links = self._links
-        for i, pos in enumerate(active):
-            tx, rx = links[pos]
-            keep_row = keep[i]
-            weight_row = weight[i]
-            order = orders[i] if orders is not None else static_orders[pos]
-            for band in order:
-                if keep_row[band]:
-                    weights[(tx, rx, band)] = weight_row[band]
-        return weights
 
     # ------------------------------------------------------------------
     # Activation algorithms
     # ------------------------------------------------------------------
 
-    def _conflicting(
-        self, key: LinkBand, others: Iterable[LinkBand]
-    ) -> List[LinkBand]:
-        """Link-bands excluded once ``key`` is active (single radio).
+    def _radio_rows(self, cand: _Candidates) -> Tuple[AnyArray, AnyArray, AnyArray]:
+        """Constraints (20)-(22) generalised to radio budgets, as COO.
 
-        The budget-aware generalisation lives in :class:`_RadioBudget`;
-        this is the fast path when every involved node has one radio.
+        Returns ``(rows, cols, rhs)`` of unit coefficients.  Per node,
+        in order of the node's first appearance among the candidates
+        (transmitter before receiver): total activity <= num_radios.
+        Then per (node, band), in the same order: activity <= 1, for
+        multi-radio nodes with more than one candidate on the band
+        (constraints (20)/(21), which the budget row only implies in
+        the single-radio case).
         """
-        tx, rx, _ = key
-        busy = {tx, rx}
-        return [
-            other
-            for other in others
-            if other != key and (other[0] in busy or other[1] in busy)
-        ]
-
-    def _make_conflicts(self, keys: List[LinkBand]):
-        """The conflict callback for the SF loop, radio-budget aware."""
-        radios = self._radios
-        if all(radios[node] == 1 for key in keys for node in (key[0], key[1])):
-            return lambda key: self._conflicting(key, keys)
-        return _RadioBudget(keys, radios.__getitem__)
-
-    def _radio_constraints(
-        self, lp: LinearProgram, keys: List[LinkBand]
-    ) -> None:
-        """Constraints (20)-(22) generalised to radio budgets.
-
-        Per node: total activity <= num_radios; per (node, band):
-        activity <= 1 (constraints (20)/(21), which the budget row only
-        implies in the single-radio case).
-        """
-        radios = self._radios
-        per_node: Dict[NodeId, List[LinkBand]] = {}
-        per_node_band: Dict[Tuple[NodeId, int], List[LinkBand]] = {}
-        for tx, rx, band in keys:
-            key = (tx, rx, band)
-            for node in (tx, rx):
-                per_node.setdefault(node, []).append(key)
-                per_node_band.setdefault((node, band), []).append(key)
-        for node, involved in per_node.items():
-            lp.add_constraint(
-                {key: 1.0 for key in involved},
-                Sense.LE,
-                float(radios[node]),
-                name=f"radios[{node}]",
-            )
-        for (node, band), involved in per_node_band.items():
-            if radios[node] > 1 and len(involved) > 1:
-                lp.add_constraint(
-                    {key: 1.0 for key in involved},
-                    Sense.LE,
-                    1.0,
-                    name=f"band_excl[{node},{band}]",
-                )
-
-    def _select_sequential_fix(
-        self, weights: Dict[LinkBand, float]
-    ) -> List[LinkBand]:
-        keys = sorted(weights)
-
-        def build_lp(fixed: Mapping[LinkBand, float]) -> LinearProgram:
-            lp = LinearProgram()
-            for key in keys:
-                # Minimisation form of Psi-hat_1: negative weights.
-                lp.add_variable(key, objective=-weights[key], lower=0.0, upper=1.0)
-            for key, value in fixed.items():
-                lp.fix_variable(key, float(value))
-            self._radio_constraints(lp, keys)
-            return lp
-
-        fixed = sequential_fix(
-            binary_keys=keys,
-            build_lp=build_lp,
-            conflicts=self._make_conflicts(keys),
+        radios = self._radios_arr
+        num_bands = self._static.band_member.shape[1]
+        ends = np.stack((cand.tx, cand.rx), axis=1).ravel()
+        cols = np.repeat(np.arange(cand.tx.shape[0]), 2)
+        node_row, nodes, _ = _appearance_groups(ends)
+        pair_group, pairs, counts = _appearance_groups(
+            ends * num_bands + np.repeat(cand.band, 2)
         )
-        return [key for key, value in fixed.items() if value == 1]
+        exclusive = (radios[pairs // num_bands] > 1) & (counts > 1)
+        pair_row = nodes.shape[0] + np.cumsum(exclusive) - 1
+        in_pair = exclusive[pair_group]
+        rows = np.concatenate((node_row, pair_row[pair_group][in_pair]))
+        rhs = np.concatenate(
+            (radios[nodes].astype(np.float64), np.ones(int(exclusive.sum())))
+        )
+        return rows, np.concatenate((cols, cols[in_pair])), rhs
 
-    def _select_sequential_fix_sinr(
-        self,
-        weights: Dict[LinkBand, float],
-        observation: SlotObservation,
-    ) -> List[LinkBand]:
-        """SF with the big-M SINR constraints (24) in the relaxation.
+    def _sinr_rows(
+        self, cand: _Candidates, observation: SlotObservation, first_row: int
+    ) -> Tuple[AnyArray, AnyArray, AnyArray, AnyArray]:
+        """The big-M SINR constraints (24) and their power links, as COO.
 
-        Adds a power variable per candidate link-band (linearising the
-        ``P * a`` product with ``P <= P_max * a``) and the constraint
+        Column ``B + k`` is candidate ``k``'s power.  Per band, in order
+        of the band's first appearance, per candidate in order: the row
+        ``P - P_max a <= 0`` (power flows only when scheduled), then
 
             g_ij P_ijm + M_ijm (1 - a_ijm)
                 >= Gamma (eta W_m + sum_{(k,v) != (i,j)} g_kj P_kvm),
 
-        so the LP already prices co-band interference when choosing
-        which variable to fix — fewer selections die in power control.
+        negated into ``<=`` form.  The rows depend on the slot's gains
+        only, not on the fixings.  Returns ``(rows, cols, vals, rhs)``.
         """
-        keys = sorted(weights)
+        threshold = self._model.params.sinr_threshold
         gains = self._gains(observation)
-        params = self._model.params
-        key_tx = np.fromiter((key[0] for key in keys), np.intp, len(keys))
-        key_rx = np.fromiter((key[1] for key in keys), np.intp, len(keys))
-        by_band: Dict[int, List[int]] = {}
-        for pos, key in enumerate(keys):
-            by_band.setdefault(key[2], []).append(pos)
-
-        # The SINR rows depend on the slot's gains only, not on the
-        # fixings, so they are built once here rather than on every
-        # sequential-fix rebuild: one co-band block per band
-        # (block[k][l] = g(tx_k, rx_l)) and one big-M per link-band.
-        sinr_rows: List[Tuple[LinkBand, Dict, float]] = []
-        for band, positions in by_band.items():
-            noise = self._model.noise_power_w(observation.bands.bandwidth(band))
-            idx = np.asarray(positions, dtype=np.intp)
-            block = gains.submatrix(key_tx[idx], key_rx[idx]).tolist()
-            members = [keys[pos] for pos in positions]
-            for col, key in enumerate(members):
-                tx, rx, _ = key
-                big_m = big_m_coefficient(
-                    gains,
-                    tx,
-                    rx,
-                    noise,
-                    params.sinr_threshold,
-                    self._model.max_power_w,
-                )
-                # g_ij P + M (1 - a) - Gamma sum g_kj P_other
-                #   >= Gamma eta W.
-                coeffs: Dict = {
-                    ("P", key): block[col][col],
-                    key: -big_m,
-                }
-                for row, other in enumerate(members):
-                    # Links sharing a node with (tx, rx) are already
-                    # excluded by the single-radio conflicts in the
-                    # binary solution; pricing their (fractional)
-                    # self-interference here would exceed the big-M
-                    # envelope, which only covers k != i, j.
-                    if other == key or other[0] in (tx, rx):
-                        continue
-                    coeffs[("P", other)] = -params.sinr_threshold * block[row][col]
-                sinr_rows.append(
-                    (key, coeffs, params.sinr_threshold * noise - big_m)
-                )
-
-        def build_lp(fixed: Mapping[LinkBand, float]) -> LinearProgram:
-            lp = LinearProgram()
-            for key in keys:
-                lp.add_variable(key, objective=-weights[key], lower=0.0, upper=1.0)
-            for key in keys:
-                tx = key[0]
-                lp.add_variable(
-                    ("P", key), lower=0.0, upper=self._model.max_power_w[tx]
-                )
-            for key, value in fixed.items():
-                lp.fix_variable(key, float(value))
-                if value == 0:
-                    lp.fix_variable(("P", key), 0.0)
-
-            self._radio_constraints(lp, keys)
-
-            for key, coeffs, rhs in sinr_rows:
-                # Linearise P * a: power flows only when scheduled.
-                lp.add_constraint(
-                    {
-                        ("P", key): 1.0,
-                        key: -self._model.max_power_w[key[0]],
-                    },
-                    Sense.LE,
-                    0.0,
-                    name=f"pow_link[{key}]",
-                )
-                lp.add_constraint(coeffs, Sense.GE, rhs, name=f"sinr[{key}]")
-            return lp
-
-        fixed = sequential_fix(
-            binary_keys=keys,
-            build_lp=build_lp,
-            conflicts=self._make_conflicts(keys),
-            check_feasibility=True,
+        num_bands = self._static.band_member.shape[1]
+        tx, rx, band = cand.tx, cand.rx, cand.band
+        num = tx.shape[0]
+        noise = np.fromiter(
+            (
+                self._model.noise_power_w(observation.bands.bandwidth(m))
+                for m in range(num_bands)
+            ),
+            dtype=float,
+            count=num_bands,
+        )[band]
+        big_m = np.fromiter(
+            (
+                big_m_coefficient(gains, t, r, n, threshold, self._model.max_power_w)
+                for t, r, n in zip(tx.tolist(), rx.tolist(), noise.tolist())
+            ),
+            dtype=float,
+            count=num,
         )
-        return [key for key, value in fixed.items() if value == 1]
+        # Rows grouped by band (first appearance), candidate order within.
+        band_group, _, _ = _appearance_groups(band)
+        slot_of = np.empty(num, dtype=np.intp)
+        slot_of[np.argsort(band_group, kind="stable")] = np.arange(num)
+        pow_row = first_row + 2 * slot_of
+        sinr_row = pow_row + 1
+        block = gains.submatrix(tx, rx)  # [k, l] = g(tx_k, rx_l)
+        # Only co-band candidates interfere.  Those sharing a node with
+        # (tx, rx) are already excluded by the radio conflicts in the
+        # binary solution; pricing their (fractional) self-interference
+        # here would exceed the big-M envelope, which only covers
+        # k != i, j.
+        others, own = np.nonzero(
+            (band[:, None] == band[None, :])
+            & (tx[:, None] != tx[None, :])
+            & (tx[:, None] != rx[None, :])
+        )
+        cols = np.arange(num)
+        rhs = np.zeros(2 * num)
+        rhs[sinr_row - first_row] = -(threshold * noise - big_m)
+        # The ``>=`` row's coefficients enter negated into ``<=`` form.
+        return (
+            np.concatenate((pow_row, pow_row, sinr_row, sinr_row, sinr_row[own])),
+            np.concatenate((num + cols, cols, num + cols, cols, num + others)),
+            np.concatenate(
+                (
+                    np.ones(num),
+                    -self._static.max_power_tx[cand.pos],
+                    -np.diagonal(block),
+                    big_m,
+                    threshold * block[others, own],
+                )
+            ),
+            rhs,
+        )
 
-    def _select_matching(self, weights: Dict[LinkBand, float]) -> List[LinkBand]:
+    def _select_sequential_fix(
+        self,
+        cand: _Candidates,
+        observation: SlotObservation,
+        sinr: bool,
+    ) -> Tuple[List[int], List[int]]:
+        """SF over the candidates sorted by ``(tx, rx, band)``.
+
+        The slot's relaxation is built once; the SF loop fixes columns
+        by bound changes.  With ``sinr`` the LP also carries a power
+        column per candidate (linearising ``P * a`` by
+        ``P <= P_max a``) and the big-M SINR rows, so it already prices
+        co-band interference when choosing which variable to fix —
+        fewer selections die in power control; fixes are then checked
+        for joint feasibility first.
+
+        Returns the selection as ``(link position, band)`` lists in the
+        order the SF fixed it to 1.
+        """
+        cand = cand.take(np.lexsort((cand.band, cand.rx, cand.tx)))
+        num = cand.tx.shape[0]
+        rows, cols, rhs = self._radio_rows(cand)
+        vals = np.ones(rows.shape[0])
+        # Minimisation form of Psi-hat_1: negative weights.
+        cost = -cand.weight
+        bounds = np.tile([0.0, 1.0], (num, 1))
+        zero_with = None
+        if sinr:
+            s_rows, s_cols, s_vals, s_rhs = self._sinr_rows(
+                cand, observation, rhs.shape[0]
+            )
+            rows = np.concatenate((rows, s_rows))
+            cols = np.concatenate((cols, s_cols))
+            vals = np.concatenate((vals, s_vals))
+            rhs = np.concatenate((rhs, s_rhs))
+            cost = np.concatenate((cost, np.zeros(num)))
+            power_bounds = np.zeros((num, 2))
+            power_bounds[:, 1] = self._static.max_power_tx[cand.pos]
+            bounds = np.concatenate((bounds, power_bounds))
+            zero_with = num + np.arange(num)
+        lp = LinearProgram(
+            cost,
+            bounds,
+            sparse.coo_matrix(
+                (vals, (rows, cols)), shape=(rhs.shape[0], cost.shape[0])
+            ),
+            rhs,
+        )
+        result = sequential_fix(
+            lp,
+            _repr_rank(cand),
+            _RadioBudget(cand, self._radios_arr, self._static.band_member.shape[1]),
+            check_feasibility=sinr,
+            zero_with=zero_with,
+        )
+        chosen = result.selected
+        return cand.pos[chosen].tolist(), cand.band[chosen].tolist()
+
+    def _select_matching(self, cand: _Candidates) -> Tuple[List[int], List[int]]:
         """Exact S1 optimum via maximum-weight matching.
 
         Constraint (22) makes every node a unit-capacity resource, so
         the activation problem is a matching on the undirected node
-        graph; each undirected edge takes its best direction and band.
-        Only exact for single-radio nodes — with budgets the problem is
-        a degree-constrained subgraph, which this solver does not
-        handle.
+        graph; each undirected edge takes its best direction and band
+        (the earliest candidate on ties), and edges enter the graph in
+        order of their first candidate.  Only exact for single-radio
+        nodes — with budgets the problem is a degree-constrained
+        subgraph, which this solver does not handle.
         """
-        involved = {node for key in weights for node in (key[0], key[1])}
-        if any(self._radios[node] > 1 for node in involved):
+        radios = self._radios_arr
+        if (radios[cand.tx] > 1).any() or (radios[cand.rx] > 1).any():
             raise SolverError(
                 "MAX_WEIGHT_MATCHING is exact only for single-radio nodes; "
                 "use SEQUENTIAL_FIX or GREEDY with num_radios > 1"
             )
-        best: Dict[Tuple[NodeId, NodeId], Tuple[float, LinkBand]] = {}
-        for (tx, rx, band), weight in weights.items():
-            edge = (min(tx, rx), max(tx, rx))
-            if edge not in best or weight > best[edge][0]:
-                best[edge] = (weight, (tx, rx, band))
+        low = np.minimum(cand.tx, cand.rx)
+        high = np.maximum(cand.tx, cand.rx)
+        edge = low * np.int64(self._model.num_nodes) + high
+        index = np.arange(edge.shape[0])
+        order = np.lexsort((index, -cand.weight, edge))
+        heads = np.ones(order.shape[0], dtype=bool)
+        heads[1:] = edge[order][1:] != edge[order][:-1]
+        best = order[heads]  # one candidate per edge, by edge id
+        _, first = np.unique(edge, return_index=True)
+        best = best[np.argsort(first)]
 
         graph = nx.Graph()
-        for (u, v), (weight, _) in best.items():
-            graph.add_edge(u, v, weight=weight)
+        graph.add_weighted_edges_from(
+            zip(low[best].tolist(), high[best].tolist(), cand.weight[best])
+        )
+        winner = dict(zip(zip(low[best].tolist(), high[best].tolist()), best.tolist()))
         matching = nx.max_weight_matching(graph, maxcardinality=False)
-        return [best[(min(u, v), max(u, v))][1] for u, v in matching]
+        chosen = [winner[(min(u, v), max(u, v))] for u, v in matching]
+        return cand.pos[chosen].tolist(), cand.band[chosen].tolist()
 
     def _select_greedy(
         self,
@@ -630,34 +584,25 @@ class LinkScheduler:
             The activation set with minimal feasible powers and the
             per-link realised service in packets.
         """
+        grid = self._candidate_grid(
+            observation, h_backlogs, energy_prices, allowed_mask
+        )
+        if grid is None:
+            return ScheduleDecision(links=self._links)
         if self._kind is SchedulerKind.GREEDY:
-            grid = self._candidate_grid(
-                observation, h_backlogs, energy_prices, allowed_mask
-            )
-            if grid is None:
-                return ScheduleDecision(links=self._links)
-            # GREEDY's order is total, so it needs no candidate dict.
-            active, _, keep, weight = grid
-            chosen_pos, chosen_band = self._select_greedy(active, keep, weight)
+            chosen_pos, chosen_band = self._select_greedy(*grid)
         else:
-            weights = self._candidates(
-                observation, h_backlogs, energy_prices, allowed_mask
-            )
-            if not weights:
+            cand = self._candidates(*grid)
+            if cand.pos.size == 0:
                 return ScheduleDecision(links=self._links)
-            if self._kind is SchedulerKind.SEQUENTIAL_FIX:
-                selected = self._select_sequential_fix(weights)
-            elif self._kind is SchedulerKind.SEQUENTIAL_FIX_SINR:
-                selected = self._select_sequential_fix_sinr(weights, observation)
+            if self._kind is SchedulerKind.MAX_WEIGHT_MATCHING:
+                chosen_pos, chosen_band = self._select_matching(cand)
             else:
-                selected = self._select_matching(weights)
-            if not selected:
-                return ScheduleDecision(links=self._links)
-            keys = np.asarray(selected, dtype=np.intp)
-            chosen_pos = self._model.topology.link_positions_of(
-                keys[:, 0], keys[:, 1]
-            ).tolist()
-            chosen_band = keys[:, 2].tolist()
+                chosen_pos, chosen_band = self._select_sequential_fix(
+                    cand,
+                    observation,
+                    sinr=self._kind is SchedulerKind.SEQUENTIAL_FIX_SINR,
+                )
         if not chosen_pos:
             return ScheduleDecision(links=self._links)
         decision = self._power_control(
@@ -725,7 +670,7 @@ class LinkScheduler:
             link_pos=np.concatenate(kept_pos),
             band=np.repeat(np.asarray(bands, dtype=np.intp), counts),
             power_w=np.concatenate(kept_power),
-            band_pkts=self.band_service_pkts(observation),
+            band_pkts=observation.band_service_pkts(self._model),
             dropped=tuple(dropped),
             links=self._links,
         )

@@ -23,9 +23,12 @@ Both substitutions can only *decrease* the LP optimum, preserving
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 import numpy as np
+from scipy import sparse
+
+from repro.axes import AnyArray, LinkBandMat, LinkIds, LinkVec
 
 from repro.control.decisions import (
     AdmissionDecision,
@@ -39,9 +42,9 @@ from repro.control.decisions import (
 from repro.core.arraystate import seq_sum
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
-from repro.phy.capacity import max_link_capacity_bps
-from repro.solvers.linprog import LinearProgram, LPSolution, Sense
-from repro.types import NodeId, SessionId
+from repro.phy.interference import max_power_array
+from repro.solvers.linprog import LinearProgram
+from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.state import NetworkState
@@ -81,6 +84,37 @@ def lower_bound_cost(
     return relaxed_penalty_avg - drift_b / control_v
 
 
+class _Layout(NamedTuple):
+    """Column blocks of one slot's P3bar (see ``_build_lp``).
+
+    Attributes:
+        a_link / a_band / a_service: ``(A,)`` link position, band and
+            packets per activation column.
+        links: link positions with at least one activation column,
+            ascending.
+        l_pos / l_col: ``(R,)`` link position and session column per
+            routing column.
+        k_start: first admission column (``S x B``, session-major).
+        node_start: first per-node column; seven per node, interleaved
+            ``r, cr, g, cg, d, slack, w``.  ``P`` and ``phi`` close.
+    """
+
+    a_link: LinkIds
+    a_band: AnyArray
+    a_service: AnyArray
+    links: LinkIds
+    l_pos: LinkIds
+    l_col: AnyArray
+    k_start: int
+    node_start: int
+
+
+#: Per-node columns of P3bar, in their interleaved order.
+_NODE_COLS = ("r", "cr", "g", "cg", "d", "slack", "w")
+#: Per-node ``<=`` rows: renewable, charge cap, grid cap, 9 tangents.
+_NODE_UB_ROWS = 12
+
+
 class RelaxedLpController:
     """Per-slot exact solver of the relaxed problem ``P3bar``.
 
@@ -96,6 +130,10 @@ class RelaxedLpController:
         constants: LyapunovConstants,
         num_cost_segments: int = 24,
     ) -> None:
+        """Freeze the per-node and per-session tables of the LP.
+
+        Cold path: runs once per simulation, before the slot loop.
+        """
         if num_cost_segments < 1:
             raise ValueError(
                 f"need at least one tangent segment, got {num_cost_segments}"
@@ -109,368 +147,351 @@ class RelaxedLpController:
         #: the integral controller's deficit accounting.
         self.last_deficit_j: Dict[NodeId, float] = {}
 
-    # -- LP construction helpers ---------------------------------------
+        dt = model.params.slot_seconds
+        radios = [node.radio for node in model.nodes]
+        self._radios = np.array([r.num_radios for r in radios], dtype=np.float64)
+        self._recv_power = np.array([r.recv_power_w for r in radios])
+        self._fixed_energy_j = np.array([r.fixed_energy_j(dt) for r in radios])
+        self._max_power = max_power_array(model.max_power_w, model.num_nodes)
+        self._bs = np.asarray(model.bs_ids, dtype=np.intp)
+        sessions = model.sessions
+        self._dest = np.array([s.destination for s in sessions], dtype=np.intp)
+        self._k_max = np.array([float(s.k_max) for s in sessions])
+        # v_s(t) depends on t only through t mod the session's period,
+        # so one period of each profile is tabulated here.
+        self._periods = np.array([s.period_slots for s in sessions], dtype=np.intp)
+        self._demand = np.zeros((len(sessions), int(self._periods.max(initial=1))))
+        for row, session in enumerate(sessions):
+            for phase in range(session.period_slots):
+                self._demand[row, phase] = float(session.demand(phase))
 
-    def _service_pkts(self, band: int, observation: SlotObservation) -> float:
-        params = self._model.params
-        bps = max_link_capacity_bps(
-            observation.bands.bandwidth(band), params.sinr_threshold
-        )
-        return bps * params.slot_seconds / params.sessions.packet_size_bits
-
-    def _link_gains(self, observation: SlotObservation) -> List[float]:
-        """The slot's ``g_ij`` per candidate link, in link-index order.
-
-        One vectorised ``pairs`` read of the slot's view under mobility
-        (else the topology's lookup), instead of a scalar read per
-        (link, band); the floats equal the scalar ``gains[tx, rx]``.
-        """
-        gains = (
-            observation.gains
-            if observation.gains is not None
-            else self._model.topology.gains_lookup()
-        )
-        return gains.pairs(*self._model.topology.link_arrays()).tolist()
+    # -- LP construction -------------------------------------------------
 
     def _min_power_w(
-        self, tx: NodeId, gain: float, band: int, observation: SlotObservation
-    ) -> float | None:
-        """Zero-interference minimal power; None if above the cap."""
-        params = self._model.params
-        noise = self._model.noise_power_w(observation.bands.bandwidth(band))
-        power = params.sinr_threshold * noise / gain
-        if power > self._model.max_power_w[tx]:
-            return None
-        return power
+        self, observation: SlotObservation, link_gain: LinkVec
+    ) -> LinkBandMat:
+        """``(L, M)`` zero-interference minimal powers ``Gamma eta W_m / g``."""
+        model = self._model
+        noise = np.fromiter(
+            (
+                model.noise_power_w(observation.bands.bandwidth(band))
+                for band in range(model.spectrum.num_bands)
+            ),
+            dtype=float,
+            count=model.spectrum.num_bands,
+        )
+        return (model.params.sinr_threshold * noise)[None, :] / link_gain[:, None]
 
     def _build_lp(
         self, observation: SlotObservation, state: NetworkState
-    ) -> Tuple[LinearProgram, Dict]:
+    ) -> Tuple[LinearProgram, _Layout]:
+        """Assemble the slot's P3bar as sparse COO blocks.
+
+        Columns: activations ``a`` (link-major, then band), routing
+        ``l`` (link-major, then session, skipping links out of the
+        session's destination), admissions ``k`` (session-major, then
+        base station), seven per-node energy columns, then ``P`` and
+        ``phi``.  ``<=`` rows: radio budgets per node, link capacities,
+        admission caps per session, twelve rows per node (renewable,
+        charge cap, grid cap, nine drift tangents), then the cost
+        tangents; ``>=`` rows enter negated.  ``==`` rows: session
+        demands, per-node energy balances, total draw.
+        """
         model = self._model
         params = model.params
         constants = self._constants
-        lp = LinearProgram()
+        arrays = state.arrays
         dt = params.slot_seconds
+        num_nodes = model.num_nodes
+        link_tx, link_rx = arrays.link_tx, arrays.link_rx
+        h = state.h_backlogs().values_array
+        q = arrays.q
+        dest = self._dest
+        bs = self._bs
+        num_sessions, num_bs = dest.shape[0], bs.shape[0]
+
+        # Activation columns with their Psi-hat_1 coefficients: every
+        # usable band whose zero-interference power fits the cap.
+        gains = (
+            observation.gains
+            if observation.gains is not None
+            else model.topology.gains_lookup()
+        )
+        power = self._min_power_w(observation, gains.pairs(link_tx, link_rx))
+        keep = observation.link_band_member(model) & (
+            power <= self._max_power[link_tx][:, None]
+        )
+        a_link, a_band = np.nonzero(keep)
+        a_tx, a_rx = link_tx[a_link], link_rx[a_link]
+        a_service = observation.band_service_pkts(model)[a_band]
+        a_cost = -constants.beta * h[a_link] * a_service
+        num_a = a_link.shape[0]
+        a_cols = np.arange(num_a)
+
+        # Routing columns on links with an activation column, for every
+        # session whose destination is not the transmitter (17).
+        links = np.unique(a_link)
+        eligible = link_tx[links][:, None] != dest[None, :]
+        l_row, l_col = np.nonzero(eligible)
+        l_pos = links[l_row]
+        l_rx = link_rx[l_pos]
+        q_rx = np.where(l_rx == dest[l_col], 0.0, q[l_rx, l_col])
+        l_cost = (-q[link_tx[l_pos], l_col] + q_rx) + constants.beta * h[l_pos]
+        num_l = l_pos.shape[0]
+        l_start = num_a
+        k_start = l_start + num_l
+        node_start = k_start + num_sessions * num_bs
+        p_col = node_start + len(_NODE_COLS) * num_nodes
+        phi_col = p_col + 1
+
+        # Per-node energy columns (the d variable is *delivered*
+        # discharge; the battery level drops by 1/eta_d of it).
+        z = arrays.z_values_array()
+        eta_c, eta_d = arrays.charge_efficiency, arrays.discharge_efficiency
+        renewable = observation.renewable_j.values_array
+        grid_cap = np.where(
+            observation.grid_connected.values_array, state.grid_caps_array(), 0.0
+        )
+        max_charge = arrays.max_charge_j_array()
+        node_cost = np.zeros((num_nodes, len(_NODE_COLS)))
+        node_cost[:, 1] = node_cost[:, 3] = z * eta_c
+        node_cost[:, 4] = -z / eta_d
+        node_cost[:, 6] = 1.0
+        node_upper = np.full((num_nodes, len(_NODE_COLS)), np.inf)
+        node_upper[:, 0] = node_upper[:, 1] = renewable
+        node_upper[:, 2] = node_upper[:, 3] = grid_cap
+        node_upper[:, 4] = arrays.max_deliverable_j_array()
+        node_col = node_start + len(_NODE_COLS) * np.arange(num_nodes)
+
         threshold = params.admission_lambda * params.control_v
-        destinations = model.session_destinations()
-        h = state.h_backlogs()
+        p_cap = model.total_grid_cap_j()
+        cost = np.concatenate(
+            (
+                a_cost,
+                l_cost,
+                (q[bs].T - threshold).ravel(),
+                node_cost.ravel(),
+                [0.0, params.control_v],
+            )
+        )
+        upper = np.concatenate(
+            (
+                np.ones(num_a),
+                np.full(num_l, np.inf),
+                np.repeat(self._k_max, num_bs),
+                node_upper.ravel(),
+                [p_cap, np.inf],
+            )
+        )
+        bounds = np.stack((np.zeros(upper.shape[0]), upper), axis=1)
 
-        # Activation variables with their Psi-hat_1 coefficients, plus
-        # bookkeeping for the capacity and energy couplings.
-        link_bands: Dict[Tuple[NodeId, NodeId], List[Tuple[int, float, float]]] = {}
-        link_gains = self._link_gains(observation)
-        for (tx, rx), gain in zip(model.topology.candidate_links, link_gains):  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
-            entries = []
-            for band in observation.common_bands(model, tx, rx):
-                power = self._min_power_w(tx, gain, band, observation)
-                if power is None:
-                    continue
-                service = self._service_pkts(band, observation)
-                key = ("a", tx, rx, band)
-                lp.add_variable(
-                    key,
-                    objective=-constants.beta * h.get((tx, rx), 0.0) * service,
-                    lower=0.0,
-                    upper=1.0,
-                )
-                entries.append((band, service, power))
-            if entries:
-                link_bands[(tx, rx)] = entries
-
+        ub = _Rows()
         # Radio constraint (22), relaxed; the budget is the node's
         # radio count (1 in the paper — a tighter rhs would invalidate
         # the lower bound for multi-radio scenarios).
-        per_node: Dict[NodeId, Dict] = {n: {} for n in range(model.num_nodes)}  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
-        for (tx, rx), entries in link_bands.items():
-            for band, _, _ in entries:
-                per_node[tx][("a", tx, rx, band)] = 1.0
-                per_node[rx][("a", tx, rx, band)] = 1.0
-        for node, coeffs in per_node.items():
-            if coeffs:
-                lp.add_constraint(
-                    coeffs,
-                    Sense.LE,
-                    float(model.nodes[node].radio.num_radios),
-                    name=f"radio[{node}]",
-                )
+        used = np.zeros(num_nodes, dtype=bool)
+        used[a_tx] = used[a_rx] = True
+        node_row = np.cumsum(used) - 1
+        ub.add(node_row[a_tx], a_cols, 1.0)
+        ub.add(node_row[a_rx], a_cols, 1.0)
+        ub.close(self._radios[used])
 
-        # Routing variables and the link-capacity constraint (25).
-        for (tx, rx), entries in link_bands.items():
-            cap_coeffs: Dict = {}
-            for band, service, _ in entries:
-                cap_coeffs[("a", tx, rx, band)] = -service
-            any_l = False
-            for session in model.sessions:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
-                sid = session.session_id
-                if tx == destinations[sid]:
-                    continue  # (17)
-                q_tx = state.backlog(tx, sid)
-                q_rx = (
-                    0.0
-                    if rx == destinations[sid]
-                    else state.backlog(rx, sid)
-                )
-                coeff = -q_tx + q_rx + constants.beta * h.get((tx, rx), 0.0)
-                key = ("l", tx, rx, sid)
-                lp.add_variable(key, objective=coeff, lower=0.0)
-                cap_coeffs[key] = 1.0
-                any_l = True
-            if any_l:
-                lp.add_constraint(cap_coeffs, Sense.LE, 0.0, name=f"cap[{tx},{rx}]")
-
-        # Demand-satisfaction equality (18) per session.  Constraint
-        # (16) — no incoming traffic at the source — is dropped: the
-        # relaxed source assignment is fractional, so there is no
-        # single node to apply it to.  Dropping a constraint enlarges
-        # the feasible set and can only lower the LP optimum, which
-        # keeps the final lower bound valid.
-        for session in model.sessions:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
-            sid = session.session_id
-            dest = session.destination
-            coeffs = {
-                ("l", i, dest, sid): 1.0
-                for i in model.topology.in_neighbors.get(dest, ())
-                if lp.has_variable(("l", i, dest, sid))
-            }
-            if coeffs:
-                lp.add_constraint(
-                    coeffs, Sense.EQ, float(session.demand(observation.slot)),
-                    name=f"demand[{sid}]",
-                )
+        # Link-capacity constraint (25) on links that carry a session.
+        has_l = eligible.any(axis=1)
+        cap_row = np.cumsum(has_l) - 1
+        a_li = np.searchsorted(links, a_link)
+        on_cap = has_l[a_li]
+        ub.add(cap_row[a_li][on_cap], a_cols[on_cap], -a_service[on_cap])
+        ub.add(cap_row[l_row], l_start + np.arange(num_l), 1.0)
+        ub.close(np.zeros(int(has_l.sum())))
 
         # Relaxed admission: per-BS k_{s,b} with total cap K_max; the
         # Psi-hat_2 coefficient is (Q_b^s - lambda V).
-        for session in model.sessions:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
-            sid = session.session_id
-            total = {}
-            for bs in model.bs_ids:
-                key = ("k", sid, bs)
-                lp.add_variable(
-                    key,
-                    objective=state.backlog(bs, sid) - threshold,
-                    lower=0.0,
-                    upper=float(session.k_max),
-                )
-                total[key] = 1.0
-            lp.add_constraint(total, Sense.LE, float(session.k_max), name=f"kmax[{sid}]")
+        ub.add(
+            np.repeat(np.arange(num_sessions), num_bs),
+            k_start + np.arange(num_sessions * num_bs),
+            1.0,
+        )
+        ub.close(self._k_max)
 
-        # Energy variables and balances.
-        bs_set = set(model.bs_ids)
-        z = state.z_values()
-        p_coeffs: Dict = {}
-        for node_obj in model.nodes:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
-            node = node_obj.node_id
-            battery = state.batteries[node]
-            connected = observation.grid_connected[node]
-            grid_cap = state.grids[node].draw_cap_j if connected else 0.0
-            renewable = observation.renewable_j[node]
+        # Per node: renewable, charge and grid caps, then the epigraph
+        # of the exact quadratic battery-drift term (net^2 / 2, net =
+        # eta_c (cr + cg) - d / eta_d) supported by 9 tangents
+        # w >= point * net - point^2 / 2 — an under-approximation, so
+        # the lower bound stays valid while matching the integral
+        # controller's objective.
+        net_lo = -np.minimum(arrays.discharge_cap_j, arrays.battery_level)
+        net_hi = eta_c * max_charge
+        span = np.maximum(net_hi - net_lo, 1.0)
+        points = net_lo[:, None] + span[:, None] * np.arange(9.0)[None, :] / 8
+        node_rows = _NODE_UB_ROWS * np.arange(num_nodes)
+        for row, cols in ((0, (0, 1)), (1, (1, 3)), (2, (2, 3))):
+            for col in cols:
+                ub.add(node_rows + row, node_col + col, 1.0)
+        tangent_rows = (node_rows[:, None] + 3 + np.arange(9)[None, :]).ravel()
+        tangent_cols = np.repeat(node_col, 9)
+        # The tangents are ">=" rows, negated into "<=" form.
+        ub.add(tangent_rows, tangent_cols + 6, -1.0)
+        ub.add(tangent_rows, tangent_cols + 1, (points * eta_c[:, None]).ravel())
+        ub.add(tangent_rows, tangent_cols + 3, (points * eta_c[:, None]).ravel())
+        ub.add(tangent_rows, tangent_cols + 4, (-points / eta_d[:, None]).ravel())
+        node_rhs = np.empty((num_nodes, _NODE_UB_ROWS))
+        node_rhs[:, 0] = renewable
+        node_rhs[:, 1] = max_charge
+        node_rhs[:, 2] = grid_cap
+        node_rhs[:, 3:] = -(-0.5 * points * points)
+        ub.close(node_rhs.ravel())
 
-            lp.add_variable(("r", node), lower=0.0, upper=renewable)
-            eta_c = battery.charge_efficiency
-            eta_d = battery.discharge_efficiency
-            lp.add_variable(
-                ("cr", node),
-                objective=z[node] * eta_c,
-                lower=0.0,
-                upper=renewable,
-            )
-            lp.add_variable(("g", node), lower=0.0, upper=grid_cap)
-            lp.add_variable(
-                ("cg", node),
-                objective=z[node] * eta_c,
-                lower=0.0,
-                upper=grid_cap,
-            )
-            # The variable is *delivered* discharge; the battery level
-            # drops by 1/eta_d of it.
-            lp.add_variable(
-                ("d", node),
-                objective=-z[node] / eta_d,
-                lower=0.0,
-                upper=battery.max_deliverable_j(),
-            )
-            lp.add_variable(("slack", node), lower=0.0)
-
-            lp.add_constraint(
-                {("r", node): 1.0, ("cr", node): 1.0},
-                Sense.LE,
-                renewable,
-                name=f"renewable[{node}]",
-            )
-            lp.add_constraint(
-                {("cr", node): 1.0, ("cg", node): 1.0},
-                Sense.LE,
-                battery.max_charge_j(),
-                name=f"charge_cap[{node}]",
-            )
-            lp.add_constraint(
-                {("g", node): 1.0, ("cg", node): 1.0},
-                Sense.LE,
-                grid_cap,
-                name=f"grid_cap[{node}]",
-            )
-
-            # Epigraph of the exact quadratic battery-drift term
-            # (net^2 / 2, net = c - d), supported by tangents — an
-            # under-approximation, so the lower bound stays valid
-            # while matching the integral controller's objective.
-            lp.add_variable(("w", node), objective=1.0, lower=0.0)
-            net_lo = -battery.max_discharge_j()
-            net_hi = eta_c * battery.max_charge_j()
-            span = max(net_hi - net_lo, 1.0)
-            for k in range(9):
-                point = net_lo + span * k / 8
-                # w >= point * net - point^2 / 2, with the level
-                # delta net = eta_c (cr + cg) - d / eta_d.
-                lp.add_constraint(
-                    {
-                        ("w", node): 1.0,
-                        ("cr", node): -point * eta_c,
-                        ("cg", node): -point * eta_c,
-                        ("d", node): point / eta_d,
-                    },
-                    Sense.GE,
-                    -0.5 * point * point,
-                    name=f"qdrift[{node},{k}]",
-                )
-
-            # Demand balance: g + r + d + slack - (tx/rx energy) = fixed.
-            balance: Dict = {
-                ("g", node): 1.0,
-                ("r", node): 1.0,
-                ("d", node): 1.0,
-                ("slack", node): 1.0,
-            }
-            for (tx, rx), entries in link_bands.items():
-                for band, _, power in entries:
-                    if tx == node:
-                        key = ("a", tx, rx, band)
-                        balance[key] = balance.get(key, 0.0) - power * dt
-                    elif rx == node:
-                        key = ("a", tx, rx, band)
-                        balance[key] = (
-                            balance.get(key, 0.0)
-                            - node_obj.radio.recv_power_w * dt
-                        )
-            lp.add_constraint(
-                balance,
-                Sense.EQ,
-                node_obj.radio.fixed_energy_j(dt),
-                name=f"balance[{node}]",
-            )
-
-            if node in bs_set:
-                p_coeffs[("g", node)] = 1.0
-                p_coeffs[("cg", node)] = 1.0
-
-        # Total draw P and the epigraph of V * f(P).
-        p_cap = model.total_grid_cap_j()
-        lp.add_variable(("P",), lower=0.0, upper=p_cap)
-        row = dict(p_coeffs)
-        row[("P",)] = -1.0
-        lp.add_constraint(row, Sense.EQ, 0.0, name="total_draw")
-
-        lp.add_variable(("phi",), objective=params.control_v, lower=0.0)
+        # Total draw P and the epigraph of V * f(P), negated ">=" rows.
+        slot_cost = model.cost_at(observation.slot)
+        slopes, intercepts = [], []
         for k in range(self._segments + 1):
             point = p_cap * k / self._segments
-            slot_cost = model.cost_at(observation.slot)
             slope = slot_cost.derivative(point)
-            intercept = slot_cost.value(point) - slope * point
-            lp.add_constraint(
-                {("phi",): 1.0, ("P",): -slope},
-                Sense.GE,
-                intercept,
-                name=f"tangent[{k}]",
-            )
+            slopes.append(slope)
+            intercepts.append(slot_cost.value(point) - slope * point)
+        tangents = np.arange(self._segments + 1)
+        ub.add(tangents, phi_col, -1.0)
+        ub.add(tangents, p_col, np.array(slopes))
+        ub.close(-np.array(intercepts))
 
-        return lp, {"link_bands": link_bands}
+        eq = _Rows()
+        # Demand-satisfaction equality (18) per session with an in-link
+        # into its destination.  Constraint (16) — no incoming traffic
+        # at the source — is dropped: the relaxed source assignment is
+        # fractional, so there is no single node to apply it to.
+        # Dropping a constraint enlarges the feasible set and can only
+        # lower the LP optimum, which keeps the final lower bound valid.
+        into_dest = l_rx == dest[l_col]
+        has_demand = np.zeros(num_sessions, dtype=bool)
+        has_demand[l_col[into_dest]] = True
+        demand_row = np.cumsum(has_demand) - 1
+        eq.add(
+            demand_row[l_col[into_dest]],
+            l_start + np.flatnonzero(into_dest),
+            1.0,
+        )
+        slot = observation.slot
+        demand = self._demand[np.arange(num_sessions), slot % self._periods]
+        eq.close(demand[has_demand])
+
+        # Demand balance: g + r + d + slack - (tx/rx energy) = fixed.
+        nodes = np.arange(num_nodes)
+        for col in (2, 0, 4, 5):
+            eq.add(nodes, node_col + col, 1.0)
+        eq.add(a_tx, a_cols, -(power[a_link, a_band] * dt))
+        eq.add(a_rx, a_cols, -(self._recv_power[a_rx] * dt))
+        eq.close(self._fixed_energy_j)
+
+        eq.add(0, node_col[bs] + 2, 1.0)
+        eq.add(0, node_col[bs] + 3, 1.0)
+        eq.add(0, p_col, -1.0)
+        eq.close(np.zeros(1))
+
+        num_cols = cost.shape[0]
+        lp = LinearProgram(
+            cost, bounds, *ub.matrix(num_cols), *eq.matrix(num_cols)
+        )
+        layout = _Layout(
+            a_link=a_link,
+            a_band=a_band,
+            a_service=a_service,
+            links=links,
+            l_pos=l_pos,
+            l_col=l_col,
+            k_start=k_start,
+            node_start=node_start,
+        )
+        return lp, layout
 
     # -- decision extraction --------------------------------------------
 
     def _extract(
         self,
-        solution: LPSolution,
+        x: AnyArray,
         observation: SlotObservation,
         state: NetworkState,
-        link_bands: Dict,
+        layout: _Layout,
     ) -> SlotDecision:
         model = self._model
         arrays = state.arrays
-        served: List[int] = []
-        service_pkts: List[float] = []
-        for (tx, rx), entries in link_bands.items():
-            service_total = 0.0
-            for band, service, _power in entries:
-                alpha = solution.values[("a", tx, rx, band)]
-                if alpha > 1e-9:
-                    service_total += service * alpha
-            if service_total > 0:
-                served.append(arrays.link_pos[(tx, rx)])
-                service_pkts.append(service_total)
+        num_a, num_l = layout.a_link.shape[0], layout.l_pos.shape[0]
+
         # Fractional service only: the bound schedules no transmissions.
+        # Each link's bands are summed in band order, as the LP lists
+        # them (adding the 0.0 of an absent band is exact).
+        alpha = x[:num_a]
+        per_band = np.zeros((layout.links.shape[0], model.spectrum.num_bands))
+        per_band[np.searchsorted(layout.links, layout.a_link), layout.a_band] = (
+            np.where(alpha > 1e-9, layout.a_service * alpha, 0.0)
+        )
+        service = np.zeros(layout.links.shape[0])
+        for band in range(per_band.shape[1]):
+            service = service + per_band[:, band]
+        served = service > 0
         schedule = ScheduleDecision(
-            service_pos=np.array(served, dtype=np.intp),
-            service_pkts=np.array(service_pkts, dtype=np.float64),
+            service_pos=layout.links[served],
+            service_pkts=service[served],
             links=arrays.links,
         )
 
-        # Routed entries in LP variable order ("l", tx, rx, sid); the
-        # variables are unique, so no (link, session) pair repeats.
-        values = solution.values
-        routed = [key for key in values if key[0] == "l" and values[key] > 1e-9]
+        # Routed entries in LP column order; no (link, session) repeats.
+        flows = x[num_a : num_a + num_l]
+        routed = flows > 1e-9
         routing = RoutingDecision(
-            link_pos=np.array([arrays.link_pos[k[1:3]] for k in routed], dtype=np.intp),
-            session_col=np.array([arrays.session_col[k[3]] for k in routed], dtype=np.intp),
-            pkts=np.array([values[k] for k in routed], dtype=np.float64),
+            link_pos=layout.l_pos[routed],
+            session_col=layout.l_col[routed],
+            pkts=flows[routed],
             links=arrays.links,
             sessions=arrays.sessions,
         )
 
-        sources: Dict[SessionId, NodeId] = {}
-        admitted: Dict[SessionId, float] = {}
-        split: Dict[SessionId, Tuple[Tuple[NodeId, float], ...]] = {}
-        source_rows = np.empty(len(arrays.sessions), dtype=np.intp)
-        for session in model.sessions:  # noqa: R040 - relaxed-LP bound only: RelaxedLpController.decide rebuilds this LP every slot, one LP row or variable per iteration; the integral controller never runs it
-            sid = session.session_id
-            pairs = tuple(
-                (bs, solution.values[("k", sid, bs)])
-                for bs in model.bs_ids
-                if solution.values[("k", sid, bs)] > 1e-9
-            )
-            split[sid] = pairs
-            admitted[sid] = sum(k for _, k in pairs)
-            sources[sid] = (
-                max(pairs, key=lambda p: p[1])[0] if pairs else model.bs_ids[0]
-            )
-            source_rows[arrays.session_col[sid]] = sources[sid]
+        # Per-session admissions split across base stations; the source
+        # is the base station admitting most (the first on ties).
+        bs = self._bs
+        amounts = x[layout.k_start : layout.node_start].reshape(-1, bs.shape[0])
+        admits = amounts > 1e-9
+        counts = admits.sum(axis=1)
+        total = np.zeros(amounts.shape[0])
+        for col in range(bs.shape[0]):
+            total = total + np.where(admits[:, col], amounts[:, col], 0.0)
+        admitted = total.astype(object)
+        admitted[counts == 0] = 0  # nothing admitted reads 0, as in S2
+        source_rows = bs[np.where(admits, amounts, -np.inf).argmax(axis=1)]
+        rows, cols = np.nonzero(admits)
+        pairs = np.fromiter(
+            zip(bs[cols].tolist(), amounts[rows, cols].tolist()),
+            dtype=object,
+            count=rows.shape[0],
+        )
+        sessions = arrays.sessions
         admission = AdmissionDecision(
-            sources=sources, admitted=admitted, source_rows=source_rows, split=split
+            sources=dict(zip(sessions, source_rows.tolist())),
+            admitted=dict(zip(sessions, admitted.tolist())),
+            source_rows=source_rows,
+            split=dict(
+                zip(sessions, map(tuple, np.split(pairs, np.cumsum(counts)[:-1])))
+            ),
         )
 
-        num_nodes = model.num_nodes
-
-        def flow(name: str) -> np.ndarray:
-            return np.fromiter(
-                (solution.values[(name, node)] for node in range(num_nodes)),  # noqa: R040 - relaxed-LP bound only, every slot: the LP solution is keyed per variable, so the read-out is per node
-                dtype=float,
-                count=num_nodes,
-            )
-
-        r, cr = flow("r"), flow("cr")
+        node_x = x[layout.node_start : layout.node_start + len(_NODE_COLS) * model.num_nodes]
+        r, cr, g, cg, d, slack, _ = node_x.reshape(-1, len(_NODE_COLS)).T.copy()
         allocation = BatchAllocation(
             renewable_serve_j=r,
             renewable_charge_j=cr,
-            grid_serve_j=flow("g"),
-            grid_charge_j=flow("cg"),
-            discharge_j=flow("d"),
+            grid_serve_j=g,
+            grid_charge_j=cg,
+            discharge_j=d,
             spill_j=np.maximum(0.0, observation.renewable_j.values_array - r - cr),
         )
-        total_draw = seq_sum(allocation.grid_draw_j[sorted(model.bs_ids)])
+        total_draw = seq_sum(allocation.grid_draw_j[np.sort(bs)])
         energy = EnergyManagementDecision(
             allocation=allocation,
             bs_grid_draw_j=total_draw,
             cost=model.cost_at(observation.slot).value(total_draw),
         )
+        short = np.flatnonzero(slack > 1e-9)
+        self.last_deficit_j = dict(zip(short.tolist(), slack[short].tolist()))
         return SlotDecision(
             schedule=schedule,
             admission=admission,
@@ -482,18 +503,49 @@ class RelaxedLpController:
         self, observation: SlotObservation, state: NetworkState
     ) -> SlotDecision:
         """Solve the slot's relaxed LP exactly and extract the decision."""
-        lp, extras = self._build_lp(observation, state)
-        solution = lp.solve()
-        decision = self._extract(
-            solution, observation, state, extras["link_bands"]
-        )
+        lp, layout = self._build_lp(observation, state)
+        decision = self._extract(lp.solve().x, observation, state, layout)
         lam = self._model.params.admission_lambda
         self.last_penalty = (
             decision.energy.cost - lam * decision.admission.total_admitted()
         )
-        self.last_deficit_j = {
-            key[1]: value
-            for key, value in solution.values.items()
-            if key[0] == "slack" and value > 1e-9
-        }
         return decision
+
+
+class _Rows:
+    """COO entries of one row block, appended a row group at a time.
+
+    ``add`` takes the entries of the current group with group-relative
+    rows; ``close`` ends the group with its right-hand sides, so the
+    next group's rows start after it.
+    """
+
+    def __init__(self) -> None:
+        self._rows: List[AnyArray] = []
+        self._cols: List[AnyArray] = []
+        self._vals: List[AnyArray] = []
+        self._rhs: List[AnyArray] = []
+        self._offset = 0
+
+    def add(self, rows: object, cols: object, vals: object) -> None:
+        """Entries ``(rows, cols) = vals`` of the open group (broadcast)."""
+        rows_b, cols_b, vals_b = np.broadcast_arrays(rows, cols, vals)
+        self._rows.append(self._offset + rows_b.ravel())
+        self._cols.append(cols_b.ravel())
+        self._vals.append(vals_b.ravel().astype(np.float64))
+
+    def close(self, rhs: AnyArray) -> None:
+        """End the open group; ``rhs`` holds one bound per row."""
+        self._rhs.append(np.asarray(rhs, dtype=np.float64))
+        self._offset += self._rhs[-1].shape[0]
+
+    def matrix(self, num_cols: int) -> Tuple[sparse.coo_matrix, AnyArray]:
+        """The block as a sparse matrix and its right-hand sides."""
+        matrix = sparse.coo_matrix(
+            (
+                np.concatenate(self._vals),
+                (np.concatenate(self._rows), np.concatenate(self._cols)),
+            ),
+            shape=(self._offset, num_cols),
+        )
+        return matrix, np.concatenate(self._rhs)

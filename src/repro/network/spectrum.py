@@ -114,16 +114,17 @@ class MarkovBandAvailability:
         """True when the primary user currently occupies the band."""
         return not self._state.get((user, band), True)
 
-    def mask(self, access: Dict[NodeId, FrozenSet[BandId]]) -> Dict[NodeId, FrozenSet[BandId]]:
-        """Apply the current blocks to static access sets."""
-        out: Dict[NodeId, FrozenSet[BandId]] = {}
-        for node, bands in access.items():
-            if node in set(self._users):
-                out[node] = frozenset(
-                    b for b in bands if not self.blocked(node, b)
-                )
-            else:
-                out[node] = bands
+    def mask(self, access: np.ndarray) -> np.ndarray:
+        """Apply the current blocks to an ``(N, M)`` access table.
+
+        Returns a copy with every blocked ``(user, band)`` cell cleared;
+        untracked nodes and bands keep their row.
+        """
+        out = access.copy()
+        blocked = [key for key, on in self._state.items() if not on]
+        if blocked:
+            users, bands = zip(*blocked)
+            out[list(users), list(bands)] = False
         return out
 
 

@@ -33,7 +33,7 @@ consumers such as the SINR contract checker and mobility tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -50,9 +50,6 @@ from repro.phy.propagation import (
     gain_matrix,
 )
 from repro.types import Link, NodeId, NodeKind
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 #: The "auto" topology mode materialises the dense distance/gain
 #: matrices only below this node count; above it they would dominate
@@ -149,39 +146,6 @@ class Topology:
     def link_gain_array(self) -> np.ndarray:
         """``(L,)`` per-link gains over the frozen link index."""
         return self.link_gains
-
-    def link_index_matrix(self) -> "csr_matrix":
-        """Candidate links as a scipy.sparse CSR mask over ``(N, N)``.
-
-        Entry ``[tx, rx]`` stores the link's frozen-index position
-        *plus one* (CSR cannot represent an explicit zero), so
-        ``matrix[tx, rx] - 1`` is a vectorizable link -> position
-        lookup and ``matrix.astype(bool)`` is the candidate mask.
-        Built lazily and cached.
-        """
-        cached = self.__dict__.get("_link_csr")
-        if cached is None:
-            from scipy import sparse
-
-            tx, rx = self.link_arrays()
-            data = np.arange(1, tx.shape[0] + 1, dtype=np.int64)
-            cached = sparse.csr_matrix(
-                (data, (tx, rx)), shape=(self.num_nodes, self.num_nodes)
-            )
-            object.__setattr__(self, "_link_csr", cached)
-        return cached
-
-    def link_positions_of(
-        self, tx: np.ndarray, rx: np.ndarray
-    ) -> np.ndarray:
-        """Frozen-index positions of the pairs ``(tx[i], rx[i])``.
-
-        Non-candidate pairs map to -1.  One sparse fancy-index instead
-        of a per-pair dict lookup loop.
-        """
-        matrix = self.link_index_matrix()
-        found = np.asarray(matrix[np.asarray(tx), np.asarray(rx)]).ravel()
-        return found.astype(np.intp) - 1
 
     def has_link(self, tx: NodeId, rx: NodeId) -> bool:
         """True if ``(tx, rx)`` is a candidate link."""

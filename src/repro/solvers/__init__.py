@@ -1,12 +1,7 @@
-"""Numerical solvers: LP builder, sequential-fix, bisection, QP."""
+"""Numerical solvers: the matrix-in LP, sequential fix, bisection."""
 
-from repro.solvers.linprog import (
-    Constraint,
-    LinearProgram,
-    LPSolution,
-    Sense,
-)
-from repro.solvers.sequential_fix import sequential_fix
+from repro.solvers.linprog import LinearProgram, LPSolution
+from repro.solvers.sequential_fix import FixResult, sequential_fix
 from repro.solvers.bisection import (
     bisect_root,
     bisect_root_vec,
@@ -14,10 +9,9 @@ from repro.solvers.bisection import (
 )
 
 __all__ = [
-    "Constraint",
+    "FixResult",
     "LinearProgram",
     "LPSolution",
-    "Sense",
     "sequential_fix",
     "bisect_root",
     "bisect_root_vec",

@@ -1,137 +1,182 @@
-"""A named-variable linear-program builder over ``scipy``'s HiGHS.
+"""A matrix-in linear program over ``scipy``'s HiGHS.
 
-The scheduling and bound subproblems — the S1 activation/power LP over
-constraints (20)-(24) and the relaxed lower-bound program P2 — are
-naturally expressed over variables indexed by structured keys
-(``(i, j, m)`` link-band triples, ``(i, j, s)`` routing triples).
-``LinearProgram`` lets callers build the model in those terms and
-converts to the sparse matrix form ``scipy.optimize.linprog`` expects.
+The LPs of this package — the S1 sequential-fix relaxation over
+constraints (20)-(24) and the per-slot relaxed program P3bar of the
+Theorem-5 bound — are assembled by their callers as arrays over frozen
+column and row orders: a cost vector, ``(n, 2)`` column bounds, and
+sparse ``A_ub x <= b_ub`` / ``A_eq x == b_eq`` blocks (a ``>=`` row is
+passed negated in ``A_ub``).  ``LinearProgram`` equilibrates the rows
+once, fixes columns by changing their bounds, and solves with HiGHS.
+:meth:`LinearProgram.solve` is the package's one call into HiGHS.
 Minimisation only, like scipy.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+import copy
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from repro.axes import AnyArray
 from repro.exceptions import InfeasibleError, SolverError
 
-#: Variables are identified by arbitrary hashable keys.
-VarKey = Hashable
-
-
-class Sense(enum.Enum):
-    """Constraint sense."""
-
-    LE = "<="
-    GE = ">="
-    EQ = "=="
+#: The arguments :func:`scipy.optimize.linprog` receives:
+#: ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` with a ``None`` pair for an
+#: empty block.
+StandardForm = Tuple[
+    AnyArray,
+    Optional[sparse.csr_matrix],
+    Optional[AnyArray],
+    Optional[sparse.csr_matrix],
+    Optional[AnyArray],
+    AnyArray,
+]
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """One linear constraint ``sum coeffs[v] * v  <sense>  rhs``."""
-
-    coeffs: Mapping[VarKey, float]
-    sense: Sense
-    rhs: float
-    name: str = ""
-
-
-@dataclass
 class LPSolution:
     """Result of an LP solve.
 
     Attributes:
         objective: optimal objective value.
-        values: optimal value per variable key.
+        x: ``(n,)`` optimal value per column.
     """
 
     objective: float
-    values: Dict[VarKey, float] = field(default_factory=dict)
+    x: AnyArray
 
-    def value(self, key: VarKey) -> float:
-        """Value of one variable."""
-        return self.values[key]
+
+def _rows(
+    a: Optional[object], b: Optional[AnyArray], num_cols: int, name: str
+) -> Tuple[Optional[sparse.csr_matrix], Optional[AnyArray]]:
+    """One row block as CSR with its exact zeros dropped."""
+    if a is None:
+        return None, None
+    matrix = sparse.csr_matrix(a, dtype=np.float64, copy=True)
+    rhs = np.asarray(b, dtype=np.float64).reshape(-1)
+    if matrix.shape[1] != num_cols:
+        raise SolverError(
+            f"{name} block has {matrix.shape[1]} columns, the LP has {num_cols}"
+        )
+    if rhs.shape[0] != matrix.shape[0]:
+        raise SolverError(
+            f"{name} block has {matrix.shape[0]} rows but {rhs.shape[0]} bounds"
+        )
+    if matrix.shape[0] == 0:
+        return None, None
+    # Exactly-zero coefficients leave the structure (an empty battery
+    # puts a tangent point at 0); near-zero ones must stay.
+    matrix.eliminate_zeros()
+    return matrix, rhs
+
+
+def _equilibrate(
+    a: Optional[sparse.csr_matrix], b: Optional[AnyArray]
+) -> Tuple[Optional[sparse.csr_matrix], Optional[AnyArray]]:
+    """Divide every row and its bound by the row's largest |coefficient|.
+
+    Physical-model rows mix propagation gains (~1e-12) with big-M
+    constants (~10), which makes HiGHS mis-declare feasible systems
+    infeasible; the scaling is an exact reformulation.  Empty rows keep
+    scale 1.
+    """
+    if a is None:
+        return None, None
+    scale = abs(a).max(axis=1).toarray().ravel()
+    scale[scale <= 0.0] = 1.0
+    scaled = a.copy()
+    scaled.data = a.data / np.repeat(scale, np.diff(a.indptr))
+    return scaled, b / scale
 
 
 class LinearProgram:
-    """Incrementally built minimisation LP with named variables."""
+    """Minimise ``cost @ x`` over column bounds and two row blocks.
 
-    def __init__(self) -> None:
-        self._objective: Dict[VarKey, float] = {}
-        self._bounds: Dict[VarKey, Tuple[float, Optional[float]]] = {}
-        self._order: List[VarKey] = []
-        self._constraints: List[Constraint] = []
+    Args:
+        cost: ``(n,)`` objective coefficients.
+        bounds: ``(n, 2)`` ``[lower, upper]`` per column (``inf`` for
+            no upper bound).
+        a_ub, b_ub: ``A_ub x <= b_ub`` (any scipy sparse or dense
+            matrix); None for no rows.
+        a_eq, b_eq: ``A_eq x == b_eq``; None for no rows.
+
+    Raises:
+        SolverError: on inconsistent shapes or an empty bound interval.
+    """
+
+    def __init__(
+        self,
+        cost: AnyArray,
+        bounds: AnyArray,
+        a_ub: Optional[object] = None,
+        b_ub: Optional[AnyArray] = None,
+        a_eq: Optional[object] = None,
+        b_eq: Optional[AnyArray] = None,
+    ) -> None:
+        self.cost = np.asarray(cost, dtype=np.float64).reshape(-1)
+        num_cols = self.cost.shape[0]
+        self.bounds = np.array(bounds, dtype=np.float64).reshape(-1, 2)
+        if self.bounds.shape[0] != num_cols:
+            raise SolverError(
+                f"{self.bounds.shape[0]} column bounds for {num_cols} columns"
+            )
+        empty = np.flatnonzero(self.bounds[:, 1] < self.bounds[:, 0])
+        if empty.size:
+            lower, upper = self.bounds[empty[0]]
+            raise SolverError(
+                f"column {empty[0]} has empty bound interval [{lower}, {upper}]"
+            )
+        self.a_ub, self.b_ub = _rows(a_ub, b_ub, num_cols, "A_ub")
+        self.a_eq, self.b_eq = _rows(a_eq, b_eq, num_cols, "A_eq")
+        # The scaled rows and objective depend on neither the bounds nor
+        # the fixings, so they are computed once per matrix.
+        a_ub_s, b_ub_s = _equilibrate(self.a_ub, self.b_ub)
+        a_eq_s, b_eq_s = _equilibrate(self.a_eq, self.b_eq)
+        # Normalise the objective: drift coefficients can span 12+
+        # orders of magnitude (the beta^2-scaled virtual-queue terms),
+        # which trips HiGHS's simplex numerics.  Scaling the objective
+        # leaves the argmin unchanged; the true value is restored on
+        # solve.
+        scale = float(np.abs(self.cost).max()) if num_cols else 1.0
+        self._cost_scale = scale if scale > 0.0 else 1.0
+        self._scaled = (
+            self.cost / self._cost_scale, a_ub_s, b_ub_s, a_eq_s, b_eq_s
+        )
 
     @property
     def num_variables(self) -> int:
-        """Number of declared variables."""
-        return len(self._order)
+        """Number of columns."""
+        return self.cost.shape[0]
 
     @property
     def num_constraints(self) -> int:
-        """Number of added constraints."""
-        return len(self._constraints)
+        """Number of ``<=`` plus ``==`` rows."""
+        return sum(0 if a is None else a.shape[0] for a in (self.a_ub, self.a_eq))
 
-    def add_variable(
-        self,
-        key: VarKey,
-        objective: float = 0.0,
-        lower: float = 0.0,
-        upper: Optional[float] = None,
-    ) -> VarKey:
-        """Declare a variable with its objective coefficient and bounds.
+    def fixed(self, columns: AnyArray, values: AnyArray) -> "LinearProgram":
+        """A copy with ``columns`` pinned to ``values`` (bounds only).
 
-        Raises:
-            SolverError: if ``key`` was already declared.
+        The copy shares the row blocks and their scaling, so a fix costs
+        one ``(n, 2)`` bounds copy.
         """
-        if key in self._objective:
-            raise SolverError(f"variable {key!r} declared twice")
-        if upper is not None and upper < lower:
-            raise SolverError(
-                f"variable {key!r} has empty bound interval [{lower}, {upper}]"
-            )
-        self._objective[key] = objective
-        self._bounds[key] = (lower, upper)
-        self._order.append(key)
-        return key
+        pinned = copy.copy(self)
+        pinned.bounds = self.bounds.copy()
+        pinned.bounds[np.asarray(columns, dtype=np.intp)] = np.asarray(
+            values, dtype=np.float64
+        ).reshape(-1, 1)
+        return pinned
 
-    def has_variable(self, key: VarKey) -> bool:
-        """True if ``key`` was declared."""
-        return key in self._objective
-
-    def fix_variable(self, key: VarKey, value: float) -> None:
-        """Pin an existing variable to a single value."""
-        if key not in self._objective:
-            raise SolverError(f"unknown variable {key!r}")
-        self._bounds[key] = (value, value)
-
-    def add_constraint(
-        self,
-        coeffs: Mapping[VarKey, float],
-        sense: Sense,
-        rhs: float,
-        name: str = "",
-    ) -> None:
-        """Add a linear constraint over declared variables.
-
-        Variables in ``coeffs`` that were never declared raise; zero
-        coefficients are dropped.
-        """
-        clean = {k: v for k, v in coeffs.items() if v != 0.0}  # noqa: R002 - dropping exactly-zero coefficients is intentional; near-zero ones must stay
-        unknown = [k for k in clean if k not in self._objective]
-        if unknown:
-            raise SolverError(f"constraint {name!r} uses unknown variables {unknown}")
-        self._constraints.append(Constraint(clean, sense, rhs, name))
+    def standard_form(self) -> StandardForm:
+        """The equilibrated problem exactly as HiGHS receives it."""
+        c, a_ub, b_ub, a_eq, b_eq = self._scaled
+        return c, a_ub, b_ub, a_eq, b_eq, self.bounds
 
     def solve(self) -> LPSolution:
-        """Solve with HiGHS and return the solution.
+        """Solve with HiGHS (HiGHS-IPM as fallback) and return the solution.
 
         Raises:
             InfeasibleError: primal infeasible (or unbounded, which for
@@ -139,64 +184,13 @@ class LinearProgram:
                 bug upstream).
             SolverError: any other solver failure.
         """
-        if not self._order:
-            return LPSolution(objective=0.0)
-
-        index = {key: i for i, key in enumerate(self._order)}
-        cost = np.array([self._objective[k] for k in self._order])
-
-        ub_rows: List[Tuple[Dict[VarKey, float], float]] = []
-        eq_rows: List[Tuple[Dict[VarKey, float], float]] = []
-        for con in self._constraints:
-            if con.sense is Sense.LE:
-                ub_rows.append((dict(con.coeffs), con.rhs))
-            elif con.sense is Sense.GE:
-                negated = {k: -v for k, v in con.coeffs.items()}
-                ub_rows.append((negated, -con.rhs))
-            else:
-                eq_rows.append((dict(con.coeffs), con.rhs))
-
-        def to_matrix(
-            rows: List[Tuple[Dict[VarKey, float], float]]
-        ) -> Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray]]:
-            if not rows:
-                return None, None
-            data, row_idx, col_idx, rhs = [], [], [], []
-            for r, (coeffs, bound) in enumerate(rows):
-                # Row equilibration: physical-model rows mix propagation
-                # gains (~1e-12) with big-M constants (~10), which makes
-                # HiGHS mis-declare feasible systems infeasible.  Scaling
-                # a row by its largest coefficient is an exact
-                # reformulation.
-                scale = max((abs(c) for c in coeffs.values()), default=0.0)
-                if scale <= 0.0:
-                    scale = 1.0
-                rhs.append(bound / scale)
-                for key, coeff in coeffs.items():
-                    data.append(coeff / scale)
-                    row_idx.append(r)
-                    col_idx.append(index[key])
-            matrix = sparse.csr_matrix(
-                (data, (row_idx, col_idx)), shape=(len(rows), len(self._order))
-            )
-            return matrix, np.array(rhs)
-
-        a_ub, b_ub = to_matrix(ub_rows)
-        a_eq, b_eq = to_matrix(eq_rows)
-        bounds = [self._bounds[k] for k in self._order]
-
-        # Normalise the objective: drift coefficients can span 12+
-        # orders of magnitude (the beta^2-scaled virtual-queue terms),
-        # which trips HiGHS's simplex numerics.  Scaling the objective
-        # leaves the argmin unchanged; the true value is restored below.
-        scale = float(np.abs(cost).max())
-        if scale <= 0.0:
-            scale = 1.0
-
+        if self.num_variables == 0:
+            return LPSolution(objective=0.0, x=np.zeros(0))
+        c, a_ub, b_ub, a_eq, b_eq, bounds = self.standard_form()
         result = None
         for method in ("highs", "highs-ipm"):
             result = linprog(
-                c=cost / scale,
+                c=c,
                 A_ub=a_ub,
                 b_ub=b_ub,
                 A_eq=a_eq,
@@ -213,6 +207,6 @@ class LinearProgram:
             raise InfeasibleError("linear program is unbounded")
         if not result.success:
             raise SolverError(f"linprog failed: {result.message}")
-
-        values = {key: float(result.x[index[key]]) for key in self._order}
-        return LPSolution(objective=float(result.fun) * scale, values=values)
+        return LPSolution(
+            objective=float(result.fun) * self._cost_scale, x=result.x
+        )

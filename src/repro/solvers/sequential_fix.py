@@ -5,124 +5,130 @@ time (Section IV-C-1): relax all unfixed binaries to ``[0, 1]``, solve,
 fix every variable the LP put at 1 (and the single largest fractional
 variable if none hit 1), zero out the variables that conflict with each
 newly fixed one, and repeat until everything is fixed.  This module
-implements that loop generically so it can be unit-tested away from the
-scheduling model and reused by other binary subproblems.
+implements that loop generically over the column indices of one
+:class:`~repro.solvers.linprog.LinearProgram`, built once by the
+caller: every fix, and every speculative feasibility trial, is a bound
+change on that matrix.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional
 
+import numpy as np
+
+from repro.axes import AnyArray
 from repro.exceptions import InfeasibleError, SolverError
-from repro.solvers.linprog import LinearProgram, VarKey
+from repro.solvers.linprog import LinearProgram
 
-#: Callback building the relaxed LP for the current fixings.  The
-#: builder must declare every key in ``binary_keys`` as a variable with
-#: bounds [0, 1] and honour the passed fixings (``fix_variable``).
-LpBuilder = Callable[[Mapping[VarKey, float]], LinearProgram]
+#: Callback giving the ``(B,)`` mask of binaries that must be zero once
+#: binary ``column`` is fixed to 1 (called once per such fix).
+ConflictFn = Callable[[int], AnyArray]
 
-#: Callback yielding the variables that must be zero once ``key`` is 1.
-ConflictFn = Callable[[VarKey], Iterable[VarKey]]
+
+class FixResult(NamedTuple):
+    """The SF outcome over the binary columns ``0 .. B-1``.
+
+    Attributes:
+        values: ``(B,)`` 0/1 assignment.
+        selected: the columns fixed to 1, in the order they were fixed.
+    """
+
+    values: AnyArray
+    selected: AnyArray
 
 
 def sequential_fix(
-    binary_keys: Sequence[VarKey],
-    build_lp: LpBuilder,
+    lp: LinearProgram,
+    rank: AnyArray,
     conflicts: ConflictFn,
     eps: float = 1e-6,
     max_iterations: Optional[int] = None,
     check_feasibility: bool = False,
-) -> Dict[VarKey, int]:
+    zero_with: Optional[AnyArray] = None,
+) -> FixResult:
     """Run the SF loop and return a full 0/1 assignment.
 
     Args:
-        binary_keys: all binary variables to be fixed.
-        build_lp: relaxed-LP factory honouring current fixings.
-        conflicts: conflict sets enforced when a variable is fixed to 1.
+        lp: the relaxation; its first ``B = len(rank)`` columns are the
+            binaries, bounded in ``[0, 1]``.
+        rank: ``(B,)`` distinct tie-break ranks: among equal LP values
+            the lower rank is fixed first.
+        conflicts: conflict masks enforced when a binary is fixed to 1.
         eps: rounding tolerance for "the LP set it to 1" / "to 0".
-        max_iterations: safety cap; defaults to ``len(binary_keys) + 1``.
+        max_iterations: safety cap; defaults to ``B + 1``.
         check_feasibility: speculatively re-solve before committing any
             fix-to-1.  Needed when the LP carries coupling constraints
             beyond the conflict sets (e.g. big-M SINR rows): rounding a
             fractional variable up can then be jointly infeasible with
             earlier fixes, in which case it is fixed to 0 instead (the
             Hou et al. fallback).  Costs one extra LP solve per fix.
-
-    Returns:
-        Mapping of every key in ``binary_keys`` to 0 or 1.
+        zero_with: optional ``(B,)`` partner column per binary, pinned
+            to 0 whenever the binary is fixed to 0 (a power variable
+            that may only flow when its link is scheduled).
 
     Raises:
         SolverError: if the loop fails to make progress (a symptom of a
             conflict callback that never zeroes anything).
     """
-    remaining = set(binary_keys)
-    fixed: Dict[VarKey, int] = {}
+    num = rank.shape[0]
+    values = np.zeros(num, dtype=np.intp)
+    remaining = np.ones(num, dtype=bool)
+    selected: List[int] = []
     if max_iterations is None:
-        max_iterations = len(binary_keys) + 1
+        max_iterations = num + 1
 
-    def feasible_with(key: VarKey) -> bool:
-        trial = dict(fixed)
-        trial[key] = 1
-        try:
-            build_lp(trial).solve()
-        except InfeasibleError:
-            return False
-        return True
+    def fix_to_zero(mask: AnyArray) -> None:
+        nonlocal lp
+        columns = np.flatnonzero(mask)
+        if zero_with is not None:
+            columns = np.concatenate((columns, zero_with[columns]))
+        lp = lp.fixed(columns, 0.0)
+        remaining[mask] = False
 
-    def fix_to_one(key: VarKey) -> bool:
-        if check_feasibility and not feasible_with(key):
-            fixed[key] = 0
-            remaining.discard(key)
-            return False
-        fixed[key] = 1
-        remaining.discard(key)
-        for other in conflicts(key):
-            if other in remaining:
-                fixed[other] = 0
-                remaining.discard(other)
-        return True
+    def fix_to_one(column: int) -> None:
+        nonlocal lp
+        trial = lp.fixed([column], 1.0)
+        if check_feasibility:
+            try:
+                trial.solve()
+            except InfeasibleError:
+                fix_to_zero(np.arange(num) == column)
+                return
+        lp = trial
+        values[column] = 1
+        remaining[column] = False
+        selected.append(column)
+        fix_to_zero(conflicts(column) & remaining)
 
     iterations = 0
-    while remaining:
+    while remaining.any():
         iterations += 1
         if iterations > max_iterations:
             raise SolverError(
                 f"sequential fix exceeded {max_iterations} iterations with "
-                f"{len(remaining)} variables unfixed"
+                f"{int(remaining.sum())} variables unfixed"
             )
-
-        lp = build_lp(dict(fixed))
-        missing = [k for k in sorted(remaining, key=repr) if not lp.has_variable(k)]
-        if missing:
-            raise SolverError(
-                f"LP builder omitted unfixed binary variables: {missing[:5]}"
-            )
-        solution = lp.solve()
-
-        # Deterministic candidate order: by LP value (descending), then
-        # by key repr — `remaining` is a set, and ties must not depend
-        # on hash iteration order.
-        ordered = sorted(
-            remaining, key=lambda k: (-solution.values[k], repr(k))
-        )
-        at_one = [k for k in ordered if solution.values[k] >= 1.0 - eps]
-        if at_one:
+        x = lp.solve().x
+        # Candidate order: by LP value (descending), then by rank.
+        open_cols = np.flatnonzero(remaining)
+        ordered = open_cols[np.lexsort((rank[open_cols], -x[open_cols]))]
+        at_one = ordered[x[ordered] >= 1.0 - eps]
+        if at_one.size:
             # Fix in decreasing LP-value order so conflict propagation
             # from an earlier fix can veto a later, lower-value one.
-            for key in at_one:
-                if key in remaining:
-                    fix_to_one(key)
+            for column in at_one.tolist():
+                if remaining[column]:
+                    fix_to_one(column)
             continue
 
-        best = ordered[0]
-        if solution.values[best] <= eps:
+        best = int(ordered[0])
+        if x[best] <= eps:
             # The relaxation puts every unfixed variable at zero: with
             # all conflicts already resolved, all-zero is optimal.
-            for key in list(remaining):  # noqa: R032 - every key gets the same value 0; dict order of the zeros is not observable downstream
-                fixed[key] = 0
-            remaining.clear()
+            remaining[:] = False
             continue
 
         fix_to_one(best)
 
-    return fixed
+    return FixResult(values=values, selected=np.array(selected, dtype=np.intp))

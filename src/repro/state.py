@@ -271,9 +271,7 @@ class NetworkState:
         band_access = None
         if self.availability is not None:
             self.availability.advance_to(slot)
-            band_access = self.availability.mask(
-                self.model.spectrum.access_sets()
-            )
+            band_access = self.availability.mask(self.model.band_access)
         self._refresh_sampling_plan()
         bands = self.model.spectrum.sample(slot)
         renewable = np.zeros(self.model.num_nodes)

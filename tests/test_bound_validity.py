@@ -25,6 +25,11 @@ def relaxed_setup():
     return model, constants, state, controller
 
 
+def _rows_using(lp, column):
+    """The ``<=`` rows of ``lp`` with a coefficient on ``column``."""
+    return lp.a_ub.tocsc()[:, column].nonzero()[0]
+
+
 class TestCostTangentsUnderapproximate:
     def test_tangents_below_f_everywhere(self, relaxed_setup):
         """Every epigraph tangent line lies below the convex cost."""
@@ -33,13 +38,13 @@ class TestCostTangentsUnderapproximate:
         lp, _ = controller._build_lp(observation, state)
         cost = model.cost_at(observation.slot)
         p_cap = model.total_grid_cap_j()
-        tangents = [
-            con for con in lp._constraints if con.name.startswith("tangent")
-        ]
-        assert tangents
-        for con in tangents:
-            slope = -con.coeffs[("P",)]
-            intercept = con.rhs
+        p_col, phi_col = lp.num_variables - 2, lp.num_variables - 1
+        tangents = _rows_using(lp, phi_col)
+        assert tangents.size
+        for row in tangents:
+            # phi >= slope * P + intercept, negated into "<=" form.
+            slope = lp.a_ub[row, p_col]
+            intercept = -lp.b_ub[row]
             for p in np.linspace(0, p_cap, 17):
                 assert slope * p + intercept <= cost.value(p) + 1e-9
 
@@ -49,25 +54,25 @@ class TestCostTangentsUnderapproximate:
         observation = state.observe(1)
         lp, _ = controller._build_lp(observation, state)
         solution = lp.solve()
-        phi = solution.values[("phi",)]
-        p = solution.values[("P",)]
+        phi = solution.x[lp.num_variables - 1]
+        p = solution.x[lp.num_variables - 2]
         assert phi <= model.cost_at(observation.slot).value(p) + 1e-6
 
     def test_quadratic_drift_tangents_underapproximate(self, relaxed_setup):
         """The w_i epigraphs lie below net^2/2 across the net range."""
         model, _, state, controller = relaxed_setup
         observation = state.observe(2)
-        lp, _ = controller._build_lp(observation, state)
-        qdrift = [
-            con for con in lp._constraints if con.name.startswith("qdrift[0,")
-        ]
-        assert qdrift  # node 0 has a battery
+        lp, layout = controller._build_lp(observation, state)
+        # Node 0's columns r, cr, g, cg, d, slack, w start the node block.
+        cr_col, w_col = layout.node_start + 1, layout.node_start + 6
+        qdrift = _rows_using(lp, w_col)
+        assert qdrift.size  # node 0 has a battery
         battery = state.batteries[0]
-        for con in qdrift:
-            # w >= point*net - point^2/2: the tangent of net^2/2.
-            point_times = con.coeffs.get(("cr", 0), 0.0)
-            point = -point_times / battery.charge_efficiency
-            intercept = con.rhs  # equals -point^2/2
+        for row in qdrift:
+            # w >= point*net - point^2/2, the tangent of net^2/2, enters
+            # negated: its cr coefficient is point * eta_c.
+            point = lp.a_ub[row, cr_col] / battery.charge_efficiency
+            intercept = -lp.b_ub[row]  # equals -point^2/2
             for net in np.linspace(
                 -battery.max_discharge_j(), battery.max_charge_j(), 9
             ):
@@ -80,12 +85,13 @@ class TestMinPowerUnderapproximatesDemand:
         model, _, state, controller = relaxed_setup
         observation = state.observe(3)
         params = model.params
-        for tx, rx in model.topology.candidate_links[:10]:
+        powers = controller._min_power_w(
+            observation, model.topology.link_gain_array()
+        )
+        for pos, (tx, rx) in enumerate(model.topology.candidate_links[:10]):
             for band in model.spectrum.common_bands(tx, rx):
-                power = controller._min_power_w(
-                    tx, model.topology.gains[tx, rx], band, observation
-                )
-                if power is None:
+                power = powers[pos, band]
+                if power > model.max_power_w[tx]:
                     continue
                 noise = model.noise_power_w(observation.bands.bandwidth(band))
                 sinr = model.topology.gains[tx, rx] * power / noise

@@ -333,7 +333,7 @@ class TestGreedySelectionEquality:
         scheduler, grid = _greedy_grid(case, h_values, prices)
         if grid is None:
             return
-        active, _, keep, weight = grid
+        active, keep, weight = grid
         assert scheduler._select_greedy(
             active, keep, weight
         ) == _lexsort_greedy(model, active, keep, weight, links)
@@ -343,7 +343,7 @@ class TestGreedySelectionEquality:
         model, _, _ = _grid_case(case)
         links = model.topology.candidate_links
         _, grid = _greedy_grid(case, [1.0] * len(links), None)
-        active, _, keep, weight = grid
+        active, keep, weight = grid
         link_tx, link_rx = model.topology.link_arrays()
         radios = np.array([node.radio.num_radios for node in model.nodes])
         single = (radios[link_tx[active]] == 1) & (radios[link_rx[active]] == 1)

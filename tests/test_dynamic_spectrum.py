@@ -76,12 +76,13 @@ class TestMarkovBandAvailability:
         assert on / 3000 == pytest.approx(0.7, abs=0.05)
 
     def test_mask_filters_blocked_bands(self, chain):
-        access = {2: frozenset({0, 1, 2}), 99: frozenset({0, 1, 2})}
+        access = np.ones((100, 3), dtype=bool)  # rows are node ids
         masked = chain.mask(access)
-        assert 0 in masked[2]  # cellular band untouched
-        assert masked[99] == access[99]  # untracked nodes untouched
+        assert masked[2, 0]  # cellular band untouched
+        assert masked[99].tolist() == access[99].tolist()  # untracked node
         for band in (1, 2):
-            assert (band in masked[2]) == (not chain.blocked(2, band))
+            assert masked[2, band] == (not chain.blocked(2, band))
+        assert access.all()  # the static table is not modified
 
     def test_invalid_probabilities(self, rng):
         with pytest.raises(SpectrumError):
@@ -97,7 +98,7 @@ class TestDynamicAvailabilitySimulation:
         assert observation.band_access is not None
         for bs in simulator.model.bs_ids:
             # Base stations are never blocked.
-            assert observation.band_access[bs] == (
+            assert set(np.flatnonzero(observation.band_access[bs]).tolist()) == (
                 simulator.model.spectrum.accessible_bands(bs)
             )
 
@@ -121,8 +122,8 @@ class TestDynamicAvailabilitySimulation:
             observation = simulator.state.observe(slot)
             decision = simulator.controller.decide(observation, simulator.state)
             for t in decision.schedule.transmissions:
-                assert t.band in observation.band_access[t.tx]
-                assert t.band in observation.band_access[t.rx]
+                assert observation.band_access[t.tx, t.band]
+                assert observation.band_access[t.rx, t.band]
             simulator.state.apply(decision, slot)
 
     def test_relaxed_controller_respects_blocks(self):

@@ -12,7 +12,7 @@ from repro.control.energy_manager import (
 from repro.energy.cost import QuadraticCost
 from repro.phy.power_control import minimal_power_assignment
 from repro.phy.propagation import gain_matrix
-from repro.solvers import LinearProgram, Sense, sequential_fix
+from repro.solvers import LinearProgram, sequential_fix
 
 
 class TestCheckedSequentialFix:
@@ -25,21 +25,20 @@ class TestCheckedSequentialFix:
         fixing a = 1 is infeasible.  A third capped variable c keeps
         the loop alive long enough for the infeasibility to surface in
         unchecked mode."""
-        weights = {"a": 3.0, "b": 2.0, "c": 0.5}
-
-        def build_lp(fixed):
-            lp = LinearProgram()
-            for key, weight in weights.items():
-                lp.add_variable(key, objective=-weight, lower=0.0, upper=1.0)
-            for key, value in fixed.items():
-                lp.fix_variable(key, value)
-            lp.add_constraint({"a": 1.0, "b": 1.0}, Sense.LE, 1.5)
-            lp.add_constraint({"c": 1.0}, Sense.LE, 0.4)
-            return lp
-
-        return sequential_fix(
-            ["a", "b", "c"], build_lp, lambda key: [], check_feasibility=check
+        weights = [3.0, 2.0, 0.5]  # a, b, c
+        lp = LinearProgram(
+            [-w for w in weights],
+            np.tile([0.0, 1.0], (3, 1)),
+            [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            [1.5, 0.4],
         )
+        result = sequential_fix(
+            lp,
+            np.arange(3),
+            lambda col: np.zeros(3, dtype=bool),
+            check_feasibility=check,
+        )
+        return dict(zip("abc", result.values.tolist()))
 
     def test_checked_mode_falls_back_to_zero(self):
         result = self._coupled_instance(check=True)

@@ -1,4 +1,4 @@
-"""Unit tests for the solver layer: LP builder, sequential fix,
+"""Unit tests for the solver layer: the matrix-in LP, sequential fix,
 bisection/golden-section."""
 
 import math
@@ -9,7 +9,6 @@ import pytest
 from repro.exceptions import InfeasibleError, SolverError
 from repro.solvers import (
     LinearProgram,
-    Sense,
     bisect_root,
     bisect_root_vec,
     minimize_convex_1d,
@@ -17,85 +16,102 @@ from repro.solvers import (
 )
 
 
+def _bounds(*pairs):
+    return np.array(pairs, dtype=float)
+
+
 class TestLinearProgram:
     def test_simple_minimization(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=1.0, lower=2.0, upper=10.0)
+        lp = LinearProgram([1.0], _bounds((2.0, 10.0)))
         solution = lp.solve()
-        assert solution.value("x") == pytest.approx(2.0)
+        assert solution.x[0] == pytest.approx(2.0)
         assert solution.objective == pytest.approx(2.0)
 
     def test_le_constraint(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=-1.0, upper=100.0)
-        lp.add_constraint({"x": 2.0}, Sense.LE, 10.0)
-        assert lp.solve().value("x") == pytest.approx(5.0)
+        lp = LinearProgram([-1.0], _bounds((0.0, 100.0)), [[2.0]], [10.0])
+        assert lp.solve().x[0] == pytest.approx(5.0)
 
     def test_ge_constraint(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=1.0, upper=100.0)
-        lp.add_constraint({"x": 1.0}, Sense.GE, 7.0)
-        assert lp.solve().value("x") == pytest.approx(7.0)
+        # x >= 7 enters negated: -x <= -7.
+        lp = LinearProgram([1.0], _bounds((0.0, 100.0)), [[-1.0]], [-7.0])
+        assert lp.solve().x[0] == pytest.approx(7.0)
 
     def test_eq_constraint(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=0.0, upper=100.0)
-        lp.add_variable("y", objective=1.0, upper=100.0)
-        lp.add_constraint({"x": 1.0, "y": 1.0}, Sense.EQ, 10.0)
+        lp = LinearProgram(
+            [0.0, 1.0],
+            _bounds((0.0, 100.0), (0.0, 100.0)),
+            a_eq=[[1.0, 1.0]],
+            b_eq=[10.0],
+        )
         solution = lp.solve()
-        assert solution.value("x") + solution.value("y") == pytest.approx(10.0)
-        assert solution.value("y") == pytest.approx(0.0)
+        assert solution.x[0] + solution.x[1] == pytest.approx(10.0)
+        assert solution.x[1] == pytest.approx(0.0)
 
-    def test_structured_keys(self):
-        lp = LinearProgram()
-        lp.add_variable(("a", 0, 1), objective=-3.0, upper=1.0)
-        lp.add_variable(("a", 1, 0), objective=-1.0, upper=1.0)
-        lp.add_constraint({("a", 0, 1): 1.0, ("a", 1, 0): 1.0}, Sense.LE, 1.0)
+    def test_column_indexed_solution(self):
+        lp = LinearProgram(
+            [-3.0, -1.0], _bounds((0.0, 1.0), (0.0, 1.0)), [[1.0, 1.0]], [1.0]
+        )
         solution = lp.solve()
-        assert solution.value(("a", 0, 1)) == pytest.approx(1.0)
+        assert solution.x[0] == pytest.approx(1.0)
 
     def test_infeasible_raises(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=1.0, lower=0.0, upper=1.0)
-        lp.add_constraint({"x": 1.0}, Sense.GE, 5.0)
+        lp = LinearProgram([1.0], _bounds((0.0, 1.0)), [[-1.0]], [-5.0])
         with pytest.raises(InfeasibleError):
             lp.solve()
 
-    def test_duplicate_variable_rejected(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
+    def test_unbounded_raises(self):
+        lp = LinearProgram([-1.0], _bounds((0.0, np.inf)))
+        with pytest.raises(InfeasibleError, match="unbounded"):
+            lp.solve()
+
+    def test_bounds_length_mismatch_rejected(self):
         with pytest.raises(SolverError):
-            lp.add_variable("x")
+            LinearProgram([1.0], _bounds((0.0, 1.0), (0.0, 1.0)))
 
     def test_unknown_variable_in_constraint_rejected(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
+        # A row over a column the LP does not have.
         with pytest.raises(SolverError):
-            lp.add_constraint({"y": 1.0}, Sense.LE, 1.0)
+            LinearProgram([0.0], _bounds((0.0, np.inf)), [[0.0, 1.0]], [1.0])
 
     def test_fix_variable(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=-1.0, upper=10.0)
-        lp.fix_variable("x", 3.0)
-        assert lp.solve().value("x") == pytest.approx(3.0)
+        lp = LinearProgram([-1.0], _bounds((0.0, 10.0)))
+        assert lp.fixed([0], 3.0).solve().x[0] == pytest.approx(3.0)
+        # Fixing is a bound change on a copy; the original is unchanged.
+        assert lp.solve().x[0] == pytest.approx(10.0)
 
     def test_empty_program(self):
-        assert LinearProgram().solve().objective == 0.0
+        assert LinearProgram([], np.zeros((0, 2))).solve().objective == 0.0
 
     def test_empty_bound_interval_rejected(self):
-        lp = LinearProgram()
         with pytest.raises(SolverError):
-            lp.add_variable("x", lower=5.0, upper=1.0)
+            LinearProgram([0.0], _bounds((5.0, 1.0)))
 
     def test_huge_coefficient_range_survives(self):
         # Regression: beta^2-scaled drift coefficients (1e11+) used to
         # trip HiGHS simplex numerics before objective normalisation.
-        lp = LinearProgram()
-        lp.add_variable("big", objective=-5e11, upper=1.0)
-        lp.add_variable("small", objective=-2e-4, upper=1.0)
-        lp.add_constraint({"big": 1.0, "small": 1.0}, Sense.LE, 1.0)
+        lp = LinearProgram(
+            [-5e11, -2e-4], _bounds((0.0, 1.0), (0.0, 1.0)), [[1.0, 1.0]], [1.0]
+        )
         solution = lp.solve()
-        assert solution.value("big") == pytest.approx(1.0)
+        assert solution.x[0] == pytest.approx(1.0)
+
+    def test_rows_equilibrated_and_zeros_dropped(self):
+        lp = LinearProgram(
+            [2.0, -4.0],
+            _bounds((0.0, 1.0), (0.0, 1.0)),
+            [[0.0, -8.0], [0.0, 0.0]],
+            [4.0, 3.0],
+            a_eq=[[1e-12, 2e-12]],
+            b_eq=[1e-12],
+        )
+        c, a_ub, b_ub, a_eq, b_eq, bounds = lp.standard_form()
+        np.testing.assert_array_equal(c, [0.5, -1.0])
+        assert a_ub.nnz == 1  # the zeros left the structure
+        np.testing.assert_array_equal(a_ub.toarray(), [[0.0, -1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(b_ub, [0.5, 3.0])  # empty row: scale 1
+        np.testing.assert_array_equal(a_eq.toarray(), [[0.5, 1.0]])
+        np.testing.assert_array_equal(b_eq, [0.5])
+        np.testing.assert_array_equal(bounds, lp.bounds)
 
 
 class TestSequentialFix:
@@ -104,31 +120,32 @@ class TestSequentialFix:
         """Build an SF instance from explicit weights and conflicts.
 
         The relaxed LP carries pairwise conflict constraints, mirroring
-        how the scheduler encodes constraint (22).
+        how the scheduler encodes constraint (22); the result maps each
+        key to its 0/1 value.
         """
-
-        def build_lp(fixed):
-            lp = LinearProgram()
-            for key, weight in weights.items():
-                lp.add_variable(key, objective=-weight, lower=0.0, upper=1.0)
-            for key, value in fixed.items():
-                lp.fix_variable(key, value)
-            seen = set()
-            for key, others in conflicts_map.items():
-                for other in others:
-                    pair = tuple(sorted((key, other)))
-                    if pair not in seen:
-                        seen.add(pair)
-                        lp.add_constraint(
-                            {pair[0]: 1.0, pair[1]: 1.0}, Sense.LE, 1.0
-                        )
-            return lp
-
-        return sequential_fix(
-            sorted(weights),
-            build_lp,
-            lambda key: conflicts_map.get(key, []),
+        keys = sorted(weights)
+        column = {key: i for i, key in enumerate(keys)}
+        pairs = sorted(
+            {tuple(sorted((k, o))) for k, others in conflicts_map.items() for o in others}
         )
+        a_ub = np.zeros((len(pairs), len(keys)))
+        for row, pair in enumerate(pairs):
+            a_ub[row, [column[pair[0]], column[pair[1]]]] = 1.0
+        lp = LinearProgram(
+            [-weights[k] for k in keys],
+            np.tile([0.0, 1.0], (len(keys), 1)),
+            a_ub if pairs else None,
+            np.ones(len(pairs)) if pairs else None,
+        )
+
+        def conflicts(col):
+            mask = np.zeros(len(keys), dtype=bool)
+            for other in conflicts_map.get(keys[col], []):
+                mask[column[other]] = True
+            return mask
+
+        result = sequential_fix(lp, np.arange(len(keys)), conflicts)
+        return dict(zip(keys, result.values.tolist()))
 
     def test_no_conflicts_selects_everything(self):
         result = self._matching_problem({"a": 1.0, "b": 2.0}, {})
@@ -141,18 +158,13 @@ class TestSequentialFix:
         assert result == {"a": 1, "b": 0}
 
     def test_zero_weights_all_unscheduled(self):
-        def build_lp(fixed):
-            lp = LinearProgram()
-            for key in ("a", "b"):
-                lp.add_variable(key, objective=0.0, lower=0.0, upper=1.0)
-            for key, value in fixed.items():
-                lp.fix_variable(key, value)
-            # Push toward zero so the relaxation leaves them there.
-            lp.add_constraint({"a": 1.0, "b": 1.0}, Sense.LE, 0.0)
-            return lp
-
-        result = sequential_fix(["a", "b"], build_lp, lambda key: [])
-        assert result == {"a": 0, "b": 0}
+        # Push toward zero so the relaxation leaves them there.
+        lp = LinearProgram(
+            [0.0, 0.0], np.tile([0.0, 1.0], (2, 1)), [[1.0, 1.0]], [0.0]
+        )
+        result = sequential_fix(lp, np.arange(2), lambda col: np.zeros(2, bool))
+        assert result.values.tolist() == [0, 0]
+        assert result.selected.size == 0
 
     def test_chain_conflicts(self):
         # a conflicts with b, b with c: optimal is {a, c}.
@@ -162,27 +174,29 @@ class TestSequentialFix:
         )
         assert result == {"a": 1, "b": 0, "c": 1}
 
-    def test_missing_variable_in_builder_raises(self):
-        def build_lp(fixed):
-            lp = LinearProgram()
-            lp.add_variable("a", objective=-1.0, upper=1.0)
-            return lp
+    def test_ties_break_by_rank_and_selection_keeps_fix_order(self):
+        # All three sit at 1 in the relaxation; 0 and 1 conflict, so
+        # the lower-ranked of the two is fixed first and wins.
+        lp = LinearProgram([-1.0, -1.0, -1.0], np.tile([0.0, 1.0], (3, 1)))
 
-        with pytest.raises(SolverError, match="omitted"):
-            sequential_fix(["a", "b"], build_lp, lambda key: [])
+        def conflicts(col):
+            return np.array([col == 1, col == 0, False])
+
+        first = sequential_fix(lp, np.array([1, 0, 2]), conflicts)
+        assert first.values.tolist() == [0, 1, 1]
+        assert first.selected.tolist() == [1, 2]
+        second = sequential_fix(lp, np.array([2, 1, 0]), conflicts)
+        assert second.values.tolist() == [0, 1, 1]
+        # The selection comes back in fixing order, not column order.
+        assert second.selected.tolist() == [2, 1]
 
     def test_iteration_cap(self):
-        def build_lp(fixed):
-            lp = LinearProgram()
-            lp.add_variable("a", objective=-1.0, upper=1.0)
-            lp.add_variable("b", objective=-1.0, upper=1.0)
-            for key, value in fixed.items():
-                lp.fix_variable(key, value)
-            return lp
-
+        lp = LinearProgram([-1.0, -1.0], np.tile([0.0, 1.0], (2, 1)))
         # max_iterations=0 forces immediate failure.
         with pytest.raises(SolverError, match="iterations"):
-            sequential_fix(["a", "b"], build_lp, lambda key: [], max_iterations=0)
+            sequential_fix(
+                lp, np.arange(2), lambda col: np.zeros(2, bool), max_iterations=0
+            )
 
 
 class TestBisection:

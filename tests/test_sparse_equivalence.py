@@ -136,17 +136,6 @@ class TestTopologyEquivalence:
         np.testing.assert_array_equal(auto.gains, dense.gains)
         np.testing.assert_array_equal(auto.distances, dense.distances)
 
-    def test_link_index_matrix_roundtrip(self, built):
-        _, sparse = built
-        tx, rx = sparse.link_arrays()
-        np.testing.assert_array_equal(
-            sparse.link_positions_of(tx, rx), np.arange(tx.shape[0])
-        )
-        # A deliberately absent pair maps to -1.
-        missing_tx = np.array([tx[0]])
-        missing_rx = np.array([tx[0]])  # self-loop is never a candidate
-        assert sparse.link_positions_of(missing_tx, missing_rx)[0] == -1
-
 
 class TestRunEquivalence:
     """Full-run bit-identity, dense vs sparse, across variants."""
