@@ -92,6 +92,18 @@ class SlotObservation:
         )
         return bps * params.slot_seconds / params.sessions.packet_size_bits
 
+    def band_noise_w(self, model: "NetworkModel") -> BandVec:
+        """``(M,)`` thermal-noise powers ``eta W_m(t)`` of the slot's bands."""
+        num_bands = model.spectrum.num_bands
+        return np.fromiter(
+            (
+                model.noise_power_w(self.bands.bandwidth(band))
+                for band in range(num_bands)
+            ),
+            dtype=float,
+            count=num_bands,
+        )
+
     def link_band_member(
         self, model: "NetworkModel", rows: Optional[LinkIds] = None
     ) -> LinkBandMat:

@@ -86,10 +86,11 @@ class _Candidates(NamedTuple):
     """S1 candidate link-bands as parallel ``(B,)`` arrays.
 
     Built from the :meth:`LinkScheduler._candidate_grid` survivors in
-    grid order: link index, then ascending band.  Ascending band order
-    equals the common-band frozenset order of the historical candidate
-    dict whenever every band id is below 8 (small ints hash to
-    themselves); every pinned scenario and workload has M = 5.
+    grid order: link index, then ascending band.  The matching
+    tie-break depends on this order, and the pinned trajectories were
+    recorded in common-band frozenset order; the two agree whenever
+    every band id is below 8 (small ints hash to themselves), and every
+    pinned scenario and workload has M = 5.
     """
 
     pos: LinkIds
@@ -121,7 +122,8 @@ class _RadioBudget:
 
     def __call__(self, column: int) -> AnyArray:
         cand = self._cand
-        tx, rx, band = int(cand.tx[column]), int(cand.rx[column]), int(cand.band[column])
+        tx, rx = int(cand.tx[column]), int(cand.rx[column])
+        band = int(cand.band[column])
         self._usage[[tx, rx]] += 1
         self._band_used[[tx, rx], band] = True
         blocked = (cand.band == band) & (
@@ -152,8 +154,8 @@ def _appearance_groups(values: AnyArray) -> Tuple[AnyArray, AnyArray, AnyArray]:
 def _repr_rank(cand: _Candidates) -> AnyArray:
     """Rank of each candidate's ``repr((tx, rx, band))`` in string order.
 
-    The SF tie-break of the historical keyed scheduler, computed once
-    per slot.
+    The SF tie-break among equal LP values (the pinned trajectories
+    were recorded with it), computed once per slot.
     """
     text = [
         repr(key) for key in zip(cand.tx.tolist(), cand.rx.tolist(), cand.band.tolist())
@@ -255,20 +257,12 @@ class LinkScheduler:
         if active.size == 0:
             return None
 
-        num_bands = static.band_member.shape[1]
         service = observation.band_service_pkts(self._model)
         member = observation.link_band_member(self._model, active)
         keep = member & (service[None, :] > 0.0)
         weight = (beta * h_arr[active])[:, None] * service[None, :]
         if energy_prices is not None:
-            noise = np.fromiter(
-                (
-                    self._model.noise_power_w(observation.bands.bandwidth(band))
-                    for band in range(num_bands)
-                ),
-                dtype=float,
-                count=num_bands,
-            )
+            noise = observation.band_noise_w(self._model)
             tx_idx = static.link_tx[active]
             rx_idx = static.link_rx[active]
             if observation.gains is not None:
@@ -350,17 +344,9 @@ class LinkScheduler:
         """
         threshold = self._model.params.sinr_threshold
         gains = self._gains(observation)
-        num_bands = self._static.band_member.shape[1]
         tx, rx, band = cand.tx, cand.rx, cand.band
         num = tx.shape[0]
-        noise = np.fromiter(
-            (
-                self._model.noise_power_w(observation.bands.bandwidth(m))
-                for m in range(num_bands)
-            ),
-            dtype=float,
-            count=num_bands,
-        )[band]
+        noise = observation.band_noise_w(self._model)[band]
         big_m = np.fromiter(
             (
                 big_m_coefficient(gains, t, r, n, threshold, self._model.max_power_w)
@@ -453,14 +439,13 @@ class LinkScheduler:
             ),
             rhs,
         )
-        result = sequential_fix(
+        chosen = sequential_fix(
             lp,
             _repr_rank(cand),
             _RadioBudget(cand, self._radios_arr, self._static.band_member.shape[1]),
             check_feasibility=sinr,
             zero_with=zero_with,
         )
-        chosen = result.selected
         return cand.pos[chosen].tolist(), cand.band[chosen].tolist()
 
     def _select_matching(self, cand: _Candidates) -> Tuple[List[int], List[int]]:

@@ -171,23 +171,19 @@ class RelaxedLpController:
         self, observation: SlotObservation, link_gain: LinkVec
     ) -> LinkBandMat:
         """``(L, M)`` zero-interference minimal powers ``Gamma eta W_m / g``."""
-        model = self._model
-        noise = np.fromiter(
-            (
-                model.noise_power_w(observation.bands.bandwidth(band))
-                for band in range(model.spectrum.num_bands)
-            ),
-            dtype=float,
-            count=model.spectrum.num_bands,
-        )
-        return (model.params.sinr_threshold * noise)[None, :] / link_gain[:, None]
+        noise = observation.band_noise_w(self._model)
+        threshold = self._model.params.sinr_threshold
+        return (threshold * noise)[None, :] / link_gain[:, None]
 
     def _build_lp(
         self, observation: SlotObservation, state: NetworkState
     ) -> Tuple[LinearProgram, _Layout]:
         """Assemble the slot's P3bar as sparse COO blocks.
 
-        Columns: activations ``a`` (link-major, then band), routing
+        Columns: activations ``a`` (link-major, then ascending band —
+        the common-band frozenset order the pinned runs were recorded
+        in, as long as every band id is below 8; all pinned scenarios
+        and workloads have M = 5), routing
         ``l`` (link-major, then session, skipping links out of the
         session's destination), admissions ``k`` (session-major, then
         base station), seven per-node energy columns, then ``P`` and
@@ -474,8 +470,9 @@ class RelaxedLpController:
             ),
         )
 
-        node_x = x[layout.node_start : layout.node_start + len(_NODE_COLS) * model.num_nodes]
-        r, cr, g, cg, d, slack, _ = node_x.reshape(-1, len(_NODE_COLS)).T.copy()
+        node_end = layout.node_start + len(_NODE_COLS) * model.num_nodes
+        node_x = x[layout.node_start : node_end].reshape(-1, len(_NODE_COLS))
+        r, cr, g, cg, d, slack, _ = node_x.T.copy()
         allocation = BatchAllocation(
             renewable_serve_j=r,
             renewable_charge_j=cr,

@@ -1,7 +1,7 @@
 """Numerical solvers: the matrix-in LP, sequential fix, bisection."""
 
 from repro.solvers.linprog import LinearProgram, LPSolution
-from repro.solvers.sequential_fix import FixResult, sequential_fix
+from repro.solvers.sequential_fix import sequential_fix
 from repro.solvers.bisection import (
     bisect_root,
     bisect_root_vec,
@@ -9,7 +9,6 @@ from repro.solvers.bisection import (
 )
 
 __all__ = [
-    "FixResult",
     "LinearProgram",
     "LPSolution",
     "sequential_fix",

@@ -152,11 +152,6 @@ class LinearProgram:
         """Number of columns."""
         return self.cost.shape[0]
 
-    @property
-    def num_constraints(self) -> int:
-        """Number of ``<=`` plus ``==`` rows."""
-        return sum(0 if a is None else a.shape[0] for a in (self.a_ub, self.a_eq))
-
     def fixed(self, columns: AnyArray, values: AnyArray) -> "LinearProgram":
         """A copy with ``columns`` pinned to ``values`` (bounds only).
 

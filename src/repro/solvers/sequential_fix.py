@@ -13,7 +13,7 @@ change on that matrix.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -26,18 +26,6 @@ from repro.solvers.linprog import LinearProgram
 ConflictFn = Callable[[int], AnyArray]
 
 
-class FixResult(NamedTuple):
-    """The SF outcome over the binary columns ``0 .. B-1``.
-
-    Attributes:
-        values: ``(B,)`` 0/1 assignment.
-        selected: the columns fixed to 1, in the order they were fixed.
-    """
-
-    values: AnyArray
-    selected: AnyArray
-
-
 def sequential_fix(
     lp: LinearProgram,
     rank: AnyArray,
@@ -46,8 +34,10 @@ def sequential_fix(
     max_iterations: Optional[int] = None,
     check_feasibility: bool = False,
     zero_with: Optional[AnyArray] = None,
-) -> FixResult:
-    """Run the SF loop and return a full 0/1 assignment.
+) -> AnyArray:
+    """Run the SF loop; return the columns fixed to 1, in fixing order.
+
+    Every other binary column ends fixed to 0.
 
     Args:
         lp: the relaxation; its first ``B = len(rank)`` columns are the
@@ -72,7 +62,6 @@ def sequential_fix(
             conflict callback that never zeroes anything).
     """
     num = rank.shape[0]
-    values = np.zeros(num, dtype=np.intp)
     remaining = np.ones(num, dtype=bool)
     selected: List[int] = []
     if max_iterations is None:
@@ -96,7 +85,6 @@ def sequential_fix(
                 fix_to_zero(np.arange(num) == column)
                 return
         lp = trial
-        values[column] = 1
         remaining[column] = False
         selected.append(column)
         fix_to_zero(conflicts(column) & remaining)
@@ -131,4 +119,4 @@ def sequential_fix(
 
         fix_to_one(best)
 
-    return FixResult(values=values, selected=np.array(selected, dtype=np.intp))
+    return np.array(selected, dtype=np.intp)

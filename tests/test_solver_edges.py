@@ -32,13 +32,13 @@ class TestCheckedSequentialFix:
             [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
             [1.5, 0.4],
         )
-        result = sequential_fix(
+        selected = sequential_fix(
             lp,
             np.arange(3),
             lambda col: np.zeros(3, dtype=bool),
             check_feasibility=check,
-        )
-        return dict(zip("abc", result.values.tolist()))
+        ).tolist()
+        return {key: int(col in selected) for col, key in enumerate("abc")}
 
     def test_checked_mode_falls_back_to_zero(self):
         result = self._coupled_instance(check=True)
