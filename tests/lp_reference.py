@@ -38,9 +38,6 @@ class KeyedLP:
     def has_variable(self, key):
         return key in self.objective
 
-    def fix_variable(self, key, value):
-        self.bounds[key] = (value, value)
-
     def add_constraint(self, coeffs, sense, rhs, name=""):
         clean = {k: v for k, v in coeffs.items() if v != 0.0}
         assert all(k in self.objective for k in clean), name
