@@ -8,6 +8,15 @@ carries nothing if every coefficient is non-negative), and each
 destination's required ``v_s(t)`` packets are forced onto its
 smallest-coefficient incoming link (constraint 18).
 
+Only the backpressure support is scored.  A coefficient can be negative
+only where ``Q_i^s > beta H_ij``, because ``Q >= 0`` and ``H >= 0``; the
+router keeps the links whose transmitter's largest backlog exceeds
+``beta H_ij`` (one ``(L,)`` gather) and builds the coefficients, masks
+and Eq.-(25) capacities on those rows alone.  The filter is exact in
+floating point (see :meth:`BackpressureRouter._route_remaining_links`),
+so a slot costs O(L) comparisons plus work on the few active links
+instead of a dozen ``(L, S)`` and ``(L, M)`` temporaries.
+
 Capacity modes (see DESIGN.md, "substitutions"):
 
 * ``POTENTIAL_CAPACITY`` (default) — a link may be assigned up to the
@@ -27,8 +36,7 @@ Capacity modes (see DESIGN.md, "substitutions"):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,18 +60,7 @@ from repro.core.arraystate import ArrayState, LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
-
-
-@dataclass(frozen=True)
-class _RouterStatic:
-    """Frozen per-run routing tables over the link index.
-
-    Attributes:
-        eligible: ``(L, S)`` constraint-(17) mask — True where neither
-            endpoint of link ``p`` is session ``c``'s destination.
-    """
-
-    eligible: LinkSessionMat
+from repro.types import Link
 
 
 class RouterMode(enum.Enum):
@@ -91,15 +88,10 @@ class BackpressureRouter:
         self._checker = checker
         # (17): destinations emit nothing; destination in-links are
         # handled by the constraint-(18) pass.  Roles never change
-        # mid-run, so the table is built once.
+        # mid-run, so the destinations are read once.
         sessions = model.sessions
-        dests: SessionToNode = np.fromiter(
+        self._dests: SessionToNode = np.fromiter(
             (s.destination for s in sessions), dtype=np.intp, count=len(sessions)
-        )
-        link_tx, link_rx = model.topology.link_arrays()
-        self._static = _RouterStatic(
-            eligible=(link_tx[:, None] != dests[None, :])
-            & (link_rx[:, None] != dests[None, :]),
         )
 
     @property
@@ -145,20 +137,16 @@ class BackpressureRouter:
         forced_pkts: List[float] = []
         topo = self._model.topology
         link_pos = arrays.link_pos
-
-        # Coefficient matrix ``(-Q_i^s + Q_j^s + beta H_ij)`` over
-        # (link, session); destination columns of Q are pinned at 0.0,
-        # so ``Q_j^s`` reads 0 where ``j`` is the session destination.
-        beta_h = self._constants.beta * h_backlogs.values_array
+        beta_h: LinkVec = self._constants.beta * h_backlogs.values_array
         q = arrays.q
-        coeff: LinkSessionMat = (
-            (-q[arrays.link_tx] + q[arrays.link_rx]) + beta_h[:, None]
-        )
 
         # Constraint (18): force v_s(t) onto the destination's
         # smallest-coefficient incoming candidate link.  One pass over
         # the S sessions, each scanning only its destination's in-links.
-        for session in self._model.sessions:  # noqa: R040 - S-sized pass over the destination in-links (constraint 18); the (L, S) bulk of S3 is the vectorized second pass
+        # Each coefficient ``-Q_i^s + Q_j^s + beta H_ij`` is evaluated in
+        # the association order of the matrix expression of the second
+        # pass; ``Q_j^s`` reads the destination's pinned 0.0.
+        for session in self._model.sessions:  # noqa: R040 - S-sized pass over the destination in-links (constraint 18); the bulk of S3 is the vectorized second pass
             dest = session.destination
             demand = session.demand(observation.slot)
             if demand <= 0:
@@ -166,12 +154,13 @@ class BackpressureRouter:
             col = arrays.session_col[session.session_id]
             # Constraint (16): the source has no incoming traffic —
             # irrelevant here since dest != source for a live session.
-            coefficients = {
-                (i, dest): coeff[link_pos[(i, dest)], col]
-                for i in topo.in_neighbors.get(dest, ())
-                if i != dest
-                and (allowed_mask is None or allowed_mask[link_pos[(i, dest)]])
-            }
+            coefficients: Dict[Link, float] = {}
+            for i in topo.in_neighbors.get(dest, ()):
+                if i == dest:
+                    continue
+                p = link_pos[(i, dest)]
+                if allowed_mask is None or allowed_mask[p]:
+                    coefficients[(i, dest)] = (-q[i, col] + q[dest, col]) + beta_h[p]
             if not coefficients:
                 continue
             best_value = min(coefficients.values())
@@ -183,7 +172,7 @@ class BackpressureRouter:
 
         # All other links: whole capacity to the most negative session.
         rest_pos, rest_col, rest_pkts = self._route_remaining_links(
-            coeff,
+            beta_h,
             arrays,
             observation,
             schedule,
@@ -206,7 +195,7 @@ class BackpressureRouter:
 
     def _route_remaining_links(
         self,
-        coeff: LinkSessionMat,
+        beta_h: LinkVec,
         arrays: ArrayState,
         observation: SlotObservation,
         schedule: ScheduleDecision,
@@ -216,21 +205,31 @@ class BackpressureRouter:
     ) -> Tuple[LinkIds, AnyArray, AnyArray]:
         """Second pass: each remaining link's whole capacity to the best session.
 
+        Only the backpressure support is scored: the ascending link
+        positions ``cand`` whose transmitter holds more than
+        ``beta H_ij`` of some session.  Every other link has no negative
+        coefficient, even after rounding.  With ``a = Q_i^s``,
+        ``b = Q_j^s >= 0`` and ``c = beta H_ij >= 0``, rounding is
+        monotone, so ``fl(-a + b) >= -a`` and, if ``a <= c``,
+        ``fl(fl(-a + b) + c) >= fl(-a + c) >= 0``.
+
         Eligibility, per-link capacity, the per-link minimum and the tie
-        sets all come out of ``(L, S)`` / ``(L, M)`` array expressions;
-        only links with a tied best session are visited in Python, in
-        frozen link-index order, which fixes the sequence of tie-break
-        RNG draws.  ``committed`` holds the link positions the
-        constraint-(18) pass already used.
+        sets come out of array expressions over the ``cand`` rows; only
+        links with a tied best session are visited in Python, in frozen
+        link-index order (``cand`` is ascending), which fixes the
+        sequence of tie-break RNG draws.  ``committed`` holds the link
+        positions the constraint-(18) pass already used.
 
         Returns:
             ``(link_pos, session_col, pkts)`` of the routed links, in
             link-index order.
         """
         params = self._model.params
-        static = self._static
+        q = arrays.q
+        cand: LinkIds = np.flatnonzero(q.max(axis=1)[arrays.link_tx] > beta_h)
+        tx, rx = arrays.link_tx[cand], arrays.link_rx[cand]
 
-        # Per-link Eq.-(25) capacity, as one (L,) expression.
+        # Per-link Eq.-(25) capacity of the candidate rows.
         if self._mode is RouterMode.POTENTIAL_CAPACITY:
             caps_bps: BandVec = np.fromiter(
                 (
@@ -242,7 +241,7 @@ class BackpressureRouter:
                 dtype=np.float64,
                 count=self._model.spectrum.num_bands,
             )
-            member: LinkBandMat = observation.link_band_member(self._model)
+            member: LinkBandMat = observation.link_band_member(self._model, cand)
             best_bps: LinkVec = np.max(
                 np.where(member, caps_bps[None, :], -np.inf),
                 axis=1,
@@ -253,26 +252,30 @@ class BackpressureRouter:
                 best_bps * params.slot_seconds / params.sessions.packet_size_bits
             )
         else:
-            capacity = schedule.service_vector(len(arrays.links))
+            capacity = schedule.service_vector(len(arrays.links))[cand]
 
-        active: LinkVec = capacity > 0.0
-        active[committed] = False
+        active: LinkVec = (capacity > 0.0) & ~np.isin(cand, committed)
         if allowed_mask is not None:
-            active &= allowed_mask
+            active &= allowed_mask[cand]
 
-        # (16): sources receive nothing; eligible coefficients are
-        # strictly negative; (17) via the static mask.
+        # Coefficients ``-Q_i^s + Q_j^s + beta H_ij`` of the candidate
+        # rows; destination columns of Q are pinned at 0.0.  (16):
+        # sources receive nothing; eligible coefficients are strictly
+        # negative; (17): neither endpoint is the session destination.
+        coeff: LinkSessionMat = (-q[tx] + q[rx]) + beta_h[cand][:, None]
+        dests = self._dests[None, :]
         mask: LinkSessionMat = (
-            static.eligible
+            (tx[:, None] != dests)
+            & (rx[:, None] != dests)
             & (coeff < 0.0)
-            & (admission.source_rows[None, :] != arrays.link_rx[:, None])
+            & (admission.source_rows[None, :] != rx[:, None])
             & active[:, None]
         )
-        routed: LinkIds = np.flatnonzero(mask.any(axis=1))
+        rows: LinkIds = np.flatnonzero(mask.any(axis=1))
         best_value: LinkVec = np.min(np.where(mask, coeff, np.inf), axis=1)
         ties: LinkSessionMat = mask & (coeff == best_value[:, None])
-        routed_ties = ties[routed]
+        routed_ties = ties[rows]
         cols = routed_ties.argmax(axis=1)
         for k in np.flatnonzero(routed_ties.sum(axis=1) > 1):
             cols[k] = self._rng.choice(np.flatnonzero(routed_ties[k]))
-        return routed, cols, capacity[routed]
+        return cand[rows], cols, capacity[rows]

@@ -13,13 +13,15 @@ These constants tie the whole analysis together:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
+from typing import Iterable, Tuple
 
 import numpy as np
 
+from repro.axes import AnyArray, LinkPackets, LinkToNode, NodeIds
+from repro.core.arraystate import seq_sum
 from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
-from repro.types import Link, NodeId
+from repro.types import NodeId
 
 
 @dataclass(frozen=True)
@@ -30,50 +32,75 @@ class LyapunovConstants:
         beta: virtual-queue scaling (packets).
         gamma_max: max marginal cost ``f'`` over feasible ``P`` (per J).
         drift_b: the Eq. (34) constant ``B``.
-        link_capacity_pkts: per-candidate-link worst-case service
-            ``c_max_ij * delta_t / delta`` (packets per slot).
+        link_capacity_pkts: ``(L,)`` per-candidate-link best single-band
+            service ``c_max_ij * delta_t / delta`` (packets per slot),
+            over the frozen link index.
+        link_service_bound_pkts: ``(L,)`` largest realised service of a
+            link in one slot: the sum of its ``min(R_i, R_j)`` largest
+            common-band capacities (packets per slot).  Equal to
+            ``link_capacity_pkts`` when either endpoint has one radio.
     """
 
     beta: float
     gamma_max: float
     drift_b: float
-    link_capacity_pkts: Mapping[Link, float]
+    link_capacity_pkts: LinkPackets
+    link_service_bound_pkts: LinkPackets
 
-    def max_service_pkts(self, node: NodeId, links: Iterable[Link]) -> float:
-        """Largest single-slot service of any one of ``node``'s links."""
-        caps = [
-            self.link_capacity_pkts[link] for link in links if link[0] == node
-        ]
-        return max(caps, default=0.0)
+    def max_service_pkts(self, node: NodeId, link_tx: LinkToNode) -> float:
+        """Largest single-band service of any one of ``node``'s out-links.
+
+        ``link_tx`` is the ``(L,)`` transmitter vector of the frozen
+        link index.
+        """
+        return float(self.link_capacity_pkts[link_tx == node].max(initial=0.0))
 
 
-def _per_link_max_packets(model: NetworkModel) -> Dict[Link, float]:
-    """``c_max_ij * delta_t / delta`` per candidate link (packets).
+def _per_link_max_packets(
+    model: NetworkModel, radios: NodeIds
+) -> Tuple[LinkPackets, LinkPackets]:
+    """Per-candidate-link single-band cap and multi-radio service bound.
 
-    The model's shared ``(L, M)`` common-band mask replaces a per-link
-    Python scan over common bands; the best common-band capacity is an exact
-    max over non-negative per-band capacities (0.0 where the band is
-    not shared), so the result is bit-identical to the scalar loop at
-    O(N + L M) instead of O(L M) Python-interpreted work.
+    Returns ``(cap, bound)``, both ``(L,)`` packets per slot over the
+    frozen link index.  ``cap`` is ``c_max_ij * delta_t / delta`` on the
+    best common band: scaling a band's capacity to packets is monotone,
+    so the max over the per-band packet capacities equals the scaled max
+    over bits per second bit for bit.  ``bound`` adds the common bands
+    in descending capacity order until ``min(R_i, R_j)`` radios are
+    used (constraint 22: a link takes one radio per band at each end);
+    with one radio it is the first, largest term, i.e. ``cap``.
     """
     params = model.params
     spectrum = model.spectrum
-    links = model.topology.candidate_links
-    if not links:
-        return {}
     delta_bits = params.sessions.packet_size_bits
-    band_caps = np.fromiter(
+    band_pkts = np.fromiter(
         (
             max_link_capacity_bps(band.max_bandwidth_hz, params.sinr_threshold)
+            * params.slot_seconds
+            / delta_bits
             for band in spectrum.bands
         ),
         dtype=float,
         count=spectrum.num_bands,
     )
     member = model.link_band_member
-    best_bps = np.where(member, band_caps[np.newaxis, :], 0.0).max(axis=1)
-    pkts = best_bps * params.slot_seconds / delta_bits
-    return dict(zip(links, pkts.tolist()))
+    cap = np.where(member, band_pkts[np.newaxis, :], 0.0).max(axis=1, initial=0.0)
+    link_tx, link_rx = model.topology.link_arrays()
+    budget = np.minimum(radios[link_tx], radios[link_rx])
+    bound = np.zeros(len(link_tx))
+    used = np.zeros(len(link_tx), dtype=np.intp)
+    for band in np.argsort(-band_pkts, kind="stable"):
+        shared = member[:, band]
+        bound += np.where(shared & (used < budget), band_pkts[band], 0.0)
+        used += shared
+    return cap, bound
+
+
+def _squares(values: AnyArray) -> AnyArray:
+    """Elementwise ``v ** 2`` as Python's float ``**`` computes it (libm
+    ``pow``); ``v * v``, which ``np.square`` and ``v ** 2`` compute,
+    differs from it in the last bit for about 0.1% of values."""
+    return np.float_power(values, 2.0)
 
 
 def compute_constants(model: NetworkModel) -> LyapunovConstants:
@@ -85,43 +112,47 @@ def compute_constants(model: NetworkModel) -> LyapunovConstants:
       (largest outgoing link) plus squared worst-case arrivals
       (largest incoming link, plus ``K_max`` at base stations, which
       are the only possible session sources);
-    * virtual queues: ``(beta * c_max_ij delta_t / delta)^2`` per link
-      — both the arrival and service of ``H_ij`` are bounded by this;
+    * virtual queues: ``(beta * s_ij)^2`` per link, with ``s_ij`` the
+      link's multi-radio service bound — both the arrival (at most the
+      potential or scheduled capacity) and the service of ``H_ij`` are
+      bounded by it;
     * energy queues: ``max(c_max_i, d_max_i)^2 / 2`` per node.
+
+    The data and virtual terms are summed sequentially in node-major,
+    then link order.
     """
     params = model.params
-    link_caps = _per_link_max_packets(model)
-    beta = max(link_caps.values(), default=0.0)
+    radios = np.fromiter(
+        (node.radio.num_radios for node in model.nodes),
+        dtype=np.intp,
+        count=model.num_nodes,
+    )
+    link_caps, link_bound = _per_link_max_packets(model, radios)
+    beta = float(link_caps.max(initial=0.0))
     if beta <= 0:
         beta = 1.0  # degenerate no-capacity network; keep H well-defined
 
     gamma_max = model.max_marginal_cost()
 
     k_max = params.sessions.k_max(params.slot_seconds)
-    bs_set = set(model.bs_ids)
 
     # Per-node worst-case outgoing/incoming link service in one O(L)
-    # pass (running max is exact, so this matches the old per-node
-    # scans bit for bit at O(N + L) instead of O(N * L)).
-    out_cap = [0.0] * model.num_nodes
-    in_cap = [0.0] * model.num_nodes
-    for (tx, rx), cap in link_caps.items():
-        if cap > out_cap[tx]:
-            out_cap[tx] = cap
-        if cap > in_cap[rx]:
-            in_cap[rx] = cap
+    # pass (running max is exact).
+    link_tx, link_rx = model.topology.link_arrays()
+    out_cap = np.zeros(model.num_nodes)
+    in_cap = np.zeros(model.num_nodes)
+    np.maximum.at(out_cap, link_tx, link_caps)
+    np.maximum.at(in_cap, link_rx, link_caps)
 
-    data_term = 0.0
-    for node in range(model.num_nodes):
-        # With R radios a node can serve/receive up to R links at once.
-        radios = model.nodes[node].radio.num_radios
-        max_out = radios * out_cap[node]
-        max_in = radios * in_cap[node]
-        admission = float(k_max) if node in bs_set else 0.0
-        for _session in model.sessions:
-            data_term += 0.5 * (max_out**2 + (max_in + admission) ** 2)
+    # With R radios a node can serve/receive up to R links at once.
+    admission = np.zeros(model.num_nodes)
+    admission[list(model.bs_ids)] = float(k_max)
+    per_session = 0.5 * (
+        _squares(radios * out_cap) + _squares(radios * in_cap + admission)
+    )
+    data_term = seq_sum(np.repeat(per_session, len(model.sessions)))
 
-    virtual_term = sum((beta * cap) ** 2 for cap in link_caps.values())
+    virtual_term = seq_sum(_squares(beta * link_bound))
 
     energy_term = 0.0
     for node in model.nodes:
@@ -134,6 +165,7 @@ def compute_constants(model: NetworkModel) -> LyapunovConstants:
         gamma_max=gamma_max,
         drift_b=data_term + virtual_term + energy_term,
         link_capacity_pkts=link_caps,
+        link_service_bound_pkts=link_bound,
     )
 
 

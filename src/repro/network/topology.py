@@ -407,8 +407,16 @@ def _build_topology_grid(
         positions, params.propagation_constant, params.path_loss_exponent
     )
     if materialize_dense:
-        diffs = positions[:, None, :] - positions[None, :, :]  # noqa: R041 - small-N back-compat materialisation, gated by DENSE_MATERIALIZE_MAX
-        distances = np.sqrt((diffs**2).sum(axis=2))
+        # dx^2 + dy^2 in place: the sum ``(diffs**2).sum(axis=2)`` forms
+        # over an (N, N, 2) difference array, bit for bit, with two
+        # (N, N) buffers instead of two (N, N, 2) temporaries; the second
+        # is freed before the gain matrix is built.
+        gap_x, gap_y = (c[:, None] - c[None, :] for c in positions.T)  # noqa: R041 - small-N back-compat materialisation, gated by DENSE_MATERIALIZE_MAX
+        gap_x *= gap_x
+        gap_y *= gap_y
+        gap_x += gap_y
+        del gap_y
+        distances = np.sqrt(gap_x, out=gap_x)
         gains = gain_matrix(
             distances, params.propagation_constant, params.path_loss_exponent
         )

@@ -183,20 +183,17 @@ class NetworkState:
     # ------------------------------------------------------------------
 
     def reset_caches(self) -> None:
-        """Invalidate every derived per-slot cache.
+        """Invalidate every derived per-slot cache and rebuild the sampling plan.
 
         Call after rebinding ``mobility``, ``grids`` or ``renewables``
-        on a live state (e.g. scripted-outage experiments) so a stale
-        gain view or sampling plan can never leak across
-        reconfigured runs.  Idempotent and cheap.
+        on a live state (e.g. scripted-outage experiments): the
+        sampling plan is built here only, so a swapped component is
+        not sampled until this runs, and a stale gain view or sampling
+        plan can never leak across reconfigured runs.  Idempotent; O(N).
         """
         self._gains_cache_slot = -1
         self._gains_cache: Optional[ComputedPairGains] = None
-        self._plan_token: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
-        self._renewable_draws: List[Tuple[NodeId, RenewableProcess]] = []
-        self._grid_draws: List[Tuple[NodeId, GridConnection]] = []
-        self._grid_static = np.zeros(0, dtype=bool)
-        self._grid_caps = np.zeros(0)
+        self._refresh_sampling_plan()
 
     def _current_gains(self, slot: int) -> Optional[ComputedPairGains]:
         """The slot's pair-gain view under mobility; None when static.
@@ -219,22 +216,17 @@ class NetworkState:
         return self._gains_cache
 
     def _refresh_sampling_plan(self) -> None:
-        """Re-classify renewable/grid components for batched sampling.
+        """Classify renewable/grid components for batched sampling.
 
-        Cold path: rebuilt only when the component bindings change
-        (detected by object identity, so experiments that swap in e.g.
-        a ``ScriptedGridConnection`` are picked up automatically).
+        Cold path: runs from :meth:`reset_caches` only, so it sees the
+        component bindings of construction time or of the last
+        ``reset_caches()`` call; a component swapped in later (e.g. a
+        ``ScriptedGridConnection``) is ignored until that call.
         Components that never draw — zero renewables, grids pinned
         connected or disconnected — are precomputed as constants;
         everything else keeps its own per-slot ``sample`` call in node
         order.
         """
-        token = (
-            tuple(map(id, self.renewables.values())),
-            tuple(map(id, self.grids.values())),
-        )
-        if token == self._plan_token:
-            return
         renewable_draws: List[Tuple[NodeId, RenewableProcess]] = []
         for node, process in self.renewables.items():
             if type(process) is not ZeroRenewableProcess:
@@ -256,7 +248,6 @@ class NetworkState:
             dtype=float,
             count=self.model.num_nodes,
         )
-        self._plan_token = token
 
     def observe(self, slot: int) -> SlotObservation:
         """Sample the slot's random state (bands, renewables, grid).
@@ -272,7 +263,6 @@ class NetworkState:
         if self.availability is not None:
             self.availability.advance_to(slot)
             band_access = self.availability.mask(self.model.band_access)
-        self._refresh_sampling_plan()
         bands = self.model.spectrum.sample(slot)
         renewable = np.zeros(self.model.num_nodes)
         for node, process in self._renewable_draws:
@@ -310,13 +300,13 @@ class NetworkState:
         )
 
     def grid_caps_array(self) -> np.ndarray:
-        """``(N,)`` grid draw caps, rebuilt when grid bindings change.
+        """``(N,)`` grid draw caps, rebuilt by :meth:`reset_caches`.
 
         Values are the same floats the per-node
-        ``grids[node].draw_cap_j`` reads return; the batched controller
-        uses this to assemble S4 inputs without a per-node loop.
+        ``grids[node].draw_cap_j`` reads returned when the plan was
+        built; the batched controller uses this to assemble S4 inputs
+        without a per-node loop.
         """
-        self._refresh_sampling_plan()
         return self._grid_caps
 
     def z_values(self) -> Mapping[NodeId, float]:

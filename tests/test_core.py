@@ -13,14 +13,56 @@ from repro.core import (
 from repro.core.drift import compute_drift_terms
 
 
+def _scalar_drift_b(model):
+    """Eq. 34's ``B`` by the per-link and per-node loops (single-band caps)."""
+    from repro.phy.capacity import max_link_capacity_bps
+
+    params = model.params
+    member = model.link_band_member
+    caps = {}
+    for p, link in enumerate(model.topology.candidate_links):
+        best = max(
+            (
+                max_link_capacity_bps(
+                    model.spectrum.bands[m].max_bandwidth_hz, params.sinr_threshold
+                )
+                for m in np.flatnonzero(member[p])
+            ),
+            default=0.0,
+        )
+        caps[link] = best * params.slot_seconds / params.sessions.packet_size_bits
+    beta = max(caps.values())
+    k_max = params.sessions.k_max(params.slot_seconds)
+    out_cap = [0.0] * model.num_nodes
+    in_cap = [0.0] * model.num_nodes
+    for (tx, rx), cap in caps.items():
+        out_cap[tx] = max(out_cap[tx], cap)
+        in_cap[rx] = max(in_cap[rx], cap)
+    data_term = 0.0
+    for node in range(model.num_nodes):
+        radios = model.nodes[node].radio.num_radios
+        admission = float(k_max) if node in model.bs_ids else 0.0
+        for _session in model.sessions:
+            data_term += 0.5 * (
+                (radios * out_cap[node]) ** 2
+                + (radios * in_cap[node] + admission) ** 2
+            )
+    virtual_term = sum((beta * cap) ** 2 for cap in caps.values())
+    energy_term = 0.0
+    for node in model.nodes:
+        energy = node.energy
+        energy_term += 0.5 * max(energy.charge_cap_j, energy.discharge_cap_j) ** 2
+    return data_term + virtual_term + energy_term
+
+
 class TestLyapunovConstants:
     def test_beta_is_max_link_capacity(self, tiny_model, tiny_constants):
-        assert tiny_constants.beta == pytest.approx(
-            max(tiny_constants.link_capacity_pkts.values())
-        )
+        caps = tiny_constants.link_capacity_pkts
+        assert caps.shape == (len(tiny_model.topology.candidate_links),)
+        assert tiny_constants.beta == pytest.approx(caps.max())
 
     def test_link_capacities_positive(self, tiny_constants):
-        assert all(c > 0 for c in tiny_constants.link_capacity_pkts.values())
+        assert np.all(tiny_constants.link_capacity_pkts > 0)
 
     def test_gamma_max_is_derivative_at_cap(self, tiny_model, tiny_constants):
         expected = tiny_model.cost.derivative(tiny_model.total_grid_cap_j())
@@ -46,14 +88,42 @@ class TestLyapunovConstants:
         bigger = build_network_model(params, np.random.default_rng(0))
         assert compute_constants(bigger).drift_b > compute_constants(base).drift_b
 
-    def test_max_service_pkts(self, tiny_constants):
-        links = list(tiny_constants.link_capacity_pkts)
+    def test_max_service_pkts(self, tiny_model, tiny_constants):
+        links = tiny_model.topology.candidate_links
+        link_tx, _ = tiny_model.topology.link_arrays()
+        caps = tiny_constants.link_capacity_pkts
         node = links[0][0]
-        expected = max(
-            cap for (tx, _), cap in tiny_constants.link_capacity_pkts.items()
-            if tx == node
-        )
-        assert tiny_constants.max_service_pkts(node, links) == pytest.approx(expected)
+        expected = max(cap for (tx, _), cap in zip(links, caps) if tx == node)
+        assert tiny_constants.max_service_pkts(node, link_tx) == expected
+
+    @pytest.mark.parametrize(
+        "factory, radios",
+        [("tiny_scenario", None), ("small_scenario", None), ("tiny_scenario", (3, 1))],
+        ids=["tiny", "small", "tiny_mixed_radios"],
+    )
+    def test_b_matches_scalar_loop(self, factory, radios):
+        # With one radio at an endpoint of every link (one base station
+        # with 3 radios, users with 1), the array computation reproduces
+        # the per-link / per-node loops bit for bit.
+        import dataclasses
+
+        import repro.config as config
+        from repro.model import build_network_model
+
+        params = getattr(config, factory)()
+        if radios is not None:
+            params = dataclasses.replace(
+                params,
+                bs_node=dataclasses.replace(params.bs_node, num_radios=radios[0]),
+                user_node=dataclasses.replace(params.user_node, num_radios=radios[1]),
+            )
+        model = build_network_model(params, np.random.default_rng(params.seed))
+        constants = compute_constants(model)
+        assert constants.drift_b == _scalar_drift_b(model)
+
+    def test_service_bound_is_the_cap_with_one_radio(self, tiny_constants):
+        caps = tiny_constants.link_capacity_pkts
+        assert tiny_constants.link_service_bound_pkts.tobytes() == caps.tobytes()
 
 
 class TestLyapunovValue:

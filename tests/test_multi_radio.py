@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import tiny_scenario
+from repro.config import small_scenario, tiny_scenario
 from repro.control import LinkScheduler
 from repro.core import compute_constants
 from repro.exceptions import SolverError
@@ -17,8 +17,8 @@ from repro.types import SchedulerKind
 from tests.helpers import link_view
 
 
-def _multi_radio_params(bs_radios=3, user_radios=1, **kwargs):
-    params = tiny_scenario(**kwargs)
+def _multi_radio_params(bs_radios=3, user_radios=1, factory=tiny_scenario, **kwargs):
+    params = factory(**kwargs)
     return dataclasses.replace(
         params,
         bs_node=dataclasses.replace(params.bs_node, num_radios=bs_radios),
@@ -149,3 +149,36 @@ class TestMultiRadioScheduling:
             dataclasses.replace(
                 tiny_scenario().bs_node, num_radios=0
             )
+
+
+class TestServiceBound:
+    """The Eq. 34 virtual term squares a bound on every realised service."""
+
+    @pytest.mark.parametrize("kind", [SchedulerKind.GREEDY, SchedulerKind.SEQUENTIAL_FIX])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            _multi_radio_params(3, 3, num_slots=8),
+            _multi_radio_params(3, 3, small_scenario, num_slots=10),
+        ],
+        ids=["tiny", "small"],
+    )
+    def test_realised_service_within_bound(self, params, kind):
+        sim = SlotSimulator.integral(params, scheduler_kind=kind)
+        constants = sim.constants
+        bound = constants.link_service_bound_pkts
+        widest = 0.0
+        for slot in range(params.num_slots):
+            decision = sim.step(slot)
+            pos = decision.schedule.service_pos
+            service = decision.schedule.service_pkts
+            # The bound adds band capacities in descending order, the
+            # service in schedule order: allow the last bit.
+            assert np.all(service <= bound[pos] * (1 + 1e-12)), slot
+            if pos.size:
+                ratio = service / constants.link_capacity_pkts[pos]
+                widest = max(widest, float(ratio.max()))
+        # Links are served on several bands at once: the best single
+        # band's capacity alone does not bound the service.
+        assert widest > 2.0
+        assert np.all(bound >= constants.link_capacity_pkts)

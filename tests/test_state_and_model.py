@@ -125,3 +125,23 @@ class TestNetworkState:
                 assert 0 <= level <= node_obj.energy.battery_capacity_j
                 # The energy queue mirrors the battery exactly.
                 assert tiny_state.energy_queues[node].level_j == pytest.approx(level)
+
+    def test_reset_caches_picks_up_a_swapped_grid(self, tiny_state, tiny_model):
+        # The sampling plan is built by reset_caches() only: a grid
+        # rebound on a live state is sampled once that call is made.
+        from repro.energy import ScriptedGridConnection
+
+        bs = tiny_model.bs_ids[0]
+        old_cap = tiny_state.grids[bs].draw_cap_j
+        new_cap = 0.5 * old_cap
+        tiny_state.grids[bs] = ScriptedGridConnection(
+            new_cap, 1.0, np.random.default_rng(5), outages=[(3, 6)]
+        )
+        tiny_state.reset_caches()
+        caps = tiny_state.grid_caps_array()
+        assert caps[bs] == new_cap
+        others = [n for n in range(tiny_model.num_nodes) if n != bs]
+        assert list(caps[others]) == [tiny_state.grids[n].draw_cap_j for n in others]
+        for slot in range(8):
+            connected = tiny_state.observe(slot).grid_connected[bs]
+            assert connected == (not 3 <= slot < 6), slot
