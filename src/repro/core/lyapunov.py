@@ -144,9 +144,9 @@ def compute_constants(model: NetworkModel) -> LyapunovConstants:
     np.maximum.at(out_cap, link_tx, link_caps)
     np.maximum.at(in_cap, link_rx, link_caps)
 
-    # With R radios a node can serve/receive up to R links at once.
     admission = np.zeros(model.num_nodes)
     admission[list(model.bs_ids)] = float(k_max)
+    # With R radios a node can serve/receive up to R links at once.
     per_session = 0.5 * (
         _squares(radios * out_cap) + _squares(radios * in_cap + admission)
     )
