@@ -1,23 +1,17 @@
-"""Scale benchmark: slots/sec of the sparse topology path out to U=100k.
+"""Scale benchmark: slots/sec of the grid-built topology out to U=100k.
 
 Grows the paper's Section-VI scenario at constant spatial density —
-area side ``2000 * sqrt(U / 20)`` metres, one base station per ten
+area side ``2000 * sqrt(U / 20)`` metres, one base station per six
 users on a grid — so per-node neighbourhood size stays fixed and the
 candidate-link count grows linearly in U.  Each scale runs the GREEDY
-closed loop in ``sparse`` topology mode (the dense O(N^2) matrices are
-never materialised) and reports:
+closed loop on the grid-built topology (above 2048 nodes no O(N^2)
+gain matrix is cached) and reports:
 
 * ``build_s`` — node/model/topology construction time (the grid-bucket
   link enumeration dominates this at large U);
 * ``first_slot_s`` — slot 0, which pays the one-time scheduler/router
   static-table builds on top of the steady per-slot cost;
 * ``slots_per_sec`` — steady-state rate over the remaining slots.
-
-Before timing, the U=200 scale is run twice — ``dense`` reference vs
-``sparse`` — and every per-slot decision (transmissions, service,
-admission, routing rates, curtailment) plus the final queue/battery
-state is compared exactly; ``paths_match`` in the report records that
-the sparse path walked the bit-identical trajectory.
 
 The full mode finishes with a million-user smoke: topology build plus
 one closed-loop slot at U=1e6 (no rate is derived from a single slot;
@@ -43,15 +37,13 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 _REPO = Path(__file__).resolve().parent.parent
 try:  # pragma: no cover - path shim for direct invocation
     import repro  # noqa: F401
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(_REPO / "src"))
-
-import numpy as np
 
 from repro.config import paper_scenario
 from repro.config.parameters import ScenarioParameters
@@ -94,9 +86,7 @@ MILLION_USERS = 1_000_000
 GATE_FRACTION = 0.5
 
 
-def scale_scenario(
-    num_users: int, num_slots: int, topology_mode: str = "sparse"
-) -> ScenarioParameters:
+def scale_scenario(num_users: int, num_slots: int) -> ScenarioParameters:
     """The Section-VI scenario grown at constant spatial density."""
     side = 2000.0 * math.sqrt(num_users / 20.0)
     num_bs = max(2, num_users // USERS_PER_BS)
@@ -112,56 +102,11 @@ def scale_scenario(
         # Renewable sampling is O(N) noise on top of the layers this
         # benchmark measures (topology + scheduling + queues).
         renewables_enabled=False,
-        topology_mode=topology_mode,
     )
 
 
 def _build(params: ScenarioParameters) -> SlotSimulator:
     return SlotSimulator.integral(params, scheduler_kind=SchedulerKind.GREEDY)
-
-
-def _decision_fingerprint(decision) -> Tuple:
-    """Everything a slot decided, as an exactly comparable tuple."""
-    return (
-        tuple(decision.schedule.transmissions),
-        tuple(decision.schedule.link_service_pkts.items()),
-        tuple(decision.schedule.dropped),
-        tuple(decision.admission.sources.items()),
-        tuple(decision.admission.admitted.items()),
-        tuple(decision.routing.rates.items()),
-        tuple(decision.curtailed),
-    )
-
-
-def _run_fingerprints(params: ScenarioParameters) -> Tuple[List, Dict]:
-    sim = _build(params)
-    decisions = [
-        _decision_fingerprint(sim.step(slot))
-        for slot in range(params.num_slots)
-    ]
-    arrays = sim.state.arrays
-    final = {
-        "q": arrays.q.copy(),
-        "g": arrays.g.copy(),
-        "battery": arrays.battery_level.copy(),
-    }
-    return decisions, final
-
-
-def check_equivalence(num_users: int, num_slots: int) -> bool:
-    """Dense vs sparse bit-identity of a full run at ``num_users``."""
-    dense_dec, dense_final = _run_fingerprints(
-        scale_scenario(num_users, num_slots, topology_mode="dense")
-    )
-    sparse_dec, sparse_final = _run_fingerprints(
-        scale_scenario(num_users, num_slots, topology_mode="sparse")
-    )
-    if dense_dec != sparse_dec:
-        return False
-    return all(
-        np.array_equal(dense_final[key], sparse_final[key])
-        for key in dense_final
-    )
 
 
 def bench_scale(name: str, num_users: int, num_slots: int) -> Dict:
@@ -263,10 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     mode = "smoke" if args.smoke else "full"
 
-    print("checking dense/sparse bit-identity at U=200 ...", flush=True)
-    paths_match = check_equivalence(200, num_slots=4)
-    print(f"  paths_match={paths_match}", flush=True)
-
     scales: Dict[str, Dict] = {}
     for name, users, slots in SCALES[mode]:
         print(f"benchmarking {name} (users={users}, slots={slots}) ...", flush=True)
@@ -293,8 +234,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "schema": "bench_scale/v1",
         "mode": mode,
         "scheduler": "GREEDY",
-        "topology_mode": "sparse",
-        "paths_match": bool(paths_match),
         "scales": scales,
         "million_user_smoke": million,
     }
@@ -302,9 +241,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.output}")
 
     rc = 0
-    if not paths_match:
-        print("FAIL: dense and sparse paths diverged", file=sys.stderr)
-        rc = 1
     if args.check_baseline:
         if not args.baseline.exists():
             print(f"FAIL: baseline {args.baseline} not found", file=sys.stderr)

@@ -297,11 +297,10 @@ class ScenarioParameters:
     #: node (plus all BS-user pairs within range) to keep the per-slot
     #: optimization tractable; None means fully connected.
     neighbor_limit: Optional[int] = 6
-    #: Topology builder selection: ``"auto"`` (grid builder, dense
-    #: matrices materialised only at small N), ``"sparse"`` (grid
-    #: builder, never materialise the O(N^2) matrices), or ``"dense"``
-    #: (the all-pairs reference builder).  Every mode produces a
-    #: bit-identical candidate-link set; see ``network/topology.py``.
+    #: Kept for callers that still pass it: ``"auto"`` and ``"sparse"``
+    #: both select the one grid builder of ``network/topology.py``, and
+    #: nothing reads the value.  The all-pairs ``"dense"`` builder is
+    #: now the test oracle in ``tests/topology_reference.py``.
     topology_mode: str = "auto"
 
     # --- architecture switches (baselines) --------------------------------

@@ -244,11 +244,7 @@ class ContractChecker:
         schedule: "ScheduleDecision",
         slot: Optional[int],
     ) -> None:
-        gains = (
-            observation.gains
-            if observation.gains is not None
-            else model.topology.gains_lookup()
-        )
+        gains = observation.pair_gains(model)
         threshold = model.params.sinr_threshold
         # One gain block per band over its transmissions (schedule
         # order), instead of O(k^2) scalar reads of the gain view.

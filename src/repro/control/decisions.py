@@ -50,8 +50,8 @@ class SlotObservation:
             :class:`~repro.phy.propagation.ComputedPairGains` over the
             slot's positions, read through ``[tx, rx]``, ``pairs``,
             ``submatrix`` and ``column`` like the topology's
-            ``gains_lookup()``; None means the static topology gains
-            apply.
+            ``pair_gains``; None means the static topology gains
+            apply (:meth:`pair_gains` picks between them).
         band_access: ``(N, M)`` bool table of the bands each node may
             use this slot when dynamic availability is enabled, built
             once per slot; None means the static ``M_i`` sets apply.
@@ -63,6 +63,12 @@ class SlotObservation:
     grid_connected: Mapping[NodeId, bool]
     gains: Optional[PairGains] = None
     band_access: Optional[NodeBandMat] = None
+
+    def pair_gains(self, model: "NetworkModel") -> PairGains:
+        """The slot's gains: the mobile view, else the topology's."""
+        if self.gains is not None:
+            return self.gains
+        return model.topology.pair_gains
 
     def common_bands(
         self, model: "NetworkModel", tx: NodeId, rx: NodeId

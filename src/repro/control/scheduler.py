@@ -214,20 +214,6 @@ class LinkScheduler:
     # Candidate construction
     # ------------------------------------------------------------------
 
-    def _gains(self, observation: SlotObservation):
-        """The slot's pair gains (mobility-aware).
-
-        Returns the slot's position-computed view under mobility, else
-        the topology's gain lookup — the materialised matrix view or the
-        position-computed view when the sparse topology skipped the
-        O(N^2) matrices.  Scalar ``[tx, rx]`` indexing and the
-        ``pairs``/``submatrix``/``column`` reads are bit-identical
-        either way.
-        """
-        if observation.gains is not None:
-            return observation.gains
-        return self._model.topology.gains_lookup()
-
     def _candidate_grid(
         self,
         observation: SlotObservation,
@@ -269,8 +255,8 @@ class LinkScheduler:
                 g_link = observation.gains.pairs(tx_idx, rx_idx)
             else:
                 # The frozen per-link gain array is bitwise equal to
-                # ``gains[link_tx, link_rx]`` in every topology mode,
-                # so no (N, N) matrix read is needed.
+                # ``pair_gains.pairs(link_tx, link_rx)``, so no pair
+                # view read is needed.
                 g_link = self._model.topology.link_gain_array()[active]
             power = (params.sinr_threshold * noise)[None, :] / g_link[:, None]
             keep &= power <= static.max_power_tx[active][:, None]
@@ -343,7 +329,7 @@ class LinkScheduler:
         only, not on the fixings.  Returns ``(rows, cols, vals, rhs)``.
         """
         threshold = self._model.params.sinr_threshold
-        gains = self._gains(observation)
+        gains = observation.pair_gains(self._model)
         tx, rx, band = cand.tx, cand.rx, cand.band
         num = tx.shape[0]
         noise = observation.band_noise_w(self._model)[band]
@@ -621,9 +607,7 @@ class LinkScheduler:
         for pos, band in zip(chosen_pos, chosen_band):
             by_band.setdefault(band, []).append(pos)
 
-        # The slot's view under mobility, else the topology's pair-gain
-        # lookup; both serve bit-identical submatrix blocks.
-        gains = self._gains(observation)
+        gains = observation.pair_gains(self._model)
         bands = sorted(by_band)
         kept_pos: List[LinkIds] = []
         kept_power: List[AnyArray] = []

@@ -208,11 +208,7 @@ class RelaxedLpController:
 
         # Activation columns with their Psi-hat_1 coefficients: every
         # usable band whose zero-interference power fits the cap.
-        gains = (
-            observation.gains
-            if observation.gains is not None
-            else model.topology.gains_lookup()
-        )
+        gains = observation.pair_gains(model)
         power = self._min_power_w(observation, gains.pairs(link_tx, link_rx))
         keep = observation.link_band_member(model) & (
             power <= self._max_power[link_tx][:, None]

@@ -33,7 +33,7 @@ class NetworkModel:
     Attributes:
         params: the validated scenario parameters.
         nodes: node population ordered by id.
-        topology: distances, gains, candidate links.
+        topology: candidate links and pair gains.
         spectrum: bands, access sets, bandwidth process.
         sessions: downlink sessions.
         cost: the provider's generation-cost function ``f``.

@@ -19,11 +19,6 @@ from repro.phy.propagation import PairGains
 from repro.types import NodeId
 from repro.units import Linear, Watts
 
-#: Gain inputs accepted by the solvers: the dense ``(N, N)`` matrix or
-#: a pair-gain view over node positions (scalar ``g[tx, rx]`` indexing
-#: and ``submatrix`` blocks are bit-identical either way).
-GainsLike = Union[np.ndarray, PairGains]
-
 
 def _seq_sum(values: np.ndarray) -> float:
     """Strict left-to-right sum, matching Python's builtin ``sum``.
@@ -70,7 +65,7 @@ def max_power_array(
 
 
 def big_m_coefficient(
-    gains: GainsLike,
+    gains: PairGains,
     tx: NodeId,
     rx: NodeId,
     noise_power_w: Watts,
@@ -84,13 +79,9 @@ def big_m_coefficient(
     (``a_ij^m = 0``) imposes no restriction.  The interference sum runs
     as one vectorized pass over the gain column; :func:`seq_sum` keeps
     the accumulation order of the historical per-node loop, so the
-    constant is bit-identical.  ``gains`` may be the dense matrix or a
-    pair-gain view (whose ``column`` returns the identical floats).
+    constant is bit-identical.
     """
-    if isinstance(gains, np.ndarray):
-        column = np.asarray(gains)[:, rx]
-    else:
-        column = gains.column(rx)
+    column = gains.column(rx)
     num_nodes = column.shape[0]
     power = max_power_array(max_power_w, num_nodes)
     contributions = column * power

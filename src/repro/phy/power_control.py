@@ -44,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.axes import LinkToNode, LinkVec
-from repro.phy.interference import GainsLike
+from repro.phy.propagation import PairGains
 from repro.types import Link, NodeId
 from repro.units import Linear, Watts
 
@@ -85,7 +85,7 @@ def _solve_subset(
 def minimal_power_assignment_vec(
     link_tx: LinkToNode,
     link_rx: LinkToNode,
-    gains: GainsLike,
+    gains: PairGains,
     noise_power_w: Watts,
     sinr_threshold: Linear,
     caps: LinkVec,
@@ -101,12 +101,11 @@ def minimal_power_assignment_vec(
 
     Args:
         link_tx / link_rx: ``(n,)`` endpoint indices of the co-band set.
-        gains: the ``(N, N)`` gain matrix, or a pair-gain view
-            (:class:`~repro.phy.propagation.ComputedPairGains` /
-            :class:`~repro.phy.propagation.DensePairGains`) when the
-            topology skips the dense matrix — the view's ``submatrix``
-            returns the identical float64 values, so both inputs yield
-            bit-identical solves.
+        gains: the pair-gain view; both
+            :class:`~repro.phy.propagation.DensePairGains` and
+            :class:`~repro.phy.propagation.ComputedPairGains` return the
+            identical float64 ``submatrix``, so both yield bit-identical
+            solves.
         caps: ``(n,)`` per-link transmit power caps (W).
         priorities: ``(n,)`` finite keep-priorities (higher survives
             longer).
@@ -117,13 +116,9 @@ def minimal_power_assignment_vec(
         dropped positions in drop order.
     """
     n = int(link_tx.shape[0])
-    if isinstance(gains, np.ndarray):
-        direct = gains[link_tx, link_rx]
-        cross = gains[link_tx[:, None], link_rx[None, :]].T.copy()
-    else:
-        block = gains.submatrix(link_tx, link_rx)  # [k, l] = g(tx_k, rx_l)
-        direct = block.diagonal().copy()
-        cross = block.T.copy()
+    block = gains.submatrix(link_tx, link_rx)  # [k, l] = g(tx_k, rx_l)
+    direct = block.diagonal().copy()
+    cross = block.T.copy()
     np.fill_diagonal(cross, 0.0)
     # Row-local ratios: a subset's system is a pure fancy-index of these
     # full-set values, the same float64 chain either way.
@@ -166,7 +161,7 @@ def minimal_power_assignment_vec(
 
 def minimal_power_assignment(
     links: Sequence[Link],
-    gains: GainsLike,
+    gains: PairGains,
     noise_power_w: Watts,
     sinr_threshold: Linear,
     max_power_w: Dict[NodeId, Watts],
@@ -176,7 +171,7 @@ def minimal_power_assignment(
 
     Args:
         links: co-band links to power-control.
-        gains: ``(N, N)`` gain matrix or pair-gain view.
+        gains: the pair-gain view.
         noise_power_w: thermal-noise power ``eta * W_m(t)`` (W).
         sinr_threshold: target SINR ``Gamma``.
         max_power_w: per-transmitter power cap.

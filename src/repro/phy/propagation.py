@@ -50,8 +50,11 @@ def gain_matrix(
         raise ValueError(f"propagation constant must be positive, got {constant}")
     if exponent <= 0:
         raise ValueError(f"path-loss exponent must be positive, got {exponent}")
-    clamped = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
-    return constant * clamped**-exponent
+    # In place on the fresh np.maximum output: the same IEEE operations
+    # as ``constant * clamped**-exponent``, with one (N, N) buffer.
+    gains = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
+    np.power(gains, -exponent, out=gains)
+    return np.multiply(constant, gains, out=gains)
 
 
 class DensePairGains:
@@ -59,7 +62,7 @@ class DensePairGains:
 
     The uniform pair-gain interface lets power control, the SINR
     checker and the big-M construction index gains the same way whether
-    the topology carries the dense matrix or only node positions.
+    the topology caches the gain matrix or only keeps node positions.
     Every method is a pure fancy-index of the matrix, so values are the
     matrix entries themselves.
     """
@@ -94,10 +97,10 @@ class DensePairGains:
 class ComputedPairGains:
     """Pair-gain view computed on demand from node positions.
 
-    Used when the topology skips the O(N^2) matrices (sparse mode, or
-    auto mode above the dense-materialisation cutoff).  Each query
-    applies the *identical* elementwise float64 chain as the dense
-    construction — ``d = sqrt((dx^2 + dy^2))`` then
+    Used when the topology skips the O(N^2) gain matrix (above the
+    cache cutoff) and for the slot positions of mobile nodes.  Each
+    query applies the *identical* elementwise float64 chain as the
+    dense construction — ``d = sqrt((dx^2 + dy^2))`` then
     :func:`gain_matrix` — so every returned value is bit-identical to
     the corresponding dense matrix entry.
     """

@@ -7,13 +7,17 @@ in the same slot (Section II-B of the paper).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.phy.interference import GainsLike
+from repro.phy.propagation import PairGains
 from repro.types import NodeId, Transmission
 from repro.units import Db, Linear, Watts, linear_to_db
+
+#: What the scalar helpers index with ``gains[tx, rx]``: a gain block
+#: (e.g. :func:`co_band_gain_block`) or a pair-gain view.
+GainsLike = Union[np.ndarray, PairGains]
 
 
 def total_interference(
@@ -66,7 +70,7 @@ def sinr(
 
 
 def co_band_gain_block(
-    gains: GainsLike, group: Sequence[Transmission]
+    gains: PairGains, group: Sequence[Transmission]
 ) -> np.ndarray:
     """``block[k, l] = g(group[k].tx, group[l].rx)`` in one gain read.
 
@@ -77,8 +81,6 @@ def co_band_gain_block(
     count = len(group)
     tx = np.fromiter((t.tx for t in group), dtype=np.intp, count=count)
     rx = np.fromiter((t.rx for t in group), dtype=np.intp, count=count)
-    if isinstance(gains, np.ndarray):
-        return gains[tx[:, None], rx[None, :]]
     return gains.submatrix(tx, rx)
 
 
@@ -110,7 +112,7 @@ def sinr_in_group(
 
 
 def sinr_of_transmission(
-    gains: GainsLike,
+    gains: PairGains,
     target: Transmission,
     concurrent: Iterable[Transmission],
     noise_power_w: Watts,

@@ -100,11 +100,7 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
     threshold = params.admission_lambda * params.control_v
     destinations = model.session_destinations()
     h = state.h_backlogs()
-    gains = (
-        observation.gains
-        if observation.gains is not None
-        else model.topology.gains_lookup()
-    )
+    gains = observation.pair_gains(model)
     link_gains = gains.pairs(*model.topology.link_arrays()).tolist()
 
     def service_pkts(band):

@@ -94,7 +94,7 @@ class TestMinPowerUnderapproximatesDemand:
                 if power > model.max_power_w[tx]:
                     continue
                 noise = model.noise_power_w(observation.bands.bandwidth(band))
-                sinr = model.topology.gains[tx, rx] * power / noise
+                sinr = model.topology.pair_gains[tx, rx] * power / noise
                 # Exactly at threshold with zero interference: any
                 # added interference forces a larger power.
                 assert sinr == pytest.approx(params.sinr_threshold, rel=1e-9)

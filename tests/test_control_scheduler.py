@@ -91,12 +91,12 @@ class TestSingleRadioConstraint:
                 observation.bands.bandwidth(target.band)
             )
             interference = sum(
-                tiny_model.topology.gains[other.tx, target.rx] * other.power_w
+                tiny_model.topology.pair_gains[other.tx, target.rx] * other.power_w
                 for other in decision.transmissions
                 if other.band == target.band and other.link != target.link
             )
             achieved = (
-                tiny_model.topology.gains[target.tx, target.rx]
+                tiny_model.topology.pair_gains[target.tx, target.rx]
                 * target.power_w
                 / (noise + interference)
             )

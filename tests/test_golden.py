@@ -32,6 +32,8 @@ from pathlib import Path
 import pytest
 
 from repro.config import paper_scenario, small_scenario, tiny_scenario
+from repro.network import topology
+from repro.phy.propagation import ComputedPairGains, DensePairGains
 from repro.sim import SlotSimulator
 from repro.types import MobilityKind, QueueSemantics, SchedulerKind
 from tests.helpers import trajectory_sha256
@@ -86,22 +88,26 @@ class TestGoldenRelaxed:
 
 
 class TestGoldenTopologyModes:
-    """The same pins must hold under every topology builder.
+    """The same pins must hold under either pair-gain view.
 
-    The default mode is ``auto`` (grid builder + materialised matrices),
-    so the fixtures above already exercise the grid path; these runs pin
-    the pure-sparse path (no dense matrices at all) and the dense
-    reference byte-for-byte against the identical constants — the
-    default-on safety net for the sub-quadratic topology layer.
+    Small scenarios read gains from the cached ``(N, N)`` matrix
+    (``dense``); above ``DENSE_MATERIALIZE_MAX`` nodes the topology
+    computes them from positions (``sparse``).  Both runs are pinned
+    byte-for-byte against the identical constants.
     """
 
     @pytest.mark.parametrize("mode", ["sparse", "dense"])
-    def test_tiny_goldens_exact(self, mode, tiny_run):
-        result = SlotSimulator.integral(
-            tiny_scenario(num_slots=12, topology_mode=mode)
-        ).run()
-        # Exact equality against the default-mode run, not approx: the
-        # builders promise bit-identity, and the pinned constants hold
+    def test_tiny_goldens_exact(self, mode, tiny_run, monkeypatch):
+        if mode == "sparse":
+            monkeypatch.setattr(topology, "DENSE_MATERIALIZE_MAX", 0)
+        simulator = SlotSimulator.integral(tiny_scenario(num_slots=12))
+        assert isinstance(
+            simulator.model.topology.pair_gains,
+            ComputedPairGains if mode == "sparse" else DensePairGains,
+        )
+        result = simulator.run()
+        # Exact equality against the default run, not approx: the two
+        # views promise bit-identity, and the pinned constants hold
         # transitively.
         assert result.average_cost == tiny_run.average_cost
         assert result.average_penalty == tiny_run.average_penalty

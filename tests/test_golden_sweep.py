@@ -17,6 +17,7 @@ import pytest
 from repro.config import small_scenario, tiny_scenario
 from repro.experiments import run_fig2a, run_fig2f
 from repro.experiments.fig2f import ARCHITECTURES
+from repro.network import topology
 from repro.types import Architecture
 
 #: Fig. 2(a) at tiny scale: V -> (upper, empirical_lower, formal_lower).
@@ -106,13 +107,13 @@ class TestFig2fGolden:
 
 
 class TestSweepTopologyModes:
-    def test_fig2a_pins_hold_in_sparse_mode(self):
+    def test_fig2a_pins_hold_in_sparse_mode(self, monkeypatch):
         # The sweep-backed figure pipeline must reproduce the same
-        # pinned table when the topology never materialises the dense
-        # matrices — the sparse path is default-on safe end to end.
+        # pinned table when the topology computes gains from positions
+        # instead of caching the (N, N) matrix (in-process, one worker).
+        monkeypatch.setattr(topology, "DENSE_MATERIALIZE_MAX", 0)
         sparse = run_fig2a(
-            tiny_scenario(num_slots=10, topology_mode="sparse"),
-            tuple(sorted(GOLDEN_FIG2A)),
+            tiny_scenario(num_slots=10), tuple(sorted(GOLDEN_FIG2A))
         )
         for report in sparse.reports:
             upper, emp_lower, _ = GOLDEN_FIG2A[report.control_v]

@@ -91,7 +91,7 @@ def test_sequential_fix_lp_matches_oracle(monkeypatch, name, kind):
             scheduler, observation, seen["grid"]
         )
         if kind is SchedulerKind.SEQUENTIAL_FIX_SINR:
-            gains = scheduler._gains(observation)
+            gains = observation.pair_gains(model)
             oracle = lp_reference.sequential_fix_sinr_lp(
                 weights, radios, model, observation, gains
             )

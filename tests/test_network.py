@@ -3,6 +3,7 @@ spectrum, sessions."""
 
 import dataclasses
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -18,6 +19,14 @@ from repro.network import (
     uniform_random_placement,
 )
 from repro.types import NodeKind
+
+
+def _link_graph(topology):
+    """The candidate-link set as a networkx digraph over every node."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(topology.num_nodes))
+    graph.add_edges_from(topology.candidate_links)
+    return graph
 
 
 class TestGeometry:
@@ -125,10 +134,9 @@ class TestTopology:
     def test_gains_decrease_with_distance(self, topo):
         _, topology = topo
         tx = 0
-        ordered = sorted(
-            range(1, topology.num_nodes), key=lambda rx: topology.distances[tx, rx]
-        )
-        gains = [topology.gain(tx, rx) for rx in ordered]
+        distances = np.linalg.norm(topology.positions - topology.positions[tx], axis=1)
+        ordered = sorted(range(1, topology.num_nodes), key=lambda rx: distances[rx])
+        gains = [topology.pair_gains[tx, rx] for rx in ordered]
         assert gains == sorted(gains, reverse=True)
 
     def test_unknown_node_raises(self, topo):
@@ -138,14 +146,15 @@ class TestTopology:
 
     def test_every_user_reachable_from_a_bs(self, topo):
         params, topology = topo
-        for user in params.user_ids():
-            assert topology.is_connected_to_some_bs(
-                user, list(params.base_station_ids())
-            )
+        graph = _link_graph(topology)
+        reached = set().union(
+            *(nx.descendants(graph, bs) for bs in params.base_station_ids())
+        )
+        assert set(params.user_ids()) <= reached
 
     def test_graph_has_all_nodes(self, topo):
         _, topology = topo
-        graph = topology.as_graph()
+        graph = _link_graph(topology)
         assert graph.number_of_nodes() == topology.num_nodes
 
 

@@ -21,7 +21,7 @@ from repro.phy import (
     zero_interference_feasible,
 )
 from repro.phy.power_control import _solve_subset
-from repro.phy.propagation import MIN_DISTANCE_M
+from repro.phy.propagation import MIN_DISTANCE_M, DensePairGains
 from repro.phy.sinr import sinr_of_transmission
 from repro.types import Transmission
 
@@ -83,8 +83,8 @@ class TestSinr:
         target = Transmission(tx=0, rx=1, band=0, power_w=1.0)
         same_band = Transmission(tx=2, rx=0, band=0, power_w=1.0)
         other_band = Transmission(tx=2, rx=0, band=1, power_w=1.0)
-        clean = sinr_of_transmission(gains, target, [other_band], 1e-9)
-        dirty = sinr_of_transmission(gains, target, [same_band], 1e-9)
+        clean = sinr_of_transmission(DensePairGains(gains), target, [other_band], 1e-9)
+        dirty = sinr_of_transmission(DensePairGains(gains), target, [same_band], 1e-9)
         assert dirty < clean
 
 
@@ -123,7 +123,7 @@ class TestInterferenceHelpers:
         gains = np.full((3, 3), 1e-6)
         np.fill_diagonal(gains, 0.0)
         caps = {0: 1.0, 1: 2.0, 2: 4.0}
-        m = big_m_coefficient(gains, 0, 1, 1e-9, 1.0, caps)
+        m = big_m_coefficient(DensePairGains(gains), 0, 1, 1e-9, 1.0, caps)
         # Only node 2 interferes with link (0, 1).
         assert m == pytest.approx(1.0 * (1e-9 + 1e-6 * 4.0))
 
@@ -138,7 +138,7 @@ class TestPowerControl:
     def test_single_link_hits_threshold_exactly(self):
         gains = self._gains([[0, 0], [100, 0]])
         result = minimal_power_assignment(
-            [(0, 1)], gains, noise_power_w=1e-10, sinr_threshold=1.0,
+            [(0, 1)], DensePairGains(gains), noise_power_w=1e-10, sinr_threshold=1.0,
             max_power_w={0: 1.0, 1: 1.0},
         )
         assert not result.dropped
@@ -149,7 +149,7 @@ class TestPowerControl:
     def test_two_distant_links_both_feasible(self):
         gains = self._gains([[0, 0], [100, 0], [5000, 0], [5100, 0]])
         result = minimal_power_assignment(
-            [(0, 1), (2, 3)], gains, 1e-10, 1.0,
+            [(0, 1), (2, 3)], DensePairGains(gains), 1e-10, 1.0,
             {i: 5.0 for i in range(4)},
         )
         assert set(result.powers) == {(0, 1), (2, 3)}
@@ -169,7 +169,7 @@ class TestPowerControl:
         # receiver hears the other transmitter as loudly as its own.
         gains = self._gains([[0, 0], [10, 0], [0, 10], [10, 10]])
         result = minimal_power_assignment(
-            [(0, 1), (2, 3)], gains, 1e-10, 5.0,
+            [(0, 1), (2, 3)], DensePairGains(gains), 1e-10, 5.0,
             {i: 1.0 for i in range(4)},
             priority={(0, 1): 10.0, (2, 3): 1.0},
         )
@@ -179,21 +179,21 @@ class TestPowerControl:
     def test_power_cap_respected(self):
         gains = self._gains([[0, 0], [3000, 0]])
         result = minimal_power_assignment(
-            [(0, 1)], gains, 1e-6, 1.0, {0: 0.001, 1: 0.001}
+            [(0, 1)], DensePairGains(gains), 1e-6, 1.0, {0: 0.001, 1: 0.001}
         )
         assert result.dropped == [(0, 1)]
         assert not result.powers
 
     def test_empty_link_set(self):
         gains = self._gains([[0, 0], [10, 0]])
-        result = minimal_power_assignment([], gains, 1e-10, 1.0, {0: 1.0, 1: 1.0})
+        result = minimal_power_assignment([], DensePairGains(gains), 1e-10, 1.0, {0: 1.0, 1: 1.0})
         assert not result.powers and not result.dropped
 
     def test_minimality_against_uniform_scaling(self):
         # Scaling all powers down by any factor breaks at least one SINR.
         gains = self._gains([[0, 0], [200, 0], [900, 0], [1100, 0]])
         result = minimal_power_assignment(
-            [(0, 1), (2, 3)], gains, 1e-10, 1.0, {i: 50.0 for i in range(4)}
+            [(0, 1), (2, 3)], DensePairGains(gains), 1e-10, 1.0, {i: 50.0 for i in range(4)}
         )
         assert set(result.powers) == {(0, 1), (2, 3)}
         scaled = {k: v * 0.99 for k, v in result.powers.items()}
@@ -242,9 +242,11 @@ def _linear_scan(link_tx, link_rx, gains, noise_power_w, sinr_threshold, caps, p
     return sel, np.zeros(0), dropped
 
 
-def _assert_matches_oracle(*args):
-    kept, powers, dropped = minimal_power_assignment_vec(*args)
-    want_kept, want_powers, want_dropped = _linear_scan(*args)
+def _assert_matches_oracle(link_tx, link_rx, gains, *rest):
+    kept, powers, dropped = minimal_power_assignment_vec(
+        link_tx, link_rx, DensePairGains(gains), *rest
+    )
+    want_kept, want_powers, want_dropped = _linear_scan(link_tx, link_rx, gains, *rest)
     assert dropped == want_dropped
     assert kept.tolist() == want_kept.tolist()
     assert powers.tobytes() == want_powers.tobytes()
@@ -304,7 +306,7 @@ class TestPowerControlVec:
             )
             # The dict adapter is a view of the same call.
             scalar = minimal_power_assignment(
-                links, gains, 1e-10, threshold, caps_map, priority
+                links, DensePairGains(gains), 1e-10, threshold, caps_map, priority
             )
             assert scalar.dropped == [links[i] for i in dropped]
             assert list(scalar.scheduled) == [links[i] for i in kept]
@@ -386,7 +388,7 @@ class TestPowerControlVec:
         gains = TestPowerControl._gains([[0, 0], [10, 0]])
         kept, powers, dropped = minimal_power_assignment_vec(
             np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
-            gains, 1e-10, 1.0, np.zeros(0), np.zeros(0),
+            DensePairGains(gains), 1e-10, 1.0, np.zeros(0), np.zeros(0),
         )
         assert kept.size == 0 and powers.size == 0 and dropped == []
 

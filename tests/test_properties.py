@@ -198,13 +198,13 @@ class TestPhyProperties:
         rng = np.random.default_rng(seed)
         pts = np.asarray(positions)
         d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
-        from repro.phy.propagation import gain_matrix
+        from repro.phy.propagation import DensePairGains, gain_matrix
 
         gains = gain_matrix(d, 62.5, 4.0)
         n = len(positions)
         pairs = [(i, (i + 1) % n) for i in range(0, n - 1, 2)]
         result = minimal_power_assignment(
-            pairs, gains, 1e-10, 1.0, {i: 1.0 for i in range(n)}
+            pairs, DensePairGains(gains), 1e-10, 1.0, {i: 1.0 for i in range(n)}
         )
         for (tx, rx), power in result.powers.items():
             assert 0 < power <= 1.0 + 1e-9

@@ -11,7 +11,7 @@ from repro.control.energy_manager import (
 )
 from repro.energy.cost import QuadraticCost
 from repro.phy.power_control import minimal_power_assignment
-from repro.phy.propagation import gain_matrix
+from repro.phy.propagation import DensePairGains, gain_matrix
 from repro.solvers import LinearProgram, sequential_fix
 
 
@@ -63,7 +63,7 @@ class TestPowerControlFallbacks:
         gains = gain_matrix(d, 62.5, 4.0)
         links = [(0, 1), (2, 3)]
         result = minimal_power_assignment(
-            links, gains, 1e-10, 5.0,
+            links, DensePairGains(gains), 1e-10, 5.0,
             {i: 1.0 for i in range(4)},
             priority={(0, 1): 1.0, (2, 3): 10.0},
         )

@@ -1,45 +1,59 @@
-"""Dense-vs-sparse bit-identity harness.
+"""Cached-vs-computed gain views, and the grid builder at scale.
 
-The grid (sparse) topology builder claims *bit-identical* behaviour to
-the dense all-pairs reference — not approximately equal.  This suite
-enforces that claim at two levels:
+The topology answers ``g(tx, rx)`` reads from a cached ``(N, N)`` gain
+matrix up to ``DENSE_MATERIALIZE_MAX`` nodes and computes them from
+positions above it.  Both views claim *bit-identical* gains, so a run
+must not depend on which one it reads.  This suite enforces that at two
+levels:
 
-* topology level: same candidate links, same order, bitwise-equal
-  per-link gains, and pair-gain views that reproduce the dense matrix
-  entries exactly, at a few hundred nodes;
-* run level: full simulations in ``dense`` and ``sparse`` modes produce
-  identical per-slot decisions (transmissions, powers, routing rates,
-  admission), identical traces, and identical final queue/battery
-  state, across the scheduler / queue-semantics / mobility / dynamic-
-  spectrum variants.
+* topology level: at a few hundred nodes the grid builder matches the
+  all-pairs oracle of ``tests/topology_reference.py`` (same candidate
+  links, same order, bitwise-equal per-link gains), and both views
+  reproduce the oracle's gain matrix exactly;
+* run level: full simulations with the cache and without it (the cutoff
+  patched to 0) produce identical per-slot decisions (transmissions,
+  powers, routing rates, admission), identical traces, and identical
+  final queue/battery state, across the scheduler / queue-semantics /
+  mobility / dynamic-spectrum variants.
 
-Every comparison is exact (``==`` on floats): the sparse path applies
-the same elementwise IEEE-754 operations in the same order, so any
-drift is a bug, not round-off.
+Every comparison is exact (``==`` on floats): both views apply the same
+elementwise IEEE-754 operations in the same order, so any drift is a
+bug, not round-off.  ``tests/test_topology_oracle.py`` holds the
+property-based builder-vs-oracle check.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from repro.config import tiny_scenario
+from repro.config import paper_scenario, tiny_scenario
+from repro.network import topology
+from repro.network.geometry import grid_placement
 from repro.network.node import build_nodes
 from repro.network.topology import build_topology
+from repro.phy.propagation import ComputedPairGains, DensePairGains
 from repro.sim import SlotSimulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
-from repro.types import MobilityKind, QueueSemantics, SchedulerKind
+from repro.types import MobilityKind, Point, QueueSemantics, SchedulerKind
 from tests.helpers import decision_fingerprint
+from tests.topology_reference import build_topology_dense
 
 
-def _with_mode(params, mode):
-    return dataclasses.replace(params, topology_mode=mode)
+def _run_capture(params, scheduler_kind, cached=True):
+    """Run a scenario and capture decisions, trace, and final state.
 
-
-def _run_capture(params, scheduler_kind):
-    """Run a scenario and capture decisions, trace, and final state."""
-    sim = SlotSimulator.integral(params, scheduler_kind=scheduler_kind)
+    ``cached=False`` patches the cache cutoff to 0 so the topology
+    computes every gain from positions.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if not cached:
+            patch.setattr(topology, "DENSE_MATERIALIZE_MAX", 0)
+        sim = SlotSimulator.integral(params, scheduler_kind=scheduler_kind)
+    view = sim.model.topology.pair_gains
+    assert isinstance(view, DensePairGains if cached else ComputedPairGains)
     trace = TraceRecorder()
     decisions = [
         decision_fingerprint(sim.step(slot, trace=trace))
@@ -55,19 +69,19 @@ def _run_capture(params, scheduler_kind):
 
 
 def _assert_identical_runs(params, scheduler_kind):
-    dense = _run_capture(_with_mode(params, "dense"), scheduler_kind)
-    sparse = _run_capture(_with_mode(params, "sparse"), scheduler_kind)
-    for slot, (d_fp, s_fp) in enumerate(zip(dense[0], sparse[0])):
-        assert d_fp == s_fp, f"decision diverged at slot {slot}"
-    assert dense[1] == sparse[1], "trace rows diverged"
-    for key in dense[2]:
+    cached = _run_capture(params, scheduler_kind)
+    computed = _run_capture(params, scheduler_kind, cached=False)
+    for slot, (c_fp, p_fp) in enumerate(zip(cached[0], computed[0])):
+        assert c_fp == p_fp, f"decision diverged at slot {slot}"
+    assert cached[1] == computed[1], "trace rows diverged"
+    for key in cached[2]:
         np.testing.assert_array_equal(
-            dense[2][key], sparse[2][key], err_msg=f"final {key} diverged"
+            cached[2][key], computed[2][key], err_msg=f"final {key} diverged"
         )
 
 
 class TestTopologyEquivalence:
-    """Builder-level identity at a few hundred nodes."""
+    """Builder-level identity with the oracle at a few hundred nodes."""
 
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -80,65 +94,69 @@ class TestTopologyEquivalence:
 
     @pytest.fixture(scope="class")
     def built(self, scenario):
+        """``(oracle, cached, computed)`` over one seeded placement."""
         nodes = build_nodes(
             scenario, RngStreams(scenario.seed, scenario.seed_spawn_key).topology
         )
-        dense = build_topology(_with_mode(scenario, "dense"), nodes)
-        sparse = build_topology(_with_mode(scenario, "sparse"), nodes)
-        return dense, sparse
+        oracle = build_topology_dense(scenario, nodes)
+        cached = build_topology(scenario, nodes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(topology, "DENSE_MATERIALIZE_MAX", 0)
+            computed = build_topology(scenario, nodes)
+        return oracle, cached, computed
 
     def test_modes(self, built):
-        dense, sparse = built
-        assert dense.mode == "dense" and sparse.mode == "sparse"
-        assert dense.gains is not None and sparse.gains is None
+        # The node count alone picks the view.
+        _, cached, computed = built
+        assert isinstance(cached.pair_gains, DensePairGains)
+        assert isinstance(computed.pair_gains, ComputedPairGains)
 
     def test_candidate_links_identical(self, built):
-        dense, sparse = built
-        assert dense.candidate_links == sparse.candidate_links
-        assert dense.out_neighbors == sparse.out_neighbors
-        assert dense.in_neighbors == sparse.in_neighbors
+        oracle, cached, computed = built
+        for topo in (cached, computed):
+            assert topo.candidate_links == oracle.candidate_links
+            assert topo.out_neighbors == oracle.out_neighbors
+            assert topo.in_neighbors == oracle.in_neighbors
 
     def test_link_arrays_identical(self, built):
-        dense, sparse = built
-        np.testing.assert_array_equal(dense.link_tx, sparse.link_tx)
-        np.testing.assert_array_equal(dense.link_rx, sparse.link_rx)
-        np.testing.assert_array_equal(dense.link_gains, sparse.link_gains)
+        oracle, cached, computed = built
+        for topo in (cached, computed):
+            np.testing.assert_array_equal(topo.link_tx, oracle.link_tx)
+            np.testing.assert_array_equal(topo.link_rx, oracle.link_rx)
+            np.testing.assert_array_equal(topo.link_gains, oracle.link_gains)
 
     def test_pair_view_matches_dense_matrix(self, built):
-        dense, sparse = built
+        oracle, _, computed = built
         rng = np.random.default_rng(0)
-        n = dense.num_nodes
+        n = oracle.gains.shape[0]
         tx = rng.integers(0, n, size=300)
         rx = rng.integers(0, n, size=300)
-        view = sparse.gains_lookup()
+        view = computed.pair_gains
         np.testing.assert_array_equal(
-            view.pairs(tx, rx), dense.gains[tx, rx]
+            view.pairs(tx, rx), oracle.gains[tx, rx]
         )
         np.testing.assert_array_equal(
             view.submatrix(tx[:20], rx[:20]),
-            dense.gains[tx[:20, None], rx[None, :20]],
+            oracle.gains[tx[:20, None], rx[None, :20]],
         )
         np.testing.assert_array_equal(
-            view.column(int(rx[0])), dense.gains[:, int(rx[0])]
+            view.column(int(rx[0])), oracle.gains[:, int(rx[0])]
         )
         for t, r in zip(tx[:25].tolist(), rx[:25].tolist()):
-            assert view[t, r] == dense.gains[t, r]
+            assert view[t, r] == oracle.gains[t, r]
 
-    def test_auto_mode_matches_both(self, scenario, built):
-        dense, _ = built
-        nodes = build_nodes(
-            scenario, RngStreams(scenario.seed, scenario.seed_spawn_key).topology
+    def test_auto_mode_matches_both(self, built):
+        # The default topology caches the gain matrix, bitwise equal to
+        # the oracle's, with no distance matrix kept beside it.
+        oracle, cached, _ = built
+        everyone = np.arange(oracle.gains.shape[0])
+        np.testing.assert_array_equal(
+            cached.pair_gains.submatrix(everyone, everyone), oracle.gains
         )
-        auto = build_topology(_with_mode(scenario, "auto"), nodes)
-        assert auto.candidate_links == dense.candidate_links
-        # Below the materialisation cutoff auto also carries the dense
-        # matrices, bitwise equal to the reference builder's.
-        np.testing.assert_array_equal(auto.gains, dense.gains)
-        np.testing.assert_array_equal(auto.distances, dense.distances)
 
 
 class TestRunEquivalence:
-    """Full-run bit-identity, dense vs sparse, across variants."""
+    """Full-run bit-identity, cached vs computed gains, across variants."""
 
     def test_greedy(self):
         params = tiny_scenario(
@@ -187,14 +205,36 @@ class TestRunEquivalence:
         _assert_identical_runs(params, SchedulerKind.GREEDY)
 
     def test_sparse_matches_auto(self):
-        # "auto" (grid + materialised matrices) is the default mode the
-        # goldens run under; sparse must match it as well as dense.
+        # Both accepted topology_mode values select the one builder; a
+        # "sparse" run without the cache matches the default run.
         params = tiny_scenario(
             num_users=30, num_sessions=2, num_slots=8, area_side_m=1300.0
         )
-        auto = _run_capture(_with_mode(params, "auto"), SchedulerKind.GREEDY)
-        sparse = _run_capture(_with_mode(params, "sparse"), SchedulerKind.GREEDY)
+        auto = _run_capture(params, SchedulerKind.GREEDY)
+        sparse = _run_capture(
+            dataclasses.replace(params, topology_mode="sparse"),
+            SchedulerKind.GREEDY,
+            cached=False,
+        )
         assert auto[0] == sparse[0]
         assert auto[1] == sparse[1]
         for key in auto[2]:
             np.testing.assert_array_equal(auto[2][key], sparse[2][key])
+
+    def test_constant_density_u200(self):
+        # The Section-VI scenario grown to U=200 at constant density
+        # (one BS per six users on a grid), as the scale benchmark runs.
+        users = 200
+        side = 2000.0 * math.sqrt(users / 20.0)
+        stations = tuple(
+            Point(p.x, p.y) for p in grid_placement(users // 6, side)
+        )
+        params = paper_scenario(
+            num_slots=4,
+            seed=2014,
+            num_users=users,
+            area_side_m=side,
+            base_station_positions=stations,
+            renewables_enabled=False,
+        )
+        _assert_identical_runs(params, SchedulerKind.GREEDY)
