@@ -166,6 +166,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="neighbor_limit"):
             validate_parameters(params)
 
+    def test_dense_topology_mode_rejected(self):
+        params = dataclasses.replace(paper_scenario(), topology_mode="dense")
+        with pytest.raises(ConfigurationError, match="topology_reference"):
+            validate_parameters(params)
+
     def test_bad_bandwidth_range_rejected(self):
         spectrum = dataclasses.replace(
             paper_scenario().spectrum, random_bandwidth_range_hz=(2e6, 1e6)
