@@ -25,6 +25,7 @@ change with::
 """
 
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -35,8 +36,8 @@ from repro.config import paper_scenario, small_scenario, tiny_scenario
 from repro.network import topology
 from repro.phy.propagation import ComputedPairGains, DensePairGains
 from repro.sim import SlotSimulator
-from repro.types import MobilityKind, QueueSemantics, SchedulerKind
-from tests.helpers import trajectory_sha256
+from repro.types import MobilityKind, QueueSemantics, RenewableKind, SchedulerKind
+from tests.helpers import canonical, trajectory_sha256
 
 #: Pinned outputs of the integral controller on tiny_scenario(num_slots=12).
 GOLDEN_TINY_COST = 360.1370896962028
@@ -118,6 +119,14 @@ class TestGoldenTopologyModes:
         assert result.average_cost == pytest.approx(GOLDEN_TINY_COST, rel=1e-9)
 
 
+def _intermittent_users(params, connect_prob=0.5):
+    """``params`` with every user on the grid with probability ``connect_prob``."""
+    user_energy = dataclasses.replace(
+        params.user_energy, grid_connect_prob=connect_prob
+    )
+    return dataclasses.replace(params, user_energy=user_energy)
+
+
 def _dynamic_spectrum(params):
     spectrum = dataclasses.replace(params.spectrum, dynamic_availability=True)
     return dataclasses.replace(params, spectrum=spectrum)
@@ -133,12 +142,14 @@ def _radios(params, bs_count, user_count=None):
 
 
 #: Trajectory-pin scenarios: queue semantics, dynamic spectrum, mobility,
-#: multi-session, paper-literal S1, one-hop, TOU pricing, multi-radio
-#: and extra seeds.  ``paper_random_waypoint`` runs mobility at the
+#: multi-session, paper-literal S1, one-hop, TOU pricing, multi-radio,
+#: non-uniform energy processes and extra seeds.  ``paper_random_waypoint`` runs mobility at the
 #: paper's 20 users, where co-band sets hold more than a few links.
 #: ``mixed_radios`` gives the base station three radios and every user
 #: one, so single-radio user-user links, which GREEDY cuts to their best
 #: band, share a slot with multi-radio links that keep every band.
+#: ``energy_processes`` runs solar base stations, wind users and users
+#: on the grid half the time, so the renewable and grid streams draw.
 TRAJECTORY_SCENARIOS = {
     "tiny_paper": lambda: tiny_scenario(num_slots=8),
     "tiny_packet_accurate": lambda: tiny_scenario(
@@ -158,6 +169,13 @@ TRAJECTORY_SCENARIOS = {
     ),
     "three_radios": lambda: _radios(tiny_scenario(num_slots=8), 3),
     "mixed_radios": lambda: _radios(tiny_scenario(num_slots=8), 3, 1),
+    "energy_processes": lambda: _intermittent_users(
+        tiny_scenario(
+            num_slots=8,
+            bs_renewable_kind=RenewableKind.SOLAR,
+            user_renewable_kind=RenewableKind.WIND,
+        )
+    ),
     "seed_11": lambda: small_scenario(num_slots=10, seed=11),
     "seed_29": lambda: tiny_scenario(num_slots=8, seed=29, num_users=6),
     "paper_random_waypoint": lambda: paper_scenario(
@@ -217,6 +235,53 @@ class TestGoldenTrajectories:
     @pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
     def test_trajectory_unchanged(self, pins, case):
         assert trajectory_hash(case) == pins[case]
+
+
+#: SHA-256 of ``observe(t)``'s renewable and grid vectors over the 12
+#: slots of :func:`_observation_digest`.
+GOLDEN_OBSERVATION_SHA256 = (
+    "4341f58d048285da07384d5d9221e933e439f5cd0f3c3137e7398fde4e852a7e"
+)
+
+#: Scripted grid outages ``{node: [(start, end), ...]}`` of the
+#: observation pin: the base station and one intermittent user.
+OBSERVATION_OUTAGES = {0: [(3, 6)], 2: [(1, 4), (8, 10)]}
+
+
+def _schedule_outages(state, outages):
+    """Disconnect each node of ``outages`` in its half-open windows."""
+    from repro.energy import ScriptedGridConnection
+
+    for node, windows in outages.items():
+        old = state.grids[node]
+        state.grids[node] = ScriptedGridConnection(
+            old.draw_cap_j, old.connect_prob, old._rng, outages=windows
+        )
+    state.reset_caches()
+
+
+def _observation_digest():
+    """SHA-256 of 12 observed slots of ``tiny_scenario`` with outages.
+
+    Users are on the grid half the time, so their grid streams draw
+    outside their outage windows and skip the draw inside them.
+    """
+    simulator = SlotSimulator.integral(_intermittent_users(tiny_scenario(num_slots=12)))
+    state = simulator.state
+    _schedule_outages(state, OBSERVATION_OUTAGES)
+    digest = hashlib.sha256()
+    for slot in range(12):
+        observation = state.observe(slot)
+        digest.update(canonical(list(observation.renewable_j.values())).encode())
+        digest.update(canonical(list(observation.grid_connected.values())).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenObservations:
+    """The renewable and grid sample paths, outages included."""
+
+    def test_observation_stream_unchanged(self):
+        assert _observation_digest() == GOLDEN_OBSERVATION_SHA256
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write-trajectories"]:
