@@ -95,7 +95,10 @@ def test_energy_manager_slot(benchmark, bench_base):
 
     from repro.control.energy_manager import NodeEnergyBatch, NodeEnergyInputs
 
-    z = simulator.state.z_values()
+    arrays = simulator.state.arrays
+    z = arrays.z_values_array()
+    charge_cap = arrays.max_charge_j_array()
+    discharge_cap = np.minimum(arrays.discharge_cap_j, arrays.battery_level)
     batch = NodeEnergyBatch.from_inputs([
         NodeEnergyInputs(
             node=node_obj.node_id,
@@ -103,11 +106,9 @@ def test_energy_manager_slot(benchmark, bench_base):
             demand_j=node_obj.radio.fixed_energy_j(bench_base.slot_seconds),
             renewable_j=observation.renewable_j[node_obj.node_id],
             grid_connected=observation.grid_connected[node_obj.node_id],
-            grid_cap_j=simulator.state.grids[node_obj.node_id].draw_cap_j,
-            charge_cap_j=simulator.state.batteries[node_obj.node_id].max_charge_j(),
-            discharge_cap_j=simulator.state.batteries[
-                node_obj.node_id
-            ].max_discharge_j(),
+            grid_cap_j=arrays.grid_cap_j[node_obj.node_id],
+            charge_cap_j=charge_cap[node_obj.node_id],
+            discharge_cap_j=discharge_cap[node_obj.node_id],
             z=z[node_obj.node_id],
         )
         for node_obj in simulator.model.nodes

@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Grid-outage resilience: batteries carry the network through a blackout.
 
-Injects a 25-slot grid outage at both base stations mid-run (slots
-40-64) using ``ScriptedGridConnection``.  Because the controller's
-shifted energy queues bank energy up to the ``V * gamma_max`` threshold
-beforehand, the network rides through the blackout on batteries and
-renewables; the example reports the demand deficit with and without
-batteries to quantify the resilience benefit.
+Disconnects both base stations from the grid for 25 slots mid-run
+(slots 40-64) with ``NetworkState.schedule_grid_outage``: inside the
+window ``omega_i(t) = 0`` for those nodes whatever their connection
+probability.  Because the controller's shifted energy queues bank
+energy up to the ``V * gamma_max`` threshold beforehand, the network
+rides through the blackout on batteries and renewables; the example
+reports the demand deficit with a full and with a token battery to
+quantify the resilience benefit.
+
+Run with ``PYTHONPATH=src python examples/grid_outage_resilience.py``.
 """
 
 import dataclasses
 
 from repro import SlotSimulator, paper_scenario
 from repro.reporting import format_table
-from repro.energy import ScriptedGridConnection
 
 OUTAGE = (40, 65)
 
@@ -41,19 +44,8 @@ def run_with_outage(battery_scale: float):
     params = dataclasses.replace(base, bs_energy=bs_energy)
     simulator = SlotSimulator.integral(params)
 
-    # Failure injection: replace each base station's grid connection
-    # with a scripted one sharing the same caps.
-    for bs in simulator.model.bs_ids:
-        old = simulator.state.grids[bs]
-        simulator.state.grids[bs] = ScriptedGridConnection(
-            draw_cap_j=old.draw_cap_j,
-            connect_prob=old.connect_prob,
-            rng=simulator.rng.environment,
-            outages=[OUTAGE],
-        )
-    # Rebinding grids on a live state invalidates its derived caches
-    # (the batched sampling plan, mobility gains): reset before running.
-    simulator.state.reset_caches()
+    # Failure injection: every base station off the grid in the window.
+    simulator.state.schedule_grid_outage(simulator.model.bs_ids, *OUTAGE)
     return simulator.run()
 
 

@@ -78,6 +78,9 @@ class EnergyParameters:
             (the paper's Eq. (4) is lossless, i.e. 1.0).
         discharge_efficiency: fraction of discharged energy delivered
             to the load (1.0 in the paper).
+
+    Construction checks the cap consistency ``c_max + d_max <= x_max``
+    (Eq. 13) and that both efficiencies lie in ``(0, 1]``.
     """
 
     renewable_max_w: Watts

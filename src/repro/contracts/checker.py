@@ -128,7 +128,7 @@ class PreApplySnapshot:
 
     data_backlogs: MutableMapping[Tuple[NodeId, SessionId], float]
     g_backlogs: Mapping[Link, float]
-    battery_levels: Mapping[NodeId, float]
+    battery_levels: NodeArrayMapping
 
 
 class ContractChecker:
@@ -540,7 +540,7 @@ class ContractChecker:
         self._check_data_queue_law(model, state, decision, pre, slot)
         self._check_virtual_queue_law(state, decision, pre, slot)
         self._check_battery_transition(
-            model, state, decision, pre, slot, enforce_complementarity
+            state, decision, pre, slot, enforce_complementarity
         )
 
     def _reference_transfer(
@@ -663,85 +663,90 @@ class ContractChecker:
 
     def _check_battery_transition(
         self,
-        model: "NetworkModel",
         state: "NetworkState",
         decision: "SlotDecision",
         pre: PreApplySnapshot,
         slot: int,
         enforce_complementarity: bool,
     ) -> None:
-        """Eqs. 4, 9-12, 31: batteries and shifted energy queues."""
+        """Eqs. 4, 9-12, 31 over the ``(N,)`` battery arrays.
+
+        Each equation reports every offending node in ascending order,
+        so strict mode names the first one.
+        """
+        arrays = state.arrays
+        level, capacity = arrays.battery_level, arrays.capacity_j
+        eta_c = arrays.charge_efficiency
+        nodes = np.arange(level.size)
         allocation = decision.energy.allocation
-        charge_j, discharge_j = allocation.charge_j, allocation.discharge_j
-        for node, battery in state.batteries.items():
-            level = battery.level_j
-            # Eq. 10: the level stays within [0, x_max].
-            if level < -ENERGY_ATOL or level > battery.capacity_j + ENERGY_ATOL:
-                self._violate(
-                    "Eq. 10",
-                    f"battery level {level} J outside "
-                    f"[0, {battery.capacity_j}] J",
-                    slot=slot,
-                    node=node,
-                )
-            charge = float(charge_j[node])
-            drained = float(discharge_j[node]) / battery.discharge_efficiency
-            if not enforce_complementarity:
-                # The relaxed LP bound drops Eq. 9; the simulator nets
-                # the two flows before they reach the battery.
-                net = charge - drained
-                charge, drained = max(net, 0.0), max(-net, 0.0)
-            elif charge > ENERGY_ATOL and drained > ENERGY_ATOL:
-                self._violate(
-                    "Eq. 9",
-                    f"simultaneous charge ({charge} J) and battery "
-                    f"drain ({drained} J)",
-                    slot=slot,
-                    node=node,
-                )
-            level_before = pre.battery_levels.get(node, 0.0)
-            # Eq. 11/12 against the *pre-apply* level the caps were
-            # computed from.
-            headroom = (
-                battery.capacity_j - level_before
-            ) / battery.charge_efficiency
-            if charge > min(battery.charge_cap_j, headroom) + ENERGY_ATOL:
-                self._violate(
-                    "Eq. 11",
-                    f"charge {charge} J exceeds min(c_max, headroom) = "
-                    f"{min(battery.charge_cap_j, headroom)} J",
-                    slot=slot,
-                    node=node,
-                )
-            if drained > min(battery.discharge_cap_j, level_before) + ENERGY_ATOL:
-                self._violate(
-                    "Eq. 12",
-                    f"drain {drained} J exceeds min(d_max, level) = "
-                    f"{min(battery.discharge_cap_j, level_before)} J",
-                    slot=slot,
-                    node=node,
-                )
-            # Eq. 4 (with efficiencies): the level advanced by exactly
-            # the applied action, up to the clamp absorbing round-off.
-            expected = level_before + battery.charge_efficiency * charge - drained
-            expected = min(max(expected, 0.0), battery.capacity_j)
-            if not _close(level, expected, ENERGY_ATOL):
-                self._violate(
-                    "Eq. 4",
-                    f"battery level {level} J, expected {expected} J "
-                    "from the energy-queue law",
-                    slot=slot,
-                    node=node,
-                )
-            # Eq. 31: the shifted queue mirrors the battery exactly.
-            queue = state.energy_queues[node]
-            if not _close(queue.level_j, level, ENERGY_ATOL) or not _close(
-                queue.z, level - queue.shift_j, ENERGY_ATOL
-            ):
-                self._violate(
-                    "Eq. 31",
-                    f"shifted queue z = {queue.z} J diverged from "
-                    f"x - shift = {level - queue.shift_j} J",
-                    slot=slot,
-                    node=node,
-                )
+        charge = allocation.charge_j
+        drained = allocation.discharge_j / arrays.discharge_efficiency
+        if not enforce_complementarity:
+            # The relaxed LP bound drops Eq. 9; the simulator nets the
+            # two flows before they reach the battery.
+            net = charge - drained
+            charge, drained = np.maximum(net, 0.0), np.maximum(-net, 0.0)
+        # Eq. 10: the level stays within [0, x_max].
+        self._violate_rows(
+            "Eq. 10",
+            (level < -ENERGY_ATOL) | (level > capacity + ENERGY_ATOL),
+            nodes,
+            lambda i: f"battery level {level[i]} J outside [0, {capacity[i]}] J",
+            slot,
+        )
+        if enforce_complementarity:
+            self._violate_rows(
+                "Eq. 9",
+                (charge > ENERGY_ATOL) & (drained > ENERGY_ATOL),
+                nodes,
+                lambda i: f"simultaneous charge ({charge[i]} J) and battery "
+                f"drain ({drained[i]} J)",
+                slot,
+            )
+        # Eqs. 11/12 against the *pre-apply* level the caps were
+        # computed from.
+        before = pre.battery_levels.values_array
+        charge_cap = np.minimum(arrays.charge_cap_j, (capacity - before) / eta_c)
+        self._violate_rows(
+            "Eq. 11",
+            charge > charge_cap + ENERGY_ATOL,
+            nodes,
+            lambda i: f"charge {charge[i]} J exceeds min(c_max, headroom) = "
+            f"{charge_cap[i]} J",
+            slot,
+        )
+        drain_cap = np.minimum(arrays.discharge_cap_j, before)
+        self._violate_rows(
+            "Eq. 12",
+            drained > drain_cap + ENERGY_ATOL,
+            nodes,
+            lambda i: f"drain {drained[i]} J exceeds min(d_max, level) = "
+            f"{drain_cap[i]} J",
+            slot,
+        )
+        # Eq. 4 (with efficiencies): the level advanced by exactly the
+        # applied action, up to the clamp absorbing round-off.
+        expected = np.minimum(np.maximum(before + eta_c * charge - drained, 0.0), capacity)
+        self._violate_rows(
+            "Eq. 4",
+            ~_close_array(level, expected, ENERGY_ATOL),
+            nodes,
+            lambda i: f"battery level {level[i]} J, expected {expected[i]} J "
+            "from the energy-queue law",
+            slot,
+        )
+        # Eq. 31: z = x - (V * gamma_max + d_max), re-derived here from
+        # the control parameter and the discharge caps.
+        shift = (
+            state.model.params.control_v * state.constants.gamma_max
+            + arrays.discharge_cap_j
+        )
+        z = arrays.z_values_array()
+        self._violate_rows(
+            "Eq. 31",
+            ~_close_array(arrays.z_shift, shift, ENERGY_ATOL),
+            nodes,
+            lambda i: f"shifted queue z = {z[i]} J diverged from "
+            f"x - (V * gamma_max + d_max) = {level[i] - shift[i]} J",
+            slot,
+        )

@@ -19,7 +19,7 @@ simulator applies the returned :class:`SlotDecision`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.control.scheduler import LinkScheduler
 from repro.core.lyapunov import LyapunovConstants
 from repro.energy.consumption import all_node_demands_array
 from repro.model import NetworkModel
-from repro.types import EnergySolverKind, NodeId, SchedulerKind
+from repro.types import EnergySolverKind, SchedulerKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.state import NetworkState
@@ -89,9 +89,9 @@ class DriftPlusPenaltyController:
         self._node_ids = np.arange(model.num_nodes, dtype=np.intp)
         self._link_tx, self._link_rx = model.topology.link_arrays()
         self._allowed_mask = self._compute_allowed_mask()
-        #: Energy demand shed because no supply could cover it (J),
-        #: accumulated across slots for the metrics collector.
-        self.last_deficit_j: Dict[NodeId, float] = {}
+        #: ``(N,)`` energy demand the last slot shed because no supply
+        #: could cover it (J), for the metrics collector.
+        self.last_deficit_j: NodeJoules = np.zeros(model.num_nodes)
         #: Previous slot's total grid draw, seeding the marginal energy
         #: price used by energy-aware scheduling.
         self._last_grid_draw_j: float = 0.0
@@ -154,8 +154,19 @@ class DriftPlusPenaltyController:
         the lowest node id among the overloaded ones sheds its involved
         entry with the smallest ``H`` (the first such entry in schedule
         order); a node with no entry left has its unservable *base*
-        demand (constant + idle energy) clamped off and recorded in
-        ``last_deficit_j``.
+        demand (constant + idle energy) clamped off and recorded in the
+        ``(N,)`` deficit, which also becomes ``last_deficit_j``.
+
+        Supply only rises (a clamp lifts it to the node's demand) and
+        demands only fall as entries are shed, so a node overloaded in
+        one pass was overloaded in every earlier pass; each pass clamps
+        the overloaded nodes below the first one with an entry left, so
+        every clamped node is above all earlier ones.
+        Clamps thus happen in ascending node order, once per node, and
+        every other deficit entry is exactly 0.0: the strict
+        left-to-right :func:`~repro.core.arraystate.seq_sum` of the
+        array equals the clamp-order sum of the clamped deficits bit
+        for bit.
 
         Returns the surviving schedule, whose service is rebuilt from
         the surviving entries with ``band_pkts`` (so a link shed on one
@@ -175,7 +186,7 @@ class DriftPlusPenaltyController:
         np.add.at(load, tx, 1)
         np.add.at(load, rx, 1)
         deficit = np.zeros(supply.size)
-        self.last_deficit_j = {}
+        self.last_deficit_j = deficit
         demands = all_node_demands_array(
             self._fixed_energy_arr, self._recv_power_arr, tx, rx, power, dt
         )
@@ -190,7 +201,6 @@ class DriftPlusPenaltyController:
             clamp = overloaded[:stop]
             deficit[clamp] = demands[clamp] - supply[clamp]
             supply[clamp] = demands[clamp]
-            self.last_deficit_j.update(zip(clamp.tolist(), deficit[clamp].tolist()))
             if stop == overloaded.size:
                 break
             node = overloaded[stop]
@@ -246,7 +256,7 @@ class DriftPlusPenaltyController:
             observation.renewable_j.values_array
             + np.where(
                 observation.grid_connected.values_array,
-                state.grid_caps_array(),
+                arrays.grid_cap_j,
                 0.0,
             )
             + arrays.max_deliverable_j_array()
@@ -276,7 +286,7 @@ class DriftPlusPenaltyController:
             demand_j=np.maximum(0.0, demands - deficit_arr),
             renewable_j=observation.renewable_j.values_array,
             grid_connected=observation.grid_connected.values_array,
-            grid_cap_j=state.grid_caps_array(),
+            grid_cap_j=arrays.grid_cap_j,
             charge_cap_j=arrays.max_charge_j_array(),
             discharge_cap_j=arrays.max_deliverable_j_array(),
             z=arrays.z_values_array(),

@@ -11,9 +11,15 @@ so this module packs them into dense numpy arrays over *frozen* indices:
   ``model.sessions`` order,
 * links: position ``p`` is ``model.topology.candidate_links[p]``.
 
-``ArrayState`` owns the arrays and the update kernels of Eqs. 4, 15
-and 28 (``H = beta * G``, Eq. 30, is derived on read); ``NetworkState``
-and the contract checker share the same buffers.  Numerical policy:
+``ArrayState`` is the whole energy layer of Section II-D as ``(N,)``
+vectors: the battery law (Eq. 4), charge-xor-discharge (Eqs. 7-9), the
+storage caps (Eqs. 10-13; Eq. 13 itself is checked when the scenario's
+``EnergyParameters`` are built), the grid draw cap and connection
+probability (Eqs. 5, 6 and 14) and the shifted queue
+``z = x - (V * gamma_max + d_max)`` (Eq. 31).  It also owns the update
+kernels of Eqs. 4, 15 and 28 (``H = beta * G``, Eq. 30, is derived on
+read); ``NetworkState`` and the contract checker share the same
+buffers.  Numerical policy:
 kernels apply elementwise IEEE-754 operations in a fixed order,
 repeated indices accumulate with the unbuffered ``np.add.at`` (index
 order), and aggregates use :func:`seq_sum` (a strict left-to-right
@@ -199,7 +205,7 @@ class QueueArrayMapping(MutableMappingBase):
 
 
 class ArrayState:
-    """Dense per-slot state: ``Q``, ``G``, battery levels, caps, ``z`` shift.
+    """Dense per-slot state: ``Q``, ``G``, battery levels, caps, ``z`` shift, grid.
 
     Attributes:
         sessions: session ids in column order.
@@ -212,15 +218,19 @@ class ArrayState:
         q_valid / q_invalid: boolean masks over ``q``.
         g: ``(L,)`` virtual backlogs ``G_ij`` in packets
             (``H = beta * G`` is derived, never stored).
-        battery_level: ``(N,)`` battery levels ``x_i`` in joules —
-            shared storage for both :class:`~repro.energy.battery.Battery`
-            and :class:`~repro.queueing.energy_queue.ShiftedEnergyQueue`.
+        battery_level: ``(N,)`` battery levels ``x_i`` in joules, the
+            one store of both the battery (Eq. 4) and its shifted
+            queue (Eq. 31).
         z_shift: ``(N,)`` shifts ``V * gamma_max + d_max_i`` so that
             ``z = battery_level - z_shift`` (Eq. 31).
         capacity_j / charge_cap_j / discharge_cap_j: ``(N,)`` battery
             bounds ``x_max`` / ``c_max`` / ``d_max`` (Eqs. 10-13).
         charge_efficiency / discharge_efficiency: ``(N,)`` conversion
-            losses ``eta_c`` / ``eta_d``.
+            losses ``eta_c`` / ``eta_d`` (the paper's Eq. 4 is
+            lossless: both 1.0).
+        grid_cap_j: ``(N,)`` per-slot grid draw caps ``p_max`` (Eq. 14).
+        connect_prob: ``(N,)`` probabilities of ``omega_i(t) = 1``
+            (Eqs. 5-6): 1.0 for the always-connected base stations.
         bs_rows / user_rows: row indices for base stations and users.
         queue_semantics: the Eq. 15 transfer accounting in force
             (``params.queue_semantics``).
@@ -242,6 +252,8 @@ class ArrayState:
     discharge_cap_j: NodeJoules
     charge_efficiency: NodeVec
     discharge_efficiency: NodeVec
+    grid_cap_j: NodeJoules
+    connect_prob: NodeVec
     bs_rows: NodeIds
     user_rows: NodeIds
 
@@ -283,25 +295,25 @@ class ArrayState:
         self.g = np.zeros(len(links))
 
         self.battery_level = np.zeros(num_nodes)
-        self.z_shift = np.zeros(num_nodes)
-        self.capacity_j = np.zeros(num_nodes)
-        self.charge_cap_j = np.zeros(num_nodes)
-        self.discharge_cap_j = np.zeros(num_nodes)
-        self.charge_efficiency = np.ones(num_nodes)
-        self.discharge_efficiency = np.ones(num_nodes)
-        for node in model.nodes:
-            energy = node.energy
-            row = node.node_id
-            self.capacity_j[row] = energy.battery_capacity_j
-            self.charge_cap_j[row] = energy.charge_cap_j
-            self.discharge_cap_j[row] = energy.discharge_cap_j
-            self.charge_efficiency[row] = energy.charge_efficiency
-            self.discharge_efficiency[row] = energy.discharge_efficiency
-            # Same expression (and evaluation order) as
-            # ShiftedEnergyQueue.shift_j, so z values match bit for bit.
-            self.z_shift[row] = (
-                params.control_v * constants.gamma_max + energy.discharge_cap_j
+        energies = [node.energy for node in model.nodes]
+
+        def node_vector(field: str) -> NodeVec:
+            return np.fromiter(
+                (getattr(energy, field) for energy in energies),
+                dtype=float,
+                count=num_nodes,
             )
+
+        self.capacity_j = node_vector("battery_capacity_j")
+        self.charge_cap_j = node_vector("charge_cap_j")
+        self.discharge_cap_j = node_vector("discharge_cap_j")
+        self.charge_efficiency = node_vector("charge_efficiency")
+        self.discharge_efficiency = node_vector("discharge_efficiency")
+        self.grid_cap_j = node_vector("grid_cap_j")
+        self.connect_prob = node_vector("grid_connect_prob")
+        # V * gamma_max is one float, so each row is the scalar chain
+        # ``V * gamma_max + d_max_i`` of Eq. 31 bit for bit.
+        self.z_shift = params.control_v * constants.gamma_max + self.discharge_cap_j
 
         self.bs_rows = np.fromiter(
             model.bs_ids, dtype=np.intp, count=len(model.bs_ids)
@@ -433,14 +445,16 @@ class ArrayState:
         charge_j: NodeJoules,
         discharge_j: NodeJoules,
     ) -> None:
-        """Advance every battery one slot (Eq. 4) with Eqs. 9-13 checks.
+        """Advance every battery one slot (Eq. 4) with Eqs. 9-12 checks.
 
         ``charge_j``/``discharge_j`` are ``(N,)`` arrays of ``c_i(t)``
-        and ``d_i(t)`` in joules.  Validation replicates
-        :class:`~repro.energy.battery.BatteryAction` and
-        ``Battery.validate`` for the first offending node; the update
-        applies the same scalar operation chain
-        ``x += eta_c * c - d; x = min(max(x, 0), x_max)`` elementwise.
+        and ``d_i(t)`` in joules.  Validation names the first offending
+        node's values: no negative action, no simultaneous charge and
+        discharge (Eq. 9, which implies Eqs. 7-8), charge within
+        ``min(c_max, headroom)`` (Eq. 11) and drain within
+        ``min(d_max, x)`` (Eq. 12).  The update is
+        ``x += eta_c * c - d; x = min(max(x, 0), x_max)`` elementwise,
+        the clamp absorbing round-off only (Eq. 10).
         """
         level = self.battery_level
         capacity = self.capacity_j
@@ -489,9 +503,8 @@ class ArrayState:
     def max_charge_j_array(self) -> NodeJoules:
         """``(N,)`` constraint-(11) input caps, one battery per row.
 
-        Elementwise the same float64 chain as
-        :meth:`~repro.energy.battery.Battery.max_charge_j`, so the
-        batched S4 inputs match the scalar reads bit for bit.
+        Input energy ``c`` stores ``eta_c * c``, so the headroom admits
+        ``(x_max - x) / eta_c`` of input: ``min(c_max, headroom)``.
         """
         headroom = (self.capacity_j - self.battery_level) / self.charge_efficiency
         return np.minimum(self.charge_cap_j, headroom)
@@ -499,8 +512,8 @@ class ArrayState:
     def max_deliverable_j_array(self) -> NodeJoules:
         """``(N,)`` deliverable discharge caps (constraint 12 + losses).
 
-        Mirrors :meth:`~repro.energy.battery.Battery.max_deliverable_j`
-        elementwise.
+        The battery drains at most ``min(d_max, x)`` and the load
+        receives ``eta_d`` of it.
         """
         return self.discharge_efficiency * np.minimum(
             self.discharge_cap_j, self.battery_level

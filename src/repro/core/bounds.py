@@ -23,12 +23,12 @@ Both substitutions can only *decrease* the LP optimum, preserving
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.axes import AnyArray, LinkBandMat, LinkIds, LinkVec
+from repro.axes import AnyArray, LinkBandMat, LinkIds, LinkVec, NodeJoules
 
 from repro.control.decisions import (
     AdmissionDecision,
@@ -44,7 +44,6 @@ from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.interference import max_power_array
 from repro.solvers.linprog import LinearProgram
-from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.state import NetworkState
@@ -143,9 +142,10 @@ class RelaxedLpController:
         self._segments = num_cost_segments
         #: f(P(t)) - lambda*sum(k) of the most recent slot, for bounds.
         self.last_penalty: float = 0.0
-        #: Per-node demand slack of the most recent slot (J), mirroring
-        #: the integral controller's deficit accounting.
-        self.last_deficit_j: Dict[NodeId, float] = {}
+        #: ``(N,)`` demand slack of the most recent slot (J), mirroring
+        #: the integral controller's deficit accounting: slack above
+        #: 1e-9 J, and exactly 0.0 elsewhere.
+        self.last_deficit_j: NodeJoules = np.zeros(model.num_nodes)
 
         dt = model.params.slot_seconds
         radios = [node.radio for node in model.nodes]
@@ -242,7 +242,7 @@ class RelaxedLpController:
         eta_c, eta_d = arrays.charge_efficiency, arrays.discharge_efficiency
         renewable = observation.renewable_j.values_array
         grid_cap = np.where(
-            observation.grid_connected.values_array, state.grid_caps_array(), 0.0
+            observation.grid_connected.values_array, arrays.grid_cap_j, 0.0
         )
         max_charge = arrays.max_charge_j_array()
         node_cost = np.zeros((num_nodes, len(_NODE_COLS)))
@@ -483,8 +483,7 @@ class RelaxedLpController:
             bs_grid_draw_j=total_draw,
             cost=model.cost_at(observation.slot).value(total_draw),
         )
-        short = np.flatnonzero(slack > 1e-9)
-        self.last_deficit_j = dict(zip(short.tolist(), slack[short].tolist()))
+        self.last_deficit_j = np.where(slack > 1e-9, slack, 0.0)
         return SlotDecision(
             schedule=schedule,
             admission=admission,

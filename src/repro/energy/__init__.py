@@ -1,14 +1,14 @@
-"""Energy substrate: batteries, renewables, grid, cost, consumption."""
+"""Energy substrate: renewables, cost, consumption.
 
-from repro.energy.battery import Battery, BatteryAction
+Batteries, storage caps and grid connections are ``(N,)`` vectors of
+:class:`~repro.core.arraystate.ArrayState`."""
+
 from repro.energy.renewable import (
     DiurnalSolarProcess,
     MarkovWindProcess,
     RenewableProcess,
     UniformRenewableProcess,
-    ZeroRenewableProcess,
 )
-from repro.energy.grid import GridConnection, ScriptedGridConnection
 from repro.energy.cost import (
     CostFunction,
     LinearCost,
@@ -19,15 +19,10 @@ from repro.energy.cost import (
 from repro.energy.consumption import all_node_demands_array
 
 __all__ = [
-    "Battery",
-    "BatteryAction",
     "DiurnalSolarProcess",
     "MarkovWindProcess",
     "RenewableProcess",
     "UniformRenewableProcess",
-    "ZeroRenewableProcess",
-    "GridConnection",
-    "ScriptedGridConnection",
     "CostFunction",
     "LinearCost",
     "PiecewiseLinearCost",

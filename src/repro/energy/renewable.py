@@ -4,9 +4,10 @@ The paper models each node's renewable output ``R_i(t)`` as an i.i.d.
 process bounded by ``R_max`` (uniform in the evaluation).  Besides the
 paper's :class:`UniformRenewableProcess`, this module provides a
 deterministic-profile solar process and a Markov-modulated wind process
-for the example scenarios, plus the degenerate zero process used by the
-"without renewable energy" baselines.  All processes return *energy per
-slot* in joules.
+for the example scenarios.  All processes return *energy per slot* in
+joules.  A node without renewables (``RenewableKind.ZERO``, the
+"without renewable energy" baselines) gets no process: it reads 0 J
+and owns no stream.
 """
 
 from __future__ import annotations
@@ -54,18 +55,6 @@ class UniformRenewableProcess(RenewableProcess):
     @property
     def max_output_j(self) -> Joules:
         return self._max_output_j
-
-
-class ZeroRenewableProcess(RenewableProcess):
-    """No renewable generation (baselines without renewables)."""
-
-    def sample(self, slot: int) -> Joules:
-        del slot
-        return 0.0
-
-    @property
-    def max_output_j(self) -> Joules:
-        return 0.0
 
 
 class DiurnalSolarProcess(RenewableProcess):

@@ -1,8 +1,8 @@
-"""Queueing substrate: energy queues, backlog snapshots, stability tools.
+"""Queueing substrate: backlog snapshots, stability tools.
 
-The data- and virtual-queue laws are ``ArrayState`` kernels."""
+The data-, virtual- and shifted energy-queue laws are ``ArrayState``
+kernels."""
 
-from repro.queueing.energy_queue import ShiftedEnergyQueue
 from repro.queueing.stability import (
     StabilityReport,
     StabilityVerdict,
@@ -12,7 +12,6 @@ from repro.queueing.stability import (
 from repro.queueing.backlog import BacklogSnapshot
 
 __all__ = [
-    "ShiftedEnergyQueue",
     "StabilityReport",
     "StabilityVerdict",
     "assess_strong_stability",

@@ -17,11 +17,13 @@ from typing import Callable, Optional, Protocol, Type, Union
 
 import numpy as np
 
+from repro.axes import NodeJoules
 from repro.config.parameters import ScenarioParameters
 from repro.contracts import ContractChecker, Strictness
 from repro.control.controller import DriftPlusPenaltyController
 from repro.control.decisions import SlotDecision, SlotObservation
 from repro.control.router import RouterMode
+from repro.core.arraystate import seq_sum
 from repro.core.bounds import RelaxedLpController
 from repro.core.lyapunov import LyapunovConstants, compute_constants
 from repro.model import NetworkModel, build_network_model
@@ -34,9 +36,12 @@ from repro.types import EnergySolverKind, SchedulerKind
 
 
 class Controller(Protocol):
-    """Anything the engine can drive (duck-typed controller)."""
+    """Anything the engine can drive (duck-typed controller).
 
-    last_deficit_j: dict
+    ``last_deficit_j`` is the ``(N,)`` demand the last decision shed (J).
+    """
+
+    last_deficit_j: NodeJoules
 
     def decide(
         self, observation: SlotObservation, state: "NetworkState"
@@ -184,7 +189,10 @@ class SlotSimulator:
                 slot,
                 enforce_complementarity=self._enforce_complementarity,
             )
-        deficit = sum(getattr(self.controller, "last_deficit_j", {}).values())
+        shed = self.controller.last_deficit_j
+        # A slot that shed nothing records the int 0 (an empty sum), as
+        # the committed trajectory fingerprints hash it.
+        deficit = seq_sum(shed) if shed.any() else 0
         per_session = self._delivered_per_session(decision)
         metrics = self.metrics.record(
             slot=slot,

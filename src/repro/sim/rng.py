@@ -17,6 +17,10 @@ replication is fully described by ``(seed, spawn_key)`` — pickle-safe,
 order-independent, and stable across processes, Python versions and
 numpy versions (the ``SeedSequence`` hashing algorithm is part of
 numpy's public stability contract).
+
+:func:`spawn_child` builds one child of a generator's spawn family
+without building its siblings, so a component that never draws costs
+no stream.
 """
 
 from __future__ import annotations
@@ -49,6 +53,28 @@ def spawn_child_keys(
         raise ValueError(f"num_children must be >= 0, got {num_children}")
     root = np.random.SeedSequence(seed, spawn_key=tuple(base))
     return tuple(tuple(child.spawn_key) for child in root.spawn(num_children))
+
+
+def spawn_child(parent: np.random.Generator, index: int) -> np.random.Generator:
+    """Child ``index`` of ``parent``'s next spawn call, built alone.
+
+    Bit for bit ``parent.spawn(n)[index]`` for any ``n > index``: the
+    child is seeded by ``SeedSequence(entropy, spawn_key=key + (k,),
+    pool_size=...)`` with ``k`` the parent's spawn counter plus
+    ``index``, and has the parent's bit-generator type.  The parent's
+    counter does not advance, so building children ``0`` and ``5``
+    costs two streams, not six.
+    """
+    if index < 0:
+        raise ValueError(f"child index must be >= 0, got {index}")
+    bit_generator = parent.bit_generator
+    seed = bit_generator.seed_seq
+    child = np.random.SeedSequence(
+        seed.entropy,
+        spawn_key=tuple(seed.spawn_key) + (seed.n_children_spawned + index,),
+        pool_size=seed.pool_size,
+    )
+    return np.random.Generator(type(bit_generator)(child))
 
 
 class RngStreams:

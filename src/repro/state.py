@@ -1,42 +1,42 @@
-"""Mutable per-run network state: all queues, batteries, and processes.
+"""Mutable per-run network state: queues, batteries, and random processes.
 
-``NetworkState`` owns every stateful object of one simulation run —
-the queue and battery arrays, batteries with their shifted energy
-queues, grid connections and renewable processes — and provides the
-read accessors the controller needs plus the apply/advance methods the
-simulator calls at the end of each slot.
+``NetworkState`` owns every stateful part of one simulation run: the
+:class:`~repro.core.arraystate.ArrayState` of queues and batteries, and
+the random processes the slot's observation samples — bands, renewable
+output and the grid connection ``omega_i(t)`` (Eqs. 5-6).  It provides
+the read accessors the controller needs plus the apply/advance methods
+the simulator calls at the end of each slot.
 
-The state is *array-backed*: every hot per-slot quantity lives in an
-:class:`~repro.core.arraystate.ArrayState` (``Q`` as an ``(N, S)``
-array, ``G`` as ``(L,)``, battery levels as ``(N,)``) and the per-slot
-updates run as its vectorized kernels (Eqs. 4, 15 and 28).  The
-dict-shaped read accessors (``h_backlogs``, ``z_values``,
-``battery_levels``) return thin mapping adapters over the arrays, so
-external callers — the relaxed-LP controller, drift diagnostics,
-contract checker — read them like dicts.
+The state is *array-backed*: every hot per-slot quantity lives in the
+``ArrayState`` (``Q`` as an ``(N, S)`` array, ``G`` as ``(L,)``, battery
+levels, caps, grid caps and connection probabilities as ``(N,)``) and
+the per-slot updates run as its vectorized kernels (Eqs. 4, 15 and 28).
+There is no per-node object: a node's renewable process and grid stream
+exist only if they draw.  The dict-shaped read accessors
+(``h_backlogs``, ``z_values``, ``battery_levels``) return thin mapping
+adapters over the arrays, so external callers — the relaxed-LP
+controller, drift diagnostics — read them like dicts.
 Behaviour is pinned by the committed trajectory fingerprints in
 ``tests/golden/trajectories.json``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.axes import AnyArray
+from repro.axes import AnyArray, NodeVec
 from repro.control.decisions import SlotDecision, SlotObservation
 from repro.core.arraystate import ArrayState, LinkArrayMapping, NodeArrayMapping
 from repro.core.lyapunov import LyapunovConstants
-from repro.energy.battery import Battery
-from repro.energy.grid import GridConnection
 from repro.energy.renewable import (
     DiurnalSolarProcess,
     MarkovWindProcess,
     RenewableProcess,
     UniformRenewableProcess,
-    ZeroRenewableProcess,
 )
+from repro.exceptions import EnergyError
 from repro.model import NetworkModel
 from repro.network.mobility import (
     MobilityModel,
@@ -45,26 +45,15 @@ from repro.network.mobility import (
 )
 from repro.phy.propagation import ComputedPairGains
 from repro.queueing.backlog import BacklogSnapshot, make_snapshot_from_arrays
-from repro.queueing.energy_queue import ShiftedEnergyQueue
+from repro.sim.rng import spawn_child
 from repro.types import MobilityKind, NodeId, RenewableKind, SessionId
 
-
-def _build_renewable(
-    kind: RenewableKind,
-    max_power_w: float,
-    slot_seconds: float,
-    rng: np.random.Generator,
-) -> RenewableProcess:
-    """Instantiate the configured renewable process for one node."""
-    if kind is RenewableKind.ZERO or max_power_w <= 0:
-        return ZeroRenewableProcess()
-    if kind is RenewableKind.UNIFORM:
-        return UniformRenewableProcess(max_power_w, slot_seconds, rng)
-    if kind is RenewableKind.SOLAR:
-        return DiurnalSolarProcess(max_power_w, slot_seconds, rng)
-    if kind is RenewableKind.WIND:
-        return MarkovWindProcess(max_power_w, slot_seconds, rng)
-    raise ValueError(f"unknown renewable kind {kind!r}")
+#: The renewable process of each drawing kind (``ZERO`` draws nothing).
+_RENEWABLE_PROCESSES = {
+    RenewableKind.UNIFORM: UniformRenewableProcess,
+    RenewableKind.SOLAR: DiurnalSolarProcess,
+    RenewableKind.WIND: MarkovWindProcess,
+}
 
 
 class NetworkState:
@@ -76,27 +65,26 @@ class NetworkState:
         constants: LyapunovConstants,
         rng: np.random.Generator,
     ) -> None:
-        """Spawn component RNG streams and build all stateful objects.
+        """Build the arrays and the RNG streams of the components that draw.
 
         Cold path: runs once per simulation run.
         """
         self.model = model
         self.constants = constants
         params = model.params
+        num_nodes = model.num_nodes
 
-        # One independent child generator per stochastic component
-        # (bands, then per-node renewable and grid), in a fixed order.
-        # Components that happen to draw nothing (e.g. the zero
-        # renewable process of the no-renewable baselines) still own a
-        # stream, so disabling one component never shifts the sample
-        # path of any other — architecture comparisons stay paired.
-        children = rng.spawn(1 + 2 * model.num_nodes)
-        band_rng = children[0]
-        renewable_rngs = children[1 : 1 + model.num_nodes]
-        grid_rngs = children[1 + model.num_nodes :]
-        model.spectrum.reseed(band_rng)
+        # The environment stream's spawn family, in a fixed order: child
+        # 0 for the bands, 1 + i for node i's renewable output, 1 + N + i
+        # for its grid connection, then availability and mobility.  Only
+        # components that draw get their child (see spawn_child), but
+        # every index is reserved, so disabling one component never
+        # shifts the sample path of any other and architecture
+        # comparisons stay paired.
+        model.spectrum.reseed(spawn_child(rng, 0))
+        next_child = 1 + 2 * num_nodes
 
-        # Dynamic spectrum availability (extension): spawned only when
+        # Dynamic spectrum availability (extension): a stream only when
         # enabled so static scenarios keep their sample paths.
         self.availability = None
         if params.spectrum.dynamic_availability:
@@ -105,12 +93,13 @@ class NetworkState:
             self.availability = MarkovBandAvailability(
                 users=model.user_ids,
                 random_bands=range(1, model.spectrum.num_bands),
-                rng=rng.spawn(1)[0],
+                rng=spawn_child(rng, next_child),
                 on_prob=params.spectrum.availability_on_prob,
                 persistence=params.spectrum.availability_persistence,
             )
+            next_child += 1
 
-        # Mobility (extension): spawned only when enabled so static
+        # Mobility (extension): a stream only when enabled so static
         # scenarios keep their historical sample paths.
         initial_positions = [n.position for n in model.nodes]
         if params.mobility is MobilityKind.RANDOM_WAYPOINT:
@@ -120,7 +109,7 @@ class NetworkState:
                 area_side_m=params.area_side_m,
                 speed_range_mps=params.user_speed_range_mps,
                 slot_seconds=params.slot_seconds,
-                rng=rng.spawn(1)[0],
+                rng=spawn_child(rng, next_child),
             )
         else:
             self.mobility = StaticMobility(initial_positions)
@@ -130,70 +119,57 @@ class NetworkState:
         #: routing decision (Eq. 15), for delivery accounting.
         self.last_transfer_pkts: AnyArray = np.zeros(0)
 
-        self.batteries: Dict[NodeId, Battery] = {}
-        self.energy_queues: Dict[NodeId, ShiftedEnergyQueue] = {}
-        self.grids: Dict[NodeId, GridConnection] = {}
-        self.renewables: Dict[NodeId, RenewableProcess] = {}
-        for node in model.nodes:
-            energy = node.energy
-            self.batteries[node.node_id] = Battery(
-                capacity_j=energy.battery_capacity_j,
-                charge_cap_j=energy.charge_cap_j,
-                discharge_cap_j=energy.discharge_cap_j,
-                charge_efficiency=energy.charge_efficiency,
-                discharge_efficiency=energy.discharge_efficiency,
-            )
-            self.energy_queues[node.node_id] = ShiftedEnergyQueue(
-                node=node.node_id,
-                control_v=params.control_v,
-                gamma_max=constants.gamma_max,
-                discharge_cap_j=energy.discharge_cap_j,
-            )
-            self.grids[node.node_id] = GridConnection(
-                draw_cap_j=energy.grid_cap_j,
-                connect_prob=energy.grid_connect_prob,
-                rng=grid_rngs[node.node_id],
-            )
-            if params.renewables_enabled:
+        # omega_i(t) (Eqs. 5-6): always 1 at p = 1, always 0 at p = 0;
+        # only a node strictly between draws, from its own stream.
+        connect_prob = self.arrays.connect_prob
+        self._grid_static: NodeVec = connect_prob >= 1.0
+        intermittent = np.flatnonzero((connect_prob > 0.0) & (connect_prob < 1.0))
+        self._grid_draws: List[Tuple[NodeId, np.random.Generator]] = [
+            (node, spawn_child(rng, 1 + num_nodes + node))
+            for node in intermittent.tolist()
+        ]
+        self._renewables: List[Tuple[NodeId, RenewableProcess]] = []
+        if params.renewables_enabled:
+            for node in model.nodes:
                 kind = (
                     params.bs_renewable_kind
                     if node.is_base_station
                     else params.user_renewable_kind
                 )
-            else:
-                kind = RenewableKind.ZERO
-            self.renewables[node.node_id] = _build_renewable(
-                kind,
-                energy.renewable_max_w,
-                params.slot_seconds,
-                renewable_rngs[node.node_id],
-            )
-        # Battery and shifted queue share one level slot per node (the
-        # engine always mirrors the battery level into the queue), so
-        # the vectorized apply updates both at once.
-        for node_id in range(model.num_nodes):
-            self.batteries[node_id].bind_storage(self.arrays.battery_level, node_id)
-            self.energy_queues[node_id].bind_storage(
-                self.arrays.battery_level, node_id
-            )
-        self.reset_caches()
+                max_w = node.energy.renewable_max_w
+                if kind is RenewableKind.ZERO or max_w <= 0:
+                    continue
+                process = _RENEWABLE_PROCESSES[kind](
+                    max_w, params.slot_seconds, spawn_child(rng, 1 + node.node_id)
+                )
+                self._renewables.append((node.node_id, process))
+        #: Scripted grid outages: ``(start, end, (N,) mask)`` windows.
+        self._outages: List[Tuple[int, int, NodeVec]] = []
+        self._gains_cache_slot = -1
+        self._gains_cache: Optional[ComputedPairGains] = None
 
     # ------------------------------------------------------------------
     # Observation sampling
     # ------------------------------------------------------------------
 
-    def reset_caches(self) -> None:
-        """Invalidate every derived per-slot cache and rebuild the sampling plan.
+    def schedule_grid_outage(
+        self, nodes: Iterable[NodeId], start: int, end: int
+    ) -> None:
+        """Disconnect ``nodes`` from the grid for slots ``[start, end)``.
 
-        Call after rebinding ``mobility``, ``grids`` or ``renewables``
-        on a live state (e.g. scripted-outage experiments): the
-        sampling plan is built here only, so a swapped component is
-        not sampled until this runs, and a stale gain view or sampling
-        plan can never leak across reconfigured runs.  Idempotent; O(N).
+        Failure injection: inside the window ``omega_i(t) = 0`` whatever
+        the node's connection probability, and the node's grid stream
+        does not draw, so its draws after the window are the ones it
+        would have made at the window's start.  Windows accumulate.
+
+        Raises:
+            EnergyError: on an empty window (``start >= end``).
         """
-        self._gains_cache_slot = -1
-        self._gains_cache: Optional[ComputedPairGains] = None
-        self._refresh_sampling_plan()
+        if start >= end:
+            raise EnergyError(f"empty outage window [{start}, {end}); use start < end")
+        mask = np.zeros(self.model.num_nodes, dtype=bool)
+        mask[list(nodes)] = True
+        self._outages.append((start, end, mask))
 
     def _current_gains(self, slot: int) -> Optional[ComputedPairGains]:
         """The slot's pair-gain view under mobility; None when static.
@@ -215,49 +191,14 @@ class NetworkState:
             self._gains_cache_slot = slot
         return self._gains_cache
 
-    def _refresh_sampling_plan(self) -> None:
-        """Classify renewable/grid components for batched sampling.
-
-        Cold path: runs from :meth:`reset_caches` only, so it sees the
-        component bindings of construction time or of the last
-        ``reset_caches()`` call; a component swapped in later (e.g. a
-        ``ScriptedGridConnection``) is ignored until that call.
-        Components that never draw — zero renewables, grids pinned
-        connected or disconnected — are precomputed as constants;
-        everything else keeps its own per-slot ``sample`` call in node
-        order.
-        """
-        renewable_draws: List[Tuple[NodeId, RenewableProcess]] = []
-        for node, process in self.renewables.items():
-            if type(process) is not ZeroRenewableProcess:
-                renewable_draws.append((node, process))
-        grid_static = np.zeros(self.model.num_nodes, dtype=bool)
-        grid_draws: List[Tuple[NodeId, GridConnection]] = []
-        for node, grid in self.grids.items():
-            if type(grid) is GridConnection and grid.always_connected:
-                grid_static[node] = True
-            elif type(grid) is GridConnection and grid.connect_prob <= 0.0:
-                grid_static[node] = False
-            else:
-                grid_draws.append((node, grid))
-        self._renewable_draws = renewable_draws
-        self._grid_draws = grid_draws
-        self._grid_static = grid_static
-        self._grid_caps = np.fromiter(
-            (grid.draw_cap_j for grid in self.grids.values()),
-            dtype=float,
-            count=self.model.num_nodes,
-        )
-
     def observe(self, slot: int) -> SlotObservation:
         """Sample the slot's random state (bands, renewables, grid).
 
         Sampling is idempotent per slot only for mobility (positions
         are cached); band/renewable/grid draws advance their streams,
         so the engine observes each slot exactly once.  The draws land
-        in dense per-node arrays, skipping components that provably
-        consume no randomness; the surviving ``sample`` calls hit their
-        per-component streams in node order.
+        in dense per-node arrays; only the components that draw are
+        visited, each on its own stream, in node order.
         """
         band_access = None
         if self.availability is not None:
@@ -265,11 +206,16 @@ class NetworkState:
             band_access = self.availability.mask(self.model.band_access)
         bands = self.model.spectrum.sample(slot)
         renewable = np.zeros(self.model.num_nodes)
-        for node, process in self._renewable_draws:
+        for node, process in self._renewables:
             renewable[node] = process.sample(slot)
+        outage = self._outage_mask(slot)
         connected = self._grid_static.copy()
-        for node, grid in self._grid_draws:
-            connected[node] = grid.sample_connected(slot)
+        connect_prob = self.arrays.connect_prob
+        for node, stream in self._grid_draws:
+            if outage is None or not outage[node]:
+                connected[node] = stream.random() < connect_prob[node]
+        if outage is not None:
+            connected &= ~outage
         return SlotObservation(
             slot=slot,
             bands=bands,
@@ -278,6 +224,14 @@ class NetworkState:
             gains=self._current_gains(slot),
             band_access=band_access,
         )
+
+    def _outage_mask(self, slot: int) -> Optional[NodeVec]:
+        """``(N,)`` mask of the nodes in a scripted outage; None if none."""
+        mask = None
+        for start, end, nodes in self._outages:
+            if start <= slot < end:
+                mask = nodes if mask is None else mask | nodes
+        return mask
 
     # ------------------------------------------------------------------
     # Read accessors for the controller
@@ -298,16 +252,6 @@ class NetworkState:
         return LinkArrayMapping(
             self.constants.beta * arrays.g, arrays.links, arrays.link_pos
         )
-
-    def grid_caps_array(self) -> np.ndarray:
-        """``(N,)`` grid draw caps, rebuilt by :meth:`reset_caches`.
-
-        Values are the same floats the per-node
-        ``grids[node].draw_cap_j`` reads returned when the plan was
-        built; the batched controller uses this to assemble S4 inputs
-        without a per-node loop.
-        """
-        return self._grid_caps
 
     def z_values(self) -> Mapping[NodeId, float]:
         """``z_i(t)`` for every node (frozen at read time)."""

@@ -12,7 +12,10 @@ pins a trajectory bit for bit.
 ``schedule_of`` builds an S1 decision from ``Transmission`` records.
 ``make_snapshot_oracle`` is the plain-Python backlog aggregation the
 array kernel :func:`~repro.queueing.backlog.make_snapshot_from_arrays`
-must reproduce exactly.  ``dense_gain_oracle`` is the all-pairs
+must reproduce exactly.  ``one_battery`` builds a one-node
+:class:`~repro.core.arraystate.ArrayState` around a single battery, and
+``battery_law_oracle`` is the scalar Eq. 4 chain its kernel must
+reproduce bit for bit.  ``dense_gain_oracle`` is the all-pairs
 ``(N, N)`` gain matrix of a placement, which every pair-gain view must
 reproduce bit for bit.  ``link_view`` lays a ``{link: value}`` dict
 out as the ``(L,)`` view over the frozen candidate-link index that the
@@ -25,14 +28,17 @@ import dataclasses
 import hashlib
 import numbers
 from collections.abc import Mapping
+from types import SimpleNamespace
 
 import numpy as np
 
+from repro.config.parameters import EnergyParameters
 from repro.control.decisions import ScheduleDecision
-from repro.core.arraystate import LinkArrayMapping
-from repro.phy.propagation import gain_matrix
+from repro.core.arraystate import ArrayState, LinkArrayMapping
 from repro.queueing import BacklogSnapshot
 from repro.sim import SlotSimulator
+from repro.types import QueueSemantics
+from tests.topology_reference import all_pairs_gains
 
 
 def decision_fingerprint(decision):
@@ -110,6 +116,64 @@ def schedule_of(transmissions):
     )
 
 
+def one_battery(
+    capacity_j,
+    charge_cap_j,
+    discharge_cap_j,
+    level_j=0.0,
+    charge_efficiency=1.0,
+    discharge_efficiency=1.0,
+    control_v=0.0,
+    gamma_max=0.0,
+):
+    """A one-node :class:`ArrayState` holding one battery at ``level_j``.
+
+    The node's :class:`EnergyParameters` are validated as a scenario's
+    are (Eq. 13 and the efficiencies); the model and constants are
+    stubs carrying only what ``ArrayState`` reads.
+    """
+    energy = EnergyParameters(
+        renewable_max_w=0.0,
+        battery_capacity_j=capacity_j,
+        charge_cap_j=charge_cap_j,
+        discharge_cap_j=discharge_cap_j,
+        grid_cap_j=0.0,
+        grid_connect_prob=0.0,
+        charge_efficiency=charge_efficiency,
+        discharge_efficiency=discharge_efficiency,
+    )
+    no_links = np.zeros(0, dtype=np.intp)
+    model = SimpleNamespace(
+        params=SimpleNamespace(
+            queue_semantics=QueueSemantics.PAPER, control_v=control_v
+        ),
+        num_nodes=1,
+        nodes=[SimpleNamespace(energy=energy)],
+        sessions=(),
+        session_destinations=dict,
+        topology=SimpleNamespace(
+            candidate_links=(), link_arrays=lambda: (no_links, no_links)
+        ),
+        bs_ids=(0,),
+        user_ids=(),
+    )
+    arrays = ArrayState(model, SimpleNamespace(gamma_max=gamma_max))
+    arrays.battery_level[0] = level_j
+    return arrays
+
+
+def battery_step(arrays, charge_j=0.0, discharge_j=0.0):
+    """Apply one action to a :func:`one_battery`; return the new level."""
+    arrays.apply_battery_actions(np.array([charge_j]), np.array([discharge_j]))
+    return float(arrays.battery_level[0])
+
+
+def battery_law_oracle(level_j, charge_j, drain_j, charge_efficiency, capacity_j):
+    """Eq. 4 for one battery: ``x + eta_c c - d``, clamped to ``[0, x_max]``."""
+    level_j += charge_efficiency * charge_j - drain_j
+    return min(max(level_j, 0.0), capacity_j)
+
+
 def make_snapshot_oracle(
     slot, data_backlogs, battery_levels, virtual_backlogs, bs_ids
 ):
@@ -132,11 +196,13 @@ def make_snapshot_oracle(
 
 
 def dense_gain_oracle(positions, constant, exponent):
-    """All-pairs ``g_ij = C d(i, j)^-gamma`` of a ``Point`` placement."""
+    """All-pairs ``g_ij = C d(i, j)^-gamma`` of a ``Point`` placement.
+
+    The gains of the all-pairs topology oracle
+    (:func:`tests.topology_reference.all_pairs_gains`).
+    """
     coords = np.array([[p.x, p.y] for p in positions])
-    diffs = coords[:, None, :] - coords[None, :, :]
-    distances = np.sqrt((diffs**2).sum(axis=2))
-    return gain_matrix(distances, constant, exponent)
+    return all_pairs_gains(coords, constant, exponent)[1]
 
 
 def canonical(value) -> str:

@@ -182,14 +182,21 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
     bs_set = set(model.bs_ids)
     z = state.z_values()
     p_coeffs = {}
+    arrays = state.arrays
     for node_obj in model.nodes:
         node = node_obj.node_id
-        battery = state.batteries[node]
+        energy = node_obj.energy
         connected = observation.grid_connected[node]
-        grid_cap = state.grids[node].draw_cap_j if connected else 0.0
+        grid_cap = energy.grid_cap_j if connected else 0.0
         renewable = observation.renewable_j[node]
-        eta_c = battery.charge_efficiency
-        eta_d = battery.discharge_efficiency
+        eta_c = energy.charge_efficiency
+        eta_d = energy.discharge_efficiency
+        # Constraints (11)/(12) on the node's battery level, scalar.
+        level = float(arrays.battery_level[node])
+        max_charge = min(
+            energy.charge_cap_j, (energy.battery_capacity_j - level) / eta_c
+        )
+        max_discharge = min(energy.discharge_cap_j, level)
         lp.add_variable(("r", node), lower=0.0, upper=renewable)
         lp.add_variable(
             ("cr", node), objective=z[node] * eta_c, lower=0.0, upper=renewable
@@ -202,17 +209,17 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
             ("d", node),
             objective=-z[node] / eta_d,
             lower=0.0,
-            upper=battery.max_deliverable_j(),
+            upper=eta_d * max_discharge,
         )
         lp.add_variable(("slack", node), lower=0.0)
         lp.add_constraint({("r", node): 1.0, ("cr", node): 1.0}, LE, renewable)
         lp.add_constraint(
-            {("cr", node): 1.0, ("cg", node): 1.0}, LE, battery.max_charge_j()
+            {("cr", node): 1.0, ("cg", node): 1.0}, LE, max_charge
         )
         lp.add_constraint({("g", node): 1.0, ("cg", node): 1.0}, LE, grid_cap)
         lp.add_variable(("w", node), objective=1.0, lower=0.0)
-        net_lo = -battery.max_discharge_j()
-        net_hi = eta_c * battery.max_charge_j()
+        net_lo = -max_discharge
+        net_hi = eta_c * max_charge
         span = max(net_hi - net_lo, 1.0)
         for k in range(9):
             point = net_lo + span * k / 8

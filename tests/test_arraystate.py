@@ -9,8 +9,9 @@ arrays they wrap.
 
 The suite also unit-tests the array core itself: :func:`seq_sum`
 bit-identity against Python ``sum``, the mapping adapters, the
-vectorized battery kernel's validation messages, and the shared
-battery-level storage binding.
+vectorized battery kernel against the scalar Eq. 4 oracle and its
+validation messages, and the one battery-level store that the battery
+(Eq. 4) and the shifted queue (Eq. 31) both read.
 """
 
 import dataclasses
@@ -26,12 +27,16 @@ from repro.core.arraystate import (
     QueueArrayMapping,
     seq_sum,
 )
-from repro.energy.battery import Battery, BatteryAction
 from repro.exceptions import EnergyError
-from repro.queueing.energy_queue import ShiftedEnergyQueue
 from repro.sim.engine import SlotSimulator
 from repro.types import MobilityKind, QueueSemantics
-from tests.helpers import canonical, make_snapshot_oracle
+from tests.helpers import (
+    battery_law_oracle,
+    battery_step,
+    canonical,
+    make_snapshot_oracle,
+    one_battery,
+)
 
 
 def _dynamic_spectrum(params):
@@ -115,9 +120,9 @@ class TestTrajectoryEquivalence:
             if node != arrays.destinations[sid]
         }
         assert list(state.battery_levels().values()) == list(arrays.battery_level)
-        assert list(state.z_values().values()) == [
-            queue.z for queue in state.energy_queues.values()
-        ]
+        assert list(state.z_values().values()) == list(
+            arrays.battery_level - arrays.z_shift
+        )
         beta = state.constants.beta
         assert list(state.h_backlogs().values()) == [
             beta * g for g in LinkArrayMapping(
@@ -189,22 +194,12 @@ class TestAdapters:
 
 
 class TestBatteryKernel:
-    """The vectorized kernel mirrors Battery/BatteryAction semantics."""
+    """The vectorized kernel matches the scalar Eq. 4 chain bit for bit."""
 
     @pytest.fixture
     def arrays(self):
         simulator = SlotSimulator.integral(tiny_scenario(num_slots=1))
         return simulator.state.arrays
-
-    def _scalar_battery(self, arrays, node):
-        return Battery(
-            capacity_j=float(arrays.capacity_j[node]),
-            charge_cap_j=float(arrays.charge_cap_j[node]),
-            discharge_cap_j=float(arrays.discharge_cap_j[node]),
-            initial_level_j=float(arrays.battery_level[node]),
-            charge_efficiency=float(arrays.charge_efficiency[node]),
-            discharge_efficiency=float(arrays.discharge_efficiency[node]),
-        )
 
     def test_matches_scalar_apply(self, arrays: ArrayState):
         n = arrays.num_nodes
@@ -212,17 +207,18 @@ class TestBatteryKernel:
         charge = np.where(
             rng.random(n) < 0.5, rng.random(n) * arrays.charge_cap_j * 0.5, 0.0
         )
-        discharge = np.where(charge > 0, 0.0, 0.0)  # start empty: no discharge
-        scalars = [self._scalar_battery(arrays, node) for node in range(n)]
+        discharge = np.zeros(n)  # start empty: no discharge
+        before = arrays.battery_level.copy()
         arrays.apply_battery_actions(charge, discharge)
-        for node, battery in enumerate(scalars):
-            battery.apply(
-                BatteryAction(
-                    charge_j=float(charge[node]),
-                    discharge_j=float(discharge[node]),
-                )
+        for node in range(n):
+            expected = battery_law_oracle(
+                float(before[node]),
+                float(charge[node]),
+                float(discharge[node]),
+                float(arrays.charge_efficiency[node]),
+                float(arrays.capacity_j[node]),
             )
-            assert arrays.battery_level[node] == battery.level_j
+            assert arrays.battery_level[node] == expected
 
     def test_rejects_simultaneous_charge_discharge(self, arrays: ArrayState):
         charge = np.zeros(arrays.num_nodes)
@@ -256,41 +252,27 @@ class TestBatteryKernel:
 
 class TestSharedStorage:
     def test_battery_binds_into_shared_buffer(self):
-        battery = Battery(
-            capacity_j=100.0,
-            charge_cap_j=10.0,
-            discharge_cap_j=10.0,
-            initial_level_j=42.0,
-        )
-        buffer = np.zeros(3)
-        battery.bind_storage(buffer, 1)
-        assert buffer[1] == 42.0
-        battery.apply(BatteryAction(charge_j=5.0))
-        assert buffer[1] == 47.0
-        buffer[1] = 12.0
-        assert battery.level_j == 12.0
+        # The kernel updates the one level buffer in place.
+        arrays = one_battery(100.0, 10.0, 10.0, level_j=42.0)
+        buffer = arrays.battery_level
+        assert battery_step(arrays, charge_j=5.0) == 47.0
+        assert arrays.battery_level is buffer
+        assert buffer[0] == 47.0
 
     def test_energy_queue_shares_battery_slot(self):
-        queue = ShiftedEnergyQueue(
-            node=0,
-            control_v=1e3,
-            gamma_max=0.01,
-            discharge_cap_j=5.0,
-            initial_level_j=7.0,
+        arrays = one_battery(
+            100.0, 10.0, 5.0, level_j=7.0, control_v=1e3, gamma_max=0.01
         )
-        buffer = np.zeros(2)
-        queue.bind_storage(buffer, 0)
-        assert buffer[0] == 7.0
-        buffer[0] = 9.0
-        assert queue.level_j == 9.0
-        assert queue.z == 9.0 - queue.shift_j
+        shift = 1e3 * 0.01 + 5.0
+        assert arrays.z_shift[0] == shift
+        arrays.battery_level[0] = 9.0
+        assert arrays.z_values_array()[0] == 9.0 - shift
 
     def test_simulator_state_shares_levels(self):
         simulator = SlotSimulator.integral(tiny_scenario(num_slots=1))
         state = simulator.state
         arrays = state.arrays
-        assert arrays is not None
-        node = next(iter(state.batteries))
+        node = 1
         arrays.battery_level[node] = 3.125
-        assert state.batteries[node].level_j == 3.125
-        assert state.energy_queues[node].level_j == 3.125
+        assert state.battery_levels()[node] == 3.125
+        assert state.z_values()[node] == 3.125 - arrays.z_shift[node]

@@ -67,15 +67,14 @@ class TestCostTangentsUnderapproximate:
         cr_col, w_col = layout.node_start + 1, layout.node_start + 6
         qdrift = _rows_using(lp, w_col)
         assert qdrift.size  # node 0 has a battery
-        battery = state.batteries[0]
+        arrays = state.arrays
+        max_drain = min(arrays.discharge_cap_j[0], arrays.battery_level[0])
         for row in qdrift:
             # w >= point*net - point^2/2, the tangent of net^2/2, enters
             # negated: its cr coefficient is point * eta_c.
-            point = lp.a_ub[row, cr_col] / battery.charge_efficiency
+            point = lp.a_ub[row, cr_col] / arrays.charge_efficiency[0]
             intercept = -lp.b_ub[row]  # equals -point^2/2
-            for net in np.linspace(
-                -battery.max_discharge_j(), battery.max_charge_j(), 9
-            ):
+            for net in np.linspace(-max_drain, arrays.max_charge_j_array()[0], 9):
                 assert point * net + intercept <= 0.5 * net * net + 1e-6
 
 

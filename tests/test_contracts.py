@@ -8,7 +8,9 @@ checks get the same treatment on a genuine energy allocation, one
 corrupted vector entry per equation.  A clean
 strict end-to-end run and the warn/off behaviours are covered too, as
 are the packet-side checks: one corrupted routing entry, admission
-split or post-apply ``G`` entry per equation (Eqs. 16, 17, 19, 25, 28).
+split or post-apply ``G`` entry per equation (Eqs. 16, 17, 19, 25, 28),
+and the battery side: one corrupted post-apply level or ``z`` shift per
+equation (Eqs. 4, 10, 31).
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ class TestTransitionContracts:
 
     def test_corrupt_battery_raises_eq10(self, transition):
         simulator, checker, pre, decision, slot = transition
-        battery = simulator.state.batteries[0]
-        battery._level_j = battery.capacity_j + 5.0
+        arrays = simulator.state.arrays
+        arrays.battery_level[0] = arrays.capacity_j[0] + 5.0
         with pytest.raises(ContractViolation) as excinfo:
             checker.check_transition(
                 simulator.model, simulator.state, decision, pre, slot
@@ -125,12 +127,41 @@ class TestTransitionContracts:
 
     def test_negative_battery_raises_eq10(self, transition):
         simulator, checker, pre, decision, slot = transition
-        simulator.state.batteries[1]._level_j = -1.0
+        simulator.state.arrays.battery_level[1] = -1.0
         with pytest.raises(ContractViolation) as excinfo:
             checker.check_transition(
                 simulator.model, simulator.state, decision, pre, slot
             )
         assert excinfo.value.equation == "Eq. 10"
+        assert excinfo.value.node == 1
+
+    def test_corrupt_battery_level_raises_eq4(self, transition):
+        # A level inside [0, x_max] that the battery law did not produce.
+        simulator, checker, pre, decision, slot = transition
+        arrays = simulator.state.arrays
+        node = 2
+        level = arrays.battery_level[node]
+        arrays.battery_level[node] = (
+            level + 1.0 if level + 1.0 <= arrays.capacity_j[node] else level - 1.0
+        )
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_transition(
+                simulator.model, simulator.state, decision, pre, slot
+            )
+        assert excinfo.value.equation == "Eq. 4"
+        assert excinfo.value.node == node
+        assert excinfo.value.slot == slot
+
+    def test_corrupt_z_shift_raises_eq31(self, transition):
+        simulator, checker, pre, decision, slot = transition
+        simulator.state.arrays.z_shift[3] += 1.0
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_transition(
+                simulator.model, simulator.state, decision, pre, slot
+            )
+        assert excinfo.value.equation == "Eq. 31"
+        assert excinfo.value.node == 3
+        assert excinfo.value.slot == slot
 
 
 class TestScheduleContracts:

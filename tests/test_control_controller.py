@@ -12,6 +12,7 @@ from repro.config import tiny_scenario
 from repro.control import DriftPlusPenaltyController
 from repro.control.decisions import ScheduleDecision
 from repro.core import compute_constants
+from repro.core.arraystate import seq_sum
 from repro.model import build_network_model
 from repro.state import NetworkState
 from repro.types import EnergySolverKind, SchedulerKind
@@ -85,13 +86,13 @@ class TestCurtailment:
         for slot in range(10):
             observation = state.observe(slot)
             decision = controller.decide(observation, state)
-            deficits += sum(controller.last_deficit_j.values())
+            deficits += seq_sum(controller.last_deficit_j)
             curtailed += len(decision.curtailed)
             # The surviving schedule must be affordable everywhere.
             for node_obj in model.nodes:
                 node = node_obj.node_id
                 draw = decision.energy.allocation.grid_draw_j[node]
-                assert draw <= state.grids[node].draw_cap_j + 1e-6
+                assert draw <= state.arrays.grid_cap_j[node] + 1e-6
             state.apply(decision, slot)
         # Starved users have fixed demand 3 J vs ~0.03 J renewable:
         # deficits are inevitable.
@@ -173,7 +174,8 @@ def _curtail_oracle(controller, schedule, supply, h_arr, band_pkts):
     One rescan of the overloaded nodes after every drop; demands are
     re-summed transmission by transmission, and the surviving service
     is re-summed per link in schedule order.  Returns ``(transmissions,
-    service, dropped, last_deficit_j, demands)``.
+    service, dropped, clamps, demands)``, where ``clamps`` lists each
+    ``(node, deficit)`` clamp in the order the loop made it.
     """
     dt = controller._model.params.slot_seconds
     fixed = controller._fixed_energy_arr
@@ -182,7 +184,7 @@ def _curtail_oracle(controller, schedule, supply, h_arr, band_pkts):
     transmissions = list(schedule.transmissions)
     supply = supply.copy()
     dropped = list(schedule.dropped)
-    last_deficit_j = {}
+    clamps = []
 
     def demands_of(scheduled):
         demands = fixed.copy()
@@ -210,15 +212,14 @@ def _curtail_oracle(controller, schedule, supply, h_arr, band_pkts):
                 demands = demands_of(transmissions)
                 removed = True
                 break
-            deficit = float(demands[node] - supply[node])
-            last_deficit_j[node] = last_deficit_j.get(node, 0.0) + deficit
+            clamps.append((node, float(demands[node] - supply[node])))
             supply[node] = demands[node]
         if not removed:
             break
     service = {}
     for t in transmissions:
         service[t.link] = service.get(t.link, 0.0) + float(band_pkts[t.band])
-    return transmissions, service, dropped, last_deficit_j, demands
+    return transmissions, service, dropped, clamps, demands
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,7 +307,7 @@ class TestArrayCurtailment:
     def test_matches_python_loop(self, inputs):
         schedule, supply, h_arr, band_pkts = inputs
         controller = _curtail_case()
-        transmissions, service, dropped, last_deficit_j, demands = _curtail_oracle(
+        transmissions, service, dropped, clamps, demands = _curtail_oracle(
             controller, schedule, supply, h_arr, band_pkts
         )
         survivors, got_demands, deficit = controller._curtail(
@@ -315,11 +316,16 @@ class TestArrayCurtailment:
         assert got_demands.tobytes() == demands.tobytes()
         assert list(survivors.transmissions) == transmissions
         assert list(survivors.dropped) == dropped
-        assert list(controller.last_deficit_j.items()) == list(last_deficit_j.items())
         assert list(survivors.link_service_pkts.items()) == list(service.items())
+        # Each node is clamped at most once, in ascending node order.
+        nodes = [node for node, _ in clamps]
+        assert nodes == sorted(set(nodes))
         expected_deficit = np.zeros_like(deficit)
-        expected_deficit[list(last_deficit_j)] = list(last_deficit_j.values())
+        expected_deficit[nodes] = [value for _, value in clamps]
         assert deficit.tobytes() == expected_deficit.tobytes()
+        assert controller.last_deficit_j.tobytes() == expected_deficit.tobytes()
+        # So the array's strict left-to-right total is the clamp-order sum.
+        assert seq_sum(controller.last_deficit_j) == sum(v for _, v in clamps)
 
     def test_tied_two_band_link_keeps_its_other_band(self):
         # A link served on two bands, tied H, and a deficit-only node:
@@ -350,5 +356,5 @@ class TestArrayCurtailment:
         # Tied H: the first entry goes, the other band keeps serving.
         assert survivors.dropped == ((*links[bs_link], 1),)
         assert dict(survivors.link_service_pkts) == {links[bs_link]: 0.3}
-        assert list(controller.last_deficit_j) == [idle]
+        assert np.flatnonzero(controller.last_deficit_j).tolist() == [idle]
         assert deficit[idle] == fixed[idle]

@@ -255,9 +255,10 @@ class TestBounds:
         for node_obj in tiny_model.nodes:
             node = node_obj.node_id
             alloc = decision.energy.allocation
-            battery = tiny_state.batteries[node]
-            assert alloc.charge_j[node] <= battery.max_charge_j() + 1e-6
-            assert alloc.discharge_j[node] <= battery.max_discharge_j() + 1e-6
+            arrays = tiny_state.arrays
+            assert alloc.charge_j[node] <= arrays.max_charge_j_array()[node] + 1e-6
+            max_drain = min(arrays.discharge_cap_j[node], arrays.battery_level[node])
+            assert alloc.discharge_j[node] <= max_drain + 1e-6
             assert (
                 alloc.renewable_serve_j[node] + alloc.renewable_charge_j[node]
                 <= observation.renewable_j[node] + 1e-6

@@ -18,56 +18,49 @@ from repro.control.energy_manager import (
     _batched_charge_mode,
     _batched_serve_mode,
 )
-from repro.energy import Battery, BatteryAction
-from repro.exceptions import EnergyError
 from repro.sim import SlotSimulator
 from repro.types import EnergySolverKind
+from tests.helpers import battery_step, one_battery
 from tests.slsqp_reference import solve_slsqp
 
 
 class TestLossyBattery:
     def test_charge_loss(self):
-        battery = Battery(1000.0, 300.0, 300.0, charge_efficiency=0.8)
-        battery.apply(BatteryAction(charge_j=100.0))
-        assert battery.level_j == pytest.approx(80.0)
+        arrays = one_battery(1000.0, 300.0, 300.0, charge_efficiency=0.8)
+        assert battery_step(arrays, charge_j=100.0) == pytest.approx(80.0)
 
     def test_discharge_drains_full_amount(self):
-        battery = Battery(
-            1000.0, 300.0, 300.0, initial_level_j=200.0, discharge_efficiency=0.9
+        arrays = one_battery(
+            1000.0, 300.0, 300.0, level_j=200.0, discharge_efficiency=0.9
         )
-        battery.apply(BatteryAction(discharge_j=100.0))
-        assert battery.level_j == pytest.approx(100.0)
-        assert battery.max_deliverable_j() == pytest.approx(0.9 * 100.0)
+        assert battery_step(arrays, discharge_j=100.0) == pytest.approx(100.0)
+        assert arrays.max_deliverable_j_array()[0] == pytest.approx(0.9 * 100.0)
 
     def test_headroom_accounts_for_charge_loss(self):
-        battery = Battery(
-            100.0, 30.0, 30.0, initial_level_j=90.0, charge_efficiency=0.5
-        )
+        arrays = one_battery(100.0, 30.0, 30.0, level_j=90.0, charge_efficiency=0.5)
         # 10 J of headroom admits 20 J of input at eta_c = 0.5.
-        assert battery.max_charge_j() == pytest.approx(20.0)
+        assert arrays.max_charge_j_array()[0] == pytest.approx(20.0)
 
     def test_lossless_defaults_match_paper(self):
-        battery = Battery(100.0, 30.0, 30.0)
-        battery.apply(BatteryAction(charge_j=10.0))
-        assert battery.level_j == pytest.approx(10.0)
+        arrays = one_battery(100.0, 30.0, 30.0)
+        assert battery_step(arrays, charge_j=10.0) == pytest.approx(10.0)
 
     def test_invalid_efficiency_rejected(self):
-        with pytest.raises(EnergyError):
-            Battery(100.0, 30.0, 30.0, charge_efficiency=0.0)
-        with pytest.raises(EnergyError):
-            Battery(100.0, 30.0, 30.0, discharge_efficiency=1.5)
+        with pytest.raises(ValueError, match="charge_efficiency"):
+            one_battery(100.0, 30.0, 30.0, charge_efficiency=0.0)
+        with pytest.raises(ValueError, match="discharge_efficiency"):
+            one_battery(100.0, 30.0, 30.0, discharge_efficiency=1.5)
 
     def test_round_trip_loses_energy(self):
-        battery = Battery(
+        arrays = one_battery(
             1000.0,
             300.0,
             300.0,
             charge_efficiency=0.9,
             discharge_efficiency=0.9,
         )
-        battery.apply(BatteryAction(charge_j=100.0))
-        stored = battery.level_j
-        delivered = battery.discharge_efficiency * stored
+        stored = battery_step(arrays, charge_j=100.0)
+        delivered = arrays.discharge_efficiency[0] * stored
         assert delivered == pytest.approx(81.0)  # 100 * 0.9 * 0.9
 
 
@@ -175,7 +168,7 @@ class TestLossySimulation:
         simulator = SlotSimulator.integral(lossy)
         result = simulator.run()
         for node in simulator.model.nodes:
-            level = simulator.state.batteries[node.node_id].level_j
+            level = simulator.state.arrays.battery_level[node.node_id]
             assert 0 <= level <= node.energy.battery_capacity_j
         assert result.metrics.totals()["deficit_j"] >= 0
 

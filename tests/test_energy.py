@@ -1,88 +1,102 @@
 """Unit tests for the energy substrate: batteries, renewables, grid,
-cost functions, consumption model."""
+cost functions, consumption model.
+
+Batteries and grid connections are ``(N,)`` vectors: the battery tests
+drive the :class:`~repro.core.arraystate.ArrayState` kernels on one
+node (``tests.helpers.one_battery``), and the grid tests observe a live
+:class:`~repro.state.NetworkState` or check a draw with the contract
+checker's Eq. 14 rule.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.config import tiny_scenario
 from repro.config.parameters import NodeParameters
+from repro.contracts import ContractChecker, ContractViolation
+from repro.control.decisions import BatchAllocation, EnergyManagementDecision
+from repro.control.energy_manager import NodeEnergyBatch, NodeEnergyInputs
 from repro.energy import (
-    Battery,
-    BatteryAction,
     DiurnalSolarProcess,
-    GridConnection,
     LinearCost,
     MarkovWindProcess,
     PiecewiseLinearCost,
     QuadraticCost,
-    ScriptedGridConnection,
     TimeOfUseCost,
     UniformRenewableProcess,
-    ZeroRenewableProcess,
     all_node_demands_array,
 )
 from repro.exceptions import EnergyError
+from repro.sim import SlotSimulator
 from repro.types import Transmission
+from tests.helpers import battery_step, one_battery
 
 
 class TestBatteryAction:
     def test_complementarity_enforced(self):
+        arrays = one_battery(100.0, 20.0, 20.0, level_j=10.0)
         with pytest.raises(EnergyError, match="constraint \\(9\\)"):
-            BatteryAction(charge_j=1.0, discharge_j=1.0)
+            battery_step(arrays, charge_j=1.0, discharge_j=1.0)
 
     def test_pure_charge_and_discharge_allowed(self):
-        assert BatteryAction(charge_j=5.0).net_j == 5.0
-        assert BatteryAction(discharge_j=3.0).net_j == -3.0
+        arrays = one_battery(100.0, 20.0, 20.0)
+        assert battery_step(arrays, charge_j=5.0) == 5.0
+        assert battery_step(arrays, discharge_j=3.0) == 2.0
 
     def test_negative_values_rejected(self):
-        with pytest.raises(EnergyError):
-            BatteryAction(charge_j=-1.0)
-        with pytest.raises(EnergyError):
-            BatteryAction(discharge_j=-1.0)
+        arrays = one_battery(100.0, 20.0, 20.0, level_j=10.0)
+        with pytest.raises(EnergyError, match="negative charge"):
+            battery_step(arrays, charge_j=-1.0)
+        with pytest.raises(EnergyError, match="negative discharge"):
+            battery_step(arrays, discharge_j=-1.0)
 
 
 class TestBattery:
     def test_constraint_13_enforced(self):
-        with pytest.raises(EnergyError, match="constraint \\(13\\)"):
-            Battery(capacity_j=10.0, charge_cap_j=6.0, discharge_cap_j=6.0)
+        with pytest.raises(ValueError, match="constraint \\(13\\)"):
+            one_battery(capacity_j=10.0, charge_cap_j=6.0, discharge_cap_j=6.0)
 
     def test_level_tracks_queue_law(self):
-        battery = Battery(100.0, 20.0, 20.0)
-        battery.apply(BatteryAction(charge_j=15.0))
-        assert battery.level_j == pytest.approx(15.0)
-        battery.apply(BatteryAction(discharge_j=10.0))
-        assert battery.level_j == pytest.approx(5.0)
+        arrays = one_battery(100.0, 20.0, 20.0)
+        assert battery_step(arrays, charge_j=15.0) == pytest.approx(15.0)
+        assert battery_step(arrays, discharge_j=10.0) == pytest.approx(5.0)
 
     def test_constraint_11_headroom(self):
-        battery = Battery(100.0, 40.0, 40.0, initial_level_j=90.0)
-        assert battery.max_charge_j() == pytest.approx(10.0)
+        arrays = one_battery(100.0, 40.0, 40.0, level_j=90.0)
+        assert arrays.max_charge_j_array()[0] == pytest.approx(10.0)
         with pytest.raises(EnergyError, match="constraint \\(11\\)"):
-            battery.apply(BatteryAction(charge_j=20.0))
+            battery_step(arrays, charge_j=20.0)
 
     def test_constraint_12_level(self):
-        battery = Battery(100.0, 40.0, 40.0, initial_level_j=5.0)
-        assert battery.max_discharge_j() == pytest.approx(5.0)
+        arrays = one_battery(100.0, 40.0, 40.0, level_j=5.0)
+        assert arrays.max_deliverable_j_array()[0] == pytest.approx(5.0)
         with pytest.raises(EnergyError, match="constraint \\(12\\)"):
-            battery.apply(BatteryAction(discharge_j=10.0))
+            battery_step(arrays, discharge_j=10.0)
 
     def test_charge_cap_binds_before_headroom(self):
-        battery = Battery(100.0, 20.0, 20.0, initial_level_j=0.0)
-        assert battery.max_charge_j() == pytest.approx(20.0)
+        arrays = one_battery(100.0, 20.0, 20.0)
+        assert arrays.max_charge_j_array()[0] == pytest.approx(20.0)
 
     def test_initial_level_out_of_bounds(self):
-        with pytest.raises(EnergyError):
-            Battery(100.0, 10.0, 10.0, initial_level_j=200.0)
+        # Every battery of a run starts empty, inside [0, x_max].
+        state = SlotSimulator.integral(tiny_scenario()).state
+        arrays = state.arrays
+        assert not arrays.battery_level.any()
+        assert (arrays.battery_level <= arrays.capacity_j).all()
 
     def test_level_never_negative_or_overfull(self):
-        battery = Battery(100.0, 50.0, 50.0, initial_level_j=50.0)
+        arrays = one_battery(100.0, 50.0, 50.0, level_j=50.0)
         rng = np.random.default_rng(0)
         for _ in range(200):
             if rng.random() < 0.5:
-                amount = rng.uniform(0, battery.max_charge_j())
-                battery.apply(BatteryAction(charge_j=amount))
+                amount = rng.uniform(0, arrays.max_charge_j_array()[0])
+                level = battery_step(arrays, charge_j=amount)
             else:
-                amount = rng.uniform(0, battery.max_discharge_j())
-                battery.apply(BatteryAction(discharge_j=amount))
-            assert 0.0 <= battery.level_j <= battery.capacity_j
+                amount = rng.uniform(0, arrays.max_deliverable_j_array()[0])
+                level = battery_step(arrays, discharge_j=amount)
+            assert 0.0 <= level <= arrays.capacity_j[0]
 
 
 class TestRenewableProcesses:
@@ -98,9 +112,10 @@ class TestRenewableProcesses:
         assert np.mean(samples) == pytest.approx(process.max_output_j / 2, rel=0.1)
 
     def test_zero_process(self):
-        process = ZeroRenewableProcess()
-        assert process.sample(0) == 0.0
-        assert process.max_output_j == 0.0
+        # Renewables off: every node reads 0 J every slot.
+        state = SlotSimulator.integral(tiny_scenario(renewables_enabled=False)).state
+        for slot in range(5):
+            assert not state.observe(slot).renewable_j.values_array.any()
 
     def test_solar_zero_at_night(self, rng):
         process = DiurnalSolarProcess(10.0, 60.0, rng, slots_per_day=100)
@@ -138,39 +153,90 @@ class TestRenewableProcesses:
             MarkovWindProcess(1.0, 60.0, rng, levels=())
 
 
+def _grid_state(user_connect_prob):
+    """A tiny run's state with users on the grid at ``user_connect_prob``.
+
+    Node 0 is the base station, always connected (p = 1).
+    """
+    params = tiny_scenario()
+    user_energy = dataclasses.replace(
+        params.user_energy, grid_connect_prob=user_connect_prob
+    )
+    params = dataclasses.replace(params, user_energy=user_energy)
+    return SlotSimulator.integral(params).state
+
+
+def _check_grid_draw(serve_j, charge_j, connected):
+    """Eq. 14 check of one user drawing ``serve_j + charge_j`` of 100 J."""
+    zero = np.zeros(1)
+    batch = NodeEnergyBatch.from_inputs(
+        [
+            NodeEnergyInputs(
+                node=0,
+                is_base_station=False,
+                demand_j=serve_j,
+                renewable_j=0.0,
+                grid_connected=connected,
+                grid_cap_j=100.0,
+                charge_cap_j=50.0,
+                discharge_cap_j=0.0,
+                z=-1.0,
+            )
+        ]
+    )
+    allocation = BatchAllocation(
+        renewable_serve_j=zero,
+        renewable_charge_j=zero,
+        grid_serve_j=np.array([serve_j]),
+        grid_charge_j=np.array([charge_j]),
+        discharge_j=zero,
+        spill_j=zero,
+    )
+    decision = EnergyManagementDecision(
+        allocation=allocation, bs_grid_draw_j=0.0, cost=0.0
+    )
+    ContractChecker("strict").check_energy(batch, decision, slot=0)
+
+
+def _connected(state, node, slots):
+    return [bool(state.observe(t).grid_connected[node]) for t in range(slots)]
+
+
 class TestGridConnection:
-    def test_always_connected(self, rng):
-        grid = GridConnection(100.0, 1.0, rng)
-        assert all(grid.sample_connected(t) for t in range(100))
+    def test_always_connected(self):
+        assert all(_connected(_grid_state(0.5), 0, 100))
 
-    def test_never_connected(self, rng):
-        grid = GridConnection(100.0, 0.0, rng)
-        assert not any(grid.sample_connected(t) for t in range(100))
+    def test_never_connected(self):
+        state = _grid_state(0.0)
+        for slot in range(100):
+            connected = state.observe(slot).grid_connected.values_array
+            assert not connected[1:].any()
 
-    def test_bernoulli_rate(self, rng):
-        grid = GridConnection(100.0, 0.3, rng)
-        rate = np.mean([grid.sample_connected(t) for t in range(5000)])
-        assert rate == pytest.approx(0.3, abs=0.03)
+    def test_bernoulli_rate(self):
+        state = _grid_state(0.3)
+        draws = [state.observe(t).grid_connected.values_array[1:] for t in range(1500)]
+        assert np.mean(draws) == pytest.approx(0.3, abs=0.03)
 
-    def test_validate_draw_cap(self, rng):
-        grid = GridConnection(100.0, 1.0, rng)
-        grid.validate_draw(60.0, 40.0, connected=True)  # exactly at cap
-        with pytest.raises(EnergyError, match="constraint \\(14\\)"):
-            grid.validate_draw(80.0, 40.0, connected=True)
+    def test_validate_draw_cap(self):
+        _check_grid_draw(60.0, 40.0, connected=True)  # exactly at cap
+        with pytest.raises(ContractViolation) as excinfo:
+            _check_grid_draw(80.0, 40.0, connected=True)
+        assert excinfo.value.equation == "Eq. 14"
 
-    def test_validate_draw_disconnected(self, rng):
-        grid = GridConnection(100.0, 0.5, rng)
-        with pytest.raises(EnergyError, match="disconnected"):
-            grid.validate_draw(1.0, 0.0, connected=False)
+    def test_validate_draw_disconnected(self):
+        with pytest.raises(ContractViolation, match="usable cap 0.0 J") as excinfo:
+            _check_grid_draw(1.0, 0.0, connected=False)
+        assert excinfo.value.equation == "Eq. 14"
 
-    def test_scripted_outage_window(self, rng):
-        grid = ScriptedGridConnection(100.0, 1.0, rng, outages=[(3, 6)])
-        connectivity = [grid.sample_connected(t) for t in range(8)]
+    def test_scripted_outage_window(self):
+        state = _grid_state(0.5)
+        state.schedule_grid_outage([0], 3, 6)
+        connectivity = _connected(state, 0, 8)
         assert connectivity == [True, True, True, False, False, False, True, True]
 
-    def test_scripted_empty_window_rejected(self, rng):
-        with pytest.raises(EnergyError):
-            ScriptedGridConnection(100.0, 1.0, rng, outages=[(5, 5)])
+    def test_scripted_empty_window_rejected(self):
+        with pytest.raises(EnergyError, match="empty outage window"):
+            _grid_state(0.5).schedule_grid_outage([0], 5, 5)
 
 
 class TestCostFunctions:

@@ -22,6 +22,10 @@ in ``tests/golden/trajectories.json``.  Regenerate after an intentional
 change with::
 
     PYTHONPATH=src python -m tests.test_golden --write-trajectories
+
+``TestGoldenObservations`` pins the sampled environment itself: one
+SHA-256 (``GOLDEN_OBSERVATION_SHA256``) over the renewable and grid
+vectors that ``observe`` returns, with scripted grid outages.
 """
 
 import dataclasses
@@ -250,14 +254,9 @@ OBSERVATION_OUTAGES = {0: [(3, 6)], 2: [(1, 4), (8, 10)]}
 
 def _schedule_outages(state, outages):
     """Disconnect each node of ``outages`` in its half-open windows."""
-    from repro.energy import ScriptedGridConnection
-
     for node, windows in outages.items():
-        old = state.grids[node]
-        state.grids[node] = ScriptedGridConnection(
-            old.draw_cap_j, old.connect_prob, old._rng, outages=windows
-        )
-    state.reset_caches()
+        for start, end in windows:
+            state.schedule_grid_outage([node], start, end)
 
 
 def _observation_digest():

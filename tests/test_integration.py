@@ -43,7 +43,7 @@ class AuditingSimulator:
             alloc = decision.energy.allocation
             draw = alloc.grid_draw_j
             for node in range(len(alloc)):
-                cap = simulator.state.grids[node].draw_cap_j
+                cap = simulator.state.arrays.grid_cap_j[node]
                 if draw[node] > cap * (1 + 1e-9):
                     self.violations.append((slot, f"grid-cap node {node}"))
                 if draw[node] > 0 and not observation.grid_connected[node]:
@@ -71,7 +71,7 @@ class AuditingSimulator:
 
             # Battery bounds after the update (10).
             for node_obj in model.nodes:
-                level = simulator.state.batteries[node_obj.node_id].level_j
+                level = simulator.state.arrays.battery_level[node_obj.node_id]
                 if not -1e-9 <= level <= node_obj.energy.battery_capacity_j + 1e-9:
                     self.violations.append((slot, f"battery-bounds node {node_obj.node_id}"))
         return self.violations

@@ -175,7 +175,7 @@ class TestR005EquationCitations:
     def test_out_of_scope_modules_exempt(self):
         src = '"""No citations here."""\n'
         assert rule_ids(src, Path("src/repro/control/__init__.py")) == set()
-        assert rule_ids(src, Path("src/repro/energy/battery.py")) == set()
+        assert rule_ids(src, Path("src/repro/energy/renewable.py")) == set()
 
 
 class TestR006HotPathDictLoops:
@@ -264,7 +264,7 @@ class TestR006HotPathDictLoops:
             Path("src/repro/state.py"),
             Path("src/repro/control/router.py"),
             Path("src/repro/control/scheduler.py"),
-            Path("src/repro/queueing/energy_queue.py"),
+            Path("src/repro/queueing/backlog.py"),
             Path("src/repro/core/arraystate.py"),
         ],
     )
@@ -277,7 +277,7 @@ class TestR006HotPathDictLoops:
     @pytest.mark.parametrize(
         "path",
         [
-            Path("src/repro/energy/battery.py"),
+            Path("src/repro/energy/renewable.py"),
             Path("src/repro/control/controller.py"),
             Path("src/repro/sim/engine.py"),
             Path("tests/test_example.py"),

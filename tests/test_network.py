@@ -19,6 +19,7 @@ from repro.network import (
     uniform_random_placement,
 )
 from repro.types import NodeKind
+from tests.topology_reference import build_topology_dense
 
 
 def _link_graph(topology):
@@ -153,9 +154,14 @@ class TestTopology:
         assert set(params.user_ids()) <= reached
 
     def test_graph_has_all_nodes(self, topo):
-        _, topology = topo
-        graph = _link_graph(topology)
-        assert graph.number_of_nodes() == topology.num_nodes
+        # Every node is an endpoint of some candidate link (the builder
+        # rejects isolated nodes), and the links are the all-pairs
+        # oracle's, in its order.
+        params, topology = topo
+        endpoints = {node for link in topology.candidate_links for node in link}
+        assert endpoints == set(range(topology.num_nodes))
+        reference = build_topology_dense(params, topology.nodes)
+        assert topology.candidate_links == reference.candidate_links
 
 
 class TestSpectrum:

@@ -16,7 +16,6 @@ from repro.control.energy_manager import (
     NodeEnergyInputs,
     _batched_node_response,
 )
-from repro.energy.battery import Battery, BatteryAction
 from repro.energy.cost import PiecewiseLinearCost, QuadraticCost
 from repro.phy.capacity import link_capacity_bps
 from repro.phy.power_control import minimal_power_assignment
@@ -26,7 +25,7 @@ from repro.core import compute_constants
 from repro.model import build_network_model
 from repro.state import NetworkState
 from repro.solvers.bisection import bisect_root, minimize_convex_1d
-from tests.helpers import queue_step, virtual_step
+from tests.helpers import battery_step, one_battery, queue_step, virtual_step
 
 finite = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -91,15 +90,14 @@ class TestBatteryProperties:
         ),
     )
     def test_level_always_in_bounds(self, capacity, fractions):
-        battery = Battery(capacity, capacity / 3, capacity / 3)
+        arrays = one_battery(capacity, capacity / 3, capacity / 3)
         for is_charge, fraction in fractions:
             if is_charge:
-                action = BatteryAction(charge_j=fraction * battery.max_charge_j())
+                amount = fraction * arrays.max_charge_j_array()[0]
+                level = battery_step(arrays, charge_j=amount)
             else:
-                action = BatteryAction(
-                    discharge_j=fraction * battery.max_discharge_j()
-                )
-            level = battery.apply(action)
+                amount = fraction * _max_drain(arrays)
+                level = battery_step(arrays, discharge_j=amount)
             assert 0.0 <= level <= capacity
 
     @given(
@@ -107,12 +105,12 @@ class TestBatteryProperties:
         charge=st.floats(min_value=0.0, max_value=1e6),
     )
     def test_overcharge_always_rejected(self, capacity, charge):
-        battery = Battery(capacity, capacity / 3, capacity / 3)
-        assume(charge > battery.max_charge_j() * (1 + 1e-6) + 1e-6)
+        arrays = one_battery(capacity, capacity / 3, capacity / 3)
+        assume(charge > arrays.max_charge_j_array()[0] * (1 + 1e-6) + 1e-6)
         from repro.exceptions import EnergyError
 
         with pytest.raises(EnergyError):
-            battery.apply(BatteryAction(charge_j=charge))
+            battery_step(arrays, charge_j=charge)
 
 
 class TestCostProperties:
@@ -279,12 +277,17 @@ class TestEnergyAllocationProperties:
         assert np.isfinite(objective[0])
 
 
+def _max_drain(arrays):
+    """Constraint (12) for a :func:`one_battery`: ``min(d_max, x)``."""
+    return float(min(arrays.discharge_cap_j[0], arrays.battery_level[0]))
+
+
 class BatteryMachine(RuleBasedStateMachine):
     """Stateful battery test: no action sequence can break (10)-(13)."""
 
     def __init__(self):
         super().__init__()
-        self.battery = Battery(
+        self.arrays = one_battery(
             capacity_j=1000.0,
             charge_cap_j=300.0,
             discharge_cap_j=300.0,
@@ -295,35 +298,32 @@ class BatteryMachine(RuleBasedStateMachine):
 
     @rule(fraction=st.floats(min_value=0.0, max_value=1.0))
     def charge(self, fraction):
-        amount = fraction * self.battery.max_charge_j()
-        self.battery.apply(BatteryAction(charge_j=amount))
-        self.shadow_level += self.battery.charge_efficiency * amount
+        amount = fraction * self.arrays.max_charge_j_array()[0]
+        battery_step(self.arrays, charge_j=amount)
+        self.shadow_level += self.arrays.charge_efficiency[0] * amount
 
     @rule(fraction=st.floats(min_value=0.0, max_value=1.0))
     def discharge(self, fraction):
-        amount = fraction * self.battery.max_discharge_j()
-        self.battery.apply(BatteryAction(discharge_j=amount))
+        amount = fraction * _max_drain(self.arrays)
+        battery_step(self.arrays, discharge_j=amount)
         self.shadow_level -= amount
 
     @invariant()
     def level_in_bounds(self):
-        assert 0.0 <= self.battery.level_j <= self.battery.capacity_j
+        assert 0.0 <= self.arrays.battery_level[0] <= self.arrays.capacity_j[0]
 
     @invariant()
     def level_matches_shadow(self):
-        assert self.battery.level_j == pytest.approx(
-            min(max(self.shadow_level, 0.0), self.battery.capacity_j),
+        assert self.arrays.battery_level[0] == pytest.approx(
+            min(max(self.shadow_level, 0.0), self.arrays.capacity_j[0]),
             abs=1e-6,
         )
 
     @invariant()
     def caps_consistent(self):
-        assert self.battery.max_charge_j() >= 0.0
-        assert self.battery.max_discharge_j() >= 0.0
-        assert (
-            self.battery.max_deliverable_j()
-            <= self.battery.max_discharge_j() + 1e-12
-        )
+        assert self.arrays.max_charge_j_array()[0] >= 0.0
+        assert _max_drain(self.arrays) >= 0.0
+        assert self.arrays.max_deliverable_j_array()[0] <= _max_drain(self.arrays) + 1e-12
 
 
 TestBatteryStateMachine = BatteryMachine.TestCase

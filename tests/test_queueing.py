@@ -1,6 +1,6 @@
 """Unit tests for the queueing laws: the data- and virtual-queue kernels
-of ``ArrayState`` (Eqs. 15, 28, 30), the shifted energy queue and the
-stability estimators."""
+of ``ArrayState`` (Eqs. 15, 28, 30), the shifted energy queue (Eq. 31)
+and the stability estimators."""
 
 import dataclasses
 
@@ -9,11 +9,11 @@ import pytest
 
 from repro.config import small_scenario, tiny_scenario
 from repro.control.decisions import AdmissionDecision
+from repro.contracts import ContractChecker, ContractViolation
 from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping, seq_sum
-from repro.exceptions import QueueError
+from repro.exceptions import EnergyError, QueueError
 from repro.queueing import (
     BacklogSnapshot,
-    ShiftedEnergyQueue,
     StabilityVerdict,
     assess_strong_stability,
     is_rate_stable_sample_path,
@@ -21,7 +21,13 @@ from repro.queueing import (
 from repro.queueing.backlog import make_snapshot_from_arrays
 from repro.sim import SlotSimulator
 from repro.types import QueueSemantics
-from tests.helpers import make_snapshot_oracle, queue_step, virtual_step
+from tests.helpers import (
+    battery_step,
+    make_snapshot_oracle,
+    one_battery,
+    queue_step,
+    virtual_step,
+)
 
 
 @pytest.fixture
@@ -179,37 +185,44 @@ class TestVirtualQueues:
         assert not arrays.g.any()
 
 
+def _check_shift_error(shift_error):
+    """Contract-check a genuine slot whose node-0 ``z`` shift is off by
+    ``shift_error`` J."""
+    simulator = SlotSimulator.integral(tiny_scenario(num_slots=3))
+    checker = ContractChecker("strict")
+    simulator.step(0)
+    pre = checker.capture(simulator.state)
+    decision = simulator.step(1)
+    simulator.state.arrays.z_shift[0] += shift_error
+    checker.check_transition(simulator.model, simulator.state, decision, pre, 1)
+
+
 class TestShiftedEnergyQueue:
     def test_shift_definition(self):
-        queue = ShiftedEnergyQueue(
-            node=0, control_v=100.0, gamma_max=2.0, discharge_cap_j=10.0
-        )
+        arrays = one_battery(100.0, 10.0, 10.0, control_v=100.0, gamma_max=2.0)
         # z = x - V*gamma_max - d_max = 0 - 210.
-        assert queue.z == pytest.approx(-210.0)
-        assert queue.shift_j == pytest.approx(210.0)
+        assert arrays.z_values_array()[0] == pytest.approx(-210.0)
+        assert arrays.z_shift[0] == pytest.approx(210.0)
 
     def test_step_follows_eq31(self):
-        queue = ShiftedEnergyQueue(0, 100.0, 2.0, 10.0)
-        queue.step(charge_j=50.0, discharge_j=0.0)
-        assert queue.level_j == pytest.approx(50.0)
-        assert queue.z == pytest.approx(-160.0)
+        arrays = one_battery(200.0, 60.0, 10.0, control_v=100.0, gamma_max=2.0)
+        assert battery_step(arrays, charge_j=50.0) == pytest.approx(50.0)
+        assert arrays.z_values_array()[0] == pytest.approx(-160.0)
 
     def test_complementarity_enforced(self):
-        queue = ShiftedEnergyQueue(0, 1.0, 1.0, 1.0)
-        with pytest.raises(QueueError, match="constraint \\(9\\)"):
-            queue.step(charge_j=1.0, discharge_j=1.0)
+        arrays = one_battery(10.0, 1.0, 1.0, level_j=5.0)
+        with pytest.raises(EnergyError, match="constraint \\(9\\)"):
+            battery_step(arrays, charge_j=1.0, discharge_j=1.0)
 
     def test_sync_level_accepts_roundoff(self):
-        queue = ShiftedEnergyQueue(0, 1.0, 1.0, 1.0)
-        queue.step(10.0, 0.0)
-        queue.sync_level(10.0 + 1e-9)
-        assert queue.level_j == pytest.approx(10.0)
+        # The Eq. 31 contract tolerates round-off in the shift.
+        _check_shift_error(1e-9)
 
     def test_sync_level_rejects_divergence(self):
-        queue = ShiftedEnergyQueue(0, 1.0, 1.0, 1.0)
-        queue.step(10.0, 0.0)
-        with pytest.raises(QueueError, match="divergence"):
-            queue.sync_level(99.0)
+        with pytest.raises(ContractViolation, match="diverged") as excinfo:
+            _check_shift_error(89.0)
+        assert excinfo.value.equation == "Eq. 31"
+        assert excinfo.value.node == 0
 
 
 class TestStability:

@@ -11,12 +11,15 @@ Two families of guarantees are pinned here:
   first-draw values are pinned as goldens (numpy documents the
   ``SeedSequence`` hashing algorithm as stable across versions, and
   these tests turn that promise into a regression gate).
+
+:func:`~repro.sim.rng.spawn_child` must build exactly the generator
+``Generator.spawn`` would, for any child index and spawn key.
 """
 
 import numpy as np
 import pytest
 
-from repro.sim.rng import STREAM_NAMES, RngStreams, spawn_child_keys
+from repro.sim.rng import STREAM_NAMES, RngStreams, spawn_child, spawn_child_keys
 
 #: Golden first draws of ``RngStreams(2014)`` (regenerate with
 #: ``RngStreams(2014).<stream>.random()`` and update alongside a
@@ -131,3 +134,49 @@ class TestChildSeedDerivation:
     def test_negative_child_count_rejected(self):
         with pytest.raises(ValueError):
             spawn_child_keys(1, -1)
+
+
+class TestSpawnChild:
+    """One child built alone equals the same child of ``Generator.spawn``."""
+
+    @staticmethod
+    def _parent(seed, key):
+        return np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+        )
+
+    @pytest.mark.parametrize("key", [(), (3,), (0, 7), (2, 1, 5)])
+    @pytest.mark.parametrize("index", [0, 1, 9, 40])
+    def test_matches_generator_spawn(self, key, index):
+        expected = self._parent(2014, key).spawn(index + 3)[index]
+        child = spawn_child(self._parent(2014, key), index)
+        assert type(child.bit_generator) is type(expected.bit_generator)
+        assert child.bit_generator.state == expected.bit_generator.state
+        assert child.random(8).tobytes() == expected.random(8).tobytes()
+
+    def test_counts_from_the_parents_spawn_counter(self):
+        parent = self._parent(11, (4,))
+        built = spawn_child(parent, 2)
+        parent.spawn(5)  # children 0-4 taken: the next spawn starts at 5
+        later = spawn_child(parent, 2)
+        expected = self._parent(11, (4,)).spawn(8)
+        assert built.random() == expected[2].random()
+        assert later.random() == expected[7].random()
+
+    def test_keeps_the_bit_generator_type(self):
+        parent = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+        expected = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+        child = spawn_child(parent, 3)
+        assert isinstance(child.bit_generator, np.random.Philox)
+        assert child.random() == expected.spawn(4)[3].random()
+
+    def test_parent_unchanged(self):
+        parent = self._parent(2014, ())
+        before = parent.bit_generator.state
+        spawn_child(parent, 6)
+        assert parent.bit_generator.state == before
+        assert parent.bit_generator.seed_seq.n_children_spawned == 0
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            spawn_child(self._parent(1, ()), -1)

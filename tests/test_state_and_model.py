@@ -63,7 +63,7 @@ class TestNetworkState:
                 params.control_v * tiny_constants.gamma_max
                 + node_obj.energy.discharge_cap_j
             )
-            assert tiny_state.energy_queues[node].z == pytest.approx(expected)
+            assert tiny_state.z_values()[node] == pytest.approx(expected)
 
     def test_observation_shape(self, tiny_state, tiny_model):
         observation = tiny_state.observe(0)
@@ -119,29 +119,61 @@ class TestNetworkState:
             decision = controller.decide(tiny_state.observe(slot), tiny_state)
             snapshot = tiny_state.apply(decision, slot)
             assert snapshot.slot == slot
+            arrays = tiny_state.arrays
             for node_obj in tiny_model.nodes:
                 node = node_obj.node_id
-                level = tiny_state.batteries[node].level_j
+                level = arrays.battery_level[node]
                 assert 0 <= level <= node_obj.energy.battery_capacity_j
-                # The energy queue mirrors the battery exactly.
-                assert tiny_state.energy_queues[node].level_j == pytest.approx(level)
+                # The shifted energy queue reads the same level (Eq. 31).
+                assert tiny_state.z_values()[node] == level - arrays.z_shift[node]
 
-    def test_reset_caches_picks_up_a_swapped_grid(self, tiny_state, tiny_model):
-        # The sampling plan is built by reset_caches() only: a grid
-        # rebound on a live state is sampled once that call is made.
-        from repro.energy import ScriptedGridConnection
-
+    def test_grid_outage_takes_effect_on_a_live_state(self, tiny_state, tiny_model):
+        # An outage scheduled after the run started applies from its
+        # first slot; the grid caps stay the model's.
         bs = tiny_model.bs_ids[0]
-        old_cap = tiny_state.grids[bs].draw_cap_j
-        new_cap = 0.5 * old_cap
-        tiny_state.grids[bs] = ScriptedGridConnection(
-            new_cap, 1.0, np.random.default_rng(5), outages=[(3, 6)]
-        )
-        tiny_state.reset_caches()
-        caps = tiny_state.grid_caps_array()
-        assert caps[bs] == new_cap
-        others = [n for n in range(tiny_model.num_nodes) if n != bs]
-        assert list(caps[others]) == [tiny_state.grids[n].draw_cap_j for n in others]
-        for slot in range(8):
-            connected = tiny_state.observe(slot).grid_connected[bs]
-            assert connected == (not 3 <= slot < 6), slot
+        connected = [tiny_state.observe(slot).grid_connected[bs] for slot in range(2)]
+        tiny_state.schedule_grid_outage([bs], 3, 6)
+        for slot in range(2, 8):
+            connected.append(tiny_state.observe(slot).grid_connected[bs])
+        assert connected == [not 3 <= slot < 6 for slot in range(8)]
+        caps = [node.energy.grid_cap_j for node in tiny_model.nodes]
+        assert list(tiny_state.arrays.grid_cap_j) == caps
+
+
+def _spawned_children(monkeypatch, params):
+    """Spawn-child indices a ``NetworkState`` builds for ``params``."""
+    import repro.state
+
+    built = []
+    real_spawn_child = repro.state.spawn_child
+
+    def spawn_child(parent, index):
+        built.append(index)
+        return real_spawn_child(parent, index)
+
+    monkeypatch.setattr(repro.state, "spawn_child", spawn_child)
+    model = build_network_model(params, np.random.default_rng(params.seed))
+    NetworkState(model, compute_constants(model), np.random.default_rng(1))
+    return built, model
+
+
+class TestLazyStreams:
+    def test_no_stream_for_components_that_never_draw(self, monkeypatch):
+        # Renewables off, base stations at p = 1, users at p = 0: only
+        # the band stream (child 0) is built.
+        params = tiny_scenario(renewables_enabled=False)
+        assert params.user_energy.grid_connect_prob == 0.0
+        built, _ = _spawned_children(monkeypatch, params)
+        assert built == [0]
+
+    def test_streams_for_drawing_components_only(self, monkeypatch):
+        import dataclasses
+
+        params = tiny_scenario()
+        user_energy = dataclasses.replace(params.user_energy, grid_connect_prob=0.5)
+        params = dataclasses.replace(params, user_energy=user_energy)
+        built, model = _spawned_children(monkeypatch, params)
+        n = model.num_nodes
+        renewables = [1 + node for node in range(n)]
+        grids = [1 + n + user for user in model.user_ids]
+        assert built == [0, *grids, *renewables]

@@ -54,6 +54,15 @@ def _max_range_feasible(
     return gains[tx, rx] * p_max >= params.sinr_threshold * noise
 
 
+def all_pairs_gains(
+    positions: np.ndarray, constant: float, exponent: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(N, N)`` distances and gains ``g_ij = C d(i, j)^-gamma`` of ``positions``."""
+    diffs = positions[:, None, :] - positions[None, :, :]  # noqa: R041 - the reference builder is all-pairs by definition; the library uses the grid builder
+    distances = np.sqrt((diffs**2).sum(axis=2))
+    return distances, gain_matrix(distances, constant, exponent)
+
+
 def build_topology_dense(
     params: ScenarioParameters, nodes: Sequence[Node]
 ) -> ReferenceTopology:
@@ -62,12 +71,10 @@ def build_topology_dense(
     O(N^2) in time and memory; the grid builder must match it exactly.
     """
     num_nodes = len(nodes)
-    positions = _positions_array(nodes)
-    diffs = positions[:, None, :] - positions[None, :, :]  # noqa: R041 - the reference builder is all-pairs by definition; the library uses the grid builder
-    distances = np.sqrt((diffs**2).sum(axis=2))
-
-    gains = gain_matrix(
-        distances, params.propagation_constant, params.path_loss_exponent
+    distances, gains = all_pairs_gains(
+        _positions_array(nodes),
+        params.propagation_constant,
+        params.path_loss_exponent,
     )
 
     links: List[Link] = []
