@@ -14,7 +14,6 @@ from repro.analysis.callgraph import Program
 from repro.analysis.cli import analyze_paths
 from repro.analysis.equations import audit_equations
 from repro.contracts import ContractChecker
-from repro.core.arraystate import LinkArrayMapping
 from repro.sim import SlotSimulator
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -64,14 +63,9 @@ def test_scheduler_sequential_fix(benchmark, bench_base):
     simulator = _warm_simulator(bench_base)
     observation = simulator.state.observe(99)
     h = simulator.state.h_backlogs()
-    arrays = simulator.state.arrays
     rng = np.random.default_rng(0)
     # Load every link so the SF LP is non-trivial.
-    loaded = LinkArrayMapping(
-        h.values_array + rng.uniform(1, 50, size=len(h)),
-        arrays.links,
-        arrays.link_pos,
-    )
+    loaded = h + rng.uniform(1, 50, size=h.shape[0])
 
     benchmark(
         lambda: simulator.controller.scheduler.schedule(observation, loaded)

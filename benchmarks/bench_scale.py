@@ -129,7 +129,7 @@ def bench_scale(name: str, num_users: int, num_slots: int) -> Dict:
     return {
         "num_users": num_users,
         "num_nodes": params.num_nodes,
-        "num_links": len(topology.candidate_links),
+        "num_links": int(topology.link_tx.size),
         "num_slots": num_slots,
         "build_s": round(build_s, 3),
         "first_slot_s": round(first_slot_s, 3),
@@ -149,7 +149,7 @@ def bench_million() -> Dict:
     return {
         "num_users": MILLION_USERS,
         "num_nodes": params.num_nodes,
-        "num_links": len(sim.model.topology.candidate_links),
+        "num_links": int(sim.model.topology.link_tx.size),
         "build_s": round(build_s, 3),
         "slot_s": round(slot_s, 3),
     }

@@ -8,7 +8,7 @@ Axis   Meaning
 ====== ==============================================================
 ``N``  nodes, in ``NetworkModel.nodes`` order (BS rows first)
 ``S``  sessions, in ``NetworkModel.sessions`` order
-``L``  directed links, in the frozen ``ArrayState.links`` order
+``L``  directed links, in the frozen ``Topology.link_tx`` order
 ``M``  spectrum bands, in ``bands_hz`` key order
 ``1``  a broadcast axis inserted with ``None``/``np.newaxis``
 ====== ==============================================================
@@ -50,7 +50,7 @@ ANY_AXIS = "?"
 AXIS_MEANINGS: Dict[str, str] = {
     "N": "nodes (NetworkModel.nodes order, BS rows first)",
     "S": "sessions (NetworkModel.sessions order)",
-    "L": "directed links (frozen ArrayState.links order)",
+    "L": "directed links (frozen Topology.link_tx order)",
     "M": "spectrum bands (bands_hz key order)",
     "1": "broadcast axis inserted with None/np.newaxis",
     ANY_AXIS: "intentionally shape-agnostic",

@@ -34,8 +34,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
-    MutableMapping,
     Optional,
     Tuple,
     Union,
@@ -43,11 +41,12 @@ from typing import (
 
 import numpy as np
 
+from repro.axes import AnyArray, LinkPackets, NodeJoules, QueuePackets
 from repro.constants import FEASIBILITY_EPS
-from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping, seq_sum
+from repro.core.arraystate import seq_sum
 from repro.contracts.violations import ContractViolation
 from repro.phy.sinr import co_band_gain_block, sinr_in_group
-from repro.types import Link, NodeId, QueueSemantics, SessionId, Transmission
+from repro.types import Link, NodeId, QueueSemantics, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.control.decisions import (
@@ -122,13 +121,14 @@ def coerce_strictness(
 class PreApplySnapshot:
     """State captured immediately before ``NetworkState.apply``.
 
-    The state captures mapping adapters over *copies* of its arrays
-    (see docs/contracts.md); they satisfy the mapping protocols below.
+    Copies of the ``ArrayState`` buffers the transition reads, in
+    their layouts: ``q`` is ``(N, S)``, ``g`` is ``(L,)`` by link
+    position and ``battery_level`` is ``(N,)`` (see docs/contracts.md).
     """
 
-    data_backlogs: MutableMapping[Tuple[NodeId, SessionId], float]
-    g_backlogs: Mapping[Link, float]
-    battery_levels: NodeArrayMapping
+    q: QueuePackets
+    g: LinkPackets
+    battery_level: NodeJoules
 
 
 class ContractChecker:
@@ -337,30 +337,38 @@ class ContractChecker:
         """Non-negative rates and the flow rules (Eqs. 16-17)."""
         if not self.enabled:
             return
-        destinations = model.session_destinations()
-        for (tx, rx, session), rate in routing.rates.items():
-            if rate < -QUEUE_ATOL or not math.isfinite(rate):
-                self._violate(
-                    "Eq. 25",
-                    f"routing rate {rate} pkts for session {session} "
-                    "is negative or non-finite",
-                    slot=slot,
-                    link=(tx, rx),
-                )
-            if tx == destinations.get(session):
-                self._violate(
-                    "Eq. 17",
-                    f"destination of session {session} re-emits packets",
-                    slot=slot,
-                    link=(tx, rx),
-                )
-            if rx == admission.sources.get(session):
-                self._violate(
-                    "Eq. 16",
-                    f"source of session {session} receives packets",
-                    slot=slot,
-                    link=(tx, rx),
-                )
+        # Entries in ascending link position (emission order on ties).
+        order = np.argsort(routing.link_pos, kind="stable")
+        pos, col = routing.link_pos[order], routing.session_col[order]
+        rate = routing.pkts[order]
+        tx, rx = routing.link_tx[pos], routing.link_rx[pos]
+        session = np.asarray(routing.sessions)[col]
+        links = (tx, rx)
+        self._violate_rows(
+            "Eq. 25",
+            (rate < -QUEUE_ATOL) | ~np.isfinite(rate),
+            None,
+            lambda i: f"routing rate {rate[i]} pkts for session {session[i]} "
+            "is negative or non-finite",
+            slot,
+            links,
+        )
+        self._violate_rows(
+            "Eq. 17",
+            tx == model.destination_rows[col],
+            None,
+            lambda i: f"destination of session {session[i]} re-emits packets",
+            slot,
+            links,
+        )
+        self._violate_rows(
+            "Eq. 16",
+            rx == admission.source_rows[col],
+            None,
+            lambda i: f"source of session {session[i]} receives packets",
+            slot,
+            links,
+        )
 
     # ------------------------------------------------------------------
     # S4: energy allocation (Eqs. 3, 9-14)
@@ -463,13 +471,25 @@ class ContractChecker:
         self,
         equation: str,
         bad: np.ndarray,
-        nodes: np.ndarray,
+        nodes: Optional[AnyArray],
         detail: Callable[[int], str],
         slot: Optional[int],
+        links: Optional[Tuple[AnyArray, AnyArray]] = None,
     ) -> None:
-        """Report ``equation`` at every row flagged in ``bad``."""
+        """Report ``equation`` at every row flagged in ``bad``, in row order.
+
+        ``nodes[i]`` names row ``i``'s node and ``links`` — a
+        ``(tx, rx)`` pair of row-aligned arrays — its link; either may
+        be None.
+        """
         for i in np.flatnonzero(bad):
-            self._violate(equation, detail(i), slot=slot, node=int(nodes[i]))
+            self._violate(
+                equation,
+                detail(i),
+                slot=slot,
+                node=None if nodes is None else int(nodes[i]),
+                link=None if links is None else (int(links[0][i]), int(links[1][i])),
+            )
 
     # ------------------------------------------------------------------
     # Controller: demand coverage after curtailment (Eq. 2)
@@ -520,9 +540,9 @@ class ContractChecker:
             return None
         arrays = state.arrays
         return PreApplySnapshot(
-            data_backlogs=arrays.q_mapping(copy=True),
-            g_backlogs=LinkArrayMapping(arrays.g.copy(), arrays.links, arrays.link_pos),
-            battery_levels=NodeArrayMapping(arrays.battery_level.copy()),
+            q=arrays.q.copy(),
+            g=arrays.g.copy(),
+            battery_level=arrays.battery_level.copy(),
         )
 
     def check_transition(
@@ -547,30 +567,23 @@ class ContractChecker:
         self,
         model: "NetworkModel",
         pre: PreApplySnapshot,
-        rates: Mapping[Tuple[NodeId, NodeId, SessionId], float],
-    ) -> Dict[Tuple[NodeId, NodeId, SessionId], float]:
+        cell: AnyArray,
+        rate: AnyArray,
+    ) -> AnyArray:
         """Independent re-derivation of the configured queue semantics.
 
-        ``PAPER`` passes scheduled rates through (the null-packet
-        idealisation of Eq. 15); ``PACKET_ACCURATE`` rescales each
-        transmitter's outgoing rates so they never exceed its pre-slot
-        backlog.
+        ``cell`` is each routed entry's flat ``(tx, session)`` index
+        into ``q``.  ``PAPER`` passes scheduled rates through (the
+        null-packet idealisation of Eq. 15); ``PACKET_ACCURATE``
+        rescales each transmitter's outgoing rates so they never exceed
+        its pre-slot backlog.
         """
         if model.params.queue_semantics is QueueSemantics.PAPER:
-            return dict(rates)
-        outgoing: Dict[Tuple[NodeId, SessionId], float] = {}
-        for (tx, _rx, session), rate in rates.items():
-            key = (tx, session)
-            outgoing[key] = outgoing.get(key, 0.0) + rate
-        effective: Dict[Tuple[NodeId, NodeId, SessionId], float] = {}
-        for (tx, rx, session), rate in rates.items():
-            total = outgoing[(tx, session)]
-            if total <= 0:
-                effective[(tx, rx, session)] = 0.0
-                continue
-            available = pre.data_backlogs.get((tx, session), 0.0)
-            effective[(tx, rx, session)] = rate * min(1.0, available / total)
-        return effective
+            return rate
+        outgoing = np.bincount(cell, weights=rate, minlength=pre.q.size)[cell]
+        available = pre.q.ravel()[cell]
+        share = np.minimum(1.0, available / np.where(outgoing > 0, outgoing, 1.0))
+        return np.where(outgoing > 0, rate * share, 0.0)
 
     def _check_data_queue_law(
         self,
@@ -580,42 +593,49 @@ class ContractChecker:
         pre: PreApplySnapshot,
         slot: int,
     ) -> None:
-        """Eq. 15: ``Q(t+1) = max(Q(t) - service, 0) + arrivals``."""
-        transfer = self._reference_transfer(model, pre, decision.routing.rates)
-        service: Dict[Tuple[NodeId, SessionId], float] = {}
-        arrivals: Dict[Tuple[NodeId, SessionId], float] = {}
-        for (tx, rx, session), rate in transfer.items():
-            service[(tx, session)] = service.get((tx, session), 0.0) + rate
-            arrivals[(rx, session)] = arrivals.get((rx, session), 0.0) + rate
+        """Eq. 15: ``Q(t+1) = max(Q(t) - service, 0) + arrivals``.
+
+        Checked on the valid (non-destination) cells; offenders are
+        reported node-major.
+        """
+        arrays = state.arrays
+        num_nodes, num_sessions = pre.q.shape
+        size = pre.q.size
+        routing = decision.routing
+        col = routing.session_col
+        out_cell = routing.link_tx[routing.link_pos] * num_sessions + col
+        in_cell = routing.link_rx[routing.link_pos] * num_sessions + col
+        transfer = self._reference_transfer(model, pre, out_cell, routing.pkts)
+        service = np.bincount(out_cell, weights=transfer, minlength=size)
+        arrivals = np.bincount(in_cell, weights=transfer, minlength=size)
         # Admissions: the single (source, k_s) pair, or the relaxed LP's
         # per-source split.
         admission = decision.admission
         for session, source in admission.sources.items():
             single = ((source, admission.admitted[session]),)
             for node, admitted in admission.split.get(session, single):
-                key = (node, session)
-                arrivals[key] = arrivals.get(key, 0.0) + admitted
+                arrivals[node * num_sessions + arrays.session_col[session]] += admitted
 
-        post = state.arrays.q_mapping()
-        for key, backlog in post.items():
-            if backlog < -QUEUE_ATOL:
-                self._violate(
-                    "Eq. 15",
-                    f"negative backlog {backlog} pkts for session {key[1]}",
-                    slot=slot,
-                    node=key[0],
-                )
-            expected = max(
-                pre.data_backlogs.get(key, 0.0) - service.get(key, 0.0), 0.0
-            ) + arrivals.get(key, 0.0)
-            if not _close(backlog, expected, QUEUE_ATOL):
-                self._violate(
-                    "Eq. 15",
-                    f"Q[{key[0]}][{key[1]}] = {backlog} pkts, expected "
-                    f"{expected} pkts from the queueing law",
-                    slot=slot,
-                    node=key[0],
-                )
+        post = arrays.q.ravel()
+        expected = np.maximum(pre.q.ravel() - service, 0.0) + arrivals
+        valid = arrays.q_valid.ravel()
+        node = np.repeat(np.arange(num_nodes), num_sessions)
+        session = np.tile(np.asarray(arrays.sessions), num_nodes)
+        self._violate_rows(
+            "Eq. 15",
+            valid & (post < -QUEUE_ATOL),
+            node,
+            lambda i: f"negative backlog {post[i]} pkts for session {session[i]}",
+            slot,
+        )
+        self._violate_rows(
+            "Eq. 15",
+            valid & ~_close_array(post, expected, QUEUE_ATOL),
+            node,
+            lambda i: f"Q[{node[i]}][{session[i]}] = {post[i]} pkts, expected "
+            f"{expected[i]} pkts from the queueing law",
+            slot,
+        )
 
     def _check_virtual_queue_law(
         self,
@@ -624,42 +644,44 @@ class ContractChecker:
         pre: PreApplySnapshot,
         slot: int,
     ) -> None:
-        """Eqs. 28/30: the ``G`` update and ``H = beta * G``."""
-        arrivals: Dict[Link, float] = {}
-        for (tx, rx, _session), rate in decision.routing.rates.items():
-            arrivals[(tx, rx)] = arrivals.get((tx, rx), 0.0) + rate
-        service = decision.schedule.link_service_pkts
-        beta = state.constants.beta
+        """Eqs. 28/30: the ``G`` update and ``H = beta * G``, by link position."""
         arrays = state.arrays
-        post = LinkArrayMapping(arrays.g, arrays.links, arrays.link_pos)
-        h_backlogs = state.h_backlogs()
-        for link, backlog in post.items():
-            if backlog < -QUEUE_ATOL:
-                self._violate(
-                    "Eq. 28",
-                    f"negative virtual backlog {backlog} pkts",
-                    slot=slot,
-                    link=link,
-                )
-            expected = max(
-                pre.g_backlogs.get(link, 0.0) - service.get(link, 0.0), 0.0
-            ) + arrivals.get(link, 0.0)
-            if not _close(backlog, expected, QUEUE_ATOL):
-                self._violate(
-                    "Eq. 28",
-                    f"G = {backlog} pkts, expected {expected} pkts "
-                    "from the virtual-queue law",
-                    slot=slot,
-                    link=link,
-                )
-            h = h_backlogs[link]
-            if not _close(h, beta * backlog, QUEUE_ATOL):
-                self._violate(
-                    "Eq. 30",
-                    f"H = {h} != beta * G = {beta * backlog}",
-                    slot=slot,
-                    link=link,
-                )
+        num_links = pre.g.size
+        routing, schedule = decision.routing, decision.schedule
+        arrivals = np.bincount(routing.link_pos, weights=routing.pkts, minlength=num_links)
+        service = np.bincount(
+            schedule.service_pos, weights=schedule.service_pkts, minlength=num_links
+        )
+        post = arrays.g
+        expected = np.maximum(pre.g - service, 0.0) + arrivals
+        links = (arrays.link_tx, arrays.link_rx)
+        self._violate_rows(
+            "Eq. 28",
+            post < -QUEUE_ATOL,
+            None,
+            lambda i: f"negative virtual backlog {post[i]} pkts",
+            slot,
+            links,
+        )
+        self._violate_rows(
+            "Eq. 28",
+            ~_close_array(post, expected, QUEUE_ATOL),
+            None,
+            lambda i: f"G = {post[i]} pkts, expected {expected[i]} pkts "
+            "from the virtual-queue law",
+            slot,
+            links,
+        )
+        beta = state.constants.beta
+        h = state.h_backlogs()
+        self._violate_rows(
+            "Eq. 30",
+            ~_close_array(h, beta * post, QUEUE_ATOL),
+            None,
+            lambda i: f"H = {h[i]} != beta * G = {beta * post[i]}",
+            slot,
+            links,
+        )
 
     def _check_battery_transition(
         self,
@@ -705,7 +727,7 @@ class ContractChecker:
             )
         # Eqs. 11/12 against the *pre-apply* level the caps were
         # computed from.
-        before = pre.battery_levels.values_array
+        before = pre.battery_level
         charge_cap = np.minimum(arrays.charge_cap_j, (capacity - before) / eta_c)
         self._violate_rows(
             "Eq. 11",

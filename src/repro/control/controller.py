@@ -87,7 +87,8 @@ class DriftPlusPenaltyController:
         self._bs_mask = np.zeros(model.num_nodes, dtype=bool)
         self._bs_mask[list(model.bs_ids)] = True
         self._node_ids = np.arange(model.num_nodes, dtype=np.intp)
-        self._link_tx, self._link_rx = model.topology.link_arrays()
+        self._link_tx = model.topology.link_tx
+        self._link_rx = model.topology.link_rx
         self._allowed_mask = self._compute_allowed_mask()
         #: ``(N,)`` energy demand the last slot shed because no supply
         #: could cover it (J), for the metrics collector.
@@ -229,7 +230,8 @@ class DriftPlusPenaltyController:
             power_w=power[alive],
             band_pkts=band_pkts,
             dropped=schedule.dropped + curtailed,
-            links=schedule.links,
+            link_tx=schedule.link_tx,
+            link_rx=schedule.link_rx,
         )
         return survivors, demands, deficit
 
@@ -253,18 +255,14 @@ class DriftPlusPenaltyController:
         )
         selected_dropped = len(schedule.dropped)
         supply = (
-            observation.renewable_j.values_array
-            + np.where(
-                observation.grid_connected.values_array,
-                arrays.grid_cap_j,
-                0.0,
-            )
+            observation.renewable_j
+            + np.where(observation.grid_connected, arrays.grid_cap_j, 0.0)
             + arrays.max_deliverable_j_array()
         )
         schedule, demands, deficit_arr = self._curtail(
             schedule,
             supply,
-            h_backlogs.values_array,
+            h_backlogs,
             observation.band_service_pkts(self._model),
         )
         curtailed = schedule.dropped[selected_dropped:]
@@ -284,8 +282,8 @@ class DriftPlusPenaltyController:
             nodes=self._node_ids,
             is_base_station=self._bs_mask,
             demand_j=np.maximum(0.0, demands - deficit_arr),
-            renewable_j=observation.renewable_j.values_array,
-            grid_connected=observation.grid_connected.values_array,
+            renewable_j=observation.renewable_j,
+            grid_connected=observation.grid_connected,
             grid_cap_j=arrays.grid_cap_j,
             charge_cap_j=arrays.max_charge_j_array(),
             discharge_cap_j=arrays.max_deliverable_j_array(),

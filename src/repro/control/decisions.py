@@ -23,9 +23,11 @@ from repro.axes import (
     LinkBandMat,
     LinkIds,
     LinkPackets,
+    LinkToNode,
     NodeBandMat,
     NodeIds,
     NodeJoules,
+    NodeVec,
     SessionToNode,
 )
 from repro.network.spectrum import BandState
@@ -44,8 +46,8 @@ class SlotObservation:
     Attributes:
         slot: slot index ``t``.
         bands: realised bandwidths ``W_m(t)``.
-        renewable_j: harvested energy ``R_i(t)`` per node (J).
-        grid_connected: realised ``omega_i(t)`` per node.
+        renewable_j: ``(N,)`` harvested energy ``R_i(t)`` per node (J).
+        grid_connected: ``(N,)`` bool realised ``omega_i(t)`` per node.
         gains: the slot's pair-gain view when mobility is enabled — a
             :class:`~repro.phy.propagation.ComputedPairGains` over the
             slot's positions, read through ``[tx, rx]``, ``pairs``,
@@ -59,8 +61,8 @@ class SlotObservation:
 
     slot: int
     bands: BandState
-    renewable_j: Mapping[NodeId, float]
-    grid_connected: Mapping[NodeId, bool]
+    renewable_j: NodeJoules
+    grid_connected: NodeVec
     gains: Optional[PairGains] = None
     band_access: Optional[NodeBandMat] = None
 
@@ -122,7 +124,7 @@ class SlotObservation:
         if self.band_access is None:
             member = model.link_band_member
             return member if rows is None else member[rows]
-        link_tx, link_rx = model.topology.link_arrays()
+        link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
         if rows is not None:
             link_tx, link_rx = link_tx[rows], link_rx[rows]
         return self.band_access[link_tx] & self.band_access[link_rx]
@@ -136,8 +138,9 @@ def _no_entries(dtype: type) -> AnyArray:
 class ScheduleDecision:
     """S1 output: activated link-bands, powers, and realised service.
 
-    Entry ``k`` activates band ``band[k]`` on link
-    ``links[link_pos[k]]`` at ``power_w[k]`` watts (``a_ij^m = 1`` with
+    Entry ``k`` activates band ``band[k]`` on link ``link_pos[k]``
+    (from ``link_tx[link_pos[k]]`` to ``link_rx[link_pos[k]]``) at
+    ``power_w[k]`` watts (``a_ij^m = 1`` with
     power ``p_ij^m``, Eqs. 20-24); entries come in schedule order.  The
     realised per-link service ``(1/delta) sum_m c_ij^m a_ij^m delta_t``
     that serves ``G_ij`` in Eq. 28 is the pair ``service_pos`` /
@@ -153,7 +156,8 @@ class ScheduleDecision:
         service_pkts: ``(J,)`` realised service (packets).
         dropped: link-bands selected by the scheduler but dropped by
             power control (no feasible SINR) or energy curtailment.
-        links: the frozen link index the positions point into.
+        link_tx / link_rx: ``(L,)`` endpoint arrays of the frozen link
+            index the positions point into (shared, not copied).
     """
 
     link_pos: LinkIds = field(default_factory=lambda: _no_entries(np.intp))
@@ -162,7 +166,8 @@ class ScheduleDecision:
     service_pos: LinkIds = field(default_factory=lambda: _no_entries(np.intp))
     service_pkts: AnyArray = field(default_factory=lambda: _no_entries(np.float64))
     dropped: Tuple[LinkBand, ...] = ()
-    links: Tuple[Link, ...] = ()
+    link_tx: LinkToNode = field(default_factory=lambda: _no_entries(np.intp))
+    link_rx: LinkToNode = field(default_factory=lambda: _no_entries(np.intp))
 
     @classmethod
     def from_entries(
@@ -172,7 +177,8 @@ class ScheduleDecision:
         power_w: AnyArray,
         band_pkts: BandVec,
         dropped: Tuple[LinkBand, ...],
-        links: Tuple[Link, ...],
+        link_tx: LinkToNode,
+        link_rx: LinkToNode,
     ) -> "ScheduleDecision":
         """A schedule whose service is what its entries realise.
 
@@ -190,7 +196,14 @@ class ScheduleDecision:
         service_pkts = np.zeros(order.size)
         np.add.at(service_pkts, rank[inverse], band_pkts[band])
         return cls(
-            link_pos, band, power_w, unique[order], service_pkts, dropped, links
+            link_pos,
+            band,
+            power_w,
+            unique[order],
+            service_pkts,
+            dropped,
+            link_tx,
+            link_rx,
         )
 
     def service_vector(self, num_links: int) -> LinkPackets:
@@ -206,11 +219,13 @@ class ScheduleDecision:
         Built on demand, in schedule order, for export, contracts and
         fingerprints; fields are Python ints and floats.
         """
-        links = self.links
         return tuple(
-            Transmission(tx=links[pos][0], rx=links[pos][1], band=band, power_w=power)
-            for pos, band, power in zip(
-                self.link_pos.tolist(), self.band.tolist(), self.power_w.tolist()
+            Transmission(tx=tx, rx=rx, band=band, power_w=power)
+            for tx, rx, band, power in zip(
+                self.link_tx[self.link_pos].tolist(),
+                self.link_rx[self.link_pos].tolist(),
+                self.band.tolist(),
+                self.power_w.tolist(),
             )
         )
 
@@ -221,12 +236,14 @@ class ScheduleDecision:
         Built on demand for export, drift diagnostics, contracts and
         fingerprints, in ``service_pos`` order; values are Python floats.
         """
-        links = self.links
+        pos = self.service_pos
         return MappingProxyType(
-            {
-                links[pos]: pkts
-                for pos, pkts in zip(self.service_pos.tolist(), self.service_pkts.tolist())
-            }
+            dict(
+                zip(
+                    zip(self.link_tx[pos].tolist(), self.link_rx[pos].tolist()),
+                    self.service_pkts.tolist(),
+                )
+            )
         )
 
 
@@ -280,7 +297,7 @@ class RoutingDecision:
     """S3 output: per-link per-session packet rates ``l_ij^s(t)``.
 
     Entry ``k`` routes ``pkts[k]`` packets of session
-    ``sessions[session_col[k]]`` over link ``links[link_pos[k]]``.
+    ``sessions[session_col[k]]`` over link ``link_pos[k]``.
     Entries come in emission order and no ``(link, session)`` pair
     repeats.
 
@@ -288,14 +305,16 @@ class RoutingDecision:
         link_pos: ``(K,)`` positions in the frozen link index.
         session_col: ``(K,)`` session columns of ``Q``.
         pkts: ``(K,)`` routed packets.
-        links: the frozen link index ``link_pos`` points into.
+        link_tx / link_rx: ``(L,)`` endpoint arrays of the frozen link
+            index ``link_pos`` points into (shared, not copied).
         sessions: session ids in column order.
     """
 
     link_pos: LinkIds
     session_col: AnyArray
     pkts: AnyArray
-    links: Tuple[Link, ...]
+    link_tx: LinkToNode
+    link_rx: LinkToNode
     sessions: Tuple[SessionId, ...]
 
     @property
@@ -305,12 +324,15 @@ class RoutingDecision:
         Built on demand for export, drift diagnostics, contracts and
         fingerprints; keys are Python ints and values Python floats.
         """
-        links, sessions = self.links, self.sessions
+        sessions = self.sessions
         return MappingProxyType(
             {
-                (*links[pos], sessions[col]): pkts
-                for pos, col, pkts in zip(
-                    self.link_pos.tolist(), self.session_col.tolist(), self.pkts.tolist()
+                (tx, rx, sessions[col]): pkts
+                for tx, rx, col, pkts in zip(
+                    self.link_tx[self.link_pos].tolist(),
+                    self.link_rx[self.link_pos].tolist(),
+                    self.session_col.tolist(),
+                    self.pkts.tolist(),
                 )
             }
         )

@@ -36,7 +36,7 @@ Capacity modes (see DESIGN.md, "substitutions"):
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -45,9 +45,9 @@ from repro.axes import (
     BandVec,
     LinkBandMat,
     LinkIds,
+    LinkPackets,
     LinkSessionMat,
     LinkVec,
-    SessionToNode,
 )
 from repro.contracts import ContractChecker
 from repro.control.decisions import (
@@ -56,11 +56,10 @@ from repro.control.decisions import (
     ScheduleDecision,
     SlotObservation,
 )
-from repro.core.arraystate import ArrayState, LinkArrayMapping
+from repro.core.arraystate import ArrayState
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
-from repro.types import Link
 
 
 class RouterMode(enum.Enum):
@@ -86,13 +85,6 @@ class BackpressureRouter:
         self._rng = rng
         self._mode = mode
         self._checker = checker
-        # (17): destinations emit nothing; destination in-links are
-        # handled by the constraint-(18) pass.  Roles never change
-        # mid-run, so the destinations are read once.
-        sessions = model.sessions
-        self._dests: SessionToNode = np.fromiter(
-            (s.destination for s in sessions), dtype=np.intp, count=len(sessions)
-        )
 
     @property
     def mode(self) -> RouterMode:
@@ -108,7 +100,7 @@ class BackpressureRouter:
         observation: SlotObservation,
         schedule: ScheduleDecision,
         admission: AdmissionDecision,
-        h_backlogs: LinkArrayMapping,
+        h_backlogs: LinkPackets,
         arrays: ArrayState,
         allowed_mask: Optional[LinkVec] = None,
     ) -> RoutingDecision:
@@ -118,8 +110,7 @@ class BackpressureRouter:
             observation: realised random state (potential capacities).
             schedule: the S1 decision (scheduled capacities).
             admission: the S2 decision (per-session sources).
-            h_backlogs: current ``H_ij(t)``, a view over the frozen link
-                index of ``arrays``.
+            h_backlogs: ``(L,)`` current ``H_ij(t)`` by link position.
             arrays: the state's ``ArrayState``; ``Q_i^s(t)`` is read
                 from its ``(N, S)`` backlog matrix.
             allowed_mask: optional ``(L,)`` link filter over the frozen
@@ -136,16 +127,17 @@ class BackpressureRouter:
         forced_col: List[int] = []
         forced_pkts: List[float] = []
         topo = self._model.topology
-        link_pos = arrays.link_pos
-        beta_h: LinkVec = self._constants.beta * h_backlogs.values_array
+        beta_h: LinkVec = self._constants.beta * h_backlogs
         q = arrays.q
 
         # Constraint (18): force v_s(t) onto the destination's
         # smallest-coefficient incoming candidate link.  One pass over
-        # the S sessions, each scanning only its destination's in-links.
-        # Each coefficient ``-Q_i^s + Q_j^s + beta H_ij`` is evaluated in
-        # the association order of the matrix expression of the second
-        # pass; ``Q_j^s`` reads the destination's pinned 0.0.
+        # the S sessions, each scanning only its destination's in-links
+        # (ascending position, so ascending transmitter: the order the
+        # first minimum and the tie list follow).  Each coefficient
+        # ``-Q_i^s + Q_j^s + beta H_ij`` is evaluated in the association
+        # order of the matrix expression of the second pass; ``Q_j^s``
+        # reads the destination's pinned 0.0.
         for session in self._model.sessions:  # noqa: R040 - S-sized pass over the destination in-links (constraint 18); the bulk of S3 is the vectorized second pass
             dest = session.destination
             demand = session.demand(observation.slot)
@@ -154,19 +146,15 @@ class BackpressureRouter:
             col = arrays.session_col[session.session_id]
             # Constraint (16): the source has no incoming traffic —
             # irrelevant here since dest != source for a live session.
-            coefficients: Dict[Link, float] = {}
-            for i in topo.in_neighbors.get(dest, ()):
-                if i == dest:
-                    continue
-                p = link_pos[(i, dest)]
-                if allowed_mask is None or allowed_mask[p]:
-                    coefficients[(i, dest)] = (-q[i, col] + q[dest, col]) + beta_h[p]
-            if not coefficients:
+            pos = topo.in_links[topo.in_start[dest] : topo.in_start[dest + 1]]
+            if allowed_mask is not None:
+                pos = pos[allowed_mask[pos]]
+            if pos.size == 0:
                 continue
-            best_value = min(coefficients.values())
-            tied = [l for l, v in coefficients.items() if v == best_value]
-            chosen = tied[0] if len(tied) == 1 else tied[self._rng.integers(len(tied))]
-            forced_pos.append(link_pos[chosen])
+            coefficients = (-q[topo.link_tx[pos], col] + q[dest, col]) + beta_h[pos]
+            tied = pos[coefficients == coefficients.min()]
+            chosen = tied[0] if tied.size == 1 else tied[self._rng.integers(tied.size)]
+            forced_pos.append(int(chosen))
             forced_col.append(col)
             forced_pkts.append(float(demand))
 
@@ -184,7 +172,8 @@ class BackpressureRouter:
             link_pos=np.concatenate((np.array(forced_pos, dtype=np.intp), rest_pos)),
             session_col=np.concatenate((np.array(forced_col, dtype=np.intp), rest_col)),
             pkts=np.concatenate((forced_pkts, rest_pkts)),
-            links=arrays.links,
+            link_tx=arrays.link_tx,
+            link_rx=arrays.link_rx,
             sessions=arrays.sessions,
         )
         if self._checker is not None and self._checker.enabled:
@@ -252,7 +241,7 @@ class BackpressureRouter:
                 best_bps * params.slot_seconds / params.sessions.packet_size_bits
             )
         else:
-            capacity = schedule.service_vector(len(arrays.links))[cand]
+            capacity = schedule.service_vector(beta_h.shape[0])[cand]
 
         active: LinkVec = (capacity > 0.0) & ~np.isin(cand, committed)
         if allowed_mask is not None:
@@ -263,7 +252,7 @@ class BackpressureRouter:
         # sources receive nothing; eligible coefficients are strictly
         # negative; (17): neither endpoint is the session destination.
         coeff: LinkSessionMat = (-q[tx] + q[rx]) + beta_h[cand][:, None]
-        dests = self._dests[None, :]
+        dests = self._model.destination_rows[None, :]
         mask: LinkSessionMat = (
             (tx[:, None] != dests)
             & (rx[:, None] != dests)

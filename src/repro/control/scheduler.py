@@ -38,13 +38,13 @@ from repro.axes import (
     AnyArray,
     LinkBandMat,
     LinkIds,
+    LinkPackets,
     LinkToNode,
     LinkVec,
     NodeVec,
 )
 from repro.contracts import ContractChecker
 from repro.control.decisions import ScheduleDecision, SlotObservation
-from repro.core.arraystate import LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.interference import big_m_coefficient, max_power_array
@@ -179,7 +179,6 @@ class LinkScheduler:
         self._constants = constants
         self._kind = kind
         self._checker = checker
-        self._links = model.topology.candidate_links
         # Per-node radio budgets (1 in the paper), built once: the int
         # list for the scans, the array for GREEDY's single-radio filter.
         self._radios = [node.radio.num_radios for node in model.nodes]
@@ -187,7 +186,7 @@ class LinkScheduler:
         # Per-topology tables: radios, power caps and the static band
         # sets never change mid-run, and every table is a per-node array
         # fancy-indexed by the frozen link endpoints (O(N + L) numpy).
-        link_tx, link_rx = model.topology.link_arrays()
+        link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
         recv_power = np.fromiter(
             (node.radio.recv_power_w for node in model.nodes),
             dtype=float,
@@ -217,7 +216,7 @@ class LinkScheduler:
     def _candidate_grid(
         self,
         observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
+        h_arr: LinkPackets,
         energy_prices: Optional[NodeVec],
         allowed_mask: Optional[LinkVec] = None,
     ) -> Optional[Tuple[LinkIds, LinkBandMat, LinkBandMat]]:
@@ -235,7 +234,6 @@ class LinkScheduler:
         params = self._model.params
         dt = params.slot_seconds
         static = self._static
-        h_arr = h_backlogs.values_array
         floor = h_arr > _H_EPS
         if allowed_mask is not None:
             floor &= allowed_mask
@@ -257,7 +255,7 @@ class LinkScheduler:
                 # The frozen per-link gain array is bitwise equal to
                 # ``pair_gains.pairs(link_tx, link_rx)``, so no pair
                 # view read is needed.
-                g_link = self._model.topology.link_gain_array()[active]
+                g_link = self._model.topology.link_gains[active]
             power = (params.sinr_threshold * noise)[None, :] / g_link[:, None]
             keep &= power <= static.max_power_tx[active][:, None]
             weight = weight - (energy_prices[tx_idx][:, None] * power) * dt
@@ -531,10 +529,16 @@ class LinkScheduler:
     # Public API
     # ------------------------------------------------------------------
 
+    def _empty(self) -> ScheduleDecision:
+        """A schedule with no entries over the frozen link index."""
+        return ScheduleDecision(
+            link_tx=self._static.link_tx, link_rx=self._static.link_rx
+        )
+
     def schedule(
         self,
         observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
+        h_backlogs: LinkPackets,
         allowed_mask: Optional[LinkVec] = None,
         energy_prices: Optional[NodeVec] = None,
     ) -> ScheduleDecision:
@@ -542,8 +546,7 @@ class LinkScheduler:
 
         Args:
             observation: the slot's realised random state.
-            h_backlogs: current ``H_ij(t)``, a view over the frozen
-                candidate-link index.
+            h_backlogs: ``(L,)`` current ``H_ij(t)`` by link position.
             allowed_mask: optional ``(L,)`` bool filter over the frozen
                 link index; False links are never candidates (the
                 one-hop baselines).
@@ -559,13 +562,13 @@ class LinkScheduler:
             observation, h_backlogs, energy_prices, allowed_mask
         )
         if grid is None:
-            return ScheduleDecision(links=self._links)
+            return self._empty()
         if self._kind is SchedulerKind.GREEDY:
             chosen_pos, chosen_band = self._select_greedy(*grid)
         else:
             cand = self._candidates(*grid)
             if cand.pos.size == 0:
-                return ScheduleDecision(links=self._links)
+                return self._empty()
             if self._kind is SchedulerKind.MAX_WEIGHT_MATCHING:
                 chosen_pos, chosen_band = self._select_matching(cand)
             else:
@@ -575,7 +578,7 @@ class LinkScheduler:
                     sinr=self._kind is SchedulerKind.SEQUENTIAL_FIX_SINR,
                 )
         if not chosen_pos:
-            return ScheduleDecision(links=self._links)
+            return self._empty()
         decision = self._power_control(
             chosen_pos, chosen_band, observation, h_backlogs
         )
@@ -591,7 +594,7 @@ class LinkScheduler:
         chosen_pos: List[int],
         chosen_band: List[int],
         observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
+        h_arr: LinkPackets,
     ) -> ScheduleDecision:
         """Per-band minimal powers for the selected link-bands.
 
@@ -602,7 +605,6 @@ class LinkScheduler:
         selection order; drops follow the same band order.
         """
         static = self._static
-        h_arr = h_backlogs.values_array
         by_band: Dict[int, List[int]] = {}
         for pos, band in zip(chosen_pos, chosen_band):
             by_band.setdefault(band, []).append(pos)
@@ -641,5 +643,6 @@ class LinkScheduler:
             power_w=np.concatenate(kept_power),
             band_pkts=observation.band_service_pkts(self._model),
             dropped=tuple(dropped),
-            links=self._links,
+            link_tx=static.link_tx,
+            link_rx=static.link_rx,
         )

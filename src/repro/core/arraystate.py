@@ -9,7 +9,11 @@ so this module packs them into dense numpy arrays over *frozen* indices:
 * nodes: row ``i`` is node id ``i`` (node ids are dense ``0..N-1``),
 * sessions: column ``c`` is ``sessions[c].session_id`` in
   ``model.sessions`` order,
-* links: position ``p`` is ``model.topology.candidate_links[p]``.
+* links: position ``p`` is link ``(link_tx[p], link_rx[p])`` of the
+  topology's frozen link index.
+
+These positions are the only keys: there is no ``(tx, rx)`` or
+``(node, session)`` lookup table beside the arrays.
 
 ``ArrayState`` is the whole energy layer of Section II-D as ``(N,)``
 vectors: the battery law (Eq. 4), charge-xor-discharge (Eqs. 7-9), the
@@ -26,18 +30,11 @@ order), and aggregates use :func:`seq_sum` (a strict left-to-right
 accumulation) instead of numpy's pairwise ``sum``, so every result is
 reproducible bit for bit; the committed trajectory fingerprints in
 ``tests/golden/trajectories.json`` pin it.
-
-The read-only/mutable mapping adapters at the bottom let existing
-dict-shaped consumers (relaxed-LP controller, drift diagnostics,
-contract checker) read array views through the plain ``Mapping``
-protocol without copying into dicts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping as MappingBase
-from collections.abc import MutableMapping as MutableMappingBase
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
@@ -56,13 +53,11 @@ from repro.axes import (
 )
 from repro.constants import FEASIBILITY_EPS
 from repro.exceptions import EnergyError, QueueError
-from repro.types import Link, NodeId, QueueSemantics, SessionId
+from repro.types import QueueSemantics, SessionId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.core.lyapunov import LyapunovConstants
     from repro.model import NetworkModel
-
-QueueKey = Tuple[NodeId, SessionId]
 
 
 def seq_sum(values: AnyArray) -> float:
@@ -79,140 +74,14 @@ def seq_sum(values: AnyArray) -> float:
     return float(np.add.accumulate(flat)[-1])
 
 
-class NodeArrayMapping(MappingBase):
-    """Read-only ``{node_id: value}`` view over an ``(N,)`` array.
-
-    Node ids are dense ``0..N-1``, so the array index *is* the key.
-    Values come back as Python ``float``/``bool`` scalars to match the
-    dicts this adapter replaces.
-    """
-
-    __slots__ = ("_values", "_convert")
-
-    def __init__(self, values: NodeVec) -> None:
-        self._values = values
-        self._convert = bool if values.dtype == np.bool_ else float
-
-    @property
-    def values_array(self) -> NodeVec:
-        """The underlying ``(N,)`` array (node id = index).
-
-        The controller's batched S4 assembly reads this directly
-        instead of materialising ``N`` scalars through ``__getitem__``.
-        """
-        return self._values
-
-    def __getitem__(self, node: NodeId) -> Any:
-        try:
-            index = int(node)
-        except (TypeError, ValueError):
-            raise KeyError(node) from None
-        if not 0 <= index < self._values.shape[0]:
-            raise KeyError(node)
-        return self._convert(self._values[index])
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(range(self._values.shape[0]))
-
-    def __len__(self) -> int:
-        return self._values.shape[0]
-
-
-class LinkArrayMapping(MappingBase):
-    """Read-only ``{link: value}`` view over an ``(L,)`` array.
-
-    ``links`` is the frozen link index the array is laid out over; the
-    scheduler and router read ``values_array`` directly by link
-    position.
-    """
-
-    __slots__ = ("_values", "_links", "_pos")
-
-    def __init__(
-        self,
-        values: LinkVec,
-        links: Tuple[Link, ...],
-        positions: Dict[Link, int],
-    ) -> None:
-        self._values = values
-        self._links = links
-        self._pos = positions
-
-    @property
-    def links(self) -> Tuple[Link, ...]:
-        return self._links
-
-    @property
-    def values_array(self) -> LinkVec:
-        return self._values
-
-    def __getitem__(self, link: Link) -> float:
-        try:
-            return float(self._values[self._pos[link]])
-        except (KeyError, TypeError):
-            raise KeyError(link) from None
-
-    def __iter__(self) -> Iterator[Link]:
-        return iter(self._links)
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-
-class QueueArrayMapping(MutableMappingBase):
-    """``{(node, session): backlog}`` view over an ``(N, S)`` array.
-
-    Iterates node-major over *valid* (non-destination) cells, matching
-    the key order of the dict snapshots it replaces.  Mutable so the
-    contract tests can perturb captured pre-state; the key set itself
-    is frozen (no insertion/deletion).
-    """
-
-    __slots__ = ("_values", "_keys", "_pos")
-
-    def __init__(
-        self,
-        values: NodeSessionMat,
-        keys: Tuple[QueueKey, ...],
-        positions: Dict[QueueKey, Tuple[int, int]],
-    ) -> None:
-        self._values = values
-        self._keys = keys
-        self._pos = positions
-
-    def __getitem__(self, key: QueueKey) -> float:
-        try:
-            row, col = self._pos[key]
-        except (KeyError, TypeError):
-            raise KeyError(key) from None
-        return float(self._values[row, col])
-
-    def __setitem__(self, key: QueueKey, value: float) -> None:
-        try:
-            row, col = self._pos[key]
-        except (KeyError, TypeError):
-            raise KeyError(key) from None
-        self._values[row, col] = value
-
-    def __delitem__(self, key: QueueKey) -> None:
-        raise TypeError("QueueArrayMapping has a frozen key set")
-
-    def __iter__(self) -> Iterator[QueueKey]:
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
 class ArrayState:
     """Dense per-slot state: ``Q``, ``G``, battery levels, caps, ``z`` shift, grid.
 
     Attributes:
         sessions: session ids in column order.
         session_col: session id -> column.
-        links: frozen link index (``topology.candidate_links``).
-        link_pos: link -> position in ``links``.
-        link_tx / link_rx: ``(L,)`` int arrays of link endpoints.
+        link_tx / link_rx: ``(L,)`` endpoint arrays of the frozen
+            link index (the topology's, shared, not copied).
         q: ``(N, S)`` data backlogs in packets; destination cells are
             pinned at exactly ``0.0``.
         q_valid / q_invalid: boolean masks over ``q``.
@@ -266,7 +135,6 @@ class ArrayState:
         num_nodes = model.num_nodes
         sessions = tuple(s.session_id for s in model.sessions)
         destinations = model.session_destinations()
-        links = model.topology.candidate_links
 
         self.num_nodes = num_nodes
         self.queue_semantics = params.queue_semantics
@@ -275,14 +143,8 @@ class ArrayState:
             sid: col for col, sid in enumerate(sessions)
         }
         self.destinations = destinations
-        self.links = links
-        # The frozen endpoint arrays come straight off the topology —
-        # both builders precompute them.  The ``link -> position`` dict
-        # serves the key lookups (router constraint-18 pass, S1 service
-        # conversion, ``h_backlogs`` reads); building it here keeps that
-        # one-time O(L) cost in set-up instead of the first slot.
-        self.link_tx, self.link_rx = model.topology.link_arrays()
-        self.link_pos: Dict[Link, int] = {link: p for p, link in enumerate(links)}
+        self.link_tx = model.topology.link_tx
+        self.link_rx = model.topology.link_rx
 
         self.q = np.zeros((num_nodes, len(sessions)))  # noqa: R041 - (N, S) data backlog is the paper's state itself, not an all-pairs matrix; S stays O(10) while N scales
         valid = np.ones((num_nodes, len(sessions)), dtype=bool)  # noqa: R041 - (N, S) mask over the data backlog, same shape argument as q above
@@ -292,7 +154,7 @@ class ArrayState:
         self.q_valid = valid
         self.q_invalid = ~valid
 
-        self.g = np.zeros(len(links))
+        self.g = np.zeros(self.link_tx.shape[0])
 
         self.battery_level = np.zeros(num_nodes)
         energies = [node.energy for node in model.nodes]
@@ -321,36 +183,6 @@ class ArrayState:
         self.user_rows = np.fromiter(
             model.user_ids, dtype=np.intp, count=len(model.user_ids)
         )
-        self._q_keys: Tuple[QueueKey, ...] = ()
-        self._q_pos: Dict[QueueKey, Tuple[int, int]] = {}
-
-    # ------------------------------------------------------------------
-    # Index helpers
-
-    def queue_keys(self) -> Tuple[QueueKey, ...]:
-        """Valid ``(node, session)`` keys, node-major (lazily built)."""
-        if not self._q_keys and self.q_valid.any():
-            keys = []
-            pos: Dict[QueueKey, Tuple[int, int]] = {}
-            for row in range(self.num_nodes):  # noqa: R040 - built once and cached (self._q_keys); only the dict-shaped selectors and snapshots read it, the array kernels index (N, S) directly
-                for col, sid in enumerate(self.sessions):  # noqa: R040 - inner S-sized loop of the one-time key build above
-                    if self.q_valid[row, col]:
-                        keys.append((row, sid))
-                        pos[(row, sid)] = (row, col)
-            self._q_keys = tuple(keys)
-            self._q_pos = pos
-        return self._q_keys
-
-    def queue_positions(self) -> Dict[QueueKey, Tuple[int, int]]:
-        """``(node, session) -> (row, col)`` for valid cells."""
-        self.queue_keys()
-        return self._q_pos
-
-    def q_mapping(self, copy: bool = True) -> QueueArrayMapping:
-        """Mutable mapping view of ``q`` (a copy by default)."""
-        values = self.q.copy() if copy else self.q
-        return QueueArrayMapping(values, self.queue_keys(), self.queue_positions())
-
     # ------------------------------------------------------------------
     # Vectorized kernels
 
@@ -432,7 +264,7 @@ class ArrayState:
         bad = (arrivals < 0.0) | (service < 0.0)
         if bad.any():
             pos = int(np.argmax(bad))
-            link = self.links[pos]
+            link = (int(self.link_tx[pos]), int(self.link_rx[pos]))
             if arrivals[pos] < 0:
                 raise QueueError(f"negative arrivals {arrivals[pos]} at G{link}")
             raise QueueError(f"negative service {service[pos]} at G{link}")

@@ -200,7 +200,7 @@ class RelaxedLpController:
         dt = params.slot_seconds
         num_nodes = model.num_nodes
         link_tx, link_rx = arrays.link_tx, arrays.link_rx
-        h = state.h_backlogs().values_array
+        h = state.h_backlogs()
         q = arrays.q
         dest = self._dest
         bs = self._bs
@@ -240,10 +240,8 @@ class RelaxedLpController:
         # discharge; the battery level drops by 1/eta_d of it).
         z = arrays.z_values_array()
         eta_c, eta_d = arrays.charge_efficiency, arrays.discharge_efficiency
-        renewable = observation.renewable_j.values_array
-        grid_cap = np.where(
-            observation.grid_connected.values_array, arrays.grid_cap_j, 0.0
-        )
+        renewable = observation.renewable_j
+        grid_cap = np.where(observation.grid_connected, arrays.grid_cap_j, 0.0)
         max_charge = arrays.max_charge_j_array()
         node_cost = np.zeros((num_nodes, len(_NODE_COLS)))
         node_cost[:, 1] = node_cost[:, 3] = z * eta_c
@@ -424,7 +422,8 @@ class RelaxedLpController:
         schedule = ScheduleDecision(
             service_pos=layout.links[served],
             service_pkts=service[served],
-            links=arrays.links,
+            link_tx=arrays.link_tx,
+            link_rx=arrays.link_rx,
         )
 
         # Routed entries in LP column order; no (link, session) repeats.
@@ -434,7 +433,8 @@ class RelaxedLpController:
             link_pos=layout.l_pos[routed],
             session_col=layout.l_col[routed],
             pkts=flows[routed],
-            links=arrays.links,
+            link_tx=arrays.link_tx,
+            link_rx=arrays.link_rx,
             sessions=arrays.sessions,
         )
 
@@ -475,7 +475,7 @@ class RelaxedLpController:
             grid_serve_j=g,
             grid_charge_j=cg,
             discharge_j=d,
-            spill_j=np.maximum(0.0, observation.renewable_j.values_array - r - cr),
+            spill_j=np.maximum(0.0, observation.renewable_j - r - cr),
         )
         total_draw = seq_sum(allocation.grid_draw_j[np.sort(bs)])
         energy = EnergyManagementDecision(

@@ -11,18 +11,14 @@ for the per-slot trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
 
+from repro.axes import AnyArray, LinkPackets, NodeJoules, QueuePackets
 from repro.control.decisions import SlotDecision
 from repro.core.arraystate import seq_sum
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
-from repro.types import Link, NodeId, SessionId
-
-#: Accessor signatures matching the controller's.
-BacklogFn = Callable[[NodeId, SessionId], float]
 
 
 @dataclass(frozen=True)
@@ -47,48 +43,66 @@ class DriftTerms:
         return self.psi1 + self.psi2 + self.psi3 + self.psi4
 
 
+def _running_sum(terms: AnyArray) -> float:
+    """``total = 0.0; total += t`` over ``terms`` in order, bit for bit.
+
+    The leading ``0.0`` makes a lone ``-0.0`` term sum to ``0.0``, as
+    the scalar accumulation does.
+    """
+    return seq_sum(np.concatenate(([0.0], terms)))
+
+
 def compute_drift_terms(
     model: NetworkModel,
     constants: LyapunovConstants,
     decision: SlotDecision,
-    backlog: BacklogFn,
-    h_backlogs: Mapping[Link, float],
-    z_values: Mapping[NodeId, float],
+    q: QueuePackets,
+    h_backlogs: LinkPackets,
+    z_values: NodeJoules,
 ) -> DriftTerms:
     """Evaluate Eqs. (35)-(38) for one decided slot.
 
-    All queue readings must be the *pre-update* values the controller
+    ``q`` is the ``(N, S)`` data backlog, ``h_backlogs`` the ``(L,)``
+    ``H`` by link position and ``z_values`` the ``(N,)`` shifted
+    battery queues.  All must be the *pre-update* values the controller
     saw, matching the conditional expectations in the drift bound.
+    Each term sums left to right in the decision's entry order.
     """
     # Psi-hat_1 (Eq. 35): -(beta/delta) sum H_ij sum_m c a dt.  The
     # schedule already carries the service in packets (= c a dt/delta).
-    psi1 = -constants.beta * sum(
-        h_backlogs.get(link, 0.0) * service
-        for link, service in decision.schedule.link_service_pkts.items()
+    schedule = decision.schedule
+    psi1 = -constants.beta * _running_sum(
+        h_backlogs[schedule.service_pos] * schedule.service_pkts
     )
 
-    # Psi-hat_2 (Eq. 36): sum_s (Q_source^s - lambda V) k_s.
+    # Psi-hat_2 (Eq. 36): sum_s (Q_source^s - lambda V) k_s, in session
+    # (Q column) order — the order both S2 solvers emit.
     params = model.params
     threshold = params.admission_lambda * params.control_v
-    psi2 = 0.0
-    for session_id, source in decision.admission.sources.items():
-        admitted = decision.admission.admitted[session_id]
-        psi2 += (backlog(source, session_id) - threshold) * admitted
+    admission = decision.admission
+    admitted = np.fromiter(
+        (admission.admitted[s.session_id] for s in model.sessions),
+        dtype=float,
+        count=len(model.sessions),
+    )
+    source_q = q[admission.source_rows, np.arange(admitted.size)]
+    psi2 = _running_sum((source_q - threshold) * admitted)
 
-    # Psi-hat_3 (Eq. 37): per-rate coefficient (-Q_i + Q_j + beta H_ij).
-    destinations = model.session_destinations()
-    psi3 = 0.0
-    for (tx, rx, session_id), rate in decision.routing.rates.items():
-        q_tx = backlog(tx, session_id)
-        q_rx = 0.0 if rx == destinations[session_id] else backlog(rx, session_id)
-        h = h_backlogs.get((tx, rx), 0.0)
-        psi3 += (-q_tx + q_rx + constants.beta * h) * rate
+    # Psi-hat_3 (Eq. 37): per-rate coefficient (-Q_i + Q_j + beta H_ij);
+    # a destination's pinned 0.0 backlog is its Q_j.
+    routing = decision.routing
+    pos, col = routing.link_pos, routing.session_col
+    coefficient = (
+        -q[routing.link_tx[pos], col] + q[routing.link_rx[pos], col]
+    ) + constants.beta * h_backlogs[pos]
+    psi3 = _running_sum(coefficient * routing.pkts)
 
     # Psi-hat_4 (Eq. 38): V f(P) + sum z_i (c_i - d_i), in node order.
     allocation = decision.energy.allocation
     net = allocation.charge_j - allocation.discharge_j
-    z = np.fromiter((z_values[node] for node in range(net.size)), float, net.size)
-    psi4 = seq_sum(np.concatenate(([params.control_v * decision.energy.cost], z * net)))
+    psi4 = seq_sum(
+        np.concatenate(([params.control_v * decision.energy.cost], z_values * net))
+    )
 
     return DriftTerms(psi1=psi1, psi2=psi2, psi3=psi3, psi4=psi4)
 

@@ -85,7 +85,7 @@ def _per_link_max_packets(
     )
     member = model.link_band_member
     cap = np.where(member, band_pkts[np.newaxis, :], 0.0).max(axis=1, initial=0.0)
-    link_tx, link_rx = model.topology.link_arrays()
+    link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
     budget = np.minimum(radios[link_tx], radios[link_rx])
     bound = np.zeros(len(link_tx))
     used = np.zeros(len(link_tx), dtype=np.intp)
@@ -138,7 +138,7 @@ def compute_constants(model: NetworkModel) -> LyapunovConstants:
 
     # Per-node worst-case outgoing/incoming link service in one O(L)
     # pass (running max is exact).
-    link_tx, link_rx = model.topology.link_arrays()
+    link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
     out_cap = np.zeros(model.num_nodes)
     in_cap = np.zeros(model.num_nodes)
     np.maximum.at(out_cap, link_tx, link_caps)

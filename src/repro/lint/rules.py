@@ -540,8 +540,8 @@ interpreter-bound path the refactor removed.
 
 Flagged: for-loops and comprehensions iterating `.items()` /
 `.values()` / `.keys()` of an *attribute-chain* receiver (e.g.
-`self._queues.items()`, `topology.out_neighbors.items()`) — those
-are the persistent containers that scale with network size.
+`self._queues.items()`, `state.renewables.items()`) — those are the
+persistent containers that scale with network size.
 
 Exempt by design:
   * bare-name receivers (`transfer.items()`): local working dicts are

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.axes import LinkBandMat, NodeBandMat
+from repro.axes import LinkBandMat, NodeBandMat, SessionToNode
 from repro.config import ScenarioParameters, validate_parameters
 from repro.energy.cost import QuadraticCost, TimeOfUseCost
 from repro.network.node import Node, build_nodes
@@ -98,8 +98,20 @@ class NetworkModel:
         Cold path: built once over the frozen link index by indexing
         :attr:`band_access` with the link endpoints.
         """
-        link_tx, link_rx = self.topology.link_arrays()
+        link_tx, link_rx = self.topology.link_tx, self.topology.link_rx
         return self.band_access[link_tx] & self.band_access[link_rx]
+
+    @cached_property
+    def destination_rows(self) -> SessionToNode:
+        """``(S,)`` destination node per session, in ``Q`` column order.
+
+        Cold path: built once; roles never change mid-run.
+        """
+        return np.fromiter(
+            (s.destination for s in self.sessions),
+            dtype=np.intp,
+            count=len(self.sessions),
+        )
 
     def total_grid_cap_j(self) -> float:
         """Aggregate base-station grid draw cap (bounds ``P(t)``)."""

@@ -20,6 +20,13 @@ link set, link order and per-link gains are bit-identical to the
 all-pairs construction (kept as the test oracle in
 ``tests/topology_reference.py``).
 
+A link *is* its position in the frozen link index; there is no
+``(tx, rx)`` key space beside it.  The index is stored as endpoint
+arrays — ``link_tx``/``link_rx``, the two rows of one ``(2, L)``
+buffer, transmitter-major — with the by-receiver permutation
+``in_links``/``in_start`` for the readers that walk a node's incoming
+links (the router's constraint-18 pass).
+
 Arbitrary ``g(tx, rx)`` reads go through :attr:`Topology.pair_gains`.
 Up to :data:`DENSE_MATERIALIZE_MAX` nodes that view is backed by a
 cached ``(N, N)`` gain matrix: power control reads many small blocks,
@@ -32,10 +39,11 @@ alone picks between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.axes import AnyArray, LinkIds, LinkToNode, LinkVec
 from repro.config.parameters import ScenarioParameters
 from repro.exceptions import TopologyError
 from repro.network.geometry import UniformGridIndex
@@ -47,7 +55,7 @@ from repro.phy.propagation import (
     PairGains,
     gain_matrix,
 )
-from repro.types import Link, NodeId, NodeKind
+from repro.types import NodeId
 
 #: Node count up to which :attr:`Topology.pair_gains` caches the
 #: ``(N, N)`` gain matrix; above it the matrix would dominate memory
@@ -66,15 +74,22 @@ _RADIUS_SLACK: float = 1e-9
 class Topology:
     """Immutable topology snapshot for one scenario.
 
+    A link is its position ``p`` in the frozen link index: links are
+    ordered by transmitter, and within a transmitter by distance, ties
+    by receiver id.  Every per-link array is laid out over that index.
+
     Attributes:
         nodes: all nodes ordered by id.
-        candidate_links: pruned directed links usable by the scheduler.
-        out_neighbors: candidate receivers per transmitter.
-        in_neighbors: candidate transmitters per receiver.
-        link_tx / link_rx: ``(L,)`` endpoint indices over the frozen
-            link index (``candidate_links`` positions).
+        candidate_links: ``(L, 2)`` ``(tx, rx)`` rows — the transposed
+            view of one ``(2, L)`` buffer whose rows *are*
+            ``link_tx`` and ``link_rx`` (one store, no copy).
+        link_tx / link_rx: ``(L,)`` endpoint indices per link.
         link_gains: ``(L,)`` propagation gain per candidate link —
             bitwise equal to ``pair_gains.pairs(link_tx, link_rx)``.
+        in_links: ``(L,)`` link positions grouped by receiver, each
+            group in ascending position (so ascending transmitter).
+        in_start: ``(N + 1,)`` offsets: node ``j``'s incoming links
+            are ``in_links[in_start[j]:in_start[j + 1]]``.
         positions: ``(N, 2)`` node coordinates (m).
         pair_gains: pair-gain view for arbitrary ``g(tx, rx)`` reads —
             the cached gain matrix up to :data:`DENSE_MATERIALIZE_MAX`
@@ -83,12 +98,12 @@ class Topology:
     """
 
     nodes: Tuple[Node, ...]
-    candidate_links: Tuple[Link, ...]
-    out_neighbors: Dict[NodeId, Tuple[NodeId, ...]] = field(repr=False)
-    in_neighbors: Dict[NodeId, Tuple[NodeId, ...]] = field(repr=False)
-    link_tx: np.ndarray = field(repr=False)
-    link_rx: np.ndarray = field(repr=False)
-    link_gains: np.ndarray = field(repr=False)
+    candidate_links: AnyArray = field(repr=False)
+    link_tx: LinkToNode = field(repr=False)
+    link_rx: LinkToNode = field(repr=False)
+    link_gains: LinkVec = field(repr=False)
+    in_links: LinkIds = field(repr=False)
+    in_start: AnyArray = field(repr=False)
     positions: np.ndarray = field(repr=False)
     pair_gains: PairGains = field(repr=False)
     grid: UniformGridIndex = field(repr=False)
@@ -103,18 +118,6 @@ class Topology:
         if not 0 <= node_id < len(self.nodes):
             raise TopologyError(f"unknown node id {node_id}")
         return self.nodes[node_id]
-
-    def link_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(link_tx, link_rx)`` over the frozen link index."""
-        return self.link_tx, self.link_rx
-
-    def link_gain_array(self) -> np.ndarray:
-        """``(L,)`` per-link gains over the frozen link index."""
-        return self.link_gains
-
-    def has_link(self, tx: NodeId, rx: NodeId) -> bool:
-        """True if ``(tx, rx)`` is a candidate link."""
-        return rx in self.out_neighbors.get(tx, ())
 
 
 def max_feasible_range_m(
@@ -182,10 +185,12 @@ def build_topology(params: ScenarioParameters, nodes: Sequence[Node]) -> Topolog
     block (the cell edge is the *largest* feasible radius over node
     kinds, so the block always covers every feasible receiver), and the
     exact feasibility comparison runs on gains computed with the same
-    elementwise chain as the all-pairs matrix.  Within each transmitter,
-    candidates are enumerated in ascending receiver order and stably
-    argsorted by distance — the all-pairs oracle's ``list.sort`` order —
-    then capped by ``neighbor_limit`` for users.
+    elementwise chain as the all-pairs matrix.  One ``lexsort`` orders
+    the block's feasible pairs by transmitter, then distance, then
+    receiver — each transmitter's receivers by distance, ties by id,
+    the all-pairs oracle's stable ``list.sort`` order — and users keep
+    the first ``neighbor_limit`` of them.  Every pair is then scattered
+    to its transmitter-major position, so no step loops over nodes.
 
     Args:
         params: validated scenario parameters.
@@ -202,15 +207,10 @@ def build_topology(params: ScenarioParameters, nodes: Sequence[Node]) -> Topolog
     positions = _positions_array(nodes)
     noise = params.noise_density_w_per_hz * params.spectrum.cellular_bandwidth_hz
     threshold = params.sinr_threshold * noise
-    p_max = np.fromiter(
-        (params.node_params(n).max_tx_power_w for n in range(num_nodes)),
-        dtype=float,
-        count=num_nodes,
-    )
-    is_user = np.fromiter(
-        (params.node_kind(n) is NodeKind.MOBILE_USER for n in range(num_nodes)),
-        dtype=bool,
-        count=num_nodes,
+    # Base stations hold the low ids, users the rest.
+    is_user = np.arange(num_nodes) >= params.num_base_stations
+    p_max = np.where(
+        is_user, params.user_node.max_tx_power_w, params.bs_node.max_tx_power_w
     )
     radius = max(
         max_feasible_range_m(params, params.user_node.max_tx_power_w),
@@ -219,10 +219,8 @@ def build_topology(params: ScenarioParameters, nodes: Sequence[Node]) -> Topolog
     grid = UniformGridIndex(positions, cell_size_m=max(radius, MIN_DISTANCE_M))
 
     limit = params.neighbor_limit
-    rx_by_tx: List[Optional[np.ndarray]] = [None] * num_nodes
-    gain_by_tx: List[Optional[np.ndarray]] = [None] * num_nodes
-    empty_idx = np.zeros(0, dtype=np.intp)
-    empty_val = np.zeros(0)
+    # Per occupied bucket: the kept (tx, rx, gain, rank-within-tx).
+    blocks: List[Tuple[AnyArray, AnyArray, AnyArray, AnyArray]] = []
     for row, col, members in grid.nonempty_cells():
         candidates = grid.block_members(row, col, reach=1)
         # Same elementwise float64 chain as an all-pairs block:
@@ -237,81 +235,48 @@ def build_topology(params: ScenarioParameters, nodes: Sequence[Node]) -> Topolog
         feasible = (gains_block * p_max[members][:, None] >= threshold) & (
             candidates[None, :] != members[:, None]
         )
-        for i, tx in enumerate(members.tolist()):
-            mask = feasible[i]
-            rx_sel = candidates[mask]
-            if rx_sel.size == 0:
-                rx_by_tx[tx] = empty_idx
-                gain_by_tx[tx] = empty_val
-                continue
-            # Candidates are ascending in rx; the stable argsort by
-            # distance reproduces the all-pairs oracle's stable
-            # ``list.sort(key=distance)`` permutation exactly.
-            order = np.argsort(dist[i][mask], kind="stable")
-            rx_sel = rx_sel[order]
-            gain_sel = gains_block[i][mask][order]
-            if limit is not None and is_user[tx]:
-                rx_sel = rx_sel[:limit]
-                gain_sel = gain_sel[:limit]
-            rx_by_tx[tx] = rx_sel
-            gain_by_tx[tx] = gain_sel
+        i, k = np.nonzero(feasible)
+        tx, rx = members[i], candidates[k]
+        order = np.lexsort((rx, dist[i, k], tx))
+        tx, rx, gain = tx[order], rx[order], gains_block[i, k][order]
+        # Rank of each pair within its transmitter's sorted run.
+        first = np.ones(tx.size, dtype=bool)
+        first[1:] = tx[1:] != tx[:-1]
+        rank = np.arange(tx.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
+        if limit is not None:
+            keep = ~is_user[tx] | (rank < limit)
+            tx, rx, gain, rank = tx[keep], rx[keep], gain[keep], rank[keep]
+        blocks.append((tx, rx, gain, rank))
 
-    out_counts = np.fromiter(
-        (0 if r is None else r.shape[0] for r in rx_by_tx),
-        dtype=np.intp,
-        count=num_nodes,
-    )
-    link_tx = np.repeat(np.arange(num_nodes, dtype=np.intp), out_counts)
-    link_rx = (
-        np.concatenate([r for r in rx_by_tx if r is not None and r.size])
-        if link_tx.size
-        else empty_idx
-    )
-    link_gains = (
-        np.concatenate([g for g in gain_by_tx if g is not None and g.size])
-        if link_tx.size
-        else empty_val
-    )
-
-    in_counts = np.bincount(link_rx, minlength=num_nodes)
+    tx, rx, gain, rank = (np.concatenate(parts) for parts in zip(*blocks))
+    out_counts = np.bincount(tx, minlength=num_nodes)
+    in_counts = np.bincount(rx, minlength=num_nodes)
     isolated_mask = (out_counts == 0) & (in_counts == 0)
     if isolated_mask.any():
         _raise_isolated(np.flatnonzero(isolated_mask).tolist())
 
-    # Candidate-link tuples in transmitter-major order (the frozen link
-    # index); in-neighbor lists grouped by receiver with the stable
-    # sort preserving the same ascending-transmitter order the
-    # all-pairs oracle's append loop produces.
-    tx_list = link_tx.tolist()
-    rx_list = link_rx.tolist()
-    links = list(zip(tx_list, rx_list))
-    out_neighbors = {
-        n: (
-            tuple(rx_by_tx[n].tolist())
-            if rx_by_tx[n] is not None
-            else ()
-        )
-        for n in range(num_nodes)
-    }
-    by_rx = np.argsort(link_rx, kind="stable")
-    in_tx_sorted = link_tx[by_rx].tolist()
-    in_starts = np.zeros(num_nodes + 1, dtype=np.intp)
-    np.cumsum(in_counts, out=in_starts[1:])
-    in_neighbors = {
-        n: tuple(in_tx_sorted[in_starts[n] : in_starts[n + 1]])
-        for n in range(num_nodes)
-    }
+    # Transmitter-major link index: a transmitter's run starts after
+    # every lower transmitter's links and keeps its sorted order.
+    pos = (np.cumsum(out_counts) - out_counts)[tx] + rank
+    ends = np.empty((2, tx.size), dtype=np.intp)
+    ends[0, pos] = tx
+    ends[1, pos] = rx
+    link_gains = np.empty(tx.size)
+    link_gains[pos] = gain
+    # Incoming links grouped by receiver; the stable sort keeps each
+    # group in ascending position, i.e. ascending transmitter.
+    in_start = np.zeros(num_nodes + 1, dtype=np.intp)
+    np.cumsum(in_counts, out=in_start[1:])
 
     return Topology(
         nodes=tuple(nodes),
-        candidate_links=tuple(links),
-        out_neighbors=out_neighbors,
-        in_neighbors=in_neighbors,
-        positions=positions,
-        link_tx=link_tx,
-        link_rx=link_rx,
+        candidate_links=ends.T,
+        link_tx=ends[0],
+        link_rx=ends[1],
         link_gains=link_gains,
+        in_links=np.argsort(ends[1], kind="stable"),
+        in_start=in_start,
+        positions=positions,
         pair_gains=_pair_gains(params, positions),
         grid=grid,
     )
-

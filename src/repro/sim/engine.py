@@ -82,12 +82,6 @@ class SlotSimulator:
         self.constants = compute_constants(self.model)
         self.state = state_cls(self.model, self.constants, self.rng.environment)
         self.controller = controller_factory(self.model, self.constants, self.rng)
-        # Frozen once: each session column's destination node, for the
-        # per-slot delivery accounting.
-        arrays = self.state.arrays
-        self._dest_by_col = np.array(
-            [arrays.destinations[sid] for sid in arrays.sessions], dtype=np.intp
-        )
         self._enforce_complementarity = enforce_complementarity
         self.contracts = _coerce_contracts(contracts)
         attach = getattr(self.controller, "attach_contracts", None)
@@ -165,7 +159,7 @@ class SlotSimulator:
         routing = decision.routing
         arrays = self.state.arrays
         cols = routing.session_col
-        hit = arrays.link_rx[routing.link_pos] == self._dest_by_col[cols]
+        hit = arrays.link_rx[routing.link_pos] == self.model.destination_rows[cols]
         delivered = np.zeros(len(arrays.sessions))
         np.add.at(delivered, cols[hit], self.state.last_transfer_pkts[hit])
         return dict(zip(arrays.sessions, delivered.tolist()))
@@ -203,7 +197,9 @@ class SlotSimulator:
             session_delivered=per_session,
         )
         if trace is not None:
-            trace.record_slot(observation, decision, metrics)
+            trace.record_slot(
+                observation, decision, metrics, self.state.arrays.user_rows
+            )
         return decision
 
     def run(

@@ -13,7 +13,11 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
+import numpy as np
+
+from repro.axes import NodeIds
 from repro.control.decisions import SlotDecision, SlotObservation
+from repro.core.arraystate import seq_sum
 from repro.sim.metrics import SlotMetrics
 
 #: The exported columns, in order.
@@ -54,8 +58,13 @@ class TraceRecorder:
         observation: SlotObservation,
         decision: SlotDecision,
         metrics: SlotMetrics,
+        user_rows: NodeIds,
     ) -> None:
-        """Flatten one slot into a trace row."""
+        """Flatten one slot into a trace row.
+
+        ``user_rows`` are the users' node ids: ``connected_users``
+        counts grid-connected users only, never base stations.
+        """
         del decision  # headline decision data already lives in metrics
         snapshot = metrics.snapshot
         self.rows.append(
@@ -70,9 +79,9 @@ class TraceRecorder:
                 "curtailed_links": metrics.curtailed_links,
                 "deficit_j": metrics.deficit_j,
                 "spill_j": metrics.spill_j,
-                "renewable_total_j": sum(observation.renewable_j.values()),
-                "connected_users": sum(
-                    1 for v in observation.grid_connected.values() if v
+                "renewable_total_j": seq_sum(observation.renewable_j),
+                "connected_users": int(
+                    np.count_nonzero(observation.grid_connected[user_rows])
                 ),
                 "bs_data_packets": snapshot.bs_data_packets,
                 "user_data_packets": snapshot.user_data_packets,

@@ -12,23 +12,23 @@ The state is *array-backed*: every hot per-slot quantity lives in the
 levels, caps, grid caps and connection probabilities as ``(N,)``) and
 the per-slot updates run as its vectorized kernels (Eqs. 4, 15 and 28).
 There is no per-node object: a node's renewable process and grid stream
-exist only if they draw.  The dict-shaped read accessors
-(``h_backlogs``, ``z_values``, ``battery_levels``) return thin mapping
-adapters over the arrays, so external callers — the relaxed-LP
-controller, drift diagnostics — read them like dicts.
+exist only if they draw.  The read accessors (``h_backlogs``,
+``z_values``, ``battery_levels``) return fresh ``(L,)``/``(N,)``
+arrays over the frozen link and node indices, and each observation
+carries its renewable harvest and grid connection as ``(N,)`` arrays.
 Behaviour is pinned by the committed trajectory fingerprints in
 ``tests/golden/trajectories.json``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.axes import AnyArray, NodeVec
+from repro.axes import AnyArray, LinkPackets, NodeJoules, NodeVec
 from repro.control.decisions import SlotDecision, SlotObservation
-from repro.core.arraystate import ArrayState, LinkArrayMapping, NodeArrayMapping
+from repro.core.arraystate import ArrayState
 from repro.core.lyapunov import LyapunovConstants
 from repro.energy.renewable import (
     DiurnalSolarProcess,
@@ -219,8 +219,8 @@ class NetworkState:
         return SlotObservation(
             slot=slot,
             bands=bands,
-            renewable_j=NodeArrayMapping(renewable),
-            grid_connected=NodeArrayMapping(connected),
+            renewable_j=renewable,
+            grid_connected=connected,
             gains=self._current_gains(slot),
             band_access=band_access,
         )
@@ -242,24 +242,21 @@ class NetworkState:
         arrays = self.arrays
         return float(arrays.q[node, arrays.session_col[session]])
 
-    def h_backlogs(self) -> LinkArrayMapping:
-        """``H_ij(t) = beta * G_ij(t)`` (Eq. 30) per candidate link.
+    def h_backlogs(self) -> LinkPackets:
+        """``(L,)`` ``H_ij(t) = beta * G_ij(t)`` (Eq. 30) by link position.
 
         Frozen at read time: a fresh array, so later ``G`` updates do
         not move it.
         """
-        arrays = self.arrays
-        return LinkArrayMapping(
-            self.constants.beta * arrays.g, arrays.links, arrays.link_pos
-        )
+        return self.constants.beta * self.arrays.g
 
-    def z_values(self) -> Mapping[NodeId, float]:
-        """``z_i(t)`` for every node (frozen at read time)."""
-        return NodeArrayMapping(self.arrays.z_values_array())
+    def z_values(self) -> NodeJoules:
+        """``(N,)`` ``z_i(t)`` by node id (frozen at read time)."""
+        return self.arrays.z_values_array()
 
-    def battery_levels(self) -> Mapping[NodeId, float]:
-        """``x_i(t)`` for every node (frozen at read time)."""
-        return NodeArrayMapping(self.arrays.battery_level.copy())
+    def battery_levels(self) -> NodeJoules:
+        """``(N,)`` ``x_i(t)`` by node id (frozen at read time)."""
+        return self.arrays.battery_level.copy()
 
     # ------------------------------------------------------------------
     # Slot advance
@@ -297,7 +294,7 @@ class NetworkState:
 
         # Virtual queues (Eqs. 28/30): arrivals are routed packets,
         # service is the realised scheduled capacity.
-        service = decision.schedule.service_vector(len(arrays.links))
+        service = decision.schedule.service_vector(arrays.g.shape[0])
         arrays.advance_g(routing.link_pos, routing.pkts, service)
 
         # Batteries and shifted energy queues (Eqs. 4 and 31).  The

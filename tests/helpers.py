@@ -17,9 +17,13 @@ must reproduce exactly.  ``one_battery`` builds a one-node
 ``battery_law_oracle`` is the scalar Eq. 4 chain its kernel must
 reproduce bit for bit.  ``dense_gain_oracle`` is the all-pairs
 ``(N, N)`` gain matrix of a placement, which every pair-gain view must
-reproduce bit for bit.  ``link_view`` lays a ``{link: value}`` dict
-out as the ``(L,)`` view over the frozen candidate-link index that the
-scheduler and router take.
+reproduce bit for bit.  ``link_position`` finds a ``(tx, rx)`` link's
+position in the frozen link index (``link_tuples``, ``out_neighbors``
+and ``in_neighbors`` read the index back as tuples), and ``link_view``
+lays a
+``{link: value}`` dict out as the ``(L,)`` array over that index that
+the scheduler and router take; ``queue_dict`` reads the valid cells of
+``Q`` back as a ``{(node, session): backlog}`` dict.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from repro.config.parameters import EnergyParameters
 from repro.control.decisions import ScheduleDecision
-from repro.core.arraystate import ArrayState, LinkArrayMapping
+from repro.core.arraystate import ArrayState
 from repro.queueing import BacklogSnapshot
 from repro.sim import SlotSimulator
 from repro.types import QueueSemantics
@@ -54,17 +58,54 @@ def decision_fingerprint(decision):
     )
 
 
+def link_position(index, tx, rx):
+    """Position of link ``(tx, rx)`` in ``index``'s frozen link index.
+
+    ``index`` is anything carrying the ``link_tx``/``link_rx`` endpoint
+    arrays (a topology, an ``ArrayState``).  Raises ``KeyError`` for a
+    pair that is not a candidate link.
+    """
+    hit = np.flatnonzero((index.link_tx == tx) & (index.link_rx == rx))
+    if hit.size == 0:
+        raise KeyError((tx, rx))
+    return int(hit[0])
+
+
+def link_tuples(topology):
+    """The candidate links as ``(tx, rx)`` tuples of ints, by position."""
+    return [tuple(link) for link in topology.candidate_links.tolist()]
+
+
+def out_neighbors(topology, tx):
+    """Receivers of ``tx``'s links, in link-index order."""
+    return tuple(topology.link_rx[topology.link_tx == tx].tolist())
+
+
+def in_neighbors(topology, rx):
+    """Transmitters of ``rx``'s incoming links, ascending."""
+    return tuple(topology.link_tx[topology.link_rx == rx].tolist())
+
+
 def link_view(model, values):
-    """``{link: value}`` as a view over ``model``'s candidate-link index.
+    """``{link: value}`` as an ``(L,)`` array over ``model``'s link index.
 
     Links absent from ``values`` read 0.0.
     """
-    links = model.topology.candidate_links
-    positions = {link: p for p, link in enumerate(links)}
-    array = np.zeros(len(links))
-    for link, value in values.items():
-        array[positions[link]] = value
-    return LinkArrayMapping(array, links, positions)
+    topology = model.topology
+    array = np.zeros(topology.link_tx.shape[0])
+    for (tx, rx), value in values.items():
+        array[link_position(topology, tx, rx)] = value
+    return array
+
+
+def queue_dict(arrays):
+    """The valid ``(node, session)`` cells of ``arrays.q``, node-major."""
+    return {
+        (row, sid): float(arrays.q[row, col])
+        for row in range(arrays.num_nodes)
+        for col, sid in enumerate(arrays.sessions)
+        if arrays.q_valid[row, col]
+    }
 
 
 def queue_step(arrays, rates=None, admissions=()):
@@ -75,7 +116,7 @@ def queue_step(arrays, rates=None, admissions=()):
     """
     rates = rates or {}
     return arrays.advance_q(
-        np.array([arrays.link_pos[key[:2]] for key in rates], dtype=np.intp),
+        np.array([link_position(arrays, *key[:2]) for key in rates], dtype=np.intp),
         np.array([arrays.session_col[key[2]] for key in rates], dtype=np.intp),
         np.array(list(rates.values()), dtype=float),
         np.array([node for node, _, _ in admissions], dtype=np.intp),
@@ -90,11 +131,11 @@ def virtual_step(arrays, arrivals=None, service=None):
     Links absent from ``service`` are served 0.0 packets.
     """
     arrivals = arrivals or {}
-    service_vector = np.zeros(len(arrays.links))
+    service_vector = np.zeros(arrays.g.shape[0])
     for link, pkts in (service or {}).items():
-        service_vector[arrays.link_pos[link]] = pkts
+        service_vector[link_position(arrays, *link)] = pkts
     arrays.advance_g(
-        np.array([arrays.link_pos[link] for link in arrivals], dtype=np.intp),
+        np.array([link_position(arrays, *link) for link in arrivals], dtype=np.intp),
         np.array(list(arrivals.values()), dtype=float),
         service_vector,
     )
@@ -103,16 +144,19 @@ def virtual_step(arrays, arrivals=None, service=None):
 def schedule_of(transmissions):
     """A :class:`~repro.control.decisions.ScheduleDecision` of ``transmissions``.
 
-    The entries index a link tuple of their own (links in order of first
-    appearance), so hand-built schedules need not use candidate links.
+    The entries index a link index of their own (links in order of
+    first appearance), so hand-built schedules need not use candidate
+    links.
     """
     links = tuple(dict.fromkeys(t.link for t in transmissions))
     position = {link: p for p, link in enumerate(links)}
+    ends = np.array(links, dtype=np.intp).reshape(-1, 2)
     return ScheduleDecision(
         link_pos=np.array([position[t.link] for t in transmissions], dtype=np.intp),
         band=np.array([t.band for t in transmissions], dtype=np.intp),
         power_w=np.array([t.power_w for t in transmissions], dtype=float),
-        links=links,
+        link_tx=ends[:, 0],
+        link_rx=ends[:, 1],
     )
 
 
@@ -151,9 +195,7 @@ def one_battery(
         nodes=[SimpleNamespace(energy=energy)],
         sessions=(),
         session_destinations=dict,
-        topology=SimpleNamespace(
-            candidate_links=(), link_arrays=lambda: (no_links, no_links)
-        ),
+        topology=SimpleNamespace(link_tx=no_links, link_rx=no_links),
         bs_ids=(0,),
         user_ids=(),
     )

@@ -18,6 +18,7 @@ from scipy import sparse
 
 from repro.phy.capacity import max_link_capacity_bps
 from repro.phy.interference import big_m_coefficient
+from tests.helpers import in_neighbors, link_tuples
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -99,9 +100,11 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
     dt = params.slot_seconds
     threshold = params.admission_lambda * params.control_v
     destinations = model.session_destinations()
-    h = state.h_backlogs()
+    topology = model.topology
+    links = link_tuples(topology)
+    h = dict(zip(links, state.h_backlogs().tolist()))
     gains = observation.pair_gains(model)
-    link_gains = gains.pairs(*model.topology.link_arrays()).tolist()
+    link_gains = gains.pairs(topology.link_tx, topology.link_rx).tolist()
 
     def service_pkts(band):
         bps = max_link_capacity_bps(
@@ -110,7 +113,7 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
         return bps * params.slot_seconds / params.sessions.packet_size_bits
 
     link_bands = {}
-    for (tx, rx), gain in zip(model.topology.candidate_links, link_gains):
+    for (tx, rx), gain in zip(links, link_gains):
         entries = []
         for band in observation.common_bands(model, tx, rx):
             noise = model.noise_power_w(observation.bands.bandwidth(band))
@@ -160,7 +163,7 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
         dest = session.destination
         coeffs = {
             ("l", i, dest, sid): 1.0
-            for i in model.topology.in_neighbors.get(dest, ())
+            for i in in_neighbors(topology, dest)
             if lp.has_variable(("l", i, dest, sid))
         }
         if coeffs:
@@ -180,15 +183,17 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
         lp.add_constraint(total, LE, float(session.k_max))
 
     bs_set = set(model.bs_ids)
-    z = state.z_values()
+    z = dict(enumerate(state.z_values().tolist()))
+    renewables = observation.renewable_j.tolist()
+    grid_connected = observation.grid_connected.tolist()
     p_coeffs = {}
     arrays = state.arrays
     for node_obj in model.nodes:
         node = node_obj.node_id
         energy = node_obj.energy
-        connected = observation.grid_connected[node]
+        connected = grid_connected[node]
         grid_cap = energy.grid_cap_j if connected else 0.0
-        renewable = observation.renewable_j[node]
+        renewable = renewables[node]
         eta_c = energy.charge_efficiency
         eta_d = energy.discharge_efficiency
         # Constraints (11)/(12) on the node's battery level, scalar.
@@ -272,7 +277,7 @@ def candidate_weights(scheduler, observation, grid):
     """The ``{(tx, rx, band): weight}`` candidates of an S1 grid."""
     model = scheduler._model
     active, keep, weight = grid
-    links = model.topology.candidate_links
+    links = link_tuples(model.topology)
     weights = {}
     for i, pos in enumerate(active.tolist()):
         tx, rx = links[pos]

@@ -33,15 +33,13 @@ def route(
     allowed_mask=None,
 ):
     """S3 for one slot over the full link index (see the module docs)."""
-    topo = model.topology
-    link_pos = arrays.link_pos
-    link_tx, link_rx = topo.link_arrays()
+    link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
     dests = np.array([s.destination for s in model.sessions], dtype=np.intp)
     eligible = (link_tx[:, None] != dests[None, :]) & (
         link_rx[:, None] != dests[None, :]
     )
 
-    beta_h = beta * h_backlogs.values_array
+    beta_h = beta * h_backlogs
     q = arrays.q
     coeff = (-q[arrays.link_tx] + q[arrays.link_rx]) + beta_h[:, None]
 
@@ -52,18 +50,20 @@ def route(
         if demand <= 0:
             continue
         col = arrays.session_col[session.session_id]
+        # The destination's incoming links by a full scan of the link
+        # index, in ascending position (so ascending transmitter).
         coefficients = {
-            (i, dest): coeff[link_pos[(i, dest)], col]
-            for i in topo.in_neighbors.get(dest, ())
-            if i != dest
-            and (allowed_mask is None or allowed_mask[link_pos[(i, dest)]])
+            p: coeff[p, col]
+            for p in range(link_rx.shape[0])
+            if link_rx[p] == dest
+            and (allowed_mask is None or allowed_mask[p])
         }
         if not coefficients:
             continue
         best_value = min(coefficients.values())
-        tied = [link for link, v in coefficients.items() if v == best_value]
+        tied = [p for p, v in coefficients.items() if v == best_value]
         chosen = tied[0] if len(tied) == 1 else tied[rng.integers(len(tied))]
-        forced_pos.append(link_pos[chosen])
+        forced_pos.append(chosen)
         forced_col.append(col)
         forced_pkts.append(float(demand))
 
@@ -86,7 +86,7 @@ def route(
         best_bps[~member.any(axis=1)] = 0.0
         capacity = best_bps * params.slot_seconds / params.sessions.packet_size_bits
     else:
-        capacity = schedule.service_vector(len(arrays.links))
+        capacity = schedule.service_vector(link_tx.shape[0])
 
     active = capacity > 0.0
     active[forced_pos] = False

@@ -4,12 +4,11 @@
 full trajectories — every queue semantics, dynamic spectrum
 availability and random-waypoint mobility — its snapshot kernel must
 match a plain-Python aggregation bit for bit, contract checking must
-leave the run untouched, and the dict-shaped views must agree with the
-arrays they wrap.
+leave the run untouched, and the state's read accessors must agree
+with the arrays they copy.
 
 The suite also unit-tests the array core itself: :func:`seq_sum`
-bit-identity against Python ``sum``, the mapping adapters, the
-vectorized battery kernel against the scalar Eq. 4 oracle and its
+bit-identity against Python ``sum``, the vectorized battery kernel against the scalar Eq. 4 oracle and its
 validation messages, and the one battery-level store that the battery
 (Eq. 4) and the shifted queue (Eq. 31) both read.
 """
@@ -20,13 +19,7 @@ import numpy as np
 import pytest
 
 from repro.config import small_scenario, tiny_scenario
-from repro.core.arraystate import (
-    ArrayState,
-    LinkArrayMapping,
-    NodeArrayMapping,
-    QueueArrayMapping,
-    seq_sum,
-)
+from repro.core.arraystate import ArrayState, seq_sum
 from repro.exceptions import EnergyError
 from repro.sim.engine import SlotSimulator
 from repro.types import MobilityKind, QueueSemantics
@@ -36,6 +29,7 @@ from tests.helpers import (
     canonical,
     make_snapshot_oracle,
     one_battery,
+    queue_dict,
 )
 
 
@@ -68,8 +62,9 @@ class TestTrajectoryEquivalence:
 
     The array kernels are checked against independent references on
     the same run: the recorded snapshot stream against the plain-Python
-    aggregation of the state's dict views, a strict-contracts run against
-    an unchecked one, and the dict views against the buffers they wrap.
+    aggregation of dicts built from the state, a strict-contracts run
+    against an unchecked one, and the read accessors against the buffers
+    they copy.
     The trajectories themselves are pinned in ``tests/test_golden.py``.
     """
 
@@ -82,11 +77,9 @@ class TestTrajectoryEquivalence:
             simulator.step(slot)
             expected = make_snapshot_oracle(
                 slot=slot,
-                data_backlogs=dict(state.arrays.q_mapping()),
-                battery_levels=state.battery_levels(),
-                virtual_backlogs=dict(
-                    zip(state.arrays.links, state.arrays.g.tolist())
-                ),
+                data_backlogs=queue_dict(state.arrays),
+                battery_levels=dict(enumerate(state.battery_levels().tolist())),
+                virtual_backlogs=dict(enumerate(state.arrays.g.tolist())),
                 bs_ids=simulator.model.bs_ids,
             )
             recorded = simulator.metrics.slots[-1].snapshot
@@ -113,22 +106,20 @@ class TestTrajectoryEquivalence:
         state = simulator.state
         arrays = state.arrays
 
-        assert dict(arrays.q_mapping(copy=True)) == {
+        assert queue_dict(arrays) == {
             (node, sid): state.backlog(node, sid)
             for node in range(arrays.num_nodes)
             for sid in arrays.sessions
             if node != arrays.destinations[sid]
         }
-        assert list(state.battery_levels().values()) == list(arrays.battery_level)
-        assert list(state.z_values().values()) == list(
+        levels = state.battery_levels()
+        assert levels.tolist() == arrays.battery_level.tolist()
+        assert levels is not arrays.battery_level
+        assert state.z_values().tolist() == (
             arrays.battery_level - arrays.z_shift
-        )
+        ).tolist()
         beta = state.constants.beta
-        assert list(state.h_backlogs().values()) == [
-            beta * g for g in LinkArrayMapping(
-                arrays.g, arrays.links, arrays.link_pos
-            ).values()
-        ]
+        assert state.h_backlogs().tolist() == [beta * g for g in arrays.g.tolist()]
 
 
 class TestSeqSum:
@@ -144,53 +135,6 @@ class TestSeqSum:
 
     def test_empty(self):
         assert seq_sum(np.zeros(0)) == 0.0
-
-
-class TestAdapters:
-    def test_node_mapping_behaves_like_dict(self):
-        values = np.array([1.5, 0.0, 2.25])
-        mapping = NodeArrayMapping(values)
-        assert dict(mapping) == {0: 1.5, 1: 0.0, 2: 2.25}
-        assert mapping[2] == 2.25
-        assert isinstance(mapping[2], float)
-        assert len(mapping) == 3
-        assert mapping.get(5) is None
-        with pytest.raises(KeyError):
-            mapping[3]
-        with pytest.raises(KeyError):
-            mapping[-1]
-
-    def test_node_mapping_bool_dtype(self):
-        mapping = NodeArrayMapping(np.array([True, False]))
-        assert mapping[0] is True
-        assert mapping[1] is False
-
-    def test_link_mapping_behaves_like_dict(self):
-        links = ((0, 1), (1, 0), (1, 2))
-        positions = {link: p for p, link in enumerate(links)}
-        values = np.array([3.0, 0.5, 9.0])
-        mapping = LinkArrayMapping(values, links, positions)
-        assert dict(mapping) == {(0, 1): 3.0, (1, 0): 0.5, (1, 2): 9.0}
-        assert mapping[(1, 2)] == 9.0
-        assert mapping.links is links
-        assert mapping.values_array is values
-        with pytest.raises(KeyError):
-            mapping[(2, 0)]
-
-    def test_queue_mapping_mutable_with_frozen_keys(self):
-        values = np.array([[4.0, 0.0], [0.0, 6.0]])
-        keys = ((0, "s0"), (1, "s1"))
-        positions = {(0, "s0"): (0, 0), (1, "s1"): (1, 1)}
-        mapping = QueueArrayMapping(values, keys, positions)
-        assert dict(mapping) == {(0, "s0"): 4.0, (1, "s1"): 6.0}
-        mapping[(0, "s0")] = 7.5
-        assert values[0, 0] == 7.5
-        with pytest.raises(KeyError):
-            mapping[(9, "s0")]
-        with pytest.raises(KeyError):
-            mapping[(9, "s0")] = 1.0
-        with pytest.raises(TypeError):
-            del mapping[(0, "s0")]
 
 
 class TestBatteryKernel:

@@ -85,9 +85,9 @@ class TestMinPowerUnderapproximatesDemand:
         observation = state.observe(3)
         params = model.params
         powers = controller._min_power_w(
-            observation, model.topology.link_gain_array()
+            observation, model.topology.link_gains
         )
-        for pos, (tx, rx) in enumerate(model.topology.candidate_links[:10]):
+        for pos, (tx, rx) in enumerate(model.topology.candidate_links[:10].tolist()):
             for band in model.spectrum.common_bands(tx, rx):
                 power = powers[pos, band]
                 if power > model.max_power_w[tx]:

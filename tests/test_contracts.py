@@ -32,7 +32,7 @@ from repro.control.energy_manager import (
 )
 from repro.sim import SlotSimulator
 from repro.types import Transmission
-from tests.helpers import schedule_of
+from tests.helpers import link_position, schedule_of
 
 
 def _warm_simulator(slots=5, num_slots=40):
@@ -106,13 +106,16 @@ class TestTransitionContracts:
 
     def test_corrupt_data_queue_raises_eq15(self, transition):
         simulator, checker, pre, decision, slot = transition
-        key = next(iter(pre.data_backlogs))
-        pre.data_backlogs[key] += 123.0
+        # The first valid (non-destination) cell of the pre-state array.
+        row, col = np.argwhere(simulator.state.arrays.q_valid)[0]
+        pre.q[row, col] += 123.0
         with pytest.raises(ContractViolation) as excinfo:
             checker.check_transition(
                 simulator.model, simulator.state, decision, pre, slot
             )
         assert excinfo.value.equation == "Eq. 15"
+        assert excinfo.value.slot == slot
+        assert excinfo.value.node == row
 
     def test_corrupt_battery_raises_eq10(self, transition):
         simulator, checker, pre, decision, slot = transition
@@ -320,7 +323,7 @@ class TestEnergyContracts:
 def _with_rate(routing, key, rate):
     """``routing`` with ``l[key] = rate``, replacing or appending the entry."""
     tx, rx, sid = key
-    pos = routing.links.index((tx, rx))
+    pos = link_position(routing, tx, rx)
     col = routing.sessions.index(sid)
     hit = (routing.link_pos == pos) & (routing.session_col == col)
     if hit.any():
@@ -341,7 +344,7 @@ def _session_link(model, roles, into_source=False):
     ``roles["source"]`` is the base station S2 chose; links touching the
     other role's node are skipped so exactly one flow rule can fire.
     """
-    for tx, rx in model.topology.candidate_links:
+    for tx, rx in model.topology.candidate_links.tolist():
         if into_source and rx == roles["source"] and tx != roles["dest"]:
             return tx, rx
         if not into_source and tx == roles["dest"] and rx != roles["source"]:
@@ -414,14 +417,17 @@ class TestRoutingContracts:
     def test_wrong_virtual_backlog_raises_eq28(self, transition):
         simulator, checker, pre, decision, slot = transition
         arrays = simulator.state.arrays
-        pos = len(arrays.links) // 2
+        pos = arrays.g.shape[0] // 2
         arrays.g[pos] += 7.5
         with pytest.raises(ContractViolation) as excinfo:
             checker.check_transition(
                 simulator.model, simulator.state, decision, pre, slot
             )
+        link = excinfo.value.link
         assert excinfo.value.equation == "Eq. 28"
-        assert excinfo.value.link == arrays.links[pos]
+        assert link == (arrays.link_tx[pos], arrays.link_rx[pos])
+        assert isinstance(link, tuple)
+        assert [type(end) for end in link] == [int, int]
 
 
 class TestEndToEnd:
@@ -438,7 +444,8 @@ class TestEndToEnd:
         checker = ContractChecker("warn")
         pre = checker.capture(simulator.state)
         decision = simulator.step(5)
-        pre.data_backlogs[next(iter(pre.data_backlogs))] += 50.0
+        row, col = np.argwhere(simulator.state.arrays.q_valid)[0]
+        pre.q[row, col] += 50.0
         checker.check_transition(
             simulator.model, simulator.state, decision, pre, 5
         )

@@ -17,7 +17,7 @@ from repro.core.arraystate import ArrayState
 from repro.model import build_network_model
 from repro.network.geometry import Point
 from repro.phy.capacity import max_link_capacity_bps
-from tests.helpers import link_view
+from tests.helpers import in_neighbors, link_position, link_view, out_neighbors
 
 
 @pytest.fixture
@@ -43,10 +43,10 @@ def _route(
     are pinned at zero (the destination absorbs its packets).
     """
     arrays = state.arrays
-    positions = arrays.queue_positions()
-    for key, value in (backlogs or {}).items():
-        if key in positions:
-            arrays.q[positions[key]] = value
+    for (node, session), value in (backlogs or {}).items():
+        col = arrays.session_col[session]
+        if arrays.q_valid[node, col]:
+            arrays.q[node, col] = value
     h_backlogs = link_view(state.model, h or {})
     return router.route(
         observation, schedule, admission, h_backlogs, arrays, **kwargs
@@ -210,9 +210,9 @@ class TestRouterDestinationForcing:
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         session = tiny_model.sessions[0]
         dest = session.destination
-        in_neighbors = tiny_model.topology.in_neighbors[dest]
-        assert len(in_neighbors) >= 2
-        favoured = in_neighbors[0]
+        upstream = in_neighbors(tiny_model.topology, dest)
+        assert len(upstream) >= 2
+        favoured = upstream[0]
         backlogs = {(favoured, session.session_id): 1000.0}
         admission = AdmissionDecision(
             sources={s.session_id: tiny_model.bs_ids[0] for s in tiny_model.sessions},
@@ -303,7 +303,7 @@ class TestRouterConstraints:
         # Huge H on every BS out-link: coefficients all positive.
         h = {
             (bs, rx): 1e9
-            for rx in tiny_model.topology.out_neighbors[bs]
+            for rx in out_neighbors(tiny_model.topology, bs)
         }
         routing = _route(
             router,
@@ -349,13 +349,14 @@ class TestRouterCapacityModes:
         )
         admission = ResourceAllocator(tiny_model, rng).allocate(_backlogs(tiny_model, {}))
         bs = tiny_model.bs_ids[0]
-        rx = tiny_model.topology.out_neighbors[bs][0]
+        rx = out_neighbors(tiny_model.topology, bs)[0]
         session = tiny_model.sessions[0].session_id
-        links = tiny_model.topology.candidate_links
+        topology = tiny_model.topology
         schedule = ScheduleDecision(
-            service_pos=np.array([links.index((bs, rx))]),
+            service_pos=np.array([link_position(topology, bs, rx)]),
             service_pkts=np.array([123.0]),
-            links=links,
+            link_tx=topology.link_tx,
+            link_rx=topology.link_rx,
         )
         backlogs = {(bs, session): 1e6}
         routing = _route(
@@ -391,9 +392,7 @@ class TestRouterCapacityModes:
         router = BackpressureRouter(tiny_model, tiny_constants, rng)
         admission = ResourceAllocator(tiny_model, rng).allocate(_backlogs(tiny_model, {}))
         bs_set = set(tiny_model.bs_ids)
-        allowed = np.array(
-            [link[0] in bs_set for link in tiny_state.arrays.links]
-        )
+        allowed = np.isin(tiny_state.arrays.link_tx, list(bs_set))
         backlogs = {
             (node, s.session_id): 1e6
             for node in range(tiny_model.num_nodes)

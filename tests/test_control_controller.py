@@ -16,6 +16,7 @@ from repro.core.arraystate import seq_sum
 from repro.model import build_network_model
 from repro.state import NetworkState
 from repro.types import EnergySolverKind, SchedulerKind
+from tests.helpers import link_tuples
 
 
 @pytest.fixture
@@ -56,11 +57,11 @@ class TestDecide:
 
     def test_controller_does_not_mutate_state(self, controller, tiny_state):
         observation = tiny_state.observe(0)
-        before_q = dict(tiny_state.arrays.q_mapping())
+        before_q = tiny_state.arrays.q.copy()
         before_x = tiny_state.battery_levels()
         controller.decide(observation, tiny_state)
-        assert dict(tiny_state.arrays.q_mapping()) == before_q
-        assert tiny_state.battery_levels() == before_x
+        assert tiny_state.arrays.q.tobytes() == before_q.tobytes()
+        assert tiny_state.battery_levels().tobytes() == before_x.tobytes()
 
 
 class TestCurtailment:
@@ -180,7 +181,10 @@ def _curtail_oracle(controller, schedule, supply, h_arr, band_pkts):
     dt = controller._model.params.slot_seconds
     fixed = controller._fixed_energy_arr
     recv = controller._recv_power_arr
-    position = {link: p for p, link in enumerate(schedule.links)}
+    position = {
+        link: p
+        for p, link in enumerate(zip(schedule.link_tx.tolist(), schedule.link_rx.tolist()))
+    }
     transmissions = list(schedule.transmissions)
     supply = supply.copy()
     dropped = list(schedule.dropped)
@@ -241,7 +245,7 @@ def _curtail_inputs(draw):
     """
     controller = _curtail_case()
     model = controller._model
-    num_links = len(model.topology.candidate_links)
+    num_links = model.topology.link_tx.shape[0]
     num_bands = model.spectrum.num_bands
     pairs = draw(
         st.lists(
@@ -287,14 +291,15 @@ def _curtail_inputs(draw):
             )
         )
     )
-    links = model.topology.candidate_links
+    topology = model.topology
     schedule = ScheduleDecision.from_entries(
         link_pos=np.array([pos for pos, _ in pairs], dtype=np.intp),
         band=np.array([band for _, band in pairs], dtype=np.intp),
         power_w=np.array(powers, dtype=float),
         band_pkts=band_pkts,
-        dropped=((*links[0], 0),),
-        links=links,
+        dropped=((*link_tuples(topology)[0], 0),),
+        link_tx=topology.link_tx,
+        link_rx=topology.link_rx,
     )
     return schedule, supply, h_arr, band_pkts
 
@@ -332,7 +337,8 @@ class TestArrayCurtailment:
         # node 0 (the BS) cannot afford both bands of its busiest link.
         controller = _curtail_case()
         model = controller._model
-        links = model.topology.candidate_links
+        topology = model.topology
+        links = link_tuples(topology)
         bs_link = next(p for p, (tx, _) in enumerate(links) if tx == 0)
         band_pkts = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         schedule = ScheduleDecision.from_entries(
@@ -341,7 +347,8 @@ class TestArrayCurtailment:
             power_w=np.array([1.0, 1.0]),
             band_pkts=band_pkts,
             dropped=(),
-            links=links,
+            link_tx=topology.link_tx,
+            link_rx=topology.link_rx,
         )
         assert schedule.link_service_pkts[links[bs_link]] == 0.0 + 0.2 + 0.3
         fixed = controller._fixed_energy_arr

@@ -15,7 +15,7 @@ from repro.core.drift import compute_drift_terms  # noqa: F401  (import check)
 from repro.model import build_network_model
 from repro.state import NetworkState
 from repro.types import SchedulerKind
-from tests.helpers import link_view
+from tests.helpers import link_tuples, link_view
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def observation(tiny_state):
 
 
 def _h_for(model, value=10.0, links=None):
-    chosen = links if links is not None else model.topology.candidate_links
+    chosen = links if links is not None else link_tuples(model.topology)
     return link_view(model, {link: value for link in chosen})
 
 
@@ -33,7 +33,7 @@ def _random_h(model, rng, low, high):
         model,
         {
             link: float(rng.uniform(low, high))
-            for link in model.topology.candidate_links
+            for link in link_tuples(model.topology)
         },
     )
 
@@ -58,7 +58,7 @@ class TestCandidateConstruction:
         self, tiny_model, tiny_constants, observation
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants)
-        none_allowed = np.zeros(len(tiny_model.topology.candidate_links), bool)
+        none_allowed = np.zeros(len(link_tuples(tiny_model.topology)), bool)
         decision = scheduler.schedule(
             observation, _h_for(tiny_model), allowed_mask=none_allowed
         )
@@ -113,8 +113,8 @@ class TestAlgorithmQuality:
     @staticmethod
     def _weight_of(decision, h, beta):
         return sum(
-            beta * h.get(link, 0.0) * service
-            for link, service in decision.link_service_pkts.items()
+            beta * h[pos] * service
+            for pos, service in zip(decision.service_pos, decision.service_pkts)
         )
 
     def test_matching_beats_or_equals_greedy(
@@ -156,7 +156,7 @@ class TestAlgorithmQuality:
     def test_greedy_picks_heaviest_link(
         self, tiny_model, tiny_constants, observation
     ):
-        links = list(tiny_model.topology.candidate_links)
+        links = list(link_tuples(tiny_model.topology))
         heavy = links[0]
         values = {link: 1.0 for link in links}
         values[heavy] = 1e6
@@ -225,7 +225,7 @@ class TestSinrAwareSequentialFix:
     ):
         # A single backlogged link has no co-band coupling: both SF
         # variants must schedule it.
-        link = tiny_model.topology.candidate_links[0]
+        link = link_tuples(tiny_model.topology)[0]
         h = link_view(tiny_model, {link: 50.0})
         plain = LinkScheduler(
             tiny_model, tiny_constants, kind=SchedulerKind.SEQUENTIAL_FIX
@@ -244,7 +244,7 @@ def _lexsort_greedy(model, active, keep, weight, links):
     keys ``(-weight, tx, rx, band)``, then the radio-budget conflict
     scan.
     """
-    link_tx, link_rx = model.topology.link_arrays()
+    link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
     rows, bands = np.nonzero(keep)
     link_pos = active[rows]
     tx_arr = link_tx[link_pos]
@@ -299,7 +299,7 @@ def _grid_case(name):
 def _greedy_grid(name, h_values, prices):
     """A GREEDY scheduler on case ``name`` and its candidate grid."""
     model, constants, observation = _grid_case(name)
-    links = model.topology.candidate_links
+    links = link_tuples(model.topology)
     scheduler = LinkScheduler(model, constants, kind=SchedulerKind.GREEDY)
     h = link_view(model, dict(zip(links, h_values)))
     return scheduler, scheduler._candidate_grid(observation, h, prices)
@@ -312,7 +312,7 @@ class TestGreedySelectionEquality:
     @given(case=st.sampled_from(_GRID_CASES), data=st.data())
     def test_matches_lexsort_scan(self, case, data):
         model, _, _ = _grid_case(case)
-        links = model.topology.candidate_links
+        links = link_tuples(model.topology)
         # A few repeated values force exact weight ties across links;
         # prices this size cut some bands, or every band, of a row.
         h_values = data.draw(
@@ -341,10 +341,10 @@ class TestGreedySelectionEquality:
     @pytest.mark.parametrize("case", _GRID_CASES)
     def test_cases_exercise_the_pruning(self, case):
         model, _, _ = _grid_case(case)
-        links = model.topology.candidate_links
+        links = link_tuples(model.topology)
         _, grid = _greedy_grid(case, [1.0] * len(links), None)
         active, keep, weight = grid
-        link_tx, link_rx = model.topology.link_arrays()
+        link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
         radios = np.array([node.radio.num_radios for node in model.nodes])
         single = (radios[link_tx[active]] == 1) & (radios[link_rx[active]] == 1)
         several = keep.sum(axis=1) > 1

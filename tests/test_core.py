@@ -1,5 +1,7 @@
 """Unit tests for the Lyapunov core: constants, drift terms, bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,21 @@ from repro.core import (
     lyapunov_value,
 )
 from repro.core.drift import compute_drift_terms
+from tests import drift_reference
+from tests.helpers import link_tuples
+
+
+def _drift_terms(model, constants, decision, q, h, z):
+    """:func:`compute_drift_terms`, checked bit for bit against the
+    dict-keyed oracle in ``tests/drift_reference.py``."""
+    terms = compute_drift_terms(model, constants, decision, q, h, z)
+    expected = drift_reference.compute_drift_terms(
+        model, constants, decision, q, h, z
+    )
+    assert [float(v).hex() for v in dataclasses.astuple(terms)] == [
+        float(v).hex() for v in dataclasses.astuple(expected)
+    ]
+    return terms
 
 
 def _scalar_drift_b(model):
@@ -20,7 +37,7 @@ def _scalar_drift_b(model):
     params = model.params
     member = model.link_band_member
     caps = {}
-    for p, link in enumerate(model.topology.candidate_links):
+    for p, link in enumerate(link_tuples(model.topology)):
         best = max(
             (
                 max_link_capacity_bps(
@@ -89,8 +106,8 @@ class TestLyapunovConstants:
         assert compute_constants(bigger).drift_b > compute_constants(base).drift_b
 
     def test_max_service_pkts(self, tiny_model, tiny_constants):
-        links = tiny_model.topology.candidate_links
-        link_tx, _ = tiny_model.topology.link_arrays()
+        links = link_tuples(tiny_model.topology)
+        link_tx = tiny_model.topology.link_tx
         caps = tiny_constants.link_capacity_pkts
         node = links[0][0]
         expected = max(cap for (tx, _), cap in zip(links, caps) if tx == node)
@@ -150,12 +167,11 @@ class TestDriftTerms:
             decision = controller.decide(tiny_state.observe(slot), tiny_state)
             tiny_state.apply(decision, slot)
         observation = tiny_state.observe(2)
+        q = tiny_state.arrays.q.copy()
         h = tiny_state.h_backlogs()
         z = tiny_state.z_values()
         decision = controller.decide(observation, tiny_state)
-        terms = compute_drift_terms(
-            tiny_model, tiny_constants, decision, tiny_state.backlog, h, z
-        )
+        terms = _drift_terms(tiny_model, tiny_constants, decision, q, h, z)
         # Psi-hat_1 is a negated weighted sum of non-negative services.
         assert terms.psi1 <= 0.0
         assert np.isfinite(terms.total)
@@ -169,11 +185,11 @@ class TestDriftTerms:
         )
         observation = tiny_state.observe(0)
         decision = controller.decide(observation, tiny_state)
-        terms = compute_drift_terms(
+        terms = _drift_terms(
             tiny_model,
             tiny_constants,
             decision,
-            tiny_state.backlog,
+            tiny_state.arrays.q.copy(),
             tiny_state.h_backlogs(),
             tiny_state.z_values(),
         )
@@ -204,19 +220,18 @@ class TestBounds:
             decision = heuristic.decide(tiny_state.observe(slot), tiny_state)
             tiny_state.apply(decision, slot)
         observation = tiny_state.observe(3)
+        q = tiny_state.arrays.q.copy()
         h = tiny_state.h_backlogs()
         z = tiny_state.z_values()
         heuristic_decision = heuristic.decide(observation, tiny_state)
         relaxed_decision = relaxed.decide(observation, tiny_state)
         from repro.core.drift import battery_drift_quadratic_term
 
-        heuristic_terms = compute_drift_terms(
-            tiny_model, tiny_constants, heuristic_decision,
-            tiny_state.backlog, h, z,
+        heuristic_terms = _drift_terms(
+            tiny_model, tiny_constants, heuristic_decision, q, h, z
         )
-        relaxed_terms = compute_drift_terms(
-            tiny_model, tiny_constants, relaxed_decision,
-            tiny_state.backlog, h, z,
+        relaxed_terms = _drift_terms(
+            tiny_model, tiny_constants, relaxed_decision, q, h, z
         )
         # Both controllers minimise the exact-drift objective (paper
         # Psi-hats plus the quadratic battery term).

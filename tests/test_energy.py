@@ -115,7 +115,7 @@ class TestRenewableProcesses:
         # Renewables off: every node reads 0 J every slot.
         state = SlotSimulator.integral(tiny_scenario(renewables_enabled=False)).state
         for slot in range(5):
-            assert not state.observe(slot).renewable_j.values_array.any()
+            assert not state.observe(slot).renewable_j.any()
 
     def test_solar_zero_at_night(self, rng):
         process = DiurnalSolarProcess(10.0, 60.0, rng, slots_per_day=100)
@@ -209,12 +209,12 @@ class TestGridConnection:
     def test_never_connected(self):
         state = _grid_state(0.0)
         for slot in range(100):
-            connected = state.observe(slot).grid_connected.values_array
+            connected = state.observe(slot).grid_connected
             assert not connected[1:].any()
 
     def test_bernoulli_rate(self):
         state = _grid_state(0.3)
-        draws = [state.observe(t).grid_connected.values_array[1:] for t in range(1500)]
+        draws = [state.observe(t).grid_connected[1:] for t in range(1500)]
         assert np.mean(draws) == pytest.approx(0.3, abs=0.03)
 
     def test_validate_draw_cap(self):

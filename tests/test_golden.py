@@ -271,8 +271,8 @@ def _observation_digest():
     digest = hashlib.sha256()
     for slot in range(12):
         observation = state.observe(slot)
-        digest.update(canonical(list(observation.renewable_j.values())).encode())
-        digest.update(canonical(list(observation.grid_connected.values())).encode())
+        digest.update(canonical(observation.renewable_j.tolist()).encode())
+        digest.update(canonical(observation.grid_connected.tolist()).encode())
     return digest.hexdigest()
 
 

@@ -14,7 +14,7 @@ from repro.phy.capacity import max_link_capacity_bps
 from repro.sim import SlotSimulator
 from repro.state import NetworkState
 from repro.types import SchedulerKind
-from tests.helpers import link_view
+from tests.helpers import link_tuples, link_view, out_neighbors
 
 
 def _multi_radio_params(bs_radios=3, user_radios=1, factory=tiny_scenario, **kwargs):
@@ -73,7 +73,7 @@ class TestMultiRadioScheduling:
             multi_model,
             {
                 link: float(rng.uniform(1, 100))
-                for link in multi_model.topology.candidate_links
+                for link in link_tuples(multi_model.topology)
             },
         )
         decision = scheduler.schedule(multi_observation, h)
@@ -84,7 +84,7 @@ class TestMultiRadioScheduling:
             multi_model, multi_constants, kind=SchedulerKind.MAX_WEIGHT_MATCHING
         )
         h = link_view(
-            multi_model, {link: 5.0 for link in multi_model.topology.candidate_links}
+            multi_model, {link: 5.0 for link in link_tuples(multi_model.topology)}
         )
         with pytest.raises(SolverError, match="single-radio"):
             scheduler.schedule(multi_observation, h)
@@ -96,7 +96,7 @@ class TestMultiRadioScheduling:
         bs = multi_model.bs_ids[0]
         h = link_view(
             multi_model,
-            {(bs, rx): 1000.0 for rx in multi_model.topology.out_neighbors[bs]},
+            {(bs, rx): 1000.0 for rx in out_neighbors(multi_model.topology, bs)},
         )
         decision = scheduler.schedule(multi_observation, h)
         bs_tx = [t for t in decision.transmissions if t.tx == bs]

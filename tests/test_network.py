@@ -19,6 +19,7 @@ from repro.network import (
     uniform_random_placement,
 )
 from repro.types import NodeKind
+from tests.helpers import link_tuples, out_neighbors
 from tests.topology_reference import build_topology_dense
 
 
@@ -26,7 +27,7 @@ def _link_graph(topology):
     """The candidate-link set as a networkx digraph over every node."""
     graph = nx.DiGraph()
     graph.add_nodes_from(range(topology.num_nodes))
-    graph.add_edges_from(topology.candidate_links)
+    graph.add_edges_from(link_tuples(topology))
     return graph
 
 
@@ -108,29 +109,35 @@ class TestTopology:
 
     def test_no_self_links(self, topo):
         _, topology = topo
-        assert all(tx != rx for tx, rx in topology.candidate_links)
+        assert (topology.link_tx != topology.link_rx).all()
 
     def test_neighbor_maps_consistent_with_links(self, topo):
         _, topology = topo
-        links = set(topology.candidate_links)
-        for tx, receivers in topology.out_neighbors.items():
-            for rx in receivers:
-                assert (tx, rx) in links
-        assert len(links) == sum(len(v) for v in topology.out_neighbors.values())
+        links = set(link_tuples(topology))
+        assert len(links) == topology.link_tx.size  # no duplicates
+        # Transmitter-major; each receiver's in_links slice names it.
+        assert (np.diff(topology.link_tx) >= 0).all()
+        for node in range(topology.num_nodes):
+            incoming = topology.in_links[
+                topology.in_start[node] : topology.in_start[node + 1]
+            ]
+            assert (topology.link_rx[incoming] == node).all()
+        assert sorted(topology.in_links.tolist()) == list(range(len(links)))
 
     def test_bs_links_to_every_user(self, topo):
         params, topology = topo
         # Base stations are exempt from the neighbour cap so the
         # one-hop baselines can always reach their users directly.
+        links = set(link_tuples(topology))
         for bs in params.base_station_ids():
             for user in params.user_ids():
-                assert topology.has_link(bs, user)
+                assert (bs, user) in links
 
     def test_user_out_degree_capped(self, topo):
         params, topology = topo
         assert params.neighbor_limit is not None
         for user in params.user_ids():
-            assert len(topology.out_neighbors[user]) <= params.neighbor_limit
+            assert len(out_neighbors(topology, user)) <= params.neighbor_limit
 
     def test_gains_decrease_with_distance(self, topo):
         _, topology = topo
@@ -158,10 +165,10 @@ class TestTopology:
         # rejects isolated nodes), and the links are the all-pairs
         # oracle's, in its order.
         params, topology = topo
-        endpoints = {node for link in topology.candidate_links for node in link}
+        endpoints = set(topology.candidate_links.ravel().tolist())
         assert endpoints == set(range(topology.num_nodes))
         reference = build_topology_dense(params, topology.nodes)
-        assert topology.candidate_links == reference.candidate_links
+        assert link_tuples(topology) == list(reference.candidate_links)
 
 
 class TestSpectrum:

@@ -25,7 +25,7 @@ from repro.core import compute_constants
 from repro.model import build_network_model
 from repro.state import NetworkState
 from repro.solvers.bisection import bisect_root, minimize_convex_1d
-from tests.helpers import battery_step, one_battery, queue_step, virtual_step
+from tests.helpers import battery_step, link_position, one_battery, queue_step, virtual_step
 
 finite = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -73,10 +73,10 @@ class TestQueueLawProperties:
         arrays = state.arrays
         arrays.g[...] = 0.0
         beta = state.constants.beta
-        pos = arrays.link_pos[(0, 2)]
+        pos = link_position(arrays, 0, 2)
         for arrivals, service in steps:
             virtual_step(arrays, {(0, 2): arrivals}, {(0, 2): service})
-            assert state.h_backlogs()[(0, 2)] == pytest.approx(beta * arrays.g[pos])
+            assert state.h_backlogs()[pos] == pytest.approx(beta * arrays.g[pos])
             assert arrays.g[pos] >= 0.0
 
 

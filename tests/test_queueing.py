@@ -10,7 +10,7 @@ import pytest
 from repro.config import small_scenario, tiny_scenario
 from repro.control.decisions import AdmissionDecision
 from repro.contracts import ContractChecker, ContractViolation
-from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping, seq_sum
+from repro.core.arraystate import seq_sum
 from repro.exceptions import EnergyError, QueueError
 from repro.queueing import (
     BacklogSnapshot,
@@ -23,8 +23,10 @@ from repro.sim import SlotSimulator
 from repro.types import QueueSemantics
 from tests.helpers import (
     battery_step,
+    link_position,
     make_snapshot_oracle,
     one_battery,
+    queue_dict,
     queue_step,
     virtual_step,
 )
@@ -110,9 +112,12 @@ class TestDataQueueBank:
         assert snapshot.bs_data_packets == 5.0
         assert snapshot.user_data_packets == 7.0
 
-    def test_unknown_queue_raises(self, arrays):
+    def test_unknown_queue_raises(self, tiny_state):
+        # Node 17 has no row and session 99 no column.
+        with pytest.raises(IndexError):
+            tiny_state.backlog(17, 0)
         with pytest.raises(KeyError):
-            arrays.q_mapping()[(17, 0)]
+            tiny_state.backlog(0, 99)
 
     def test_negative_admission_rejected(self, arrays):
         with pytest.raises(QueueError, match="negative admission -1.0 for session 0"):
@@ -149,33 +154,37 @@ class TestVirtualQueues:
 
     def test_h_is_beta_times_g(self, tiny_state, arrays):
         virtual_step(arrays, {(0, 1): 10.0})
-        assert arrays.g[arrays.link_pos[(0, 1)]] == 10.0
+        pos = link_position(arrays, 0, 1)
+        assert arrays.g[pos] == 10.0
         beta = tiny_state.constants.beta
-        assert tiny_state.h_backlogs()[(0, 1)] == beta * 10.0
+        assert tiny_state.h_backlogs()[pos] == beta * 10.0
 
     def test_eq28_underflow_clamped(self, arrays):
-        arrays.g[arrays.link_pos[(0, 1)]] = 3.0
+        pos = link_position(arrays, 0, 1)
+        arrays.g[pos] = 3.0
         virtual_step(arrays, {(0, 1): 1.0}, {(0, 1): 10.0})
-        assert arrays.g[arrays.link_pos[(0, 1)]] == 1.0
+        assert arrays.g[pos] == 1.0
 
     def test_bank_updates_all_links(self, tiny_state, arrays):
         # Arrivals are the scheduled rates summed per link.
         routed = {(0, 1, 0): 2.0, (0, 1, 1): 3.0}
         arrays.advance_g(
-            np.array([arrays.link_pos[key[:2]] for key in routed]),
+            np.array([link_position(arrays, *key[:2]) for key in routed]),
             np.array(list(routed.values())),
-            np.zeros(len(arrays.links)),
+            np.zeros(arrays.g.shape[0]),
         )
         virtual_step(arrays, service={(1, 0): 1.0})
         h = tiny_state.h_backlogs()
-        assert arrays.g[arrays.link_pos[(0, 1)]] == 5.0
-        assert arrays.g[arrays.link_pos[(1, 0)]] == 0.0
+        assert arrays.g[link_position(arrays, 0, 1)] == 5.0
+        assert arrays.g[link_position(arrays, 1, 0)] == 0.0
         assert seq_sum(arrays.g) == 5.0
-        assert seq_sum(h.values_array) == tiny_state.constants.beta * 5.0
+        assert seq_sum(h) == tiny_state.constants.beta * 5.0
 
     def test_unknown_link_raises(self, tiny_state):
+        # Nodes 5 and 6 do not exist, so (5, 6) has no link position.
+        assert tiny_state.h_backlogs().shape == tiny_state.arrays.link_tx.shape
         with pytest.raises(KeyError):
-            tiny_state.h_backlogs()[(5, 6)]
+            link_position(tiny_state.arrays, 5, 6)
 
     def test_negative_inputs_rejected(self, arrays):
         with pytest.raises(QueueError, match=r"negative arrivals -1.0 at G\(0, 1\)"):
@@ -305,11 +314,9 @@ class TestBacklogSnapshot:
             arrays.g[...] = rng.lognormal(sigma=6.0, size=arrays.g.shape)
             expected = make_snapshot_oracle(
                 slot=slot,
-                data_backlogs=dict(arrays.q_mapping(copy=True)),
-                battery_levels=dict(NodeArrayMapping(arrays.battery_level)),
-                virtual_backlogs=dict(
-                    LinkArrayMapping(arrays.g, arrays.links, arrays.link_pos)
-                ),
+                data_backlogs=queue_dict(arrays),
+                battery_levels=dict(enumerate(arrays.battery_level.tolist())),
+                virtual_backlogs=dict(enumerate(arrays.g.tolist())),
                 bs_ids=simulator.model.bs_ids,
             )
             actual = make_snapshot_from_arrays(slot=slot, arrays=arrays)

@@ -23,7 +23,7 @@ from repro.control import BackpressureRouter
 from repro.control.decisions import AdmissionDecision, ScheduleDecision
 from repro.control.router import RouterMode
 from repro.core import compute_constants
-from repro.core.arraystate import ArrayState, LinkArrayMapping
+from repro.core.arraystate import ArrayState
 from repro.model import build_network_model
 from repro.state import NetworkState
 from tests import router_reference
@@ -53,9 +53,8 @@ def _inputs(model, constants, draw, mode, masked):
     beta = constants.beta
     arrays.q[:] = beta * beta * draw.integers(0, 4, size=arrays.q.shape)
     arrays.q[arrays.q_invalid] = 0.0
-    num_links = len(arrays.links)
-    h = beta * draw.integers(0, 4, size=num_links).astype(float)
-    h_backlogs = LinkArrayMapping(h, arrays.links, arrays.link_pos)
+    num_links = arrays.g.shape[0]
+    h_backlogs = beta * draw.integers(0, 4, size=num_links).astype(float)
     bs = np.asarray(model.bs_ids, dtype=np.intp)
     rows = draw.choice(bs, size=len(model.sessions))
     admission = AdmissionDecision(
@@ -69,7 +68,8 @@ def _inputs(model, constants, draw, mode, masked):
         schedule = ScheduleDecision(
             service_pos=served,
             service_pkts=draw.integers(0, 3, size=served.size) * 50.0,
-            links=arrays.links,
+            link_tx=arrays.link_tx,
+            link_rx=arrays.link_rx,
         )
     allowed = draw.random(num_links) < 0.7 if masked else None
     return arrays, h_backlogs, admission, schedule, allowed
@@ -122,7 +122,7 @@ class TestRouterOracle:
     def test_inputs_hit_ties_and_the_boundary(self, mode):
         arrays, h_backlogs, decision = _check(False, mode, False, 0, 7)
         _, constants, _ = _setting(False)
-        beta_h = constants.beta * h_backlogs.values_array
+        beta_h = constants.beta * h_backlogs
         q_tx = arrays.q[arrays.link_tx]
         # Q_tx^s == beta H with Q > 0: the coefficient's -Q + beta H part
         # cancels exactly, so the prefilter must drop the link.

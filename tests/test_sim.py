@@ -137,6 +137,28 @@ class TestTrace:
         assert len(trace.rows) == 5
         assert set(trace.rows[0]) == set(TRACE_FIELDS)
 
+    def test_connected_users_counts_users_only(self):
+        # Users have connection probability 0 and base stations 1: the
+        # column counts no base station.
+        params = tiny_scenario(num_slots=4)
+        assert params.user_energy.grid_connect_prob == 0.0
+        trace = TraceRecorder()
+        simulator = SlotSimulator.integral(params)
+        seen = []
+
+        def observe(slot, inner=simulator.state.observe):
+            seen.append(inner(slot))
+            return seen[-1]
+
+        simulator.state.observe = observe
+        simulator.run(trace=trace)
+        assert simulator.model.bs_ids
+        assert [row["connected_users"] for row in trace.rows] == [0, 0, 0, 0]
+        # The harvest total is Python's left-to-right sum, bit for bit.
+        assert [row["renewable_total_j"] for row in trace.rows] == [
+            sum(o.renewable_j.tolist()) for o in seen
+        ]
+
     def test_csv_export_roundtrip(self, tmp_path):
         import csv
 

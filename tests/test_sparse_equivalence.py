@@ -39,7 +39,7 @@ from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
 from repro.types import MobilityKind, Point, QueueSemantics, SchedulerKind
 from tests.helpers import decision_fingerprint
-from tests.topology_reference import build_topology_dense
+from tests.topology_reference import assert_link_index_matches, build_topology_dense
 
 
 def _run_capture(params, scheduler_kind, cached=True):
@@ -114,9 +114,7 @@ class TestTopologyEquivalence:
     def test_candidate_links_identical(self, built):
         oracle, cached, computed = built
         for topo in (cached, computed):
-            assert topo.candidate_links == oracle.candidate_links
-            assert topo.out_neighbors == oracle.out_neighbors
-            assert topo.in_neighbors == oracle.in_neighbors
+            assert_link_index_matches(topo, oracle)
 
     def test_link_arrays_identical(self, built):
         oracle, cached, computed = built

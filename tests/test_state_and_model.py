@@ -51,9 +51,9 @@ class TestNetworkModel:
 
 class TestNetworkState:
     def test_initial_queues_empty(self, tiny_state, tiny_model):
-        assert all(v == 0 for v in tiny_state.arrays.q_mapping().values())
+        assert not tiny_state.arrays.q.any()
         assert not tiny_state.arrays.g.any()
-        assert all(v == 0 for v in tiny_state.battery_levels().values())
+        assert not tiny_state.battery_levels().any()
 
     def test_initial_z_is_negative_shift(self, tiny_state, tiny_model, tiny_constants):
         params = tiny_model.params
@@ -67,8 +67,9 @@ class TestNetworkState:
 
     def test_observation_shape(self, tiny_state, tiny_model):
         observation = tiny_state.observe(0)
-        assert set(observation.renewable_j) == set(range(tiny_model.num_nodes))
-        assert set(observation.grid_connected) == set(range(tiny_model.num_nodes))
+        assert observation.renewable_j.shape == (tiny_model.num_nodes,)
+        assert observation.grid_connected.shape == (tiny_model.num_nodes,)
+        assert observation.grid_connected.dtype == bool
         assert len(observation.bands.bandwidths_hz) == tiny_model.spectrum.num_bands
 
     def test_renewables_bounded(self, tiny_state, tiny_model):
@@ -87,7 +88,8 @@ class TestNetworkState:
 
     def test_h_backlogs_cover_candidate_links(self, tiny_state, tiny_model):
         h = tiny_state.h_backlogs()
-        assert set(h) == set(tiny_model.topology.candidate_links)
+        assert h.shape == (len(tiny_model.topology.candidate_links),)
+        assert h.shape == tiny_model.topology.link_tx.shape
 
     def test_environment_paired_across_architectures(self):
         """Disabling renewables must not shift any other sample path."""
@@ -106,8 +108,8 @@ class TestNetworkState:
         variant_obs = observe_all(variant)
         for a, b in zip(base_obs, variant_obs):
             assert a.bands.bandwidths_hz == b.bands.bandwidths_hz
-            assert a.grid_connected == b.grid_connected
-            assert all(v == 0.0 for v in b.renewable_j.values())
+            assert a.grid_connected.tolist() == b.grid_connected.tolist()
+            assert not b.renewable_j.any()
 
     def test_apply_advances_batteries(self, tiny_state, tiny_model, tiny_constants):
         from repro.control import DriftPlusPenaltyController

@@ -1,7 +1,9 @@
 """The grid topology builder against the all-pairs oracle.
 
 :func:`repro.network.topology.build_topology` claims the candidate
-links, their order, the neighbour maps and the per-link gains of the
+links, their order, the neighbour lists (read through the
+transmitter-major ``link_tx`` runs and the by-receiver ``in_links``
+slices) and the per-link gains of the
 all-pairs construction in ``tests/topology_reference.py``, bit for bit,
 and a pair-gain view whose every entry equals the oracle's gain matrix.
 Placements here sit on a coarse lattice, so nodes coincide, receivers
@@ -23,7 +25,7 @@ from repro.network.node import build_nodes
 from repro.network.topology import build_topology, max_feasible_range_m
 from repro.phy.propagation import ComputedPairGains, DensePairGains
 from repro.types import Point
-from tests.topology_reference import build_topology_dense
+from tests.topology_reference import assert_link_index_matches, build_topology_dense
 
 #: Lattice cells per side; positions are ``step * (i, j)``.
 _CELLS = 6
@@ -79,9 +81,7 @@ def _assert_matches_oracle(params):
     oracle, cached, computed = built
     everyone = np.arange(len(nodes))
     for topo in (cached, computed):
-        assert topo.candidate_links == oracle.candidate_links
-        assert topo.out_neighbors == oracle.out_neighbors
-        assert topo.in_neighbors == oracle.in_neighbors
+        assert_link_index_matches(topo, oracle)
         np.testing.assert_array_equal(topo.link_tx, oracle.link_tx)
         np.testing.assert_array_equal(topo.link_rx, oracle.link_rx)
         assert topo.link_gains.tobytes() == oracle.link_gains.tobytes()

@@ -53,7 +53,7 @@ class TestTutorialSteps:
             simulator.model,
             simulator.constants,
             decision,
-            simulator.state.backlog,
+            simulator.state.arrays.q,
             simulator.state.h_backlogs(),
             simulator.state.z_values(),
         )

@@ -8,8 +8,10 @@ gain matrices, tests every ordered pair for zero-interference
 feasibility at maximum power, sorts each transmitter's receivers by
 distance and caps users at ``neighbor_limit``.  The grid builder must
 return the same candidate links in the same order, the same neighbour
-maps and bitwise-equal per-link gains; ``tests/test_topology_oracle.py``
-checks that.
+lists — each transmitter's run of ``link_tx`` and each receiver's
+``in_links`` slice — and bitwise-equal per-link gains;
+:func:`assert_link_index_matches` checks the index and
+``tests/test_topology_oracle.py`` runs it.
 """
 
 from __future__ import annotations
@@ -120,3 +122,26 @@ def build_topology_dense(
         link_rx=link_rx,
         link_gains=gains[link_tx, link_rx],
     )
+
+
+def assert_link_index_matches(topo, oracle: ReferenceTopology) -> None:
+    """``topo``'s link index is the oracle's, read through its arrays.
+
+    The links and their order, each transmitter's contiguous
+    ``link_tx`` run against its out-neighbours, each receiver's
+    ``in_links`` slice against its in-neighbours, and the one
+    ``(2, L)`` buffer behind ``candidate_links``/``link_tx``/``link_rx``.
+    """
+    assert [tuple(link) for link in topo.candidate_links.tolist()] == list(
+        oracle.candidate_links
+    )
+    assert topo.candidate_links.shape == (len(oracle.candidate_links), 2)
+    assert topo.candidate_links.base is topo.link_tx.base is topo.link_rx.base
+    assert topo.in_start[0] == 0 and topo.in_start[-1] == topo.link_tx.size
+    for node in range(topo.num_nodes):
+        run = np.flatnonzero(topo.link_tx == node)
+        assert run.size == 0 or run[-1] - run[0] == run.size - 1
+        assert tuple(topo.link_rx[run].tolist()) == oracle.out_neighbors[node]
+        incoming = topo.in_links[topo.in_start[node] : topo.in_start[node + 1]]
+        assert (topo.link_rx[incoming] == node).all()
+        assert tuple(topo.link_tx[incoming].tolist()) == oracle.in_neighbors[node]
