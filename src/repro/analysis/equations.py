@@ -23,11 +23,11 @@ bare parenthesised numbers are overwhelmingly false positives
 (shapes, years, section references).  Ranges and conjunctions expand:
 ``Eqs. 9-14`` cites six equations, ``Eqs. 28 and 30`` cites two.
 
-The manifest is TOML.  Python 3.11+ parses it with the stdlib
-``tomllib``; on older interpreters (the CI floor is 3.9 and the repo
-adds no dependencies) a restricted fallback parser handles exactly the
-subset the manifest uses — ``[[equation]]`` tables of string / int /
-bool / string-array values.
+The manifest is TOML, parsed with the stdlib ``tomllib``.  A
+restricted fallback parser handles exactly the subset the manifest
+uses — ``[[equation]]`` tables of string / int / bool / string-array
+values; on the supported interpreters (3.11+) it runs only when asked
+for with ``force_fallback=True``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.lint.rules import Finding
 
 try:  # Python 3.11+
     import tomllib as _tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on the 3.9 CI leg
+except ModuleNotFoundError:  # pragma: no cover - Python < 3.11 only
     _tomllib = None  # type: ignore[assignment]
 
 #: Where the manifest lives, relative to the repo root.

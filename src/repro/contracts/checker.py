@@ -32,9 +32,9 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -195,13 +195,15 @@ class ContractChecker:
         """Radio feasibility (Eqs. 20-22) and SINR (Eq. 24) of S1."""
         if not self.enabled:
             return
-        self._check_radio_feasibility(model, schedule.transmissions, slot)
-        self._check_sinr_feasibility(model, observation, schedule, slot)
+        # Built once: the property makes a tuple of records per access.
+        transmissions = schedule.transmissions
+        self._check_radio_feasibility(model, transmissions, slot)
+        self._check_sinr_feasibility(model, observation, transmissions, slot)
 
     def _check_radio_feasibility(
         self,
         model: "NetworkModel",
-        transmissions: Iterable[Transmission],
+        transmissions: Sequence[Transmission],
         slot: Optional[int],
     ) -> None:
         usage: Dict[NodeId, int] = {}
@@ -241,7 +243,7 @@ class ContractChecker:
         self,
         model: "NetworkModel",
         observation: "SlotObservation",
-        schedule: "ScheduleDecision",
+        transmissions: Sequence[Transmission],
         slot: Optional[int],
     ) -> None:
         gains = observation.pair_gains(model)
@@ -250,14 +252,14 @@ class ContractChecker:
         # order), instead of O(k^2) scalar reads of the gain view.
         groups: Dict[int, List[Transmission]] = {}
         cols: List[int] = []
-        for t in schedule.transmissions:
+        for t in transmissions:
             group = groups.setdefault(t.band, [])
             cols.append(len(group))
             group.append(t)
         blocks = {
             band: co_band_gain_block(gains, group) for band, group in groups.items()
         }
-        for t, col in zip(schedule.transmissions, cols):
+        for t, col in zip(transmissions, cols):
             cap = model.max_power_w[t.tx]
             if t.power_w < -FEASIBILITY_EPS or t.power_w > cap * (1 + SINR_RTOL):
                 self._violate(

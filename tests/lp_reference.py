@@ -1,4 +1,4 @@
-"""Named-variable LP builders, used only by the LP assembly tests.
+"""The LP oracles: named-variable builders and a ``linprog`` solver.
 
 The relaxed Theorem-5 program P3bar and the S1 sequential-fix
 relaxations were once built one variable and one constraint at a time
@@ -9,18 +9,56 @@ builders as an independent oracle.  ``standard_form`` returns exactly
 what :meth:`repro.solvers.linprog.LinearProgram.standard_form` must
 return for the same problem: ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``
 after row equilibration and objective normalisation.
+
+:func:`linprog_solve` is the reference for
+:meth:`~repro.solvers.linprog.LinearProgram.solve`: it hands the same
+``standard_form()`` to :func:`scipy.optimize.linprog` and maps its
+status to the same solution or error.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linprog
 
+from repro.exceptions import InfeasibleError, SolverError
 from repro.phy.capacity import max_link_capacity_bps
 from repro.phy.interference import big_m_coefficient
+from repro.solvers.linprog import LPSolution
 from tests.helpers import in_neighbors, link_tuples
 
 LE, GE, EQ = "<=", ">=", "=="
+
+
+def linprog_solve(lp):
+    """Solve ``lp.standard_form()`` with ``linprog``: HiGHS, then HiGHS-IPM.
+
+    The IPM pass runs when the first ends in neither success nor a
+    certificate of infeasibility or unboundedness.  The objective is
+    mapped back through the cost normalisation.
+
+    Raises:
+        InfeasibleError: infeasible or unbounded.
+        SolverError: any other failure.
+    """
+    if lp.num_variables == 0:
+        return LPSolution(objective=0.0, x=np.zeros(0))
+    c, a_ub, b_ub, a_eq, b_eq, bounds = lp.standard_form()
+    for method in ("highs", "highs-ipm"):
+        result = linprog(
+            c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method=method
+        )
+        if result.status in (0, 2, 3):
+            break
+    if result.status == 2:
+        raise InfeasibleError("linear program is infeasible")
+    if result.status == 3:
+        raise InfeasibleError("linear program is unbounded")
+    if not result.success:
+        raise SolverError(f"linprog failed: {result.message}")
+    scale = float(np.abs(lp.cost).max()) or 1.0
+    return LPSolution(objective=float(result.fun) * scale, x=result.x)
 
 
 class KeyedLP:

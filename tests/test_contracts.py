@@ -209,6 +209,21 @@ class TestScheduleContracts:
             )
         assert excinfo.value.equation == "Eq. 24"
 
+    def test_records_built_once_per_check(self, transition, monkeypatch):
+        simulator, checker, _pre, decision, slot = transition
+        observation = simulator.state.observe(slot + 1)
+        schedule = decision.schedule
+        records = type(schedule).transmissions
+        calls = []
+
+        def counted(self):
+            calls.append(1)
+            return records.fget(self)
+
+        monkeypatch.setattr(type(schedule), "transmissions", property(counted))
+        checker.check_schedule(simulator.model, observation, schedule, slot)
+        assert len(calls) == 1
+
 
 def _energy_case():
     """A genuine S4 (batch, decision) pair on a hand-built 3-node slot.

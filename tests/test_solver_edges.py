@@ -1,5 +1,6 @@
-"""Edge-case tests for the solver layer: the speculative-feasibility
-sequential fix, power-control fallbacks, and TOU-aware S4 calls."""
+"""Edge-case tests for the solver layer: HiGHS statuses and the IPM
+fallback of the LP, the speculative-feasibility sequential fix,
+power-control fallbacks, and TOU-aware S4 calls."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,145 @@ from repro.control.energy_manager import (
     NodeEnergyInputs,
 )
 from repro.energy.cost import QuadraticCost
+from repro.exceptions import InfeasibleError, SolverError
 from repro.phy.power_control import minimal_power_assignment
 from repro.phy.propagation import DensePairGains, gain_matrix
-from repro.solvers import LinearProgram, sequential_fix
+from repro.solvers import LinearProgram, linprog, sequential_fix
+
+
+def _box_lp():
+    """max x0 + x1 subject to x0 + x1 <= 1.5 and x0 == x1 on the unit box.
+
+    Its optimum (0.75, 0.75) has both rows tight and both columns
+    interior.
+    """
+    return LinearProgram(
+        [-1.0, -1.0],
+        np.tile([0.0, 1.0], (2, 1)),
+        [[1.0, 1.0]],
+        [1.5],
+        a_eq=[[1.0, -1.0]],
+        b_eq=[0.0],
+    )
+
+
+def _shift(field, index, delta):
+    """An outcome rewrite adding ``delta`` to ``field[index]``."""
+
+    def rewrite(outcome):
+        values = getattr(outcome, field).copy()
+        values[index] += delta
+        return outcome._replace(**{field: values})
+
+    return rewrite
+
+
+#: Rewrites of an optimal outcome that ``linprog``'s post-solve test
+#: (absolute tolerance sqrt(1e-9) * 10 ~ 3.2e-4) rejects.
+FAILING = {
+    "below-lower": _shift("x", 0, -0.75 - 5e-4),
+    "above-upper": _shift("x", 1, 0.25 + 5e-4),
+    "ub-row-over": _shift("row_value", 0, 5e-4),
+    "eq-row-off": _shift("row_value", 1, -5e-4),
+    "nan-x": _shift("x", 0, np.nan),
+    "nan-objective": lambda outcome: outcome._replace(objective=np.nan),
+}
+
+#: Rewrites within the tolerance, which the test accepts.
+PASSING = {
+    "below-lower": _shift("x", 0, -0.75 - 2e-4),
+    "ub-row-over": _shift("row_value", 0, 2e-4),
+    "eq-row-off": _shift("row_value", 1, -2e-4),
+}
+
+
+class TestLinearProgramStatus:
+    """HiGHS model statuses, the post-solve test and the IPM fallback.
+
+    The failing passes are driven through the module's one run helper,
+    ``linprog._run``; the tolerances stay as they are.
+    """
+
+    @staticmethod
+    def _patch_run(monkeypatch, first=None, second=None):
+        """Route each pass through ``_run``, rewriting its outcome.
+
+        ``first``/``second`` map the simplex/IPM pass's real outcome to
+        the one ``solve`` sees; returns the outcome ``solve`` saw from
+        each pass, keyed by the pass's solver option, in order.
+        """
+        real = linprog._run
+        passes = []
+
+        def run(lp, options):
+            rewrite = (first, second)[len(passes)]
+            outcome = real(lp, options)
+            if rewrite is not None:
+                outcome = rewrite(outcome)
+            passes.append((options.solver, outcome))
+            return outcome
+
+        monkeypatch.setattr(linprog, "_run", run)
+        return passes
+
+    def test_empty_program_skips_highs(self, monkeypatch):
+        passes = self._patch_run(monkeypatch)
+        solution = LinearProgram([], np.zeros((0, 2))).solve()
+        assert solution.objective == 0.0
+        assert solution.x.shape == (0,)
+        assert passes == []
+
+    def test_feasible_first_pass_is_the_answer(self, monkeypatch):
+        passes = self._patch_run(monkeypatch)
+        solution = _box_lp().solve()
+        assert [solver for solver, _ in passes] == ["choose"]
+        np.testing.assert_allclose(solution.x, [0.75, 0.75])
+        assert solution.objective == pytest.approx(-1.5)
+
+    @pytest.mark.parametrize(
+        "lp, message",
+        [
+            (LinearProgram([1.0], np.array([[0.0, 1.0]]), [[-1.0]], [-5.0]), "infeasible"),
+            (LinearProgram([-1.0], np.array([[0.0, np.inf]])), "unbounded"),
+        ],
+        ids=["infeasible", "unbounded"],
+    )
+    def test_certificate_raises_without_ipm(self, monkeypatch, lp, message):
+        passes = self._patch_run(monkeypatch)
+        with pytest.raises(InfeasibleError, match=message):
+            lp.solve()
+        assert [solver for solver, _ in passes] == ["choose"]
+
+    @pytest.mark.parametrize("rewrite", FAILING.values(), ids=FAILING.keys())
+    def test_failing_solution_falls_back_to_ipm(self, monkeypatch, rewrite):
+        passes = self._patch_run(monkeypatch, first=rewrite)
+        solution = _box_lp().solve()
+        assert [solver for solver, _ in passes] == ["choose", "ipm"]
+        ipm = passes[1][1]
+        np.testing.assert_array_equal(solution.x, ipm.x)
+        assert solution.objective == ipm.objective
+
+    @pytest.mark.parametrize("rewrite", PASSING.values(), ids=PASSING.keys())
+    def test_solution_within_tolerance_is_kept(self, monkeypatch, rewrite):
+        passes = self._patch_run(monkeypatch, first=rewrite)
+        solution = _box_lp().solve()
+        assert [solver for solver, _ in passes] == ["choose"]
+        np.testing.assert_array_equal(solution.x, passes[0][1].x)
+
+    @pytest.mark.parametrize("rewrite", FAILING.values(), ids=FAILING.keys())
+    def test_both_passes_failing_the_test_raise(self, monkeypatch, rewrite):
+        self._patch_run(monkeypatch, first=rewrite, second=rewrite)
+        with pytest.raises(SolverError, match="violates the constraints"):
+            _box_lp().solve()
+
+    def test_other_status_falls_back_then_raises(self, monkeypatch):
+        def solve_error(outcome):
+            return linprog._Outcome(linprog.HighsModelStatus.kSolveError)
+
+        passes = self._patch_run(monkeypatch, first=solve_error, second=solve_error)
+        with pytest.raises(SolverError, match="kSolveError"):
+            _box_lp().solve()
+        assert [solver for solver, _ in passes] == ["choose", "ipm"]
 
 
 class TestCheckedSequentialFix:

@@ -1,19 +1,101 @@
 """Unit tests for the solver layer: the matrix-in LP, sequential fix,
 bisection/golden-section."""
 
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from repro.exceptions import InfeasibleError, SolverError
 from repro.solvers import (
     LinearProgram,
     bisect_root,
     bisect_root_vec,
+    linprog,
     minimize_convex_1d,
     sequential_fix,
 )
+
+#: Every member of ``scipy.optimize._highspy._core`` that
+#: ``repro.solvers.linprog`` uses, with the attributes it reads or sets.
+HIGHS_MEMBERS = (
+    "HighsDebugLevel.kHighsDebugLevelNone",
+    "HighsLp.num_col_",
+    "HighsLp.num_row_",
+    "HighsLp.a_matrix_",
+    "HighsLp.col_cost_",
+    "HighsLp.col_lower_",
+    "HighsLp.col_upper_",
+    "HighsLp.row_lower_",
+    "HighsLp.row_upper_",
+    "HighsModelStatus.kOptimal",
+    "HighsModelStatus.kInfeasible",
+    "HighsModelStatus.kModelError",
+    "HighsModelStatus.kUnbounded",
+    "HighsOptions.presolve",
+    "HighsOptions.output_flag",
+    "HighsOptions.log_to_console",
+    "HighsOptions.highs_debug_level",
+    "HighsOptions.simplex_strategy",
+    "HighsOptions.solver",
+    "HighsSolution.col_value",
+    "HighsSolution.row_value",
+    "HighsInfo.objective_function_value",
+    "HighsSparseMatrix.format_",
+    "HighsSparseMatrix.num_col_",
+    "HighsSparseMatrix.num_row_",
+    "HighsSparseMatrix.start_",
+    "HighsSparseMatrix.index_",
+    "HighsSparseMatrix.value_",
+    "HighsStatus.kError",
+    "MatrixFormat.kColwise",
+    "_Highs.passOptions",
+    "_Highs.passModel",
+    "_Highs.run",
+    "_Highs.getModelStatus",
+    "_Highs.getSolution",
+    "_Highs.getInfo",
+    "kHighsInf",
+    "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
+)
+
+FLOOR = "scipy>=1.17"
+
+
+class TestHighsBindings:
+    def test_every_binding_member_present(self):
+        try:
+            import scipy.optimize._highspy._core as core
+        except ImportError as error:
+            pytest.fail(
+                f"scipy {scipy.__version__} has no scipy.optimize._highspy._core "
+                f"({error}); repro.solvers.linprog needs {FLOOR}"
+            )
+        missing = []
+        for path in HIGHS_MEMBERS:
+            owner = core
+            for name in path.split("."):
+                owner = getattr(owner, name, None)
+            if owner is None:
+                missing.append(path)
+        assert not missing, (
+            f"scipy {scipy.__version__}'s HiGHS bindings lack {missing}; "
+            f"repro.solvers.linprog needs {FLOOR}"
+        )
+
+    def test_highs_infinity_is_ieee_inf(self):
+        # Infinite column bounds reach HiGHS unchanged.
+        assert linprog.kHighsInf == np.inf
+
+    def test_missing_bindings_name_the_floor(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        spec = importlib.util.spec_from_file_location("linprog_probe", linprog.__file__)
+        probe = importlib.util.module_from_spec(spec)
+        with pytest.raises(ImportError, match=FLOOR):
+            spec.loader.exec_module(probe)
 
 
 def _bounds(*pairs):
@@ -81,6 +163,28 @@ class TestLinearProgram:
 
     def test_empty_program(self):
         assert LinearProgram([], np.zeros((0, 2))).solve().objective == 0.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([np.inf], _bounds((0.0, 1.0))),
+            ([1.0], _bounds((0.0, 1.0)), [[np.nan]], [1.0]),
+            ([1.0], _bounds((0.0, 1.0)), [[1.0]], [np.inf]),
+            ([1.0], _bounds((0.0, 1.0)), None, None, [[1.0]], [np.nan]),
+        ],
+        ids=["cost", "a_ub", "b_ub", "b_eq"],
+    )
+    def test_non_finite_input_rejected(self, args):
+        # linprog refuses these too; they fail at construction here.
+        with pytest.raises(SolverError, match="non-finite"):
+            LinearProgram(*args)
+
+    def test_nan_bound_reads_as_no_bound(self):
+        # As in linprog: min x0 with x0 free below is unbounded.
+        lp = LinearProgram([1.0, 0.0], _bounds((np.nan, 5.0), (0.0, np.nan)))
+        np.testing.assert_array_equal(lp.bounds, [[-np.inf, 5.0], [0.0, np.inf]])
+        with pytest.raises(InfeasibleError, match="unbounded"):
+            lp.solve()
 
     def test_empty_bound_interval_rejected(self):
         with pytest.raises(SolverError):
