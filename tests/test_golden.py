@@ -31,6 +31,7 @@ vectors that ``observe`` returns, with scripted grid outages.
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,7 @@ import pytest
 
 from repro.config import paper_scenario, small_scenario, tiny_scenario
 from repro.network import topology
+from repro.network.geometry import grid_placement
 from repro.phy.propagation import ComputedPairGains, DensePairGains
 from repro.sim import SlotSimulator
 from repro.types import MobilityKind, QueueSemantics, RenewableKind, SchedulerKind
@@ -136,6 +138,23 @@ def _dynamic_spectrum(params):
     return dataclasses.replace(params, spectrum=spectrum)
 
 
+def _station_fleet(num_users=120, users_per_bs=6, num_slots=12):
+    """The paper scenario grown at constant density, one BS per 6 users.
+
+    With 20 base stations S4 prices the fleet with the vectorized
+    bisection residual (more than ``_SCALAR_PRICING_MAX`` stations),
+    which no other pin reaches.
+    """
+    side = 2000.0 * math.sqrt(num_users / 20.0)
+    stations = tuple(grid_placement(num_users // users_per_bs, side))
+    return paper_scenario(
+        num_slots=num_slots,
+        num_users=num_users,
+        area_side_m=side,
+        base_station_positions=stations,
+    )
+
+
 def _radios(params, bs_count, user_count=None):
     user_count = bs_count if user_count is None else user_count
     return dataclasses.replace(
@@ -216,6 +235,12 @@ TRAJECTORY_CASES.update(
 TRAJECTORY_CASES.update(
     {f"{name}/RELAXED": (name, None) for name in RELAXED_SCENARIOS}
 )
+#: Fleet-scale scenarios, pinned under GREEDY only: the S1 selector of
+#: the fleet-scale benchmark workloads.
+GREEDY_SCENARIOS = {"station_fleet": _station_fleet}
+TRAJECTORY_CASES.update(
+    {f"{name}/GREEDY": (name, SchedulerKind.GREEDY) for name in GREEDY_SCENARIOS}
+)
 
 TRAJECTORY_PINS = Path(__file__).parent / "golden" / "trajectories.json"
 
@@ -223,7 +248,8 @@ TRAJECTORY_PINS = Path(__file__).parent / "golden" / "trajectories.json"
 def trajectory_hash(case):
     """The SHA-256 trajectory fingerprint of one pinned case."""
     name, kind = TRAJECTORY_CASES[case]
-    return trajectory_sha256(TRAJECTORY_SCENARIOS[name](), kind)
+    scenario = TRAJECTORY_SCENARIOS.get(name) or GREEDY_SCENARIOS[name]
+    return trajectory_sha256(scenario(), kind)
 
 
 class TestGoldenTrajectories:
