@@ -9,9 +9,10 @@ a :class:`NodeEnergyBatch` that returns a :class:`BatchAllocation`:
 * ``PRICE_DECOMPOSITION`` (default) — exact for the paper's strictly
   convex quadratic ``f``: every node answers a marginal grid price
   ``mu`` in closed form (one batched KKT pass); bisection finds the
-  fixed point ``mu = f'(P(mu))``; a marginal-node repair step handles
-  the staircase discontinuity of ``P(mu)`` so interior optima (partial
-  charging) are recovered.
+  fixed point ``mu = f'(P(mu))``, re-pricing at each midpoint only the
+  stations whose draw can still change; a marginal-node repair step
+  handles the staircase discontinuity of ``P(mu)`` so interior optima
+  (partial charging) are recovered.
 * ``GRID_ONLY`` — a naive baseline: renewables serve demand, the grid
   covers the rest, the battery is never charged.
 
@@ -24,7 +25,7 @@ spilling (``r + c^r <= R``) and report the spilled energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +36,11 @@ from repro.control.decisions import BatchAllocation, EnergyManagementDecision
 from repro.energy.cost import QuadraticCost
 from repro.exceptions import InfeasibleError
 from repro.model import NetworkModel
-from repro.solvers.bisection import bisect_root, bisect_root_vec
+from repro.solvers.bisection import (
+    bisect_root,
+    # Not called here; benchmarks/suite/spans.py wraps it on this module.
+    bisect_root_vec,
+)
 from repro.types import EnergySolverKind, NodeId
 from repro.units import Joules
 
@@ -53,6 +58,9 @@ _PRICE_PROBE_REL = 1e-3
 #: chains are identical, so both residuals find the same ``mu``).
 _SCALAR_PRICING_MAX = 8
 _ENERGY_TOL = 1e-6
+#: Serve/charge gap margin, relative to a station's objective scale
+#: (~8000 ulp): closer choices stay in play at every midpoint.
+_GAP_TOL_REL = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -306,54 +314,145 @@ def _batched_node_response(
     return allocation, np.where(serve_wins, serve_obj, charge_obj)
 
 
-def _batched_grid_draw_j(
-    batch: NodeEnergyBatch, mu: float, control_v: float
-) -> NodeVec:
-    """Grid draw of :func:`_batched_node_response` without the allocation.
+class _StationPricer:
+    """Grid draw of :func:`_batched_node_response` at any price ``mu``.
 
-    The bisection residual only needs ``sum grid_draw_j(mu)``, so this
-    re-derives exactly the picked ``grid_serve + grid_charge`` rows —
-    every elementwise float64 operation is the same chain as the full
-    kernel (mode objectives included), just skipping the six-field
-    :class:`BatchAllocation` assembly and the infeasibility scan (the
-    caller's pre-check already guarantees feasible serve boxes).
+    Built once per slot from the station batch: the part of the KKT
+    chain that does not depend on ``mu`` is hoisted here, and
+    :meth:`draw` runs the rest, every float64 operation the full
+    kernel's, so it returns the picked ``grid_serve + grid_charge`` bit
+    for bit.  Every row is priced at ``control_v * mu`` (stations only).
     """
-    grid_price = np.where(batch.is_base_station, control_v * mu, 0.0)
-    demand, renewable = batch.demand_j, batch.renewable_j
-    grid = batch.usable_grid_j
-    z = batch.z
 
-    # Serve mode (same chain as _batched_serve_mode).
-    eta_d = batch.discharge_efficiency
-    r_serve = np.minimum(renewable, demand)
-    residual = demand - r_serve
-    d_min = np.maximum(0.0, residual - grid)
-    d_max = np.minimum(batch.discharge_cap_j, residual)
-    d_max = np.maximum(d_min, d_max)
-    stationary = eta_d * z + eta_d * eta_d * grid_price
-    d = np.minimum(np.maximum(stationary, d_min), d_max)
-    g_serve = residual - d
-    drained = d / eta_d
-    serve_obj = -z * drained + 0.5 * drained * drained + grid_price * g_serve
+    def __init__(self, stations: NodeEnergyBatch, control_v: float) -> None:
+        demand, renewable = stations.demand_j, stations.renewable_j
+        grid = stations.usable_grid_j
+        z = stations.z
+        eta_d = stations.discharge_efficiency
+        eta_c = stations.charge_efficiency
+        r_serve = np.minimum(renewable, demand)
+        residual = demand - r_serve
+        d_min = np.maximum(0.0, residual - grid)
+        d_max = np.maximum(d_min, np.minimum(stations.discharge_cap_j, residual))
+        hi = np.minimum(stations.charge_cap_j, renewable + grid - demand)
+        hi = np.maximum(hi, 0.0)
+        self._v = control_v
+        self._charge_blocked = demand > renewable + grid + _ENERGY_TOL
+        # One (16, B) stack, so a row subset is gathered in one indexing.
+        # -z / eta_c is the charge mode's grid-free stationary point,
+        # renewable - demand its kink, residual also its demand - r_serve.
+        self._cols = np.stack([
+            eta_d * z, eta_d * eta_d, d_min, d_max, residual, eta_d, -z, -z / eta_c,
+            eta_c * eta_c, renewable - demand, hi, demand, renewable, z, eta_c,
+            renewable - r_serve,
+        ])
+        # Every product in either objective is at most (slope + price) *
+        # length, so each is within ~30 ulp of that of its exact optimum.
+        slope = np.abs(z) + d_max / eta_d + eta_c * hi
+        length = d_max / eta_d + eta_c * hi + residual + demand + renewable + hi
+        self._tol_length = length * _GAP_TOL_REL
+        self._tol_area = slope * self._tol_length
 
-    # Charge mode (same chain as _batched_charge_mode).
-    eta_c = batch.charge_efficiency
-    charge_ok = ~(demand > renewable + grid + _ENERGY_TOL)
-    hi = np.minimum(batch.charge_cap_j, renewable + grid - demand)
-    hi = np.maximum(hi, 0.0)
-    kink = renewable - demand
-    stationary_free = -z / eta_c
-    stationary_grid = -z / eta_c - grid_price / (eta_c * eta_c)
-    unconstrained = np.minimum(np.maximum(kink, stationary_grid), stationary_free)
-    c = np.minimum(np.maximum(unconstrained, 0.0), hi)
-    grid_draw = np.maximum(0.0, demand + c - renewable)
-    stored = eta_c * c
-    charge_obj = z * stored + 0.5 * stored * stored + grid_price * grid_draw
-    g_charge = c - np.minimum(renewable - r_serve, c)
+    def draw(self, mu: float, rows: Optional[np.ndarray] = None) -> Tuple[NodeVec, NodeVec]:
+        """Grid draw and mode gap of every row (or of ``rows``) at price ``mu``.
 
-    # Winner rows: grid_serve + grid_charge exactly as the pick() sums.
-    serve_wins = ~charge_ok | (serve_obj <= charge_obj)
-    return np.where(serve_wins, g_serve + 0.0, (demand - r_serve) + g_charge)
+        The mode gap is ``serve_obj - charge_obj`` (serve wins where it
+        is <= 0), and ``-inf`` where the charge mode is infeasible.
+        """
+        price = self._v * mu
+        cols = self._cols if rows is None else self._cols[:, rows]
+        blocked = self._charge_blocked if rows is None else self._charge_blocked[rows]
+        (eta_d_z, eta_d2, d_min, d_max, residual, eta_d, neg_z, stationary_free,
+         eta_c2, kink, hi, demand, renewable, z, eta_c, spare) = cols
+
+        # Serve mode (same chain as _batched_serve_mode).
+        d = np.minimum(np.maximum(eta_d_z + eta_d2 * price, d_min), d_max)
+        g_serve = residual - d
+        drained = d / eta_d
+        serve_obj = neg_z * drained + 0.5 * drained * drained + price * g_serve
+
+        # Charge mode (same chain as _batched_charge_mode).
+        stationary_grid = stationary_free - price / eta_c2
+        unconstrained = np.minimum(np.maximum(kink, stationary_grid), stationary_free)
+        c = np.minimum(np.maximum(unconstrained, 0.0), hi)
+        grid_draw = np.maximum(0.0, demand + c - renewable)
+        stored = eta_c * c
+        charge_obj = z * stored + 0.5 * stored * stored + price * grid_draw
+        g_charge = c - np.minimum(spare, c)
+
+        # Winner rows: grid_serve + grid_charge exactly as the pick() sums.
+        serve_wins = blocked | (serve_obj <= charge_obj)
+        draw = np.where(serve_wins, g_serve + 0.0, residual + g_charge)
+        return draw, np.where(blocked, -np.inf, serve_obj - charge_obj)
+
+    def settled(
+        self, rows: Optional[np.ndarray], low: _BracketEnd, high: _BracketEnd
+    ) -> np.ndarray:
+        """Which of ``rows`` (all when None) keep one draw on ``[low, high]``.
+
+        Settled: equal draws at both ends, and serve decided at the low
+        end or charge at the high end by more than the rounding margin.
+        The exact serve-minus-charge gap is nonincreasing in the price,
+        so the mode cannot flip inside the bracket, and within one mode
+        the draw is monotone in the price (docs/architecture.md, S4).
+        """
+        sel = slice(None) if rows is None else rows
+        tol = self._tol_area[sel] + (self._v * high.mu) * self._tol_length[sel]
+        decided = (low.gap[sel] < -tol) | (high.gap[sel] > tol)
+        return decided & (low.draw[sel] == high.draw[sel])
+
+
+class _BracketEnd(NamedTuple):
+    """One evaluated end of the price bracket."""
+
+    mu: float
+    draw: NodeVec
+    gap: NodeVec
+    total: Joules
+
+
+class _InPlayResidual:
+    """The bisection residual ``mu - f'(P(mu))`` over a station fleet.
+
+    Keeps both bracket ends as :func:`bisect_root` moves them (low for
+    a negative residual).  Stations settled on the bracket keep their
+    draw on every sub-bracket and are copied; only those in play are
+    priced again.  ``P`` is the ``seq_sum`` of the whole vector.
+    """
+
+    def __init__(self, pricer: _StationPricer, cost: QuadraticCost) -> None:
+        self._pricer = pricer
+        self._cost = cost
+        self.ends: List[Optional[_BracketEnd]] = [None, None]
+        self._in_play: Optional[np.ndarray] = None  # None: every row
+
+    def __call__(self, mu: float) -> float:
+        low, high = self.ends
+        inside = low is not None and high is not None and low.mu <= mu <= high.mu
+        if not inside:
+            if low is not None and high is not None:
+                self.ends = [None, None]  # restart the bracket at mu
+            self._in_play = None
+        rows = self._in_play
+        if rows is None or high is None or 2 * rows.size > high.draw.size:
+            # Pricing every row beats gathering most of them.
+            draw, gap = self._pricer.draw(mu)
+            total = seq_sum(draw)
+        elif not rows.size:
+            draw, gap, total = high.draw, high.gap, high.total
+        else:
+            draw, gap = high.draw.copy(), high.gap.copy()
+            draw[rows], gap[rows] = self._pricer.draw(mu, rows)
+            total = seq_sum(draw)
+        value = mu - self._cost.derivative(total)
+        self.ends[0 if value < 0.0 else 1] = _BracketEnd(mu, draw, gap, total)
+        low, high = self.ends
+        if low is not None and high is not None:
+            settled = self._pricer.settled(rows, low, high)
+            self._in_play = (
+                np.flatnonzero(~settled) if rows is None else rows[~settled]
+            )
+        return value
 
 
 def _quadratic_grid_draw_j(
@@ -367,7 +466,7 @@ def _quadratic_grid_draw_j(
     eta_d: float,
     grid_price: float,
 ) -> float:
-    """One row of :func:`_batched_grid_draw_j`, as Python floats.
+    """One row of :meth:`_StationPricer.draw`, as Python floats.
 
     The small-fleet bisection residual: the same closed-form KKT chain,
     kept operation-for-operation identical to the vectorized kernel so
@@ -579,45 +678,34 @@ class EnergyManager:
         """Bisect the station price ``mu`` with ``mu = f'(P(mu))``.
 
         Fleets of at most ``_SCALAR_PRICING_MAX`` stations sum the
-        residual as Python floats; larger ones run the vectorized
-        residual.  Both sum the draws in row order, so ``mu`` is the
-        same either way.
+        residual as Python floats.  Larger ones run :class:`_InPlayResidual`,
+        which prices only the stations still in play at each midpoint.
+        Both sum the whole fleet's draws in row order, so ``mu`` is the
+        same either way, and the same as pricing every station every time.
         """
         cap = seq_sum(stations.usable_grid_j)
         mu_lo = cost.derivative(0.0)
         mu_hi = cost.derivative(cap) + max(1.0, cost.derivative(cap)) * 1e-6
         v = self._v
-        if len(stations) <= _SCALAR_PRICING_MAX:
-            rows = list(
-                zip(
-                    stations.demand_j.tolist(),
-                    stations.renewable_j.tolist(),
-                    stations.usable_grid_j.tolist(),
-                    stations.charge_cap_j.tolist(),
-                    stations.discharge_cap_j.tolist(),
-                    stations.z.tolist(),
-                    stations.charge_efficiency.tolist(),
-                    stations.discharge_efficiency.tolist(),
-                )
+        if len(stations) > _SCALAR_PRICING_MAX:
+            fleet = _InPlayResidual(_StationPricer(stations, v), cost)
+            return bisect_root(fleet, mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)
+        rows = list(
+            zip(
+                stations.demand_j.tolist(),
+                stations.renewable_j.tolist(),
+                stations.usable_grid_j.tolist(),
+                stations.charge_cap_j.tolist(),
+                stations.discharge_cap_j.tolist(),
+                stations.z.tolist(),
+                stations.charge_efficiency.tolist(),
+                stations.discharge_efficiency.tolist(),
             )
-
-            def residual(mu: float) -> float:
-                price = v * mu
-                draw = sum(_quadratic_grid_draw_j(*row, price) for row in rows)
-                return mu - cost.derivative(draw)
-
-            return bisect_root(residual, mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)
-
-        def residual_vec(mu_vec: np.ndarray) -> np.ndarray:
-            mu = float(mu_vec[0])
-            draw = seq_sum(_batched_grid_draw_j(stations, mu, v))
-            return np.array([mu - cost.derivative(draw)])
-
-        return float(
-            bisect_root_vec(
-                residual_vec,
-                np.array([mu_lo]),
-                np.array([mu_hi]),
-                tol=_PRICE_BISECT_TOL,
-            )[0]
         )
+
+        def residual(mu: float) -> float:
+            price = v * mu
+            draw = sum(_quadratic_grid_draw_j(*row, price) for row in rows)
+            return mu - cost.derivative(draw)
+
+        return bisect_root(residual, mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)

@@ -2,9 +2,12 @@
 price decomposition and its agreement with the SLSQP reference."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import energy_manager
 from repro.control.decisions import BatchAllocation
@@ -14,13 +17,17 @@ from repro.control.energy_manager import (
     NodeEnergyInputs,
     _allocation_given_grid,
     _batched_charge_mode,
-    _batched_grid_draw_j,
     _batched_node_response,
     _batched_serve_mode,
+    _InPlayResidual,
     _quadratic_grid_draw_j,
+    _StationPricer,
 )
+from repro.core.arraystate import seq_sum
+from repro.energy.cost import QuadraticCost
 from repro.exceptions import InfeasibleError
 from repro.types import EnergySolverKind
+from tests.pricing_reference import full_fleet_price, full_grid_draw_j, reference_manage
 from tests.slsqp_reference import assert_matches_slsqp, solve_slsqp
 
 
@@ -406,14 +413,14 @@ class TestBatchedKernel:
         """
         rng = np.random.default_rng(42)
         manager = EnergyManager(tiny_model, EnergySolverKind.PRICE_DECOMPOSITION)
-        calls = {"scalar": 0}
-        scalar_bisect = energy_manager.bisect_root
+        calls = {"scalar": 0, "row": 0}
+        scalar_row = energy_manager._quadratic_grid_draw_j
 
-        def counting_bisect(*args, **kwargs):
-            calls["scalar"] += 1
-            return scalar_bisect(*args, **kwargs)
+        def counting_row(*args, **kwargs):
+            calls["row"] += 1
+            return scalar_row(*args, **kwargs)
 
-        monkeypatch.setattr(energy_manager, "bisect_root", counting_bisect)
+        monkeypatch.setattr(energy_manager, "_quadratic_grid_draw_j", counting_row)
         for num_bs in range(1, 13):
             rows = _random_batch_inputs(rng, num_bs + int(rng.integers(0, 6)), 0.0)
             rows = [
@@ -424,7 +431,11 @@ class TestBatchedKernel:
             decisions = []
             for limit in (0, 10**6):
                 monkeypatch.setattr(energy_manager, "_SCALAR_PRICING_MAX", limit)
+                before = calls["row"]
                 decisions.append(manager.manage(batch))
+                # Only the scalar residual prices rows as Python floats.
+                assert (calls["row"] > before) == bool(limit)
+                calls["scalar"] += calls["row"] > before
             vector, scalar = decisions
             for field in dataclasses.fields(BatchAllocation):
                 assert np.array_equal(
@@ -538,7 +549,11 @@ class TestBatchedKernel:
         assert vertex.charge_j[0] == 0.0
 
     def test_slim_residual_matches_full_response(self):
-        """The bisection residual kernel equals the full KKT pass."""
+        """The bisection residual kernel equals the full KKT pass.
+
+        The station pricer prices every row at ``V * mu``, so the users
+        (whose grid price is zero) are priced at ``mu = 0``.
+        """
         rng = np.random.default_rng(5)
         for _ in range(50):
             inputs = _random_batch_inputs(rng, int(rng.integers(1, 10)))
@@ -546,7 +561,11 @@ class TestBatchedKernel:
             mu = float(rng.uniform(0.0, 3.0))
             control_v = float(rng.uniform(0.5, 20.0))
             alloc, _ = _batched_node_response(batch, mu, control_v)
-            slim = _batched_grid_draw_j(batch, mu, control_v)
+            slim = np.empty(len(batch))
+            for is_bs, price_mu in ((True, mu), (False, 0.0)):
+                rows = np.flatnonzero(batch.is_base_station == is_bs)
+                pricer = _StationPricer(batch.take(rows), control_v)
+                slim[rows] = pricer.draw(price_mu)[0]
             assert np.array_equal(alloc.grid_draw_j, slim)
             for row, node_inputs in enumerate(inputs):
                 price = control_v * mu if node_inputs.is_base_station else 0.0
@@ -561,3 +580,174 @@ class TestBatchedKernel:
                     node_inputs.discharge_efficiency,
                     price,
                 )
+
+
+# Hypothesis draws the bounds (0 J caps, z = 0) often on its own.
+_ENERGY = st.floats(0.0, 400.0)
+_Z = st.floats(-800.0, 800.0)
+_EFFICIENCY = st.sampled_from((1.0, 0.9, 0.75))
+
+
+@st.composite
+def _node_inputs(draw, is_bs):
+    """One node: zero caps, disconnected grids and tight demand are common."""
+    connected = draw(st.booleans())
+    renewable, grid_cap, charge_cap, discharge_cap = (draw(_ENERGY) for _ in range(4))
+    supply = renewable + (grid_cap if connected else 0.0) + discharge_cap
+    demand = draw(
+        st.one_of(st.sampled_from((0.0, renewable, supply)), st.floats(0.0, supply))
+    )
+    return NodeEnergyInputs(
+        node=0,
+        is_base_station=is_bs,
+        demand_j=min(demand, supply),
+        renewable_j=renewable,
+        grid_connected=connected,
+        grid_cap_j=grid_cap,
+        charge_cap_j=charge_cap,
+        discharge_cap_j=discharge_cap,
+        z=draw(_Z),
+        charge_efficiency=draw(_EFFICIENCY),
+        discharge_efficiency=draw(_EFFICIENCY),
+    )
+
+
+@st.composite
+def _fleet_cases(draw):
+    """A batch of 9-200 stations (rows repeat, so draws tie) plus a few users.
+
+    The cost and ``V`` put the station price ``V f'(P)`` on the scale
+    of ``z``, so stations switch modes inside the bisection bracket.
+    """
+    # One station whose demand is its whole supply, with no battery to
+    # discharge, draws its full grid cap at every price: P(mu) > 0, so
+    # the bisection leaves the lower end.
+    bound = draw(_node_inputs(True))
+    bound = dataclasses.replace(
+        bound,
+        grid_connected=True,
+        grid_cap_j=max(bound.grid_cap_j, 1.0),
+        discharge_cap_j=0.0,
+        demand_j=bound.renewable_j + max(bound.grid_cap_j, 1.0),
+    )
+    distinct = [bound] + draw(st.lists(_node_inputs(True), max_size=30))
+    count = draw(st.integers(9, 200))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=count, max_size=count))
+    users = draw(st.lists(_node_inputs(False), max_size=4))
+    rows = [distinct[i] for i in picks] + users
+    rows = [dataclasses.replace(row, node=i) for i, row in enumerate(rows)]
+    order = draw(st.permutations(range(len(rows))))
+    batch = NodeEnergyBatch.from_inputs([rows[i] for i in order])
+    a = draw(st.floats(-6.0, -1.0).map(lambda e: 10.0**e))
+    cost = QuadraticCost(a=a, b=draw(st.floats(0.0, 5.0)))
+    return batch, cost, draw(st.floats(0.5, 50.0))
+
+
+def _assert_matches_full_fleet(batch, cost, control_v):
+    """``manage`` equals the full-fleet reference, evaluation by evaluation.
+
+    Every draw vector the in-play residual assembles, and its ``P``,
+    must equal the full kernel's at the same ``mu``, bit for bit; then
+    ``mu*`` and the whole decision must equal the reference's.
+    """
+    model = SimpleNamespace(params=SimpleNamespace(control_v=control_v), cost=cost)
+    manager = EnergyManager(model)
+    stations = batch.take(np.flatnonzero(batch.is_base_station))
+    prices = []
+    real_call, real_bisect = _InPlayResidual.__call__, energy_manager.bisect_root
+
+    def checked_call(self, mu):
+        value = real_call(self, mu)
+        end = self.ends[0 if value < 0.0 else 1]
+        full = full_grid_draw_j(stations, mu, control_v)
+        assert end.mu == mu
+        assert end.draw.tobytes() == full.tobytes(), mu
+        assert end.total == seq_sum(full)
+        return value
+
+    def recording_bisect(*args, **kwargs):
+        prices.append(real_bisect(*args, **kwargs))
+        return prices[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_InPlayResidual, "__call__", checked_call)
+        patch.setattr(energy_manager, "bisect_root", recording_bisect)
+        decision = manager.manage(batch, cost)
+    assert prices == [full_fleet_price(stations, cost, control_v)]
+    reference = reference_manage(manager, batch, cost)
+    for field in dataclasses.fields(BatchAllocation):
+        assert np.array_equal(
+            getattr(decision.allocation, field.name),
+            getattr(reference.allocation, field.name),
+        ), field.name
+    assert decision.bs_grid_draw_j == reference.bs_grid_draw_j
+    assert decision.cost == reference.cost
+
+
+class TestInPlayPricing:
+    """Fleets above ``_SCALAR_PRICING_MAX`` re-price only stations in play.
+
+    ``tests/pricing_reference.py`` keeps the full-fleet residual, which
+    prices every station at every evaluation, as the oracle.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_fleet_cases())
+    def test_in_play_residual_matches_full_fleet(self, case):
+        """Every assembled draw vector, its sum, ``mu*`` and the allocation match."""
+        _assert_matches_full_fleet(*case)
+
+    def test_near_tie_stations_stay_in_play(self):
+        """Stations whose two modes draw within an ulp are priced every time.
+
+        With demand equal to renewable + grid and no battery, the serve
+        and charge draws differ by rounding only, so rounding alone picks
+        the mode and it flips back and forth across the price axis.
+        Equal draws and the same mode at both bracket ends do not fix
+        the draw in between here; a draw-equality freeze fails this test.
+        """
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            renewable = float(rng.uniform(0.0, 400.0))
+            grid = float(rng.uniform(1.0, 400.0))
+            row = _inputs(
+                demand=renewable + grid,
+                renewable=renewable,
+                grid_cap=grid,
+                charge_cap=0.0,
+                discharge_cap=0.0,
+                z=-40.0,
+            )
+            batch = _batch(*[dataclasses.replace(row, node=i) for i in range(9)])
+            cost = QuadraticCost(a=10.0 ** rng.uniform(-6.0, -1.0), b=rng.uniform(0.0, 5.0))
+            _assert_matches_full_fleet(batch, cost, float(rng.uniform(0.5, 50.0)))
+
+    def test_midpoints_price_only_stations_in_play(self, monkeypatch):
+        """After the two bracket ends, most stations are never priced again."""
+        rng = np.random.default_rng(11)
+        inputs = _random_batch_inputs(rng, 200, bs_fraction=1.0, z_range=(-800.0, -5.0))
+        batch = NodeEnergyBatch.from_inputs(inputs)
+        cost = QuadraticCost(a=1e-3, b=0.5)
+        model = SimpleNamespace(params=SimpleNamespace(control_v=5.0), cost=cost)
+        calls, priced = [], []
+        real_call, real_draw = _InPlayResidual.__call__, _StationPricer.draw
+
+        def counting_call(self, mu):
+            calls.append(mu)
+            return real_call(self, mu)
+
+        def counting_draw(self, mu, rows=None):
+            priced.append(len(batch) if rows is None else len(rows))
+            return real_draw(self, mu, rows)
+
+        monkeypatch.setattr(_InPlayResidual, "__call__", counting_call)
+        monkeypatch.setattr(_StationPricer, "draw", counting_draw)
+        decision = EnergyManager(model).manage(batch, cost)
+        reference = reference_manage(EnergyManager(model), batch, cost)
+        assert decision.bs_grid_draw_j == reference.bs_grid_draw_j
+        # Both ends price the fleet; then the bracket only shrinks, and
+        # so does the set of stations in play.
+        assert priced[:2] == [len(batch), len(batch)]
+        assert len(calls) > 10
+        assert priced[2:] == sorted(priced[2:], reverse=True)
+        assert sum(priced) < len(calls) * len(batch) // 4
