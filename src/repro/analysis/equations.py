@@ -23,27 +23,19 @@ bare parenthesised numbers are overwhelmingly false positives
 (shapes, years, section references).  Ranges and conjunctions expand:
 ``Eqs. 9-14`` cites six equations, ``Eqs. 28 and 30`` cites two.
 
-The manifest is TOML, parsed with the stdlib ``tomllib``.  A
-restricted fallback parser handles exactly the subset the manifest
-uses — ``[[equation]]`` tables of string / int / bool / string-array
-values; on the supported interpreters (3.11+) it runs only when asked
-for with ``force_fallback=True``.
+The manifest is TOML, parsed with the stdlib ``tomllib``.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.lint.rules import Finding
-
-try:  # Python 3.11+
-    import tomllib as _tomllib
-except ModuleNotFoundError:  # pragma: no cover - Python < 3.11 only
-    _tomllib = None  # type: ignore[assignment]
 
 #: Where the manifest lives, relative to the repo root.
 DEFAULT_MANIFEST = Path("docs") / "equations.toml"
@@ -129,109 +121,21 @@ class Citation:
 # -- manifest parsing --------------------------------------------------
 
 
-def parse_manifest_text(text: str, force_fallback: bool = False) -> List[EquationEntry]:
-    """Decode manifest TOML text into validated entries.
-
-    ``force_fallback=True`` bypasses ``tomllib`` so tests can compare
-    the two decoders on identical input.
-    """
-    if _tomllib is not None and not force_fallback:
-        try:
-            data = _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as exc:
-            raise ManifestError(str(exc)) from exc
-        tables = data.get("equation", [])
-        if not isinstance(tables, list):
-            raise ManifestError("'equation' must be an array of tables ([[equation]])")
-    else:
-        tables = _parse_fallback(text)
+def parse_manifest_text(text: str) -> List[EquationEntry]:
+    """Decode manifest TOML text into validated entries."""
+    try:
+        data = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ManifestError(str(exc)) from exc
+    tables = data.get("equation", [])
+    if not isinstance(tables, list):
+        raise ManifestError("'equation' must be an array of tables ([[equation]])")
     return [EquationEntry.from_mapping(table) for table in tables]
 
 
 def load_manifest(path: Path) -> List[EquationEntry]:
     """Read and decode the manifest file."""
     return parse_manifest_text(path.read_text(encoding="utf-8"))
-
-
-def _parse_fallback(text: str) -> List[Dict[str, object]]:
-    """Restricted TOML decoder for pre-3.11 interpreters.
-
-    Supports exactly the manifest's shape: ``[[equation]]`` headers,
-    ``key = value`` lines with basic-string, integer, boolean and
-    single-line string-array values, comments and blank lines.
-    """
-    tables: List[Dict[str, object]] = []
-    current: Optional[Dict[str, object]] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "[[equation]]":
-            current = {}
-            tables.append(current)
-            continue
-        if line.startswith("["):
-            raise ManifestError(f"line {lineno}: unsupported table header: {line}")
-        if current is None:
-            raise ManifestError(f"line {lineno}: key/value before any [[equation]]")
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ManifestError(f"line {lineno}: expected 'key = value', got: {line}")
-        current[key.strip()] = _parse_value(value.strip(), lineno)
-    return tables
-
-
-def _parse_value(text: str, lineno: int) -> object:
-    if text.startswith('"'):
-        return _parse_string(text, lineno)[0]
-    if text.startswith("["):
-        return _parse_array(text, lineno)
-    # Strip a trailing comment from non-string scalars.
-    bare = text.split("#", 1)[0].strip()
-    if bare in ("true", "false"):
-        return bare == "true"
-    if re.fullmatch(r"[+-]?\d+", bare):
-        return int(bare)
-    raise ManifestError(f"line {lineno}: unsupported value: {text}")
-
-
-def _parse_string(text: str, lineno: int) -> Tuple[str, str]:
-    """Decode a leading basic string; returns ``(value, remainder)``."""
-    assert text.startswith('"')
-    out: List[str] = []
-    i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                break
-            escape = text[i + 1]
-            out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(escape, escape))
-            i += 2
-            continue
-        if ch == '"':
-            return "".join(out), text[i + 1 :]
-        out.append(ch)
-        i += 1
-    raise ManifestError(f"line {lineno}: unterminated string: {text}")
-
-
-def _parse_array(text: str, lineno: int) -> List[str]:
-    body = text.strip()
-    if not body.startswith("[") or "]" not in body:
-        raise ManifestError(f"line {lineno}: unterminated array: {text}")
-    inner = body[1 : body.rindex("]")].strip()
-    items: List[str] = []
-    while inner:
-        if inner.startswith(","):
-            inner = inner[1:].lstrip()
-            continue
-        if not inner.startswith('"'):
-            raise ManifestError(f"line {lineno}: arrays may hold only strings: {text}")
-        value, inner = _parse_string(inner, lineno)
-        items.append(value)
-        inner = inner.lstrip()
-    return items
 
 
 # -- citation extraction -----------------------------------------------

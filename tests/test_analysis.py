@@ -570,17 +570,9 @@ class TestManifestParsing:
         assert entries[1].status == "analysis"
         assert entries[1].note == "no single owner"
 
-    def test_fallback_decoder_matches_tomllib(self):
-        assert parse_manifest_text(SAMPLE_MANIFEST) == parse_manifest_text(
-            SAMPLE_MANIFEST, force_fallback=True
-        )
-
-    def test_repo_manifest_round_trips_through_both_decoders(self):
+    def test_repo_manifest_decodes(self):
         text = Path("docs/equations.toml").read_text(encoding="utf-8")
-        via_tomllib = parse_manifest_text(text)
-        via_fallback = parse_manifest_text(text, force_fallback=True)
-        assert via_tomllib == via_fallback
-        assert len(via_tomllib) >= 30
+        assert len(parse_manifest_text(text)) >= 30
 
     def test_repo_manifest_covers_paper_equations(self):
         """Acceptance: every display from Eq. 2 through Eq. 31 is mapped."""
@@ -591,17 +583,15 @@ class TestManifestParsing:
     @pytest.mark.parametrize(
         "text",
         [
-            "id = 1\n",  # key before any [[equation]]
-            "[tool]\nx = 1\n",  # unsupported header
-            '[[equation]]\nid = 1\ntitle = "unterminated\n',
-            "[[equation]]\nid = 1.5\n",  # unsupported value type
+            '[[equation]]\nid = 1\ntitle = "unterminated\n',  # TOML syntax
             "[[equation]]\nid\n",  # not key = value
-            '[[equation]]\nmodules = [3]\n',  # non-string array item
+            "equation = 3\n",  # not an array of tables
+            "[[equation]]\nid = 1.5\n",  # schema: id must be an int
         ],
     )
-    def test_fallback_decoder_rejects(self, text):
+    def test_malformed_manifest_rejected(self, text):
         with pytest.raises(ManifestError):
-            parse_manifest_text(text, force_fallback=True)
+            parse_manifest_text(text)
 
     @pytest.mark.parametrize(
         "raw",
