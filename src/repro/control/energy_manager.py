@@ -687,25 +687,26 @@ class EnergyManager:
         mu_lo = cost.derivative(0.0)
         mu_hi = cost.derivative(cap) + max(1.0, cost.derivative(cap)) * 1e-6
         v = self._v
-        if len(stations) > _SCALAR_PRICING_MAX:
-            fleet = _InPlayResidual(_StationPricer(stations, v), cost)
-            return bisect_root(fleet, mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)
-        rows = list(
-            zip(
-                stations.demand_j.tolist(),
-                stations.renewable_j.tolist(),
-                stations.usable_grid_j.tolist(),
-                stations.charge_cap_j.tolist(),
-                stations.discharge_cap_j.tolist(),
-                stations.z.tolist(),
-                stations.charge_efficiency.tolist(),
-                stations.discharge_efficiency.tolist(),
+        if len(stations) <= _SCALAR_PRICING_MAX:
+            rows = list(
+                zip(
+                    stations.demand_j.tolist(),
+                    stations.renewable_j.tolist(),
+                    stations.usable_grid_j.tolist(),
+                    stations.charge_cap_j.tolist(),
+                    stations.discharge_cap_j.tolist(),
+                    stations.z.tolist(),
+                    stations.charge_efficiency.tolist(),
+                    stations.discharge_efficiency.tolist(),
+                )
             )
-        )
 
-        def residual(mu: float) -> float:
-            price = v * mu
-            draw = sum(_quadratic_grid_draw_j(*row, price) for row in rows)
-            return mu - cost.derivative(draw)
+            def residual(mu: float) -> float:
+                price = v * mu
+                draw = sum(_quadratic_grid_draw_j(*row, price) for row in rows)
+                return mu - cost.derivative(draw)
 
-        return bisect_root(residual, mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)
+            return bisect_root(residual, mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)
+
+        fleet = _InPlayResidual(_StationPricer(stations, v), cost)
+        return bisect_root(fleet, mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)
