@@ -25,7 +25,7 @@ spilling (``r + c^r <= R``) and report the spilled energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -396,7 +396,7 @@ class _StationPricer:
         so the mode cannot flip inside the bracket, and within one mode
         the draw is monotone in the price (docs/architecture.md, S4).
         """
-        sel = slice(None) if rows is None else rows
+        sel: Union[slice, np.ndarray] = slice(None) if rows is None else rows
         tol = self._tol_area[sel] + (self._v * high.mu) * self._tol_length[sel]
         decided = (low.gap[sel] < -tol) | (high.gap[sel] > tol)
         return decided & (low.draw[sel] == high.draw[sel])
