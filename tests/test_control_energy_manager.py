@@ -707,7 +707,7 @@ class TestInPlayPricing:
         the draw in between here; a draw-equality freeze fails this test.
         """
         rng = np.random.default_rng(1)
-        for _ in range(300):
+        for _ in range(150):
             renewable = float(rng.uniform(0.0, 400.0))
             grid = float(rng.uniform(1.0, 400.0))
             row = _inputs(
