@@ -95,17 +95,19 @@ def test_energy_manager_slot(benchmark, bench_base):
     discharge_cap = np.minimum(arrays.discharge_cap_j, arrays.battery_level)
     batch = NodeEnergyBatch.from_inputs([
         NodeEnergyInputs(
-            node=node_obj.node_id,
-            is_base_station=node_obj.is_base_station,
-            demand_j=node_obj.radio.fixed_energy_j(bench_base.slot_seconds),
-            renewable_j=observation.renewable_j[node_obj.node_id],
-            grid_connected=observation.grid_connected[node_obj.node_id],
-            grid_cap_j=arrays.grid_cap_j[node_obj.node_id],
-            charge_cap_j=charge_cap[node_obj.node_id],
-            discharge_cap_j=discharge_cap[node_obj.node_id],
-            z=z[node_obj.node_id],
+            node=node,
+            is_base_station=node < bench_base.num_base_stations,
+            demand_j=bench_base.node_params(node).fixed_energy_j(
+                bench_base.slot_seconds
+            ),
+            renewable_j=observation.renewable_j[node],
+            grid_connected=observation.grid_connected[node],
+            grid_cap_j=arrays.grid_cap_j[node],
+            charge_cap_j=charge_cap[node],
+            discharge_cap_j=discharge_cap[node],
+            z=z[node],
         )
-        for node_obj in simulator.model.nodes
+        for node in range(simulator.model.num_nodes)
     ])
 
     benchmark(lambda: simulator.controller.energy_manager.manage(batch))

@@ -6,7 +6,7 @@ meanings for the whole hot path:
 ====== ==============================================================
 Axis   Meaning
 ====== ==============================================================
-``N``  nodes, in ``NetworkModel.nodes`` order (BS rows first)
+``N``  nodes, in node-id order (BS rows ``0..B-1`` first)
 ``S``  sessions, in ``NetworkModel.sessions`` order
 ``L``  directed links, in the frozen ``Topology.link_tx`` order
 ``M``  spectrum bands, in ``bands_hz`` key order
@@ -48,7 +48,7 @@ ANY_AXIS = "?"
 
 #: Canonical axis name -> meaning, mirrored in ``docs/analysis.md``.
 AXIS_MEANINGS: Dict[str, str] = {
-    "N": "nodes (NetworkModel.nodes order, BS rows first)",
+    "N": "nodes (node-id order, BS rows 0..B-1 first)",
     "S": "sessions (NetworkModel.sessions order)",
     "L": "directed links (frozen Topology.link_tx order)",
     "M": "spectrum bands (bands_hz key order)",
@@ -138,7 +138,7 @@ AnyArray = Annotated[np.ndarray, Axes(ANY_AXIS)]
 LinkToNode = Annotated[np.ndarray, Axes("L"), IndexInto("N")]
 #: ``(S,)`` node ids: per-session sources/destinations.
 SessionToNode = Annotated[np.ndarray, Axes("S"), IndexInto("N")]
-#: Variable-length node-id index (e.g. ``bs_rows``/``user_rows``).
+#: Variable-length node-id index (e.g. the session destinations).
 NodeIds = Annotated[np.ndarray, Axes(ANY_AXIS), IndexInto("N")]
 #: Variable-length link-position index.
 LinkIds = Annotated[np.ndarray, Axes(ANY_AXIS), IndexInto("L")]

@@ -219,8 +219,10 @@ class ContractChecker:
             for node in (t.tx, t.rx):
                 usage[node] = usage.get(node, 0) + 1
                 band_usage[(node, t.band)] = band_usage.get((node, t.band), 0) + 1
+        bs, user = model.params.bs_node, model.params.user_node
+        radios_of = model.node_vector(bs.num_radios, user.num_radios, int)
         for node, count in usage.items():
-            radios = model.nodes[node].radio.num_radios
+            radios = int(radios_of[node])
             if count > radios:
                 self._violate(
                     "Eq. 22",

@@ -59,8 +59,8 @@ class ResourceAllocator:
         """
         sources: Dict[SessionId, NodeId] = {}
         admitted: Dict[SessionId, int] = {}
-        bs_rows = arrays.bs_rows
-        bs_q = arrays.q[bs_rows]
+        # Base stations hold rows 0..B-1, so a row is its node id.
+        bs_q = arrays.q[: self._model.params.num_base_stations]
         source_rows = np.empty(len(arrays.sessions), dtype=np.intp)
         for session in self._model.sessions:  # noqa: R040 - S2 is inherently per-session: each iteration is a scalar token-bucket decision with rng draws, not an axis-wide kernel
             col = arrays.session_col[session.session_id]
@@ -68,8 +68,8 @@ class ResourceAllocator:
             smallest = backlogs.min()
             tied = np.flatnonzero(backlogs == smallest)
             pick = tied[0] if tied.size == 1 else self._rng.choice(tied)
-            source_rows[col] = bs_rows[pick]
-            sources[session.session_id] = int(bs_rows[pick])
+            source_rows[col] = pick
+            sources[session.session_id] = int(pick)
             if smallest - self._threshold < 0:
                 admitted[session.session_id] = session.k_max
             else:

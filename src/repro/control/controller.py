@@ -74,18 +74,13 @@ class DriftPlusPenaltyController:
         # slot energy, receive power, BS membership, and node ids in
         # node-id order.  None of these change mid-run.
         params = model.params
-        self._fixed_energy_arr = np.fromiter(
-            (n.radio.fixed_energy_j(params.slot_seconds) for n in model.nodes),
-            dtype=float,
-            count=model.num_nodes,
+        bs, user = params.bs_node, params.user_node
+        self._fixed_energy_arr = model.node_vector(
+            bs.fixed_energy_j(params.slot_seconds),
+            user.fixed_energy_j(params.slot_seconds),
         )
-        self._recv_power_arr = np.fromiter(
-            (n.radio.recv_power_w for n in model.nodes),
-            dtype=float,
-            count=model.num_nodes,
-        )
-        self._bs_mask = np.zeros(model.num_nodes, dtype=bool)
-        self._bs_mask[list(model.bs_ids)] = True
+        self._recv_power_arr = model.node_vector(bs.recv_power_w, user.recv_power_w)
+        self._bs_mask = model.node_vector(True, False, bool)
         self._node_ids = np.arange(model.num_nodes, dtype=np.intp)
         self._link_tx = model.topology.link_tx
         self._link_rx = model.topology.link_rx

@@ -47,7 +47,7 @@ from repro.contracts import ContractChecker
 from repro.control.decisions import ScheduleDecision, SlotObservation
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
-from repro.phy.interference import big_m_coefficient, max_power_array
+from repro.phy.interference import big_m_coefficient
 from repro.phy.power_control import (
     # Not called here; benchmarks/suite/spans.py wraps it on this module.
     minimal_power_assignment,
@@ -179,24 +179,23 @@ class LinkScheduler:
         self._constants = constants
         self._kind = kind
         self._checker = checker
-        # Per-node radio budgets (1 in the paper), built once: the int
-        # list for the scans, the array for GREEDY's single-radio filter.
-        self._radios = [node.radio.num_radios for node in model.nodes]
-        self._radios_arr: NodeVec = np.asarray(self._radios, dtype=np.intp)
+        # Per-node radio budgets (1 in the paper), built once: the array
+        # for GREEDY's single-radio filter, the int list for the scans.
+        bs, user = model.params.bs_node, model.params.user_node
+        self._radios_arr: NodeVec = model.node_vector(
+            bs.num_radios, user.num_radios, np.intp
+        )
+        self._radios = self._radios_arr.tolist()
         # Per-topology tables: radios, power caps and the static band
         # sets never change mid-run, and every table is a per-node array
         # fancy-indexed by the frozen link endpoints (O(N + L) numpy).
         link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
-        recv_power = np.fromiter(
-            (node.radio.recv_power_w for node in model.nodes),
-            dtype=float,
-            count=model.num_nodes,
-        )
+        recv_power = model.node_vector(bs.recv_power_w, user.recv_power_w)
         self._static = _SchedulerStatic(
             link_tx=link_tx,
             link_rx=link_rx,
             band_member=model.link_band_member,
-            max_power_tx=max_power_array(model.max_power_w, model.num_nodes)[link_tx],
+            max_power_tx=model.max_power_w[link_tx],
             recv_power_rx=recv_power[link_rx],
         )
 

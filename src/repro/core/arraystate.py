@@ -100,7 +100,6 @@ class ArrayState:
         grid_cap_j: ``(N,)`` per-slot grid draw caps ``p_max`` (Eq. 14).
         connect_prob: ``(N,)`` probabilities of ``omega_i(t) = 1``
             (Eqs. 5-6): 1.0 for the always-connected base stations.
-        bs_rows / user_rows: row indices for base stations and users.
         queue_semantics: the Eq. 15 transfer accounting in force
             (``params.queue_semantics``).
     """
@@ -123,8 +122,6 @@ class ArrayState:
     discharge_efficiency: NodeVec
     grid_cap_j: NodeJoules
     connect_prob: NodeVec
-    bs_rows: NodeIds
-    user_rows: NodeIds
 
     def __init__(self, model: "NetworkModel", constants: "LyapunovConstants") -> None:
         """Freeze the node/session/link indices and allocate the arrays.
@@ -157,14 +154,10 @@ class ArrayState:
         self.g = np.zeros(self.link_tx.shape[0])
 
         self.battery_level = np.zeros(num_nodes)
-        energies = [node.energy for node in model.nodes]
+        bs, user = params.bs_energy, params.user_energy
 
         def node_vector(field: str) -> NodeVec:
-            return np.fromiter(
-                (getattr(energy, field) for energy in energies),
-                dtype=float,
-                count=num_nodes,
-            )
+            return model.node_vector(getattr(bs, field), getattr(user, field))
 
         self.capacity_j = node_vector("battery_capacity_j")
         self.charge_cap_j = node_vector("charge_cap_j")
@@ -176,13 +169,6 @@ class ArrayState:
         # V * gamma_max is one float, so each row is the scalar chain
         # ``V * gamma_max + d_max_i`` of Eq. 31 bit for bit.
         self.z_shift = params.control_v * constants.gamma_max + self.discharge_cap_j
-
-        self.bs_rows = np.fromiter(
-            model.bs_ids, dtype=np.intp, count=len(model.bs_ids)
-        )
-        self.user_rows = np.fromiter(
-            model.user_ids, dtype=np.intp, count=len(model.user_ids)
-        )
     # ------------------------------------------------------------------
     # Vectorized kernels
 

@@ -42,7 +42,6 @@ from repro.control.decisions import (
 from repro.core.arraystate import seq_sum
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
-from repro.phy.interference import max_power_array
 from repro.solvers.linprog import LinearProgram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
@@ -148,11 +147,13 @@ class RelaxedLpController:
         self.last_deficit_j: NodeJoules = np.zeros(model.num_nodes)
 
         dt = model.params.slot_seconds
-        radios = [node.radio for node in model.nodes]
-        self._radios = np.array([r.num_radios for r in radios], dtype=np.float64)
-        self._recv_power = np.array([r.recv_power_w for r in radios])
-        self._fixed_energy_j = np.array([r.fixed_energy_j(dt) for r in radios])
-        self._max_power = max_power_array(model.max_power_w, model.num_nodes)
+        bs, user = model.params.bs_node, model.params.user_node
+        self._radios = model.node_vector(bs.num_radios, user.num_radios)
+        self._recv_power = model.node_vector(bs.recv_power_w, user.recv_power_w)
+        self._fixed_energy_j = model.node_vector(
+            bs.fixed_energy_j(dt), user.fixed_energy_j(dt)
+        )
+        self._max_power = model.max_power_w
         self._bs = np.asarray(model.bs_ids, dtype=np.intp)
         sessions = model.sessions
         self._dest = np.array([s.destination for s in sessions], dtype=np.intp)

@@ -122,10 +122,8 @@ def compute_constants(model: NetworkModel) -> LyapunovConstants:
     then link order.
     """
     params = model.params
-    radios = np.fromiter(
-        (node.radio.num_radios for node in model.nodes),
-        dtype=np.intp,
-        count=model.num_nodes,
+    radios = model.node_vector(
+        params.bs_node.num_radios, params.user_node.num_radios, np.intp
     )
     link_caps, link_bound = _per_link_max_packets(model, radios)
     beta = float(link_caps.max(initial=0.0))
@@ -154,11 +152,17 @@ def compute_constants(model: NetworkModel) -> LyapunovConstants:
 
     virtual_term = seq_sum(_squares(beta * link_bound))
 
-    energy_term = 0.0
-    for node in model.nodes:
-        energy_term += 0.5 * max(
-            node.energy.charge_cap_j, node.energy.discharge_cap_j
-        ) ** 2
+    # Summed row by row from 0.0, not N_class * term.
+    bs, user = params.bs_energy, params.user_energy
+    energy_term = seq_sum(
+        0.5
+        * _squares(
+            model.node_vector(
+                max(bs.charge_cap_j, bs.discharge_cap_j),
+                max(user.charge_cap_j, user.discharge_cap_j),
+            )
+        )
+    )
 
     return LyapunovConstants(
         beta=beta,

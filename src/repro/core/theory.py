@@ -63,10 +63,16 @@ def predict(model: NetworkModel, constants: LyapunovConstants) -> TheoryPredicti
     """Compute the closed-form predictions for one scenario."""
     params = model.params
     v = params.control_v
-    plateaus: Dict[NodeId, float] = {}
-    for node in model.nodes:
-        threshold = v * constants.gamma_max + node.energy.discharge_cap_j
-        plateaus[node.node_id] = min(threshold, node.energy.battery_capacity_j)
+    bs_plateau, user_plateau = (
+        min(
+            v * constants.gamma_max + energy.discharge_cap_j,
+            energy.battery_capacity_j,
+        )
+        for energy in (params.bs_energy, params.user_energy)
+    )
+    plateaus: Dict[NodeId, float] = dict(
+        enumerate(model.node_vector(bs_plateau, user_plateau).tolist())
+    )
     bs_total = sum(plateaus[b] for b in model.bs_ids)
     return TheoryPredictions(
         control_v=v,
@@ -107,11 +113,8 @@ def fill_time_slots(model: NetworkModel, constants: LyapunovConstants) -> float:
     Lower bound: the plateau divided by the per-slot charge cap (the
     controller charges at cap while deep below threshold).
     """
-    worst = 0.0
-    predictions = predict(model, constants)
-    for bs in model.bs_ids:
-        cap = model.nodes[bs].energy.charge_cap_j
-        if cap <= 0:
-            return float("inf")
-        worst = max(worst, predictions.battery_plateau_j[bs] / cap)
-    return worst
+    cap = model.params.bs_energy.charge_cap_j
+    if cap <= 0:
+        return float("inf")
+    # Every station shares the one plateau of its class.
+    return predict(model, constants).battery_plateau_j[model.bs_ids[0]] / cap

@@ -1,25 +1,29 @@
 """The assembled network model: everything static about a scenario.
 
-``NetworkModel`` bundles the validated parameters, node population,
-topology, spectrum model, sessions, and cost function, plus the derived
-Lyapunov constants (``beta``, ``gamma_max``, ``B``) that the controller
-and the bound computations share.  Build one with
-:func:`build_network_model`; the simulator, controller, and experiment
-drivers all consume it.
+``NetworkModel`` bundles the validated parameters, topology, spectrum
+model, sessions, and cost function, plus the derived Lyapunov constants
+(``beta``, ``gamma_max``, ``B``) that the controller and the bound
+computations share.  Build one with :func:`build_network_model`; the
+simulator, controller, and experiment drivers all consume it.
+
+Nodes are rows: the network is ``N = B ∪ U``, two node classes with one
+parameter set each, and base stations hold rows ``0..B-1``.  A per-node
+constant is an ``(N,)`` vector built from the two class values by
+:meth:`NetworkModel.node_vector`; there is no per-node object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.axes import LinkBandMat, NodeBandMat, SessionToNode
+from repro.axes import AnyArray, LinkBandMat, NodeBandMat, NodeVec, SessionToNode
 from repro.config import ScenarioParameters, validate_parameters
 from repro.energy.cost import QuadraticCost, TimeOfUseCost
-from repro.network.node import Node, build_nodes
+from repro.network.geometry import node_positions
 from repro.network.session import Session, build_sessions
 from repro.network.spectrum import SpectrumModel, build_spectrum_model
 from repro.network.topology import Topology, build_topology
@@ -32,21 +36,17 @@ class NetworkModel:
 
     Attributes:
         params: the validated scenario parameters.
-        nodes: node population ordered by id.
-        topology: candidate links and pair gains.
+        topology: node positions, candidate links and pair gains.
         spectrum: bands, access sets, bandwidth process.
         sessions: downlink sessions.
         cost: the provider's generation-cost function ``f``.
-        max_power_w: per-node transmit power caps (for power control).
     """
 
     params: ScenarioParameters
-    nodes: Tuple[Node, ...]
     topology: Topology
     spectrum: SpectrumModel
     sessions: Tuple[Session, ...]
     cost: QuadraticCost
-    max_power_w: Dict[NodeId, float] = field(repr=False)
     #: Optional time-of-use schedule wrapping ``cost``.
     cost_schedule: Optional[TimeOfUseCost] = None
 
@@ -66,7 +66,30 @@ class NetworkModel:
     @property
     def num_nodes(self) -> int:
         """Total node count ``N``."""
-        return len(self.nodes)
+        return self.topology.num_nodes
+
+    @property
+    def positions(self) -> AnyArray:
+        """``(N, 2)`` node coordinates (m): the topology's buffer."""
+        return self.topology.positions
+
+    def node_vector(
+        self, bs_value: object, user_value: object, dtype: type = float
+    ) -> NodeVec:
+        """``(N,)`` per-node constant: ``bs_value`` on the base-station
+        rows ``0..B-1``, ``user_value`` on the user rows."""
+        num_bs = self.params.num_base_stations
+        values = np.empty(self.num_nodes, dtype=dtype)
+        values[:num_bs] = bs_value
+        values[num_bs:] = user_value
+        return values
+
+    @cached_property
+    def max_power_w(self) -> NodeVec:
+        """``(N,)`` transmit power caps (W), for power control."""
+        return self.node_vector(
+            self.params.bs_node.max_tx_power_w, self.params.user_node.max_tx_power_w
+        )
 
     @property
     def bs_ids(self) -> Tuple[NodeId, ...]:
@@ -114,8 +137,12 @@ class NetworkModel:
         )
 
     def total_grid_cap_j(self) -> float:
-        """Aggregate base-station grid draw cap (bounds ``P(t)``)."""
-        return sum(self.nodes[b].energy.grid_cap_j for b in self.bs_ids)
+        """Aggregate base-station grid draw cap (bounds ``P(t)``).
+
+        Summed station by station, which is not always ``B * cap``.
+        """
+        params = self.params
+        return sum([params.bs_energy.grid_cap_j] * params.num_base_stations)
 
     def noise_power_w(self, bandwidth_hz: float) -> float:
         """Thermal-noise power ``eta * W`` for a band realisation."""
@@ -136,24 +163,20 @@ def build_network_model(
     is handled by the simulator's RNG manager.
     """
     validate_parameters(params)
-    nodes = build_nodes(params, rng)
-    topology = build_topology(params, nodes)
+    topology = build_topology(params, node_positions(params, rng))
     spectrum = build_spectrum_model(params, rng)
-    sessions = build_sessions(params, rng, nodes=nodes)
+    sessions = build_sessions(params, rng, positions=topology.positions)
     cost = QuadraticCost.from_unit_coefficients(
         params.cost_a, params.cost_b, params.cost_c, params.cost_energy_unit_j
     )
     schedule = None
     if params.tou_multipliers is not None:
         schedule = TimeOfUseCost(cost, params.tou_multipliers)
-    max_power = {n.node_id: n.radio.max_tx_power_w for n in nodes}
     return NetworkModel(
         params=params,
-        nodes=tuple(nodes),
         topology=topology,
         spectrum=spectrum,
         sessions=tuple(sessions),
         cost=cost,
-        max_power_w=max_power,
         cost_schedule=schedule,
     )

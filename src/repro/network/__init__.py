@@ -1,9 +1,9 @@
-"""Network model: nodes, geometry, topology, spectrum, sessions."""
+"""Network model: node placement, topology, spectrum, sessions."""
 
-from repro.network.node import Node, build_nodes
 from repro.network.geometry import (
     clustered_placement,
     grid_placement,
+    node_positions,
     uniform_random_placement,
 )
 from repro.network.topology import Topology, build_topology
@@ -16,10 +16,9 @@ from repro.network.spectrum import (
 from repro.network.session import Session, build_sessions
 
 __all__ = [
-    "Node",
-    "build_nodes",
     "clustered_placement",
     "grid_placement",
+    "node_positions",
     "uniform_random_placement",
     "Topology",
     "build_topology",

@@ -1,13 +1,15 @@
 """Node-placement geometry helpers and the uniform-grid spatial index.
 
-The paper places users uniformly at random in a square; the grid and
-clustered variants support the example scenarios and tests that need
-reproducible or structured layouts.  :class:`UniformGridIndex` is the
-cell-bucket neighbor index (the classic WSN trick) that makes link
-enumeration sub-quadratic: with the bucket edge at least the query
-radius, every neighbor of a point lies in the 3x3 block of buckets
-around it, so radius queries touch O(density * r^2) candidates instead
-of all N points.
+:func:`node_positions` lays out a scenario's nodes as one ``(N, 2)``
+array: the configured base-station positions on rows ``0..B-1``, then
+the users.  The paper places users uniformly at random in a square; the
+grid and clustered variants support the example scenarios and tests
+that need reproducible or structured layouts.
+:class:`UniformGridIndex` is the cell-bucket neighbor index (the
+classic WSN trick) that makes link enumeration sub-quadratic: with the
+bucket edge at least the query radius, every neighbor of a point lies
+in the 3x3 block of buckets around it, so radius queries touch
+O(density * r^2) candidates instead of all N points.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from repro.config.parameters import ScenarioParameters
 from repro.types import Point
 
 #: Cap on grid cells per axis so a tiny cell size over a huge area can
@@ -180,14 +183,39 @@ def brute_force_radius_query(
     return np.flatnonzero(dist <= radius_m).astype(np.intp)
 
 
+def _uniform_coords(
+    count: int, side_m: float, rng: np.random.Generator
+) -> np.ndarray:
+    """``(count, 2)`` coordinates i.i.d. uniform on the ``side_m`` square."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    return rng.uniform(0.0, side_m, size=(count, 2))
+
+
 def uniform_random_placement(
     count: int, side_m: float, rng: np.random.Generator
 ) -> List[Point]:
     """``count`` points i.i.d. uniform on the ``side_m`` square."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    coords = rng.uniform(0.0, side_m, size=(count, 2))
-    return [Point(float(x), float(y)) for x, y in coords]
+    return [Point(float(x), float(y)) for x, y in _uniform_coords(count, side_m, rng)]
+
+
+def node_positions(
+    params: ScenarioParameters, rng: np.random.Generator
+) -> np.ndarray:
+    """``(N, 2)`` coordinates (m) of every node, ordered by node id.
+
+    Base stations take the configured fixed positions on rows
+    ``0..B-1``; users take ``params.user_positions`` when given, else
+    the :func:`uniform_random_placement` draw from ``rng``.
+    """
+    num_bs = params.num_base_stations
+    positions = np.empty((num_bs + params.num_users, 2))
+    positions[:num_bs] = [(p.x, p.y) for p in params.base_station_positions]
+    if params.user_positions is not None:
+        positions[num_bs:] = [(p.x, p.y) for p in params.user_positions]
+    else:
+        positions[num_bs:] = _uniform_coords(params.num_users, params.area_side_m, rng)
+    return positions
 
 
 def grid_placement(count: int, side_m: float) -> List[Point]:

@@ -1,6 +1,7 @@
-"""User mobility models.
+"""User mobility.
 
-The paper's evaluation keeps users static; these models add motion as
+The paper's evaluation keeps users static (the state then holds no
+mobility model at all); :class:`RandomWaypointMobility` adds motion as
 an extension (the system model explicitly targets *mobile* users).
 Mobility is quasi-static with respect to the candidate-link set: the
 pruned links are fixed from the initial placement, but the propagation
@@ -18,7 +19,6 @@ straight-line per-slot steps, then repeats.
 
 from __future__ import annotations
 
-import abc
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -27,30 +27,7 @@ from repro.constants import approx_zero
 from repro.types import NodeId, Point
 
 
-class MobilityModel(abc.ABC):
-    """Interface: per-slot positions of every node."""
-
-    @abc.abstractmethod
-    def positions_at(self, slot: int) -> List[Point]:
-        """Positions of all nodes at the start of ``slot``.
-
-        Must be callable with non-decreasing slots; calling twice with
-        the same slot returns identical positions.
-        """
-
-
-class StaticMobility(MobilityModel):
-    """No motion: the initial placement forever (the paper's setup)."""
-
-    def __init__(self, positions: Sequence[Point]) -> None:
-        self._positions = list(positions)
-
-    def positions_at(self, slot: int) -> List[Point]:
-        del slot
-        return list(self._positions)
-
-
-class RandomWaypointMobility(MobilityModel):
+class RandomWaypointMobility:
     """Random-waypoint motion for users; base stations stay fixed.
 
     Args:
@@ -112,6 +89,11 @@ class RandomWaypointMobility(MobilityModel):
         )
 
     def positions_at(self, slot: int) -> List[Point]:
+        """Positions of all nodes at the start of ``slot``.
+
+        Must be called with non-decreasing slots; calling twice with
+        the same slot returns identical positions.
+        """
         if slot < self._last_slot:
             raise ValueError(
                 f"mobility cannot rewind: asked for slot {slot} after "

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.config.parameters import ScenarioParameters
 from repro.exceptions import ConfigurationError
-from repro.network.node import Node
 from repro.types import DestinationStrategy, NodeId, SessionId, TrafficPattern
 
 
@@ -72,29 +71,35 @@ class Session:
 
 
 def _cell_edge_destinations(
-    params: ScenarioParameters, nodes: Sequence[Node], count: int
+    params: ScenarioParameters, positions: np.ndarray, count: int
 ) -> List[NodeId]:
-    """The ``count`` users farthest from every base station."""
-    bs_positions = [nodes[b].position for b in params.base_station_ids()]
-    users = sorted(
-        params.user_ids(),
-        key=lambda u: -min(
-            nodes[u].position.distance_to(p) for p in bs_positions
-        ),
-    )
-    return list(users[:count])
+    """The ``count`` users farthest from every base station.
+
+    Each distance is :meth:`~repro.types.Point.distance_to`'s
+    ``(dx*dx + dy*dy) ** 0.5`` (``float_power`` is libm ``pow``, as
+    Python's ``**``); ties keep user-id order.
+    """
+    num_bs = params.num_base_stations
+    users = positions[num_bs:]
+    nearest = np.full(users.shape[0], np.inf)
+    for x, y in positions[:num_bs]:
+        dx = users[:, 0] - x
+        dy = users[:, 1] - y
+        np.minimum(nearest, np.float_power(dx * dx + dy * dy, 0.5), out=nearest)
+    farthest = np.argsort(-nearest, kind="stable")[:count]
+    return (farthest + num_bs).tolist()
 
 
 def build_sessions(
     params: ScenarioParameters,
     rng: np.random.Generator,
-    nodes: Optional[Sequence[Node]] = None,
+    positions: Optional[np.ndarray] = None,
 ) -> List[Session]:
     """Create the scenario's sessions with distinct user destinations.
 
     ``RANDOM`` draws destinations without replacement from the users
     (the paper's setup); ``CELL_EDGE`` picks the users farthest from
-    every base station and requires ``nodes``.
+    every base station and requires the ``(N, 2)`` node ``positions``.
 
     Raises:
         ConfigurationError: more sessions than users, or a cell-edge
@@ -110,11 +115,11 @@ def build_sessions(
 
     strategy = params.sessions.destination_strategy
     if strategy is DestinationStrategy.CELL_EDGE:
-        if nodes is None:
+        if positions is None:
             raise ConfigurationError(
-                "cell-edge destinations need node positions; pass nodes="
+                "cell-edge destinations need node positions; pass positions="
             )
-        destinations = _cell_edge_destinations(params, nodes, num_sessions)
+        destinations = _cell_edge_destinations(params, positions, num_sessions)
     else:
         destinations = [
             int(d) for d in rng.choice(users, size=num_sessions, replace=False)

@@ -39,7 +39,7 @@ alone picks between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from repro.axes import AnyArray, LinkIds, LinkToNode, LinkVec
 from repro.config.parameters import ScenarioParameters
 from repro.exceptions import TopologyError
 from repro.network.geometry import UniformGridIndex
-from repro.network.node import Node
 from repro.phy.propagation import (
     MIN_DISTANCE_M,
     ComputedPairGains,
@@ -55,7 +54,6 @@ from repro.phy.propagation import (
     PairGains,
     gain_matrix,
 )
-from repro.types import NodeId
 
 #: Node count up to which :attr:`Topology.pair_gains` caches the
 #: ``(N, N)`` gain matrix; above it the matrix would dominate memory
@@ -78,8 +76,10 @@ class Topology:
     ordered by transmitter, and within a transmitter by distance, ties
     by receiver id.  Every per-link array is laid out over that index.
 
+    Nodes are rows: node ``i`` is row ``i`` of :attr:`positions`, with
+    the base stations on rows ``0..B-1``.
+
     Attributes:
-        nodes: all nodes ordered by id.
         candidate_links: ``(L, 2)`` ``(tx, rx)`` rows — the transposed
             view of one ``(2, L)`` buffer whose rows *are*
             ``link_tx`` and ``link_rx`` (one store, no copy).
@@ -90,14 +90,14 @@ class Topology:
             group in ascending position (so ascending transmitter).
         in_start: ``(N + 1,)`` offsets: node ``j``'s incoming links
             are ``in_links[in_start[j]:in_start[j + 1]]``.
-        positions: ``(N, 2)`` node coordinates (m).
+        positions: ``(N, 2)`` node coordinates (m) from
+            :func:`~repro.network.geometry.node_positions`.
         pair_gains: pair-gain view for arbitrary ``g(tx, rx)`` reads —
             the cached gain matrix up to :data:`DENSE_MATERIALIZE_MAX`
             nodes, position-computed above it (module docstring).
         grid: the uniform-grid spatial index the builder used.
     """
 
-    nodes: Tuple[Node, ...]
     candidate_links: AnyArray = field(repr=False)
     link_tx: LinkToNode = field(repr=False)
     link_rx: LinkToNode = field(repr=False)
@@ -111,13 +111,7 @@ class Topology:
     @property
     def num_nodes(self) -> int:
         """Total node count."""
-        return len(self.nodes)
-
-    def node(self, node_id: NodeId) -> Node:
-        """Node by id, with range checking."""
-        if not 0 <= node_id < len(self.nodes):
-            raise TopologyError(f"unknown node id {node_id}")
-        return self.nodes[node_id]
+        return int(self.positions.shape[0])
 
 
 def max_feasible_range_m(
@@ -153,10 +147,6 @@ def _raise_isolated(isolated: List[int]) -> None:
     )
 
 
-def _positions_array(nodes: Sequence[Node]) -> np.ndarray:
-    return np.array([[n.position.x, n.position.y] for n in nodes])
-
-
 def _pair_gains(params: ScenarioParameters, positions: np.ndarray) -> PairGains:
     """The pair-gain view: a cached gain matrix up to the cutoff.
 
@@ -178,7 +168,7 @@ def _pair_gains(params: ScenarioParameters, positions: np.ndarray) -> PairGains:
     )
 
 
-def build_topology(params: ScenarioParameters, nodes: Sequence[Node]) -> Topology:
+def build_topology(params: ScenarioParameters, positions: np.ndarray) -> Topology:
     """Construct the topology for a scenario (sub-quadratic grid builder).
 
     Per occupied bucket, candidate receivers come from the 3x3 bucket
@@ -194,7 +184,8 @@ def build_topology(params: ScenarioParameters, nodes: Sequence[Node]) -> Topolog
 
     Args:
         params: validated scenario parameters.
-        nodes: nodes from :func:`repro.network.node.build_nodes`.
+        positions: ``(N, 2)`` node coordinates from
+            :func:`~repro.network.geometry.node_positions`.
 
     Returns:
         The pruned :class:`Topology`.
@@ -203,8 +194,7 @@ def build_topology(params: ScenarioParameters, nodes: Sequence[Node]) -> Topolog
         TopologyError: if any node ends up with no candidate links at
             all (an isolated node can never be served).
     """
-    num_nodes = len(nodes)
-    positions = _positions_array(nodes)
+    num_nodes = positions.shape[0]
     noise = params.noise_density_w_per_hz * params.spectrum.cellular_bandwidth_hz
     threshold = params.sinr_threshold * noise
     # Base stations hold the low ids, users the rest.
@@ -269,7 +259,6 @@ def build_topology(params: ScenarioParameters, nodes: Sequence[Node]) -> Topolog
     np.cumsum(in_counts, out=in_start[1:])
 
     return Topology(
-        nodes=tuple(nodes),
         candidate_links=ends.T,
         link_tx=ends[0],
         link_rx=ends[1],

@@ -11,8 +11,6 @@ the constraint is vacuous when the link is not scheduled.
 
 from __future__ import annotations
 
-from typing import Dict, Union
-
 import numpy as np
 
 from repro.phy.propagation import PairGains
@@ -49,42 +47,26 @@ def zero_interference_feasible(
     return gain * max_power_w >= sinr_threshold * noise_power_w
 
 
-def max_power_array(
-    max_power_w: Union[Dict[NodeId, Watts], np.ndarray], num_nodes: int
-) -> np.ndarray:
-    """``(N,)`` per-node power caps from a dict or a ready array.
-
-    Cold path: callers cache the result per model — the caps never
-    change mid-run.
-    """
-    if isinstance(max_power_w, np.ndarray):
-        return max_power_w
-    return np.fromiter(
-        (max_power_w[k] for k in range(num_nodes)), dtype=float, count=num_nodes
-    )
-
-
 def big_m_coefficient(
     gains: PairGains,
     tx: NodeId,
     rx: NodeId,
     noise_power_w: Watts,
     sinr_threshold: Linear,
-    max_power_w: Union[Dict[NodeId, Watts], np.ndarray],
+    max_power_w: np.ndarray,
 ) -> Watts:
     """The constant ``M_ij^m`` of Eq. (24).
 
     Set to the worst-case right-hand side — every other node
-    transmitting at its maximum power — so that a de-scheduled link
-    (``a_ij^m = 0``) imposes no restriction.  The interference sum runs
-    as one vectorized pass over the gain column; :func:`seq_sum` keeps
-    the accumulation order of the historical per-node loop, so the
-    constant is bit-identical.
+    transmitting at its ``(N,)`` cap ``max_power_w`` — so that a
+    de-scheduled link (``a_ij^m = 0``) imposes no restriction.  The
+    interference sum runs as one vectorized pass over the gain column;
+    :func:`seq_sum` keeps the accumulation order of the historical
+    per-node loop, so the constant is bit-identical.
     """
     column = gains.column(rx)
     num_nodes = column.shape[0]
-    power = max_power_array(max_power_w, num_nodes)
-    contributions = column * power
+    contributions = column * max_power_w
     mask = np.ones(num_nodes, dtype=bool)
     mask[tx] = False
     mask[rx] = False

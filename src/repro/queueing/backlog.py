@@ -49,19 +49,23 @@ class BacklogSnapshot:
         return self.bs_energy_j + self.user_energy_j
 
 
-def make_snapshot_from_arrays(slot: int, arrays: "ArrayState") -> BacklogSnapshot:
+def make_snapshot_from_arrays(
+    slot: int, arrays: "ArrayState", num_bs: int
+) -> BacklogSnapshot:
     """Aggregate an :class:`~repro.core.arraystate.ArrayState` directly.
 
-    The bs/user row splits are ascending node-id index sets and the
-    destination cells of ``q`` hold exactly ``0.0``, so summing whole
-    rows with :func:`seq_sum` equals the left-to-right sum over the
-    valid ``(node, session)`` cells in node-major order, bit for bit.
+    Base stations hold rows ``0..num_bs-1`` and users the rest, so each
+    class is a view of contiguous rows.  The destination cells of ``q``
+    hold exactly ``0.0``, so summing whole rows with :func:`seq_sum`
+    equals the left-to-right sum over the valid ``(node, session)``
+    cells in node-major order, bit for bit.
     """
+    q, level = arrays.q, arrays.battery_level
     return BacklogSnapshot(
         slot=slot,
-        bs_data_packets=seq_sum(arrays.q[arrays.bs_rows]),
-        user_data_packets=seq_sum(arrays.q[arrays.user_rows]),
-        bs_energy_j=seq_sum(arrays.battery_level[arrays.bs_rows]),
-        user_energy_j=seq_sum(arrays.battery_level[arrays.user_rows]),
+        bs_data_packets=seq_sum(q[:num_bs]),
+        user_data_packets=seq_sum(q[num_bs:]),
+        bs_energy_j=seq_sum(level[:num_bs]),
+        user_energy_j=seq_sum(level[num_bs:]),
         virtual_packets=seq_sum(arrays.g),
     )

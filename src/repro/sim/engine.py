@@ -88,7 +88,7 @@ class SlotSimulator:
         if attach is not None and self.contracts.enabled:
             attach(self.contracts)
         self.metrics = MetricsCollector(
-            params.admission_lambda, bs_ids=self.model.bs_ids
+            params.admission_lambda, num_bs=params.num_base_stations
         )
 
     # -- constructors ------------------------------------------------------
@@ -198,7 +198,7 @@ class SlotSimulator:
         )
         if trace is not None:
             trace.record_slot(
-                observation, decision, metrics, self.state.arrays.user_rows
+                observation, decision, metrics, self.params.num_base_stations
             )
         return decision
 

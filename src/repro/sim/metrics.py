@@ -42,8 +42,8 @@ class EnergyFlows:
         return self.grid_serve_j + self.grid_charge_j
 
 
-def _aggregate_flows(allocation: BatchAllocation, rows: np.ndarray) -> EnergyFlows:
-    """Sum one node class's flows over ``rows`` in ascending node order."""
+def _aggregate_flows(allocation: BatchAllocation, rows: slice) -> EnergyFlows:
+    """Sum one node class's flows over its ``rows`` in ascending node order."""
     return EnergyFlows(
         renewable_used_j=seq_sum(
             allocation.renewable_serve_j[rows] + allocation.renewable_charge_j[rows]
@@ -93,9 +93,11 @@ class SlotMetrics:
 class MetricsCollector:
     """Accumulates :class:`SlotMetrics` and computes time averages."""
 
-    def __init__(self, admission_lambda: float, bs_ids=()) -> None:
+    def __init__(self, admission_lambda: float, num_bs: int = 0) -> None:
         self._lambda = admission_lambda
-        self._bs_rows = np.array(sorted(bs_ids), dtype=np.intp)
+        # Base stations hold rows 0..B-1, users the rest.
+        self._bs_rows = slice(0, num_bs)
+        self._user_rows = slice(num_bs, None)
         self.slots: List[SlotMetrics] = []
         #: Cumulative delivered packets per session id.
         self.session_delivered: Dict[int, float] = {}
@@ -117,9 +119,7 @@ class MetricsCollector:
                 )
         admitted = decision.admission.total_admitted()
         allocation = decision.energy.allocation
-        is_bs = np.zeros(len(allocation), dtype=bool)
-        is_bs[self._bs_rows] = True
-        bs_rows, user_rows = np.flatnonzero(is_bs), np.flatnonzero(~is_bs)
+        bs_rows, user_rows = self._bs_rows, self._user_rows
         metrics = SlotMetrics(
             slot=slot,
             grid_draw_j=decision.energy.bs_grid_draw_j,

@@ -15,7 +15,6 @@ from typing import Dict, List, Union
 
 import numpy as np
 
-from repro.axes import NodeIds
 from repro.control.decisions import SlotDecision, SlotObservation
 from repro.core.arraystate import seq_sum
 from repro.sim.metrics import SlotMetrics
@@ -58,11 +57,11 @@ class TraceRecorder:
         observation: SlotObservation,
         decision: SlotDecision,
         metrics: SlotMetrics,
-        user_rows: NodeIds,
+        num_bs: int,
     ) -> None:
         """Flatten one slot into a trace row.
 
-        ``user_rows`` are the users' node ids: ``connected_users``
+        Base stations hold rows ``0..num_bs-1``: ``connected_users``
         counts grid-connected users only, never base stations.
         """
         del decision  # headline decision data already lives in metrics
@@ -81,7 +80,7 @@ class TraceRecorder:
                 "spill_j": metrics.spill_j,
                 "renewable_total_j": seq_sum(observation.renewable_j),
                 "connected_users": int(
-                    np.count_nonzero(observation.grid_connected[user_rows])
+                    np.count_nonzero(observation.grid_connected[num_bs:])
                 ),
                 "bs_data_packets": snapshot.bs_data_packets,
                 "user_data_packets": snapshot.user_data_packets,

@@ -38,15 +38,11 @@ from repro.energy.renewable import (
 )
 from repro.exceptions import EnergyError
 from repro.model import NetworkModel
-from repro.network.mobility import (
-    MobilityModel,
-    RandomWaypointMobility,
-    StaticMobility,
-)
+from repro.network.mobility import RandomWaypointMobility
 from repro.phy.propagation import ComputedPairGains
 from repro.queueing.backlog import BacklogSnapshot, make_snapshot_from_arrays
 from repro.sim.rng import spawn_child
-from repro.types import MobilityKind, NodeId, RenewableKind, SessionId
+from repro.types import MobilityKind, NodeId, Point, RenewableKind, SessionId
 
 #: The renewable process of each drawing kind (``ZERO`` draws nothing).
 _RENEWABLE_PROCESSES = {
@@ -99,20 +95,19 @@ class NetworkState:
             )
             next_child += 1
 
-        # Mobility (extension): a stream only when enabled so static
-        # scenarios keep their historical sample paths.
-        initial_positions = [n.position for n in model.nodes]
+        # Mobility (extension): None for static users; a stream only
+        # when enabled so static scenarios keep their historical sample
+        # paths.
+        self.mobility: Optional[RandomWaypointMobility] = None
         if params.mobility is MobilityKind.RANDOM_WAYPOINT:
-            self.mobility: MobilityModel = RandomWaypointMobility(
-                initial=initial_positions,
+            self.mobility = RandomWaypointMobility(
+                initial=[Point(x, y) for x, y in model.positions.tolist()],
                 mobile=list(model.user_ids),
                 area_side_m=params.area_side_m,
                 speed_range_mps=params.user_speed_range_mps,
                 slot_seconds=params.slot_seconds,
                 rng=spawn_child(rng, next_child),
             )
-        else:
-            self.mobility = StaticMobility(initial_positions)
 
         self.arrays = ArrayState(model, constants)
         #: Effective ``(K,)`` per-entry transfer of the last applied
@@ -128,21 +123,27 @@ class NetworkState:
             (node, spawn_child(rng, 1 + num_nodes + node))
             for node in intermittent.tolist()
         ]
+        # One process per drawing node, on child 1 + node, in ascending
+        # node order: the stations' rows, then the users'.
         self._renewables: List[Tuple[NodeId, RenewableProcess]] = []
         if params.renewables_enabled:
-            for node in model.nodes:
-                kind = (
-                    params.bs_renewable_kind
-                    if node.is_base_station
-                    else params.user_renewable_kind
-                )
-                max_w = node.energy.renewable_max_w
+            classes = (
+                (params.bs_renewable_kind, params.bs_energy, model.bs_ids),
+                (params.user_renewable_kind, params.user_energy, model.user_ids),
+            )
+            for kind, energy, nodes in classes:
+                max_w = energy.renewable_max_w
                 if kind is RenewableKind.ZERO or max_w <= 0:
                     continue
-                process = _RENEWABLE_PROCESSES[kind](
-                    max_w, params.slot_seconds, spawn_child(rng, 1 + node.node_id)
+                self._renewables.extend(
+                    (
+                        node,
+                        _RENEWABLE_PROCESSES[kind](
+                            max_w, params.slot_seconds, spawn_child(rng, 1 + node)
+                        ),
+                    )
+                    for node in nodes
                 )
-                self._renewables.append((node.node_id, process))
         #: Scripted grid outages: ``(start, end, (N,) mask)`` windows.
         self._outages: List[Tuple[int, int, NodeVec]] = []
         self._gains_cache_slot = -1
@@ -178,7 +179,7 @@ class NetworkState:
         each queried gain on demand, bit-identical to the all-pairs
         matrix entry, so no per-slot work is quadratic in ``N``.
         """
-        if isinstance(self.mobility, StaticMobility):
+        if self.mobility is None:
             return None
         if slot != self._gains_cache_slot:
             params = self.model.params
@@ -308,4 +309,6 @@ class NetworkState:
             charge_j = np.maximum(net, 0.0)
             drain_j = np.maximum(-net, 0.0)
         arrays.apply_battery_actions(charge_j, drain_j)
-        return make_snapshot_from_arrays(slot=slot, arrays=arrays)
+        return make_snapshot_from_arrays(
+            slot=slot, arrays=arrays, num_bs=self.model.params.num_base_stations
+        )

@@ -29,6 +29,7 @@ the scheduler and router take; ``queue_dict`` reads the valid cells of
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import numbers
 from collections.abc import Mapping
@@ -39,6 +40,7 @@ import numpy as np
 from repro.config.parameters import EnergyParameters
 from repro.control.decisions import ScheduleDecision
 from repro.core.arraystate import ArrayState
+from repro.model import NetworkModel
 from repro.queueing import BacklogSnapshot
 from repro.sim import SlotSimulator
 from repro.types import QueueSemantics
@@ -189,16 +191,18 @@ def one_battery(
     no_links = np.zeros(0, dtype=np.intp)
     model = SimpleNamespace(
         params=SimpleNamespace(
-            queue_semantics=QueueSemantics.PAPER, control_v=control_v
+            queue_semantics=QueueSemantics.PAPER,
+            control_v=control_v,
+            num_base_stations=1,
+            bs_energy=energy,
+            user_energy=energy,
         ),
         num_nodes=1,
-        nodes=[SimpleNamespace(energy=energy)],
         sessions=(),
         session_destinations=dict,
         topology=SimpleNamespace(link_tx=no_links, link_rx=no_links),
-        bs_ids=(0,),
-        user_ids=(),
     )
+    model.node_vector = functools.partial(NetworkModel.node_vector, model)
     arrays = ArrayState(model, SimpleNamespace(gamma_max=gamma_max))
     arrays.battery_level[0] = level_j
     return arrays

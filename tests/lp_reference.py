@@ -177,7 +177,7 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
     for node, coeffs in per_node.items():
         if coeffs:
             lp.add_constraint(
-                coeffs, LE, float(model.nodes[node].radio.num_radios)
+                coeffs, LE, float(params.node_params(node).num_radios)
             )
 
     for (tx, rx), entries in link_bands.items():
@@ -226,9 +226,8 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
     grid_connected = observation.grid_connected.tolist()
     p_coeffs = {}
     arrays = state.arrays
-    for node_obj in model.nodes:
-        node = node_obj.node_id
-        energy = node_obj.energy
+    for node in range(model.num_nodes):
+        radio, energy = params.node_params(node), params.energy_params(node)
         connected = grid_connected[node]
         grid_cap = energy.grid_cap_j if connected else 0.0
         renewable = renewables[node]
@@ -289,9 +288,9 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
                     balance[key] = balance.get(key, 0.0) - power * dt
                 elif rx == node:
                     balance[key] = (
-                        balance.get(key, 0.0) - node_obj.radio.recv_power_w * dt
+                        balance.get(key, 0.0) - radio.recv_power_w * dt
                     )
-        lp.add_constraint(balance, EQ, node_obj.radio.fixed_energy_j(dt))
+        lp.add_constraint(balance, EQ, radio.fixed_energy_j(dt))
         if node in bs_set:
             p_coeffs[("g", node)] = 1.0
             p_coeffs[("cg", node)] = 1.0

@@ -15,7 +15,7 @@ from repro.config import (
     validate_parameters,
 )
 from repro.exceptions import ConfigurationError
-from repro.network.node import build_nodes
+from repro.network.geometry import node_positions
 from repro.types import NodeKind, Point
 
 
@@ -197,17 +197,11 @@ class TestUserPositions:
         params = self._pinned()
         validate_parameters(params)
         for seed in (1, 2):  # the placement rng is never consulted
-            nodes = build_nodes(params, np.random.default_rng(seed))
-            users = [n for n in nodes if n.kind is NodeKind.MOBILE_USER]
-            assert [n.position for n in users] == list(self.PINNED)
-            # User ids follow the base stations, in pinned order.
-            assert [n.node_id for n in users] == [
-                params.num_base_stations + k for k in range(params.num_users)
-            ]
-            assert all(
-                n.kind is NodeKind.BASE_STATION
-                for n in nodes[: params.num_base_stations]
-            )
+            positions = node_positions(params, np.random.default_rng(seed))
+            # User rows follow the base stations, in pinned order.
+            assert positions.shape == (params.num_nodes, 2)
+            users = positions[params.num_base_stations :]
+            assert [Point(x, y) for x, y in users.tolist()] == list(self.PINNED)
 
     def test_count_must_match_num_users(self):
         params = self._pinned(self.PINNED[:3])

@@ -172,7 +172,7 @@ class TestScheduleContracts:
         simulator, checker, _pre, _decision, slot = transition
         model = simulator.model
         observation = simulator.state.observe(slot + 1)
-        radios = model.nodes[0].radio.num_radios
+        radios = model.params.node_params(0).num_radios
         # One more transmission at node 0 than it has radios.
         transmissions = [
             Transmission(tx=0, rx=1 + k, band=k, power_w=0.1)

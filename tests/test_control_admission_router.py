@@ -162,7 +162,7 @@ class TestColumnReadEquivalence:
         arrays = ArrayState(model, compute_constants(model))
         # Few distinct levels force cross-BS ties; 1e3 = lambda V sits
         # exactly on the admission threshold.
-        arrays.q[arrays.bs_rows] = np.reshape(levels, (4, 3))
+        arrays.q[: model.params.num_base_stations] = np.reshape(levels, (4, 3))
         arrays.q[arrays.q_invalid] = 0.0
         destinations = model.session_destinations()
 

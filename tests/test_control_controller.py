@@ -38,8 +38,7 @@ class TestDecide:
         for slot in range(8):
             observation = tiny_state.observe(slot)
             decision = controller.decide(observation, tiny_state)
-            for node_obj in tiny_model.nodes:
-                node = node_obj.node_id
+            for node in range(tiny_model.num_nodes):
                 supply = decision.energy.allocation.demand_served_j[node]
                 # Demand after curtailment/deficit must be exactly met.
                 assert supply >= -1e-6
@@ -90,8 +89,7 @@ class TestCurtailment:
             deficits += seq_sum(controller.last_deficit_j)
             curtailed += len(decision.curtailed)
             # The surviving schedule must be affordable everywhere.
-            for node_obj in model.nodes:
-                node = node_obj.node_id
+            for node in range(model.num_nodes):
                 draw = decision.energy.allocation.grid_draw_j[node]
                 assert draw <= state.arrays.grid_cap_j[node] + 1e-6
             state.apply(decision, slot)

@@ -250,7 +250,8 @@ def _lexsort_greedy(model, active, keep, weight, links):
     tx_arr = link_tx[link_pos]
     rx_arr = link_rx[link_pos]
     order = np.lexsort((bands, rx_arr, tx_arr, -weight[rows, bands]))
-    radios = [node.radio.num_radios for node in model.nodes]
+    params = model.params
+    radios = [params.node_params(n).num_radios for n in range(model.num_nodes)]
     usage = [0] * model.num_nodes
     band_used = set()
     chosen_pos, chosen_band = [], []
@@ -345,7 +346,9 @@ class TestGreedySelectionEquality:
         _, grid = _greedy_grid(case, [1.0] * len(links), None)
         active, keep, weight = grid
         link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
-        radios = np.array([node.radio.num_radios for node in model.nodes])
+        radios = np.array(
+            [model.params.node_params(n).num_radios for n in range(model.num_nodes)]
+        )
         single = (radios[link_tx[active]] == 1) & (radios[link_rx[active]] == 1)
         several = keep.sum(axis=1) > 1
         assert (single & several).any()

@@ -57,7 +57,7 @@ def _scalar_drift_b(model):
         in_cap[rx] = max(in_cap[rx], cap)
     data_term = 0.0
     for node in range(model.num_nodes):
-        radios = model.nodes[node].radio.num_radios
+        radios = params.node_params(node).num_radios
         admission = float(k_max) if node in model.bs_ids else 0.0
         for _session in model.sessions:
             data_term += 0.5 * (
@@ -66,8 +66,8 @@ def _scalar_drift_b(model):
             )
     virtual_term = sum((beta * cap) ** 2 for cap in caps.values())
     energy_term = 0.0
-    for node in model.nodes:
-        energy = node.energy
+    for node in range(model.num_nodes):
+        energy = params.energy_params(node)
         energy_term += 0.5 * max(energy.charge_cap_j, energy.discharge_cap_j) ** 2
     return data_term + virtual_term + energy_term
 
@@ -137,6 +137,26 @@ class TestLyapunovConstants:
         model = build_network_model(params, np.random.default_rng(params.seed))
         constants = compute_constants(model)
         assert constants.drift_b == _scalar_drift_b(model)
+
+    def test_b_matches_scalar_loop_with_uneven_energy_caps(self):
+        # Charge and discharge caps differ within each class and across
+        # the classes, so the energy term must take each row's larger cap
+        # from its own class.
+        import dataclasses
+
+        from repro.config import tiny_scenario
+        from repro.model import build_network_model
+
+        params = tiny_scenario(num_users=6)
+        params = dataclasses.replace(
+            params,
+            bs_energy=dataclasses.replace(params.bs_energy, discharge_cap_j=61234.5),
+            user_energy=dataclasses.replace(
+                params.user_energy, charge_cap_j=17001.25, discharge_cap_j=12345.678
+            ),
+        )
+        model = build_network_model(params, np.random.default_rng(params.seed))
+        assert compute_constants(model).drift_b == _scalar_drift_b(model)
 
     def test_service_bound_is_the_cap_with_one_radio(self, tiny_constants):
         caps = tiny_constants.link_capacity_pkts
@@ -267,8 +287,7 @@ class TestBounds:
         relaxed = RelaxedLpController(tiny_model, tiny_constants)
         observation = tiny_state.observe(0)
         decision = relaxed.decide(observation, tiny_state)
-        for node_obj in tiny_model.nodes:
-            node = node_obj.node_id
+        for node in range(tiny_model.num_nodes):
             alloc = decision.energy.allocation
             arrays = tiny_state.arrays
             assert alloc.charge_j[node] <= arrays.max_charge_j_array()[node] + 1e-6

@@ -167,9 +167,9 @@ class TestLossySimulation:
         )
         simulator = SlotSimulator.integral(lossy)
         result = simulator.run()
-        for node in simulator.model.nodes:
-            level = simulator.state.arrays.battery_level[node.node_id]
-            assert 0 <= level <= node.energy.battery_capacity_j
+        for node in range(simulator.model.num_nodes):
+            level = simulator.state.arrays.battery_level[node]
+            assert 0 <= level <= lossy.energy_params(node).battery_capacity_j
         assert result.metrics.totals()["deficit_j"] >= 0
 
     def test_losses_raise_cost(self):

@@ -70,10 +70,11 @@ class AuditingSimulator:
             simulator.state.apply(decision, slot)
 
             # Battery bounds after the update (10).
-            for node_obj in model.nodes:
-                level = simulator.state.arrays.battery_level[node_obj.node_id]
-                if not -1e-9 <= level <= node_obj.energy.battery_capacity_j + 1e-9:
-                    self.violations.append((slot, f"battery-bounds node {node_obj.node_id}"))
+            for node in range(model.num_nodes):
+                level = simulator.state.arrays.battery_level[node]
+                capacity = model.params.energy_params(node).battery_capacity_j
+                if not -1e-9 <= level <= capacity + 1e-9:
+                    self.violations.append((slot, f"battery-bounds node {node}"))
         return self.violations
 
 

@@ -72,7 +72,7 @@ def test_sequential_fix_lp_matches_oracle(monkeypatch, name, kind):
     sim = SlotSimulator.integral(params, scheduler_kind=kind)
     scheduler = sim.controller.scheduler
     model = sim.model
-    radios = [node.radio.num_radios for node in model.nodes]
+    radios = [params.node_params(n).num_radios for n in range(model.num_nodes)]
     seen = {}
     checked = []
 

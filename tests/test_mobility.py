@@ -7,25 +7,10 @@ import pytest
 
 from repro.config import paper_scenario, tiny_scenario, validate_parameters
 from repro.exceptions import ConfigurationError
-from repro.network.mobility import RandomWaypointMobility, StaticMobility
+from repro.network.mobility import RandomWaypointMobility
 from repro.sim import SlotSimulator
 from repro.types import MobilityKind, Point
 from tests.helpers import dense_gain_oracle
-
-
-class TestStaticMobility:
-    def test_positions_never_change(self):
-        initial = [Point(1.0, 2.0), Point(3.0, 4.0)]
-        model = StaticMobility(initial)
-        assert model.positions_at(0) == initial
-        assert model.positions_at(100) == initial
-
-    def test_returns_copies(self):
-        initial = [Point(1.0, 2.0)]
-        model = StaticMobility(initial)
-        got = model.positions_at(0)
-        got.append(Point(9.0, 9.0))
-        assert len(model.positions_at(0)) == 1
 
 
 class TestRandomWaypoint:
@@ -151,9 +136,13 @@ class TestMobileSimulation:
         observation = simulator.state.observe(0)
         assert observation.gains is not None
         assert observation.gains.num_nodes == simulator.model.num_nodes
+        # Slot 0 is the placement: the model's position rows.
+        start = simulator.state.mobility.positions_at(0)
+        assert start == [Point(x, y) for x, y in simulator.model.positions.tolist()]
 
     def test_static_observation_has_no_gains(self):
         simulator = SlotSimulator.integral(tiny_scenario(num_slots=3))
+        assert simulator.state.mobility is None
         assert simulator.state.observe(0).gains is None
 
     def test_static_sample_path_unchanged_by_mobility_feature(self):

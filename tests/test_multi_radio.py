@@ -54,7 +54,7 @@ def _audit_budgets(model, decision):
             assert pair not in band_usage, "constraint (20)/(21) violated"
             band_usage.add(pair)
     for node, used in usage.items():
-        assert used <= model.nodes[node].radio.num_radios
+        assert used <= model.params.node_params(node).num_radios
 
 
 class TestMultiRadioScheduling:

@@ -1,5 +1,5 @@
-"""Unit tests for the network model: nodes, geometry, topology,
-spectrum, sessions."""
+"""Unit tests for the network model: node placement, geometry,
+topology, spectrum, sessions."""
 
 import dataclasses
 
@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from repro.config import paper_scenario, tiny_scenario
-from repro.exceptions import SpectrumError, TopologyError
+from repro.exceptions import SpectrumError
 from repro.network import (
-    build_nodes,
     build_sessions,
     build_spectrum_model,
     build_topology,
     clustered_placement,
     grid_placement,
+    node_positions,
     uniform_random_placement,
 )
-from repro.types import NodeKind
+from repro.types import Point
 from tests.helpers import link_tuples, out_neighbors
 from tests.topology_reference import build_topology_dense
 
@@ -69,43 +69,48 @@ class TestGeometry:
 
 
 class TestNodes:
+    """Nodes are the rows of the ``(N, 2)`` placement, stations first."""
+
     def test_node_count_and_order(self, rng):
         params = paper_scenario()
-        nodes = build_nodes(params, rng)
-        assert len(nodes) == params.num_nodes
-        assert [n.node_id for n in nodes] == list(range(params.num_nodes))
+        positions = node_positions(params, rng)
+        assert positions.shape == (params.num_nodes, 2)
+        assert positions.dtype == np.float64
 
     def test_base_stations_at_configured_positions(self, rng):
         params = paper_scenario()
-        nodes = build_nodes(params, rng)
-        for bs_id, expected in enumerate(params.base_station_positions):
-            assert nodes[bs_id].position == expected
-            assert nodes[bs_id].kind is NodeKind.BASE_STATION
+        positions = node_positions(params, rng)
+        stations = positions[: params.num_base_stations].tolist()
+        assert [Point(x, y) for x, y in stations] == list(
+            params.base_station_positions
+        )
 
-    def test_users_inside_area(self, rng):
+    def test_users_inside_area(self):
         params = paper_scenario()
-        nodes = build_nodes(params, rng)
-        for user in nodes[params.num_base_stations :]:
-            assert user.is_user
-            assert 0 <= user.position.x <= params.area_side_m
-            assert 0 <= user.position.y <= params.area_side_m
+        users = node_positions(params, np.random.default_rng(7))
+        users = users[params.num_base_stations :]
+        # The users are the uniform draw of the same generator state.
+        expected = uniform_random_placement(
+            params.num_users, params.area_side_m, np.random.default_rng(7)
+        )
+        assert [Point(x, y) for x, y in users.tolist()] == expected
+        assert ((users >= 0) & (users <= params.area_side_m)).all()
 
     def test_placement_depends_on_rng(self):
         params = paper_scenario()
-        a = build_nodes(params, np.random.default_rng(1))
-        b = build_nodes(params, np.random.default_rng(2))
-        assert any(
-            x.position != y.position
-            for x, y in zip(a[params.num_base_stations :], b[params.num_base_stations :])
-        )
+        a = node_positions(params, np.random.default_rng(1))
+        b = node_positions(params, np.random.default_rng(2))
+        bs = params.num_base_stations
+        assert np.array_equal(a[:bs], b[:bs])
+        assert not np.array_equal(a[bs:], b[bs:])
 
 
 class TestTopology:
     @pytest.fixture(scope="class")
     def topo(self):
         params = paper_scenario()
-        nodes = build_nodes(params, np.random.default_rng(params.seed))
-        return params, build_topology(params, nodes)
+        positions = node_positions(params, np.random.default_rng(params.seed))
+        return params, build_topology(params, positions)
 
     def test_no_self_links(self, topo):
         _, topology = topo
@@ -147,11 +152,6 @@ class TestTopology:
         gains = [topology.pair_gains[tx, rx] for rx in ordered]
         assert gains == sorted(gains, reverse=True)
 
-    def test_unknown_node_raises(self, topo):
-        _, topology = topo
-        with pytest.raises(TopologyError):
-            topology.node(10_000)
-
     def test_every_user_reachable_from_a_bs(self, topo):
         params, topology = topo
         graph = _link_graph(topology)
@@ -167,7 +167,7 @@ class TestTopology:
         params, topology = topo
         endpoints = set(topology.candidate_links.ravel().tolist())
         assert endpoints == set(range(topology.num_nodes))
-        reference = build_topology_dense(params, topology.nodes)
+        reference = build_topology_dense(params, topology.positions)
         assert link_tuples(topology) == list(reference.candidate_links)
 
 

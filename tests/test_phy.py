@@ -122,7 +122,7 @@ class TestInterferenceHelpers:
     def test_big_m_covers_worst_case(self):
         gains = np.full((3, 3), 1e-6)
         np.fill_diagonal(gains, 0.0)
-        caps = {0: 1.0, 1: 2.0, 2: 4.0}
+        caps = np.array([1.0, 2.0, 4.0])
         m = big_m_coefficient(DensePairGains(gains), 0, 1, 1e-9, 1.0, caps)
         # Only node 2 interferes with link (0, 1).
         assert m == pytest.approx(1.0 * (1e-9 + 1e-6 * 4.0))

@@ -106,9 +106,10 @@ class TestDataQueueBank:
         assert tiny_state.backlog(2, 0) == pytest.approx(4.0)
         assert tiny_state.backlog(3, 0) == pytest.approx(2.0)
 
-    def test_total_backlog_filters_nodes(self, arrays):
+    def test_total_backlog_filters_nodes(self, arrays, tiny_model):
         queue_step(arrays, admissions=[(0, 0, 5.0), (2, 1, 7.0)])
-        snapshot = make_snapshot_from_arrays(slot=0, arrays=arrays)
+        num_bs = tiny_model.params.num_base_stations
+        snapshot = make_snapshot_from_arrays(slot=0, arrays=arrays, num_bs=num_bs)
         assert snapshot.bs_data_packets == 5.0
         assert snapshot.user_data_packets == 7.0
 
@@ -300,7 +301,8 @@ class TestBacklogSnapshot:
     def test_array_snapshot_matches_oracle_bitwise(self, params):
         simulator = SlotSimulator.integral(params)
         arrays = simulator.state.arrays
-        assert arrays.bs_rows.size >= 1 and arrays.user_rows.size >= 1
+        num_bs = simulator.params.num_base_stations
+        assert 1 <= num_bs < arrays.num_nodes
         assert arrays.q_invalid.any()  # destination cells are exercised
         rng = np.random.default_rng(params.seed)
         for slot in range(5):
@@ -319,7 +321,7 @@ class TestBacklogSnapshot:
                 virtual_backlogs=dict(enumerate(arrays.g.tolist())),
                 bs_ids=simulator.model.bs_ids,
             )
-            actual = make_snapshot_from_arrays(slot=slot, arrays=arrays)
+            actual = make_snapshot_from_arrays(slot=slot, arrays=arrays, num_bs=num_bs)
             assert [
                 float(v).hex() for v in dataclasses.astuple(actual)
             ] == [float(v).hex() for v in dataclasses.astuple(expected)]

@@ -60,8 +60,8 @@ class TestEnergyFlowMetrics:
         simulator, result = run
         params = simulator.params
         cap_per_slot = sum(
-            n.energy.renewable_max_w * params.slot_seconds
-            for n in simulator.model.nodes
+            params.energy_params(n).renewable_max_w * params.slot_seconds
+            for n in range(params.num_nodes)
         )
         used = (
             result.metrics.flow_series("bs", "renewable_used_j")

@@ -201,15 +201,15 @@ class TestStabilityIntegration:
         result = simulator.run()
         constants = simulator.constants
         bs = simulator.model.bs_ids[0]
-        cap = simulator.model.nodes[bs].energy.battery_capacity_j
+        energy = params.energy_params(bs)
+        cap = energy.battery_capacity_j
         threshold = min(
-            params.control_v * constants.gamma_max
-            + simulator.model.nodes[bs].energy.discharge_cap_j,
+            params.control_v * constants.gamma_max + energy.discharge_cap_j,
             cap,
         )
         final = result.backlog_series("bs_energy_j")[-1]
         # Within one charge cap of the predicted threshold level.
-        charge_cap = simulator.model.nodes[bs].energy.charge_cap_j
+        charge_cap = energy.charge_cap_j
         assert final <= threshold + charge_cap + 1e-6
         assert final >= threshold * 0.3
 

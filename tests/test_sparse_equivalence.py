@@ -31,7 +31,7 @@ import pytest
 from repro.config import paper_scenario, tiny_scenario
 from repro.network import topology
 from repro.network.geometry import grid_placement
-from repro.network.node import build_nodes
+from repro.network.geometry import node_positions
 from repro.network.topology import build_topology
 from repro.phy.propagation import ComputedPairGains, DensePairGains
 from repro.sim import SlotSimulator
@@ -95,14 +95,14 @@ class TestTopologyEquivalence:
     @pytest.fixture(scope="class")
     def built(self, scenario):
         """``(oracle, cached, computed)`` over one seeded placement."""
-        nodes = build_nodes(
+        positions = node_positions(
             scenario, RngStreams(scenario.seed, scenario.seed_spawn_key).topology
         )
-        oracle = build_topology_dense(scenario, nodes)
-        cached = build_topology(scenario, nodes)
+        oracle = build_topology_dense(scenario, positions)
+        cached = build_topology(scenario, positions)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(topology, "DENSE_MATERIALIZE_MAX", 0)
-            computed = build_topology(scenario, nodes)
+            computed = build_topology(scenario, positions)
         return oracle, cached, computed
 
     def test_modes(self, built):

@@ -19,23 +19,22 @@ class TestPredictions:
     def test_plateau_formula(self, tiny_model, tiny_constants):
         predictions = predict(tiny_model, tiny_constants)
         v = tiny_model.params.control_v
-        for node in tiny_model.nodes:
+        for node in range(tiny_model.num_nodes):
+            energy = tiny_model.params.energy_params(node)
             expected = min(
-                v * tiny_constants.gamma_max + node.energy.discharge_cap_j,
-                node.energy.battery_capacity_j,
+                v * tiny_constants.gamma_max + energy.discharge_cap_j,
+                energy.battery_capacity_j,
             )
-            assert predictions.battery_plateau_j[node.node_id] == pytest.approx(
-                expected
-            )
+            assert predictions.battery_plateau_j[node] == pytest.approx(expected)
 
     def test_plateau_clamped_at_capacity(self):
         params = tiny_scenario(control_v=1e12)  # absurd V: threshold >> x_max
         model = build_network_model(params, np.random.default_rng(0))
         constants = compute_constants(model)
         predictions = predict(model, constants)
-        for node in model.nodes:
-            assert predictions.battery_plateau_j[node.node_id] == pytest.approx(
-                node.energy.battery_capacity_j
+        for node in range(model.num_nodes):
+            assert predictions.battery_plateau_j[node] == pytest.approx(
+                params.energy_params(node).battery_capacity_j
             )
 
     def test_admission_threshold(self, tiny_model, tiny_constants):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.config import tiny_scenario, validate_parameters
 from repro.exceptions import TopologyError
 from repro.network import topology
-from repro.network.node import build_nodes
+from repro.network.geometry import node_positions
 from repro.network.topology import build_topology, max_feasible_range_m
 from repro.phy.propagation import ComputedPairGains, DensePairGains
 from repro.types import Point
@@ -57,29 +57,29 @@ def _scenario(bs_cells, user_cells, step, limit, user_power, bs_power):
     return params
 
 
-def _build_all(params, nodes):
+def _build_all(params, positions):
     """``(oracle, cached, computed)`` topologies, or the shared error."""
     try:
-        oracle = build_topology_dense(params, nodes)
+        oracle = build_topology_dense(params, positions)
     except TopologyError as exc:
         with pytest.raises(TopologyError) as grid_exc:
-            build_topology(params, nodes)
+            build_topology(params, positions)
         assert str(grid_exc.value) == str(exc)
         return None
-    cached = build_topology(params, nodes)
+    cached = build_topology(params, positions)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(topology, "DENSE_MATERIALIZE_MAX", 0)
-        computed = build_topology(params, nodes)
+        computed = build_topology(params, positions)
     return oracle, cached, computed
 
 
 def _assert_matches_oracle(params):
-    nodes = build_nodes(params, np.random.default_rng(0))
-    built = _build_all(params, nodes)
+    positions = node_positions(params, np.random.default_rng(0))
+    built = _build_all(params, positions)
     if built is None:
         return None
     oracle, cached, computed = built
-    everyone = np.arange(len(nodes))
+    everyone = np.arange(len(positions))
     for topo in (cached, computed):
         assert_link_index_matches(topo, oracle)
         np.testing.assert_array_equal(topo.link_tx, oracle.link_tx)

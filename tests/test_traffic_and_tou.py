@@ -14,9 +14,10 @@ from repro.config import (
 )
 from repro.exceptions import ConfigurationError
 from repro.model import build_network_model
-from repro.network.session import Session, build_sessions
+from repro.network import grid_placement, node_positions
+from repro.network.session import Session, _cell_edge_destinations, build_sessions
 from repro.sim import SlotSimulator
-from repro.types import DestinationStrategy, EnergySolverKind, TrafficPattern
+from repro.types import DestinationStrategy, EnergySolverKind, Point, TrafficPattern
 
 
 class TestTrafficPatterns:
@@ -92,16 +93,27 @@ class TestTrafficPatterns:
             validate_parameters(params)
 
 
+def _cell_edge_oracle(params, positions, count):
+    """The ``Point``-based cell-edge pick: users sorted by the negated
+    distance to their nearest base station, so ties keep user-id order."""
+    points = [Point(x, y) for x, y in positions.tolist()]
+    bs_positions = [points[b] for b in params.base_station_ids()]
+    users = sorted(
+        params.user_ids(),
+        key=lambda u: -min(points[u].distance_to(p) for p in bs_positions),
+    )
+    return list(users[:count])
+
+
 class TestDestinationStrategies:
     def test_cell_edge_picks_farthest_users(self):
         params = cell_edge_scenario()
         model = build_network_model(params, np.random.default_rng(0))
-        bs_positions = [model.nodes[b].position for b in model.bs_ids]
+        points = [Point(x, y) for x, y in model.positions.tolist()]
+        bs_positions = [points[b] for b in model.bs_ids]
 
         def distance_to_bs(user):
-            return min(
-                model.nodes[user].position.distance_to(p) for p in bs_positions
-            )
+            return min(points[user].distance_to(p) for p in bs_positions)
 
         chosen = {s.destination for s in model.sessions}
         others = set(model.user_ids) - chosen
@@ -112,13 +124,39 @@ class TestDestinationStrategies:
     def test_cell_edge_without_nodes_raises(self):
         params = cell_edge_scenario()
         with pytest.raises(ConfigurationError, match="node positions"):
-            build_sessions(params, np.random.default_rng(0), nodes=None)
+            build_sessions(params, np.random.default_rng(0), positions=None)
 
     def test_random_strategy_uses_rng(self):
         params = paper_scenario()
         a = build_sessions(params, np.random.default_rng(1))
         b = build_sessions(params, np.random.default_rng(2))
         assert {s.destination for s in a} != {s.destination for s in b}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2014])
+    def test_cell_edge_matches_point_oracle(self, seed):
+        params = cell_edge_scenario(seed=seed)
+        model = build_network_model(params, np.random.default_rng(seed))
+        expected = _cell_edge_oracle(
+            params, model.positions, params.sessions.num_sessions
+        )
+        assert [s.destination for s in model.sessions] == expected
+
+    def test_cell_edge_ties_keep_user_order(self):
+        base = cell_edge_scenario()
+        params = dataclasses.replace(
+            base, user_positions=tuple(grid_placement(base.num_users, base.area_side_m))
+        )
+        positions = node_positions(params, np.random.default_rng(0))
+        points = [Point(x, y) for x, y in positions.tolist()]
+        nearest = [
+            min(points[u].distance_to(points[b]) for b in params.base_station_ids())
+            for u in params.user_ids()
+        ]
+        assert len(set(nearest)) < len(nearest)  # the layout really ties
+        for count in (params.sessions.num_sessions, params.num_users):
+            assert _cell_edge_destinations(
+                params, positions, count
+            ) == _cell_edge_oracle(params, positions, count)
 
     def test_cell_edge_is_deterministic(self):
         params = cell_edge_scenario()

@@ -17,13 +17,12 @@ lists — each transmitter's run of ``link_tx`` and each receiver's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.config.parameters import ScenarioParameters
-from repro.network.node import Node
-from repro.network.topology import _positions_array, _raise_isolated
+from repro.network.topology import _raise_isolated
 from repro.phy.propagation import gain_matrix
 from repro.types import Link, NodeId, NodeKind
 
@@ -66,15 +65,16 @@ def all_pairs_gains(
 
 
 def build_topology_dense(
-    params: ScenarioParameters, nodes: Sequence[Node]
+    params: ScenarioParameters, positions: np.ndarray
 ) -> ReferenceTopology:
-    """The all-pairs reference builder (bit-exact baseline).
+    """The all-pairs reference builder (bit-exact baseline) over the
+    ``(N, 2)`` node ``positions``.
 
     O(N^2) in time and memory; the grid builder must match it exactly.
     """
-    num_nodes = len(nodes)
+    num_nodes = positions.shape[0]
     distances, gains = all_pairs_gains(
-        _positions_array(nodes),
+        positions,
         params.propagation_constant,
         params.path_loss_exponent,
     )
