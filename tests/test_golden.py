@@ -236,8 +236,15 @@ TRAJECTORY_CASES.update(
     {f"{name}/RELAXED": (name, None) for name in RELAXED_SCENARIOS}
 )
 #: Fleet-scale scenarios, pinned under GREEDY only: the S1 selector of
-#: the fleet-scale benchmark workloads.
-GREEDY_SCENARIOS = {"station_fleet": _station_fleet}
+#: the fleet-scale benchmark workloads.  ``dark_fleet`` is the same
+#: fleet with renewables off: curtailment sheds several entries per slot
+#: and clamps every user, where ``station_fleet`` sheds one in 12 slots.
+GREEDY_SCENARIOS = {
+    "station_fleet": _station_fleet,
+    "dark_fleet": lambda: dataclasses.replace(
+        _station_fleet(), renewables_enabled=False
+    ),
+}
 TRAJECTORY_CASES.update(
     {f"{name}/GREEDY": (name, SchedulerKind.GREEDY) for name in GREEDY_SCENARIOS}
 )
