@@ -67,8 +67,10 @@ def test_scheduler_sequential_fix(benchmark, bench_base):
     # Load every link so the SF LP is non-trivial.
     loaded = h + rng.uniform(1, 50, size=h.shape[0])
 
+    support = np.flatnonzero(loaded)
+
     benchmark(
-        lambda: simulator.controller.scheduler.schedule(observation, loaded)
+        lambda: simulator.controller.scheduler.schedule(observation, loaded, support)
     )
 
 

@@ -648,7 +648,11 @@ class ContractChecker:
         pre: PreApplySnapshot,
         slot: int,
     ) -> None:
-        """Eqs. 28/30: the ``G`` update and ``H = beta * G``, by link position."""
+        """Eqs. 28/30: the ``G`` update and ``H = beta * G``, by link position.
+
+        Also checks the support the sparse readers rely on:
+        ``g_support`` must equal ``np.flatnonzero(G)``.
+        """
         arrays = state.arrays
         num_links = pre.g.size
         routing, schedule = decision.routing, decision.schedule
@@ -676,6 +680,22 @@ class ContractChecker:
             slot,
             links,
         )
+        # H is read off the support, so check the support first.
+        support, nonzero = arrays.g_support, np.flatnonzero(post)
+        if not np.array_equal(support, nonzero):
+            pos = int(np.setxor1d(support, nonzero)[0])
+            where = (
+                "in the support but zero"
+                if np.isin(pos, support)
+                else "nonzero but missing from the support"
+            )
+            self._violate(
+                "Eq. 28",
+                f"G support has {support.size} positions for {nonzero.size} "
+                f"nonzero cells: position {pos} (G = {post[pos]} pkts) is {where}",
+                slot=slot,
+                link=(int(arrays.link_tx[pos]), int(arrays.link_rx[pos])),
+            )
         beta = state.constants.beta
         h = state.h_backlogs()
         self._violate_rows(

@@ -35,7 +35,7 @@ from repro.control.energy_manager import EnergyManager, NodeEnergyBatch
 from repro.control.router import BackpressureRouter, RouterMode
 from repro.control.scheduler import LinkScheduler
 from repro.core.lyapunov import LyapunovConstants
-from repro.energy.consumption import all_node_demands_array
+from repro.energy.consumption import all_node_demands_array, transmission_energy_j
 from repro.model import NetworkModel
 from repro.types import EnergySolverKind, SchedulerKind
 
@@ -164,6 +164,15 @@ class DriftPlusPenaltyController:
         array equals the clamp-order sum of the clamped deficits bit
         for bit.
 
+        The work is done in place.  The demands and the ascending
+        overloaded list are computed once; a cursor walks the list, so
+        each pass starts where the last one stopped.  A shed changes
+        only its two endpoints' demands, which are re-summed from the
+        fixed energy over their alive entries in schedule order (the
+        add sequence of the ``np.add.at`` in
+        :func:`~repro.energy.consumption.all_node_demands_array`), and
+        only they can leave the overloaded set.
+
         Returns the surviving schedule, whose service is rebuilt from
         the surviving entries with ``band_pkts`` (so a link shed on one
         band keeps only its other bands' packets) and whose ``dropped``
@@ -175,45 +184,66 @@ class DriftPlusPenaltyController:
         rx = self._link_rx[schedule.link_pos]
         power = schedule.power_w
         h = h_arr[schedule.link_pos]
-        alive = np.ones(tx.size, dtype=bool)
-        shed: List[int] = []
-        # Alive entries per node: a node with none can only be clamped.
-        load = np.zeros(supply.size, dtype=np.intp)
-        np.add.at(load, tx, 1)
-        np.add.at(load, rx, 1)
+        fixed = self._fixed_energy_arr
+        demands = all_node_demands_array(fixed, self._recv_power_arr, tx, rx, power, dt)
         deficit = np.zeros(supply.size)
         self.last_deficit_j = deficit
-        demands = all_node_demands_array(
-            self._fixed_energy_arr, self._recv_power_arr, tx, rx, power, dt
-        )
-        # A clamped node has no entry left, so no later drop changes its
-        # demand and it is clamped at most once: all overloaded nodes
-        # below the first one with an entry are clamped in one pass, in
-        # the ascending order a rescan after each clamp would visit them.
+        overloaded = demands > supply + _ENERGY_TOL
+        over = np.flatnonzero(overloaded)
+        if over.size == 0:
+            return schedule, demands, deficit
+
+        # Each node's E_TX terms in schedule order: a stable sort of the
+        # interleaved [tx0, rx0, tx1, rx1, ...] terms groups them by
+        # node and keeps the entry order inside a group.
+        nodes, joules = transmission_energy_j(self._recv_power_arr, tx, rx, power, dt)
+        by_node = np.argsort(nodes, kind="stable")
+        node_sorted = nodes[by_node]
+        entry_sorted = by_node >> 1
+        joules_sorted = joules[by_node]
+        # Alive entries per node: a node with none can only be clamped.
+        load = np.bincount(nodes, minlength=supply.size)
+        alive = np.ones(tx.size, dtype=bool)
+        shed: List[int] = []
+        # The overloaded nodes that hold an entry, in ascending order: a
+        # node leaves the overloaded set or loses its last entry for
+        # good, so ``next_loaded`` only moves forward.
+        loaded_over = over[load[over] > 0].tolist()
+        next_loaded = 0
+        cursor = 0
         while True:
-            overloaded = np.flatnonzero(demands > supply + _ENERGY_TOL)
-            loaded = load[overloaded] > 0
-            stop = int(loaded.argmax()) if loaded.any() else overloaded.size
-            clamp = overloaded[:stop]
+            while next_loaded < len(loaded_over) and not (
+                overloaded[loaded_over[next_loaded]] and load[loaded_over[next_loaded]]
+            ):
+                next_loaded += 1
+            done = next_loaded == len(loaded_over)
+            stop = over.size if done else int(np.searchsorted(over, loaded_over[next_loaded]))
+            # Every node still overloaded below the first loaded one is
+            # clamped; none of them holds an entry.
+            passed = over[cursor:stop]
+            clamp = passed[overloaded[passed]]
             deficit[clamp] = demands[clamp] - supply[clamp]
             supply[clamp] = demands[clamp]
-            if stop == overloaded.size:
+            overloaded[clamp] = False
+            cursor = stop
+            if done:
                 break
-            node = overloaded[stop]
-            involved = np.flatnonzero(alive & ((tx == node) | (rx == node)))
-            victim = involved[np.argmin(h[involved])]
+            node = loaded_over[next_loaded]
+            lo = int(np.searchsorted(node_sorted, node))
+            hi = int(np.searchsorted(node_sorted, node, side="right"))
+            involved = entry_sorted[lo:hi][alive[entry_sorted[lo:hi]]]
+            victim = int(involved[np.argmin(h[involved])])
             alive[victim] = False
-            shed.append(int(victim))
-            load[tx[victim]] -= 1
-            load[rx[victim]] -= 1
-            demands = all_node_demands_array(
-                self._fixed_energy_arr,
-                self._recv_power_arr,
-                tx[alive],
-                rx[alive],
-                power[alive],
-                dt,
-            )
+            shed.append(victim)
+            for end in (int(tx[victim]), int(rx[victim])):
+                load[end] -= 1
+                lo = int(np.searchsorted(node_sorted, end))
+                hi = int(np.searchsorted(node_sorted, end, side="right"))
+                demand = float(fixed[end])
+                for term in joules_sorted[lo:hi][alive[entry_sorted[lo:hi]]].tolist():
+                    demand += term
+                demands[end] = demand
+                overloaded[end] &= demand > supply[end] + _ENERGY_TOL
         if not shed:
             return schedule, demands, deficit
         curtailed = tuple(
@@ -245,6 +275,7 @@ class DriftPlusPenaltyController:
         schedule = self.scheduler.schedule(
             observation,
             h_backlogs,
+            arrays.g_support,
             allowed_mask=self._allowed_mask,
             energy_prices=self._energy_prices(observation.slot),
         )

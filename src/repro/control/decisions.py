@@ -22,7 +22,6 @@ from repro.axes import (
     BandVec,
     LinkBandMat,
     LinkIds,
-    LinkPackets,
     LinkToNode,
     NodeBandMat,
     NodeIds,
@@ -206,10 +205,14 @@ class ScheduleDecision:
             link_rx,
         )
 
-    def service_vector(self, num_links: int) -> LinkPackets:
-        """The realised service as an ``(L,)`` vector (0.0 where unserved)."""
-        out = np.zeros(num_links)
-        out[self.service_pos] = self.service_pkts
+    def service_at(self, positions: LinkIds) -> AnyArray:
+        """The realised service of each link in ``positions`` (0.0 where unserved)."""
+        order = np.argsort(self.service_pos)
+        at = np.searchsorted(self.service_pos, positions, sorter=order)
+        hit = at < order.size
+        hit[hit] = self.service_pos[order[at[hit]]] == positions[hit]
+        out = np.zeros(positions.shape[0])
+        out[hit] = self.service_pkts[order[at[hit]]]
         return out
 
     @property

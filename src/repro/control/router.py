@@ -10,12 +10,14 @@ smallest-coefficient incoming link (constraint 18).
 
 Only the backpressure support is scored.  A coefficient can be negative
 only where ``Q_i^s > beta H_ij``, because ``Q >= 0`` and ``H >= 0``; the
-router keeps the links whose transmitter's largest backlog exceeds
-``beta H_ij`` (one ``(L,)`` gather) and builds the coefficients, masks
-and Eq.-(25) capacities on those rows alone.  The filter is exact in
+router gathers the outgoing links of the nodes that hold data (the
+topology's ``out_start`` ranges), keeps those whose transmitter's
+largest backlog exceeds ``beta H_ij`` (``beta H`` evaluated at the
+gathered positions only) and builds the coefficients, masks and
+Eq.-(25) capacities on those rows alone.  The filter is exact in
 floating point (see :meth:`BackpressureRouter._route_remaining_links`),
-so a slot costs O(L) comparisons plus work on the few active links
-instead of a dozen ``(L, S)`` and ``(L, M)`` temporaries.
+so a slot costs work on the out-links of the backlogged nodes, not on
+the whole link index.
 
 Capacity modes (see DESIGN.md, "substitutions"):
 
@@ -127,7 +129,7 @@ class BackpressureRouter:
         forced_col: List[int] = []
         forced_pkts: List[float] = []
         topo = self._model.topology
-        beta_h: LinkVec = self._constants.beta * h_backlogs
+        beta = self._constants.beta
         q = arrays.q
 
         # Constraint (18): force v_s(t) onto the destination's
@@ -151,7 +153,8 @@ class BackpressureRouter:
                 pos = pos[allowed_mask[pos]]
             if pos.size == 0:
                 continue
-            coefficients = (-q[topo.link_tx[pos], col] + q[dest, col]) + beta_h[pos]
+            beta_h = beta * h_backlogs[pos]
+            coefficients = (-q[topo.link_tx[pos], col] + q[dest, col]) + beta_h
             tied = pos[coefficients == coefficients.min()]
             chosen = tied[0] if tied.size == 1 else tied[self._rng.integers(tied.size)]
             forced_pos.append(int(chosen))
@@ -160,7 +163,7 @@ class BackpressureRouter:
 
         # All other links: whole capacity to the most negative session.
         rest_pos, rest_col, rest_pkts = self._route_remaining_links(
-            beta_h,
+            h_backlogs,
             arrays,
             observation,
             schedule,
@@ -184,7 +187,7 @@ class BackpressureRouter:
 
     def _route_remaining_links(
         self,
-        beta_h: LinkVec,
+        h_backlogs: LinkPackets,
         arrays: ArrayState,
         observation: SlotObservation,
         schedule: ScheduleDecision,
@@ -194,16 +197,10 @@ class BackpressureRouter:
     ) -> Tuple[LinkIds, AnyArray, AnyArray]:
         """Second pass: each remaining link's whole capacity to the best session.
 
-        Only the backpressure support is scored: the ascending link
-        positions ``cand`` whose transmitter holds more than
-        ``beta H_ij`` of some session.  Every other link has no negative
-        coefficient, even after rounding.  With ``a = Q_i^s``,
-        ``b = Q_j^s >= 0`` and ``c = beta H_ij >= 0``, rounding is
-        monotone, so ``fl(-a + b) >= -a`` and, if ``a <= c``,
-        ``fl(fl(-a + b) + c) >= fl(-a + c) >= 0``.
-
-        Eligibility, per-link capacity, the per-link minimum and the tie
-        sets come out of array expressions over the ``cand`` rows; only
+        Only the backpressure support ``cand`` is scored (see
+        :meth:`_backpressure_links`).  Eligibility, per-link capacity,
+        the per-link minimum and the tie sets come out of array
+        expressions over the ``cand`` rows; only
         links with a tied best session are visited in Python, in frozen
         link-index order (``cand`` is ascending), which fixes the
         sequence of tie-break RNG draws.  ``committed`` holds the link
@@ -215,7 +212,7 @@ class BackpressureRouter:
         """
         params = self._model.params
         q = arrays.q
-        cand: LinkIds = np.flatnonzero(q.max(axis=1)[arrays.link_tx] > beta_h)
+        cand, beta_h = self._backpressure_links(q, h_backlogs)
         tx, rx = arrays.link_tx[cand], arrays.link_rx[cand]
 
         # Per-link Eq.-(25) capacity of the candidate rows.
@@ -241,7 +238,7 @@ class BackpressureRouter:
                 best_bps * params.slot_seconds / params.sessions.packet_size_bits
             )
         else:
-            capacity = schedule.service_vector(beta_h.shape[0])[cand]
+            capacity = schedule.service_at(cand)
 
         active: LinkVec = (capacity > 0.0) & ~np.isin(cand, committed)
         if allowed_mask is not None:
@@ -251,7 +248,7 @@ class BackpressureRouter:
         # rows; destination columns of Q are pinned at 0.0.  (16):
         # sources receive nothing; eligible coefficients are strictly
         # negative; (17): neither endpoint is the session destination.
-        coeff: LinkSessionMat = (-q[tx] + q[rx]) + beta_h[cand][:, None]
+        coeff: LinkSessionMat = (-q[tx] + q[rx]) + beta_h[:, None]
         dests = self._model.destination_rows[None, :]
         mask: LinkSessionMat = (
             (tx[:, None] != dests)
@@ -268,3 +265,36 @@ class BackpressureRouter:
         for k in np.flatnonzero(routed_ties.sum(axis=1) > 1):
             cols[k] = self._rng.choice(np.flatnonzero(routed_ties[k]))
         return cand[rows], cols, capacity[rows]
+
+    def _backpressure_links(
+        self, q: AnyArray, h_backlogs: LinkPackets
+    ) -> Tuple[LinkIds, LinkVec]:
+        """The links that can carry a negative coefficient, with ``beta H``.
+
+        Returns the ascending positions ``cand`` whose transmitter holds
+        more than ``beta H_ij`` of some session, and ``beta H`` at them.
+        Every other link has no negative coefficient, even after
+        rounding.  With ``a = Q_i^s``, ``b = Q_j^s >= 0`` and
+        ``c = beta H_ij >= 0``, rounding is monotone, so
+        ``fl(-a + b) >= -a`` and, if ``a <= c``,
+        ``fl(fl(-a + b) + c) >= fl(-a + c) >= 0``.
+
+        Since ``beta H_ij >= 0``, only a transmitter with a positive
+        backlog can pass: the candidates are drawn from the out-ranges
+        ``out_start[i]:out_start[i + 1]`` of those nodes (ascending,
+        because the link index is transmitter-major), and ``beta H``
+        is evaluated at those positions only.
+        """
+        out_start = self._model.topology.out_start
+        qmax = q.max(axis=1)
+        senders = np.flatnonzero(qmax > 0.0)
+        first = out_start[senders]
+        counts = out_start[senders + 1] - first
+        # The senders' out-ranges, concatenated: entry k of sender i's
+        # run is position ``first_i + k``.
+        gathered = np.arange(int(counts.sum())) + np.repeat(
+            first - (np.cumsum(counts) - counts), counts
+        )
+        beta_h: LinkVec = self._constants.beta * h_backlogs[gathered]
+        passed = np.repeat(qmax[senders], counts) > beta_h
+        return gathered[passed], beta_h[passed]

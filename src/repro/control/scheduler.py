@@ -216,6 +216,7 @@ class LinkScheduler:
         self,
         observation: SlotObservation,
         h_arr: LinkPackets,
+        support: LinkIds,
         energy_prices: Optional[NodeVec],
         allowed_mask: Optional[LinkVec] = None,
     ) -> Optional[Tuple[LinkIds, LinkBandMat, LinkBandMat]]:
@@ -223,8 +224,11 @@ class LinkScheduler:
 
         Returns ``(active, keep, weight)`` — the active link positions,
         the survivor mask and the weight matrix — or ``None`` when no
-        link clears the backlog floor.  Band membership is the slot's
-        ``M_i(t) ∩ M_j(t)`` mask (:meth:`SlotObservation.link_band_member`).
+        link clears the backlog floor.  Only the ascending positions
+        ``support`` where ``H != 0`` are tested against the floor;
+        every other link reads ``H == 0``.  Band membership is the
+        slot's ``M_i(t) ∩ M_j(t)`` mask
+        (:meth:`SlotObservation.link_band_member`).
 
         ``allowed_mask`` is the static ``(L,)`` link filter of the
         one-hop architectures (None: every link).
@@ -233,10 +237,9 @@ class LinkScheduler:
         params = self._model.params
         dt = params.slot_seconds
         static = self._static
-        floor = h_arr > _H_EPS
+        active = support[h_arr[support] > _H_EPS]
         if allowed_mask is not None:
-            floor &= allowed_mask
-        active = np.flatnonzero(floor)
+            active = active[allowed_mask[active]]
         if active.size == 0:
             return None
 
@@ -538,6 +541,7 @@ class LinkScheduler:
         self,
         observation: SlotObservation,
         h_backlogs: LinkPackets,
+        support: LinkIds,
         allowed_mask: Optional[LinkVec] = None,
         energy_prices: Optional[NodeVec] = None,
     ) -> ScheduleDecision:
@@ -546,6 +550,8 @@ class LinkScheduler:
         Args:
             observation: the slot's realised random state.
             h_backlogs: ``(L,)`` current ``H_ij(t)`` by link position.
+            support: ascending link positions holding every nonzero of
+                ``h_backlogs`` (``state.arrays.g_support``).
             allowed_mask: optional ``(L,)`` bool filter over the frozen
                 link index; False links are never candidates (the
                 one-hop baselines).
@@ -558,7 +564,7 @@ class LinkScheduler:
             per-link realised service in packets.
         """
         grid = self._candidate_grid(
-            observation, h_backlogs, energy_prices, allowed_mask
+            observation, h_backlogs, support, energy_prices, allowed_mask
         )
         if grid is None:
             return self._empty()

@@ -23,7 +23,16 @@ probability (Eqs. 5, 6 and 14) and the shifted queue
 ``z = x - (V * gamma_max + d_max)`` (Eq. 31).  It also owns the update
 kernels of Eqs. 4, 15 and 28 (``H = beta * G``, Eq. 30, is derived on
 read); ``NetworkState`` and the contract checker share the same
-buffers.  Numerical policy:
+buffers.
+
+``G`` is sparse in practice (a U=100k network holds ``G > 0`` on ~10k
+of its 1.65M links), so the state also keeps ``g_support``: the
+ascending positions where ``G != 0``.  The Eq. 28 kernel visits only
+the routed and served positions and merges the support in place; every
+other write to ``G`` goes through :meth:`ArrayState.assign_g`, which
+rebuilds it.  Readers (S1's backlog floor, ``H`` and the backlog
+snapshot) scan the support instead of the link index.  The support is
+derived state: nothing serializes it.  Numerical policy:
 kernels apply elementwise IEEE-754 operations in a fixed order,
 repeated indices accumulate with the unbuffered ``np.add.at`` (index
 order), and aggregates use :func:`seq_sum` (a strict left-to-right
@@ -86,7 +95,12 @@ class ArrayState:
             pinned at exactly ``0.0``.
         q_valid / q_invalid: boolean masks over ``q``.
         g: ``(L,)`` virtual backlogs ``G_ij`` in packets
-            (``H = beta * G`` is derived, never stored).
+            (``H = beta * G`` is derived, never stored).  Read-only
+            outside this class: write it through :meth:`advance_g`
+            or :meth:`assign_g`, which keep :attr:`g_support`.
+        g_support: ascending positions where ``G != 0`` (derived;
+            ``g_support == np.flatnonzero(g)`` after every write).
+            ``G`` never holds ``-0.0``: see :meth:`assign_g`.
         battery_level: ``(N,)`` battery levels ``x_i`` in joules, the
             one store of both the battery (Eq. 4) and its shifted
             queue (Eq. 31).
@@ -113,6 +127,7 @@ class ArrayState:
     q_valid: QueueMask
     q_invalid: QueueMask
     g: LinkPackets
+    g_support: LinkIds
     battery_level: NodeJoules
     z_shift: NodeJoules
     capacity_j: NodeJoules
@@ -152,6 +167,7 @@ class ArrayState:
         self.q_invalid = ~valid
 
         self.g = np.zeros(self.link_tx.shape[0])
+        self.g_support = np.zeros(0, dtype=np.intp)
 
         self.battery_level = np.zeros(num_nodes)
         bs, user = params.bs_energy, params.user_energy
@@ -234,29 +250,82 @@ class ArrayState:
         q[self.q_invalid] = 0.0  # destinations keep no queue (pinned at 0.0)
         return transfer
 
-    def advance_g(self, link_pos: LinkIds, pkts: AnyArray, service: LinkPackets) -> None:
+    def advance_g(
+        self,
+        link_pos: LinkIds,
+        pkts: AnyArray,
+        service_pos: LinkIds,
+        service_pkts: AnyArray,
+    ) -> None:
         """Advance every virtual queue one slot (Eq. 28).
 
         ``G_ij(t+1) = max(G_ij(t) - service_ij, 0) + sum_s l_ij^s(t)``:
         the arrivals are the *scheduled* routed rates ``pkts`` summed
-        per link position in entry order (the router commits at most a
-        link's capacity, which bounds them per Eq. 29); ``service`` is
-        the ``(L,)`` realised service
-        ``(1/delta) sum_m c_ij^m a_ij^m delta_t``.
+        per link position in entry order from 0.0 (the router commits
+        at most a link's capacity, which bounds them per Eq. 29);
+        ``service_pkts[k]`` is the realised service
+        ``(1/delta) sum_m c_ij^m a_ij^m delta_t`` of link
+        ``service_pos[k]`` (no repeats; every other link is served 0.0).
+
+        Only the routed and served positions are visited.  Each gets the
+        float operations ``max(g - s, 0) + a`` of the dense update; every
+        other cell is a fixed point of it, because ``G >= 0`` and ``G``
+        never holds ``-0.0`` (``max(g - 0.0, 0.0) + 0.0 == g``, bit for
+        bit).  The support is merged with ``searchsorted``, in
+        O(|support| + |touched|), never re-sorted.  A negative arrival
+        or service raises before anything moves, naming the lowest
+        offending position.
         """
-        g = self.g
-        arrivals: LinkVec = np.zeros(g.shape)
-        np.add.at(arrivals, link_pos, pkts)
+        touched = np.unique(np.concatenate((link_pos, service_pos)))
+        arrivals = np.zeros(touched.size)
+        np.add.at(arrivals, np.searchsorted(touched, link_pos), pkts)
+        service = np.zeros(touched.size)
+        service[np.searchsorted(touched, service_pos)] = service_pkts
         bad = (arrivals < 0.0) | (service < 0.0)
         if bad.any():
-            pos = int(np.argmax(bad))
+            k = int(np.argmax(bad))
+            pos = int(touched[k])
             link = (int(self.link_tx[pos]), int(self.link_rx[pos]))
-            if arrivals[pos] < 0:
-                raise QueueError(f"negative arrivals {arrivals[pos]} at G{link}")
-            raise QueueError(f"negative service {service[pos]} at G{link}")
-        np.subtract(g, service, out=g)
-        np.maximum(g, 0.0, out=g)
-        np.add(g, arrivals, out=g)
+            if arrivals[k] < 0:
+                raise QueueError(f"negative arrivals {arrivals[k]} at G{link}")
+            raise QueueError(f"negative service {service[k]} at G{link}")
+        cell = self.g[touched]
+        np.subtract(cell, service, out=cell)
+        np.maximum(cell, 0.0, out=cell)
+        np.add(cell, arrivals, out=cell)
+        self.g[touched] = cell
+
+        support = self.g_support
+        at = np.searchsorted(support, touched)
+        held = at < support.size
+        held[held] = support[at[held]] == touched[held]
+        nonzero = cell.astype(bool)  # exactly nonzero, as flatnonzero tests
+        kept = np.delete(support, at[held & ~nonzero])
+        joined = touched[~held & nonzero]
+        self.g_support = np.insert(kept, np.searchsorted(kept, joined), joined)
+
+    def assign_g(self, values: AnyArray) -> None:
+        """Overwrite every ``G_ij`` and rebuild :attr:`g_support`.
+
+        The one write to ``G`` besides :meth:`advance_g` (test set-up,
+        restoring a saved state).  ``values`` broadcasts to ``(L,)``.
+        Adding ``0.0`` stores ``-0.0`` as ``+0.0`` and leaves every
+        other value as it is, so ``G`` never holds ``-0.0``: an all-zero
+        ``G`` sums to ``+0.0`` whether or not its zeros are visited.
+
+        Raises:
+            QueueError: on a negative value (a queue cannot be
+                negative), naming the lowest offending position;
+                nothing is written.
+        """
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64), self.g.shape)
+        negative = values < 0.0
+        if negative.any():
+            pos = int(np.argmax(negative))
+            link = (int(self.link_tx[pos]), int(self.link_rx[pos]))
+            raise QueueError(f"negative virtual backlog {values[pos]} at G{link}")
+        np.add(values, 0.0, out=self.g)
+        self.g_support = np.flatnonzero(self.g)
 
     def apply_battery_actions(
         self,

@@ -101,18 +101,15 @@ class NetworkModel:
         """Mobile-user ids."""
         return tuple(self.params.user_ids())
 
-    @cached_property
+    @property
     def band_access(self) -> NodeBandMat:
         """``(N, M)`` bool table of the static access sets ``M_i``.
 
-        Cold path: built once, on first use, and shared by S1, S3 and
-        the Lyapunov constants; the sets are drawn at construction and
+        The spectrum model's own table, shared by S1, S3 and the
+        Lyapunov constants; the sets are drawn at construction and
         never change (dynamic availability arrives per slot instead).
         """
-        access = np.zeros((self.num_nodes, self.spectrum.num_bands), dtype=bool)
-        for node, bands in self.spectrum.access_sets().items():
-            access[node, sorted(bands)] = True
-        return access
+        return self.spectrum.band_access
 
     @cached_property
     def link_band_member(self) -> LinkBandMat:

@@ -14,6 +14,7 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
+from repro.axes import NodeBandMat
 from repro.config.parameters import ScenarioParameters
 from repro.exceptions import SpectrumError
 from repro.types import BandId, NodeId
@@ -132,19 +133,26 @@ class SpectrumModel:
     """Band population, per-node access sets, and the bandwidth process.
 
     Access sets are drawn once at construction (geography is static in
-    the paper's model); bandwidths are redrawn from ``rng`` each slot.
+    the paper's model) and stored as one ``(N, M)`` bool table, row
+    ``i`` being node ``i``'s set ``M_i``; bandwidths are redrawn from
+    ``rng`` each slot.
     """
 
     def __init__(
         self,
         bands: List[SpectrumBand],
-        access: Dict[NodeId, FrozenSet[BandId]],
+        access: NodeBandMat,
         rng: np.random.Generator,
     ) -> None:
         if not bands:
             raise SpectrumError("at least one band is required")
+        if access.ndim != 2 or access.shape[1] != len(bands):
+            raise SpectrumError(
+                f"access table of shape {access.shape} does not have one "
+                f"column per band ({len(bands)})"
+            )
         self._bands = tuple(bands)
-        self._access = dict(access)
+        self._access = access
         self._rng = rng
 
     @property
@@ -157,20 +165,26 @@ class SpectrumModel:
         """Number of bands ``M``."""
         return len(self._bands)
 
-    def accessible_bands(self, node: NodeId) -> FrozenSet[BandId]:
-        """``M_i``: bands node ``node`` may use."""
-        try:
-            return self._access[node]
-        except KeyError:
-            raise SpectrumError(f"node {node} has no spectrum access set") from None
+    @property
+    def band_access(self) -> NodeBandMat:
+        """The ``(N, M)`` bool table of the static access sets ``M_i``.
 
-    def access_sets(self) -> Dict[NodeId, FrozenSet[BandId]]:
-        """A copy of every node's static access set."""
-        return dict(self._access)
+        Shared, not copied: readers must not write to it.
+        """
+        return self._access
+
+    def _row(self, node: NodeId) -> NodeBandMat:
+        if not 0 <= node < self._access.shape[0]:
+            raise SpectrumError(f"node {node} has no spectrum access set")
+        return self._access[node]
+
+    def accessible_bands(self, node: NodeId) -> FrozenSet[BandId]:
+        """``M_i``: bands node ``node`` may use (row ``node`` of the table)."""
+        return frozenset(np.flatnonzero(self._row(node)).tolist())
 
     def common_bands(self, tx: NodeId, rx: NodeId) -> FrozenSet[BandId]:
         """``M_i ∩ M_j``: bands usable on link ``(tx, rx)``."""
-        return self.accessible_bands(tx) & self.accessible_bands(rx)
+        return frozenset(np.flatnonzero(self._row(tx) & self._row(rx)).tolist())
 
     def max_bandwidth_hz(self) -> float:
         """The largest bandwidth any band can realise (for ``beta``)."""
@@ -204,9 +218,9 @@ def build_spectrum_model(
     """Construct the paper's spectrum population.
 
     Band 0 is the always-available cellular band; bands 1..M-1 are the
-    random bands.  Base stations access every band; each user draws an
-    independent Bernoulli(``user_band_access_prob``) access indicator
-    per random band.
+    random bands.  Base stations (rows ``0..B-1``) access every band;
+    each user draws an independent Bernoulli(``user_band_access_prob``)
+    access indicator per random band.
     """
     spectrum = params.spectrum
     bands: List[SpectrumBand] = [
@@ -220,15 +234,14 @@ def build_spectrum_model(
             )
         )
 
-    all_bands = frozenset(band.band_id for band in bands)
-    access: Dict[NodeId, FrozenSet[BandId]] = {}
-    for bs in params.base_station_ids():
-        access[bs] = all_bands
-    for user in params.user_ids():
-        granted = {0}
-        for band in bands[1:]:
-            if rng.random() < spectrum.user_band_access_prob:
-                granted.add(band.band_id)
-        access[user] = frozenset(granted)
-
+    # One (U, M-1) draw, row-major: user by user, band by band, the
+    # order (and so the doubles and the generator state) of one scalar
+    # draw per (user, random band).
+    num_bs = params.num_base_stations
+    access = np.zeros((num_bs + params.num_users, len(bands)), dtype=bool)
+    access[:num_bs] = True
+    access[num_bs:, 0] = True
+    access[num_bs:, 1:] = (
+        rng.random((params.num_users, len(bands) - 1)) < spectrum.user_band_access_prob
+    )
     return SpectrumModel(bands=bands, access=access, rng=rng)

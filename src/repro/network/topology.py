@@ -23,9 +23,12 @@ all-pairs construction (kept as the test oracle in
 A link *is* its position in the frozen link index; there is no
 ``(tx, rx)`` key space beside it.  The index is stored as endpoint
 arrays — ``link_tx``/``link_rx``, the two rows of one ``(2, L)``
-buffer, transmitter-major — with the by-receiver permutation
-``in_links``/``in_start`` for the readers that walk a node's incoming
-links (the router's constraint-18 pass).
+buffer, transmitter-major — with the transmitter offsets ``out_start``
+(node ``i``'s outgoing links are the contiguous positions
+``out_start[i]:out_start[i + 1]``, which S3 gathers for the nodes that
+hold data) and the by-receiver permutation ``in_links``/``in_start``
+for the readers that walk a node's incoming links (the router's
+constraint-18 pass).
 
 Arbitrary ``g(tx, rx)`` reads go through :attr:`Topology.pair_gains`.
 Up to :data:`DENSE_MATERIALIZE_MAX` nodes that view is backed by a
@@ -86,6 +89,9 @@ class Topology:
         link_tx / link_rx: ``(L,)`` endpoint indices per link.
         link_gains: ``(L,)`` propagation gain per candidate link —
             bitwise equal to ``pair_gains.pairs(link_tx, link_rx)``.
+        out_start: ``(N + 1,)`` transmitter offsets: node ``i``'s
+            outgoing links are the positions
+            ``out_start[i]:out_start[i + 1]``, in link-index order.
         in_links: ``(L,)`` link positions grouped by receiver, each
             group in ascending position (so ascending transmitter).
         in_start: ``(N + 1,)`` offsets: node ``j``'s incoming links
@@ -102,6 +108,7 @@ class Topology:
     link_tx: LinkToNode = field(repr=False)
     link_rx: LinkToNode = field(repr=False)
     link_gains: LinkVec = field(repr=False)
+    out_start: AnyArray = field(repr=False)
     in_links: LinkIds = field(repr=False)
     in_start: AnyArray = field(repr=False)
     positions: np.ndarray = field(repr=False)
@@ -247,7 +254,9 @@ def build_topology(params: ScenarioParameters, positions: np.ndarray) -> Topolog
 
     # Transmitter-major link index: a transmitter's run starts after
     # every lower transmitter's links and keeps its sorted order.
-    pos = (np.cumsum(out_counts) - out_counts)[tx] + rank
+    out_start = np.zeros(num_nodes + 1, dtype=np.intp)
+    np.cumsum(out_counts, out=out_start[1:])
+    pos = out_start[tx] + rank
     ends = np.empty((2, tx.size), dtype=np.intp)
     ends[0, pos] = tx
     ends[1, pos] = rx
@@ -263,6 +272,7 @@ def build_topology(params: ScenarioParameters, positions: np.ndarray) -> Topolog
         link_tx=ends[0],
         link_rx=ends[1],
         link_gains=link_gains,
+        out_start=out_start,
         in_links=np.argsort(ends[1], kind="stable"),
         in_start=in_start,
         positions=positions,

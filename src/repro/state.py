@@ -14,7 +14,8 @@ the per-slot updates run as its vectorized kernels (Eqs. 4, 15 and 28).
 There is no per-node object: a node's renewable process and grid stream
 exist only if they draw.  The read accessors (``h_backlogs``,
 ``z_values``, ``battery_levels``) return fresh ``(L,)``/``(N,)``
-arrays over the frozen link and node indices, and each observation
+arrays over the frozen link and node indices (``H`` filled from the
+support of ``G`` only), and each observation
 carries its renewable harvest and grid connection as ``(N,)`` arrays.
 Behaviour is pinned by the committed trajectory fingerprints in
 ``tests/golden/trajectories.json``.
@@ -247,9 +248,15 @@ class NetworkState:
         """``(L,)`` ``H_ij(t) = beta * G_ij(t)`` (Eq. 30) by link position.
 
         Frozen at read time: a fresh array, so later ``G`` updates do
-        not move it.
+        not move it.  Only the support of ``G`` is multiplied; every
+        other cell is ``beta * 0.0 == 0.0``, which the zeroed buffer
+        already holds.
         """
-        return self.constants.beta * self.arrays.g
+        arrays = self.arrays
+        support = arrays.g_support
+        h = np.zeros(arrays.g.shape[0])
+        h[support] = self.constants.beta * arrays.g[support]
+        return h
 
     def z_values(self) -> NodeJoules:
         """``(N,)`` ``z_i(t)`` by node id (frozen at read time)."""
@@ -295,8 +302,10 @@ class NetworkState:
 
         # Virtual queues (Eqs. 28/30): arrivals are routed packets,
         # service is the realised scheduled capacity.
-        service = decision.schedule.service_vector(arrays.g.shape[0])
-        arrays.advance_g(routing.link_pos, routing.pkts, service)
+        schedule = decision.schedule
+        arrays.advance_g(
+            routing.link_pos, routing.pkts, schedule.service_pos, schedule.service_pkts
+        )
 
         # Batteries and shifted energy queues (Eqs. 4 and 31).  The
         # allocation's discharge is *delivered* energy; the battery

@@ -133,13 +133,12 @@ def virtual_step(arrays, arrivals=None, service=None):
     Links absent from ``service`` are served 0.0 packets.
     """
     arrivals = arrivals or {}
-    service_vector = np.zeros(arrays.g.shape[0])
-    for link, pkts in (service or {}).items():
-        service_vector[link_position(arrays, *link)] = pkts
+    service = service or {}
     arrays.advance_g(
         np.array([link_position(arrays, *link) for link in arrivals], dtype=np.intp),
         np.array(list(arrivals.values()), dtype=float),
-        service_vector,
+        np.array([link_position(arrays, *link) for link in service], dtype=np.intp),
+        np.array(list(service.values()), dtype=float),
     )
 
 

@@ -86,7 +86,8 @@ def route(
         best_bps[~member.any(axis=1)] = 0.0
         capacity = best_bps * params.slot_seconds / params.sessions.packet_size_bits
     else:
-        capacity = schedule.service_vector(link_tx.shape[0])
+        capacity = np.zeros(link_tx.shape[0])
+        capacity[schedule.service_pos] = schedule.service_pkts
 
     active = capacity > 0.0
     active[forced_pos] = False

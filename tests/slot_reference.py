@@ -1,0 +1,149 @@
+"""Dense slot kernels, used only by the sparse-support oracle tests.
+
+The slot loop once made every link-sized pass in full: the Eq. 28
+update built an ``(L,)`` arrival vector and an ``(L,)`` service vector
+and rewrote all of ``G``; S1's backlog floor and S3's backpressure scan
+compared all ``L`` links; the backlog snapshot summed all of ``G``; and
+curtailment re-summed all ``N`` node demands after every shed.  The
+library now touches only what moved: the support of ``G``, the
+out-links of the nodes that hold data, and the two endpoints of a shed
+entry.  This module keeps the dense versions as independent oracles;
+``tests/test_sparse_support.py`` checks the library against them, bit
+for bit.
+"""
+
+from __future__ import annotations
+
+from typing import List
+
+import numpy as np
+
+from repro.control.decisions import ScheduleDecision
+from repro.core.arraystate import seq_sum
+from repro.energy.consumption import all_node_demands_array
+from repro.exceptions import QueueError
+
+#: The S1 backlog floor (``repro.control.scheduler._H_EPS``).
+H_EPS = 1e-12
+#: The curtailment supply slack (``repro.control.controller._ENERGY_TOL``).
+ENERGY_TOL = 1e-6
+
+
+def advance_g(g, link_tx, link_rx, link_pos, pkts, service_pos, service_pkts):
+    """Eq. 28 over the whole link index; returns the new ``(L,)`` ``G``.
+
+    ``G(t+1) = max(G(t) - service, 0) + arrivals`` with arrivals summed
+    per link in entry order and service scattered into an ``(L,)``
+    vector.  Raises the library's ``QueueError`` at the first offending
+    position.
+    """
+    arrivals = np.zeros(g.shape)
+    np.add.at(arrivals, link_pos, pkts)
+    service = np.zeros(g.shape)
+    service[service_pos] = service_pkts
+    bad = (arrivals < 0.0) | (service < 0.0)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        link = (int(link_tx[pos]), int(link_rx[pos]))
+        if arrivals[pos] < 0:
+            raise QueueError(f"negative arrivals {arrivals[pos]} at G{link}")
+        raise QueueError(f"negative service {service[pos]} at G{link}")
+    return np.maximum(g - service, 0.0) + arrivals
+
+
+def virtual_total(g):
+    """The backlog snapshot's virtual total over every link."""
+    return seq_sum(g)
+
+
+def s1_active(h, allowed_mask=None):
+    """S1's active links: every position above the backlog floor."""
+    floor = h > H_EPS
+    if allowed_mask is not None:
+        floor &= allowed_mask
+    return np.flatnonzero(floor)
+
+
+def s3_candidates(q, link_tx, beta, h):
+    """S3's backpressure support by a scan of every link."""
+    beta_h = beta * h
+    cand = np.flatnonzero(q.max(axis=1)[link_tx] > beta_h)
+    return cand, beta_h[cand]
+
+
+def curtail(controller, schedule, supply, h_arr, band_pkts):
+    """Curtailment with one full rescan and ``(N,)`` re-sum per shed.
+
+    The loop ``DriftPlusPenaltyController._curtail`` ran before it
+    worked in place: after every shed it recomputed every node's demand
+    and the whole overloaded list.  Returns ``(survivors, demands,
+    deficit)`` and clamps ``supply`` in place, as the library does.
+    """
+    model = controller._model
+    dt = model.params.slot_seconds
+    fixed = controller._fixed_energy_arr
+    recv = controller._recv_power_arr
+    tx = model.topology.link_tx[schedule.link_pos]
+    rx = model.topology.link_rx[schedule.link_pos]
+    power = schedule.power_w
+    h = h_arr[schedule.link_pos]
+    alive = np.ones(tx.size, dtype=bool)
+    shed: List[int] = []
+    load = np.zeros(supply.size, dtype=np.intp)
+    np.add.at(load, tx, 1)
+    np.add.at(load, rx, 1)
+    deficit = np.zeros(supply.size)
+    demands = all_node_demands_array(fixed, recv, tx, rx, power, dt)
+    while True:
+        overloaded = np.flatnonzero(demands > supply + ENERGY_TOL)
+        loaded = load[overloaded] > 0
+        stop = int(loaded.argmax()) if loaded.any() else overloaded.size
+        clamp = overloaded[:stop]
+        deficit[clamp] = demands[clamp] - supply[clamp]
+        supply[clamp] = demands[clamp]
+        if stop == overloaded.size:
+            break
+        node = overloaded[stop]
+        involved = np.flatnonzero(alive & ((tx == node) | (rx == node)))
+        victim = involved[np.argmin(h[involved])]
+        alive[victim] = False
+        shed.append(int(victim))
+        load[tx[victim]] -= 1
+        load[rx[victim]] -= 1
+        demands = all_node_demands_array(
+            fixed, recv, tx[alive], rx[alive], power[alive], dt
+        )
+    if not shed:
+        return schedule, demands, deficit
+    curtailed = tuple(
+        zip(tx[shed].tolist(), rx[shed].tolist(), schedule.band[shed].tolist())
+    )
+    survivors = ScheduleDecision.from_entries(
+        link_pos=schedule.link_pos[alive],
+        band=schedule.band[alive],
+        power_w=power[alive],
+        band_pkts=band_pkts,
+        dropped=schedule.dropped + curtailed,
+        link_tx=schedule.link_tx,
+        link_rx=schedule.link_rx,
+    )
+    return survivors, demands, deficit
+
+
+def access_table(params, rng):
+    """The spectrum access table by one scalar draw per (user, band).
+
+    The loop ``build_spectrum_model`` ran before it drew one ``(U,
+    M-1)`` block: base stations get every band, users band 0 plus a
+    Bernoulli draw per random band, user by user, band by band.
+    """
+    num_bands = params.spectrum.num_bands
+    access = np.zeros((params.num_nodes, num_bands), dtype=bool)
+    for bs in params.base_station_ids():
+        access[bs] = True
+    for user in params.user_ids():
+        access[user, 0] = True
+        for band in range(1, num_bands):
+            if rng.random() < params.spectrum.user_band_access_prob:
+                access[user, band] = True
+    return access

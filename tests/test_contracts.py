@@ -445,6 +445,23 @@ class TestRoutingContracts:
         assert [type(end) for end in link] == [int, int]
 
 
+    def test_dropped_support_entry_raises_eq28(self, transition):
+        simulator, checker, pre, decision, slot = transition
+        arrays = simulator.state.arrays
+        assert arrays.g_support.size > 0
+        pos = int(arrays.g_support[arrays.g_support.size // 2])
+        arrays.g_support = np.delete(arrays.g_support, arrays.g_support.size // 2)
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.check_transition(
+                simulator.model, simulator.state, decision, pre, slot
+            )
+        assert excinfo.value.equation == "Eq. 28"
+        assert excinfo.value.slot == slot
+        assert excinfo.value.link == (arrays.link_tx[pos], arrays.link_rx[pos])
+        assert f"position {pos}" in excinfo.value.detail
+        assert "missing" in excinfo.value.detail
+
+
 class TestEndToEnd:
     def test_strict_tiny_run_is_clean(self):
         simulator = SlotSimulator.integral(

@@ -43,7 +43,8 @@ class TestCandidateConstruction:
         self, tiny_model, tiny_constants, observation
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants)
-        decision = scheduler.schedule(observation, link_view(tiny_model, {}))
+        h = link_view(tiny_model, {})
+        decision = scheduler.schedule(observation, h, np.flatnonzero(h))
         assert not decision.transmissions
         assert not decision.link_service_pkts
 
@@ -51,7 +52,8 @@ class TestCandidateConstruction:
         self, tiny_model, tiny_constants, observation
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants)
-        decision = scheduler.schedule(observation, _h_for(tiny_model))
+        h = _h_for(tiny_model)
+        decision = scheduler.schedule(observation, h, np.flatnonzero(h))
         assert decision.transmissions
 
     def test_forbidden_links_respected(
@@ -59,8 +61,9 @@ class TestCandidateConstruction:
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants)
         none_allowed = np.zeros(len(link_tuples(tiny_model.topology)), bool)
+        h = _h_for(tiny_model)
         decision = scheduler.schedule(
-            observation, _h_for(tiny_model), allowed_mask=none_allowed
+            observation, h, np.flatnonzero(h), allowed_mask=none_allowed
         )
         assert not decision.transmissions
 
@@ -73,7 +76,7 @@ class TestSingleRadioConstraint:
         scheduler = LinkScheduler(tiny_model, tiny_constants, kind=kind)
         rng = np.random.default_rng(4)
         h = _random_h(tiny_model, rng, 1, 100)
-        decision = scheduler.schedule(observation, h)
+        decision = scheduler.schedule(observation, h, np.flatnonzero(h))
         busy = []
         for t in decision.transmissions:
             busy.extend([t.tx, t.rx])
@@ -84,7 +87,8 @@ class TestSingleRadioConstraint:
         self, tiny_model, tiny_constants, observation, kind
     ):
         scheduler = LinkScheduler(tiny_model, tiny_constants, kind=kind)
-        decision = scheduler.schedule(observation, _h_for(tiny_model, 50.0))
+        h = _h_for(tiny_model, 50.0)
+        decision = scheduler.schedule(observation, h, np.flatnonzero(h))
         params = tiny_model.params
         for target in decision.transmissions:
             noise = tiny_model.noise_power_w(
@@ -104,7 +108,8 @@ class TestSingleRadioConstraint:
 
     def test_powers_respect_caps(self, tiny_model, tiny_constants, observation):
         scheduler = LinkScheduler(tiny_model, tiny_constants)
-        decision = scheduler.schedule(observation, _h_for(tiny_model, 50.0))
+        h = _h_for(tiny_model, 50.0)
+        decision = scheduler.schedule(observation, h, np.flatnonzero(h))
         for t in decision.transmissions:
             assert 0 < t.power_w <= tiny_model.max_power_w[t.tx] * (1 + 1e-9)
 
@@ -125,10 +130,10 @@ class TestAlgorithmQuality:
             h = _random_h(tiny_model, rng, 0, 100)
             exact = LinkScheduler(
                 tiny_model, tiny_constants, kind=SchedulerKind.MAX_WEIGHT_MATCHING
-            ).schedule(observation, h)
+            ).schedule(observation, h, np.flatnonzero(h))
             greedy = LinkScheduler(
                 tiny_model, tiny_constants, kind=SchedulerKind.GREEDY
-            ).schedule(observation, h)
+            ).schedule(observation, h, np.flatnonzero(h))
             # Compare pre-power-control activation weight: count only
             # served links (power control is shared).
             beta = tiny_constants.beta
@@ -144,10 +149,10 @@ class TestAlgorithmQuality:
         h = _random_h(tiny_model, rng, 1, 100)
         exact = LinkScheduler(
             tiny_model, tiny_constants, kind=SchedulerKind.MAX_WEIGHT_MATCHING
-        ).schedule(observation, h)
+        ).schedule(observation, h, np.flatnonzero(h))
         sf = LinkScheduler(
             tiny_model, tiny_constants, kind=SchedulerKind.SEQUENTIAL_FIX
-        ).schedule(observation, h)
+        ).schedule(observation, h, np.flatnonzero(h))
         beta = tiny_constants.beta
         exact_weight = self._weight_of(exact, h, beta)
         sf_weight = self._weight_of(sf, h, beta)
@@ -163,7 +168,7 @@ class TestAlgorithmQuality:
         h = link_view(tiny_model, values)
         decision = LinkScheduler(
             tiny_model, tiny_constants, kind=SchedulerKind.GREEDY
-        ).schedule(observation, h)
+        ).schedule(observation, h, np.flatnonzero(h))
         scheduled_links = {t.link for t in decision.transmissions}
         assert heavy in scheduled_links
 
@@ -176,7 +181,7 @@ class TestEnergyAwareWeights:
         h = _h_for(tiny_model, 1.0)  # tiny backlog value
         expensive = np.full(tiny_model.num_nodes, 1e18)
         decision = scheduler.schedule(
-            observation, h, energy_prices=expensive
+            observation, h, np.flatnonzero(h), energy_prices=expensive
         )
         assert not decision.transmissions
 
@@ -186,8 +191,8 @@ class TestEnergyAwareWeights:
         scheduler = LinkScheduler(tiny_model, tiny_constants)
         h = _h_for(tiny_model, 25.0)
         free = np.zeros(tiny_model.num_nodes)
-        with_prices = scheduler.schedule(observation, h, energy_prices=free)
-        without = scheduler.schedule(observation, h, energy_prices=None)
+        with_prices = scheduler.schedule(observation, h, np.flatnonzero(h), energy_prices=free)
+        without = scheduler.schedule(observation, h, np.flatnonzero(h), energy_prices=None)
         assert with_prices.link_service_pkts == without.link_service_pkts
 
     def test_price_diverts_to_cheap_transmitter(
@@ -198,7 +203,7 @@ class TestEnergyAwareWeights:
         h = _h_for(tiny_model, 1e-3)
         prices = np.zeros(tiny_model.num_nodes)
         prices[list(tiny_model.bs_ids)] = 1e15
-        decision = scheduler.schedule(observation, h, energy_prices=prices)
+        decision = scheduler.schedule(observation, h, np.flatnonzero(h), energy_prices=prices)
         assert all(
             t.tx not in tiny_model.bs_ids and t.rx not in tiny_model.bs_ids
             for t in decision.transmissions
@@ -217,7 +222,7 @@ class TestSinrAwareSequentialFix:
         rng = np.random.default_rng(8)
         for _ in range(3):
             h = _random_h(tiny_model, rng, 1, 100)
-            decision = scheduler.schedule(observation, h)
+            decision = scheduler.schedule(observation, h, np.flatnonzero(h))
             assert not decision.dropped
 
     def test_matches_plain_sf_when_interference_free(
@@ -229,10 +234,10 @@ class TestSinrAwareSequentialFix:
         h = link_view(tiny_model, {link: 50.0})
         plain = LinkScheduler(
             tiny_model, tiny_constants, kind=SchedulerKind.SEQUENTIAL_FIX
-        ).schedule(observation, h)
+        ).schedule(observation, h, np.flatnonzero(h))
         aware = LinkScheduler(
             tiny_model, tiny_constants, kind=SchedulerKind.SEQUENTIAL_FIX_SINR
-        ).schedule(observation, h)
+        ).schedule(observation, h, np.flatnonzero(h))
         assert {t.link for t in plain.transmissions} == {link}
         assert {t.link for t in aware.transmissions} == {link}
 
@@ -303,7 +308,9 @@ def _greedy_grid(name, h_values, prices):
     links = link_tuples(model.topology)
     scheduler = LinkScheduler(model, constants, kind=SchedulerKind.GREEDY)
     h = link_view(model, dict(zip(links, h_values)))
-    return scheduler, scheduler._candidate_grid(observation, h, prices)
+    return scheduler, scheduler._candidate_grid(
+        observation, h, np.flatnonzero(h), prices
+    )
 
 
 class TestGreedySelectionEquality:

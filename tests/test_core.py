@@ -269,7 +269,7 @@ class TestBounds:
     ):
         relaxed = RelaxedLpController(tiny_model, tiny_constants)
         # Seed some virtual backlog so the LP wants to schedule.
-        tiny_state.arrays.g[:] = 10.0
+        tiny_state.arrays.assign_g(10.0)
         decision = relaxed.decide(tiny_state.observe(0), tiny_state)
         # Per-node fractional activity cannot exceed 1: total service
         # on links touching a node is bounded by its best-band service.

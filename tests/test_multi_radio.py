@@ -76,7 +76,7 @@ class TestMultiRadioScheduling:
                 for link in link_tuples(multi_model.topology)
             },
         )
-        decision = scheduler.schedule(multi_observation, h)
+        decision = scheduler.schedule(multi_observation, h, np.flatnonzero(h))
         _audit_budgets(multi_model, decision)
 
     def test_matching_refuses_budgets(self, multi_model, multi_constants, multi_observation):
@@ -87,7 +87,7 @@ class TestMultiRadioScheduling:
             multi_model, {link: 5.0 for link in link_tuples(multi_model.topology)}
         )
         with pytest.raises(SolverError, match="single-radio"):
-            scheduler.schedule(multi_observation, h)
+            scheduler.schedule(multi_observation, h, np.flatnonzero(h))
 
     def test_bs_can_serve_multiple_links(self, multi_model, multi_constants, multi_observation):
         # Load every BS out-link heavily: with 3 radios the base
@@ -98,7 +98,7 @@ class TestMultiRadioScheduling:
             multi_model,
             {(bs, rx): 1000.0 for rx in out_neighbors(multi_model.topology, bs)},
         )
-        decision = scheduler.schedule(multi_observation, h)
+        decision = scheduler.schedule(multi_observation, h, np.flatnonzero(h))
         bs_tx = [t for t in decision.transmissions if t.tx == bs]
         assert len(bs_tx) >= 2
         _audit_budgets(multi_model, decision)

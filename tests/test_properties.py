@@ -71,7 +71,7 @@ class TestQueueLawProperties:
     def test_h_equals_beta_g_invariant(self, steps):
         state = _tiny_state()
         arrays = state.arrays
-        arrays.g[...] = 0.0
+        arrays.assign_g(0.0)
         beta = state.constants.beta
         pos = link_position(arrays, 0, 2)
         for arrivals, service in steps:

@@ -162,7 +162,9 @@ class TestVirtualQueues:
 
     def test_eq28_underflow_clamped(self, arrays):
         pos = link_position(arrays, 0, 1)
-        arrays.g[pos] = 3.0
+        g = np.zeros(arrays.g.shape[0])
+        g[pos] = 3.0
+        arrays.assign_g(g)
         virtual_step(arrays, {(0, 1): 1.0}, {(0, 1): 10.0})
         assert arrays.g[pos] == 1.0
 
@@ -172,7 +174,8 @@ class TestVirtualQueues:
         arrays.advance_g(
             np.array([link_position(arrays, *key[:2]) for key in routed]),
             np.array(list(routed.values())),
-            np.zeros(arrays.g.shape[0]),
+            np.zeros(0, dtype=np.intp),
+            np.zeros(0),
         )
         virtual_step(arrays, service={(1, 0): 1.0})
         h = tiny_state.h_backlogs()
@@ -313,7 +316,7 @@ class TestBacklogSnapshot:
             arrays.battery_level[...] = rng.lognormal(
                 sigma=6.0, size=arrays.num_nodes
             )
-            arrays.g[...] = rng.lognormal(sigma=6.0, size=arrays.g.shape)
+            arrays.assign_g(rng.lognormal(sigma=6.0, size=arrays.g.shape))
             expected = make_snapshot_oracle(
                 slot=slot,
                 data_backlogs=queue_dict(arrays),
