@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from repro.axes import BandVec, LinkVec, NodeJoules, NodeVec
+from repro.axes import AnyArray, BandVec, LinkVec, NodeJoules, NodeVec
 from repro.contracts import ContractChecker
 from repro.control.admission import ResourceAllocator
 from repro.control.decisions import (
@@ -205,6 +205,14 @@ class DriftPlusPenaltyController:
         load = np.bincount(nodes, minlength=supply.size)
         alive = np.ones(tx.size, dtype=bool)
         shed: List[int] = []
+
+        def alive_terms(node: int) -> Tuple[AnyArray, AnyArray]:
+            """``node``'s alive entries and their joules, in schedule order."""
+            lo = int(np.searchsorted(node_sorted, node))
+            hi = int(np.searchsorted(node_sorted, node, side="right"))
+            live = alive[entry_sorted[lo:hi]]
+            return entry_sorted[lo:hi][live], joules_sorted[lo:hi][live]
+
         # The overloaded nodes that hold an entry, in ascending order: a
         # node leaves the overloaded set or loses its last entry for
         # good, so ``next_loaded`` only moves forward.
@@ -228,19 +236,14 @@ class DriftPlusPenaltyController:
             cursor = stop
             if done:
                 break
-            node = loaded_over[next_loaded]
-            lo = int(np.searchsorted(node_sorted, node))
-            hi = int(np.searchsorted(node_sorted, node, side="right"))
-            involved = entry_sorted[lo:hi][alive[entry_sorted[lo:hi]]]
+            involved, _ = alive_terms(loaded_over[next_loaded])
             victim = int(involved[np.argmin(h[involved])])
             alive[victim] = False
             shed.append(victim)
             for end in (int(tx[victim]), int(rx[victim])):
                 load[end] -= 1
-                lo = int(np.searchsorted(node_sorted, end))
-                hi = int(np.searchsorted(node_sorted, end, side="right"))
                 demand = float(fixed[end])
-                for term in joules_sorted[lo:hi][alive[entry_sorted[lo:hi]]].tolist():
+                for term in alive_terms(end)[1].tolist():
                     demand += term
                 demands[end] = demand
                 overloaded[end] &= demand > supply[end] + _ENERGY_TOL

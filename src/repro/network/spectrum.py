@@ -146,11 +146,6 @@ class SpectrumModel:
     ) -> None:
         if not bands:
             raise SpectrumError("at least one band is required")
-        if access.ndim != 2 or access.shape[1] != len(bands):
-            raise SpectrumError(
-                f"access table of shape {access.shape} does not have one "
-                f"column per band ({len(bands)})"
-            )
         self._bands = tuple(bands)
         self._access = access
         self._rng = rng
