@@ -271,12 +271,17 @@ class ArrayState:
         float operations ``max(g - s, 0) + a`` of the dense update; every
         other cell is a fixed point of it, because ``G >= 0`` and ``G``
         never holds ``-0.0`` (``max(g - 0.0, 0.0) + 0.0 == g``, bit for
-        bit).  The support is merged with ``searchsorted``, in
-        O(|support| + |touched|), never re-sorted.  A negative arrival
+        bit).  The support is merged with ``searchsorted`` and boolean
+        masks, in O(|support| + |touched|), never re-sorted.  A negative arrival
         or service raises before anything moves, naming the lowest
         offending position.
         """
-        touched = np.unique(np.concatenate((link_pos, service_pos)))
+        touched = np.concatenate((link_pos, service_pos))
+        touched.sort()
+        first = np.empty(touched.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(touched[1:], touched[:-1], out=first[1:])
+        touched = touched[first]
         arrivals = np.zeros(touched.size)
         np.add.at(arrivals, np.searchsorted(touched, link_pos), pkts)
         service = np.zeros(touched.size)
@@ -295,14 +300,23 @@ class ArrayState:
         np.add(cell, arrivals, out=cell)
         self.g[touched] = cell
 
+        # The support without the touched cells, then the touched cells
+        # that hold G != 0 (exactly, as flatnonzero tests) merged in.
         support = self.g_support
         at = np.searchsorted(support, touched)
         held = at < support.size
         held[held] = support[at[held]] == touched[held]
-        nonzero = cell.astype(bool)  # exactly nonzero, as flatnonzero tests
-        kept = np.delete(support, at[held & ~nonzero])
-        joined = touched[~held & nonzero]
-        self.g_support = np.insert(kept, np.searchsorted(kept, joined), joined)
+        keep = np.ones(support.size, dtype=bool)
+        keep[at[held]] = False
+        rest = support[keep]
+        joined = touched[cell.astype(bool)]
+        slot = np.searchsorted(rest, joined) + np.arange(joined.size)
+        merged = np.empty(rest.size + joined.size, dtype=np.intp)
+        merged[slot] = joined
+        keep = np.ones(merged.size, dtype=bool)
+        keep[slot] = False
+        merged[keep] = rest
+        self.g_support = merged
 
     def assign_g(self, values: AnyArray) -> None:
         """Overwrite every ``G_ij`` and rebuild :attr:`g_support`.
