@@ -157,8 +157,8 @@ class TestVirtualQueueSupport:
         arrays.assign_g(2.0)
         values = np.full(arrays.g.shape[0], 1.0)
         values[3] = -4.0
-        link = (int(arrays.link_tx[3]), int(arrays.link_rx[3]))
-        with pytest.raises(QueueError, match=rf"negative virtual backlog -4.0 at G\({link[0]}, {link[1]}\)"):
+        tx, rx = int(arrays.link_tx[3]), int(arrays.link_rx[3])
+        with pytest.raises(QueueError, match=rf"negative virtual backlog -4.0 at G\({tx}, {rx}\)"):
             arrays.assign_g(values)
         assert (arrays.g == 2.0).all()
         assert arrays.g_support.tolist() == list(range(arrays.g.shape[0]))
@@ -204,13 +204,14 @@ class TestReaders:
         state.arrays.assign_g(np.resize(np.array(g), num_links))
         h = state.h_backlogs()
         assert _bits(h) == _bits(constants.beta * state.arrays.g)
+        # Every third supported link sits exactly on the floor.
+        support = state.arrays.g_support
+        h[support[::3]] = slot_reference.H_EPS
         allowed = (
             np.random.default_rng(seed).random(num_links) < 0.6 if masked else None
         )
         scheduler = LinkScheduler(model, constants, kind=SchedulerKind.GREEDY)
-        grid = scheduler._candidate_grid(
-            state.observe(0), h, state.arrays.g_support, None, allowed
-        )
+        grid = scheduler._candidate_grid(state.observe(0), h, support, None, allowed)
         expected = slot_reference.s1_active(h, allowed)
         active = np.zeros(0, dtype=np.intp) if grid is None else grid[0]
         assert active.tolist() == expected.tolist()
@@ -269,9 +270,11 @@ def _curtail_inputs(draw):
             unique=True,
         )
     )
+    # Powers far apart in magnitude, so re-summing a node's terms in
+    # another order would change the last bits of its demand.
     powers = draw(
         st.lists(
-            st.sampled_from([0.01, 0.1, 0.37, 1.0, 2.0]),
+            st.sampled_from([0.01, 0.1, 0.37, 1.0, 2.0, 3.3e-7, 0.123456789]),
             min_size=len(pairs),
             max_size=len(pairs),
         )
@@ -338,25 +341,31 @@ class TestInPlaceCurtailment:
         _assert_same_curtailment(got, expected, supply, ref_supply)
         assert controller.last_deficit_j is got[2]
 
-    def test_hub_sheds_every_entry_then_clamps(self):
-        # A base station transmitting on every band of three links with
-        # no supply sheds all of them one by one, lowest H first, then
-        # is clamped with its fixed energy as the deficit.
+    @pytest.mark.parametrize("hub_supply", ["none", "one_link"])
+    def test_hub_sheds_repeatedly(self, hub_supply):
+        # A base station transmitting on every band of three links sheds
+        # entry after entry, lowest H first (ties in schedule order).
+        # With no supply it sheds all of them and is clamped; with room
+        # for one link's entries it keeps exactly those, and its demand
+        # is their re-sum in schedule order, which the powers make
+        # order-sensitive (reversed, the last bit differs).
         controller = _controller()
         topology = controller._model.topology
         links = np.flatnonzero(topology.link_tx == 0)[:3]
         num_bands = controller._model.spectrum.num_bands
+        powers = np.resize([0.3333333, 0.01, 0.05, 1.7e-6, 2.0], links.size * num_bands)
         schedule = ScheduleDecision.from_entries(
             link_pos=np.repeat(links, num_bands),
             band=np.tile(np.arange(num_bands), links.size),
-            power_w=np.full(links.size * num_bands, 0.37),
+            power_w=powers,
             band_pkts=np.ones(num_bands),
             dropped=(),
             link_tx=topology.link_tx,
             link_rx=topology.link_rx,
         )
+        fixed = controller._fixed_energy_arr
         supply = np.full(controller._model.num_nodes, 1e9)
-        supply[0] = 0.0
+        supply[0] = 0.0 if hub_supply == "none" else fixed[0] + 150.0
         h_arr = np.zeros(topology.link_tx.shape[0])
         h_arr[links] = [3.0, 1.0, 2.0]
         ref_supply = supply.copy()
@@ -366,9 +375,21 @@ class TestInPlaceCurtailment:
         got = controller._curtail(schedule, supply, h_arr, np.ones(num_bands))
         _assert_same_curtailment(got, expected, supply, ref_supply)
         survivors, demands, deficit = got
-        assert survivors.link_pos.size == 0
-        assert len(survivors.dropped) == links.size * num_bands
-        assert deficit[0] == controller._fixed_energy_arr[0]
+        if hub_supply == "none":
+            assert survivors.link_pos.size == 0
+            assert len(survivors.dropped) == links.size * num_bands
+            assert deficit[0] == fixed[0]
+        else:
+            assert survivors.link_pos.tolist() == [links[0]] * num_bands
+            assert len(survivors.dropped) == 2 * num_bands
+            assert not deficit.any()
+            forward = reverse = float(fixed[0])
+            terms = (powers[:num_bands] * controller._model.params.slot_seconds).tolist()
+            for term in terms:
+                forward += term
+            for term in reversed(terms):
+                reverse += term
+            assert demands[0] == forward != reverse
 
     def test_dark_fleet_slots_match_the_rescanning_loop(self, monkeypatch):
         # The pinned renewables-off fleet sheds 5-33 entries per slot
