@@ -52,7 +52,6 @@ from repro.axes import (
     LinkIds,
     LinkToNode,
     LinkPackets,
-    LinkVec,
     NodeIds,
     NodeJoules,
     NodeSessionMat,
@@ -272,9 +271,9 @@ class ArrayState:
         other cell is a fixed point of it, because ``G >= 0`` and ``G``
         never holds ``-0.0`` (``max(g - 0.0, 0.0) + 0.0 == g``, bit for
         bit).  The support is merged with ``searchsorted`` and boolean
-        masks, in O(|support| + |touched|), never re-sorted.  A negative arrival
-        or service raises before anything moves, naming the lowest
-        offending position.
+        masks, in O(|support| + |touched|), never re-sorted.  A negative
+        arrival or service raises before anything moves, naming the
+        lowest offending position.
         """
         touched = np.concatenate((link_pos, service_pos))
         touched.sort()
