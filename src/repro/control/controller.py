@@ -283,10 +283,11 @@ class DriftPlusPenaltyController:
             energy_prices=self._energy_prices(observation.slot),
         )
         selected_dropped = len(schedule.dropped)
+        deliverable = arrays.max_deliverable_j_array()
         supply = (
             observation.renewable_j
             + np.where(observation.grid_connected, arrays.grid_cap_j, 0.0)
-            + arrays.max_deliverable_j_array()
+            + deliverable
         )
         schedule, demands, deficit_arr = self._curtail(
             schedule,
@@ -315,7 +316,7 @@ class DriftPlusPenaltyController:
             grid_connected=observation.grid_connected,
             grid_cap_j=arrays.grid_cap_j,
             charge_cap_j=arrays.max_charge_j_array(),
-            discharge_cap_j=arrays.max_deliverable_j_array(),
+            discharge_cap_j=deliverable,
             z=arrays.z_values_array(),
             charge_efficiency=arrays.charge_efficiency,
             discharge_efficiency=arrays.discharge_efficiency,

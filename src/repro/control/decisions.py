@@ -133,6 +133,30 @@ def _no_entries(dtype: type) -> AnyArray:
     return np.zeros(0, dtype=dtype)
 
 
+def appearance_groups(values: AnyArray) -> Tuple[AnyArray, AnyArray, AnyArray]:
+    """Group ``values`` in order of first appearance.
+
+    Returns each element's group index, the group values and the group
+    sizes, groups numbered by where their value first occurs.  A stable
+    sort plus a neighbour compare: each run of equal sorted values is a
+    group whose first element is its first appearance (the
+    ``return_index`` of ``np.unique``).
+    """
+    perm = np.argsort(values, kind="stable")
+    ordered = values[perm]
+    head = np.empty(ordered.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    order = np.argsort(perm[starts])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = np.empty_like(perm)
+    group[perm] = rank[np.cumsum(head) - 1]
+    counts = np.diff(starts, append=ordered.size)
+    return group, ordered[starts][order], counts[order]
+
+
 @dataclass(frozen=True)
 class ScheduleDecision:
     """S1 output: activated link-bands, powers, and realised service.
@@ -186,19 +210,14 @@ class ScheduleDecision:
         packets from 0.0 in entry order (``np.add.at`` is sequential),
         so a multi-band link gets the same float as a running sum.
         """
-        unique, first, inverse = np.unique(
-            link_pos, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        service_pkts = np.zeros(order.size)
-        np.add.at(service_pkts, rank[inverse], band_pkts[band])
+        group, served, _ = appearance_groups(link_pos)
+        service_pkts = np.zeros(served.size)
+        np.add.at(service_pkts, group, band_pkts[band])
         return cls(
             link_pos,
             band,
             power_w,
-            unique[order],
+            served,
             service_pkts,
             dropped,
             link_tx,

@@ -24,7 +24,7 @@ spilling (``r + c^r <= R``) and report the spilled energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -123,19 +123,21 @@ class NodeEnergyBatch:
     z: NodeJoules
     charge_efficiency: NodeVec
     discharge_efficiency: NodeVec
+    #: Grid supply available this slot (0 where disconnected), derived
+    #: once per batch from ``grid_connected`` and ``grid_cap_j``.
+    usable_grid_j: NodeJoules = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.usable_grid_j = np.where(self.grid_connected, self.grid_cap_j, 0.0)
 
     def __len__(self) -> int:
         return int(self.nodes.shape[0])
 
     @property
-    def usable_grid_j(self) -> NodeJoules:
-        """Grid supply available this slot (0 where disconnected)."""
-        return np.where(self.grid_connected, self.grid_cap_j, 0.0)
-
-    @property
     def max_supply_j(self) -> NodeJoules:
         """Most demand each node could possibly serve this slot."""
-        return self.renewable_j + self.usable_grid_j + self.discharge_cap_j
+        supply = self.renewable_j + self.usable_grid_j
+        return np.add(supply, self.discharge_cap_j, out=supply)
 
     @classmethod
     def from_inputs(cls, inputs: Sequence[NodeEnergyInputs]) -> "NodeEnergyBatch":
@@ -184,134 +186,138 @@ class NodeEnergyBatch:
         )
 
 
-def _batched_serve_mode(
-    batch: NodeEnergyBatch, grid_price: NodeVec
-) -> Tuple[BatchAllocation, NodeVec]:
-    """Discharge mode: serve demand, never charge.
+def _batched_node_response(
+    batch: NodeEnergyBatch, mu: float, control_v: float
+) -> BatchAllocation:
+    """Every row's optimal allocation facing marginal grid price ``mu``.
 
-    The per-node objective ``-z (d/eta_d) + (d/eta_d)^2/2 + price * g``
-    is strictly convex in the delivered discharge ``d`` (the battery
-    drains ``d / eta_d``), so its constrained minimiser is the
-    stationary point clamped to the feasible box.  Returns
-    ``(allocation, objective)``.
+    Solves each row's closed-form KKT system in one pass.  Users never
+    contribute to ``P(t)``, so their effective grid price is zero.  Two
+    modes are evaluated and the per-row winner picked by
+    ``serve <= charge`` (serve also wins where charging cannot meet
+    demand without discharging):
+
+    * serve: the objective ``-z (d/eta_d) + (d/eta_d)^2/2 + price * g``
+      is strictly convex in the delivered discharge ``d`` (the battery
+      drains ``d / eta_d``), so its constrained minimiser is the
+      stationary point clamped to the feasible box;
+    * charge: ``z (eta_c c) + (eta_c c)^2/2 + price * grid`` is convex
+      piecewise quadratic in the charge input ``c`` with one kink
+      (where the grid starts funding the charge); its minimiser is the
+      kink clamped between the two stationary points, then to
+      ``[0, hi]``.
+
+    Each field is the float chain of the two-mode kernel it replaced
+    (``tests/pricing_reference.py::batched_node_response``), which
+    built both modes' allocations in full and picked every field:
+
+    * ``renewable_serve_j``: both modes serve ``min(renewable,
+      demand)``, so the pick is that one array;
+    * ``renewable_charge_j`` / ``grid_charge_j``: serve mode's zeros
+      were ``+0.0``, the literal written over the serve rows;
+    * ``grid_serve_j``: charge mode's ``demand - r_serve`` is the
+      shared ``residual``, the same operation on the same operands;
+    * ``discharge_j``: charge mode's zeros, as above;
+    * ``spill_j``: serve mode's ``renewable - r_serve`` is the shared
+      ``spare``, and charge mode's ``renewable - r_serve - r_charge``
+      associates as ``spare - r_charge``; ``spare - 0.0`` is ``spare``.
+
+    Shared terms (``r_serve``, ``residual``, ``spare``, ``-z``,
+    ``renewable + grid``, the usable grid and the price) are computed
+    once; a term both modes formed twice had the same operands, so
+    the bits cannot differ.
     """
-    demand, renewable = batch.demand_j, batch.renewable_j
-    grid = batch.usable_grid_j
-    z = batch.z
-    eta_d = batch.discharge_efficiency
+    demand, renewable, z = batch.demand_j, batch.renewable_j, batch.z
+    eta_d, eta_c = batch.discharge_efficiency, batch.charge_efficiency
+    price = np.where(batch.is_base_station, control_v * mu, 0.0)
     r_serve = np.minimum(renewable, demand)
     residual = demand - r_serve
+    spare = renewable - r_serve
+    neg_z = -z
+    # Full-size temporaries are reused through ``out=``: a fresh (N,)
+    # buffer per operation costs more in page faults than in flops.
+    # Each in-place step is the operation of the expression it stands
+    # for, with max/min operands in the same order.
+    work = np.empty_like(demand)
 
-    d_min = np.maximum(0.0, residual - grid)
+    # Serve mode: discharge, never charge.
+    d_min = np.subtract(residual, batch.usable_grid_j)
+    np.maximum(0.0, d_min, out=d_min)
     d_max = np.minimum(batch.discharge_cap_j, residual)
-    infeasible = d_min > d_max + _ENERGY_TOL
+    infeasible = d_min > np.add(d_max, _ENERGY_TOL, out=work)
     if np.any(infeasible):
         i = int(np.argmax(infeasible))
         raise InfeasibleError(
             f"node {int(batch.nodes[i])}: demand {demand[i]} J exceeds max "
             f"supply {batch.max_supply_j[i]} J (curtailment missing upstream)"
         )
-    d_max = np.maximum(d_min, d_max)
-
-    stationary = eta_d * z + eta_d * eta_d * grid_price
-    d = np.minimum(np.maximum(stationary, d_min), d_max)
-
+    np.maximum(d_min, d_max, out=d_max)
+    d = np.multiply(eta_d, z)  # d = eta_d * z + eta_d * eta_d * price, clamped
+    np.multiply(eta_d, eta_d, out=work)
+    np.multiply(work, price, out=work)
+    np.add(d, work, out=d)
+    np.maximum(d, d_min, out=d)
+    np.minimum(d, d_max, out=d)
     g_serve = residual - d
-    drained = d / eta_d
-    objective = -z * drained + 0.5 * drained * drained + grid_price * g_serve
-    allocation = BatchAllocation(
-        renewable_serve_j=r_serve,
-        renewable_charge_j=np.zeros_like(d),
-        grid_serve_j=g_serve,
-        grid_charge_j=np.zeros_like(d),
-        discharge_j=d,
-        spill_j=renewable - r_serve,
-    )
-    return allocation, objective
+    drained = np.divide(d, eta_d, out=d_min)
+    # serve_obj = -z * drained + 0.5 * drained * drained + price * g_serve
+    serve_obj = np.multiply(neg_z, drained, out=d_max)
+    np.multiply(0.5, drained, out=work)
+    np.multiply(work, drained, out=work)
+    np.add(serve_obj, work, out=serve_obj)
+    np.multiply(price, g_serve, out=work)
+    np.add(serve_obj, work, out=serve_obj)
 
+    # Charge mode: serve demand without discharging, charge.
+    hi = np.add(renewable, batch.usable_grid_j)  # renewable + grid
+    blocked = demand > np.add(hi, _ENERGY_TOL, out=work)
+    np.subtract(hi, demand, out=hi)
+    np.minimum(batch.charge_cap_j, hi, out=hi)
+    np.maximum(hi, 0.0, out=hi)
+    stationary_free = np.divide(neg_z, eta_c, out=neg_z)
+    # The grid-funded stationary point -z / eta_c - price / eta_c^2 is
+    # the smaller of the two (price >= 0); c is the kink
+    # renewable - demand clamped between them, then to [0, hi].
+    np.multiply(eta_c, eta_c, out=work)
+    np.divide(price, work, out=work)
+    np.subtract(stationary_free, work, out=work)
+    c = np.subtract(renewable, demand)
+    np.maximum(c, work, out=c)
+    np.minimum(c, stationary_free, out=c)
+    np.maximum(c, 0.0, out=c)
+    np.minimum(c, hi, out=c)
+    # charge_obj = z * stored + 0.5 * stored * stored + price * grid_draw
+    stored = np.multiply(eta_c, c, out=hi)
+    charge_obj = np.multiply(z, stored, out=stationary_free)
+    np.multiply(0.5, stored, out=work)
+    np.multiply(work, stored, out=work)
+    np.add(charge_obj, work, out=charge_obj)
+    np.add(demand, c, out=work)
+    np.subtract(work, renewable, out=work)
+    np.maximum(0.0, work, out=work)  # grid_draw
+    np.multiply(price, work, out=work)
+    np.add(charge_obj, work, out=charge_obj)
+    r_charge = np.minimum(spare, c, out=stored)
 
-def _batched_charge_mode(
-    batch: NodeEnergyBatch, grid_price: NodeVec
-) -> Tuple[BatchAllocation, NodeVec, NodeVec]:
-    """Charge mode: serve demand without discharging, charge.
-
-    The objective ``z (eta_c c) + (eta_c c)^2/2 + price * grid`` is
-    convex piecewise quadratic in the charge input ``c`` with one kink
-    (where the grid starts funding the charge); its unconstrained
-    minimiser is the kink clamped between the two stationary points,
-    and the constrained minimiser clamps that to ``[0, hi]``.  Returns
-    ``(allocation, objective, feasible)``; rows with ``feasible`` False
-    cannot meet demand without discharging and carry unspecified
-    values.
-    """
-    demand, renewable = batch.demand_j, batch.renewable_j
-    grid = batch.usable_grid_j
-    feasible = ~(demand > renewable + grid + _ENERGY_TOL)
-    z = batch.z
-    eta_c = batch.charge_efficiency
-    hi = np.minimum(batch.charge_cap_j, renewable + grid - demand)
-    hi = np.maximum(hi, 0.0)
-
-    kink = renewable - demand  # beyond this, charging draws the grid
-    stationary_free = -z / eta_c
-    stationary_grid = -z / eta_c - grid_price / (eta_c * eta_c)
-    # Unconstrained minimiser of the two-piece convex objective, then
-    # clamped to the box (grid_price >= 0 makes the grid-funded
-    # stationary point the smaller of the two).
-    unconstrained = np.minimum(np.maximum(kink, stationary_grid), stationary_free)
-    c = np.minimum(np.maximum(unconstrained, 0.0), hi)
-
-    grid_draw = np.maximum(0.0, demand + c - renewable)
-    stored = eta_c * c
-    objective = z * stored + 0.5 * stored * stored + grid_price * grid_draw
-    r_serve = np.minimum(renewable, demand)
-    g_serve = demand - r_serve
-    r_charge = np.minimum(renewable - r_serve, c)
-    g_charge = c - r_charge
-    allocation = BatchAllocation(
+    # The per-row pick, written into the buffers that are returned.
+    # With r_charge zeroed on the serve rows, spare - r_charge is spare
+    # there (x - 0.0 == x, bit for bit) and spare - r_charge elsewhere.
+    serve_wins = blocked | (serve_obj <= charge_obj)
+    charge_wins = ~serve_wins
+    grid_charge = np.subtract(c, r_charge, out=c)
+    np.copyto(grid_charge, 0.0, where=serve_wins)
+    np.copyto(r_charge, 0.0, where=serve_wins)
+    spill = np.subtract(spare, r_charge, out=spare)
+    np.copyto(g_serve, residual, where=charge_wins)
+    np.copyto(d, 0.0, where=charge_wins)
+    return BatchAllocation(
         renewable_serve_j=r_serve,
         renewable_charge_j=r_charge,
         grid_serve_j=g_serve,
-        grid_charge_j=g_charge,
-        discharge_j=np.zeros_like(c),
-        spill_j=renewable - r_serve - r_charge,
+        grid_charge_j=grid_charge,
+        discharge_j=d,
+        spill_j=spill,
     )
-    return allocation, objective, feasible
-
-
-def _batched_node_response(
-    batch: NodeEnergyBatch, mu: float, control_v: float
-) -> Tuple[BatchAllocation, NodeVec]:
-    """Every row's optimal allocation facing marginal grid price ``mu``.
-
-    Solves each row's closed-form KKT system in one pass: both modes
-    are evaluated and the per-row winner picked by ``serve <= charge``.
-    Users never contribute to ``P(t)``, so their effective grid price
-    is zero.
-    """
-    grid_price = np.where(batch.is_base_station, control_v * mu, 0.0)
-    serve_alloc, serve_obj = _batched_serve_mode(batch, grid_price)
-    charge_alloc, charge_obj, charge_ok = _batched_charge_mode(batch, grid_price)
-    serve_wins = ~charge_ok | (serve_obj <= charge_obj)
-
-    def pick(serve_field: np.ndarray, charge_field: np.ndarray) -> np.ndarray:
-        return np.where(serve_wins, serve_field, charge_field)
-
-    allocation = BatchAllocation(
-        renewable_serve_j=pick(
-            serve_alloc.renewable_serve_j, charge_alloc.renewable_serve_j
-        ),
-        renewable_charge_j=pick(
-            serve_alloc.renewable_charge_j, charge_alloc.renewable_charge_j
-        ),
-        grid_serve_j=pick(serve_alloc.grid_serve_j, charge_alloc.grid_serve_j),
-        grid_charge_j=pick(
-            serve_alloc.grid_charge_j, charge_alloc.grid_charge_j
-        ),
-        discharge_j=pick(serve_alloc.discharge_j, charge_alloc.discharge_j),
-        spill_j=pick(serve_alloc.spill_j, charge_alloc.spill_j),
-    )
-    return allocation, np.where(serve_wins, serve_obj, charge_obj)
 
 
 class _StationPricer:
@@ -326,26 +332,40 @@ class _StationPricer:
 
     def __init__(self, stations: NodeEnergyBatch, control_v: float) -> None:
         demand, renewable = stations.demand_j, stations.renewable_j
-        grid = stations.usable_grid_j
         z = stations.z
         eta_d = stations.discharge_efficiency
         eta_c = stations.charge_efficiency
-        r_serve = np.minimum(renewable, demand)
-        residual = demand - r_serve
-        d_min = np.maximum(0.0, residual - grid)
-        d_max = np.maximum(d_min, np.minimum(stations.discharge_cap_j, residual))
-        hi = np.minimum(stations.charge_cap_j, renewable + grid - demand)
-        hi = np.maximum(hi, 0.0)
         self._v = control_v
-        self._charge_blocked = demand > renewable + grid + _ENERGY_TOL
-        # One (16, B) stack, so a row subset is gathered in one indexing.
-        # -z / eta_c is the charge mode's grid-free stationary point,
-        # renewable - demand its kink, residual also its demand - r_serve.
-        self._cols = np.stack([
-            eta_d * z, eta_d * eta_d, d_min, d_max, residual, eta_d, -z, -z / eta_c,
-            eta_c * eta_c, renewable - demand, hi, demand, renewable, z, eta_c,
-            renewable - r_serve,
-        ])
+        # One (16, B) stack, so a row subset is gathered in one indexing;
+        # each row is computed in place.  -z / eta_c is the charge mode's
+        # grid-free stationary point, renewable - demand its kink, and
+        # residual also its demand - r_serve.
+        self._cols = cols = np.empty((16, demand.shape[0]))
+        (eta_d_z, eta_d2, d_min, d_max, residual, eta_d_row, neg_z, stationary_free,
+         eta_c2, kink, hi, demand_row, renewable_row, z_row, eta_c_row, spare) = cols
+        r_serve = np.minimum(renewable, demand, out=spare)
+        np.subtract(demand, r_serve, out=residual)
+        np.subtract(renewable, r_serve, out=spare)  # renewable - r_serve
+        np.subtract(residual, stations.usable_grid_j, out=d_min)
+        np.maximum(0.0, d_min, out=d_min)
+        np.minimum(stations.discharge_cap_j, residual, out=d_max)
+        np.maximum(d_min, d_max, out=d_max)
+        np.add(renewable, stations.usable_grid_j, out=hi)  # renewable + grid
+        self._charge_blocked = demand > hi + _ENERGY_TOL
+        np.subtract(hi, demand, out=hi)
+        np.minimum(stations.charge_cap_j, hi, out=hi)
+        np.maximum(hi, 0.0, out=hi)
+        np.multiply(eta_d, z, out=eta_d_z)
+        np.multiply(eta_d, eta_d, out=eta_d2)
+        eta_d_row[:] = eta_d
+        np.negative(z, out=neg_z)
+        np.divide(neg_z, eta_c, out=stationary_free)
+        np.multiply(eta_c, eta_c, out=eta_c2)
+        np.subtract(renewable, demand, out=kink)
+        demand_row[:] = demand
+        renewable_row[:] = renewable
+        z_row[:] = z
+        eta_c_row[:] = eta_c
         # Every product in either objective is at most (slope + price) *
         # length, so each is within ~30 ulp of that of its exact optimum.
         slope = np.abs(z) + d_max / eta_d + eta_c * hi
@@ -365,13 +385,13 @@ class _StationPricer:
         (eta_d_z, eta_d2, d_min, d_max, residual, eta_d, neg_z, stationary_free,
          eta_c2, kink, hi, demand, renewable, z, eta_c, spare) = cols
 
-        # Serve mode (same chain as _batched_serve_mode).
+        # Serve mode (the serve chain of _batched_node_response).
         d = np.minimum(np.maximum(eta_d_z + eta_d2 * price, d_min), d_max)
         g_serve = residual - d
         drained = d / eta_d
         serve_obj = neg_z * drained + 0.5 * drained * drained + price * g_serve
 
-        # Charge mode (same chain as _batched_charge_mode).
+        # Charge mode (the charge chain of _batched_node_response).
         stationary_grid = stationary_free - price / eta_c2
         unconstrained = np.minimum(np.maximum(kink, stationary_grid), stationary_free)
         c = np.minimum(np.maximum(unconstrained, 0.0), hi)
@@ -473,7 +493,7 @@ def _quadratic_grid_draw_j(
     both residuals return the same bits.  ``grid`` is the usable
     (connectivity-gated) grid cap.
     """
-    # Serve mode (chain of _batched_serve_mode).
+    # Serve mode (the serve chain of _batched_node_response).
     r_serve = min(renewable, demand)
     residual = demand - r_serve
     d_min = max(0.0, residual - grid)
@@ -484,7 +504,7 @@ def _quadratic_grid_draw_j(
     drained = d / eta_d
     serve_obj = -z * drained + 0.5 * drained * drained + grid_price * g_serve
 
-    # Charge mode (chain of _batched_charge_mode).
+    # Charge mode (the charge chain of _batched_node_response).
     charge_ok = not demand > renewable + grid + _ENERGY_TOL
     hi = max(min(charge_cap, renewable + grid - demand), 0.0)
     kink = renewable - demand
@@ -604,7 +624,8 @@ class EnergyManager:
         """
         if cost is None:
             cost = self._model.cost
-        over = batch.demand_j > batch.max_supply_j + _ENERGY_TOL
+        supply = batch.max_supply_j
+        over = batch.demand_j > np.add(supply, _ENERGY_TOL, out=supply)
         if np.any(over):
             i = int(np.argmax(over))
             raise InfeasibleError(
@@ -616,7 +637,8 @@ class EnergyManager:
             allocation = _grid_only(batch)
         else:
             allocation = self._solve_price_decomposition(batch, cost)
-        bs_draw = seq_sum(allocation.grid_draw_j[batch.is_base_station])
+        bs = batch.is_base_station
+        bs_draw = seq_sum(allocation.grid_serve_j[bs] + allocation.grid_charge_j[bs])
         decision = EnergyManagementDecision(
             allocation=allocation,
             bs_grid_draw_j=bs_draw,
@@ -634,19 +656,21 @@ class EnergyManager:
         Users never contribute to ``P(t)`` (the provider only pays for
         base-station draws), so their grid price is zero at every
         ``mu`` and the final high-side pass prices them too.  Only the
-        base stations enter the fixed point ``mu = f'(P(mu))``.
+        base stations enter the fixed point ``mu = f'(P(mu))``, and the
+        low-side probe needs only their grid draws, which the slot's
+        :class:`_StationPricer` returns bit for bit.
         """
         bs_rows = np.flatnonzero(batch.is_base_station)
         if not bs_rows.size:
-            return _batched_node_response(batch, 0.0, self._v)[0]
+            return _batched_node_response(batch, 0.0, self._v)
         stations = batch.take(bs_rows)
-        mu_star = self._price_fixed_point(stations, cost)
+        pricer = _StationPricer(stations, self._v)
+        mu_star = self._price_fixed_point(stations, pricer, cost)
 
         eps = max(abs(mu_star), cost.derivative(0.0), 1e-9) * _PRICE_PROBE_REL
-        allocation, _ = _batched_node_response(batch, mu_star + eps, self._v)
-        low_alloc, _ = _batched_node_response(stations, mu_star - eps, self._v)
-        high_draw = allocation.grid_draw_j[bs_rows]
-        low_draw = low_alloc.grid_draw_j
+        allocation = _batched_node_response(batch, mu_star + eps, self._v)
+        high_draw = allocation.grid_serve_j[bs_rows] + allocation.grid_charge_j[bs_rows]
+        low_draw, _ = pricer.draw(mu_star - eps)
         p_plus = seq_sum(high_draw)
         p_minus = seq_sum(low_draw)
 
@@ -673,15 +697,16 @@ class EnergyManager:
         return allocation
 
     def _price_fixed_point(
-        self, stations: NodeEnergyBatch, cost: QuadraticCost
+        self, stations: NodeEnergyBatch, pricer: _StationPricer, cost: QuadraticCost
     ) -> float:
         """Bisect the station price ``mu`` with ``mu = f'(P(mu))``.
 
         Fleets of at most ``_SCALAR_PRICING_MAX`` stations sum the
-        residual as Python floats.  Larger ones run :class:`_InPlayResidual`,
-        which prices only the stations still in play at each midpoint.
-        Both sum the whole fleet's draws in row order, so ``mu`` is the
-        same either way, and the same as pricing every station every time.
+        residual as Python floats.  Larger ones run :class:`_InPlayResidual`
+        over ``pricer`` (the slot's pricer of ``stations``), which prices
+        only the stations still in play at each midpoint.  Both sum the
+        whole fleet's draws in row order, so ``mu`` is the same either
+        way, and the same as pricing every station every time.
         """
         cap = seq_sum(stations.usable_grid_j)
         mu_lo = cost.derivative(0.0)
@@ -708,5 +733,4 @@ class EnergyManager:
 
             return bisect_root(residual, mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)
 
-        fleet = _InPlayResidual(_StationPricer(stations, v), cost)
-        return bisect_root(fleet, mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)
+        return bisect_root(_InPlayResidual(pricer, cost), mu_lo, mu_hi, tol=_PRICE_BISECT_TOL)

@@ -64,6 +64,22 @@ from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
 
 
+def _reduce_columns(ufunc: np.ufunc, matrix: AnyArray) -> AnyArray:
+    """``ufunc.reduce(matrix, axis=1)`` as one elementwise pass per column.
+
+    numpy (2.4) reduces a narrow inner axis (``S`` sessions, ``M``
+    bands) far slower than it runs a pass over a strided column; the
+    routed reductions (max, min, or, integer add) are exact, so the
+    column order does not change a bit.
+    """
+    if matrix.shape[1] == 1:
+        return matrix[:, 0].copy()
+    acc = ufunc(matrix[:, 0], matrix[:, 1])
+    for col in range(2, matrix.shape[1]):
+        ufunc(acc, matrix[:, col], out=acc)
+    return acc
+
+
 class RouterMode(enum.Enum):
     """Which capacity bound Eq. (25) applies per link (module docs)."""
 
@@ -228,12 +244,11 @@ class BackpressureRouter:
                 count=self._model.spectrum.num_bands,
             )
             member: LinkBandMat = observation.link_band_member(self._model, cand)
-            best_bps: LinkVec = np.max(
-                np.where(member, caps_bps[None, :], -np.inf),
-                axis=1,
-                initial=-np.inf,
-            )
-            best_bps[~member.any(axis=1)] = 0.0
+            # The best member band's rate, 0.0 with none: capacities are
+            # >= 0, so starting the running max at 0.0 changes nothing.
+            best_bps: LinkVec = np.zeros(cand.size)
+            for band in range(member.shape[1]):
+                np.maximum(best_bps, caps_bps[band], out=best_bps, where=member[:, band])
             capacity: LinkVec = (
                 best_bps * params.slot_seconds / params.sessions.packet_size_bits
             )
@@ -257,12 +272,13 @@ class BackpressureRouter:
             & (admission.source_rows[None, :] != rx[:, None])
             & active[:, None]
         )
-        rows: LinkIds = np.flatnonzero(mask.any(axis=1))
-        best_value: LinkVec = np.min(np.where(mask, coeff, np.inf), axis=1)
+        rows: LinkIds = np.flatnonzero(_reduce_columns(np.logical_or, mask))
+        best_value: LinkVec = _reduce_columns(np.minimum, np.where(mask, coeff, np.inf))
         ties: LinkSessionMat = mask & (coeff == best_value[:, None])
         routed_ties = ties[rows]
         cols = routed_ties.argmax(axis=1)
-        for k in np.flatnonzero(routed_ties.sum(axis=1) > 1):
+        tied = _reduce_columns(np.add, routed_ties.astype(np.intp))
+        for k in np.flatnonzero(tied > 1):
             cols[k] = self._rng.choice(np.flatnonzero(routed_ties[k]))
         return cand[rows], cols, capacity[rows]
 
@@ -284,9 +300,14 @@ class BackpressureRouter:
         ``out_start[i]:out_start[i + 1]`` of those nodes (ascending,
         because the link index is transmitter-major), and ``beta H``
         is evaluated at those positions only.
+
+        Each node's largest backlog is a running ``np.maximum`` over
+        the ``S`` column views of ``Q`` (:func:`_reduce_columns`): the
+        same value as ``q.max(axis=1)``, since a max is exact in any
+        order.
         """
         out_start = self._model.topology.out_start
-        qmax = q.max(axis=1)
+        qmax = _reduce_columns(np.maximum, q)
         senders = np.flatnonzero(qmax > 0.0)
         first = out_start[senders]
         counts = out_start[senders + 1] - first

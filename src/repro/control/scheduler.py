@@ -44,7 +44,7 @@ from repro.axes import (
     NodeVec,
 )
 from repro.contracts import ContractChecker
-from repro.control.decisions import ScheduleDecision, SlotObservation
+from repro.control.decisions import ScheduleDecision, SlotObservation, appearance_groups
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.interference import big_m_coefficient
@@ -134,21 +134,6 @@ class _RadioBudget:
                 blocked |= (cand.tx == node) | (cand.rx == node)
         blocked[column] = False
         return blocked
-
-
-def _appearance_groups(values: AnyArray) -> Tuple[AnyArray, AnyArray, AnyArray]:
-    """Group ``values`` in order of first appearance.
-
-    Returns each element's group index, the group values and the group
-    sizes, groups numbered by where their value first occurs.
-    """
-    uniq, first, inverse, counts = np.unique(
-        values, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    group = np.empty_like(order)
-    group[order] = np.arange(order.size)
-    return group[inverse], uniq[order], counts[order]
 
 
 def _repr_rank(cand: _Candidates) -> AnyArray:
@@ -300,8 +285,8 @@ class LinkScheduler:
         num_bands = self._static.band_member.shape[1]
         ends = np.stack((cand.tx, cand.rx), axis=1).ravel()
         cols = np.repeat(np.arange(cand.tx.shape[0]), 2)
-        node_row, nodes, _ = _appearance_groups(ends)
-        pair_group, pairs, counts = _appearance_groups(
+        node_row, nodes, _ = appearance_groups(ends)
+        pair_group, pairs, counts = appearance_groups(
             ends * num_bands + np.repeat(cand.band, 2)
         )
         exclusive = (radios[pairs // num_bands] > 1) & (counts > 1)
@@ -342,7 +327,7 @@ class LinkScheduler:
             count=num,
         )
         # Rows grouped by band (first appearance), candidate order within.
-        band_group, _, _ = _appearance_groups(band)
+        band_group, _, _ = appearance_groups(band)
         slot_of = np.empty(num, dtype=np.intp)
         slot_of[np.argsort(band_group, kind="stable")] = np.arange(num)
         pow_row = first_row + 2 * slot_of
@@ -458,8 +443,10 @@ class LinkScheduler:
         order = np.lexsort((index, -cand.weight, edge))
         heads = np.ones(order.shape[0], dtype=bool)
         heads[1:] = edge[order][1:] != edge[order][:-1]
-        best = order[heads]  # one candidate per edge, by edge id
-        _, first = np.unique(edge, return_index=True)
+        starts = np.flatnonzero(heads)
+        best = order[starts]  # one candidate per edge, by edge id
+        # Each edge's first candidate: the smallest index in its run.
+        first = np.minimum.reduceat(order, starts) if starts.size else starts
         best = best[np.argsort(first)]
 
         graph = nx.Graph()

@@ -32,7 +32,9 @@ the routed and served positions and merges the support in place; every
 other write to ``G`` goes through :meth:`ArrayState.assign_g`, which
 rebuilds it.  Readers (S1's backlog floor, ``H`` and the backlog
 snapshot) scan the support instead of the link index.  The support is
-derived state: nothing serializes it.  Numerical policy:
+derived state: nothing serializes it.  The Eq. 15 kernel likewise
+visits only the ``Q`` cells that routed entries and admissions touch.
+Numerical policy:
 kernels apply elementwise IEEE-754 operations in a fixed order,
 repeated indices accumulate with the unbuffered ``np.add.at`` (index
 order), and aggregates use :func:`seq_sum` (a strict left-to-right
@@ -54,7 +56,6 @@ from repro.axes import (
     LinkPackets,
     NodeIds,
     NodeJoules,
-    NodeSessionMat,
     NodeVec,
     QueueMask,
     QueuePackets,
@@ -80,6 +81,15 @@ def seq_sum(values: AnyArray) -> float:
     if flat.size == 0:
         return 0.0
     return float(np.add.accumulate(flat)[-1])
+
+
+def _distinct(values: AnyArray) -> AnyArray:
+    """The ascending distinct values of ``values`` (a sort in place plus a neighbour compare)."""
+    values.sort()
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 class ArrayState:
@@ -211,15 +221,33 @@ class ArrayState:
         ``min(1, Q / outgoing)`` on the pre-update backlog.  Cells sum
         routed service, then routed arrivals, then admissions, each in
         entry order.  Returns the effective ``(K,)`` transfer (packets).
+
+        Only the cells the entries touch are visited: their flat ids
+        ``row * S + col``, ascending (row-major order), index compact
+        per-cell sums.  Each touched cell gets the float operations
+        ``max(q - s, 0) + a`` of the dense update, and a destination
+        cell among them is re-pinned to 0.0.  Every other cell is a
+        fixed point of the dense update, because ``Q >= 0`` and ``Q``
+        never holds ``-0.0`` (``max(q - 0.0, 0.0) + 0.0 == q``, bit for
+        bit): a touched cell ends as ``x + a`` with ``a`` a sum from
+        ``+0.0``, which is never ``-0.0``.  A negative admission, service
+        or arrival sum raises before anything moves, naming the first
+        offending cell in row-major order.
         """
         q = self.q
+        width = q.shape[1]
         tx = self.link_tx[link_pos]
+        out_cell = tx * width + session_col
+        in_cell = self.link_rx[link_pos] * width + session_col
+        new_cell = arrival_rows * width + arrival_cols
+        cells = _distinct(np.concatenate((out_cell, in_cell, new_cell)))
+        at_out = np.searchsorted(cells, out_cell)
         if self.queue_semantics is QueueSemantics.PAPER:
             transfer = pkts
         else:
-            outgoing = np.zeros(q.shape)
-            np.add.at(outgoing, (tx, session_col), pkts)
-            total = outgoing[tx, session_col]
+            outgoing = np.zeros(cells.size)
+            np.add.at(outgoing, at_out, pkts)
+            total = outgoing[at_out]
             positive = total > 0
             scale = np.minimum(1.0, q[tx, session_col] / np.where(positive, total, 1.0))
             transfer = np.where(positive, pkts * scale, 0.0)
@@ -229,24 +257,28 @@ class ArrayState:
                 f"negative admission {arrival_pkts[k]} for session "
                 f"{self.sessions[arrival_cols[k]]} at node {arrival_rows[k]}"
             )
-        service: NodeSessionMat = np.zeros(q.shape)
-        arrivals: NodeSessionMat = np.zeros(q.shape)
-        np.add.at(service, (tx, session_col), transfer)
-        np.add.at(arrivals, (self.link_rx[link_pos], session_col), transfer)
-        np.add.at(arrivals, (arrival_rows, arrival_cols), arrival_pkts)
-        # Only a negative transfer can make a per-cell sum negative, so
-        # the (N, S) scan for the first offending cell runs only then.
-        negative = (service < 0.0) | (arrivals < 0.0) if np.any(transfer < 0) else None
-        if negative is not None and np.any(negative & self.q_valid):
-            row, col = (int(i) for i in np.argwhere(negative & self.q_valid)[0])
-            where = f"Q[{row}][{self.sessions[col]}]"
-            if service[row, col] < 0:
-                raise QueueError(f"negative service {service[row, col]} at {where}")
-            raise QueueError(f"negative arrivals {arrivals[row, col]} at {where}")
-        np.subtract(q, service, out=q)
-        np.maximum(q, 0.0, out=q)
-        np.add(q, arrivals, out=q)
-        q[self.q_invalid] = 0.0  # destinations keep no queue (pinned at 0.0)
+        service = np.zeros(cells.size)
+        arrivals = np.zeros(cells.size)
+        np.add.at(service, at_out, transfer)
+        np.add.at(arrivals, np.searchsorted(cells, in_cell), transfer)
+        np.add.at(arrivals, np.searchsorted(cells, new_cell), arrival_pkts)
+        rows, cols = np.divmod(cells, width)
+        valid = self.q_valid[rows, cols]
+        # Only a negative transfer can make a per-cell sum negative.
+        if np.any(transfer < 0):
+            negative = ((service < 0.0) | (arrivals < 0.0)) & valid
+            if np.any(negative):
+                k = int(np.argmax(negative))
+                where = f"Q[{int(rows[k])}][{self.sessions[cols[k]]}]"
+                if service[k] < 0:
+                    raise QueueError(f"negative service {service[k]} at {where}")
+                raise QueueError(f"negative arrivals {arrivals[k]} at {where}")
+        cell = q[rows, cols]
+        np.subtract(cell, service, out=cell)
+        np.maximum(cell, 0.0, out=cell)
+        np.add(cell, arrivals, out=cell)
+        cell[~valid] = 0.0  # destinations keep no queue (pinned at 0.0)
+        q[rows, cols] = cell
         return transfer
 
     def advance_g(
@@ -275,12 +307,7 @@ class ArrayState:
         arrival or service raises before anything moves, naming the
         lowest offending position.
         """
-        touched = np.concatenate((link_pos, service_pos))
-        touched.sort()
-        first = np.empty(touched.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(touched[1:], touched[:-1], out=first[1:])
-        touched = touched[first]
+        touched = _distinct(np.concatenate((link_pos, service_pos)))
         arrivals = np.zeros(touched.size)
         np.add.at(arrivals, np.searchsorted(touched, link_pos), pkts)
         service = np.zeros(touched.size)
@@ -357,9 +384,6 @@ class ArrayState:
         the clamp absorbing round-off only (Eq. 10).
         """
         level = self.battery_level
-        capacity = self.capacity_j
-        charge_cap = self.charge_cap_j
-        discharge_cap = self.discharge_cap_j
         eta_c = self.charge_efficiency
         eps = FEASIBILITY_EPS
         if np.any(charge_j < -eps):
@@ -375,26 +399,32 @@ class ArrayState:
                 "constraint (9) violated: simultaneous charge "
                 f"({charge_j[node]} J) and discharge ({discharge_j[node]} J)"
             )
-        headroom = (capacity - level) / eta_c
-        max_charge = np.minimum(charge_cap, headroom)
-        over_charge = charge_j > max_charge + eps
+        # One (N,) buffer carries each bound, then the update: a fresh
+        # temporary per operation costs more in page faults than in flops.
+        work = np.subtract(self.capacity_j, level)
+        np.divide(work, eta_c, out=work)
+        np.minimum(self.charge_cap_j, work, out=work)
+        over_charge = charge_j > np.add(work, eps, out=work)
         if np.any(over_charge):
             node = int(np.argmax(over_charge))
             raise EnergyError(
                 f"constraint (11) violated: charge {charge_j[node]} J > "
-                f"min(c_max, headroom) = {max_charge[node]} J"
+                f"min(c_max, headroom) = {self.max_charge_j_array()[node]} J"
             )
-        max_discharge = np.minimum(discharge_cap, level)
-        over_discharge = discharge_j > max_discharge + eps
+        np.minimum(self.discharge_cap_j, level, out=work)
+        over_discharge = discharge_j > np.add(work, eps, out=work)
         if np.any(over_discharge):
             node = int(np.argmax(over_discharge))
+            max_discharge = np.minimum(self.discharge_cap_j[node], level[node])
             raise EnergyError(
                 f"constraint (12) violated: discharge {discharge_j[node]} J > "
-                f"min(d_max, level) = {max_discharge[node]} J"
+                f"min(d_max, level) = {max_discharge} J"
             )
-        self.battery_level += eta_c * charge_j - discharge_j
-        np.maximum(self.battery_level, 0.0, out=self.battery_level)
-        np.minimum(self.battery_level, capacity, out=self.battery_level)
+        np.multiply(eta_c, charge_j, out=work)
+        np.subtract(work, discharge_j, out=work)
+        np.add(level, work, out=level)
+        np.maximum(level, 0.0, out=level)
+        np.minimum(level, self.capacity_j, out=level)
 
     def z_values_array(self) -> NodeJoules:
         """``(N,)`` shifted queue values ``z = x - shift`` (Eq. 31)."""

@@ -84,7 +84,12 @@ def _per_link_max_packets(
         count=spectrum.num_bands,
     )
     member = model.link_band_member
-    cap = np.where(member, band_pkts[np.newaxis, :], 0.0).max(axis=1, initial=0.0)
+    # The largest member band's packets (0.0 with none), one column at a
+    # time: a max is exact in any order, and numpy reduces a 5-wide
+    # inner axis slowly.
+    cap = np.zeros(member.shape[0])
+    for band in range(member.shape[1]):
+        np.maximum(cap, band_pkts[band], out=cap, where=member[:, band])
     link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
     budget = np.minimum(radios[link_tx], radios[link_rx])
     bound = np.zeros(len(link_tx))

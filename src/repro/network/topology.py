@@ -221,11 +221,18 @@ def build_topology(params: ScenarioParameters, positions: np.ndarray) -> Topolog
     for row, col, members in grid.nonempty_cells():
         candidates = grid.block_members(row, col, reach=1)
         # Same elementwise float64 chain as an all-pairs block:
-        # subtract, square, sum the two axes, sqrt, then the clamped
+        # subtract, square, add the two axes, sqrt, then the clamped
         # path-loss law — every value is bitwise equal to the
-        # corresponding gain-matrix entry.
-        diffs = positions[members][:, None, :] - positions[candidates][None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=2))
+        # corresponding gain-matrix entry.  ``dx*dx + dy*dy`` is formed
+        # in place: a 2-term ``(diffs**2).sum(axis=2)`` is exactly that
+        # sum, without numpy's slow reduction over a 2-wide inner axis.
+        tx_xy, rx_xy = positions[members], positions[candidates]
+        dist = tx_xy[:, 0, None] - rx_xy[None, :, 0]
+        dist *= dist
+        gap_y = tx_xy[:, 1, None] - rx_xy[None, :, 1]
+        gap_y *= gap_y
+        dist += gap_y
+        np.sqrt(dist, out=dist)
         gains_block = gain_matrix(
             dist, params.propagation_constant, params.path_loss_exponent
         )

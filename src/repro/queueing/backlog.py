@@ -60,22 +60,25 @@ def make_snapshot_from_arrays(
     equals the left-to-right sum over the valid ``(node, session)``
     cells in node-major order, bit for bit.
 
-    The virtual total sums ``G`` over its support only, which equals
-    ``seq_sum(arrays.g)`` bit for bit.  Until the first nonzero term
-    the running sum is a zero, and ``0 + x == x`` exactly.  After it,
-    adding a zero of either sign never changes the running sum:
+    The data totals sum only the nonzero cells of ``Q``, and the
+    virtual total sums ``G`` over its support only; each equals the
+    :func:`seq_sum` of every cell bit for bit.  Until the first nonzero
+    term the running sum is a zero, and ``0 + x == x`` exactly.  After
+    it, adding a zero of either sign never changes the running sum:
     ``s + 0.0 == s`` for ``s != 0``, and a sum that cancels to zero is
     ``+0.0``, which a zero of either sign leaves at ``+0.0``.  With no
     nonzero term at all, the dense sum is ``+0.0`` unless every cell is
-    ``-0.0``, and ``G`` never holds ``-0.0`` (see
+    ``-0.0``, and neither ``Q`` nor ``G`` ever holds ``-0.0`` (see
+    :meth:`~repro.core.arraystate.ArrayState.advance_q` and
     :meth:`~repro.core.arraystate.ArrayState.assign_g`), so both sides
     read ``+0.0``.
     """
     q, level = arrays.q, arrays.battery_level
+    bs_q, user_q = q[:num_bs], q[num_bs:]
     return BacklogSnapshot(
         slot=slot,
-        bs_data_packets=seq_sum(q[:num_bs]),
-        user_data_packets=seq_sum(q[num_bs:]),
+        bs_data_packets=seq_sum(bs_q[bs_q.astype(bool)]),
+        user_data_packets=seq_sum(user_q[user_q.astype(bool)]),
         bs_energy_j=seq_sum(level[:num_bs]),
         user_energy_j=seq_sum(level[num_bs:]),
         virtual_packets=seq_sum(arrays.g[arrays.g_support]),

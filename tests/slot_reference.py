@@ -2,10 +2,12 @@
 
 The slot loop once made every link-sized pass in full: the Eq. 28
 update built an ``(L,)`` arrival vector and an ``(L,)`` service vector
-and rewrote all of ``G``; S1's backlog floor and S3's backpressure scan
-compared all ``L`` links; the backlog snapshot summed all of ``G``; and
-curtailment re-summed all ``N`` node demands after every shed.  The
-library now touches only what moved: the support of ``G``, the
+and rewrote all of ``G``; the Eq. 15 update scattered into two ``(N, S)``
+matrices and rewrote all of ``Q``; S1's backlog floor and S3's
+backpressure scan compared all ``L`` links; the backlog snapshot summed
+all of ``G``; and curtailment re-summed all ``N`` node demands after
+every shed.  The library now touches only what moved: the support of
+``G``, the ``Q`` cells of the routed entries and admissions, the
 out-links of the nodes that hold data, and the two endpoints of a shed
 entry.  This module keeps the dense versions as independent oracles;
 ``tests/test_sparse_support.py`` checks the library against them, bit
@@ -22,6 +24,7 @@ from repro.control.decisions import ScheduleDecision
 from repro.core.arraystate import seq_sum
 from repro.energy.consumption import all_node_demands_array
 from repro.exceptions import QueueError
+from repro.types import QueueSemantics
 
 #: The S1 backlog floor (``repro.control.scheduler._H_EPS``).
 H_EPS = 1e-12
@@ -49,6 +52,50 @@ def advance_g(g, link_tx, link_rx, link_pos, pkts, service_pos, service_pkts):
             raise QueueError(f"negative arrivals {arrivals[pos]} at G{link}")
         raise QueueError(f"negative service {service[pos]} at G{link}")
     return np.maximum(g - service, 0.0) + arrivals
+
+
+def advance_q(arrays, link_pos, session_col, pkts, arrival_rows, arrival_cols, arrival_pkts):
+    """Eq. 15 over every ``(N, S)`` cell; returns ``(new Q, transfer)``.
+
+    Reads ``arrays`` (its ``Q``, masks, link index, sessions and queue
+    semantics) and writes nothing.  Service and arrivals are scattered
+    into two ``(N, S)`` matrices in entry order, and
+    ``max(Q - service, 0) + arrivals`` is applied to every cell before
+    the destination cells are pinned to 0.0.  Raises the library's
+    ``QueueError`` at the first offending cell in row-major order.
+    """
+    q = arrays.q.copy()
+    tx = arrays.link_tx[link_pos]
+    if arrays.queue_semantics is QueueSemantics.PAPER:
+        transfer = pkts
+    else:
+        outgoing = np.zeros(q.shape)
+        np.add.at(outgoing, (tx, session_col), pkts)
+        total = outgoing[tx, session_col]
+        positive = total > 0
+        scale = np.minimum(1.0, q[tx, session_col] / np.where(positive, total, 1.0))
+        transfer = np.where(positive, pkts * scale, 0.0)
+    if np.any(arrival_pkts < 0):
+        k = int(np.argmax(arrival_pkts < 0))
+        raise QueueError(
+            f"negative admission {arrival_pkts[k]} for session "
+            f"{arrays.sessions[arrival_cols[k]]} at node {arrival_rows[k]}"
+        )
+    service = np.zeros(q.shape)
+    arrivals = np.zeros(q.shape)
+    np.add.at(service, (tx, session_col), transfer)
+    np.add.at(arrivals, (arrays.link_rx[link_pos], session_col), transfer)
+    np.add.at(arrivals, (arrival_rows, arrival_cols), arrival_pkts)
+    negative = ((service < 0.0) | (arrivals < 0.0)) & arrays.q_valid
+    if np.any(negative):
+        row, col = (int(i) for i in np.argwhere(negative)[0])
+        where = f"Q[{row}][{arrays.sessions[col]}]"
+        if service[row, col] < 0:
+            raise QueueError(f"negative service {service[row, col]} at {where}")
+        raise QueueError(f"negative arrivals {arrivals[row, col]} at {where}")
+    q = np.maximum(q - service, 0.0) + arrivals
+    q[arrays.q_invalid] = 0.0
+    return q, transfer
 
 
 def virtual_total(g):

@@ -16,9 +16,7 @@ from repro.control.energy_manager import (
     NodeEnergyBatch,
     NodeEnergyInputs,
     _allocation_given_grid,
-    _batched_charge_mode,
     _batched_node_response,
-    _batched_serve_mode,
     _InPlayResidual,
     _quadratic_grid_draw_j,
     _StationPricer,
@@ -27,7 +25,14 @@ from repro.core.arraystate import seq_sum
 from repro.energy.cost import QuadraticCost
 from repro.exceptions import InfeasibleError
 from repro.types import EnergySolverKind
-from tests.pricing_reference import full_fleet_price, full_grid_draw_j, reference_manage
+from tests.pricing_reference import (
+    batched_charge_mode,
+    batched_node_response,
+    batched_serve_mode,
+    full_fleet_price,
+    full_grid_draw_j,
+    reference_manage,
+)
 from tests.slsqp_reference import assert_matches_slsqp, solve_slsqp
 
 
@@ -93,7 +98,7 @@ def _check_allocation(batch, alloc):
 class TestServeMode:
     def test_renewable_first_when_z_negative(self):
         batch = _batch(_inputs(demand=40.0, renewable=100.0, z=-10.0))
-        alloc, objective = _batched_serve_mode(batch, _price(5.0))
+        alloc, objective = batched_serve_mode(batch, _price(5.0))
         assert alloc.renewable_serve_j[0] == pytest.approx(40.0)
         assert objective[0] == 0.0
         _check_allocation(batch, alloc)
@@ -104,14 +109,14 @@ class TestServeMode:
         batch = _batch(
             _inputs(demand=100.0, renewable=0.0, z=-2.0, discharge_cap=60.0)
         )
-        alloc, _ = _batched_serve_mode(batch, _price(5.0))
+        alloc, _ = batched_serve_mode(batch, _price(5.0))
         assert alloc.discharge_j[0] == pytest.approx(3.0)
         assert alloc.grid_serve_j[0] == pytest.approx(97.0)
         _check_allocation(batch, alloc)
 
     def test_grid_before_discharge_when_cheaper(self):
         batch = _batch(_inputs(demand=100.0, renewable=0.0, z=-50.0))
-        alloc, _ = _batched_serve_mode(batch, _price(5.0))
+        alloc, _ = batched_serve_mode(batch, _price(5.0))
         assert alloc.grid_serve_j[0] == pytest.approx(100.0)
         assert alloc.discharge_j[0] == 0.0
 
@@ -119,7 +124,7 @@ class TestServeMode:
         batch = _batch(
             _inputs(demand=100.0, renewable=0.0, z=10.0, discharge_cap=80.0)
         )
-        alloc, objective = _batched_serve_mode(batch, _price(0.1))
+        alloc, objective = batched_serve_mode(batch, _price(0.1))
         assert alloc.discharge_j[0] == pytest.approx(10.1)
         assert objective[0] < 0  # discharging pays when z > 0
 
@@ -128,11 +133,11 @@ class TestServeMode:
             _inputs(demand=1e9, renewable=1.0, grid_cap=1.0, discharge_cap=1.0)
         )
         with pytest.raises(InfeasibleError):
-            _batched_serve_mode(batch, _price(1.0))
+            batched_serve_mode(batch, _price(1.0))
 
     def test_spill_accounted(self):
         batch = _batch(_inputs(demand=10.0, renewable=100.0))
-        alloc, _ = _batched_serve_mode(batch, _price(1.0))
+        alloc, _ = batched_serve_mode(batch, _price(1.0))
         assert alloc.spill_j[0] == pytest.approx(90.0)
 
 
@@ -142,7 +147,7 @@ class TestChargeMode:
         batch = _batch(
             _inputs(demand=10.0, renewable=100.0, z=-50.0, charge_cap=70.0)
         )
-        alloc, _, feasible = _batched_charge_mode(batch, _price(1.0))
+        alloc, _, feasible = batched_charge_mode(batch, _price(1.0))
         assert feasible[0]
         assert alloc.renewable_charge_j[0] == pytest.approx(50.0)
         _check_allocation(batch, alloc)
@@ -152,7 +157,7 @@ class TestChargeMode:
         batch = _batch(
             _inputs(demand=0.0, renewable=0.0, z=-100.0, charge_cap=50.0)
         )
-        alloc, objective, feasible = _batched_charge_mode(batch, _price(10.0))
+        alloc, objective, feasible = batched_charge_mode(batch, _price(10.0))
         assert feasible[0]
         assert alloc.grid_charge_j[0] == pytest.approx(50.0)
         assert objective[0] == pytest.approx(
@@ -161,7 +166,7 @@ class TestChargeMode:
 
     def test_no_grid_charge_when_unprofitable(self):
         batch = _batch(_inputs(demand=0.0, renewable=0.0, z=-5.0, charge_cap=50.0))
-        alloc, _, feasible = _batched_charge_mode(batch, _price(10.0))
+        alloc, _, feasible = batched_charge_mode(batch, _price(10.0))
         assert feasible[0]
         assert alloc.grid_charge_j[0] == 0.0
 
@@ -171,7 +176,7 @@ class TestChargeMode:
         batch = _batch(
             _inputs(demand=50.0, renewable=50.0, z=-100.0, charge_cap=200.0)
         )
-        alloc, _, feasible = _batched_charge_mode(batch, _price(10.0))
+        alloc, _, feasible = batched_charge_mode(batch, _price(10.0))
         assert feasible[0]
         assert alloc.charge_j[0] == pytest.approx(90.0)
         assert alloc.grid_draw_j[0] == pytest.approx(90.0)
@@ -179,12 +184,12 @@ class TestChargeMode:
 
     def test_none_when_demand_needs_discharge(self):
         batch = _batch(_inputs(demand=100.0, renewable=10.0, connected=False))
-        _, _, feasible = _batched_charge_mode(batch, _price(1.0))
+        _, _, feasible = batched_charge_mode(batch, _price(1.0))
         assert not feasible[0]
 
     def test_positive_z_never_charges(self):
         batch = _batch(_inputs(demand=10.0, renewable=100.0, z=5.0))
-        alloc, _, feasible = _batched_charge_mode(batch, _price(1.0))
+        alloc, _, feasible = batched_charge_mode(batch, _price(1.0))
         assert feasible[0]
         assert alloc.charge_j[0] == 0.0
 
@@ -206,13 +211,13 @@ class TestNodeResponse:
                 for node in range(100)
             ]
         )
-        alloc, _ = _batched_node_response(batch, mu=0.01, control_v=1000.0)
+        alloc = _batched_node_response(batch, mu=0.01, control_v=1000.0)
         _check_allocation(batch, alloc)
 
     def test_user_ignores_price(self):
         batch = _batch(_inputs(is_bs=False, z=-50.0))
-        cheap, _ = _batched_node_response(batch, mu=0.0, control_v=1000.0)
-        pricey, _ = _batched_node_response(batch, mu=1e9, control_v=1000.0)
+        cheap = _batched_node_response(batch, mu=0.0, control_v=1000.0)
+        pricey = _batched_node_response(batch, mu=1e9, control_v=1000.0)
         for field in dataclasses.fields(BatchAllocation):
             assert np.array_equal(
                 getattr(cheap, field.name), getattr(pricey, field.name)
@@ -492,7 +497,7 @@ class TestBatchedKernel:
             batch = NodeEnergyBatch.from_inputs(inputs)
             mu = float(rng.uniform(0.0, 2.0))
             control_v = float(rng.uniform(0.5, 50.0))
-            alloc, _ = _batched_node_response(batch, mu, control_v)
+            alloc = _batched_node_response(batch, mu, control_v)
             price = np.where(batch.is_base_station, control_v * mu, 0.0)
             eta_d = batch.discharge_efficiency
             r_serve = np.minimum(batch.renewable_j, batch.demand_j)
@@ -560,7 +565,7 @@ class TestBatchedKernel:
             batch = NodeEnergyBatch.from_inputs(inputs)
             mu = float(rng.uniform(0.0, 3.0))
             control_v = float(rng.uniform(0.5, 20.0))
-            alloc, _ = _batched_node_response(batch, mu, control_v)
+            alloc = _batched_node_response(batch, mu, control_v)
             slim = np.empty(len(batch))
             for is_bs, price_mu in ((True, mu), (False, 0.0)):
                 rows = np.flatnonzero(batch.is_base_station == is_bs)
@@ -684,6 +689,49 @@ def _assert_matches_full_fleet(batch, cost, control_v):
     assert decision.cost == reference.cost
 
 
+@st.composite
+def _mixed_batches(draw):
+    """1-20 stations (small fleets price as floats) plus 0-30 users, shuffled."""
+    stations = draw(st.lists(_node_inputs(True), min_size=1, max_size=20))
+    users = draw(st.lists(_node_inputs(False), max_size=30))
+    rows = [dataclasses.replace(row, node=i) for i, row in enumerate(stations + users)]
+    order = draw(st.permutations(range(len(rows))))
+    batch = NodeEnergyBatch.from_inputs([rows[i] for i in order])
+    a = draw(st.floats(-6.0, -1.0).map(lambda e: 10.0**e))
+    cost = QuadraticCost(a=a, b=draw(st.floats(0.0, 5.0)))
+    return batch, cost, draw(st.floats(0.5, 50.0))
+
+
+class TestSharedTermKernel:
+    """The one-pass S4 kernel against the two-mode oracle it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_mixed_batches(), mu=st.floats(0.0, 3.0))
+    def test_node_response_matches_the_two_mode_kernel(self, case, mu):
+        batch, _, control_v = case
+        alloc = _batched_node_response(batch, mu, control_v)
+        expected, _ = batched_node_response(batch, mu, control_v)
+        for field in dataclasses.fields(BatchAllocation):
+            assert getattr(alloc, field.name).tobytes() == getattr(
+                expected, field.name
+            ).tobytes(), field.name
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.one_of(_mixed_batches(), _fleet_cases()))
+    def test_manage_matches_the_reference(self, case):
+        """Stations and users, fleets of at most and of more than 8 stations."""
+        batch, cost, control_v = case
+        model = SimpleNamespace(params=SimpleNamespace(control_v=control_v), cost=cost)
+        decision = EnergyManager(model).manage(batch, cost)
+        reference = reference_manage(EnergyManager(model), batch, cost)
+        for field in dataclasses.fields(BatchAllocation):
+            assert getattr(decision.allocation, field.name).tobytes() == getattr(
+                reference.allocation, field.name
+            ).tobytes(), field.name
+        assert decision.bs_grid_draw_j == reference.bs_grid_draw_j
+        assert decision.cost == reference.cost
+
+
 class TestInPlayPricing:
     """Fleets above ``_SCALAR_PRICING_MAX`` re-price only stations in play.
 
@@ -746,8 +794,11 @@ class TestInPlayPricing:
         reference = reference_manage(EnergyManager(model), batch, cost)
         assert decision.bs_grid_draw_j == reference.bs_grid_draw_j
         # Both ends price the fleet; then the bracket only shrinks, and
-        # so does the set of stations in play.
-        assert priced[:2] == [len(batch), len(batch)]
+        # so does the set of stations in play.  The last draw is the
+        # -epsilon probe, which prices the fleet once more.
+        bisection, probe = priced[:-1], priced[-1]
+        assert probe == len(batch)
+        assert bisection[:2] == [len(batch), len(batch)]
         assert len(calls) > 10
-        assert priced[2:] == sorted(priced[2:], reverse=True)
-        assert sum(priced) < len(calls) * len(batch) // 4
+        assert bisection[2:] == sorted(bisection[2:], reverse=True)
+        assert sum(bisection) < len(calls) * len(batch) // 4

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.config import tiny_scenario
 from repro.control import LinkScheduler
+from repro.control.decisions import appearance_groups
 from repro.core import compute_constants
 from repro.core.drift import compute_drift_terms  # noqa: F401  (import check)
 from repro.model import build_network_model
@@ -363,3 +364,38 @@ class TestGreedySelectionEquality:
         if case.endswith("flat"):
             kept = np.where(keep, weight, np.nan)
             assert (np.nanmax(kept, axis=1) == np.nanmin(kept, axis=1)).all()
+
+
+def _unique_groups(values):
+    """``appearance_groups`` as ``np.unique`` computes it (the oracle)."""
+    uniq, first, inverse, counts = np.unique(
+        values, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    group = np.empty_like(order)
+    group[order] = np.arange(order.size)
+    return group[inverse], uniq[order], counts[order]
+
+
+class TestAppearanceGroups:
+    """Sort plus neighbour compare groups exactly as ``np.unique`` does."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [4, 4, 4, 4], [3, 1, 3, 2, 1, 0], [-2, 5, -2, 9, 5]],
+        ids=["empty", "single", "all_equal", "mixed", "negative"],
+    )
+    def test_edge_cases_match_np_unique(self, values):
+        values = np.array(values, dtype=np.intp)
+        got = appearance_groups(values)
+        expected = _unique_groups(values)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(0, 12), max_size=60))
+    def test_random_inputs_match_np_unique(self, values):
+        values = np.array(values, dtype=np.intp)
+        for a, b in zip(appearance_groups(values), _unique_groups(values)):
+            assert a.tolist() == b.tolist()

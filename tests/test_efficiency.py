@@ -15,12 +15,11 @@ from repro.control.energy_manager import (
     EnergyManager,
     NodeEnergyBatch,
     NodeEnergyInputs,
-    _batched_charge_mode,
-    _batched_serve_mode,
 )
 from repro.sim import SlotSimulator
 from repro.types import EnergySolverKind
 from tests.helpers import battery_step, one_battery
+from tests.pricing_reference import batched_charge_mode, batched_serve_mode
 from tests.slsqp_reference import solve_slsqp
 
 
@@ -86,7 +85,7 @@ class TestLossyNodeResponse:
         # Stored optimum is -z; input optimum is -z / eta_c.
         batch = self._inputs(demand_j=0.0, renewable_j=0.0, z=-50.0,
                              charge_cap_j=1000.0)
-        alloc, _, feasible = _batched_charge_mode(batch, np.zeros(1))
+        alloc, _, feasible = batched_charge_mode(batch, np.zeros(1))
         assert feasible[0]
         assert alloc.grid_charge_j[0] == pytest.approx(50.0 / 0.8, rel=1e-6)
 
@@ -96,13 +95,13 @@ class TestLossyNodeResponse:
         batch = self._inputs(
             demand_j=500.0, renewable_j=0.0, z=100.0, discharge_cap_j=1000.0
         )
-        alloc, _ = _batched_serve_mode(batch, np.zeros(1))
+        alloc, _ = batched_serve_mode(batch, np.zeros(1))
         assert alloc.discharge_j[0] == pytest.approx(0.8 * 100.0, rel=1e-6)
 
     def test_demand_balance_uses_delivered_energy(self):
         batch = self._inputs(demand_j=120.0, renewable_j=0.0, grid_cap_j=0.0,
                              grid_connected=False, z=10.0)
-        alloc, _ = _batched_serve_mode(batch, np.zeros(1))
+        alloc, _ = batched_serve_mode(batch, np.zeros(1))
         assert alloc.demand_served_j[0] == pytest.approx(120.0)
 
     def test_price_decomposition_matches_slsqp_with_losses(self, tiny_model):

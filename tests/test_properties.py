@@ -2,6 +2,7 @@
 invariants: queueing laws, battery bounds, cost convexity, solver
 correctness, and the S4 allocation feasibility."""
 
+import dataclasses
 import functools
 import math
 
@@ -25,6 +26,7 @@ from repro.core import compute_constants
 from repro.model import build_network_model
 from repro.state import NetworkState
 from repro.solvers.bisection import bisect_root, minimize_convex_1d
+from tests.pricing_reference import batched_node_response
 from tests.helpers import battery_step, link_position, one_battery, queue_step, virtual_step
 
 finite = st.floats(
@@ -264,7 +266,10 @@ class TestEnergyAllocationProperties:
         )
         assume(inputs.demand_j <= inputs.max_supply_j)
         batch = NodeEnergyBatch.from_inputs([inputs])
-        alloc, objective = _batched_node_response(batch, mu, control_v=1e4)
+        alloc = _batched_node_response(batch, mu, control_v=1e4)
+        expected, objective = batched_node_response(batch, mu, control_v=1e4)
+        for field in dataclasses.fields(alloc):
+            assert getattr(alloc, field.name).tobytes() == getattr(expected, field.name).tobytes()
         assert alloc.demand_served_j[0] == pytest.approx(demand, abs=1e-6)
         assert alloc.charge_j[0] <= charge_cap + 1e-6
         assert alloc.discharge_j[0] <= discharge_cap + 1e-6

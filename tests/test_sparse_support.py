@@ -2,9 +2,10 @@
 
 ``ArrayState`` keeps the support of ``G`` (the positions where
 ``G != 0``); the Eq. 28 kernel visits only routed and served links,
-S1's backlog floor and the backlog snapshot read the support, S3
-gathers the out-links of the nodes that hold data, and curtailment
-re-sums only the two endpoints of a shed entry.  Each is checked here
+the Eq. 15 kernel only the ``Q`` cells of routed entries and
+admissions, S1's backlog floor and the backlog snapshot read the
+support, S3 gathers the out-links of the nodes that hold data, and
+curtailment re-sums only the two endpoints of a shed entry.  Each is checked here
 against the dense kernel it replaced (``tests/slot_reference.py``).
 The spectrum access table, now one ``(U, M-1)`` draw, is checked
 against the scalar draw loop.
@@ -12,6 +13,8 @@ against the scalar draw loop.
 
 import dataclasses
 import functools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from repro.network.spectrum import build_spectrum_model
 from repro.queueing.backlog import make_snapshot_from_arrays
 from repro.sim import SlotSimulator
 from repro.state import NetworkState
-from repro.types import SchedulerKind
+from repro.types import QueueSemantics, SchedulerKind
 from tests import slot_reference
 from tests.test_golden import GREEDY_SCENARIOS
 
@@ -183,6 +186,206 @@ class TestVirtualQueueSupport:
         assert _bits(arrays.g) == _bits(before)
 
 
+# -- the touched cells of Q ---------------------------------------------------
+
+#: Q values: tiny and huge magnitudes, so per-cell sums lose bits.
+_Q_VALUES = st.sampled_from([0.0, 1e-300, 0.5, 3.0, 1e16, 7.25])
+#: Routed and admitted packets: both zeros, magnitudes far above any
+#: backlog, and decimals whose sums depend on the addition order.
+_Q_PKTS = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 3.0, 1e16])
+
+
+@st.composite
+def _q_step(draw, name):
+    """An initial ``Q`` and one Eq. 15 step with repeated cells.
+
+    Link positions come from a pool of at most six, half of them
+    into session destinations, so cells repeat and destination rows
+    receive; admissions land mostly on the pool's receivers, so they
+    share cells with routed arrivals, and may land on destination
+    rows too.  With ``bad`` set, one routed or admitted amount is
+    negative.
+    """
+    model, constants = _model(name)
+    arrays = ArrayState(model, constants)
+    num_links, (num_nodes, width) = arrays.g.shape[0], arrays.q.shape
+    into_dest = np.flatnonzero(np.isin(arrays.link_rx, list(arrays.destinations.values())))
+    pool = draw(
+        st.lists(
+            st.one_of(st.sampled_from(into_dest.tolist()), st.integers(0, num_links - 1)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    initial = draw(st.lists(_Q_VALUES, min_size=num_nodes * width, max_size=num_nodes * width))
+    routed = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.integers(0, width - 1), _Q_PKTS), max_size=12
+        )
+    )
+    receivers = arrays.link_rx[pool].tolist()
+    admitted = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(receivers), st.integers(0, num_nodes - 1)),
+                st.integers(0, width - 1),
+                _Q_PKTS,
+            ),
+            max_size=4,
+        )
+    )
+    bad = draw(st.sampled_from([None, "routed", "admitted"]))
+    if bad == "routed" and routed:
+        k = draw(st.integers(0, len(routed) - 1))
+        routed[k] = (routed[k][0], routed[k][1], -2.5)
+    if bad == "admitted" and admitted:
+        k = draw(st.integers(0, len(admitted) - 1))
+        admitted[k] = (admitted[k][0], admitted[k][1], -2.5)
+    semantics = draw(st.sampled_from(list(QueueSemantics)))
+    return np.reshape(initial, (num_nodes, width)), routed, admitted, semantics
+
+
+def _q_step_arrays(routed, admitted):
+    return (
+        np.array([p for p, _, _ in routed], dtype=np.intp),
+        np.array([c for _, c, _ in routed], dtype=np.intp),
+        np.array([v for _, _, v in routed], dtype=float),
+        np.array([n for n, _, _ in admitted], dtype=np.intp),
+        np.array([c for _, c, _ in admitted], dtype=np.intp),
+        np.array([v for _, _, v in admitted], dtype=float),
+    )
+
+
+class TestDataQueueCells:
+    @pytest.mark.parametrize("name", ["tiny", "small"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_step_matches_the_dense_kernel(self, name, data):
+        initial, routed, admitted, semantics = data.draw(_q_step(name))
+        model, constants = _model(name)
+        arrays = ArrayState(model, constants)
+        arrays.queue_semantics = semantics
+        arrays.q[...] = initial
+        arrays.q[arrays.q_invalid] = 0.0
+        before = arrays.q.copy()
+        args = _q_step_arrays(routed, admitted)
+        try:
+            expected_q, expected_transfer = slot_reference.advance_q(arrays, *args)
+        except QueueError as dense:
+            with pytest.raises(QueueError) as sparse:
+                arrays.advance_q(*args)
+            assert str(sparse.value) == str(dense)
+            assert _bits(arrays.q) == _bits(before)
+            return
+        transfer = arrays.advance_q(*args)
+        assert _bits(transfer) == _bits(expected_transfer)
+        assert _bits(arrays.q) == _bits(expected_q)
+        assert not np.signbit(arrays.q).any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.0, 0.0, 1e-300, 0.1, 0.7, 3.0, 1e16]), min_size=1),
+        num_bs=st.integers(1, 3),
+    )
+    def test_snapshot_sums_the_nonzero_cells_like_the_dense_sum(self, values, num_bs):
+        model, constants = _model("small")
+        arrays = ArrayState(model, constants)
+        arrays.q[...] = np.resize(np.array(values), arrays.q.shape)
+        arrays.q[arrays.q_invalid] = 0.0
+        snapshot = make_snapshot_from_arrays(0, arrays, num_bs=num_bs)
+        assert float(snapshot.bs_data_packets).hex() == float(seq_sum(arrays.q[:num_bs])).hex()
+        assert float(snapshot.user_data_packets).hex() == float(seq_sum(arrays.q[num_bs:])).hex()
+
+    def test_transfer_above_the_backlog_clamps_and_pins_the_destination(self):
+        model, constants = _model("tiny")
+        arrays = ArrayState(model, constants)
+        col, dest = 0, arrays.destinations[arrays.sessions[0]]
+        into = int(np.flatnonzero(arrays.link_rx == dest)[0])
+        tx = int(arrays.link_tx[into])
+        arrays.q[tx, col] = 2.0
+        for semantics in QueueSemantics:
+            arrays.queue_semantics = semantics
+            q = arrays.q.copy()
+            args = _q_step_arrays([(into, col, 5.0), (into, col, 1e16)], [(dest, col, 3.0)])
+            expected_q, expected_transfer = slot_reference.advance_q(arrays, *args)
+            transfer = arrays.advance_q(*args)
+            assert _bits(transfer) == _bits(expected_transfer)
+            assert _bits(arrays.q) == _bits(expected_q)
+            assert arrays.q[dest, col] == 0.0 and arrays.q[tx, col] == 0.0
+            arrays.q[...] = q
+
+    @pytest.mark.parametrize("bad", ["service", "arrivals", "admission"])
+    def test_error_names_the_first_bad_cell_like_the_dense_kernel(self, bad):
+        model, constants = _model("small")
+        arrays = ArrayState(model, constants)
+        arrays.q[arrays.q_valid] = 1.0
+        before = arrays.q.copy()
+        valid_rows = np.flatnonzero(arrays.q_valid[:, 0])
+        # Two bad entries, the later one on the lower cell.
+        high, low = (
+            int(np.flatnonzero(arrays.link_tx == valid_rows[k])[0]) for k in (-1, 0)
+        )
+        if bad == "arrivals":
+            high, low = (
+                int(np.flatnonzero(arrays.link_rx == valid_rows[k])[0]) for k in (-1, 0)
+            )
+        routed = [(high, 0, 1.0), (high, 0, -4.0), (low, 0, -3.0)]
+        admitted = [(int(valid_rows[0]), 0, 1.0)]
+        if bad == "admission":
+            routed = routed[:1]
+            admitted += [(int(valid_rows[-1]), 0, -2.0), (int(valid_rows[0]), 0, -1.0)]
+        args = _q_step_arrays(routed, admitted)
+        with pytest.raises(QueueError) as dense:
+            slot_reference.advance_q(arrays, *args)
+        with pytest.raises(QueueError) as sparse:
+            arrays.advance_q(*args)
+        assert str(sparse.value) == str(dense.value)
+        assert _bits(arrays.q) == _bits(before)
+
+    def test_a_step_allocates_far_less_than_one_queue_matrix(self):
+        """A few hundred entries on N = 50,000, S = 5 stay off any (N, S) scratch."""
+        num_nodes, width, num_links = 50_000, 5, 200_000
+        draw = np.random.default_rng(3)
+        link_tx = np.sort(draw.integers(0, num_nodes, num_links))
+        link_rx = (link_tx + draw.integers(1, num_nodes, num_links)) % num_nodes
+        sessions = tuple(SimpleNamespace(session_id=s) for s in range(width))
+        model = SimpleNamespace(
+            params=SimpleNamespace(
+                queue_semantics=QueueSemantics.PACKET_ACCURATE,
+                control_v=1.0,
+                num_base_stations=1,
+                bs_energy=tiny_scenario().bs_energy,
+                user_energy=tiny_scenario().user_energy,
+            ),
+            num_nodes=num_nodes,
+            sessions=sessions,
+            session_destinations=lambda: {s: 10 * s for s in range(width)},
+            topology=SimpleNamespace(link_tx=link_tx, link_rx=link_rx),
+            node_vector=lambda bs, user, dtype=float: np.full(num_nodes, user, dtype=dtype),
+        )
+        arrays = ArrayState(model, SimpleNamespace(gamma_max=0.0))
+        arrays.q[arrays.q_valid] = 1.0
+        count = 300
+        args = (
+            draw.integers(0, num_links, count),
+            draw.integers(0, width, count),
+            draw.random(count) * 3.0,
+            draw.integers(0, num_nodes, width),
+            np.arange(width),
+            np.full(width, 2.0),
+        )
+        matrix_bytes = arrays.q.nbytes
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            arrays.advance_q(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix_bytes == num_nodes * width * 8
+        assert peak < matrix_bytes // 20, peak
+
+
 # -- S1 and S3 readers --------------------------------------------------------
 
 
@@ -229,6 +432,26 @@ class TestReaders:
         arrays.q[rows] = beta * beta * draw.integers(0, 4, size=arrays.q[rows].shape)
         arrays.q[arrays.q_invalid] = 0.0
         h = beta * draw.integers(0, 4, size=arrays.g.shape[0]).astype(float)
+        router = BackpressureRouter(model, constants, np.random.default_rng(0))
+        cand, beta_h = router._backpressure_links(arrays.q, h)
+        expected, expected_beta_h = slot_reference.s3_candidates(
+            arrays.q, arrays.link_tx, beta, h
+        )
+        assert cand.tolist() == expected.tolist()
+        assert _bits(beta_h) == _bits(expected_beta_h)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_s3_candidates_with_rows_tied_across_sessions(self, seed):
+        """Rows whose every session holds the same backlog, zero or not."""
+        model, constants = _model("small")
+        draw = np.random.default_rng(seed)
+        arrays = ArrayState(model, constants)
+        beta = constants.beta
+        level = beta * beta * draw.integers(0, 3, size=arrays.q.shape[0])
+        arrays.q[...] = level[:, None]
+        arrays.q[arrays.q_invalid] = 0.0
+        h = beta * draw.integers(0, 3, size=arrays.g.shape[0]).astype(float)
         router = BackpressureRouter(model, constants, np.random.default_rng(0))
         cand, beta_h = router._backpressure_links(arrays.q, h)
         expected, expected_beta_h = slot_reference.s3_candidates(
