@@ -214,6 +214,13 @@ class TestNodeResponse:
         alloc = _batched_node_response(batch, mu=0.01, control_v=1000.0)
         _check_allocation(batch, alloc)
 
+    def test_infeasible_demand_raises(self):
+        batch = _batch(
+            _inputs(demand=1e9, renewable=1.0, grid_cap=1.0, discharge_cap=1.0)
+        )
+        with pytest.raises(InfeasibleError, match="curtailment missing upstream"):
+            _batched_node_response(batch, mu=0.01, control_v=1000.0)
+
     def test_user_ignores_price(self):
         batch = _batch(_inputs(is_bs=False, z=-50.0))
         cheap = _batched_node_response(batch, mu=0.0, control_v=1000.0)
