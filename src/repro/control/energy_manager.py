@@ -385,25 +385,51 @@ class _StationPricer:
         (eta_d_z, eta_d2, d_min, d_max, residual, eta_d, neg_z, stationary_free,
          eta_c2, kink, hi, demand, renewable, z, eta_c, spare) = cols
 
-        # Serve mode (the serve chain of _batched_node_response).
-        d = np.minimum(np.maximum(eta_d_z + eta_d2 * price, d_min), d_max)
+        # Serve mode (the serve chain of _batched_node_response), in a
+        # few fresh buffers; nothing writes into the column stack.
+        d = np.multiply(eta_d2, price)
+        np.add(eta_d_z, d, out=d)
+        np.maximum(d, d_min, out=d)
+        np.minimum(d, d_max, out=d)
         g_serve = residual - d
-        drained = d / eta_d
-        serve_obj = neg_z * drained + 0.5 * drained * drained + price * g_serve
+        drained = np.divide(d, eta_d, out=d)
+        # serve_obj = -z * drained + 0.5 * drained * drained + price * g_serve
+        serve_obj = neg_z * drained
+        work = np.multiply(0.5, drained)
+        np.multiply(work, drained, out=work)
+        np.add(serve_obj, work, out=serve_obj)
+        np.multiply(price, g_serve, out=work)
+        np.add(serve_obj, work, out=serve_obj)
 
         # Charge mode (the charge chain of _batched_node_response).
-        stationary_grid = stationary_free - price / eta_c2
-        unconstrained = np.minimum(np.maximum(kink, stationary_grid), stationary_free)
-        c = np.minimum(np.maximum(unconstrained, 0.0), hi)
-        grid_draw = np.maximum(0.0, demand + c - renewable)
-        stored = eta_c * c
-        charge_obj = z * stored + 0.5 * stored * stored + price * grid_draw
-        g_charge = c - np.minimum(spare, c)
+        np.divide(price, eta_c2, out=work)
+        np.subtract(stationary_free, work, out=work)  # the grid-funded stationary point
+        c = np.maximum(kink, work, out=drained)
+        np.minimum(c, stationary_free, out=c)
+        np.maximum(c, 0.0, out=c)
+        np.minimum(c, hi, out=c)
+        # charge_obj = z * stored + 0.5 * stored * stored + price * grid_draw
+        stored = np.multiply(eta_c, c)
+        charge_obj = np.multiply(z, stored)
+        np.multiply(0.5, stored, out=work)
+        np.multiply(work, stored, out=work)
+        np.add(charge_obj, work, out=charge_obj)
+        np.add(demand, c, out=work)
+        np.subtract(work, renewable, out=work)
+        np.maximum(0.0, work, out=work)  # grid_draw
+        np.multiply(price, work, out=work)
+        np.add(charge_obj, work, out=charge_obj)
+        g_charge = np.minimum(spare, c, out=stored)
+        np.subtract(c, g_charge, out=g_charge)
 
         # Winner rows: grid_serve + grid_charge exactly as the pick() sums.
         serve_wins = blocked | (serve_obj <= charge_obj)
-        draw = np.where(serve_wins, g_serve + 0.0, residual + g_charge)
-        return draw, np.where(blocked, -np.inf, serve_obj - charge_obj)
+        np.add(g_serve, 0.0, out=g_serve)
+        np.add(residual, g_charge, out=g_charge)
+        draw = np.where(serve_wins, g_serve, g_charge)
+        gap = np.subtract(serve_obj, charge_obj, out=serve_obj)
+        np.copyto(gap, -np.inf, where=blocked)
+        return draw, gap
 
     def settled(
         self, rows: Optional[np.ndarray], low: _BracketEnd, high: _BracketEnd
