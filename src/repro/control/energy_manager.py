@@ -235,7 +235,8 @@ def _batched_node_response(
     spare = renewable - r_serve
     neg_z = -z
     # Full-size temporaries are reused through ``out=``: a fresh (N,)
-    # buffer per operation costs more in page faults than in flops.
+    # buffer per operation costs more than the arithmetic at U = 100k
+    # (fresh pages and cache misses).
     # Each in-place step is the operation of the expression it stands
     # for, with max/min operands in the same order.
     work = np.empty_like(demand)

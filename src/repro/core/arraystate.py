@@ -400,7 +400,8 @@ class ArrayState:
                 f"({charge_j[node]} J) and discharge ({discharge_j[node]} J)"
             )
         # One (N,) buffer carries each bound, then the update: a fresh
-        # temporary per operation costs more in page faults than in flops.
+        # temporary per operation costs more than the arithmetic (fresh
+        # pages and cache misses).
         work = np.subtract(self.capacity_j, level)
         np.divide(work, eta_c, out=work)
         np.minimum(self.charge_cap_j, work, out=work)
