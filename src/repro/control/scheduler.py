@@ -9,8 +9,10 @@ band.  Three algorithms are provided:
   generic :func:`repro.solvers.sequential_fix`);
 * ``MAX_WEIGHT_MATCHING`` — exact: under constraint (22) alone, S1 is a
   maximum-weight matching over nodes with per-edge best-band weights;
-* ``GREEDY`` — sort link-bands by weight, take what fits; a link of two
-  single-radio nodes can only ever take its best band, so only that is scanned.
+* ``GREEDY`` — take link-bands by descending weight while they fit (in
+  rounds of locally first candidates, not a scan); a link of two
+  single-radio nodes can only ever take its best band, so only that is
+  offered.
 
 The base weight of a link-band is ``beta * H_ij * service_pkts`` (the
 Psi-hat_1 contribution).  When the controller passes per-node energy
@@ -41,6 +43,7 @@ from repro.axes import (
     LinkPackets,
     LinkToNode,
     LinkVec,
+    NodeIds,
     NodeVec,
 )
 from repro.contracts import ContractChecker
@@ -150,6 +153,85 @@ def _repr_rank(cand: _Candidates) -> AnyArray:
     return rank
 
 
+def _greedy_rounds(
+    tx: NodeIds,
+    rx: NodeIds,
+    band: AnyArray,
+    weight: AnyArray,
+    key: AnyArray,
+    radios: NodeVec,
+    num_bands: int,
+) -> Tuple[AnyArray, int]:
+    """The candidates a greedy conflict scan takes, in its order.
+
+    The scan visits the candidates by descending ``weight``, ties by
+    ascending int64 ``key`` (unique per candidate, so the order is
+    total), and takes one when both endpoints have a radio left
+    (``radios >= 1`` per node) and neither already uses its band
+    (constraints (20)-(22)).  This makes the same picks in rounds over
+    the live (undecided) candidates: each round finds every node's
+    first live incident candidate, takes each candidate that is first
+    at both endpoints, then drops the live candidates that the new
+    picks leave without a radio or a band.
+
+    Exact: the scan's verdict on a candidate depends only on the picks
+    among its earlier neighbours (candidates sharing an endpoint).  A
+    candidate first at both endpoints has none left live, and no later
+    neighbour can have been taken before it (that one was not first at
+    the shared node), so its endpoints hold exactly the state the scan
+    would meet; it is live, so it fits and the scan takes it.  A
+    dropped candidate fails against a subset of the scan's earlier
+    picks, so it fails in the scan too.  Two picks of one round share
+    no node.  The first live candidate overall is first at both of its
+    endpoints, so every round takes one; rounds <= picks, and a path
+    whose weights fall along it needs one round per pick.
+
+    Returns ``(picks, rounds)``: the picks' indices, ordered by
+    (descending weight, key), and the number of rounds taken.
+    """
+    num_nodes = radios.shape[0]
+    free = radios.copy()
+    # open_cell[node, band]: the node has a radio left and is not on the band.
+    open_cell = np.ones((num_nodes, num_bands), dtype=bool)
+    open_flat = open_cell.reshape(-1)
+    top = np.empty(num_nodes)
+    low = np.empty(num_nodes, dtype=np.int64)
+    # The live candidates' columns, compacted after every round.
+    live = np.arange(tx.shape[0])
+    live_w, live_key = weight, key
+    tx_cell = tx * num_bands + band
+    rx_cell = rx * num_bands + band
+    rounds: List[AnyArray] = []
+    while live.size:
+        # Each node's first live candidate: the top weight at the node,
+        # then the lowest key among the candidates holding it.
+        top.fill(-np.inf)
+        np.maximum.at(top, tx, live_w)
+        np.maximum.at(top, rx, live_w)
+        top_tx = live_w == top[tx]
+        top_rx = live_w == top[rx]
+        low.fill(np.iinfo(np.int64).max)
+        at = top_tx.nonzero()[0]
+        np.minimum.at(low, tx[at], live_key[at])
+        at = top_rx.nonzero()[0]
+        np.minimum.at(low, rx[at], live_key[at])
+        first = top_tx & top_rx & (live_key == low[tx]) & (live_key == low[rx])
+        take = first.nonzero()[0]
+        rounds.append(live[take])
+        open_flat[tx_cell[take]] = False
+        open_flat[rx_cell[take]] = False
+        for ends in (tx[take], rx[take]):  # disjoint node sets
+            free[ends] -= 1
+            open_cell[ends[free[ends] == 0]] = False
+        # A pick closes its own cells, so it leaves the live set too.
+        fits = (open_flat[tx_cell] & open_flat[rx_cell]).nonzero()[0]
+        live, tx, rx, tx_cell, rx_cell, live_w, live_key = (
+            column[fits] for column in (live, tx, rx, tx_cell, rx_cell, live_w, live_key)
+        )
+    picks = np.concatenate(rounds) if rounds else live
+    return picks[np.lexsort((key[picks], -weight[picks]))], len(rounds)
+
+
 class LinkScheduler:
     """The S1 subproblem solver."""
 
@@ -164,13 +246,11 @@ class LinkScheduler:
         self._constants = constants
         self._kind = kind
         self._checker = checker
-        # Per-node radio budgets (1 in the paper), built once: the array
-        # for GREEDY's single-radio filter, the int list for the scans.
+        # Per-node radio budgets (1 in the paper), built once.
         bs, user = model.params.bs_node, model.params.user_node
         self._radios_arr: NodeVec = model.node_vector(
             bs.num_radios, user.num_radios, np.intp
         )
-        self._radios = self._radios_arr.tolist()
         # Per-topology tables: radios, power caps and the static band
         # sets never change mid-run, and every table is a per-node array
         # fancy-indexed by the frozen link endpoints (O(N + L) numpy).
@@ -466,53 +546,55 @@ class LinkScheduler:
     ) -> Tuple[List[int], List[int]]:
         """GREEDY selection: take link-bands by weight while they fit.
 
-        Order: descending weight, ties by ``(tx, rx, band)`` — an argsort
-        of the int64 key ``(tx*N + rx)*M + band``, then a stable argsort
-        on ``-weight``.  The conflict scan keeps per-node radio usage and
-        per-(node, band) exclusivity over plain Python ints.  A link of two
-        single-radio nodes offers only its best kept band (lowest on ties):
-        taken or rejected, it leaves an endpoint full, so its later bands
-        would fail too.  Multi-radio links keep every band (a band clash
-        can reject band m while band m' still fits).
+        The picks of a scan in descending weight, ties by ``(tx, rx,
+        band)`` (the int64 key ``(tx*N + rx)*M + band``), that takes a
+        candidate when both endpoints have a radio left and neither
+        already uses its band; :func:`_greedy_rounds` makes them without
+        the scan.  A link of two single-radio nodes offers only its best
+        kept band (lowest on ties): taken or rejected, it leaves an
+        endpoint full, so its later bands would fail too.  Multi-radio
+        links keep every band (a band clash can reject band m while
+        band m' still fits).
 
         Returns the chosen candidates as parallel ``(link position,
         band)`` lists, in selection (descending-weight) order.
         """
         static = self._static
+        num_bands = keep.shape[1]
         tx_act, rx_act = static.link_tx[active], static.link_rx[active]
-        single = (self._radios_arr[tx_act] == 1) & (self._radios_arr[rx_act] == 1)
-        best = np.where(keep, weight, -np.inf).argmax(axis=1)
-        is_best = np.arange(keep.shape[1]) == best[:, None]
-        rows, bands = np.nonzero(keep & (is_best | ~single[:, None]))
-        tx_arr, rx_arr = tx_act[rows], rx_act[rows]
-        key = (tx_arr * np.int64(self._model.num_nodes) + rx_arr) * keep.shape[1] + bands
-        order = np.argsort(key)
-        order = order[np.argsort(-weight[rows, bands][order], kind="stable")]
-        tx_l = tx_arr[order].tolist()
-        rx_l = rx_arr[order].tolist()
-        band_l = bands[order].tolist()
-        pos_l = active[rows[order]].tolist()
-
-        radios = self._radios
-        usage = [0] * self._model.num_nodes
-        band_used: set = set()
-        chosen_pos: List[int] = []
-        chosen_band: List[int] = []
-        for i in range(len(pos_l)):
-            tx = tx_l[i]
-            rx = rx_l[i]
-            if usage[tx] >= radios[tx] or usage[rx] >= radios[rx]:
-                continue
-            band = band_l[i]
-            if (tx, band) in band_used or (rx, band) in band_used:
-                continue  # constraints (20)/(21)
-            chosen_pos.append(pos_l[i])
-            chosen_band.append(band)
-            usage[tx] += 1
-            usage[rx] += 1
-            band_used.add((tx, band))
-            band_used.add((rx, band))
-        return chosen_pos, chosen_band
+        radios = self._radios_arr
+        multi = (radios[tx_act] != 1) | (radios[rx_act] != 1)
+        # The band columns with unkept cells at -inf, and each row's best
+        # kept weight: narrow axes run as columns, and max is exact.
+        kept = [
+            np.where(keep[:, band], weight[:, band], -np.inf)
+            for band in range(num_bands)
+        ]
+        best = kept[0].copy()
+        for column in kept[1:]:
+            np.maximum(best, column, out=best)
+        # Every kept band of a multi-radio row; the first band at its
+        # best weight (the lowest on ties) of a single-radio row.
+        seen = np.zeros(active.shape[0], dtype=bool)
+        by_band: List[AnyArray] = []
+        for band, column in enumerate(kept):
+            at_best = column == best
+            by_band.append(((multi | (at_best & ~seen)) & keep[:, band]).nonzero()[0])
+            seen |= at_best
+        rows = np.concatenate(by_band)
+        bands = np.repeat(np.arange(num_bands), [r.size for r in by_band])
+        tx, rx = tx_act[rows], rx_act[rows]
+        key = (tx * np.int64(self._model.num_nodes) + rx) * num_bands + bands
+        picks, _ = _greedy_rounds(
+            tx,
+            rx,
+            bands,
+            np.concatenate([column[r] for column, r in zip(kept, by_band)]),
+            key,
+            radios,
+            num_bands,
+        )
+        return active[rows[picks]].tolist(), bands[picks].tolist()
 
     # ------------------------------------------------------------------
     # Public API

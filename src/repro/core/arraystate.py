@@ -21,16 +21,16 @@ storage caps (Eqs. 10-13; Eq. 13 itself is checked when the scenario's
 ``EnergyParameters`` are built), the grid draw cap and connection
 probability (Eqs. 5, 6 and 14) and the shifted queue
 ``z = x - (V * gamma_max + d_max)`` (Eq. 31).  It also owns the update
-kernels of Eqs. 4, 15 and 28 (``H = beta * G``, Eq. 30, is derived on
-read); ``NetworkState`` and the contract checker share the same
-buffers.
+kernels of Eqs. 4, 15 and 28, and keeps ``H = beta * G`` (Eq. 30)
+beside ``G``, written with it; ``NetworkState`` and the contract
+checker share the same buffers.
 
 ``G`` is sparse in practice (a U=100k network holds ``G > 0`` on ~10k
 of its 1.65M links), so the state also keeps ``g_support``: the
 ascending positions where ``G != 0``.  The Eq. 28 kernel visits only
 the routed and served positions and merges the support in place; every
 other write to ``G`` goes through :meth:`ArrayState.assign_g`, which
-rebuilds it.  Readers (S1's backlog floor, ``H`` and the backlog
+rebuilds it.  Readers (S1's backlog floor and the backlog
 snapshot) scan the support instead of the link index.  The support is
 derived state: nothing serializes it.  The Eq. 15 kernel likewise
 visits only the ``Q`` cells that routed entries and admissions touch.
@@ -103,10 +103,14 @@ class ArrayState:
         q: ``(N, S)`` data backlogs in packets; destination cells are
             pinned at exactly ``0.0``.
         q_valid / q_invalid: boolean masks over ``q``.
-        g: ``(L,)`` virtual backlogs ``G_ij`` in packets
-            (``H = beta * G`` is derived, never stored).  Read-only
+        g: ``(L,)`` virtual backlogs ``G_ij`` in packets.  Read-only
             outside this class: write it through :meth:`advance_g`
-            or :meth:`assign_g`, which keep :attr:`g_support`.
+            or :meth:`assign_g`, which keep :attr:`g_support` and
+            :attr:`h`.
+        h: ``(L,)`` ``H = beta * G`` (Eq. 30), written at exactly the
+            positions of each ``G`` write with the same product, so it
+            equals ``beta * g`` bit for bit; :attr:`h_view` is its
+            read-only view.
         g_support: ascending positions where ``G != 0`` (derived;
             ``g_support == np.flatnonzero(g)`` after every write).
             ``G`` never holds ``-0.0``: see :meth:`assign_g`.
@@ -136,6 +140,8 @@ class ArrayState:
     q_valid: QueueMask
     q_invalid: QueueMask
     g: LinkPackets
+    h: LinkPackets
+    h_view: LinkPackets
     g_support: LinkIds
     battery_level: NodeJoules
     z_shift: NodeJoules
@@ -177,6 +183,10 @@ class ArrayState:
 
         self.g = np.zeros(self.link_tx.shape[0])
         self.g_support = np.zeros(0, dtype=np.intp)
+        self.beta = constants.beta
+        self.h = np.zeros(self.link_tx.shape[0])
+        self.h_view = self.h.view()
+        self.h_view.flags.writeable = False
 
         self.battery_level = np.zeros(num_nodes)
         bs, user = params.bs_energy, params.user_energy
@@ -325,6 +335,7 @@ class ArrayState:
         np.maximum(cell, 0.0, out=cell)
         np.add(cell, arrivals, out=cell)
         self.g[touched] = cell
+        self.h[touched] = self.beta * cell
 
         # The support without the touched cells, then the touched cells
         # that hold G != 0 (exactly, as flatnonzero tests) merged in.
@@ -365,6 +376,7 @@ class ArrayState:
             link = (int(self.link_tx[pos]), int(self.link_rx[pos]))
             raise QueueError(f"negative virtual backlog {values[pos]} at G{link}")
         np.add(values, 0.0, out=self.g)
+        np.multiply(self.beta, self.g, out=self.h)
         self.g_support = np.flatnonzero(self.g)
 
     def apply_battery_actions(

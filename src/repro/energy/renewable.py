@@ -8,16 +8,28 @@ for the example scenarios.  All processes return *energy per slot* in
 joules.  A node without renewables (``RenewableKind.ZERO``, the
 "without renewable energy" baselines) gets no process: it reads 0 J
 and owns no stream.
+
+Each process draws from its node's own stream, one sample per observed
+slot, and can draw ahead: :meth:`RenewableProcess.block` returns the
+stream's part of the next ``k`` samples as one array, and
+:meth:`RenewableProcess.slot_scale` the slot's factor on it (None when
+the draws are the samples).  ``scale(slot) * block[j]`` is the float
+that the ``j``-th later :meth:`~RenewableProcess.sample` call returns,
+bit for bit, so a caller may draw every node's samples in blocks and
+read one column per slot.  The uniform and solar blocks are one numpy
+draw; the wind chain's next regime depends on its last, so its block
+runs the chain draw by draw.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.axes import AnyArray
 from repro.constants import watts_over_slot_to_joules
 from repro.units import Joules, Seconds, Watts
 
@@ -28,6 +40,21 @@ class RenewableProcess(abc.ABC):
     @abc.abstractmethod
     def sample(self, slot: int) -> Joules:
         """Energy harvested in ``slot`` (J), in ``[0, max_output_j]``."""
+
+    @abc.abstractmethod
+    def block(self, k: int) -> AnyArray:
+        """The stream's part of the next ``k`` samples, as a ``(k,)`` array.
+
+        Advances the stream exactly as ``k`` :meth:`sample` calls do.
+        """
+
+    def slot_scale(self, slot: int) -> Optional[float]:
+        """The factor on a :meth:`block` draw read in ``slot``.
+
+        None (the default) when the draws are the samples.
+        """
+        del slot
+        return None
 
     @property
     @abc.abstractmethod
@@ -51,6 +78,9 @@ class UniformRenewableProcess(RenewableProcess):
     def sample(self, slot: int) -> Joules:
         del slot  # i.i.d. process
         return float(self._rng.uniform(0.0, self._max_output_j))
+
+    def block(self, k: int) -> AnyArray:
+        return self._rng.uniform(0.0, self._max_output_j, size=k)
 
     @property
     def max_output_j(self) -> Joules:
@@ -87,10 +117,16 @@ class DiurnalSolarProcess(RenewableProcess):
         self._rng = rng
 
     def sample(self, slot: int) -> Joules:
+        return self.slot_scale(slot) * self._rng.uniform(1.0 - self._noise, 1.0)
+
+    def block(self, k: int) -> AnyArray:
+        """The next ``k`` cloud factors; the irradiance is the slot's."""
+        return self._rng.uniform(1.0 - self._noise, 1.0, size=k)
+
+    def slot_scale(self, slot: int) -> float:
+        """``max_output_j * irradiance(slot)``, the clear-sky output."""
         phase = 2.0 * math.pi * (slot % self._slots_per_day) / self._slots_per_day
-        irradiance = max(0.0, math.sin(phase))
-        cloud = self._rng.uniform(1.0 - self._noise, 1.0)
-        return self._max_output_j * irradiance * cloud
+        return self._max_output_j * max(0.0, math.sin(phase))
 
     @property
     def max_output_j(self) -> Joules:
@@ -136,6 +172,11 @@ class MarkovWindProcess(RenewableProcess):
         # Small intra-state jitter so output is not piecewise constant.
         jitter = self._rng.uniform(0.9, 1.0)
         return self._max_output_j * self._levels[self._state] * jitter
+
+    def block(self, k: int) -> AnyArray:
+        # Each regime depends on the last, so the chain runs step by
+        # step (``sample`` ignores its slot).
+        return np.array([self.sample(0) for _ in range(k)])
 
     @property
     def max_output_j(self) -> Joules:

@@ -13,9 +13,9 @@ levels, caps, grid caps and connection probabilities as ``(N,)``) and
 the per-slot updates run as its vectorized kernels (Eqs. 4, 15 and 28).
 There is no per-node object: a node's renewable process and grid stream
 exist only if they draw.  The read accessors (``h_backlogs``,
-``z_values``, ``battery_levels``) return fresh ``(L,)``/``(N,)``
-arrays over the frozen link and node indices (``H`` filled from the
-support of ``G`` only), and each observation
+``z_values``, ``battery_levels``) return ``(L,)``/``(N,)`` arrays over
+the frozen link and node indices (``H`` as a read-only view of the
+buffer the ``G`` writes keep, the others fresh), and each observation
 carries its renewable harvest and grid connection as ``(N,)`` arrays.
 Behaviour is pinned by the committed trajectory fingerprints in
 ``tests/golden/trajectories.json``.
@@ -44,6 +44,9 @@ from repro.phy.propagation import ComputedPairGains
 from repro.queueing.backlog import BacklogSnapshot, make_snapshot_from_arrays
 from repro.sim.rng import spawn_child
 from repro.types import MobilityKind, NodeId, Point, RenewableKind, SessionId
+
+#: Doubles in one block of renewable draws: at most 1 MiB, whatever N.
+_BLOCK_DOUBLES = 2**17
 
 #: The renewable process of each drawing kind (``ZERO`` draws nothing).
 _RENEWABLE_PROCESSES = {
@@ -125,8 +128,14 @@ class NetworkState:
             for node in intermittent.tolist()
         ]
         # One process per drawing node, on child 1 + node, in ascending
-        # node order: the stations' rows, then the users'.
-        self._renewables: List[Tuple[NodeId, RenewableProcess]] = []
+        # node order: the stations' rows, then the users'.  A class
+        # draws for all of its nodes or none, so the drawing nodes are
+        # one contiguous range starting at ``_renewable_first``.
+        self._renewables: List[RenewableProcess] = []
+        self._renewable_first = 0
+        #: ``(first, stop, process)`` node range of each class whose
+        #: draws take a slot factor, with one of its processes.
+        self._scaled_classes: List[Tuple[NodeId, NodeId, RenewableProcess]] = []
         if params.renewables_enabled:
             classes = (
                 (params.bs_renewable_kind, params.bs_energy, model.bs_ids),
@@ -134,17 +143,27 @@ class NetworkState:
             )
             for kind, energy, nodes in classes:
                 max_w = energy.renewable_max_w
-                if kind is RenewableKind.ZERO or max_w <= 0:
+                if kind is RenewableKind.ZERO or max_w <= 0 or not nodes:
                     continue
-                self._renewables.extend(
-                    (
-                        node,
-                        _RENEWABLE_PROCESSES[kind](
-                            max_w, params.slot_seconds, spawn_child(rng, 1 + node)
-                        ),
+                if not self._renewables:
+                    self._renewable_first = nodes[0]
+                processes = [
+                    _RENEWABLE_PROCESSES[kind](
+                        max_w, params.slot_seconds, spawn_child(rng, 1 + node)
                     )
                     for node in nodes
-                )
+                ]
+                if processes[0].slot_scale(0) is not None:
+                    self._scaled_classes.append((nodes[0], nodes[-1] + 1, processes[0]))
+                self._renewables.extend(processes)
+        # The draws of the next ``_block_width`` observed slots, one row
+        # per drawing node; filled on first use, then again once every
+        # column has been read (see observe).
+        self._block_width = max(
+            1, min(params.num_slots, _BLOCK_DOUBLES // max(1, len(self._renewables)))
+        )
+        self._block: AnyArray = np.zeros((len(self._renewables), 0))
+        self._block_col = 0
         #: Scripted grid outages: ``(start, end, (N,) mask)`` windows.
         self._outages: List[Tuple[int, int, NodeVec]] = []
         self._gains_cache_slot = -1
@@ -200,7 +219,10 @@ class NetworkState:
         are cached); band/renewable/grid draws advance their streams,
         so the engine observes each slot exactly once.  The draws land
         in dense per-node arrays; only the components that draw are
-        visited, each on its own stream, in node order.
+        visited, each on its own stream, in node order.  Renewable
+        draws come from a block drawn ahead for the next observed slots
+        (one column per call; see :meth:`_next_renewable_column`), so
+        the values are those of one ``sample`` call per node per slot.
         """
         band_access = None
         if self.availability is not None:
@@ -208,8 +230,14 @@ class NetworkState:
             band_access = self.availability.mask(self.model.band_access)
         bands = self.model.spectrum.sample(slot)
         renewable = np.zeros(self.model.num_nodes)
-        for node, process in self._renewables:
-            renewable[node] = process.sample(slot)
+        if self._renewables:
+            column = self._next_renewable_column()
+            first = self._renewable_first
+            renewable[first : first + column.shape[0]] = column
+            for start, stop, process in self._scaled_classes:
+                renewable[start:stop] = (
+                    process.slot_scale(slot) * column[start - first : stop - first]
+                )
         outage = self._outage_mask(slot)
         connected = self._grid_static.copy()
         connect_prob = self.arrays.connect_prob
@@ -226,6 +254,23 @@ class NetworkState:
             gains=self._current_gains(slot),
             band_access=band_access,
         )
+
+    def _next_renewable_column(self) -> AnyArray:
+        """The drawing nodes' next renewable draws, one per node.
+
+        Reads one column of the block, refilling it from every node's
+        stream once its columns are used up: a node's row is its next
+        ``_block_width`` draws, the ones its per-slot samples would make.
+        """
+        if self._block_col == self._block.shape[1]:
+            block = np.empty((len(self._renewables), self._block_width))
+            for row, process in enumerate(self._renewables):
+                block[row] = process.block(self._block_width)
+            self._block = block
+            self._block_col = 0
+        column = self._block[:, self._block_col]
+        self._block_col += 1
+        return column
 
     def _outage_mask(self, slot: int) -> Optional[NodeVec]:
         """``(N,)`` mask of the nodes in a scripted outage; None if none."""
@@ -247,16 +292,11 @@ class NetworkState:
     def h_backlogs(self) -> LinkPackets:
         """``(L,)`` ``H_ij(t) = beta * G_ij(t)`` (Eq. 30) by link position.
 
-        Frozen at read time: a fresh array, so later ``G`` updates do
-        not move it.  Only the support of ``G`` is multiplied; every
-        other cell is ``beta * 0.0 == 0.0``, which the zeroed buffer
-        already holds.
+        A read-only view of :attr:`ArrayState.h`, which the ``G``
+        writes keep equal to ``beta * G``: it is not frozen, so the
+        next :meth:`apply` moves it.  Copy it to keep the slot's values.
         """
-        arrays = self.arrays
-        support = arrays.g_support
-        h = np.zeros(arrays.g.shape[0])
-        h[support] = self.constants.beta * arrays.g[support]
-        return h
+        return self.arrays.h_view
 
     def z_values(self) -> NodeJoules:
         """``(N,)`` ``z_i(t)`` by node id (frozen at read time)."""

@@ -202,7 +202,7 @@ def one_battery(
         topology=SimpleNamespace(link_tx=no_links, link_rx=no_links),
     )
     model.node_vector = functools.partial(NetworkModel.node_vector, model)
-    arrays = ArrayState(model, SimpleNamespace(gamma_max=gamma_max))
+    arrays = ArrayState(model, SimpleNamespace(gamma_max=gamma_max, beta=1.0))
     arrays.battery_level[0] = level_j
     return arrays
 

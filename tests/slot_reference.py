@@ -11,7 +11,9 @@ every shed.  The library now touches only what moved: the support of
 out-links of the nodes that hold data, and the two endpoints of a shed
 entry.  This module keeps the dense versions as independent oracles;
 ``tests/test_sparse_support.py`` checks the library against them, bit
-for bit.
+for bit.  The same holds for two per-node draw loops the library now
+makes in blocks: the spectrum access table and each slot's renewable
+harvest.
 """
 
 from __future__ import annotations
@@ -23,8 +25,14 @@ import numpy as np
 from repro.control.decisions import ScheduleDecision
 from repro.core.arraystate import seq_sum
 from repro.energy.consumption import all_node_demands_array
+from repro.energy.renewable import (
+    DiurnalSolarProcess,
+    MarkovWindProcess,
+    UniformRenewableProcess,
+)
 from repro.exceptions import QueueError
-from repro.types import QueueSemantics
+from repro.sim.rng import spawn_child
+from repro.types import QueueSemantics, RenewableKind
 
 #: The S1 backlog floor (``repro.control.scheduler._H_EPS``).
 H_EPS = 1e-12
@@ -194,3 +202,46 @@ def access_table(params, rng):
             if rng.random() < params.spectrum.user_band_access_prob:
                 access[user, band] = True
     return access
+
+
+def renewable_draws(model, rng, slots):
+    """Each observed slot's ``(N,)`` renewable vector, node by node.
+
+    The loop ``NetworkState.observe`` ran before it drew in blocks: one
+    process per drawing node on child ``1 + node`` of the environment
+    stream ``rng`` (a twin of the one the state was built with), one
+    ``sample(slot)`` call per node per observed slot, in node order.
+    """
+    params = model.params
+    kinds = {
+        RenewableKind.UNIFORM: UniformRenewableProcess,
+        RenewableKind.SOLAR: DiurnalSolarProcess,
+        RenewableKind.WIND: MarkovWindProcess,
+    }
+    processes = []
+    if params.renewables_enabled:
+        classes = (
+            (params.bs_renewable_kind, params.bs_energy, model.bs_ids),
+            (params.user_renewable_kind, params.user_energy, model.user_ids),
+        )
+        for kind, energy, nodes in classes:
+            if kind is RenewableKind.ZERO or energy.renewable_max_w <= 0:
+                continue
+            processes.extend(
+                (
+                    node,
+                    kinds[kind](
+                        energy.renewable_max_w,
+                        params.slot_seconds,
+                        spawn_child(rng, 1 + node),
+                    ),
+                )
+                for node in nodes
+            )
+    draws = []
+    for slot in slots:
+        renewable = np.zeros(model.num_nodes)
+        for node, process in processes:
+            renewable[node] = process.sample(slot)
+        draws.append(renewable)
+    return draws

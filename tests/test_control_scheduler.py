@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import tiny_scenario
-from repro.control import LinkScheduler
+from repro.config import small_scenario, tiny_scenario
+from repro.control import LinkScheduler, scheduler as scheduler_module
 from repro.control.decisions import appearance_groups
 from repro.core import compute_constants
 from repro.core.drift import compute_drift_terms  # noqa: F401  (import check)
@@ -277,18 +277,35 @@ def _lexsort_greedy(model, active, keep, weight, links):
 
 #: Selection-equality models: the paper's single radio, a three-radio
 #: base station beside single-radio users (pruning on some rows, not
-#: others), and both with every band 1 MHz wide, so a row's bands tie.
-_GRID_CASES = ("single", "mixed", "single_flat", "mixed_flat")
+#: others), and both with every band 1 MHz wide, so a row's bands tie;
+#: then the 10-node ``small`` scenario, whose selections take several
+#: rounds, with single radios and with three-radio stations beside
+#: two-radio users (every row keeps its bands, so bands clash).
+_GRID_CASES = (
+    "single",
+    "mixed",
+    "single_flat",
+    "mixed_flat",
+    "small_single",
+    "small_multi",
+    "small_multi_flat",
+)
+_SMALL_CASES = tuple(case for case in _GRID_CASES if case.startswith("small"))
 
 
 @functools.lru_cache(maxsize=None)
 def _grid_case(name):
-    params = tiny_scenario()
-    if name.startswith("mixed"):
-        params = dataclasses.replace(
-            params, bs_node=dataclasses.replace(params.bs_node, num_radios=3)
-        )
-    if name.endswith("flat"):
+    words = name.split("_")
+    params = small_scenario() if "small" in words else tiny_scenario()
+    radios = {"mixed": (3, 1), "multi": (3, 2)}
+    for word, (bs_radios, user_radios) in radios.items():
+        if word in words:
+            params = dataclasses.replace(
+                params,
+                bs_node=dataclasses.replace(params.bs_node, num_radios=bs_radios),
+                user_node=dataclasses.replace(params.user_node, num_radios=user_radios),
+            )
+    if "flat" in words:
         params = dataclasses.replace(
             params,
             spectrum=dataclasses.replace(
@@ -359,11 +376,137 @@ class TestGreedySelectionEquality:
         )
         single = (radios[link_tx[active]] == 1) & (radios[link_rx[active]] == 1)
         several = keep.sum(axis=1) > 1
-        assert (single & several).any()
-        assert (~single & several).any() == case.startswith("mixed")
+        words = case.split("_")
+        assert (single & several).any() == ("multi" not in words)
+        assert (~single & several).any() == ("single" not in words)
         if case.endswith("flat"):
             kept = np.where(keep, weight, np.nan)
             assert (np.nanmax(kept, axis=1) == np.nanmin(kept, axis=1)).all()
+
+
+    @pytest.mark.parametrize("case", _SMALL_CASES)
+    def test_small_cases_take_several_rounds(self, case, monkeypatch):
+        model, _, _ = _grid_case(case)
+        links = link_tuples(model.topology)
+        rounds = []
+        kernel = scheduler_module._greedy_rounds
+
+        def counting(*args):
+            picks, taken = kernel(*args)
+            rounds.append(taken)
+            return picks, taken
+
+        monkeypatch.setattr(scheduler_module, "_greedy_rounds", counting)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            h_values = rng.choice([0.5, 1.0, 2.0, 3.0], len(links)).tolist()
+            scheduler, grid = _greedy_grid(case, h_values, None)
+            active, keep, weight = grid
+            assert scheduler._select_greedy(
+                active, keep, weight
+            ) == _lexsort_greedy(model, active, keep, weight, links)
+        assert max(rounds) >= 3
+
+
+def _scan_greedy(tx, rx, band, weight, key, radios):
+    """The conflict scan over ``np.lexsort((key, -weight))`` (the oracle)."""
+    usage = [0] * len(radios)
+    band_used = set()
+    picks = []
+    for i in np.lexsort((key, -weight)).tolist():
+        t, r, b = int(tx[i]), int(rx[i]), int(band[i])
+        if usage[t] >= radios[t] or usage[r] >= radios[r]:
+            continue
+        if (t, b) in band_used or (r, b) in band_used:
+            continue
+        picks.append(i)
+        usage[t] += 1
+        usage[r] += 1
+        band_used.update(((t, b), (r, b)))
+    return picks
+
+
+def _kernel_case(num_nodes, triples, weight, radios, num_bands):
+    """Candidate arrays for ``_greedy_rounds`` with the scheduler's key."""
+    tx, rx, band = (np.array(column, dtype=np.intp) for column in zip(*triples))
+    key = (tx * np.int64(num_nodes) + rx) * num_bands + band
+    return tx, rx, band, np.asarray(weight, dtype=float), key, np.asarray(radios)
+
+
+class TestGreedyRounds:
+    """The round kernel against the scan, on hand-made candidate sets."""
+
+    @pytest.mark.parametrize("num_nodes", [2, 3, 8, 41])
+    def test_falling_weight_path_takes_one_pick_per_round(self, num_nodes):
+        # Link i joins nodes i and i + 1 and outweighs link i + 1: only
+        # the path's head is first at both ends, so each round settles
+        # one pick and drops its successor.
+        triples = [(i, i + 1, 0) for i in range(num_nodes - 1)]
+        weight = np.arange(num_nodes - 1, 0, -1)
+        case = _kernel_case(num_nodes, triples, weight, [1] * num_nodes, 1)
+        picks, rounds = scheduler_module._greedy_rounds(*case, 1)
+        assert picks.tolist() == list(range(0, num_nodes - 1, 2))
+        assert picks.tolist() == _scan_greedy(*case)
+        assert rounds == picks.size
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_weights_break_ties_by_key(self, seed):
+        rng = np.random.default_rng(seed)
+        num_nodes, num_bands = 12, 3
+        triples = sorted(
+            {
+                (int(t), int(r), int(b))
+                for t, r, b in zip(
+                    rng.integers(0, num_nodes, 60),
+                    rng.integers(0, num_nodes, 60),
+                    rng.integers(0, num_bands, 60),
+                )
+                if t != r
+            }
+        )
+        order = rng.permutation(len(triples))
+        triples = [triples[i] for i in order]
+        radios = rng.integers(1, 4, num_nodes)
+        case = _kernel_case(num_nodes, triples, np.ones(len(triples)), radios, num_bands)
+        picks, _ = scheduler_module._greedy_rounds(*case, num_bands)
+        want = _scan_greedy(*case)
+        assert picks.tolist() == want
+        # Equal weights: the scan's order is the key order itself.
+        assert np.all(np.diff(case[4][picks]) > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_graphs_match_the_scan(self, data):
+        num_nodes = data.draw(st.integers(2, 10))
+        num_bands = data.draw(st.integers(1, 3))
+        node = st.integers(0, num_nodes - 1)
+        triples = data.draw(
+            st.lists(
+                st.tuples(node, node, st.integers(0, num_bands - 1)).filter(
+                    lambda c: c[0] != c[1]
+                ),
+                min_size=1,
+                max_size=40,
+                unique=True,
+            )
+        )
+        weight = data.draw(
+            st.lists(st.integers(1, 4), min_size=len(triples), max_size=len(triples))
+        )
+        radios = data.draw(
+            st.lists(st.integers(1, 3), min_size=num_nodes, max_size=num_nodes)
+        )
+        case = _kernel_case(num_nodes, triples, weight, radios, num_bands)
+        picks, rounds = scheduler_module._greedy_rounds(*case, num_bands)
+        assert picks.tolist() == _scan_greedy(*case)
+        assert 1 <= rounds <= picks.size
+
+    def test_no_candidates(self):
+        empty = np.zeros(0, dtype=np.intp)
+        picks, rounds = scheduler_module._greedy_rounds(
+            empty, empty, empty, np.zeros(0), empty.astype(np.int64), np.ones(3, np.intp), 2
+        )
+        assert picks.size == 0 and rounds == 0
 
 
 def _unique_groups(values):

@@ -144,6 +144,33 @@ class TestRenewableProcesses:
         lag1 = np.corrcoef(samples[:-1], samples[1:])[0, 1]
         assert lag1 > 0.5
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: UniformRenewableProcess(5.0, 60.0, rng),
+            lambda rng: DiurnalSolarProcess(10.0, 60.0, rng, slots_per_day=12),
+            lambda rng: MarkovWindProcess(8.0, 60.0, rng, persistence=0.6),
+        ],
+        ids=["uniform", "solar", "wind"],
+    )
+    def test_blocks_match_successive_samples(self, make):
+        # Three blocks of 7 (a fill and two refills) read over a
+        # 17-slot horizon that 7 does not divide, against one sample
+        # call per slot on a twin stream, bit for bit.
+        scalar = make(np.random.default_rng(41))
+        blocked = make(np.random.default_rng(41))
+        width, horizon = 7, 17
+        got, want = [], []
+        for slot in range(horizon):
+            if slot % width == 0:
+                block = blocked.block(width)
+                assert block.shape == (width,)
+            scale = blocked.slot_scale(slot)
+            draw = block[slot % width]
+            got.append(draw if scale is None else scale * draw)
+            want.append(scalar.sample(slot))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_invalid_parameters(self, rng):
         with pytest.raises(ValueError):
             UniformRenewableProcess(-1.0, 60.0, rng)

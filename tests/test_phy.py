@@ -20,10 +20,13 @@ from repro.phy import (
     total_interference,
     zero_interference_feasible,
 )
-from repro.phy.power_control import _solve_subset
+from repro.config import paper_scenario
+from repro.phy import power_control
+from repro.phy.power_control import _solve_subset, _subset_system
 from repro.phy.propagation import MIN_DISTANCE_M, DensePairGains
 from repro.phy.sinr import sinr_of_transmission
-from repro.types import Transmission
+from repro.sim import SlotSimulator
+from repro.types import SchedulerKind, Transmission
 
 
 class TestPropagation:
@@ -391,6 +394,57 @@ class TestPowerControlVec:
             DensePairGains(gains), 1e-10, 1.0, np.zeros(0), np.zeros(0),
         )
         assert kept.size == 0 and powers.size == 0 and dropped == []
+
+
+def _ix_system(coupling, eye, sel):
+    """The open-mesh system form: one fancy index, then ``eye`` minus it."""
+    return eye[: sel.size, : sel.size] - coupling[np.ix_(sel, sel)]
+
+
+class TestSubsetSystem:
+    """The two-``take`` system gather equals the ``np.ix_`` form byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 351))
+        link_tx, link_rx, gains = _clustered_links(rng, n)
+        coupling = rng.uniform(0.2, 4.0) * _unit_coupling(link_tx, link_rx, gains)
+        # Signed zeros off the diagonal: the subtraction must meet them
+        # in both forms alike.
+        flat = coupling.reshape(-1)
+        flat[rng.choice(flat.size, flat.size // 10)] = -0.0
+        flat[rng.choice(flat.size, flat.size // 10)] = 0.0
+        eye = np.eye(n)
+        for size in (0, 1, n // 3, n):
+            sel = np.sort(rng.choice(n, size, replace=False))
+            got = _subset_system(coupling, eye, sel)
+            assert got.tobytes() == _ix_system(coupling, eye, sel).tobytes()
+        # The unsorted selection order is kept too.
+        sel = rng.permutation(n)
+        got = _subset_system(coupling, eye, sel)
+        assert got.tobytes() == _ix_system(coupling, eye, sel).tobytes()
+
+    def test_captured_probes(self, monkeypatch):
+        # Every probe of a short GREEDY run, co-band sets of up to ~50
+        # links, rebuilt both ways; the solve reads the same bytes.
+        probes = []
+        solve = power_control._solve_subset
+
+        def recording(coupling, noise, eye, sel):
+            probes.append((coupling, noise, eye, sel))
+            return solve(coupling, noise, eye, sel)
+
+        monkeypatch.setattr(power_control, "_solve_subset", recording)
+        params = paper_scenario(num_users=200, num_slots=12, seed=7)
+        SlotSimulator.integral(params, scheduler_kind=SchedulerKind.GREEDY).run()
+        assert max(sel.size for *_, sel in probes) >= 20
+        for coupling, noise, eye, sel in probes:
+            want = _ix_system(coupling, eye, sel)
+            assert _subset_system(coupling, eye, sel).tobytes() == want.tobytes()
+            powers = solve(coupling, noise, eye, sel)
+            if powers is not None:
+                assert powers.tobytes() == np.linalg.solve(want, noise[sel]).tobytes()
 
 
 class TestFeasibilityMonotone:

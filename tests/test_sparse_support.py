@@ -33,7 +33,7 @@ from repro.network.spectrum import build_spectrum_model
 from repro.queueing.backlog import make_snapshot_from_arrays
 from repro.sim import SlotSimulator
 from repro.state import NetworkState
-from repro.types import QueueSemantics, SchedulerKind
+from repro.types import QueueSemantics, RenewableKind, SchedulerKind
 from tests import slot_reference
 from tests.test_golden import GREEDY_SCENARIOS
 
@@ -363,7 +363,7 @@ class TestDataQueueCells:
             topology=SimpleNamespace(link_tx=link_tx, link_rx=link_rx),
             node_vector=lambda bs, user, dtype=float: np.full(num_nodes, user, dtype=dtype),
         )
-        arrays = ArrayState(model, SimpleNamespace(gamma_max=0.0))
+        arrays = ArrayState(model, SimpleNamespace(gamma_max=0.0, beta=1.0))
         arrays.q[arrays.q_valid] = 1.0
         count = 300
         args = (
@@ -405,7 +405,7 @@ class TestReaders:
         state = NetworkState(model, constants, np.random.default_rng(0))
         num_links = model.topology.link_tx.shape[0]
         state.arrays.assign_g(np.resize(np.array(g), num_links))
-        h = state.h_backlogs()
+        h = state.h_backlogs().copy()
         assert _bits(h) == _bits(constants.beta * state.arrays.g)
         # Every third supported link sits exactly on the floor.
         support = state.arrays.g_support
@@ -664,3 +664,34 @@ class TestBatchedAccessDraw:
             assert model.accessible_bands(node) == frozenset(
                 np.flatnonzero(expected[node]).tolist()
             )
+
+
+# -- renewable draws in blocks --------------------------------------------------
+
+
+class TestBlockRenewableDraws:
+    @pytest.mark.parametrize("seed", [0, 2014])
+    def test_observe_matches_the_per_node_loop(self, seed):
+        # Solar stations and wind users; num_slots=4 makes the block 4
+        # slots wide, so 10 observed slots read 2.5 blocks.  The slots
+        # jump across day and night: the solar factor is the read slot's.
+        params = tiny_scenario(
+            num_slots=4,
+            bs_renewable_kind=RenewableKind.SOLAR,
+            user_renewable_kind=RenewableKind.WIND,
+        )
+        model = build_network_model(params, np.random.default_rng(params.seed))
+        constants = compute_constants(model)
+        state = NetworkState(model, constants, np.random.default_rng(seed))
+        slots = [0, 1, 2, 5, 360, 361, 700, 1000, 1439, 1440]
+        expected = slot_reference.renewable_draws(
+            model, np.random.default_rng(seed), slots
+        )
+        for slot, want in zip(slots, expected):
+            got = state.observe(slot).renewable_j
+            assert got.tobytes() == want.tobytes()
+        # Stations harvest at the morning peak (slot 360) and not at
+        # night (slot 1000); users draw wind either way.
+        num_bs = params.num_base_stations
+        assert expected[4][:num_bs].all() and not expected[7][:num_bs].any()
+        assert expected[7][num_bs:].all()

@@ -174,7 +174,6 @@ class TestPerNodeVectors:
         scheduler = controller.scheduler
         for vector in (scheduler._radios_arr, relaxed._radios):
             self._assert_rows(vector, bs.num_radios, user.num_radios, num_bs)
-        assert scheduler._radios == scheduler._radios_arr.tolist()
         assert relaxed._max_power is model.max_power_w
         link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
         assert np.array_equal(
