@@ -1,39 +1,29 @@
-"""Shared benchmark fixtures (scenario logic lives in ``common.py``).
+"""Shared benchmark fixtures for the ablation and component benches.
 
-Each benchmark regenerates one paper figure (or one ablation) and
-prints the reproduced rows, while pytest-benchmark measures the
-generation time.  Scales and environment knobs: see ``common.py``.
+Each ablation bench runs one design decision both ways and prints the
+reproduced rows, while pytest-benchmark measures the run time.  The
+paper's figures are not benches: ``scripts/generate_experiments.py``
+regenerates and checks them.
+
+``REPRO_BENCH_SCALE=paper`` runs the benches at the full Section-VI
+scale (2 BSs, 20 users, 100 slots) instead of the reduced default.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from common import bench_scenario, v_backlog, v_compare, v_sweep
+from repro.config import paper_scenario, small_scenario
 
 
 @pytest.fixture(scope="session")
 def bench_base():
     """The base scenario benchmarks derive their runs from."""
-    return bench_scenario()
-
-
-@pytest.fixture(scope="session")
-def bench_v_sweep():
-    """The V values swept by the bound/backlog figures."""
-    return v_sweep()
-
-
-@pytest.fixture(scope="session")
-def bench_v_backlog():
-    """The V values of the backlog/buffer figures (2b-2e)."""
-    return v_backlog()
-
-
-@pytest.fixture(scope="session")
-def bench_v_compare():
-    """The V values of the architecture comparison (2f)."""
-    return v_compare()
+    if os.environ.get("REPRO_BENCH_SCALE", "small") == "paper":
+        return paper_scenario(num_slots=100, seed=2014)
+    return small_scenario(num_slots=40, num_users=10, seed=2014)
 
 
 @pytest.fixture

@@ -5,8 +5,11 @@ Subcommands:
 * ``run`` — simulate one scenario and print the summary (optionally
   writing a per-slot CSV/JSON trace);
 * ``bounds`` — compute the Theorem-4/5 bound pair for one V;
-* ``figure`` — regenerate one of the paper's figures (2a-2f);
-* ``compare`` — the four-architecture comparison at chosen V values.
+* ``report`` — the operator report of one run;
+* ``figure`` — regenerate one of the paper's figures (2a-2f); ``2f``
+  also prints whether the proposed system is cheapest at every V;
+* ``sweep`` — a V sweep replicated over seeds, with confidence
+  intervals.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.reporting import build_report, format_table
+from repro.reporting import build_report, format_table, mean_confidence_interval
 from repro.config import (
     ScenarioParameters,
     cell_edge_scenario,
@@ -24,6 +27,7 @@ from repro.config import (
     tiny_scenario,
 )
 from repro.experiments import (
+    SweepSpec,
     compute_bounds,
     run_fig2a,
     run_fig2b,
@@ -31,6 +35,7 @@ from repro.experiments import (
     run_fig2d,
     run_fig2e,
     run_fig2f,
+    run_sweep,
 )
 from repro.sim import SlotSimulator, TraceRecorder
 
@@ -127,6 +132,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         kwargs["v_values"] = args.v_values
     result = runner(**kwargs)
     print(result.table)
+    if args.figure == "2f":
+        ok = all(result.ordering_holds(v) for _, v in result.results)
+        print()
+        print(
+            "proposed system cheapest at every V: "
+            + ("yes" if ok else "NO — see table")
+        )
     if args.export is not None:
         from repro.experiments import export_figure
 
@@ -136,50 +148,24 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.reporting import replicate_summary
-
     params = _build_scenario(args)
     v_values = args.v_values or [1e5, 3e5, 5e5]
+    # Replications run on spawn-key children of the scenario's seed.
+    sweep = run_sweep(SweepSpec.integral(params, v_values, replications=args.seeds))
     rows = []
     for v in v_values:
-        summary = replicate_summary(
-            dataclasses.replace(params, control_v=v),
-            num_seeds=args.seeds,
-            first_seed=params.seed,
+        runs = sweep.replicated("integral", v).results
+        cost = mean_confidence_interval([run.average_cost for run in runs])
+        backlog = mean_confidence_interval(
+            [float(run.backlog_series("bs_data_packets").mean()) for run in runs]
         )
-        cost = summary["average_cost"]
-        backlog = summary["mean_bs_backlog"]
-        rows.append(
-            (
-                v,
-                cost.mean,
-                cost.half_width,
-                backlog.mean,
-                backlog.half_width,
-            )
-        )
+        rows.append((v, *cost, *backlog))
     print(
         format_table(
             ["V", "avg cost", "+/-", "mean BS backlog", "+/-"],
             rows,
             title=f"V sweep over {args.seeds} seeds (95% CIs)",
         )
-    )
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    params = _build_scenario(args)
-    v_values = args.v_values or [1e5, 3e5, 5e5]
-    result = run_fig2f(base=params, v_values=v_values)
-    print(result.table)
-    ok = all(result.ordering_holds(v) for v in v_values)
-    print()
-    print(
-        "proposed system cheapest at every V: "
-        + ("yes" if ok else "NO — see table")
     )
     return 0
 
@@ -246,14 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=3, help="replications per V (default 3)"
     )
     sweep_p.set_defaults(handler=_cmd_sweep)
-
-    compare_p = sub.add_parser("compare", help="four-architecture comparison")
-    common(compare_p)
-    compare_p.add_argument(
-        "--v-values", type=_parse_v_list, default=None,
-        help="comma-separated V values (default: 1e5,3e5,5e5)",
-    )
-    compare_p.set_defaults(handler=_cmd_compare)
 
     return parser
 

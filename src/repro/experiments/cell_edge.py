@@ -75,7 +75,3 @@ def run_cell_edge(
         )
     )
     return CellEdgeResult(comparison=comparison, table=table)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run_cell_edge().table)

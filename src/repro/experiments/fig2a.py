@@ -78,7 +78,3 @@ def run_fig2a(
         title="Fig. 2(a): time-averaged expected energy cost bounds vs V",
     )
     return Fig2aResult(reports=tuple(reports), table=table)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run_fig2a().table)

@@ -15,7 +15,7 @@ from repro.config.parameters import ScenarioParameters
 from repro.experiments.fig2bc import (
     PAPER_V_VALUES,
     BacklogFigure,
-    _run_backlog_figure,
+    run_backlog_figure,
 )
 
 
@@ -25,13 +25,7 @@ def run_fig2d(
     max_workers: int = 1,
 ) -> BacklogFigure:
     """Fig. 2(d): total base-station energy buffer (J) over time."""
-    return _run_backlog_figure(
-        "bs_energy_j",
-        "Fig. 2(d): total BS energy buffer (J) vs time",
-        base,
-        v_values,
-        max_workers=max_workers,
-    )
+    return run_backlog_figure("fig2d", base, v_values, max_workers)
 
 
 def run_fig2e(
@@ -40,16 +34,4 @@ def run_fig2e(
     max_workers: int = 1,
 ) -> BacklogFigure:
     """Fig. 2(e): total mobile-user energy buffer (J) over time."""
-    return _run_backlog_figure(
-        "user_energy_j",
-        "Fig. 2(e): total user energy buffer (J) vs time",
-        base,
-        v_values,
-        max_workers=max_workers,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run_fig2d().table)
-    print()
-    print(run_fig2e().table)
+    return run_backlog_figure("fig2e", base, v_values, max_workers)

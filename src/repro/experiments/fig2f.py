@@ -112,7 +112,3 @@ def run_fig2f(
         title="Fig. 2(f): time-averaged expected energy cost by architecture",
     )
     return Fig2fResult(results=results, table=table)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run_fig2f().table)

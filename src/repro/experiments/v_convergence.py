@@ -104,7 +104,3 @@ def run_v_convergence(
         ),
     )
     return dataclasses.replace(result, table=table)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run_v_convergence().table)

@@ -8,10 +8,7 @@ from repro.phy.power_control import (
     minimal_power_assignment,
     minimal_power_assignment_vec,
 )
-from repro.phy.interference import (
-    big_m_coefficient,
-    zero_interference_feasible,
-)
+from repro.phy.interference import big_m_coefficient
 
 __all__ = [
     "gain_matrix",
@@ -24,5 +21,4 @@ __all__ = [
     "minimal_power_assignment",
     "minimal_power_assignment_vec",
     "big_m_coefficient",
-    "zero_interference_feasible",
 ]

@@ -31,22 +31,6 @@ def _seq_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(flat)[-1])
 
 
-def zero_interference_feasible(
-    gain: Linear,
-    max_power_w: Watts,
-    noise_power_w: Watts,
-    sinr_threshold: Linear,
-) -> bool:
-    """True if a link clears ``Gamma`` at max power with no interference.
-
-    This is the necessary condition for a link ever being schedulable;
-    the topology builder uses it for candidate-link pruning.
-    """
-    if noise_power_w <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power_w}")
-    return gain * max_power_w >= sinr_threshold * noise_power_w
-
-
 def big_m_coefficient(
     gains: PairGains,
     tx: NodeId,

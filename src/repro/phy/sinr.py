@@ -111,27 +111,6 @@ def sinr_in_group(
     )
 
 
-def sinr_of_transmission(
-    gains: PairGains,
-    target: Transmission,
-    concurrent: Iterable[Transmission],
-    noise_power_w: Watts,
-) -> Linear:
-    """SINR of ``target`` among ``concurrent`` same-band transmissions.
-
-    Transmissions in ``concurrent`` on other bands or equal to
-    ``target`` are ignored, so callers may pass the full schedule.
-    """
-    group = [target] + [
-        t
-        for t in concurrent
-        if t.band == target.band and t.link != target.link
-    ]
-    return sinr_in_group(
-        co_band_gain_block(gains, group), group, 0, noise_power_w
-    )
-
-
 def sinr_db(
     gains: GainsLike,
     tx: NodeId,

@@ -2,10 +2,10 @@
 
 Time averages and confidence intervals (:mod:`repro.reporting.aggregate`),
 plain-text tables (:mod:`repro.reporting.tables`), bound-gap convergence
-across a ``V`` sweep (:mod:`repro.reporting.convergence`), multi-seed
-replication (:mod:`repro.reporting.replication`) and the operator
-report (:mod:`repro.reporting.report`).  Nothing here imports the
-static analyzer (:mod:`repro.analysis`) or the lint suite.
+across a ``V`` sweep (:mod:`repro.reporting.convergence`) and the
+operator report (:mod:`repro.reporting.report`).  Multi-seed runs come
+from the sweep executor (``SweepSpec(replications=n)``).  Nothing here
+imports the static analyzer (:mod:`repro.analysis`) or the lint suite.
 """
 
 from repro.reporting.aggregate import (
@@ -20,11 +20,6 @@ from repro.reporting.convergence import (
     is_shrinking,
     relative_gap_series,
 )
-from repro.reporting.replication import (
-    ReplicatedStatistic,
-    replicate,
-    replicate_summary,
-)
 from repro.reporting.report import build_report
 
 __all__ = [
@@ -36,8 +31,5 @@ __all__ = [
     "gap_series",
     "is_shrinking",
     "relative_gap_series",
-    "ReplicatedStatistic",
-    "replicate",
-    "replicate_summary",
     "build_report",
 ]

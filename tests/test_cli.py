@@ -89,10 +89,11 @@ class TestCommands:
         assert code == 0
         assert "Fig. 2(d)" in out
 
-    def test_compare_command(self, capsys):
+    def test_figure_2f_command(self, capsys):
         code = main(
             [
-                "compare",
+                "figure",
+                "2f",
                 "--scenario",
                 "tiny",
                 "--slots",
@@ -104,7 +105,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "architecture" in out
-        assert "proposed system cheapest" in out
+        assert "proposed system cheapest at every V" in out
 
     def test_cell_edge_scenario_available(self, capsys):
         code = main(

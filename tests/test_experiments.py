@@ -1,8 +1,9 @@
 """Integration tests for the per-figure experiment drivers.
 
-These run reduced-scale versions of every figure (the benchmarks run
-the fuller versions) and assert the qualitative shapes the paper
-reports, which are the reproduction's acceptance criteria.
+These run reduced-scale versions of every figure and assert the
+qualitative shapes the paper reports, which are the reproduction's
+acceptance criteria.  ``scripts/generate_experiments.py`` runs and
+checks the fuller versions (``tests/test_generate_experiments.py``).
 """
 
 import numpy as np

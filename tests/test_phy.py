@@ -18,15 +18,13 @@ from repro.phy import (
     propagation_gain,
     sinr,
     total_interference,
-    zero_interference_feasible,
 )
 from repro.config import paper_scenario
 from repro.phy import power_control
 from repro.phy.power_control import _solve_subset, _subset_system
 from repro.phy.propagation import MIN_DISTANCE_M, DensePairGains
-from repro.phy.sinr import sinr_of_transmission
 from repro.sim import SlotSimulator
-from repro.types import SchedulerKind, Transmission
+from repro.types import SchedulerKind
 
 
 class TestPropagation:
@@ -79,17 +77,6 @@ class TestSinr:
         with pytest.raises(ValueError):
             sinr(gains, 0, 1, 1.0, 0.0)
 
-    def test_sinr_of_transmission_ignores_other_bands(self):
-        gains = np.array(
-            [[0, 1e-6, 1e-7], [1e-6, 0, 1e-7], [1e-7, 1e-7, 0]]
-        )
-        target = Transmission(tx=0, rx=1, band=0, power_w=1.0)
-        same_band = Transmission(tx=2, rx=0, band=0, power_w=1.0)
-        other_band = Transmission(tx=2, rx=0, band=1, power_w=1.0)
-        clean = sinr_of_transmission(DensePairGains(gains), target, [other_band], 1e-9)
-        dirty = sinr_of_transmission(DensePairGains(gains), target, [same_band], 1e-9)
-        assert dirty < clean
-
 
 class TestCapacity:
     def test_capacity_above_threshold(self):
@@ -118,10 +105,6 @@ class TestCapacity:
 
 
 class TestInterferenceHelpers:
-    def test_zero_interference_feasible(self):
-        assert zero_interference_feasible(1e-8, 1.0, 1e-9, 1.0)
-        assert not zero_interference_feasible(1e-12, 1.0, 1e-9, 10.0)
-
     def test_big_m_covers_worst_case(self):
         gains = np.full((3, 3), 1e-6)
         np.fill_diagonal(gains, 0.0)

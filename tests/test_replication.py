@@ -1,68 +1,61 @@
-"""Tests for the multi-seed replication helpers."""
+"""Tests for multi-seed replication with confidence intervals.
+
+Replication has one path: ``SweepSpec(replications=n)`` runs each cell
+on ``n`` spawn-key children of the scenario's seed, and
+``mean_confidence_interval`` turns the replicated samples into a mean
+with a t-based interval (what ``repro sweep`` prints).
+"""
 
 import pytest
 
-from repro.reporting import ReplicatedStatistic, replicate, replicate_summary
 from repro.config import tiny_scenario
+from repro.experiments import SweepSpec, run_sweep
+from repro.reporting import mean_confidence_interval
+
+
+def _average_costs(base, replications):
+    sweep = run_sweep(SweepSpec.integral(base, (1e4,), replications=replications))
+    return [run.average_cost for run in sweep.replicated("integral", 1e4).results]
 
 
 class TestReplicate:
     @pytest.fixture(scope="class")
-    def stat(self):
-        return replicate(
-            tiny_scenario(num_slots=8),
-            statistic=lambda r: r.average_cost,
-            num_seeds=3,
-        )
+    def samples(self):
+        return _average_costs(tiny_scenario(num_slots=8), replications=3)
 
-    def test_sample_count(self, stat):
-        assert len(stat.samples) == 3
+    def test_sample_count(self, samples):
+        assert len(samples) == 3
 
-    def test_mean_is_sample_mean(self, stat):
-        assert stat.mean == pytest.approx(sum(stat.samples) / 3)
+    def test_mean_is_sample_mean(self, samples):
+        mean, _ = mean_confidence_interval(samples)
+        assert mean == pytest.approx(sum(samples) / 3)
 
-    def test_seeds_differ(self, stat):
-        assert len(set(stat.samples)) > 1
+    def test_seeds_differ(self, samples):
+        assert len(set(samples)) > 1
 
-    def test_interval_contains_mean(self, stat):
-        lo, hi = stat.interval
-        assert lo <= stat.mean <= hi
+    def test_interval_contains_mean(self, samples):
+        mean, half_width = mean_confidence_interval(samples)
+        assert half_width > 0
+        assert mean - half_width <= mean <= mean + half_width
 
     def test_zero_seeds_rejected(self):
         with pytest.raises(ValueError):
-            replicate(tiny_scenario(), lambda r: 0.0, num_seeds=0)
+            SweepSpec.integral(tiny_scenario(), (1e4,), replications=0)
 
-    def test_base_seed_is_ignored(self):
-        a = replicate(
-            tiny_scenario(num_slots=5, seed=1),
-            statistic=lambda r: r.average_cost,
-            num_seeds=2,
-        )
-        b = replicate(
-            tiny_scenario(num_slots=5, seed=99),
-            statistic=lambda r: r.average_cost,
-            num_seeds=2,
-        )
-        assert a.samples == b.samples
+    def test_base_seed_roots_the_replications(self):
+        one = _average_costs(tiny_scenario(num_slots=5, seed=1), replications=2)
+        again = _average_costs(tiny_scenario(num_slots=5, seed=1), replications=2)
+        other = _average_costs(tiny_scenario(num_slots=5, seed=99), replications=2)
+        assert one == again
+        assert one != other
 
 
 class TestReplicateSummary:
     def test_headline_statistics_present(self):
-        summary = replicate_summary(tiny_scenario(num_slots=6), num_seeds=2)
-        assert set(summary) == {
-            "average_cost",
-            "steady_state_cost",
-            "average_penalty",
-            "mean_bs_backlog",
-        }
-        for stat in summary.values():
+        sweep = run_sweep(
+            SweepSpec.integral(tiny_scenario(num_slots=6), (1e4,), replications=2)
+        )
+        stats = sweep.replicated("integral", 1e4).summary_stats()
+        assert {"average_cost", "average_penalty"} <= set(stats)
+        for stat in stats.values():
             assert len(stat.samples) == 2
-
-
-class TestOverlap:
-    def test_overlapping_intervals(self):
-        a = ReplicatedStatistic(mean=10.0, half_width=2.0, samples=(8.0, 12.0))
-        b = ReplicatedStatistic(mean=11.0, half_width=2.0, samples=(9.0, 13.0))
-        c = ReplicatedStatistic(mean=20.0, half_width=1.0, samples=(19.0, 21.0))
-        assert a.overlaps(b) and b.overlaps(a)
-        assert not a.overlaps(c) and not c.overlaps(a)
