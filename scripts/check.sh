@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # The full local quality gate, in the same order CI runs it:
 #
-#   1. repro.lint     — the project's own AST rules R001-R006 (always runs)
-#   2. repro.analysis — whole-program units dataflow R010-R012,
-#                       determinism rules R030-R032, hot-path
-#                       complexity R040-R042, and the equation audit
-#                       EQ001-EQ003 (always runs)
-#   3. ruff           — generic style/bug lint         (if installed)
-#   4. mypy           — strict on the foundation modules (if installed)
-#   5. pytest         — the tier-1 test suite
+#   1. repro.lint — the project's own checker in one pass: per-file
+#                   rules R002-R006 and determinism rules R030-R032,
+#                   hot-path rules R040-R042 and the equation audit
+#                   EQ001-EQ003 (always runs)
+#   2. ruff       — generic style/bug lint           (if installed)
+#   3. mypy       — strict on the foundation modules (if installed)
+#   4. pytest     — the tier-1 test suite
 #
 # ruff and mypy are optional-dependency tools (pip install -e '.[lint]');
 # when absent locally they are skipped with a notice — CI always installs
@@ -24,20 +23,8 @@ step() {
     echo "==> $*"
 }
 
-step "repro.lint (R001-R006)"
+step "repro.lint (R002-R006, R030-R032, R040-R042, EQ001-EQ003)"
 python -m repro.lint src tests benchmarks || failures=$((failures + 1))
-
-step "repro.analysis units dataflow (R010-R012)"
-python -m repro.analysis --select R01 src || failures=$((failures + 1))
-
-step "repro.analysis determinism (R030-R032)"
-python -m repro.analysis --select R03 src || failures=$((failures + 1))
-
-step "repro.analysis hot-path (R040-R042)"
-python -m repro.analysis --select R04 src || failures=$((failures + 1))
-
-step "repro.analysis equation audit (EQ001-EQ003)"
-python -m repro.analysis --equations || failures=$((failures + 1))
 
 if command -v ruff > /dev/null 2>&1; then
     step "ruff"

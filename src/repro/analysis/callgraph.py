@@ -1,15 +1,12 @@
-"""Package-wide call graph and program index for whole-program analysis.
+"""Package-wide call graph and program index for the hot-path rules.
 
-The per-function units pass (:mod:`repro.analysis.dataflow`) stops at
-call boundaries: a unit fact declared in ``solvers/`` is invisible to
-the ``control/`` caller that imports it.  This module builds the
-structures the whole-program units pass
-(:func:`repro.analysis.dataflow.run_units`) and the hot-path rules
-(:mod:`repro.analysis.hotpath`) share:
+A per-file rule cannot tell whether a loop runs once per slot: that
+depends on who calls the function.  This module builds the structures
+the hot-path rules (:mod:`repro.analysis.hotpath`) stand on:
 
-* :class:`Program` — every module parsed once, with its import map,
-  units index, numpy aliases, top-level functions and classes qualified
-  by dotted name (``repro.control.router.BackpressureRouter.route``);
+* :class:`Program` — every parsed module handed to it, with its import
+  map, numpy aliases, top-level functions and classes qualified by
+  dotted name (``repro.control.router.BackpressureRouter.route``);
 * :class:`CallGraph` — the caller -> callee edges, resolved through
   imports, ``self``, annotated parameters, ``self.attr = Class(...)``
   constructor assignments in ``__init__``, and — for receivers built
@@ -33,8 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.dataflow import _ModuleIndex
-from repro.lint.cli import discover_files
 from repro.lint.rules import FileContext, Finding, _numpy_aliases
 
 #: Method names never resolved by the name-based fallback: they are
@@ -112,11 +107,10 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed module with its per-pass indexes and import map."""
+    """One parsed module with its numpy aliases and import map."""
 
     name: str
     ctx: FileContext
-    unit_index: _ModuleIndex
     #: local aliases bound to the ``numpy`` module (``np``), read by
     #: the hot-path allocation rules (R041/R042).
     numpy_names: Set[str] = field(default_factory=set)
@@ -192,9 +186,14 @@ def _import_map(tree: ast.Module, module_name: str) -> Dict[str, str]:
 
 
 class Program:
-    """Every module of the analyzed tree, indexed for whole-program use."""
+    """Every module of the analyzed tree, indexed for whole-program use.
 
-    def __init__(self) -> None:
+    The caller hands over already-parsed files (the checker parses each
+    file once for all rule families); :meth:`from_sources` parses an
+    in-memory tree for tests.
+    """
+
+    def __init__(self, files: Iterable[FileContext]) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
@@ -202,64 +201,39 @@ class Program:
         #: method bare name -> qualnames, for the name-based fallback.
         self.methods_by_name: Dict[str, Set[str]] = {}
         self.callgraph = CallGraph()
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def load(cls, paths: Sequence[str]) -> "Program":
-        """Parse every ``*.py`` under ``paths`` into a program."""
-        sources: List[Tuple[Path, str, str]] = []
-        for path in discover_files(paths):
-            sources.append((path, str(path), path.read_text(encoding="utf-8")))
-        return cls._build(sources)
-
-    @classmethod
-    def from_sources(cls, sources: Mapping[str, str]) -> "Program":
-        """Build a program from in-memory ``{display_path: source}``."""
-        triples = [
-            (Path(display), display, text) for display, text in sorted(sources.items())
-        ]
-        return cls._build(triples)
-
-    @classmethod
-    def _build(cls, sources: Sequence[Tuple[Path, str, str]]) -> "Program":
-        program = cls()
-        for path, display, text in sources:
-            try:
-                tree = ast.parse(text, filename=display)
-            except SyntaxError as exc:
-                program.parse_findings.append(
-                    Finding(
-                        path=display,
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 0) or 1,
-                        rule_id="E999",
-                        message=f"syntax error: {exc.msg}",
-                    )
-                )
-                continue
-            ctx = FileContext.build(
-                path=path, display_path=display, source=text, tree=tree
-            )
-            name = module_name_for(display)
-            numpy_modules, _ = _numpy_aliases(tree)
+        for ctx in files:
+            name = module_name_for(ctx.display_path)
+            numpy_modules, _ = _numpy_aliases(ctx.tree)
             module = ModuleInfo(
                 name=name,
                 ctx=ctx,
-                unit_index=_ModuleIndex(tree),
                 numpy_names={
                     alias
                     for alias, target in numpy_modules.items()
                     if target == "numpy"
                 },
-                imports=_import_map(tree, name),
             )
+            module.imports = _import_map(module.tree, name)
             # Last writer wins on duplicate module names (shadowed
             # fixtures); real trees have unique dotted names.
-            program.modules[name] = module
-        program._collect_definitions()
-        program._collect_attr_classes()
-        program._build_callgraph()
+            self.modules[name] = module
+        self._collect_definitions()
+        self._collect_attr_classes()
+        self._build_callgraph()
+
+    @classmethod
+    def from_sources(cls, sources: Mapping[str, str]) -> "Program":
+        """Build a program from in-memory ``{display_path: source}``;
+        unparsable sources become E999 :attr:`parse_findings`."""
+        files: List[FileContext] = []
+        errors: List[Finding] = []
+        for display, text in sorted(sources.items()):
+            try:
+                files.append(FileContext.parse(Path(display), display, text))
+            except SyntaxError as exc:
+                errors.append(Finding.syntax_error(display, exc))
+        program = cls(files)
+        program.parse_findings = errors
         return program
 
     def _collect_definitions(self) -> None:

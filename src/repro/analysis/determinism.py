@@ -20,22 +20,46 @@ rule families guard the ways that contract silently erodes:
   ``any``/``all``, ``len``, set-to-set operations) are allowed.
 
 All three are plain AST rules on the ``repro.lint`` chassis and run
-with the dataflow passes under ``python -m repro.analysis``.
+with the other per-file rules under ``python -m repro.lint``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, Optional, Set
 
-from repro.analysis.dataflow import AnalysisRuleInfo
-from repro.lint.rules import (
-    LEGACY_GLOBAL_RANDOM_FNS,
-    FileContext,
-    Finding,
-    Rule,
-    _canonical_call_target,
-    _numpy_aliases,
+from repro.lint.rules import FileContext, Finding, Rule, _dotted_name, _numpy_aliases
+
+#: Legacy ``numpy.random`` module-level functions that mutate or read
+#: the hidden global RandomState.
+LEGACY_GLOBAL_RANDOM_FNS = frozenset(
+    {
+        "seed",
+        "rand",
+        "randn",
+        "randint",
+        "random",
+        "random_sample",
+        "random_integers",
+        "ranf",
+        "sample",
+        "choice",
+        "bytes",
+        "shuffle",
+        "permutation",
+        "uniform",
+        "normal",
+        "standard_normal",
+        "poisson",
+        "exponential",
+        "binomial",
+        "beta",
+        "gamma",
+        "lognormal",
+        "get_state",
+        "set_state",
+        "RandomState",
+    }
 )
 
 #: stdlib ``random`` module-level draw functions (module state).
@@ -167,6 +191,21 @@ one-line justification.
         return None
 
 
+def _canonical_call_target(
+    node: ast.Call, modules: Dict[str, str], names: Dict[str, str]
+) -> Optional[str]:
+    """The canonical dotted path of a call's target, numpy-resolved."""
+    if isinstance(node.func, ast.Name):
+        return names.get(node.func.id)
+    dotted = _dotted_name(node.func)
+    if dotted is None:
+        return None
+    root, _, rest = dotted.partition(".")
+    if root in modules:
+        return f"{modules[root]}.{rest}" if rest else modules[root]
+    return dotted
+
+
 def _stdlib_random_aliases(tree: ast.AST) -> Set[str]:
     """Names the stdlib ``random`` module is bound to in this file."""
     names: Set[str] = set()
@@ -205,7 +244,7 @@ a one-line justification.
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            target = _dotted_call_target(node.func)
+            target = _dotted_name(node.func)
             if target in WALLCLOCK_TARGETS:
                 yield from _maybe(
                     ctx.finding(
@@ -403,19 +442,6 @@ def _is_set_annotation(node: Optional[ast.expr]) -> bool:
     return name in ("set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet")
 
 
-def _dotted_call_target(func: ast.expr) -> Optional[str]:
-    """``a.b.c`` for an attribute-chain call target, else the bare name."""
-    parts: List[str] = []
-    node: ast.expr = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _maybe(finding: Optional[Finding]) -> Iterator[Finding]:
     if finding is not None:
         yield finding
@@ -423,8 +449,3 @@ def _maybe(finding: Optional[Finding]) -> Iterator[Finding]:
 
 #: The determinism checkers, in rule-id order.
 DETERMINISM_RULE_CLASSES = (GlobalRngRule, WallclockRule, SetIterationRule)
-
-DETERMINISM_RULES: Dict[str, AnalysisRuleInfo] = {
-    cls.rule_id: AnalysisRuleInfo(cls.rule_id, cls.title, cls.explain)
-    for cls in DETERMINISM_RULE_CLASSES
-}

@@ -33,9 +33,9 @@ import re
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.lint.rules import Finding
+from repro.lint.rules import Finding, RuleInfo
 
 #: Where the manifest lives, relative to the repo root.
 DEFAULT_MANIFEST = Path("docs") / "equations.toml"
@@ -185,16 +185,14 @@ def citations_in_source(source: str, display_path: str) -> List[Citation]:
 
 def collect_citations(src_root: Path) -> List[Citation]:
     """Citations across every ``.py`` file under ``src_root``."""
-    from repro.lint.cli import discover_files
-
     citations: List[Citation] = []
-    for path in discover_files([str(src_root)]):
+    for path in sorted(src_root.rglob("*.py")):
         try:
             source = path.read_text(encoding="utf-8")
             citations.extend(citations_in_source(source, str(path)))
         except SyntaxError:
-            # The units analyzer / lint pass reports unparsable files;
-            # the audit just skips them.
+            # The per-file pass reports unparsable files as E999; the
+            # audit just skips them.
             continue
     return citations
 
@@ -347,16 +345,10 @@ def audit_equations(
     return result
 
 
-def iter_audit_findings(
-    manifest_path: Path, src_root: Path, repo_root: Optional[Path] = None
-) -> Iterator[Finding]:
-    """Finding-only view of :func:`audit_equations`."""
-    yield from audit_equations(manifest_path, src_root, repo_root).findings
-
-
-#: ``--explain`` texts for the audit rules.
-EQUATION_RULES: Dict[str, Tuple[str, str]] = {
-    "EQ001": (
+#: Catalogue entries of the audit rules.
+EQUATION_RULES: Dict[str, RuleInfo] = {
+    "EQ001": RuleInfo(
+        "EQ001",
         "implemented equations must be cited by their owning modules",
         """\
 docs/equations.toml declares, for every numbered construct of the
@@ -371,7 +363,8 @@ Fix: cite the equation in the owning module's docstring ("Eq. 14",
 list.
 """,
     ),
-    "EQ002": (
+    "EQ002": RuleInfo(
+        "EQ002",
         "docstring citations must reference manifest equations",
         """\
 A docstring citing an equation id absent from docs/equations.toml is
@@ -382,7 +375,8 @@ Fix: correct the citation, or — if the paper really numbers this
 construct — add a [[equation]] entry to docs/equations.toml.
 """,
     ),
-    "EQ003": (
+    "EQ003": RuleInfo(
+        "EQ003",
         "the equations manifest must be well-formed",
         """\
 docs/equations.toml is machine-read by this audit: entries need a

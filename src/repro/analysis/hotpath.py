@@ -32,8 +32,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import HOT_ROOTS, FunctionInfo, Program
-from repro.analysis.dataflow import AnalysisRuleInfo
-from repro.lint.rules import Finding
+from repro.lint.rules import Finding, RuleInfo
 
 #: Identifier/attribute names that measure a named axis (N/L/U/S).
 AXIS_COUNT_TOKENS = frozenset(
@@ -347,8 +346,8 @@ def _check_r042(info: FunctionInfo) -> Iterator[Finding]:
 
 # -- catalogue ---------------------------------------------------------
 
-HOTPATH_RULES: Dict[str, AnalysisRuleInfo] = {
-    "R040": AnalysisRuleInfo(
+HOTPATH_RULES: Dict[str, RuleInfo] = {
+    "R040": RuleInfo(
         "R040",
         "no per-slot Python loops over named axes in engine.step's cone",
         """\
@@ -368,7 +367,7 @@ layout (ROADMAP item 1).  Accepted interim loops carry `# noqa: R040`
 naming the ROADMAP item that retires them.
 """,
     ),
-    "R041": AnalysisRuleInfo(
+    "R041": RuleInfo(
         "R041",
         "no dense quadratic (N,N)/(L,L) construction",
         """\
@@ -388,7 +387,7 @@ sub-quadratic topology lands, accepted sites carry `# noqa: R041`
 referencing ROADMAP item 2.
 """,
     ),
-    "R042": AnalysisRuleInfo(
+    "R042": RuleInfo(
         "R042",
         "no array allocation inside hot loops (preallocate buffers)",
         """\

@@ -28,19 +28,17 @@ but never axis-``L`` arrays (``g[link_tx]`` is the classic
 node-id/link-id confusion the frozen link index exists to prevent).
 
 Aliases that also carry a :class:`repro.units.Unit` (``NodeJoules``,
-``QueuePackets``, ...) feed the units analyzer
-(``python -m repro.analysis``, rules R010-R012) through
-:data:`ALIAS_UNITS`.
+``QueuePackets``, ``LinkPackets``) state the unit of every entry too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Annotated, Dict, Tuple
+from typing import Annotated, Dict, Tuple, get_args
 
 import numpy as np
 
-from repro.units import Unit, ALIAS_UNITS as _UNIT_ALIASES
+from repro.units import Joules, Packets
 
 #: Sentinel axis name: the array is intentionally shape-agnostic
 #: (e.g. ``seq_sum`` reduces anything).
@@ -64,7 +62,7 @@ class Axes:
     ``Axes("L", "M")`` declares a rank-2 array whose rows follow the
     frozen link order and whose columns follow the band order.  Axis
     names must come from :data:`AXIS_MEANINGS`; ``Axes(ANY_AXIS)``
-    opts out of rank checking entirely.
+    declares a shape-agnostic array.
     """
 
     names: Tuple[str, ...] = field(default=())
@@ -77,10 +75,6 @@ class Axes:
                     f"{sorted(AXIS_MEANINGS)}"
                 )
         object.__setattr__(self, "names", tuple(names))
-
-    @property
-    def is_any(self) -> bool:
-        return ANY_AXIS in self.names
 
     def __str__(self) -> str:
         return "(" + ", ".join(self.names) + ")"
@@ -106,8 +100,8 @@ class IndexInto:
             )
 
 
-_JOULES = _UNIT_ALIASES["Joules"]
-_PACKETS = _UNIT_ALIASES["Packets"]
+_JOULES = get_args(Joules)[1]
+_PACKETS = get_args(Packets)[1]
 
 # -- Axes-only aliases (dimensionless or mixed-unit arrays) -----------
 
@@ -143,7 +137,7 @@ NodeIds = Annotated[np.ndarray, Axes(ANY_AXIS), IndexInto("N")]
 #: Variable-length link-position index.
 LinkIds = Annotated[np.ndarray, Axes(ANY_AXIS), IndexInto("L")]
 
-# -- Combined axis + unit aliases (unit also feeds R010-R012) ---------
+# -- Combined axis + unit aliases -------------------------------------
 
 #: ``(N,)`` joules: battery levels, caps, shifts (Eqs. 9-13).
 NodeJoules = Annotated[np.ndarray, Axes("N"), _JOULES]
@@ -151,11 +145,3 @@ NodeJoules = Annotated[np.ndarray, Axes("N"), _JOULES]
 QueuePackets = Annotated[np.ndarray, Axes("N", "S"), _PACKETS]
 #: ``(L,)`` packets: G/H virtual backlogs (Eqs. 28, 30-31).
 LinkPackets = Annotated[np.ndarray, Axes("L"), _PACKETS]
-
-#: Alias name -> unit metadata, merged into the R010-R012 vocabulary
-#: so unit-carrying array aliases feed the units lattice too.
-ALIAS_UNITS: Dict[str, Unit] = {
-    "NodeJoules": _JOULES,
-    "QueuePackets": _PACKETS,
-    "LinkPackets": _PACKETS,
-}

@@ -24,7 +24,7 @@ from repro.experiments.fig2bc import run_fig2b, run_fig2c
 from repro.experiments.fig2de import run_fig2d, run_fig2e
 from repro.experiments.fig2f import run_fig2f
 from repro.experiments.cell_edge import run_cell_edge
-from repro.experiments.v_convergence import run_v_convergence
+from repro.experiments.v_convergence import v_convergence
 from repro.experiments.export import export_figure
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "sweep_bounds",
     "sweep_v",
     "run_cell_edge",
-    "run_v_convergence",
+    "v_convergence",
     "export_figure",
     "run_fig2a",
     "run_fig2b",

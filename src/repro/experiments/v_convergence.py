@@ -9,24 +9,23 @@ per-slot-exact relaxed LP run on the identical environment:
 
     rel_gap(V) = (psi_heuristic - psi_relaxed) / psi_heuristic.
 
-This driver measures it across a V sweep, fits the descriptive model
-``rel_gap = floor + slope / V``, and reports both; the acceptance
-criterion (tests, bench) is that the heuristic stays within a few
-percent of the optimum at every V.
+This experiment reads it off Fig. 2(a)'s bound reports, which already
+hold both runs at every V of the bound sweep, fits the descriptive
+model ``rel_gap = floor + slope / V``, and reports both; the
+acceptance criterion (the figure pipeline's claim) is that the
+heuristic stays within a few percent of the optimum at every V.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.reporting.tables import format_table
-from repro.config.parameters import ScenarioParameters
-from repro.config.scenarios import paper_scenario
-from repro.experiments.runner import sweep_bounds
+from repro.experiments.fig2a import Fig2aResult
 
 
 @dataclass(frozen=True)
@@ -59,16 +58,22 @@ class VConvergenceResult:
         return max(self.relative_gaps)
 
 
-def run_v_convergence(
-    base: Optional[ScenarioParameters] = None,
-    v_values: Sequence[float] = (1e5, 2e5, 4e5, 8e5),
-    max_workers: int = 1,
-) -> VConvergenceResult:
-    """Measure the heuristic-to-relaxed relative gap across a V sweep."""
-    if base is None:
-        base = paper_scenario()
+def v_convergence(fig2a: Fig2aResult, v_values: Sequence[float]) -> VConvergenceResult:
+    """The heuristic-to-relaxed relative gap at ``v_values``, read off
+    the Fig. 2(a) reports of the same base scenario.
+
+    Raises:
+        ValueError: a V in ``v_values`` is not on Fig. 2(a)'s grid.
+    """
+    reports = {report.control_v: report for report in fig2a.reports}
+    missing = sorted(set(v_values) - set(reports))
+    if missing:
+        raise ValueError(
+            "V-convergence reads Fig. 2(a)'s reports, which have no run at "
+            f"V={', '.join(f'{v:g}' for v in missing)}; add it to the Fig. 2(a) "
+            f"grid ({', '.join(f'{v:g}' for v in sorted(reports))})"
+        )
     ordered = tuple(sorted(v_values))
-    reports = sweep_bounds(base, ordered, max_workers=max_workers)
     uppers = []
     relative_gaps = []
     for v in ordered:

@@ -1,16 +1,15 @@
-"""Project-specific AST lint suite (rules R001-R006).
+"""The repo's one static checker, ``python -m repro.lint``.
 
 Run as ``python -m repro.lint src tests benchmarks``; see
 ``python -m repro.lint --explain`` for the rule catalogue and
-``docs/contracts.md`` for the rationale.  The rules guard the
-reproduction's paper-facing conventions — RNG stream discipline,
-tolerant float comparison on energy/queue quantities, no mutable
-defaults, annotated public surfaces, and equation citations in the
-control/solver modules.
+``docs/analysis.md`` for the rationale.  One pass applies the per-file
+rules (R002-R006 here, R030-R032 from ``repro.analysis.determinism``),
+the hot-path rules R040-R042 over the library's call graph and the
+EQ001-EQ003 equation audit.
 """
 
 from __future__ import annotations
 
-from repro.lint.rules import ALL_RULES, RULES_BY_ID, FileContext, Finding, Rule
+from repro.lint.rules import ALL_RULES, FileContext, Finding, Rule, RuleInfo
 
-__all__ = ["ALL_RULES", "RULES_BY_ID", "FileContext", "Finding", "Rule"]
+__all__ = ["ALL_RULES", "FileContext", "Finding", "Rule", "RuleInfo"]

@@ -1,32 +1,51 @@
-"""Command-line front end for the project lint rules.
+"""The repo's one static checker: ``python -m repro.lint``.
 
 Usage::
 
-    python -m repro.lint [PATH ...] [--select R001,R005] [--ignore R006]
+    python -m repro.lint [PATH ...] [--select R002,R03] [--ignore R006]
                          [--explain [RULE]]
-                         [--format text|json|github|sarif] [--no-cache]
+                         [--format text|json|github|sarif]
 
-Paths may be files or directories; directories are walked recursively
-for ``*.py``, skipping VCS/build/cache trees.  Findings print as
-``path:line:col: R00X message``.  Exit status: 0 clean, 1 findings
+Paths may be files or directories (default: ``src tests benchmarks``);
+directories are walked recursively for ``*.py``, skipping VCS/build/
+cache trees.  Every file is parsed once, and one pass applies
+
+* the per-file rules — R002-R006 (:mod:`repro.lint.rules`) and the
+  determinism rules R030-R032 (:mod:`repro.analysis.determinism`) —
+  to every file;
+* the hot-path rules R040-R042 (:mod:`repro.analysis.hotpath`) to the
+  call graph of the library files among them;
+* the EQ001-EQ003 audit of ``docs/equations.toml`` against the package
+  source (:mod:`repro.analysis.equations`), when the paths include
+  ``src/repro``.
+
+``--select`` and ``--ignore`` take exact ids or prefixes (``R03``
+is R030-R032); a token that matches no rule exits 2, so a stale id can
+never select nothing and pass.  Findings print as
+``path:line:col: RULE message``.  Exit status: 0 clean, 1 findings
 (or unparsable files), 2 internal/usage error — so the command slots
-directly into ``scripts/check.sh``, pre-commit and CI.  Per-file
-results are memoized under ``.cache/analysis/`` keyed by content
-hash, so unchanged files are never re-linted (``--no-cache`` bypasses).
+directly into ``scripts/check.sh``, pre-commit and CI.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.cache import DEFAULT_CACHE_DIR, FindingsCache, content_digest
+from repro.analysis.callgraph import Program
+from repro.analysis.determinism import GlobalRngRule, SetIterationRule, WallclockRule
+from repro.analysis.equations import (
+    DEFAULT_MANIFEST,
+    DEFAULT_SRC_ROOT,
+    EQUATION_RULES,
+    audit_equations,
+)
+from repro.analysis.hotpath import HOTPATH_RULES, check_hot_path
 from repro.lint.emitter import FORMATS, emit
-from repro.lint.rules import ALL_RULES, RULES_BY_ID, FileContext, Finding, Rule
+from repro.lint.rules import ALL_RULES, FileContext, Finding, Rule, RuleInfo
 
 #: Directory names never descended into during discovery.
 SKIP_DIRS = frozenset(
@@ -43,6 +62,22 @@ SKIP_DIRS = frozenset(
         "venv",
     }
 )
+
+#: The rules applied to each file on its own, in id order.
+FILE_RULES: Tuple[Rule, ...] = (
+    *ALL_RULES,
+    GlobalRngRule(),
+    WallclockRule(),
+    SetIterationRule(),
+)
+
+#: Rule id -> catalogue entry, for every rule the checker reports, in
+#: id order (R-rules numerically, EQ last).
+CATALOGUE: Dict[str, RuleInfo] = {
+    **{rule.rule_id: RuleInfo(rule.rule_id, rule.title, rule.explain) for rule in FILE_RULES},
+    **HOTPATH_RULES,
+    **EQUATION_RULES,
+}
 
 
 def discover_files(paths: Sequence[str]) -> List[Path]:
@@ -70,135 +105,100 @@ def discover_files(paths: Sequence[str]) -> List[Path]:
     return found
 
 
+def parse_paths(paths: Sequence[str]) -> Tuple[List[FileContext], List[Finding]]:
+    """Parse every file under ``paths``: the parsed files, plus one
+    E999 finding per file that does not parse."""
+    files: List[FileContext] = []
+    errors: List[Finding] = []
+    for path in discover_files(paths):
+        display = str(path)
+        try:
+            files.append(
+                FileContext.parse(path, display, path.read_text(encoding="utf-8"))
+            )
+        except SyntaxError as exc:
+            errors.append(Finding.syntax_error(display, exc))
+    return files, errors
+
+
 def lint_source(
     source: str,
     display_path: str,
     rules: Sequence[Rule],
     path: Optional[Path] = None,
 ) -> List[Finding]:
-    """Lint one file's source text; raises SyntaxError on bad input."""
-    tree = ast.parse(source, filename=display_path)
-    ctx = FileContext.build(
-        path=path if path is not None else Path(display_path),
-        display_path=display_path,
-        source=source,
-        tree=tree,
+    """Apply per-file ``rules`` to one file's source; raises SyntaxError."""
+    ctx = FileContext.parse(
+        path if path is not None else Path(display_path), display_path, source
     )
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(ctx))
+    return [finding for rule in rules for finding in rule.check(ctx)]
+
+
+def check_paths(paths: Sequence[str], chosen: FrozenSet[str]) -> List[Finding]:
+    """Every finding of the ``chosen`` rules over ``paths``, plus E999
+    for unparsable files, sorted by location."""
+    files, findings = parse_paths(paths)
+    rules = [rule for rule in FILE_RULES if rule.rule_id in chosen]
+    for ctx in files:
+        findings.extend(finding for rule in rules for finding in rule.check(ctx))
+    if chosen & HOTPATH_RULES.keys():
+        program = Program(ctx for ctx in files if ctx.is_library)
+        findings.extend(_only(check_hot_path(program), chosen))
+    if chosen & EQUATION_RULES.keys() and _includes_package(files):
+        audit = audit_equations(DEFAULT_MANIFEST, DEFAULT_SRC_ROOT)
+        findings.extend(_only(audit.findings, chosen))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 
 
-def lint_paths(paths: Sequence[str], rules: Sequence[Rule]) -> Iterator[Finding]:
-    """Lint every file under ``paths``, yielding findings in order."""
-    for path in discover_files(paths):
-        display = str(path)
-        try:
-            source = path.read_text(encoding="utf-8")
-            yield from sorted(
-                lint_source(source, display, rules, path=path),
-                key=lambda f: (f.line, f.col, f.rule_id),
-            )
-        except SyntaxError as exc:
-            yield Finding(
-                path=display,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) or 1,
-                rule_id="E999",
-                message=f"syntax error: {exc.msg}",
-            )
+def _only(findings: Iterable[Finding], chosen: FrozenSet[str]) -> List[Finding]:
+    return [finding for finding in findings if finding.rule_id in chosen]
 
 
-def _lint_paths_cached(
-    paths: Sequence[str], rules: Sequence[Rule], use_cache: bool
-) -> Iterator[Finding]:
-    """Like :func:`lint_paths`, memoizing per-file results on disk.
-
-    Every lint rule is per-file, so each file's findings depend only
-    on its own content and the selected rule set — the cache key is
-    exactly (rule ids, display path, content hash), and editing one
-    module re-lints only that module.
-    """
-    if not use_cache:
-        yield from lint_paths(paths, rules)
-        return
-    spec = ",".join(sorted(rule.rule_id for rule in rules))
-    cache = FindingsCache(DEFAULT_CACHE_DIR, "repro.lint", spec)
-    for path in discover_files(paths):
-        display = str(path)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            yield from lint_paths([display], rules)
-            continue
-        key = cache.key([(display, content_digest(source))])
-        cached = cache.load(key)
-        if cached is not None:
-            yield from cached
-            continue
-        try:
-            findings = sorted(
-                lint_source(source, display, rules, path=path),
-                key=lambda f: (f.line, f.col, f.rule_id),
-            )
-        except SyntaxError as exc:
-            findings = [
-                Finding(
-                    path=display,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 0) or 1,
-                    rule_id="E999",
-                    message=f"syntax error: {exc.msg}",
-                )
-            ]
-        cache.store(key, findings)
-        yield from findings
+def _includes_package(files: Sequence[FileContext]) -> bool:
+    """True when some checked file lies under ``src/repro``, the tree
+    the equation audit scans."""
+    package = DEFAULT_SRC_ROOT.resolve()
+    return any(package in ctx.path.resolve().parents for ctx in files)
 
 
 def _explain(rule_id: Optional[str]) -> int:
     """Print the rule catalogue (or one rule's full rationale)."""
     if rule_id is None:
-        for rule in ALL_RULES:
-            print(f"{rule.rule_id}  {rule.title}")
+        for info in CATALOGUE.values():
+            print(f"{info.rule_id}  {info.title}")
         print()
         print("Use --explain RULE_ID for the full rationale of one rule.")
         return 0
-    rule = RULES_BY_ID.get(rule_id.upper())
-    if rule is None:
+    info = CATALOGUE.get(rule_id.upper())
+    if info is None:
         print(f"unknown rule id: {rule_id}", file=sys.stderr)
         return 2
-    print(f"{rule.rule_id} — {rule.title}")
+    print(f"{info.rule_id} — {info.title}")
     print()
-    print(rule.explain)
+    print(info.explain)
     return 0
 
 
-def _parse_ids(spec: Optional[str], option: str) -> Optional[List[str]]:
-    """Validate a comma-separated id list against the catalogue."""
+def _matched_ids(spec: Optional[str], option: str) -> Optional[FrozenSet[str]]:
+    """Resolve a comma-separated list of ids or id prefixes (None = unset)."""
     if spec is None:
         return None
-    ids: List[str] = []
+    matched: set[str] = set()
     for token in spec.split(","):
         token = token.strip().upper()
         if not token:
             continue
-        if token not in RULES_BY_ID:
-            print(f"repro.lint: unknown rule id in {option}: {token}", file=sys.stderr)
+        ids = {rule_id for rule_id in CATALOGUE if rule_id.startswith(token)}
+        if not ids:
+            print(
+                f"repro.lint: unknown rule id in {option}: {token} "
+                f"(valid: {', '.join(CATALOGUE)})",
+                file=sys.stderr,
+            )
             raise SystemExit(2)
-        ids.append(token)
-    return ids
-
-
-def _select_rules(select: Optional[str], ignore: Optional[str] = None) -> List[Rule]:
-    """Resolve ``--select``/``--ignore`` into rule instances."""
-    chosen_ids = _parse_ids(select, "--select")
-    ignored_ids = set(_parse_ids(ignore, "--ignore") or ())
-    if chosen_ids is None:
-        chosen = list(ALL_RULES)
-    else:
-        chosen = [RULES_BY_ID[rid] for rid in chosen_ids]
-    return [rule for rule in chosen if rule.rule_id not in ignored_ids]
+        matched |= ids
+    return frozenset(matched)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -224,12 +224,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Paper-reproduction lint rules (R001-R006).",
+        description="The repo's static checker: per-file rules (R002-R006, "
+        "R030-R032), hot-path rules (R040-R042) and the equation audit "
+        "(EQ001-EQ003).",
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: src tests benchmarks)",
+        help="files or directories to check (default: src tests benchmarks)",
     )
     parser.add_argument(
         "--explain",
@@ -243,13 +245,14 @@ def _run(argv: Optional[Sequence[str]] = None) -> int:
         "--select",
         default=None,
         metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
+        help="comma-separated rule ids or prefixes to run, e.g. R002,R03 "
+        "(default: all)",
     )
     parser.add_argument(
         "--ignore",
         default=None,
         metavar="IDS",
-        help="comma-separated rule ids to skip (complement of --select)",
+        help="comma-separated rule ids or prefixes to skip",
     )
     parser.add_argument(
         "--format",
@@ -259,30 +262,23 @@ def _run(argv: Optional[Sequence[str]] = None) -> int:
         help="output encoding: text lines, a json object, GitHub "
         "Actions ::error annotations, or a SARIF 2.1.0 log",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the .cache/analysis/ per-file findings cache",
-    )
     args = parser.parse_args(argv)
 
     if args.explain is not None:
         return _explain(args.explain or None)
 
-    paths = args.paths or ["src", "tests", "benchmarks"]
-    rules = _select_rules(args.select, args.ignore)
+    chosen = _matched_ids(args.select, "--select")
+    selected = frozenset(CATALOGUE) if chosen is None else chosen
+    selected -= _matched_ids(args.ignore, "--ignore") or frozenset()
     try:
-        findings = list(
-            _lint_paths_cached(paths, rules, use_cache=not args.no_cache)
-        )
+        findings = check_paths(args.paths or ["src", "tests", "benchmarks"], selected)
     except FileNotFoundError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
     emit(
         findings,
         args.output_format,
-        tool_name="repro.lint",
-        rule_titles={rule.rule_id: rule.title for rule in ALL_RULES},
+        rule_titles={rule_id: info.title for rule_id, info in CATALOGUE.items()},
     )
     if findings:
         files = len({f.path for f in findings})

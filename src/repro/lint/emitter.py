@@ -1,9 +1,4 @@
-"""Shared finding emitters for the lint and analysis CLIs.
-
-Both ``python -m repro.lint`` and ``python -m repro.analysis`` accept
-``--format {text,json,github}`` and route their findings through this
-module so the three encodings stay byte-identical across the two
-tools:
+"""Finding emitters behind ``python -m repro.lint --format``:
 
 * ``text`` — one ``path:line:col: RULE message`` line per finding
   (the historical default, unchanged);
@@ -90,7 +85,6 @@ def render_github(findings: Sequence[Finding]) -> List[str]:
 
 def render_sarif(
     findings: Sequence[Finding],
-    tool_name: str = "repro.lint",
     rule_titles: Optional[Mapping[str, str]] = None,
 ) -> List[str]:
     """``sarif`` format: one SARIF 2.1.0 log object.
@@ -135,7 +129,7 @@ def render_sarif(
         "version": "2.1.0",
         "runs": [
             {
-                "tool": {"driver": {"name": tool_name, "rules": rules}},
+                "tool": {"driver": {"name": "repro.lint", "rules": rules}},
                 "results": results,
             }
         ],
@@ -146,7 +140,6 @@ def render_sarif(
 def render(
     findings: Sequence[Finding],
     output_format: str,
-    tool_name: str = "repro.lint",
     rule_titles: Optional[Mapping[str, str]] = None,
 ) -> List[str]:
     """Dispatch on ``output_format`` (one of :data:`FORMATS`)."""
@@ -157,16 +150,15 @@ def render(
     if output_format == "github":
         return render_github(findings)
     if output_format == "sarif":
-        return render_sarif(findings, tool_name, rule_titles)
+        return render_sarif(findings, rule_titles)
     raise ValueError(f"unknown output format: {output_format!r}")
 
 
 def emit(
     findings: Sequence[Finding],
     output_format: str,
-    tool_name: str = "repro.lint",
     rule_titles: Optional[Mapping[str, str]] = None,
 ) -> None:
     """Print the findings in ``output_format`` to stdout."""
-    for line in render(findings, output_format, tool_name, rule_titles):
+    for line in render(findings, output_format, rule_titles):
         print(line)

@@ -1,13 +1,12 @@
-"""The project lint rules (R001-R006), implemented over ``ast``.
+"""The per-file lint chassis and the project rules R002-R006.
 
 Each rule is a small class with an id, a one-line title, a long
 ``explain`` text (surfaced by ``python -m repro.lint --explain R00x``)
 and a ``check`` method yielding :class:`Finding` objects.  Rules see a
 :class:`FileContext` describing where the file sits in the repo (library
-vs. test code), because several rules are scoped: the RNG discipline is
-strict in library code but allows explicitly seeded generators in
-tests; float-equality and annotation rules do not apply to test code
-at all.
+vs. test code), because several rules are scoped: float-equality and
+annotation rules do not apply to test code at all.  The determinism
+rules (``repro.analysis.determinism``) run on the same chassis.
 
 Suppression: a trailing ``# noqa`` comment silences every rule on that
 line; ``# noqa: R002`` silences only the listed rule ids.
@@ -20,38 +19,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-#: Legacy ``numpy.random`` module-level functions that mutate or read
-#: the hidden global RandomState — forbidden everywhere (R001).
-LEGACY_GLOBAL_RANDOM_FNS = frozenset(
-    {
-        "seed",
-        "rand",
-        "randn",
-        "randint",
-        "random",
-        "random_sample",
-        "random_integers",
-        "ranf",
-        "sample",
-        "choice",
-        "bytes",
-        "shuffle",
-        "permutation",
-        "uniform",
-        "normal",
-        "standard_normal",
-        "poisson",
-        "exponential",
-        "binomial",
-        "beta",
-        "gamma",
-        "lognormal",
-        "get_state",
-        "set_state",
-        "RandomState",
-    }
-)
 
 #: Builtin/collections constructors that produce mutable objects (R003).
 MUTABLE_CONSTRUCTORS = frozenset(
@@ -69,6 +36,15 @@ _EQUATION_RE = re.compile(
 
 
 @dataclass(frozen=True)
+class RuleInfo:
+    """One catalogue entry: a rule id, its title and its rationale."""
+
+    rule_id: str
+    title: str
+    explain: str
+
+
+@dataclass(frozen=True)
 class Finding:
     """One lint violation at a source location."""
 
@@ -77,6 +53,17 @@ class Finding:
     col: int
     rule_id: str
     message: str
+
+    @classmethod
+    def syntax_error(cls, path: str, exc: SyntaxError) -> "Finding":
+        """The E999 finding for a file that does not parse."""
+        return cls(
+            path=path,
+            line=exc.lineno or 1,
+            col=(exc.offset or 0) or 1,
+            rule_id="E999",
+            message=f"syntax error: {exc.msg}",
+        )
 
     def render(self) -> str:
         """``path:line:col: R00X message`` — the CLI output format."""
@@ -96,8 +83,9 @@ class FileContext:
     noqa: Dict[int, Set[str]] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, path: Path, display_path: str, source: str, tree: ast.AST) -> "FileContext":
-        """Parse the noqa comments and assemble the context."""
+    def parse(cls, path: Path, display_path: str, source: str) -> "FileContext":
+        """Parse ``source`` and its noqa comments; raises SyntaxError."""
+        tree = ast.parse(source, filename=display_path)
         noqa: Dict[int, Set[str]] = {}
         for lineno, line in enumerate(source.splitlines(), start=1):
             match = _NOQA_RE.search(line)
@@ -196,21 +184,6 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def _canonical_call_target(
-    node: ast.Call, modules: Dict[str, str], names: Dict[str, str]
-) -> Optional[str]:
-    """The canonical dotted path of a call's target, numpy-resolved."""
-    if isinstance(node.func, ast.Name):
-        return names.get(node.func.id)
-    dotted = _dotted_name(node.func)
-    if dotted is None:
-        return None
-    root, _, rest = dotted.partition(".")
-    if root in modules:
-        return f"{modules[root]}.{rest}" if rest else modules[root]
-    return dotted
-
-
 class Rule:
     """Base class: id, title, explain text, and the check hook."""
 
@@ -220,72 +193,6 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:  # pragma: no cover
         raise NotImplementedError
-
-
-class RngDisciplineRule(Rule):
-    """R001 — RNG streams are created in one place only."""
-
-    rule_id = "R001"
-    title = "no numpy global randomness / stray default_rng outside sim/rng.py"
-    explain = """\
-The repo's reproducibility contract (sim/rng.py) fans a single scenario
-seed into named, independent streams so bound/architecture comparisons
-stay *paired*: two runs sharing a seed see the identical environment
-sample path.  Any code that creates its own generator or touches
-numpy's hidden global RandomState breaks that pairing silently.
-
-Forbidden:
-  * the legacy global API anywhere: np.random.seed(...),
-    np.random.uniform(...), np.random.RandomState(...), ...
-  * np.random.default_rng(...) in library code outside sim/rng.py —
-    accept an np.random.Generator argument and thread it explicitly;
-  * np.random.default_rng() *without an explicit seed* in test or
-    benchmark code (a seeded default_rng(123) fixture is fine there).
-
-Fix: accept a Generator parameter, or derive a child stream via
-RngStreams / SeedSequence.spawn in sim/rng.py.
-"""
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_rng_module:
-            return
-        modules, names = _numpy_aliases(ctx.tree)
-        if not modules and not names:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = _canonical_call_target(node, modules, names)
-            if target is None or not target.startswith("numpy.random."):
-                continue
-            attr = target.rsplit(".", 1)[1]
-            finding: Optional[Finding] = None
-            if attr == "default_rng":
-                if not ctx.is_test:
-                    finding = ctx.finding(
-                        node,
-                        self.rule_id,
-                        "default_rng() outside sim/rng.py: thread an "
-                        "np.random.Generator explicitly instead",
-                    )
-                elif not node.args and not any(
-                    kw.arg == "seed" for kw in node.keywords
-                ):
-                    finding = ctx.finding(
-                        node,
-                        self.rule_id,
-                        "unseeded default_rng() in test code is "
-                        "non-deterministic: pass an explicit seed",
-                    )
-            elif attr in LEGACY_GLOBAL_RANDOM_FNS:
-                finding = ctx.finding(
-                    node,
-                    self.rule_id,
-                    f"numpy global-state randomness np.random.{attr}() "
-                    "is forbidden: use an explicit np.random.Generator",
-                )
-            if finding is not None:
-                yield finding
 
 
 class FloatEqualityRule(Rule):
@@ -624,14 +531,11 @@ document why the loop is not hot.
         return _dotted_name(func.value) or "a state container"
 
 
-#: Every rule, in id order — the CLI's default selection.
+#: The project rules, in id order.
 ALL_RULES: Sequence[Rule] = (
-    RngDisciplineRule(),
     FloatEqualityRule(),
     MutableDefaultRule(),
     PublicAnnotationRule(),
     EquationCitationRule(),
     HotPathDictLoopRule(),
 )
-
-RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}

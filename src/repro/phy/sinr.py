@@ -123,8 +123,7 @@ def sinr_db(
 
     The library computes SINR in linear terms throughout (the paper's
     threshold ``Gamma = 1`` is 0 dB); this helper is the sanctioned
-    crossing for reporting and for configs stated in dB.  Mixing the
-    two scales any other way is flagged by analysis rule R011.
+    crossing for reporting and for configs stated in dB.
     """
     ratio: Linear = sinr(gains, tx, rx, tx_power_w, noise_power_w, interference_w)
     return linear_to_db(ratio)

@@ -36,11 +36,6 @@ class EnergyFlows:
     discharge_j: float = 0.0
     spill_j: float = 0.0
 
-    @property
-    def grid_total_j(self) -> float:
-        """Total grid draw of the class."""
-        return self.grid_serve_j + self.grid_charge_j
-
 
 def _aggregate_flows(allocation: BatchAllocation, rows: slice) -> EnergyFlows:
     """Sum one node class's flows over its ``rows`` in ascending node order."""

@@ -1,4 +1,4 @@
-"""Unit-annotation vocabulary for the static units analyzer.
+"""Unit-annotation vocabulary for the library's signatures.
 
 The library computes internally in SI units (watts, joules, bits,
 seconds — see ``repro.constants``), but the paper states parameters in
@@ -6,10 +6,9 @@ kWh, Kbps and per-minute slots, and the per-slot machinery constantly
 crosses the power/energy and per-second/per-slot boundaries.  This
 module gives those physical quantities *names* that are zero-cost at
 runtime: each alias is ``Annotated[float, Unit(...)]``, so annotated
-code still passes and returns plain floats, while the dataflow
-analyzer (``python -m repro.analysis``, rules R010-R012) reads the
-annotations statically and flags dimensionally inconsistent
-arithmetic before a simulation ever runs.
+code still passes and returns plain floats, while a signature states
+the unit of every argument and result (``typing.get_type_hints(...,
+include_extras=True)`` recovers the :class:`Unit` at runtime).
 
 Annotate the *boundaries* — public function signatures and dataclass
 fields — with the most specific alias that applies::
@@ -20,16 +19,14 @@ fields — with the most specific alias that applies::
         ...
 
 The ``db_to_linear`` / ``linear_to_db`` helpers are the sanctioned
-crossing between the logarithmic and linear SINR scales; the analyzer
-treats any other arithmetic that mixes ``Db`` with linear quantities
-as rule R011.
+crossing between the logarithmic and linear SINR scales.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Annotated, Dict, Optional
+from typing import Annotated, Optional
 
 
 @dataclass(frozen=True)
@@ -42,8 +39,8 @@ class Unit:
             dimension (e.g. ``J`` and ``kWh``) measure the same thing
             at different scales and still must not be mixed without an
             explicit conversion.
-        per: for rate units, the time base — ``"slot"`` or ``"s"``.
-            Mixing the two bases is rule R012's target.
+        per: for rate units, the time base — ``"slot"`` or ``"s"``;
+            the two bases differ by ``slot_seconds``.
     """
 
     symbol: str
@@ -90,7 +87,7 @@ PacketsPerSlot = Annotated[float, _PACKETS_PER_SLOT]
 BitsPerSecond = Annotated[float, _BITS_PER_SECOND]
 #: Session demand as stated by the paper (100 Kbps).
 Kbps = Annotated[float, _KBPS]
-#: Logarithmic ratio — never multiply two of these (R011).
+#: Logarithmic ratio — never multiply two of these.
 Db = Annotated[float, _DB]
 #: Linear (dimensionless) ratio, e.g. SINR values and thresholds.
 Linear = Annotated[float, _LINEAR]
@@ -106,32 +103,6 @@ Seconds = Annotated[float, _SECONDS]
 Hertz = Annotated[float, _HERTZ]
 #: Distances in the propagation model.
 Meters = Annotated[float, _METERS]
-
-#: Alias name -> metadata, the analyzer's annotation vocabulary.
-ALIAS_UNITS: Dict[str, Unit] = {
-    "Joules": _JOULES,
-    "WattHours": _WATT_HOURS,
-    "KilowattHours": _KILOWATT_HOURS,
-    "Watts": _WATTS,
-    "Bits": _BITS,
-    "Packets": _PACKETS,
-    "BitsPerSlot": _BITS_PER_SLOT,
-    "PacketsPerSlot": _PACKETS_PER_SLOT,
-    "BitsPerSecond": _BITS_PER_SECOND,
-    "Kbps": _KBPS,
-    "Db": _DB,
-    "Linear": _LINEAR,
-    "Dollars": _DOLLARS,
-    "DollarsPerKwh": _DOLLARS_PER_KWH,
-    "DollarsPerJoule": _DOLLARS_PER_JOULE,
-    "Seconds": _SECONDS,
-    "Hertz": _HERTZ,
-    "Meters": _METERS,
-}
-
-#: Symbol -> metadata, for the analyzer's dimension algebra.
-UNIT_BY_SYMBOL: Dict[str, Unit] = {u.symbol: u for u in ALIAS_UNITS.values()}
-
 
 def db_to_linear(value_db: Db) -> Linear:
     """Convert a dB-scale ratio to its linear value: ``10^(x/10)``."""

@@ -1,7 +1,6 @@
 """Call-graph construction: resolution and hot-cone reachability.
 
-The graph is the substrate the whole-program units pass and the
-hot-path rules stand on, so these tests pin the resolution cases the
+The graph is the substrate the hot-path rules stand on, so these tests pin the resolution cases the
 builder promises: free functions through imports, methods through
 ``self`` and annotated parameters, constructor-initialized attributes,
 module aliases, and the name-based fallback that bridges factory
@@ -18,6 +17,7 @@ from repro.analysis.callgraph import (
     Program,
     module_name_for,
 )
+from repro.lint.cli import parse_paths
 
 
 def _program(sources: Dict[str, str]) -> Program:
@@ -207,7 +207,9 @@ class TestReachability:
 
 class TestRealTree:
     def test_engine_step_reaches_control_and_phy(self):
-        program = Program.load(["src/repro"])
+        files, errors = parse_paths(["src/repro"])
+        assert errors == []
+        program = Program(files)
         hot = program.hot_functions()
         for expected in (
             "repro.control.controller.DriftPlusPenaltyController.decide",

@@ -1,41 +1,34 @@
-"""Shared CLI contract: ``--ignore``, exit codes, SARIF, the cache.
+"""The checker's CLI contract: exit codes, ``--ignore``, SARIF.
 
-Both front ends promise the same interface — 0 clean / 1 findings /
-2 internal error, ``--ignore`` as the complement of ``--select``, a
-``sarif`` emitter for GitHub code scanning, and a content-hash
-findings cache under ``.cache/analysis/`` with a ``--no-cache``
-escape hatch.  Each promise gets a test per tool.
+``python -m repro.lint`` promises 0 clean / 1 findings / 2 internal
+error, ``--ignore`` as the complement of ``--select``, and a ``sarif``
+emitter for GitHub code scanning — for the per-file rules and for the
+whole-program hot-path rules alike.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main as analysis_main
 from repro.lint.cli import main as lint_main
 from repro.lint.emitter import render_sarif
 from repro.lint.rules import Finding
 
-REPO_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
-
 LINT_BAD = "import numpy as np\nnp.random.seed(0)\n"
 
-UNITS_BAD = '''\
-"""Implements Eq. 3."""
-
-from repro.units import Joules, Watts
-
-
-def f(e: Joules, p: Watts) -> float:
-    return e + p
-'''
+#: A hot-path root with a per-node loop (R040).
+HOT_BAD = """\
+class SlotSimulator:
+    def step(self, num_nodes: int) -> None:
+        for node in range(num_nodes):
+            print(node)
+"""
 
 CLEAN = '''\
 """Implements Eq. 3."""
@@ -48,13 +41,33 @@ def f(x: float) -> float:
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch) -> Path:
-    # Isolate the .cache/ directory each CLI writes.
+    # Run each call from a scratch directory, away from the repo tree.
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
+def _module_main(argv: list[str]) -> int:
+    # The same CLI through its ``python -m repro.lint`` entry point.
+    src_root = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.lint", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src_root)),
+        capture_output=True,
+        timeout=120,
+    )
+    return done.returncode
+
+
+def _hot_file(workdir: Path) -> Path:
+    # Outside src/repro, so the equation audit stays out of the run.
+    target = workdir / "pkg" / "repro" / "sim" / "engine.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(HOT_BAD)
+    return target
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("main", [lint_main, analysis_main])
+    @pytest.mark.parametrize("main", [lint_main, _module_main], ids=["main0", "main1"])
     def test_clean_exits_zero(self, main, workdir):
         target = workdir / "clean.py"
         target.write_text(CLEAN)
@@ -66,11 +79,9 @@ class TestExitCodes:
         assert lint_main([str(target)]) == 1
 
     def test_analysis_findings_exit_one(self, workdir):
-        target = workdir / "bad.py"
-        target.write_text(UNITS_BAD)
-        assert analysis_main([str(target)]) == 1
+        assert lint_main([str(_hot_file(workdir))]) == 1
 
-    @pytest.mark.parametrize("main", [lint_main, analysis_main])
+    @pytest.mark.parametrize("main", [lint_main, _module_main], ids=["main0", "main1"])
     def test_missing_path_exits_two(self, main, workdir):
         assert main(["definitely/not/a/path"]) == 2
 
@@ -79,14 +90,14 @@ class TestIgnore:
     def test_lint_ignore_suppresses_rule(self, workdir, capsys):
         target = workdir / "bad.py"
         target.write_text(LINT_BAD)
-        assert lint_main([str(target), "--ignore", "R001"]) == 0
+        assert lint_main([str(target), "--ignore", "R030"]) == 0
         capsys.readouterr()
 
     def test_lint_ignore_composes_with_select(self, workdir, capsys):
         target = workdir / "bad.py"
         target.write_text(LINT_BAD)
-        assert lint_main([str(target), "--select", "R001", "--ignore", "R001"]) == 0
-        assert lint_main([str(target), "--select", "R001", "--ignore", "R002"]) == 1
+        assert lint_main([str(target), "--select", "R030", "--ignore", "R030"]) == 0
+        assert lint_main([str(target), "--select", "R030", "--ignore", "R002"]) == 1
         capsys.readouterr()
 
     def test_lint_ignore_rejects_unknown_rule(self, workdir):
@@ -96,16 +107,8 @@ class TestIgnore:
             lint_main([str(target), "--ignore", "R999"])
 
     def test_analysis_ignore_suppresses_family_prefix(self, workdir, capsys):
-        target = workdir / "bad.py"
-        target.write_text(UNITS_BAD)
-        assert analysis_main([str(target), "--ignore", "R01"]) == 0
+        assert lint_main([str(_hot_file(workdir)), "--ignore", "R04"]) == 0
         capsys.readouterr()
-
-    def test_analysis_ignore_rejects_unknown_rule(self, workdir):
-        target = workdir / "bad.py"
-        target.write_text(UNITS_BAD)
-        with pytest.raises(SystemExit):
-            analysis_main([str(target), "--ignore", "R999"])
 
 
 class TestSarif:
@@ -117,21 +120,20 @@ class TestSarif:
         assert log["version"] == "2.1.0"
         (run,) = log["runs"]
         assert run["tool"]["driver"]["name"] == "repro.lint"
-        result = next(r for r in run["results"] if r["ruleId"] == "R001")
+        result = next(r for r in run["results"] if r["ruleId"] == "R030")
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"].endswith("bad.py")
         assert location["region"]["startLine"] == 2
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert "R001" in rule_ids
+        assert "R030" in rule_ids
 
     def test_analysis_sarif_names_its_tool(self, workdir, capsys):
-        target = workdir / "bad.py"
-        target.write_text(UNITS_BAD)
-        assert analysis_main([str(target), "--format", "sarif"]) == 1
+        # Whole-program findings share the one tool's SARIF log.
+        assert lint_main([str(_hot_file(workdir)), "--format", "sarif"]) == 1
         log = json.loads(capsys.readouterr().out)
         (run,) = log["runs"]
-        assert run["tool"]["driver"]["name"] == "repro.analysis"
-        assert {r["ruleId"] for r in run["results"]} == {"R010"}
+        assert run["tool"]["driver"]["name"] == "repro.lint"
+        assert {r["ruleId"] for r in run["results"]} == {"R040"}
 
     def test_clean_run_emits_empty_results(self, workdir, capsys):
         target = workdir / "clean.py"
@@ -144,9 +146,7 @@ class TestSarif:
         finding = Finding(
             path="src/x.py", line=1, col=1, rule_id="R040", message="m"
         )
-        (text,) = render_sarif(
-            [finding], "repro.analysis", {"R040": "no hot loops"}
-        )
+        (text,) = render_sarif([finding], {"R040": "no hot loops"})
         log = json.loads(text)
         (rule,) = [
             r
@@ -154,112 +154,3 @@ class TestSarif:
             if r["id"] == "R040"
         ]
         assert rule["shortDescription"]["text"] == "no hot loops"
-
-
-class TestCache:
-    def test_analysis_cache_round_trips_findings(self, workdir, capsys):
-        target = workdir / "bad.py"
-        target.write_text(UNITS_BAD)
-        assert analysis_main([str(target)]) == 1
-        first = capsys.readouterr().out
-        cached_entries = list((workdir / ".cache" / "analysis").glob("*.json"))
-        assert cached_entries
-        assert analysis_main([str(target)]) == 1
-        assert capsys.readouterr().out == first
-
-    def test_analysis_cache_invalidates_on_edit(self, workdir, capsys):
-        target = workdir / "bad.py"
-        target.write_text(UNITS_BAD)
-        assert analysis_main([str(target)]) == 1
-        capsys.readouterr()
-        target.write_text(CLEAN)
-        assert analysis_main([str(target)]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_no_cache_leaves_no_entries(self, workdir, capsys):
-        target = workdir / "bad.py"
-        target.write_text(UNITS_BAD)
-        assert analysis_main([str(target), "--no-cache"]) == 1
-        capsys.readouterr()
-        assert not (workdir / ".cache").exists()
-
-    def test_lint_cache_is_per_file(self, workdir, capsys):
-        good = workdir / "a_clean.py"
-        good.write_text(CLEAN)
-        bad = workdir / "b_bad.py"
-        bad.write_text(LINT_BAD)
-        assert lint_main([str(good), str(bad)]) == 1
-        capsys.readouterr()
-        entries = list((workdir / ".cache" / "analysis").glob("*.json"))
-        assert len(entries) == 2
-        # Editing one file leaves the other's entry valid.
-        bad.write_text(CLEAN)
-        assert lint_main([str(good), str(bad)]) == 0
-        capsys.readouterr()
-
-    def test_cached_and_uncached_findings_agree(self, workdir, capsys):
-        target = workdir / "bad.py"
-        target.write_text(LINT_BAD)
-        assert lint_main([str(target)]) == 1
-        warm = capsys.readouterr().out
-        assert lint_main([str(target)]) == 1
-        cached = capsys.readouterr().out
-        assert lint_main([str(target), "--no-cache"]) == 1
-        uncached = capsys.readouterr().out
-        assert warm == cached == uncached
-
-    @pytest.mark.parametrize(
-        "tool, source, module, message",
-        [
-            (
-                "repro.lint",
-                LINT_BAD,
-                "lint/rules.py",
-                "is forbidden: use an explicit np.random.Generator",
-            ),
-            (
-                "repro.analysis",
-                UNITS_BAD,
-                "analysis/dataflow.py",
-                "(insert the repro.constants converter for this pair)",
-            ),
-        ],
-        ids=["lint", "analysis"],
-    )
-    def test_checker_edit_invalidates_cache(
-        self, tmp_path, tool, source, module, message
-    ):
-        # A copy of the package whose rule message is then edited: the
-        # warm cache must not serve the findings of the old code.
-        package = tmp_path / "pkg" / "repro"
-        shutil.copytree(
-            REPO_PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__")
-        )
-        work = tmp_path / "work"
-        work.mkdir()
-        (work / "bad.py").write_text(source)
-        env = dict(os.environ, PYTHONPATH=str(package.parent))
-
-        def run() -> str:
-            done = subprocess.run(
-                [sys.executable, "-m", tool, "bad.py"],
-                cwd=work,
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert done.returncode == 1, done.stderr
-            return done.stdout
-
-        assert message in run()
-        assert list((work / ".cache" / "analysis").glob("*.json"))
-        rule_file = package / module
-        text = rule_file.read_text(encoding="utf-8")
-        assert text.count(message) == 1
-        rule_file.write_text(
-            text.replace(message, "EDITED RULE MESSAGE"), encoding="utf-8"
-        )
-        out = run()
-        assert "EDITED RULE MESSAGE" in out
-        assert message not in out

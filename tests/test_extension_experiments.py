@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import cell_edge_scenario, small_scenario
-from repro.experiments import run_cell_edge, run_v_convergence
+from repro.experiments import run_cell_edge, run_fig2a, v_convergence
 
 
 class TestCellEdgeExperiment:
@@ -29,10 +29,23 @@ class TestCellEdgeExperiment:
 
 
 class TestVConvergenceExperiment:
+    V_VALUES = (5e4, 2e5, 8e5)
+
     @pytest.fixture(scope="class")
-    def result(self):
+    def fig2a(self):
         base = small_scenario(num_slots=25, num_users=6, seed=9)
-        return run_v_convergence(base=base, v_values=(5e4, 2e5, 8e5))
+        return run_fig2a(base=base, v_values=self.V_VALUES)
+
+    @pytest.fixture(scope="class")
+    def result(self, fig2a):
+        return v_convergence(fig2a, self.V_VALUES)
+
+    def test_reads_fig2a_reports(self, fig2a, result):
+        assert result.uppers == tuple(r.upper for r in fig2a.reports)
+
+    def test_v_missing_from_fig2a_grid_raises(self, fig2a):
+        with pytest.raises(ValueError, match="no run at V=100000"):
+            v_convergence(fig2a, (5e4, 1e5))
 
     def test_sweep_ordered(self, result):
         assert list(result.v_values) == sorted(result.v_values)
@@ -109,12 +122,13 @@ class TestExportFigure:
         assert len(lines) == 1 + 4
 
     def test_v_convergence_export(self, tmp_path):
-        from repro.experiments import export_figure, run_v_convergence
+        from repro.experiments import export_figure, run_fig2a, v_convergence
 
-        result = run_v_convergence(
+        fig2a = run_fig2a(
             base=small_scenario(num_slots=8, num_users=5, seed=2),
             v_values=(1e4, 1e5),
         )
+        result = v_convergence(fig2a, (1e4, 1e5))
         path = export_figure(result, tmp_path / "vconv.csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "V,upper,relative_gap"

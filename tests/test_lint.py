@@ -1,9 +1,10 @@
-"""Tests for the project lint suite (``repro.lint``, rules R001-R006).
+"""Tests for the checker ``python -m repro.lint`` and its per-file rules.
 
-Each rule is exercised on seeded source snippets in both its firing
-and its non-firing configuration (library vs. test context, noqa
+Each project rule (R002-R006) and the RNG discipline (R030) is
+exercised on seeded source snippets in both its firing and its
+non-firing configuration (library vs. test context, noqa
 suppression), and the CLI contract — exit codes, output format,
-``--explain`` — is pinned down.
+``--explain``, one pass over every rule family — is pinned down.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULES, RULES_BY_ID
-from repro.lint.cli import discover_files, lint_source, main
+from repro.analysis.determinism import GlobalRngRule
+from repro.lint import ALL_RULES
+from repro.lint.cli import CATALOGUE, discover_files, lint_source, main
 from repro.lint.emitter import render
 from repro.lint.rules import Finding
 
@@ -34,49 +36,43 @@ def rule_ids(source, path=LIB):
     return {f.rule_id for f in findings(source, path)}
 
 
-class TestR001RngDiscipline:
-    def test_global_seed_flagged_everywhere(self):
-        src = "import numpy as np\nnp.random.seed(1)\n"
-        assert rule_ids(src, LIB) == {"R001"}
-        assert rule_ids(src, TEST) == {"R001"}
+class TestR030RngDiscipline:
+    """The RNG stream discipline on library, test and ``sim/rng.py`` code."""
 
-    def test_legacy_draws_flagged(self):
-        src = "import numpy as np\nx = np.random.uniform(0, 1)\n"
-        assert rule_ids(src) == {"R001"}
-
-    def test_randomstate_flagged(self):
-        src = "import numpy as np\nr = np.random.RandomState(7)\n"
-        assert rule_ids(src) == {"R001"}
-
-    def test_default_rng_flagged_in_library(self):
-        src = "import numpy as np\nrng = np.random.default_rng(42)\n"
-        assert rule_ids(src, LIB) == {"R001"}
-
-    def test_seeded_default_rng_allowed_in_tests(self):
-        src = "import numpy as np\nrng = np.random.default_rng(42)\n"
-        assert rule_ids(src, TEST) == set()
-        keyword = "import numpy as np\nrng = np.random.default_rng(seed=42)\n"
-        assert rule_ids(keyword, TEST) == set()
-
-    def test_unseeded_default_rng_flagged_in_tests(self):
-        src = "import numpy as np\nrng = np.random.default_rng()\n"
-        assert rule_ids(src, TEST) == {"R001"}
-
-    def test_rng_module_exempt(self):
-        src = "import numpy as np\nrng = np.random.default_rng(1)\n"
-        assert rule_ids(src, RNG) == set()
-
-    def test_alias_and_from_import_resolved(self):
-        aliased = "import numpy.random as nr\nnr.shuffle([1])\n"
-        assert rule_ids(aliased) == {"R001"}
-        from_import = (
-            "from numpy.random import default_rng\nrng = default_rng(3)\n"
-        )
-        assert rule_ids(from_import, LIB) == {"R001"}
-
-    def test_unrelated_random_attribute_ignored(self):
-        src = "import numpy as np\nx = np.random\n"  # no call
-        assert rule_ids(src) == set()
+    @pytest.mark.parametrize(
+        "source, path, flagged",
+        [
+            ("import numpy as np\nnp.random.seed(1)\n", LIB, True),
+            ("import numpy as np\nnp.random.seed(1)\n", TEST, True),
+            ("import numpy as np\nx = np.random.uniform(0, 1)\n", LIB, True),
+            ("import numpy as np\nr = np.random.RandomState(7)\n", LIB, True),
+            ("import numpy as np\nrng = np.random.default_rng(42)\n", LIB, True),
+            ("import numpy as np\nrng = np.random.default_rng(42)\n", TEST, False),
+            ("import numpy as np\nrng = np.random.default_rng(seed=42)\n", TEST, False),
+            ("import numpy as np\nrng = np.random.default_rng()\n", TEST, True),
+            ("import numpy as np\nrng = np.random.default_rng(1)\n", RNG, False),
+            ("import numpy.random as nr\nnr.shuffle([1])\n", LIB, True),
+            ("from numpy.random import default_rng\nrng = default_rng(3)\n", LIB, True),
+            ("import numpy as np\nx = np.random\n", LIB, False),
+        ],
+        ids=[
+            "global-seed-in-library",
+            "global-seed-in-tests",
+            "legacy-draw",
+            "randomstate",
+            "default-rng-in-library",
+            "seeded-default-rng-in-tests",
+            "seed-keyword-in-tests",
+            "unseeded-default-rng-in-tests",
+            "rng-module-exempt",
+            "module-alias-resolved",
+            "from-import-resolved",
+            "bare-attribute-ignored",
+        ],
+    )
+    def test_rng_discipline(self, source, path, flagged):
+        found = lint_source(source, str(path), [GlobalRngRule()], path=path)
+        assert [f.rule_id for f in found] == (["R030"] if flagged else [])
 
 
 class TestR002FloatEquality:
@@ -302,7 +298,7 @@ class TestCli:
         target.write_text("import numpy as np\nnp.random.seed(0)\n")
         assert main([str(target)]) == 1
         out = capsys.readouterr().out
-        assert out.startswith(f"{target}:2:1: R001 ")
+        assert out.startswith(f"{target}:2:1: R030 ")
 
     def test_syntax_error_exits_one(self, tmp_path, capsys):
         target = tmp_path / "broken.py"
@@ -347,7 +343,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == len(payload["findings"]) == 1
         (finding,) = payload["findings"]
-        assert finding["rule"] == "R001"
+        assert finding["rule"] == "R030"
         assert finding["path"] == str(target)
         assert finding["line"] == 2 and finding["col"] == 1
         assert "message" in finding
@@ -364,11 +360,11 @@ class TestCli:
         assert main([str(target), "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("::error file=")
-        assert ",line=2,col=1,title=R001::" in out
+        assert ",line=2,col=1,title=R030::" in out
 
     def test_github_format_escapes_workflow_characters(self):
         finding = Finding(
-            path="src/a,b.py", line=1, col=1, rule_id="R001",
+            path="src/a,b.py", line=1, col=1, rule_id="R030",
             message="50% of draws\nuse the shared generator",
         )
         (line,) = render([finding], "github")
@@ -379,12 +375,28 @@ class TestCli:
         with pytest.raises(ValueError):
             render([], "teletype")
 
+    def test_one_run_reports_every_per_file_family(self, tmp_path, capsys):
+        target = tmp_path / "bad.py"
+        target.write_text(
+            "import numpy as np\n"
+            "def f(x: float) -> bool:\n"
+            "    return x == np.random.rand()\n"
+            "def g(x: float) -> bool:\n"
+            "    return x == 0.5\n"
+        )
+        assert main([str(target)]) == 1
+        out = capsys.readouterr().out
+        assert {line.split()[1] for line in out.splitlines()} == {"R002", "R030"}
+
     def test_repo_is_clean(self):
-        """The acceptance criterion: the lint suite passes on the PR."""
+        """The acceptance criterion: the checker passes on the tree in one
+        uncached run that writes nothing (no findings cache)."""
+        entries = set(Path().iterdir())
         assert main(["src", "tests", "benchmarks"]) == 0
+        assert set(Path().iterdir()) == entries  # no .cache/ appeared
 
     def test_every_rule_has_explain_text(self):
-        for rule_id, rule in RULES_BY_ID.items():
-            assert rule.rule_id == rule_id
-            assert rule.title
-            assert len(rule.explain.strip()) > 40
+        for rule_id, info in CATALOGUE.items():
+            assert info.rule_id == rule_id
+            assert info.title
+            assert len(info.explain.strip()) > 40

@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis.callgraph import Program
 from repro.analysis.hotpath import check_hot_path
+from repro.lint.cli import parse_paths
 from repro.lint.rules import Finding
 
 REPO_SRC = Path("src/repro")
@@ -62,7 +63,8 @@ def _insert_into_method(
 
 
 def _findings(root: Path, check) -> List[Finding]:
-    return check(Program.load([str(root)]))
+    files, _ = parse_paths([str(root)])
+    return check(Program(files))
 
 
 class TestRouterLoopInjection:

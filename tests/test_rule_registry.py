@@ -1,11 +1,11 @@
 """Registry-level audit of every rule the toolchain ships.
 
-One parametrized suite asserts, for each rule id across the lint chassis
-(R001-R006), the units dataflow pass (R010-R012), the determinism pass
+One parametrized suite asserts, for each rule id of the checker's one
+catalogue — the project rules (R002-R006), the determinism rules
 (R030-R032), the hot-path rules (R040-R042) and the equations audit
 (EQ001-EQ003):
 
-* the registry has non-empty ``--explain`` text;
+* the catalogue has non-empty ``--explain`` text;
 * at least one positive fixture trips the rule;
 * at least one negative fixture stays clean.
 
@@ -20,21 +20,15 @@ import re
 import textwrap
 import tokenize
 from pathlib import Path
-from typing import NamedTuple, Optional, Type
+from typing import NamedTuple
 
 import pytest
 
-from repro.analysis.cli import analyze_sources, main
-from repro.analysis.dataflow import UnitDataflowRule
-from repro.analysis.determinism import (
-    GlobalRngRule,
-    SetIterationRule,
-    WallclockRule,
-)
+from repro.analysis.callgraph import Program
 from repro.analysis.equations import audit_equations
-from repro.analysis.registry import ALL_RULE_IDS, RULE_REGISTRY
-from repro.lint.cli import lint_source
-from repro.lint.rules import _NOQA_RE, RULES_BY_ID, Rule
+from repro.analysis.hotpath import check_hot_path
+from repro.lint.cli import CATALOGUE, FILE_RULES, lint_source, main
+from repro.lint.rules import _NOQA_RE
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,8 +37,7 @@ HOT = Path("src/repro/queueing/example.py")
 CONTROL = Path("src/repro/control/example.py")
 
 EXPECTED_IDS = [
-    "R001", "R002", "R003", "R004", "R005", "R006",
-    "R010", "R011", "R012",
+    "R002", "R003", "R004", "R005", "R006",
     "R030", "R031", "R032",
     "R040", "R041", "R042",
     "EQ001", "EQ002", "EQ003",
@@ -52,30 +45,13 @@ EXPECTED_IDS = [
 
 
 class RuleFixture(NamedTuple):
-    rule: Optional[Type[Rule]]  # None for the manifest-audit EQ rules
     positive: str
     negative: str
     path: Path = LIB
 
 
 FIXTURES = {
-    "R001": RuleFixture(
-        None,
-        """
-        import numpy as np
-
-        def f():
-            return np.random.uniform()
-        """,
-        """
-        import numpy as np
-
-        def f(rng: np.random.Generator):
-            return rng.uniform()
-        """,
-    ),
     "R002": RuleFixture(
-        None,
         """
         def f(x: float) -> bool:
             return x == 1.5
@@ -86,7 +62,6 @@ FIXTURES = {
         """,
     ),
     "R003": RuleFixture(
-        None,
         """
         def f(acc=[]):
             return acc
@@ -97,7 +72,6 @@ FIXTURES = {
         """,
     ),
     "R004": RuleFixture(
-        None,
         """
         def f(x):
             return x
@@ -108,13 +82,11 @@ FIXTURES = {
         """,
     ),
     "R005": RuleFixture(
-        None,
         '"""Routing helpers with no citation."""\n',
         '"""Implements Eq. 15."""\n',
         CONTROL,
     ),
     "R006": RuleFixture(
-        None,
         """
         class Bank:
             def step(self) -> None:
@@ -129,53 +101,7 @@ FIXTURES = {
         """,
         HOT,
     ),
-    "R010": RuleFixture(
-        UnitDataflowRule,
-        """
-        from repro.units import Joules, Watts
-
-        def f(e: Joules, p: Watts) -> float:
-            return e + p
-        """,
-        """
-        from repro.units import Joules
-
-        def f(a: Joules, b: Joules) -> Joules:
-            return a + b
-        """,
-    ),
-    "R011": RuleFixture(
-        UnitDataflowRule,
-        """
-        from repro.units import Db
-
-        def f(a: Db, b: Db) -> float:
-            return a * b
-        """,
-        """
-        from repro.units import Db
-
-        def f(a: Db, b: Db) -> Db:
-            return 2.0 * a + b
-        """,
-    ),
-    "R012": RuleFixture(
-        UnitDataflowRule,
-        """
-        from repro.units import BitsPerSecond, BitsPerSlot
-
-        def f(a: BitsPerSlot, b: BitsPerSecond) -> float:
-            return a + b
-        """,
-        """
-        from repro.units import BitsPerSlot
-
-        def f(a: BitsPerSlot, b: BitsPerSlot) -> BitsPerSlot:
-            return a + b
-        """,
-    ),
     "R030": RuleFixture(
-        GlobalRngRule,
         """
         import numpy as np
 
@@ -190,7 +116,6 @@ FIXTURES = {
         """,
     ),
     "R031": RuleFixture(
-        WallclockRule,
         """
         import time
 
@@ -205,7 +130,6 @@ FIXTURES = {
         """,
     ),
     "R032": RuleFixture(
-        SetIterationRule,
         """
         def f(items, results):
             pending = set(items)
@@ -310,11 +234,8 @@ EQ_FIXTURES = {
 }
 
 
-def _rule_for(rule_id: str) -> Rule:
-    fixture = FIXTURES[rule_id]
-    if fixture.rule is not None:
-        return fixture.rule()
-    return RULES_BY_ID[rule_id]
+FILE_RULES_BY_ID = {rule.rule_id: rule for rule in FILE_RULES}
+ALL_RULE_IDS = tuple(CATALOGUE)
 
 
 def _lint_ids(rule_id: str, source: str):
@@ -322,7 +243,7 @@ def _lint_ids(rule_id: str, source: str):
     found = lint_source(
         textwrap.dedent(source),
         str(fixture.path),
-        [_rule_for(rule_id)],
+        [FILE_RULES_BY_ID[rule_id]],
         path=fixture.path,
     )
     return [f.rule_id for f in found]
@@ -332,7 +253,7 @@ def _program_ids(sources: dict):
     dedented = {
         path: textwrap.dedent(source) for path, source in sources.items()
     }
-    return [f.rule_id for f in analyze_sources(dedented)]
+    return [f.rule_id for f in check_hot_path(Program.from_sources(dedented))]
 
 
 def _audit_ids(tmp_path, manifest_text: str, docstring: str):
@@ -359,7 +280,7 @@ class TestRegistryShape:
 @pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
 class TestEveryRule:
     def test_explain_text_is_substantive(self, rule_id):
-        info = RULE_REGISTRY[rule_id]
+        info = CATALOGUE[rule_id]
         assert info.rule_id == rule_id
         assert info.title.strip()
         assert len(info.explain.strip()) > 80
@@ -420,7 +341,7 @@ def _noqa_rule_ids(path: Path):
 
 
 #: Packages under ``src/repro`` left out of the ``# noqa`` ratchet: the
-#: analyzer and the linter quote rule ids in their own machinery.
+#: checker quotes rule ids in its own machinery.
 RATCHET_EXEMPT_PACKAGES = ("analysis", "lint")
 #: Committed ceiling on ``# noqa:`` comments in the runtime modules
 #: (``src/repro`` minus ``RATCHET_EXEMPT_PACKAGES``).  Lower it whenever
@@ -436,7 +357,7 @@ class TestNoDeadSuppressions:
             for path in sorted((REPO_ROOT / tree).rglob("*.py")):
                 scanned += 1
                 for line, rule_id in _noqa_rule_ids(path):
-                    if rule_id not in RULE_REGISTRY:
+                    if rule_id not in CATALOGUE:
                         relative = path.relative_to(REPO_ROOT)
                         dead.append(f"{relative}:{line}: {rule_id}")
         assert scanned > 100

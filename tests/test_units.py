@@ -27,13 +27,24 @@ from repro.energy.renewable import (
 from repro.phy.sinr import sinr, sinr_db
 from repro.types import Transmission
 from repro.units import (
-    ALIAS_UNITS,
-    UNIT_BY_SYMBOL,
     Joules,
     Unit,
     db_to_linear,
     linear_to_db,
 )
+
+
+def _alias_units():
+    """Alias name -> its Unit, for every unit alias of repro.units."""
+    found = {}
+    for name, value in vars(units_module).items():
+        args = get_args(value)
+        if len(args) == 2 and isinstance(args[1], Unit):
+            found[name] = args[1]
+    return found
+
+
+ALIAS_UNITS = _alias_units()
 
 
 class TestVocabulary:
@@ -46,10 +57,9 @@ class TestVocabulary:
             assert meta == unit
 
     def test_symbols_are_unique_and_indexed(self):
+        assert len(ALIAS_UNITS) == 18
         symbols = [unit.symbol for unit in ALIAS_UNITS.values()]
         assert len(symbols) == len(set(symbols))
-        for unit in ALIAS_UNITS.values():
-            assert UNIT_BY_SYMBOL[unit.symbol] == unit
 
     def test_units_are_hashable_value_objects(self):
         assert Unit("J", "energy") == Unit("J", "energy")
