@@ -2,8 +2,8 @@
 
 These measure the individual subproblem solvers on realistic states so
 regressions in the per-slot cost (the quantity that bounds experiment
-wall time) are caught: S1 sequential fix, the full controller slot,
-and the relaxed LP slot.
+wall time) are caught: S1 sequential fix and power control, the full
+controller slot, and the relaxed LP slot.
 """
 
 from pathlib import Path
@@ -12,8 +12,11 @@ import numpy as np
 
 from repro.analysis.callgraph import Program
 from repro.analysis.equations import audit_equations
+from repro.config import paper_scenario
 from repro.contracts import ContractChecker
 from repro.lint.cli import main as lint_main, parse_paths
+from repro.phy import gain_matrix, minimal_power_assignment_vec
+from repro.phy.propagation import DensePairGains
 from repro.sim import SlotSimulator
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +75,38 @@ def test_scheduler_sequential_fix(benchmark, bench_base):
     benchmark(
         lambda: simulator.controller.scheduler.schedule(observation, loaded, support)
     )
+
+
+def test_power_control_loaded_band(benchmark):
+    # One co-band set the size of the largest on loaded-u1k (354 links):
+    # 354 short links around 40 hot spots in the U=1000 constant-density
+    # square, at the paper's Gamma, noise and caps.  Pairs of nearby
+    # links certify most of the set infeasible, so the search keeps a
+    # few dozen links after one or a few solves.
+    params = paper_scenario()
+    rng = np.random.default_rng(2014)
+    n, side = 354, 2000.0 * np.sqrt(1000 / 20.0)
+    centers = rng.uniform(0.0, side, (40, 2))
+    tx = centers[rng.integers(0, 40, n)] + rng.normal(0.0, 600.0, (n, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    length = rng.uniform(20.0, 400.0, n)
+    rx = tx + np.stack([np.cos(angle), np.sin(angle)], axis=1) * length[:, None]
+    points = np.concatenate([tx, rx])
+    dist = np.sqrt(((points[:, None] - points[None, :]) ** 2).sum(axis=2))
+    gains = DensePairGains(
+        gain_matrix(dist, params.propagation_constant, params.path_loss_exponent)
+    )
+    noise_w = params.noise_density_w_per_hz * params.spectrum.cellular_bandwidth_hz
+    caps = np.full(n, params.user_node.max_tx_power_w)
+    priorities = rng.uniform(0.0, 100.0, n)
+    link_tx, link_rx = np.arange(n), np.arange(n, 2 * n)
+
+    kept, _, dropped = benchmark(
+        lambda: minimal_power_assignment_vec(
+            link_tx, link_rx, gains, noise_w, params.sinr_threshold, caps, priorities
+        )
+    )
+    assert 0 < kept.size < n and len(dropped) == n - kept.size
 
 
 def test_relaxed_lp_slot(benchmark, bench_base):

@@ -165,7 +165,12 @@ def expand_citation_span(span: str) -> Set[int]:
 
 def citations_in_source(source: str, display_path: str) -> List[Citation]:
     """Every keyword-introduced equation citation in a file's docstrings."""
-    tree = ast.parse(source, filename=display_path)
+    return citations_in_tree(ast.parse(source, filename=display_path), display_path)
+
+
+def citations_in_tree(tree: ast.AST, display_path: str) -> List[Citation]:
+    """Every keyword-introduced equation citation in a parsed file's
+    docstrings."""
     citations: List[Citation] = []
     for node in ast.walk(tree):
         if not isinstance(
@@ -183,17 +188,26 @@ def citations_in_source(source: str, display_path: str) -> List[Citation]:
     return citations
 
 
-def collect_citations(src_root: Path) -> List[Citation]:
-    """Citations across every ``.py`` file under ``src_root``."""
+def collect_citations(
+    src_root: Path, parsed: Optional[Mapping[Path, ast.AST]] = None
+) -> List[Citation]:
+    """Citations across every ``.py`` file under ``src_root``.
+
+    ``parsed`` maps resolved paths to the trees a checker pass already
+    holds; only the files it lacks are read and parsed here.
+    """
+    parsed = parsed or {}
     citations: List[Citation] = []
     for path in sorted(src_root.rglob("*.py")):
-        try:
-            source = path.read_text(encoding="utf-8")
-            citations.extend(citations_in_source(source, str(path)))
-        except SyntaxError:
-            # The per-file pass reports unparsable files as E999; the
-            # audit just skips them.
-            continue
+        tree = parsed.get(path.resolve())
+        if tree is None:
+            try:
+                tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            except SyntaxError:
+                # The per-file pass reports unparsable files as E999;
+                # the audit just skips them.
+                continue
+        citations.extend(citations_in_tree(tree, str(path)))
     return citations
 
 
@@ -213,11 +227,13 @@ def audit_equations(
     manifest_path: Path,
     src_root: Path,
     repo_root: Optional[Path] = None,
+    parsed: Optional[Mapping[Path, ast.AST]] = None,
 ) -> AuditResult:
     """Cross-check the manifest against the tree's docstring citations.
 
     ``repo_root`` anchors the manifest's relative module paths; it
-    defaults to the manifest's grandparent (``docs/..``).
+    defaults to the manifest's grandparent (``docs/..``).  ``parsed``
+    is passed on to :func:`collect_citations`.
     """
     result = AuditResult()
     manifest_display = str(manifest_path)
@@ -299,7 +315,7 @@ def audit_equations(
                     )
                 )
 
-    result.citations = collect_citations(src_root)
+    result.citations = collect_citations(src_root, parsed)
     cited_by_path: Dict[str, Set[int]] = {}
     for citation in result.citations:
         resolved = str(Path(citation.path).resolve())

@@ -121,6 +121,8 @@ QueueMask = Annotated[np.ndarray, Axes("N", "S")]
 LinkSessionMat = Annotated[np.ndarray, Axes("L", "S")]
 #: ``(L, M)`` link x band matrix (band membership, per-band rates).
 LinkBandMat = Annotated[np.ndarray, Axes("L", "M")]
+#: ``(M, L)`` band x link matrix (band-major S1 candidate weights).
+BandLinkMat = Annotated[np.ndarray, Axes("M", "L")]
 #: ``(N, M)`` node x band matrix (per-slot spectrum access).
 NodeBandMat = Annotated[np.ndarray, Axes("N", "M")]
 #: Shape-agnostic array — annotated, but without a rank.

@@ -38,6 +38,7 @@ from scipy import sparse
 
 from repro.axes import (
     AnyArray,
+    BandLinkMat,
     LinkBandMat,
     LinkIds,
     LinkPackets,
@@ -284,15 +285,16 @@ class LinkScheduler:
         support: LinkIds,
         energy_prices: Optional[NodeVec],
         allowed_mask: Optional[LinkVec] = None,
-    ) -> Optional[Tuple[LinkIds, LinkBandMat, LinkBandMat]]:
-        """Net candidate weights as ``(active links, bands)`` arrays.
+    ) -> Optional[Tuple[LinkIds, BandLinkMat, BandLinkMat]]:
+        """Net candidate weights as band-major ``(bands, active links)``
+        arrays.
 
         Returns ``(active, keep, weight)`` — the active link positions,
-        the survivor mask and the weight matrix — or ``None`` when no
-        link clears the backlog floor.  Only the ascending positions
-        ``support`` where ``H != 0`` are tested against the floor;
-        every other link reads ``H == 0``.  Band membership is the
-        slot's ``M_i(t) ∩ M_j(t)`` mask
+        the survivor mask and the weight matrix, one contiguous row per
+        band — or ``None`` when no link clears the backlog floor.  Only
+        the ascending positions ``support`` where ``H != 0`` are tested
+        against the floor; every other link reads ``H == 0``.  Band
+        membership is the slot's ``M_i(t) ∩ M_j(t)`` mask
         (:meth:`SlotObservation.link_band_member`).
 
         ``allowed_mask`` is the static ``(L,)`` link filter of the
@@ -309,9 +311,9 @@ class LinkScheduler:
             return None
 
         service = observation.band_service_pkts(self._model)
-        member = observation.link_band_member(self._model, active)
-        keep = member & (service[None, :] > 0.0)
-        weight = (beta * h_arr[active])[:, None] * service[None, :]
+        keep = observation.link_band_member(self._model, active).T.copy()
+        keep &= (service > 0.0)[:, None]
+        weight = service[:, None] * (beta * h_arr[active])
         if energy_prices is not None:
             noise = observation.band_noise_w(self._model)
             tx_idx = static.link_tx[active]
@@ -323,27 +325,28 @@ class LinkScheduler:
                 # ``pair_gains.pairs(link_tx, link_rx)``, so no pair
                 # view read is needed.
                 g_link = self._model.topology.link_gains[active]
-            power = (params.sinr_threshold * noise)[None, :] / g_link[:, None]
-            keep &= power <= static.max_power_tx[active][:, None]
-            weight = weight - (energy_prices[tx_idx][:, None] * power) * dt
-            weight = weight - (
-                (energy_prices[rx_idx] * static.recv_power_rx[active]) * dt
-            )[:, None]
+            power = (params.sinr_threshold * noise)[:, None] / g_link
+            keep &= power <= static.max_power_tx[active]
+            # w - (price_tx * P) * dt - (price_rx * P_recv) * dt, in place.
+            np.multiply(energy_prices[tx_idx], power, out=power)
+            power *= dt
+            weight -= power
+            weight -= (energy_prices[rx_idx] * static.recv_power_rx[active]) * dt
         keep &= weight > 0.0
         return active, keep, weight
 
     def _candidates(
-        self, active: LinkIds, keep: LinkBandMat, weight: LinkBandMat
+        self, active: LinkIds, keep: BandLinkMat, weight: BandLinkMat
     ) -> _Candidates:
-        """The grid survivors as candidate arrays, in grid order."""
-        rows, bands = np.nonzero(keep)
+        """The grid survivors as candidate arrays, in (link, band) order."""
+        rows, bands = np.nonzero(keep.T)
         pos = active[rows]
         return _Candidates(
             pos=pos,
             tx=self._static.link_tx[pos],
             rx=self._static.link_rx[pos],
             band=bands,
-            weight=weight[rows, bands],
+            weight=weight[bands, rows],
         )
 
     # ------------------------------------------------------------------
@@ -541,8 +544,8 @@ class LinkScheduler:
     def _select_greedy(
         self,
         active: LinkIds,
-        keep: LinkBandMat,
-        weight: LinkBandMat,
+        keep: BandLinkMat,
+        weight: BandLinkMat,
     ) -> Tuple[List[int], List[int]]:
         """GREEDY selection: take link-bands by weight while they fit.
 
@@ -560,26 +563,21 @@ class LinkScheduler:
         band)`` lists, in selection (descending-weight) order.
         """
         static = self._static
-        num_bands = keep.shape[1]
+        num_bands = keep.shape[0]
         tx_act, rx_act = static.link_tx[active], static.link_rx[active]
         radios = self._radios_arr
         multi = (radios[tx_act] != 1) | (radios[rx_act] != 1)
-        # The band columns with unkept cells at -inf, and each row's best
-        # kept weight: narrow axes run as columns, and max is exact.
-        kept = [
-            np.where(keep[:, band], weight[:, band], -np.inf)
-            for band in range(num_bands)
-        ]
-        best = kept[0].copy()
-        for column in kept[1:]:
-            np.maximum(best, column, out=best)
-        # Every kept band of a multi-radio row; the first band at its
-        # best weight (the lowest on ties) of a single-radio row.
+        # The band rows with unkept cells at -inf, and each link's best
+        # kept weight (max is exact in any order).
+        kept = np.where(keep, weight, -np.inf)
+        best = kept.max(axis=0)
+        # Every kept band of a multi-radio link; the first band at its
+        # best weight (the lowest on ties) of a single-radio link.
         seen = np.zeros(active.shape[0], dtype=bool)
         by_band: List[AnyArray] = []
         for band, column in enumerate(kept):
             at_best = column == best
-            by_band.append(((multi | (at_best & ~seen)) & keep[:, band]).nonzero()[0])
+            by_band.append(((multi | (at_best & ~seen)) & keep[band]).nonzero()[0])
             seen |= at_best
         rows = np.concatenate(by_band)
         bands = np.repeat(np.arange(num_bands), [r.size for r in by_band])

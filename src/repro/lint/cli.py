@@ -145,7 +145,11 @@ def check_paths(paths: Sequence[str], chosen: FrozenSet[str]) -> List[Finding]:
         program = Program(ctx for ctx in files if ctx.is_library)
         findings.extend(_only(check_hot_path(program), chosen))
     if chosen & EQUATION_RULES.keys() and _includes_package(files):
-        audit = audit_equations(DEFAULT_MANIFEST, DEFAULT_SRC_ROOT)
+        audit = audit_equations(
+            DEFAULT_MANIFEST,
+            DEFAULT_SRC_ROOT,
+            parsed={ctx.path.resolve(): ctx.tree for ctx in files},
+        )
         findings.extend(_only(audit.findings, chosen))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings

@@ -19,17 +19,33 @@ iff ``rho(Gamma * F) < 1`` (Perron–Frobenius), and a principal
 submatrix never has a larger spectral radius: once a set solves, every
 subset does.  The joint-infeasibility drops are thus a prefix of
 ``np.argsort(priorities, kind="stable")``, found by bisection in
-``O(log n)`` probes; the over-cap drops then cost one solve each.  Every
-probe builds the system of the one-solve-per-drop scan
+``O(log n)`` probes; the over-cap drops then cost one solve each.
+
+A pair of links ``(i, j)`` with ``Gamma^2 F_ij F_ji >= 1`` already
+proves a set infeasible: its 2x2 principal submatrix has spectral radius
+``sqrt(Gamma^2 F_ij F_ji) >= 1``, so by the same monotonicity every
+priority suffix holding both links is infeasible.  With ``k*`` one past
+the largest ``min(rank_i, rank_j)`` over such pairs, the search skips the
+suffixes ``order[k:]``, ``k < k*``, without solving them: it probes
+``order[k*:]`` first (the full set when no pair conflicts) and bisects
+over ``(k*, n]`` only when that probe fails.  Each probe it solves reads
+the same bytes as before, and the bisection already rests on verdicts
+that are monotone along the order, so the answer is the same.  On the
+``loaded-u1k`` benchmark workload (U=1000, seed 2014, 60 slots) 211 of
+the 294 calls have an infeasible full set and 207 of those hold a
+conflicting pair; the episode's solves fell from 1,866 to 569, the
+largest probe from 354 links to 79, and the summed cubed probe sizes
+from 2.0e9 to 1.8e7 (``mobile-u1k``, 100 slots: 338 of 343, and 2,951
+to 1,293 solves).
+
+Every probe builds the system of the one-solve-per-drop scan
 (``eye[:m, :m] - coupling[np.ix_(sel, sel)]``, ``sel`` in input order;
 the scan is the oracle in ``tests/test_phy.py``) byte for byte, by two
 ``take`` gathers and an in-place subtraction, so kept set, powers
-and drop order are bit-identical to it.  On the ``loaded-u1k`` benchmark
-workload (U=1000, seed 2014, 60 slots) 22,853 of 23,035 drops are joint
-and 182 over cap; power control there fell from 11.8 s to 0.37 s
-(2-vCPU VM, one BLAS thread).  The traced ``s1.power.solves`` /
-``s1.power.flops`` counters of ``benchmarks/suite/spans.py`` assume the
-linear scan, so they now overstate the work.
+and drop order are bit-identical to it.  The traced ``s1.power.solves`` /
+``s1.power.flops`` counters of ``benchmarks/suite/spans.py`` are derived
+from the set sizes as if every drop cost a solve (``n, n-1, ...,
+kept``); they count the work of that scan, not of this search.
 
 Every S1 selector (GREEDY, SEQUENTIAL_FIX, SEQUENTIAL_FIX_SINR and
 MAX_WEIGHT_MATCHING) calls :func:`minimal_power_assignment_vec` once per
@@ -96,6 +112,35 @@ def _solve_subset(
     return powers
 
 
+#: A pair of links conflicts when ``Gamma^2 F_ij F_ji >= 1 + PAIR_MARGIN``.
+#: Their 2x2 principal submatrix of ``Gamma * F`` then has spectral
+#: radius ``sqrt(Gamma^2 F_ij F_ji) > 1`` with room to spare for the one
+#: rounding of the product, so no set holding both links has a positive
+#: solution.  The margin keeps a product of exactly 1 (a singular pair,
+#: whose solve verdict rounding decides) out of the certificate.
+PAIR_MARGIN = 1e-6
+
+
+def _conflict_bound(coupling: np.ndarray, order: np.ndarray) -> int:
+    """``k*``: the priority suffixes ``order[k:]`` with ``k < k*`` are
+    certified infeasible by a conflicting pair; 0 when no pair conflicts.
+
+    ``k* = 1 + max min(rank_i, rank_j)`` over the pairs ``(i, j)`` with
+    ``coupling[i, j] * coupling[j, i] >= 1 + PAIR_MARGIN``.  A product
+    of two factors below 1 rounds to at most 1, so only the entries
+    ``>= 1`` are paired up: an ``O(n^2)`` comparison, then products over
+    a few hundred entries instead of all ``n^2``.
+    """
+    n = order.size
+    row, col = np.divmod(np.flatnonzero(coupling >= 1.0), n)
+    hit = coupling[row, col] * coupling[col, row] >= 1.0 + PAIR_MARGIN
+    if not hit.any():
+        return 0
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    return int(np.minimum(rank[row[hit]], rank[col[hit]]).max()) + 1
+
+
 def minimal_power_assignment_vec(
     link_tx: LinkToNode,
     link_rx: LinkToNode,
@@ -108,10 +153,11 @@ def minimal_power_assignment_vec(
     """Minimal feasible powers for one co-band set, dropping links as needed.
 
     Phase 1 bisects the joint-infeasibility prefix of the priority
-    order; phase 2 drops over-cap links one at a time (worst offender =
-    first index of the lexicographic maximum of ``(power / cap,
-    -priority)``).  See the module docstring for why this reproduces the
-    one-solve-per-drop scan bit for bit.
+    order, past the suffixes a conflicting pair already rules out
+    (:func:`_conflict_bound`); phase 2 drops over-cap links one at a
+    time (worst offender = first index of the lexicographic maximum of
+    ``(power / cap, -priority)``).  See the module docstring for why
+    this reproduces the one-solve-per-drop scan bit for bit.
 
     Args:
         link_tx / link_rx: ``(n,)`` endpoint indices of the co-band set.
@@ -132,20 +178,23 @@ def minimal_power_assignment_vec(
     n = int(link_tx.shape[0])
     block = gains.submatrix(link_tx, link_rx)  # [k, l] = g(tx_k, rx_l)
     direct = block.diagonal().copy()
-    cross = block.T.copy()
-    np.fill_diagonal(cross, 0.0)
-    # Row-local ratios: a subset's system is a pure fancy-index of these
-    # full-set values, the same float64 chain either way.
-    coupling = sinr_threshold * cross / direct[:, None]
+    coupling = block.T.copy()
+    np.fill_diagonal(coupling, 0.0)
+    # Row-local ratios ``Gamma * cross / direct``, in place: a subset's
+    # system is a pure fancy-index of these full-set values, the same
+    # float64 chain either way.
+    np.multiply(coupling, sinr_threshold, out=coupling)
+    np.divide(coupling, direct[:, None], out=coupling)
     noise = sinr_threshold * noise_power_w / direct
     eye = np.eye(n)
 
-    sel = np.arange(n)
-    powers = _solve_subset(coupling, noise, eye, sel)
-    dropped: List[int] = []
+    order = np.argsort(priorities, kind="stable")
+    # The first probe keeps the shortest suffix no conflicting pair rules
+    # out: the full set when no pair conflicts.
+    hi = _conflict_bound(coupling, order)
+    powers = _solve_subset(coupling, noise, eye, np.sort(order[hi:]))
     if powers is None:
-        order = np.argsort(priorities, kind="stable")
-        lo, hi = 0, n  # dropping lo links is infeasible; hi = n empties the set
+        lo, hi = hi, n  # dropping lo links is infeasible; hi = n empties the set
         while hi - lo > 1:
             mid = (lo + hi) // 2
             trial = _solve_subset(coupling, noise, eye, np.sort(order[mid:]))
@@ -153,8 +202,8 @@ def minimal_power_assignment_vec(
                 lo = mid
             else:
                 hi, powers = mid, trial
-        dropped = order[:hi].tolist()
-        sel = np.sort(order[hi:])
+    dropped: List[int] = order[:hi].tolist()
+    sel = np.sort(order[hi:])
 
     while sel.size:
         if powers is None:  # numerically infeasible after an over-cap drop

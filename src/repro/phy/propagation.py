@@ -86,8 +86,13 @@ class DensePairGains:
         return self._matrix[tx, rx]
 
     def submatrix(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-        """``(len(tx), len(rx))`` block with ``[k, l] = g(tx[k], rx[l])``."""
-        return self._matrix[np.asarray(tx)[:, None], np.asarray(rx)[None, :]]
+        """``(len(tx), len(rx))`` block with ``[k, l] = g(tx[k], rx[l])``.
+
+        Gathered by rows, then columns: two ``take`` calls, the same
+        entries as the open-mesh fancy index without its per-element
+        index arithmetic.
+        """
+        return self._matrix.take(tx, 0).take(rx, 1)
 
     def column(self, rx: int) -> np.ndarray:
         """``(N,)`` gains into receiver ``rx`` (``g[:, rx]``)."""

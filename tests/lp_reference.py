@@ -319,8 +319,8 @@ def candidate_weights(scheduler, observation, grid):
     for i, pos in enumerate(active.tolist()):
         tx, rx = links[pos]
         for band in observation.common_bands(model, tx, rx):
-            if keep[i, band]:
-                weights[(tx, rx, band)] = weight[i, band]
+            if keep[band, i]:  # the grid is band-major
+                weights[(tx, rx, band)] = weight[band, i]
     return weights
 
 

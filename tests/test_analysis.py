@@ -10,6 +10,7 @@ audit over a package tree — exit codes, ``--select``/``--ignore``,
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -165,6 +166,26 @@ class TestEquationAudit:
         assert result.findings == []
         assert [e.equation_id for e in result.entries] == [1]
         assert [c.equation_id for c in result.citations] == [1]
+
+    def test_parsed_trees_stand_in_for_files(self, tmp_path):
+        # The checker hands the audit the trees it already parsed: a
+        # file among them is not read again, and one it lacks is.
+        manifest, src = _write_repo(
+            tmp_path,
+            GOOD_MANIFEST,
+            {
+                "src/repro/mod.py": '"""No citations."""\n',
+                "src/repro/other.py": '"""Eq. 2."""\n',
+            },
+        )
+        parsed = {(src / "repro" / "mod.py").resolve(): ast.parse('"""Eq. 1."""\n')}
+        found = audit_equations(manifest, src, parsed=parsed).findings
+        assert [f.rule_id for f in found] == ["EQ002"]
+        assert found[0].path == str(src / "repro" / "other.py")
+        assert sorted(f.rule_id for f in audit_equations(manifest, src).findings) == [
+            "EQ001",
+            "EQ002",
+        ]
 
     def test_eq001_uncited_implemented_equation(self, tmp_path):
         manifest, src = _write_repo(

@@ -251,11 +251,11 @@ def _lexsort_greedy(model, active, keep, weight, links):
     scan.
     """
     link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
-    rows, bands = np.nonzero(keep)
+    rows, bands = np.nonzero(keep.T)  # the grid is band-major
     link_pos = active[rows]
     tx_arr = link_tx[link_pos]
     rx_arr = link_rx[link_pos]
-    order = np.lexsort((bands, rx_arr, tx_arr, -weight[rows, bands]))
+    order = np.lexsort((bands, rx_arr, tx_arr, -weight[bands, rows]))
     params = model.params
     radios = [params.node_params(n).num_radios for n in range(model.num_nodes)]
     usage = [0] * model.num_nodes
@@ -375,13 +375,13 @@ class TestGreedySelectionEquality:
             [model.params.node_params(n).num_radios for n in range(model.num_nodes)]
         )
         single = (radios[link_tx[active]] == 1) & (radios[link_rx[active]] == 1)
-        several = keep.sum(axis=1) > 1
+        several = keep.sum(axis=0) > 1
         words = case.split("_")
         assert (single & several).any() == ("multi" not in words)
         assert (~single & several).any() == ("single" not in words)
         if case.endswith("flat"):
             kept = np.where(keep, weight, np.nan)
-            assert (np.nanmax(kept, axis=1) == np.nanmin(kept, axis=1)).all()
+            assert (np.nanmax(kept, axis=0) == np.nanmin(kept, axis=0)).all()
 
 
     @pytest.mark.parametrize("case", _SMALL_CASES)

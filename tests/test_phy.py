@@ -21,7 +21,12 @@ from repro.phy import (
 )
 from repro.config import paper_scenario
 from repro.phy import power_control
-from repro.phy.power_control import _solve_subset, _subset_system
+from repro.phy.power_control import (
+    PAIR_MARGIN,
+    _conflict_bound,
+    _solve_subset,
+    _subset_system,
+)
 from repro.phy.propagation import MIN_DISTANCE_M, DensePairGains
 from repro.sim import SlotSimulator
 from repro.types import SchedulerKind
@@ -195,6 +200,14 @@ class TestPowerControl:
         assert not ok
 
 
+def _system(link_tx, link_rx, gains, noise_power_w, sinr_threshold):
+    """``(coupling, noise)``: ``Gamma * F`` and ``Gamma * u``."""
+    direct = gains[link_tx, link_rx]
+    cross = gains[link_tx[:, None], link_rx[None, :]].T.copy()
+    np.fill_diagonal(cross, 0.0)
+    return sinr_threshold * cross / direct[:, None], sinr_threshold * noise_power_w / direct
+
+
 def _linear_scan(link_tx, link_rx, gains, noise_power_w, sinr_threshold, caps, priorities):
     """Oracle: re-solve the surviving set after every single drop.
 
@@ -202,11 +215,7 @@ def _linear_scan(link_tx, link_rx, gains, noise_power_w, sinr_threshold, caps, p
     first link of lowest priority; otherwise the first link with the
     lexicographically largest ``(power / cap, -priority)`` goes.
     """
-    direct = gains[link_tx, link_rx]
-    cross = gains[link_tx[:, None], link_rx[None, :]].T.copy()
-    np.fill_diagonal(cross, 0.0)
-    coupling = sinr_threshold * cross / direct[:, None]
-    noise = sinr_threshold * noise_power_w / direct
+    coupling, noise = _system(link_tx, link_rx, gains, noise_power_w, sinr_threshold)
     sel = np.arange(link_tx.shape[0])
     dropped = []
     while sel.size:
@@ -239,14 +248,23 @@ def _assert_matches_oracle(link_tx, link_rx, gains, *rest):
     return kept, dropped
 
 
-def _clustered_links(rng, n):
+def _clustered_links(rng, n, twins=0):
     """``n`` short links packed into a few clusters: dense co-band
-    interference, the shape of a loaded S1 band."""
+    interference, the shape of a loaded S1 band.
+
+    The last ``twins`` links copy a random earlier link's endpoints,
+    shifted by a few metres: near-coincident pairs whose mutual coupling
+    is close to 1 both ways.
+    """
     centers = rng.uniform(0.0, 3000.0, (int(rng.integers(2, 6)), 2))
     tx = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 250.0, (n, 2))
     angle = rng.uniform(0.0, 2.0 * np.pi, n)
     length = rng.uniform(20.0, 150.0, n)
     rx = tx + np.stack([np.cos(angle), np.sin(angle)], axis=1) * length[:, None]
+    if twins:
+        source = rng.integers(0, n - twins, twins)
+        tx[n - twins:] = tx[source] + rng.uniform(-5.0, 5.0, (twins, 2))
+        rx[n - twins:] = rx[source] + rng.uniform(-5.0, 5.0, (twins, 2))
     gains = TestPowerControl._gains(np.concatenate([tx, rx]))
     return np.arange(n, dtype=np.intp), np.arange(n, 2 * n, dtype=np.intp), gains
 
@@ -379,6 +397,132 @@ class TestPowerControlVec:
         assert kept.size == 0 and powers.size == 0 and dropped == []
 
 
+def _coupled_links(unit):
+    """Links with unit direct gains and ``F = unit`` (``F[l, k]``: link
+    ``k``'s transmitter heard at link ``l``'s receiver)."""
+    n = unit.shape[0]
+    link_tx = np.arange(n, dtype=np.intp)
+    link_rx = np.arange(n, 2 * n, dtype=np.intp)
+    gains = np.zeros((2 * n, 2 * n))
+    gains[link_tx[None, :], link_rx[:, None]] = unit
+    gains[link_tx, link_rx] = 1.0
+    return link_tx, link_rx, gains
+
+
+class TestPairCertificate:
+    """The pairwise infeasibility certificate that lets the search skip
+    the priority suffixes a conflicting pair already rules out."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        twins=st.integers(0, 4),
+        scale=st.floats(0.2, 4.0),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_skipped_suffixes_are_infeasible(self, seed, n, twins, scale, ties):
+        rng = np.random.default_rng(seed)
+        link_tx, link_rx, gains = _clustered_links(rng, n, twins=min(twins, n - 1))
+        rho = _spectral_radius(_unit_coupling(link_tx, link_rx, gains))
+        threshold = scale / rho if rho > 0 else scale
+        noise_w = 1e-10
+        coupling, noise = _system(link_tx, link_rx, gains, noise_w, threshold)
+        priorities = rng.integers(0, 3, n).astype(float) if ties else rng.uniform(0, 1, n)
+        order = np.argsort(priorities, kind="stable")
+        bound = _conflict_bound(coupling, order)
+        # The bound from the full pair-product matrix.
+        rank = np.argsort(order)
+        i, j = np.nonzero(coupling * coupling.T >= 1.0 + PAIR_MARGIN)
+        assert bound == (int(np.minimum(rank[i], rank[j]).max()) + 1 if i.size else 0)
+        eye = np.eye(n)
+        for k in range(bound):
+            sel = np.sort(order[k:])
+            assert _solve_subset(coupling, noise, eye, sel) is None
+            assert _spectral_radius(coupling[np.ix_(sel, sel)]) >= 1.0
+        direct = gains[link_tx, link_rx]
+        caps = threshold * noise_w / direct * rng.uniform(1.0, 50.0, n)
+        _assert_matches_oracle(link_tx, link_rx, gains, noise_w, threshold, caps, priorities)
+
+    def test_boundary_past_the_bound(self):
+        # Links 0 and 1 conflict (Gamma^2 F01 F10 = 1.44); links 2-4
+        # couple at Gamma F = 0.8 each way, so no pair of them conflicts
+        # but rho = 1.6 makes the three jointly infeasible.  Links 5-7
+        # hear nobody.  The pair certifies only k* = 1, the probe at 1
+        # fails, and the bisection finds the boundary at 3.
+        n = 8
+        unit = np.zeros((n, n))
+        unit[0, 1] = unit[1, 0] = 0.6
+        for a in range(2, 5):
+            for b in range(2, 5):
+                if a != b:
+                    unit[a, b] = 0.4
+        link_tx, link_rx, gains = _coupled_links(unit)
+        priorities = np.arange(n, dtype=float)
+        coupling, noise = _system(link_tx, link_rx, gains, 1e-10, 2.0)
+        order = np.argsort(priorities, kind="stable")
+        assert _conflict_bound(coupling, order) == 1
+        assert _solve_subset(coupling, noise, np.eye(n), np.sort(order[1:])) is None
+        kept, dropped = _assert_matches_oracle(
+            link_tx, link_rx, gains, 1e-10, 2.0, np.ones(n), priorities
+        )
+        assert dropped == [0, 1, 2] and kept.tolist() == [3, 4, 5, 6, 7]
+
+    def test_boundary_at_the_bound(self):
+        # Only the pair (4, 5) conflicts, at priority ranks 2 and 5: the
+        # one probe at k* = 3 solves, and the three lowest links go.
+        n = 6
+        unit = np.zeros((n, n))
+        unit[4, 5] = unit[5, 4] = 0.6
+        link_tx, link_rx, gains = _coupled_links(unit)
+        priorities = np.array([3.0, 4.0, 0.0, 1.0, 2.0, 5.0])
+        coupling, _ = _system(link_tx, link_rx, gains, 1e-10, 2.0)
+        assert _conflict_bound(coupling, np.argsort(priorities, kind="stable")) == 3
+        kept, dropped = _assert_matches_oracle(
+            link_tx, link_rx, gains, 1e-10, 2.0, np.ones(n), priorities
+        )
+        assert dropped == [2, 3, 4] and kept.tolist() == [0, 1, 5]
+
+    @pytest.mark.parametrize(
+        "product, certifies",
+        [(1.0, False), (1.0 + 1e-7, False), (1.0 + 2e-6, True), (0.999, False)],
+    )
+    def test_margin(self, product, certifies):
+        # Gamma = 1 and F01 = product, F10 = 1: the computed pair
+        # product is ``product`` itself.
+        unit = np.zeros((3, 3))
+        unit[0, 1], unit[1, 0] = product, 1.0
+        link_tx, link_rx, gains = _coupled_links(unit)
+        coupling, _ = _system(link_tx, link_rx, gains, 1e-10, 1.0)
+        assert coupling[0, 1] * coupling[1, 0] == product
+        assert _conflict_bound(coupling, np.arange(3)) == (1 if certifies else 0)
+
+    def test_singular_pair_does_not_certify(self):
+        # test_singular_system's pairs: Gamma F = 1 both ways, a product
+        # of exactly 1 and a singular system; the full-set solve decides.
+        n = 8
+        unit = np.zeros((n, n))
+        for j in range(0, n, 2):
+            unit[j + 1, j] = unit[j, j + 1] = 0.5
+        link_tx, link_rx, gains = _coupled_links(unit)
+        coupling, _ = _system(link_tx, link_rx, gains, 1e-10, 2.0)
+        assert _conflict_bound(coupling, np.arange(n)) == 0
+
+    def test_zero_noise(self):
+        # Every solve returns p = 0: the certified suffixes and every
+        # probe past them fail alike, and every link goes.
+        rng = np.random.default_rng(11)
+        link_tx, link_rx, gains = _clustered_links(rng, 60, twins=6)
+        priorities = rng.uniform(0.0, 1.0, 60)
+        coupling, _ = _system(link_tx, link_rx, gains, 0.0, 4.0)
+        assert _conflict_bound(coupling, np.argsort(priorities, kind="stable")) > 0
+        kept, dropped = _assert_matches_oracle(
+            link_tx, link_rx, gains, 0.0, 4.0, np.ones(60), priorities
+        )
+        assert kept.size == 0
+        assert dropped == np.argsort(priorities, kind="stable").tolist()
+
+
 def _ix_system(coupling, eye, sel):
     """The open-mesh system form: one fancy index, then ``eye`` minus it."""
     return eye[: sel.size, : sel.size] - coupling[np.ix_(sel, sel)]
@@ -410,7 +554,9 @@ class TestSubsetSystem:
 
     def test_captured_probes(self, monkeypatch):
         # Every probe of a short GREEDY run, co-band sets of up to ~50
-        # links, rebuilt both ways; the solve reads the same bytes.
+        # links, rebuilt both ways; the solve reads the same bytes.  At
+        # 400 users the pair certificate still leaves probes of 48 links
+        # (200 users: 19).
         probes = []
         solve = power_control._solve_subset
 
@@ -419,7 +565,7 @@ class TestSubsetSystem:
             return solve(coupling, noise, eye, sel)
 
         monkeypatch.setattr(power_control, "_solve_subset", recording)
-        params = paper_scenario(num_users=200, num_slots=12, seed=7)
+        params = paper_scenario(num_users=400, num_slots=12, seed=7)
         SlotSimulator.integral(params, scheduler_kind=SchedulerKind.GREEDY).run()
         assert max(sel.size for *_, sel in probes) >= 20
         for coupling, noise, eye, sel in probes:
