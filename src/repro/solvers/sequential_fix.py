@@ -57,7 +57,16 @@ def sequential_fix(
             to 0 whenever the binary is fixed to 0 (a power variable
             that may only flow when its link is scheduled).
 
+    A solve that follows only fixes to 0 of an LP HiGHS already solved
+    is not allowed to end the loop as infeasible: the earlier solution,
+    with those columns zeroed, is a point HiGHS accepted and the loop
+    continues from it.  Such a verdict does happen under big-M rows:
+    the tolerance that accepted a fix can reject the same fixings one
+    relaxation later.
+
     Raises:
+        InfeasibleError: if the first relaxation, or one that follows
+            an unchecked fix to 1, is infeasible.
         SolverError: if the loop fails to make progress (a symptom of a
             conflict callback that never zeroes anything).
     """
@@ -66,6 +75,9 @@ def sequential_fix(
     selected: List[int] = []
     if max_iterations is None:
         max_iterations = num + 1
+    # The last solution HiGHS accepted for the current fixings to 1,
+    # with every later fix to 0 applied; None once it is unknown.
+    accepted: Optional[AnyArray] = None
 
     def fix_to_zero(mask: AnyArray) -> None:
         nonlocal lp
@@ -74,17 +86,21 @@ def sequential_fix(
             columns = np.concatenate((columns, zero_with[columns]))
         lp = lp.fixed(columns, 0.0)
         remaining[mask] = False
+        if accepted is not None:
+            accepted[columns] = 0.0
 
     def fix_to_one(column: int) -> None:
-        nonlocal lp
+        nonlocal lp, accepted
         trial = lp.fixed([column], 1.0)
+        solution = None
         if check_feasibility:
             try:
-                trial.solve()
+                solution = trial.solve().x
             except InfeasibleError:
                 fix_to_zero(np.arange(num) == column)
                 return
         lp = trial
+        accepted = solution
         remaining[column] = False
         selected.append(column)
         fix_to_zero(conflicts(column) & remaining)
@@ -97,7 +113,13 @@ def sequential_fix(
                 f"sequential fix exceeded {max_iterations} iterations with "
                 f"{int(remaining.sum())} variables unfixed"
             )
-        x = lp.solve().x
+        try:
+            x = lp.solve().x
+        except InfeasibleError:
+            if accepted is None:
+                raise
+            x = accepted
+        accepted = x.copy()
         # Candidate order: by LP value (descending), then by rank.
         open_cols = np.flatnonzero(remaining)
         ordered = open_cols[np.lexsort((rank[open_cols], -x[open_cols]))]

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import small_scenario, tiny_scenario
+from repro.config import paper_scenario, small_scenario, tiny_scenario
 from repro.control import LinkScheduler, scheduler as scheduler_module
 from repro.control.decisions import appearance_groups
 from repro.core import compute_constants
 from repro.core.drift import compute_drift_terms  # noqa: F401  (import check)
 from repro.model import build_network_model
+from repro.sim import SlotSimulator
 from repro.state import NetworkState
 from repro.types import SchedulerKind
 from tests.helpers import link_tuples, link_view
@@ -241,6 +242,18 @@ class TestSinrAwareSequentialFix:
         ).schedule(observation, h, np.flatnonzero(h))
         assert {t.link for t in plain.transmissions} == {link}
         assert {t.link for t in aware.transmissions} == {link}
+
+    @pytest.mark.slow
+    def test_paper_scale_run_survives_a_late_tolerance_verdict(self):
+        # Slot 38 of this run solves a relaxation that HiGHS declares
+        # infeasible after a rejected trial fix, although it accepted
+        # the same fixings one solve earlier (see ``sequential_fix``).
+        params = paper_scenario(num_slots=100, seed=2014)
+        simulator = SlotSimulator.integral(
+            params, scheduler_kind=SchedulerKind.SEQUENTIAL_FIX_SINR
+        )
+        for slot in range(39):
+            simulator.step(slot)
 
 
 def _lexsort_greedy(model, active, keep, weight, links):

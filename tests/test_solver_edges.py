@@ -183,10 +183,37 @@ class TestCheckedSequentialFix:
         assert result["b"] == 0  # rounding b would break the coupling
 
     def test_unchecked_mode_raises(self):
-        from repro.exceptions import InfeasibleError
-
         with pytest.raises(InfeasibleError):
             self._coupled_instance(check=False)
+
+    def test_infeasible_verdict_after_zero_fixes_keeps_the_accepted_point(self):
+        """HiGHS's tolerance can accept fixings that it rejects one
+        relaxation later.  The relaxation after a rejected trial only
+        zeroes columns, so the loop goes on from the last solution
+        HiGHS accepted instead of ending as infeasible."""
+        verdicts = []
+
+        class ToleranceVerdicts(LinearProgram):
+            # Rejects fixing b to 1, and the relaxation that zeroes b
+            # while c is still open; accepts everything else.
+            def solve(self):
+                b_lower, b_upper = self.bounds[1]
+                c_open = tuple(self.bounds[2]) == (0.0, 1.0)
+                if b_lower == 1.0 or (b_upper == 0.0 and c_open):
+                    verdicts.append(self.bounds.copy())
+                    raise InfeasibleError("linear program is infeasible")
+                return super().solve()
+
+        lp = ToleranceVerdicts(
+            [-3.0, -2.0, -1.0], np.tile([0.0, 1.0], (3, 1)), [[1.0, 1.0, 1.0]], [2.5]
+        )
+        selected = sequential_fix(
+            lp, np.arange(3), lambda col: np.zeros(3, dtype=bool), check_feasibility=True
+        )
+        # The relaxation puts (a, b, c) at (1, 1, 0.5): a is fixed, b's
+        # trial is rejected, and c is fixed from the accepted point.
+        assert selected.tolist() == [0, 2]
+        assert len(verdicts) == 2  # b's trial, then the relaxation after it
 
 
 class TestPowerControlFallbacks:
