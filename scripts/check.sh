@@ -8,6 +8,7 @@
 #   2. ruff       — generic style/bug lint           (if installed)
 #   3. mypy       — strict on the foundation modules (if installed)
 #   4. pytest     — the tier-1 test suite
+#   5. benches    — the component benches, run once without timing
 #
 # ruff and mypy are optional-dependency tools (pip install -e '.[lint]');
 # when absent locally they are skipped with a notice — CI always installs
@@ -42,6 +43,10 @@ fi
 
 step "pytest"
 python -m pytest -q || failures=$((failures + 1))
+
+step "component benches (untimed)"
+python -m pytest benchmarks/bench_components.py --benchmark-disable -q \
+    || failures=$((failures + 1))
 
 if [ "$failures" -ne 0 ]; then
     echo "check.sh: $failures step(s) FAILED"

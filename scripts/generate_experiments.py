@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Regenerate every paper figure, print the tables and check every claim.
+"""Regenerate every paper figure and ablation, print the tables and check every claim.
 
-This is the EXPERIMENTS.md data source and the one figure pipeline:
-the paper's Section-VI scenario (2 BSs, 20 users, 100 one-minute
-slots) with the paper's V sweeps, plus the extension experiments
-(cell-edge, V-convergence).  Every run also checks the shape each
-figure claims (the ``check_*`` functions below); a claim that does not
-hold is named on stderr, figure first, and the exit status is 1.
+This is the EXPERIMENTS.md data source and the one experiment
+pipeline: the paper's Section-VI scenario (2 BSs, 20 users, 100
+one-minute slots) with the paper's V sweeps, the extension experiments
+(cell-edge, V-convergence) and six ablations that run one design
+choice against its alternative on the same scenario.  Every run also
+checks the shape each table claims (the ``check_*`` functions below);
+a claim that does not hold is named on stderr, table first, and the
+exit status is 1.
 
-The paper-scale run takes under a minute serially; ``--workers N``
-fans each figure's (V, variant) grid over N worker processes through
-the sweep executor (results are bit-identical to the serial run —
-tests/test_executor.py pins that).  Pass ``--export DIR`` to
-additionally write each figure's data as CSV; ``--bench PATH``
+The paper-scale run takes about 76 s serially on a 2-vCPU VM, 35 s of
+it in the ablations; ``--workers N`` fans each figure's (V, variant)
+grid over N worker processes through the sweep executor (results are
+bit-identical to the serial run — tests/test_executor.py pins that).
+The ablations run serially: their variants differ in simulator
+options that a sweep cell does not carry.  Pass ``--export DIR`` to
+additionally write each table's data as CSV; ``--bench PATH``
 collects every grid's timing record into a machine-readable
 BENCH_sweep.json.
 """
@@ -40,6 +44,7 @@ import numpy as np
 
 from repro.config import cell_edge_scenario, paper_scenario
 from repro.config.parameters import ScenarioParameters
+from repro.control.router import RouterMode
 from repro.core.theory import PlateauCheck, verify_bs_plateau
 from repro.experiments import (
     export_figure,
@@ -56,9 +61,16 @@ from repro.experiments.fig2bc import BACKLOG_FIGURES, BacklogFigure, backlog_fig
 from repro.experiments.fig2f import ARCHITECTURES, Fig2fResult
 from repro.experiments.v_convergence import VConvergenceResult
 from repro.queueing.stability import StabilityVerdict, assess_strong_stability
+from repro.reporting import format_table
+from repro.reporting.tables import Cell
 from repro.sim import SlotSimulator
 from repro.sim.results import SimulationResult
-from repro.types import Architecture
+from repro.types import (
+    Architecture,
+    EnergySolverKind,
+    QueueSemantics,
+    SchedulerKind,
+)
 
 
 class VGrids(NamedTuple):
@@ -85,13 +97,77 @@ PAPER_GRIDS = VGrids(
 PLATEAU_RTOL = 0.002
 
 
+#: The time-of-use ablation's tariff: three cheap slots, then three
+#: 25x-dearer ones.
+TOU_TARIFF = (0.2, 0.2, 0.2, 5.0, 5.0, 5.0)
+
+#: The S1 weight variants of the ``abl_weights`` ablation.
+ENERGY_AWARE = "energy-aware (default)"
+ENERGY_BLIND = "energy-blind (paper S1)"
+
+
 class FigureRun(NamedTuple):
-    """One printed figure: its result, wall time and failed claims."""
+    """One printed table: its result, wall time and failed claims."""
 
     name: str
     result: Any
     seconds: float
     failures: List[str]
+
+
+class AblationTable(NamedTuple):
+    """One ablation: a row per variant, its label in the first cell."""
+
+    title: str
+    headers: Tuple[str, ...]
+    rows: Tuple[Tuple[Cell, ...], ...]
+
+    @property
+    def table(self) -> str:
+        return format_table(self.headers, self.rows, title=self.title)
+
+    def cell(self, label: str, header: str) -> Any:
+        """The cell of variant ``label`` under ``header``."""
+        row = next(row for row in self.rows if row[0] == label)
+        return row[self.headers.index(header)]
+
+
+class VariantRun(NamedTuple):
+    """One ablation variant's run and the links S1 power control dropped."""
+
+    result: SimulationResult
+    dropped: int
+
+
+def _total_backlog(run: VariantRun) -> np.ndarray:
+    return run.result.backlog_series("bs_data_packets") + run.result.backlog_series(
+        "user_data_packets"
+    )
+
+
+#: Every ablation column: its header and its cell for one variant.
+COLUMNS: Mapping[str, Callable[[VariantRun], Cell]] = {
+    "avg cost": lambda run: run.result.average_cost,
+    "steady cost": lambda run: run.result.steady_state_cost,
+    "delivered": lambda run: run.result.metrics.totals()["delivered_pkts"],
+    "avg draw (J)": lambda run: run.result.metrics.average_grid_draw_j(),
+    "spill (J)": lambda run: run.result.metrics.totals()["spill_j"],
+    "mean BS backlog": lambda run: float(
+        run.result.backlog_series("bs_data_packets").mean()
+    ),
+    "final BS backlog": lambda run: float(
+        run.result.backlog_series("bs_data_packets")[-1]
+    ),
+    "mean backlog": lambda run: float(_total_backlog(run).mean()),
+    "max backlog": lambda run: float(_total_backlog(run).max()),
+    "mean virtual backlog": lambda run: float(
+        run.result.backlog_series("virtual_packets").mean()
+    ),
+    "links/slot": lambda run: float(
+        run.result.metrics.series("scheduled_links").mean()
+    ),
+    "dropped": lambda run: run.dropped,
+}
 
 
 # -- claims ------------------------------------------------------------------
@@ -223,6 +299,90 @@ def check_v_convergence(result: VConvergenceResult) -> List[str]:
     return _failures("v_convergence", [(worst < 0.10, claim)])
 
 
+def check_abl_scheduler(result: AblationTable) -> List[str]:
+    """SF-SINR drops no more than SF, and SF tracks exact matching."""
+    cell = result.cell
+    sf, sinr, exact = (
+        kind.value
+        for kind in (
+            SchedulerKind.SEQUENTIAL_FIX,
+            SchedulerKind.SEQUENTIAL_FIX_SINR,
+            SchedulerKind.MAX_WEIGHT_MATCHING,
+        )
+    )
+    claims = [
+        (cell(sinr, "dropped") <= cell(sf, "dropped"), "SF-SINR drops <= SF drops"),
+        (
+            cell(sf, "delivered") == cell(exact, "delivered"),
+            "SF delivers what exact matching delivers",
+        ),
+        (
+            cell(sf, "avg cost") <= cell(exact, "avg cost") * 2.0 + 1.0,
+            "SF avg cost <= 2 * matching's + 1",
+        ),
+    ]
+    return _failures("abl_scheduler", claims)
+
+
+def check_abl_queue(result: AblationTable) -> List[str]:
+    """Null packets inflate backlogs but leave the cost shape intact."""
+    cell = result.cell
+    paper, accurate = QueueSemantics.PAPER.value, QueueSemantics.PACKET_ACCURATE.value
+    claims = [
+        (
+            cell(paper, "mean backlog") >= cell(accurate, "mean backlog") * 0.9,
+            "the paper semantics' mean backlog >= 0.9 * packet-accurate's",
+        ),
+        (
+            cell(accurate, "avg cost") <= cell(paper, "avg cost") * 1.5 + 1.0,
+            "packet-accurate avg cost <= 1.5 * paper's + 1",
+        ),
+        (
+            cell(paper, "avg cost") <= cell(accurate, "avg cost") * 1.5 + 1.0,
+            "paper avg cost <= 1.5 * packet-accurate's + 1",
+        ),
+    ]
+    return _failures("abl_queue", claims)
+
+
+def _decomposition_vs_grid_only(result: AblationTable) -> Tuple[float, float]:
+    """The steady costs of the price decomposition and of grid-only."""
+    return (
+        result.cell(EnergySolverKind.PRICE_DECOMPOSITION.value, "steady cost"),
+        result.cell(EnergySolverKind.GRID_ONLY.value, "steady cost"),
+    )
+
+
+def check_abl_energy(result: AblationTable) -> List[str]:
+    """Storage-aware S4 is at least about as cheap as grid-only once settled."""
+    ours, grid = _decomposition_vs_grid_only(result)
+    claim = "decomposition steady cost <= 1.1 * grid-only's + 1"
+    return _failures("abl_energy", [(ours <= grid * 1.1 + 1.0, claim)])
+
+
+def check_abl_router(result: AblationTable) -> List[str]:
+    """The paper-literal Eq. (25) cap schedules no more links per slot."""
+    literal = result.cell(RouterMode.SCHEDULED_CAPACITY.value, "links/slot")
+    bootstrap = result.cell(RouterMode.POTENTIAL_CAPACITY.value, "links/slot")
+    claim = "scheduled-capacity links/slot <= potential-capacity's"
+    return _failures("abl_router", [(literal <= bootstrap + 1e-9, claim)])
+
+
+def check_abl_weights(result: AblationTable) -> List[str]:
+    """Both S1 weightings deliver the same forced demand."""
+    aware = result.cell(ENERGY_AWARE, "delivered")
+    blind = result.cell(ENERGY_BLIND, "delivered")
+    claim = "energy-aware delivered == energy-blind delivered"
+    return _failures("abl_weights", [(aware == blind, claim)])
+
+
+def check_abl_tou(result: AblationTable) -> List[str]:
+    """Battery arbitrage beats grid-only once settled."""
+    ours, grid = _decomposition_vs_grid_only(result)
+    claim = "decomposition steady cost < grid-only's"
+    return _failures("abl_tou", [(ours < grid, claim)])
+
+
 # -- run plan ----------------------------------------------------------------
 
 
@@ -239,16 +399,122 @@ def _bs_plateau(base: ScenarioParameters, run: SimulationResult) -> PlateauCheck
     return verify_bs_plateau(simulator.model, simulator.constants, run)
 
 
+#: One ablation variant: its row label, scenario and simulator options.
+Variant = Tuple[str, ScenarioParameters, Mapping[str, Any]]
+
+
+def _run_variant(params: ScenarioParameters, options: Mapping[str, Any]) -> VariantRun:
+    """Step one integral run over its horizon, counting S1's drops."""
+    simulator = SlotSimulator.integral(params, **options)
+    dropped = sum(
+        len(simulator.step(slot).schedule.dropped) for slot in range(params.num_slots)
+    )
+    result = SimulationResult(
+        control_v=params.control_v,
+        num_slots=params.num_slots,
+        metrics=simulator.metrics,
+        constants=simulator.constants,
+    )
+    return VariantRun(result, dropped)
+
+
+def run_ablation(
+    name: str,
+    title: str,
+    variants: Sequence[Variant],
+    columns: Sequence[str],
+    check: Callable[[AblationTable], List[str]],
+) -> FigureRun:
+    """Run each variant and check the table of its ``columns``.
+
+    The first header names what the variants vary; the rest index
+    :data:`COLUMNS`.
+    """
+    start = time.time()
+    runs = [(label, _run_variant(params, options)) for label, params, options in variants]
+    rows = tuple(
+        (label, *(COLUMNS[header](run) for header in columns[1:])) for label, run in runs
+    )
+    table = AblationTable(title, tuple(columns), rows)
+    return FigureRun(name, table, time.time() - start, check(table))
+
+
+def run_ablations(base: ScenarioParameters) -> Iterator[FigureRun]:
+    """Each design choice against its alternative, derived from ``base``."""
+    solvers = (EnergySolverKind.PRICE_DECOMPOSITION, EnergySolverKind.GRID_ONLY)
+    yield run_ablation(
+        "abl_scheduler",
+        "Ablation: SF vs SINR-aware SF vs exact matching vs greedy",
+        [(kind.value, base, {"scheduler_kind": kind}) for kind in SchedulerKind],
+        ("S1 scheduler", "avg cost", "delivered", "mean BS backlog", "dropped"),
+        check_abl_scheduler,
+    )
+    yield run_ablation(
+        "abl_queue",
+        "Ablation: Eq.-15 null-packet semantics vs packet-accurate",
+        [
+            (semantics.value, dataclasses.replace(base, queue_semantics=semantics), {})
+            for semantics in QueueSemantics
+        ],
+        ("semantics", "avg cost", "mean backlog", "max backlog", "delivered"),
+        check_abl_queue,
+    )
+    yield run_ablation(
+        "abl_energy",
+        "Ablation: price-decomposition vs grid-only energy management",
+        [(solver.value, base, {"energy_solver": solver}) for solver in solvers],
+        ("S4 solver", "avg cost", "steady cost", "avg draw (J)", "spill (J)"),
+        check_abl_energy,
+    )
+    yield run_ablation(
+        "abl_router",
+        "Ablation: potential-capacity vs paper-literal Eq. (25) routing",
+        [(mode.value, base, {"router_mode": mode}) for mode in RouterMode],
+        (
+            "router mode",
+            "avg cost",
+            "final BS backlog",
+            "mean virtual backlog",
+            "links/slot",
+        ),
+        check_abl_router,
+    )
+    blind = dataclasses.replace(base, energy_aware_scheduling=False)
+    yield run_ablation(
+        "abl_weights",
+        "Ablation: energy-aware vs energy-blind scheduling weights",
+        [(ENERGY_AWARE, base, {}), (ENERGY_BLIND, blind, {})],
+        ("S1 weights", "avg cost", "steady cost", "delivered"),
+        check_abl_weights,
+    )
+    # A longer horizon and a moderate V, so the battery-fill transient
+    # (its threshold V * gamma_max scales with the dearest tariff) ends
+    # inside the first half and the steady-state window is settled.
+    tou = dataclasses.replace(
+        base,
+        tou_multipliers=TOU_TARIFF,
+        control_v=1e5,
+        num_slots=max(90, base.num_slots),
+    )
+    yield run_ablation(
+        "abl_tou",
+        "Ablation: battery arbitrage under a 3-cheap/3-dear tariff",
+        [(solver.value, tou, {"energy_solver": solver}) for solver in solvers],
+        ("S4 solver", "avg cost", "steady cost", "avg draw (J)"),
+        check_abl_tou,
+    )
+
+
 def run_plan(
     base: ScenarioParameters,
     edge: ScenarioParameters,
     grids: VGrids,
     workers: int = 1,
 ) -> Iterator[FigureRun]:
-    """Run every experiment and check it, yielding figures in print order.
+    """Run every experiment and check it, yielding tables in print order.
 
-    ``edge`` is the cell-edge scenario; every other experiment derives
-    from ``base``.  ``workers`` is the sweep-executor fan-out.
+    ``edge`` is the cell-edge scenario; every other experiment, the
+    ablations included, derives from ``base``.  ``workers`` is the sweep-executor fan-out.
     """
     fig2a, seconds = _timed(
         run_fig2a, base=base, v_values=grids.bounds, max_workers=workers
@@ -294,6 +560,7 @@ def run_plan(
         convergence_seconds,
         check_v_convergence(convergence),
     )
+    yield from run_ablations(base)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

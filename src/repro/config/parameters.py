@@ -280,8 +280,8 @@ class ScenarioParameters:
     #: decomposition drops this drift coupling, leaving S1 blind to
     #: transmit power — with the binary physical-model capacity there
     #: is then no mechanism for the multi-hop energy savings Fig. 2(f)
-    #: reports.  False recovers the paper-literal S1 (ablation
-    #: ``abl-sched-energy`` in DESIGN.md).
+    #: reports.  False recovers the paper-literal S1 (the ``abl_weights``
+    #: ablation of scripts/generate_experiments.py).
     energy_aware_scheduling: bool = True
     #: Queue-transfer semantics (see QueueSemantics).
     queue_semantics: QueueSemantics = QueueSemantics.PAPER

@@ -82,6 +82,8 @@ def export_figure(result: Any, path: Union[str, Path]) -> Path:
     elif kind == "VConvergenceResult":
         headers = ["V", "upper", "relative_gap"]
         rows = list(zip(result.v_values, result.uppers, result.relative_gaps))
+    elif kind == "AblationTable":
+        headers, rows = list(result.headers), list(result.rows)
     else:
         raise TypeError(f"no CSV exporter for {kind}")
     return write_csv(path, headers, rows)

@@ -1,9 +1,8 @@
 """Reporting: post-processing of simulation results.
 
 Time averages and confidence intervals (:mod:`repro.reporting.aggregate`),
-plain-text tables (:mod:`repro.reporting.tables`), bound-gap convergence
-across a ``V`` sweep (:mod:`repro.reporting.convergence`) and the
-operator report (:mod:`repro.reporting.report`).  Multi-seed runs come
+plain-text tables (:mod:`repro.reporting.tables`) and the operator
+report (:mod:`repro.reporting.report`).  Multi-seed runs come
 from the sweep executor (``SweepSpec(replications=n)``).  Nothing here
 imports the static analyzer (:mod:`repro.analysis`) or the lint suite.
 """
@@ -14,12 +13,6 @@ from repro.reporting.aggregate import (
     time_average,
 )
 from repro.reporting.tables import format_table
-from repro.reporting.convergence import (
-    empirical_gaps,
-    gap_series,
-    is_shrinking,
-    relative_gap_series,
-)
 from repro.reporting.report import build_report
 
 __all__ = [
@@ -27,9 +20,5 @@ __all__ = [
     "running_time_average",
     "time_average",
     "format_table",
-    "empirical_gaps",
-    "gap_series",
-    "is_shrinking",
-    "relative_gap_series",
     "build_report",
 ]

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.reporting import (
-    empirical_gaps,
     format_table,
-    gap_series,
-    is_shrinking,
     mean_confidence_interval,
-    relative_gap_series,
     running_time_average,
     time_average,
 )
@@ -19,7 +15,6 @@ from repro.baselines import (
     run_architecture,
 )
 from repro.config import tiny_scenario
-from repro.core.bounds import BoundReport
 from repro.types import Architecture
 
 
@@ -114,35 +109,3 @@ class TestTables:
     def test_row_length_mismatch(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
-
-
-class TestConvergence:
-    @staticmethod
-    def _report(v, upper, lower, relaxed):
-        return BoundReport(
-            control_v=v, upper=upper, lower=lower,
-            relaxed_penalty=relaxed, drift_b=100.0,
-        )
-
-    def test_gap_series_sorted_by_v(self):
-        reports = [
-            self._report(2e5, 10.0, 5.0, 8.0),
-            self._report(1e5, 20.0, 5.0, 15.0),
-        ]
-        gaps = gap_series(reports)
-        assert np.allclose(gaps, [15.0, 5.0])
-
-    def test_relative_gap(self):
-        reports = [self._report(1e5, 20.0, 10.0, 15.0)]
-        assert relative_gap_series(reports)[0] == pytest.approx(0.5)
-
-    def test_empirical_gaps(self):
-        reports = [self._report(1e5, 20.0, -100.0, 15.0)]
-        assert empirical_gaps(reports) == [pytest.approx(5.0)]
-
-    def test_is_shrinking(self):
-        assert is_shrinking([10.0, 5.0, 2.0])
-        assert is_shrinking([10.0, 10.2, 5.0], slack=0.05)
-        assert not is_shrinking([5.0, 20.0, 4.0])
-        assert not is_shrinking([5.0, 4.0, 6.0])
-        assert is_shrinking([3.0])

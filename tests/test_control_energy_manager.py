@@ -324,6 +324,23 @@ class TestEnergyManagerEndToEnd:
                 f"SLSQP {slow_obj}"
             )
 
+    def test_price_decomposition_never_loses_to_grid_only(self, tiny_model):
+        # Grid-only (no charge, no discharge) is a feasible point of the
+        # drift objective the decomposition minimises, on every instance.
+        rng = np.random.default_rng(0)
+        exact = EnergyManager(tiny_model, EnergySolverKind.PRICE_DECOMPOSITION)
+        naive = EnergyManager(tiny_model, EnergySolverKind.GRID_ONLY)
+        for trial in range(20):
+            batch = self._random_instance(rng, num_users=10)
+            ours, grid = exact.manage(batch), naive.manage(batch)
+            ours_obj = _objective(tiny_model, batch, ours.allocation, ours.cost)
+            grid_obj = _objective(tiny_model, batch, grid.allocation, grid.cost)
+            scale = max(abs(ours_obj), abs(grid_obj), 1.0)
+            assert ours_obj <= grid_obj + 1e-9 * scale, (
+                f"trial {trial}: price decomposition {ours_obj} worse than "
+                f"grid-only {grid_obj}"
+            )
+
     def test_all_constraints_hold(self, tiny_model):
         rng = np.random.default_rng(5)
         manager = EnergyManager(tiny_model)

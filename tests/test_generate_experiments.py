@@ -1,10 +1,10 @@
-"""The figure generator, ``scripts/generate_experiments.py``.
+"""The experiment generator, ``scripts/generate_experiments.py``.
 
-The generator is the one figure pipeline: every run prints the
-EXPERIMENTS.md tables and checks every Fig. 2 claim.  These tests run
-its plan at reduced scale (10 users, 40 slots), show that each
-figure's check rejects a doctored result and names the figure, and,
-under the ``slow`` marker, run the paper-scale plan its CLI runs.
+The generator is the one experiment pipeline: every run prints the
+EXPERIMENTS.md tables and checks every Fig. 2 and ablation claim.
+These tests run its plan at reduced scale (10 users, 40 slots), show
+that each table's check rejects a doctored result and names the table,
+and, under the ``slow`` marker, run the paper-scale plan its CLI runs.
 """
 
 import dataclasses
@@ -52,6 +52,15 @@ FIGURES = (
     "cell_edge",
     "v_convergence",
 )
+ABLATIONS = (
+    "abl_scheduler",
+    "abl_queue",
+    "abl_energy",
+    "abl_router",
+    "abl_weights",
+    "abl_tou",
+)
+TABLES = FIGURES + ABLATIONS
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +70,7 @@ def runs():
 
 
 def test_small_scale_plan_passes_every_check(runs):
-    assert tuple(runs) == FIGURES
+    assert tuple(runs) == TABLES
     assert [failure for run in runs.values() for failure in run.failures] == []
 
 
@@ -74,6 +83,15 @@ def test_backlog_figures_share_one_sweep(runs):
     }
     assert horizons == {SMALL_BASE.num_slots}
     assert runs["fig2c"].seconds == 0.0
+
+
+def test_ablation_table_exports_as_csv(runs, tmp_path):
+    from repro.experiments import export_figure
+
+    table = runs["abl_router"].result
+    lines = export_figure(table, tmp_path / "abl_router.csv").read_text().splitlines()
+    assert lines[0] == ",".join(table.headers)
+    assert len(lines) == 1 + len(table.rows)
 
 
 # -- doctored results --------------------------------------------------------
@@ -163,6 +181,57 @@ def _doctor_v_convergence(runs):
     )
 
 
+def _with_cell(run, label, header, edit):
+    """The ablation table of ``run`` with one cell edited."""
+    table = run.result
+    column = table.headers.index(header)
+    rows = tuple(
+        row[:column] + (edit(row[column]),) + row[column + 1 :] if row[0] == label else row
+        for row in table.rows
+    )
+    return table._replace(rows=rows)
+
+
+def _doctor_abl_scheduler(runs):
+    sf_dropped = runs["abl_scheduler"].result.cell("sequential_fix", "dropped")
+    more = _with_cell(
+        runs["abl_scheduler"], "sequential_fix_sinr", "dropped", lambda _: sf_dropped + 1
+    )
+    return generate.check_abl_scheduler(more)
+
+
+def _doctor_abl_queue(runs):
+    shrunk = _with_cell(runs["abl_queue"], "paper", "mean backlog", lambda _: 0.0)
+    return generate.check_abl_queue(shrunk)
+
+
+def _doctor_abl_energy(runs):
+    dear = _with_cell(
+        runs["abl_energy"], "price_decomposition", "steady cost", lambda _: 1e6
+    )
+    return generate.check_abl_energy(dear)
+
+
+def _doctor_abl_router(runs):
+    busier = _with_cell(
+        runs["abl_router"], "scheduled_capacity", "links/slot", lambda n: n + 100.0
+    )
+    return generate.check_abl_router(busier)
+
+
+def _doctor_abl_weights(runs):
+    short = _with_cell(
+        runs["abl_weights"], generate.ENERGY_BLIND, "delivered", lambda n: n - 1.0
+    )
+    return generate.check_abl_weights(short)
+
+
+def _doctor_abl_tou(runs):
+    grid = runs["abl_tou"].result.cell("grid_only", "steady cost")
+    tied = _with_cell(runs["abl_tou"], "price_decomposition", "steady cost", lambda _: grid)
+    return generate.check_abl_tou(tied)
+
+
 DOCTORED = {
     "fig2a": (_doctor_fig2a, "relaxed <= 1.05 * upper + 1 at V=100000"),
     "fig2b": (_doctor_fig2b, "the backlog is not UNSTABLE at V=100000"),
@@ -172,14 +241,20 @@ DOCTORED = {
     "fig2f": (_doctor_fig2f, "the proposed system is cheapest at V=100000"),
     "cell_edge": (_doctor_cell_edge, "multi-hop saves energy over one-hop"),
     "v_convergence": (_doctor_v_convergence, "the worst relative gap is < 10%"),
+    "abl_scheduler": (_doctor_abl_scheduler, "SF-SINR drops <= SF drops"),
+    "abl_queue": (_doctor_abl_queue, "mean backlog >= 0.9 * packet-accurate's"),
+    "abl_energy": (_doctor_abl_energy, "decomposition steady cost <= 1.1 * grid-only's + 1"),
+    "abl_router": (_doctor_abl_router, "scheduled-capacity links/slot <= potential"),
+    "abl_weights": (_doctor_abl_weights, "energy-aware delivered == energy-blind delivered"),
+    "abl_tou": (_doctor_abl_tou, "decomposition steady cost < grid-only's"),
 }
 
 
 def test_every_figure_has_a_doctored_case():
-    assert tuple(DOCTORED) == FIGURES
+    assert tuple(DOCTORED) == TABLES
 
 
-@pytest.mark.parametrize("figure", FIGURES)
+@pytest.mark.parametrize("figure", TABLES)
 def test_check_rejects_doctored_result(runs, figure):
     doctor, claim = DOCTORED[figure]
     failures = doctor(runs)
@@ -201,5 +276,5 @@ def test_main_exits_one_and_names_the_failed_claim(runs, monkeypatch, capsys):
 def test_paper_scale_generator_passes_every_check(capsys):
     assert generate.main([]) == 0, capsys.readouterr().err
     out = capsys.readouterr().out
-    for figure in FIGURES:
+    for figure in TABLES:
         assert f"===== {figure} (" in out
