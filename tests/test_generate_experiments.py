@@ -17,6 +17,7 @@ import pytest
 
 from repro.config import cell_edge_scenario, small_scenario
 from repro.core.theory import PlateauCheck
+from repro.experiments import export_figure
 from repro.experiments.fig2bc import BacklogFigure
 from repro.types import Architecture
 
@@ -86,8 +87,6 @@ def test_backlog_figures_share_one_sweep(runs):
 
 
 def test_ablation_table_exports_as_csv(runs, tmp_path):
-    from repro.experiments import export_figure
-
     table = runs["abl_router"].result
     lines = export_figure(table, tmp_path / "abl_router.csv").read_text().splitlines()
     assert lines[0] == ",".join(table.headers)
