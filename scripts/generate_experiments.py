@@ -10,26 +10,28 @@ checks the shape each table claims (the ``check_*`` functions below);
 a claim that does not hold is named on stderr, table first, and the
 exit status is 1.
 
-The paper-scale run takes about 76 s serially on a 2-vCPU VM, 35 s of
+The paper-scale run takes about 56 s serially on a 2-vCPU VM, 29 s of
 it in the ablations; ``--workers N`` fans each figure's (V, variant)
 grid over N worker processes through the sweep executor (results are
 bit-identical to the serial run — tests/test_executor.py pins that).
 The ablations run serially: their variants differ in simulator
-options that a sweep cell does not carry.  Pass ``--export DIR`` to
-additionally write each table's data as CSV; ``--bench PATH``
-collects every grid's timing record into a machine-readable
-BENCH_sweep.json.
+options that a sweep cell does not carry.  A variant that several
+ablations share (the default controller on ``base``) runs once.  Pass
+``--export DIR`` to additionally write each table's data as CSV.
 """
 
 import argparse
 import dataclasses
-import os
+import functools
+import inspect
 import sys
 import time
 from pathlib import Path
 from typing import (
     Any,
     Callable,
+    Dict,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -55,7 +57,6 @@ from repro.experiments import (
     v_convergence,
 )
 from repro.experiments.cell_edge import CellEdgeResult
-from repro.experiments.executor import BENCH_ENV_VAR
 from repro.experiments.fig2a import Fig2aResult
 from repro.experiments.fig2bc import BACKLOG_FIGURES, BacklogFigure, backlog_figure
 from repro.experiments.fig2f import ARCHITECTURES, Fig2fResult
@@ -402,6 +403,14 @@ def _bs_plateau(base: ScenarioParameters, run: SimulationResult) -> PlateauCheck
 #: One ablation variant: its row label, scenario and simulator options.
 Variant = Tuple[str, ScenarioParameters, Mapping[str, Any]]
 
+#: ``SlotSimulator.integral``'s option defaults: a variant that passes
+#: one of them is the same run as a variant that leaves it out.
+OPTION_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(SlotSimulator.integral).parameters.items()
+    if parameter.default is not inspect.Parameter.empty
+}
+
 
 def _run_variant(params: ScenarioParameters, options: Mapping[str, Any]) -> VariantRun:
     """Step one integral run over its horizon, counting S1's drops."""
@@ -424,32 +433,37 @@ def run_ablation(
     variants: Sequence[Variant],
     columns: Sequence[str],
     check: Callable[[AblationTable], List[str]],
+    done: Dict[Hashable, VariantRun],
 ) -> FigureRun:
-    """Run each variant and check the table of its ``columns``.
+    """Run each variant not in ``done`` and check the table of its ``columns``.
 
     The first header names what the variants vary; the rest index
-    :data:`COLUMNS`.
+    :data:`COLUMNS`.  ``done`` maps each (scenario, options) run of
+    earlier tables to its result, and gains this table's new runs.
     """
     start = time.time()
-    runs = [(label, _run_variant(params, options)) for label, params, options in variants]
-    rows = tuple(
-        (label, *(COLUMNS[header](run) for header in columns[1:])) for label, run in runs
-    )
-    table = AblationTable(title, tuple(columns), rows)
+    rows = []
+    for label, params, options in variants:
+        key = (params, frozenset({**OPTION_DEFAULTS, **options}.items()))
+        if key not in done:
+            done[key] = _run_variant(params, options)
+        rows.append((label, *(COLUMNS[header](done[key]) for header in columns[1:])))
+    table = AblationTable(title, tuple(columns), tuple(rows))
     return FigureRun(name, table, time.time() - start, check(table))
 
 
 def run_ablations(base: ScenarioParameters) -> Iterator[FigureRun]:
     """Each design choice against its alternative, derived from ``base``."""
     solvers = (EnergySolverKind.PRICE_DECOMPOSITION, EnergySolverKind.GRID_ONLY)
-    yield run_ablation(
+    ablation = functools.partial(run_ablation, done={})
+    yield ablation(
         "abl_scheduler",
         "Ablation: SF vs SINR-aware SF vs exact matching vs greedy",
         [(kind.value, base, {"scheduler_kind": kind}) for kind in SchedulerKind],
         ("S1 scheduler", "avg cost", "delivered", "mean BS backlog", "dropped"),
         check_abl_scheduler,
     )
-    yield run_ablation(
+    yield ablation(
         "abl_queue",
         "Ablation: Eq.-15 null-packet semantics vs packet-accurate",
         [
@@ -459,14 +473,14 @@ def run_ablations(base: ScenarioParameters) -> Iterator[FigureRun]:
         ("semantics", "avg cost", "mean backlog", "max backlog", "delivered"),
         check_abl_queue,
     )
-    yield run_ablation(
+    yield ablation(
         "abl_energy",
         "Ablation: price-decomposition vs grid-only energy management",
         [(solver.value, base, {"energy_solver": solver}) for solver in solvers],
         ("S4 solver", "avg cost", "steady cost", "avg draw (J)", "spill (J)"),
         check_abl_energy,
     )
-    yield run_ablation(
+    yield ablation(
         "abl_router",
         "Ablation: potential-capacity vs paper-literal Eq. (25) routing",
         [(mode.value, base, {"router_mode": mode}) for mode in RouterMode],
@@ -480,7 +494,7 @@ def run_ablations(base: ScenarioParameters) -> Iterator[FigureRun]:
         check_abl_router,
     )
     blind = dataclasses.replace(base, energy_aware_scheduling=False)
-    yield run_ablation(
+    yield ablation(
         "abl_weights",
         "Ablation: energy-aware vs energy-blind scheduling weights",
         [(ENERGY_AWARE, base, {}), (ENERGY_BLIND, blind, {})],
@@ -496,7 +510,7 @@ def run_ablations(base: ScenarioParameters) -> Iterator[FigureRun]:
         control_v=1e5,
         num_slots=max(90, base.num_slots),
     )
-    yield run_ablation(
+    yield ablation(
         "abl_tou",
         "Ablation: battery arbitrage under a 3-cheap/3-dear tariff",
         [(solver.value, tou, {"energy_solver": solver}) for solver in solvers],
@@ -574,17 +588,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=1,
         help="sweep-executor processes per figure grid (default: serial)",
     )
-    parser.add_argument(
-        "--bench",
-        default=None,
-        help="collect per-grid timing records into this BENCH_sweep.json",
-    )
     args = parser.parse_args(argv)
-
-    if args.bench is not None:
-        # The executor consults this env var on every run_sweep call,
-        # so one file accumulates every figure's grid record.
-        os.environ[BENCH_ENV_VAR] = args.bench
 
     failures: List[str] = []
     for run in run_plan(
@@ -601,8 +605,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             target.mkdir(parents=True, exist_ok=True)
             export_figure(run.result, target / f"{run.name}.csv")
         failures += run.failures
-    if args.bench is not None:
-        print(f"sweep timing records collected in {args.bench}")
     for failure in failures:
         print(f"claim failed: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -154,7 +154,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = run_sweep(SweepSpec.integral(params, v_values, replications=args.seeds))
     rows = []
     for v in v_values:
-        runs = sweep.replicated("integral", v).results
+        runs = sweep.replicated("integral", v)
         cost = mean_confidence_interval([run.average_cost for run in runs])
         backlog = mean_confidence_interval(
             [float(run.backlog_series("bs_data_packets").mean()) for run in runs]

@@ -79,16 +79,6 @@ def wh_to_joules(wh: WattHours) -> Joules:
     return wh * JOULES_PER_WH
 
 
-def joules_to_kwh(joules: Joules) -> KilowattHours:
-    """Convert joules to kilowatt-hours."""
-    return joules / JOULES_PER_KWH
-
-
-def joules_to_wh(joules: Joules) -> WattHours:
-    """Convert joules to watt-hours."""
-    return joules / JOULES_PER_WH
-
-
 def watts_over_slot_to_joules(watts: Watts, slot_seconds: Seconds) -> Joules:
     """Energy in joules delivered by a constant power over one slot."""
     return watts * slot_seconds

@@ -10,9 +10,6 @@ from repro.energy.renewable import (
     UniformRenewableProcess,
 )
 from repro.energy.cost import (
-    CostFunction,
-    LinearCost,
-    PiecewiseLinearCost,
     QuadraticCost,
     TimeOfUseCost,
 )
@@ -23,9 +20,6 @@ __all__ = [
     "MarkovWindProcess",
     "RenewableProcess",
     "UniformRenewableProcess",
-    "CostFunction",
-    "LinearCost",
-    "PiecewiseLinearCost",
     "QuadraticCost",
     "TimeOfUseCost",
     "all_node_demands_array",

@@ -2,47 +2,23 @@
 
 The paper assumes ``f`` is non-negative, non-decreasing, and convex, and
 evaluates with a quadratic ``f(P) = 0.8 P^2 + 0.2 P`` (coefficients in
-kWh terms).  Internally the library works in joules, so each class
-offers a ``from_kwh_coefficients`` constructor that converts.
+kWh terms).  Internally the library works in joules, so
+:class:`QuadraticCost` offers a ``from_kwh_coefficients`` constructor
+that converts, and :class:`TimeOfUseCost` scales it slot by slot.
 
-Every cost function exposes value, first derivative, and the maximum
-derivative over ``[0, cap]`` — the ``gamma_max`` constant that shifts
-the battery queues (Section IV-B).
+Both expose the maximum derivative over ``[0, cap]`` — the
+``gamma_max`` constant that shifts the battery queues (Section IV-B).
 """
 
 from __future__ import annotations
 
-import abc
-import bisect
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.constants import JOULES_PER_KWH
-from repro.units import Dollars, DollarsPerJoule, DollarsPerKwh, Joules
+from repro.units import Dollars, DollarsPerJoule, Joules
 
 
-class CostFunction(abc.ABC):
-    """Interface for a convex, non-decreasing generation cost."""
-
-    @abc.abstractmethod
-    def value(self, energy_j: Joules) -> Dollars:
-        """Cost of drawing ``energy_j`` joules from the grid in a slot."""
-
-    @abc.abstractmethod
-    def derivative(self, energy_j: Joules) -> DollarsPerJoule:
-        """Marginal cost ``f'(P)`` at ``energy_j`` (right-derivative)."""
-
-    def max_derivative(self, cap_j: Joules) -> DollarsPerJoule:
-        """``gamma_max``: the largest marginal cost on ``[0, cap_j]``.
-
-        Convexity makes ``f'`` non-decreasing, so the maximum sits at
-        the cap.
-        """
-        if cap_j < 0:
-            raise ValueError(f"cap must be non-negative, got {cap_j}")
-        return self.derivative(cap_j)
-
-
-class QuadraticCost(CostFunction):
+class QuadraticCost:
     """``f(P) = a P^2 + b P + c`` with ``P`` in joules."""
 
     def __init__(self, a: float, b: float, c: float = 0.0) -> None:
@@ -76,14 +52,26 @@ class QuadraticCost(CostFunction):
         return cls.from_unit_coefficients(a_kwh, b_kwh, c_kwh, JOULES_PER_KWH)
 
     def value(self, energy_j: Joules) -> Dollars:
+        """Cost of drawing ``energy_j`` joules from the grid in a slot."""
         if energy_j < 0:
             raise ValueError(f"energy must be non-negative, got {energy_j}")
         return self.a * energy_j**2 + self.b * energy_j + self.c
 
     def derivative(self, energy_j: Joules) -> DollarsPerJoule:
+        """Marginal cost ``f'(P)`` at ``energy_j``."""
         if energy_j < 0:
             raise ValueError(f"energy must be non-negative, got {energy_j}")
         return 2.0 * self.a * energy_j + self.b
+
+    def max_derivative(self, cap_j: Joules) -> DollarsPerJoule:
+        """``gamma_max``: the largest marginal cost on ``[0, cap_j]``.
+
+        Convexity makes ``f'`` non-decreasing, so the maximum sits at
+        the cap.
+        """
+        if cap_j < 0:
+            raise ValueError(f"cap must be non-negative, got {cap_j}")
+        return self.derivative(cap_j)
 
     def inverse_derivative(self, price: DollarsPerJoule) -> Joules:
         """The ``P >= 0`` with ``f'(P) = price`` (0 if price <= b)."""
@@ -92,81 +80,12 @@ class QuadraticCost(CostFunction):
         return max(0.0, (price - self.b) / (2.0 * self.a))
 
 
-class LinearCost(CostFunction):
-    """``f(P) = rate * P``: a flat per-joule tariff."""
-
-    def __init__(self, rate_per_j: DollarsPerJoule) -> None:
-        if rate_per_j < 0:
-            raise ValueError(f"rate must be non-negative, got {rate_per_j}")
-        self.rate_per_j = rate_per_j
-
-    @classmethod
-    def from_kwh_rate(cls, rate_per_kwh: DollarsPerKwh) -> "LinearCost":
-        """Build from a $/kWh tariff."""
-        return cls(rate_per_kwh / JOULES_PER_KWH)
-
-    def value(self, energy_j: Joules) -> Dollars:
-        if energy_j < 0:
-            raise ValueError(f"energy must be non-negative, got {energy_j}")
-        return self.rate_per_j * energy_j
-
-    def derivative(self, energy_j: Joules) -> DollarsPerJoule:
-        if energy_j < 0:
-            raise ValueError(f"energy must be non-negative, got {energy_j}")
-        return self.rate_per_j
-
-
-class PiecewiseLinearCost(CostFunction):
-    """Convex piecewise-linear tariff with increasing block rates.
-
-    ``breakpoints`` are the block boundaries (J); ``rates`` has one more
-    entry than ``breakpoints`` and must be non-decreasing (convexity).
-    """
-
-    def __init__(
-        self, breakpoints_j: Sequence[Joules], rates_per_j: Sequence[DollarsPerJoule]
-    ) -> None:
-        if len(rates_per_j) != len(breakpoints_j) + 1:
-            raise ValueError(
-                f"need len(rates) == len(breakpoints) + 1, got "
-                f"{len(rates_per_j)} and {len(breakpoints_j)}"
-            )
-        if any(b < 0 for b in breakpoints_j):
-            raise ValueError("breakpoints must be non-negative")
-        if list(breakpoints_j) != sorted(breakpoints_j):
-            raise ValueError("breakpoints must be sorted ascending")
-        if any(r < 0 for r in rates_per_j):
-            raise ValueError("rates must be non-negative")
-        if list(rates_per_j) != sorted(rates_per_j):
-            raise ValueError("rates must be non-decreasing (convexity)")
-        self.breakpoints_j: List[float] = list(breakpoints_j)
-        self.rates_per_j: List[float] = list(rates_per_j)
-
-    def value(self, energy_j: Joules) -> Dollars:
-        if energy_j < 0:
-            raise ValueError(f"energy must be non-negative, got {energy_j}")
-        total = 0.0
-        prev = 0.0
-        for boundary, rate in zip(self.breakpoints_j, self.rates_per_j):
-            if energy_j <= boundary:
-                return total + rate * (energy_j - prev)
-            total += rate * (boundary - prev)
-            prev = boundary
-        return total + self.rates_per_j[-1] * (energy_j - prev)
-
-    def derivative(self, energy_j: Joules) -> DollarsPerJoule:
-        if energy_j < 0:
-            raise ValueError(f"energy must be non-negative, got {energy_j}")
-        index = bisect.bisect_right(self.breakpoints_j, energy_j)
-        return self.rates_per_j[index]
-
-
 class TimeOfUseCost:
     """A slot-dependent wrapper: peak hours cost more than off-peak.
 
-    Not itself a :class:`CostFunction` — call :meth:`at_slot` to obtain
-    the static cost function in force for one slot.  The multiplier
-    schedule repeats with period ``len(multipliers)``.
+    Call :meth:`at_slot` to obtain the quadratic cost in force for one
+    slot.  The multiplier schedule repeats with period
+    ``len(multipliers)``.
     """
 
     def __init__(

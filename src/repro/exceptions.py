@@ -37,7 +37,3 @@ class InfeasibleError(ReproError):
 
 class SolverError(ReproError):
     """A numerical solver failed to converge or returned garbage."""
-
-
-class SimulationError(ReproError):
-    """The slot simulator reached an inconsistent state."""

@@ -4,14 +4,11 @@ from repro.experiments.executor import (
     FaultPlan,
     JobKind,
     JobSpec,
-    MetricStats,
-    ReplicatedResult,
     SweepExecutionError,
     SweepResult,
     SweepSpec,
     SweepVariant,
     run_sweep,
-    write_bench_record,
 )
 from repro.experiments.runner import (
     bounds_from_results,
@@ -31,14 +28,11 @@ __all__ = [
     "FaultPlan",
     "JobKind",
     "JobSpec",
-    "MetricStats",
-    "ReplicatedResult",
     "SweepExecutionError",
     "SweepResult",
     "SweepSpec",
     "SweepVariant",
     "run_sweep",
-    "write_bench_record",
     "bounds_from_results",
     "compute_bounds",
     "sweep_bounds",

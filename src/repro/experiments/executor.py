@@ -24,22 +24,19 @@ and guarantees that the pool is *byte-identical* to the serial path:
   perturbing any sibling cell (every cell is replayed from its spec,
   never from partial state).
 
-Timing of every cell is recorded and can be emitted as a
-machine-readable ``BENCH_sweep.json`` record (see
-``docs/executor.md``) to track the sweep-throughput trajectory.
+The module measures nothing: wall-clock and throughput numbers come
+from the gated bench record of ``benchmarks/suite``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.architectures import architecture_params
 from repro.config.parameters import ScenarioParameters
@@ -50,15 +47,6 @@ from repro.types import Architecture
 
 #: Identity of one sweep cell: ``(variant name, control V, replication)``.
 JobKey = Tuple[str, float, int]
-
-#: Environment variable consulted when ``run_sweep`` is called without
-#: an explicit ``bench_path`` — lets drivers (benchmarks, the figure
-#: regeneration script) collect records without widening every runner
-#: signature.
-BENCH_ENV_VAR = "REPRO_BENCH_SWEEP"
-
-#: Schema tag written into every bench record.
-BENCH_SCHEMA = "repro.bench_sweep.v1"
 
 
 class JobKind(Enum):
@@ -120,7 +108,7 @@ class JobSpec:
 
     @property
     def key(self) -> JobKey:
-        """The cell's identity in result/timing maps."""
+        """The cell's identity in the result map."""
         return (self.variant.name, self.params.control_v, self.replication)
 
 
@@ -250,57 +238,11 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class MetricStats:
-    """Mean/std/min/max of one metric across replications."""
-
-    mean: float
-    std: float
-    min: float
-    max: float
-    samples: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ReplicatedResult:
-    """One (variant, V) cell aggregated over its replications."""
-
-    variant: str
-    control_v: float
-    results: Tuple[SimulationResult, ...]
-
-    def stats(self, metric: str = "average_cost") -> MetricStats:
-        """Aggregate one ``SimulationResult.summary()`` metric."""
-        samples = tuple(
-            float(result.summary()[metric]) for result in self.results
-        )
-        n = len(samples)
-        mean = sum(samples) / n
-        variance = sum((s - mean) ** 2 for s in samples) / n
-        return MetricStats(
-            mean=mean,
-            std=variance**0.5,
-            min=min(samples),
-            max=max(samples),
-            samples=samples,
-        )
-
-    def summary_stats(self) -> Dict[str, MetricStats]:
-        """Aggregate every summary metric."""
-        return {
-            name: self.stats(name) for name in self.results[0].summary()
-        }
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    """Everything a sweep produced: results, timings, attempt counts."""
+    """Every cell's result, keyed by ``(variant, V, replication)``."""
 
     spec: SweepSpec
-    max_workers: int
-    elapsed_s: float
     results: Dict[JobKey, SimulationResult]
-    wall_s: Dict[JobKey, float]
-    attempts: Dict[JobKey, int]
 
     # -- accessors ---------------------------------------------------------
 
@@ -319,62 +261,14 @@ class SweepResult:
             for v in self.spec.v_values
         }
 
-    def replicated(self, variant: str, v: float) -> ReplicatedResult:
-        """One (variant, V) cell aggregated across replications."""
-        runs = tuple(
+    def replicated(
+        self, variant: str, v: float
+    ) -> Tuple[SimulationResult, ...]:
+        """One (variant, V) cell's results, in replication order."""
+        return tuple(
             self.results[(variant, v, r)]
             for r in range(self.spec.replications)
         )
-        return ReplicatedResult(variant=variant, control_v=v, results=runs)
-
-    # -- performance record ------------------------------------------------
-
-    @property
-    def serial_equivalent_s(self) -> float:
-        """Summed per-cell wall clock: the serial-execution cost proxy.
-
-        Per-cell times are measured inside the workers, so on a loaded
-        or single-core machine they include timesharing inflation; the
-        ratio to ``elapsed_s`` then measures worker *overlap* rather
-        than core-count speedup.  See docs/executor.md.
-        """
-        return sum(self.wall_s.values())
-
-    @property
-    def speedup(self) -> float:
-        """``serial_equivalent_s / elapsed_s`` — > 1 when cells overlap."""
-        if self.elapsed_s <= 0.0:
-            return 1.0
-        return self.serial_equivalent_s / self.elapsed_s
-
-    @property
-    def total_retries(self) -> int:
-        """Extra attempts beyond the first, summed over cells."""
-        return sum(self.attempts.values()) - len(self.attempts)
-
-    def bench_record(self) -> Dict[str, object]:
-        """The machine-readable ``BENCH_sweep.json`` record."""
-        cells = [
-            {
-                "variant": key[0],
-                "control_v": key[1],
-                "replication": key[2],
-                "wall_s": self.wall_s[key],
-                "attempts": self.attempts[key],
-            }
-            for key in sorted(self.wall_s)
-        ]
-        return {
-            "schema": BENCH_SCHEMA,
-            "max_workers": self.max_workers,
-            "num_cells": len(cells),
-            "replications": self.spec.replications,
-            "elapsed_s": self.elapsed_s,
-            "serial_equivalent_s": self.serial_equivalent_s,
-            "speedup": self.speedup,
-            "retries": self.total_retries,
-            "cells": cells,
-        }
 
 
 # -- worker side -------------------------------------------------------------
@@ -397,7 +291,7 @@ def _maybe_crash(job: JobSpec, fault: Optional[FaultPlan]) -> None:
 
 def _execute_job(
     job: JobSpec, fault: Optional[FaultPlan] = None
-) -> Tuple[JobKey, SimulationResult, float]:
+) -> SimulationResult:
     """Run one cell; pure function of the job spec.
 
     Top-level (pickle-importable) so it works as the process-pool entry
@@ -405,34 +299,27 @@ def _execute_job(
     paths one code path.
     """
     _maybe_crash(job, fault)
-    start = time.perf_counter()
     if job.variant.kind is JobKind.RELAXED:
-        result = SlotSimulator.relaxed(job.params).run()
-    else:
-        result = SlotSimulator.integral(job.params).run()
-    return job.key, result, time.perf_counter() - start
+        return SlotSimulator.relaxed(job.params).run()
+    return SlotSimulator.integral(job.params).run()
 
 
 # -- cell execution ----------------------------------------------------------
 
-#: What a cell run returns per key: ``(result, wall seconds, attempts)``.
-CellOutcome = Tuple[SimulationResult, float, int]
-
 
 def _run_serial(
     jobs: Sequence[JobSpec], fault: Optional[FaultPlan]
-) -> Dict[JobKey, CellOutcome]:
+) -> Dict[JobKey, SimulationResult]:
     """Run cells in-process, in grid order; errors surface immediately.
 
     No crash retry: a hard crash here takes the driver process down.
     """
-    done: Dict[JobKey, CellOutcome] = {}
+    done: Dict[JobKey, SimulationResult] = {}
     for job in jobs:
         try:
-            key, result, wall_s = _execute_job(job, fault)
+            done[job.key] = _execute_job(job, fault)
         except Exception as exc:
             raise SweepExecutionError(f"cell {job.key} failed: {exc}") from exc
-        done[key] = (result, wall_s, 1)
     return done
 
 
@@ -441,7 +328,7 @@ def _run_pool(
     max_workers: int,
     max_attempts: int,
     fault: Optional[FaultPlan],
-) -> Dict[JobKey, CellOutcome]:
+) -> Dict[JobKey, SimulationResult]:
     """Fan cells over a process pool, retrying cells whose worker died.
 
     A hard worker death breaks the whole pool (``BrokenExecutor``), so
@@ -450,7 +337,7 @@ def _run_pool(
     In-job exceptions are *not* retried (they are deterministic) and
     surface immediately as :class:`SweepExecutionError`.
     """
-    done: Dict[JobKey, CellOutcome] = {}
+    done: Dict[JobKey, SimulationResult] = {}
     attempts: Dict[JobKey, int] = {job.key: 0 for job in jobs}
     pending: List[JobSpec] = list(jobs)
     while pending:
@@ -470,7 +357,7 @@ def _run_pool(
             for future in as_completed(futures):
                 job = futures[future]
                 try:
-                    key, result, wall_s = future.result()
+                    done[job.key] = future.result()
                 except BrokenExecutor:
                     retry.append(job)
                     continue
@@ -478,7 +365,6 @@ def _run_pool(
                     raise SweepExecutionError(
                         f"cell {job.key} failed in worker: {exc}"
                     ) from exc
-                done[key] = (result, wall_s, attempts[key])
         pending = retry
     return done
 
@@ -490,7 +376,6 @@ def run_sweep(
     spec: SweepSpec,
     max_workers: int = 1,
     max_attempts: int = 3,
-    bench_path: Union[str, Path, None] = None,
     fault: Optional[FaultPlan] = None,
 ) -> SweepResult:
     """Execute a sweep grid.
@@ -504,104 +389,13 @@ def run_sweep(
         max_attempts: per-cell bound on pool (re-)executions after
             worker deaths; deterministic in-job exceptions are never
             retried.
-        bench_path: write/append a ``BENCH_sweep.json`` record here;
-            ``None`` falls back to the ``REPRO_BENCH_SWEEP`` env var
-            (no record when both are unset).
         fault: optional :class:`FaultPlan` crash injection (tests).
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     jobs = spec.jobs()
-    start = time.perf_counter()
     if max_workers == 1:
-        outcomes = _run_serial(jobs, fault)
+        results = _run_serial(jobs, fault)
     else:
-        outcomes = _run_pool(jobs, max_workers, max_attempts, fault)
-    results: Dict[JobKey, SimulationResult] = {}
-    wall_s: Dict[JobKey, float] = {}
-    attempts: Dict[JobKey, int] = {}
-    for key, (result, cell_wall_s, cell_attempts) in outcomes.items():
-        results[key] = result
-        wall_s[key] = cell_wall_s
-        attempts[key] = cell_attempts
-    sweep = SweepResult(
-        spec=spec,
-        max_workers=max_workers,
-        elapsed_s=time.perf_counter() - start,
-        results=results,
-        wall_s=wall_s,
-        attempts=attempts,
-    )
-    target = bench_path if bench_path is not None else os.environ.get(BENCH_ENV_VAR)
-    if target:
-        write_bench_record(sweep, target)
-    return sweep
-
-
-def write_bench_record(sweep: SweepResult, path: Union[str, Path]) -> Path:
-    """Append a sweep's record to a ``BENCH_sweep.json`` file.
-
-    The file holds ``{"schema": ..., "sweeps": [record, ...]}`` so one
-    driver (the figure regeneration script, a benchmark session) can
-    accumulate every grid it executed; an existing file is extended,
-    anything unreadable is overwritten.
-    """
-    target = Path(path)
-    payload: Dict[str, object] = {"schema": BENCH_SCHEMA, "sweeps": []}
-    if target.exists():
-        try:
-            existing = json.loads(target.read_text())
-            if (
-                isinstance(existing, dict)
-                and existing.get("schema") == BENCH_SCHEMA
-                and isinstance(existing.get("sweeps"), list)
-            ):
-                payload = existing
-        except (OSError, ValueError):
-            pass
-    sweeps = payload["sweeps"]
-    assert isinstance(sweeps, list)
-    sweeps.append(sweep.bench_record())
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2) + "\n")
-    return target
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Smoke driver: ``python -m repro.experiments.executor``.
-
-    Runs a small integral V sweep through the executor and prints the
-    per-cell timing record — CI uses it (``--workers 2``) to prove the
-    process-pool path works on a fresh checkout, and the emitted
-    ``BENCH_sweep.json`` starts the perf trajectory.
-    """
-    import argparse
-
-    from repro.config.scenarios import tiny_scenario
-
-    parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--workers", type=int, default=2, help="pool size")
-    parser.add_argument("--slots", type=int, default=12, help="horizon")
-    parser.add_argument(
-        "--replications", type=int, default=2, help="seeds per cell"
-    )
-    parser.add_argument(
-        "--out", default=None, help="BENCH_sweep.json target path"
-    )
-    args = parser.parse_args(argv)
-
-    spec = SweepSpec.integral(
-        tiny_scenario(num_slots=args.slots),
-        v_values=(1e4, 3e4),
-        replications=args.replications,
-    )
-    sweep = run_sweep(spec, max_workers=args.workers, bench_path=args.out)
-    record = sweep.bench_record()
-    print(json.dumps(record, indent=2))
-    if args.out:
-        print(f"record appended to {args.out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - module execution guard
-    raise SystemExit(main())
+        results = _run_pool(jobs, max_workers, max_attempts, fault)
+    return SweepResult(spec=spec, results=results)

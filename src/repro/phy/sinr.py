@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.phy.propagation import PairGains
 from repro.types import NodeId, Transmission
-from repro.units import Db, Linear, Watts, linear_to_db
+from repro.units import Linear, Watts
 
 #: What the scalar helpers index with ``gains[tx, rx]``: a gain block
 #: (e.g. :func:`co_band_gain_block`) or a pair-gain view.
@@ -109,21 +109,3 @@ def sinr_in_group(
         noise_power_w,
         total_interference(block, col, interferers),
     )
-
-
-def sinr_db(
-    gains: GainsLike,
-    tx: NodeId,
-    rx: NodeId,
-    tx_power_w: Watts,
-    noise_power_w: Watts,
-    interference_w: Watts = 0.0,
-) -> Db:
-    """:func:`sinr` on the logarithmic dB scale.
-
-    The library computes SINR in linear terms throughout (the paper's
-    threshold ``Gamma = 1`` is 0 dB); this helper is the sanctioned
-    crossing for reporting and for configs stated in dB.
-    """
-    ratio: Linear = sinr(gains, tx, rx, tx_power_w, noise_power_w, interference_w)
-    return linear_to_db(ratio)

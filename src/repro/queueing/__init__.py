@@ -7,7 +7,6 @@ from repro.queueing.stability import (
     StabilityReport,
     StabilityVerdict,
     assess_strong_stability,
-    is_rate_stable_sample_path,
 )
 from repro.queueing.backlog import BacklogSnapshot
 
@@ -15,6 +14,5 @@ __all__ = [
     "StabilityReport",
     "StabilityVerdict",
     "assess_strong_stability",
-    "is_rate_stable_sample_path",
     "BacklogSnapshot",
 ]

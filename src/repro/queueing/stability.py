@@ -2,12 +2,12 @@
 
 A process is *rate stable* when ``Q(t)/t -> 0`` and *strongly stable*
 when its running mean ``(1/T) sum E|Q(t)|`` stays bounded.  On a finite
-sample path neither limit is observable, so these estimators apply the
-standard finite-horizon proxies: the tail growth rate of ``Q(t)/t`` for
-rate stability, and boundedness + flattening of the running mean for
-strong stability.  They are diagnostics, not proofs — the proofs live in
-the paper's Theorem 3; the simulator uses these to *check* that the
-implementation delivers what the theorem promises.
+sample path neither limit is observable, so
+:func:`assess_strong_stability` applies the standard finite-horizon
+proxy: boundedness + flattening of the running mean.  It is a
+diagnostic, not a proof — the proofs live in the paper's Theorem 3; the
+simulator uses it to *check* that the implementation delivers what the
+theorem promises.
 """
 
 from __future__ import annotations
@@ -49,29 +49,6 @@ class StabilityReport:
     final_running_mean: float
     tail_slope: float
     growth_fraction: float
-
-
-def is_rate_stable_sample_path(
-    path: Sequence[float], tol_rel: float = 0.1, tol_abs: float = 1e-2
-) -> bool:
-    """Finite-horizon proxy for rate stability: is ``Q(T)/T`` small?
-
-    ``Q(T)/T`` is compared against the path's mean absolute increment
-    (its natural per-slot activity scale): a bounded path has terminal
-    rate far below its churn, a linearly growing one has terminal rate
-    equal to it.  ``tol_abs`` covers frozen paths with zero churn.
-
-    This is a diagnostic proxy: growth much slower than the per-slot
-    churn is indistinguishable from boundedness on a finite horizon.
-    """
-    arr = np.asarray(path, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample path")
-    if arr.size == 1:
-        return True
-    terminal_rate = arr[-1] / (arr.size - 1)
-    churn = float(np.abs(np.diff(arr)).mean())
-    return terminal_rate <= max(tol_rel * churn, tol_abs)
 
 
 def assess_strong_stability(

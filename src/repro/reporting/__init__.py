@@ -1,24 +1,18 @@
 """Reporting: post-processing of simulation results.
 
-Time averages and confidence intervals (:mod:`repro.reporting.aggregate`),
+Replication confidence intervals (:mod:`repro.reporting.aggregate`),
 plain-text tables (:mod:`repro.reporting.tables`) and the operator
 report (:mod:`repro.reporting.report`).  Multi-seed runs come
 from the sweep executor (``SweepSpec(replications=n)``).  Nothing here
 imports the static analyzer (:mod:`repro.analysis`) or the lint suite.
 """
 
-from repro.reporting.aggregate import (
-    mean_confidence_interval,
-    running_time_average,
-    time_average,
-)
+from repro.reporting.aggregate import mean_confidence_interval
 from repro.reporting.tables import format_table
 from repro.reporting.report import build_report
 
 __all__ = [
     "mean_confidence_interval",
-    "running_time_average",
-    "time_average",
     "format_table",
     "build_report",
 ]

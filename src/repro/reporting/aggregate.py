@@ -1,9 +1,7 @@
-"""Time-average and replication statistics (Definition 1).
+"""Replication statistics.
 
-``time_average`` is the finite-horizon sample of
-``lim (1/T) sum_t E[a(t)]``; ``mean_confidence_interval`` aggregates
-independent replications (different seeds) into a mean with a normal
-confidence interval.
+``mean_confidence_interval`` aggregates independent replications
+(different seeds) into a mean with a t-based confidence interval.
 """
 
 from __future__ import annotations
@@ -12,22 +10,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import stats
-
-
-def time_average(series: Sequence[float]) -> float:
-    """``(1/T) sum_t a(t)`` over one sample path."""
-    arr = np.asarray(series, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty series")
-    return float(arr.mean())
-
-
-def running_time_average(series: Sequence[float]) -> np.ndarray:
-    """The running mean ``(1/t) sum_{u<t} a(u)`` for every prefix."""
-    arr = np.asarray(series, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty series")
-    return np.cumsum(arr) / np.arange(1, arr.size + 1)
 
 
 def mean_confidence_interval(

@@ -2,11 +2,7 @@
 
 from repro.solvers.linprog import LinearProgram, LPSolution
 from repro.solvers.sequential_fix import sequential_fix
-from repro.solvers.bisection import (
-    bisect_root,
-    bisect_root_vec,
-    minimize_convex_1d,
-)
+from repro.solvers.bisection import bisect_root, bisect_root_vec
 
 __all__ = [
     "LinearProgram",
@@ -14,5 +10,4 @@ __all__ = [
     "sequential_fix",
     "bisect_root",
     "bisect_root_vec",
-    "minimize_convex_1d",
 ]

@@ -1,4 +1,4 @@
-"""One-dimensional solvers: monotone root bisection and golden-section.
+"""One-dimensional solvers: monotone root bisection, scalar and batched.
 
 The S4 price-decomposition solver (Section IV-C) reduces the coupled
 energy-management program — the slot energy balance of Eqs. 2-3 under
@@ -9,15 +9,11 @@ behind it.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
 from repro.exceptions import SolverError
-
-#: Golden-ratio constant for the section search.
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def bisect_root(
@@ -117,41 +113,3 @@ def bisect_root_vec(
     tail = 0.5 * (lo + hi)
     result[active] = tail[active]
     return result
-
-
-def minimize_convex_1d(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-    max_iterations: int = 200,
-) -> float:
-    """Golden-section minimiser for a unimodal function on ``[lo, hi]``.
-
-    Returns:
-        The abscissa of the (approximate) minimum.
-
-    Raises:
-        SolverError: if ``lo > hi``.
-    """
-    if lo > hi:
-        raise SolverError(f"empty interval [{lo}, {hi}]")
-    if hi - lo <= tol:
-        return 0.5 * (lo + hi)
-
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1 = func(x1)
-    f2 = func(x2)
-    for _ in range(max_iterations):
-        if hi - lo <= tol * max(1.0, abs(lo) + abs(hi)):
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = func(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = func(x2)
-    return 0.5 * (lo + hi)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.reporting import (
-    format_table,
-    mean_confidence_interval,
-    running_time_average,
-    time_average,
-)
+from repro.reporting import format_table, mean_confidence_interval
 from repro.baselines import (
     architecture_label,
     architecture_params,
@@ -59,17 +54,6 @@ class TestArchitectureParams:
 
 
 class TestAggregates:
-    def test_time_average(self):
-        assert time_average([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_time_average_empty(self):
-        with pytest.raises(ValueError):
-            time_average([])
-
-    def test_running_time_average(self):
-        running = running_time_average([2.0, 4.0, 6.0])
-        assert np.allclose(running, [2.0, 3.0, 4.0])
-
     def test_confidence_interval_single_sample(self):
         mean, half = mean_confidence_interval([5.0])
         assert mean == 5.0 and half == 0.0

@@ -12,15 +12,8 @@ class TestUnitConversions:
     def test_wh_to_joules(self):
         assert constants.wh_to_joules(1.0) == pytest.approx(3600.0)
 
-    def test_joules_to_kwh_roundtrip(self):
-        assert constants.joules_to_kwh(constants.kwh_to_joules(2.5)) == pytest.approx(2.5)
-
-    def test_joules_to_wh_roundtrip(self):
-        assert constants.joules_to_wh(constants.wh_to_joules(0.7)) == pytest.approx(0.7)
-
     def test_zero_maps_to_zero(self):
         assert constants.kwh_to_joules(0.0) == 0.0
-        assert constants.joules_to_kwh(0.0) == 0.0
 
     def test_watts_over_slot(self):
         # 10 W over a one-minute slot is 600 J.

@@ -20,9 +20,7 @@ from repro.control.decisions import BatchAllocation, EnergyManagementDecision
 from repro.control.energy_manager import NodeEnergyBatch, NodeEnergyInputs
 from repro.energy import (
     DiurnalSolarProcess,
-    LinearCost,
     MarkovWindProcess,
-    PiecewiseLinearCost,
     QuadraticCost,
     TimeOfUseCost,
     UniformRenewableProcess,
@@ -290,27 +288,6 @@ class TestCostFunctions:
         price = cost.derivative(7.0)
         assert cost.inverse_derivative(price) == pytest.approx(7.0)
         assert cost.inverse_derivative(0.1) == 0.0  # below b
-
-    def test_linear_cost(self):
-        cost = LinearCost.from_kwh_rate(0.36)
-        assert cost.value(3.6e6) == pytest.approx(0.36)
-        assert cost.derivative(123.0) == cost.derivative(0.0)
-
-    def test_piecewise_linear_continuity(self):
-        cost = PiecewiseLinearCost([10.0, 20.0], [1.0, 2.0, 4.0])
-        eps = 1e-9
-        assert cost.value(10.0) == pytest.approx(cost.value(10.0 - eps), abs=1e-6)
-        assert cost.value(20.0) == pytest.approx(cost.value(20.0 + eps), abs=1e-6)
-
-    def test_piecewise_linear_block_accumulation(self):
-        cost = PiecewiseLinearCost([10.0], [1.0, 3.0])
-        assert cost.value(15.0) == pytest.approx(10.0 * 1.0 + 5.0 * 3.0)
-        assert cost.derivative(5.0) == 1.0
-        assert cost.derivative(15.0) == 3.0
-
-    def test_piecewise_requires_convexity(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            PiecewiseLinearCost([10.0], [3.0, 1.0])
 
     def test_time_of_use_schedule(self):
         base = QuadraticCost(a=1.0, b=1.0)

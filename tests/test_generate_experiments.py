@@ -86,6 +86,23 @@ def test_backlog_figures_share_one_sweep(runs):
     assert runs["fig2c"].seconds == 0.0
 
 
+def test_ablations_run_each_distinct_variant_once(monkeypatch):
+    # The SF, paper, price-decomposition, potential-capacity and
+    # energy-aware rows are all the default controller on ``base``: one
+    # run serves the five of them, so 14 rows need 10 runs.
+    built = []
+    integral = generate.SlotSimulator.integral
+
+    def counting(params, **options):
+        built.append(options)
+        return integral(params, **options)
+
+    monkeypatch.setattr(generate.SlotSimulator, "integral", counting)
+    tables = list(generate.run_ablations(dataclasses.replace(SMALL_BASE, num_slots=5)))
+    assert sum(len(table.result.rows) for table in tables) == 14
+    assert len(built) == 10
+
+
 def test_ablation_table_exports_as_csv(runs, tmp_path):
     table = runs["abl_router"].result
     lines = export_figure(table, tmp_path / "abl_router.csv").read_text().splitlines()

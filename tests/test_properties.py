@@ -17,7 +17,7 @@ from repro.control.energy_manager import (
     NodeEnergyInputs,
     _batched_node_response,
 )
-from repro.energy.cost import PiecewiseLinearCost, QuadraticCost
+from repro.energy.cost import QuadraticCost
 from repro.phy.capacity import link_capacity_bps
 from repro.phy.power_control import minimal_power_assignment
 from repro.phy.propagation import propagation_gain
@@ -25,7 +25,7 @@ from repro.config import tiny_scenario
 from repro.core import compute_constants
 from repro.model import build_network_model
 from repro.state import NetworkState
-from repro.solvers.bisection import bisect_root, minimize_convex_1d
+from repro.solvers.bisection import bisect_root
 from tests.pricing_reference import batched_node_response
 from tests.helpers import battery_step, link_position, one_battery, queue_step, virtual_step
 
@@ -136,26 +136,6 @@ class TestCostProperties:
         lo, hi = min(x, y), max(x, y)
         assert cost.derivative(lo) <= cost.derivative(hi) + 1e-12
 
-    @given(
-        breaks=st.lists(
-            st.floats(min_value=1.0, max_value=1e4), min_size=1, max_size=4
-        ),
-        rates=st.lists(
-            st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=5
-        ),
-        x=finite,
-        y=finite,
-    )
-    def test_piecewise_convexity(self, breaks, rates, x, y):
-        breaks = sorted(set(breaks))
-        rates = sorted(rates)[: len(breaks) + 1]
-        assume(len(rates) == len(breaks) + 1)
-        cost = PiecewiseLinearCost(breaks, rates)
-        mid = cost.value((x + y) / 2)
-        assert mid <= (cost.value(x) + cost.value(y)) / 2 + 1e-6 * (
-            1 + cost.value(x) + cost.value(y)
-        )
-
 
 class TestPhyProperties:
     @given(
@@ -225,16 +205,6 @@ class TestSolverProperties:
     def test_bisect_finds_linear_root(self, root, slope):
         found = bisect_root(lambda x: slope * (x - root), -200.0, 200.0)
         assert found == pytest.approx(root, abs=1e-5)
-
-    @given(
-        centre=st.floats(min_value=-50.0, max_value=50.0),
-        curvature=st.floats(min_value=0.1, max_value=10.0),
-    )
-    def test_golden_section_finds_quadratic_min(self, centre, curvature):
-        found = minimize_convex_1d(
-            lambda x: curvature * (x - centre) ** 2, -100.0, 100.0
-        )
-        assert found == pytest.approx(centre, abs=1e-4)
 
 
 class TestEnergyAllocationProperties:

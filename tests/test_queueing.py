@@ -1,6 +1,6 @@
 """Unit tests for the queueing laws: the data- and virtual-queue kernels
 of ``ArrayState`` (Eqs. 15, 28, 30), the shifted energy queue (Eq. 31)
-and the stability estimators."""
+and the strong-stability estimator."""
 
 import dataclasses
 
@@ -16,7 +16,6 @@ from repro.queueing import (
     BacklogSnapshot,
     StabilityVerdict,
     assess_strong_stability,
-    is_rate_stable_sample_path,
 )
 from repro.queueing.backlog import make_snapshot_from_arrays
 from repro.sim import SlotSimulator
@@ -265,14 +264,6 @@ class TestStability:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             assess_strong_stability([])
-        with pytest.raises(ValueError):
-            is_rate_stable_sample_path([])
-
-    def test_rate_stability_proxy(self):
-        # Bounded path: terminal/t -> 0.
-        assert is_rate_stable_sample_path(np.full(1000, 5.0))
-        # Linearly growing path is not rate stable.
-        assert not is_rate_stable_sample_path(np.arange(1000.0))
 
 
 class TestBacklogSnapshot:

@@ -15,7 +15,7 @@ from repro.reporting import mean_confidence_interval
 
 def _average_costs(base, replications):
     sweep = run_sweep(SweepSpec.integral(base, (1e4,), replications=replications))
-    return [run.average_cost for run in sweep.replicated("integral", 1e4).results]
+    return [run.average_cost for run in sweep.replicated("integral", 1e4)]
 
 
 class TestReplicate:
@@ -48,14 +48,3 @@ class TestReplicate:
         other = _average_costs(tiny_scenario(num_slots=5, seed=99), replications=2)
         assert one == again
         assert one != other
-
-
-class TestReplicateSummary:
-    def test_headline_statistics_present(self):
-        sweep = run_sweep(
-            SweepSpec.integral(tiny_scenario(num_slots=6), (1e4,), replications=2)
-        )
-        stats = sweep.replicated("integral", 1e4).summary_stats()
-        assert {"average_cost", "average_penalty"} <= set(stats)
-        for stat in stats.values():
-            assert len(stat.samples) == 2

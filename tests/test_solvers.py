@@ -1,5 +1,5 @@
 """Unit tests for the solver layer: the matrix-in LP, sequential fix,
-bisection/golden-section."""
+bisection."""
 
 import importlib.util
 import math
@@ -15,7 +15,6 @@ from repro.solvers import (
     bisect_root,
     bisect_root_vec,
     linprog,
-    minimize_convex_1d,
     sequential_fix,
 )
 
@@ -318,21 +317,6 @@ class TestBisection:
     def test_empty_interval_raises(self):
         with pytest.raises(SolverError):
             bisect_root(lambda x: x, 1.0, 0.0)
-
-    def test_golden_section_quadratic(self):
-        x = minimize_convex_1d(lambda t: (t - 2.5) ** 2, 0.0, 10.0)
-        assert x == pytest.approx(2.5, abs=1e-5)
-
-    def test_golden_section_boundary_minimum(self):
-        x = minimize_convex_1d(lambda t: t, 1.0, 5.0)
-        assert x == pytest.approx(1.0, abs=1e-5)
-
-    def test_golden_section_empty_interval(self):
-        with pytest.raises(SolverError):
-            minimize_convex_1d(lambda t: t, 2.0, 1.0)
-
-    def test_golden_section_degenerate_interval(self):
-        assert minimize_convex_1d(lambda t: t * t, 3.0, 3.0) == 3.0
 
 
 class TestBisectionVec:

@@ -9,7 +9,6 @@ refactor of it) stays value-identical.
 
 from __future__ import annotations
 
-import math
 from typing import get_args
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.energy.renewable import (
     MarkovWindProcess,
     UniformRenewableProcess,
 )
-from repro.phy.sinr import sinr, sinr_db
 from repro.types import Transmission
 from repro.units import (
     Joules,
@@ -98,20 +96,6 @@ class TestDbHelpers:
         with pytest.raises(ValueError):
             linear_to_db(-1.0)
 
-    def test_sinr_db_matches_linear_sinr(self):
-        gains = np.array([[1.0, 0.5], [0.25, 1.0]])
-        ratio = sinr(gains, 0, 1, tx_power_w=2.0, noise_power_w=0.1)
-        assert sinr_db(gains, 0, 1, tx_power_w=2.0, noise_power_w=0.1) == (
-            pytest.approx(10.0 * math.log10(ratio))
-        )
-
-    def test_paper_threshold_is_zero_db(self):
-        # Gamma = 1 (the paper's SINR threshold) sits at exactly 0 dB.
-        gains = np.array([[1.0, 1.0], [1.0, 1.0]])
-        value = sinr_db(gains, 0, 1, tx_power_w=1.0, noise_power_w=0.5,
-                        interference_w=0.5)
-        assert value == pytest.approx(0.0, abs=1e-12)
-
 
 class TestConverterPaths:
     """The audited call sites produce the exact pre-refactor values."""
@@ -165,9 +149,3 @@ class TestConverterPaths:
     def test_energy_scale_converters_consistent(self):
         assert constants.kwh_to_joules(1.0) == 3_600_000.0
         assert constants.wh_to_joules(1.0) == 3_600.0
-        assert constants.joules_to_kwh(constants.kwh_to_joules(2.5)) == (
-            pytest.approx(2.5)
-        )
-        assert constants.joules_to_wh(constants.wh_to_joules(2.5)) == (
-            pytest.approx(2.5)
-        )
