@@ -9,6 +9,13 @@
 #   3. mypy       — strict on the foundation modules (if installed)
 #   4. pytest     — the tier-1 test suite
 #   5. benches    — the component benches, run once without timing
+#   6. harness    — the benchmark harness self-test (benchmarks/suite)
+#   7. golden     — the four benchmark workloads at seed 2014, each run
+#                   once untimed; a run whose hash misses
+#                   benchmarks/suite/golden.json fails the gate
+#
+# CI also runs the scale-benchmark smoke (benchmarks/bench_scale.py),
+# which rewrites the committed BENCH_scale.json; run it by hand.
 #
 # ruff and mypy are optional-dependency tools (pip install -e '.[lint]');
 # when absent locally they are skipped with a notice — CI always installs
@@ -47,6 +54,19 @@ python -m pytest -q || failures=$((failures + 1))
 step "component benches (untimed)"
 python -m pytest benchmarks/bench_components.py --benchmark-disable -q \
     || failures=$((failures + 1))
+
+step "benchmark harness self-test"
+python -m pytest benchmarks/suite -q || failures=$((failures + 1))
+
+# run.py exits 0 even when a run's hash misses golden.json, so the gate
+# reads the "correct" flag of its last JSON line.
+for workload in paper-fig2 loaded-u1k mobile-u1k sparse-u100k; do
+    step "benchmark golden gate: $workload"
+    python benchmarks/suite/run.py --workload "$workload" --seed 2014 --seconds 0 \
+        | tail -n 1 \
+        | python -c "import json, sys; sys.exit(0 if json.load(sys.stdin)['correct'] is True else 1)" \
+        || failures=$((failures + 1))
+done
 
 if [ "$failures" -ne 0 ]; then
     echo "check.sh: $failures step(s) FAILED"

@@ -36,7 +36,7 @@ from repro.core import (
     lower_bound_cost,
 )
 from repro.control import DriftPlusPenaltyController
-from repro.sim import SimulationResult, SlotSimulator, TraceRecorder, run_simulation
+from repro.sim import SimulationResult, SlotSimulator, run_simulation
 from repro.state import NetworkState
 from repro.types import (
     Architecture,
@@ -63,7 +63,6 @@ __all__ = [
     "DriftPlusPenaltyController",
     "SimulationResult",
     "SlotSimulator",
-    "TraceRecorder",
     "run_simulation",
     "NetworkState",
     "Architecture",

@@ -37,7 +37,7 @@ from repro.experiments import (
     run_fig2f,
     run_sweep,
 )
-from repro.sim import SlotSimulator, TraceRecorder
+from repro.sim import SlotSimulator
 
 _SCENARIOS = {
     "paper": paper_scenario,
@@ -66,9 +66,7 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioParameters:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     params = _build_scenario(args)
-    trace = TraceRecorder() if (args.trace_csv or args.trace_json) else None
-    simulator = SlotSimulator.integral(params)
-    result = simulator.run(trace=trace)
+    result = SlotSimulator.integral(params).run()
 
     rows = sorted(result.summary().items())
     print(format_table(["metric", "value"], rows, title="Run summary"))
@@ -84,11 +82,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             title="Strong-stability check",
         )
     )
-    if trace is not None:
-        if args.trace_csv:
-            print(f"\ntrace written to {trace.to_csv(args.trace_csv)}")
-        if args.trace_json:
-            print(f"\ntrace written to {trace.to_json(args.trace_json)}")
+    if args.trace_csv:
+        print(f"\ntrace written to {result.metrics.to_csv(args.trace_csv)}")
+    if args.trace_json:
+        print(f"\ntrace written to {result.metrics.to_json(args.trace_json)}")
     return 0
 
 

@@ -30,8 +30,8 @@ of its 1.65M links), so the state also keeps ``g_support``: the
 ascending positions where ``G != 0``.  The Eq. 28 kernel visits only
 the routed and served positions and merges the support in place; every
 other write to ``G`` goes through :meth:`ArrayState.assign_g`, which
-rebuilds it.  Readers (S1's backlog floor and the backlog
-snapshot) scan the support instead of the link index.  The support is
+rebuilds it.  Readers (S1's backlog floor and the metrics'
+backlog totals) scan the support instead of the link index.  The support is
 derived state: nothing serializes it.  The Eq. 15 kernel likewise
 visits only the ``Q`` cells that routed entries and admissions touch.
 Numerical policy:

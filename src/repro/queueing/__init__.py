@@ -1,4 +1,4 @@
-"""Queueing substrate: backlog snapshots, stability tools.
+"""Queueing substrate: stability tools.
 
 The data-, virtual- and shifted energy-queue laws are ``ArrayState``
 kernels."""
@@ -8,11 +8,9 @@ from repro.queueing.stability import (
     StabilityVerdict,
     assess_strong_stability,
 )
-from repro.queueing.backlog import BacklogSnapshot
 
 __all__ = [
     "StabilityReport",
     "StabilityVerdict",
     "assess_strong_stability",
-    "BacklogSnapshot",
 ]

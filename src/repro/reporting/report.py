@@ -9,11 +9,12 @@ balance per node class, theory-vs-measured checks, and any incidents
 
 from __future__ import annotations
 
-from typing import List
+import numpy as np
 
 from repro.reporting.tables import format_table
 from repro.core import theory
 from repro.sim.engine import SlotSimulator
+from repro.sim.metrics import FLOW_FIELDS
 from repro.sim.results import SimulationResult
 
 
@@ -48,18 +49,16 @@ def _stability_section(result: SimulationResult) -> str:
 
 
 def _energy_section(result: SimulationResult) -> str:
-    rows = []
-    for label, node_class in (("base stations", "bs"), ("users", "user")):
-        rows.append(
-            (
-                label,
-                float(result.metrics.flow_series(node_class, "renewable_used_j").sum()),
-                float(result.metrics.flow_series(node_class, "grid_serve_j").sum()),
-                float(result.metrics.flow_series(node_class, "grid_charge_j").sum()),
-                float(result.metrics.flow_series(node_class, "discharge_j").sum()),
-                float(result.metrics.flow_series(node_class, "spill_j").sum()),
-            )
+    rows = [
+        (
+            label,
+            *(
+                float(result.metrics.series(f"{node_class}_{flow}").sum())
+                for flow in FLOW_FIELDS
+            ),
         )
+        for label, node_class in (("base stations", "bs"), ("users", "user"))
+    ]
     return format_table(
         [
             "node class",
@@ -92,26 +91,23 @@ def _theory_section(simulator: SlotSimulator, result: SimulationResult) -> str:
 
 
 def _incident_section(result: SimulationResult) -> str:
-    deficits = result.metrics.series("deficit_j")
-    curtailed = result.metrics.series("curtailed_links")
-    incidents: List[tuple] = []
-    for metrics in result.metrics.slots:
-        if metrics.deficit_j > 0 or metrics.curtailed_links > 0:
-            incidents.append(
-                (metrics.slot, metrics.deficit_j, metrics.curtailed_links)
-            )
-    if not incidents:
+    metrics = result.metrics
+    slots = metrics.series("slot")
+    deficits = metrics.series("deficit_j")
+    curtailed = metrics.series("curtailed_links")
+    hit = np.flatnonzero((deficits > 0) | (curtailed > 0))
+    if not hit.size:
         return "Incidents: none (no deficits, no curtailments)."
     table = format_table(
         ["slot", "deficit (J)", "curtailed links"],
-        incidents[:20],
+        [(int(slots[i]), deficits[i], int(curtailed[i])) for i in hit[:20]],
         title=(
-            f"Incidents ({len(incidents)} slots; total deficit "
+            f"Incidents ({hit.size} slots; total deficit "
             f"{deficits.sum():.1f} J, {int(curtailed.sum())} curtailments)"
         ),
     )
-    if len(incidents) > 20:
-        table += f"\n... and {len(incidents) - 20} more slots"
+    if hit.size > 20:
+        table += f"\n... and {hit.size - 20} more slots"
     return table
 
 

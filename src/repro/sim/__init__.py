@@ -1,17 +1,14 @@
 """Slot-based simulator: engine, RNG streams, metrics, results."""
 
 from repro.sim.rng import RngStreams
-from repro.sim.metrics import MetricsCollector, SlotMetrics
+from repro.sim.metrics import MetricsCollector
 from repro.sim.results import SimulationResult
 from repro.sim.engine import SlotSimulator, run_simulation
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "RngStreams",
     "MetricsCollector",
-    "SlotMetrics",
     "SimulationResult",
     "SlotSimulator",
     "run_simulation",
-    "TraceRecorder",
 ]

@@ -23,14 +23,12 @@ from repro.contracts import ContractChecker, Strictness
 from repro.control.controller import DriftPlusPenaltyController
 from repro.control.decisions import SlotDecision, SlotObservation
 from repro.control.router import RouterMode
-from repro.core.arraystate import seq_sum
 from repro.core.bounds import RelaxedLpController
 from repro.core.lyapunov import LyapunovConstants, compute_constants
 from repro.model import NetworkModel, build_network_model
 from repro.sim.metrics import MetricsCollector
 from repro.sim.results import SimulationResult
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceRecorder
 from repro.state import NetworkState
 from repro.types import EnergySolverKind, SchedulerKind
 
@@ -88,7 +86,9 @@ class SlotSimulator:
         if attach is not None and self.contracts.enabled:
             attach(self.contracts)
         self.metrics = MetricsCollector(
-            params.admission_lambda, num_bs=params.num_base_stations
+            params.admission_lambda,
+            num_bs=params.num_base_stations,
+            sessions=self.state.arrays.sessions,
         )
 
     # -- constructors ------------------------------------------------------
@@ -147,8 +147,8 @@ class SlotSimulator:
 
     # -- running -------------------------------------------------------------
 
-    def _delivered_per_session(self, decision: SlotDecision) -> dict:
-        """Per-session packets arriving at destinations this slot.
+    def _delivered(self, decision: SlotDecision) -> np.ndarray:
+        """``(S,)`` packets arriving at each session's destination this slot.
 
         Sums the *effective* transfer the last ``apply`` moved (Eq. 15)
         over entries whose receiver is the session's destination: in
@@ -162,18 +162,14 @@ class SlotSimulator:
         hit = arrays.link_rx[routing.link_pos] == self.model.destination_rows[cols]
         delivered = np.zeros(len(arrays.sessions))
         np.add.at(delivered, cols[hit], self.state.last_transfer_pkts[hit])
-        return dict(zip(arrays.sessions, delivered.tolist()))
+        return delivered
 
-    def step(self, slot: int, trace: Optional[TraceRecorder] = None) -> SlotDecision:
+    def step(self, slot: int) -> SlotDecision:
         """Advance the simulation by one slot."""
         observation = self.state.observe(slot)
         decision = self.controller.decide(observation, self.state)
         pre = self.contracts.capture(self.state)
-        snapshot = self.state.apply(
-            decision,
-            slot,
-            enforce_complementarity=self._enforce_complementarity,
-        )
+        self.state.apply(decision, enforce_complementarity=self._enforce_complementarity)
         if pre is not None:
             self.contracts.check_transition(
                 self.model,
@@ -183,34 +179,21 @@ class SlotSimulator:
                 slot,
                 enforce_complementarity=self._enforce_complementarity,
             )
-        shed = self.controller.last_deficit_j
-        # A slot that shed nothing records the int 0 (an empty sum), as
-        # the committed trajectory fingerprints hash it.
-        deficit = seq_sum(shed) if shed.any() else 0
-        per_session = self._delivered_per_session(decision)
-        metrics = self.metrics.record(
-            slot=slot,
-            decision=decision,
-            snapshot=snapshot,
-            deficit_j=deficit,
-            delivered_pkts=sum(per_session.values()),
-            session_delivered=per_session,
+        self.metrics.record(
+            slot,
+            observation,
+            decision,
+            self.state.arrays,
+            self.controller.last_deficit_j,
+            self._delivered(decision),
         )
-        if trace is not None:
-            trace.record_slot(
-                observation, decision, metrics, self.params.num_base_stations
-            )
         return decision
 
-    def run(
-        self,
-        num_slots: Optional[int] = None,
-        trace: Optional[TraceRecorder] = None,
-    ) -> SimulationResult:
+    def run(self, num_slots: Optional[int] = None) -> SimulationResult:
         """Run the full horizon and return the result."""
         horizon = num_slots if num_slots is not None else self.params.num_slots
         for slot in range(horizon):
-            self.step(slot, trace=trace)
+            self.step(slot)
         return SimulationResult(
             control_v=self.params.control_v,
             num_slots=horizon,

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core.lyapunov import LyapunovConstants
 from repro.queueing.stability import StabilityReport, assess_strong_stability
-from repro.sim.metrics import MetricsCollector
+from repro.sim.metrics import BACKLOG_COLUMNS, MetricsCollector
 
 
 @dataclass
@@ -52,21 +52,15 @@ class SimulationResult:
         return float(costs[costs.size // 2 :].mean())
 
     def stability_reports(self) -> Dict[str, StabilityReport]:
-        """Empirical strong-stability assessment of the four aggregates."""
+        """Empirical strong-stability assessment of the five queue and battery totals."""
         return {
-            name: assess_strong_stability(self.metrics.snapshot_series(name))
-            for name in (
-                "bs_data_packets",
-                "user_data_packets",
-                "bs_energy_j",
-                "user_energy_j",
-                "virtual_packets",
-            )
+            name: assess_strong_stability(self.metrics.series(name))
+            for name in BACKLOG_COLUMNS
         }
 
     def backlog_series(self, name: str) -> np.ndarray:
-        """Convenience passthrough to the snapshot series."""
-        return self.metrics.snapshot_series(name)
+        """A queue or battery total per slot (a :data:`BACKLOG_COLUMNS` name)."""
+        return self.metrics.series(name)
 
     def session_satisfaction(self, demand_per_slot: Dict[int, float]) -> Dict[int, float]:
         """Delivered / demanded ratio per session.
@@ -75,10 +69,11 @@ class SimulationResult:
             demand_per_slot: mean demand per session (packets/slot);
                 the simulator's ``model.sessions`` carries it.
         """
+        recorded = dict(zip(self.metrics.sessions, self.metrics.session_delivered.tolist()))
         out: Dict[int, float] = {}
         for sid, demand in demand_per_slot.items():
             total_demand = demand * self.num_slots
-            delivered = self.metrics.session_delivered.get(sid, 0.0)
+            delivered = recorded.get(sid, 0.0)
             out[sid] = delivered / total_demand if total_demand > 0 else 1.0
         return out
 
@@ -92,8 +87,8 @@ class SimulationResult:
         Returns ``inf`` when nothing was delivered.
         """
         backlog = (
-            self.metrics.snapshot_series("bs_data_packets")
-            + self.metrics.snapshot_series("user_data_packets")
+            self.metrics.series("bs_data_packets")
+            + self.metrics.series("user_data_packets")
         )
         delivered = self.metrics.series("delivered_pkts")
         rate = float(delivered.mean()) if delivered.size else 0.0

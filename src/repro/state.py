@@ -41,7 +41,6 @@ from repro.exceptions import EnergyError
 from repro.model import NetworkModel
 from repro.network.mobility import RandomWaypointMobility
 from repro.phy.propagation import ComputedPairGains
-from repro.queueing.backlog import BacklogSnapshot, make_snapshot_from_arrays
 from repro.sim.rng import spawn_child
 from repro.types import MobilityKind, NodeId, Point, RenewableKind, SessionId
 
@@ -313,21 +312,17 @@ class NetworkState:
     def apply(
         self,
         decision: SlotDecision,
-        slot: int,
+        *,
         enforce_complementarity: bool = True,
-    ) -> BacklogSnapshot:
+    ) -> None:
         """Apply one slot's decision to every queue and battery.
 
         Args:
             decision: the controller's output for this slot.
-            slot: slot index (stamped on the snapshot).
             enforce_complementarity: when False — used by the relaxed
                 LP bound, which drops constraint (9) — simultaneous
                 charge and discharge are netted before hitting the
                 battery, leaving the level trajectory identical.
-
-        Returns:
-            The post-update backlog snapshot for the metrics collector.
         """
         arrays = self.arrays
         routing = decision.routing
@@ -358,6 +353,3 @@ class NetworkState:
             charge_j = np.maximum(net, 0.0)
             drain_j = np.maximum(-net, 0.0)
         arrays.apply_battery_actions(charge_j, drain_j)
-        return make_snapshot_from_arrays(
-            slot=slot, arrays=arrays, num_bs=self.model.params.num_base_stations
-        )

@@ -17,14 +17,10 @@ fields — with the most specific alias that applies::
 
     def slot_energy(power: Watts, slot_seconds: Seconds) -> Joules:
         ...
-
-The ``db_to_linear`` / ``linear_to_db`` helpers are the sanctioned
-crossing between the logarithmic and linear SINR scales.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Annotated, Optional
 
@@ -55,13 +51,10 @@ _WATTS = Unit("W", "power")
 _BITS = Unit("bit", "data")
 _PACKETS = Unit("packet", "packets")
 _BITS_PER_SLOT = Unit("bit/slot", "data_rate", per="slot")
-_PACKETS_PER_SLOT = Unit("packet/slot", "packet_rate", per="slot")
 _BITS_PER_SECOND = Unit("bit/s", "data_rate", per="s")
 _KBPS = Unit("kbit/s", "data_rate", per="s")
-_DB = Unit("dB", "level")
 _LINEAR = Unit("lin", "dimensionless")
 _DOLLARS = Unit("$", "money")
-_DOLLARS_PER_KWH = Unit("$/kWh", "tariff")
 _DOLLARS_PER_JOULE = Unit("$/J", "tariff")
 _SECONDS = Unit("s", "time")
 _HERTZ = Unit("Hz", "frequency")
@@ -81,20 +74,14 @@ Bits = Annotated[float, _BITS]
 Packets = Annotated[float, _PACKETS]
 #: Traffic volume per slot (after a ``slot_seconds`` conversion).
 BitsPerSlot = Annotated[float, _BITS_PER_SLOT]
-#: Queue service/arrival rates per slot.
-PacketsPerSlot = Annotated[float, _PACKETS_PER_SLOT]
 #: Link rate in bits per second (Eq. 1 capacities).
 BitsPerSecond = Annotated[float, _BITS_PER_SECOND]
 #: Session demand as stated by the paper (100 Kbps).
 Kbps = Annotated[float, _KBPS]
-#: Logarithmic ratio — never multiply two of these.
-Db = Annotated[float, _DB]
 #: Linear (dimensionless) ratio, e.g. SINR values and thresholds.
 Linear = Annotated[float, _LINEAR]
 #: Monetary cost (the currency of ``f(P)``).
 Dollars = Annotated[float, _DOLLARS]
-#: Tariff as stated by the paper ($ per kWh).
-DollarsPerKwh = Annotated[float, _DOLLARS_PER_KWH]
 #: Tariff in SI terms ($ per joule) — the library-internal form.
 DollarsPerJoule = Annotated[float, _DOLLARS_PER_JOULE]
 #: Durations, including the slot length ``delta_t``.
@@ -103,14 +90,3 @@ Seconds = Annotated[float, _SECONDS]
 Hertz = Annotated[float, _HERTZ]
 #: Distances in the propagation model.
 Meters = Annotated[float, _METERS]
-
-def db_to_linear(value_db: Db) -> Linear:
-    """Convert a dB-scale ratio to its linear value: ``10^(x/10)``."""
-    return float(10.0 ** (value_db / 10.0))
-
-
-def linear_to_db(value_linear: Linear) -> Db:
-    """Convert a linear ratio to dB: ``10 log10(x)``."""
-    if value_linear <= 0.0:
-        raise ValueError(f"linear ratio must be positive, got {value_linear}")
-    return 10.0 * math.log10(value_linear)

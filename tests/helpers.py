@@ -4,15 +4,16 @@
 into an exactly comparable tuple (the dense-vs-sparse and golden suites
 compare them with ``==``).  ``trajectory_sha256`` folds a whole run —
 every slot's decision, its S4 energy allocation (rendered by
-``canonical_energy``) and the slot metrics (``BacklogSnapshot``, cost,
-penalty, flows) — into one SHA-256 digest, so a committed hex string
-pins a trajectory bit for bit.
+``canonical_energy``) and its row of the metrics record (rendered by
+``canonical_slot_metrics``: backlog totals, cost, penalty, flows) —
+into one SHA-256 digest, so a committed hex string pins a trajectory
+bit for bit.
 ``queue_step``/``virtual_step`` drive the Eq. 15 and Eq. 28 kernels of
 :class:`~repro.core.arraystate.ArrayState` from dict-shaped inputs, and
 ``schedule_of`` builds an S1 decision from ``Transmission`` records.
-``make_snapshot_oracle`` is the plain-Python backlog aggregation the
-array kernel :func:`~repro.queueing.backlog.make_snapshot_from_arrays`
-must reproduce exactly.  ``one_battery`` builds a one-node
+``backlog_totals_oracle`` is the plain-Python backlog aggregation the
+array kernel :func:`~repro.sim.metrics.backlog_totals` must reproduce
+exactly.  ``one_battery`` builds a one-node
 :class:`~repro.core.arraystate.ArrayState` around a single battery, and
 ``battery_law_oracle`` is the scalar Eq. 4 chain its kernel must
 reproduce bit for bit.  ``dense_gain_oracle`` is the all-pairs
@@ -41,8 +42,8 @@ from repro.config.parameters import EnergyParameters
 from repro.control.decisions import ScheduleDecision
 from repro.core.arraystate import ArrayState
 from repro.model import NetworkModel
-from repro.queueing import BacklogSnapshot
 from repro.sim import SlotSimulator
+from repro.sim.metrics import BACKLOG_COLUMNS, COLUMNS, FLOW_FIELDS
 from repro.types import QueueSemantics
 from tests.topology_reference import all_pairs_gains
 
@@ -219,24 +220,18 @@ def battery_law_oracle(level_j, charge_j, drain_j, charge_efficiency, capacity_j
     return min(max(level_j, 0.0), capacity_j)
 
 
-def make_snapshot_oracle(
-    slot, data_backlogs, battery_levels, virtual_backlogs, bs_ids
-):
-    """Aggregate dict-shaped backlogs with left-to-right Python sums."""
+def backlog_totals_oracle(data_backlogs, battery_levels, virtual_backlogs, bs_ids):
+    """Aggregate dict-shaped backlogs with left-to-right Python sums.
+
+    Returns the five totals in ``BACKLOG_COLUMNS`` order.
+    """
     bs_set = set(bs_ids)
-    return BacklogSnapshot(
-        slot=slot,
-        bs_data_packets=sum(
-            v for (node, _), v in data_backlogs.items() if node in bs_set
-        ),
-        user_data_packets=sum(
-            v for (node, _), v in data_backlogs.items() if node not in bs_set
-        ),
-        bs_energy_j=sum(v for node, v in battery_levels.items() if node in bs_set),
-        user_energy_j=sum(
-            v for node, v in battery_levels.items() if node not in bs_set
-        ),
-        virtual_packets=sum(virtual_backlogs.values()),
+    return (
+        sum(v for (node, _), v in data_backlogs.items() if node in bs_set),
+        sum(v for (node, _), v in data_backlogs.items() if node not in bs_set),
+        sum(v for node, v in battery_levels.items() if node in bs_set),
+        sum(v for node, v in battery_levels.items() if node not in bs_set),
+        sum(virtual_backlogs.values()),
     )
 
 
@@ -309,6 +304,52 @@ def canonical_energy(energy, bs_ids) -> str:
     )
 
 
+#: The scalar fields of the per-slot metrics object the pinned
+#: trajectories hash, in its declaration order, and those it held as ints.
+_SLOT_FIELDS = (
+    "slot",
+    "grid_draw_j",
+    "cost",
+    "admitted_pkts",
+    "penalty",
+    "delivered_pkts",
+    "scheduled_links",
+    "curtailed_links",
+    "deficit_j",
+    "spill_j",
+)
+_INT_FIELDS = ("slot", "scheduled_links", "curtailed_links")
+
+
+def canonical_slot_metrics(metrics, slot) -> str:
+    """Row ``slot`` of a metrics record in the text of the objects it replaced.
+
+    The pinned trajectories hash each slot's metrics as
+    ``SlotMetrics(..., snapshot=BacklogSnapshot(...), bs_flows=
+    EnergyFlows(...), user_flows=EnergyFlows(...))``, with the slot
+    index and link counts as ints.  A slot that shed nothing hashed
+    its ``deficit_j`` as the int 0 (an empty sum); the record holds it
+    as 0.0, which this renders as ``0`` again, so the committed digests
+    stay valid.
+    """
+    row = {name: metrics.series(name)[slot] for name in COLUMNS}
+
+    def fields(names, prefix=""):
+        parts = []
+        for name in names:
+            value = row[prefix + name]
+            integral = name in _INT_FIELDS or (name == "deficit_j" and not value)
+            parts.append(f"{name}={int(value) if integral else canonical(value)}")
+        return ",".join(parts)
+
+    return (
+        f"SlotMetrics({fields(_SLOT_FIELDS)},"
+        f"snapshot=BacklogSnapshot({fields(('slot', *BACKLOG_COLUMNS))}),"
+        f"bs_flows=EnergyFlows({fields(FLOW_FIELDS, 'bs_')}),"
+        f"user_flows=EnergyFlows({fields(FLOW_FIELDS, 'user_')}))"
+    )
+
+
 def trajectory_sha256(params, scheduler_kind) -> str:
     """SHA-256 over a full run's decisions and slot metrics.
 
@@ -325,5 +366,5 @@ def trajectory_sha256(params, scheduler_kind) -> str:
         decision = sim.step(slot)
         digest.update(canonical(decision_fingerprint(decision)).encode())
         digest.update(canonical_energy(decision.energy, bs_ids).encode())
-        digest.update(canonical(sim.metrics.slots[-1]).encode())
+        digest.update(canonical_slot_metrics(sim.metrics, slot).encode())
     return digest.hexdigest()

@@ -22,12 +22,13 @@ from repro.config import small_scenario, tiny_scenario
 from repro.core.arraystate import ArrayState, seq_sum
 from repro.exceptions import EnergyError
 from repro.sim.engine import SlotSimulator
+from repro.sim.metrics import BACKLOG_COLUMNS, COLUMNS
 from repro.types import MobilityKind, QueueSemantics
 from tests.helpers import (
     battery_law_oracle,
     battery_step,
+    backlog_totals_oracle,
     canonical,
-    make_snapshot_oracle,
     one_battery,
     queue_dict,
 )
@@ -61,7 +62,7 @@ class TestTrajectoryEquivalence:
     """Equivalences that must hold along full simulated trajectories.
 
     The array kernels are checked against independent references on
-    the same run: the recorded snapshot stream against the plain-Python
+    the same run: the recorded backlog totals against the plain-Python
     aggregation of dicts built from the state, a strict-contracts run
     against an unchecked one, and the read accessors against the buffers
     they copy.
@@ -75,14 +76,15 @@ class TestTrajectoryEquivalence:
         state = simulator.state
         for slot in range(params.num_slots):
             simulator.step(slot)
-            expected = make_snapshot_oracle(
-                slot=slot,
+            expected = backlog_totals_oracle(
                 data_backlogs=queue_dict(state.arrays),
                 battery_levels=dict(enumerate(state.battery_levels().tolist())),
                 virtual_backlogs=dict(enumerate(state.arrays.g.tolist())),
                 bs_ids=simulator.model.bs_ids,
             )
-            recorded = simulator.metrics.slots[-1].snapshot
+            recorded = [
+                simulator.metrics.series(name)[slot] for name in BACKLOG_COLUMNS
+            ]
             assert canonical(recorded) == canonical(expected), slot
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -93,13 +95,11 @@ class TestTrajectoryEquivalence:
         _, plain = _run(params)
         _, checked = _run(params, contracts="strict")
 
-        for field in ("cost", "penalty", "grid_draw_j", "admitted_pkts",
-                      "delivered_pkts", "deficit_j", "spill_j"):
-            plain_series = [getattr(m, field) for m in plain.metrics.slots]
-            checked_series = [
-                getattr(m, field) for m in checked.metrics.slots
-            ]
-            assert plain_series == checked_series, field
+        for name in COLUMNS:
+            assert (
+                plain.metrics.series(name).tobytes()
+                == checked.metrics.series(name).tobytes()
+            ), name
 
     def test_final_backlogs_identical(self):
         simulator, _ = _run(tiny_scenario(num_slots=8))

@@ -42,7 +42,7 @@ class TestDecide:
                 supply = decision.energy.allocation.demand_served_j[node]
                 # Demand after curtailment/deficit must be exactly met.
                 assert supply >= -1e-6
-            tiny_state.apply(decision, slot)
+            tiny_state.apply(decision)
 
     def test_grid_draw_respects_connectivity(self, controller, tiny_state):
         for slot in range(8):
@@ -52,7 +52,7 @@ class TestDecide:
             for node in range(draw.size):
                 if not observation.grid_connected[node]:
                     assert draw[node] == 0.0
-            tiny_state.apply(decision, slot)
+            tiny_state.apply(decision)
 
     def test_controller_does_not_mutate_state(self, controller, tiny_state):
         observation = tiny_state.observe(0)
@@ -92,7 +92,7 @@ class TestCurtailment:
             for node in range(model.num_nodes):
                 draw = decision.energy.allocation.grid_draw_j[node]
                 assert draw <= state.arrays.grid_cap_j[node] + 1e-6
-            state.apply(decision, slot)
+            state.apply(decision)
         # Starved users have fixed demand 3 J vs ~0.03 J renewable:
         # deficits are inevitable.
         assert deficits > 0
@@ -115,7 +115,7 @@ class TestCurtailment:
             for (tx, _, _), rate in decision.routing.rates.items():
                 if rate > 0:
                     assert tx in bs_set
-            state.apply(decision, slot)
+            state.apply(decision)
 
 
 class TestConfigurations:
@@ -130,7 +130,7 @@ class TestConfigurations:
         )
         for slot in range(3):
             decision = controller.decide(state.observe(slot), state)
-            state.apply(decision, slot)
+            state.apply(decision)
 
     @pytest.mark.parametrize(
         "solver", [EnergySolverKind.PRICE_DECOMPOSITION, EnergySolverKind.GRID_ONLY]
@@ -145,7 +145,7 @@ class TestConfigurations:
         )
         for slot in range(3):
             decision = controller.decide(state.observe(slot), state)
-            state.apply(decision, slot)
+            state.apply(decision)
 
     def test_energy_prices_disabled_when_configured(self, tiny_constants):
         params = dataclasses.replace(

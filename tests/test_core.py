@@ -185,7 +185,7 @@ class TestDriftTerms:
         # Warm up two slots so queues are non-trivial.
         for slot in range(2):
             decision = controller.decide(tiny_state.observe(slot), tiny_state)
-            tiny_state.apply(decision, slot)
+            tiny_state.apply(decision)
         observation = tiny_state.observe(2)
         q = tiny_state.arrays.q.copy()
         h = tiny_state.h_backlogs()
@@ -238,7 +238,7 @@ class TestBounds:
         # Advance a few slots with the heuristic to populate queues.
         for slot in range(3):
             decision = heuristic.decide(tiny_state.observe(slot), tiny_state)
-            tiny_state.apply(decision, slot)
+            tiny_state.apply(decision)
         observation = tiny_state.observe(3)
         q = tiny_state.arrays.q.copy()
         h = tiny_state.h_backlogs()

@@ -124,7 +124,7 @@ class TestDynamicAvailabilitySimulation:
             for t in decision.schedule.transmissions:
                 assert observation.band_access[t.tx, t.band]
                 assert observation.band_access[t.rx, t.band]
-            simulator.state.apply(decision, slot)
+            simulator.state.apply(decision)
 
     def test_relaxed_controller_respects_blocks(self):
         params = _dynamic_params(num_slots=5)

@@ -67,7 +67,7 @@ class AuditingSimulator:
                 ):
                     self.violations.append((slot, "flow-into-source"))
 
-            simulator.state.apply(decision, slot)
+            simulator.state.apply(decision)
 
             # Battery bounds after the update (10).
             for node in range(model.num_nodes):
@@ -171,13 +171,8 @@ class TestSchedulerAblation:
         # Sources keep admitting (their queue drains only via null
         # packets on forced links) — BS backlog verdict must not be
         # "stable at a low level with service everywhere".
-        routed = [
-            rate
-            for metrics in result.metrics.slots
-            for rate in [metrics.delivered_pkts]
-        ]
         # Forced deliveries still happen (destination in-links).
-        assert min(routed) > 0
+        assert result.metrics.series("delivered_pkts").min() > 0
 
     def test_potential_capacity_keeps_queues_stable(self):
         params = tiny_scenario(num_slots=80, control_v=1e4)

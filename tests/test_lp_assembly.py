@@ -50,7 +50,7 @@ def test_relaxed_lp_matches_oracle(name):
         oracle = lp_reference.relaxed_lp(controller, observation, state)
         assert_same_form(lp.standard_form(), oracle.standard_form())
         decision = controller.decide(observation, state)
-        state.apply(decision, slot, enforce_complementarity=False)
+        state.apply(decision, enforce_complementarity=False)
 
 
 SF_CASES = [

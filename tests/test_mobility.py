@@ -169,7 +169,7 @@ class TestMobileSimulation:
                 )
                 sinr = gains[t.tx, t.rx] * t.power_w / (noise + interference)
                 assert sinr >= params.sinr_threshold * (1 - 1e-9)
-            simulator.state.apply(decision, slot)
+            simulator.state.apply(decision)
 
     def test_speed_validation(self):
         params = dataclasses.replace(

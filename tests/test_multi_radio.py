@@ -141,7 +141,7 @@ class TestMultiRadioScheduling:
                     expected.get(t.link, 0.0) + bps * params.slot_seconds / packet_bits
                 )
             assert dict(decision.schedule.link_service_pkts) == expected, slot
-            sim.state.apply(decision, slot)
+            sim.state.apply(decision)
         assert curtailed > 0, "the scenario must exercise curtailment"
 
     def test_invalid_radio_count_rejected(self):

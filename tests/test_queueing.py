@@ -2,8 +2,6 @@
 of ``ArrayState`` (Eqs. 15, 28, 30), the shifted energy queue (Eq. 31)
 and the strong-stability estimator."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -12,18 +10,14 @@ from repro.control.decisions import AdmissionDecision
 from repro.contracts import ContractChecker, ContractViolation
 from repro.core.arraystate import seq_sum
 from repro.exceptions import EnergyError, QueueError
-from repro.queueing import (
-    BacklogSnapshot,
-    StabilityVerdict,
-    assess_strong_stability,
-)
-from repro.queueing.backlog import make_snapshot_from_arrays
+from repro.queueing import StabilityVerdict, assess_strong_stability
 from repro.sim import SlotSimulator
+from repro.sim.metrics import backlog_totals
 from repro.types import QueueSemantics
 from tests.helpers import (
+    backlog_totals_oracle,
     battery_step,
     link_position,
-    make_snapshot_oracle,
     one_battery,
     queue_dict,
     queue_step,
@@ -108,9 +102,9 @@ class TestDataQueueBank:
     def test_total_backlog_filters_nodes(self, arrays, tiny_model):
         queue_step(arrays, admissions=[(0, 0, 5.0), (2, 1, 7.0)])
         num_bs = tiny_model.params.num_base_stations
-        snapshot = make_snapshot_from_arrays(slot=0, arrays=arrays, num_bs=num_bs)
-        assert snapshot.bs_data_packets == 5.0
-        assert snapshot.user_data_packets == 7.0
+        bs_data, user_data, *_ = backlog_totals(arrays, num_bs)
+        assert bs_data == 5.0
+        assert user_data == 7.0
 
     def test_unknown_queue_raises(self, tiny_state):
         # Node 17 has no row and session 99 no column.
@@ -268,20 +262,13 @@ class TestStability:
 
 class TestBacklogSnapshot:
     def test_aggregation(self):
-        snapshot = make_snapshot_oracle(
-            slot=3,
+        totals = backlog_totals_oracle(
             data_backlogs={(0, 0): 5.0, (1, 0): 7.0, (2, 0): 1.0},
             battery_levels={0: 100.0, 1: 50.0, 2: 25.0},
             virtual_backlogs={(0, 1): 2.0, (1, 2): 3.0},
             bs_ids=[0],
         )
-        assert snapshot.bs_data_packets == 5.0
-        assert snapshot.user_data_packets == 8.0
-        assert snapshot.bs_energy_j == 100.0
-        assert snapshot.user_energy_j == 75.0
-        assert snapshot.virtual_packets == 5.0
-        assert snapshot.total_data_packets == 13.0
-        assert snapshot.total_energy_j == 175.0
+        assert totals == (5.0, 8.0, 100.0, 75.0, 5.0)
 
     @pytest.mark.parametrize(
         "params",
@@ -308,19 +295,13 @@ class TestBacklogSnapshot:
                 sigma=6.0, size=arrays.num_nodes
             )
             arrays.assign_g(rng.lognormal(sigma=6.0, size=arrays.g.shape))
-            expected = make_snapshot_oracle(
-                slot=slot,
+            expected = backlog_totals_oracle(
                 data_backlogs=queue_dict(arrays),
                 battery_levels=dict(enumerate(arrays.battery_level.tolist())),
                 virtual_backlogs=dict(enumerate(arrays.g.tolist())),
                 bs_ids=simulator.model.bs_ids,
             )
-            actual = make_snapshot_from_arrays(slot=slot, arrays=arrays, num_bs=num_bs)
-            assert [
-                float(v).hex() for v in dataclasses.astuple(actual)
-            ] == [float(v).hex() for v in dataclasses.astuple(expected)]
-
-    def test_snapshot_is_frozen(self):
-        snapshot = BacklogSnapshot(0, 1.0, 2.0, 3.0, 4.0, 5.0)
-        with pytest.raises(AttributeError):
-            snapshot.slot = 1  # type: ignore[misc]
+            actual = backlog_totals(arrays, num_bs)
+            assert [float(v).hex() for v in actual] == [
+                float(v).hex() for v in expected
+            ], slot

@@ -20,26 +20,26 @@ class TestEnergyFlowMetrics:
     def test_flow_series_lengths(self, run):
         _, result = run
         for node_class in ("bs", "user"):
-            series = result.metrics.flow_series(node_class, "grid_serve_j")
+            series = result.metrics.series(f"{node_class}_grid_serve_j")
             assert len(series) == 20
 
     def test_unknown_class_rejected(self, run):
         _, result = run
         with pytest.raises(KeyError):
-            result.metrics.flow_series("martian", "grid_serve_j")
+            result.metrics.series("martian_grid_serve_j")
 
     def test_bs_grid_flows_sum_to_draw(self, run):
         _, result = run
         draw = result.metrics.series("grid_draw_j")
-        serve = result.metrics.flow_series("bs", "grid_serve_j")
-        charge = result.metrics.flow_series("bs", "grid_charge_j")
+        serve = result.metrics.series("bs_grid_serve_j")
+        charge = result.metrics.series("bs_grid_charge_j")
         assert np.allclose(draw, serve + charge)
 
     def test_disconnected_users_draw_nothing(self, run):
         # tiny_scenario users have grid_connect_prob = 0.
         _, result = run
-        assert result.metrics.flow_series("user", "grid_serve_j").sum() == 0.0
-        assert result.metrics.flow_series("user", "grid_charge_j").sum() == 0.0
+        assert result.metrics.series("user_grid_serve_j").sum() == 0.0
+        assert result.metrics.series("user_grid_charge_j").sum() == 0.0
 
     def test_flows_non_negative(self, run):
         _, result = run
@@ -52,7 +52,7 @@ class TestEnergyFlowMetrics:
                 "spill_j",
             ):
                 assert np.all(
-                    result.metrics.flow_series(node_class, field_name) >= 0
+                    result.metrics.series(f"{node_class}_{field_name}") >= 0
                 )
 
     def test_energy_conservation_per_class(self, run):
@@ -64,10 +64,10 @@ class TestEnergyFlowMetrics:
             for n in range(params.num_nodes)
         )
         used = (
-            result.metrics.flow_series("bs", "renewable_used_j")
-            + result.metrics.flow_series("user", "renewable_used_j")
-            + result.metrics.flow_series("bs", "spill_j")
-            + result.metrics.flow_series("user", "spill_j")
+            result.metrics.series("bs_renewable_used_j")
+            + result.metrics.series("user_renewable_used_j")
+            + result.metrics.series("bs_spill_j")
+            + result.metrics.series("user_spill_j")
         )
         assert np.all(used <= cap_per_slot + 1e-6)
 

@@ -1,6 +1,7 @@
-"""Unit tests for the simulator: RNG streams, metrics, engine, trace."""
+"""Unit tests for the simulator: RNG streams, metrics, engine, exports."""
 
-import dataclasses
+import csv
+import json
 
 import numpy as np
 import pytest
@@ -10,10 +11,35 @@ from repro.sim import (
     MetricsCollector,
     RngStreams,
     SlotSimulator,
-    TraceRecorder,
     run_simulation,
 )
-from repro.sim.trace import TRACE_FIELDS
+from repro.sim.metrics import COLUMNS
+
+#: The per-slot trace columns the CLI's exports have always written, in order.
+TRACE_FIELDS = (
+    "slot",
+    "grid_draw_j",
+    "cost",
+    "penalty",
+    "admitted_pkts",
+    "delivered_pkts",
+    "scheduled_links",
+    "curtailed_links",
+    "deficit_j",
+    "spill_j",
+    "renewable_total_j",
+    "connected_users",
+    "bs_data_packets",
+    "user_data_packets",
+    "bs_energy_j",
+    "user_energy_j",
+    "virtual_packets",
+    "bs_renewable_used_j",
+    "bs_grid_charge_j",
+    "bs_discharge_j",
+    "user_renewable_used_j",
+    "user_discharge_j",
+)
 
 
 class TestRngStreams:
@@ -56,10 +82,10 @@ class TestMetricsCollector:
         simulator = SlotSimulator.integral(tiny_scenario(num_slots=4))
         result = simulator.run()
         lam = simulator.params.admission_lambda
-        for metrics in result.metrics.slots:
-            assert metrics.penalty == pytest.approx(
-                metrics.cost - lam * metrics.admitted_pkts
-            )
+        metrics = result.metrics
+        assert metrics.series("penalty") == pytest.approx(
+            metrics.series("cost") - lam * metrics.series("admitted_pkts")
+        )
 
     def test_empty_collector(self):
         collector = MetricsCollector(admission_lambda=0.1)
@@ -71,7 +97,7 @@ class TestEngine:
     def test_run_length(self):
         result = SlotSimulator.integral(tiny_scenario(num_slots=7)).run()
         assert result.num_slots == 7
-        assert len(result.metrics.slots) == 7
+        assert result.metrics.series("slot").size == 7
 
     def test_explicit_horizon_overrides(self):
         result = SlotSimulator.integral(tiny_scenario(num_slots=7)).run(num_slots=3)
@@ -129,20 +155,46 @@ class TestEngine:
         assert result.steady_state_cost == pytest.approx(costs[5:].mean())
 
 
+def _in_order(names, header):
+    """Whether ``names`` all appear in ``header``, in the same order."""
+    remaining = iter(header)
+    return all(name in remaining for name in names)
+
+
 class TestTrace:
     def test_trace_rows_and_fields(self, tmp_path):
-        trace = TraceRecorder()
         simulator = SlotSimulator.integral(tiny_scenario(num_slots=5))
-        simulator.run(trace=trace)
-        assert len(trace.rows) == 5
-        assert set(trace.rows[0]) == set(TRACE_FIELDS)
+        path = simulator.run().metrics.to_csv(tmp_path / "trace.csv")
+        with path.open() as handle:
+            header, *rows = list(csv.reader(handle))
+        assert len(rows) == 5
+        assert header == list(COLUMNS)
+        assert _in_order(TRACE_FIELDS, header)
+
+    def test_every_column_has_one_value_per_slot(self):
+        # The record starts with room for 64 slots and doubles; 70 slots
+        # cross one growth.
+        params = tiny_scenario(num_slots=70)
+        ran = SlotSimulator.integral(params)
+        ran.run()
+        stepped = SlotSimulator.integral(params)
+        for slot in range(params.num_slots):
+            stepped.step(slot)
+        for sim in (ran, stepped):
+            for name in COLUMNS:
+                assert sim.metrics.series(name).shape == (70,), name
+        for name in COLUMNS:
+            assert (
+                ran.metrics.series(name).tobytes()
+                == stepped.metrics.series(name).tobytes()
+            ), name
+        assert ran.metrics.series("slot").tolist() == list(range(70))
 
     def test_connected_users_counts_users_only(self):
         # Users have connection probability 0 and base stations 1: the
         # column counts no base station.
         params = tiny_scenario(num_slots=4)
         assert params.user_energy.grid_connect_prob == 0.0
-        trace = TraceRecorder()
         simulator = SlotSimulator.integral(params)
         seen = []
 
@@ -151,34 +203,37 @@ class TestTrace:
             return seen[-1]
 
         simulator.state.observe = observe
-        simulator.run(trace=trace)
+        metrics = simulator.run().metrics
         assert simulator.model.bs_ids
-        assert [row["connected_users"] for row in trace.rows] == [0, 0, 0, 0]
+        assert all(o.grid_connected[simulator.model.bs_ids].all() for o in seen)
+        assert metrics.series("connected_users").tolist() == [0, 0, 0, 0]
         # The harvest total is Python's left-to-right sum, bit for bit.
-        assert [row["renewable_total_j"] for row in trace.rows] == [
-            sum(o.renewable_j.tolist()) for o in seen
+        assert [v.hex() for v in metrics.series("renewable_total_j").tolist()] == [
+            sum(o.renewable_j.tolist()).hex() for o in seen
         ]
 
     def test_csv_export_roundtrip(self, tmp_path):
-        import csv
-
-        trace = TraceRecorder()
-        SlotSimulator.integral(tiny_scenario(num_slots=4)).run(trace=trace)
-        path = trace.to_csv(tmp_path / "trace.csv")
+        metrics = SlotSimulator.integral(tiny_scenario(num_slots=4)).run().metrics
+        path = metrics.to_csv(tmp_path / "trace.csv")
         with path.open() as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4
         assert float(rows[2]["slot"]) == 2.0
+        for name in COLUMNS:
+            assert [float(row[name]).hex() for row in rows] == [
+                v.hex() for v in metrics.series(name).tolist()
+            ], name
 
     def test_json_export(self, tmp_path):
-        import json
-
-        trace = TraceRecorder()
-        SlotSimulator.integral(tiny_scenario(num_slots=3)).run(trace=trace)
-        path = trace.to_json(tmp_path / "trace.json")
+        metrics = SlotSimulator.integral(tiny_scenario(num_slots=3)).run().metrics
+        path = metrics.to_json(tmp_path / "trace.json")
         data = json.loads(path.read_text())
         assert len(data) == 3
         assert data[0]["slot"] == 0
+        for name in COLUMNS:
+            assert [float(row[name]).hex() for row in data] == [
+                v.hex() for v in metrics.series(name).tolist()
+            ], name
 
 
 class TestStabilityIntegration:
@@ -216,9 +271,8 @@ class TestStabilityIntegration:
 
 class TestTraceFlows:
     def test_flow_columns_populated(self):
-        trace = TraceRecorder()
-        SlotSimulator.integral(tiny_scenario(num_slots=6)).run(trace=trace)
+        metrics = SlotSimulator.integral(tiny_scenario(num_slots=6)).run().metrics
         # Base stations charge from the grid during the fill transient.
-        assert any(row["bs_grid_charge_j"] > 0 for row in trace.rows)
+        assert (metrics.series("bs_grid_charge_j") > 0).any()
         # tiny users are grid-disconnected: their renewables get used.
-        assert any(row["user_renewable_used_j"] > 0 for row in trace.rows)
+        assert (metrics.series("user_renewable_used_j") > 0).any()

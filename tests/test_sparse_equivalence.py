@@ -12,8 +12,8 @@ levels:
   reproduce the oracle's gain matrix exactly;
 * run level: full simulations with the cache and without it (the cutoff
   patched to 0) produce identical per-slot decisions (transmissions,
-  powers, routing rates, admission), identical traces, and identical
-  final queue/battery state, across the scheduler / queue-semantics /
+  powers, routing rates, admission), bit-identical metrics columns, and
+  identical final queue/battery state, across the scheduler / queue-semantics /
   mobility / dynamic-spectrum variants.
 
 Every comparison is exact (``==`` on floats): both views apply the same
@@ -36,14 +36,14 @@ from repro.network.topology import build_topology
 from repro.phy.propagation import ComputedPairGains, DensePairGains
 from repro.sim import SlotSimulator
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceRecorder
+from repro.sim.metrics import COLUMNS
 from repro.types import MobilityKind, Point, QueueSemantics, SchedulerKind
 from tests.helpers import decision_fingerprint
 from tests.topology_reference import assert_link_index_matches, build_topology_dense
 
 
 def _run_capture(params, scheduler_kind, cached=True):
-    """Run a scenario and capture decisions, trace, and final state.
+    """Run a scenario and capture decisions, metrics columns, and final state.
 
     ``cached=False`` patches the cache cutoff to 0 so the topology
     computes every gain from positions.
@@ -54,18 +54,17 @@ def _run_capture(params, scheduler_kind, cached=True):
         sim = SlotSimulator.integral(params, scheduler_kind=scheduler_kind)
     view = sim.model.topology.pair_gains
     assert isinstance(view, DensePairGains if cached else ComputedPairGains)
-    trace = TraceRecorder()
     decisions = [
-        decision_fingerprint(sim.step(slot, trace=trace))
-        for slot in range(params.num_slots)
+        decision_fingerprint(sim.step(slot)) for slot in range(params.num_slots)
     ]
+    columns = {name: sim.metrics.series(name).tobytes() for name in COLUMNS}
     arrays = sim.state.arrays
     final = {
         "q": arrays.q.copy(),
         "g": arrays.g.copy(),
         "battery": arrays.battery_level.copy(),
     }
-    return decisions, trace.rows, final
+    return decisions, columns, final
 
 
 def _assert_identical_runs(params, scheduler_kind):
@@ -73,7 +72,8 @@ def _assert_identical_runs(params, scheduler_kind):
     computed = _run_capture(params, scheduler_kind, cached=False)
     for slot, (c_fp, p_fp) in enumerate(zip(cached[0], computed[0])):
         assert c_fp == p_fp, f"decision diverged at slot {slot}"
-    assert cached[1] == computed[1], "trace rows diverged"
+    for name in COLUMNS:
+        assert cached[1][name] == computed[1][name], f"metrics column {name} diverged"
     for key in cached[2]:
         np.testing.assert_array_equal(
             cached[2][key], computed[2][key], err_msg=f"final {key} diverged"

@@ -3,8 +3,8 @@
 ``ArrayState`` keeps the support of ``G`` (the positions where
 ``G != 0``); the Eq. 28 kernel visits only routed and served links,
 the Eq. 15 kernel only the ``Q`` cells of routed entries and
-admissions, S1's backlog floor and the backlog snapshot read the
-support, S3 gathers the out-links of the nodes that hold data, and
+admissions, S1's backlog floor and the metrics' backlog totals read
+the support, S3 gathers the out-links of the nodes that hold data, and
 curtailment re-sums only the two endpoints of a shed entry.  Each is checked here
 against the dense kernel it replaced (``tests/slot_reference.py``).
 The spectrum access table, now one ``(U, M-1)`` draw, is checked
@@ -30,8 +30,8 @@ from repro.core.arraystate import ArrayState, seq_sum
 from repro.exceptions import QueueError
 from repro.model import build_network_model
 from repro.network.spectrum import build_spectrum_model
-from repro.queueing.backlog import make_snapshot_from_arrays
 from repro.sim import SlotSimulator
+from repro.sim.metrics import backlog_totals
 from repro.state import NetworkState
 from repro.types import QueueSemantics, RenewableKind, SchedulerKind
 from tests import slot_reference
@@ -111,8 +111,8 @@ class TestVirtualQueueSupport:
             arrays.advance_g(link_pos, pkts, service_pos, service_pkts)
             assert _bits(arrays.g) == _bits(dense)
             assert arrays.g_support.tolist() == np.flatnonzero(arrays.g).tolist()
-            snapshot = make_snapshot_from_arrays(0, arrays, num_bs=1)
-            assert float(snapshot.virtual_packets).hex() == float(
+            *_, virtual = backlog_totals(arrays, 1)
+            assert float(virtual).hex() == float(
                 slot_reference.virtual_total(dense)
             ).hex()
 
@@ -123,8 +123,8 @@ class TestVirtualQueueSupport:
         arrays = ArrayState(model, constants)
         g = np.resize(np.array(values), arrays.g.shape[0])
         arrays.assign_g(g)
-        snapshot = make_snapshot_from_arrays(0, arrays, num_bs=1)
-        assert float(snapshot.virtual_packets).hex() == float(
+        *_, virtual = backlog_totals(arrays, 1)
+        assert float(virtual).hex() == float(
             slot_reference.virtual_total(arrays.g)
         ).hex()
 
@@ -137,7 +137,7 @@ class TestVirtualQueueSupport:
         )
     )
     def test_zeros_never_move_a_sum_with_a_nonzero_term(self, values):
-        # The snapshot's argument, on any signs: once a nonzero term is
+        # The backlog totals' argument, on any signs: once a nonzero term is
         # in, a zero of either sign leaves the running sum unchanged.
         x = np.array(values)
         if not x.any():
@@ -150,9 +150,9 @@ class TestVirtualQueueSupport:
         arrays.assign_g(-0.0)
         assert arrays.g_support.size == 0
         assert not np.signbit(arrays.g).any()
-        snapshot = make_snapshot_from_arrays(0, arrays, num_bs=1)
-        assert float(snapshot.virtual_packets).hex() == float(seq_sum(arrays.g)).hex()
-        assert not np.signbit(snapshot.virtual_packets)
+        *_, virtual = backlog_totals(arrays, 1)
+        assert float(virtual).hex() == float(seq_sum(arrays.g)).hex()
+        assert not np.signbit(virtual)
 
     def test_negative_assignment_rejected_unchanged(self):
         model, constants = _model("tiny")
@@ -292,9 +292,9 @@ class TestDataQueueCells:
         arrays = ArrayState(model, constants)
         arrays.q[...] = np.resize(np.array(values), arrays.q.shape)
         arrays.q[arrays.q_invalid] = 0.0
-        snapshot = make_snapshot_from_arrays(0, arrays, num_bs=num_bs)
-        assert float(snapshot.bs_data_packets).hex() == float(seq_sum(arrays.q[:num_bs])).hex()
-        assert float(snapshot.user_data_packets).hex() == float(seq_sum(arrays.q[num_bs:])).hex()
+        bs_data, user_data, *_ = backlog_totals(arrays, num_bs)
+        assert float(bs_data).hex() == float(seq_sum(arrays.q[:num_bs])).hex()
+        assert float(user_data).hex() == float(seq_sum(arrays.q[num_bs:])).hex()
 
     def test_transfer_above_the_backlog_clamps_and_pins_the_destination(self):
         model, constants = _model("tiny")

@@ -58,7 +58,7 @@ class TestTutorialSteps:
             simulator.state.z_values(),
         )
         assert terms.psi1 <= 0
-        simulator.state.apply(decision, slot=0)
+        simulator.state.apply(decision)
 
     def test_step4_theory(self, tutorial_params):
         simulator = SlotSimulator.integral(tutorial_params)

@@ -1,10 +1,9 @@
 """Regression tests for the unit vocabulary and the converter audit.
 
-The units PR routed every inline ``power * slot_seconds`` through
-``constants.watts_over_slot_to_joules`` and introduced the dB helpers
-as the only sanctioned log/linear crossing; these tests pin the
-numerical behaviour of those paths so the rewiring (and any future
-refactor of it) stays value-identical.
+Every inline ``power * slot_seconds`` goes through
+``constants.watts_over_slot_to_joules``; these tests pin the numerical
+behaviour of those paths so the rewiring (and any future refactor of
+it) stays value-identical.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from repro.energy.renewable import (
     UniformRenewableProcess,
 )
 from repro.types import Transmission
-from repro.units import (
-    Joules,
-    Unit,
-    db_to_linear,
-    linear_to_db,
-)
+from repro.units import Joules, Unit
 
 
 def _alias_units():
@@ -55,7 +49,7 @@ class TestVocabulary:
             assert meta == unit
 
     def test_symbols_are_unique_and_indexed(self):
-        assert len(ALIAS_UNITS) == 18
+        assert len(ALIAS_UNITS) == 15
         symbols = [unit.symbol for unit in ALIAS_UNITS.values()]
         assert len(symbols) == len(set(symbols))
 
@@ -65,36 +59,9 @@ class TestVocabulary:
 
     def test_rates_declare_their_period(self):
         assert ALIAS_UNITS["BitsPerSlot"].per == "slot"
-        assert ALIAS_UNITS["PacketsPerSlot"].per == "slot"
         assert ALIAS_UNITS["Kbps"].per == "s"
         assert ALIAS_UNITS["BitsPerSecond"].per == "s"
         assert ALIAS_UNITS["Joules"].per is None
-
-    def test_db_is_a_level_not_a_ratio(self):
-        assert ALIAS_UNITS["Db"].dimension == "level"
-        assert ALIAS_UNITS["Linear"].dimension == "dimensionless"
-
-
-class TestDbHelpers:
-    def test_anchor_points(self):
-        assert db_to_linear(0.0) == 1.0
-        assert db_to_linear(10.0) == pytest.approx(10.0)
-        assert db_to_linear(-10.0) == pytest.approx(0.1)
-        assert db_to_linear(3.0) == pytest.approx(1.9952623, rel=1e-6)
-        assert linear_to_db(1.0) == 0.0
-        assert linear_to_db(100.0) == pytest.approx(20.0)
-
-    def test_round_trip(self):
-        for value_db in (-30.0, -3.0, 0.0, 0.5, 7.0, 40.0):
-            assert linear_to_db(db_to_linear(value_db)) == pytest.approx(value_db)
-        for ratio in (1e-3, 0.25, 1.0, 2.0, 1e4):
-            assert db_to_linear(linear_to_db(ratio)) == pytest.approx(ratio)
-
-    def test_non_positive_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)
-        with pytest.raises(ValueError):
-            linear_to_db(-1.0)
 
 
 class TestConverterPaths:
