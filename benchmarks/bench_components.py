@@ -130,13 +130,15 @@ def test_energy_manager_slot(benchmark, bench_base):
     z = arrays.z_values_array()
     charge_cap = arrays.max_charge_j_array()
     discharge_cap = np.minimum(arrays.discharge_cap_j, arrays.battery_level)
+    dt = bench_base.slot_seconds
+    fixed_j = simulator.model.node_vector(
+        bench_base.bs_node.fixed_energy_j(dt), bench_base.user_node.fixed_energy_j(dt)
+    )
     batch = NodeEnergyBatch.from_inputs([
         NodeEnergyInputs(
             node=node,
             is_base_station=node < bench_base.num_base_stations,
-            demand_j=bench_base.node_params(node).fixed_energy_j(
-                bench_base.slot_seconds
-            ),
+            demand_j=fixed_j[node],
             renewable_j=observation.renewable_j[node],
             grid_connected=observation.grid_connected[node],
             grid_cap_j=arrays.grid_cap_j[node],

@@ -143,17 +143,6 @@ def _numpy_alloc_name(
     return None
 
 
-def _loop_iters(node: ast.stmt) -> Iterator[ast.expr]:
-    if isinstance(node, (ast.For, ast.AsyncFor)):
-        yield node.iter
-    for sub in ast.walk(node):
-        if isinstance(
-            sub, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            for generator in sub.generators:
-                yield generator.iter
-
-
 def check_hot_path(program: Program, roots: Sequence[str] = HOT_ROOTS) -> List[Finding]:
     """Run R040/R041/R042 over the program."""
     findings: List[Finding] = []

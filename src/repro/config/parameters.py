@@ -11,13 +11,12 @@ All values are SI: watts, joules, hertz, seconds, bits, metres.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro import constants
 from repro.types import (
     DestinationStrategy,
     MobilityKind,
-    NodeKind,
     Point,
     QueueSemantics,
     RenewableKind,
@@ -335,31 +334,3 @@ class ScenarioParameters:
     def num_nodes(self) -> int:
         """Total node count ``N = U + B``."""
         return self.num_users + self.num_base_stations
-
-    def node_kind(self, node: int) -> NodeKind:
-        """Kind of node ``node``; base stations occupy the low ids."""
-        if 0 <= node < self.num_base_stations:
-            return NodeKind.BASE_STATION
-        if node < self.num_nodes:
-            return NodeKind.MOBILE_USER
-        raise ValueError(f"node id {node} out of range (N={self.num_nodes})")
-
-    def node_params(self, node: int) -> NodeParameters:
-        """Radio/platform parameters for node ``node``."""
-        if self.node_kind(node) is NodeKind.BASE_STATION:
-            return self.bs_node
-        return self.user_node
-
-    def energy_params(self, node: int) -> EnergyParameters:
-        """Energy-subsystem parameters for node ``node``."""
-        if self.node_kind(node) is NodeKind.BASE_STATION:
-            return self.bs_energy
-        return self.user_energy
-
-    def base_station_ids(self) -> Sequence[int]:
-        """Ids of all base stations (0 .. B-1)."""
-        return range(self.num_base_stations)
-
-    def user_ids(self) -> Sequence[int]:
-        """Ids of all mobile users (B .. N-1)."""
-        return range(self.num_base_stations, self.num_nodes)

@@ -297,7 +297,7 @@ class ContractChecker:
         if not self.enabled:
             return
         bs_set = set(model.bs_ids)
-        k_max = {s.session_id: s.k_max for s in model.sessions}  # noqa: R040 - S-sized dict (S stays O(10)); contracts are a diagnostic layer, off by default
+        k_max = model.k_max_rows
         for session, source in admission.sources.items():
             if source not in bs_set:
                 self._violate(
@@ -307,7 +307,7 @@ class ContractChecker:
                     node=source,
                 )
             admitted = float(admission.admitted.get(session, 0.0))
-            cap = float(k_max.get(session, 0.0))
+            cap = float(k_max[session]) if 0 <= session < k_max.shape[0] else 0.0
             if admitted < -QUEUE_ATOL or admitted > cap + QUEUE_ATOL:
                 self._violate(
                     "Eq. 19",
@@ -343,10 +343,9 @@ class ContractChecker:
             return
         # Entries in ascending link position (emission order on ties).
         order = np.argsort(routing.link_pos, kind="stable")
-        pos, col = routing.link_pos[order], routing.session_col[order]
+        pos, session = routing.link_pos[order], routing.session_col[order]
         rate = routing.pkts[order]
         tx, rx = routing.link_tx[pos], routing.link_rx[pos]
-        session = np.asarray(routing.sessions)[col]
         links = (tx, rx)
         self._violate_rows(
             "Eq. 25",
@@ -359,7 +358,7 @@ class ContractChecker:
         )
         self._violate_rows(
             "Eq. 17",
-            tx == model.destination_rows[col],
+            tx == model.destination_rows[session],
             None,
             lambda i: f"destination of session {session[i]} re-emits packets",
             slot,
@@ -367,7 +366,7 @@ class ContractChecker:
         )
         self._violate_rows(
             "Eq. 16",
-            rx == admission.source_rows[col],
+            rx == admission.source_rows[session],
             None,
             lambda i: f"source of session {session[i]} receives packets",
             slot,
@@ -618,13 +617,13 @@ class ContractChecker:
         for session, source in admission.sources.items():
             single = ((source, admission.admitted[session]),)
             for node, admitted in admission.split.get(session, single):
-                arrivals[node * num_sessions + arrays.session_col[session]] += admitted
+                arrivals[node * num_sessions + session] += admitted
 
         post = arrays.q.ravel()
         expected = np.maximum(pre.q.ravel() - service, 0.0) + arrivals
         valid = arrays.q_valid.ravel()
         node = np.repeat(np.arange(num_nodes), num_sessions)
-        session = np.tile(np.asarray(arrays.sessions), num_nodes)
+        session = np.tile(np.arange(num_sessions), num_nodes)
         self._violate_rows(
             "Eq. 15",
             valid & (post < -QUEUE_ATOL),

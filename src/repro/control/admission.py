@@ -61,19 +61,19 @@ class ResourceAllocator:
         admitted: Dict[SessionId, int] = {}
         # Base stations hold rows 0..B-1, so a row is its node id.
         bs_q = arrays.q[: self._model.params.num_base_stations]
-        source_rows = np.empty(len(arrays.sessions), dtype=np.intp)
+        source_rows = np.empty(bs_q.shape[1], dtype=np.intp)
         for session in self._model.sessions:  # noqa: R040 - S2 is inherently per-session: each iteration is a scalar token-bucket decision with rng draws, not an axis-wide kernel
-            col = arrays.session_col[session.session_id]
-            backlogs = bs_q[:, col]
+            sid = session.session_id  # its Q column
+            backlogs = bs_q[:, sid]
             smallest = backlogs.min()
             tied = np.flatnonzero(backlogs == smallest)
             pick = tied[0] if tied.size == 1 else self._rng.choice(tied)
-            source_rows[col] = pick
-            sources[session.session_id] = int(pick)
+            source_rows[sid] = pick
+            sources[sid] = int(pick)
             if smallest - self._threshold < 0:
-                admitted[session.session_id] = session.k_max
+                admitted[sid] = session.k_max
             else:
-                admitted[session.session_id] = 0
+                admitted[sid] = 0
         decision = AdmissionDecision(
             sources=sources, admitted=admitted, source_rows=source_rows
         )

@@ -71,15 +71,6 @@ class SlotObservation:
             return self.gains
         return model.topology.pair_gains
 
-    def common_bands(
-        self, model: "NetworkModel", tx: NodeId, rx: NodeId
-    ) -> frozenset:
-        """``M_i(t) ∩ M_j(t)``: usable bands on link ``(tx, rx)`` now."""
-        if self.band_access is not None:
-            both = self.band_access[tx] & self.band_access[rx]
-            return frozenset(np.flatnonzero(both).tolist())
-        return model.spectrum.common_bands(tx, rx)
-
     def band_service_pkts(self, model: "NetworkModel") -> BandVec:
         """``(M,)`` packets a successful transmission on each band carries.
 
@@ -287,18 +278,15 @@ class AdmissionDecision:
         default_factory=dict
     )
 
-    def queue_arrivals(
-        self, session_col: Mapping[SessionId, int]
-    ) -> Tuple[NodeIds, AnyArray, AnyArray]:
+    def queue_arrivals(self) -> Tuple[NodeIds, AnyArray, AnyArray]:
         """Eq. 15 admission arrivals as ``(rows, cols, pkts)`` vectors.
 
         One entry per session at its source, or one per split pair
         (possibly none) when the relaxed LP split the admission; in
-        ``sources`` order, with ``session_col`` mapping a session id to
-        its ``Q`` column.
+        ``sources`` order.  A session id is its ``Q`` column.
         """
         entries = [
-            (node, session_col[s], float(k))
+            (node, s, float(k))
             for s, source in self.sources.items()
             for node, k in self.split.get(s, ((source, self.admitted[s]),))
         ]
@@ -319,17 +307,16 @@ class RoutingDecision:
     """S3 output: per-link per-session packet rates ``l_ij^s(t)``.
 
     Entry ``k`` routes ``pkts[k]`` packets of session
-    ``sessions[session_col[k]]`` over link ``link_pos[k]``.
+    ``session_col[k]`` over link ``link_pos[k]``.
     Entries come in emission order and no ``(link, session)`` pair
     repeats.
 
     Attributes:
         link_pos: ``(K,)`` positions in the frozen link index.
-        session_col: ``(K,)`` session columns of ``Q``.
+        session_col: ``(K,)`` session columns of ``Q`` (the session ids).
         pkts: ``(K,)`` routed packets.
         link_tx / link_rx: ``(L,)`` endpoint arrays of the frozen link
             index ``link_pos`` points into (shared, not copied).
-        sessions: session ids in column order.
     """
 
     link_pos: LinkIds
@@ -337,7 +324,6 @@ class RoutingDecision:
     pkts: AnyArray
     link_tx: LinkToNode
     link_rx: LinkToNode
-    sessions: Tuple[SessionId, ...]
 
     @property
     def rates(self) -> Mapping[Tuple[NodeId, NodeId, SessionId], float]:
@@ -346,10 +332,9 @@ class RoutingDecision:
         Built on demand for export, drift diagnostics, contracts and
         fingerprints; keys are Python ints and values Python floats.
         """
-        sessions = self.sessions
         return MappingProxyType(
             {
-                (tx, rx, sessions[col]): pkts
+                (tx, rx, col): pkts
                 for tx, rx, col, pkts in zip(
                     self.link_tx[self.link_pos].tolist(),
                     self.link_rx[self.link_pos].tolist(),

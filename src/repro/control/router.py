@@ -161,7 +161,7 @@ class BackpressureRouter:
             demand = session.demand(observation.slot)
             if demand <= 0:
                 continue
-            col = arrays.session_col[session.session_id]
+            col = session.session_id  # its Q column
             # Constraint (16): the source has no incoming traffic —
             # irrelevant here since dest != source for a live session.
             pos = topo.in_links[topo.in_start[dest] : topo.in_start[dest + 1]]
@@ -193,7 +193,6 @@ class BackpressureRouter:
             pkts=np.concatenate((forced_pkts, rest_pkts)),
             link_tx=arrays.link_tx,
             link_rx=arrays.link_rx,
-            sessions=arrays.sessions,
         )
         if self._checker is not None and self._checker.enabled:
             self._checker.check_routing(

@@ -49,22 +49,56 @@ from repro.axes import (
 )
 from repro.contracts import ContractChecker
 from repro.control.decisions import ScheduleDecision, SlotObservation, appearance_groups
+from repro.core.arraystate import seq_sum
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
-from repro.phy.interference import big_m_coefficient
 from repro.phy.power_control import (
     # Not called here; benchmarks/suite/spans.py wraps it on this module.
     minimal_power_assignment,
     minimal_power_assignment_vec,
 )
+from repro.phy.propagation import PairGains
 from repro.exceptions import SolverError
 from repro.solvers.linprog import LinearProgram
 from repro.solvers.sequential_fix import sequential_fix
-from repro.types import LinkBand, SchedulerKind
+from repro.types import LinkBand, NodeId, SchedulerKind
+from repro.units import Linear, Watts
 
 #: Ignore links whose virtual backlog is below this (the paper's SF
 #: pre-step fixes ``a_ij^m = 0`` whenever ``H_ij = 0``).
 _H_EPS = 1e-12
+
+
+def big_m_coefficient(
+    gains: PairGains,
+    tx: NodeId,
+    rx: NodeId,
+    noise_power_w: Watts,
+    sinr_threshold: Linear,
+    max_power_w: NodeVec,
+) -> Watts:
+    """The constant ``M_ij^m`` of Eq. (24).
+
+    The linearised SINR constraint is
+
+        g_ij P_ij^m a_ij^m + M_ij^m (1 - a_ij^m)
+            >= Gamma (eta_j W_m + sum_{k!=i} g_kj P_kv^m a_kv^m),
+
+    and ``M_ij^m = Gamma (eta_j W_m + sum_{k!=i} g_kj P_max^k)`` is its
+    worst-case right-hand side — every other node transmitting at its
+    ``(N,)`` cap ``max_power_w`` — so that a de-scheduled link
+    (``a_ij^m = 0``) imposes no restriction.  The interference sum runs
+    as one vectorized pass over the gain column; :func:`seq_sum` keeps
+    the accumulation order of a per-node loop, so the constant is
+    bit-identical to it.
+    """
+    column = gains.column(rx)
+    contributions = column * max_power_w
+    mask = np.ones(column.shape[0], dtype=bool)
+    mask[tx] = False
+    mask[rx] = False
+    worst_interference = seq_sum(contributions[mask])
+    return sinr_threshold * (noise_power_w + worst_interference)
 
 
 class _SchedulerStatic(NamedTuple):

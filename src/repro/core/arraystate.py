@@ -7,13 +7,13 @@ quantities in per-key Python objects makes the loop interpreter-bound,
 so this module packs them into dense numpy arrays over *frozen* indices:
 
 * nodes: row ``i`` is node id ``i`` (node ids are dense ``0..N-1``),
-* sessions: column ``c`` is ``sessions[c].session_id`` in
-  ``model.sessions`` order,
+* sessions: column ``s`` is session id ``s`` (session ids are dense
+  ``0..S-1``),
 * links: position ``p`` is link ``(link_tx[p], link_rx[p])`` of the
   topology's frozen link index.
 
-These positions are the only keys: there is no ``(tx, rx)`` or
-``(node, session)`` lookup table beside the arrays.
+These positions are the only keys: there is no ``(tx, rx)``,
+``(node, session)`` or session-id lookup table beside the arrays.
 
 ``ArrayState`` is the whole energy layer of Section II-D as ``(N,)``
 vectors: the battery law (Eq. 4), charge-xor-discharge (Eqs. 7-9), the
@@ -45,7 +45,7 @@ reproducible bit for bit; the committed trajectory fingerprints in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from repro.axes import (
 )
 from repro.constants import FEASIBILITY_EPS
 from repro.exceptions import EnergyError, QueueError
-from repro.types import QueueSemantics, SessionId
+from repro.types import QueueSemantics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.core.lyapunov import LyapunovConstants
@@ -96,8 +96,6 @@ class ArrayState:
     """Dense per-slot state: ``Q``, ``G``, battery levels, caps, ``z`` shift, grid.
 
     Attributes:
-        sessions: session ids in column order.
-        session_col: session id -> column.
         link_tx / link_rx: ``(L,)`` endpoint arrays of the frozen
             link index (the topology's, shared, not copied).
         q: ``(N, S)`` data backlogs in packets; destination cells are
@@ -160,24 +158,18 @@ class ArrayState:
         """
         params = model.params
         num_nodes = model.num_nodes
-        sessions = tuple(s.session_id for s in model.sessions)
-        destinations = model.session_destinations()
+        destinations = model.destination_rows
+        num_sessions = destinations.shape[0]
 
         self.num_nodes = num_nodes
         self.queue_semantics = params.queue_semantics
-        self.sessions = sessions
-        self.session_col: Dict[SessionId, int] = {
-            sid: col for col, sid in enumerate(sessions)
-        }
-        self.destinations = destinations
         self.link_tx = model.topology.link_tx
         self.link_rx = model.topology.link_rx
 
-        self.q = np.zeros((num_nodes, len(sessions)))  # noqa: R041 - (N, S) data backlog is the paper's state itself, not an all-pairs matrix; S stays O(10) while N scales
-        valid = np.ones((num_nodes, len(sessions)), dtype=bool)  # noqa: R041 - (N, S) mask over the data backlog, same shape argument as q above
-        for sid, dest in destinations.items():
-            if 0 <= dest < num_nodes:
-                valid[dest, self.session_col[sid]] = False
+        self.q = np.zeros((num_nodes, num_sessions))  # noqa: R041 - (N, S) data backlog is the paper's state itself, not an all-pairs matrix; S stays O(10) while N scales
+        valid = np.ones((num_nodes, num_sessions), dtype=bool)  # noqa: R041 - (N, S) mask over the data backlog, same shape argument as q above
+        inside = (destinations >= 0) & (destinations < num_nodes)
+        valid[destinations[inside], np.flatnonzero(inside)] = False
         self.q_valid = valid
         self.q_invalid = ~valid
 
@@ -265,7 +257,7 @@ class ArrayState:
             k = int(np.argmax(arrival_pkts < 0))
             raise QueueError(
                 f"negative admission {arrival_pkts[k]} for session "
-                f"{self.sessions[arrival_cols[k]]} at node {arrival_rows[k]}"
+                f"{arrival_cols[k]} at node {arrival_rows[k]}"
             )
         service = np.zeros(cells.size)
         arrivals = np.zeros(cells.size)
@@ -279,7 +271,7 @@ class ArrayState:
             negative = ((service < 0.0) | (arrivals < 0.0)) & valid
             if np.any(negative):
                 k = int(np.argmax(negative))
-                where = f"Q[{int(rows[k])}][{self.sessions[cols[k]]}]"
+                where = f"Q[{int(rows[k])}][{int(cols[k])}]"
                 if service[k] < 0:
                     raise QueueError(f"negative service {service[k]} at {where}")
                 raise QueueError(f"negative arrivals {arrivals[k]} at {where}")

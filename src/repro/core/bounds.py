@@ -156,8 +156,8 @@ class RelaxedLpController:
         self._max_power = model.max_power_w
         self._bs = np.asarray(model.bs_ids, dtype=np.intp)
         sessions = model.sessions
-        self._dest = np.array([s.destination for s in sessions], dtype=np.intp)
-        self._k_max = np.array([float(s.k_max) for s in sessions])
+        self._dest = model.destination_rows
+        self._k_max = model.k_max_rows
         # v_s(t) depends on t only through t mod the session's period,
         # so one period of each profile is tabulated here.
         self._periods = np.array([s.period_slots for s in sessions], dtype=np.intp)
@@ -436,7 +436,6 @@ class RelaxedLpController:
             pkts=flows[routed],
             link_tx=arrays.link_tx,
             link_rx=arrays.link_rx,
-            sessions=arrays.sessions,
         )
 
         # Per-session admissions split across base stations; the source
@@ -457,7 +456,7 @@ class RelaxedLpController:
             dtype=object,
             count=rows.shape[0],
         )
-        sessions = arrays.sessions
+        sessions = range(source_rows.shape[0])  # session ids are Q columns
         admission = AdmissionDecision(
             sources=dict(zip(sessions, source_rows.tolist())),
             admitted=dict(zip(sessions, admitted.tolist())),

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.axes import AnyArray, LinkBandMat, NodeBandMat, NodeVec, SessionToNode
+from repro.axes import AnyArray, LinkBandMat, NodeBandMat, NodeVec, SessionToNode, SessionVec
 from repro.config import ScenarioParameters, validate_parameters
 from repro.energy.cost import QuadraticCost, TimeOfUseCost
 from repro.network.geometry import node_positions
@@ -93,13 +93,13 @@ class NetworkModel:
 
     @property
     def bs_ids(self) -> Tuple[NodeId, ...]:
-        """Base-station ids."""
-        return tuple(self.params.base_station_ids())
+        """Base-station ids: rows ``0..B-1``."""
+        return tuple(range(self.params.num_base_stations))
 
     @property
     def user_ids(self) -> Tuple[NodeId, ...]:
-        """Mobile-user ids."""
-        return tuple(self.params.user_ids())
+        """Mobile-user ids: rows ``B..N-1``."""
+        return tuple(range(self.params.num_base_stations, self.num_nodes))
 
     @property
     def band_access(self) -> NodeBandMat:
@@ -123,13 +123,25 @@ class NetworkModel:
 
     @cached_property
     def destination_rows(self) -> SessionToNode:
-        """``(S,)`` destination node per session, in ``Q`` column order.
+        """``(S,)`` destination node per session; session ``s`` is ``Q`` column ``s``.
 
         Cold path: built once; roles never change mid-run.
         """
         return np.fromiter(
             (s.destination for s in self.sessions),
             dtype=np.intp,
+            count=len(self.sessions),
+        )
+
+    @cached_property
+    def k_max_rows(self) -> SessionVec:
+        """``(S,)`` admission caps ``K_max`` per session (packets), as floats.
+
+        Cold path: built once, like :attr:`destination_rows`.
+        """
+        return np.fromiter(
+            (float(s.k_max) for s in self.sessions),
+            dtype=float,
             count=len(self.sessions),
         )
 
@@ -144,10 +156,6 @@ class NetworkModel:
     def noise_power_w(self, bandwidth_hz: float) -> float:
         """Thermal-noise power ``eta * W`` for a band realisation."""
         return self.params.noise_density_w_per_hz * bandwidth_hz
-
-    def session_destinations(self) -> Dict[int, NodeId]:
-        """Session id -> destination node id."""
-        return {s.session_id: s.destination for s in self.sessions}  # noqa: R040 - S-sized dict (S stays O(10)); the engine builds it once at construction and caches it
 
 
 def build_network_model(

@@ -19,20 +19,28 @@ straight-line per-slot steps, then repeats.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.constants import approx_zero
-from repro.types import NodeId, Point
+from repro.axes import AnyArray
+from repro.constants import FEASIBILITY_EPS
 
 
 class RandomWaypointMobility:
     """Random-waypoint motion for users; base stations stay fixed.
 
+    Nodes are rows: the first ``num_fixed`` rows (the base stations)
+    never move, and row ``num_fixed + u`` walks leg ``u`` of the
+    ``(U, 2)`` waypoints and ``(U,)`` speeds.  Each slot is one
+    vectorized step; the users that reach their waypoint draw their
+    next legs as one ``(k, 3)`` block of ``(x, y, speed)`` rows in row
+    order, the doubles (and generator state) of one ``x, y, speed``
+    draw per arriving user in turn.
+
     Args:
-        initial: starting positions of all nodes.
-        mobile: ids of the nodes that move (users).
+        initial: ``(N, 2)`` starting positions of all nodes (copied).
+        num_fixed: leading rows that stay put (the base stations).
         area_side_m: the square deployment area.
         speed_range_mps: uniform speed draw per leg (m/s).
         slot_seconds: slot duration (step length = speed * slot).
@@ -41,8 +49,8 @@ class RandomWaypointMobility:
 
     def __init__(
         self,
-        initial: Sequence[Point],
-        mobile: Sequence[NodeId],
+        initial: AnyArray,
+        num_fixed: int,
         area_side_m: float,
         speed_range_mps: Tuple[float, float],
         slot_seconds: float,
@@ -53,46 +61,55 @@ class RandomWaypointMobility:
             raise ValueError(f"bad speed range {speed_range_mps!r}")
         if area_side_m <= 0:
             raise ValueError(f"area must be positive, got {area_side_m}")
-        self._positions = list(initial)
-        self._mobile = list(mobile)
-        self._area = area_side_m
-        self._speeds = speed_range_mps
+        self._positions = np.array(initial, dtype=float)
+        self._positions.flags.writeable = False
+        self._first = num_fixed
+        self._leg_low = np.array([0.0, 0.0, low])
+        self._leg_high = np.array([area_side_m, area_side_m, high])
         self._slot_seconds = slot_seconds
         self._rng = rng
         self._last_slot = -1
-        #: Per-mobile-node (waypoint, speed) legs.
-        self._legs: Dict[NodeId, Tuple[Point, float]] = {}
-        for node in self._mobile:
-            self._legs[node] = self._new_leg()
+        legs = self._new_legs(self._positions.shape[0] - num_fixed)
+        self._waypoints = legs[:, :2]
+        self._speeds = legs[:, 2].copy()
 
-    def _new_leg(self) -> Tuple[Point, float]:
-        waypoint = Point(
-            float(self._rng.uniform(0.0, self._area)),
-            float(self._rng.uniform(0.0, self._area)),
-        )
-        speed = float(self._rng.uniform(*self._speeds))
-        return waypoint, speed
+    def _new_legs(self, count: int) -> AnyArray:
+        """``(count, 3)`` fresh ``(x, y, speed)`` legs, drawn row by row."""
+        return self._rng.uniform(self._leg_low, self._leg_high, size=(count, 3))
 
-    def _step_node(self, node: NodeId) -> None:
-        waypoint, speed = self._legs[node]
-        position = self._positions[node]
-        step = speed * self._slot_seconds
-        distance = position.distance_to(waypoint)
-        if distance <= step or approx_zero(distance):
-            self._positions[node] = waypoint
-            self._legs[node] = self._new_leg()
-            return
-        fraction = step / distance
-        self._positions[node] = Point(
-            position.x + fraction * (waypoint.x - position.x),
-            position.y + fraction * (waypoint.y - position.y),
-        )
+    def _step(self) -> None:
+        """Move every user one slot towards its waypoint.
 
-    def positions_at(self, slot: int) -> List[Point]:
-        """Positions of all nodes at the start of ``slot``.
+        A user within one step of its waypoint (or on it) lands there
+        and draws a new leg; any other moves ``step / distance`` of the
+        way, with the distance ``(dx*dx + dy*dy) ** 0.5`` of
+        :meth:`~repro.types.Point.distance_to`.
+        """
+        moved = self._positions.copy()
+        users = moved[self._first :]
+        waypoints = self._waypoints
+        gap = waypoints - users
+        dx, dy = gap[:, 0], gap[:, 1]
+        distance = np.float_power(dx * dx + dy * dy, 0.5)
+        step = self._speeds * self._slot_seconds
+        arrived = (distance <= step) | (distance <= FEASIBILITY_EPS)
+        fraction = np.divide(step, distance, out=np.zeros_like(step), where=~arrived)
+        users += fraction[:, None] * gap
+        users[arrived] = waypoints[arrived]
+        count = int(np.count_nonzero(arrived))
+        if count:
+            legs = self._new_legs(count)
+            waypoints[arrived] = legs[:, :2]
+            self._speeds[arrived] = legs[:, 2]
+        moved.flags.writeable = False
+        self._positions = moved
+
+    def positions_at(self, slot: int) -> AnyArray:
+        """Read-only ``(N, 2)`` positions of all nodes at the start of ``slot``.
 
         Must be called with non-decreasing slots; calling twice with
-        the same slot returns identical positions.
+        the same slot returns the same array.  Each slot's array is new,
+        so a view over one slot never moves when a later slot steps.
         """
         if slot < self._last_slot:
             raise ValueError(
@@ -101,8 +118,6 @@ class RandomWaypointMobility:
             )
         while self._last_slot < slot:
             self._last_slot += 1
-            if self._last_slot == 0:
-                continue  # slot 0 uses the initial placement
-            for node in self._mobile:
-                self._step_node(node)
-        return list(self._positions)
+            if self._last_slot > 0:  # slot 0 uses the initial placement
+                self._step()
+        return self._positions

@@ -106,7 +106,7 @@ def build_sessions(
             strategy without node positions.
     """
     num_sessions = params.sessions.num_sessions
-    users = list(params.user_ids())
+    users = list(range(params.num_base_stations, params.num_nodes))
     if num_sessions > len(users):
         raise ConfigurationError(
             f"cannot pick {num_sessions} distinct destinations from "

@@ -10,7 +10,7 @@ random (static) subset of them, while base stations access all bands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -71,12 +71,23 @@ class MarkovBandAvailability:
     probability ``persistence`` the state survives a slot, otherwise
     it resamples to "on" with probability ``on_prob``.  Base stations
     and the cellular band are never blocked.
+
+    The chains are one ``(U, M-1)`` bool table: row ``u`` is node
+    ``first_user + u``, column ``b`` is band ``1 + b``.
+
+    Args:
+        first_user: node row of the first user (users hold the rows
+            ``first_user .. first_user + num_users - 1``).
+        num_users: user count ``U``.
+        num_bands: band count ``M``, the cellular band 0 included.
+        rng: generator for the initial states and the transitions.
     """
 
     def __init__(
         self,
-        users: Iterable[NodeId],
-        random_bands: Iterable[BandId],
+        first_user: NodeId,
+        num_users: int,
+        num_bands: int,
         rng: np.random.Generator,
         on_prob: float = 0.7,
         persistence: float = 0.9,
@@ -87,45 +98,41 @@ class MarkovBandAvailability:
             raise SpectrumError(
                 f"persistence must be in [0, 1], got {persistence}"
             )
-        self._users = list(users)
-        self._bands = list(random_bands)
+        self._users = slice(first_user, first_user + num_users)
         self._rng = rng
         self._on_prob = on_prob
         self._persistence = persistence
-        self._state: Dict[Tuple[NodeId, BandId], bool] = {
-            (user, band): bool(rng.random() < on_prob)
-            for user in self._users
-            for band in self._bands
-        }
+        # One draw per chain in C order: user by user, band by band.
+        self._on = rng.random((num_users, num_bands - 1)) < on_prob
         self._last_slot = 0
 
     def advance_to(self, slot: int) -> None:
-        """Step every chain forward to ``slot`` (monotone slots only)."""
+        """Step every chain forward to ``slot`` (monotone slots only).
+
+        The chains step one by one in C order: each draws once, and
+        again only if it resamples, so the draw count depends on each
+        chain's own outcome.
+        """
         if slot < self._last_slot:
             raise SpectrumError(
                 f"availability cannot rewind: slot {slot} after {self._last_slot}"
             )
+        chains = self._on.reshape(-1)
         while self._last_slot < slot:
             self._last_slot += 1
-            for key in self._state:
+            for k in range(chains.shape[0]):
                 if self._rng.random() >= self._persistence:
-                    self._state[key] = bool(self._rng.random() < self._on_prob)
+                    chains[k] = self._rng.random() < self._on_prob
 
-    def blocked(self, user: NodeId, band: BandId) -> bool:
-        """True when the primary user currently occupies the band."""
-        return not self._state.get((user, band), True)
-
-    def mask(self, access: np.ndarray) -> np.ndarray:
+    def mask(self, access: NodeBandMat) -> NodeBandMat:
         """Apply the current blocks to an ``(N, M)`` access table.
 
-        Returns a copy with every blocked ``(user, band)`` cell cleared;
-        untracked nodes and bands keep their row.
+        Returns a copy whose user rows and random-band columns are
+        ANDed with the chains; base-station rows and the cellular band
+        keep their cells.
         """
         out = access.copy()
-        blocked = [key for key, on in self._state.items() if not on]
-        if blocked:
-            users, bands = zip(*blocked)
-            out[list(users), list(bands)] = False
+        out[self._users, 1:] &= self._on
         return out
 
 
@@ -167,19 +174,6 @@ class SpectrumModel:
         Shared, not copied: readers must not write to it.
         """
         return self._access
-
-    def _row(self, node: NodeId) -> NodeBandMat:
-        if not 0 <= node < self._access.shape[0]:
-            raise SpectrumError(f"node {node} has no spectrum access set")
-        return self._access[node]
-
-    def accessible_bands(self, node: NodeId) -> FrozenSet[BandId]:
-        """``M_i``: bands node ``node`` may use (row ``node`` of the table)."""
-        return frozenset(np.flatnonzero(self._row(node)).tolist())
-
-    def common_bands(self, tx: NodeId, rx: NodeId) -> FrozenSet[BandId]:
-        """``M_i ∩ M_j``: bands usable on link ``(tx, rx)``."""
-        return frozenset(np.flatnonzero(self._row(tx) & self._row(rx)).tolist())
 
     def max_bandwidth_hz(self) -> float:
         """The largest bandwidth any band can realise (for ``beta``)."""

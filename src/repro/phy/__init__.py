@@ -8,7 +8,6 @@ from repro.phy.power_control import (
     minimal_power_assignment,
     minimal_power_assignment_vec,
 )
-from repro.phy.interference import big_m_coefficient
 
 __all__ = [
     "gain_matrix",
@@ -20,5 +19,4 @@ __all__ = [
     "PowerControlResult",
     "minimal_power_assignment",
     "minimal_power_assignment_vec",
-    "big_m_coefficient",
 ]

@@ -88,7 +88,7 @@ class SlotSimulator:
         self.metrics = MetricsCollector(
             params.admission_lambda,
             num_bs=params.num_base_stations,
-            sessions=self.state.arrays.sessions,
+            num_sessions=len(self.model.sessions),
         )
 
     # -- constructors ------------------------------------------------------
@@ -160,7 +160,7 @@ class SlotSimulator:
         arrays = self.state.arrays
         cols = routing.session_col
         hit = arrays.link_rx[routing.link_pos] == self.model.destination_rows[cols]
-        delivered = np.zeros(len(arrays.sessions))
+        delivered = np.zeros(arrays.q.shape[1])
         np.add.at(delivered, cols[hit], self.state.last_transfer_pkts[hit])
         return delivered
 

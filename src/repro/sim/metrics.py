@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -136,17 +136,15 @@ class MetricsCollector:
     """The per-slot record of a run and its time averages."""
 
     def __init__(
-        self, admission_lambda: float, num_bs: int = 0, sessions: Sequence[int] = ()
+        self, admission_lambda: float, num_bs: int = 0, num_sessions: int = 0
     ) -> None:
         self._lambda = admission_lambda
         # Base stations hold rows 0..B-1, users the rest.
         self._num_bs = num_bs
         self._bs_rows = slice(0, num_bs)
         self._user_rows = slice(num_bs, None)
-        #: Session ids, in the order of :attr:`session_delivered`.
-        self.sessions = tuple(sessions)
-        #: ``(S,)`` cumulative delivered packets per session.
-        self.session_delivered = np.zeros(len(self.sessions))
+        #: ``(S,)`` cumulative delivered packets per session (row = session id).
+        self.session_delivered = np.zeros(num_sessions)
         # One row per column; the slots fill the first _num_slots columns.
         self._table = np.empty((len(COLUMNS), 64))
         self._num_slots = 0
@@ -169,7 +167,7 @@ class MetricsCollector:
             arrays: the state after the slot's update.
             deficit_j: ``(N,)`` demand the decision shed (J).
             delivered: ``(S,)`` packets that reached each session's
-                destination, in :attr:`sessions` order.
+                destination, row = session id.
         """
         self.session_delivered += delivered
         energy = decision.energy

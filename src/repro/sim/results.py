@@ -69,11 +69,11 @@ class SimulationResult:
             demand_per_slot: mean demand per session (packets/slot);
                 the simulator's ``model.sessions`` carries it.
         """
-        recorded = dict(zip(self.metrics.sessions, self.metrics.session_delivered.tolist()))
+        recorded = self.metrics.session_delivered.tolist()
         out: Dict[int, float] = {}
         for sid, demand in demand_per_slot.items():
             total_demand = demand * self.num_slots
-            delivered = recorded.get(sid, 0.0)
+            delivered = recorded[sid] if 0 <= sid < len(recorded) else 0.0
             out[sid] = delivered / total_demand if total_demand > 0 else 1.0
         return out
 

@@ -12,11 +12,12 @@ The state is *array-backed*: every hot per-slot quantity lives in the
 levels, caps, grid caps and connection probabilities as ``(N,)``) and
 the per-slot updates run as its vectorized kernels (Eqs. 4, 15 and 28).
 There is no per-node object: a node's renewable process and grid stream
-exist only if they draw.  The read accessors (``h_backlogs``,
-``z_values``, ``battery_levels``) return ``(L,)``/``(N,)`` arrays over
-the frozen link and node indices (``H`` as a read-only view of the
-buffer the ``G`` writes keep, the others fresh), and each observation
-carries its renewable harvest and grid connection as ``(N,)`` arrays.
+exist only if they draw.  The controller reads the
+``ArrayState`` buffers by row and position (``arrays.q``,
+``arrays.battery_level``, ``arrays.z_values_array()``) and ``H``
+through ``h_backlogs``, a read-only view of the buffer the ``G`` writes
+keep; each observation carries its renewable harvest and grid
+connection as ``(N,)`` arrays.
 Behaviour is pinned by the committed trajectory fingerprints in
 ``tests/golden/trajectories.json``.
 """
@@ -27,7 +28,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.axes import AnyArray, LinkPackets, NodeJoules, NodeVec
+from repro.axes import AnyArray, LinkPackets, NodeVec
 from repro.control.decisions import SlotDecision, SlotObservation
 from repro.core.arraystate import ArrayState
 from repro.core.lyapunov import LyapunovConstants
@@ -42,7 +43,7 @@ from repro.model import NetworkModel
 from repro.network.mobility import RandomWaypointMobility
 from repro.phy.propagation import ComputedPairGains
 from repro.sim.rng import spawn_child
-from repro.types import MobilityKind, NodeId, Point, RenewableKind, SessionId
+from repro.types import MobilityKind, NodeId, RenewableKind
 
 #: Doubles in one block of renewable draws: at most 1 MiB, whatever N.
 _BLOCK_DOUBLES = 2**17
@@ -90,8 +91,9 @@ class NetworkState:
             from repro.network.spectrum import MarkovBandAvailability
 
             self.availability = MarkovBandAvailability(
-                users=model.user_ids,
-                random_bands=range(1, model.spectrum.num_bands),
+                first_user=params.num_base_stations,
+                num_users=params.num_users,
+                num_bands=model.spectrum.num_bands,
                 rng=spawn_child(rng, next_child),
                 on_prob=params.spectrum.availability_on_prob,
                 persistence=params.spectrum.availability_persistence,
@@ -104,8 +106,8 @@ class NetworkState:
         self.mobility: Optional[RandomWaypointMobility] = None
         if params.mobility is MobilityKind.RANDOM_WAYPOINT:
             self.mobility = RandomWaypointMobility(
-                initial=[Point(x, y) for x, y in model.positions.tolist()],
-                mobile=list(model.user_ids),
+                initial=model.positions,
+                num_fixed=params.num_base_stations,
                 area_side_m=params.area_side_m,
                 speed_range_mps=params.user_speed_range_mps,
                 slot_seconds=params.slot_seconds,
@@ -194,17 +196,17 @@ class NetworkState:
     def _current_gains(self, slot: int) -> Optional[ComputedPairGains]:
         """The slot's pair-gain view under mobility; None when static.
 
-        The view holds only the slot's ``(N, 2)`` positions and computes
-        each queried gain on demand, bit-identical to the all-pairs
-        matrix entry, so no per-slot work is quadratic in ``N``.
+        The view holds the slot's ``(N, 2)`` position array, which the
+        mobility model never writes again, and computes each queried
+        gain on demand, bit-identical to the all-pairs matrix entry, so
+        no per-slot work is quadratic in ``N``.
         """
         if self.mobility is None:
             return None
         if slot != self._gains_cache_slot:
             params = self.model.params
-            positions = self.mobility.positions_at(slot)
             self._gains_cache = ComputedPairGains(
-                np.array([(p.x, p.y) for p in positions], dtype=float),
+                self.mobility.positions_at(slot),
                 params.propagation_constant,
                 params.path_loss_exponent,
             )
@@ -283,11 +285,6 @@ class NetworkState:
     # Read accessors for the controller
     # ------------------------------------------------------------------
 
-    def backlog(self, node: NodeId, session: SessionId) -> float:
-        """``Q_i^s(t)``; a session's destination reads a permanent 0."""
-        arrays = self.arrays
-        return float(arrays.q[node, arrays.session_col[session]])
-
     def h_backlogs(self) -> LinkPackets:
         """``(L,)`` ``H_ij(t) = beta * G_ij(t)`` (Eq. 30) by link position.
 
@@ -296,14 +293,6 @@ class NetworkState:
         next :meth:`apply` moves it.  Copy it to keep the slot's values.
         """
         return self.arrays.h_view
-
-    def z_values(self) -> NodeJoules:
-        """``(N,)`` ``z_i(t)`` by node id (frozen at read time)."""
-        return self.arrays.z_values_array()
-
-    def battery_levels(self) -> NodeJoules:
-        """``(N,)`` ``x_i(t)`` by node id (frozen at read time)."""
-        return self.arrays.battery_level.copy()
 
     # ------------------------------------------------------------------
     # Slot advance
@@ -332,7 +321,7 @@ class NetworkState:
             routing.link_pos,
             routing.session_col,
             routing.pkts,
-            *decision.admission.queue_arrivals(arrays.session_col),
+            *decision.admission.queue_arrivals(),
         )
 
         # Virtual queues (Eqs. 28/30): arrivals are routed packets,

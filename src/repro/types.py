@@ -29,13 +29,6 @@ Link = Tuple[NodeId, NodeId]
 LinkBand = Tuple[NodeId, NodeId, BandId]
 
 
-class NodeKind(enum.Enum):
-    """The two node roles in the paper's system model."""
-
-    BASE_STATION = "base_station"
-    MOBILE_USER = "mobile_user"
-
-
 class QueueSemantics(enum.Enum):
     """How packet transfers are accounted in the data-queue law.
 

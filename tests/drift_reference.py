@@ -43,7 +43,7 @@ def compute_drift_terms(model, constants, decision, q, h_backlogs, z_values):
         admitted = decision.admission.admitted[session_id]
         psi2 += (backlog(source, session_id) - threshold) * admitted
 
-    destinations = model.session_destinations()
+    destinations = {s.session_id: s.destination for s in model.sessions}
     psi3 = 0.0
     for (tx, rx, session_id), rate in decision.routing.rates.items():
         q_tx = backlog(tx, session_id)

@@ -16,15 +16,14 @@ array kernel :func:`~repro.sim.metrics.backlog_totals` must reproduce
 exactly.  ``one_battery`` builds a one-node
 :class:`~repro.core.arraystate.ArrayState` around a single battery, and
 ``battery_law_oracle`` is the scalar Eq. 4 chain its kernel must
-reproduce bit for bit.  ``dense_gain_oracle`` is the all-pairs
-``(N, N)`` gain matrix of a placement, which every pair-gain view must
 reproduce bit for bit.  ``link_position`` finds a ``(tx, rx)`` link's
 position in the frozen link index (``link_tuples``, ``out_neighbors``
 and ``in_neighbors`` read the index back as tuples), and ``link_view``
 lays a
 ``{link: value}`` dict out as the ``(L,)`` array over that index that
 the scheduler and router take; ``queue_dict`` reads the valid cells of
-``Q`` back as a ``{(node, session): backlog}`` dict.
+``Q`` back as a ``{(node, session): backlog}`` dict, and
+``common_bands`` reads a link's usable bands off the band table.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.model import NetworkModel
 from repro.sim import SlotSimulator
 from repro.sim.metrics import BACKLOG_COLUMNS, COLUMNS, FLOW_FIELDS
 from repro.types import QueueSemantics
-from tests.topology_reference import all_pairs_gains
 
 
 def decision_fingerprint(decision):
@@ -101,13 +99,27 @@ def link_view(model, values):
     return array
 
 
+def common_bands(observation, model, tx, rx):
+    """``M_i(t) ∩ M_j(t)`` in ascending band order, read off the band table.
+
+    The slot's table under dynamic availability, else the static one.
+    """
+    table = observation.band_access
+    if table is None:
+        table = model.spectrum.band_access
+    return np.flatnonzero(table[tx] & table[rx]).tolist()
+
+
 def queue_dict(arrays):
-    """The valid ``(node, session)`` cells of ``arrays.q``, node-major."""
+    """The valid ``(node, session)`` cells of ``arrays.q``, node-major.
+
+    Session ``sid`` is column ``sid``.
+    """
     return {
-        (row, sid): float(arrays.q[row, col])
+        (row, sid): float(arrays.q[row, sid])
         for row in range(arrays.num_nodes)
-        for col, sid in enumerate(arrays.sessions)
-        if arrays.q_valid[row, col]
+        for sid in range(arrays.q.shape[1])
+        if arrays.q_valid[row, sid]
     }
 
 
@@ -120,10 +132,10 @@ def queue_step(arrays, rates=None, admissions=()):
     rates = rates or {}
     return arrays.advance_q(
         np.array([link_position(arrays, *key[:2]) for key in rates], dtype=np.intp),
-        np.array([arrays.session_col[key[2]] for key in rates], dtype=np.intp),
+        np.array([key[2] for key in rates], dtype=np.intp),
         np.array(list(rates.values()), dtype=float),
         np.array([node for node, _, _ in admissions], dtype=np.intp),
-        np.array([arrays.session_col[s] for _, s, _ in admissions], dtype=np.intp),
+        np.array([s for _, s, _ in admissions], dtype=np.intp),
         np.array([k for _, _, k in admissions], dtype=float),
     )
 
@@ -198,8 +210,7 @@ def one_battery(
             user_energy=energy,
         ),
         num_nodes=1,
-        sessions=(),
-        session_destinations=dict,
+        destination_rows=np.zeros(0, dtype=np.intp),
         topology=SimpleNamespace(link_tx=no_links, link_rx=no_links),
     )
     model.node_vector = functools.partial(NetworkModel.node_vector, model)
@@ -233,16 +244,6 @@ def backlog_totals_oracle(data_backlogs, battery_levels, virtual_backlogs, bs_id
         sum(v for node, v in battery_levels.items() if node not in bs_set),
         sum(virtual_backlogs.values()),
     )
-
-
-def dense_gain_oracle(positions, constant, exponent):
-    """All-pairs ``g_ij = C d(i, j)^-gamma`` of a ``Point`` placement.
-
-    The gains of the all-pairs topology oracle
-    (:func:`tests.topology_reference.all_pairs_gains`).
-    """
-    coords = np.array([[p.x, p.y] for p in positions])
-    return all_pairs_gains(coords, constant, exponent)[1]
 
 
 def canonical(value) -> str:

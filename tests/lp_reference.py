@@ -24,11 +24,18 @@ from scipy.optimize import linprog
 
 from repro.exceptions import InfeasibleError, SolverError
 from repro.phy.capacity import max_link_capacity_bps
-from repro.phy.interference import big_m_coefficient
+from repro.control.scheduler import big_m_coefficient
 from repro.solvers.linprog import LPSolution
-from tests.helpers import in_neighbors, link_tuples
+from tests.helpers import common_bands, in_neighbors, link_tuples
 
 LE, GE, EQ = "<=", ">=", "=="
+
+
+def node_class(params, node):
+    """``(radio, energy)`` parameters of ``node``'s class; stations hold the low ids."""
+    if node < params.num_base_stations:
+        return params.bs_node, params.bs_energy
+    return params.user_node, params.user_energy
 
 
 def linprog_solve(lp):
@@ -137,7 +144,8 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
     lp = KeyedLP()
     dt = params.slot_seconds
     threshold = params.admission_lambda * params.control_v
-    destinations = model.session_destinations()
+    destinations = {s.session_id: s.destination for s in model.sessions}
+    q = state.arrays.q  # session ``sid`` is column ``sid``
     topology = model.topology
     links = link_tuples(topology)
     h = dict(zip(links, state.h_backlogs().tolist()))
@@ -153,7 +161,7 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
     link_bands = {}
     for (tx, rx), gain in zip(links, link_gains):
         entries = []
-        for band in observation.common_bands(model, tx, rx):
+        for band in common_bands(observation, model, tx, rx):
             noise = model.noise_power_w(observation.bands.bandwidth(band))
             power = params.sinr_threshold * noise / gain
             if power > model.max_power_w[tx]:
@@ -177,7 +185,7 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
     for node, coeffs in per_node.items():
         if coeffs:
             lp.add_constraint(
-                coeffs, LE, float(params.node_params(node).num_radios)
+                coeffs, LE, float(node_class(params, node)[0].num_radios)
             )
 
     for (tx, rx), entries in link_bands.items():
@@ -187,8 +195,8 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
             sid = session.session_id
             if tx == destinations[sid]:
                 continue
-            q_tx = state.backlog(tx, sid)
-            q_rx = 0.0 if rx == destinations[sid] else state.backlog(rx, sid)
+            q_tx = float(q[tx, sid])
+            q_rx = 0.0 if rx == destinations[sid] else float(q[rx, sid])
             coeff = -q_tx + q_rx + constants.beta * h.get((tx, rx), 0.0)
             lp.add_variable(("l", tx, rx, sid), objective=coeff, lower=0.0)
             cap_coeffs[("l", tx, rx, sid)] = 1.0
@@ -213,7 +221,7 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
         for bs in model.bs_ids:
             lp.add_variable(
                 ("k", sid, bs),
-                objective=state.backlog(bs, sid) - threshold,
+                objective=float(q[bs, sid]) - threshold,
                 lower=0.0,
                 upper=float(session.k_max),
             )
@@ -221,13 +229,13 @@ def relaxed_lp(controller, observation, state, num_cost_segments=24):
         lp.add_constraint(total, LE, float(session.k_max))
 
     bs_set = set(model.bs_ids)
-    z = dict(enumerate(state.z_values().tolist()))
+    z = dict(enumerate(state.arrays.z_values_array().tolist()))
     renewables = observation.renewable_j.tolist()
     grid_connected = observation.grid_connected.tolist()
     p_coeffs = {}
     arrays = state.arrays
     for node in range(model.num_nodes):
-        radio, energy = params.node_params(node), params.energy_params(node)
+        radio, energy = node_class(params, node)
         connected = grid_connected[node]
         grid_cap = energy.grid_cap_j if connected else 0.0
         renewable = renewables[node]
@@ -318,7 +326,7 @@ def candidate_weights(scheduler, observation, grid):
     weights = {}
     for i, pos in enumerate(active.tolist()):
         tx, rx = links[pos]
-        for band in observation.common_bands(model, tx, rx):
+        for band in common_bands(observation, model, tx, rx):
             if keep[band, i]:  # the grid is band-major
                 weights[(tx, rx, band)] = weight[band, i]
     return weights

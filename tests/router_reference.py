@@ -49,7 +49,7 @@ def route(
         demand = session.demand(observation.slot)
         if demand <= 0:
             continue
-        col = arrays.session_col[session.session_id]
+        col = session.session_id  # session ``s`` is column ``s``
         # The destination's incoming links by a full scan of the link
         # index, in ascending position (so ascending transmitter).
         coefficients = {

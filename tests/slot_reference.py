@@ -11,9 +11,10 @@ every shed.  The library now touches only what moved: the support of
 out-links of the nodes that hold data, and the two endpoints of a shed
 entry.  This module keeps the dense versions as independent oracles;
 ``tests/test_sparse_support.py`` checks the library against them, bit
-for bit.  The same holds for two per-node draw loops the library now
-makes in blocks: the spectrum access table and each slot's renewable
-harvest.
+for bit.  The same holds for the per-node loops the library now runs
+in blocks or as one vectorized step: the spectrum access table, each
+slot's renewable harvest, the band-availability chains and the
+random-waypoint walk.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from repro.energy.renewable import (
 )
 from repro.exceptions import QueueError
 from repro.sim.rng import spawn_child
-from repro.types import QueueSemantics, RenewableKind
+from repro.constants import approx_zero
+from repro.types import Point, QueueSemantics, RenewableKind
 
 #: The S1 backlog floor (``repro.control.scheduler._H_EPS``).
 H_EPS = 1e-12
@@ -87,7 +89,7 @@ def advance_q(arrays, link_pos, session_col, pkts, arrival_rows, arrival_cols, a
         k = int(np.argmax(arrival_pkts < 0))
         raise QueueError(
             f"negative admission {arrival_pkts[k]} for session "
-            f"{arrays.sessions[arrival_cols[k]]} at node {arrival_rows[k]}"
+            f"{arrival_cols[k]} at node {arrival_rows[k]}"
         )
     service = np.zeros(q.shape)
     arrivals = np.zeros(q.shape)
@@ -97,7 +99,7 @@ def advance_q(arrays, link_pos, session_col, pkts, arrival_rows, arrival_cols, a
     negative = ((service < 0.0) | (arrivals < 0.0)) & arrays.q_valid
     if np.any(negative):
         row, col = (int(i) for i in np.argwhere(negative)[0])
-        where = f"Q[{row}][{arrays.sessions[col]}]"
+        where = f"Q[{row}][{col}]"
         if service[row, col] < 0:
             raise QueueError(f"negative service {service[row, col]} at {where}")
         raise QueueError(f"negative arrivals {arrivals[row, col]} at {where}")
@@ -194,9 +196,9 @@ def access_table(params, rng):
     """
     num_bands = params.spectrum.num_bands
     access = np.zeros((params.num_nodes, num_bands), dtype=bool)
-    for bs in params.base_station_ids():
+    for bs in range(params.num_base_stations):
         access[bs] = True
-    for user in params.user_ids():
+    for user in range(params.num_base_stations, params.num_nodes):
         access[user, 0] = True
         for band in range(1, num_bands):
             if rng.random() < params.spectrum.user_band_access_prob:
@@ -245,3 +247,85 @@ def renewable_draws(model, rng, slots):
             renewable[node] = process.sample(slot)
         draws.append(renewable)
     return draws
+
+
+class WaypointWalk:
+    """The random-waypoint walk one ``Point`` per user per slot.
+
+    The loop ``RandomWaypointMobility`` ran before it held its legs as
+    rows: each user draws its first ``(x, y, speed)`` leg in id order;
+    each slot after slot 0, users step in id order, and a user within
+    one step of its waypoint (or on it) lands there and at once draws
+    its next leg.
+    """
+
+    def __init__(self, initial, mobile, area_side_m, speed_range_mps, slot_seconds, rng):
+        self.positions = [Point(x, y) for x, y in initial]
+        self._mobile = list(mobile)
+        self._area = area_side_m
+        self._speeds = speed_range_mps
+        self._slot_seconds = slot_seconds
+        self._rng = rng
+        self._legs = {node: self._new_leg() for node in self._mobile}
+
+    def _new_leg(self):
+        waypoint = Point(
+            float(self._rng.uniform(0.0, self._area)),
+            float(self._rng.uniform(0.0, self._area)),
+        )
+        return waypoint, float(self._rng.uniform(*self._speeds))
+
+    def step(self):
+        """Move every user one slot."""
+        for node in self._mobile:
+            waypoint, speed = self._legs[node]
+            position = self.positions[node]
+            step = speed * self._slot_seconds
+            distance = position.distance_to(waypoint)
+            if distance <= step or approx_zero(distance):
+                self.positions[node] = waypoint
+                self._legs[node] = self._new_leg()
+                continue
+            fraction = step / distance
+            self.positions[node] = Point(
+                position.x + fraction * (waypoint.x - position.x),
+                position.y + fraction * (waypoint.y - position.y),
+            )
+
+    def array(self):
+        """The positions as an ``(N, 2)`` array."""
+        return np.array([(p.x, p.y) for p in self.positions], dtype=float)
+
+
+class AvailabilityChains:
+    """The band-availability chains as a ``{(user, band): on}`` dict.
+
+    The form ``MarkovBandAvailability`` held before its ``(U, M-1)``
+    table: one initial draw per (user, random band) key, user by user,
+    band by band, then per slot one draw per key and a second when the
+    key resamples.
+    """
+
+    def __init__(self, users, random_bands, rng, on_prob, persistence):
+        self._rng = rng
+        self._on_prob = on_prob
+        self._persistence = persistence
+        self.state = {
+            (user, band): bool(rng.random() < on_prob)
+            for user in users
+            for band in random_bands
+        }
+
+    def step(self):
+        """Advance every chain one slot."""
+        for key in self.state:
+            if self._rng.random() >= self._persistence:
+                self.state[key] = bool(self._rng.random() < self._on_prob)
+
+    def mask(self, access):
+        """``access`` with every blocked ``(user, band)`` cell cleared."""
+        out = access.copy()
+        for (user, band), on in self.state.items():
+            if not on:
+                out[user, band] = False
+        return out

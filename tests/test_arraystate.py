@@ -78,7 +78,7 @@ class TestTrajectoryEquivalence:
             simulator.step(slot)
             expected = backlog_totals_oracle(
                 data_backlogs=queue_dict(state.arrays),
-                battery_levels=dict(enumerate(state.battery_levels().tolist())),
+                battery_levels=dict(enumerate(state.arrays.battery_level.tolist())),
                 virtual_backlogs=dict(enumerate(state.arrays.g.tolist())),
                 bs_ids=simulator.model.bs_ids,
             )
@@ -106,16 +106,15 @@ class TestTrajectoryEquivalence:
         state = simulator.state
         arrays = state.arrays
 
+        destinations = {s.session_id: s.destination for s in simulator.model.sessions}
         assert queue_dict(arrays) == {
-            (node, sid): state.backlog(node, sid)
+            (node, sid): float(arrays.q[node, sid])
             for node in range(arrays.num_nodes)
-            for sid in arrays.sessions
-            if node != arrays.destinations[sid]
+            for sid in sorted(destinations)
+            if node != destinations[sid]
         }
-        levels = state.battery_levels()
-        assert levels.tolist() == arrays.battery_level.tolist()
-        assert levels is not arrays.battery_level
-        assert state.z_values().tolist() == (
+        assert all(arrays.q[dest, sid] == 0.0 for sid, dest in destinations.items())
+        assert arrays.z_values_array().tolist() == (
             arrays.battery_level - arrays.z_shift
         ).tolist()
         beta = state.constants.beta
@@ -218,5 +217,5 @@ class TestSharedStorage:
         arrays = state.arrays
         node = 1
         arrays.battery_level[node] = 3.125
-        assert state.battery_levels()[node] == 3.125
-        assert state.z_values()[node] == 3.125 - arrays.z_shift[node]
+        assert simulator.state.arrays.battery_level[node] == 3.125
+        assert simulator.state.arrays.z_values_array()[node] == 3.125 - arrays.z_shift[node]

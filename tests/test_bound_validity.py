@@ -88,7 +88,7 @@ class TestMinPowerUnderapproximatesDemand:
             observation, model.topology.link_gains
         )
         for pos, (tx, rx) in enumerate(model.topology.candidate_links[:10].tolist()):
-            for band in model.spectrum.common_bands(tx, rx):
+            for band in np.flatnonzero(model.link_band_member[pos]).tolist():
                 power = powers[pos, band]
                 if power > model.max_power_w[tx]:
                     continue

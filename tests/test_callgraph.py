@@ -214,6 +214,7 @@ class TestRealTree:
         for expected in (
             "repro.control.controller.DriftPlusPenaltyController.decide",
             "repro.control.router.BackpressureRouter.route",
-            "repro.phy.interference.big_m_coefficient",
+            "repro.control.scheduler.big_m_coefficient",
+            "repro.phy.power_control.minimal_power_assignment_vec",
         ):
             assert expected in hot

@@ -16,24 +16,23 @@ from repro.config import (
 )
 from repro.exceptions import ConfigurationError
 from repro.network.geometry import node_positions
-from repro.types import NodeKind, Point
+from repro.model import build_network_model
+from repro.types import Point
 
 
 class TestNodeClassification:
     def test_base_stations_take_low_ids(self):
         params = paper_scenario()
-        for bs in params.base_station_ids():
-            assert params.node_kind(bs) is NodeKind.BASE_STATION
+        model = build_network_model(params, np.random.default_rng(0))
+        num_bs = params.num_base_stations
+        assert model.bs_ids == tuple(range(num_bs))
+        stations = [Point(*row) for row in model.positions[:num_bs].tolist()]
+        assert stations == list(params.base_station_positions)
 
     def test_users_take_high_ids(self):
         params = paper_scenario()
-        for user in params.user_ids():
-            assert params.node_kind(user) is NodeKind.MOBILE_USER
-
-    def test_out_of_range_node_raises(self):
-        params = paper_scenario()
-        with pytest.raises(ValueError):
-            params.node_kind(params.num_nodes)
+        model = build_network_model(params, np.random.default_rng(0))
+        assert model.user_ids == tuple(range(params.num_base_stations, params.num_nodes))
 
     def test_num_nodes(self):
         params = paper_scenario()
@@ -41,13 +40,23 @@ class TestNodeClassification:
 
     def test_node_params_dispatch(self):
         params = paper_scenario()
-        assert params.node_params(0) is params.bs_node
-        assert params.node_params(params.num_base_stations) is params.user_node
+        model = build_network_model(params, np.random.default_rng(0))
+        caps = model.max_power_w
+        assert caps[: params.num_base_stations].tolist() == (
+            [params.bs_node.max_tx_power_w] * params.num_base_stations
+        )
+        assert caps[params.num_base_stations :].tolist() == (
+            [params.user_node.max_tx_power_w] * params.num_users
+        )
 
     def test_energy_params_dispatch(self):
         params = paper_scenario()
-        assert params.energy_params(0) is params.bs_energy
-        assert params.energy_params(params.num_nodes - 1) is params.user_energy
+        model = build_network_model(params, np.random.default_rng(0))
+        capacity = model.node_vector(
+            params.bs_energy.battery_capacity_j, params.user_energy.battery_capacity_j
+        )
+        assert capacity[0] == params.bs_energy.battery_capacity_j
+        assert capacity[params.num_nodes - 1] == params.user_energy.battery_capacity_j
 
 
 class TestSessionParameters:

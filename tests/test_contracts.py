@@ -172,7 +172,7 @@ class TestScheduleContracts:
         simulator, checker, _pre, _decision, slot = transition
         model = simulator.model
         observation = simulator.state.observe(slot + 1)
-        radios = model.params.node_params(0).num_radios
+        radios = model.params.bs_node.num_radios  # node 0 is a base station
         # One more transmission at node 0 than it has radios.
         transmissions = [
             Transmission(tx=0, rx=1 + k, band=k, power_w=0.1)
@@ -339,7 +339,7 @@ def _with_rate(routing, key, rate):
     """``routing`` with ``l[key] = rate``, replacing or appending the entry."""
     tx, rx, sid = key
     pos = link_position(routing, tx, rx)
-    col = routing.sessions.index(sid)
+    col = sid  # session ``s`` is column ``s``
     hit = (routing.link_pos == pos) & (routing.session_col == col)
     if hit.any():
         pkts = routing.pkts.copy()

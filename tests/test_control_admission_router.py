@@ -17,7 +17,13 @@ from repro.core.arraystate import ArrayState
 from repro.model import build_network_model
 from repro.network.geometry import Point
 from repro.phy.capacity import max_link_capacity_bps
-from tests.helpers import in_neighbors, link_position, link_view, out_neighbors
+from tests.helpers import (
+    common_bands,
+    in_neighbors,
+    link_position,
+    link_view,
+    out_neighbors,
+)
 
 
 @pytest.fixture
@@ -30,7 +36,7 @@ def _backlogs(model, values):
     ``{(node, session): backlog}`` dict (other cells read 0)."""
     arrays = ArrayState(model, compute_constants(model))
     for (node, session), value in values.items():
-        arrays.q[node, arrays.session_col[session]] = value
+        arrays.q[node, session] = value  # session ``s`` is column ``s``
     return arrays
 
 
@@ -44,9 +50,8 @@ def _route(
     """
     arrays = state.arrays
     for (node, session), value in (backlogs or {}).items():
-        col = arrays.session_col[session]
-        if arrays.q_valid[node, col]:
-            arrays.q[node, col] = value
+        if arrays.q_valid[node, session]:
+            arrays.q[node, session] = value
     h_backlogs = link_view(state.model, h or {})
     return router.route(
         observation, schedule, admission, h_backlogs, arrays, **kwargs
@@ -61,7 +66,7 @@ def _potential_capacity_pkts(model, observation, link):
             max_link_capacity_bps(
                 observation.bands.bandwidth(m), params.sinr_threshold
             )
-            for m in observation.common_bands(model, *link)
+            for m in common_bands(observation, model, *link)
         ),
         default=0.0,
     )
@@ -164,12 +169,12 @@ class TestColumnReadEquivalence:
         # exactly on the admission threshold.
         arrays.q[: model.params.num_base_stations] = np.reshape(levels, (4, 3))
         arrays.q[arrays.q_invalid] = 0.0
-        destinations = model.session_destinations()
+        destinations = model.destination_rows
 
         def backlog(node, session):
             if destinations[session] == node:
                 return 0.0
-            return float(arrays.q[node, arrays.session_col[session]])
+            return float(arrays.q[node, session])
 
         column_rng = np.random.default_rng(seed)
         scalar_rng = np.random.default_rng(seed)
@@ -243,7 +248,7 @@ class TestRouterConstraints:
         routing = _route(
             router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
-        destinations = tiny_model.session_destinations()
+        destinations = tiny_model.destination_rows
         for (tx, _rx, sid), rate in routing.rates.items():
             if rate > 0:
                 assert tx != destinations[sid], "constraint (17) violated"
@@ -260,7 +265,7 @@ class TestRouterConstraints:
         routing = _route(
             router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
-        destinations = tiny_model.session_destinations()
+        destinations = tiny_model.destination_rows
         for (tx, rx, sid), rate in routing.rates.items():
             if rate > 0 and rx != destinations[sid]:
                 assert rx != admission.sources[sid], "constraint (16) violated"
@@ -273,7 +278,7 @@ class TestRouterConstraints:
         routing = _route(
             router, tiny_state, observation, ScheduleDecision(), admission
         )
-        destinations = tiny_model.session_destinations()
+        destinations = tiny_model.destination_rows
         for (tx, rx, sid), rate in routing.rates.items():
             assert rx == destinations[sid], "only forced deliveries expected"
 
@@ -314,7 +319,7 @@ class TestRouterConstraints:
             backlogs,
             h,
         )
-        destinations = tiny_model.session_destinations()
+        destinations = tiny_model.destination_rows
         for (tx, rx, sid), _ in routing.rates.items():
             if tx == bs and rx != destinations[sid]:
                 pytest.fail("link with huge H should not be routed over")
@@ -335,7 +340,7 @@ class TestRouterCapacityModes:
         routing = _route(
             router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
-        destinations = tiny_model.session_destinations()
+        destinations = tiny_model.destination_rows
         non_forced = [
             key for key in routing.rates if key[1] != destinations[key[2]]
         ]
@@ -379,7 +384,7 @@ class TestRouterCapacityModes:
             router, tiny_state, observation, ScheduleDecision(), admission, backlogs
         )
         params = tiny_model.params
-        destinations = tiny_model.session_destinations()
+        destinations = tiny_model.destination_rows
         for (tx, rx, sid), rate in routing.rates.items():
             if rx == destinations[sid]:
                 continue  # forced deliveries are demand-sized

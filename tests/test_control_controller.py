@@ -57,10 +57,10 @@ class TestDecide:
     def test_controller_does_not_mutate_state(self, controller, tiny_state):
         observation = tiny_state.observe(0)
         before_q = tiny_state.arrays.q.copy()
-        before_x = tiny_state.battery_levels()
+        before_x = tiny_state.arrays.battery_level.copy()
         controller.decide(observation, tiny_state)
         assert tiny_state.arrays.q.tobytes() == before_q.tobytes()
-        assert tiny_state.battery_levels().tobytes() == before_x.tobytes()
+        assert tiny_state.arrays.battery_level.tobytes() == before_x.tobytes()
 
 
 class TestCurtailment:

@@ -270,7 +270,9 @@ def _lexsort_greedy(model, active, keep, weight, links):
     rx_arr = link_rx[link_pos]
     order = np.lexsort((bands, rx_arr, tx_arr, -weight[bands, rows]))
     params = model.params
-    radios = [params.node_params(n).num_radios for n in range(model.num_nodes)]
+    radios = model.node_vector(
+        params.bs_node.num_radios, params.user_node.num_radios, dtype=int
+    ).tolist()
     usage = [0] * model.num_nodes
     band_used = set()
     chosen_pos, chosen_band = [], []
@@ -384,8 +386,9 @@ class TestGreedySelectionEquality:
         _, grid = _greedy_grid(case, [1.0] * len(links), None)
         active, keep, weight = grid
         link_tx, link_rx = model.topology.link_tx, model.topology.link_rx
-        radios = np.array(
-            [model.params.node_params(n).num_radios for n in range(model.num_nodes)]
+        params = model.params
+        radios = model.node_vector(
+            params.bs_node.num_radios, params.user_node.num_radios, dtype=int
         )
         single = (radios[link_tx[active]] == 1) & (radios[link_rx[active]] == 1)
         several = keep.sum(axis=0) > 1

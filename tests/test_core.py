@@ -57,7 +57,8 @@ def _scalar_drift_b(model):
         in_cap[rx] = max(in_cap[rx], cap)
     data_term = 0.0
     for node in range(model.num_nodes):
-        radios = params.node_params(node).num_radios
+        is_bs = node < params.num_base_stations  # stations hold the low ids
+        radios = (params.bs_node if is_bs else params.user_node).num_radios
         admission = float(k_max) if node in model.bs_ids else 0.0
         for _session in model.sessions:
             data_term += 0.5 * (
@@ -67,7 +68,8 @@ def _scalar_drift_b(model):
     virtual_term = sum((beta * cap) ** 2 for cap in caps.values())
     energy_term = 0.0
     for node in range(model.num_nodes):
-        energy = params.energy_params(node)
+        is_bs = node < params.num_base_stations
+        energy = params.bs_energy if is_bs else params.user_energy
         energy_term += 0.5 * max(energy.charge_cap_j, energy.discharge_cap_j) ** 2
     return data_term + virtual_term + energy_term
 
@@ -189,7 +191,7 @@ class TestDriftTerms:
         observation = tiny_state.observe(2)
         q = tiny_state.arrays.q.copy()
         h = tiny_state.h_backlogs()
-        z = tiny_state.z_values()
+        z = tiny_state.arrays.z_values_array()
         decision = controller.decide(observation, tiny_state)
         terms = _drift_terms(tiny_model, tiny_constants, decision, q, h, z)
         # Psi-hat_1 is a negated weighted sum of non-negative services.
@@ -211,7 +213,7 @@ class TestDriftTerms:
             decision,
             tiny_state.arrays.q.copy(),
             tiny_state.h_backlogs(),
-            tiny_state.z_values(),
+            tiny_state.arrays.z_values_array(),
         )
         # With empty queues, admission happens below threshold: the
         # Psi-hat_2 contribution (Q - lambda*V)*k is negative.
@@ -242,7 +244,7 @@ class TestBounds:
         observation = tiny_state.observe(3)
         q = tiny_state.arrays.q.copy()
         h = tiny_state.h_backlogs()
-        z = tiny_state.z_values()
+        z = tiny_state.arrays.z_values_array()
         heuristic_decision = heuristic.decide(observation, tiny_state)
         relaxed_decision = relaxed.decide(observation, tiny_state)
         from repro.core.drift import battery_drift_quadratic_term

@@ -9,6 +9,7 @@ from repro.config import tiny_scenario
 from repro.exceptions import SpectrumError
 from repro.network.spectrum import MarkovBandAvailability
 from repro.sim import SlotSimulator
+from tests import slot_reference
 
 
 def _dynamic_params(**kwargs):
@@ -24,22 +25,32 @@ def _dynamic_params(**kwargs):
     )
 
 
+def _on(chain, access):
+    """The chains' current on/off cells: ``chain.mask`` of an all-on table."""
+    return chain.mask(np.ones_like(access))
+
+
 class TestMarkovBandAvailability:
+    # Users hold rows 2 and 3 of a 5-node network; bands 1 and 2 are random.
+    ACCESS = np.ones((5, 3), dtype=bool)
+
     @pytest.fixture
     def chain(self, rng):
         return MarkovBandAvailability(
-            users=[2, 3], random_bands=[1, 2], rng=rng,
+            first_user=2, num_users=2, num_bands=3, rng=rng,
             on_prob=0.5, persistence=0.8,
         )
 
     def test_initial_states_exist(self, chain):
-        for user in (2, 3):
-            for band in (1, 2):
-                assert chain.blocked(user, band) in (True, False)
+        on = _on(chain, self.ACCESS)
+        assert on.shape == self.ACCESS.shape and on.dtype == bool
 
     def test_untracked_pairs_never_blocked(self, chain):
-        assert not chain.blocked(99, 1)  # base stations / unknown nodes
-        assert not chain.blocked(2, 0)  # the cellular band
+        for slot in range(1, 30):
+            chain.advance_to(slot)
+            on = _on(chain, self.ACCESS)
+            assert on[:2].all() and on[4].all()  # base stations, untracked rows
+            assert on[:, 0].all()  # the cellular band
 
     def test_advance_is_monotone(self, chain):
         chain.advance_to(5)
@@ -48,47 +59,71 @@ class TestMarkovBandAvailability:
 
     def test_advance_idempotent_per_slot(self, chain):
         chain.advance_to(4)
-        before = {(u, b): chain.blocked(u, b) for u in (2, 3) for b in (1, 2)}
+        before = _on(chain, self.ACCESS)
         chain.advance_to(4)
-        after = {(u, b): chain.blocked(u, b) for u in (2, 3) for b in (1, 2)}
-        assert before == after
+        assert _on(chain, self.ACCESS).tolist() == before.tolist()
 
     def test_states_change_over_time(self, rng):
         chain = MarkovBandAvailability(
-            users=[0], random_bands=[1], rng=rng,
+            first_user=0, num_users=1, num_bands=2, rng=rng,
             on_prob=0.5, persistence=0.5,
         )
+        access = np.ones((1, 2), dtype=bool)
         seen = set()
         for slot in range(1, 200):
             chain.advance_to(slot)
-            seen.add(chain.blocked(0, 1))
+            seen.add(bool(_on(chain, access)[0, 1]))
         assert seen == {True, False}
 
     def test_long_run_on_fraction(self, rng):
         chain = MarkovBandAvailability(
-            users=[0], random_bands=[1], rng=rng,
+            first_user=0, num_users=1, num_bands=2, rng=rng,
             on_prob=0.7, persistence=0.0,  # i.i.d. resample each slot
         )
+        access = np.ones((1, 2), dtype=bool)
         on = 0
         for slot in range(1, 3000):
             chain.advance_to(slot)
-            on += not chain.blocked(0, 1)
+            on += bool(_on(chain, access)[0, 1])
         assert on / 3000 == pytest.approx(0.7, abs=0.05)
 
     def test_mask_filters_blocked_bands(self, chain):
         access = np.ones((100, 3), dtype=bool)  # rows are node ids
+        access[3, 2] = False  # a band the user never had stays off
         masked = chain.mask(access)
+        on = _on(chain, self.ACCESS)
         assert masked[2, 0]  # cellular band untouched
         assert masked[99].tolist() == access[99].tolist()  # untracked node
-        for band in (1, 2):
-            assert masked[2, band] == (not chain.blocked(2, band))
-        assert access.all()  # the static table is not modified
+        for user in (2, 3):
+            for band in (1, 2):
+                assert masked[user, band] == (access[user, band] and on[user, band])
+        assert access.sum() == access.size - 1  # the static table is not modified
 
     def test_invalid_probabilities(self, rng):
         with pytest.raises(SpectrumError):
-            MarkovBandAvailability([0], [1], rng, on_prob=2.0)
+            MarkovBandAvailability(0, 1, 2, rng, on_prob=2.0)
         with pytest.raises(SpectrumError):
-            MarkovBandAvailability([0], [1], rng, persistence=-0.1)
+            MarkovBandAvailability(0, 1, 2, rng, persistence=-0.1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2014])
+    def test_matches_dict_chains(self, seed):
+        """The ``(U, M-1)`` table walks the per-key dict chains bit for bit."""
+        table_rng = np.random.default_rng(seed)
+        dict_rng = np.random.default_rng(seed)
+        chain = MarkovBandAvailability(
+            first_user=3, num_users=6, num_bands=5, rng=table_rng,
+            on_prob=0.6, persistence=0.7,
+        )
+        oracle = slot_reference.AvailabilityChains(
+            range(3, 9), range(1, 5), dict_rng, on_prob=0.6, persistence=0.7
+        )
+        access = np.random.default_rng(seed + 1).random((9, 5)) < 0.8
+        for slot in range(40):
+            if slot:
+                chain.advance_to(slot)
+                oracle.step()
+            assert chain.mask(access).tolist() == oracle.mask(access).tolist(), slot
+        assert table_rng.bit_generator.state == dict_rng.bit_generator.state
 
 
 class TestDynamicAvailabilitySimulation:
@@ -98,8 +133,8 @@ class TestDynamicAvailabilitySimulation:
         assert observation.band_access is not None
         for bs in simulator.model.bs_ids:
             # Base stations are never blocked.
-            assert set(np.flatnonzero(observation.band_access[bs]).tolist()) == (
-                simulator.model.spectrum.accessible_bands(bs)
+            assert observation.band_access[bs].tolist() == (
+                simulator.model.band_access[bs].tolist()
             )
 
     def test_static_observation_has_none(self):

@@ -166,9 +166,12 @@ class TestLossySimulation:
         )
         simulator = SlotSimulator.integral(lossy)
         result = simulator.run()
+        capacities = simulator.model.node_vector(
+            lossy.bs_energy.battery_capacity_j, lossy.user_energy.battery_capacity_j
+        )
         for node in range(simulator.model.num_nodes):
             level = simulator.state.arrays.battery_level[node]
-            assert 0 <= level <= lossy.energy_params(node).battery_capacity_j
+            assert 0 <= level <= capacities[node]
         assert result.metrics.totals()["deficit_j"] >= 0
 
     def test_losses_raise_cost(self):

@@ -55,7 +55,7 @@ class AuditingSimulator:
                 self.violations.append((slot, f"complementarity node {node}"))
 
             # Constraints (16)/(17): flow endpoints.
-            destinations = model.session_destinations()
+            destinations = model.destination_rows
             for (tx, rx, sid), rate in decision.routing.rates.items():
                 if rate <= 0:
                     continue
@@ -72,7 +72,7 @@ class AuditingSimulator:
             # Battery bounds after the update (10).
             for node in range(model.num_nodes):
                 level = simulator.state.arrays.battery_level[node]
-                capacity = model.params.energy_params(node).battery_capacity_j
+                capacity = simulator.state.arrays.capacity_j[node]
                 if not -1e-9 <= level <= capacity + 1e-9:
                     self.violations.append((slot, f"battery-bounds node {node}"))
         return self.violations

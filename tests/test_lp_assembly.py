@@ -72,7 +72,9 @@ def test_sequential_fix_lp_matches_oracle(monkeypatch, name, kind):
     sim = SlotSimulator.integral(params, scheduler_kind=kind)
     scheduler = sim.controller.scheduler
     model = sim.model
-    radios = [params.node_params(n).num_radios for n in range(model.num_nodes)]
+    radios = model.node_vector(
+        params.bs_node.num_radios, params.user_node.num_radios, dtype=int
+    ).tolist()
     seen = {}
     checked = []
 

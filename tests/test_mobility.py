@@ -7,18 +7,20 @@ import pytest
 
 from repro.config import paper_scenario, tiny_scenario, validate_parameters
 from repro.exceptions import ConfigurationError
+from repro.network import grid_placement
 from repro.network.mobility import RandomWaypointMobility
 from repro.sim import SlotSimulator
-from repro.types import MobilityKind, Point
-from tests.helpers import dense_gain_oracle
+from repro.types import MobilityKind
+from tests import slot_reference
+from tests.topology_reference import all_pairs_gains
 
 
 class TestRandomWaypoint:
     def _model(self, seed=0, speed=(10.0, 10.0), area=1000.0):
-        initial = [Point(500.0, 500.0), Point(100.0, 100.0), Point(900.0, 900.0)]
+        initial = np.array([[500.0, 500.0], [100.0, 100.0], [900.0, 900.0]])
         return RandomWaypointMobility(
             initial=initial,
-            mobile=[1, 2],
+            num_fixed=1,
             area_side_m=area,
             speed_range_mps=speed,
             slot_seconds=60.0,
@@ -28,36 +30,43 @@ class TestRandomWaypoint:
     def test_fixed_nodes_stay(self):
         model = self._model()
         for slot in range(10):
-            assert model.positions_at(slot)[0] == Point(500.0, 500.0)
+            assert model.positions_at(slot)[0].tolist() == [500.0, 500.0]
 
     def test_mobile_nodes_move(self):
         model = self._model()
         start = model.positions_at(0)
         later = model.positions_at(5)
-        assert later[1] != start[1]
-        assert later[2] != start[2]
+        assert later[1].tolist() != start[1].tolist()
+        assert later[2].tolist() != start[2].tolist()
 
     def test_step_length_bounded_by_speed(self):
         model = self._model(speed=(5.0, 5.0))
         previous = model.positions_at(0)
         for slot in range(1, 20):
             current = model.positions_at(slot)
-            for node in (1, 2):
-                step = previous[node].distance_to(current[node])
-                assert step <= 5.0 * 60.0 + 1e-6
+            step = np.hypot(*(current[1:] - previous[1:]).T)
+            assert (step <= 5.0 * 60.0 + 1e-6).all()
             previous = current
 
     def test_positions_stay_in_area(self):
         model = self._model(speed=(50.0, 100.0))
         for slot in range(50):
-            for p in model.positions_at(slot):
-                assert 0.0 <= p.x <= 1000.0
-                assert 0.0 <= p.y <= 1000.0
+            positions = model.positions_at(slot)
+            assert ((0.0 <= positions) & (positions <= 1000.0)).all()
 
     def test_same_slot_idempotent(self):
         model = self._model()
         model.positions_at(7)
-        assert model.positions_at(7) == model.positions_at(7)
+        assert model.positions_at(7) is model.positions_at(7)
+
+    def test_each_slot_is_a_new_read_only_array(self):
+        # A gains view holds its slot's array: later steps must not move it.
+        model = self._model()
+        first = model.positions_at(3)
+        kept = first.copy()
+        model.positions_at(9)
+        assert first.tolist() == kept.tolist()
+        assert not first.flags.writeable
 
     def test_rewind_rejected(self):
         model = self._model()
@@ -68,6 +77,64 @@ class TestRandomWaypoint:
     def test_bad_speed_range_rejected(self):
         with pytest.raises(ValueError):
             self._model(speed=(5.0, 1.0))
+
+
+def _walk_both(initial, num_fixed, area, speeds, slots, seed):
+    """Step the row model and the per-node oracle side by side.
+
+    Asserts equal positions, bit for bit, at every slot and equal
+    generator states at the end; returns the arrivals per slot.
+    """
+    rows_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    model = RandomWaypointMobility(initial, num_fixed, area, speeds, 60.0, rows_rng)
+    oracle = slot_reference.WaypointWalk(
+        initial.tolist(), range(num_fixed, initial.shape[0]), area, speeds, 60.0, oracle_rng
+    )
+    arrivals = []
+    for slot in range(slots):
+        if slot:
+            oracle.step()
+        before = rows_rng.bit_generator.state["state"]["state"]
+        positions = model.positions_at(slot)
+        arrivals.append(before != rows_rng.bit_generator.state["state"]["state"])
+        assert positions.tobytes() == oracle.array().tobytes(), slot
+    assert rows_rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert rows_rng.random() == oracle_rng.random()
+    return arrivals
+
+
+class TestWaypointOracle:
+    """The row model walks the per-node ``Point`` walk bit for bit."""
+
+    def test_thousand_users_over_400_slots(self):
+        side = 2000.0 * np.sqrt(1000 / 20.0)
+        stations = np.array([(p.x, p.y) for p in grid_placement(166, side)])
+        users = np.random.default_rng(5).uniform(0.0, side, size=(1000, 2))
+        initial = np.concatenate((stations, users))
+        arrivals = _walk_both(initial, 166, side, (0.5, 2.0), 400, seed=2014)
+        assert sum(arrivals) > 10  # some users reached a waypoint
+
+    def test_small_area_high_speed_arrives_every_slot(self):
+        initial = np.random.default_rng(1).uniform(0.0, 50.0, size=(40, 2))
+        arrivals = _walk_both(initial, 4, 50.0, (20.0, 40.0), 60, seed=7)
+        assert all(arrivals[1:])
+
+    def test_user_starting_on_its_waypoint(self):
+        # Users 1 and 2 start on (and 1e-10 m off) the first waypoint
+        # each will draw; speed 0 leaves only the tolerance to arrive.
+        twin = np.random.default_rng(3)
+        legs = twin.uniform([0.0, 0.0, 0.0], [800.0, 800.0, 0.0], size=(3, 3))
+        initial = np.array(
+            [[400.0, 400.0], [10.0, 20.0], legs[1, :2], legs[2, :2] + [1e-10, 0.0]]
+        )
+        model = RandomWaypointMobility(
+            initial, 1, 800.0, (0.0, 0.0), 60.0, np.random.default_rng(3)
+        )
+        moved = model.positions_at(1)
+        assert moved[1].tolist() == [10.0, 20.0]  # far away, speed 0
+        assert moved[2].tolist() == legs[1, :2].tolist()
+        assert moved[3].tolist() == legs[2, :2].tolist()
+        _walk_both(initial, 1, 800.0, (0.0, 0.0), 5, seed=3)
 
 
 class TestMobileGainView:
@@ -82,10 +149,10 @@ class TestMobileGainView:
         initial = state.mobility.positions_at(0)
         view = state.observe(5).gains
         positions = state.mobility.positions_at(5)
-        assert positions != initial  # the users really moved
-        dense = dense_gain_oracle(
+        assert positions.tolist() != initial.tolist()  # the users really moved
+        dense = all_pairs_gains(
             positions, params.propagation_constant, params.path_loss_exponent
-        )
+        )[1]
         return view, dense
 
     def test_pairs(self, moved):
@@ -138,7 +205,7 @@ class TestMobileSimulation:
         assert observation.gains.num_nodes == simulator.model.num_nodes
         # Slot 0 is the placement: the model's position rows.
         start = simulator.state.mobility.positions_at(0)
-        assert start == [Point(x, y) for x, y in simulator.model.positions.tolist()]
+        assert start.tolist() == simulator.model.positions.tolist()
 
     def test_static_observation_has_no_gains(self):
         simulator = SlotSimulator.integral(tiny_scenario(num_slots=3))

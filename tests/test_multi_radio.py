@@ -53,8 +53,10 @@ def _audit_budgets(model, decision):
             pair = (node, t.band)
             assert pair not in band_usage, "constraint (20)/(21) violated"
             band_usage.add(pair)
+    params = model.params
+    radios = model.node_vector(params.bs_node.num_radios, params.user_node.num_radios)
     for node, used in usage.items():
-        assert used <= model.params.node_params(node).num_radios
+        assert used <= radios[node]
 
 
 class TestMultiRadioScheduling:

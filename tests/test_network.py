@@ -18,6 +18,7 @@ from repro.network import (
     node_positions,
     uniform_random_placement,
 )
+from repro.model import build_network_model
 from repro.types import Point
 from tests.helpers import link_tuples, out_neighbors
 from tests.topology_reference import build_topology_dense
@@ -134,14 +135,14 @@ class TestTopology:
         # Base stations are exempt from the neighbour cap so the
         # one-hop baselines can always reach their users directly.
         links = set(link_tuples(topology))
-        for bs in params.base_station_ids():
-            for user in params.user_ids():
+        for bs in range(params.num_base_stations):
+            for user in range(params.num_base_stations, params.num_nodes):
                 assert (bs, user) in links
 
     def test_user_out_degree_capped(self, topo):
         params, topology = topo
         assert params.neighbor_limit is not None
-        for user in params.user_ids():
+        for user in range(params.num_base_stations, params.num_nodes):
             assert len(out_neighbors(topology, user)) <= params.neighbor_limit
 
     def test_gains_decrease_with_distance(self, topo):
@@ -156,9 +157,9 @@ class TestTopology:
         params, topology = topo
         graph = _link_graph(topology)
         reached = set().union(
-            *(nx.descendants(graph, bs) for bs in params.base_station_ids())
+            *(nx.descendants(graph, bs) for bs in range(params.num_base_stations))
         )
-        assert set(params.user_ids()) <= reached
+        assert set(range(params.num_base_stations, params.num_nodes)) <= reached
 
     def test_graph_has_all_nodes(self, topo):
         # Every node is an endpoint of some candidate link (the builder
@@ -187,19 +188,23 @@ class TestSpectrum:
 
     def test_base_stations_access_all_bands(self, spectrum):
         params, model = spectrum
-        for bs in params.base_station_ids():
-            assert model.accessible_bands(bs) == frozenset(range(model.num_bands))
+        assert model.band_access.shape == (params.num_nodes, model.num_bands)
+        assert model.band_access[: params.num_base_stations].all()
 
     def test_every_user_has_cellular_band(self, spectrum):
         params, model = spectrum
-        for user in params.user_ids():
-            assert 0 in model.accessible_bands(user)
+        assert model.band_access[params.num_base_stations :, 0].all()
 
-    def test_common_bands_is_intersection(self, spectrum):
-        params, model = spectrum
-        u1, u2 = list(params.user_ids())[:2]
-        common = model.common_bands(u1, u2)
-        assert common == model.accessible_bands(u1) & model.accessible_bands(u2)
+    def test_common_bands_is_intersection(self):
+        params = paper_scenario()
+        model = build_network_model(params, np.random.default_rng(params.seed))
+        access = model.band_access
+        member = model.link_band_member
+        for p, (tx, rx) in enumerate(link_tuples(model.topology)):
+            common = set(np.flatnonzero(access[tx]).tolist()) & set(
+                np.flatnonzero(access[rx]).tolist()
+            )
+            assert set(np.flatnonzero(member[p]).tolist()) == common
 
     def test_sampled_bandwidths_in_range(self, spectrum):
         params, model = spectrum
@@ -216,11 +221,6 @@ class TestSpectrum:
         with pytest.raises(SpectrumError):
             state.bandwidth(99)
 
-    def test_unknown_node_raises(self, spectrum):
-        _, model = spectrum
-        with pytest.raises(SpectrumError):
-            model.accessible_bands(123456)
-
     def test_max_bandwidth(self, spectrum):
         params, model = spectrum
         assert model.max_bandwidth_hz() == params.spectrum.random_bandwidth_range_hz[1]
@@ -232,7 +232,7 @@ class TestSessions:
         sessions = build_sessions(params, rng)
         destinations = [s.destination for s in sessions]
         assert len(set(destinations)) == len(destinations)
-        users = set(params.user_ids())
+        users = set(range(params.num_base_stations, params.num_nodes))
         assert all(d in users for d in destinations)
 
     def test_demand_matches_parameters(self, rng):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control.scheduler import big_m_coefficient
 from repro.phy import (
-    big_m_coefficient,
     gain_matrix,
     link_capacity_bps,
     max_link_capacity_bps,

@@ -56,48 +56,48 @@ class TestDataQueue:
 class TestDataQueueBank:
     """The Eq. 15 kernel over the whole ``(N, S)`` array."""
 
-    def test_destination_has_no_queue(self, tiny_state, arrays):
+    def test_destination_has_no_queue(self, arrays):
         assert not arrays.q_valid[1, 0]
         assert arrays.q_valid[1, 1]
         queue_step(arrays, {(0, 1, 0): 6.0}, [(1, 0, 9.0)])
-        assert tiny_state.backlog(1, 0) == 0.0
+        assert arrays.q[1, 0] == 0.0
 
-    def test_admission_arrivals(self, tiny_state, arrays):
+    def test_admission_arrivals(self, arrays):
         queue_step(arrays, admissions=[(0, 0, 10.0)])
-        assert tiny_state.backlog(0, 0) == 10.0
+        assert arrays.q[0, 0] == 10.0
 
-    def test_transfer_moves_backlog(self, tiny_state, arrays):
+    def test_transfer_moves_backlog(self, arrays):
         queue_step(arrays, admissions=[(0, 0, 10.0)])
         transfer = queue_step(arrays, {(0, 2, 0): 4.0})
         assert transfer.tolist() == [4.0]
-        assert tiny_state.backlog(0, 0) == 6.0
-        assert tiny_state.backlog(2, 0) == 4.0
+        assert arrays.q[0, 0] == 6.0
+        assert arrays.q[2, 0] == 4.0
 
-    def test_paper_semantics_credits_null_packets(self, tiny_state, arrays):
+    def test_paper_semantics_credits_null_packets(self, arrays):
         # Transmitter has 2 packets but 5 are scheduled: receiver is
         # credited all 5 under Eq. (15)'s literal accounting.
         assert arrays.queue_semantics is QueueSemantics.PAPER
         queue_step(arrays, admissions=[(0, 0, 2.0)])
         queue_step(arrays, {(0, 2, 0): 5.0})
-        assert tiny_state.backlog(0, 0) == 0.0
-        assert tiny_state.backlog(2, 0) == 5.0
+        assert arrays.q[0, 0] == 0.0
+        assert arrays.q[2, 0] == 5.0
 
-    def test_packet_accurate_semantics_caps_transfers(self, tiny_state, arrays):
+    def test_packet_accurate_semantics_caps_transfers(self, arrays):
         arrays.queue_semantics = QueueSemantics.PACKET_ACCURATE
         queue_step(arrays, admissions=[(0, 0, 2.0)])
         transfer = queue_step(arrays, {(0, 2, 0): 5.0})
         assert transfer.tolist() == [2.0]
-        assert tiny_state.backlog(2, 0) == 2.0
+        assert arrays.q[2, 0] == 2.0
 
-    def test_packet_accurate_scales_proportionally(self, tiny_state, arrays):
+    def test_packet_accurate_scales_proportionally(self, arrays):
         arrays.queue_semantics = QueueSemantics.PACKET_ACCURATE
         queue_step(arrays, admissions=[(0, 0, 6.0)])
         transfer = queue_step(arrays, {(0, 2, 0): 8.0, (0, 3, 0): 4.0, (2, 3, 0): 3.0})
         # 12 scheduled, 6 available: each link gets half its rate; node
         # 2 held nothing before the slot, so it forwards nothing.
         assert transfer.tolist() == pytest.approx([4.0, 2.0, 0.0])
-        assert tiny_state.backlog(2, 0) == pytest.approx(4.0)
-        assert tiny_state.backlog(3, 0) == pytest.approx(2.0)
+        assert arrays.q[2, 0] == pytest.approx(4.0)
+        assert arrays.q[3, 0] == pytest.approx(2.0)
 
     def test_total_backlog_filters_nodes(self, arrays, tiny_model):
         queue_step(arrays, admissions=[(0, 0, 5.0), (2, 1, 7.0)])
@@ -106,34 +106,34 @@ class TestDataQueueBank:
         assert bs_data == 5.0
         assert user_data == 7.0
 
-    def test_unknown_queue_raises(self, tiny_state):
+    def test_unknown_queue_raises(self, arrays):
         # Node 17 has no row and session 99 no column.
         with pytest.raises(IndexError):
-            tiny_state.backlog(17, 0)
-        with pytest.raises(KeyError):
-            tiny_state.backlog(0, 99)
+            arrays.q[17, 0]
+        with pytest.raises(IndexError):
+            arrays.q[0, 99]
 
     def test_negative_admission_rejected(self, arrays):
         with pytest.raises(QueueError, match="negative admission -1.0 for session 0"):
             queue_step(arrays, admissions=[(0, 0, -1.0)])
 
-    def test_split_admission(self, tiny_state, arrays):
+    def test_split_admission(self, arrays):
         admission = AdmissionDecision(
             sources={0: 0, 1: 0},
             admitted={0: 5.0, 1: 7.0},
             source_rows=np.array([0, 0]),
             split={1: ((0, 3.0), (2, 4.0))},
         )
-        rows, cols, pkts = admission.queue_arrivals(arrays.session_col)
+        rows, cols, pkts = admission.queue_arrivals()
         assert rows.tolist() == [0, 0, 2]
         assert pkts.tolist() == [5.0, 3.0, 4.0]
         arrays.advance_q(
             np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0),
             rows, cols, pkts,
         )
-        assert tiny_state.backlog(0, 0) == 5.0
-        assert tiny_state.backlog(0, 1) == 3.0
-        assert tiny_state.backlog(2, 1) == 4.0
+        assert arrays.q[0, 0] == 5.0
+        assert arrays.q[0, 1] == 3.0
+        assert arrays.q[2, 1] == 4.0
 
     def test_repeated_cells_accumulate_in_entry_order(self, arrays):
         # Routed arrivals, then admissions, summed left to right: 1e16

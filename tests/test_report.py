@@ -60,8 +60,10 @@ class TestEnergyFlowMetrics:
         simulator, result = run
         params = simulator.params
         cap_per_slot = sum(
-            params.energy_params(n).renewable_max_w * params.slot_seconds
-            for n in range(params.num_nodes)
+            max_w * params.slot_seconds
+            for max_w in simulator.model.node_vector(
+                params.bs_energy.renewable_max_w, params.user_energy.renewable_max_w
+            ).tolist()
         )
         used = (
             result.metrics.series("bs_renewable_used_j")

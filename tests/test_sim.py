@@ -256,7 +256,7 @@ class TestStabilityIntegration:
         result = simulator.run()
         constants = simulator.constants
         bs = simulator.model.bs_ids[0]
-        energy = params.energy_params(bs)
+        energy = params.bs_energy
         cap = energy.battery_capacity_j
         threshold = min(
             params.control_v * constants.gamma_max + energy.discharge_cap_j,

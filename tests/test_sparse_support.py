@@ -209,7 +209,7 @@ def _q_step(draw, name):
     model, constants = _model(name)
     arrays = ArrayState(model, constants)
     num_links, (num_nodes, width) = arrays.g.shape[0], arrays.q.shape
-    into_dest = np.flatnonzero(np.isin(arrays.link_rx, list(arrays.destinations.values())))
+    into_dest = np.flatnonzero(np.isin(arrays.link_rx, model.destination_rows))
     pool = draw(
         st.lists(
             st.one_of(st.sampled_from(into_dest.tolist()), st.integers(0, num_links - 1)),
@@ -299,7 +299,7 @@ class TestDataQueueCells:
     def test_transfer_above_the_backlog_clamps_and_pins_the_destination(self):
         model, constants = _model("tiny")
         arrays = ArrayState(model, constants)
-        col, dest = 0, arrays.destinations[arrays.sessions[0]]
+        col, dest = 0, int(model.destination_rows[0])
         into = int(np.flatnonzero(arrays.link_rx == dest)[0])
         tx = int(arrays.link_tx[into])
         arrays.q[tx, col] = 2.0
@@ -348,7 +348,6 @@ class TestDataQueueCells:
         draw = np.random.default_rng(3)
         link_tx = np.sort(draw.integers(0, num_nodes, num_links))
         link_rx = (link_tx + draw.integers(1, num_nodes, num_links)) % num_nodes
-        sessions = tuple(SimpleNamespace(session_id=s) for s in range(width))
         model = SimpleNamespace(
             params=SimpleNamespace(
                 queue_semantics=QueueSemantics.PACKET_ACCURATE,
@@ -358,8 +357,7 @@ class TestDataQueueCells:
                 user_energy=tiny_scenario().user_energy,
             ),
             num_nodes=num_nodes,
-            sessions=sessions,
-            session_destinations=lambda: {s: 10 * s for s in range(width)},
+            destination_rows=10 * np.arange(width),
             topology=SimpleNamespace(link_tx=link_tx, link_rx=link_rx),
             node_vector=lambda bs, user, dtype=float: np.full(num_nodes, user, dtype=dtype),
         )
@@ -660,10 +658,6 @@ class TestBatchedAccessDraw:
         expected = slot_reference.access_table(params, scalar_rng)
         assert model.band_access.tolist() == expected.tolist()
         assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
-        for node in range(params.num_nodes):
-            assert model.accessible_bands(node) == frozenset(
-                np.flatnonzero(expected[node]).tolist()
-            )
 
 
 # -- renewable draws in blocks --------------------------------------------------

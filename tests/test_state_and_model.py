@@ -32,15 +32,15 @@ class TestNetworkModel:
 
     def test_total_grid_cap(self, tiny_model):
         expected = sum(
-            tiny_model.params.energy_params(b).grid_cap_j for b in tiny_model.bs_ids
+            tiny_model.params.bs_energy.grid_cap_j for _ in tiny_model.bs_ids
         )
         assert tiny_model.total_grid_cap_j() == pytest.approx(expected)
 
     def test_session_destinations_mapping(self, tiny_model):
-        mapping = tiny_model.session_destinations()
-        assert mapping == {
-            s.session_id: s.destination for s in tiny_model.sessions
-        }
+        # Session ``s`` is ``Q`` column ``s``; its destination is row ``s``.
+        sessions = tiny_model.sessions
+        assert [s.session_id for s in sessions] == list(range(len(sessions)))
+        assert tiny_model.destination_rows.tolist() == [s.destination for s in sessions]
 
     def test_noise_power(self, tiny_model):
         params = tiny_model.params
@@ -186,7 +186,7 @@ class TestPerNodeVectors:
 
     def test_total_grid_cap_sums_the_station_rows(self, simulator):
         model = simulator.model
-        caps = [model.params.energy_params(b).grid_cap_j for b in model.bs_ids]
+        caps = [model.params.bs_energy.grid_cap_j for _ in model.bs_ids]
         assert model.total_grid_cap_j() == sum(caps)
 
 
@@ -194,16 +194,17 @@ class TestNetworkState:
     def test_initial_queues_empty(self, tiny_state, tiny_model):
         assert not tiny_state.arrays.q.any()
         assert not tiny_state.arrays.g.any()
-        assert not tiny_state.battery_levels().any()
+        assert not tiny_state.arrays.battery_level.any()
 
     def test_initial_z_is_negative_shift(self, tiny_state, tiny_model, tiny_constants):
         params = tiny_model.params
+        d_max = tiny_model.node_vector(
+            params.bs_energy.discharge_cap_j, params.user_energy.discharge_cap_j
+        )
+        z = tiny_state.arrays.z_values_array()
         for node in range(tiny_model.num_nodes):
-            expected = -(
-                params.control_v * tiny_constants.gamma_max
-                + params.energy_params(node).discharge_cap_j
-            )
-            assert tiny_state.z_values()[node] == pytest.approx(expected)
+            expected = -(params.control_v * tiny_constants.gamma_max + d_max[node])
+            assert z[node] == pytest.approx(expected)
 
     def test_observation_shape(self, tiny_state, tiny_model):
         observation = tiny_state.observe(0)
@@ -214,10 +215,13 @@ class TestNetworkState:
 
     def test_renewables_bounded(self, tiny_state, tiny_model):
         params = tiny_model.params
+        renewable_max_w = tiny_model.node_vector(
+            params.bs_energy.renewable_max_w, params.user_energy.renewable_max_w
+        )
         for slot in range(30):
             observation = tiny_state.observe(slot)
             for node in range(tiny_model.num_nodes):
-                cap = params.energy_params(node).renewable_max_w * params.slot_seconds
+                cap = renewable_max_w[node] * params.slot_seconds
                 assert 0 <= observation.renewable_j[node] <= cap
 
     def test_base_stations_always_connected(self, tiny_state, tiny_model):
@@ -257,16 +261,20 @@ class TestNetworkState:
         controller = DriftPlusPenaltyController(
             tiny_model, tiny_constants, np.random.default_rng(0)
         )
+        params = tiny_model.params
+        capacities = tiny_model.node_vector(
+            params.bs_energy.battery_capacity_j, params.user_energy.battery_capacity_j
+        )
         for slot in range(5):
             decision = controller.decide(tiny_state.observe(slot), tiny_state)
             tiny_state.apply(decision)
             arrays = tiny_state.arrays
             for node in range(tiny_model.num_nodes):
                 level = arrays.battery_level[node]
-                capacity = tiny_model.params.energy_params(node).battery_capacity_j
+                capacity = capacities[node]
                 assert 0 <= level <= capacity
                 # The shifted energy queue reads the same level (Eq. 31).
-                assert tiny_state.z_values()[node] == level - arrays.z_shift[node]
+                assert arrays.z_values_array()[node] == level - arrays.z_shift[node]
 
     def test_grid_outage_takes_effect_on_a_live_state(self, tiny_state, tiny_model):
         # An outage scheduled after the run started applies from its
@@ -278,7 +286,9 @@ class TestNetworkState:
             connected.append(tiny_state.observe(slot).grid_connected[bs])
         assert connected == [not 3 <= slot < 6 for slot in range(8)]
         params = tiny_model.params
-        caps = [params.energy_params(n).grid_cap_j for n in range(params.num_nodes)]
+        caps = [params.bs_energy.grid_cap_j] * params.num_base_stations + [
+            params.user_energy.grid_cap_j
+        ] * params.num_users
         assert list(tiny_state.arrays.grid_cap_j) == caps
 
 

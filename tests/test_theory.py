@@ -19,8 +19,10 @@ class TestPredictions:
     def test_plateau_formula(self, tiny_model, tiny_constants):
         predictions = predict(tiny_model, tiny_constants)
         v = tiny_model.params.control_v
+        params = tiny_model.params
         for node in range(tiny_model.num_nodes):
-            energy = tiny_model.params.energy_params(node)
+            is_bs = node < params.num_base_stations
+            energy = params.bs_energy if is_bs else params.user_energy
             expected = min(
                 v * tiny_constants.gamma_max + energy.discharge_cap_j,
                 energy.battery_capacity_j,
@@ -32,10 +34,11 @@ class TestPredictions:
         model = build_network_model(params, np.random.default_rng(0))
         constants = compute_constants(model)
         predictions = predict(model, constants)
+        capacities = model.node_vector(
+            params.bs_energy.battery_capacity_j, params.user_energy.battery_capacity_j
+        )
         for node in range(model.num_nodes):
-            assert predictions.battery_plateau_j[node] == pytest.approx(
-                params.energy_params(node).battery_capacity_j
-            )
+            assert predictions.battery_plateau_j[node] == pytest.approx(capacities[node])
 
     def test_admission_threshold(self, tiny_model, tiny_constants):
         predictions = predict(tiny_model, tiny_constants)

@@ -97,9 +97,9 @@ def _cell_edge_oracle(params, positions, count):
     """The ``Point``-based cell-edge pick: users sorted by the negated
     distance to their nearest base station, so ties keep user-id order."""
     points = [Point(x, y) for x, y in positions.tolist()]
-    bs_positions = [points[b] for b in params.base_station_ids()]
+    bs_positions = points[: params.num_base_stations]  # stations hold the low ids
     users = sorted(
-        params.user_ids(),
+        range(params.num_base_stations, params.num_nodes),
         key=lambda u: -min(points[u].distance_to(p) for p in bs_positions),
     )
     return list(users[:count])
@@ -149,8 +149,8 @@ class TestDestinationStrategies:
         positions = node_positions(params, np.random.default_rng(0))
         points = [Point(x, y) for x, y in positions.tolist()]
         nearest = [
-            min(points[u].distance_to(points[b]) for b in params.base_station_ids())
-            for u in params.user_ids()
+            min(points[u].distance_to(p) for p in points[: params.num_base_stations])
+            for u in range(params.num_base_stations, params.num_nodes)
         ]
         assert len(set(nearest)) < len(nearest)  # the layout really ties
         for count in (params.sessions.num_sessions, params.num_users):

@@ -55,7 +55,7 @@ class TestTutorialSteps:
             decision,
             simulator.state.arrays.q,
             simulator.state.h_backlogs(),
-            simulator.state.z_values(),
+            simulator.state.arrays.z_values_array(),
         )
         assert terms.psi1 <= 0
         simulator.state.apply(decision)

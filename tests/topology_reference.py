@@ -24,7 +24,7 @@ import numpy as np
 from repro.config.parameters import ScenarioParameters
 from repro.network.topology import _raise_isolated
 from repro.phy.propagation import gain_matrix
-from repro.types import Link, NodeId, NodeKind
+from repro.types import Link, NodeId
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ def _max_range_feasible(
     noise term, which is the most permissive case: if the link fails
     here it fails on every band in every slot.
     """
-    p_max = params.node_params(tx).max_tx_power_w
+    is_bs = tx < params.num_base_stations  # base stations hold the low ids
+    p_max = (params.bs_node if is_bs else params.user_node).max_tx_power_w
     noise = params.noise_density_w_per_hz * params.spectrum.cellular_bandwidth_hz
     return gains[tx, rx] * p_max >= params.sinr_threshold * noise
 
@@ -93,7 +94,7 @@ def build_topology_dense(
         # Base stations keep links to every feasible receiver so the
         # one-hop architectures can always serve their users directly;
         # the neighbour cap only prunes user-originated links.
-        is_user = params.node_kind(tx) is NodeKind.MOBILE_USER
+        is_user = tx >= params.num_base_stations
         if params.neighbor_limit is not None and is_user:
             feasible = feasible[: params.neighbor_limit]
         for rx in feasible:
