@@ -3,12 +3,13 @@
 These measure the individual subproblem solvers on realistic states so
 regressions in the per-slot cost (the quantity that bounds experiment
 wall time) are caught: S1 sequential fix and power control, the full
-controller slot, and the relaxed LP slot.
+controller slot, the relaxed LP slot, and the construction of both LPs.
 """
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.analysis.callgraph import Program
 from repro.analysis.equations import audit_equations
@@ -18,6 +19,7 @@ from repro.lint.cli import main as lint_main, parse_paths
 from repro.phy import gain_matrix, minimal_power_assignment_vec
 from repro.phy.propagation import DensePairGains
 from repro.sim import SlotSimulator
+from repro.solvers import LinearProgram
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,6 +118,35 @@ def test_relaxed_lp_slot(benchmark, bench_base):
     observation = relaxed.state.observe(99)
 
     benchmark(lambda: relaxed.controller.decide(observation, relaxed.state))
+
+
+def _slot_lp_arguments(simulator, slots):
+    """The arguments of every ``LinearProgram`` built in the last slot."""
+    for slot in range(slots - 1):
+        simulator.step(slot)
+    captured = []
+    build = LinearProgram.__init__
+
+    def record(self, *args):
+        captured.append(args)
+        build(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinearProgram, "__init__", record)
+        simulator.step(slots - 1)
+    return captured
+
+
+def test_lp_build_paper_slot(benchmark):
+    # One paper-scale slot's LPs (the paper-fig2 workload's scenario at
+    # V=1e5): the relaxed program P3bar and the S1 sequential-fix
+    # relaxation, built from the triplets their callers pass.
+    params = paper_scenario(num_slots=10, seed=2014)
+    captured = _slot_lp_arguments(SlotSimulator.relaxed(params), 10)
+    captured += _slot_lp_arguments(SlotSimulator.integral(params), 10)
+    assert len(captured) == 2
+
+    benchmark(lambda: [LinearProgram(*args) for args in captured])
 
 
 def test_energy_manager_slot(benchmark, bench_base):

@@ -34,7 +34,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 import numpy as np
-from scipy import sparse
 
 from repro.axes import (
     AnyArray,
@@ -63,6 +62,10 @@ from repro.solvers.linprog import LinearProgram
 from repro.solvers.sequential_fix import sequential_fix
 from repro.types import LinkBand, NodeId, SchedulerKind
 from repro.units import Linear, Watts
+
+#: ``10**k`` for ``k = 0..18``: an int64 of ``k + 1`` digits lies in
+#: ``[10**k, 10**(k+1))``.
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 #: Ignore links whose virtual backlog is below this (the paper's SF
 #: pre-step fixes ``a_ij^m = 0`` whenever ``H_ij = 0``).
@@ -178,13 +181,20 @@ def _repr_rank(cand: _Candidates) -> AnyArray:
     """Rank of each candidate's ``repr((tx, rx, band))`` in string order.
 
     The SF tie-break among equal LP values (the pinned trajectories
-    were recorded with it), computed once per slot.
+    were recorded with it), computed once per slot without strings.
+    The ``repr`` order compares the three fields' decimal strings in
+    turn, a prefix first.  For a non-negative ``a`` of ``n`` digits
+    that is the order of ``(a * 10**(D - n), n)``, ``D`` the field's
+    widest: the first key pads the digits with zeros on the right, and
+    the second puts a prefix before its extensions (``1 < 10 < 100``).
     """
-    text = [
-        repr(key) for key in zip(cand.tx.tolist(), cand.rx.tolist(), cand.band.tolist())
-    ]
-    rank = np.empty(len(text), dtype=np.intp)
-    rank[np.argsort(np.array(text))] = np.arange(len(text))
+    keys = []
+    for field in (cand.tx, cand.rx, cand.band):
+        digits = np.searchsorted(_POWERS_OF_TEN[1:], field, side="right") + 1
+        width = int(digits.max(initial=1))
+        keys += [field * _POWERS_OF_TEN[width - digits], digits]
+    rank = np.empty(cand.tx.shape[0], dtype=np.intp)
+    rank[np.lexsort(keys[::-1])] = np.arange(rank.shape[0])
     return rank
 
 
@@ -519,14 +529,7 @@ class LinkScheduler:
             power_bounds[:, 1] = self._static.max_power_tx[cand.pos]
             bounds = np.concatenate((bounds, power_bounds))
             zero_with = num + np.arange(num)
-        lp = LinearProgram(
-            cost,
-            bounds,
-            sparse.coo_matrix(
-                (vals, (rows, cols)), shape=(rhs.shape[0], cost.shape[0])
-            ),
-            rhs,
-        )
+        lp = LinearProgram(cost, bounds, (rows, cols, vals), rhs)
         chosen = sequential_fix(
             lp,
             _repr_rank(cand),

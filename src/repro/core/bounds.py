@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.axes import AnyArray, LinkBandMat, LinkIds, LinkVec, NodeJoules
 
@@ -42,7 +41,7 @@ from repro.control.decisions import (
 from repro.core.arraystate import seq_sum
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
-from repro.solvers.linprog import LinearProgram
+from repro.solvers.linprog import LinearProgram, Triplets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see state.py)
     from repro.state import NetworkState
@@ -179,7 +178,7 @@ class RelaxedLpController:
     def _build_lp(
         self, observation: SlotObservation, state: NetworkState
     ) -> Tuple[LinearProgram, _Layout]:
-        """Assemble the slot's P3bar as sparse COO blocks.
+        """Assemble the slot's P3bar as COO row blocks.
 
         Columns: activations ``a`` (link-major, then ascending band —
         the common-band frozenset order the pinned runs were recorded
@@ -379,10 +378,7 @@ class RelaxedLpController:
         eq.add(0, p_col, -1.0)
         eq.close(np.zeros(1))
 
-        num_cols = cost.shape[0]
-        lp = LinearProgram(
-            cost, bounds, *ub.matrix(num_cols), *eq.matrix(num_cols)
-        )
+        lp = LinearProgram(cost, bounds, *ub.triplets(), *eq.triplets())
         layout = _Layout(
             a_link=a_link,
             a_band=a_band,
@@ -531,13 +527,11 @@ class _Rows:
         self._rhs.append(np.asarray(rhs, dtype=np.float64))
         self._offset += self._rhs[-1].shape[0]
 
-    def matrix(self, num_cols: int) -> Tuple[sparse.coo_matrix, AnyArray]:
-        """The block as a sparse matrix and its right-hand sides."""
-        matrix = sparse.coo_matrix(
-            (
-                np.concatenate(self._vals),
-                (np.concatenate(self._rows), np.concatenate(self._cols)),
-            ),
-            shape=(self._offset, num_cols),
+    def triplets(self) -> Tuple[Triplets, AnyArray]:
+        """The block as COO triplets and its right-hand sides."""
+        entries = (
+            np.concatenate(self._rows),
+            np.concatenate(self._cols),
+            np.concatenate(self._vals),
         )
-        return matrix, np.concatenate(self._rhs)
+        return entries, np.concatenate(self._rhs)

@@ -1,19 +1,25 @@
-"""A matrix-in linear program solved by HiGHS.
+"""A linear program over COO row blocks, solved by HiGHS.
 
 The LPs of this package — the S1 sequential-fix relaxation over
 constraints (20)-(24) and the per-slot relaxed program P3bar of the
 Theorem-5 bound — are assembled by their callers as arrays over frozen
 column and row orders: a cost vector, ``(n, 2)`` column bounds, and
-sparse ``A_ub x <= b_ub`` / ``A_eq x == b_eq`` blocks (a ``>=`` row is
-passed negated in ``A_ub``).  ``LinearProgram`` equilibrates the rows
-and stacks them into HiGHS's column-wise matrix once per matrix, fixes
-columns by changing their bounds, and solves through the HiGHS bindings
-that scipy ships (``scipy.optimize._highspy._core``).  It sets the
-options, maps the model status and tests the solution exactly as
-``scipy.optimize.linprog`` with ``method="highs"`` does, so its solutions equal
-``linprog``'s bit for bit, without ``linprog``'s per-call input
-cleaning, matrix conversion and dual/basis read-out.
-:meth:`LinearProgram.solve` is the package's one call into HiGHS.
+``A_ub x <= b_ub`` / ``A_eq x == b_eq`` blocks, each given as COO
+triplets ``(rows, cols, vals)`` with its right-hand sides (a ``>=`` row
+is passed negated in ``A_ub``).  ``LinearProgram`` builds HiGHS's
+column-wise matrix from the triplets with numpy once per matrix: it
+drops exact zeros, divides every row and its bound by the row's largest
+|coefficient|, sorts the entries column-major and counts the column
+starts.  It fixes columns by changing their bounds
+and solves through the HiGHS bindings that scipy ships
+(``scipy.optimize._highspy._core``).  It sets the options, maps the
+model status and tests the solution exactly as
+``scipy.optimize.linprog`` with ``method="highs"`` does, so its
+solutions equal ``linprog``'s bit for bit, without ``linprog``'s
+per-call input cleaning, matrix conversion and dual/basis read-out.
+:meth:`LinearProgram.solve` is the package's one call into HiGHS;
+``scipy.sparse`` appears only in :meth:`LinearProgram.standard_form`,
+the equilibrated problem in ``linprog``'s form for the oracle tests.
 Minimisation only, like scipy.
 """
 
@@ -48,6 +54,10 @@ except ImportError as error:  # pragma: no cover - depends on the installed scip
 
 from repro.axes import AnyArray
 from repro.exceptions import InfeasibleError, SolverError
+
+#: One row block as COO entries ``(rows, cols, vals)``: coefficient
+#: ``vals[k]`` at row ``rows[k]`` of the block and column ``cols[k]``.
+Triplets = Tuple[AnyArray, AnyArray, AnyArray]
 
 #: The equilibrated problem, in ``linprog``'s argument order:
 #: ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` with a ``None`` pair for an
@@ -132,69 +142,81 @@ class LPSolution:
 
 
 def _rows(
-    a: Optional[object], b: Optional[AnyArray], num_cols: int, name: str
-) -> Tuple[Optional[sparse.csr_matrix], Optional[AnyArray]]:
-    """One row block as CSR with its exact zeros dropped."""
-    if a is None:
-        return None, None
-    matrix = sparse.csr_matrix(a, dtype=np.float64, copy=True)
-    rhs = np.asarray(b, dtype=np.float64).reshape(-1)
-    if matrix.shape[1] != num_cols:
-        raise SolverError(
-            f"{name} block has {matrix.shape[1]} columns, the LP has {num_cols}"
-        )
-    if rhs.shape[0] != matrix.shape[0]:
-        raise SolverError(
-            f"{name} block has {matrix.shape[0]} rows but {rhs.shape[0]} bounds"
-        )
-    if not (np.isfinite(matrix.data).all() and np.isfinite(rhs).all()):
+    block: Optional[Triplets], rhs: Optional[AnyArray], num_cols: int, name: str
+) -> Tuple[Triplets, AnyArray, AnyArray]:
+    """One row block's nonzero entries, its bounds and its row scales.
+
+    The scale of a row is its largest |coefficient|, 1 for an empty
+    row.  Physical-model rows mix propagation gains (~1e-12) with big-M
+    constants (~10), which makes HiGHS mis-declare feasible systems
+    infeasible; dividing a row and its bound by the scale is an exact
+    reformulation.
+    """
+    if block is None:
+        empty = np.zeros(0, dtype=np.intp)
+        return (empty, empty, np.zeros(0)), np.zeros(0), np.zeros(0)
+    rows, cols, vals = block
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    vals = np.asarray(vals, dtype=np.float64)
+    bounds = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    num_rows = bounds.shape[0]
+    if not (rows.shape == cols.shape == vals.shape and vals.ndim == 1):
+        raise SolverError(f"{name} block's rows, columns and values differ in shape")
+    if not (np.isfinite(vals).all() and np.isfinite(bounds).all()):
         raise SolverError(f"{name} block has a non-finite coefficient or bound")
-    if matrix.shape[0] == 0:
-        return None, None
+    if rows.size and (
+        min(rows.min(), cols.min()) < 0
+        or rows.max() >= num_rows
+        or cols.max() >= num_cols
+    ):
+        raise SolverError(
+            f"{name} block has an entry outside its {num_rows} rows "
+            f"and {num_cols} columns"
+        )
     # Exactly-zero coefficients leave the structure (an empty battery
     # puts a tangent point at 0); near-zero ones must stay.
-    matrix.eliminate_zeros()
-    return matrix, rhs
-
-
-def _equilibrate(
-    a: Optional[sparse.csr_matrix], b: Optional[AnyArray]
-) -> Tuple[Optional[sparse.csr_matrix], Optional[AnyArray]]:
-    """Divide every row and its bound by the row's largest |coefficient|.
-
-    Physical-model rows mix propagation gains (~1e-12) with big-M
-    constants (~10), which makes HiGHS mis-declare feasible systems
-    infeasible; the scaling is an exact reformulation.  Empty rows keep
-    scale 1.
-    """
-    if a is None:
-        return None, None
-    scale = abs(a).max(axis=1).toarray().ravel()
+    nonzero = np.flatnonzero(vals)
+    if nonzero.size < vals.size:
+        rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    scale = np.zeros(num_rows)
+    np.maximum.at(scale, rows, np.abs(vals))
     scale[scale <= 0.0] = 1.0
-    scaled = a.copy()
-    scaled.data = a.data / np.repeat(scale, np.diff(a.indptr))
-    return scaled, b / scale
+    return (rows, cols, vals), bounds, scale
 
 
 def _column_matrix(
-    blocks: Tuple[Optional[sparse.csr_matrix], ...], num_cols: int
+    rows: AnyArray, cols: AnyArray, vals: AnyArray, num_ub: int, shape: Tuple[int, int]
 ) -> HighsSparseMatrix:
-    """The row blocks stacked top to bottom as HiGHS's CSC matrix."""
-    present = [block for block in blocks if block is not None]
-    if present:
-        stacked = sparse.csc_array(sparse.vstack(present))
-    else:
-        stacked = sparse.csc_array((0, num_cols))
-    stacked.sum_duplicates()
+    """The stacked entries as HiGHS's column-wise matrix.
+
+    One sort of the key ``col * num_rows + row`` orders the entries
+    column-major, rows ascending within a column, as ``np.lexsort((rows,
+    cols))`` would.
+
+    Raises:
+        SolverError: on two entries at one ``(row, column)``, naming
+            the block they are in (rows from ``num_ub`` on are
+            ``A_eq``'s).
+    """
+    num_rows, num_cols = shape
+    key = cols * num_rows + rows
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeated = np.flatnonzero(key[1:] == key[:-1])
+    if repeated.size:
+        col, row = divmod(int(key[repeated[0]]), num_rows)
+        name, row = ("A_ub", row) if row < num_ub else ("A_eq", row - num_ub)
+        raise SolverError(f"{name} block has two entries at row {row}, column {col}")
+    starts = np.zeros(num_cols + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=num_cols), out=starts[1:])
     matrix = HighsSparseMatrix()
     matrix.format_ = MatrixFormat.kColwise
-    matrix.num_col_ = num_cols
-    matrix.num_row_ = stacked.shape[0]
-    # The bindings copy an integer ndarray element by element through
-    # numpy scalars; a list of ints converts about twice as fast.
-    matrix.start_ = stacked.indptr.tolist()
-    matrix.index_ = stacked.indices.tolist()
-    matrix.value_ = stacked.data
+    matrix.num_row_, matrix.num_col_ = shape
+    # The bindings copy an ndarray element by element through numpy
+    # scalars; a list converts about twice as fast.
+    matrix.start_ = starts.tolist()
+    matrix.index_ = rows[order].tolist()
+    matrix.value_ = vals[order].tolist()
     return matrix
 
 
@@ -205,22 +227,29 @@ class LinearProgram:
         cost: ``(n,)`` objective coefficients.
         bounds: ``(n, 2)`` ``[lower, upper]`` per column (``inf`` for
             no upper bound; NaN reads as no bound, as in ``linprog``).
-        a_ub, b_ub: ``A_ub x <= b_ub`` (any scipy sparse or dense
-            matrix); None for no rows.
-        a_eq, b_eq: ``A_eq x == b_eq``; None for no rows.
+        a_ub, b_ub: ``A_ub x <= b_ub``: the block's COO triplets and its
+            ``(m,)`` bounds, which set its row count; None for no rows.
+        a_eq, b_eq: ``A_eq x == b_eq`` in the same form; None for no
+            rows.
+
+    Attributes:
+        a_ub, b_ub, a_eq, b_eq: the row blocks as given, unscaled, with
+            their exact zeros dropped (empty triplets for no rows).
 
     Raises:
         SolverError: on inconsistent shapes, a non-finite cost,
-            coefficient or row bound, or an empty bound interval.
+            coefficient or row bound, an entry outside its block, two
+            nonzero entries at one ``(row, column)`` of a block, or an
+            empty bound interval.
     """
 
     def __init__(
         self,
         cost: AnyArray,
         bounds: AnyArray,
-        a_ub: Optional[object] = None,
+        a_ub: Optional[Triplets] = None,
         b_ub: Optional[AnyArray] = None,
-        a_eq: Optional[object] = None,
+        a_eq: Optional[Triplets] = None,
         b_eq: Optional[AnyArray] = None,
     ) -> None:
         self.cost = np.asarray(cost, dtype=np.float64).reshape(-1)
@@ -240,12 +269,23 @@ class LinearProgram:
             raise SolverError(
                 f"column {empty[0]} has empty bound interval [{lower}, {upper}]"
             )
-        self.a_ub, self.b_ub = _rows(a_ub, b_ub, num_cols, "A_ub")
-        self.a_eq, self.b_eq = _rows(a_eq, b_eq, num_cols, "A_eq")
+        self.a_ub, self.b_ub, ub_scale = _rows(a_ub, b_ub, num_cols, "A_ub")
+        self.a_eq, self.b_eq, eq_scale = _rows(a_eq, b_eq, num_cols, "A_eq")
         # The scaled rows and objective depend on neither the bounds nor
-        # the fixings, so they are computed once per matrix.
-        a_ub_s, b_ub_s = _equilibrate(self.a_ub, self.b_ub)
-        a_eq_s, b_eq_s = _equilibrate(self.a_eq, self.b_eq)
+        # the fixings, so they are computed once per matrix.  HiGHS
+        # takes lower <= A x <= upper over the stacked rows: an
+        # inequality row has no lower bound, an equality row two equal
+        # ones.
+        self._num_ub = self.b_ub.shape[0]
+        (ub_rows, ub_cols, ub_vals), (eq_rows, eq_cols, eq_vals) = self.a_ub, self.a_eq
+        b_eq_s = self.b_eq / eq_scale
+        self._row_lower = np.concatenate((np.full(self._num_ub, -kHighsInf), b_eq_s))
+        self._row_upper = np.concatenate((self.b_ub / ub_scale, b_eq_s))
+        self._entries = (
+            np.concatenate((ub_rows, eq_rows + self._num_ub)),
+            np.concatenate((ub_cols, eq_cols)),
+            np.concatenate((ub_vals / ub_scale[ub_rows], eq_vals / eq_scale[eq_rows])),
+        )
         # Normalise the objective: drift coefficients can span 12+
         # orders of magnitude (the beta^2-scaled virtual-queue terms),
         # which trips HiGHS's simplex numerics.  Scaling the objective
@@ -253,19 +293,16 @@ class LinearProgram:
         # solve.
         scale = float(np.abs(self.cost).max()) if num_cols else 1.0
         self._cost_scale = scale if scale > 0.0 else 1.0
-        self._scaled = (
-            self.cost / self._cost_scale, a_ub_s, b_ub_s, a_eq_s, b_eq_s
+        self._lp = HighsLp()
+        self._lp.num_col_ = num_cols
+        self._lp.num_row_ = self._row_upper.shape[0]
+        self._lp.a_matrix_ = _column_matrix(
+            *self._entries, self._num_ub, (self._lp.num_row_, num_cols)
         )
-        # HiGHS takes lower <= A x <= upper over the stacked rows: an
-        # inequality row has no lower bound, an equality row two equal
-        # ones.
-        empty_rhs = np.zeros(0)
-        b_ub_s = empty_rhs if b_ub_s is None else b_ub_s
-        b_eq_s = empty_rhs if b_eq_s is None else b_eq_s
-        self._num_ub = b_ub_s.shape[0]
-        self._row_lower = np.concatenate((np.full(self._num_ub, -kHighsInf), b_eq_s))
-        self._row_upper = np.concatenate((b_ub_s, b_eq_s))
-        self._matrix = _column_matrix((a_ub_s, a_eq_s), num_cols)
+        # Lists, not arrays, for the bindings (see _column_matrix).
+        self._lp.col_cost_ = (self.cost / self._cost_scale).tolist()
+        self._lp.row_lower_ = self._row_lower.tolist()
+        self._lp.row_upper_ = self._row_upper.tolist()
 
     @property
     def num_variables(self) -> int:
@@ -276,7 +313,7 @@ class LinearProgram:
         """A copy with ``columns`` pinned to ``values`` (bounds only).
 
         The copy shares the row blocks, their scaling and the HiGHS
-        matrix, so a fix costs one ``(n, 2)`` bounds copy.
+        model, so a fix costs one ``(n, 2)`` bounds copy.
         """
         pinned = copy.copy(self)
         pinned.bounds = self.bounds.copy()
@@ -286,26 +323,37 @@ class LinearProgram:
         return pinned
 
     def standard_form(self) -> StandardForm:
-        """The equilibrated problem exactly as HiGHS receives it."""
-        c, a_ub, b_ub, a_eq, b_eq = self._scaled
-        return c, a_ub, b_ub, a_eq, b_eq, self.bounds
+        """The equilibrated problem exactly as HiGHS receives it.
+
+        The blocks are canonical CSR matrices (sorted, no duplicates),
+        each None with its bounds when it has no rows.
+        """
+        rows, cols, vals = self._entries
+        num_rows = self._row_upper.shape[0]
+        stacked = sparse.csr_matrix(
+            (vals, (rows, cols)), shape=(num_rows, self.num_variables)
+        )
+        split = self._num_ub
+        a_ub, b_ub = stacked[:split], self._row_upper[:split]
+        a_eq, b_eq = stacked[split:], self._row_upper[split:]
+        return (
+            self.cost / self._cost_scale,
+            a_ub if split else None,
+            b_ub if split else None,
+            a_eq if num_rows > split else None,
+            b_eq if num_rows > split else None,
+            self.bounds,
+        )
 
     def _highs_lp(self) -> HighsLp:
-        """The problem as one ``HighsLp`` under the current bounds.
+        """The shared ``HighsLp`` under this program's bounds.
 
         ``kHighsInf`` is IEEE infinity, so infinite column bounds pass
         unchanged.
         """
-        lp = HighsLp()
-        lp.num_col_ = self.num_variables
-        lp.num_row_ = self._row_upper.shape[0]
-        lp.a_matrix_ = self._matrix
-        lp.col_cost_ = self._scaled[0]
-        lp.col_lower_ = np.ascontiguousarray(self.bounds[:, 0])
-        lp.col_upper_ = np.ascontiguousarray(self.bounds[:, 1])
-        lp.row_lower_ = self._row_lower
-        lp.row_upper_ = self._row_upper
-        return lp
+        self._lp.col_lower_ = self.bounds[:, 0].tolist()
+        self._lp.col_upper_ = self.bounds[:, 1].tolist()
+        return self._lp
 
     def _satisfied_by(self, outcome: _Outcome) -> bool:
         """``linprog``'s post-solve test of an optimal solution.

@@ -14,6 +14,13 @@ after row equilibration and objective normalisation.
 :meth:`~repro.solvers.linprog.LinearProgram.solve`: it hands the same
 ``standard_form()`` to :func:`scipy.optimize.linprog` and maps its
 status to the same solution or error.
+
+:func:`scipy_column_matrix` is the reference for the HiGHS matrix
+``LinearProgram`` assembles from COO triplets with numpy: the same
+blocks taken through ``scipy.sparse`` as the library once did (CSR,
+zeros eliminated, rows divided by their largest |coefficient|,
+stacked, CSC with duplicates summed).  :func:`dense_rows` writes a
+dense row block in the triplet form ``LinearProgram`` takes.
 """
 
 from __future__ import annotations
@@ -36,6 +43,52 @@ def node_class(params, node):
     if node < params.num_base_stations:
         return params.bs_node, params.bs_energy
     return params.user_node, params.user_energy
+
+
+def dense_rows(matrix):
+    """A dense row block as COO triplets over every cell, zeros included."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    rows, cols = np.indices(matrix.shape)
+    return rows.ravel(), cols.ravel(), matrix.ravel()
+
+
+def scipy_column_matrix(num_cols, blocks):
+    """HiGHS's column-wise matrix and row bounds, through ``scipy.sparse``.
+
+    ``blocks`` holds ``(triplets, rhs)`` for ``A_ub`` and then ``A_eq``,
+    ``(None, None)`` for no rows.  Returns ``(start, index, value,
+    row_lower, row_upper)``.
+    """
+    scaled, lower, upper = [], [], []
+    for (triplets, rhs), equality in zip(blocks, (False, True)):
+        if triplets is None:
+            continue
+        rows, cols, vals = triplets
+        rhs = np.asarray(rhs, dtype=np.float64)
+        matrix = sparse.csr_matrix(
+            sparse.coo_matrix((vals, (rows, cols)), shape=(rhs.shape[0], num_cols)),
+            dtype=np.float64,
+            copy=True,
+        )
+        matrix.eliminate_zeros()
+        scale = abs(matrix).max(axis=1).toarray().ravel()
+        scale[scale <= 0.0] = 1.0
+        matrix.data = matrix.data / np.repeat(scale, np.diff(matrix.indptr))
+        scaled.append(matrix)
+        upper.append(rhs / scale)
+        lower.append(upper[-1] if equality else np.full(rhs.shape[0], -np.inf))
+    if scaled:
+        stacked = sparse.csc_array(sparse.vstack(scaled))
+    else:
+        stacked = sparse.csc_array((0, num_cols))
+    stacked.sum_duplicates()
+    return (
+        stacked.indptr.tolist(),
+        stacked.indices.tolist(),
+        stacked.data,
+        np.concatenate(lower) if lower else np.zeros(0),
+        np.concatenate(upper) if upper else np.zeros(0),
+    )
 
 
 def linprog_solve(lp):

@@ -7,6 +7,7 @@ directly rather than trusting the derivation in comments.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.config import tiny_scenario
 from repro.core import RelaxedLpController, compute_constants
@@ -25,9 +26,17 @@ def relaxed_setup():
     return model, constants, state, controller
 
 
-def _rows_using(lp, column):
-    """The ``<=`` rows of ``lp`` with a coefficient on ``column``."""
-    return lp.a_ub.tocsc()[:, column].nonzero()[0]
+def _ub_matrix(lp):
+    """The ``<=`` block of ``lp`` as given (unscaled), in CSR."""
+    rows, cols, vals = lp.a_ub
+    return sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(lp.b_ub.shape[0], lp.num_variables)
+    )
+
+
+def _rows_using(a_ub, column):
+    """The rows of ``a_ub`` with a coefficient on ``column``."""
+    return a_ub.tocsc()[:, column].nonzero()[0]
 
 
 class TestCostTangentsUnderapproximate:
@@ -39,11 +48,12 @@ class TestCostTangentsUnderapproximate:
         cost = model.cost_at(observation.slot)
         p_cap = model.total_grid_cap_j()
         p_col, phi_col = lp.num_variables - 2, lp.num_variables - 1
-        tangents = _rows_using(lp, phi_col)
+        a_ub = _ub_matrix(lp)
+        tangents = _rows_using(a_ub, phi_col)
         assert tangents.size
         for row in tangents:
             # phi >= slope * P + intercept, negated into "<=" form.
-            slope = lp.a_ub[row, p_col]
+            slope = a_ub[row, p_col]
             intercept = -lp.b_ub[row]
             for p in np.linspace(0, p_cap, 17):
                 assert slope * p + intercept <= cost.value(p) + 1e-9
@@ -65,14 +75,15 @@ class TestCostTangentsUnderapproximate:
         lp, layout = controller._build_lp(observation, state)
         # Node 0's columns r, cr, g, cg, d, slack, w start the node block.
         cr_col, w_col = layout.node_start + 1, layout.node_start + 6
-        qdrift = _rows_using(lp, w_col)
+        a_ub = _ub_matrix(lp)
+        qdrift = _rows_using(a_ub, w_col)
         assert qdrift.size  # node 0 has a battery
         arrays = state.arrays
         max_drain = min(arrays.discharge_cap_j[0], arrays.battery_level[0])
         for row in qdrift:
             # w >= point*net - point^2/2, the tangent of net^2/2, enters
             # negated: its cr coefficient is point * eta_c.
-            point = lp.a_ub[row, cr_col] / arrays.charge_efficiency[0]
+            point = a_ub[row, cr_col] / arrays.charge_efficiency[0]
             intercept = -lp.b_ub[row]  # equals -point^2/2
             for net in np.linspace(-max_drain, arrays.max_charge_j_array()[0], 9):
                 assert point * net + intercept <= 0.5 * net * net + 1e-6

@@ -558,3 +558,52 @@ class TestAppearanceGroups:
         values = np.array(values, dtype=np.intp)
         for a, b in zip(appearance_groups(values), _unique_groups(values)):
             assert a.tolist() == b.tolist()
+
+
+def _string_rank(triples):
+    """Rank of each ``repr((tx, rx, band))`` in string order (the oracle
+    the SF tie-break was recorded with)."""
+    text = [repr(tuple(triple)) for triple in triples]
+    rank = np.empty(len(text), dtype=np.intp)
+    rank[np.argsort(np.array(text))] = np.arange(len(text))
+    return rank.tolist()
+
+
+def _integer_rank(triples):
+    tx, rx, band = (
+        np.array([triple[i] for triple in triples], dtype=np.intp) for i in range(3)
+    )
+    cand = scheduler_module._Candidates(
+        np.arange(tx.size), tx, rx, band, np.zeros(tx.size)
+    )
+    return scheduler_module._repr_rank(cand).tolist()
+
+
+class TestReprRank:
+    """The integer SF tie-break key orders as the ``repr`` strings do."""
+
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            [],
+            [(3, 4, 0)],
+            [(1, 0, 0), (10, 0, 0), (100, 0, 0), (12, 0, 0), (2, 0, 0)],
+            [(0, 10, 1), (0, 1, 10), (0, 1, 1), (0, 100, 0), (0, 0, 0)],
+            [(9, 9, 9), (10, 9, 9), (99, 0, 0), (100, 0, 0), (999, 1, 0), (1000, 1, 0)],
+            [(5, 1, 2), (5, 12, 0), (5, 1, 10), (5, 10, 1), (51, 0, 0), (5, 0, 9)],
+            [(123456, 7, 3), (12345, 70, 3), (1234567, 0, 3), (2, 999999, 4)],
+        ],
+        ids=["empty", "single", "tx-prefixes", "rx-band-prefixes", "powers-of-ten",
+             "mixed-widths", "wide"],
+    )
+    def test_edge_cases_match_strings(self, triples):
+        assert _integer_rank(triples) == _string_rank(triples)
+
+    def test_random_candidate_sets_match_strings(self):
+        rng = np.random.default_rng(2014)
+        for _ in range(500):
+            high = int(rng.choice([10, 100, 1000, 10**6]))
+            size = int(rng.integers(0, 40))
+            fields = rng.integers(0, high, (size, 2)), rng.integers(0, 12, (size, 1))
+            triples = list({tuple(row) for row in np.hstack(fields).tolist()})
+            assert _integer_rank(triples) == _string_rank(triples)

@@ -18,7 +18,7 @@ from repro.exceptions import ReproError
 from repro.sim import SlotSimulator
 from repro.solvers.linprog import LinearProgram
 from repro.types import SchedulerKind
-from tests.lp_reference import linprog_solve
+from tests.lp_reference import dense_rows, linprog_solve
 
 #: Run label -> scheduler kind; None runs the relaxed-LP controller.
 RUNS = {
@@ -88,11 +88,14 @@ def test_sinr_trials_include_an_infeasible_fix(captured):
 @pytest.mark.parametrize(
     "lp",
     [
-        LinearProgram([1.0], np.array([[0.0, 1.0]]), [[-1.0]], [-5.0]),
+        LinearProgram([1.0], np.array([[0.0, 1.0]]), dense_rows([[-1.0]]), [-5.0]),
         LinearProgram([-1.0], np.array([[0.0, np.inf]])),
         LinearProgram([], np.zeros((0, 2))),
         LinearProgram(
-            [0.0, 1.0], np.array([[0.0, 100.0], [0.0, 100.0]]), a_eq=[[1.0, 1.0]], b_eq=[10.0]
+            [0.0, 1.0],
+            np.array([[0.0, 100.0], [0.0, 100.0]]),
+            a_eq=dense_rows([[1.0, 1.0]]),
+            b_eq=[10.0],
         ),
         LinearProgram([0.0, 0.0], np.array([[0.0, 1.0], [0.0, 1.0]])),
     ],

@@ -15,6 +15,7 @@ from repro.exceptions import InfeasibleError, SolverError
 from repro.phy.power_control import minimal_power_assignment
 from repro.phy.propagation import DensePairGains, gain_matrix
 from repro.solvers import LinearProgram, linprog, sequential_fix
+from tests.lp_reference import dense_rows
 
 
 def _box_lp():
@@ -26,9 +27,9 @@ def _box_lp():
     return LinearProgram(
         [-1.0, -1.0],
         np.tile([0.0, 1.0], (2, 1)),
-        [[1.0, 1.0]],
+        dense_rows([[1.0, 1.0]]),
         [1.5],
-        a_eq=[[1.0, -1.0]],
+        a_eq=dense_rows([[1.0, -1.0]]),
         b_eq=[0.0],
     )
 
@@ -109,7 +110,12 @@ class TestLinearProgramStatus:
     @pytest.mark.parametrize(
         "lp, message",
         [
-            (LinearProgram([1.0], np.array([[0.0, 1.0]]), [[-1.0]], [-5.0]), "infeasible"),
+            (
+                LinearProgram(
+                    [1.0], np.array([[0.0, 1.0]]), dense_rows([[-1.0]]), [-5.0]
+                ),
+                "infeasible",
+            ),
             (LinearProgram([-1.0], np.array([[0.0, np.inf]])), "unbounded"),
         ],
         ids=["infeasible", "unbounded"],
@@ -166,7 +172,7 @@ class TestCheckedSequentialFix:
         lp = LinearProgram(
             [-w for w in weights],
             np.tile([0.0, 1.0], (3, 1)),
-            [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            dense_rows([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             [1.5, 0.4],
         )
         selected = sequential_fix(
@@ -205,7 +211,10 @@ class TestCheckedSequentialFix:
                 return super().solve()
 
         lp = ToleranceVerdicts(
-            [-3.0, -2.0, -1.0], np.tile([0.0, 1.0], (3, 1)), [[1.0, 1.0, 1.0]], [2.5]
+            [-3.0, -2.0, -1.0],
+            np.tile([0.0, 1.0], (3, 1)),
+            dense_rows([[1.0, 1.0, 1.0]]),
+            [2.5],
         )
         selected = sequential_fix(
             lp, np.arange(3), lambda col: np.zeros(3, dtype=bool), check_feasibility=True

@@ -17,6 +17,7 @@ from repro.solvers import (
     linprog,
     sequential_fix,
 )
+from tests.lp_reference import dense_rows, scipy_column_matrix
 
 #: Every member of ``scipy.optimize._highspy._core`` that
 #: ``repro.solvers.linprog`` uses, with the attributes it reads or sets.
@@ -109,19 +110,19 @@ class TestLinearProgram:
         assert solution.objective == pytest.approx(2.0)
 
     def test_le_constraint(self):
-        lp = LinearProgram([-1.0], _bounds((0.0, 100.0)), [[2.0]], [10.0])
+        lp = LinearProgram([-1.0], _bounds((0.0, 100.0)), dense_rows([[2.0]]), [10.0])
         assert lp.solve().x[0] == pytest.approx(5.0)
 
     def test_ge_constraint(self):
         # x >= 7 enters negated: -x <= -7.
-        lp = LinearProgram([1.0], _bounds((0.0, 100.0)), [[-1.0]], [-7.0])
+        lp = LinearProgram([1.0], _bounds((0.0, 100.0)), dense_rows([[-1.0]]), [-7.0])
         assert lp.solve().x[0] == pytest.approx(7.0)
 
     def test_eq_constraint(self):
         lp = LinearProgram(
             [0.0, 1.0],
             _bounds((0.0, 100.0), (0.0, 100.0)),
-            a_eq=[[1.0, 1.0]],
+            a_eq=dense_rows([[1.0, 1.0]]),
             b_eq=[10.0],
         )
         solution = lp.solve()
@@ -130,13 +131,16 @@ class TestLinearProgram:
 
     def test_column_indexed_solution(self):
         lp = LinearProgram(
-            [-3.0, -1.0], _bounds((0.0, 1.0), (0.0, 1.0)), [[1.0, 1.0]], [1.0]
+            [-3.0, -1.0],
+            _bounds((0.0, 1.0), (0.0, 1.0)),
+            dense_rows([[1.0, 1.0]]),
+            [1.0],
         )
         solution = lp.solve()
         assert solution.x[0] == pytest.approx(1.0)
 
     def test_infeasible_raises(self):
-        lp = LinearProgram([1.0], _bounds((0.0, 1.0)), [[-1.0]], [-5.0])
+        lp = LinearProgram([1.0], _bounds((0.0, 1.0)), dense_rows([[-1.0]]), [-5.0])
         with pytest.raises(InfeasibleError):
             lp.solve()
 
@@ -152,7 +156,9 @@ class TestLinearProgram:
     def test_unknown_variable_in_constraint_rejected(self):
         # A row over a column the LP does not have.
         with pytest.raises(SolverError):
-            LinearProgram([0.0], _bounds((0.0, np.inf)), [[0.0, 1.0]], [1.0])
+            LinearProgram(
+                [0.0], _bounds((0.0, np.inf)), dense_rows([[0.0, 1.0]]), [1.0]
+            )
 
     def test_fix_variable(self):
         lp = LinearProgram([-1.0], _bounds((0.0, 10.0)))
@@ -167,9 +173,9 @@ class TestLinearProgram:
         "args",
         [
             ([np.inf], _bounds((0.0, 1.0))),
-            ([1.0], _bounds((0.0, 1.0)), [[np.nan]], [1.0]),
-            ([1.0], _bounds((0.0, 1.0)), [[1.0]], [np.inf]),
-            ([1.0], _bounds((0.0, 1.0)), None, None, [[1.0]], [np.nan]),
+            ([1.0], _bounds((0.0, 1.0)), dense_rows([[np.nan]]), [1.0]),
+            ([1.0], _bounds((0.0, 1.0)), dense_rows([[1.0]]), [np.inf]),
+            ([1.0], _bounds((0.0, 1.0)), None, None, dense_rows([[1.0]]), [np.nan]),
         ],
         ids=["cost", "a_ub", "b_ub", "b_eq"],
     )
@@ -193,7 +199,10 @@ class TestLinearProgram:
         # Regression: beta^2-scaled drift coefficients (1e11+) used to
         # trip HiGHS simplex numerics before objective normalisation.
         lp = LinearProgram(
-            [-5e11, -2e-4], _bounds((0.0, 1.0), (0.0, 1.0)), [[1.0, 1.0]], [1.0]
+            [-5e11, -2e-4],
+            _bounds((0.0, 1.0), (0.0, 1.0)),
+            dense_rows([[1.0, 1.0]]),
+            [1.0],
         )
         solution = lp.solve()
         assert solution.x[0] == pytest.approx(1.0)
@@ -202,9 +211,9 @@ class TestLinearProgram:
         lp = LinearProgram(
             [2.0, -4.0],
             _bounds((0.0, 1.0), (0.0, 1.0)),
-            [[0.0, -8.0], [0.0, 0.0]],
+            dense_rows([[0.0, -8.0], [0.0, 0.0]]),
             [4.0, 3.0],
-            a_eq=[[1e-12, 2e-12]],
+            a_eq=dense_rows([[1e-12, 2e-12]]),
             b_eq=[1e-12],
         )
         c, a_ub, b_ub, a_eq, b_eq, bounds = lp.standard_form()
@@ -215,6 +224,116 @@ class TestLinearProgram:
         np.testing.assert_array_equal(a_eq.toarray(), [[0.5, 1.0]])
         np.testing.assert_array_equal(b_eq, [0.5])
         np.testing.assert_array_equal(bounds, lp.bounds)
+
+
+def _highs_input(lp):
+    """``(start, index, value, row_lower, row_upper)`` as HiGHS receives them."""
+    model = lp._highs_lp()
+    matrix = model.a_matrix_
+    return (
+        matrix.start_,
+        matrix.index_,
+        np.array(matrix.value_).tobytes(),
+        np.array(model.row_lower_).tobytes(),
+        np.array(model.row_upper_).tobytes(),
+    )
+
+
+def _scipy_input(num_cols, blocks):
+    start, index, value, lower, upper = scipy_column_matrix(num_cols, blocks)
+    return start, index, value.tobytes(), lower.tobytes(), upper.tobytes()
+
+
+def _random_block(rng, num_rows, num_cols):
+    """Unsorted COO entries with exact (and negative) zeros, all-zero
+    rows and coefficients from 1e-12 to 10, plus their bounds."""
+    cells = rng.permutation(num_rows * num_cols)
+    cells = cells[: int(rng.integers(0, cells.size + 1))]
+    rows, cols = np.divmod(cells, num_cols)
+    vals = rng.choice([1e-12, 1e-3, 1.0, 10.0], cells.size) * rng.normal(
+        size=cells.size
+    )
+    vals[rng.random(cells.size) < 0.2] = 0.0
+    vals[rng.random(cells.size) < 0.05] = -0.0
+    vals[np.isin(rows, rng.integers(0, num_rows, 2))] = 0.0
+    return (rows, cols, vals), rng.normal(size=num_rows)
+
+
+def _assert_same_highs_input(num_cols, ub, eq):
+    lp = LinearProgram(np.ones(num_cols), np.tile([0.0, 1.0], (num_cols, 1)), *ub, *eq)
+    assert _highs_input(lp) == _scipy_input(num_cols, (ub, eq))
+
+
+class TestColumnAssembly:
+    """The numpy-built HiGHS matrix equals the ``scipy.sparse`` path's."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_blocks_match_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        num_cols = int(rng.integers(1, 12))
+        ub = _random_block(rng, int(rng.integers(1, 10)), num_cols)
+        eq = _random_block(rng, int(rng.integers(1, 10)), num_cols)
+        _assert_same_highs_input(num_cols, ub, eq)
+
+    def test_column_major_input(self):
+        rng = np.random.default_rng(7)
+        (rows, cols, vals), rhs = _random_block(rng, 8, 6)
+        order = np.lexsort((rows, cols))
+        ub = (rows[order], cols[order], vals[order]), rhs
+        _assert_same_highs_input(6, ub, (None, None))
+
+    @pytest.mark.parametrize(
+        "ub, eq",
+        [
+            ((None, None), (None, None)),
+            ((dense_rows(np.zeros((0, 3))), []), (None, None)),
+            ((dense_rows(np.zeros((2, 3))), [1.0, -2.0]), (None, None)),
+            ((([], [], []), [4.0, 5.0]), (dense_rows([[0.0, 2.0, -4.0]]), [8.0])),
+            ((None, None), (dense_rows([[0.0, 0.0, 0.0], [1e-12, 0.0, 3.0]]), [1.0, 6.0])),
+        ],
+        ids=["no-rows", "zero-row-block", "all-zero-rows", "empty-block", "eq-only"],
+    )
+    def test_edge_blocks_match_scipy(self, ub, eq):
+        _assert_same_highs_input(3, ub, eq)
+
+    @pytest.mark.parametrize("block", ["ub", "eq"])
+    def test_duplicate_entry_rejected(self, block):
+        entries = ([0, 1, 1], [0, 0, 0], [1.0, 2.0, 3.0])
+        with pytest.raises(
+            SolverError, match=f"A_{block} block has two entries at row 1, column 0"
+        ):
+            LinearProgram(
+                [1.0],
+                _bounds((0.0, 1.0)),
+                **{f"a_{block}": entries, f"b_{block}": [1.0, 1.0]},
+            )
+
+    @pytest.mark.parametrize(
+        "rows, cols", [([2], [0]), ([-1], [0]), ([0], [3]), ([0], [-1])],
+        ids=["row-past-end", "negative-row", "column-past-end", "negative-column"],
+    )
+    def test_entry_outside_block_rejected(self, rows, cols):
+        with pytest.raises(SolverError, match="A_eq block has an entry outside"):
+            LinearProgram(
+                [1.0, 1.0, 1.0],
+                np.tile([0.0, 1.0], (3, 1)),
+                dense_rows([[1.0, 1.0, 1.0]]),
+                [1.0],
+                (rows, cols, [1.0]),
+                [1.0, 1.0],
+            )
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_names_the_block(self, value):
+        with pytest.raises(SolverError, match="A_ub block has a non-finite"):
+            LinearProgram([1.0], _bounds((0.0, 1.0)), ([0], [0], [value]), [1.0])
+
+    def test_fixed_copies_share_the_model_and_keep_their_bounds(self):
+        lp = LinearProgram([-1.0, -1.0], np.tile([0.0, 1.0], (2, 1)))
+        pinned = lp.fixed([0], 0.0)
+        assert pinned._highs_lp() is lp._highs_lp()
+        assert pinned.solve().x.tolist() == [0.0, 1.0]
+        assert lp.solve().x.tolist() == [1.0, 1.0]
 
 
 class TestSequentialFix:
@@ -241,7 +360,7 @@ class TestSequentialFix:
         lp = LinearProgram(
             [-weights[k] for k in keys],
             np.tile([0.0, 1.0], (len(keys), 1)),
-            a_ub if pairs else None,
+            dense_rows(a_ub) if pairs else None,
             np.ones(len(pairs)) if pairs else None,
         )
 
@@ -267,7 +386,7 @@ class TestSequentialFix:
     def test_zero_weights_all_unscheduled(self):
         # Push toward zero so the relaxation leaves them there.
         lp = LinearProgram(
-            [0.0, 0.0], np.tile([0.0, 1.0], (2, 1)), [[1.0, 1.0]], [0.0]
+            [0.0, 0.0], np.tile([0.0, 1.0], (2, 1)), dense_rows([[1.0, 1.0]]), [0.0]
         )
         selected = sequential_fix(lp, np.arange(2), lambda col: np.zeros(2, bool))
         assert selected.size == 0  # both fixed to 0
